@@ -1,4 +1,5 @@
-//! Developer tool: sample allocation backtraces during an e10 bench run.
+//! Developer tool: sample allocation backtraces during a full-size serial
+//! `mix` run.
 //!
 //! ```text
 //! CARGO_PROFILE_RELEASE_DEBUG=1 cargo run --release -p dash-bench --bin alloc_profile
@@ -6,7 +7,8 @@
 //!
 //! Every `SAMPLE_EVERY`-th heap allocation captures a backtrace; the top
 //! call sites by sampled count are printed at exit. Useful for deciding
-//! where allocs-per-event actually comes from before optimizing.
+//! where `dash-benchmark`'s `allocs_per_msg` actually comes from before
+//! optimizing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dash_bench::e_scale::{run_scale, ScaleParams};
+use dash_bench::mix::{run, Backend, MixParams};
 
 const SAMPLE_EVERY: u64 = 1009; // prime, to avoid phase lock
 
@@ -84,9 +86,7 @@ fn summarize(bt: &str) -> String {
 }
 
 fn main() {
-    let mut params = ScaleParams::bench();
-    params.record_trace = false;
-    let o = run_scale(&params);
+    let o = run(&MixParams::full(), Backend::Serial);
     eprintln!(
         "alloc_profile: {} events, {} allocs total ({:.2}/event)",
         o.events,

@@ -1,87 +1,47 @@
-//! Run the e11 QoS-routing macro-workload and emit its event counts.
+//! Run the e11 QoS-routing macro-workload on both topologies
+//! (dumbbell-with-backup and the 3×3 mesh) and print its event counts.
 //!
 //! ```text
-//! cargo run -p dash-bench --release --bin e11_routing                 # full size
-//! cargo run -p dash-bench --release --bin e11_routing -- --bench     # gate size
-//! cargo run -p dash-bench --release --bin e11_routing -- --ci        # CI size
-//! cargo run -p dash-bench --release --bin e11_routing -- --json out.json --label after
-//! cargo run -p dash-bench --release --bin e11_routing -- --ci --oracle  # semantic-oracle gate
+//! cargo run -p dash-bench --release --bin e11_routing                   # full size
+//! cargo run -p dash-bench --release --bin e11_routing -- --ci           # CI size
+//! cargo run -p dash-bench --release --bin e11_routing -- --ci --oracle  # semantic oracle attached
 //! ```
 //!
-//! `--oracle` attaches the dash-check semantic oracle to both topology
-//! runs and exits non-zero if any invariant is violated. Keep it out of
-//! baseline-compared runs: the oracle's bookkeeping allocates, which
-//! would skew `allocs_per_event`.
-//!
-//! Both topologies (dumbbell-with-backup and the 3×3 mesh) run at the
-//! chosen size; the JSON object written with `--json PATH` (or to
-//! stdout) nests one sub-object per topology — the shape
-//! `BENCH_routing.json` stores and `scripts/check_bench.sh` compares.
-//! Human-readable summaries go to stderr.
+//! Exit 2 on bad usage, 1 on any oracle violation.
 
-use dash_bench::alloc_counter::{alloc_count, CountingAlloc};
 use dash_bench::e_routing::{run_routing, RoutingParams, RoutingTopo};
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = "full";
-    let mut label = String::from("run");
-    let mut json_path: Option<String> = None;
+    let mut base = RoutingParams::full();
     let mut oracle = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ci" => config = "ci",
-            "--bench" => config = "bench",
-            "--full" => config = "full",
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--ci" => base = RoutingParams::ci(),
+            "--full" => base = RoutingParams::full(),
             "--oracle" => oracle = true,
-            "--label" => {
-                i += 1;
-                label = args.get(i).cloned().unwrap_or_default();
-            }
-            "--json" => {
-                i += 1;
-                json_path = args.get(i).cloned();
-            }
             other => {
-                eprintln!("unknown argument: {other}");
+                eprintln!("unknown argument: {other}\nusage: e11_routing [--ci|--full] [--oracle]");
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
-    let base = match config {
-        "ci" => RoutingParams::ci(),
-        "bench" => RoutingParams::bench(),
-        _ => RoutingParams::full(),
-    };
 
-    let mut scenario_json = Vec::new();
-    let mut total_violations = 0u64;
+    let mut violations = 0;
     for topo in [RoutingTopo::DumbbellBackup, RoutingTopo::Mesh3x3] {
-        let mut params = base.clone();
-        params.topo = topo;
-        params.record_trace = false;
-        params.oracle = oracle;
-        let name = match topo {
-            RoutingTopo::DumbbellBackup => "dumbbell",
-            RoutingTopo::Mesh3x3 => "mesh",
+        let params = RoutingParams {
+            topo,
+            record_trace: false,
+            oracle,
+            ..base.clone()
         };
-        let allocs_before = alloc_count();
-        let mut o = run_routing(&params);
-        o.allocs = alloc_count() - allocs_before;
-        eprintln!(
-            "e11_routing [{config}/{name}]: {} hosts, {} events in {:.2} s wall \
-             ({:.0} events/s, {:.2} allocs/event), {} opened, {} refused, {} alt wins, \
-             {} floods, {} recomputes, {} failovers, {} msgs",
+        let o = run_routing(&params);
+        println!(
+            "e11_routing [{}]: {} hosts, {} events in {:.2} s wall, {} opened, {} refused, \
+             {} alt wins, {} floods, {} recomputes, {} failovers, {} msgs",
+            topo.label(),
             o.hosts,
             o.events,
             o.wall_secs,
-            o.events_per_sec(),
-            o.allocs_per_event(),
             o.streams_opened,
             o.open_failed,
             o.alternate_wins,
@@ -90,33 +50,15 @@ fn main() {
             o.recoveries,
             o.messages,
         );
-        if o.oracle_violations > 0 {
-            eprintln!(
-                "e11_routing [{config}/{name}]: ORACLE FAILED — {} violation(s):",
-                o.oracle_violations
-            );
-            for line in &o.oracle_detail {
-                eprintln!("  {line}");
-            }
+        for line in &o.oracle_violations {
+            eprintln!("e11_routing [{}]: ORACLE {line}", topo.label());
         }
-        total_violations += o.oracle_violations;
-        scenario_json.push(format!("\"{name}\":{}", o.to_json()));
+        violations += o.oracle_violations.len();
     }
-    let json = format!(
-        "{{\"label\":\"{label}\",\"config\":\"{config}\",{}}}",
-        scenario_json.join(",")
-    );
-    match json_path {
-        Some(path) => {
-            std::fs::write(&path, format!("{json}\n")).expect("write json");
-            eprintln!("e11_routing: wrote {path}");
-        }
-        None => println!("{json}"),
+    if violations > 0 {
+        std::process::exit(1);
     }
     if oracle {
-        if total_violations > 0 {
-            std::process::exit(1);
-        }
-        eprintln!("e11_routing: oracle clean (0 violations)");
+        println!("e11_routing: oracle clean (0 violations)");
     }
 }

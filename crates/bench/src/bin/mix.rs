@@ -1,0 +1,162 @@
+//! Run the macro-workload (`dash_bench::mix`) on one backend: e10 is
+//! `--backend serial`, e12 `--backend par`, e13 `--backend rt`.
+//!
+//! ```text
+//! cargo run -p dash-bench --release --bin mix -- --backend serial --size full
+//! cargo run -p dash-bench --release --bin mix -- --backend par --size ci --oracle         # scan 1/2/4 shards
+//! cargo run -p dash-bench --release --bin mix -- --backend par --size ci --shards 2 --oracle
+//! cargo run -p dash-bench --release --bin mix -- --backend rt --size ci --loss 20 --oracle
+//! ```
+//!
+//! A `par` run without `--shards` scans 1/2/4 shards and demands the
+//! merged determinism digests be byte-identical — the executor's core
+//! contract. An `rt` run is *paced*: it costs `duration + grace` of real
+//! time. Exit 2 on bad usage; exit 1 on an oracle violation, a shard
+//! divergence or a wall-box stop. How fast any of this runs is measured
+//! by `dash-benchmark`, not here.
+
+use dash_bench::mix::{run, Backend, MixParams, Outcome};
+
+const USAGE: &str =
+    "usage: mix [--backend serial|par|rt] [--size ci|routing-ci|micro|full] [--oracle]
+           [--shards N] [--hashed]    (par; without --shards: scan 1/2/4)
+           [--loss PER_MILLE]         (rt; 0..=1000)";
+
+fn parse(args: &[String]) -> Result<(String, MixParams, Vec<Backend>), String> {
+    let mut backend = "serial";
+    let mut size = "ci";
+    let mut oracle = false;
+    let mut shards: Option<u32> = None;
+    let mut hashed = false;
+    let mut loss: Option<u32> = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or(format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--backend" => backend = value()?,
+            "--size" => size = value()?,
+            "--oracle" => oracle = true,
+            "--hashed" => hashed = true,
+            "--shards" => {
+                let n = value()?.parse().ok().filter(|n| *n > 0);
+                shards = Some(n.ok_or("--shards needs a positive integer")?);
+            }
+            "--loss" => {
+                let n = value()?.parse().ok().filter(|n| *n <= 1000);
+                loss = Some(n.ok_or("--loss needs a per-mille integer in 0..=1000")?);
+            }
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    let params = match size {
+        "ci" => MixParams::ci(),
+        "routing-ci" => MixParams::routing_ci(),
+        "micro" => MixParams::micro(),
+        "full" => MixParams::full(),
+        other => return Err(format!("unknown size: {other}")),
+    };
+    if backend != "par" && (shards.is_some() || hashed) {
+        return Err("--shards and --hashed apply to --backend par only".into());
+    }
+    if backend != "rt" && loss.is_some() {
+        return Err("--loss applies to --backend rt only".into());
+    }
+    let backends = match backend {
+        "serial" => vec![Backend::Serial],
+        "par" => shards
+            .map_or(vec![1, 2, 4], |s| vec![s])
+            .into_iter()
+            .map(|shards| Backend::Par {
+                shards,
+                lan_aligned: !hashed,
+            })
+            .collect(),
+        "rt" => vec![Backend::rt(loss.unwrap_or(0))],
+        other => return Err(format!("unknown backend: {other}")),
+    };
+    let params = MixParams {
+        // The trace only feeds the digest; the printed hash covers the
+        // registry and every scalar, which is what a CLI run compares.
+        record_trace: false,
+        oracle,
+        ..params
+    };
+    Ok((format!("{backend} {size}"), params, backends))
+}
+
+fn report(label: &str, backend: Backend, o: &Outcome) {
+    let detail = match (backend, &o.rt) {
+        (Backend::Par { shards, .. }, _) => {
+            format!(", shards {shards}, digest {}", o.digest_hash())
+        }
+        (_, Some(rt)) => format!(
+            ", {:.2} s virtual, stop {:?}, {} misses (max lag {:.2} ms), carried {}/{} dropped {}",
+            o.sim_secs,
+            rt.stop,
+            rt.deadline_misses,
+            rt.max_lag.as_secs_f64() * 1e3,
+            rt.injected,
+            rt.transmitted,
+            rt.substrate_dropped,
+        ),
+        _ => format!(", digest {}", o.digest_hash()),
+    };
+    println!(
+        "mix [{label}]: {} hosts, {} events in {:.2} s wall, {} opened, {} refused, {} msgs, \
+         rpc {}/{}, voice on-time {:.1}%, {} cache misses, {} faults{detail}",
+        o.hosts,
+        o.events,
+        o.wall_secs,
+        o.streams_opened,
+        o.open_failed,
+        o.messages,
+        o.rpc_completed,
+        o.rpc_issued,
+        o.voice_on_time() * 100.0,
+        o.cache_misses,
+        o.faults_injected,
+    );
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (label, params, backends) = parse(&args).unwrap_or_else(|msg| {
+        eprintln!("mix: {msg}\n{USAGE}");
+        std::process::exit(2);
+    });
+
+    let mut failed = false;
+    let mut reference: Option<String> = None;
+    for &backend in &backends {
+        let o = run(&params, backend);
+        report(&label, backend, &o);
+        for line in &o.oracle_violations {
+            eprintln!("mix [{label}]: ORACLE {line}");
+            failed = true;
+        }
+        if !o.clean_stop() {
+            eprintln!("mix [{label}]: hit the wall-clock backstop with work outstanding");
+            failed = true;
+        }
+        if backends.len() > 1 {
+            let digest = o.determinism_digest();
+            match &reference {
+                None => reference = Some(digest),
+                Some(r) if *r == digest => {}
+                Some(_) => {
+                    eprintln!("mix [{label}]: DIVERGED from the first shard count — the parallel executor is broken");
+                    failed = true;
+                }
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+    if params.oracle {
+        println!("mix [{label}]: oracle clean (0 violations)");
+    }
+    if backends.len() > 1 {
+        println!("mix [{label}]: all shard counts byte-identical");
+    }
+}

@@ -9,15 +9,11 @@
 //! centre. Both runs count the subsystem's observable work — link-state
 //! floods, lazy route recomputations, alternate-path wins, subtransport
 //! failovers — and those counts are deterministic, so
-//! `scripts/check_bench.sh` gates them exactly against
-//! `BENCH_routing.json`.
+//! `tests/determinism.rs` pins them exactly at the CI size.
 //!
-//! The same scenario serves three masters, like e10:
-//! - `RoutingParams::full()` / the `e11_routing` binary — the benchmark
-//!   size behind `BENCH_routing.json`;
-//! - `RoutingParams::bench()` — the regression-gate size;
-//! - `RoutingParams::ci()` — a trace-recording size that
-//!   `tests/determinism.rs` runs twice and compares byte for byte.
+//! Two sizes: `RoutingParams::full()`, the `e11_routing` binary's
+//! default, and `RoutingParams::ci()`, a trace-recording size that
+//! `tests/determinism.rs` runs twice and compares byte for byte.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -37,6 +33,7 @@ use dash_transport::stack::{Stack, StackBuilder};
 use dash_transport::stream::StreamProfile;
 use rms_core::delay::DelayBound;
 
+use crate::mix::{attach_oracle, violation_lines, TraceSink};
 use crate::table::Table;
 
 /// Which internetwork shape to run.
@@ -51,7 +48,8 @@ pub enum RoutingTopo {
 }
 
 impl RoutingTopo {
-    fn label(self) -> &'static str {
+    /// Short name for tables and logs.
+    pub fn label(self) -> &'static str {
         match self {
             RoutingTopo::DumbbellBackup => "dumbbell",
             RoutingTopo::Mesh3x3 => "mesh",
@@ -87,14 +85,12 @@ pub struct RoutingParams {
     pub fault_drill: bool,
     /// Record the observability trace (determinism runs only; costly).
     pub record_trace: bool,
-    /// Attach the dash-check semantic oracle and report its violation
-    /// count. Off for baseline-compared runs: the oracle's bookkeeping
-    /// allocates, which would skew `allocs_per_event`.
+    /// Check the run with the dash-check semantic oracle.
     pub oracle: bool,
 }
 
 impl RoutingParams {
-    /// The benchmark size behind `BENCH_routing.json`.
+    /// The large size.
     pub fn full() -> Self {
         RoutingParams {
             topo: RoutingTopo::DumbbellBackup,
@@ -109,17 +105,6 @@ impl RoutingParams {
             fault_drill: true,
             record_trace: false,
             oracle: false,
-        }
-    }
-
-    /// Mid-size run for the `check_bench.sh` gate.
-    pub fn bench() -> Self {
-        RoutingParams {
-            hosts_per_lan: 6,
-            voice_pairs: 12,
-            churn_per_wave: 5,
-            duration: SimDuration::from_secs(1),
-            ..RoutingParams::full()
         }
     }
 
@@ -181,66 +166,12 @@ pub struct RoutingOutcome {
     pub registry_dump: String,
     /// Observability trace (empty unless `record_trace`).
     pub trace_dump: String,
-    /// Heap allocations made during the run. Zero unless the caller runs
-    /// under a counting allocator and fills it in (the e11 binary does);
-    /// excluded from [`Self::determinism_digest`] because the count is a
-    /// property of the build, not of the simulated world.
-    pub allocs: u64,
-    /// Semantic-oracle violations (0 when the oracle is off — and, the
-    /// gate asserts, when it is on).
-    pub oracle_violations: u64,
-    /// Human-readable description of each violation, for diagnosis.
-    /// Empty on a clean run; not part of the digest or JSON.
-    pub oracle_detail: Vec<String>,
+    /// One line per semantic-oracle violation (empty when the oracle is
+    /// off — and, the gate asserts, when it is on).
+    pub oracle_violations: Vec<String>,
 }
 
 impl RoutingOutcome {
-    /// Heap allocations per engine event (0 when not measured).
-    pub fn allocs_per_event(&self) -> f64 {
-        if self.events > 0 {
-            self.allocs as f64 / self.events as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Engine events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// One scenario object for `BENCH_routing.json` / `check_bench.sh`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"hosts\":{},\"streams_opened\":{},\"open_failed\":{},\
-             \"events\":{},\"messages\":{},\"floods\":{},\"recomputes\":{},\
-             \"alternate_wins\":{},\"recoveries\":{},\"faults_injected\":{},\
-             \"sim_secs\":{:.3},\"wall_secs\":{:.3},\"events_per_sec\":{:.0},\
-             \"allocs_per_event\":{:.3},\"peak_queue_bytes\":{},\
-             \"oracle_violations\":{}}}",
-            self.hosts,
-            self.streams_opened,
-            self.open_failed,
-            self.events,
-            self.messages,
-            self.floods,
-            self.recomputes,
-            self.alternate_wins,
-            self.recoveries,
-            self.faults_injected,
-            self.sim_secs,
-            self.wall_secs,
-            self.events_per_sec(),
-            self.allocs_per_event(),
-            self.peak_queue_bytes,
-            self.oracle_violations,
-        )
-    }
-
     /// The deterministic portion, for byte-identical replay comparison.
     pub fn determinism_digest(&self) -> String {
         format!(
@@ -262,25 +193,6 @@ impl RoutingOutcome {
             self.registry_dump,
             self.trace_dump,
         )
-    }
-}
-
-/// Event sink rendering every observability event into a shared buffer —
-/// the byte-comparable trace of a determinism run.
-struct SharedTraceSink {
-    out: Rc<RefCell<String>>,
-}
-
-impl dash_sim::obs::ObsSink for SharedTraceSink {
-    fn on_event(&mut self, time: SimTime, event: &dash_sim::obs::ObsEvent) {
-        use std::fmt::Write;
-        let _ = writeln!(
-            self.out.borrow_mut(),
-            "{} {} {:?}",
-            time.as_nanos(),
-            event.name(),
-            event
-        );
     }
 }
 
@@ -389,28 +301,14 @@ pub fn run_routing(params: &RoutingParams) -> RoutingOutcome {
         RoutingTopo::Mesh3x3 => build_mesh3x3(&mut tb, params.hosts_per_lan),
     };
     let mut builder = StackBuilder::new(tb.build()).obs(true);
-    let trace_buf: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
+    let (sink, trace_buf) = TraceSink::new();
     if params.record_trace {
-        builder = builder.obs_sink(SharedTraceSink {
-            out: Rc::clone(&trace_buf),
-        });
+        builder = builder.obs_sink(sink);
     }
     let mut sim = Sim::new(builder.build());
-    // Completion is off (horizon-cut run); det-delay stays on — the
-    // outage drill's first fault event self-excuses the backlog that
-    // drains late across the failover.
-    let oracle_handle = if params.oracle {
-        let (sink, handle) = dash_check::oracle(dash_check::OracleConfig {
-            check_completion: false,
-            check_det_delay: true,
-            // Unreliable media streams legitimately skip lost messages.
-            check_fifo_gaps: false,
-        });
-        sim.state.net.obs.add_boxed_sink(Box::new(sink));
-        Some(handle)
-    } else {
-        None
-    };
+    // Det-delay stays on: the outage drill's first fault event
+    // self-excuses the backlog that drains late across the failover.
+    let oracle_handle = params.oracle.then(|| attach_oracle(&mut sim, true));
     let all_hosts: Vec<HostId> = topo.sites.iter().flatten().copied().collect();
     let taps = Dispatcher::install(&mut sim, &all_hosts);
 
@@ -555,16 +453,9 @@ pub fn run_routing(params: &RoutingParams) -> RoutingOutcome {
         peak_queue_bytes,
         registry_dump,
         trace_dump,
-        allocs: 0,
         oracle_violations: oracle_handle
             .as_ref()
-            .map_or(0, |h| h.violations().len() as u64),
-        oracle_detail: oracle_handle.as_ref().map_or_else(Vec::new, |h| {
-            h.violations()
-                .iter()
-                .map(|v| format!("[{}] t={} {}", v.invariant, v.at.as_nanos(), v.detail))
-                .collect()
-        }),
+            .map_or_else(Vec::new, violation_lines),
     }
 }
 
@@ -675,7 +566,7 @@ pub fn e11_routing() -> Table {
     t.note(
         "floods/recomputes are event-triggered: they spike at the outage and heal, not per-packet",
     );
-    t.note("gate sizes live in BENCH_routing.json via the e11_routing binary; scripts/check_bench.sh compares the counts exactly");
+    t.note("both rows are pinned exactly by tests/determinism.rs; wall and allocation numbers are dash-benchmark's mesh-churn workload");
     t
 }
 
@@ -706,19 +597,5 @@ mod tests {
         assert!(a.recomputes > 0, "recomputes {}", a.recomputes);
         let b = run_routing(&p);
         assert_eq!(a.determinism_digest(), b.determinism_digest());
-    }
-
-    #[test]
-    fn routing_outcome_json_shape() {
-        let mut p = RoutingParams::ci();
-        p.record_trace = false;
-        p.fault_drill = false;
-        p.churn_per_wave = 0;
-        p.duration = SimDuration::from_millis(300);
-        let o = run_routing(&p);
-        let j = o.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"alternate_wins\""));
-        assert!(j.contains("\"floods\""));
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! One runner per figure/claim of the paper (see DESIGN.md's experiment
 //! index). Each returns a [`table::Table`]; the `run_experiments` binary
-//! prints them all, and per-experiment binaries print one each.
+//! prints them all. The macro-workload behind e10/e12/e13 is described
+//! once in [`mix`] and run on three backends by the `mix` binary; how
+//! fast any of it runs is `dash-benchmark`'s business, not this crate's.
 //!
 //! The paper (an architecture technical report) publishes no measured
 //! tables, so "reproduction" here means: run the subsystem each figure
@@ -10,16 +12,13 @@
 //! paper predicts (who wins, what gets eliminated, where behaviour
 //! degrades).
 
-pub mod alloc_counter;
 pub mod e_baseline;
 pub mod e_capacity;
-pub mod e_pscale;
 pub mod e_routing;
-pub mod e_rt;
-pub mod e_scale;
 pub mod e_security_sched;
 pub mod e_st;
 pub mod figs;
+pub mod mix;
 pub mod table;
 
 pub use table::Table;
@@ -44,10 +43,10 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
         ("e7_rkom", e_baseline::e7_rkom),
         ("e8_congestion", e_baseline::e8_congestion),
         ("e9_piggyback", e_st::e9_piggyback),
-        ("e10_scale", e_scale::e10_scale),
+        ("e10_scale", mix::e10_scale),
         ("e11_routing", e_routing::e11_routing),
-        ("e12_pscale", e_pscale::e12_pscale),
-        ("e13_rt", e_rt::e13_rt),
+        ("e12_pscale", mix::e12_pscale),
+        ("e13_rt", mix::e13_rt),
     ]
 }
 

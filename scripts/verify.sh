@@ -44,48 +44,56 @@ if ! timeout "$EXPLORE_BOX" cargo test --test explore -q -- \
 fi
 
 # Parallel-executor smoke: the conservative executor's unit tests, then
-# a time-boxed 2-shard run of the e12 CI workload with the semantic
+# a time-boxed 2-shard run of the CI mix (e12) with the semantic
 # oracle attached (exits non-zero on any violation of the merged event
-# stream). Shard-vs-serial digest equality is enforced separately by
-# tests/determinism.rs above and by check_bench.sh's full scan below.
+# stream). Digest equality at 1/2/4 shards is enforced separately by
+# tests/determinism.rs above.
 # The bench binaries are built up front for the same box-vs-compiler
 # reason, and because a 2-shard run needs both worker threads live
 # within the box — compilation stalls used to show up as spurious
 # "wedged executor" timeouts.
 cargo test -q -p dash-par
 cargo build --release -q -p dash-bench
-if ! timeout "$PSCALE_BOX" cargo run --release -q -p dash-bench --bin e12_pscale -- \
-        --ci --shards 2 --oracle --label smoke >/dev/null; then
+if ! timeout "$PSCALE_BOX" cargo run --release -q -p dash-bench --bin mix -- \
+        --backend par --size ci --shards 2 --oracle >/dev/null; then
     echo "verify: e12 2-shard smoke FAILED (oracle violation or exceeded" >&2
     echo "verify: its ${PSCALE_BOX} s box) — reproduce with"              >&2
-    echo "verify:   cargo run -p dash-bench --bin e12_pscale -- --ci --shards 2 --oracle" >&2
+    echo "verify:   cargo run -p dash-bench --bin mix -- --backend par --size ci --shards 2 --oracle" >&2
     exit 1
 fi
 
 # Real-time backend: the dash-rt unit/property tests plus the sim-vs-rt
-# conformance suite, then a time-boxed paced run of the e13 CI workload
-# (exits non-zero on any oracle violation or a wall-box stop). The run
+# conformance suite, then a time-boxed paced run of the CI mix (e13;
+# exits non-zero on any oracle violation or a wall-box stop). The run
 # itself is paced — ~1.5 s of wall time by design — so the box guards
 # against a wedged scheduler, not against slowness.
 cargo test -q -p dash-rt
 cargo test --release --test rt_conformance -q
-if ! timeout "$RT_BOX" cargo run --release -q -p dash-bench --bin e13_rt -- \
-        --ci --label smoke >/dev/null; then
+if ! timeout "$RT_BOX" cargo run --release -q -p dash-bench --bin mix -- \
+        --backend rt --size ci --oracle >/dev/null; then
     echo "verify: e13 real-time smoke FAILED (oracle violation, wall-box" >&2
     echo "verify: stop, or exceeded its ${RT_BOX} s box) — reproduce with" >&2
-    echo "verify:   cargo run -p dash-bench --bin e13_rt -- --ci" >&2
+    echo "verify:   cargo run -p dash-bench --bin mix -- --backend rt --size ci --oracle" >&2
     exit 1
 fi
 
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-# Benches compile + run as tests (criterion --test mode), then the e10
-# macro-workload is compared against the committed BENCH_scale.json
-# baseline (fails only on collapse; see scripts/check_bench.sh), and the
-# e13 real-time run against BENCH_rt.json (oracle + stop gated, counts
-# banded — wall-clock speed is reported, never gated: the run is paced).
-cargo bench -p dash-bench -- --test
-scripts/check_bench.sh
+# The benchmark at smoke size: every workload three times. It fails on
+# digest drift across repetitions, a traced digest that differs from the
+# timed one, any oracle violation, a conservation error, or a 2-shard
+# run that disagrees with the 1-shard run. Wall, allocation and
+# per-layer numbers are reported, never gated here — comparing two
+# result sets is `dash-benchmark compare`'s job. Sub-second once built;
+# the fixed 120 s box is a wedge guard.
+cargo build --release -q -p dash-benchmark
+if ! timeout 120 cargo run --release -q -p dash-benchmark -- \
+        --smoke --reps 3 >/dev/null; then
+    echo "verify: dash-benchmark smoke FAILED (a correctness check, or" >&2
+    echo "verify: exceeded its 120 s box) — reproduce with"              >&2
+    echo "verify:   cargo run --release -p dash-benchmark -- --smoke --reps 3" >&2
+    exit 1
+fi
 
 echo "verify: OK"

@@ -1,4 +1,4 @@
-//! Golden determinism gate for the e10 scale and e11 routing workloads.
+//! Golden determinism gate for the e10/e12 mix and e11 routing workloads.
 //!
 //! Runs the scaled-down CI sizes twice in-process and demands
 //! byte-identical outcomes: the network-layer trace, the full
@@ -7,21 +7,57 @@
 //! refactors of the event engine's internals — any change to event
 //! ordering, timer semantics, or metric accounting shows up here as a
 //! byte-level diff long before it corrupts an experiment.
+//!
+//! Replay-identity cannot see a change that is *consistently* different,
+//! so the headline counts of every CI run are also pinned as constants:
+//! a drift there is a behaviour change to be explained, never noise.
 
 mod common;
 
 use common::assert_replays;
-use dash_bench::e_pscale::{run_pscale, PscaleParams};
-use dash_bench::e_routing::{run_routing, RoutingParams};
-use dash_bench::e_scale::{run_scale, ScaleParams};
+use dash_bench::e_routing::{run_routing, RoutingOutcome, RoutingParams};
+use dash_bench::mix::{run, Backend, MixParams, Outcome};
+
+/// `[events, messages, streams_opened, open_failed]` of a mix run.
+fn mix_counts(o: &Outcome) -> [u64; 4] {
+    [o.events, o.messages, o.streams_opened, o.open_failed]
+}
+
+/// The serial engine (e10) at `ci`.
+const E10_CI: [u64; 4] = [14125, 1183, 29, 4];
+/// The parallel executor (e12) at `ci` and `routing_ci`, any shard count.
+const E12_CI: [u64; 4] = [14216, 1184, 29, 4];
+const E12_ROUTING_CI: [u64; 4] = [13509, 1157, 27, 6];
+
+/// `[events, floods, recomputes, alternate_wins, recoveries,
+/// streams_opened, open_failed]` of an e11 run.
+fn routing_counts(o: &RoutingOutcome) -> [u64; 7] {
+    [
+        o.events,
+        o.floods,
+        o.recomputes,
+        o.alternate_wins,
+        o.recoveries,
+        o.streams_opened,
+        o.open_failed,
+    ]
+}
+
+const E11_CI_DUMBBELL: [u64; 7] = [5918, 4, 14, 1, 12, 18, 0];
+const E11_CI_MESH: [u64; 7] = [6410, 14, 18, 0, 3, 14, 4];
 
 /// The full CI scenario (faults, churn, CPUs, trace recording) twice.
 /// The digest covers every deterministic scalar plus the full registry
 /// and trace dumps, so digest equality is byte-identity of the run.
 #[test]
 fn e10_ci_replay_is_byte_identical() {
-    let params = ScaleParams::ci();
-    let first = assert_replays("e10 ci", || run_scale(&params), |o| o.determinism_digest());
+    let params = MixParams::ci();
+    let first = assert_replays(
+        "e10 ci",
+        || run(&params, Backend::Serial),
+        |o| o.determinism_digest(),
+    );
+    assert_eq!(mix_counts(&first), E10_CI, "e10 ci counts drifted");
 
     // The workload actually exercised the stack: real traffic, real
     // control-plane churn, real faults. A silent no-op run would make the
@@ -44,12 +80,12 @@ fn e10_ci_replay_is_byte_identical() {
 /// to what happens, not a constant).
 #[test]
 fn e10_ci_digest_depends_on_seed() {
-    let mut a = ScaleParams::ci();
+    let mut a = MixParams::ci();
     a.record_trace = false; // digest sensitivity is visible in the registry alone
     let mut b = a.clone();
     b.seed = a.seed + 1;
-    let ra = run_scale(&a);
-    let rb = run_scale(&b);
+    let ra = run(&a, Backend::Serial);
+    let rb = run(&b, Backend::Serial);
     assert_ne!(
         ra.determinism_digest(),
         rb.determinism_digest(),
@@ -62,14 +98,26 @@ fn e10_ci_digest_depends_on_seed() {
 /// the main test is attributable to the drill (and vice versa).
 #[test]
 fn e10_ci_without_drill_also_replays() {
-    let mut params = ScaleParams::ci();
+    let mut params = MixParams::ci();
     params.fault_drill = false;
     params.churn_per_wave = 2;
     assert_replays(
         "e10 ci without drill",
-        || run_scale(&params),
+        || run(&params, Backend::Serial),
         |o| o.determinism_digest(),
     );
+}
+
+/// The semantic oracle holds at zero violations on the serial CI run.
+#[test]
+fn e10_ci_is_oracle_clean() {
+    let params = MixParams {
+        record_trace: false,
+        oracle: true,
+        ..MixParams::ci()
+    };
+    let o = run(&params, Backend::Serial);
+    assert!(o.oracle_violations.is_empty(), "{:?}", o.oracle_violations);
 }
 
 /// Routing-churn golden: the e11 dumbbell scenario — link-state floods,
@@ -85,6 +133,11 @@ fn e11_routing_churn_replay_is_byte_identical() {
         "e11 dumbbell",
         || run_routing(&params),
         |o| o.determinism_digest(),
+    );
+    assert_eq!(
+        routing_counts(&first),
+        E11_CI_DUMBBELL,
+        "e11 dumbbell counts drifted"
     );
 
     // The scenario exercised what it claims to: establishment fell back
@@ -111,20 +164,46 @@ fn e11_mesh_replay_is_byte_identical() {
         || run_routing(&params),
         |o| o.determinism_digest(),
     );
-    assert!(first.floods > 0 && first.recomputes > 0);
+    assert_eq!(
+        routing_counts(&first),
+        E11_CI_MESH,
+        "e11 mesh counts drifted"
+    );
+}
+
+/// The semantic oracle holds at zero violations on both e11 topologies,
+/// outage drill and alternate fallback included.
+#[test]
+fn e11_ci_is_oracle_clean() {
+    for params in [RoutingParams::ci(), RoutingParams::ci().on_mesh()] {
+        let params = RoutingParams {
+            record_trace: false,
+            oracle: true,
+            ..params
+        };
+        let o = run_routing(&params);
+        assert!(
+            o.oracle_violations.is_empty(),
+            "{:?}: {:?}",
+            params.topo,
+            o.oracle_violations
+        );
+    }
 }
 
 /// Run the e12 workload at each shard count and demand the merged
 /// digests (trace dump, registry dump, every deterministic scalar) are
 /// byte-identical. The 1-shard run is the serial reference; equality at
 /// 2 and 4 shards is the parallel executor's core contract.
-fn pscale_digests(mut params: PscaleParams) -> dash_bench::e_pscale::PscaleOutcome {
-    params.shards = 1;
-    let serial = run_pscale(&params);
+fn pscale_digests(params: MixParams) -> Outcome {
+    let par = |shards| Backend::Par {
+        shards,
+        lan_aligned: true,
+    };
+    let serial = run(&params, par(1));
     let reference = serial.determinism_digest();
     for shards in [2, 4] {
-        params.shards = shards;
-        let par = run_pscale(&params);
+        let par = run(&params, par(shards));
         assert_eq!(
             reference,
             par.determinism_digest(),
@@ -142,7 +221,8 @@ fn pscale_digests(mut params: PscaleParams) -> dash_bench::e_pscale::PscaleOutco
 /// shards) produces byte-identical traces at shards = 1, 2, 4.
 #[test]
 fn e12_scale_workload_identical_at_1_2_4_shards() {
-    let first = pscale_digests(PscaleParams::ci());
+    let first = pscale_digests(MixParams::ci());
+    assert_eq!(mix_counts(&first), E12_CI, "e12 ci counts drifted");
     assert!(
         first.streams_opened > 15,
         "{} streams",
@@ -163,7 +243,12 @@ fn e12_scale_workload_identical_at_1_2_4_shards() {
 /// under partitioning too.
 #[test]
 fn e12_routing_workload_identical_at_1_2_4_shards() {
-    let first = pscale_digests(PscaleParams::routing_ci());
+    let first = pscale_digests(MixParams::routing_ci());
+    assert_eq!(
+        mix_counts(&first),
+        E12_ROUTING_CI,
+        "e12 routing_ci counts drifted"
+    );
     assert!(
         first.streams_opened > 15,
         "{} streams",
