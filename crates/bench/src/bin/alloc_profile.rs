@@ -86,7 +86,7 @@ fn summarize(bt: &str) -> String {
 }
 
 fn main() {
-    let o = run(&MixParams::full(), Backend::Serial);
+    let o = run(&MixParams::full().scenario(), Backend::Serial);
     eprintln!(
         "alloc_profile: {} events, {} allocs total ({:.2}/event)",
         o.events,

@@ -1,8 +1,10 @@
-//! Run the macro-workload (`dash_bench::mix`) on one backend: e10 is
-//! `--backend serial`, e12 `--backend par`, e13 `--backend rt`.
+//! Run a macro-workload scenario (`dash_bench::mix`) on one backend: e10
+//! is `--backend serial`, e12 `--backend par`, e13 `--backend rt`, and the
+//! `e11*` sizes are the routing workload (`dash_bench::e_routing`).
 //!
 //! ```text
 //! cargo run -p dash-bench --release --bin mix -- --backend serial --size full
+//! cargo run -p dash-bench --release --bin mix -- --backend serial --size e11-ci --oracle
 //! cargo run -p dash-bench --release --bin mix -- --backend par --size ci --oracle         # scan 1/2/4 shards
 //! cargo run -p dash-bench --release --bin mix -- --backend par --size ci --shards 2 --oracle
 //! cargo run -p dash-bench --release --bin mix -- --backend rt --size ci --loss 20 --oracle
@@ -15,14 +17,15 @@
 //! divergence or a wall-box stop. How fast any of this runs is measured
 //! by `dash-benchmark`, not here.
 
-use dash_bench::mix::{run, Backend, MixParams, Outcome};
+use dash_bench::e_routing::RoutingParams;
+use dash_bench::mix::{run, Backend, MixParams, Outcome, Scenario};
 
-const USAGE: &str =
-    "usage: mix [--backend serial|par|rt] [--size ci|routing-ci|micro|full] [--oracle]
+const USAGE: &str = "usage: mix [--backend serial|par|rt] [--oracle]
+           [--size ci|routing-ci|micro|full|e11-ci|e11-mesh-ci|e11|e11-mesh]
            [--shards N] [--hashed]    (par; without --shards: scan 1/2/4)
            [--loss PER_MILLE]         (rt; 0..=1000)";
 
-fn parse(args: &[String]) -> Result<(String, MixParams, Vec<Backend>), String> {
+fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
     let mut backend = "serial";
     let mut size = "ci";
     let mut oracle = false;
@@ -48,11 +51,15 @@ fn parse(args: &[String]) -> Result<(String, MixParams, Vec<Backend>), String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    let params = match size {
-        "ci" => MixParams::ci(),
-        "routing-ci" => MixParams::routing_ci(),
-        "micro" => MixParams::micro(),
-        "full" => MixParams::full(),
+    let mut scenario = match size {
+        "ci" => MixParams::ci().scenario(),
+        "routing-ci" => MixParams::routing_ci().scenario(),
+        "micro" => MixParams::micro().scenario(),
+        "full" => MixParams::full().scenario(),
+        "e11-ci" => RoutingParams::ci().scenario(),
+        "e11-mesh-ci" => RoutingParams::ci().on_mesh().scenario(),
+        "e11" => RoutingParams::full().scenario(),
+        "e11-mesh" => RoutingParams::full().on_mesh().scenario(),
         other => return Err(format!("unknown size: {other}")),
     };
     if backend != "par" && (shards.is_some() || hashed) {
@@ -71,17 +78,15 @@ fn parse(args: &[String]) -> Result<(String, MixParams, Vec<Backend>), String> {
                 lan_aligned: !hashed,
             })
             .collect(),
-        "rt" => vec![Backend::rt(loss.unwrap_or(0))],
+        "rt" => vec![Backend::Rt {
+            loss_per_mille: loss.unwrap_or(0),
+        }],
         other => return Err(format!("unknown backend: {other}")),
     };
-    let params = MixParams {
-        // The trace only feeds the digest; the printed hash covers the
-        // registry and every scalar, which is what a CLI run compares.
-        record_trace: false,
-        oracle,
-        ..params
-    };
-    Ok((format!("{backend} {size}"), params, backends))
+    // No trace: it only feeds the digest, and the printed hash covers the
+    // registry and every scalar, which is what a CLI run compares.
+    scenario.oracle = oracle;
+    Ok((format!("{backend} {size}"), scenario, backends))
 }
 
 fn report(label: &str, backend: Backend, o: &Outcome) {
@@ -103,7 +108,8 @@ fn report(label: &str, backend: Backend, o: &Outcome) {
     };
     println!(
         "mix [{label}]: {} hosts, {} events in {:.2} s wall, {} opened, {} refused, {} msgs, \
-         rpc {}/{}, voice on-time {:.1}%, {} cache misses, {} faults{detail}",
+         rpc {}/{}, voice on-time {:.1}%, {} cache misses, {} faults, {} alt wins, {} floods, \
+         {} recomputes, {} failovers{detail}",
         o.hosts,
         o.events,
         o.wall_secs,
@@ -115,12 +121,16 @@ fn report(label: &str, backend: Backend, o: &Outcome) {
         o.voice_on_time() * 100.0,
         o.cache_misses,
         o.faults_injected,
+        o.alternate_wins,
+        o.floods,
+        o.recomputes,
+        o.recoveries,
     );
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (label, params, backends) = parse(&args).unwrap_or_else(|msg| {
+    let (label, scenario, backends) = parse(&args).unwrap_or_else(|msg| {
         eprintln!("mix: {msg}\n{USAGE}");
         std::process::exit(2);
     });
@@ -128,7 +138,7 @@ fn main() {
     let mut failed = false;
     let mut reference: Option<String> = None;
     for &backend in &backends {
-        let o = run(&params, backend);
+        let o = run(&scenario, backend);
         report(&label, backend, &o);
         for line in &o.oracle_violations {
             eprintln!("mix [{label}]: ORACLE {line}");
@@ -153,7 +163,7 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    if params.oracle {
+    if scenario.oracle {
         println!("mix [{label}]: oracle clean (0 violations)");
     }
     if backends.len() > 1 {

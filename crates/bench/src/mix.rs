@@ -1,12 +1,17 @@
-//! mix — the macro-workload, described once and run on three backends.
+//! mix — the macro-workloads, described once and run on three backends.
 //!
-//! An internetwork of edge LANs joined by a WAN backbone carries a mixed
-//! population: mostly intra-LAN voice with a WAN-crossing slice, reliable
-//! bulk transfers, cross-LAN RKOM calls, churn waves of short-lived
-//! sessions (RMS cache pressure) and a mid-run fault drill. The
-//! population is a *plan* — a pure function of [`MixParams`] — and the
-//! per-endpoint driver acts only on the endpoints its world owns, so the
-//! same description serves every execution backend behind one [`run`]:
+//! A [`Scenario`] is everything a macro run needs: the topology program,
+//! the traffic plan (stream flows, RKOM pairs, datagram probes), the
+//! fault plan and the run-level settings. It is *data* — a pure function
+//! of the parameters that planned it — and the per-endpoint driver acts
+//! only on the endpoints its world owns, so the same description serves
+//! every execution backend behind the one [`run`]. Two plan functions
+//! produce scenarios: [`MixParams::scenario`] (e10/e12/e13: edge LANs
+//! joined by a WAN backbone carrying mostly intra-LAN voice with a
+//! WAN-crossing slice, reliable bulk transfers, cross-LAN RKOM calls,
+//! churn waves of short-lived sessions and a mid-run fault drill) and
+//! `RoutingParams::scenario` in [`crate::e_routing`] (e11: a saturated
+//! corridor and a mesh under churn). The backends:
 //!
 //! - [`Backend::Serial`] (e10): one world owns every host, stepped by the
 //!   discrete-event engine;
@@ -29,20 +34,21 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use dash_check::{OracleConfig, OracleHandle};
+use dash_check::OracleConfig;
 use dash_net::fault::schedule_fault_plan;
 use dash_net::ids::{HostId, NetworkId};
+use dash_net::pipeline::send_datagram;
 use dash_net::shard::WireEnvelope;
 use dash_net::state::NetState;
 use dash_net::topology::TopologyBuilder;
 use dash_net::NetworkSpec;
 use dash_par::{
-    cross_shard_lookahead, local_lookahead, merge_traces, run_sharded, Lp, ParConfig, ShardPlan,
-    StackLp,
+    cross_shard_lookahead, local_lookahead, run_sharded, Lp, ParConfig, ShardPlan, StackLp,
 };
 use dash_rt::{run_rt, MemConfig, MemDatagram, Monotonic, RtOptions, RtReport, StopReason};
 use dash_sim::cpu::SchedPolicy;
@@ -64,9 +70,9 @@ use crate::table::{f, pct, Table};
 // Parameters and backends
 // ---------------------------------------------------------------------------
 
-/// The workload description. Under [`Backend::Serial`] and
-/// [`Backend::Par`] everything but `wall_secs` is a deterministic
-/// function of these.
+/// Knobs of the e10/e12/e13 population; [`MixParams::scenario`] plans it.
+/// Under [`Backend::Serial`] and [`Backend::Par`] everything in the
+/// [`Outcome`] but `wall_secs` is a deterministic function of these.
 #[derive(Debug, Clone)]
 pub struct MixParams {
     /// Edge LANs hanging off the WAN backbone.
@@ -104,12 +110,6 @@ pub struct MixParams {
     /// Add a second long-haul network bridging LAN 0 to the WAN, so a
     /// WAN outage has an alternate path to fail over to.
     pub backup_wan: bool,
-    /// Model per-host protocol CPUs with EDF scheduling.
-    pub cpus: bool,
-    /// Record the observability trace (determinism runs; costly).
-    pub record_trace: bool,
-    /// Check the run with the dash-check semantic oracle.
-    pub oracle: bool,
 }
 
 impl MixParams {
@@ -132,14 +132,10 @@ impl MixParams {
             fault_drill: true,
             wan_outage: false,
             backup_wan: false,
-            cpus: true,
-            record_trace: false,
-            oracle: false,
         }
     }
 
-    /// Scaled-down CI size with trace recording, for the golden
-    /// determinism tests.
+    /// Scaled-down CI size, for the golden determinism tests.
     pub fn ci() -> Self {
         MixParams {
             lans: 3,
@@ -153,7 +149,6 @@ impl MixParams {
             churn_interval: SimDuration::from_millis(200),
             bulk_bytes: 64 * 1024,
             duration: SimDuration::from_secs(1),
-            record_trace: true,
             ..MixParams::full()
         }
     }
@@ -191,12 +186,64 @@ impl MixParams {
         }
     }
 
-    /// Where the run is cut: `duration + grace`.
-    pub fn horizon(&self) -> SimTime {
-        SimTime::ZERO
-            .saturating_add(self.duration)
-            .saturating_add(self.grace)
+    /// Plan the run: a pure function of the parameters.
+    pub fn scenario(&self) -> Scenario {
+        let topo = build_topo(self).1;
+        let (flows, rpcs) = plan_population(self, &topo.lan_hosts);
+        let program = self.clone();
+        Scenario {
+            faults: make_fault_plan(self, &topo),
+            groups: topo.groups,
+            sites: topo.lan_hosts,
+            flows,
+            rpcs,
+            probes: Vec::new(),
+            topo: Box::new(move || build_topo(&program).0),
+            seed: self.seed,
+            horizon: SimTime::ZERO
+                .saturating_add(self.duration)
+                .saturating_add(self.grace),
+            cpus: true,
+            record_trace: false,
+            oracle: false,
+        }
     }
+}
+
+/// The one input of [`run`]: what to build, what to offer, what to break
+/// and how to observe it. Every world of a run — the serial world, each
+/// `dash-par` replica — is built from the same scenario, so they all see
+/// identical ids, plans and fault times.
+pub struct Scenario {
+    /// The topology program: every call builds an identical [`NetState`]
+    /// (each replica world of a `Par` run calls it once).
+    pub topo: Box<dyn Fn() -> NetState + Send + Sync>,
+    /// Edge hosts by site (LAN); the stream endpoints.
+    pub sites: Vec<Vec<HostId>>,
+    /// Shard groups for [`Backend::Par`]'s aligned placement: hosts that
+    /// should share a shard (a site, with the gateways riding along).
+    /// Hosts in no group are hash-placed.
+    pub groups: Vec<Vec<u32>>,
+    /// Stream flows.
+    pub flows: Vec<Flow>,
+    /// RKOM client/server pairs.
+    pub rpcs: Vec<RpcFlow>,
+    /// Datagram probes.
+    pub probes: Vec<Probe>,
+    /// The fault drill (replicated: every world applies all of it).
+    pub faults: FaultPlan,
+    /// Seed of per-LP randomness (`Par`) and the substrate loss hash (`Rt`).
+    pub seed: u64,
+    /// Where the run is cut (exclusive).
+    pub horizon: SimTime,
+    /// Model per-host protocol CPUs with EDF scheduling.
+    pub cpus: bool,
+    /// Record the observability trace (determinism runs; costly). Plans
+    /// leave it off.
+    pub record_trace: bool,
+    /// Check the run with the dash-check semantic oracle. Plans leave it
+    /// off.
+    pub oracle: bool,
 }
 
 /// What executes the workload.
@@ -220,23 +267,15 @@ pub enum Backend {
     Rt {
         /// Substrate loss applied to best-effort carriage, per mille.
         loss_per_mille: u32,
-        /// Hard wall box; hitting it is a failure ([`StopReason::WallBox`]).
-        max_wall: Duration,
-        /// Wall lag beyond which a stepped event counts as a deadline miss.
-        miss_slack: Duration,
     },
 }
 
-impl Backend {
-    /// The rt backend with the wall box and miss slack every caller uses.
-    pub fn rt(loss_per_mille: u32) -> Self {
-        Backend::Rt {
-            loss_per_mille,
-            max_wall: Duration::from_secs(60),
-            miss_slack: Duration::from_millis(5),
-        }
-    }
-}
+/// The rt backend's hard wall box; hitting it is a failure
+/// ([`StopReason::WallBox`]).
+const RT_MAX_WALL: Duration = Duration::from_secs(60);
+/// Wall lag beyond which an event stepped by the rt backend counts as a
+/// deadline miss.
+const RT_MISS_SLACK: Duration = Duration::from_millis(5);
 
 // ---------------------------------------------------------------------------
 // Traffic classes and the flow plan
@@ -257,16 +296,27 @@ pub enum Class {
     Bulk = 2,
     /// Short-lived churn sessions (RMS cache pressure), 150 ms budget.
     Churn = 3,
+    /// Deterministic-delay stream demanding most of one Ethernet's
+    /// admission budget: capacity over the 50 ms bound is ≈0.79 of the
+    /// 1.125 MB/s deterministic share, so a second one on the same
+    /// corridor is refused and must establish on an alternate path.
+    Heavy = 4,
 }
 
 /// Number of [`Class`] values.
-pub const CLASSES: usize = 4;
+pub const CLASSES: usize = 5;
 
 impl Class {
     fn from_tag(tag: u8) -> Option<Class> {
-        [Class::Voice, Class::WanVoice, Class::Bulk, Class::Churn]
-            .get(usize::from(tag).wrapping_sub(1))
-            .copied()
+        [
+            Class::Voice,
+            Class::WanVoice,
+            Class::Bulk,
+            Class::Churn,
+            Class::Heavy,
+        ]
+        .get(usize::from(tag).wrapping_sub(1))
+        .copied()
     }
 
     /// Lateness budget for deliveries of this class.
@@ -275,6 +325,7 @@ impl Class {
             Class::Voice => SimDuration::from_millis(40),
             Class::WanVoice | Class::Churn => SimDuration::from_millis(150),
             Class::Bulk => SimDuration::from_millis(500),
+            Class::Heavy => SimDuration::from_millis(50),
         }
     }
 
@@ -289,6 +340,15 @@ impl Class {
                 p.capacity = 4 * 1024;
                 p
             }
+            Class::Heavy => StreamProfile {
+                capacity: 40 * 1024,
+                max_message: 1024,
+                delay: DelayBound::deterministic(
+                    SimDuration::from_millis(50),
+                    SimDuration::from_micros(2),
+                ),
+                ..StreamProfile::default()
+            },
         }
     }
 }
@@ -304,7 +364,7 @@ fn wan_voice_profile() -> StreamProfile {
 /// Build a class-tagged payload: one static tag byte, then a static zero
 /// body — the same zero-allocation scatter-gather path real payloads take.
 fn tagged(class: Class, len: u64) -> Message {
-    const TAGS: [u8; CLASSES] = [1, 2, 3, 4];
+    const TAGS: [u8; CLASSES] = [1, 2, 3, 4, 5];
     static ZERO: [u8; 8192] = [0u8; 8192];
     let i = class as usize;
     let mut w = WireMsg::from_bytes(Bytes::from_static(&TAGS[i..i + 1]));
@@ -320,30 +380,86 @@ const RPC_INTERVAL: SimDuration = SimDuration::from_millis(25);
 
 /// One planned stream flow.
 #[derive(Debug, Clone)]
-struct Flow {
-    class: Class,
-    src: HostId,
-    dst: HostId,
+pub struct Flow {
+    /// Traffic class: the stream profile, the lateness budget, the tag.
+    pub class: Class,
+    /// Sending host.
+    pub src: HostId,
+    /// Receiving host.
+    pub dst: HostId,
     /// Open time, as an offset from the run start.
-    start: SimDuration,
+    pub start: SimDuration,
     /// Messages still to send: the plan's total, counted down in the
     /// sender's session table once the flow is open.
-    count: u64,
+    pub count: u64,
     /// Pacing interval; zero means "pump until flow control pushes back".
-    interval: SimDuration,
+    pub interval: SimDuration,
     /// Payload length per message, including the tag byte.
-    len: u64,
+    pub len: u64,
+}
+
+impl Flow {
+    /// A voice-paced flow for `duration`: 160 B frames every 20 ms. The
+    /// `index`-keyed stagger spreads the t=0 admission burst.
+    pub fn voice(
+        class: Class,
+        src: HostId,
+        dst: HostId,
+        index: usize,
+        duration: SimDuration,
+    ) -> Flow {
+        Flow {
+            class,
+            src,
+            dst,
+            start: SimDuration::from_micros((index as u64 % 32) * 125),
+            count: (duration.as_nanos() / VOICE_INTERVAL.as_nanos()).max(1),
+            interval: VOICE_INTERVAL,
+            len: 160,
+        }
+    }
+
+    /// A short-lived churn session opened at `start`: four 160 B frames,
+    /// 50 ms apart.
+    pub fn churn(src: HostId, dst: HostId, start: SimDuration) -> Flow {
+        Flow {
+            class: Class::Churn,
+            src,
+            dst,
+            start,
+            count: 4,
+            interval: SimDuration::from_millis(50),
+            len: 160,
+        }
+    }
 }
 
 /// One planned RPC pairing: `calls` echo calls at `interval` pacing.
+/// Only the mix plans these, so the fields stay private.
 #[derive(Debug, Clone, Copy)]
-struct RpcFlow {
+pub struct RpcFlow {
     client: HostId,
     server: HostId,
     service: u16,
     calls: u64,
     interval: SimDuration,
     start: SimDuration,
+}
+
+/// Table-routed datagram probes between two hosts, both ways, every
+/// `interval` until `end`. Floods and RMS traffic never consult the route
+/// table (they are source-routed or pinned), so probes are what turns
+/// "routes marked dirty" into counted lazy recomputations.
+#[derive(Debug, Clone, Copy)]
+pub struct Probe {
+    /// One end.
+    pub a: HostId,
+    /// The other end.
+    pub b: HostId,
+    /// Probe period.
+    pub interval: SimDuration,
+    /// No probe is sent at or after this offset from the run start.
+    pub end: SimDuration,
 }
 
 /// Compute the full traffic plan: a pure function of the parameters, so
@@ -354,7 +470,6 @@ fn plan_population(p: &MixParams, lan_hosts: &[Vec<HostId>]) -> (Vec<Flow>, Vec<
     let mut flows = Vec::new();
     let mut rpcs = Vec::new();
     let hpl = p.hosts_per_lan;
-    let voice_count = (p.duration.as_nanos() / VOICE_INTERVAL.as_nanos()).max(1);
     for l in 0..p.lans {
         for v in 0..p.voice_per_lan {
             let src = lan_hosts[l][v % hpl];
@@ -375,16 +490,7 @@ fn plan_population(p: &MixParams, lan_hosts: &[Vec<HostId>]) -> (Vec<Flow>, Vec<
             if dst == src {
                 continue;
             }
-            flows.push(Flow {
-                class,
-                src,
-                dst,
-                // Small stagger spreads the t=0 admission burst.
-                start: SimDuration::from_micros((v as u64 % 32) * 125),
-                count: voice_count,
-                interval: VOICE_INTERVAL,
-                len: 160,
-            });
+            flows.push(Flow::voice(class, src, dst, v, p.duration));
         }
         for b in 0..p.bulk_per_lan {
             let src = lan_hosts[l][b % hpl];
@@ -437,15 +543,7 @@ fn plan_population(p: &MixParams, lan_hosts: &[Vec<HostId>]) -> (Vec<Flow>, Vec<
                 if src == dst {
                     continue;
                 }
-                flows.push(Flow {
-                    class: Class::Churn,
-                    src,
-                    dst,
-                    start: SimDuration::from_nanos(t),
-                    count: 4,
-                    interval: SimDuration::from_millis(50),
-                    len: 160,
-                });
+                flows.push(Flow::churn(src, dst, SimDuration::from_nanos(t)));
             }
             w += 1;
         }
@@ -462,10 +560,11 @@ fn plan_population(p: &MixParams, lan_hosts: &[Vec<HostId>]) -> (Vec<Flow>, Vec<
 struct Topo {
     lan_hosts: Vec<Vec<HostId>>,
     lan_ids: Vec<NetworkId>,
-    gateways: Vec<HostId>,
     wan: NetworkId,
-    /// Backup-WAN bridge gateways (empty unless `backup_wan`).
-    extra: Vec<HostId>,
+    /// One shard group per LAN: its hosts and gateway, with the backup-WAN
+    /// bridges riding with LAN 0, so no LAN ever spans shards and the
+    /// epoch stays at the WAN delay.
+    groups: Vec<Vec<u32>>,
 }
 
 fn build_topo(p: &MixParams) -> (NetState, Topo) {
@@ -474,7 +573,7 @@ fn build_topo(p: &MixParams) -> (NetState, Topo) {
     let wan = tb.network(NetworkSpec::long_haul("wan"));
     let mut lan_ids = Vec::new();
     let mut lan_hosts = Vec::new();
-    let mut gateways = Vec::new();
+    let mut groups: Vec<Vec<u32>> = Vec::new();
     for l in 0..p.lans {
         let spec = if p.fast_every > 0 && l % p.fast_every == p.fast_every - 1 {
             NetworkSpec::fast_lan(format!("fast-{l}"))
@@ -487,134 +586,107 @@ fn build_topo(p: &MixParams) -> (NetState, Topo) {
         for _ in 0..p.hosts_per_lan {
             hosts.push(tb.host_on(net));
         }
-        gateways.push(tb.gateway(net, wan));
+        let gateway = tb.gateway(net, wan);
+        groups.push(hosts.iter().chain([&gateway]).map(|h| h.0).collect());
         lan_hosts.push(hosts);
     }
-    let mut extra = Vec::new();
     if p.backup_wan {
         // A second long-haul path from LAN 0 to the backbone, so a WAN
         // outage has somewhere to fail over to.
         let wan2 = tb.network(NetworkSpec::long_haul("wan2"));
-        extra.push(tb.gateway(lan_ids[0], wan2));
-        extra.push(tb.gateway(wan, wan2));
+        groups[0].push(tb.gateway(lan_ids[0], wan2).0);
+        groups[0].push(tb.gateway(wan, wan2).0);
     }
-    (
-        tb.build(),
-        Topo {
-            lan_hosts,
-            lan_ids,
-            gateways,
-            wan,
-            extra,
-        },
-    )
+    let topo = Topo {
+        lan_hosts,
+        lan_ids,
+        wan,
+        groups,
+    };
+    (tb.build(), topo)
 }
 
-/// The mid-run drill: the WAN, or one LAN plus one host, goes down at
-/// half time and heals 150 ms later, well before the run ends, so
-/// recovery is part of the measurement. Empty without `fault_drill`.
+/// When a mid-run drill strikes and heals: half of `duration`, and 150 ms
+/// later — well before the run ends, so recovery is part of the
+/// measurement.
+fn drill_window(duration: SimDuration) -> (SimTime, SimTime) {
+    let half = SimTime::ZERO.saturating_add(SimDuration::from_nanos(duration.as_nanos() / 2));
+    (half, half.saturating_add(SimDuration::from_millis(150)))
+}
+
+/// The mid-run outage drill: `network` goes down at half of `duration`
+/// and comes back 150 ms later.
+pub fn outage_drill(duration: SimDuration, network: NetworkId) -> FaultPlan {
+    let (half, heal) = drill_window(duration);
+    FaultPlan::new()
+        .at(half, FaultKind::NetworkDown { network: network.0 })
+        .at(heal, FaultKind::NetworkUp { network: network.0 })
+}
+
+/// The mix's drill: the WAN, or one LAN plus one host, goes down at half
+/// time and heals 150 ms later. Empty without `fault_drill`.
 fn make_fault_plan(p: &MixParams, topo: &Topo) -> FaultPlan {
     if !p.fault_drill {
         return FaultPlan::new();
     }
-    let half = SimTime::ZERO.saturating_add(SimDuration::from_nanos(p.duration.as_nanos() / 2));
-    let heal = half.saturating_add(SimDuration::from_millis(150));
-    let (down, up) = (
-        |n: NetworkId| FaultKind::NetworkDown { network: n.0 },
-        |n: NetworkId| FaultKind::NetworkUp { network: n.0 },
-    );
     if p.wan_outage {
-        FaultPlan::new()
-            .at(half, down(topo.wan))
-            .at(heal, up(topo.wan))
-    } else {
-        let dark_lan = topo.lan_ids[p.lans / 2];
-        let victim = topo.lan_hosts[0][p.hosts_per_lan - 1];
-        FaultPlan::new()
-            .at(half, down(dark_lan))
-            .at(half, FaultKind::HostCrash { host: victim.0 })
-            .at(heal, up(dark_lan))
-            .at(heal, FaultKind::HostRestart { host: victim.0 })
+        return outage_drill(p.duration, topo.wan);
     }
+    let (half, heal) = drill_window(p.duration);
+    let dark_lan = topo.lan_ids[p.lans / 2].0;
+    let victim = topo.lan_hosts[0][p.hosts_per_lan - 1].0;
+    FaultPlan::new()
+        .at(half, FaultKind::NetworkDown { network: dark_lan })
+        .at(half, FaultKind::HostCrash { host: victim })
+        .at(heal, FaultKind::NetworkUp { network: dark_lan })
+        .at(heal, FaultKind::HostRestart { host: victim })
 }
 
 // ---------------------------------------------------------------------------
-// Trace and oracle taps (shared with `e_routing`)
+// The event tap: trace and oracle
 // ---------------------------------------------------------------------------
 
-/// Event sink rendering every observability event into a shared buffer —
-/// the byte-comparable trace of a determinism run, in the line format
-/// `dash_par::merge_traces` orders by.
-pub struct TraceSink {
-    out: Rc<RefCell<String>>,
+/// A world's observability events as emitted.
+type Events = Vec<(SimTime, ObsEvent)>;
+
+/// Event sink capturing a world's typed events. The merged capture of a
+/// run is what the determinism trace is rendered from and what the
+/// semantic oracle checks — one stream, whatever the backend.
+struct CaptureSink {
+    out: Rc<RefCell<Events>>,
 }
 
-impl TraceSink {
-    /// A sink and the buffer it fills.
-    pub fn new() -> (TraceSink, Rc<RefCell<String>>) {
-        let out = Rc::new(RefCell::new(String::new()));
-        (
-            TraceSink {
-                out: Rc::clone(&out),
-            },
-            out,
-        )
-    }
-}
-
-impl ObsSink for TraceSink {
+impl ObsSink for CaptureSink {
     fn on_event(&mut self, time: SimTime, event: &ObsEvent) {
-        use std::fmt::Write;
-        let _ = writeln!(
-            self.out.borrow_mut(),
-            "{} {} {:?}",
-            time.as_nanos(),
-            event.name(),
-            event
-        );
+        self.out.borrow_mut().push((time, event.clone()));
     }
 }
 
-/// The oracle configuration of a horizon-cut macro run: completion is
-/// off (traffic is legitimately in flight at the cut) and FIFO-gap
-/// checking is off (unreliable media legitimately skips lost messages).
-/// `det_delay` stays on wherever virtual time is the only clock — fault
-/// drills self-excuse — and goes off on the rt backend, where wall lag
-/// feeds real carriage timing back into arrival times.
-fn oracle_config(det_delay: bool) -> OracleConfig {
-    OracleConfig {
+/// Check a merged event stream with the dash-check semantic oracle; one
+/// human-readable line per violation. The configuration is that of a
+/// horizon-cut macro run: completion is off (traffic is legitimately in
+/// flight at the cut) and FIFO-gap checking is off (unreliable media
+/// legitimately skips lost messages). `det_delay` stays on wherever
+/// virtual time is the only clock — fault drills self-excuse — and goes
+/// off on the rt backend, where wall lag feeds real carriage timing back
+/// into arrival times.
+fn check_stream<'a>(
+    stream: impl Iterator<Item = (SimTime, &'a ObsEvent)>,
+    det_delay: bool,
+) -> Vec<String> {
+    let (mut sink, handle) = dash_check::oracle(OracleConfig {
         check_completion: false,
         check_det_delay: det_delay,
         check_fifo_gaps: false,
+    });
+    for (t, e) in stream {
+        sink.on_event(t, e);
     }
-}
-
-/// Attach the dash-check semantic oracle to a world's event stream.
-pub fn attach_oracle(sim: &mut Sim<Stack>, det_delay: bool) -> OracleHandle {
-    let (sink, handle) = dash_check::oracle(oracle_config(det_delay));
-    sim.state.net.obs.add_boxed_sink(Box::new(sink));
-    handle
-}
-
-/// One human-readable line per violation the oracle found.
-pub fn violation_lines(handle: &OracleHandle) -> Vec<String> {
     handle
         .violations()
         .iter()
         .map(|v| format!("[{}] t={} {}", v.invariant, v.at.as_nanos(), v.detail))
         .collect()
-}
-
-/// Event sink capturing typed events, for replaying the merged stream
-/// of a `Par` run through the oracle.
-struct CaptureSink {
-    out: Rc<RefCell<Vec<(u64, ObsEvent)>>>,
-}
-
-impl ObsSink for CaptureSink {
-    fn on_event(&mut self, time: SimTime, event: &ObsEvent) {
-        self.out.borrow_mut().push((time.as_nanos(), event.clone()));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -779,33 +851,24 @@ fn rpc_tick(sim: &mut Sim<Stack>, r: RpcFlow, n: u64, acct: SharedAcct) {
     sim.schedule_in(r.interval, move |sim| rpc_tick(sim, r, n + 1, acct));
 }
 
+/// One direction of a [`Probe`], driven by the world owning `from`.
+fn probe_tick(sim: &mut Sim<Stack>, from: HostId, to: HostId, p: Probe) {
+    if sim.now() >= SimTime::ZERO.saturating_add(p.end) {
+        return;
+    }
+    send_datagram(sim, from, to, 0x90e1, Bytes::from_static(b"probe").into());
+    sim.schedule_in(p.interval, move |sim| probe_tick(sim, from, to, p));
+}
+
 // ---------------------------------------------------------------------------
 // Worlds
 // ---------------------------------------------------------------------------
 
-/// Everything a run's worlds share: ids, the traffic plan, the drill.
-struct Scenario {
-    hosts: usize,
-    topo: Topo,
-    flows: Vec<Flow>,
-    rpcs: Vec<RpcFlow>,
-    faults: FaultPlan,
-}
-
-/// How a world's event stream reaches the oracle.
-enum OracleTap {
-    Off,
-    /// Checked as the run goes (`Serial`, `Rt`).
-    Live(OracleHandle),
-    /// Captured, to be merged across worlds and replayed (`Par`).
-    Captured(Rc<RefCell<Vec<(u64, ObsEvent)>>>),
-}
-
 /// The harness's handles into one populated world.
 struct Taps {
     acct: SharedAcct,
-    trace: Rc<RefCell<String>>,
-    oracle: OracleTap,
+    /// Filled when the scenario records a trace or runs the oracle.
+    events: Rc<RefCell<Events>>,
 }
 
 /// Build a world on `net` and install the plan. With `owner == None` the
@@ -813,37 +876,22 @@ struct Taps {
 /// `dash-par` and only `h`'s endpoints act. The fault plan is replicated:
 /// every world applies it at the same times, so routing and admission
 /// see the same topology everywhere.
-fn build_world(
-    p: &MixParams,
-    net: NetState,
-    scn: &Scenario,
-    owner: Option<HostId>,
-    det_delay: bool,
-) -> (Sim<Stack>, Taps) {
+fn build_world(scn: &Scenario, net: NetState, owner: Option<HostId>) -> (Sim<Stack>, Taps) {
     let mut builder = StackBuilder::new(net).obs(true);
-    if p.cpus {
+    if scn.cpus {
         builder = builder.cpus(SchedPolicy::Edf, SimDuration::from_micros(5));
     }
-    let (sink, trace) = TraceSink::new();
-    if p.record_trace {
-        builder = builder.obs_sink(sink);
+    let events = Rc::new(RefCell::new(Vec::new()));
+    if scn.record_trace || scn.oracle {
+        builder = builder.obs_sink(CaptureSink {
+            out: Rc::clone(&events),
+        });
     }
     let mut sim = Sim::new(builder.build());
-    let oracle = match (p.oracle, owner) {
-        (false, _) => OracleTap::Off,
-        (true, None) => OracleTap::Live(attach_oracle(&mut sim, det_delay)),
-        (true, Some(_)) => {
-            let out = Rc::new(RefCell::new(Vec::new()));
-            sim.state.net.obs.add_boxed_sink(Box::new(CaptureSink {
-                out: Rc::clone(&out),
-            }));
-            OracleTap::Captured(out)
-        }
-    };
 
     let owned = |h: HostId| owner.is_none_or(|o| o == h);
     let acct: SharedAcct = Rc::new(RefCell::new(Acct::default()));
-    for &h in scn.topo.lan_hosts.iter().flatten().filter(|h| owned(**h)) {
+    for &h in scn.sites.iter().flatten().filter(|h| owned(**h)) {
         let a = Rc::clone(&acct);
         sim.state
             .on_stream(h, move |sim, ev| on_stream_event(sim, h, ev, &a));
@@ -875,13 +923,15 @@ fn build_world(
             sim.schedule_in(r.start, move |sim| rpc_tick(sim, r, 0, a));
         }
     }
+    for &p in &scn.probes {
+        for (from, to) in [(p.a, p.b), (p.b, p.a)] {
+            if owned(from) {
+                sim.schedule_in(p.interval, move |sim| probe_tick(sim, from, to, p));
+            }
+        }
+    }
     schedule_fault_plan(&mut sim, &scn.faults);
-    let taps = Taps {
-        acct,
-        trace,
-        oracle,
-    };
-    (sim, taps)
+    (sim, Taps { acct, events })
 }
 
 /// What one finished world contributes to the outcome (`Send`, so a
@@ -892,8 +942,7 @@ struct WorldOut {
     events: u64,
     peak_queue: u64,
     registry: MetricRegistry,
-    trace: String,
-    obs: Vec<(u64, ObsEvent)>,
+    obs: Events,
 }
 
 fn finish_world(host: u32, mut sim: Sim<Stack>, taps: Taps) -> WorldOut {
@@ -906,18 +955,13 @@ fn finish_world(host: u32, mut sim: Sim<Stack>, taps: Taps) -> WorldOut {
         .map(|i| i.stats.max_queued_bytes)
         .max()
         .unwrap_or(0);
-    let obs = match &taps.oracle {
-        OracleTap::Captured(out) => std::mem::take(&mut *out.borrow_mut()),
-        _ => Vec::new(),
-    };
     WorldOut {
         host,
         acct: taps.acct.borrow().clone(),
         events: sim.events_processed(),
         peak_queue,
         registry: std::mem::take(&mut sim.state.net.obs.registry),
-        trace: std::mem::take(&mut *taps.trace.borrow_mut()),
-        obs,
+        obs: taps.events.take(),
     }
 }
 
@@ -961,7 +1005,7 @@ impl Lp for MixLp {
 
 /// Everything a run produces, summed over its worlds. Under `Serial` and
 /// `Par` every field except `wall_secs` is deterministic for a given
-/// [`MixParams`] — under `Par` *including* across shard counts and
+/// [`Scenario`] — under `Par` *including* across shard counts and
 /// placements, which is the whole point.
 #[derive(Debug)]
 pub struct Outcome {
@@ -1005,6 +1049,15 @@ pub struct Outcome {
     pub cache_evictions: u64,
     /// Fault events in the drill plan (every world applies all of them).
     pub faults_injected: u64,
+    /// Link-state ads originated (`routing.floods`).
+    pub floods: u64,
+    /// Lazy route-table recomputations (`routing.recompute`).
+    pub recomputes: u64,
+    /// Establishments that won on a non-primary alternate
+    /// (`routing.alternate_wins`).
+    pub alternate_wins: u64,
+    /// Subtransport failovers completed (`fault.recovery_latency` count).
+    pub recoveries: u64,
     /// Metric-registry dump (JSON lines; host-ascending merge under `Par`).
     pub registry_dump: String,
     /// Observability trace (empty unless `record_trace`).
@@ -1093,36 +1146,24 @@ impl Outcome {
 // The run
 // ---------------------------------------------------------------------------
 
-/// Run the workload `params` describes on `backend`.
+/// Run `scn` on `backend`: the one place a macro world is built, driven,
+/// stepped, collected and digested.
 ///
 /// # Panics
 ///
 /// Panics if `Backend::Par` asks for zero shards.
-pub fn run(params: &MixParams, backend: Backend) -> Outcome {
-    let (net, topo) = build_topo(params);
-    let (flows, rpcs) = plan_population(params, &topo.lan_hosts);
-    let faults = make_fault_plan(params, &topo);
-    let scn = Scenario {
-        hosts: net.hosts.len(),
-        topo,
-        flows,
-        rpcs,
-        faults,
-    };
-    let horizon = params.horizon();
+pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
+    let net = (scn.topo)();
+    let hosts = net.hosts.len();
     match backend {
         Backend::Serial => {
-            let (mut sim, taps) = build_world(params, net, &scn, None, true);
+            let (mut sim, taps) = build_world(scn, net, None);
             let started = Instant::now();
-            sim.run_until_horizon(horizon);
-            collect_single(&scn, sim, taps, started.elapsed().as_secs_f64(), None)
+            sim.run_until_horizon(scn.horizon);
+            collect_single(scn, hosts, sim, taps, started.elapsed().as_secs_f64(), None)
         }
-        Backend::Rt {
-            loss_per_mille,
-            max_wall,
-            miss_slack,
-        } => {
-            let (mut sim, taps) = build_world(params, net, &scn, None, false);
+        Backend::Rt { loss_per_mille } => {
+            let (mut sim, taps) = build_world(scn, net, None);
             // Every wire hop crosses the substrate from t=0, establishment
             // included (control-plane carriage is lossless by the
             // reliability contract — see `Substrate::transmit`).
@@ -1130,7 +1171,7 @@ pub fn run(params: &MixParams, backend: Backend) -> Outcome {
             let mut driver = Monotonic::start();
             let mut substrate = MemDatagram::new(MemConfig {
                 loss_per_mille,
-                seed: params.seed,
+                seed: scn.seed,
                 ..MemConfig::default()
             });
             let report = run_rt(
@@ -1138,27 +1179,27 @@ pub fn run(params: &MixParams, backend: Backend) -> Outcome {
                 &mut driver,
                 &mut substrate,
                 &RtOptions {
-                    horizon: Some(horizon),
-                    max_wall: Some(max_wall),
-                    miss_slack,
+                    horizon: Some(scn.horizon),
+                    max_wall: Some(RT_MAX_WALL),
+                    miss_slack: RT_MISS_SLACK,
                     ..RtOptions::default()
                 },
             );
-            collect_single(&scn, sim, taps, report.wall.as_secs_f64(), Some(report))
+            let wall_secs = report.wall.as_secs_f64();
+            collect_single(scn, hosts, sim, taps, wall_secs, Some(report))
         }
         Backend::Par {
             shards,
             lan_aligned,
         } => {
             assert!(shards > 0, "a parallel run needs at least one shard");
-            let hosts_total = net.hosts.len() as u32;
             let plan = if lan_aligned {
-                ShardPlan::grouped(hosts_total, shards, &lan_groups(&scn.topo))
+                ShardPlan::grouped(hosts as u32, shards, &scn.groups)
             } else {
-                ShardPlan::hashed(hosts_total, shards)
+                ShardPlan::hashed(hosts as u32, shards)
             };
             let cfg = ParConfig {
-                horizon,
+                horizon: scn.horizon,
                 cross_lookahead: cross_shard_lookahead(&net, &plan),
                 local_lookahead: local_lookahead(&net),
             };
@@ -1169,94 +1210,43 @@ pub fn run(params: &MixParams, backend: Backend) -> Outcome {
                 &cfg,
                 |h| {
                     let owner = HostId(h);
-                    let (sim, taps) =
-                        build_world(params, build_topo(params).0, &scn, Some(owner), true);
+                    let (sim, taps) = build_world(scn, (scn.topo)(), Some(owner));
                     MixLp {
-                        lp: StackLp::new(sim, owner, params.seed),
+                        lp: StackLp::new(sim, owner, scn.seed),
                         taps,
                     }
                 },
                 |m: MixLp| finish_world(m.lp.host(), m.lp.sim, m.taps),
             );
             let wall_secs = started.elapsed().as_secs_f64();
-            // The merged stream, ordered by `(time, host, index)` like the
-            // trace merge, replayed through the oracle.
-            let violations = if params.oracle {
-                replay_oracle(&outs)
-            } else {
-                Vec::new()
-            };
-            merge_outcome(
-                &scn,
-                outs,
-                horizon.as_secs_f64(),
-                wall_secs,
-                violations,
-                None,
-            )
+            let sim_secs = scn.horizon.as_secs_f64();
+            merge_outcome(scn, hosts, outs, sim_secs, wall_secs, None)
         }
     }
-}
-
-/// One shard group per LAN: its hosts and gateway, with the backup-WAN
-/// bridges riding with LAN 0, so no LAN ever spans shards and the epoch
-/// stays at the WAN delay.
-fn lan_groups(topo: &Topo) -> Vec<Vec<u32>> {
-    topo.lan_hosts
-        .iter()
-        .zip(&topo.gateways)
-        .enumerate()
-        .map(|(l, (hs, g))| {
-            let mut group: Vec<u32> = hs.iter().map(|h| h.0).collect();
-            group.push(g.0);
-            if l == 0 {
-                group.extend(topo.extra.iter().map(|h| h.0));
-            }
-            group
-        })
-        .collect()
 }
 
 /// The outcome of a run with one world (`Serial`, `Rt`).
 fn collect_single(
     scn: &Scenario,
+    hosts: usize,
     sim: Sim<Stack>,
     taps: Taps,
     wall_secs: f64,
     rt: Option<RtReport>,
 ) -> Outcome {
     let sim_secs = sim.now().as_secs_f64();
-    let violations = match &taps.oracle {
-        OracleTap::Live(handle) => violation_lines(handle),
-        _ => Vec::new(),
-    };
     let out = finish_world(0, sim, taps);
-    merge_outcome(scn, vec![out], sim_secs, wall_secs, violations, rt)
-}
-
-fn replay_oracle(outs: &[WorldOut]) -> Vec<String> {
-    let mut all: Vec<(u64, u32, usize, &ObsEvent)> = Vec::new();
-    for o in outs {
-        for (idx, (t, e)) in o.obs.iter().enumerate() {
-            all.push((*t, o.host, idx, e));
-        }
-    }
-    all.sort_by_key(|a| (a.0, a.1, a.2));
-    let (mut sink, handle) = dash_check::oracle(oracle_config(true));
-    for (t, _, _, e) in &all {
-        sink.on_event(SimTime::ZERO.saturating_add(SimDuration::from_nanos(*t)), e);
-    }
-    violation_lines(&handle)
+    merge_outcome(scn, hosts, vec![out], sim_secs, wall_secs, rt)
 }
 
 /// Sum the worlds. `run_sharded` returns results indexed by host, so the
 /// merge order (host ascending) is fixed regardless of the shard plan.
 fn merge_outcome(
     scn: &Scenario,
+    hosts: usize,
     outs: Vec<WorldOut>,
     sim_secs: f64,
     wall_secs: f64,
-    oracle_violations: Vec<String>,
     rt: Option<RtReport>,
 ) -> Outcome {
     let mut registry = MetricRegistry::new();
@@ -1269,9 +1259,33 @@ fn merge_outcome(
         events += o.events;
         peak_queue_bytes = peak_queue_bytes.max(o.peak_queue);
     }
-    let trace_parts: Vec<(u32, String)> = outs.into_iter().map(|o| (o.host, o.trace)).collect();
+    // The run's event stream: the worlds' captures merged by `(time,
+    // owner host, emission index)` — a total order that is a pure
+    // function of the run, so the trace rendered from it and the oracle's
+    // verdict on it are the same at every shard count and placement.
+    let mut stream: Vec<(SimTime, u32, usize, &ObsEvent)> = Vec::new();
+    for o in &outs {
+        stream.extend(
+            o.obs
+                .iter()
+                .enumerate()
+                .map(|(i, (t, e))| (*t, o.host, i, e)),
+        );
+    }
+    stream.sort_by_key(|&(t, host, i, _)| (t, host, i));
+    let mut trace_dump = String::new();
+    if scn.record_trace {
+        for (t, _, _, e) in &stream {
+            let _ = writeln!(trace_dump, "{} {} {e:?}", t.as_nanos(), e.name());
+        }
+    }
+    let oracle_violations = if scn.oracle {
+        check_stream(stream.iter().map(|&(t, _, _, e)| (t, e)), rt.is_none())
+    } else {
+        Vec::new()
+    };
     Outcome {
-        hosts: scn.hosts,
+        hosts,
         streams_opened: acct.opened,
         open_failed: acct.failed,
         events,
@@ -1290,8 +1304,12 @@ fn merge_outcome(
         cache_misses: registry.counter_value("st.cache_miss"),
         cache_evictions: registry.counter_value("st.cache_eviction"),
         faults_injected: scn.faults.events.len() as u64,
+        floods: registry.counter_value("routing.floods"),
+        recomputes: registry.counter_value("routing.recompute"),
+        alternate_wins: registry.counter_value("routing.alternate_wins"),
+        recoveries: registry.histogram("fault.recovery_latency").count() as u64,
         registry_dump: registry.to_json_lines(),
-        trace_dump: merge_traces(&trace_parts),
+        trace_dump,
         oracle_violations,
         rt,
     }
@@ -1330,10 +1348,9 @@ pub fn e10_scale() -> Table {
             bulk_bytes: 256 * 1024,
             churn_per_wave: 0,
             fault_drill: false,
-            record_trace: false,
             ..MixParams::ci()
         };
-        let o = run(&p, Backend::Serial);
+        let o = run(&p.scenario(), Backend::Serial);
         t.row(vec![
             (p.lans * (p.voice_per_lan + p.bulk_per_lan)).to_string(),
             o.streams_opened.to_string(),
@@ -1372,7 +1389,7 @@ pub fn e12_pscale() -> Table {
     let mut reference: Option<String> = None;
     for shards in [1u32, 2, 4] {
         let o = run(
-            &MixParams::ci(),
+            &MixParams::ci().scenario(),
             Backend::Par {
                 shards,
                 lan_aligned: true,
@@ -1424,16 +1441,15 @@ pub fn e13_rt() -> Table {
         "stop",
         "oracle",
     ]);
-    for loss in [0u32, 20] {
-        let p = MixParams {
-            record_trace: false,
+    for loss_per_mille in [0u32, 20] {
+        let scenario = Scenario {
             oracle: true,
-            ..MixParams::ci()
+            ..MixParams::ci().scenario()
         };
-        let o = run(&p, Backend::rt(loss));
+        let o = run(&scenario, Backend::Rt { loss_per_mille });
         let rt = o.rt.as_ref().expect("an rt run carries its report");
         t.row(vec![
-            format!("{:.1}%", loss as f64 / 10.0),
+            format!("{:.1}%", loss_per_mille as f64 / 10.0),
             format!("{:.2}", o.wall_secs),
             format!("{:.2}", o.sim_secs),
             o.messages.to_string(),
@@ -1466,39 +1482,10 @@ mod tests {
     }
 
     #[test]
-    fn serial_ci_run_is_deterministic_and_loaded() {
-        let p = MixParams::ci();
-        let a = run(&p, Backend::Serial);
-        assert!(a.streams_opened > 20, "opened {}", a.streams_opened);
-        assert!(a.messages > 500, "messages {}", a.messages);
-        assert_eq!(a.faults_injected, 4);
-        assert!(a.rpc_completed > 10, "rpc {}", a.rpc_completed);
-        assert!(
-            a.cache_misses > 10,
-            "churn should create fresh RMSs (misses {})",
-            a.cache_misses
-        );
-        let b = run(&p, Backend::Serial);
-        assert_eq!(a.determinism_digest(), b.determinism_digest());
-    }
-
-    #[test]
-    fn two_shards_merge_identical_to_one() {
-        let p = MixParams::ci();
-        let a = run(&p, par(1, true));
-        assert!(a.streams_opened > 15, "opened {}", a.streams_opened);
-        assert!(a.messages > 500, "messages {}", a.messages);
-        assert_eq!(a.faults_injected, 4);
-        assert!(a.rpc_completed > 10, "rpc {}", a.rpc_completed);
-        let b = run(&p, par(2, true));
-        assert_eq!(a.determinism_digest(), b.determinism_digest());
-    }
-
-    #[test]
     fn hashed_placement_matches_aligned() {
         // Hashed placement splits LANs across shards, shrinking epochs
         // to the LAN wire delay — tiny workload, same digest.
-        let p = MixParams::micro();
+        let p = MixParams::micro().scenario();
         let a = run(&p, par(1, false));
         assert!(a.messages > 20, "messages {}", a.messages);
         let b = run(&p, par(3, false));
@@ -1509,12 +1496,11 @@ mod tests {
 
     #[test]
     fn oracle_is_clean_on_the_merged_stream() {
-        let p = MixParams {
-            record_trace: false,
+        let scenario = Scenario {
             oracle: true,
-            ..MixParams::ci()
+            ..MixParams::ci().scenario()
         };
-        let o = run(&p, par(2, true));
+        let o = run(&scenario, par(2, true));
         assert!(o.oracle_violations.is_empty(), "{:?}", o.oracle_violations);
     }
 }

@@ -23,6 +23,11 @@ fn bad_usage_exits_2_with_usage() {
         &["--backend"],
         &["--backend", "quantum"],
         &["--size", "galactic"],
+        &["--size", "e11-galactic"],
+        // The e11 sizes parse: it is the misplaced flag that is refused.
+        &["--size", "e11-mesh-ci", "--loss", "1"],
+        &["--size", "e11", "--shards", "2"],
+        &["--size", "e11-mesh", "--hashed"],
         &["--backend", "par", "--shards"],
         &["--backend", "par", "--shards", "0"],
         &["--backend", "par", "--shards", "two"],
@@ -44,4 +49,9 @@ fn a_clean_run_exits_0_and_reports_its_digest() {
     assert_eq!(code, Some(0), "{stderr}");
     assert_eq!(stdout.matches("digest ").count(), 3, "{stdout}");
     assert!(stdout.contains("oracle clean") && stdout.contains("byte-identical"));
+
+    // The e11 routing workload is a `--size`, not a binary of its own.
+    let (code, stdout, stderr) = mix(&["--backend", "serial", "--size", "e11-ci", "--oracle"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("alt wins") && stdout.contains("oracle clean"));
 }

@@ -11,10 +11,11 @@ use dash_security::suite::{MechanismPlan, NetworkCapabilities};
 use dash_sim::engine::Sim;
 use dash_sim::obs::ObsEvent;
 use dash_sim::time::{SimDuration, SimTime};
+use rms_core::admission::Admission;
 use rms_core::compat::{negotiate, RmsRequest, ServiceTable};
 use rms_core::error::{FailReason, RejectReason, RmsError};
 use rms_core::message::Message;
-use rms_core::params::{BitErrorRate, Reliability};
+use rms_core::params::{BitErrorRate, Reliability, SharedParams};
 use rms_core::port::DeliveryInfo;
 use rms_core::wire::WireMsg;
 
@@ -23,7 +24,10 @@ use crate::network::WireOutcome;
 use crate::packet::{DataPacket, NakReason, Packet, PacketKind, SourceRoute};
 use crate::rms::{Buffered, NetRms, RmsRole, REORDER_FAIL_THRESHOLD};
 use crate::routing;
-use crate::state::{NetRmsEvent, NetState, NetWorld, PendingCreate, PendingInvite, Route};
+use crate::state::{
+    NetRmsEvent, NetState, NetWorld, PendingCreate, PendingInvite, Route, CREATE_RETRIES,
+    CREATE_TIMEOUT, TTL,
+};
 
 // ---------------------------------------------------------------------------
 // Path-wide negotiation helpers
@@ -233,18 +237,15 @@ pub fn create_rms_as_receiver<W: NetWorld>(
 
 fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: CreateToken) {
     let now = sim.now();
-    let (peer, params, attempts, timeout, retries) = {
-        let net = sim.state.net();
-        let timeout = net.config.create_timeout;
-        let retries = net.config.create_retries;
-        let inv = match net.host_mut(creator).invites.get_mut(&token) {
+    let (peer, params, attempts) = {
+        let inv = match sim.state.net().host_mut(creator).invites.get_mut(&token) {
             Some(i) => i,
             None => return,
         };
         inv.attempts += 1;
-        (inv.peer, inv.params.clone(), inv.attempts, timeout, retries)
+        (inv.peer, inv.params.clone(), inv.attempts)
     };
-    if attempts > retries {
+    if attempts > CREATE_RETRIES {
         sim.state.net().host_mut(creator).invites.remove(&token);
         W::rms_event(
             sim,
@@ -270,7 +271,7 @@ fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         next_hop: None,
     };
     route_and_enqueue(sim, creator, packet);
-    let timer = sim.schedule_timer(timeout, move |sim| {
+    let timer = sim.schedule_timer(CREATE_TIMEOUT, move |sim| {
         // Retry while the invite is still pending (the CreateReq arriving
         // at us removes it).
         start_invite_attempt(sim, creator, token);
@@ -284,18 +285,15 @@ fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
 
 fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: CreateToken) {
     let now = sim.now();
-    let (rms, peer, invite, attempts, timeout, retries) = {
-        let net = sim.state.net();
-        let timeout = net.config.create_timeout;
-        let retries = net.config.create_retries;
-        let p = match net.host_mut(creator).pending.get_mut(&token) {
+    let (rms, peer, invite, attempts) = {
+        let p = match sim.state.net().host_mut(creator).pending.get_mut(&token) {
             Some(p) => p,
             None => return,
         };
         p.attempts += 1;
-        (p.rms, p.peer, p.invite, p.attempts, timeout, retries)
+        (p.rms, p.peer, p.invite, p.attempts)
     };
-    if attempts > retries {
+    if attempts > CREATE_RETRIES {
         // Give up: clean any partial reservations and report.
         sim.state.net().host_mut(creator).pending.remove(&token);
         release_local_and_send_release(sim, creator, rms, peer);
@@ -323,13 +321,7 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
             .is_some_and(|p| p.route_gen != net.route_generation)
     };
     if stale {
-        {
-            let net = sim.state.net();
-            if let Some((iface, params)) = net.host_mut(creator).reservations.remove(&rms) {
-                net.host_mut(creator).ifaces[iface].ledger.release(&params);
-            }
-            net.host_mut(creator).rms_next.remove(&rms);
-        }
+        release_hop(sim.state.net(), creator, rms);
         let request = match sim.state.net_ref().host(creator).pending.get(&token) {
             Some(p) => p.request.clone(),
             None => return,
@@ -376,10 +368,7 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         };
         let net = sim.state.net();
         if net.network(first_net_id).down {
-            if let Some((iface, params)) = net.host_mut(creator).reservations.remove(&rms) {
-                net.host_mut(creator).ifaces[iface].ledger.release(&params);
-            }
-            net.host_mut(creator).rms_next.remove(&rms);
+            release_hop(net, creator, rms);
             if let Some(p) = net.host_mut(creator).pending.get_mut(&token) {
                 p.alt_idx += 1;
             }
@@ -394,47 +383,13 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
                 continue;
             }
         };
-        let force = net.config.debug_force_admission;
-        let host = net.host_mut(creator);
-        if !host.reservations.contains_key(&rms) {
-            let ledger = &mut host.ifaces[iface].ledger;
-            let admitted = if force {
-                ledger.force_admit(&params)
-            } else {
-                ledger.admit(&params)
-            };
-            let ok = admitted.is_admitted();
-            let (reserved_bps, budget_bps) =
-                (ledger.reserved_bps(), ledger.deterministic_budget_bps());
-            if sim.state.net().obs.is_active() {
-                sim.state.net().obs.emit(
-                    now,
-                    ObsEvent::AdmissionDecision {
-                        host: creator.0,
-                        admitted: ok,
-                        reserved_bps,
-                        budget_bps,
-                    },
-                );
+        if let Err(detail) = admit_hop(net, now, creator, iface, rms, &params) {
+            admission_detail = Some(detail);
+            if let Some(p) = net.host_mut(creator).pending.get_mut(&token) {
+                p.alt_idx += 1;
             }
-            if !ok {
-                let detail = match admitted {
-                    rms_core::admission::Admission::Denied { detail } => detail,
-                    rms_core::admission::Admission::Admitted => unreachable!(),
-                };
-                admission_detail = Some(detail);
-                if let Some(p) = sim.state.net().host_mut(creator).pending.get_mut(&token) {
-                    p.alt_idx += 1;
-                }
-                continue;
-            }
-            sim.state
-                .net()
-                .host_mut(creator)
-                .reservations
-                .insert(rms, (iface, params.clone()));
+            continue;
         }
-        let net = sim.state.net();
         net.host_mut(creator).rms_next.insert(
             rms,
             Route {
@@ -508,7 +463,7 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         next_hop: None,
     };
     route_and_enqueue(sim, creator, packet);
-    let timer = sim.schedule_timer(timeout, move |sim| {
+    let timer = sim.schedule_timer(CREATE_TIMEOUT, move |sim| {
         start_create_attempt(sim, creator, token);
     });
     if let Some(p) = sim.state.net().host_mut(creator).pending.get_mut(&token) {
@@ -518,6 +473,61 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
     }
 }
 
+/// Release `host`'s reservation for `rms`, if it holds one, and drop its
+/// `rms_next` forwarding pin, which is returned (teardown follows it).
+fn release_hop(net: &mut NetState, host: HostId, rms: NetRmsId) -> Option<Route> {
+    let h = net.host_mut(host);
+    if let Some((iface, params)) = h.reservations.remove(&rms) {
+        h.ifaces[iface].ledger.release(&params);
+    }
+    h.rms_next.remove(&rms)
+}
+
+/// One hop's admission (§2.3): reserve `params` for `rms` on `host`'s
+/// outbound interface `iface`, idempotently — a retry that finds the
+/// reservation in place passes without asking the ledger again. A fresh
+/// decision is announced; a refusal returns the ledger's explanation.
+fn admit_hop(
+    net: &mut NetState,
+    now: SimTime,
+    host: HostId,
+    iface: usize,
+    rms: NetRmsId,
+    params: &SharedParams,
+) -> Result<(), String> {
+    let force = net.config.debug_force_admission;
+    let h = net.host_mut(host);
+    if h.reservations.contains_key(&rms) {
+        return Ok(());
+    }
+    let ledger = &mut h.ifaces[iface].ledger;
+    let admitted = if force {
+        ledger.force_admit(params)
+    } else {
+        ledger.admit(params)
+    };
+    let (reserved_bps, budget_bps) = (ledger.reserved_bps(), ledger.deterministic_budget_bps());
+    let verdict = match admitted {
+        Admission::Admitted => {
+            h.reservations.insert(rms, (iface, params.clone()));
+            Ok(())
+        }
+        Admission::Denied { detail } => Err(detail),
+    };
+    if net.obs.is_active() {
+        net.obs.emit(
+            now,
+            ObsEvent::AdmissionDecision {
+                host: host.0,
+                admitted: verdict.is_ok(),
+                reserved_bps,
+                budget_bps,
+            },
+        );
+    }
+    verdict
+}
+
 fn release_local_and_send_release<W: NetWorld>(
     sim: &mut Sim<W>,
     host: HostId,
@@ -525,14 +535,7 @@ fn release_local_and_send_release<W: NetWorld>(
     peer: HostId,
 ) {
     let now = sim.now();
-    let pin = {
-        let net = sim.state.net();
-        let pin = net.host_mut(host).rms_next.remove(&rms);
-        if let Some((iface, params)) = net.host_mut(host).reservations.remove(&rms) {
-            net.host_mut(host).ifaces[iface].ledger.release(&params);
-        }
-        pin
-    };
+    let pin = release_hop(sim.state.net(), host, rms);
     let mut packet = Packet {
         src: host,
         dst: peer,
@@ -886,8 +889,7 @@ pub(crate) fn enqueue_on<W: NetWorld>(
         }
         if !ok {
             net.stats.overflow_drops.incr();
-            let quench =
-                (is_raw && net.config.quench_enabled && src != host).then_some((src, proto, dst));
+            let quench = (is_raw && src != host).then_some((src, proto, dst));
             (false, quench)
         } else {
             (true, None)
@@ -1107,8 +1109,7 @@ pub fn on_arrival<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
 
 fn forward<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packet) {
     packet.hops += 1;
-    let ttl = sim.state.net_ref().config.ttl;
-    if packet.hops > ttl {
+    if packet.hops > TTL {
         sim.state.net().stats.ttl_drops.incr();
         return;
     }
@@ -1233,66 +1234,27 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
     }
 
     // Intermediate hop: reserve on the outbound interface named by the
-    // creator's source route (falling back to the local table for legacy
-    // un-routed requests) and forward.
+    // creator's source route and forward. The creator pinned the path; the
+    // next leg must exist, be up, and be reachable from one of our
+    // interfaces.
     let now = sim.now();
     let verdict = {
         let net = sim.state.net();
-        let next = match source_route.as_ref() {
-            Some(sr) => {
-                // The creator pinned the path; the next leg must exist,
-                // be up, and be reachable from one of our interfaces.
-                let next_idx = sr.next + 1;
-                match (sr.networks.get(next_idx), sr.hops.get(next_idx)) {
-                    (Some(&n), Some(&h)) if !net.network(n).down => net
-                        .host(host)
-                        .iface_on(n)
-                        .map(|iface| Route { iface, next_hop: h }),
-                    _ => None,
-                }
+        let next = source_route.as_ref().and_then(|sr| {
+            let next_idx = sr.next + 1;
+            match (sr.networks.get(next_idx), sr.hops.get(next_idx)) {
+                (Some(&n), Some(&h)) if !net.network(n).down => net
+                    .host(host)
+                    .iface_on(n)
+                    .map(|iface| Route { iface, next_hop: h }),
+                _ => None,
             }
-            None => {
-                routing::ensure_host_routes(net, now, host);
-                net.host(host).routes.get(&dst).copied()
-            }
-        };
+        });
         match next {
             None => Err(NakReason::NoRoute),
-            Some(route) => {
-                let force = net.config.debug_force_admission;
-                let h = net.host_mut(host);
-                if h.reservations.contains_key(&rms) {
-                    Ok(route)
-                } else {
-                    let ledger = &mut h.ifaces[route.iface].ledger;
-                    let admitted = if force {
-                        ledger.force_admit(&params)
-                    } else {
-                        ledger.admit(&params)
-                    };
-                    let ok = admitted.is_admitted();
-                    let (reserved_bps, budget_bps) =
-                        (ledger.reserved_bps(), ledger.deterministic_budget_bps());
-                    let verdict = if ok {
-                        h.reservations.insert(rms, (route.iface, params.clone()));
-                        Ok(route)
-                    } else {
-                        Err(NakReason::Admission)
-                    };
-                    if net.obs.is_active() {
-                        net.obs.emit(
-                            now,
-                            ObsEvent::AdmissionDecision {
-                                host: host.0,
-                                admitted: ok,
-                                reserved_bps,
-                                budget_bps,
-                            },
-                        );
-                    }
-                    verdict
-                }
-            }
+            Some(route) => admit_hop(net, now, host, route.iface, rms, &params)
+                .map(|()| route)
+                .map_err(|_| NakReason::Admission),
         }
     };
     match verdict {
@@ -1303,7 +1265,7 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
             net.host_mut(host).rms_next.insert(rms, route);
             let network = net.host(host).ifaces[route.iface].network;
             path.push(network);
-            if hops < sim.state.net_ref().config.ttl {
+            if hops < TTL {
                 let fwd_route = source_route.map(|mut sr| {
                     sr.next += 1;
                     sr
@@ -1335,13 +1297,7 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         Err(reason) => {
             // Our own partial state must not outlive the refusal: a retry
             // may have reserved here on an earlier attempt.
-            {
-                let net = sim.state.net();
-                if let Some((iface, params)) = net.host_mut(host).reservations.remove(&rms) {
-                    net.host_mut(host).ifaces[iface].ledger.release(&params);
-                }
-                net.host_mut(host).rms_next.remove(&rms);
-            }
+            release_hop(sim.state.net(), host, rms);
             let back = source_route
                 .as_ref()
                 .map(|sr| reverse_route(sr, sr.next, src));
@@ -1379,13 +1335,7 @@ fn handle_create_nak<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
     };
     // Every hop holding a reservation for this stream releases it (and
     // drops its forwarding pin).
-    {
-        let net = sim.state.net();
-        if let Some((iface, params)) = net.host_mut(host).reservations.remove(&rms) {
-            net.host_mut(host).ifaces[iface].ledger.release(&params);
-        }
-        net.host_mut(host).rms_next.remove(&rms);
-    }
+    release_hop(sim.state.net(), host, rms);
     if packet.dst != host {
         forward(sim, host, packet);
         return;
@@ -1439,18 +1389,10 @@ fn handle_release<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packe
     };
     // Capture the forwarding pin before tearing down: the release must
     // chase the reservations along the path they were made on.
-    let pin = {
-        let net = sim.state.net();
-        let pin = net.host_mut(host).rms_next.remove(&rms);
-        if let Some((iface, params)) = net.host_mut(host).reservations.remove(&rms) {
-            net.host_mut(host).ifaces[iface].ledger.release(&params);
-        }
-        pin
-    };
+    let pin = release_hop(sim.state.net(), host, rms);
     if packet.dst != host {
         packet.hops += 1;
-        let ttl = sim.state.net_ref().config.ttl;
-        if packet.hops > ttl {
+        if packet.hops > TTL {
             sim.state.net().stats.ttl_drops.incr();
             return;
         }

@@ -51,7 +51,7 @@ use dash_security::suite::{select_mechanisms, MechanismPlan};
 use crate::ids::{HostId, NetworkId};
 use crate::packet::{Packet, PacketKind};
 use crate::pipeline::{combined_capabilities_on, combined_service_table_on, enqueue_on};
-use crate::state::{NetState, NetWorld};
+use crate::state::{NetState, NetWorld, TTL};
 
 /// One viable alternate for an RMS creation: the path, the parameters and
 /// security plan negotiated against *that* path, and its ranking inputs.
@@ -275,7 +275,7 @@ pub(crate) fn handle_lsa<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Pa
     if !fresh {
         return;
     }
-    if hops < sim.state.net_ref().config.ttl {
+    if hops < TTL {
         flood_ad(sim, host, ad, hops + 1, Some(via));
     }
 }

@@ -24,7 +24,7 @@ use rms_core::hash::DetHashMap;
 
 use super::lsdb::Lsdb;
 use crate::ids::{HostId, NetworkId};
-use crate::state::{NetState, Route};
+use crate::state::{NetState, Route, TTL};
 
 /// Maximum number of alternate paths computed per destination.
 pub const K_ALTERNATES: usize = 3;
@@ -32,11 +32,11 @@ pub const K_ALTERNATES: usize = 3;
 /// Safety valve on the best-first search: total partial paths popped.
 const EXPANSION_CAP: usize = 20_000;
 
-/// Hop budget the frontier stores inline. Matches the default TTL, so the
-/// best-first search below allocates nothing per expansion in the common
-/// case; longer TTLs spill to a heap Vec (same inline-then-spill shape as
-/// `WireMsg`'s segment list).
-const INLINE_HOPS: usize = 16;
+/// Hop budget the frontier stores inline: the packet hop budget [`TTL`],
+/// which also bounds the search, so the best-first search below allocates
+/// nothing per expansion; a longer path would spill to a heap Vec (same
+/// inline-then-spill shape as `WireMsg`'s segment list).
+const INLINE_HOPS: usize = TTL as usize;
 
 /// An id sequence (hops or networks) held inline up to [`INLINE_HOPS`].
 /// Ordering is lexicographic over the raw ids — identical to the
@@ -198,11 +198,10 @@ pub fn k_paths(state: &NetState, src: HostId, dst: HostId, k: usize) -> Vec<AltP
     }
     let lsdb = &state.host(src).lsdb;
     let attached = attachment_map(lsdb);
-    let ttl = state.config.ttl as usize;
+    let ttl = TTL as usize;
     // Min-heap on (len, hops, networks): BinaryHeap is a max-heap, so the
     // key is wrapped in `Reverse`. Paths are inline-array `IdPath`s, so a
-    // frontier expansion allocates nothing until a path outgrows the TTL
-    // default.
+    // frontier expansion allocates nothing (`INLINE_HOPS` is the TTL).
     type Frontier = (usize, IdPath, IdPath);
     let mut heap: BinaryHeap<Reverse<Frontier>> = BinaryHeap::new();
     heap.push(Reverse((0, IdPath::EMPTY, IdPath::EMPTY)));

@@ -14,7 +14,6 @@ use dash_sim::obs::Obs;
 use dash_sim::rng::Rng;
 use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
-use dash_sim::trace::Trace;
 use rms_core::compat::RmsRequest;
 use rms_core::error::{FailReason, RejectReason};
 use rms_core::message::Message;
@@ -32,23 +31,24 @@ use crate::network::Network;
 use crate::rms::NetRms;
 use crate::routing::{CandidatePath, Lsdb};
 
-/// Global configuration of the network layer.
+/// Creation handshake retry timeout.
+pub const CREATE_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+/// Creation handshake retry budget.
+pub const CREATE_RETRIES: u32 = 3;
+/// Hop budget before a packet is discarded.
+pub const TTL: u8 = 16;
+
+/// Global configuration of the network layer. Gateways always answer a
+/// datagram overflow drop with a source quench (the RFC 792/896 baseline
+/// behaviour, §4.4); the handshake timing and the hop budget are the
+/// constants above.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Creation handshake retry timeout.
-    pub create_timeout: SimDuration,
-    /// Creation handshake retry budget.
-    pub create_retries: u32,
     /// Queue ordering for interfaces (deadline vs. FIFO baseline).
     pub discipline: QueueDiscipline,
-    /// Hop budget before a packet is discarded.
-    pub ttl: u8,
     /// Fixed per-packet protocol CPU cost (send and receive sides), on top
     /// of security mechanism costs.
     pub per_packet_cpu: CostModel,
-    /// When true, gateways send source-quench packets on datagram overflow
-    /// drops (the RFC 792/896 baseline behaviour, §4.4).
-    pub quench_enabled: bool,
     /// Fault-seeding hook for the dash-check oracle: when true, interface
     /// ledgers record reservations without any capacity check
     /// ([`rms_core::admission::ResourceLedger::force_admit`]), so admission
@@ -60,12 +60,8 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            create_timeout: SimDuration::from_millis(250),
-            create_retries: 3,
             discipline: QueueDiscipline::Deadline,
-            ttl: 16,
             per_packet_cpu: CostModel::new(SimDuration::from_micros(5), SimDuration::from_nanos(1)),
-            quench_enabled: true,
             debug_force_admission: false,
         }
     }
@@ -201,8 +197,6 @@ pub struct NetState {
     pub hosts: Vec<NetHost>,
     /// Deterministic randomness for the wire.
     pub rng: Rng,
-    /// Debug trace.
-    pub trace: Trace,
     /// Cross-layer observability: typed events, metric registry, and
     /// message lifecycle spans (see [`dash_sim::obs`]). Inert until
     /// [`Obs::enable`] or a sink is installed.
@@ -234,7 +228,6 @@ impl NetState {
             networks: Vec::new(),
             hosts: Vec::new(),
             rng: Rng::new(seed),
-            trace: Trace::default(),
             obs: Obs::new(),
             stats: NetStats::default(),
             partitions: std::collections::BTreeSet::new(),
@@ -422,7 +415,7 @@ impl NetState {
             out.push((here, route.iface, network, route.next_hop));
             here = route.next_hop;
             hops += 1;
-            if hops > self.config.ttl {
+            if hops > TTL {
                 return None;
             }
         }
@@ -610,8 +603,6 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let c = NetConfig::default();
-        assert!(c.create_retries > 0);
-        assert!(c.ttl > 1);
         assert_eq!(c.discipline, QueueDiscipline::Deadline);
     }
 }

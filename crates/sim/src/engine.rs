@@ -428,14 +428,21 @@ impl<S> Sim<S> {
         });
     }
 
-    /// Pop heap entries until one refers to a live action; returns it with
-    /// its closure, already detached from the slab.
-    fn pop_live(&mut self) -> Option<(SimTime, Event<S>)> {
+    /// Run the earliest live event if its time satisfies `within`: the one
+    /// loop step every `run*` variant shares. Stale heads (cancelled and
+    /// reaped, slot possibly reused) at admissible times fail the
+    /// generation check and die silently on the way; a head whose time
+    /// fails `within` stays where it is, dead or alive.
+    fn step_within(&mut self, within: impl Fn(SimTime) -> bool) -> bool {
         self.reap_cancelled();
-        loop {
-            let entry = self.queue.pop()?;
-            // Stale entries (cancelled and reaped, slot possibly reused)
-            // fail the generation check and die silently here.
+        let (time, action) = loop {
+            let Some(entry) = self.queue.peek().copied() else {
+                return false;
+            };
+            if !within(entry.time) {
+                return false;
+            }
+            self.queue.pop();
             if self.board.borrow().gens[entry.slot as usize] != entry.gen {
                 continue;
             }
@@ -444,23 +451,19 @@ impl<S> Sim<S> {
                 .expect("live generation implies a pending action");
             self.live -= 1;
             self.release_slot(entry.slot);
-            return Some((entry.time, action));
-        }
+            break (entry.time, action);
+        };
+        debug_assert!(time >= self.now);
+        self.now = time;
+        self.processed += 1;
+        action(self);
+        true
     }
 
     /// Run the next live event, if any. Returns `false` when no live event
     /// remains. Cancelled timers neither run nor count.
     pub fn step(&mut self) -> bool {
-        match self.pop_live() {
-            Some((time, action)) => {
-                debug_assert!(time >= self.now);
-                self.now = time;
-                self.processed += 1;
-                action(self);
-                true
-            }
-            None => false,
-        }
+        self.step_within(|_| true)
     }
 
     /// Run until the event queue is empty.
@@ -471,24 +474,8 @@ impl<S> Sim<S> {
     /// Run every event scheduled at or before `until`, then set the clock to
     /// `until` (even if no event fired exactly then).
     pub fn run_until(&mut self, until: SimTime) {
-        loop {
-            self.reap_cancelled();
-            match self.queue.peek() {
-                Some(e) if e.time <= until => {
-                    // Dead heads are removed (not executed) by pop_live
-                    // inside step; live heads at or before `until` run.
-                    if self.board.borrow().gens[e.slot as usize] != e.gen {
-                        self.queue.pop();
-                        continue;
-                    }
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        if until > self.now {
-            self.now = until;
-        }
+        while self.step_within(|t| t <= until) {}
+        self.now = self.now.max(until);
     }
 
     /// Run every live event strictly *before* `horizon`, then set the
@@ -500,22 +487,8 @@ impl<S> Sim<S> {
     /// `>= horizon` may still be injected afterwards (via
     /// [`Sim::schedule_arrival`]) without ever scheduling into the past.
     pub fn run_until_horizon(&mut self, horizon: SimTime) {
-        loop {
-            self.reap_cancelled();
-            match self.queue.peek() {
-                Some(e) if e.time < horizon => {
-                    if self.board.borrow().gens[e.slot as usize] != e.gen {
-                        self.queue.pop();
-                        continue;
-                    }
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        if horizon > self.now {
-            self.now = horizon;
-        }
+        while self.step_within(|t| t < horizon) {}
+        self.now = self.now.max(horizon);
     }
 
     /// Run at most `max_events` live events; returns how many actually ran.
@@ -698,18 +671,43 @@ mod tests {
         assert_eq!(sim.events_pending(), 0);
     }
 
+    /// The one boundary the two bounded runs differ in: an event at
+    /// exactly `t` runs under `run_until(t)` and stays pending under
+    /// `run_until_horizon(t)`; cancelled heads neither run nor count.
     #[test]
-    fn run_until_horizon_is_exclusive() {
-        let mut sim = Sim::new(Vec::new());
+    fn bounded_runs_differ_only_at_the_boundary() {
         let t = SimTime::from_nanos(1_000);
-        sim.schedule_at(t, |s| s.state.push("at"));
-        sim.schedule_at(SimTime::from_nanos(999), |s| s.state.push("before"));
-        sim.run_until_horizon(t);
-        assert_eq!(sim.state, vec!["before"]);
-        assert_eq!(sim.now(), t, "the clock still advances to the horizon");
+        let world = || {
+            let mut sim = Sim::new(Vec::new());
+            sim.schedule_at(t, |s| s.state.push("at"));
+            sim.schedule_at(SimTime::from_nanos(999), |s| s.state.push("before"));
+            for at in [1, 999, 1_000] {
+                sim.schedule_timer(SimDuration::from_nanos(at), |s| s.state.push("dead"))
+                    .cancel();
+            }
+            sim
+        };
+
+        let mut inclusive = world();
+        inclusive.run_until(t);
+        assert_eq!(inclusive.state, vec!["before", "at"]);
+        assert_eq!(inclusive.events_processed(), 2);
+        assert_eq!(inclusive.events_pending(), 0);
+
+        let mut exclusive = world();
+        exclusive.run_until_horizon(t);
+        assert_eq!(exclusive.state, vec!["before"]);
+        assert_eq!(exclusive.events_processed(), 1);
+        assert_eq!(
+            exclusive.now(),
+            t,
+            "the clock still advances to the horizon"
+        );
         // The event at exactly the horizon is pending, not lost.
-        sim.run_until_horizon(SimTime::from_nanos(1_001));
-        assert_eq!(sim.state, vec!["before", "at"]);
+        assert_eq!(exclusive.events_pending(), 1);
+        exclusive.run_until_horizon(SimTime::from_nanos(1_001));
+        assert_eq!(exclusive.state, vec!["before", "at"]);
+        assert_eq!(exclusive.events_processed(), 2);
     }
 
     #[test]

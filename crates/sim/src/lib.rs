@@ -21,7 +21,6 @@
 //!   of network failure, partitions, burst loss, stalls, crashes).
 //! - [`stats`]: counters, online moments, exact-quantile histograms, rate
 //!   meters.
-//! - [`trace`]: bounded ring-buffer tracing.
 //!
 //! ## Example
 //!
@@ -43,7 +42,6 @@ pub mod obs;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use driver::{TimeDriver, VirtualDriver};
 pub use engine::{Event, Sim, TimerHandle};

@@ -20,22 +20,19 @@
 //!   ([`SpanRecord`]) that regenerates the Fig. 2/Fig. 3 budget tables.
 //!
 //! Emission is zero-cost when observability is off: every hook site guards
-//! on [`Obs::is_active`] — a single boolean load, matching the existing
-//! [`crate::trace::Trace`] discipline — and span ids are only allocated
+//! on [`Obs::is_active`] — a single boolean load — and span ids are only allocated
 //! while active, so wire images and timing are bit-identical to an
 //! uninstrumented run. When active, frames carrying a span id grow by
 //! 8 bytes: an honest, visible instrumentation cost.
 //!
 //! Sinks ([`ObsSink`]) observe the raw stream: [`JsonLinesSink`] exports
-//! JSON-Lines for offline analysis, and [`TraceSink`] adapts events into
-//! the old stringly [`crate::trace::Trace`] ring buffer.
+//! JSON-Lines for offline analysis.
 
 use std::collections::BTreeMap;
 use std::io::Write;
 
 use crate::stats::{Counter, Histogram};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 
 /// Open spans are capped at this many; beyond it the oldest (smallest id)
 /// is discarded. Messages lost on the wire never complete their span, and
@@ -1225,39 +1222,6 @@ impl Drop for JsonLinesSink {
     }
 }
 
-/// Adapts typed events onto the old stringly [`Trace`] ring buffer, making
-/// `Trace` a thin sink over [`ObsEvent`] instead of a parallel mechanism.
-#[derive(Debug)]
-pub struct TraceSink {
-    /// The backing trace (read it after the run).
-    pub trace: Trace,
-}
-
-impl TraceSink {
-    /// A trace sink retaining up to `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        let mut trace = Trace::new(capacity);
-        trace.set_enabled(true);
-        TraceSink { trace }
-    }
-}
-
-impl ObsSink for TraceSink {
-    fn on_event(&mut self, time: SimTime, event: &ObsEvent) {
-        self.trace
-            .record(time, event.name(), || format!("{event:?}"));
-    }
-
-    fn on_span(&mut self, record: &SpanRecord) {
-        let time = record
-            .stages
-            .last()
-            .map(|(_, t)| *t)
-            .unwrap_or(SimTime::ZERO);
-        self.trace.record(time, "span", || format!("{record:?}"));
-    }
-}
-
 /// Fans the stream out to several sinks in installation order. Built
 /// implicitly by [`Obs::add_boxed_sink`] so an online checker (e.g. the
 /// dash-check oracle) can observe a run without displacing the sink a
@@ -1692,22 +1656,6 @@ mod tests {
             assert!(line.starts_with("{\"type\":\"span\""), "bad line: {line}");
             assert!(line.contains("\"stage\":\"st_send\""));
         }
-    }
-
-    #[test]
-    fn trace_sink_adapts_events() {
-        let mut obs = Obs::new();
-        obs.set_sink(TraceSink::new(16));
-        obs.emit(SimTime::from_nanos(5), ObsEvent::CacheMiss { host: 2 });
-        let sink = obs.take_sink().unwrap();
-        // The sink is opaque as a trait object; re-emit through a fresh one
-        // to check the formatting contract instead.
-        drop(sink);
-        let mut ts = TraceSink::new(16);
-        ts.on_event(SimTime::from_nanos(5), &ObsEvent::CacheMiss { host: 2 });
-        let events: Vec<_> = ts.trace.events().collect();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].subsystem, "st.cache_miss");
     }
 
     #[test]

@@ -26,7 +26,8 @@ use crate::frag::{fragment, FragSpec, Reassembly};
 use crate::ids::{StRmsId, StToken};
 use crate::piggyback::{PendingEntry, PiggybackQueue, PushOutcome};
 use crate::st::{
-    DataOut, NetPurpose, NetUse, PeerState, StEvent, StPending, StRole, StStream, StWorld,
+    control_params, DataOut, NetPurpose, NetUse, PeerState, StEvent, StPending, StRole, StStream,
+    StWorld, AUTH_TIMEOUT, DATA_CAPACITY_DEFAULT, ST_MAX_MESSAGE_SIZE,
 };
 use crate::wire::{decode, encode, ControlMsg, DataFrame, Frame};
 
@@ -70,13 +71,15 @@ pub fn st_negotiate<W: StWorld>(
         .ok_or(RmsError::CreationRejected(RejectReason::NoRoute))?;
     let net_table = net::combined_service_table(&sim.state, &path);
     let (slack_fixed, slack_per_byte) = stage_slack(&sim.state);
-    let st_mms = sim.state.st_ref().config.st_max_message_size;
     let mut shifted = ServiceTable::new();
     for (rel, sec, limits) in net_table.iter() {
         let mut l = *limits;
         l.min_fixed_delay = l.min_fixed_delay.saturating_add(slack_fixed);
         l.min_per_byte_delay = l.min_per_byte_delay.saturating_add(slack_per_byte);
-        l.max_message_size = l.max_message_size.max(st_mms).min(l.max_capacity);
+        l.max_message_size = l
+            .max_message_size
+            .max(ST_MAX_MESSAGE_SIZE)
+            .min(l.max_capacity);
         shifted.support(*rel, *sec, l);
     }
     Ok(negotiate(&shifted, request)?)
@@ -95,7 +98,7 @@ pub fn st_negotiate<W: StWorld>(
 /// # Errors
 ///
 /// Fails synchronously when there is no route, negotiation cannot succeed,
-/// or authentication is required but no pair key is provisioned.
+/// or no pair key is provisioned for the control-channel authentication.
 pub fn create<W: StWorld>(
     sim: &mut Sim<W>,
     host: HostId,
@@ -105,7 +108,7 @@ pub fn create<W: StWorld>(
 ) -> Result<StToken, RmsError> {
     let params = st_negotiate(sim, host, peer, request)?;
     let st = sim.state.st();
-    if st.config.require_auth && st.pair_key(host, peer).is_none() {
+    if st.pair_key(host, peer).is_none() {
         return Err(RmsError::CreationRejected(
             RejectReason::AuthenticationFailed,
         ));
@@ -230,8 +233,7 @@ fn ensure_control<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) {
         return;
     }
     peer_state(sim, host, peer).control_creating = true;
-    let ctrl_params = sim.state.st_ref().config.control_params.clone();
-    match net::create_rms(sim, host, peer, &RmsRequest::exact(ctrl_params)) {
+    match net::create_rms(sim, host, peer, &RmsRequest::exact(control_params())) {
         Ok(token) => {
             sim.state
                 .st()
@@ -258,9 +260,8 @@ fn reject_of(e: &RmsError) -> RejectReason {
 fn send_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: ControlMsg) {
     ensure_control(sim, host, peer);
     let ready = {
-        let require_auth = sim.state.st_ref().config.require_auth;
         let p = peer_state(sim, host, peer);
-        p.control_out.is_some() && (p.authed || !require_auth)
+        p.control_out.is_some() && p.authed
     };
     if ready {
         emit_ctrl(sim, host, peer, msg);
@@ -271,12 +272,11 @@ fn send_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: Cont
 }
 
 fn arm_auth_timer<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) {
-    let timeout = sim.state.st_ref().config.auth_timeout;
     let already = peer_state(sim, host, peer).auth_timer.is_some();
     if already {
         return;
     }
-    let handle = sim.schedule_timer(timeout, move |sim| {
+    let handle = sim.schedule_timer(AUTH_TIMEOUT, move |sim| {
         let authed = peer_state(sim, host, peer).authed;
         peer_state(sim, host, peer).auth_timer = None;
         if !authed {
@@ -1046,14 +1046,13 @@ fn assign_slot<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> b
         }
     }
     let (slack_fixed, slack_per_byte) = stage_slack(&sim.state);
-    let cfg_capacity = sim.state.st_ref().config.data_capacity_default;
     let mut net_desired = (*st_params).clone();
     // Capacity headroom invites future multiplexing (§4.2) — but for
     // deterministic streams headroom is a real bandwidth reservation, so
     // request exactly what the stream needs.
     net_desired.capacity = match st_params.delay.kind {
         DelayBoundKind::Deterministic => st_params.capacity,
-        _ => st_params.capacity.max(cfg_capacity),
+        _ => st_params.capacity.max(DATA_CAPACITY_DEFAULT),
     };
     net_desired.max_message_size = net_desired.capacity.min(64 * 1024);
     net_desired.delay.fixed = st_params.delay.fixed.saturating_sub(slack_fixed);
@@ -1244,16 +1243,11 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
             nonce,
             tag,
         } => {
-            let require_auth = sim.state.st_ref().config.require_auth;
             let key = sim.state.st_ref().pair_key(host, peer);
-            let ok = if require_auth {
-                claimed == peer.0
-                    && key
-                        .map(|k| mac::verify(k, nonce, b"hello", mac::Tag(tag)))
-                        .unwrap_or(false)
-            } else {
-                claimed == peer.0
-            };
+            let ok = claimed == peer.0
+                && key
+                    .map(|k| mac::verify(k, nonce, b"hello", mac::Tag(tag)))
+                    .unwrap_or(false);
             if !ok {
                 sim.state.st().host_mut(host).stats.auth_failures.incr();
                 return;
@@ -1278,18 +1272,13 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
             nonce,
             tag,
         } => {
-            let require_auth = sim.state.st_ref().config.require_auth;
             let key = sim.state.st_ref().pair_key(host, peer);
             let my_nonce = peer_state(sim, host, peer).my_nonce;
-            let ok = if require_auth {
-                claimed == peer.0
-                    && nonce == my_nonce
-                    && key
-                        .map(|k| mac::verify(k, nonce.wrapping_add(1), b"hello-ack", mac::Tag(tag)))
-                        .unwrap_or(false)
-            } else {
-                claimed == peer.0
-            };
+            let ok = claimed == peer.0
+                && nonce == my_nonce
+                && key
+                    .map(|k| mac::verify(k, nonce.wrapping_add(1), b"hello-ack", mac::Tag(tag)))
+                    .unwrap_or(false);
             if !ok {
                 sim.state.st().host_mut(host).stats.auth_failures.incr();
                 return;
@@ -1314,7 +1303,7 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
             // Receiver-side accept policy: parameters were negotiated by
             // the sender against the real path; we only enforce our own
             // client-facing limits.
-            if params.max_message_size > sim.state.st_ref().config.st_max_message_size {
+            if params.max_message_size > ST_MAX_MESSAGE_SIZE {
                 send_ctrl(
                     sim,
                     host,
@@ -1625,21 +1614,10 @@ pub fn on_net_event<W: StWorld>(sim: &mut Sim<W>, host: HostId, event: &NetRmsEv
                         p.control_creating = false;
                     }
                     // Authenticate (§3.2), then flush any pre-auth frames.
-                    let require_auth = sim.state.st_ref().config.require_auth;
-                    if require_auth {
-                        send_hello(sim, host, peer);
-                    } else {
-                        peer_state(sim, host, peer).authed = true;
-                    }
+                    send_hello(sim, host, peer);
                     let pre = std::mem::take(&mut peer_state(sim, host, peer).pre_auth);
                     for m in pre {
                         emit_ctrl(sim, host, peer, m);
-                    }
-                    if !require_auth {
-                        let queued = std::mem::take(&mut peer_state(sim, host, peer).queued_ctrl);
-                        for m in queued {
-                            emit_ctrl(sim, host, peer, m);
-                        }
                     }
                 }
                 Some(NetPurpose::DataOut(peer, slot)) => {

@@ -26,19 +26,39 @@ use crate::ids::{StRmsId, StToken};
 use crate::piggyback::PiggybackQueue;
 use crate::wire::ControlMsg;
 
-/// Subtransport configuration.
+/// Default capacity requested for new data network RMSs (headroom for
+/// multiplexing more ST RMSs later, §4.2).
+pub const DATA_CAPACITY_DEFAULT: u64 = 64 * 1024;
+/// Maximum message size offered to ST clients; larger than the network
+/// layer's, supported by fragmentation (§4.3).
+pub const ST_MAX_MESSAGE_SIZE: u64 = 64 * 1024;
+/// How long to wait for control-channel authentication before failing
+/// queued creates.
+pub const AUTH_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
+/// Parameters requested for each direction of a peer control channel
+/// (§3.2: "two low capacity, low delay network RMS's, one per direction").
+pub fn control_params() -> RmsParams {
+    RmsParams {
+        reliability: Reliability::Reliable,
+        security: rms_core::params::SecurityParams::NONE,
+        capacity: 4096,
+        max_message_size: 512,
+        // Generous floors: the control channel must be creatable on any
+        // network the stack runs over (its urgency comes from per-message
+        // transmission deadlines, not from this bound).
+        delay: DelayBound::best_effort_with(
+            SimDuration::from_secs(2),
+            SimDuration::from_micros(100),
+        ),
+        error_rate: rms_core::params::BitErrorRate::new(1e-3).expect("valid"),
+    }
+}
+
+/// Subtransport configuration. Control traffic always waits for the
+/// Hello/HelloAck authentication handshake (§3.2).
 #[derive(Debug, Clone)]
 pub struct StConfig {
-    /// Parameters requested for each direction of a peer control channel
-    /// (§3.2: "two low capacity, low delay network RMS's, one per
-    /// direction").
-    pub control_params: RmsParams,
-    /// Default capacity requested for new data network RMSs (headroom for
-    /// multiplexing more ST RMSs later, §4.2).
-    pub data_capacity_default: u64,
-    /// Maximum message size offered to ST clients; larger than the network
-    /// layer's, supported by fragmentation (§4.3).
-    pub st_max_message_size: u64,
     /// Enable piggyback queueing (§4.3.1). Off = immediate sends.
     pub piggyback: bool,
     /// Delay budget the ST keeps for piggyback queueing: the difference
@@ -46,42 +66,18 @@ pub struct StConfig {
     pub piggyback_slack: SimDuration,
     /// CPU cost of ST processing per message, per side.
     pub st_cpu: CostModel,
-    /// Require the Hello/HelloAck authentication handshake before control
-    /// traffic flows.
-    pub require_auth: bool,
     /// Maximum *idle* cached data network RMSs per peer before LRU eviction
     /// (§4.2 caching).
     pub cache_idle_limit: usize,
-    /// How long to wait for control-channel authentication before failing
-    /// queued creates.
-    pub auth_timeout: SimDuration,
 }
 
 impl Default for StConfig {
     fn default() -> Self {
         StConfig {
-            control_params: RmsParams {
-                reliability: Reliability::Reliable,
-                security: rms_core::params::SecurityParams::NONE,
-                capacity: 4096,
-                max_message_size: 512,
-                // Generous floors: the control channel must be creatable on
-                // any network the stack runs over (its urgency comes from
-                // per-message transmission deadlines, not from this bound).
-                delay: DelayBound::best_effort_with(
-                    SimDuration::from_secs(2),
-                    SimDuration::from_micros(100),
-                ),
-                error_rate: rms_core::params::BitErrorRate::new(1e-3).expect("valid"),
-            },
-            data_capacity_default: 64 * 1024,
-            st_max_message_size: 64 * 1024,
             piggyback: true,
             piggyback_slack: SimDuration::from_millis(2),
             st_cpu: CostModel::new(SimDuration::from_micros(10), SimDuration::from_nanos(2)),
-            require_auth: true,
             cache_idle_limit: 4,
-            auth_timeout: SimDuration::from_secs(2),
         }
     }
 }

@@ -1036,9 +1036,6 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
                 return;
             };
             if lane == StreamLane::Data {
-                if std::env::var_os("DASH_DEBUG").is_some() {
-                    eprintln!("stream open failed host={host:?} session={session}: {reason:?}");
-                }
                 sim.state.stream.host_mut(host).sessions.remove(&session);
                 {
                     let now = sim.now();

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: formatting, release build, workspace tests, the
-# seeded chaos suite, the real-time backend suite, clippy and rustdoc
+# Full verification: formatting, release build, every test suite once,
+# one oracle-checked macro-workload smoke per backend, clippy and rustdoc
 # with warnings promoted to errors. Run from anywhere inside the repo.
 #
 # Time boxes only ever cover *execution*, never compilation: every boxed
@@ -17,8 +17,21 @@ RT_BOX="${RT_BOX:-90}"
 
 cargo fmt --all -- --check
 cargo build --release
-cargo test -q
-cargo test --workspace -q
+
+# Every test runs exactly once. First each member crate's own suite
+# (unit, integration and doc tests; dash-par's executor tests and
+# dash-rt's unit/property tests are in here), then the root package's
+# library, examples and doc tests, then its integration tests one binary
+# at a time — chaos, explore and rt_conformance are held back because
+# they carry a failure hint, a time box or a release build below.
+cargo test --workspace --exclude dash -q
+cargo test -q --lib --examples
+cargo test -q --doc
+for t in tests/*.rs; do
+    name="$(basename "$t" .rs)"
+    case "$name" in chaos | explore | rt_conformance) continue ;; esac
+    cargo test -q --test "$name"
+done
 
 # Chaos suite: fixed seed set (0..28, baked into tests/chaos.rs). On
 # failure the offending seed is in the assertion message; reproduce with
@@ -29,31 +42,39 @@ if ! cargo test --test chaos -q; then
     exit 1
 fi
 
-# Exploration smoke (dash-check): fixed-seed coverage-guided search on
-# the healthy stack must find nothing, and the stored shrunk repro must
-# replay byte-identically. Both are deterministic; the box is a wedge
-# guard, not a noise allowance. Build first so the box times the search,
-# not the compiler.
+# Exploration suite (dash-check): fixed-seed coverage-guided search on
+# the healthy stack must find nothing, the seeded admission bug must be
+# found and shrunk, and the stored shrunk repro must replay
+# byte-identically. All deterministic; the box is a wedge guard, not a
+# noise allowance. Build first so the box times the search, not the
+# compiler.
 cargo test --test explore -q --no-run
-if ! timeout "$EXPLORE_BOX" cargo test --test explore -q -- \
-        exploration_smoke_passes_clean_on_healthy_stack \
-        stored_repro_replays_byte_identically; then
-    echo "verify: exploration smoke FAILED (or exceeded its ${EXPLORE_BOX} s box) —" >&2
+if ! timeout "$EXPLORE_BOX" cargo test --test explore -q; then
+    echo "verify: exploration suite FAILED (or exceeded its ${EXPLORE_BOX} s box) —" >&2
     echo "verify: reproduce with cargo test --test explore -- --nocapture" >&2
     exit 1
 fi
 
-# Parallel-executor smoke: the conservative executor's unit tests, then
-# a time-boxed 2-shard run of the CI mix (e12) with the semantic
-# oracle attached (exits non-zero on any violation of the merged event
-# stream). Digest equality at 1/2/4 shards is enforced separately by
-# tests/determinism.rs above.
-# The bench binaries are built up front for the same box-vs-compiler
-# reason, and because a 2-shard run needs both worker threads live
-# within the box — compilation stalls used to show up as spurious
-# "wedged executor" timeouts.
-cargo test -q -p dash-par
+# Macro-workload smokes, one per backend, each with the semantic oracle
+# attached (exit non-zero on any violation). The bench binaries are
+# built up front so a box never times the compiler — a 2-shard run
+# needs both worker threads live within its box, and compilation stalls
+# used to show up as spurious "wedged executor" timeouts.
 cargo build --release -q -p dash-bench
+
+# Serial: the e11 routing workload (saturated dumbbell, alternate
+# fallback, mid-run corridor outage) through the one `mix` runner.
+if ! timeout "$PSCALE_BOX" cargo run --release -q -p dash-bench --bin mix -- \
+        --backend serial --size e11-ci --oracle >/dev/null; then
+    echo "verify: e11 serial smoke FAILED (oracle violation or exceeded" >&2
+    echo "verify: its ${PSCALE_BOX} s box) — reproduce with"              >&2
+    echo "verify:   cargo run -p dash-bench --bin mix -- --backend serial --size e11-ci --oracle" >&2
+    exit 1
+fi
+
+# Parallel executor: a 2-shard run of the CI mix (e12), the oracle
+# checking the merged event stream. Digest equality at 1/2/4 shards is
+# enforced separately by tests/determinism.rs above.
 if ! timeout "$PSCALE_BOX" cargo run --release -q -p dash-bench --bin mix -- \
         --backend par --size ci --shards 2 --oracle >/dev/null; then
     echo "verify: e12 2-shard smoke FAILED (oracle violation or exceeded" >&2
@@ -62,12 +83,10 @@ if ! timeout "$PSCALE_BOX" cargo run --release -q -p dash-bench --bin mix -- \
     exit 1
 fi
 
-# Real-time backend: the dash-rt unit/property tests plus the sim-vs-rt
-# conformance suite, then a time-boxed paced run of the CI mix (e13;
-# exits non-zero on any oracle violation or a wall-box stop). The run
+# Real-time backend: the sim-vs-rt conformance suite, then a paced run
+# of the CI mix (e13; also exits non-zero on a wall-box stop). The run
 # itself is paced — ~1.5 s of wall time by design — so the box guards
 # against a wedged scheduler, not against slowness.
-cargo test -q -p dash-rt
 cargo test --release --test rt_conformance -q
 if ! timeout "$RT_BOX" cargo run --release -q -p dash-bench --bin mix -- \
         --backend rt --size ci --oracle >/dev/null; then

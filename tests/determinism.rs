@@ -1,4 +1,5 @@
-//! Golden determinism gate for the e10/e12 mix and e11 routing workloads.
+//! Golden determinism gate for the e10/e12 mix and e11 routing workloads —
+//! two plans, one `mix::run`, one `Outcome`, one digest.
 //!
 //! Runs the scaled-down CI sizes twice in-process and demands
 //! byte-identical outcomes: the network-layer trace, the full
@@ -15,8 +16,24 @@
 mod common;
 
 use common::assert_replays;
-use dash_bench::e_routing::{run_routing, RoutingOutcome, RoutingParams};
-use dash_bench::mix::{run, Backend, MixParams, Outcome};
+use dash_bench::e_routing::RoutingParams;
+use dash_bench::mix::{run, Backend, MixParams, Outcome, Scenario};
+
+/// The plan with the byte-comparable observability trace switched on.
+fn traced(scenario: Scenario) -> Scenario {
+    Scenario {
+        record_trace: true,
+        ..scenario
+    }
+}
+
+/// The plan with the semantic oracle attached.
+fn checked(scenario: Scenario) -> Scenario {
+    Scenario {
+        oracle: true,
+        ..scenario
+    }
+}
 
 /// `[events, messages, streams_opened, open_failed]` of a mix run.
 fn mix_counts(o: &Outcome) -> [u64; 4] {
@@ -31,7 +48,7 @@ const E12_ROUTING_CI: [u64; 4] = [13509, 1157, 27, 6];
 
 /// `[events, floods, recomputes, alternate_wins, recoveries,
 /// streams_opened, open_failed]` of an e11 run.
-fn routing_counts(o: &RoutingOutcome) -> [u64; 7] {
+fn routing_counts(o: &Outcome) -> [u64; 7] {
     [
         o.events,
         o.floods,
@@ -43,18 +60,18 @@ fn routing_counts(o: &RoutingOutcome) -> [u64; 7] {
     ]
 }
 
-const E11_CI_DUMBBELL: [u64; 7] = [5918, 4, 14, 1, 12, 18, 0];
-const E11_CI_MESH: [u64; 7] = [6410, 14, 18, 0, 3, 14, 4];
+const E11_CI_DUMBBELL: [u64; 7] = [5782, 4, 14, 1, 12, 17, 1];
+const E11_CI_MESH: [u64; 7] = [6301, 14, 18, 0, 3, 14, 4];
 
 /// The full CI scenario (faults, churn, CPUs, trace recording) twice.
 /// The digest covers every deterministic scalar plus the full registry
 /// and trace dumps, so digest equality is byte-identity of the run.
 #[test]
 fn e10_ci_replay_is_byte_identical() {
-    let params = MixParams::ci();
+    let scenario = traced(MixParams::ci().scenario());
     let first = assert_replays(
         "e10 ci",
-        || run(&params, Backend::Serial),
+        || run(&scenario, Backend::Serial),
         |o| o.determinism_digest(),
     );
     assert_eq!(mix_counts(&first), E10_CI, "e10 ci counts drifted");
@@ -80,12 +97,12 @@ fn e10_ci_replay_is_byte_identical() {
 /// to what happens, not a constant).
 #[test]
 fn e10_ci_digest_depends_on_seed() {
-    let mut a = MixParams::ci();
-    a.record_trace = false; // digest sensitivity is visible in the registry alone
+    // No trace: digest sensitivity is visible in the registry alone.
+    let a = MixParams::ci();
     let mut b = a.clone();
     b.seed = a.seed + 1;
-    let ra = run(&a, Backend::Serial);
-    let rb = run(&b, Backend::Serial);
+    let ra = run(&a.scenario(), Backend::Serial);
+    let rb = run(&b.scenario(), Backend::Serial);
     assert_ne!(
         ra.determinism_digest(),
         rb.determinism_digest(),
@@ -101,9 +118,10 @@ fn e10_ci_without_drill_also_replays() {
     let mut params = MixParams::ci();
     params.fault_drill = false;
     params.churn_per_wave = 2;
+    let scenario = traced(params.scenario());
     assert_replays(
         "e10 ci without drill",
-        || run(&params, Backend::Serial),
+        || run(&scenario, Backend::Serial),
         |o| o.determinism_digest(),
     );
 }
@@ -111,12 +129,7 @@ fn e10_ci_without_drill_also_replays() {
 /// The semantic oracle holds at zero violations on the serial CI run.
 #[test]
 fn e10_ci_is_oracle_clean() {
-    let params = MixParams {
-        record_trace: false,
-        oracle: true,
-        ..MixParams::ci()
-    };
-    let o = run(&params, Backend::Serial);
+    let o = run(&checked(MixParams::ci().scenario()), Backend::Serial);
     assert!(o.oracle_violations.is_empty(), "{:?}", o.oracle_violations);
 }
 
@@ -128,10 +141,10 @@ fn e10_ci_is_oracle_clean() {
 /// route-generation staleness checks) at the trace level.
 #[test]
 fn e11_routing_churn_replay_is_byte_identical() {
-    let params = RoutingParams::ci();
+    let scenario = traced(RoutingParams::ci().scenario());
     let first = assert_replays(
         "e11 dumbbell",
-        || run_routing(&params),
+        || run(&scenario, Backend::Serial),
         |o| o.determinism_digest(),
     );
     assert_eq!(
@@ -148,6 +161,7 @@ fn e11_routing_churn_replay_is_byte_identical() {
     assert!(first.floods > 0, "no link-state floods");
     assert!(first.recomputes > 0, "no route recomputations");
     assert!(first.recoveries > 0, "no subtransport failovers");
+    assert_eq!(first.faults_injected, 2, "the drill must actually run");
     assert!(
         !first.trace_dump.is_empty(),
         "CI size must record the trace"
@@ -158,16 +172,27 @@ fn e11_routing_churn_replay_is_byte_identical() {
 /// centre's outage is deterministic too.
 #[test]
 fn e11_mesh_replay_is_byte_identical() {
-    let params = RoutingParams::ci().on_mesh();
+    let scenario = traced(RoutingParams::ci().on_mesh().scenario());
     let first = assert_replays(
         "e11 mesh",
-        || run_routing(&params),
+        || run(&scenario, Backend::Serial),
         |o| o.determinism_digest(),
     );
     assert_eq!(
         routing_counts(&first),
         E11_CI_MESH,
         "e11 mesh counts drifted"
+    );
+    // The centre outage forced reconvergence: floods, recomputations and
+    // re-homed streams, with traffic still flowing around the rim.
+    assert!(first.streams_opened > 5, "{} streams", first.streams_opened);
+    assert!(first.floods > 0, "no link-state floods");
+    assert!(first.recomputes > 0, "no route recomputations");
+    assert!(first.recoveries > 0, "no subtransport failovers");
+    assert_eq!(first.faults_injected, 2, "the drill must actually run");
+    assert!(
+        !first.trace_dump.is_empty(),
+        "CI size must record the trace"
     );
 }
 
@@ -176,12 +201,7 @@ fn e11_mesh_replay_is_byte_identical() {
 #[test]
 fn e11_ci_is_oracle_clean() {
     for params in [RoutingParams::ci(), RoutingParams::ci().on_mesh()] {
-        let params = RoutingParams {
-            record_trace: false,
-            oracle: true,
-            ..params
-        };
-        let o = run_routing(&params);
+        let o = run(&checked(params.scenario()), Backend::Serial);
         assert!(
             o.oracle_violations.is_empty(),
             "{:?}: {:?}",
@@ -196,6 +216,7 @@ fn e11_ci_is_oracle_clean() {
 /// byte-identical. The 1-shard run is the serial reference; equality at
 /// 2 and 4 shards is the parallel executor's core contract.
 fn pscale_digests(params: MixParams) -> Outcome {
+    let params = traced(params.scenario());
     let par = |shards| Backend::Par {
         shards,
         lan_aligned: true,

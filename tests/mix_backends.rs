@@ -1,4 +1,4 @@
-//! Cross-backend conformance of the macro-workload: one `MixParams`, the
+//! Cross-backend conformance of the macro-workloads: one `Scenario`, the
 //! one `mix::run`, every backend.
 //!
 //! The byte-level schedules differ by design (the serial engine, the LP
@@ -10,7 +10,8 @@
 //! fails the first; a backend that breaks an RMS guarantee fails the
 //! second.
 
-use dash_bench::mix::{run, Backend, MixParams};
+use dash_bench::e_routing::RoutingParams;
+use dash_bench::mix::{run, Backend, MixParams, Outcome, Scenario};
 use dash_sim::time::SimDuration;
 
 /// The CI mix trimmed until the paced rt leg costs 0.7 s of wall time,
@@ -26,35 +27,36 @@ fn trimmed_ci() -> MixParams {
         churn_interval: SimDuration::from_millis(50),
         duration: SimDuration::from_millis(400),
         grace: SimDuration::from_millis(300),
-        record_trace: false,
-        oracle: true,
         ..MixParams::ci()
     }
 }
 
-#[test]
-fn every_backend_runs_the_whole_plan_with_the_oracle_clean() {
-    let p = trimmed_ci();
+/// Run `scn` on Serial, Par(1), Par(2) and Rt(loss 0) and assert what
+/// every backend owes: the whole plan attempted, the oracle clean, a
+/// clean stop, and the parallel executor's shard-count invariance.
+/// Returns the serial and the rt outcome for scenario-specific checks.
+fn conform(scn: Scenario) -> (Outcome, Outcome) {
+    let scn = &Scenario {
+        oracle: true,
+        ..scn
+    };
     let par = |shards| Backend::Par {
         shards,
         lan_aligned: true,
     };
-    let serial = run(&p, Backend::Serial);
-    let attempted = serial.streams_opened + serial.open_failed;
-    assert!(attempted >= 10, "plan too small: {attempted} sessions");
-    assert!(serial.rpc_issued >= 20, "{} calls", serial.rpc_issued);
-    assert_eq!(serial.faults_injected, 4, "the drill must run");
-
-    let rt = run(&p, Backend::rt(0));
+    let planned = |o: &Outcome| (o.streams_opened + o.open_failed, o.rpc_issued);
+    let serial = run(scn, Backend::Serial);
+    let (par1, par2) = (run(scn, par(1)), run(scn, par(2)));
+    let rt = run(scn, Backend::Rt { loss_per_mille: 0 });
     for (name, o) in [
         ("serial", &serial),
-        ("par(1)", &run(&p, par(1))),
-        ("par(2)", &run(&p, par(2))),
+        ("par(1)", &par1),
+        ("par(2)", &par2),
         ("rt", &rt),
     ] {
         assert_eq!(
-            (o.streams_opened + o.open_failed, o.rpc_issued),
-            (attempted, serial.rpc_issued),
+            planned(o),
+            planned(&serial),
             "{name} ran a different plan than serial"
         );
         assert!(
@@ -64,6 +66,21 @@ fn every_backend_runs_the_whole_plan_with_the_oracle_clean() {
         );
         assert!(o.clean_stop(), "{name} hit the wall box");
     }
+    assert_eq!(
+        par1.determinism_digest(),
+        par2.determinism_digest(),
+        "par(2) diverged from par(1)"
+    );
+    (serial, rt)
+}
+
+#[test]
+fn every_backend_runs_the_whole_plan_with_the_oracle_clean() {
+    let (serial, rt) = conform(trimmed_ci().scenario());
+    let attempted = serial.streams_opened + serial.open_failed;
+    assert!(attempted >= 10, "plan too small: {attempted} sessions");
+    assert!(serial.rpc_issued >= 20, "{} calls", serial.rpc_issued);
+    assert_eq!(serial.faults_injected, 4, "the drill must run");
 
     // The paced run really was paced, really crossed the substrate, and
     // delivered the bulk of what the plan offers (loss 0: only timing
@@ -79,16 +96,38 @@ fn every_backend_runs_the_whole_plan_with_the_oracle_clean() {
     );
 }
 
+/// The e11 mesh — link-state floods, admission-NAK alternate walks, lazy
+/// reconvergence around the centre outage, ST failover — on every
+/// backend. Every mesh gateway sits on two LANs, so the 2-shard plan
+/// splits Ethernets and the epoch is the LAN wire delay; the duration is
+/// trimmed (one churn wave, the drill at 250 ms) to keep the barrier
+/// count and the paced leg's wall time small.
+#[test]
+fn e11_mesh_runs_on_every_backend_with_the_oracle_clean() {
+    let params = RoutingParams {
+        duration: SimDuration::from_millis(500),
+        ..RoutingParams::ci().on_mesh()
+    };
+    let (serial, rt) = conform(params.scenario());
+    let attempted = serial.streams_opened + serial.open_failed;
+    assert!(attempted >= 10, "plan too small: {attempted} sessions");
+    assert_eq!(serial.faults_injected, 2, "the drill must run");
+    for (name, o) in [("serial", &serial), ("rt", &rt)] {
+        assert!(o.floods > 0, "{name}: no link-state floods");
+        assert!(o.recomputes > 0, "{name}: no route recomputations");
+        assert!(o.recoveries > 0, "{name}: no subtransport failovers");
+    }
+}
+
 /// e13 at its published size: the CI mix — churn, fault drill and all —
 /// at wall-clock speed, oracle clean, never the wall-clock backstop.
 #[test]
 fn e13_ci_is_oracle_clean_and_stops_cleanly() {
-    let p = MixParams {
-        record_trace: false,
+    let scenario = Scenario {
         oracle: true,
-        ..MixParams::ci()
+        ..MixParams::ci().scenario()
     };
-    let o = run(&p, Backend::rt(0));
+    let o = run(&scenario, Backend::Rt { loss_per_mille: 0 });
     assert!(o.oracle_violations.is_empty(), "{:?}", o.oracle_violations);
     assert!(o.clean_stop(), "stop {:?}", o.rt);
     assert!(o.messages > 500, "only {} messages", o.messages);
