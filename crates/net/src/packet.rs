@@ -1,5 +1,7 @@
 //! Packets: what travels on the simulated wire.
 
+use std::sync::Arc;
+
 use dash_security::cipher::Key;
 use dash_security::suite::MechanismPlan;
 use dash_sim::time::SimTime;
@@ -146,8 +148,10 @@ pub enum PacketKind {
     /// (`crate::routing`). Control-plane: overflow-exempt and sent with
     /// link ARQ like every other control packet.
     LinkStateAd {
-        /// The advertisement being disseminated.
-        ad: LinkStateAd,
+        /// The advertisement being disseminated: the one allocation its
+        /// origin stamped, shared by every flooded copy and every LSDB
+        /// that installs it (`Arc`, since envelopes cross threads).
+        ad: Arc<LinkStateAd>,
         /// The network this copy was transmitted on. Receivers re-flood on
         /// every *other* live interface (split horizon): everyone attached
         /// to `via` was already sent a copy by the same transmitter, which

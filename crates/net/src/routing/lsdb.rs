@@ -7,10 +7,9 @@
 //! [`rms_core::admission::ResourceLedger`]. Each host accumulates the ads
 //! it has seen in an [`Lsdb`]; sequence numbers make installation
 //! idempotent and flood-safe (a host re-floods a given `(origin, seq)` at
-//! most once), and a generation counter lets dependent computations detect
-//! staleness cheaply.
+//! most once).
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dash_sim::time::{SimDuration, SimTime};
 
@@ -57,50 +56,63 @@ pub struct LinkStateAd {
 }
 
 /// A host's accumulated link-state database.
+///
+/// Ownership rule: an ad is immutable once stamped and exists once — the
+/// `Arc` its origin created is what every flooded packet carries and what
+/// every holder stores. The origin-indexed table itself is shared
+/// copy-on-write: every host of a freshly seeded world points at one
+/// backing ([`Lsdb::shares_backing`]), and a host's database takes its own
+/// copy (one `Vec` of pointers) on the first install that makes it differ.
 #[derive(Debug, Clone, Default)]
 pub struct Lsdb {
-    entries: BTreeMap<HostId, LinkStateAd>,
-    generation: u64,
+    /// `entries[origin]`; dense because host ids are.
+    entries: Arc<Vec<Option<Arc<LinkStateAd>>>>,
 }
 
 impl Lsdb {
     /// Install `ad` if it is newer than what we hold for its origin.
-    /// Returns `true` (and bumps the generation) iff the database changed —
-    /// the caller's cue to recompute routes and re-flood.
-    pub fn install(&mut self, ad: LinkStateAd) -> bool {
-        match self.entries.get(&ad.origin) {
-            Some(have) if have.seq >= ad.seq => false,
-            _ => {
-                self.entries.insert(ad.origin, ad);
-                self.generation += 1;
-                true
-            }
+    /// Returns `true` iff the database changed — the caller's cue to
+    /// recompute routes and re-flood. A rejected ad leaves a shared backing
+    /// shared.
+    pub fn install(&mut self, ad: impl Into<Arc<LinkStateAd>>) -> bool {
+        let ad = ad.into();
+        if self.get(ad.origin).is_some_and(|have| have.seq >= ad.seq) {
+            return false;
         }
+        let idx = ad.origin.0 as usize;
+        let entries = Arc::make_mut(&mut self.entries);
+        if entries.len() <= idx {
+            entries.resize(idx + 1, None);
+        }
+        entries[idx] = Some(ad);
+        true
     }
 
     /// The ad we hold for `origin`, if any.
     pub fn get(&self, origin: HostId) -> Option<&LinkStateAd> {
-        self.entries.get(&origin)
+        self.entries.get(origin.0 as usize)?.as_deref()
     }
 
     /// All held ads, in ascending origin order (deterministic).
-    pub fn entries(&self) -> impl Iterator<Item = (&HostId, &LinkStateAd)> {
-        self.entries.iter()
+    pub fn entries(&self) -> impl Iterator<Item = &LinkStateAd> {
+        self.entries.iter().filter_map(|e| e.as_deref())
     }
 
-    /// Monotone change counter: bumped on every successful install.
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// Whether `self` and `other` still read the same table — true for
+    /// clones of one database until either installs something new. Route
+    /// computation uses it to build one adjacency per distinct table.
+    pub fn shares_backing(&self, other: &Lsdb) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
     }
 
     /// Number of distinct origins known.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().count()
     }
 
     /// True when no ads have been installed yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().next().is_none()
     }
 }
 
@@ -118,16 +130,14 @@ mod tests {
     }
 
     #[test]
-    fn newer_sequence_wins_and_bumps_generation() {
+    fn newer_sequence_wins() {
         let mut db = Lsdb::default();
         assert!(db.install(ad(1, 1)));
-        assert_eq!(db.generation(), 1);
-        // Duplicate and stale ads are rejected without a generation bump.
+        // Duplicate and stale ads are rejected.
         assert!(!db.install(ad(1, 1)));
         assert!(!db.install(ad(1, 0)));
-        assert_eq!(db.generation(), 1);
+        assert_eq!(db.get(HostId(1)).unwrap().seq, 1);
         assert!(db.install(ad(1, 2)));
-        assert_eq!(db.generation(), 2);
         assert_eq!(db.get(HostId(1)).unwrap().seq, 2);
     }
 
@@ -137,9 +147,46 @@ mod tests {
         db.install(ad(3, 1));
         db.install(ad(0, 1));
         db.install(ad(2, 1));
-        let origins: Vec<u32> = db.entries().map(|(h, _)| h.0).collect();
+        let origins: Vec<u32> = db.entries().map(|ad| ad.origin.0).collect();
         assert_eq!(origins, vec![0, 2, 3]);
         assert_eq!(db.len(), 3);
         assert!(!db.is_empty());
+        assert!(db.get(HostId(1)).is_none(), "a gap is not an entry");
+    }
+
+    #[test]
+    fn installing_into_a_clone_never_shows_through_the_original() {
+        let mut original = Lsdb::default();
+        original.install(ad(0, 1));
+        original.install(ad(1, 1));
+        let mut clone = original.clone();
+        assert!(clone.shares_backing(&original));
+
+        assert!(clone.install(ad(1, 2)));
+        assert!(clone.install(ad(5, 1)));
+        assert!(!clone.shares_backing(&original), "first install diverges");
+        assert_eq!(original.get(HostId(1)).unwrap().seq, 1);
+        assert!(original.get(HostId(5)).is_none());
+        assert_eq!(original.len(), 2);
+        // The untouched entry is still the one allocation both hold.
+        assert!(std::ptr::eq(
+            original.get(HostId(0)).unwrap(),
+            clone.get(HostId(0)).unwrap()
+        ));
+
+        // And the other way round: the original moves, the clone stays.
+        assert!(original.install(ad(0, 2)));
+        assert_eq!(clone.get(HostId(0)).unwrap().seq, 1);
+    }
+
+    #[test]
+    fn stale_ads_are_rejected_without_leaving_a_shared_backing() {
+        let mut a = Lsdb::default();
+        a.install(ad(2, 7));
+        let mut b = a.clone();
+        assert!(!b.install(ad(2, 7)), "duplicate");
+        assert!(!b.install(ad(2, 3)), "stale");
+        assert!(b.shares_backing(&a), "a rejected ad copies nothing");
+        assert_eq!(b.get(HostId(2)).unwrap().seq, 7);
     }
 }

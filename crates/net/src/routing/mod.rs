@@ -27,7 +27,7 @@
 //!   next time it needs one, recording the reconvergence latency in the
 //!   `routing.recompute_latency` histogram.
 //!
-//! Determinism: the LSDB is a `BTreeMap`, flood order follows interface
+//! Determinism: the LSDB is an origin-indexed table, flood order follows interface
 //! and attachment order, sequence numbers deduplicate re-floods, and every
 //! tie-break is total — replays are byte-identical.
 
@@ -36,6 +36,8 @@ pub mod spf;
 
 pub use lsdb::{LinkInfo, LinkStateAd, Lsdb};
 pub use spf::{k_paths, primary_routes, AltPath, K_ALTERNATES};
+
+use std::sync::Arc;
 
 use dash_sim::engine::Sim;
 use dash_sim::obs::ObsEvent;
@@ -107,14 +109,16 @@ pub fn local_links(state: &NetState, host: HostId) -> Vec<LinkInfo> {
 }
 
 /// Seed every host's LSDB with a fresh ad from every host (build time and
-/// full rebuilds). Sequence numbers keep advancing, so seeding after live
-/// floods never installs stale entries.
+/// full rebuilds). Sequence numbers keep advancing, so every fresh ad
+/// supersedes whatever a host learned from live floods: each host ends up
+/// holding exactly the fresh set, which is therefore built once and handed
+/// to all of them as one shared backing.
 pub fn seed_lsdbs(state: &mut NetState) {
-    let mut ads = Vec::with_capacity(state.hosts.len());
+    let mut seeded = Lsdb::default();
     for h in 0..state.hosts.len() {
         let id = HostId(h as u32);
         state.hosts[h].lsa_seq += 1;
-        ads.push(LinkStateAd {
+        seeded.install(LinkStateAd {
             origin: id,
             seq: state.hosts[h].lsa_seq,
             stamped_at: SimTime::ZERO,
@@ -122,9 +126,7 @@ pub fn seed_lsdbs(state: &mut NetState) {
         });
     }
     for host in &mut state.hosts {
-        for ad in &ads {
-            host.lsdb.install(ad.clone());
-        }
+        host.lsdb = seeded.clone();
     }
 }
 
@@ -182,14 +184,14 @@ pub fn flood_from<W: NetWorld>(sim: &mut Sim<W>, origin: HostId) {
         }
         net.host_mut(origin).lsa_seq += 1;
         let seq = net.host(origin).lsa_seq;
-        let ad = LinkStateAd {
+        let ad = Arc::new(LinkStateAd {
             origin,
             seq,
             stamped_at: now,
             links: local_links(net, origin),
-        };
+        });
         let h = net.host_mut(origin);
-        h.lsdb.install(ad.clone());
+        h.lsdb.install(Arc::clone(&ad));
         h.routes_dirty_since = Some(h.routes_dirty_since.map_or(now, |d| d.min(now)));
         if net.obs.is_active() {
             net.obs.emit(
@@ -202,15 +204,16 @@ pub fn flood_from<W: NetWorld>(sim: &mut Sim<W>, origin: HostId) {
         }
         ad
     };
-    flood_ad(sim, origin, ad, 0, None);
+    flood_ad(sim, origin, &ad, 0, None);
 }
 
-/// Transmit a copy of `ad` from `from` to every attached peer, skipping
-/// down networks and (for re-floods) the arrival network.
+/// Transmit `ad` from `from` to every attached peer (each packet shares
+/// the one allocation), skipping down networks and (for re-floods) the
+/// arrival network.
 fn flood_ad<W: NetWorld>(
     sim: &mut Sim<W>,
     from: HostId,
-    ad: LinkStateAd,
+    ad: &Arc<LinkStateAd>,
     hops: u8,
     exclude: Option<NetworkId>,
 ) {
@@ -235,7 +238,7 @@ fn flood_ad<W: NetWorld>(
             src: from,
             dst: peer,
             kind: PacketKind::LinkStateAd {
-                ad: ad.clone(),
+                ad: Arc::clone(ad),
                 via,
             },
             deadline: now,
@@ -265,7 +268,7 @@ pub(crate) fn handle_lsa<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Pa
         let net = sim.state.net();
         let stamped = ad.stamped_at;
         let h = net.host_mut(host);
-        if h.lsdb.install(ad.clone()) {
+        if h.lsdb.install(Arc::clone(&ad)) {
             h.routes_dirty_since = Some(h.routes_dirty_since.map_or(stamped, |d| d.min(stamped)));
             true
         } else {
@@ -276,7 +279,7 @@ pub(crate) fn handle_lsa<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Pa
         return;
     }
     if hops < TTL {
-        flood_ad(sim, host, ad, hops + 1, Some(via));
+        flood_ad(sim, host, &ad, hops + 1, Some(via));
     }
 }
 

@@ -108,12 +108,96 @@ pub struct AltPath {
 /// ascending order, so each list is ascending by host id.
 fn attachment_map(lsdb: &Lsdb) -> BTreeMap<NetworkId, Vec<HostId>> {
     let mut map: BTreeMap<NetworkId, Vec<HostId>> = BTreeMap::new();
-    for (origin, ad) in lsdb.entries() {
+    for ad in lsdb.entries() {
         for link in &ad.links {
-            map.entry(link.network).or_default().push(*origin);
+            map.entry(link.network).or_default().push(ad.origin);
         }
     }
     map
+}
+
+/// The host graph one LSDB describes under the live availability flags:
+/// `neighbours[h]` lists `(neighbour, iface index of h used to reach it)`,
+/// sorted, with down networks contributing no edges. It depends on the
+/// database and the network flags only, not on who asks, so hosts reading
+/// one database ([`Lsdb::shares_backing`]) can share one `Adjacency` and
+/// pay a BFS each ([`Adjacency::routes_from`]).
+pub(crate) struct Adjacency {
+    neighbours: Vec<Vec<(usize, usize)>>,
+}
+
+impl Adjacency {
+    pub(crate) fn new(state: &NetState, lsdb: &Lsdb) -> Self {
+        let attached = attachment_map(lsdb);
+        let n_hosts = state.hosts.len();
+        let mut neighbours: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_hosts];
+        for ad in lsdb.entries() {
+            let h = ad.origin.0 as usize;
+            if h >= n_hosts {
+                continue;
+            }
+            for (idx, link) in ad.links.iter().enumerate() {
+                if state.network(link.network).down {
+                    continue;
+                }
+                if let Some(peers) = attached.get(&link.network) {
+                    for peer in peers {
+                        if peer.0 as usize != h {
+                            neighbours[h].push((peer.0 as usize, idx));
+                        }
+                    }
+                }
+            }
+            // Deterministic exploration order.
+            neighbours[h].sort_unstable();
+        }
+        Adjacency { neighbours }
+    }
+
+    /// Shortest-hop first-hop table from `src` (see [`primary_routes`] for
+    /// the determinism contract).
+    pub(crate) fn routes_from(&self, state: &NetState, src: HostId) -> DetHashMap<HostId, Route> {
+        let n_hosts = self.neighbours.len();
+        let src = src.0 as usize;
+        let mut first_hop: Vec<Option<(usize, usize)>> = vec![None; n_hosts]; // (next, iface)
+        let mut visited = vec![false; n_hosts];
+        let mut queue = VecDeque::new();
+        visited[src] = true;
+        queue.push_back(src);
+        while let Some(u) = queue.pop_front() {
+            // Crashed hosts do not forward (or originate): reachable as a
+            // destination, but never expanded.
+            if !state.hosts[u].up {
+                continue;
+            }
+            for &(v, iface) in &self.neighbours[u] {
+                if !visited[v] {
+                    visited[v] = true;
+                    first_hop[v] = if u == src {
+                        Some((v, iface))
+                    } else {
+                        first_hop[u]
+                    };
+                    queue.push_back(v);
+                }
+            }
+        }
+        first_hop
+            .iter()
+            .enumerate()
+            .filter_map(|(dst, hop)| {
+                hop.map(|(next, iface)| {
+                    (
+                        HostId(dst as u32),
+                        Route {
+                            iface,
+                            next_hop: HostId(next as u32),
+                        },
+                    )
+                })
+            })
+            .collect()
+    }
 }
 
 /// Shortest-hop first-hop table from `src`, computed over `src`'s LSDB.
@@ -123,70 +207,7 @@ fn attachment_map(lsdb: &Lsdb) -> BTreeMap<NetworkId, Vec<HostId>> {
 /// networks contribute no edges, and crashed hosts are reachable but never
 /// expanded as transit.
 pub fn primary_routes(state: &NetState, src: HostId) -> DetHashMap<HostId, Route> {
-    let lsdb = &state.host(src).lsdb;
-    let attached = attachment_map(lsdb);
-    let n_hosts = state.hosts.len();
-    // neighbours[h] = [(neighbour, iface index of h used to reach it)]
-    let mut neighbours: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_hosts];
-    for (origin, ad) in lsdb.entries() {
-        let h = origin.0 as usize;
-        if h >= n_hosts {
-            continue;
-        }
-        for (idx, link) in ad.links.iter().enumerate() {
-            if state.network(link.network).down {
-                continue;
-            }
-            if let Some(peers) = attached.get(&link.network) {
-                for peer in peers {
-                    if peer.0 as usize != h {
-                        neighbours[h].push((peer.0 as usize, idx));
-                    }
-                }
-            }
-        }
-        // Deterministic exploration order.
-        neighbours[h].sort_unstable();
-    }
-    let src = src.0 as usize;
-    let mut first_hop: Vec<Option<(usize, usize)>> = vec![None; n_hosts]; // (next, iface)
-    let mut visited = vec![false; n_hosts];
-    let mut queue = VecDeque::new();
-    visited[src] = true;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        // Crashed hosts do not forward (or originate): reachable as a
-        // destination, but never expanded.
-        if !state.hosts[u].up {
-            continue;
-        }
-        for &(v, iface) in &neighbours[u] {
-            if !visited[v] {
-                visited[v] = true;
-                first_hop[v] = if u == src {
-                    Some((v, iface))
-                } else {
-                    first_hop[u]
-                };
-                queue.push_back(v);
-            }
-        }
-    }
-    first_hop
-        .iter()
-        .enumerate()
-        .filter_map(|(dst, hop)| {
-            hop.map(|(next, iface)| {
-                (
-                    HostId(dst as u32),
-                    Route {
-                        iface,
-                        next_hop: HostId(next as u32),
-                    },
-                )
-            })
-        })
-        .collect()
+    Adjacency::new(state, &state.host(src).lsdb).routes_from(state, src)
 }
 
 /// Up to `k` loop-free paths from `src` to `dst`, best-first in

@@ -72,7 +72,7 @@ pub struct ShardCtx {
     /// Whose protocol activity this world executes.
     pub owner: Ownership,
     /// Wire deliveries diverted off-world, accumulated since the last
-    /// [`crate::state::NetState::take_outbox`].
+    /// [`crate::state::NetState::drain_outbox_into`].
     pub outbox: Vec<WireEnvelope>,
     /// Next per-source envelope sequence number.
     pub out_seq: u64,

@@ -307,12 +307,13 @@ impl NetState {
         self.next_token = base;
     }
 
-    /// Drain the wire envelopes diverted toward other logical processes
-    /// since the last call. Empty (and allocation-free) in serial mode.
-    pub fn take_outbox(&mut self) -> Vec<crate::shard::WireEnvelope> {
-        match &mut self.shard {
-            Some(s) if !s.outbox.is_empty() => std::mem::take(&mut s.outbox),
-            _ => Vec::new(),
+    /// Move the wire envelopes diverted toward other logical processes
+    /// since the last call onto the end of `sink`. The outbox keeps its
+    /// capacity, so a world drained every window stops allocating for it.
+    /// A no-op in serial mode.
+    pub fn drain_outbox_into(&mut self, sink: &mut Vec<crate::shard::WireEnvelope>) {
+        if let Some(s) = &mut self.shard {
+            sink.append(&mut s.outbox);
         }
     }
 

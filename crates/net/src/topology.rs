@@ -14,6 +14,8 @@ use rms_core::admission::ResourceLedger;
 use crate::ids::{HostId, NetworkId};
 use crate::iface::Iface;
 use crate::network::{Network, NetworkSpec};
+use crate::routing::spf::Adjacency;
+use crate::routing::Lsdb;
 use crate::state::{NetConfig, NetHost, NetState};
 
 /// Builder for a [`NetState`] (C-BUILDER).
@@ -151,12 +153,20 @@ impl TopologyBuilder {
 /// them die on arrival instead). This is the build-time (and full-rebuild)
 /// path; live fault events use the scoped, event-driven reconvergence of
 /// [`crate::routing`] instead.
+///
+/// The adjacency is built once per distinct LSDB backing — once in all,
+/// straight after seeding — and each host runs its own BFS over it.
 pub fn compute_routes(state: &mut NetState) {
     crate::routing::seed_lsdbs(state);
     state.route_generation += 1;
+    let mut built: Option<(Lsdb, Adjacency)> = None;
     for h in 0..state.hosts.len() {
-        let id = HostId(h as u32);
-        let routes = crate::routing::primary_routes(state, id);
+        let lsdb = &state.hosts[h].lsdb;
+        let adjacency = match &built {
+            Some((of, adjacency)) if of.shares_backing(lsdb) => adjacency,
+            _ => &built.insert((lsdb.clone(), Adjacency::new(state, lsdb))).1,
+        };
+        let routes = adjacency.routes_from(state, HostId(h as u32));
         let host = &mut state.hosts[h];
         host.routes = routes;
         host.routes_dirty_since = None;

@@ -2,18 +2,21 @@
 //! constrained k-alternate selection, admission-aware establishment
 //! fallback, and deterministic route computation over random meshes.
 
+use std::collections::BTreeMap;
+
 use dash_net::ids::{CreateToken, HostId, NetRmsId};
 use dash_net::network::NetworkSpec;
 use dash_net::pipeline::{create_rms, send_on_rms};
 use dash_net::routing::{self, candidate_paths, flood_from, k_paths};
-use dash_net::state::{NetRmsEvent, NetState, NetWorld};
-use dash_net::topology::TopologyBuilder;
+use dash_net::state::{NetRmsEvent, NetState, NetWorld, Route};
+use dash_net::topology::{compute_routes, dumbbell, TopologyBuilder};
 use dash_net::NetworkId;
 use dash_sim::time::SimDuration;
 use dash_sim::Sim;
 use proptest::prelude::*;
 use rms_core::delay::DelayBound;
 use rms_core::error::RejectReason;
+use rms_core::hash::DetHashMap;
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
 use rms_core::port::DeliveryInfo;
@@ -229,6 +232,44 @@ fn lsa_headroom_tracks_reservations() {
     );
 }
 
+#[test]
+fn one_ad_allocation_and_copy_on_write_lsdbs() {
+    let (net, a, c, g1, g2) = dumbbell();
+    // Straight out of the builder every host reads the one seeded table.
+    for host in &net.hosts {
+        assert!(
+            host.lsdb.shares_backing(&net.host(a).lsdb),
+            "{:?} was seeded with a table of its own",
+            host.id
+        );
+    }
+    let mut sim = Sim::new(World::new(net));
+    // Cut the WAN by its flag alone (no fault event, so no witness floods):
+    // `a`'s flood reaches `g1` and stops there.
+    sim.state.net.network_mut(NetworkId(1)).down = true;
+    flood_from(&mut sim, a);
+    sim.run();
+
+    let net = &sim.state.net;
+    let born = net.host(a).lsdb.get(a).unwrap();
+    assert_eq!(born.seq, 2, "the seed ad was 1");
+    // The packet carried the origin's allocation and `g1` installed it:
+    // one ad, two holders, no copy.
+    assert!(std::ptr::eq(born, net.host(g1).lsdb.get(a).unwrap()));
+    // Only the two installers left the shared table, each for its own.
+    assert!(!net.host(a).lsdb.shares_backing(&net.host(c).lsdb));
+    assert!(!net.host(g1).lsdb.shares_backing(&net.host(c).lsdb));
+    assert!(!net.host(a).lsdb.shares_backing(&net.host(g1).lsdb));
+    assert!(net.host(g2).lsdb.shares_backing(&net.host(c).lsdb));
+    assert_eq!(net.host(c).lsdb.get(a).unwrap().seq, 1);
+    // Leaving copied pointers, not ads: an entry nobody re-advertised is
+    // still the seeded allocation everywhere.
+    assert!(std::ptr::eq(
+        net.host(a).lsdb.get(c).unwrap(),
+        net.host(c).lsdb.get(c).unwrap()
+    ));
+}
+
 // ---------------------------------------------------------------------------
 // Determinism over random meshes
 // ---------------------------------------------------------------------------
@@ -257,6 +298,12 @@ fn build_mesh(n_nets: usize, attachments: &[Vec<bool>]) -> NetState {
     b.build()
 }
 
+/// A first-hop table in destination order, so two tables compare (and
+/// print) independently of hash-map layout.
+fn sorted(routes: &DetHashMap<HostId, Route>) -> BTreeMap<HostId, Route> {
+    routes.iter().map(|(d, r)| (*d, *r)).collect()
+}
+
 proptest! {
     /// Route tables and alternate orderings are a pure function of the
     /// topology: two independent constructions agree exactly, for every
@@ -278,16 +325,10 @@ proptest! {
             // First-hop tables agree entry for entry.
             let r1 = routing::primary_routes(&s1, src);
             let r2 = routing::primary_routes(&s2, src);
-            prop_assert_eq!(
-                r1.iter().map(|(d, r)| (*d, *r)).collect::<std::collections::BTreeMap<_, _>>(),
-                r2.iter().map(|(d, r)| (*d, *r)).collect::<std::collections::BTreeMap<_, _>>()
-            );
+            prop_assert_eq!(sorted(&r1), sorted(&r2));
             // And the built tables match a fresh computation (build-time
             // seeding introduced no divergence).
-            prop_assert_eq!(
-                s1.host(src).routes.iter().map(|(d, r)| (*d, *r)).collect::<std::collections::BTreeMap<_, _>>(),
-                r1.iter().map(|(d, r)| (*d, *r)).collect::<std::collections::BTreeMap<_, _>>()
-            );
+            prop_assert_eq!(sorted(&s1.host(src).routes), sorted(&r1));
             for dst in 0..hosts {
                 if src.0 == dst as u32 {
                     continue;
@@ -306,6 +347,36 @@ proptest! {
                     prop_assert!(!p.hops.contains(&src));
                 }
             }
+        }
+    }
+
+    /// A full rebuild serves every host from one adjacency built over the
+    /// shared seeded table; each table must equal what the host computes
+    /// alone from its own LSDB — with a network down and a host crashed, so
+    /// the availability flags go through both paths.
+    #[test]
+    fn shared_adjacency_tables_equal_per_host_computation(
+        n_nets in 1usize..4,
+        attachments in collection::vec(collection::vec(any::<bool>(), 4..5), 2..7),
+        down in 0usize..4,
+        crashed in 0usize..7,
+    ) {
+        let attachments: Vec<Vec<bool>> = attachments
+            .into_iter()
+            .map(|mut v| { v.truncate(n_nets); v })
+            .collect();
+        let mut s = build_mesh(n_nets, &attachments);
+        let hosts = s.hosts.len();
+        s.networks[down % n_nets].down = true;
+        s.hosts[crashed % hosts].up = false;
+        compute_routes(&mut s);
+        for h in 0..hosts {
+            let h = HostId(h as u32);
+            prop_assert!(s.host(h).lsdb.shares_backing(&s.host(HostId(0)).lsdb));
+            prop_assert_eq!(
+                sorted(&s.host(h).routes),
+                sorted(&routing::primary_routes(&s, h))
+            );
         }
     }
 

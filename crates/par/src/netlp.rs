@@ -59,8 +59,7 @@ impl Lp for StackLp {
     }
 
     fn drain_outbox(&mut self, sink: &mut Vec<WireEnvelope>) {
-        let mut drained = self.sim.state.net.take_outbox();
-        sink.append(&mut drained);
+        self.sim.state.net.drain_outbox_into(sink);
     }
 
     fn dst_of(env: &WireEnvelope) -> u32 {

@@ -4,7 +4,8 @@
 //! [`run_rt`] owns three obligations per iteration, in order:
 //!
 //! 1. **Departures** — every envelope the world diverted since the last
-//!    iteration ([`take_outbox`](dash_net::state::NetState::take_outbox))
+//!    iteration
+//!    ([`drain_outbox_into`](dash_net::state::NetState::drain_outbox_into))
 //!    is handed to the substrate
 //!    with its wall deadline ([`TimeDriver::wall_deadline`]).
 //! 2. **Arrivals** — every envelope the substrate has finished carrying
@@ -183,6 +184,7 @@ pub fn run_rt<W: NetWorld>(
         stop: StopReason::Quiesced,
         lags: Vec::new(),
     };
+    let mut departures: Vec<WireEnvelope> = Vec::new();
     loop {
         let wall_left = opts.max_wall.map(|m| m.saturating_sub(started.elapsed()));
         if wall_left == Some(Duration::ZERO) {
@@ -191,7 +193,8 @@ pub fn run_rt<W: NetWorld>(
         }
 
         // 1. Departures: everything diverted since last iteration.
-        for env in sim.state.net().take_outbox() {
+        sim.state.net().drain_outbox_into(&mut departures);
+        for env in departures.drain(..) {
             let due = driver.wall_deadline(env.deliver_at);
             let lossable = may_lose(sim, &env);
             report.transmitted += 1;

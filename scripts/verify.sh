@@ -18,13 +18,26 @@ RT_BOX="${RT_BOX:-90}"
 cargo fmt --all -- --check
 cargo build --release
 
-# Every test runs exactly once. First each member crate's own suite
-# (unit, integration and doc tests; dash-par's executor tests and
-# dash-rt's unit/property tests are in here), then the root package's
-# library, examples and doc tests, then its integration tests one binary
-# at a time — chaos, explore and rt_conformance are held back because
-# they carry a failure hint, a time box or a release build below.
-cargo test --workspace --exclude dash -q
+# Every test runs exactly once. dash-par's panic-propagation tests go
+# first, by name and boxed: `std::sync::Barrier` does not poison, so a
+# regression there is a wedged executor, and this way it costs seconds
+# and says what it is instead of hanging the suite below.
+cargo test -p dash-par -q --lib --no-run
+if ! timeout 30 cargo test -p dash-par -q --lib propagates_instead_of_wedging; then
+    echo "verify: dash-par panic propagation FAILED (or exceeded its 30 s box):" >&2
+    echo "verify: a panicking shard worker must make run_sharded panic, not"     >&2
+    echo "verify: leave the other workers in barrier.wait() — reproduce with"    >&2
+    echo "verify:   cargo test -p dash-par propagates_instead_of_wedging -- --nocapture" >&2
+    exit 1
+fi
+
+# Then each member crate's own suite (unit, integration and doc tests;
+# the rest of dash-par's executor tests and dash-rt's unit/property tests
+# are in here), then the root package's library, examples and doc tests,
+# then its integration tests one binary at a time — chaos, explore and
+# rt_conformance are held back because they carry a failure hint, a time
+# box or a release build below.
+cargo test --workspace --exclude dash -q -- --skip propagates_instead_of_wedging
 cargo test -q --lib --examples
 cargo test -q --doc
 for t in tests/*.rs; do
