@@ -11,11 +11,15 @@
 //!   way, bulky graphics the other (§2.5, ref \[7\]).
 //! - [`rpc`]: request/reply workloads over RKOM (§3.3).
 //! - [`taps`]: session-keyed dispatch so many workloads share a host.
+//! - [`traffic`]: the plan types and the one per-endpoint driver behind the
+//!   macro-workloads; [`scenario`]: `Scenario`, `Backend` and the one `run`.
 
 pub mod bulk;
 pub mod media;
 pub mod rpc;
+pub mod scenario;
 pub mod taps;
+pub mod traffic;
 pub mod window;
 
 pub use taps::{Dispatcher, SessionEvent};

@@ -36,11 +36,15 @@ pub enum SessionEvent {
 }
 
 type Handler = Box<dyn FnMut(&mut Sim<Stack>, SessionEvent)>;
+/// `Fn`, held by `Rc`: it runs with no borrow of the dispatcher held, so
+/// an event it causes on another host may re-enter it.
+type Unclaimed = Rc<dyn Fn(&mut Sim<Stack>, HostId, StreamEvent)>;
 
 /// A session-keyed dispatcher covering a set of hosts.
 #[derive(Clone, Default)]
 pub struct Dispatcher {
     handlers: Rc<RefCell<DetHashMap<u64, Handler>>>,
+    unclaimed: Rc<RefCell<Option<Unclaimed>>>,
 }
 
 impl std::fmt::Debug for Dispatcher {
@@ -56,30 +60,50 @@ impl Dispatcher {
     pub fn install(sim: &mut Sim<Stack>, hosts: &[HostId]) -> Dispatcher {
         let d = Dispatcher::default();
         for &h in hosts {
-            let handlers = Rc::clone(&d.handlers);
+            let d = d.clone();
             sim.state.on_stream(h, move |sim, ev| {
-                let (session, translated) = match ev {
-                    StreamEvent::Delivered {
-                        session,
-                        msg,
-                        seq,
-                        delay,
-                    } => (session, SessionEvent::Delivered { msg, seq, delay }),
-                    StreamEvent::Opened { session } => (session, SessionEvent::Opened),
-                    StreamEvent::Drained { session } => (session, SessionEvent::Drained),
-                    StreamEvent::Ended { session, .. } => (session, SessionEvent::Ended),
-                    StreamEvent::OpenFailed { session, .. } => (session, SessionEvent::Ended),
-                    StreamEvent::Incoming { .. } => return,
+                let session = match &ev {
+                    StreamEvent::Delivered { session, .. }
+                    | StreamEvent::Opened { session }
+                    | StreamEvent::Drained { session }
+                    | StreamEvent::Ended { session, .. }
+                    | StreamEvent::OpenFailed { session, .. }
+                    | StreamEvent::Incoming { session, .. } => *session,
                 };
                 // Take the handler out while it runs (it may register more).
-                let handler = handlers.borrow_mut().remove(&session);
-                if let Some(mut handler) = handler {
+                let handler = d.handlers.borrow_mut().remove(&session);
+                let Some(mut handler) = handler else {
+                    let unclaimed = d.unclaimed.borrow().clone();
+                    if let Some(unclaimed) = unclaimed {
+                        unclaimed(sim, h, ev);
+                    }
+                    return;
+                };
+                let translated = match ev {
+                    StreamEvent::Delivered {
+                        msg, seq, delay, ..
+                    } => Some(SessionEvent::Delivered { msg, seq, delay }),
+                    StreamEvent::Opened { .. } => Some(SessionEvent::Opened),
+                    StreamEvent::Drained { .. } => Some(SessionEvent::Drained),
+                    StreamEvent::Ended { .. } | StreamEvent::OpenFailed { .. } => {
+                        Some(SessionEvent::Ended)
+                    }
+                    StreamEvent::Incoming { .. } => None,
+                };
+                if let Some(translated) = translated {
                     handler(sim, translated);
-                    handlers.borrow_mut().entry(session).or_insert(handler);
                 }
+                d.handlers.borrow_mut().entry(session).or_insert(handler);
             });
         }
         d
+    }
+
+    /// Route the events of every session without a registered handler to
+    /// `driver` (replacing any earlier one): how the traffic driver
+    /// shares a host with session handlers.
+    pub fn on_unclaimed(&self, driver: impl Fn(&mut Sim<Stack>, HostId, StreamEvent) + 'static) {
+        *self.unclaimed.borrow_mut() = Some(Rc::new(driver));
     }
 
     /// Register (or replace) the handler for `session`.

@@ -16,7 +16,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dash_bench::mix::{run, Backend, MixParams};
+use dash_apps::scenario::{run, Backend};
+use dash_bench::mix::MixParams;
 
 const SAMPLE_EVERY: u64 = 1009; // prime, to avoid phase lock
 

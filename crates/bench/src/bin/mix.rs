@@ -1,4 +1,5 @@
-//! Run a macro-workload scenario (`dash_bench::mix`) on one backend: e10
+//! Run a macro-workload scenario (planned by `dash_bench::mix`, run by
+//! `dash_apps::scenario::run`) on one backend: e10
 //! is `--backend serial`, e12 `--backend par`, e13 `--backend rt`, and the
 //! `e11*` sizes are the routing workload (`dash_bench::e_routing`).
 //!
@@ -17,8 +18,10 @@
 //! divergence or a wall-box stop. How fast any of this runs is measured
 //! by `dash-benchmark`, not here.
 
+use dash_apps::scenario::{run, Backend, Outcome, Scenario};
 use dash_bench::e_routing::RoutingParams;
-use dash_bench::mix::{run, Backend, MixParams, Outcome, Scenario};
+use dash_bench::mix::MixParams;
+use dash_check::check_stream;
 
 const USAGE: &str = "usage: mix [--backend serial|par|rt] [--oracle]
            [--size ci|routing-ci|micro|full|e11-ci|e11-mesh-ci|e11|e11-mesh]
@@ -85,7 +88,7 @@ fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
     };
     // No trace: it only feeds the digest, and the printed hash covers the
     // registry and every scalar, which is what a CLI run compares.
-    scenario.oracle = oracle;
+    scenario.keep_events = oracle;
     Ok((format!("{backend} {size}"), scenario, backends))
 }
 
@@ -140,7 +143,7 @@ fn main() {
     for &backend in &backends {
         let o = run(&scenario, backend);
         report(&label, backend, &o);
-        for line in &o.oracle_violations {
+        for line in check_stream(&o.stream, o.rt.is_none()) {
             eprintln!("mix [{label}]: ORACLE {line}");
             failed = true;
         }
@@ -163,7 +166,7 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    if scenario.oracle {
+    if scenario.keep_events {
         println!("mix [{label}]: oracle clean (0 violations)");
     }
     if backends.len() > 1 {

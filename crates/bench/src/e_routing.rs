@@ -1,4 +1,5 @@
-//! e11_routing — the QoS-routing macro-workload, as a plan for [`mix::run`].
+//! e11_routing — the QoS-routing macro-workload, as a plan for
+//! [`dash_apps::scenario::run`].
 //!
 //! Exercises the distributed routing subsystem end to end on the two
 //! topologies the design calls out: a **dumbbell with a backup middle**
@@ -8,17 +9,21 @@
 //! gateways, run under session churn with a mid-run outage of the mesh
 //! centre. Both runs count the subsystem's observable work — link-state
 //! floods, lazy route recomputations, alternate-path wins, subtransport
-//! failovers — in the one [`mix::Outcome`], and those counts are
+//! failovers — in the one `Outcome`, and those counts are
 //! deterministic, so `tests/determinism.rs` pins them at the CI size.
 //! Only the topology programs, the plan, the presets and the table live
 //! here; running it — on any backend — is `mix --size e11-ci|e11-mesh-ci|e11|e11-mesh`.
 
+use dash_apps::scenario::{run, Backend, Scenario};
+use dash_apps::traffic::{Class, Flow, Plan, Probe};
 use dash_net::state::NetState;
 use dash_net::topology::TopologyBuilder;
 use dash_net::{HostId, NetworkId, NetworkSpec};
 use dash_sim::time::{SimDuration, SimTime};
+use dash_transport::stream::StreamProfile;
+use rms_core::delay::DelayBound;
 
-use crate::mix::{self, outage_drill, Backend, Class, Flow, Probe, Scenario};
+use crate::mix::outage_drill;
 use crate::table::Table;
 
 /// Which internetwork shape to run.
@@ -98,20 +103,21 @@ impl RoutingParams {
         let (_, sites, drill_target) = build_topo(self);
         let program = self.clone();
         Scenario {
-            flows: plan_flows(self, &sites),
-            rpcs: Vec::new(),
-            // Table-routed traffic between the extreme sites.
-            probes: vec![Probe {
-                a: sites[0][0],
-                b: sites[sites.len() - 1][self.hosts_per_lan - 1],
-                interval: self.probe_interval,
-                end: self.duration,
-            }],
+            plan: Plan {
+                flows: plan_flows(self, &sites),
+                rpcs: Vec::new(),
+                // Table-routed traffic between the extreme sites.
+                probes: vec![Probe {
+                    a: sites[0][0],
+                    b: sites[sites.len() - 1][self.hosts_per_lan - 1],
+                    interval: self.probe_interval,
+                    end: self.duration,
+                }],
+            },
             // The primary corridor (dumbbell) or the mesh centre goes
             // dark, then heals: reconvergence, alternate re-homing and
             // recovery latency are all part of the measurement.
             faults: outage_drill(self.duration, drill_target),
-            sites,
             // No aligned placement exists here: every gateway sits on two
             // LANs, so any multi-shard plan splits an Ethernet and the
             // `Par` epoch is its wire delay wherever the hosts land.
@@ -123,7 +129,7 @@ impl RoutingParams {
                 .saturating_add(SimDuration::from_millis(400)),
             cpus: false,
             record_trace: false,
-            oracle: false,
+            keep_events: false,
         }
     }
 }
@@ -197,14 +203,17 @@ fn plan_flows(p: &RoutingParams, sites: &[Vec<HostId>]) -> Vec<Flow> {
         let dl = (sl + n / 2 + 1 + v % (n - 1)) % n;
         let dl = if dl == sl { (dl + 1) % n } else { dl };
         let (src, dst) = (sites[sl][v % hpl], sites[dl][(v / n + 1) % hpl]);
-        flows.push(Flow::voice(Class::WanVoice, src, dst, v, p.duration));
+        flows.push(Flow::wan_voice(src, dst, v, p.duration));
     }
 
     // Heavy deterministic streams between the extreme sites, 10 ms apart
     // so each establishment sees its predecessors' reservations: the
     // first fills the primary corridor, the second is NAK'd there and
-    // wins on the backup, later ones find every alternate full.
+    // wins on the backup, later ones find every alternate full. Each
+    // demands most of one Ethernet's admission budget: capacity over the
+    // 50 ms bound is ≈0.79 of the 1.125 MB/s deterministic share.
     let heavy_interval = SimDuration::from_millis(25);
+    let heavy_bound = SimDuration::from_millis(50);
     for h in 0..p.heavy_streams {
         flows.push(Flow {
             class: Class::Heavy,
@@ -214,6 +223,13 @@ fn plan_flows(p: &RoutingParams, sites: &[Vec<HostId>]) -> Vec<Flow> {
             count: (p.duration.as_nanos() / heavy_interval.as_nanos()).max(1),
             interval: heavy_interval,
             len: 512,
+            profile: StreamProfile {
+                capacity: 40 * 1024,
+                max_message: 1024,
+                delay: DelayBound::deterministic(heavy_bound, SimDuration::from_micros(2)),
+                ..StreamProfile::default()
+            },
+            budget: heavy_bound,
         });
     }
 
@@ -271,7 +287,7 @@ pub fn e11_routing() -> Table {
             topo,
             ..RoutingParams::ci()
         };
-        let o = mix::run(&p.scenario(), Backend::Serial);
+        let o = run(&p.scenario(), Backend::Serial);
         t.row(vec![
             label.to_string(),
             o.streams_opened.to_string(),

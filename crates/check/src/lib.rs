@@ -26,5 +26,5 @@ pub mod replay;
 pub mod shrink;
 
 pub use explore::{explore, run_scenario, ExploreConfig, Op, OpKind, RunReport, Scenario};
-pub use oracle::{oracle, OracleConfig, OracleHandle, OracleSink, Violation};
+pub use oracle::{check_stream, oracle, OracleConfig, OracleHandle, OracleSink, Violation};
 pub use shrink::shrink;

@@ -322,6 +322,29 @@ pub fn oracle(cfg: OracleConfig) -> (OracleSink, OracleHandle) {
     )
 }
 
+/// Check the merged event stream of a horizon-cut macro run
+/// (`dash_apps::scenario::Outcome::stream`); one human-readable line per
+/// violation. Completion is off (traffic is legitimately in flight at the
+/// cut) and FIFO-gap checking is off (unreliable media legitimately skips
+/// lost messages). `det_delay` stays on wherever virtual time is the only
+/// clock — fault drills self-excuse — and goes off on the rt backend,
+/// where wall lag feeds real carriage timing back into arrival times.
+pub fn check_stream(stream: &[(SimTime, ObsEvent)], det_delay: bool) -> Vec<String> {
+    let (mut sink, handle) = oracle(OracleConfig {
+        check_completion: false,
+        check_det_delay: det_delay,
+        check_fifo_gaps: false,
+    });
+    for (t, e) in stream {
+        sink.on_event(*t, e);
+    }
+    handle
+        .violations()
+        .iter()
+        .map(|v| format!("[{}] t={} {}", v.invariant, v.at.as_nanos(), v.detail))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

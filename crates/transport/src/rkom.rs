@@ -253,6 +253,13 @@ pub struct RkomHost {
     pub stats: RkomStats,
 }
 
+impl RkomHost {
+    /// True when `service` is registered on this host.
+    pub fn has_service(&self, service: u16) -> bool {
+        self.services.contains_key(&service)
+    }
+}
+
 impl std::fmt::Debug for RkomHost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RkomHost")

@@ -2,8 +2,8 @@
 //!
 //! Builds two Ethernets joined by a long-haul WAN, gives every host a
 //! paced voice stream (one of them crossing the WAN), and runs the same
-//! workload twice under `dash::par`: once on a single worker thread and
-//! once partitioned across four. The merged metric registries come out
+//! `Scenario` twice on `Backend::Par`: once on a single worker thread and
+//! once partitioned across four. The merged outcomes come out
 //! byte-identical — partitioning changes wall-clock, never results.
 //!
 //! ```text
@@ -13,20 +13,21 @@
 //! See DESIGN.md "Parallel execution model" for the epoch/lookahead math
 //! this example rides on.
 
+use dash::apps::scenario::{run, Backend, Scenario};
+use dash::apps::traffic::{Flow, Plan};
 use dash::net::state::NetState;
 use dash::net::topology::TopologyBuilder;
 use dash::net::NetworkSpec;
-use dash::par::{cross_shard_lookahead, local_lookahead};
 use dash::prelude::*;
-use dash::transport::stream;
 
 const SEED: u64 = 7;
 const HOSTS_PER_LAN: u32 = 3;
-const HOSTS: u32 = 2 * HOSTS_PER_LAN + 2; // + one gateway per LAN
-const HORIZON: SimDuration = SimDuration::from_millis(400);
+const TALK: SimDuration = SimDuration::from_millis(200);
 
 /// The topology program every logical process replays identically:
-/// two LANs bridged onto a 30 ms WAN by one gateway each.
+/// two LANs bridged onto a 30 ms WAN by one gateway each. Hosts are
+/// numbered in build order: LAN 0 is hosts 0–2 + gateway 3, LAN 1 is
+/// hosts 4–6 + gateway 7.
 fn build_net() -> NetState {
     let mut tb = TopologyBuilder::new();
     tb.seed(SEED);
@@ -41,95 +42,65 @@ fn build_net() -> NetState {
     tb.build()
 }
 
-/// Build host `owner`'s logical process: the full replica world plus
-/// this host's share of the workload (a stream to its LAN neighbour;
-/// host 0's stream crosses the WAN to host 3 on the other LAN).
-fn build_lp(owner: u32) -> StackLp {
-    let owner = HostId(owner);
-    let mut sim = Sim::new(StackBuilder::new(build_net()).obs(true).build());
-
-    // Every replica computes the same plan; each acts only on the
-    // streams its owner sources. Gateways (hosts 3 and 7 in build
-    // order) source nothing.
-    let lan_of = |h: u32| h / (HOSTS_PER_LAN + 1);
-    let is_gateway = |h: u32| h % (HOSTS_PER_LAN + 1) == HOSTS_PER_LAN;
-    let dst_of = |h: u32| {
-        if h == 0 {
-            HOSTS_PER_LAN + 1 // cross-WAN: first host of the other LAN
-        } else {
-            lan_of(h) * (HOSTS_PER_LAN + 1) + (h + 1) % HOSTS_PER_LAN
-        }
-    };
-    if !is_gateway(owner.0) {
-        let dst = HostId(dst_of(owner.0));
-        sim.schedule_in(SimDuration::from_millis(1), move |sim| {
-            let session = stream::open(sim, owner, dst, StreamProfile::default())
-                .expect("negotiation succeeds on an idle network");
-            for i in 0..10u64 {
-                sim.schedule_in(SimDuration::from_millis(20 * i), move |sim| {
-                    let _ = stream::send(sim, owner, session, Message::zeroes(160));
-                });
+/// The scenario: every edge host talks to its LAN neighbour, except host
+/// 0, whose call crosses the WAN to the first host of the other LAN.
+/// Every replica world holds this same plan and acts only on the flows
+/// its owner sources.
+fn scenario() -> Scenario {
+    let first_of = |lan: u32| lan * (HOSTS_PER_LAN + 1);
+    let mut flows = vec![Flow::wan_voice(HostId(0), HostId(first_of(1)), 0, TALK)];
+    for lan in 0..2 {
+        for i in 0..HOSTS_PER_LAN {
+            let (src, dst) = (first_of(lan) + i, first_of(lan) + (i + 1) % HOSTS_PER_LAN);
+            if src != 0 {
+                flows.push(Flow::voice(HostId(src), HostId(dst), src as usize, TALK));
             }
-        });
+        }
     }
-    StackLp::new(sim, owner, SEED)
-}
-
-/// Run the workload on `shards` worker threads; return the merged
-/// registry dump (the determinism digest) and total deliveries.
-fn run(shards: u32) -> (String, u64) {
-    // LAN-aligned placement: each LAN and its gateway share a shard, so
-    // only the 30 ms WAN spans shards and the epoch is the WAN delay.
-    let groups: Vec<Vec<u32>> = (0..2)
-        .map(|lan| {
-            (0..=HOSTS_PER_LAN)
-                .map(|i| lan * (HOSTS_PER_LAN + 1) + i)
-                .collect()
-        })
-        .collect();
-    let plan = ShardPlan::grouped(HOSTS, shards, &groups);
-    let proto = build_net();
-    let cfg = ParConfig {
-        horizon: SimTime::ZERO.saturating_add(HORIZON),
-        cross_lookahead: cross_shard_lookahead(&proto, &plan),
-        local_lookahead: local_lookahead(&proto),
-    };
-    if shards > 1 {
-        println!(
-            "  {} LPs on {shards} shards, epoch bound {} (cross), micro-window {} (local)",
-            HOSTS, cfg.cross_lookahead, cfg.local_lookahead,
-        );
+    Scenario {
+        topo: Box::new(build_net),
+        // LAN-aligned placement: each LAN and its gateway share a shard,
+        // so only the 30 ms WAN spans shards and the epoch is its delay.
+        groups: (0..2)
+            .map(|lan| (0..=HOSTS_PER_LAN).map(|i| first_of(lan) + i).collect())
+            .collect(),
+        plan: Plan::from(flows),
+        faults: FaultPlan::new(),
+        seed: SEED,
+        horizon: SimTime::ZERO.saturating_add(SimDuration::from_millis(400)),
+        cpus: false,
+        record_trace: true,
+        keep_events: false,
     }
-    let outs = run_sharded(&plan, &cfg, build_lp, |mut lp| {
-        std::mem::take(&mut lp.sim.state.net.obs.registry)
-    });
-    // Fixed merge order (host ascending) — independent of the plan.
-    let mut registry = dash::sim::obs::MetricRegistry::new();
-    for part in &outs {
-        registry.merge_from(part);
-    }
-    let delivered = registry.counter_value("stream.deliver");
-    (registry.to_json_lines(), delivered)
 }
 
 fn main() {
+    let scenario = scenario();
+    let par = |shards| Backend::Par {
+        shards,
+        lan_aligned: true,
+    };
+
     println!("serial reference (1 shard):");
-    let (serial, delivered_1) = run(1);
-    println!("  {delivered_1} messages delivered");
+    let one = run(&scenario, par(1));
+    println!("  {} messages delivered", one.messages);
 
     println!("parallel run (4 shards):");
-    let (parallel, delivered_4) = run(4);
-    println!("  {delivered_4} messages delivered");
+    let four = run(&scenario, par(4));
+    println!("  {} messages delivered", four.messages);
 
-    assert_eq!(delivered_1, delivered_4);
+    assert!(one.messages > 0);
+    assert_eq!(one.streams_opened, 2 * HOSTS_PER_LAN as u64);
     assert_eq!(
-        serial, parallel,
-        "the merged registries must be byte-identical"
+        one.determinism_digest(),
+        four.determinism_digest(),
+        "the merged outcomes must be byte-identical"
     );
     println!("---");
     println!(
-        "merged registries byte-identical: {} bytes, {} metric lines",
-        serial.len(),
-        serial.lines().count()
+        "merged registries and traces byte-identical: digest {}, {} metric lines, {} trace lines",
+        one.digest_hash(),
+        one.registry_dump.lines().count(),
+        one.trace_dump.lines().count(),
     );
 }

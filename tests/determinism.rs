@@ -1,5 +1,5 @@
 //! Golden determinism gate for the e10/e12 mix and e11 routing workloads —
-//! two plans, one `mix::run`, one `Outcome`, one digest.
+//! two plans, one `scenario::run`, one `Outcome`, one digest.
 //!
 //! Runs the scaled-down CI sizes twice in-process and demands
 //! byte-identical outcomes: the network-layer trace, the full
@@ -16,8 +16,10 @@
 mod common;
 
 use common::assert_replays;
+use dash::apps::scenario::{run, Backend, Outcome, Scenario};
+use dash::check::check_stream;
 use dash_bench::e_routing::RoutingParams;
-use dash_bench::mix::{run, Backend, MixParams, Outcome, Scenario};
+use dash_bench::mix::MixParams;
 
 /// The plan with the byte-comparable observability trace switched on.
 fn traced(scenario: Scenario) -> Scenario {
@@ -27,12 +29,13 @@ fn traced(scenario: Scenario) -> Scenario {
     }
 }
 
-/// The plan with the semantic oracle attached.
-fn checked(scenario: Scenario) -> Scenario {
-    Scenario {
-        oracle: true,
+/// The semantic oracle's verdict on a serial run of the plan.
+fn violations(scenario: Scenario) -> Vec<String> {
+    let scenario = Scenario {
+        keep_events: true,
         ..scenario
-    }
+    };
+    check_stream(&run(&scenario, Backend::Serial).stream, true)
 }
 
 /// `[events, messages, streams_opened, open_failed]` of a mix run.
@@ -129,8 +132,8 @@ fn e10_ci_without_drill_also_replays() {
 /// The semantic oracle holds at zero violations on the serial CI run.
 #[test]
 fn e10_ci_is_oracle_clean() {
-    let o = run(&checked(MixParams::ci().scenario()), Backend::Serial);
-    assert!(o.oracle_violations.is_empty(), "{:?}", o.oracle_violations);
+    let found = violations(MixParams::ci().scenario());
+    assert!(found.is_empty(), "{found:?}");
 }
 
 /// Routing-churn golden: the e11 dumbbell scenario — link-state floods,
@@ -201,13 +204,8 @@ fn e11_mesh_replay_is_byte_identical() {
 #[test]
 fn e11_ci_is_oracle_clean() {
     for params in [RoutingParams::ci(), RoutingParams::ci().on_mesh()] {
-        let o = run(&checked(params.scenario()), Backend::Serial);
-        assert!(
-            o.oracle_violations.is_empty(),
-            "{:?}: {:?}",
-            params.topo,
-            o.oracle_violations
-        );
+        let found = violations(params.scenario());
+        assert!(found.is_empty(), "{:?}: {found:?}", params.topo);
     }
 }
 

@@ -1,5 +1,5 @@
 //! Cross-backend conformance of the macro-workloads: one `Scenario`, the
-//! one `mix::run`, every backend.
+//! one `scenario::run`, every backend.
 //!
 //! The byte-level schedules differ by design (the serial engine, the LP
 //! executor and the wall-paced scheduler sample the same model
@@ -10,8 +10,10 @@
 //! fails the first; a backend that breaks an RMS guarantee fails the
 //! second.
 
+use dash::apps::scenario::{run, Backend, Outcome, Scenario};
+use dash::check::check_stream;
 use dash_bench::e_routing::RoutingParams;
-use dash_bench::mix::{run, Backend, MixParams, Outcome, Scenario};
+use dash_bench::mix::MixParams;
 use dash_sim::time::SimDuration;
 
 /// The CI mix trimmed until the paced rt leg costs 0.7 s of wall time,
@@ -37,7 +39,7 @@ fn trimmed_ci() -> MixParams {
 /// Returns the serial and the rt outcome for scenario-specific checks.
 fn conform(scn: Scenario) -> (Outcome, Outcome) {
     let scn = &Scenario {
-        oracle: true,
+        keep_events: true,
         ..scn
     };
     let par = |shards| Backend::Par {
@@ -59,11 +61,8 @@ fn conform(scn: Scenario) -> (Outcome, Outcome) {
             planned(&serial),
             "{name} ran a different plan than serial"
         );
-        assert!(
-            o.oracle_violations.is_empty(),
-            "{name}: {:?}",
-            o.oracle_violations
-        );
+        let violations = check_stream(&o.stream, o.rt.is_none());
+        assert!(violations.is_empty(), "{name}: {violations:?}");
         assert!(o.clean_stop(), "{name} hit the wall box");
     }
     assert_eq!(
@@ -124,11 +123,12 @@ fn e11_mesh_runs_on_every_backend_with_the_oracle_clean() {
 #[test]
 fn e13_ci_is_oracle_clean_and_stops_cleanly() {
     let scenario = Scenario {
-        oracle: true,
+        keep_events: true,
         ..MixParams::ci().scenario()
     };
     let o = run(&scenario, Backend::Rt { loss_per_mille: 0 });
-    assert!(o.oracle_violations.is_empty(), "{:?}", o.oracle_violations);
+    let violations = check_stream(&o.stream, false);
+    assert!(violations.is_empty(), "{violations:?}");
     assert!(o.clean_stop(), "stop {:?}", o.rt);
     assert!(o.messages > 500, "only {} messages", o.messages);
 }
