@@ -162,7 +162,7 @@ impl Flow {
 
     /// Move `total_bytes` in `chunk`-byte messages over `profile`, pumped
     /// as fast as sender flow control allows (§2.5: "a high capacity,
-    /// high delay RMS").
+    /// high delay RMS"). The receiver is a disk-speed sink.
     pub fn bulk(
         src: HostId,
         dst: HostId,
@@ -497,19 +497,30 @@ fn on_stream_event(sim: &mut Sim<Stack>, host: HostId, ev: StreamEvent, acct: &S
                 pump(sim, host, session, acct);
             }
         }
-        StreamEvent::Delivered { msg, delay, .. } => {
+        StreamEvent::Delivered {
+            session,
+            msg,
+            delay,
+            ..
+        } => {
             let Some(class) = msg.wire().first_byte().and_then(Class::from_tag) else {
                 return;
             };
             let c = class as usize;
-            let mut a = acct.borrow_mut();
-            a.received[c] += 1;
-            a.bytes[c] += msg.len() as u64;
-            a.delays[c].record(delay.as_secs_f64());
-            a.last_delivery[c] = Some(sim.now());
-            if delay > a.budget[c] {
-                a.late[c] += 1;
+            {
+                let mut a = acct.borrow_mut();
+                a.received[c] += 1;
+                a.bytes[c] += msg.len() as u64;
+                a.delays[c].record(delay.as_secs_f64());
+                a.last_delivery[c] = Some(sim.now());
+                if delay > a.budget[c] {
+                    a.late[c] += 1;
+                }
             }
+            // Disk-speed sink: consume at once so receiver flow control
+            // (a no-op on profiles without it) never throttles a transfer
+            // larger than the receive buffer.
+            stream::consume(sim, host, session, msg.len() as u64);
         }
         StreamEvent::Ended { session, .. } => {
             acct.borrow_mut().tx.remove(&session);

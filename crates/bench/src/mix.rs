@@ -517,7 +517,7 @@ pub fn e13_rt() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_apps::traffic::{self, CLASSES};
+    use dash_apps::traffic::{self, Class, CLASSES};
     use dash_sim::Sim;
     use dash_transport::stack::StackBuilder;
 
@@ -550,6 +550,38 @@ mod tests {
         let o = run(&scenario, par(2, true));
         let violations = check_stream(&o.stream, true);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    /// A transfer larger than the bulk profile's 256 KiB receive buffer
+    /// completes: the driver's sink consumes at delivery. (Before it did,
+    /// every flow stalled at 64 chunks, at any size above the buffer.)
+    #[test]
+    fn bulk_larger_than_the_receive_buffer_delivers_every_chunk() {
+        let p = MixParams {
+            bulk_bytes: 1 << 20,
+            churn_per_wave: 0,
+            fault_drill: false,
+            // Two 1 MiB transfers share each 10 Mb/s LAN: ~2 s of wire.
+            duration: SimDuration::from_secs(4),
+            grace: SimDuration::from_secs(2),
+            ..MixParams::ci()
+        };
+        let scenario = p.scenario();
+        let bulk = Class::Bulk as usize;
+        let planned: u64 = scenario
+            .plan
+            .flows
+            .iter()
+            .filter(|f| f.class == Class::Bulk)
+            .map(|f| f.count)
+            .sum();
+        assert_eq!(planned, 6 * 256);
+        for backend in [Backend::Serial, par(2, true)] {
+            let o = run(&scenario, backend);
+            assert_eq!(o.sent[bulk], planned, "{backend:?}");
+            assert_eq!(o.received[bulk], planned, "{backend:?}");
+            assert_eq!(o.bytes[bulk], 6 << 20, "{backend:?}");
+        }
     }
 
     /// The ownership filter partitions the plan: what `install(..,

@@ -44,10 +44,10 @@ fn mix_counts(o: &Outcome) -> [u64; 4] {
 }
 
 /// The serial engine (e10) at `ci`.
-const E10_CI: [u64; 4] = [14125, 1183, 29, 4];
+const E10_CI: [u64; 4] = [15202, 1284, 29, 4];
 /// The parallel executor (e12) at `ci` and `routing_ci`, any shard count.
-const E12_CI: [u64; 4] = [14216, 1184, 29, 4];
-const E12_ROUTING_CI: [u64; 4] = [13509, 1157, 27, 6];
+const E12_CI: [u64; 4] = [15625, 1338, 29, 4];
+const E12_ROUTING_CI: [u64; 4] = [14853, 1320, 27, 6];
 
 /// `[events, floods, recomputes, alternate_wins, recoveries,
 /// streams_opened, open_failed]` of an e11 run.
