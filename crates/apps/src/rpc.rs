@@ -1,119 +1,17 @@
-//! Request/reply workloads over RKOM (paper §3.3) and over the TCP-like
-//! baseline, for the e7 comparison.
+//! The request/reply workload over the TCP-like baseline, for the e7
+//! comparison. Its RKOM counterpart (paper §3.3) is a
+//! [`crate::traffic::RpcFlow`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use dash_baseline::tcp;
 use dash_net::ids::HostId;
 use dash_sim::engine::Sim;
-use dash_sim::rng::Rng;
-use dash_sim::stats::Histogram;
-use dash_sim::time::{SimDuration, SimTime};
-use dash_transport::rkom;
+use dash_sim::time::SimTime;
 use dash_transport::stack::Stack;
 
-/// RPC workload parameters.
-#[derive(Debug, Clone)]
-pub struct RpcSpec {
-    /// Mean call arrival rate, calls/second (Poisson).
-    pub rate: f64,
-    /// Request payload bytes.
-    pub request_bytes: usize,
-    /// Reply payload bytes (the echo service pads to this).
-    pub reply_bytes: usize,
-    /// Workload duration.
-    pub duration: SimDuration,
-}
-
-impl Default for RpcSpec {
-    fn default() -> Self {
-        RpcSpec {
-            rate: 100.0,
-            request_bytes: 64,
-            reply_bytes: 256,
-            duration: SimDuration::from_secs(2),
-        }
-    }
-}
-
-/// RPC workload results.
-#[derive(Debug, Default)]
-pub struct RpcStats {
-    /// Calls issued.
-    pub issued: u64,
-    /// Calls completed.
-    pub completed: u64,
-    /// Calls failed.
-    pub failed: u64,
-    /// Round-trip latencies, seconds.
-    pub latency: Histogram,
-}
-
-/// The echo service id registered by [`start_rkom_rpc`].
-pub const ECHO_SERVICE: u16 = 0x0101;
-
-/// Start an RKOM RPC workload: `client` calls an echo service at `server`.
-pub fn start_rkom_rpc(
-    sim: &mut Sim<Stack>,
-    client: HostId,
-    server: HostId,
-    spec: RpcSpec,
-    seed: u64,
-) -> Rc<RefCell<RpcStats>> {
-    let stats = Rc::new(RefCell::new(RpcStats::default()));
-    let reply_bytes = spec.reply_bytes;
-    rkom::register_service(
-        &mut sim.state,
-        server,
-        ECHO_SERVICE,
-        move |_sim, _c, _req| Bytes::from(vec![0u8; reply_bytes]),
-    );
-    let end = sim.now().saturating_add(spec.duration);
-    let rng = Rng::new(seed);
-    schedule_call(sim, client, server, spec, end, rng, Rc::clone(&stats));
-    stats
-}
-
-fn schedule_call(
-    sim: &mut Sim<Stack>,
-    client: HostId,
-    server: HostId,
-    spec: RpcSpec,
-    end: SimTime,
-    mut rng: Rng,
-    stats: Rc<RefCell<RpcStats>>,
-) {
-    if sim.now() >= end {
-        return;
-    }
-    let gap = SimDuration::from_secs_f64(rng.exp(1.0 / spec.rate));
-    sim.schedule_in(gap, move |sim| {
-        let started = sim.now();
-        stats.borrow_mut().issued += 1;
-        let st = Rc::clone(&stats);
-        rkom::call(
-            sim,
-            client,
-            server,
-            ECHO_SERVICE,
-            Bytes::from(vec![0u8; spec.request_bytes]),
-            move |sim, res| {
-                let mut s = st.borrow_mut();
-                match res {
-                    Ok(_) => {
-                        s.completed += 1;
-                        s.latency
-                            .record(sim.now().saturating_since(started).as_secs_f64());
-                    }
-                    Err(_) => s.failed += 1,
-                }
-            },
-        );
-        schedule_call(sim, client, server, spec, end, rng, stats);
-    });
-}
+use crate::traffic::SharedAcct;
 
 /// A sequential RPC client over the TCP-like baseline: it opens one
 /// connection and issues `calls` echo requests back to back (each reply
@@ -121,7 +19,8 @@ fn schedule_call(
 /// request/reply primitives force).
 ///
 /// The server side is prepared internally (this function also registers
-/// the echo logic and the listener).
+/// the echo logic and the listener). Results land in the `rpc_*` fields
+/// of the same [`Acct`](crate::traffic::Acct) an RKOM pair fills.
 pub fn run_tcp_rpc(
     sim: &mut Sim<Stack>,
     client: HostId,
@@ -130,8 +29,8 @@ pub fn run_tcp_rpc(
     calls: u32,
     request_bytes: usize,
     reply_bytes: usize,
-) -> Rc<RefCell<RpcStats>> {
-    let stats = Rc::new(RefCell::new(RpcStats::default()));
+) -> SharedAcct {
+    let stats = SharedAcct::default();
     let conn = tcp::connect(sim, client, server, port);
 
     // Drive the call loop from TCP events.
@@ -143,7 +42,7 @@ pub fn run_tcp_rpc(
             tcp::TcpEvent::Connected { conn: c } if c == conn => {
                 // First call.
                 drive.borrow_mut().1 = sim.now();
-                st.borrow_mut().issued += 1;
+                st.borrow_mut().rpc_issued += 1;
                 tcp::send(sim, host, conn, &vec![0u8; request_bytes]);
             }
             tcp::TcpEvent::Data { conn: c, bytes } if c == conn && host == client => {
@@ -153,13 +52,13 @@ pub fn run_tcp_rpc(
                     d.2 = 0;
                     let started = d.1;
                     let mut s = st.borrow_mut();
-                    s.completed += 1;
-                    s.latency
+                    s.rpc_completed += 1;
+                    s.rpc_latency
                         .record(sim.now().saturating_since(started).as_secs_f64());
                     d.0 += 1;
                     if d.0 < calls {
                         d.1 = sim.now();
-                        s.issued += 1;
+                        s.rpc_issued += 1;
                         drop(s);
                         drop(d);
                         tcp::send(sim, host, conn, &vec![0u8; request_bytes]);
@@ -195,30 +94,12 @@ mod tests {
     use dash_transport::stack::StackBuilder;
 
     #[test]
-    fn rkom_rpc_workload_completes() {
-        let (net, a, b) = two_hosts_ethernet();
-        let mut sim = Sim::new(StackBuilder::new(net).build());
-        let stats = start_rkom_rpc(&mut sim, a, b, RpcSpec::default(), 3);
-        sim.run();
-        let s = stats.borrow();
-        assert!(s.issued > 100, "issued {}", s.issued);
-        assert_eq!(s.failed, 0);
-        assert_eq!(s.completed, s.issued);
-        assert!(s.latency.mean() > 0.0);
-        assert!(s.latency.mean() < 0.05, "LAN RPC should be fast");
-    }
-
-    #[test]
     fn tcp_rpc_sequential_calls_complete() {
         let (net, a, b) = two_hosts_ethernet();
         let mut sim = Sim::new(StackBuilder::new(net).build());
         let stats = run_tcp_rpc(&mut sim, a, b, 80, 20, 64, 256);
         sim.run();
         let s = stats.borrow();
-        assert_eq!(
-            s.completed, 20,
-            "issued={} completed={}",
-            s.issued, s.completed
-        );
+        assert_eq!((s.rpc_issued, s.rpc_completed), (20, 20));
     }
 }

@@ -1,8 +1,11 @@
 //! Session-keyed dispatch over the per-host stream tap.
 //!
-//! The stream module exposes one tap per host; applications that run many
-//! sessions (several voice calls, a window system next to a bulk transfer)
-//! install a [`Dispatcher`] once and register per-session handlers with it.
+//! The stream module exposes one tap per host; [`Dispatcher::install`] is
+//! the one place this crate claims it. Reactive workloads and ad-hoc
+//! measurements register a per-session delivery handler with the
+//! dispatcher; every other stream event falls through to the traffic
+//! driver ([`crate::traffic::install_on`]), so planned flows and
+//! hand-opened sessions share a host.
 
 use rms_core::hash::DetHashMap;
 use std::cell::RefCell;
@@ -15,27 +18,18 @@ use dash_transport::stack::Stack;
 use dash_transport::stream::StreamEvent;
 use rms_core::message::Message;
 
-/// What a session handler receives.
+/// An in-order message arrival, as a session handler receives it.
 #[derive(Debug)]
-pub enum SessionEvent {
-    /// An in-order message arrived.
-    Delivered {
-        /// The message.
-        msg: Message,
-        /// Its sequence number.
-        seq: u64,
-        /// End-to-end delay.
-        delay: SimDuration,
-    },
-    /// The session is ready to send.
-    Opened,
-    /// The send port drained after refusing an offer.
-    Drained,
-    /// The session ended or failed.
-    Ended,
+pub struct Delivery {
+    /// The message.
+    pub msg: Message,
+    /// Its sequence number.
+    pub seq: u64,
+    /// End-to-end delay.
+    pub delay: SimDuration,
 }
 
-type Handler = Box<dyn FnMut(&mut Sim<Stack>, SessionEvent)>;
+type Handler = Box<dyn FnMut(&mut Sim<Stack>, Delivery)>;
 /// `Fn`, held by `Rc`: it runs with no borrow of the dispatcher held, so
 /// an event it causes on another host may re-enter it.
 type Unclaimed = Rc<dyn Fn(&mut Sim<Stack>, HostId, StreamEvent)>;
@@ -47,14 +41,6 @@ pub struct Dispatcher {
     unclaimed: Rc<RefCell<Option<Unclaimed>>>,
 }
 
-impl std::fmt::Debug for Dispatcher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Dispatcher")
-            .field("sessions", &self.handlers.borrow().len())
-            .finish()
-    }
-}
-
 impl Dispatcher {
     /// Install a dispatcher as the stream tap of every host in `hosts`.
     pub fn install(sim: &mut Sim<Stack>, hosts: &[HostId]) -> Dispatcher {
@@ -62,74 +48,46 @@ impl Dispatcher {
         for &h in hosts {
             let d = d.clone();
             sim.state.on_stream(h, move |sim, ev| {
-                let session = match &ev {
-                    StreamEvent::Delivered { session, .. }
-                    | StreamEvent::Opened { session }
-                    | StreamEvent::Drained { session }
-                    | StreamEvent::Ended { session, .. }
-                    | StreamEvent::OpenFailed { session, .. }
-                    | StreamEvent::Incoming { session, .. } => *session,
-                };
                 // Take the handler out while it runs (it may register more).
-                let handler = d.handlers.borrow_mut().remove(&session);
-                let Some(mut handler) = handler else {
-                    let unclaimed = d.unclaimed.borrow().clone();
-                    if let Some(unclaimed) = unclaimed {
-                        unclaimed(sim, h, ev);
+                let handler = match &ev {
+                    StreamEvent::Delivered { session, .. } => {
+                        d.handlers.borrow_mut().remove_entry(session)
                     }
-                    return;
+                    _ => None,
                 };
-                let translated = match ev {
-                    StreamEvent::Delivered {
-                        msg, seq, delay, ..
-                    } => Some(SessionEvent::Delivered { msg, seq, delay }),
-                    StreamEvent::Opened { .. } => Some(SessionEvent::Opened),
-                    StreamEvent::Drained { .. } => Some(SessionEvent::Drained),
-                    StreamEvent::Ended { .. } | StreamEvent::OpenFailed { .. } => {
-                        Some(SessionEvent::Ended)
+                match (handler, ev) {
+                    (
+                        Some((session, mut handler)),
+                        StreamEvent::Delivered {
+                            msg, seq, delay, ..
+                        },
+                    ) => {
+                        handler(sim, Delivery { msg, seq, delay });
+                        d.handlers.borrow_mut().entry(session).or_insert(handler);
                     }
-                    StreamEvent::Incoming { .. } => None,
-                };
-                if let Some(translated) = translated {
-                    handler(sim, translated);
+                    (_, ev) => {
+                        let unclaimed = d.unclaimed.borrow().clone();
+                        if let Some(unclaimed) = unclaimed {
+                            unclaimed(sim, h, ev);
+                        }
+                    }
                 }
-                d.handlers.borrow_mut().entry(session).or_insert(handler);
             });
         }
         d
     }
 
-    /// Route the events of every session without a registered handler to
-    /// `driver` (replacing any earlier one): how the traffic driver
-    /// shares a host with session handlers.
+    /// Route every event no session handler takes to `driver` (replacing
+    /// any earlier one).
     pub fn on_unclaimed(&self, driver: impl Fn(&mut Sim<Stack>, HostId, StreamEvent) + 'static) {
         *self.unclaimed.borrow_mut() = Some(Rc::new(driver));
     }
 
-    /// Register (or replace) the handler for `session`.
-    pub fn register(
-        &self,
-        session: u64,
-        handler: impl FnMut(&mut Sim<Stack>, SessionEvent) + 'static,
-    ) {
+    /// Register (or replace) the delivery handler for `session`.
+    pub fn register(&self, session: u64, handler: impl FnMut(&mut Sim<Stack>, Delivery) + 'static) {
         self.handlers
             .borrow_mut()
             .insert(session, Box::new(handler));
-    }
-
-    /// Remove a session's handler.
-    pub fn unregister(&self, session: u64) {
-        self.handlers.borrow_mut().remove(&session);
-    }
-
-    /// Number of registered sessions.
-    pub fn len(&self) -> usize {
-        self.handlers.borrow().len()
-    }
-
-    /// True when no sessions are registered.
-    pub fn is_empty(&self) -> bool {
-        self.handlers.borrow().is_empty()
     }
 }
 
@@ -142,35 +100,40 @@ mod tests {
     use dash_transport::stream::StreamProfile;
 
     #[test]
-    fn dispatcher_routes_by_session() {
+    fn dispatcher_routes_by_session_and_passes_the_rest_on() {
         let (net, a, b) = two_hosts_ethernet();
         let mut sim = Sim::new(StackBuilder::new(net).build());
         let d = Dispatcher::install(&mut sim, &[a, b]);
+        let unclaimed = Rc::new(RefCell::new(Vec::new()));
+        let u = Rc::clone(&unclaimed);
+        d.on_unclaimed(move |_s, host, ev| u.borrow_mut().push((host, format!("{ev:?}"))));
         let s1 = stream::open(&mut sim, a, b, StreamProfile::default()).unwrap();
         let s2 = stream::open(&mut sim, a, b, StreamProfile::default()).unwrap();
+        let s3 = stream::open(&mut sim, a, b, StreamProfile::default()).unwrap();
         let got1 = Rc::new(RefCell::new(0u32));
         let got2 = Rc::new(RefCell::new(0u32));
         let g1 = Rc::clone(&got1);
         let g2 = Rc::clone(&got2);
-        d.register(s1, move |_s, ev| {
-            if matches!(ev, SessionEvent::Delivered { .. }) {
-                *g1.borrow_mut() += 1;
-            }
-        });
-        d.register(s2, move |_s, ev| {
-            if matches!(ev, SessionEvent::Delivered { .. }) {
-                *g2.borrow_mut() += 1;
-            }
-        });
+        d.register(s1, move |_s, _delivery| *g1.borrow_mut() += 1);
+        d.register(s2, move |_s, _delivery| *g2.borrow_mut() += 1);
         sim.run();
         stream::send(&mut sim, a, s1, Message::zeroes(10)).unwrap();
         stream::send(&mut sim, a, s2, Message::zeroes(10)).unwrap();
         stream::send(&mut sim, a, s2, Message::zeroes(10)).unwrap();
+        stream::send(&mut sim, a, s3, Message::zeroes(10)).unwrap();
         sim.run();
         assert_eq!(*got1.borrow(), 1);
         assert_eq!(*got2.borrow(), 2);
-        assert_eq!(d.len(), 2);
-        d.unregister(s1);
-        assert_eq!(d.len(), 1);
+        // The unregistered session's delivery, and every session's
+        // non-delivery events, went to the driver.
+        let seen = unclaimed.borrow();
+        let count = |host, kind: &str| {
+            seen.iter()
+                .filter(|(h, e)| *h == host && e.starts_with(kind))
+                .count()
+        };
+        assert_eq!(count(b, "Delivered"), 1);
+        assert_eq!(count(a, "Opened"), 3);
+        assert_eq!(count(b, "Incoming"), 3);
     }
 }

@@ -19,7 +19,7 @@ use dash_transport::stream::{self, StreamProfile};
 use rms_core::delay::DelayBound;
 use rms_core::message::Message;
 
-use crate::taps::{Dispatcher, SessionEvent};
+use crate::taps::Dispatcher;
 
 /// Window-system workload parameters.
 #[derive(Debug, Clone)]
@@ -114,34 +114,30 @@ pub fn start_window_system(
     let mut rng_app = Rng::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(0xA44));
     let mean_gfx = spec.graphics_bytes as f64;
     taps.register(event_stream, move |sim, ev| {
-        if let SessionEvent::Delivered { msg, .. } = ev {
-            st_app.borrow_mut().events_received += 1;
-            // Echo the 8-byte send timestamp so the user side can measure
-            // the full event→paint interaction; pad to a Pareto-tailed
-            // graphics-update size.
-            let mut payload = msg.payload().to_vec();
-            let gfx_len = (mean_gfx * rng_app.pareto(0.45, 1.8)).clamp(256.0, 15_000.0) as usize;
-            payload.resize(gfx_len.max(payload.len()), 0);
-            let _ = stream::send(sim, app, gfx_stream, Message::new(payload));
-        }
+        st_app.borrow_mut().events_received += 1;
+        // Echo the 8-byte send timestamp so the user side can measure
+        // the full event→paint interaction; pad to a Pareto-tailed
+        // graphics-update size.
+        let mut payload = ev.msg.payload().to_vec();
+        let gfx_len = (mean_gfx * rng_app.pareto(0.45, 1.8)).clamp(256.0, 15_000.0) as usize;
+        payload.resize(gfx_len.max(payload.len()), 0);
+        let _ = stream::send(sim, app, gfx_stream, Message::new(payload));
     });
 
     // User side: receive graphics, measure interaction latency.
     let st_user = Rc::clone(&stats);
     let budget = spec.interaction_budget;
     taps.register(gfx_stream, move |sim, ev| {
-        if let SessionEvent::Delivered { msg, .. } = ev {
-            let mut s = st_user.borrow_mut();
-            s.updates_received += 1;
-            if msg.len() >= 8 {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&msg.payload()[..8]);
-                let sent = SimTime::from_nanos(u64::from_be_bytes(b));
-                let rtt = sim.now().saturating_since(sent);
-                s.interaction_latency.record(rtt.as_secs_f64());
-                if rtt > budget {
-                    s.late_interactions += 1;
-                }
+        let mut s = st_user.borrow_mut();
+        s.updates_received += 1;
+        if ev.msg.len() >= 8 {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(&ev.msg.payload()[..8]);
+            let sent = SimTime::from_nanos(u64::from_be_bytes(b));
+            let rtt = sim.now().saturating_since(sent);
+            s.interaction_latency.record(rtt.as_secs_f64());
+            if rtt > budget {
+                s.late_interactions += 1;
             }
         }
     });

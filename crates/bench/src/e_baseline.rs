@@ -5,9 +5,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dash_apps::bulk::{run_until_complete, start_bulk};
-use dash_apps::rpc::{run_tcp_rpc, start_rkom_rpc, RpcSpec};
-use dash_apps::taps::Dispatcher;
+use dash_apps::rpc::run_tcp_rpc;
+use dash_apps::traffic::{self, Class, Flow, Plan, RpcFlow};
 use dash_baseline::tcp;
 use dash_net::topology::{dumbbell, TopologyBuilder};
 use dash_net::{HostId, NetworkSpec};
@@ -30,43 +29,41 @@ pub fn e7_rkom() -> Table {
     );
     t.columns(&["workload", "protocol", "result", "detail"]);
 
-    // --- RPC latency ---
-    {
+    // --- RPC latency: RKOM at 20 calls/s for 3 s, then 50 sequential
+    // calls over one TCP connection; both fill the same accounting ---
+    for protocol in ["RKOM", "TCP sequential"] {
         let (net, a, b, _, _) = dumbbell();
         let mut sim = Sim::new(StackBuilder::new(net).build());
-        let stats = start_rkom_rpc(
-            &mut sim,
-            a,
-            b,
-            RpcSpec {
-                rate: 20.0,
-                duration: SimDuration::from_secs(3),
-                ..RpcSpec::default()
-            },
-            13,
-        );
+        let acct = if protocol == "RKOM" {
+            let plan = Plan {
+                rpcs: vec![RpcFlow {
+                    client: a,
+                    server: b,
+                    service: 0x0101,
+                    calls: 60,
+                    interval: SimDuration::from_millis(50),
+                    start: SimDuration::ZERO,
+                    request: 64,
+                    reply: 256,
+                }],
+                ..Plan::default()
+            };
+            traffic::install(&mut sim, &plan, None)
+        } else {
+            run_tcp_rpc(&mut sim, a, b, 80, 50, 64, 256)
+        };
         sim.run();
-        let s = stats.borrow();
-        let mut lat = s.latency.clone();
+        let s = acct.borrow();
+        let mut lat = s.rpc_latency.clone();
         t.row(vec![
             "RPC (64B→256B)".into(),
-            "RKOM".into(),
+            protocol.into(),
             format!("mean {}", secs(lat.mean())),
-            format!("{} calls, p99 {}", s.completed, secs(lat.quantile(0.99))),
-        ]);
-    }
-    {
-        let (net, a, b, _, _) = dumbbell();
-        let mut sim = Sim::new(StackBuilder::new(net).build());
-        let stats = run_tcp_rpc(&mut sim, a, b, 80, 50, 64, 256);
-        sim.run();
-        let s = stats.borrow();
-        let mut lat = s.latency.clone();
-        t.row(vec![
-            "RPC (64B→256B)".into(),
-            "TCP sequential".into(),
-            format!("mean {}", secs(lat.mean())),
-            format!("{} calls, p99 {}", s.completed, secs(lat.quantile(0.99))),
+            format!(
+                "{} calls, p99 {}",
+                s.rpc_completed,
+                secs(lat.quantile(0.99))
+            ),
         ]);
     }
 
@@ -74,16 +71,17 @@ pub fn e7_rkom() -> Table {
     {
         let (net, a, b, _, _) = dumbbell();
         let mut sim = Sim::new(StackBuilder::new(net).build());
-        let taps = Dispatcher::install(&mut sim, &[a, b]);
         let mut profile = StreamProfile::bulk();
         profile.rto = SimDuration::from_millis(800);
-        let stats = start_bulk(&mut sim, &taps, a, b, 512 * 1024, 4 * 1024, profile);
-        let done = run_until_complete(&mut sim, &stats, SimDuration::from_secs(60));
-        let s = stats.borrow();
+        let plan = Plan::from(vec![Flow::bulk(a, b, 512 * 1024, 4 * 1024, profile)]);
+        let acct = traffic::install(&mut sim, &plan, None);
+        let done =
+            traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(60));
+        let goodput = acct.borrow().goodput(Class::Bulk).unwrap_or(0.0);
         t.row(vec![
             "bulk 512KB".into(),
             "RMS stream".into(),
-            format!("{} B/s", f(s.goodput().unwrap_or(0.0))),
+            format!("{} B/s", f(goodput)),
             format!("complete: {done}"),
         ]);
     }
@@ -169,8 +167,8 @@ pub fn e8_congestion() -> Table {
     // share the bottleneck (3 × 16 KB / 1 s ≈ 48 KB/s < 50 KB/s wire).
     {
         let (mut sim, senders, receivers, g1) = build();
-        let all: Vec<HostId> = senders.iter().chain(receivers.iter()).copied().collect();
-        let taps = Dispatcher::install(&mut sim, &all);
+        // One plan per sender/receiver pair, so each flow has its own
+        // accounting (the pairs share no host).
         let mut flows = Vec::new();
         for (s, r) in senders.iter().zip(receivers.iter()) {
             let profile = StreamProfile {
@@ -189,8 +187,8 @@ pub fn e8_congestion() -> Table {
                 enforcement: CapacityEnforcement::RateBased,
                 ..StreamProfile::default()
             };
-            let stats = start_bulk(&mut sim, &taps, *s, *r, 24 * 1024, 512, profile);
-            flows.push(stats);
+            let plan = Plan::from(vec![Flow::bulk(*s, *r, 24 * 1024, 512, profile)]);
+            flows.push(traffic::install(&mut sim, &plan, None));
         }
         let end = sim.now() + SimDuration::from_secs(25);
         while sim.now() < end {
@@ -203,7 +201,7 @@ pub fn e8_congestion() -> Table {
         let elapsed = sim.now().as_secs_f64();
         let per_flow: Vec<f64> = flows
             .iter()
-            .map(|f2| f2.borrow().delivered_bytes as f64 / elapsed)
+            .map(|f2| f2.borrow().bytes[Class::Bulk as usize] as f64 / elapsed)
             .collect();
         let total: f64 = per_flow.iter().sum();
         t.row(vec![

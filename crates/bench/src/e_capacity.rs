@@ -67,9 +67,7 @@ pub fn e5_capacity() -> Table {
         let bytes = Rc::new(RefCell::new(0u64));
         let b2 = Rc::clone(&bytes);
         taps.register(session, move |_s, ev| {
-            if let dash_apps::SessionEvent::Delivered { msg, .. } = ev {
-                *b2.borrow_mut() += msg.len() as u64;
-            }
+            *b2.borrow_mut() += ev.msg.len() as u64
         });
         sim.run();
         // Saturate the send port; the rate limiter paces transmission.

@@ -2,10 +2,7 @@
 //! (§2.5); e2_scheduling — deadline-based scheduling beats FIFO/priority
 //! for mixed real-time traffic (§4.1, conclusion).
 
-use dash_apps::bulk::{run_until_complete, start_bulk};
-use dash_apps::media::{start_media, MediaSpec};
-use dash_apps::rpc::{start_rkom_rpc, RpcSpec};
-use dash_apps::taps::Dispatcher;
+use dash_apps::traffic::{self, Class, Flow, Plan, RpcFlow};
 use dash_net::iface::QueueDiscipline;
 use dash_net::state::NetConfig;
 use dash_net::topology::TopologyBuilder;
@@ -74,7 +71,6 @@ pub fn e1_security() -> Table {
                 .cpus(SchedPolicy::Edf, SimDuration::from_micros(5))
                 .build();
             let mut sim = Sim::new(stack);
-            let taps = Dispatcher::install(&mut sim, &[ha, hb]);
             // Transfer 256 KB over a stream whose data RMS requests the
             // security/BER combination under test.
             let profile = StreamProfile {
@@ -82,7 +78,8 @@ pub fn e1_security() -> Table {
                 capacity: 64 * 1024,
                 ..StreamProfile::default()
             };
-            let stats = start_bulk(&mut sim, &taps, ha, hb, 256 * 1024, 1024, profile);
+            let plan = Plan::from(vec![Flow::bulk(ha, hb, 256 * 1024, 1024, profile)]);
+            let acct = traffic::install(&mut sim, &plan, None);
             // Patch the data RMS's security by requesting it at the ST
             // level: the stream profile has no security knob, so we instead
             // verify the mechanism-selection function directly and measure
@@ -94,13 +91,9 @@ pub fn e1_security() -> Table {
                 .expect("valid params");
             let caps = make_net(kind).caps;
             let (plan, _) = dash_security::suite::select_mechanisms(&params, &caps);
-            let done = run_until_complete(&mut sim, &stats, SimDuration::from_secs(20));
+            traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(20));
             sim.run();
-            let goodput = if done {
-                stats.borrow().goodput().unwrap_or(0.0)
-            } else {
-                0.0
-            };
+            let goodput = acct.borrow().goodput(Class::Bulk).unwrap_or(0.0);
             let busy: f64 = sim
                 .state
                 .cpus
@@ -185,54 +178,42 @@ pub fn e2_scheduling() -> Table {
             .cpus(policy, SimDuration::from_micros(10))
             .build();
         let mut sim = Sim::new(stack);
-        let taps = Dispatcher::install(&mut sim, &[ha, hb]);
 
-        // Competing workloads on the same host pair.
-        let voice = start_media(
-            &mut sim,
-            &taps,
-            ha,
-            hb,
-            MediaSpec::voice(SimDuration::from_secs(2)),
-            5,
-        );
-        let bulk = start_bulk(
-            &mut sim,
-            &taps,
-            ha,
-            hb,
-            768 * 1024,
-            8 * 1024,
-            StreamProfile::bulk(),
-        );
-        let rpc = start_rkom_rpc(
-            &mut sim,
-            ha,
-            hb,
-            RpcSpec {
-                rate: 50.0,
-                duration: SimDuration::from_secs(2),
-                ..RpcSpec::default()
-            },
-            9,
-        );
-        let _ = run_until_complete(&mut sim, &bulk, SimDuration::from_secs(3));
+        // Competing workloads on the same host pair: 2 s of voice, a
+        // 768 KB transfer, 50 calls/s of RPC for 2 s.
+        let plan = Plan {
+            flows: vec![
+                Flow::voice(ha, hb, 0, SimDuration::from_secs(2)),
+                Flow::bulk(ha, hb, 768 * 1024, 8 * 1024, StreamProfile::bulk()),
+            ],
+            rpcs: vec![RpcFlow {
+                client: ha,
+                server: hb,
+                service: 0x0101,
+                calls: 100,
+                interval: SimDuration::from_millis(20),
+                start: SimDuration::ZERO,
+                request: 64,
+                reply: 256,
+            }],
+            ..Plan::default()
+        };
+        let acct = traffic::install(&mut sim, &plan, None);
+        traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(3));
         // Bounded drain: under deliberate CPU overload the backlog can
         // outlive the workloads, so cap the tail.
         sim.run_until(sim.now() + SimDuration::from_millis(500));
-        let v = voice.borrow();
-        let mut vd = v.delays.clone();
-        let bulk_goodput = bulk.borrow().goodput().unwrap_or_else(|| {
-            let s = bulk.borrow();
-            s.delivered_bytes as f64 / 3.0
-        });
-        let r = rpc.borrow();
+        let a = acct.borrow();
+        let mut vd = a.delays[Class::Voice as usize].clone();
+        let bulk_goodput = a
+            .goodput(Class::Bulk)
+            .unwrap_or(a.bytes[Class::Bulk as usize] as f64 / 3.0);
         t.row(vec![
             cpu_name.into(),
             disc_name.into(),
-            pct(v.on_time_fraction()),
+            pct(a.on_time_fraction(Class::Voice)),
             secs(vd.quantile(0.99)),
-            secs(r.latency.mean()),
+            secs(a.rpc_latency.mean()),
             format!("{} B/s", f(bulk_goodput)),
         ]);
     }

@@ -165,11 +165,9 @@ pub fn e4_fragmentation() -> Table {
         let delivered = Rc::new(RefCell::new((0u64, 0u64))); // (msgs, bytes)
         let d2 = Rc::clone(&delivered);
         taps.register(session, move |_s, ev| {
-            if let dash_apps::SessionEvent::Delivered { msg, .. } = ev {
-                let mut d = d2.borrow_mut();
-                d.0 += 1;
-                d.1 += msg.len() as u64;
-            }
+            let mut d = d2.borrow_mut();
+            d.0 += 1;
+            d.1 += ev.msg.len() as u64;
         });
         sim.run();
         let total_bytes = 1024 * 1024u64;
@@ -275,16 +273,12 @@ pub fn e9_piggyback() -> Table {
             let d2 = Rc::clone(&delays);
             let ls = Rc::clone(&last_seq);
             taps.register(s, move |_sim, ev| {
-                if let dash_apps::SessionEvent::Delivered { seq, delay, .. } = ev {
-                    let mut m = ls.borrow_mut();
-                    if let Some(prev) = m.get(&s) {
-                        if seq <= *prev {
-                            *ok.borrow_mut() = false;
-                        }
-                    }
-                    m.insert(s, seq);
-                    d2.borrow_mut().push(delay.as_secs_f64());
+                let mut m = ls.borrow_mut();
+                if m.get(&s).is_some_and(|prev| ev.seq <= *prev) {
+                    *ok.borrow_mut() = false;
                 }
+                m.insert(s, ev.seq);
+                d2.borrow_mut().push(ev.delay.as_secs_f64());
             });
         }
         sim.run();

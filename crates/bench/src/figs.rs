@@ -6,9 +6,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dash_apps::bulk::{run_until_complete, start_bulk};
-use dash_apps::media::{start_media, MediaSpec};
 use dash_apps::taps::Dispatcher;
+use dash_apps::traffic::{self, Class, Flow, Plan};
 use dash_net::topology::{dumbbell, TopologyBuilder};
 use dash_net::NetworkSpec;
 use dash_sim::time::SimDuration;
@@ -70,40 +69,31 @@ pub fn fig1_layering() -> Table {
                 (Sim::new(StackBuilder::new(net).build()), a, b)
             }
         };
-        let taps = Dispatcher::install(&mut sim, &[a, b]);
         // Relax the voice budget for the WAN case; the point here is that
         // the code runs, not that a WAN meets LAN deadlines.
-        let mut vspec = MediaSpec::voice(SimDuration::from_secs(1));
-        if which == 2 {
-            vspec.delay_budget = SimDuration::from_millis(120);
-            vspec.profile.delay = DelayBound::best_effort_with(
-                SimDuration::from_millis(120),
-                SimDuration::from_micros(10),
-            );
-        }
-        let voice = start_media(&mut sim, &taps, a, b, vspec, 41);
-        let bulk = start_bulk(
-            &mut sim,
-            &taps,
-            a,
-            b,
-            128 * 1024,
-            4 * 1024,
-            StreamProfile::bulk(),
-        );
-        let done = run_until_complete(&mut sim, &bulk, SimDuration::from_secs(20));
+        let (voice, class): (fn(_, _, _, _) -> Flow, _) = if which == 2 {
+            (Flow::wan_voice, Class::WanVoice)
+        } else {
+            (Flow::voice, Class::Voice)
+        };
+        let plan = Plan::from(vec![
+            voice(a, b, 0, SimDuration::from_secs(1)),
+            Flow::bulk(a, b, 128 * 1024, 4 * 1024, StreamProfile::bulk()),
+        ]);
+        let acct = traffic::install(&mut sim, &plan, None);
+        let done =
+            traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(20));
         sim.run();
-        let v = voice.borrow();
-        let g = bulk.borrow().goodput().unwrap_or(0.0);
+        let v = acct.borrow();
         t.row(vec![
             name.into(),
-            pct(v.on_time_fraction()),
-            secs(v.delays.mean()),
-            format!("{} B/s", f(g)),
+            pct(v.on_time_fraction(class)),
+            secs(v.delays[class as usize].mean()),
+            format!("{} B/s", f(v.goodput(Class::Bulk).unwrap_or(0.0))),
             done.to_string(),
         ]);
     }
-    t.note("voice budget: 40 ms on LANs, 120 ms on the internet path");
+    t.note("voice budget: 40 ms on LANs, 150 ms on the internet path");
     t
 }
 
@@ -134,11 +124,7 @@ pub fn fig2_architecture() -> Table {
     let session = stream::open(&mut sim, a, b, StreamProfile::default()).unwrap();
     let got = Rc::new(RefCell::new(0u64));
     let g2 = Rc::clone(&got);
-    taps.register(session, move |_s, ev| {
-        if matches!(ev, dash_apps::SessionEvent::Delivered { .. }) {
-            *g2.borrow_mut() += 1;
-        }
-    });
+    taps.register(session, move |_s, _delivery| *g2.borrow_mut() += 1);
     sim.run();
     stream::send(&mut sim, a, session, Message::zeroes(512)).unwrap();
     sim.run();
@@ -247,9 +233,7 @@ fn fig3_run() -> (Table, String) {
     let delays = Rc::new(RefCell::new(Vec::new()));
     let d2 = Rc::clone(&delays);
     taps.register(session, move |_s, ev| {
-        if let dash_apps::SessionEvent::Delivered { delay, .. } = ev {
-            d2.borrow_mut().push(delay.as_secs_f64());
-        }
+        d2.borrow_mut().push(ev.delay.as_secs_f64())
     });
     sim.run();
     for _ in 0..200 {
@@ -441,9 +425,7 @@ pub fn fig4_multiplexing() -> Table {
             for &s in &sessions {
                 let d2 = Rc::clone(&delays);
                 taps.register(s, move |_s, ev| {
-                    if let dash_apps::SessionEvent::Delivered { delay, .. } = ev {
-                        d2.borrow_mut().push(delay.as_secs_f64());
-                    }
+                    d2.borrow_mut().push(ev.delay.as_secs_f64())
                 });
             }
             sim.run();
@@ -526,12 +508,12 @@ pub fn fig5_flow_control() -> Table {
     ];
     for (name, profile) in cases {
         let (mut sim, a, b) = lan_stack();
-        let taps = Dispatcher::install(&mut sim, &[a, b]);
-        let total = 256 * 1024u64;
-        let stats = start_bulk(&mut sim, &taps, a, b, total, 1024, profile);
-        let done = run_until_complete(&mut sim, &stats, SimDuration::from_secs(30));
+        let plan = Plan::from(vec![Flow::bulk(a, b, 256 * 1024, 1024, profile)]);
+        let acct = traffic::install(&mut sim, &plan, None);
+        let done =
+            traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(30));
         sim.run();
-        let s = stats.borrow();
+        let s = acct.borrow();
         let (reverse, blocked, delivered) = {
             let reg = &sim.state.net.obs.registry;
             let acks = reg.counter_value("stream.ack_sent");
@@ -540,15 +522,11 @@ pub fn fig5_flow_control() -> Table {
             let delivered = reg.counter_value("stream.deliver");
             (acks + fast, blocked, delivered)
         };
-        let time = s
-            .finished
-            .map(|f2| f2.saturating_since(s.started).as_secs_f64())
-            .unwrap_or(f64::NAN);
         t.row(vec![
             name.into(),
             done.to_string(),
-            secs(time),
-            format!("{} B/s", f(s.goodput().unwrap_or(0.0))),
+            secs(s.transfer_secs(Class::Bulk).unwrap_or(f64::NAN)),
+            format!("{} B/s", f(s.goodput(Class::Bulk).unwrap_or(0.0))),
             reverse.to_string(),
             blocked.to_string(),
             delivered.to_string(),

@@ -77,12 +77,6 @@ impl Message {
         }
     }
 
-    /// Attach a lifecycle span id (builder style).
-    pub fn with_span(mut self, span: u64) -> Self {
-        self.span = Some(span);
-        self
-    }
-
     /// A zero-filled message of `len` bytes — the standard synthetic
     /// workload body. Bodies up to 64 KB view a static zero page through
     /// the same `Bytes::from_static` zero-allocation path real payloads

@@ -126,11 +126,6 @@ impl Iface {
         self.discipline
     }
 
-    /// Change the queue ordering (affects later enqueues).
-    pub fn set_discipline(&mut self, d: QueueDiscipline) {
-        self.discipline = d;
-    }
-
     /// Bytes currently waiting (not counting the packet on the wire).
     pub fn queued_bytes(&self) -> u64 {
         self.queued_bytes

@@ -14,6 +14,7 @@
 
 use std::time::{Duration, Instant};
 
+use dash_apps::traffic::{self, Class, Flow, Plan};
 use dash_net::ids::HostId;
 use dash_net::state::{NetConfig, NetRmsEvent, NetState, NetWorld};
 use dash_net::topology::two_hosts_ethernet;
@@ -149,13 +150,13 @@ fn jittered_realtime_run_quiesces_within_the_wall_box() {
     let (net, a, b) = two_hosts_ethernet();
     let mut sim = Sim::new(StackBuilder::new(net).build());
     sim.set_schedule_jitter(0xBAD_5EED, SimDuration::from_micros(50));
-    let taps = dash_apps::taps::Dispatcher::install(&mut sim, &[a, b]);
     // Jitter-induced reordering forces retransmissions, and every RTO wait
     // is real wall time under 1:1 pacing — keep the transfer small and the
     // RTO tight so the jittered run stays seconds, not minutes.
     let mut profile = StreamProfile::bulk();
     profile.rto = SimDuration::from_millis(25);
-    let bulk = dash_apps::bulk::start_bulk(&mut sim, &taps, a, b, 64 * 1024, 4 * 1024, profile);
+    let plan = Plan::from(vec![Flow::bulk(a, b, 64 * 1024, 4 * 1024, profile)]);
+    let bulk = traffic::install(&mut sim, &plan, None);
     let mut driver = Monotonic::start();
     let mut links = SimLinks;
     let report = run_rt(
@@ -175,5 +176,5 @@ fn jittered_realtime_run_quiesces_within_the_wall_box() {
         report.events
     );
     let s = bulk.borrow();
-    assert!(s.is_complete(), "bulk incomplete: {s:?}");
+    assert!(s.complete(Class::Bulk), "bulk incomplete: {s:?}");
 }

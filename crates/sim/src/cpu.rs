@@ -163,11 +163,6 @@ impl<S: 'static> Cpu<S> {
         self.policy
     }
 
-    /// Number of jobs waiting (not counting the running one).
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
     /// True if a job is currently executing.
     pub fn is_busy(&self) -> bool {
         self.running.is_some()

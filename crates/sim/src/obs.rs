@@ -871,19 +871,6 @@ impl MetricRegistry {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Names of all histograms with samples, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        let mut names: Vec<&str> = FAST_HIST_NAMES
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.fast_hists[*i].count() > 0)
-            .map(|(_, n)| *n)
-            .collect();
-        names.extend(self.histograms.keys().map(|k| k.as_str()));
-        names.sort_unstable();
-        names.into_iter()
-    }
-
     /// Dump every metric as one JSON object per line (counters, gauges,
     /// then histogram summaries with quantiles), each group sorted by name.
     pub fn to_json_lines(&mut self) -> String {
@@ -1155,48 +1142,22 @@ pub trait ObsSink {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Writes the stream as JSON-Lines: one `{"type":"span",...}` object per
-/// delivered message and, when enabled, one `{"type":"event",...}` object
-/// per event. Hand-rolled serialization — the workspace carries no JSON
-/// dependency.
+/// delivered message. Hand-rolled serialization — the workspace carries
+/// no JSON dependency.
 pub struct JsonLinesSink {
     out: Box<dyn Write>,
-    events: bool,
 }
 
 impl JsonLinesSink {
     /// Span records only (one line per delivered message).
     pub fn new(out: impl Write + 'static) -> Self {
-        JsonLinesSink {
-            out: Box::new(out),
-            events: false,
-        }
-    }
-
-    /// Also export every raw event (verbose).
-    pub fn with_events(mut self, on: bool) -> Self {
-        self.events = on;
-        self
+        JsonLinesSink { out: Box::new(out) }
     }
 }
 
 impl ObsSink for JsonLinesSink {
-    fn on_event(&mut self, time: SimTime, event: &ObsEvent) {
-        if !self.events {
-            return;
-        }
-        let _ = writeln!(
-            self.out,
-            "{{\"type\":\"event\",\"t_ns\":{},\"name\":\"{}\",\"detail\":\"{}\"}}",
-            time.as_nanos(),
-            event.name(),
-            json_escape(&format!("{event:?}")),
-        );
-    }
+    fn on_event(&mut self, _time: SimTime, _event: &ObsEvent) {}
 
     fn on_span(&mut self, record: &SpanRecord) {
         let stages: Vec<String> = record
@@ -1336,11 +1297,6 @@ impl Obs {
                 self.set_boxed_sink(Box::new(tee));
             }
         }
-    }
-
-    /// Remove the sink (emission stays on if it was on).
-    pub fn take_sink(&mut self) -> Option<Box<dyn ObsSink>> {
-        self.sink.take()
     }
 
     /// True when hook sites should emit. This is the single cheap check on

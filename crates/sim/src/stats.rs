@@ -3,7 +3,7 @@
 //! Everything here is plain data: counters, online moments, sample
 //! reservoirs with quantiles, and rate meters over simulated time.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,11 +131,6 @@ impl Histogram {
     pub fn record(&mut self, x: f64) {
         self.samples.push(x);
         self.sorted = false;
-    }
-
-    /// Record a duration, in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Number of observations.
@@ -270,6 +265,7 @@ impl RateMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn counter_counts() {

@@ -312,11 +312,6 @@ impl StState {
         }
     }
 
-    /// Provision a shared authentication key for a host pair.
-    pub fn provision_key(&mut self, a: HostId, b: HostId, key: Key) {
-        self.auth_keys.insert(Self::pair(a, b), key);
-    }
-
     /// Provision keys for every pair among `hosts` (test/bench setup).
     pub fn provision_all_keys(&mut self, n_hosts: u32) {
         for a in 0..n_hosts {

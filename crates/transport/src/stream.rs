@@ -435,11 +435,6 @@ impl Session {
         }
     }
 
-    /// Bytes queued in the send port.
-    pub fn send_port_queued(&self) -> u64 {
-        self.port.queued_bytes()
-    }
-
     /// Bytes occupying the receive buffer (delivered, not yet consumed).
     pub fn receive_buffer_pending(&self) -> u64 {
         self.pending_buffer_bytes

@@ -9,8 +9,7 @@
 //! cargo run --release --example congestion
 //! ```
 
-use dash::apps::bulk::start_bulk;
-use dash::apps::taps::Dispatcher;
+use dash::apps::traffic::{self, Class, Flow, Plan};
 use dash::baseline::tcp;
 use dash::core::delay::DelayBound;
 use dash::net::topology::TopologyBuilder;
@@ -45,8 +44,6 @@ fn build() -> (Sim<Stack>, Vec<HostId>, Vec<HostId>, HostId) {
 fn main() {
     // --- RMS flows, rate-enforced to their admitted share ---
     let (mut sim, senders, receivers, g1) = build();
-    let all: Vec<HostId> = senders.iter().chain(receivers.iter()).copied().collect();
-    let taps = Dispatcher::install(&mut sim, &all);
     let mut flows = Vec::new();
     for (s, r) in senders.iter().zip(receivers.iter()) {
         // Burst allowance sized so three flows fit the 16 KB gateway buffer.
@@ -60,8 +57,9 @@ fn main() {
             enforcement: CapacityEnforcement::RateBased,
             ..StreamProfile::default()
         };
-        flows.push(start_bulk(&mut sim, &taps, *s, *r, 24 * 1024, 512, profile));
+        flows.push(Flow::bulk(*s, *r, 24 * 1024, 512, profile));
     }
+    let acct = traffic::install(&mut sim, &Plan::from(flows), None);
     let end = sim.now() + SimDuration::from_secs(20);
     while sim.now() < end {
         sim.run_until(sim.now() + SimDuration::from_millis(100));
@@ -70,7 +68,7 @@ fn main() {
         }
     }
     let rms_drops = sim.state.net.host(g1).ifaces[1].stats.overflow_drops.get();
-    let rms_bytes: u64 = flows.iter().map(|f| f.borrow().delivered_bytes).sum();
+    let rms_bytes = acct.borrow().bytes[Class::Bulk as usize];
     println!(
         "RMS rate-enforced: {} gateway drops, {} KB delivered",
         rms_drops,

@@ -4,15 +4,14 @@
 //! A 64 kb/s voice call shares a 10 Mb/s Ethernet with a saturating bulk
 //! transfer. Because the voice stream's RMS has a low delay bound and the
 //! bulk stream's a high one, deadline-ordered interfaces (§4.1, §2.5) keep
-//! the voice frames on time anyway.
+//! the voice frames on time anyway. Each workload is one `Flow` — a stream
+//! profile plus pacing — and one driver runs them both.
 //!
 //! ```text
 //! cargo run --example voice_stream
 //! ```
 
-use dash::apps::bulk::{run_until_complete, start_bulk};
-use dash::apps::media::{start_media, MediaSpec};
-use dash::apps::taps::Dispatcher;
+use dash::apps::traffic::{self, Class, Flow, Plan};
 use dash::net::topology::two_hosts_ethernet;
 use dash::sim::{Sim, SimDuration};
 use dash::transport::stack::StackBuilder;
@@ -21,46 +20,37 @@ use dash::transport::stream::StreamProfile;
 fn main() {
     let (net, a, b) = two_hosts_ethernet();
     let mut sim = Sim::new(StackBuilder::new(net).build());
-    let taps = Dispatcher::install(&mut sim, &[a, b]);
 
-    // A two-second call...
-    let voice = start_media(
-        &mut sim,
-        &taps,
-        a,
-        b,
-        MediaSpec::voice(SimDuration::from_secs(2)),
-        7,
-    );
-    // ...competing with a 768 KB transfer.
-    let bulk = start_bulk(
-        &mut sim,
-        &taps,
-        a,
-        b,
-        768 * 1024,
-        8 * 1024,
-        StreamProfile::bulk(),
-    );
-    let done = run_until_complete(&mut sim, &bulk, SimDuration::from_secs(5));
+    let plan = Plan::from(vec![
+        // A two-second call...
+        Flow::voice(a, b, 0, SimDuration::from_secs(2)),
+        // ...competing with a 768 KB transfer.
+        Flow::bulk(a, b, 768 * 1024, 8 * 1024, StreamProfile::bulk()),
+    ]);
+    let acct = traffic::install(&mut sim, &plan, None);
+    let done =
+        traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(5));
     sim.run_until(sim.now() + SimDuration::from_secs(1));
 
-    let v = voice.borrow();
-    let mut delays = v.delays.clone();
-    println!("voice: {} frames sent, {} received", v.sent, v.received);
+    let s = acct.borrow();
+    let voice = Class::Voice as usize;
+    let mut delays = s.delays[voice].clone();
+    println!(
+        "voice: {} frames sent, {} received",
+        s.sent[voice], s.received[voice]
+    );
     println!(
         "voice: {:.1}% on time (40 ms budget), mean delay {:.2} ms, p99 {:.2} ms",
-        v.on_time_fraction() * 100.0,
+        s.on_time_fraction(Class::Voice) * 100.0,
         delays.mean() * 1e3,
         delays.quantile(0.99) * 1e3
     );
-    let bk = bulk.borrow();
     println!(
         "bulk: complete={done}, goodput {:.0} KB/s",
-        bk.goodput().unwrap_or(0.0) / 1024.0
+        s.goodput(Class::Bulk).unwrap_or(0.0) / 1024.0
     );
     assert!(
-        v.on_time_fraction() > 0.9,
+        s.on_time_fraction(Class::Voice) > 0.9,
         "deadline queueing should protect voice"
     );
 }

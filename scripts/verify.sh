@@ -16,6 +16,16 @@ PSCALE_BOX="${PSCALE_BOX:-120}"
 RT_BOX="${RT_BOX:-90}"
 
 cargo fmt --all -- --check
+
+# Dependency direction: scenario <- check <- bench. The workload library
+# must stay below the oracle and the experiment harness, or the explorer
+# (dash-check) can never sit on `dash_apps::scenario`.
+if cargo tree -p dash-apps -e normal --prefix none | grep -E '^dash-(check|bench) '; then
+    echo "verify: dash-apps depends on dash-check or dash-bench (above);" >&2
+    echo "verify: the direction is dash-apps <- dash-check <- dash-bench." >&2
+    exit 1
+fi
+
 cargo build --release
 
 # Every test runs exactly once. dash-par's panic-propagation tests go

@@ -5,9 +5,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dash::apps::bulk::{run_until_complete, start_bulk};
-use dash::apps::media::{start_media, MediaSpec};
 use dash::apps::taps::Dispatcher;
+use dash::apps::traffic::{self, Class, Flow, Plan};
 use dash::apps::window::{start_window_system, WindowSpec};
 use dash::net::pipeline::fail_network;
 use dash::net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
@@ -27,24 +26,14 @@ fn every_workload_coexists_on_one_lan() {
     let mut sim = Sim::new(stack);
     let taps = Dispatcher::install(&mut sim, &[a, b]);
 
-    let voice = start_media(
-        &mut sim,
-        &taps,
-        a,
-        b,
-        MediaSpec::voice(SimDuration::from_secs(1)),
-        3,
-    );
+    // Planned flows and the window system's session handlers share the
+    // two hosts' taps.
+    let plan = Plan::from(vec![
+        Flow::voice(a, b, 0, SimDuration::from_secs(1)),
+        Flow::bulk(a, b, 256 * 1024, 4 * 1024, StreamProfile::bulk()),
+    ]);
+    let acct = traffic::install_on(&mut sim, &taps, &plan, None);
     let window = start_window_system(&mut sim, &taps, a, b, WindowSpec::default(), 5);
-    let bulk = start_bulk(
-        &mut sim,
-        &taps,
-        a,
-        b,
-        256 * 1024,
-        4 * 1024,
-        StreamProfile::bulk(),
-    );
     let echoed = Rc::new(RefCell::new(0u32));
     rkom::register_service(&mut sim.state, b, 1, |_s, _c, req| req);
     for _ in 0..10 {
@@ -61,16 +50,17 @@ fn every_workload_coexists_on_one_lan() {
             },
         );
     }
-    let bulk_done = run_until_complete(&mut sim, &bulk, SimDuration::from_secs(10));
+    let bulk_done =
+        traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(10));
     sim.run_until(sim.now() + SimDuration::from_secs(2));
 
-    assert!(bulk_done, "bulk: {:?}", bulk.borrow());
+    let v = acct.borrow();
+    assert!(bulk_done, "bulk: {v:?}");
     assert_eq!(*echoed.borrow(), 10);
-    let v = voice.borrow();
     assert!(
-        v.on_time_fraction() > 0.9,
+        v.on_time_fraction(Class::Voice) > 0.9,
         "voice on-time {:?}",
-        v.on_time_fraction()
+        v.on_time_fraction(Class::Voice)
     );
     let w = window.borrow();
     assert!(w.updates_received > 0);
@@ -81,36 +71,27 @@ fn every_workload_coexists_on_one_lan() {
 fn stack_survives_network_failure_and_reestablishes() {
     let (net, a, b, _, _) = dumbbell();
     let mut sim = Sim::new(StackBuilder::new(net).build());
-    let taps = Dispatcher::install(&mut sim, &[a, b]);
-
-    let bulk = start_bulk(
-        &mut sim,
-        &taps,
+    let plan = Plan::from(vec![Flow::bulk(
         a,
         b,
         64 * 1024,
         2 * 1024,
         StreamProfile::bulk(),
-    );
+    )]);
+
+    let bulk = traffic::install(&mut sim, &plan, None);
     sim.run_until(sim.now() + SimDuration::from_millis(500));
     // The WAN dies mid-transfer.
     fail_network(&mut sim, NetworkId(1));
     sim.run_until(sim.now() + SimDuration::from_secs(1));
-    assert!(bulk.borrow().failed || !bulk.borrow().is_complete());
+    assert!(!bulk.borrow().complete(Class::Bulk));
 
     // The network comes back; a fresh session works (clients must create
     // new RMSs after failure, §4.4).
     dash::net::pipeline::restore_network(&mut sim, NetworkId(1));
-    let retry = start_bulk(
-        &mut sim,
-        &taps,
-        a,
-        b,
-        64 * 1024,
-        2 * 1024,
-        StreamProfile::bulk(),
-    );
-    let done = run_until_complete(&mut sim, &retry, SimDuration::from_secs(30));
+    let retry = traffic::install(&mut sim, &plan, None);
+    let done =
+        traffic::run_until_delivered(&mut sim, &retry, Class::Bulk, SimDuration::from_secs(30));
     assert!(done, "retry transfer should complete: {:?}", retry.borrow());
 }
 
@@ -119,18 +100,11 @@ fn deterministic_runs_are_reproducible() {
     let run = || -> (u64, u64, u64) {
         let (net, a, b) = two_hosts_ethernet();
         let mut sim = Sim::new(StackBuilder::new(net).build());
-        let taps = Dispatcher::install(&mut sim, &[a, b]);
-        let voice = start_media(
-            &mut sim,
-            &taps,
-            a,
-            b,
-            MediaSpec::voice(SimDuration::from_secs(1)),
-            9,
-        );
+        let plan = Plan::from(vec![Flow::voice(a, b, 0, SimDuration::from_secs(1))]);
+        let voice = traffic::install(&mut sim, &plan, None);
         sim.run();
         let v = voice.borrow();
-        (v.sent, v.received, sim.events_processed())
+        (v.sent[0], v.received[0], sim.events_processed())
     };
     let first = run();
     let second = run();

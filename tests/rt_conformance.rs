@@ -26,8 +26,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use dash::apps::bulk::{start_bulk, BulkStats};
-use dash::apps::taps::Dispatcher;
+use dash::apps::traffic::{self, Class, Flow, Plan, SharedAcct};
 use dash::check::{oracle, OracleConfig};
 use dash::net::topology::two_hosts_ethernet;
 use dash::prelude::*;
@@ -53,21 +52,28 @@ impl ObsSink for LogicalTrace {
 /// and flow control, small enough that a wall-paced run stays subsecond.
 struct Workload {
     sim: Sim<Stack>,
-    bulk_ab: Rc<RefCell<BulkStats>>,
-    bulk_ba: Rc<RefCell<BulkStats>>,
+    /// Both transfers, in the one `Bulk` bucket.
+    bulk: SharedAcct,
     rkom_ok: Rc<RefCell<u32>>,
     rkom_n: u32,
+}
+
+/// One reliable transfer each way. A tight RTO keeps retransmission
+/// stalls short in wall time.
+fn bulk_both_ways(a: HostId, b: HostId, ab_bytes: u64, ba_bytes: u64) -> Plan {
+    let mut profile = StreamProfile::bulk();
+    profile.rto = SimDuration::from_millis(25);
+    Plan::from(vec![
+        Flow::bulk(a, b, ab_bytes, 4 * 1024, profile.clone()),
+        Flow::bulk(b, a, ba_bytes, 4 * 1024, profile),
+    ])
 }
 
 fn build_workload() -> Workload {
     let (net, a, b) = two_hosts_ethernet();
     let mut sim = Sim::new(StackBuilder::new(net).obs(true).build());
-    let taps = Dispatcher::install(&mut sim, &[a, b]);
-    // A tight RTO keeps retransmission stalls short in wall time.
-    let mut profile = StreamProfile::bulk();
-    profile.rto = SimDuration::from_millis(25);
-    let bulk_ab = start_bulk(&mut sim, &taps, a, b, 48 * 1024, 4 * 1024, profile.clone());
-    let bulk_ba = start_bulk(&mut sim, &taps, b, a, 24 * 1024, 4 * 1024, profile);
+    let plan = bulk_both_ways(a, b, 48 * 1024, 24 * 1024);
+    let bulk = traffic::install(&mut sim, &plan, None);
     rkom::register_service(&mut sim.state, b, 9, |_sim, _client, req| req);
     let rkom_ok = Rc::new(RefCell::new(0u32));
     let rkom_n = 8;
@@ -88,8 +94,7 @@ fn build_workload() -> Workload {
     }
     Workload {
         sim,
-        bulk_ab,
-        bulk_ba,
+        bulk,
         rkom_ok,
         rkom_n,
     }
@@ -114,8 +119,7 @@ fn run_with_driver(driver: &mut dyn TimeDriver) -> (Vec<String>, String) {
         },
     );
     assert!(report.quiesced(), "stop {:?}", report.stop);
-    assert!(w.bulk_ab.borrow().is_complete());
-    assert!(w.bulk_ba.borrow().is_complete());
+    assert!(w.bulk.borrow().complete(Class::Bulk));
     assert_eq!(*w.rkom_ok.borrow(), w.rkom_n);
     let trace = lines.borrow().clone();
     (trace, w.sim.state.net.obs.registry.to_json_lines())
@@ -166,8 +170,11 @@ fn memdatagram_substrate_preserves_session_outcomes() {
     assert_eq!(substrate.dropped(), 0);
     assert_eq!(substrate.in_flight(), 0);
     // Session outcomes match the virtual run's.
-    assert!(w.bulk_ab.borrow().is_complete(), "{:?}", w.bulk_ab.borrow());
-    assert!(w.bulk_ba.borrow().is_complete(), "{:?}", w.bulk_ba.borrow());
+    assert!(
+        w.bulk.borrow().complete(Class::Bulk),
+        "{:?}",
+        w.bulk.borrow()
+    );
     assert_eq!(*w.rkom_ok.borrow(), w.rkom_n);
     let violations = handle.violations();
     assert!(violations.is_empty(), "oracle: {violations:?}");
@@ -188,37 +195,33 @@ fn oracle_holds_on_lossy_realtime_run() {
     // the condition below adapts if that drifts).
     let (net, a, b) = two_hosts_ethernet();
     let mut sim = Sim::new(StackBuilder::new(net).obs(true).build());
-    let taps = Dispatcher::install(&mut sim, &[a, b]);
-    let mut profile = StreamProfile::bulk();
-    profile.rto = SimDuration::from_millis(25);
-    let bulk_ab = start_bulk(&mut sim, &taps, a, b, 768 * 1024, 4 * 1024, profile.clone());
-    let bulk_ba = start_bulk(&mut sim, &taps, b, a, 512 * 1024, 4 * 1024, profile);
+    let plan = bulk_both_ways(a, b, 768 * 1024, 512 * 1024);
+    let bulk = traffic::install(&mut sim, &plan, None);
     let (sink, handle) = oracle(OracleConfig {
         check_completion: true,
         check_det_delay: false,
         check_fifo_gaps: true,
     });
     sim.state.net.obs.add_boxed_sink(Box::new(sink));
+    // Each sender session's receiving end (a session id is shared by both
+    // ends; the receiver is the other host).
+    let receivers = |sim: &Sim<Stack>| -> Vec<(u64, bool)> {
+        let sessions = bulk.borrow().sessions().to_vec();
+        sessions
+            .iter()
+            .filter_map(|&(src, s)| sim.state.stream.session(if src == a { b } else { a }, s))
+            .map(|rx| (rx.stats.delivered.get(), rx.ack_ready()))
+            .collect()
+    };
     let acks_live = |sim: &Sim<Stack>| {
-        let ready = |h, s| {
-            sim.state
-                .stream
-                .session(h, s)
-                .map(|x| x.ack_ready())
-                .unwrap_or(false)
-        };
-        ready(b, bulk_ab.borrow().session) && ready(a, bulk_ba.borrow().session)
+        let rx = receivers(sim);
+        rx.len() == 2 && rx.iter().all(|&(_, ack_ready)| ack_ready)
     };
     while !acks_live(&sim) && sim.step() {}
     assert!(acks_live(&sim), "ack channels never came up");
-    assert!(
-        !bulk_ab.borrow().is_complete(),
-        "nothing left for the rt phase"
-    );
-    assert!(
-        !bulk_ba.borrow().is_complete(),
-        "nothing left for the rt phase"
-    );
+    for (flow, (delivered, _)) in plan.flows.iter().zip(receivers(&sim)) {
+        assert!(delivered < flow.count, "nothing left for the rt phase");
+    }
 
     sim.state.net.enable_wire_divert();
     // Anchor so the wall clock starts where virtual time already is: the
@@ -247,8 +250,7 @@ fn oracle_holds_on_lossy_realtime_run() {
     // The loss was real...
     assert!(report.substrate_dropped > 0, "loss never exercised");
     // ...and the reliable layers recovered everything anyway.
-    assert!(bulk_ab.borrow().is_complete(), "{:?}", bulk_ab.borrow());
-    assert!(bulk_ba.borrow().is_complete(), "{:?}", bulk_ba.borrow());
+    assert!(bulk.borrow().complete(Class::Bulk), "{:?}", bulk.borrow());
     let violations = handle.violations();
     assert!(violations.is_empty(), "oracle: {violations:?}");
 }
