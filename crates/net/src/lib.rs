@@ -54,6 +54,11 @@
 //! sim.run(); // handshake completes; sends may follow
 //! ```
 
+// `tests/common/mod.rs` is also included by `routing::spf`'s unit tests;
+// it names this crate the way an integration test does.
+#[cfg(test)]
+extern crate self as dash_net;
+
 pub mod fault;
 pub mod ids;
 pub mod iface;

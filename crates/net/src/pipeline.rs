@@ -819,12 +819,7 @@ pub fn route_and_enqueue<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet
         };
         pinned.or_else(|| {
             routing::ensure_host_routes(sim.state.net(), now, host);
-            sim.state
-                .net_ref()
-                .host(host)
-                .routes
-                .get(&packet.dst)
-                .copied()
+            sim.state.net_ref().host(host).routes.get(packet.dst)
         })
     };
     let route = match route {

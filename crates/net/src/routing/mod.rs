@@ -324,7 +324,7 @@ pub fn candidate_paths(
     }
     let mut first_err: Option<RmsError> = None;
     let mut viable: Vec<CandidatePath> = Vec::new();
-    for (i, p) in paths.iter().enumerate() {
+    for (i, p) in paths.into_iter().enumerate() {
         let Some(tuples) = path_tuples(state, creator, &p.hops, &p.networks) else {
             continue;
         };
@@ -335,8 +335,8 @@ pub fn candidate_paths(
                 let caps = combined_capabilities_on(state, &tuples);
                 let (plan, _) = select_mechanisms(&params, &caps);
                 viable.push(CandidatePath {
-                    hops: p.hops.clone(),
-                    networks: p.networks.clone(),
+                    hops: p.hops,
+                    networks: p.networks,
                     params,
                     plan,
                     min_headroom_bps: p.min_headroom_bps,

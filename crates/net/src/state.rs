@@ -95,6 +95,44 @@ pub struct Route {
     pub next_hop: HostId,
 }
 
+/// A host's first-hop table: one compact slot per destination, indexed by
+/// host id (dense because host ids are) — a lookup is an index, and a
+/// table costs 8 bytes per destination where a hash map cost several times
+/// that, which is what every replica world multiplies by H².
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RouteTable {
+    /// `slots[dst]` is `(next hop, interface index)`; an interface index
+    /// of `u32::MAX` marks a destination with no route.
+    slots: Vec<(u32, u32)>,
+}
+
+impl RouteTable {
+    /// A table for `hosts` destinations, none of them reachable yet.
+    pub(crate) fn unreachable(hosts: usize) -> Self {
+        RouteTable {
+            slots: vec![(0, u32::MAX); hosts],
+        }
+    }
+
+    pub(crate) fn set(&mut self, dst: HostId, route: Route) {
+        self.slots[dst.0 as usize] = (route.next_hop.0, route.iface as u32);
+    }
+
+    /// The first hop toward `dst`, if it is reachable.
+    pub fn get(&self, dst: HostId) -> Option<Route> {
+        let &(next_hop, iface) = self.slots.get(dst.0 as usize)?;
+        (iface != u32::MAX).then_some(Route {
+            iface: iface as usize,
+            next_hop: HostId(next_hop),
+        })
+    }
+
+    /// Every reachable destination with its first hop, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (HostId, Route)> + '_ {
+        (0..self.slots.len() as u32).filter_map(|d| Some((HostId(d), self.get(HostId(d))?)))
+    }
+}
+
 /// An in-flight creation attempt at its creator.
 #[derive(Debug)]
 pub struct PendingCreate {
@@ -149,7 +187,7 @@ pub struct NetHost {
     /// First-hop routes: destination → (interface, next hop). Recomputed
     /// from the LSDB whenever `routes_dirty_since` is set (see
     /// [`crate::routing::ensure_host_routes`]).
-    pub routes: DetHashMap<HostId, Route>,
+    pub routes: RouteTable,
     /// This host's link-state database (one ad per known origin).
     pub lsdb: Lsdb,
     /// Sequence number of the last link-state ad this host originated.
@@ -408,9 +446,9 @@ impl NetState {
         while here != dst {
             let host = self.host(here);
             let route = if host.routes_dirty_since.is_some() {
-                *crate::routing::primary_routes(self, here).get(&dst)?
+                crate::routing::primary_routes(self, here).get(dst)?
             } else {
-                *host.routes.get(&dst)?
+                host.routes.get(dst)?
             };
             let network = self.host(here).ifaces[route.iface].network;
             out.push((here, route.iface, network, route.next_hop));

@@ -14,8 +14,7 @@ use rms_core::admission::ResourceLedger;
 use crate::ids::{HostId, NetworkId};
 use crate::iface::Iface;
 use crate::network::{Network, NetworkSpec};
-use crate::routing::spf::Adjacency;
-use crate::routing::Lsdb;
+use crate::routing::spf::NetGraph;
 use crate::state::{NetConfig, NetHost, NetState};
 
 /// Builder for a [`NetState`] (C-BUILDER).
@@ -154,19 +153,19 @@ impl TopologyBuilder {
 /// path; live fault events use the scoped, event-driven reconvergence of
 /// [`crate::routing`] instead.
 ///
-/// The adjacency is built once per distinct LSDB backing — once in all,
-/// straight after seeding — and each host runs its own BFS over it.
+/// The host–network graph is built once per distinct LSDB backing — once
+/// in all, straight after seeding — and each host runs its own BFS over it.
 pub fn compute_routes(state: &mut NetState) {
     crate::routing::seed_lsdbs(state);
     state.route_generation += 1;
-    let mut built: Option<(Lsdb, Adjacency)> = None;
+    let mut built: Option<NetGraph> = None;
     for h in 0..state.hosts.len() {
         let lsdb = &state.hosts[h].lsdb;
-        let adjacency = match &built {
-            Some((of, adjacency)) if of.shares_backing(lsdb) => adjacency,
-            _ => &built.insert((lsdb.clone(), Adjacency::new(state, lsdb))).1,
+        let graph = match &built {
+            Some(graph) if graph.describes(lsdb) => graph,
+            _ => &*built.insert(NetGraph::new(state, lsdb.clone())),
         };
-        let routes = adjacency.routes_from(state, HostId(h as u32));
+        let routes = graph.routes_from(state, HostId(h as u32));
         let host = &mut state.hosts[h];
         host.routes = routes;
         host.routes_dirty_since = None;
@@ -204,10 +203,11 @@ mod tests {
     #[test]
     fn two_hosts_route_directly() {
         let (state, a, c) = two_hosts_ethernet();
-        let r = state.host(a).routes.get(&c).unwrap();
+        let r = state.host(a).routes.get(c).unwrap();
         assert_eq!(r.next_hop, c);
         assert_eq!(r.iface, 0);
-        assert!(!state.host(a).routes.contains_key(&a));
+        assert!(state.host(a).routes.get(a).is_none());
+        assert_eq!(state.host(a).routes.iter().collect::<Vec<_>>(), [(c, r)]);
     }
 
     #[test]
@@ -235,7 +235,7 @@ mod tests {
         let a = b.host_on(n1);
         let c = b.host_on(n2);
         let state = b.build();
-        assert!(!state.host(a).routes.contains_key(&c));
+        assert!(state.host(a).routes.get(c).is_none());
         assert!(state.path(a, c).is_none());
     }
 

@@ -2,6 +2,8 @@
 //! constrained k-alternate selection, admission-aware establishment
 //! fallback, and deterministic route computation over random meshes.
 
+mod common;
+
 use std::collections::BTreeMap;
 
 use dash_net::ids::{CreateToken, HostId, NetRmsId};
@@ -16,7 +18,6 @@ use dash_sim::Sim;
 use proptest::prelude::*;
 use rms_core::delay::DelayBound;
 use rms_core::error::RejectReason;
-use rms_core::hash::DetHashMap;
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
 use rms_core::port::DeliveryInfo;
@@ -112,6 +113,58 @@ fn k_paths_orders_by_length_then_hop_sequence() {
     assert!(paths[2].hops.len() > 3, "longer alternates sort last");
     assert_eq!(paths[0].networks[1], mid_p);
     assert_eq!(paths[1].networks[1], mid_b);
+}
+
+/// Loop-free, ending at `dst`, never back through `src`.
+fn assert_simple(paths: &[routing::AltPath], src: HostId, dst: HostId) {
+    for p in paths {
+        assert_eq!(p.hops.last(), Some(&dst));
+        assert_eq!(p.hops.len(), p.networks.len());
+        let mut seen = p.hops.clone();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), p.hops.len(), "loop in {:?}", p.hops);
+        assert!(!p.hops.contains(&src));
+    }
+}
+
+#[test]
+fn corner_to_corner_alternates_do_not_depend_on_lan_size() {
+    // The `mesh-churn` topology: the clique search tripped its expansion
+    // cap here and handed back one alternate of three.
+    let (mut net, lans) = common::mesh3x3(30);
+    let (src, dst) = (lans[0][0], lans[8][0]);
+    let (capped, pops) = common::k_paths(&net, src, dst, 3);
+    assert!(pops > common::EXPANSION_CAP && capped.len() == 1);
+    let paths = k_paths(&net, src, dst, 3);
+    assert_eq!(paths.len(), 3);
+    assert_simple(&paths, src, dst);
+    assert_eq!(paths[0], capped[0], "the old single answer is still first");
+    assert!(paths.iter().all(|p| p.hops.len() == 5), "6 lattice routes");
+    // An unreachable peer is an empty answer, not a search of the mesh.
+    net.network_mut(NetworkId(8)).down = true;
+    assert!(k_paths(&net, src, dst, 3).is_empty());
+}
+
+#[test]
+fn thousand_host_mesh_still_routes_and_establishes() {
+    // 1 002 hosts: the capped search found *no* path for a reachable peer
+    // and `create_rms` failed `NoRoute`.
+    let (net, lans) = common::mesh3x3(110);
+    let (src, dst) = (lans[0][0], lans[8][0]);
+    let paths = k_paths(&net, src, dst, 3);
+    assert_eq!(paths.len(), 3);
+    assert_simple(&paths, src, dst);
+    let mut sim = Sim::new(World::new(net));
+    let best_effort = RmsParams::builder(64 * 1024, 1024).build().unwrap();
+    let token = create_rms(&mut sim, src, dst, &RmsRequest::exact(best_effort))
+        .expect("a reachable peer is not NoRoute");
+    sim.run();
+    assert!(
+        sim.state.created.iter().any(|(_, t, _)| *t == token),
+        "{:?}",
+        sim.state.create_failed
+    );
 }
 
 #[test]
@@ -298,10 +351,10 @@ fn build_mesh(n_nets: usize, attachments: &[Vec<bool>]) -> NetState {
     b.build()
 }
 
-/// A first-hop table in destination order, so two tables compare (and
-/// print) independently of hash-map layout.
-fn sorted(routes: &DetHashMap<HostId, Route>) -> BTreeMap<HostId, Route> {
-    routes.iter().map(|(d, r)| (*d, *r)).collect()
+/// A first-hop table in destination order, so the dense table and the
+/// reference's hash map compare (and print) alike.
+fn sorted(routes: impl IntoIterator<Item = (HostId, Route)>) -> BTreeMap<HostId, Route> {
+    routes.into_iter().collect()
 }
 
 proptest! {
@@ -325,10 +378,10 @@ proptest! {
             // First-hop tables agree entry for entry.
             let r1 = routing::primary_routes(&s1, src);
             let r2 = routing::primary_routes(&s2, src);
-            prop_assert_eq!(sorted(&r1), sorted(&r2));
+            prop_assert_eq!(&r1, &r2);
             // And the built tables match a fresh computation (build-time
             // seeding introduced no divergence).
-            prop_assert_eq!(sorted(&s1.host(src).routes), sorted(&r1));
+            prop_assert_eq!(&s1.host(src).routes, &r1);
             for dst in 0..hosts {
                 if src.0 == dst as u32 {
                     continue;
@@ -337,25 +390,17 @@ proptest! {
                 let p1 = k_paths(&s1, src, dst, 3);
                 let p2 = k_paths(&s2, src, dst, 3);
                 prop_assert_eq!(&p1, &p2, "alternate ordering diverged");
-                // Every alternate is loop-free and ends at the target.
-                for p in &p1 {
-                    prop_assert_eq!(*p.hops.last().unwrap(), dst);
-                    let mut seen = p.hops.clone();
-                    seen.sort_unstable();
-                    seen.dedup();
-                    prop_assert_eq!(seen.len(), p.hops.len(), "loop in {:?}", p.hops);
-                    prop_assert!(!p.hops.contains(&src));
-                }
+                assert_simple(&p1, src, dst);
             }
         }
     }
 
-    /// A full rebuild serves every host from one adjacency built over the
+    /// A full rebuild serves every host from one graph built over the
     /// shared seeded table; each table must equal what the host computes
     /// alone from its own LSDB — with a network down and a host crashed, so
     /// the availability flags go through both paths.
     #[test]
-    fn shared_adjacency_tables_equal_per_host_computation(
+    fn shared_graph_tables_equal_per_host_computation(
         n_nets in 1usize..4,
         attachments in collection::vec(collection::vec(any::<bool>(), 4..5), 2..7),
         down in 0usize..4,
@@ -373,10 +418,7 @@ proptest! {
         for h in 0..hosts {
             let h = HostId(h as u32);
             prop_assert!(s.host(h).lsdb.shares_backing(&s.host(HostId(0)).lsdb));
-            prop_assert_eq!(
-                sorted(&s.host(h).routes),
-                sorted(&routing::primary_routes(&s, h))
-            );
+            prop_assert_eq!(&s.host(h).routes, &routing::primary_routes(&s, h));
         }
     }
 
@@ -395,12 +437,58 @@ proptest! {
                 let dst = HostId(dst as u32);
                 if src == dst { continue; }
                 let paths = k_paths(&s, src, dst, 3);
-                match table.get(&dst) {
+                match table.get(dst) {
                     Some(route) => {
                         prop_assert!(!paths.is_empty(), "table has a route, k_paths none");
                         prop_assert_eq!(paths[0].hops[0], route.next_hop);
                     }
                     None => prop_assert!(paths.is_empty(), "k_paths found {:?} with no table route", paths),
+                }
+            }
+        }
+    }
+
+    /// The host–network-graph computations against the clique-based ones
+    /// they replaced, on sparse meshes (each host on one to three networks,
+    /// so dual-homed pairs share two: equal hop sequences, different network
+    /// sequences) with an optional down network and up to two crashed
+    /// hosts: the same alternates in the same order — a prefix-extension
+    /// where the reference tripped its cap — and the same first-hop table,
+    /// exactly.
+    #[test]
+    fn differential_routes_match_the_clique_reference(
+        n_nets in 1usize..8,
+        homes in collection::vec(collection::vec(0usize..64, 1..4), 2..16),
+        down in 0usize..14,
+        crashed in collection::vec(0usize..32, 2..3),
+        k in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+    ) {
+        let attachments: Vec<Vec<bool>> = homes
+            .iter()
+            .map(|at| (0..n_nets).map(|n| at.iter().any(|a| a % n_nets == n)).collect())
+            .collect();
+        let mut s = build_mesh(n_nets, &attachments);
+        let hosts = s.hosts.len();
+        if down < n_nets {
+            s.networks[down].down = true;
+        }
+        for c in crashed {
+            if c < hosts {
+                s.hosts[c].up = false;
+            }
+        }
+        for src in (0..hosts as u32).map(HostId) {
+            prop_assert_eq!(
+                sorted(routing::primary_routes(&s, src).iter()),
+                sorted(common::primary_routes(&s, src))
+            );
+            for dst in (0..hosts as u32).map(HostId) {
+                let new = k_paths(&s, src, dst, k);
+                let (old, pops) = common::k_paths(&s, src, dst, k);
+                if pops <= common::EXPANSION_CAP {
+                    prop_assert_eq!(&new, &old, "{:?} -> {:?}, k = {}", src, dst, k);
+                } else {
+                    prop_assert_eq!(&new[..old.len()], &old[..]);
                 }
             }
         }

@@ -56,6 +56,12 @@ for t in tests/*.rs; do
     cargo test -q --test "$name"
 done
 
+# Route computation against its reference: the host–network-graph
+# search and BFS must equal the clique-based code they replaced (kept in
+# crates/net/tests/common/mod.rs) on far more random meshes than the
+# default 96 — optimised build, fixed count, a few seconds.
+PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test routing differential
+
 # Chaos suite: fixed seed set (0..28, baked into tests/chaos.rs). On
 # failure the offending seed is in the assertion message; reproduce with
 #   cargo test --test chaos seeded_chaos -- --nocapture
@@ -84,6 +90,11 @@ fi
 # needs both worker threads live within its box, and compilation stalls
 # used to show up as spurious "wedged executor" timeouts.
 cargo build --release -q -p dash-bench
+
+# The routing cost curve doubles as a smoke: it exits non-zero if any
+# probed pair of the 3x3 mesh — up to 1 002 hosts — comes back with fewer
+# than three alternates (the capped clique search found none there).
+cargo run --release -q --example routing_cost >/dev/null
 
 # Serial: the e11 routing workload (saturated dumbbell, alternate
 # fallback, mid-run corridor outage) through the one `mix` runner.
