@@ -3,7 +3,7 @@
 //!
 //! The oracle is an [`ObsSink`], so it watches any instrumented run —
 //! explorer scenarios, the e10/e11 macro-workloads under `--oracle`, or
-//! an ad-hoc test — without touching the code under test. It checks four
+//! an ad-hoc test — without touching the code under test. It checks five
 //! invariants online and one at end of run:
 //!
 //! | invariant          | events consumed                               | claim |
@@ -12,12 +12,19 @@
 //! | `admission-ledger` | `AdmissionDecision`                           | deterministic reservations never exceed the ledger budget (§2.3) |
 //! | `det-delay`        | `StDeliver { det, late }`                     | deterministic-class deliveries meet `A + B·size` (§2.2) while the world is healthy |
 //! | `route-loop`       | `RoutingPathPinned`                           | pinned source routes visit no host twice |
+//! | `no-spurious-work` | `StreamRetransmit`, `IfaceDrop`, `WireDrop`, fault events | a reliable stream repairs (`DupAck`/`PartialAck` retransmit) only after the run has shown loss evidence |
 //! | `completion`       | `TransportSend`/`StreamEnd`/`StreamOpenFailed` | at quiescence, every accepted send was delivered or the session saw a *typed* failure |
 //!
 //! `det-delay` excuses lateness once any fault has been observed: under
 //! an injected outage the delay contract is explicitly void (reliability
 //! and delay are negotiated for the healthy network, §2.1), and queued
-//! backlog may drain late even after recovery. `completion` only makes
+//! backlog may drain late even after recovery; both it and
+//! `no-spurious-work` are off under a jittered or wall-paced schedule
+//! ([`OracleConfig::check_det_delay`]). `no-spurious-work` judges
+//! the evidence-driven repairs only: a timeout retransmission is the
+//! sender's last resort when evidence cannot reach it (a lost tail, lost
+//! acks), so `Rto` retransmits are counted
+//! ([`OracleHandle::rto_retransmits`]) and not judged. `completion` only makes
 //! sense for runs driven to quiescence, so it is a config switch —
 //! horizon-cut bench runs leave traffic legitimately in flight.
 //!
@@ -28,7 +35,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
-use dash_sim::obs::{ObsEvent, ObsSink};
+use dash_sim::obs::{ObsEvent, ObsSink, RetransmitCause};
 use dash_sim::time::SimTime;
 
 /// Trailing raw events kept for the violation trace.
@@ -45,9 +52,13 @@ pub struct OracleConfig {
     /// End-of-run completeness-or-typed-failure check. Enable for runs
     /// driven to quiescence; disable for horizon-cut workloads.
     pub check_completion: bool,
-    /// Deterministic-delay check (`det-delay` above). Disable when the
-    /// schedule is jittered: jitter may legitimately push a healthy
-    /// deterministic delivery past its bound.
+    /// The two checks that only hold on an unperturbed virtual clock:
+    /// `det-delay` and `no-spurious-work` above. Disable when the schedule
+    /// is jittered or paced against the wall clock: jitter may legitimately
+    /// push a healthy deterministic delivery past its bound, and it (or a
+    /// lossy real substrate) reorders or loses arrivals without any drop
+    /// event — genuine gap evidence for a receiver, invisible to the
+    /// oracle. (One switch, named for the older check.)
     pub check_det_delay: bool,
     /// Treat a delivery-sequence gap as a `fifo` violation. Only sound
     /// when every stream in the run is reliable: an *unreliable* stream
@@ -72,7 +83,7 @@ impl Default for OracleConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Short invariant name (`fifo`, `admission-ledger`, `det-delay`,
-    /// `route-loop`, `completion`, `no-wedge`).
+    /// `route-loop`, `no-spurious-work`, `completion`, `no-wedge`).
     pub invariant: &'static str,
     /// Virtual time of detection.
     pub at: SimTime,
@@ -103,6 +114,10 @@ struct OracleState {
     sessions: Sessions,
     /// Set once any fault fires; suspends `det-delay` (see module docs).
     fault_seen: bool,
+    /// Set once a packet was dropped (queue overflow, wire loss/damage).
+    drop_seen: bool,
+    /// Timeout retransmissions seen (counted, not judged).
+    rto_retransmits: u64,
     ring: VecDeque<String>,
     violations: Vec<Violation>,
     /// Previous event's fast index, for transition-bigram coverage.
@@ -141,6 +156,27 @@ impl OracleState {
             ObsEvent::FaultInjected { .. }
             | ObsEvent::NetworkFailed { .. }
             | ObsEvent::HostCrashed { .. } => self.fault_seen = true,
+            ObsEvent::IfaceDrop { .. } | ObsEvent::WireDrop { .. } => self.drop_seen = true,
+            ObsEvent::StreamRetransmit {
+                cause: RetransmitCause::Rto,
+                ..
+            } => self.rto_retransmits += 1,
+            ObsEvent::StreamRetransmit {
+                host,
+                session,
+                seq,
+                cause,
+            } if self.cfg.check_det_delay && !self.drop_seen && !self.fault_seen => {
+                self.violate(
+                    "no-spurious-work",
+                    time,
+                    format!(
+                        "host {host} session {session}: {} retransmit of #{seq} with no \
+                         drop, fault or crash observed so far",
+                        cause.name()
+                    ),
+                );
+            }
             ObsEvent::AdmissionDecision {
                 host,
                 reserved_bps,
@@ -297,6 +333,11 @@ impl OracleHandle {
         !self.state.borrow().violations.is_empty()
     }
 
+    /// Timeout (`Rto`) retransmissions observed — reported, never judged.
+    pub fn rto_retransmits(&self) -> u64 {
+        self.state.borrow().rto_retransmits
+    }
+
     /// Observed event-kind transition bigrams (the coverage signal).
     pub fn bigrams(&self) -> BTreeSet<(u16, u16)> {
         self.state.borrow().bigrams.clone()
@@ -309,6 +350,8 @@ pub fn oracle(cfg: OracleConfig) -> (OracleSink, OracleHandle) {
         cfg,
         sessions: Sessions::default(),
         fault_seen: false,
+        drop_seen: false,
+        rto_retransmits: 0,
         ring: VecDeque::with_capacity(TRACE_WINDOW),
         violations: Vec::new(),
         last_kind: None,
@@ -326,9 +369,10 @@ pub fn oracle(cfg: OracleConfig) -> (OracleSink, OracleHandle) {
 /// (`dash_apps::scenario::Outcome::stream`); one human-readable line per
 /// violation. Completion is off (traffic is legitimately in flight at the
 /// cut) and FIFO-gap checking is off (unreliable media legitimately skips
-/// lost messages). `det_delay` stays on wherever virtual time is the only
-/// clock — fault drills self-excuse — and goes off on the rt backend,
-/// where wall lag feeds real carriage timing back into arrival times.
+/// lost messages). `det_delay` (which also carries `no-spurious-work`)
+/// stays on wherever virtual time is the only clock — fault drills
+/// self-excuse — and goes off on the rt backend, where wall lag feeds real
+/// carriage timing back into arrival times.
 pub fn check_stream(stream: &[(SimTime, ObsEvent)], det_delay: bool) -> Vec<String> {
     let (mut sink, handle) = oracle(OracleConfig {
         check_completion: false,
@@ -487,6 +531,57 @@ mod tests {
             },
         );
         assert_eq!(handle.violations()[0].invariant, "route-loop");
+    }
+
+    #[test]
+    fn repair_without_loss_evidence_is_spurious_work() {
+        let rtx = |cause| ObsEvent::StreamRetransmit {
+            host: 0,
+            session: 5,
+            seq: 3,
+            cause,
+        };
+        // No drop, fault or crash so far: an evidence-driven repair is a
+        // violation with its trace; a timeout is only counted.
+        let (mut sink, handle) = oracle(OracleConfig::default());
+        feed(&mut sink, 1, rtx(RetransmitCause::Rto));
+        assert!(!handle.violated());
+        assert_eq!(handle.rto_retransmits(), 1);
+        feed(&mut sink, 2, rtx(RetransmitCause::DupAck));
+        feed(&mut sink, 3, rtx(RetransmitCause::PartialAck));
+        let v = handle.violations();
+        assert_eq!(v.len(), 2);
+        assert_eq!(v[0].invariant, "no-spurious-work");
+        assert!(v[0].detail.contains("dup_ack"), "{}", v[0].detail);
+        assert!(v[1].detail.contains("partial_ack"), "{}", v[1].detail);
+        assert_eq!(v[1].trace.len(), 3, "violation must carry its trace");
+
+        // A jittered or wall-paced run reorders arrivals with no drop event:
+        // the check is off with `det-delay`.
+        let (mut sink, handle) = oracle(OracleConfig {
+            check_det_delay: false,
+            ..OracleConfig::default()
+        });
+        feed(&mut sink, 1, rtx(RetransmitCause::DupAck));
+        assert!(!handle.violated());
+
+        // Every kind of loss evidence excuses the repairs that follow it.
+        for evidence in [
+            ObsEvent::WireDrop {
+                host: 0,
+                network: 1,
+            },
+            ObsEvent::IfaceDrop { host: 0, iface: 0 },
+            ObsEvent::FaultInjected { kind: "partition" },
+            ObsEvent::NetworkFailed { network: 1 },
+            ObsEvent::HostCrashed { host: 2 },
+        ] {
+            let (mut sink, handle) = oracle(OracleConfig::default());
+            feed(&mut sink, 1, evidence);
+            feed(&mut sink, 2, rtx(RetransmitCause::DupAck));
+            feed(&mut sink, 3, rtx(RetransmitCause::PartialAck));
+            assert!(!handle.violated(), "{:?}", handle.violations());
+        }
     }
 
     #[test]

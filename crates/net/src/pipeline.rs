@@ -1011,6 +1011,19 @@ fn finish_tx<W: NetWorld>(
         };
         (outcome, next_hop)
     };
+    if !matches!(outcome, WireOutcome::Delivered { .. }) {
+        let now = sim.now();
+        let net = sim.state.net();
+        if net.obs.is_active() {
+            net.obs.emit(
+                now,
+                ObsEvent::WireDrop {
+                    host: host.0,
+                    network: network_id.0,
+                },
+            );
+        }
+    }
     match (outcome, next_hop) {
         (WireOutcome::Lost, _) | (_, None) => {
             sim.state.net().stats.wire_drops.incr();

@@ -126,6 +126,28 @@ impl FlushReason {
     }
 }
 
+/// What made a reliable stream sender retransmit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetransmitCause {
+    /// The retransmission timer fired.
+    Rto,
+    /// The first duplicate cumulative ack (entering recovery).
+    DupAck,
+    /// A partial ack inside recovery exposed the next hole.
+    PartialAck,
+}
+
+impl RetransmitCause {
+    /// Short stable name, used in metric names.
+    pub fn name(self) -> &'static str {
+        match self {
+            RetransmitCause::Rto => "rto",
+            RetransmitCause::DupAck => "dup_ack",
+            RetransmitCause::PartialAck => "partial_ack",
+        }
+    }
+}
+
 /// One typed observability event. Variants carry raw ids (`u32` hosts,
 /// `u64` streams/sequences) because this crate sits below the layers that
 /// define the id newtypes.
@@ -177,6 +199,15 @@ pub enum ObsEvent {
         host: u32,
         /// Interface index at that host.
         iface: usize,
+    },
+    /// The wire's loss model took a packet after transmission: lost
+    /// outright, or damaged (a damaged packet is discarded at the receiver
+    /// when its RMS carries a checksum or MAC).
+    WireDrop {
+        /// Transmitting host.
+        host: u32,
+        /// The network it was lost on.
+        network: u32,
     },
     /// The network layer accepted a message for transmission.
     NetSend {
@@ -392,6 +423,17 @@ pub enum ObsEvent {
         /// Stream session id.
         session: u64,
     },
+    /// A reliable stream sender retransmitted a message.
+    StreamRetransmit {
+        /// Sending host.
+        host: u32,
+        /// Stream session id.
+        session: u64,
+        /// Stream sequence number resent.
+        seq: u64,
+        /// What triggered it.
+        cause: RetransmitCause,
+    },
     /// An RKOM call was issued (§3.3).
     RkomSend {
         /// Calling host.
@@ -403,6 +445,14 @@ pub enum ObsEvent {
     },
     /// An RKOM call completed with a reply (§3.3).
     RkomDeliver {
+        /// Calling host.
+        host: u32,
+        /// Call id.
+        call: u64,
+    },
+    /// An RKOM call's retry timer expired on a ready channel and the
+    /// request was resent on the high-delay RMS (§3.3).
+    RkomRetransmit {
         /// Calling host.
         host: u32,
         /// Call id.
@@ -519,7 +569,7 @@ pub enum ObsEvent {
 /// Every distinct event counter name, indexed by [`ObsEvent::fast_index`].
 /// The registry keeps these counts in a plain array so the per-event fast
 /// path is an indexed increment — no map lookup, no allocation.
-pub const EVENT_NAMES: [&str; 44] = [
+pub const EVENT_NAMES: [&str; 49] = [
     "net.admission_admitted",
     "net.admission_rejected",
     "net.iface_enqueue",
@@ -564,6 +614,11 @@ pub const EVENT_NAMES: [&str; 44] = [
     "stream.end",
     "stream.open_failed",
     "net.path_pinned",
+    "net.wire_drop",
+    "stream.retransmit.rto",
+    "stream.retransmit.dup_ack",
+    "stream.retransmit.partial_ack",
+    "rkom.retransmit",
 ];
 
 impl ObsEvent {
@@ -617,6 +672,13 @@ impl ObsEvent {
             ObsEvent::StreamEnd { .. } => 41,
             ObsEvent::StreamOpenFailed { .. } => 42,
             ObsEvent::RoutingPathPinned { .. } => 43,
+            ObsEvent::WireDrop { .. } => 44,
+            ObsEvent::StreamRetransmit { cause, .. } => match cause {
+                RetransmitCause::Rto => 45,
+                RetransmitCause::DupAck => 46,
+                RetransmitCause::PartialAck => 47,
+            },
+            ObsEvent::RkomRetransmit { .. } => 48,
         }
     }
 

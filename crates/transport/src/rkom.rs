@@ -258,6 +258,18 @@ impl RkomHost {
     pub fn has_service(&self, service: u16) -> bool {
         self.services.contains_key(&service)
     }
+
+    /// Outstanding calls to `peer`, oldest first.
+    fn calls_to(&self, peer: HostId) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .calls
+            .iter()
+            .filter(|(_, c)| c.peer == peer)
+            .map(|(id, _)| *id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
 }
 
 impl std::fmt::Debug for RkomHost {
@@ -376,51 +388,97 @@ pub fn call(
     call_id
 }
 
-fn arm_call_timer(sim: &mut Sim<Stack>, host: HostId, call_id: u64) {
-    let timeout = sim.state.rkom.config.retry_timeout;
-    let handle = sim.schedule_timer(timeout, move |sim| on_call_timeout(sim, host, call_id));
-    if let Some(c) = sim.state.rkom.host_mut(host).calls.get_mut(&call_id) {
-        if let Some(t) = c.timer.take() {
-            t.cancel();
+/// How long a call waits before its next attempt.
+///
+/// The retry clock of a request is meaningful only once the request is on
+/// the wire: on a ready channel the period is the configured timeout or,
+/// when the path is slower than that, twice what the *negotiated*
+/// low-delay RMS promises for a message of this size — a round trip the
+/// provider itself admits to is not evidence of loss. While the channel is
+/// still being created the request sits in `Channel::waiting`; the timer
+/// then only meters the creation against the attempt budget.
+fn retry_period(sim: &Sim<Stack>, host: HostId, call: &Call) -> SimDuration {
+    let rkom = &sim.state.rkom;
+    let timeout = rkom.config.retry_timeout;
+    let low = rkom
+        .host(host)
+        .channels
+        .get(&call.peer)
+        .filter(|ch| ch.ready())
+        .and_then(|ch| ch.low_out)
+        .and_then(|st_rms| sim.state.st_ref().host(host).streams.get(&st_rms));
+    match low {
+        Some(stream) => {
+            let size = RKOM_HEADER + call.payload.len() as u64;
+            timeout.max(stream.params.delay.bound_for(size).saturating_mul(2))
         }
-        c.timer = Some(handle);
-    } else {
-        handle.cancel();
+        None => timeout,
+    }
+}
+
+fn arm_call_timer(sim: &mut Sim<Stack>, host: HostId, call_id: u64) {
+    let Some(period) = sim
+        .state
+        .rkom
+        .host(host)
+        .calls
+        .get(&call_id)
+        .map(|c| retry_period(sim, host, c))
+    else {
+        return;
+    };
+    let handle = sim.schedule_timer(period, move |sim| on_call_timeout(sim, host, call_id));
+    let c = sim
+        .state
+        .rkom
+        .host_mut(host)
+        .calls
+        .get_mut(&call_id)
+        .expect("looked up above");
+    if let Some(t) = c.timer.replace(handle) {
+        t.cancel();
     }
 }
 
 fn on_call_timeout(sim: &mut Sim<Stack>, host: HostId, call_id: u64) {
-    let (peer, msg, give_up) = {
-        let config_max = sim.state.rkom.config.max_retries;
-        let rh = sim.state.rkom.host_mut(host);
-        let Some(c) = rh.calls.get_mut(&call_id) else {
-            return;
-        };
-        c.attempts += 1;
-        if c.attempts > config_max {
-            (c.peer, None, true)
-        } else {
-            rh.stats.retransmissions.incr();
-            (
-                c.peer,
-                Some(encode_msg(&RkomMsg::Request {
-                    call: call_id,
-                    service: c.service,
-                    payload: c.payload.clone(),
-                })),
-                false,
-            )
-        }
+    let config_max = sim.state.rkom.config.max_retries;
+    let rh = sim.state.rkom.host_mut(host);
+    let Some(c) = rh.calls.get_mut(&call_id) else {
+        return;
     };
-    if give_up {
+    c.attempts += 1;
+    if c.attempts > config_max {
         fail_call(sim, host, call_id, RkomError::Timeout);
         return;
     }
-    if let Some(msg) = msg {
+    let peer = c.peer;
+    // A request still queued behind channel creation was never sent: the
+    // expiry spent an attempt of the budget, but there is nothing to
+    // retransmit and no second copy to queue.
+    let resend = rh.channels.get(&peer).is_some_and(Channel::ready).then(|| {
+        rh.stats.retransmissions.incr();
+        encode_msg(&RkomMsg::Request {
+            call: call_id,
+            service: c.service,
+            payload: c.payload.clone(),
+        })
+    });
+    if let Some(msg) = resend {
+        let now = sim.now();
+        let net = &mut sim.state.net;
+        if net.obs.is_active() {
+            net.obs.emit(
+                now,
+                ObsEvent::RkomRetransmit {
+                    host: host.0,
+                    call: call_id,
+                },
+            );
+        }
         // Retransmissions travel on the high-delay RMS (§3.3).
         send_on_channel(sim, host, peer, Lane::High, msg);
-        arm_call_timer(sim, host, call_id);
     }
+    arm_call_timer(sim, host, call_id);
 }
 
 fn fail_call(sim: &mut Sim<Stack>, host: HostId, call_id: u64, err: RkomError) {
@@ -535,16 +593,9 @@ fn ensure_channel(sim: &mut Sim<Stack>, host: HostId, peer: HostId) {
 }
 
 fn fail_channel(sim: &mut Sim<Stack>, host: HostId, peer: HostId, err: RkomError) {
-    let victim_calls: Vec<u64> = {
-        let rh = sim.state.rkom.host_mut(host);
-        rh.channels.remove(&peer);
-        rh.calls
-            .iter()
-            .filter(|(_, c)| c.peer == peer)
-            .map(|(id, _)| *id)
-            .collect()
-    };
-    for id in victim_calls {
+    let rh = sim.state.rkom.host_mut(host);
+    rh.channels.remove(&peer);
+    for id in rh.calls_to(peer) {
         fail_call(sim, host, id, err.clone());
     }
 }
@@ -585,8 +636,16 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
                     Vec::new()
                 }
             };
+            let became_ready = !flush.is_empty();
             for (lane, bytes) in flush {
                 send_on_channel(sim, host, peer, lane, bytes);
+            }
+            if became_ready {
+                // Every outstanding call to this peer was queued behind the
+                // creation; its retry clock starts now that it is sent.
+                for id in sim.state.rkom.host(host).calls_to(peer) {
+                    arm_call_timer(sim, host, id);
+                }
             }
         }
         StEvent::CreateFailed { token, reason } => {

@@ -17,17 +17,39 @@
 //! reduces response time and RMS establishment overhead (no reverse RMS
 //! needed just for capacity clocking).
 //!
-//! Reliability is go-back-N: the receiver accepts only in-order sequence
-//! numbers; the sender retransmits everything unacknowledged on timeout.
+//! Reliability is loss-driven repair, present only on a `reliable` session:
+//!
+//! - **Receiver — an in-window hold and an honest ack.** Out-of-order
+//!   arrivals are kept (bounded by the receive buffer) and each is answered
+//!   at once with the cumulative ack; the in-order arrival releases the
+//!   held run through the ordinary delivery path, so one lost message costs
+//!   one retransmission and one round trip. Every ack says whether the
+//!   receiver has seen data past `cum_seq` (`gap`): that, and nothing else,
+//!   is loss evidence. A re-ack of the same `cum_seq` for a *duplicate*
+//!   arrival, or a window update from [`consume`], carries no `gap` and is
+//!   never mistaken for one.
+//! - **Sender — one recovery state.** `repairing` names the hole already
+//!   resent. A `gap` ack whose hole (the head of `unacked`) is not the one
+//!   being repaired resends the head once — a *duplicate* ack when it
+//!   acknowledges nothing new, a *partial* ack when it advances and exposes
+//!   the next hole. Everything else an ack can say retransmits nothing. A
+//!   retransmission timeout resends the head when evidence cannot arrive (a
+//!   lost tail, a lost retransmission, lost acks) and presumes nothing
+//!   about the rest of the window: acks already in flight must not be read
+//!   as answers to it.
+//!
+//! The pitfall the ack arm encodes: a progressing ack cancels the RTO, so
+//! it must re-arm it whenever data is still outstanding, even with an empty
+//! send port — a lost tail is repaired by nothing else.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use rms_core::hash::DetHashMap;
 
 use bytes::{BufMut, BytesMut};
 use dash_net::ids::HostId;
 use dash_sim::engine::{Sim, TimerHandle};
-use dash_sim::obs::ObsEvent;
+use dash_sim::obs::{ObsEvent, RetransmitCause};
 use dash_sim::stats::{Counter, Histogram};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_subtransport::engine as st_engine;
@@ -206,6 +228,8 @@ pub enum EndReason {
 const KIND_HELLO: u8 = 1;
 const KIND_DATA: u8 = 2;
 const KIND_ACK: u8 = 3;
+/// An ack from a receiver that has seen data past `cum_seq`.
+const KIND_GAP_ACK: u8 = 4;
 
 #[derive(Debug, PartialEq)]
 enum StreamMsg {
@@ -225,6 +249,9 @@ enum StreamMsg {
         session: u64,
         cum_seq: Option<u64>,
         consumed: u64,
+        /// The receiver has seen a message past `cum_seq`: the one right
+        /// after it is missing.
+        gap: bool,
     },
 }
 
@@ -266,8 +293,9 @@ fn encode_msg(m: &StreamMsg) -> WireMsg {
             session,
             cum_seq,
             consumed,
+            gap,
         } => {
-            b.put_u8(KIND_ACK);
+            b.put_u8(if *gap { KIND_GAP_ACK } else { KIND_ACK });
             b.put_u64(*session);
             b.put_u64(cum_seq.map_or(u64::MAX, |s| s));
             b.put_u64(*consumed);
@@ -308,7 +336,7 @@ fn decode_msg(wire: &WireMsg) -> Option<StreamMsg> {
                 payload: b.take_wire(len).ok()?,
             })
         }
-        KIND_ACK => {
+        kind @ (KIND_ACK | KIND_GAP_ACK) => {
             let session = b.get_u64().ok()?;
             let raw = b.get_u64().ok()?;
             let consumed = b.get_u64().ok()?;
@@ -316,6 +344,7 @@ fn decode_msg(wire: &WireMsg) -> Option<StreamMsg> {
                 session,
                 cum_seq: (raw != u64::MAX).then_some(raw),
                 consumed,
+                gap: kind == KIND_GAP_ACK,
             })
         }
         _ => None,
@@ -348,7 +377,8 @@ pub struct SessionStats {
     pub sender_blocked: Counter,
     /// Messages dropped at the receiver for buffer overflow.
     pub buffer_drops: Counter,
-    /// Gaps detected (messages lost upstream).
+    /// Messages found missing upstream (sequence numbers skipped by an
+    /// arrival; a reliable session counts each once, when first skipped).
     pub gaps: Counter,
     /// End-to-end delays of delivered messages, seconds.
     pub delays: Histogram,
@@ -379,6 +409,9 @@ pub struct Session {
     rwin: Option<ReceiverWindow>,
     rto_timer: Option<TimerHandle>,
     rto_backoff: u32,
+    /// Loss recovery: the hole (sequence number) already resent, so one
+    /// piece of evidence repeated by many acks costs one retransmission.
+    repairing: Option<u64>,
     rate_timer_armed: bool,
     was_blocked: bool,
 
@@ -386,6 +419,13 @@ pub struct Session {
     data_in: Option<StRmsId>,
     ack_out: Option<StRmsId>,
     next_expected: u64,
+    /// One past the highest sequence seen (reliable sessions): where the
+    /// next gap would start, and — while ahead of `next_expected` — the
+    /// loss evidence every ack reports.
+    frontier: u64,
+    /// Out-of-order arrivals awaiting the in-order one (reliable sessions).
+    held: BTreeMap<u64, (SimTime, WireMsg)>,
+    held_bytes: u64,
     pending_buffer_bytes: u64,
     consumed_total: u64,
     since_last_ack: u32,
@@ -422,11 +462,15 @@ impl Session {
             rwin: None,
             rto_timer: None,
             rto_backoff: 0,
+            repairing: None,
             rate_timer_armed: false,
             was_blocked: false,
             data_in: None,
             ack_out: None,
             next_expected: 0,
+            frontier: 0,
+            held: BTreeMap::new(),
+            held_bytes: 0,
             pending_buffer_bytes: 0,
             consumed_total: 0,
             since_last_ack: 0,
@@ -438,6 +482,12 @@ impl Session {
     /// Bytes occupying the receive buffer (delivered, not yet consumed).
     pub fn receive_buffer_pending(&self) -> u64 {
         self.pending_buffer_bytes
+    }
+
+    /// Bytes of out-of-order arrivals held for the in-order one; together
+    /// with [`Self::receive_buffer_pending`] never above the receive buffer.
+    pub fn held_bytes(&self) -> u64 {
+        self.held_bytes
     }
 
     /// True once this endpoint's outbound ack channel is established.
@@ -831,12 +881,12 @@ fn ensure_rto(sim: &mut Sim<Stack>, host: HostId, session: u64) {
 }
 
 fn on_rto(sim: &mut Sim<Stack>, host: HostId, session: u64) {
-    // Timeout recovery retransmits only the *oldest* unacknowledged
-    // message. Blasting the whole window on every timeout floods a slow
-    // bottleneck with duplicate bursts faster than it drains (the classic
-    // go-back-N congestion spiral); the rest of the window is resent
-    // ack-clocked as the receiver's cumulative acks advance.
-    let verdict = {
+    // A timeout resends only the *oldest* unacknowledged message. Blasting
+    // the whole window on every timeout floods a slow bottleneck with
+    // duplicate bursts faster than it drains, and the timeout is evidence
+    // about the head alone; whatever else was lost is reported by the
+    // receiver once the head arrives.
+    let give_up = {
         let Some(s) = sim.state.stream.session_mut(host, session) else {
             return;
         };
@@ -851,62 +901,50 @@ fn on_rto(sim: &mut Sim<Stack>, host: HostId, session: u64) {
             if let Some(t) = s.ack_timer.take() {
                 t.cancel();
             }
-            None
+            true
         } else {
-            let Some(st_rms) = s.data_out else { return };
-            let head = s.unacked.front().cloned().expect("non-empty");
-            s.stats.retransmitted.incr();
             s.rto_backoff = (s.rto_backoff + 1).min(8);
-            Some((st_rms, head))
+            false
         }
     };
-    let Some((st_rms, frame)) = verdict else {
-        {
-            let now = sim.now();
-            let net = &mut sim.state.net;
-            if net.obs.is_active() {
-                net.obs.emit(
-                    now,
-                    ObsEvent::StreamRetriesExhausted {
-                        host: host.0,
-                        session,
-                    },
-                );
-                net.obs.emit(
-                    now,
-                    ObsEvent::StreamEnd {
-                        host: host.0,
-                        session,
-                        failed: true,
-                    },
-                );
-            }
-        }
-        fire(
-            sim,
-            host,
-            StreamEvent::Ended {
-                session,
-                reason: EndReason::RetriesExhausted,
-            },
-        );
+    if !give_up {
+        retransmit_head(sim, host, session, RetransmitCause::Rto);
         return;
-    };
-    let (seq, msg, sent_at) = frame;
-    let bytes = encode_msg(&StreamMsg::Data {
-        session,
-        seq,
-        sent_at,
-        payload: msg.wire().clone(),
-    });
-    let _ = st_engine::send(sim, host, st_rms, Message::from_wire(bytes));
-    ensure_rto(sim, host, session);
+    }
+    {
+        let now = sim.now();
+        let net = &mut sim.state.net;
+        if net.obs.is_active() {
+            net.obs.emit(
+                now,
+                ObsEvent::StreamRetriesExhausted {
+                    host: host.0,
+                    session,
+                },
+            );
+            net.obs.emit(
+                now,
+                ObsEvent::StreamEnd {
+                    host: host.0,
+                    session,
+                    failed: true,
+                },
+            );
+        }
+    }
+    fire(
+        sim,
+        host,
+        StreamEvent::Ended {
+            session,
+            reason: EndReason::RetriesExhausted,
+        },
+    );
 }
 
-/// Ack-clocked retransmission: after cumulative progress, resend the new
-/// head of the unacked queue (the receiver dropped everything past the
-/// original gap, so it needs them in order anyway).
-fn retransmit_head(sim: &mut Sim<Stack>, host: HostId, session: u64) {
+/// Resend the head of the unacked queue and remember it as the hole being
+/// repaired — the one repair action, taken for exactly the three `cause`s.
+fn retransmit_head(sim: &mut Sim<Stack>, host: HostId, session: u64, cause: RetransmitCause) {
     let item = {
         let Some(s) = sim.state.stream.session_mut(host, session) else {
             return;
@@ -917,12 +955,26 @@ fn retransmit_head(sim: &mut Sim<Stack>, host: HostId, session: u64) {
         match (s.data_out, s.unacked.front().cloned()) {
             (Some(st_rms), Some(head)) => {
                 s.stats.retransmitted.incr();
+                s.repairing = Some(head.0);
                 Some((st_rms, head))
             }
             _ => None,
         }
     };
     if let Some((st_rms, (seq, msg, sent_at))) = item {
+        let now = sim.now();
+        let net = &mut sim.state.net;
+        if net.obs.is_active() {
+            net.obs.emit(
+                now,
+                ObsEvent::StreamRetransmit {
+                    host: host.0,
+                    session,
+                    seq,
+                    cause,
+                },
+            );
+        }
         let bytes = encode_msg(&StreamMsg::Data {
             session,
             seq,
@@ -1196,48 +1248,54 @@ pub fn on_delivery(
             session,
             cum_seq,
             consumed,
+            gap,
         } => {
             sim.state
                 .stream
                 .host_mut(host)
                 .by_st
                 .insert(st_rms, session);
-            {
+            let repair = {
                 let Some(s) = sim.state.stream.session_mut(host, session) else {
                     return;
                 };
+                let mut progressed = false;
                 if let Some(cum) = cum_seq {
-                    let mut progressed = false;
-                    while let Some(&(sq, _, _)) = s.unacked.front() {
-                        if sq <= cum {
-                            s.unacked.pop_front();
-                            progressed = true;
-                        } else {
-                            break;
-                        }
+                    while s.unacked.front().is_some_and(|&(sq, _, _)| sq <= cum) {
+                        s.unacked.pop_front();
+                        progressed = true;
                     }
-                    if progressed {
-                        s.rto_backoff = 0;
-                        // Restart the clock for the remaining tail.
-                        if let Some(t) = s.rto_timer.take() {
-                            t.cancel();
-                        }
+                }
+                if progressed {
+                    s.rto_backoff = 0;
+                    // Restart the clock for the remaining tail (re-armed
+                    // below, once the pump has run).
+                    if let Some(t) = s.rto_timer.take() {
+                        t.cancel();
                     }
-                    if let Some(w) = &mut s.rwin {
-                        w.update_consumed(consumed);
-                    }
-                    let recovering = progressed && !s.unacked.is_empty();
-                    if recovering {
-                        retransmit_head(sim, host, session);
-                    }
-                    pump(sim, host, session);
-                    return;
                 }
                 if let Some(w) = &mut s.rwin {
                     w.update_consumed(consumed);
                 }
+                // The receiver has seen past `cum_seq`, so our head is a
+                // hole: resend it, unless this hole was resent already.
+                let hole = s.unacked.front().map(|&(sq, _, _)| sq);
+                match hole {
+                    Some(_) if gap && hole != s.repairing => Some(if progressed {
+                        RetransmitCause::PartialAck
+                    } else {
+                        RetransmitCause::DupAck
+                    }),
+                    _ => None,
+                }
+            };
+            if let Some(cause) = repair {
+                retransmit_head(sim, host, session, cause);
             }
             pump(sim, host, session);
+            // Outstanding data always has a running clock, even when the
+            // port is empty and the pump sent nothing.
+            ensure_rto(sim, host, session);
         }
     }
 }
@@ -1250,8 +1308,11 @@ fn handle_data(
     sent_at: SimTime,
     payload: WireMsg,
 ) {
-    let now = sim.now();
-    let deliver = {
+    // Accept the arrival (and, on a reliable session, the held run it
+    // releases) or refuse it; `next_expected` moves past the whole run
+    // before any of it reaches the application, so an ack sent from inside
+    // a delivery (`consume`) already covers everything received.
+    let accepted = {
         let Some(s) = sim.state.stream.session_mut(host, session) else {
             return;
         };
@@ -1259,91 +1320,142 @@ fn handle_data(
             return;
         }
         let len = payload.len() as u64;
-        if seq != s.next_expected {
-            if seq > s.next_expected {
-                // Gap: upstream loss (go-back-N: wait for retransmission
-                // if reliable; count and skip if not).
-                if s.profile.reliable {
-                    s.stats.gaps.incr();
-                    // Re-ack to hint the sender.
-                    None
-                } else {
-                    s.stats.gaps.add(seq - s.next_expected);
-                    s.next_expected = seq + 1;
-                    Some((len, true))
-                }
-            } else {
-                // Duplicate of something already delivered.
-                None
+        if s.profile.reliable {
+            if seq > s.frontier {
+                s.stats.gaps.add(seq - s.frontier);
             }
-        } else if s.profile.receiver_fc && s.pending_buffer_bytes + len > s.profile.receive_buffer {
-            // Receive buffer full: drop; the sender's window should have
-            // prevented this (counted to make violations visible).
-            s.stats.buffer_drops.incr();
+            s.frontier = s.frontier.max(seq + 1);
+        }
+        if seq < s.next_expected {
+            // Duplicate of something already delivered.
             None
+        } else if seq > s.next_expected {
+            if s.profile.reliable {
+                // Out of order: hold it for the retransmission of what is
+                // missing, within the receive buffer; a duplicate of a held
+                // message is dropped.
+                if !s.held.contains_key(&seq) {
+                    if s.pending_buffer_bytes + s.held_bytes + len <= s.profile.receive_buffer {
+                        s.held_bytes += len;
+                        s.held.insert(seq, (sent_at, payload));
+                    } else {
+                        s.stats.buffer_drops.incr();
+                    }
+                }
+                None
+            } else {
+                // Lossy stream: count what was skipped and carry on.
+                s.stats.gaps.add(seq - s.next_expected);
+                s.next_expected = seq + 1;
+                Some((payload, Vec::new()))
+            }
         } else {
-            s.next_expected = seq + 1;
-            Some((len, false))
+            if s.profile.receiver_fc {
+                // The in-order message outranks anything held: make room
+                // from the far end of the hold before refusing it.
+                while s.pending_buffer_bytes + s.held_bytes + len > s.profile.receive_buffer {
+                    let Some((_, (_, evicted))) = s.held.pop_last() else {
+                        break;
+                    };
+                    s.held_bytes -= evicted.len() as u64;
+                    s.stats.buffer_drops.incr();
+                }
+            }
+            if s.profile.receiver_fc && s.pending_buffer_bytes + len > s.profile.receive_buffer {
+                // Receive buffer full: drop; the sender's window should have
+                // prevented this (counted to make violations visible).
+                s.stats.buffer_drops.incr();
+                None
+            } else {
+                s.next_expected = seq + 1;
+                let mut run = Vec::new();
+                while let Some(e) = s.held.first_entry() {
+                    if *e.key() != s.next_expected {
+                        break;
+                    }
+                    let (at, held) = e.remove();
+                    s.held_bytes -= held.len() as u64;
+                    run.push((s.next_expected, at, held));
+                    s.next_expected += 1;
+                }
+                Some((payload, run))
+            }
         }
     };
-    match deliver {
-        Some((len, _lossy_skip)) => {
-            {
-                let s = sim
-                    .state
-                    .stream
-                    .session_mut(host, session)
-                    .expect("session checked");
-                s.stats.delivered.incr();
-                s.stats.bytes_delivered.add(len);
-                s.stats
-                    .delays
-                    .record(now.saturating_since(sent_at).as_secs_f64());
-                if s.profile.receiver_fc {
-                    s.pending_buffer_bytes += len;
-                } else {
-                    s.consumed_total += len;
-                }
-                s.since_last_ack += 1;
-            }
-            if sim.state.net.obs.is_active() {
-                sim.state.net.obs.emit(
-                    now,
-                    ObsEvent::StreamDeliver {
-                        host: host.0,
-                        session,
-                        seq,
-                    },
-                );
-            }
-            let msg = Message::from_wire(payload);
-            fire(
-                sim,
-                host,
-                StreamEvent::Delivered {
-                    session,
-                    msg,
-                    seq,
-                    delay: now.saturating_since(sent_at),
-                },
-            );
-            maybe_ack(sim, host, session);
+    let Some((payload, run)) = accepted else {
+        // Duplicate, gap or refusal: re-send the cumulative ack at once. Past
+        // a gap it is the sender's loss evidence; for a duplicate it lets a
+        // retransmitting sender converge even when its last ack was lost.
+        let needs = sim
+            .state
+            .stream
+            .session(host, session)
+            .is_some_and(|s| s.profile.needs_ack_stream());
+        if needs {
+            send_ack(sim, host, session, true);
         }
-        None => {
-            // Duplicate or gap: re-send the cumulative ack immediately so a
-            // retransmitting sender converges even when its last ack was
-            // lost (classic go-back-N requirement).
-            let needs = sim
-                .state
-                .stream
-                .session(host, session)
-                .map(|s| s.profile.needs_ack_stream())
-                .unwrap_or(false);
-            if needs {
-                send_ack(sim, host, session, true);
-            }
-        }
+        return;
+    };
+    let filled_gap = !run.is_empty();
+    deliver(sim, host, session, seq, sent_at, payload);
+    for (seq, sent_at, payload) in run {
+        deliver(sim, host, session, seq, sent_at, payload);
     }
+    if filled_gap {
+        // The sender is waiting on this repair: acknowledge it now (unless
+        // a `consume` inside the deliveries already did).
+        send_ack(sim, host, session, false);
+    } else {
+        maybe_ack(sim, host, session);
+    }
+}
+
+/// Hand one in-order message to the application.
+fn deliver(
+    sim: &mut Sim<Stack>,
+    host: HostId,
+    session: u64,
+    seq: u64,
+    sent_at: SimTime,
+    payload: WireMsg,
+) {
+    let now = sim.now();
+    let delay = now.saturating_since(sent_at);
+    {
+        let Some(s) = sim.state.stream.session_mut(host, session) else {
+            return;
+        };
+        let len = payload.len() as u64;
+        s.stats.delivered.incr();
+        s.stats.bytes_delivered.add(len);
+        s.stats.delays.record(delay.as_secs_f64());
+        if s.profile.receiver_fc {
+            s.pending_buffer_bytes += len;
+        } else {
+            s.consumed_total += len;
+        }
+        s.since_last_ack += 1;
+    }
+    if sim.state.net.obs.is_active() {
+        sim.state.net.obs.emit(
+            now,
+            ObsEvent::StreamDeliver {
+                host: host.0,
+                session,
+                seq,
+            },
+        );
+    }
+    fire(
+        sim,
+        host,
+        StreamEvent::Delivered {
+            session,
+            msg: Message::from_wire(payload),
+            seq,
+            delay,
+        },
+    );
 }
 
 fn maybe_ack(sim: &mut Sim<Stack>, host: HostId, session: u64) {
@@ -1403,6 +1515,7 @@ fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
             session,
             cum_seq: cum,
             consumed: s.consumed_total,
+            gap: s.frontier > s.next_expected,
         });
         (bytes, s.ack_out, session)
     };
@@ -1480,11 +1593,13 @@ mod tests {
                 session: 5,
                 cum_seq: Some(8),
                 consumed: 1000,
+                gap: false,
             },
             StreamMsg::Ack {
                 session: 5,
                 cum_seq: None,
                 consumed: 0,
+                gap: true,
             },
         ];
         for m in msgs {
@@ -1505,6 +1620,61 @@ mod tests {
             ]))),
             None
         );
+    }
+
+    /// A receiving endpoint with no wire under it: arrivals are injected
+    /// straight into `handle_data` (acks park, the ack stream never exists).
+    fn receiver(receive_buffer: u64) -> (Sim<Stack>, HostId, u64) {
+        let (net, a, b) = dash_net::topology::two_hosts_ethernet();
+        let mut sim = Sim::new(crate::stack::StackBuilder::new(net).build());
+        let profile = StreamProfile {
+            reliable: true,
+            receiver_fc: true,
+            receive_buffer,
+            ..StreamProfile::default()
+        };
+        let rx = Session::new(7, a, StreamRole::Rx, profile);
+        sim.state.stream.host_mut(b).sessions.insert(7, rx);
+        (sim, b, 7)
+    }
+
+    #[test]
+    fn hold_is_bounded_drops_duplicates_and_yields_to_the_in_order_arrival() {
+        let (mut sim, b, session) = receiver(4000);
+        let arrive = |sim: &mut Sim<Stack>, seq: u64| {
+            let payload = WireMsg::from_bytes(bytes::Bytes::from(vec![seq as u8; 1000]));
+            handle_data(sim, b, session, seq, SimTime::ZERO, payload);
+        };
+        let stats = |sim: &Sim<Stack>| {
+            let s = sim.state.stream.session(b, session).unwrap();
+            (
+                s.stats.delivered.get(),
+                s.held_bytes(),
+                s.receive_buffer_pending(),
+                s.stats.buffer_drops.get(),
+            )
+        };
+        // #0 and #1 are missing; #2 is held, and held once.
+        arrive(&mut sim, 2);
+        arrive(&mut sim, 2);
+        assert_eq!(stats(&sim), (0, 1000, 0, 0));
+        // The hold fills the buffer and refuses what does not fit.
+        for seq in [3, 4, 5, 6] {
+            arrive(&mut sim, seq);
+        }
+        assert_eq!(stats(&sim), (0, 4000, 0, 1));
+        // The in-order arrival evicts from the far end to land...
+        arrive(&mut sim, 0);
+        assert_eq!(stats(&sim), (1, 3000, 1000, 2));
+        // ...and the next one releases the held run behind it, in order.
+        arrive(&mut sim, 1);
+        assert_eq!(stats(&sim), (4, 0, 4000, 3));
+        let s = sim.state.stream.session(b, session).unwrap();
+        assert_eq!(s.next_expected, 4);
+        assert_eq!(s.stats.gaps.get(), 2, "#0 and #1, counted once");
+        // Six out-of-order arrivals re-acked at once, and the arrival that
+        // closed the gap acknowledged without waiting for `ack_every`.
+        assert_eq!(s.stats.acks_sent.get(), 7);
     }
 
     #[test]

@@ -155,3 +155,128 @@ fn channel_failure_mid_call_fails_typed() {
     );
     assert_eq!(sim.state.rkom.host(a).stats.failed.get(), 1);
 }
+
+/// The retry clock of a request starts when the request is handed to the
+/// ST, not when `call` queues it behind channel creation: the first call
+/// to a fresh peer across the WAN (creation alone outlasts the 200 ms
+/// retry timeout) completes without a single retransmission, and the
+/// server sees the request once.
+#[test]
+fn first_call_to_a_fresh_wan_peer_is_not_retransmitted() {
+    let (net, a, b, _, _) = dumbbell();
+    let mut sim = Sim::new(StackBuilder::new(net).build());
+    rkom::register_service(&mut sim.state, b, 1, |_s, _c, _req| {
+        Bytes::from_static(b"pong")
+    });
+    let outcomes = Rc::new(RefCell::new(Vec::new()));
+    let o2 = Rc::clone(&outcomes);
+    let issued = sim.now();
+    rkom::call(
+        &mut sim,
+        a,
+        b,
+        1,
+        Bytes::from_static(b"ping"),
+        move |s, res| {
+            o2.borrow_mut().push((s.now(), res));
+        },
+    );
+    sim.run();
+    let got = outcomes.borrow();
+    assert_eq!(got.len(), 1);
+    assert_eq!(got[0].1, Ok(Bytes::from_static(b"pong")));
+    assert!(
+        got[0].0.saturating_since(issued) > sim.state.rkom.config.retry_timeout,
+        "the scenario must outlast the retry timeout to mean anything"
+    );
+    assert_eq!(sim.state.rkom.host(a).stats.retransmissions.get(), 0);
+    assert_eq!(sim.state.rkom.host(b).stats.served.get(), 1);
+    assert_eq!(sim.state.rkom.host(b).stats.duplicates_served.get(), 0);
+}
+
+/// While the channel cannot be created the attempt budget still runs — the
+/// call ends with a typed failure after `max_retries + 1` periods — but
+/// nothing was ever sent, so nothing is counted (or queued) as a
+/// retransmission.
+#[test]
+fn an_unready_channel_spends_the_budget_without_retransmitting() {
+    let (net, a, b, g1, _) = dumbbell();
+    let mut sim = Sim::new(StackBuilder::new(net).build());
+    sim.state.rkom.config.retry_timeout = SimDuration::from_millis(50);
+    sim.state.rkom.config.max_retries = 3;
+    // Nothing leaves a's LAN: the creation request never gets an answer.
+    sim.state.net.partition(a, g1);
+    let outcomes = Rc::new(RefCell::new(Vec::new()));
+    let o2 = Rc::clone(&outcomes);
+    let issued = sim.now();
+    rkom::call(
+        &mut sim,
+        a,
+        b,
+        1,
+        Bytes::from_static(b"op"),
+        move |s, res| {
+            o2.borrow_mut().push((s.now(), res));
+        },
+    );
+    sim.run();
+    let got = outcomes.borrow();
+    assert_eq!(got.len(), 1, "callback must fire exactly once: {got:?}");
+    assert_eq!(got[0].1, Err(RkomError::Timeout));
+    assert_eq!(
+        got[0].0.saturating_since(issued),
+        SimDuration::from_millis(200)
+    );
+    let stats = &sim.state.rkom.host(a).stats;
+    assert_eq!(stats.retransmissions.get(), 0);
+    assert_eq!(stats.failed.get(), 1);
+}
+
+/// Loss is still repaired: a request lost on a ready channel is resent
+/// when its retry period expires, and the call completes exactly once.
+#[test]
+fn a_lost_request_is_retried_and_completes_exactly_once() {
+    let (net, a, b, g1, _) = dumbbell();
+    let mut sim = Sim::new(StackBuilder::new(net).build());
+    let executions = Rc::new(RefCell::new(0u32));
+    let ex2 = Rc::clone(&executions);
+    rkom::register_service(&mut sim.state, b, 1, move |_s, _c, _req| {
+        *ex2.borrow_mut() += 1;
+        Bytes::from_static(b"pong")
+    });
+    // Warm up: both halves of the channel exist.
+    rkom::call(&mut sim, a, b, 1, Bytes::from_static(b"warm"), |_s, res| {
+        assert!(res.is_ok());
+    });
+    sim.run();
+    assert_eq!(*executions.borrow(), 1);
+    // The request dies on its first hop; the path heals before the retry.
+    let outcomes = Rc::new(RefCell::new(Vec::new()));
+    let o2 = Rc::clone(&outcomes);
+    sim.state.net.partition(a, g1);
+    rkom::call(
+        &mut sim,
+        a,
+        b,
+        1,
+        Bytes::from_static(b"op"),
+        move |_s, res| {
+            o2.borrow_mut().push(res);
+        },
+    );
+    sim.run_until(sim.now() + SimDuration::from_millis(20));
+    assert_eq!(
+        sim.state.net.stats.wire_drops.get(),
+        1,
+        "the request was lost"
+    );
+    sim.state.net.heal_partition(a, g1);
+    sim.run();
+    let got = outcomes.borrow();
+    assert_eq!(got.len(), 1, "callback must fire exactly once: {got:?}");
+    assert_eq!(got[0], Ok(Bytes::from_static(b"pong")));
+    assert_eq!(*executions.borrow(), 2, "the retried request ran once");
+    let stats = &sim.state.rkom.host(a).stats;
+    assert_eq!(stats.retransmissions.get(), 1);
+    assert_eq!(stats.completed.get(), 2);
+}

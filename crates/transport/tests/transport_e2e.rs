@@ -235,7 +235,7 @@ fn reliable_stream_survives_loss() {
     let n = builder.network(spec);
     let a = builder.host_on(n);
     let b = builder.host_on(n);
-    let mut sim = Sim::new(StackBuilder::new(builder.build()).build());
+    let mut sim = Sim::new(StackBuilder::new(builder.build()).obs(true).build());
     let events = collect_taps(&mut sim, &[a, b]);
     let profile = StreamProfile {
         reliable: true,
@@ -244,20 +244,48 @@ fn reliable_stream_survives_loss() {
     };
     let session = stream::open(&mut sim, a, b, profile).unwrap();
     sim.run();
-    for i in 0..50u8 {
-        stream::send(&mut sim, a, session, Message::new(vec![i; 200])).unwrap();
+    // Loss is size-scaled (`drop_prob` is per KiB): 200 messages of 1 KiB
+    // make it certain, where 50 of 200 B used to pass on luck — and on the
+    // spurious resends the old sender made on every ack.
+    for i in 0..200u32 {
+        stream::send(&mut sim, a, session, Message::new(vec![i as u8; 1000])).unwrap();
         // Space the sends so the run terminates quickly.
         sim.run_until(sim.now() + SimDuration::from_millis(2));
+        // Model the consuming application.
+        let pending = sim.state.stream.session(b, session).unwrap();
+        let pending = pending.receive_buffer_pending();
+        if pending > 0 {
+            stream::consume(&mut sim, b, session, pending);
+        }
     }
     sim.run();
     let ev = events.borrow();
-    assert_eq!(ev.delivered.len(), 50, "reliable stream must deliver all");
+    // Exactly once, in order.
     let seqs: Vec<u64> = ev.delivered.iter().map(|d| d.1).collect();
-    assert_eq!(seqs, (0..50).collect::<Vec<u64>>());
-    let s = sim.state.stream.session(a, session).unwrap();
+    assert_eq!(seqs, (0..200).collect::<Vec<u64>>());
+    let gaps = sim
+        .state
+        .stream
+        .session(b, session)
+        .unwrap()
+        .stats
+        .gaps
+        .get();
+    assert!(gaps > 0, "the scenario must actually lose data");
+    // Repair is proportional to loss: one resend per hole the receiver
+    // reported, one per timeout, and slack for resends that were lost too.
+    let retransmitted = sim.state.stream.session(a, session).unwrap();
+    let retransmitted = retransmitted.stats.retransmitted.get();
+    let rtos = sim
+        .state
+        .net
+        .obs
+        .registry
+        .counter_value("stream.retransmit.rto");
+    assert!(retransmitted > 0, "loss must force retransmission");
     assert!(
-        s.stats.retransmitted.get() > 0,
-        "loss must force retransmission"
+        retransmitted <= 2 * gaps + rtos,
+        "{retransmitted} retransmissions for {gaps} gaps and {rtos} timeouts"
     );
 }
 

@@ -28,6 +28,13 @@ fi
 
 cargo build --release
 
+# First, and cheap (about a second): the paper's efficiency claim as a
+# test. On loss-free links with no fault plan the CI mix must do no
+# repair work — no stream retransmission, no RKOM resend behind channel
+# creation, oracle clean — on the serial engine and on dash-par. If this
+# fails, the long suites below are measuring a stack that wastes work.
+cargo test -q --test no_spurious_work
+
 # Every test runs exactly once. dash-par's panic-propagation tests go
 # first, by name and boxed: `std::sync::Barrier` does not poison, so a
 # regression there is a wedged executor, and this way it costs seconds
@@ -46,13 +53,13 @@ fi
 # are in here), then the root package's library, examples and doc tests,
 # then its integration tests one binary at a time — chaos, explore and
 # rt_conformance are held back because they carry a failure hint, a time
-# box or a release build below.
+# box or a release build below; no_spurious_work already ran above.
 cargo test --workspace --exclude dash -q -- --skip propagates_instead_of_wedging
 cargo test -q --lib --examples
 cargo test -q --doc
 for t in tests/*.rs; do
     name="$(basename "$t" .rs)"
-    case "$name" in chaos | explore | rt_conformance) continue ;; esac
+    case "$name" in chaos | explore | rt_conformance | no_spurious_work) continue ;; esac
     cargo test -q --test "$name"
 done
 
@@ -61,6 +68,12 @@ done
 # crates/net/tests/common/mod.rs) on far more random meshes than the
 # default 96 — optimised build, fixed count, a few seconds.
 PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test routing differential
+
+# The reliable stream's recovery machine against random loss: any set of
+# lost data and ack packets is repaired exactly once, in order, without a
+# wedge, and with retransmissions proportional to the loss — again on far
+# more cases than the default, optimised, under a second.
+PROPTEST_CASES=2000 cargo test --release -q -p dash-transport --test stream_recovery random_loss
 
 # Chaos suite: fixed seed set (0..28, baked into tests/chaos.rs). On
 # failure the offending seed is in the assertion message; reproduce with
@@ -146,6 +159,22 @@ if ! timeout 120 cargo run --release -q -p dash-benchmark -- \
     echo "verify: dash-benchmark smoke FAILED (a correctness check, or" >&2
     echo "verify: exceeded its 120 s box) — reproduce with"              >&2
     echo "verify:   cargo run --release -p dash-benchmark -- --smoke --reps 3" >&2
+    exit 1
+fi
+
+# The benchmark's own account of the same claim: the traced bulk-frag
+# run (32 KiB reliable messages over loss-free links) reports its
+# retransmitted fraction in the per-layer rows of its JSON result; it
+# must be exactly zero.
+bulk_json="$(mktemp)"
+trap 'rm -f "$bulk_json"' EXIT
+timeout 120 cargo run --release -q -p dash-benchmark -- \
+    --smoke --reps 3 --workload bulk-frag --out "$bulk_json" >/dev/null
+if ! grep -Eq '"transport\.stream\.retransmit_frac": 0,?$' "$bulk_json"; then
+    echo "verify: bulk-frag retransmits on loss-free links:" >&2
+    grep -E '"transport\.stream\.(retransmit_frac|acks_per_msg)"' "$bulk_json" >&2 || true
+    echo "verify: reproduce with"                             >&2
+    echo "verify:   cargo run --release -p dash-benchmark -- --smoke --workload bulk-frag" >&2
     exit 1
 fi
 
