@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use bytes::{BufMut, Bytes, BytesMut};
 use dash_net::ids::HostId;
 use dash_net::pipeline as net;
-use dash_net::state::NetWorld;
+use dash_net::state::{emit, NetWorld};
 use dash_sim::engine::{Sim, TimerHandle};
 use dash_sim::obs::ObsEvent;
 use dash_sim::stats::{Counter, Histogram};
@@ -596,18 +596,14 @@ fn rewind_and_retransmit<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64,
         }
     };
     if let Some(segments) = rewound {
-        let now = sim.now();
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::TcpRetransmit {
-                    host: host.0,
-                    conn,
-                    segments,
-                },
-            );
-        }
+        emit(
+            sim,
+            ObsEvent::TcpRetransmit {
+                host: host.0,
+                conn,
+                segments,
+            },
+        );
         pump(sim, host, conn);
     }
 }

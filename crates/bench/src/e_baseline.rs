@@ -207,7 +207,12 @@ pub fn e8_congestion() -> Table {
         t.row(vec![
             "RMS rate-enforced".into(),
             drops.to_string(),
-            sim.state.net.stats.quenches_sent.get().to_string(),
+            sim.state
+                .net
+                .obs
+                .registry
+                .counter_value("net.quench_sent")
+                .to_string(),
             format!("{} B/s", f(total)),
             per_flow
                 .iter()
@@ -279,7 +284,12 @@ pub fn e8_congestion() -> Table {
         t.row(vec![
             name.into(),
             drops.to_string(),
-            sim.state.net.stats.quenches_sent.get().to_string(),
+            sim.state
+                .net
+                .obs
+                .registry
+                .counter_value("net.quench_sent")
+                .to_string(),
             format!("{} B/s", f(total)),
             per_flow
                 .iter()

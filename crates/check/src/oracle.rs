@@ -12,7 +12,7 @@
 //! | `admission-ledger` | `AdmissionDecision`                           | deterministic reservations never exceed the ledger budget (§2.3) |
 //! | `det-delay`        | `StDeliver { det, late }`                     | deterministic-class deliveries meet `A + B·size` (§2.2) while the world is healthy |
 //! | `route-loop`       | `RoutingPathPinned`                           | pinned source routes visit no host twice |
-//! | `no-spurious-work` | `StreamRetransmit`, `IfaceDrop`, `WireDrop`, fault events | a reliable stream repairs (`DupAck`/`PartialAck` retransmit) only after the run has shown loss evidence |
+//! | `no-spurious-work` | `StreamRetransmit`, `IfaceDrop`, `WireDrop`, `Drop`, fault events | a reliable stream repairs (`DupAck`/`PartialAck` retransmit) only after the run has shown loss evidence |
 //! | `completion`       | `TransportSend`/`StreamEnd`/`StreamOpenFailed` | at quiescence, every accepted send was delivered or the session saw a *typed* failure |
 //!
 //! `det-delay` excuses lateness once any fault has been observed: under
@@ -114,7 +114,8 @@ struct OracleState {
     sessions: Sessions,
     /// Set once any fault fires; suspends `det-delay` (see module docs).
     fault_seen: bool,
-    /// Set once a packet was dropped (queue overflow, wire loss/damage).
+    /// Set once a packet or message was dropped (queue overflow, wire
+    /// loss/damage, or any typed [`ObsEvent::Drop`] cause).
     drop_seen: bool,
     /// Timeout retransmissions seen (counted, not judged).
     rto_retransmits: u64,
@@ -156,7 +157,9 @@ impl OracleState {
             ObsEvent::FaultInjected { .. }
             | ObsEvent::NetworkFailed { .. }
             | ObsEvent::HostCrashed { .. } => self.fault_seen = true,
-            ObsEvent::IfaceDrop { .. } | ObsEvent::WireDrop { .. } => self.drop_seen = true,
+            ObsEvent::IfaceDrop { .. } | ObsEvent::WireDrop { .. } | ObsEvent::Drop { .. } => {
+                self.drop_seen = true
+            }
             ObsEvent::StreamRetransmit {
                 cause: RetransmitCause::Rto,
                 ..
@@ -392,6 +395,7 @@ pub fn check_stream(stream: &[(SimTime, ObsEvent)], det_delay: bool) -> Vec<Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dash_sim::obs::DropCause;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -572,6 +576,14 @@ mod tests {
                 network: 1,
             },
             ObsEvent::IfaceDrop { host: 0, iface: 0 },
+            ObsEvent::Drop {
+                host: 0,
+                cause: DropCause::NoRoute,
+            },
+            ObsEvent::Drop {
+                host: 0,
+                cause: DropCause::Ttl,
+            },
             ObsEvent::FaultInjected { kind: "partition" },
             ObsEvent::NetworkFailed { network: 1 },
             ObsEvent::HostCrashed { host: 2 },

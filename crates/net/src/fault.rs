@@ -17,7 +17,7 @@ use rms_core::error::FailReason;
 use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::pipeline::{fail_network, restore_network, start_tx};
 use crate::routing;
-use crate::state::{NetRmsEvent, NetWorld};
+use crate::state::{emit, NetRmsEvent, NetWorld};
 
 /// Schedule every event of `plan` against the simulation. Events fire at
 /// their recorded times in plan order (ties broken by scheduling sequence,
@@ -31,14 +31,7 @@ pub fn schedule_fault_plan<W: NetWorld>(sim: &mut Sim<W>, plan: &FaultPlan) {
 
 /// Apply a single fault to the network right now.
 pub fn apply_fault<W: NetWorld>(sim: &mut Sim<W>, kind: &FaultKind) {
-    let now = sim.now();
-    {
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs
-                .emit(now, ObsEvent::FaultInjected { kind: kind.name() });
-        }
-    }
+    emit(sim, ObsEvent::FaultInjected { kind: kind.name() });
     match kind {
         FaultKind::NetworkDown { network } => fail_network(sim, NetworkId(*network)),
         FaultKind::NetworkUp { network } => restore_network(sim, NetworkId(*network)),
@@ -135,9 +128,7 @@ pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
         // replay.
         failures.sort();
         routing::mark_routes_dirty(net, now);
-        if net.obs.is_active() {
-            net.obs.emit(now, ObsEvent::HostCrashed { host: host.0 });
-        }
+        net.obs.emit(now, ObsEvent::HostCrashed { host: host.0 });
     }
     // The crashed host's up neighbours witnessed the failure: they
     // re-flood (ascending host order for deterministic replay).
@@ -181,9 +172,7 @@ pub fn restart_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
         }
         h.up = true;
         routing::mark_routes_dirty(net, now);
-        if net.obs.is_active() {
-            net.obs.emit(now, ObsEvent::HostRestarted { host: host.0 });
-        }
+        net.obs.emit(now, ObsEvent::HostRestarted { host: host.0 });
     }
     routing::flood_from(sim, host);
 }

@@ -87,5 +87,5 @@ pub mod prelude {
 
 pub use ids::{CreateToken, HostId, NetRmsId, NetworkId};
 pub use network::NetworkSpec;
-pub use state::{NetConfig, NetRmsEvent, NetState, NetWorld};
+pub use state::{emit, NetConfig, NetRmsEvent, NetState, NetWorld};
 pub use topology::TopologyBuilder;

@@ -9,7 +9,7 @@ use dash_security::cipher::{decrypt, encrypt, Key};
 use dash_security::mac;
 use dash_security::suite::{MechanismPlan, NetworkCapabilities};
 use dash_sim::engine::Sim;
-use dash_sim::obs::ObsEvent;
+use dash_sim::obs::{DropCause, ObsEvent};
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::admission::Admission;
 use rms_core::compat::{negotiate, RmsRequest, ServiceTable};
@@ -25,7 +25,7 @@ use crate::packet::{DataPacket, NakReason, Packet, PacketKind, SourceRoute};
 use crate::rms::{Buffered, NetRms, RmsRole, REORDER_FAIL_THRESHOLD};
 use crate::routing;
 use crate::state::{
-    NetRmsEvent, NetState, NetWorld, PendingCreate, PendingInvite, Route, CREATE_RETRIES,
+    emit, NetRmsEvent, NetState, NetWorld, PendingCreate, PendingInvite, Route, CREATE_RETRIES,
     CREATE_TIMEOUT, TTL,
 };
 
@@ -431,7 +431,8 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
     };
     if sim.state.net().obs.is_active() {
         // Announce the pinned source route (creator first) so an external
-        // oracle can check the chosen alternate is loop-free.
+        // oracle can check the chosen alternate is loop-free. The one
+        // guarded emit: the hop list costs an allocation per creation.
         let mut hops: Vec<u32> = Vec::with_capacity(source_route.hops.len() + 1);
         hops.push(creator.0);
         hops.extend(source_route.hops.iter().map(|h| h.0));
@@ -514,17 +515,15 @@ fn admit_hop(
         }
         Admission::Denied { detail } => Err(detail),
     };
-    if net.obs.is_active() {
-        net.obs.emit(
-            now,
-            ObsEvent::AdmissionDecision {
-                host: host.0,
-                admitted: verdict.is_ok(),
-                reserved_bps,
-                budget_bps,
-            },
-        );
-    }
+    net.obs.emit(
+        now,
+        ObsEvent::AdmissionDecision {
+            host: host.0,
+            admitted: verdict.is_ok(),
+            reserved_bps,
+            budget_bps,
+        },
+    );
     verdict
 }
 
@@ -654,20 +653,15 @@ pub fn send_on_rms<W: NetWorld>(
     };
     let sent_at = sent_at.unwrap_or(now);
     let len = msg.len() as u64;
-    {
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::NetSend {
-                    host: host.0,
-                    rms: rms.0,
-                    bytes: len,
-                    span: msg.span,
-                },
-            );
-        }
-    }
+    emit(
+        sim,
+        ObsEvent::NetSend {
+            host: host.0,
+            rms: rms.0,
+            bytes: len,
+            span: msg.span,
+        },
+    );
     let cost = sim
         .state
         .net_ref()
@@ -795,7 +789,7 @@ pub fn route_and_enqueue<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet
     let now = sim.now();
     if !sim.state.net_ref().host(host).up {
         // A crashed host originates and forwards nothing.
-        sim.state.net().stats.wire_drops.incr();
+        drop_packet(sim, host, DropCause::HostDown);
         return false;
     }
     if packet.dst == host {
@@ -825,7 +819,7 @@ pub fn route_and_enqueue<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet
     let route = match route {
         Some(r) => r,
         None => {
-            sim.state.net().stats.no_route_drops.incr();
+            drop_packet(sim, host, DropCause::NoRoute);
             return false;
         }
     };
@@ -847,7 +841,6 @@ pub(crate) fn enqueue_on<W: NetWorld>(
     let now = sim.now();
     let (accepted, quench) = {
         let net = sim.state.net();
-        net.stats.packets_sent.incr();
         let is_raw = matches!(packet.kind, PacketKind::Raw { .. });
         let src = packet.src;
         let proto = match &packet.kind {
@@ -857,37 +850,31 @@ pub(crate) fn enqueue_on<W: NetWorld>(
         let dst = packet.dst;
         let span = packet.span();
         let ok = net.host_mut(host).ifaces[iface_idx].enqueue(now, packet);
-        if net.obs.is_active() {
-            net.obs.emit(now, ObsEvent::NetPacketSent { host: host.0 });
-            if ok {
-                let iface = &net.host(host).ifaces[iface_idx];
-                let (queued_packets, queued_bytes) = (iface.queued_packets(), iface.queued_bytes());
-                net.obs.emit(
-                    now,
-                    ObsEvent::IfaceEnqueue {
-                        host: host.0,
-                        iface: iface_idx,
-                        span,
-                        queued_packets,
-                        queued_bytes,
-                    },
-                );
-            } else {
-                net.obs.emit(
-                    now,
-                    ObsEvent::IfaceDrop {
-                        host: host.0,
-                        iface: iface_idx,
-                    },
-                );
-            }
-        }
-        if !ok {
-            net.stats.overflow_drops.incr();
+        net.obs.emit(now, ObsEvent::NetPacketSent { host: host.0 });
+        if ok {
+            let iface = &net.host(host).ifaces[iface_idx];
+            let (queued_packets, queued_bytes) = (iface.queued_packets(), iface.queued_bytes());
+            net.obs.emit(
+                now,
+                ObsEvent::IfaceEnqueue {
+                    host: host.0,
+                    iface: iface_idx,
+                    span,
+                    queued_packets,
+                    queued_bytes,
+                },
+            );
+            (true, None)
+        } else {
+            net.obs.emit(
+                now,
+                ObsEvent::IfaceDrop {
+                    host: host.0,
+                    iface: iface_idx,
+                },
+            );
             let quench = (is_raw && src != host).then_some((src, proto, dst));
             (false, quench)
-        } else {
-            (true, None)
         }
     };
     if let Some((to, proto, dropped_dst)) = quench {
@@ -907,7 +894,7 @@ fn send_quench<W: NetWorld>(
     dropped_dst: HostId,
 ) {
     let now = sim.now();
-    sim.state.net().stats.quenches_sent.incr();
+    emit(sim, ObsEvent::QuenchSent { host: host.0 });
     let packet = Packet {
         src: host,
         dst: to,
@@ -948,18 +935,16 @@ pub fn start_tx<W: NetWorld>(sim: &mut Sim<W>, host: HostId, iface_idx: usize) {
         let (queued_packets, queued_bytes) = (iface.queued_packets(), iface.queued_bytes());
         let rate = net.network(network_id).spec.rate_bps;
         let tx_time = SimDuration::from_secs_f64(bytes as f64 * 8.0 / rate);
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::IfaceDequeue {
-                    host: host.0,
-                    iface: iface_idx,
-                    span: packet.span(),
-                    queued_packets,
-                    queued_bytes,
-                },
-            );
-        }
+        net.obs.emit(
+            now,
+            ObsEvent::IfaceDequeue {
+                host: host.0,
+                iface: iface_idx,
+                span: packet.span(),
+                queued_packets,
+                queued_bytes,
+            },
+        );
         (packet, network_id, tx_time)
     };
     sim.schedule_in(tx_time, move |sim| {
@@ -1012,22 +997,16 @@ fn finish_tx<W: NetWorld>(
         (outcome, next_hop)
     };
     if !matches!(outcome, WireOutcome::Delivered { .. }) {
-        let now = sim.now();
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::WireDrop {
-                    host: host.0,
-                    network: network_id.0,
-                },
-            );
-        }
+        emit(
+            sim,
+            ObsEvent::WireDrop {
+                host: host.0,
+                network: network_id.0,
+            },
+        );
     }
     match (outcome, next_hop) {
-        (WireOutcome::Lost, _) | (_, None) => {
-            sim.state.net().stats.wire_drops.incr();
-        }
+        (WireOutcome::Lost, _) | (_, None) => {}
         (WireOutcome::Delivered { delay }, Some(next)) => {
             deliver_or_divert(sim, host, next, delay, packet);
         }
@@ -1085,7 +1064,7 @@ fn deliver_or_divert<W: NetWorld>(
 pub fn on_arrival<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
     if !sim.state.net_ref().host(host).up {
         // Packets addressed to (or through) a crashed host die on arrival.
-        sim.state.net().stats.wire_drops.incr();
+        drop_packet(sim, host, DropCause::HostDown);
         return;
     }
     match &packet.kind {
@@ -1098,7 +1077,6 @@ pub fn on_arrival<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
         PacketKind::CreateAck { .. } => handle_create_ack(sim, host, packet),
         PacketKind::Invite { .. } => handle_invite(sim, host, packet),
         PacketKind::Raw { .. } => {
-            sim.state.net().stats.packets_delivered.incr();
             let (proto, payload) = match packet.kind {
                 PacketKind::Raw { proto, payload } => (proto, payload),
                 _ => unreachable!(),
@@ -1115,10 +1093,21 @@ pub fn on_arrival<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
     }
 }
 
+/// Count a packet `host` discards, with its cause.
+fn drop_packet<W: NetWorld>(sim: &mut Sim<W>, host: HostId, cause: DropCause) {
+    emit(
+        sim,
+        ObsEvent::Drop {
+            host: host.0,
+            cause,
+        },
+    );
+}
+
 fn forward<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packet) {
     packet.hops += 1;
     if packet.hops > TTL {
-        sim.state.net().stats.ttl_drops.incr();
+        drop_packet(sim, host, DropCause::Ttl);
         return;
     }
     // A source-routed packet arriving here finished the hop it was
@@ -1299,7 +1288,7 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
                 };
                 route_and_enqueue(sim, host, fwd);
             } else {
-                sim.state.net().stats.ttl_drops.incr();
+                drop_packet(sim, host, DropCause::Ttl);
             }
         }
         Err(reason) => {
@@ -1401,7 +1390,7 @@ fn handle_release<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packe
     if packet.dst != host {
         packet.hops += 1;
         if packet.hops > TTL {
-            sim.state.net().stats.ttl_drops.incr();
+            drop_packet(sim, host, DropCause::Ttl);
             return;
         }
         match pin {
@@ -1442,17 +1431,13 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         .get(pending.alt_idx)
         .is_some_and(|c| !c.is_primary)
     {
-        let now = sim.now();
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::RoutingAlternateWin {
-                    host: host.0,
-                    alternate: pending.alt_idx as u32,
-                },
-            );
-        }
+        emit(
+            sim,
+            ObsEvent::RoutingAlternateWin {
+                host: host.0,
+                alternate: pending.alt_idx as u32,
+            },
+        );
     }
     // The plan and key were chosen at request time and carried to the
     // receiver; adopt the same ones here.
@@ -1552,21 +1537,15 @@ fn handle_data<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
         }
     };
     let len = data.payload.len() as u64;
-    {
-        let now = sim.now();
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::NetRecv {
-                    host: host.0,
-                    rms: rms.0,
-                    seq: data.seq,
-                    span: data.span,
-                },
-            );
-        }
-    }
+    emit(
+        sim,
+        ObsEvent::NetRecv {
+            host: host.0,
+            rms: rms.0,
+            seq: data.seq,
+            span: data.span,
+        },
+    );
     let cost = sim
         .state
         .net_ref()
@@ -1747,19 +1726,15 @@ fn deliver_data<W: NetWorld>(
     }
     // Stage 2: hand off to the world.
     for (seq, msg, s_at) in deliveries {
-        let net = sim.state.net();
-        net.stats.packets_delivered.incr();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::NetPacketDelivered {
-                    host: host.0,
-                    rms: rms_id.0,
-                    seq,
-                    span: msg.span,
-                },
-            );
-        }
+        emit(
+            sim,
+            ObsEvent::NetPacketDelivered {
+                host: host.0,
+                rms: rms_id.0,
+                seq,
+                span: msg.span,
+            },
+        );
         let info = DeliveryInfo {
             sent_at: s_at,
             delivered_at: now,
@@ -1804,10 +1779,8 @@ pub fn fail_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
         // everything downstream of it) is identical across runs of a seed.
         failures.sort_by_key(|(h, r)| (h.0, r.0));
         routing::mark_routes_dirty(net, now);
-        if net.obs.is_active() {
-            net.obs
-                .emit(now, ObsEvent::NetworkFailed { network: network.0 });
-        }
+        net.obs
+            .emit(now, ObsEvent::NetworkFailed { network: network.0 });
     }
     // Scoped re-flood from the failure's witnesses (`attached` is in build
     // order, ascending, so flood order is deterministic).
@@ -1850,10 +1823,8 @@ pub fn restore_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
         }
         net.network_mut(network).down = false;
         routing::mark_routes_dirty(net, now);
-        if net.obs.is_active() {
-            net.obs
-                .emit(now, ObsEvent::NetworkRestored { network: network.0 });
-        }
+        net.obs
+            .emit(now, ObsEvent::NetworkRestored { network: network.0 });
     }
     let witnesses: Vec<HostId> = {
         let net = sim.state.net_ref();

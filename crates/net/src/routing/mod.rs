@@ -153,15 +153,13 @@ pub fn ensure_host_routes(state: &mut NetState, now: SimTime, host: HostId) {
     let h = state.host_mut(host);
     h.routes = routes;
     h.routes_dirty_since = None;
-    if state.obs.is_active() {
-        state.obs.emit(
-            now,
-            ObsEvent::RoutingRecompute {
-                host: host.0,
-                latency_s: now.saturating_since(dirty_since).as_secs_f64(),
-            },
-        );
-    }
+    state.obs.emit(
+        now,
+        ObsEvent::RoutingRecompute {
+            host: host.0,
+            latency_s: now.saturating_since(dirty_since).as_secs_f64(),
+        },
+    );
 }
 
 /// Build and flood `origin`'s current link-state ad to its neighbours:
@@ -193,15 +191,13 @@ pub fn flood_from<W: NetWorld>(sim: &mut Sim<W>, origin: HostId) {
         let h = net.host_mut(origin);
         h.lsdb.install(Arc::clone(&ad));
         h.routes_dirty_since = Some(h.routes_dirty_since.map_or(now, |d| d.min(now)));
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::RoutingFlood {
-                    origin: origin.0,
-                    seq,
-                },
-            );
-        }
+        net.obs.emit(
+            now,
+            ObsEvent::RoutingFlood {
+                origin: origin.0,
+                seq,
+            },
+        );
         ad
     };
     flood_ad(sim, origin, &ad, 0, None);

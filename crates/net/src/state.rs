@@ -10,9 +10,8 @@
 use rms_core::hash::DetHashMap;
 
 use dash_sim::engine::{Sim, TimerHandle};
-use dash_sim::obs::Obs;
+use dash_sim::obs::{Obs, ObsEvent};
 use dash_sim::rng::Rng;
-use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::compat::RmsRequest;
 use rms_core::error::{FailReason, RejectReason};
@@ -65,25 +64,6 @@ impl Default for NetConfig {
             debug_force_admission: false,
         }
     }
-}
-
-/// Network-layer-wide statistics.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    /// Packets handed to interfaces.
-    pub packets_sent: Counter,
-    /// Packets delivered to their destination host.
-    pub packets_delivered: Counter,
-    /// Packets lost on the wire (drop or down network).
-    pub wire_drops: Counter,
-    /// Packets dropped at gateways/interfaces due to queue overflow.
-    pub overflow_drops: Counter,
-    /// Packets dropped because their hop budget ran out.
-    pub ttl_drops: Counter,
-    /// Packets dropped for lack of a route.
-    pub no_route_drops: Counter,
-    /// Source-quench packets emitted.
-    pub quenches_sent: Counter,
 }
 
 /// A route table entry.
@@ -235,12 +215,11 @@ pub struct NetState {
     pub hosts: Vec<NetHost>,
     /// Deterministic randomness for the wire.
     pub rng: Rng,
-    /// Cross-layer observability: typed events, metric registry, and
-    /// message lifecycle spans (see [`dash_sim::obs`]). Inert until
-    /// [`Obs::enable`] or a sink is installed.
+    /// Cross-layer observability (see [`dash_sim::obs`]): the metric
+    /// registry is the stack's world-level counter and always counts;
+    /// message lifecycle spans and sinks wait for [`Obs::enable`] or an
+    /// installed sink.
     pub obs: Obs,
-    /// Global statistics.
-    pub stats: NetStats,
     /// Partitioned host pairs (fault injection): traffic between the two
     /// hosts is silently dropped on every network hop. Keys are normalized
     /// `(min, max)` id pairs; a `BTreeSet` keeps iteration deterministic.
@@ -267,7 +246,6 @@ impl NetState {
             hosts: Vec::new(),
             rng: Rng::new(seed),
             obs: Obs::new(),
-            stats: NetStats::default(),
             partitions: std::collections::BTreeSet::new(),
             route_generation: 0,
             shard: None,
@@ -596,6 +574,14 @@ pub trait NetWorld: Sized + 'static {
     fn network_event(sim: &mut Sim<Self>, network: NetworkId, up: bool) {
         let _ = (sim, network, up);
     }
+}
+
+/// Record `event` in the world's observability hub at the current virtual
+/// time: counted always, span-tracked and forwarded to sinks while the hub
+/// is active.
+pub fn emit<W: NetWorld>(sim: &mut Sim<W>, event: ObsEvent) {
+    let now = sim.now();
+    sim.state.net().obs.emit(now, event);
 }
 
 /// The default CPU model shared by [`NetWorld::charge_cpu`] implementations:

@@ -118,7 +118,7 @@ fn in_flight_packets_on_failed_network_are_lost() {
     let (net, a, b) = two_hosts_long_haul();
     let mut sim = Sim::new(World::new(net));
     let rms = establish(&mut sim, a, b);
-    let drops_before = sim.state.net.stats.wire_drops.get();
+    let drops_before = sim.state.net.obs.registry.counter_value("net.wire_drop");
 
     // 1000 payload bytes at 1.5 Mb/s ≈ 6 ms of serialization alone: the
     // network dies while the packet is still on its interface.
@@ -132,7 +132,7 @@ fn in_flight_packets_on_failed_network_are_lost() {
         sim.state.deliveries.is_empty(),
         "in-flight packet must not be delivered across a dead network"
     );
-    assert!(sim.state.net.stats.wire_drops.get() > drops_before);
+    assert!(sim.state.net.obs.registry.counter_value("net.wire_drop") > drops_before);
     // Both endpoints heard the typed failure.
     assert!(sim
         .state

@@ -19,11 +19,19 @@
 //!   first occurrence, yielding a per-stage latency breakdown
 //!   ([`SpanRecord`]) that regenerates the Fig. 2/Fig. 3 budget tables.
 //!
-//! Emission is zero-cost when observability is off: every hook site guards
-//! on [`Obs::is_active`] — a single boolean load — and span ids are only allocated
-//! while active, so wire images and timing are bit-identical to an
-//! uninstrumented run. When active, frames carrying a span id grow by
-//! 8 bytes: an honest, visible instrumentation cost.
+//! Counting is always on: [`Obs::emit`] applies every event to the
+//! registry whether or not the hub is active, so the registry is the
+//! stack's one world-level counter and a run counts the same with
+//! observability off as with it on. What activation ([`Obs::enable`], or
+//! installing a sink) adds is what costs wire bytes or memory: span ids
+//! (frames carrying one grow by 8 bytes — an honest, visible
+//! instrumentation cost), the span tracker, and the sinks. While inactive
+//! [`Obs::start_span`] mints nothing, so wire images and timing are those
+//! of a run that never heard of spans.
+//!
+//! Every discard has exactly one typed event: [`ObsEvent::IfaceDrop`]
+//! (queue overflow), [`ObsEvent::WireDrop`] (wire loss or damage), and
+//! [`ObsEvent::Drop`] with a [`DropCause`] for the rest.
 //!
 //! Sinks ([`ObsSink`]) observe the raw stream: [`JsonLinesSink`] exports
 //! JSON-Lines for offline analysis.
@@ -97,8 +105,7 @@ impl Stage {
     }
 }
 
-/// Why a piggyback slot was flushed (public mirror of the engine's
-/// internal cause).
+/// Why a piggyback slot was flushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushReason {
     /// The coalescing timer expired (§4.2 deadline-driven flush).
@@ -147,6 +154,34 @@ impl RetransmitCause {
         }
     }
 }
+
+/// Why a packet or message was discarded, for the discards that are
+/// neither a queue overflow ([`ObsEvent::IfaceDrop`]) nor wire loss
+/// ([`ObsEvent::WireDrop`]). Each cause belongs to the layer that drops and
+/// is counted as `<layer>.drop.<cause>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropCause {
+    /// Net: the originating host, or the host a packet arrives at, is
+    /// crashed.
+    HostDown,
+    /// Net: no route toward the packet's destination.
+    NoRoute,
+    /// Net: the packet's hop budget ran out.
+    Ttl,
+    /// ST: a network message that does not decode as an ST frame.
+    Malformed,
+    /// ST: a control-channel Hello or HelloAck failed authentication.
+    AuthFailed,
+    /// ST: a data frame for an ST RMS this host does not receive on
+    /// (unknown, or failed).
+    NoStream,
+    /// Stream transport: data for a session this host does not hold.
+    NoSession,
+}
+
+/// Slot of [`DropCause::HostDown`] in [`EVENT_NAMES`]; the other causes
+/// follow in declaration order.
+const DROP_BASE: usize = 50;
 
 /// One typed observability event. Variants carry raw ids (`u32` hosts,
 /// `u64` streams/sequences) because this crate sits below the layers that
@@ -564,12 +599,25 @@ pub enum ObsEvent {
         /// The full hop sequence, source first, destination last.
         hops: Vec<u32>,
     },
+    /// A gateway answered a datagram overflow drop with a source quench
+    /// (the §4.4 baseline).
+    QuenchSent {
+        /// The quenching host.
+        host: u32,
+    },
+    /// A packet or message was discarded (see [`DropCause`]).
+    Drop {
+        /// The discarding host.
+        host: u32,
+        /// Why.
+        cause: DropCause,
+    },
 }
 
 /// Every distinct event counter name, indexed by [`ObsEvent::fast_index`].
 /// The registry keeps these counts in a plain array so the per-event fast
 /// path is an indexed increment — no map lookup, no allocation.
-pub const EVENT_NAMES: [&str; 49] = [
+pub const EVENT_NAMES: [&str; 57] = [
     "net.admission_admitted",
     "net.admission_rejected",
     "net.iface_enqueue",
@@ -619,6 +667,14 @@ pub const EVENT_NAMES: [&str; 49] = [
     "stream.retransmit.dup_ack",
     "stream.retransmit.partial_ack",
     "rkom.retransmit",
+    "net.quench_sent",
+    "net.drop.host_down",
+    "net.drop.no_route",
+    "net.drop.ttl",
+    "st.drop.malformed",
+    "st.drop.auth_failed",
+    "st.drop.no_stream",
+    "stream.drop.no_session",
 ];
 
 impl ObsEvent {
@@ -679,6 +735,8 @@ impl ObsEvent {
                 RetransmitCause::PartialAck => 47,
             },
             ObsEvent::RkomRetransmit { .. } => 48,
+            ObsEvent::QuenchSent { .. } => 49,
+            ObsEvent::Drop { cause, .. } => DROP_BASE + *cause as usize,
         }
     }
 
@@ -843,6 +901,11 @@ impl MetricRegistry {
     }
 
     /// Current value of a counter (0 if it was never touched).
+    ///
+    /// A misspelt name would silently read 0 and let an `== 0` assertion
+    /// pass without testing anything, so debug builds panic on a name that
+    /// is neither a fixed slot, a member of the `st.late.` / `fault.`
+    /// families, nor a dynamic counter created through [`Self::counter`].
     pub fn counter_value(&self, name: &str) -> u64 {
         if let Some(i) = EVENT_NAMES.iter().position(|n| *n == name) {
             return self.event_counts[i].get();
@@ -859,6 +922,10 @@ impl MetricRegistry {
         if let Some(kind) = name.strip_prefix("fault.") {
             return self.fault_by_kind.get(kind).map(|e| e.1.get()).unwrap_or(0);
         }
+        debug_assert!(
+            self.counters.contains_key(name),
+            "no counter named {name:?} (misspelt?)"
+        );
         self.counters.get(name).map(|c| c.get()).unwrap_or(0)
     }
 
@@ -1290,7 +1357,7 @@ impl ObsSink for TeeSink {
 pub struct Obs {
     active: bool,
     sink: Option<Box<dyn ObsSink>>,
-    /// The metric registry (readable while inactive; it is simply empty).
+    /// The metric registry; it counts whether or not the hub is active.
     pub registry: MetricRegistry,
     tracker: SpanTracker,
     retain: bool,
@@ -1324,12 +1391,14 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// Inactive hub (the default embedded in every world).
+    /// Inactive hub (the default embedded in every world): it counts, and
+    /// mints no span.
     pub fn new() -> Self {
         Obs::default()
     }
 
-    /// Turn emission on without installing a sink (registry + spans only).
+    /// Turn spans on without installing a sink (the registry counts
+    /// either way).
     pub fn enable(&mut self) {
         self.active = true;
     }
@@ -1361,8 +1430,9 @@ impl Obs {
         }
     }
 
-    /// True when hook sites should emit. This is the single cheap check on
-    /// every fast path; when false, instrumented code is a no-op.
+    /// True when span ids, span tracking and sinks are on. Counting does
+    /// not depend on it: only a site whose event costs an allocation to
+    /// build consults it.
     #[inline]
     pub fn is_active(&self) -> bool {
         self.active
@@ -1404,14 +1474,14 @@ impl Obs {
         Some(id)
     }
 
-    /// Emit one event: updates the registry, advances the event's span
-    /// stage (closing the span on [`Stage::StDeliver`]), and forwards to
-    /// the sink.
+    /// Emit one event: counts it in the registry and, while active,
+    /// advances the event's span stage (closing the span on
+    /// [`Stage::StDeliver`]) and forwards it to the sink.
     pub fn emit(&mut self, time: SimTime, event: ObsEvent) {
+        self.registry.apply(&event);
         if !self.active {
             return;
         }
-        self.registry.apply(&event);
         if let Some((span, stage)) = event.span_stage() {
             let (stream, seq) = match &event {
                 ObsEvent::StDeliver { st_rms, seq, .. } => (*st_rms, *seq),
@@ -1469,13 +1539,64 @@ mod tests {
         }
     }
 
+    /// A sink counting the events it is handed.
+    struct Tally(std::rc::Rc<std::cell::Cell<u32>>);
+    impl ObsSink for Tally {
+        fn on_event(&mut self, _time: SimTime, _event: &ObsEvent) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
     #[test]
-    fn inactive_obs_is_inert() {
+    fn inactive_obs_counts_mints_no_span_and_calls_no_sink() {
         let mut obs = Obs::new();
+        obs.retain_spans(true);
         assert!(!obs.is_active());
         assert_eq!(obs.start_span(), None);
         obs.emit(SimTime::ZERO, ObsEvent::CacheHit { host: 0 });
-        assert_eq!(obs.registry.counter_value("st.cache_hit"), 0);
+        // A span-carrying pair tracks nothing while inactive.
+        obs.emit(
+            SimTime::ZERO,
+            ObsEvent::StSend {
+                host: 0,
+                st_rms: 9,
+                seq: 4,
+                bytes: 10,
+                span: Some(1),
+            },
+        );
+        obs.emit(SimTime::from_nanos(5), deliver_event(1));
+        assert_eq!(obs.registry.counter_value("st.cache_hit"), 1);
+        assert_eq!(obs.registry.counter_value("st.deliver"), 1);
+        assert!(obs.spans().is_empty());
+        assert!(!obs.registry.has_histogram("span.e2e"));
+        // Installing a sink activates the hub: it sees what is emitted from
+        // then on, nothing of what was counted before, and ids start at 1.
+        let seen = std::rc::Rc::new(std::cell::Cell::new(0));
+        obs.set_sink(Tally(std::rc::Rc::clone(&seen)));
+        assert_eq!(seen.get(), 0);
+        assert_eq!(obs.start_span(), Some(1));
+        obs.emit(SimTime::ZERO, ObsEvent::CacheHit { host: 0 });
+        assert_eq!(seen.get(), 1);
+        assert_eq!(obs.registry.counter_value("st.cache_hit"), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "misspelt")]
+    #[cfg(debug_assertions)]
+    fn misspelt_counter_name_panics_in_debug() {
+        let reg = MetricRegistry::new();
+        let _ = reg.counter_value("st.cache_hits");
+    }
+
+    #[test]
+    fn unknown_family_members_and_created_counters_read_zero() {
+        let mut reg = MetricRegistry::new();
+        assert_eq!(reg.counter_value("st.late.42"), 0);
+        assert_eq!(reg.counter_value("fault.partition"), 0);
+        assert_eq!(reg.counter_value("net.drop.ttl"), 0);
+        reg.counter("app.custom");
+        assert_eq!(reg.counter_value("app.custom"), 0);
     }
 
     #[test]
@@ -1532,6 +1653,23 @@ mod tests {
         assert_eq!(
             FAST_HIST_NAMES[H_RECOVERY_LATENCY],
             "fault.recovery_latency"
+        );
+
+        // Each drop cause owns the slot named after its layer and cause.
+        for (cause, name) in [
+            (DropCause::HostDown, "net.drop.host_down"),
+            (DropCause::NoRoute, "net.drop.no_route"),
+            (DropCause::Ttl, "net.drop.ttl"),
+            (DropCause::Malformed, "st.drop.malformed"),
+            (DropCause::AuthFailed, "st.drop.auth_failed"),
+            (DropCause::NoStream, "st.drop.no_stream"),
+            (DropCause::NoSession, "stream.drop.no_session"),
+        ] {
+            assert_eq!(ObsEvent::Drop { host: 0, cause }.name(), name);
+        }
+        assert_eq!(
+            DROP_BASE + DropCause::NoSession as usize + 1,
+            EVENT_NAMES.len()
         );
     }
 

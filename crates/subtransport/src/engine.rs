@@ -8,9 +8,9 @@
 
 use dash_net::ids::{HostId, NetRmsId, NetworkId};
 use dash_net::pipeline as net;
-use dash_net::state::NetRmsEvent;
+use dash_net::state::{emit, NetRmsEvent};
 use dash_sim::engine::Sim;
-use dash_sim::obs::{FlushReason, ObsEvent};
+use dash_sim::obs::{DropCause, FlushReason, ObsEvent};
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::compat::{negotiate, RmsRequest, ServiceTable};
 use rms_core::delay::DelayBoundKind;
@@ -122,20 +122,13 @@ pub fn create<W: StWorld>(
             fast_ack,
         },
     );
-    st.host_mut(host).stats.creates_requested.incr();
-    {
-        let now = sim.now();
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::CreateRequested {
-                    host: host.0,
-                    peer: peer.0,
-                },
-            );
-        }
-    }
+    emit(
+        sim,
+        ObsEvent::CreateRequested {
+            host: host.0,
+            peer: peer.0,
+        },
+    );
     send_ctrl(
         sim,
         host,
@@ -167,7 +160,7 @@ pub fn close<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> Res
     };
     // Flush any queued frames of this stream before it disappears.
     if let Some(slot) = slot {
-        flush_slot(sim, host, peer, slot, FlushCause::Close);
+        flush_slot(sim, host, peer, slot, FlushReason::Close);
     }
     {
         let sth = sim.state.st().host_mut(host);
@@ -336,20 +329,13 @@ fn send_hello<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) {
     let nonce = sim.state.st().alloc_nonce();
     peer_state(sim, host, peer).my_nonce = nonce;
     let tag = key.map(|k| mac::sign(k, nonce, b"hello").0).unwrap_or(0);
-    sim.state.st().host_mut(host).stats.hellos_sent.incr();
-    {
-        let now = sim.now();
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::HelloSent {
-                    host: host.0,
-                    peer: peer.0,
-                },
-            );
-        }
-    }
+    emit(
+        sim,
+        ObsEvent::HelloSent {
+            host: host.0,
+            peer: peer.0,
+        },
+    );
     emit_ctrl(
         sim,
         host,
@@ -412,29 +398,23 @@ pub fn send<W: StWorld>(
             seq,
         )
     };
-    sim.state.st().host_mut(host).stats.msgs_sent.incr();
     let len = msg.len() as u64;
-    {
-        // Open (or adopt) the message's lifecycle span. `now` here equals
-        // the frame's `sent_at`, so the StSend→StDeliver span interval
-        // matches `DeliveryInfo::delay` exactly.
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            if msg.span.is_none() {
-                msg.span = net.obs.start_span();
-            }
-            net.obs.emit(
-                now,
-                ObsEvent::StSend {
-                    host: host.0,
-                    st_rms: st_rms.0,
-                    seq,
-                    bytes: len,
-                    span: msg.span,
-                },
-            );
-        }
+    // Open (or adopt) the message's lifecycle span. `now` here equals the
+    // frame's `sent_at`, so the StSend→StDeliver span interval matches
+    // `DeliveryInfo::delay` exactly.
+    if msg.span.is_none() {
+        msg.span = sim.state.net().obs.start_span();
     }
+    emit(
+        sim,
+        ObsEvent::StSend {
+            host: host.0,
+            st_rms: st_rms.0,
+            seq,
+            bytes: len,
+            span: msg.span,
+        },
+    );
     let cost = sim.state.st_ref().config.st_cpu.cost_for(len);
     let cpu_deadline = {
         let d = now.saturating_add(st_params.delay.bound_for(len));
@@ -543,7 +523,7 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, job: SendJob) {
     if frame_len > net_mms {
         // Fragmentation path (§4.3): never piggybacked; flush the queue
         // first so per-stream ordering survives.
-        flush_slot(sim, host, peer, slot, FlushCause::Fragment);
+        flush_slot(sim, host, peer, slot, FlushReason::Fragment);
         // Per-fragment header: the whole-message header plus the 8 bytes
         // the frag flag adds (index + count).
         let header = (frame_len - len) + 8;
@@ -563,27 +543,16 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, job: SendJob) {
         );
         let max_deadline = tx_max_deadline(now, &st_params, &net_params, len);
         let deadline = clamp_stream_deadline(sim, host, st_rms, max_deadline);
-        {
-            let stats = &mut sim.state.st().host_mut(host).stats;
-            stats.msgs_fragmented.incr();
-            stats.fragments_sent.add(frames.len() as u64);
-        }
-        {
-            let count = frames.len() as u32;
-            let net = sim.state.net();
-            if net.obs.is_active() {
-                net.obs.emit(
-                    now,
-                    ObsEvent::Fragment {
-                        host: host.0,
-                        st_rms: st_rms.0,
-                        seq,
-                        count,
-                        span,
-                    },
-                );
-            }
-        }
+        emit(
+            sim,
+            ObsEvent::Fragment {
+                host: host.0,
+                st_rms: st_rms.0,
+                seq,
+                count: frames.len() as u32,
+                span,
+            },
+        );
         for f in frames {
             let payload = encode(&Frame::Data(f));
             send_net(sim, host, net_rms, payload, deadline, sent_at, span);
@@ -596,7 +565,6 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, job: SendJob) {
     let piggyback = sim.state.st_ref().config.piggyback;
     if !piggyback {
         let deadline = clamp_stream_deadline(sim, host, st_rms, max_deadline);
-        sim.state.st().host_mut(host).stats.msgs_alone.incr();
         send_net(sim, host, net_rms, wire, deadline, sent_at, span);
         touch_slot(sim, host, peer, slot, now);
         return;
@@ -620,20 +588,15 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, job: SendJob) {
         max_deadline,
     };
     push_with_flush(sim, host, peer, slot, entry, net_mms);
-    {
-        let pending = with_slot_queue(sim, host, peer, slot, |q| q.len()).unwrap_or(0);
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::PiggybackCoalesce {
-                    host: host.0,
-                    net_rms: net_rms.0,
-                    pending,
-                },
-            );
-        }
-    }
+    let pending = with_slot_queue(sim, host, peer, slot, |q| q.len()).unwrap_or(0);
+    emit(
+        sim,
+        ObsEvent::PiggybackCoalesce {
+            host: host.0,
+            net_rms: net_rms.0,
+            pending,
+        },
+    );
     touch_slot(sim, host, peer, slot, now);
 }
 
@@ -683,18 +646,18 @@ fn push_with_flush<W: StWorld>(
     match outcome {
         Some(PushOutcome::Queued { flush_at }) => {
             if flush_at <= now {
-                flush_slot(sim, host, peer, slot, FlushCause::Timer);
+                flush_slot(sim, host, peer, slot, FlushReason::Timer);
             } else {
                 arm_flush_timer(sim, host, peer, slot, flush_at);
             }
         }
         Some(PushOutcome::WouldOverflow) => {
-            flush_slot(sim, host, peer, slot, FlushCause::Overflow);
+            flush_slot(sim, host, peer, slot, FlushReason::Overflow);
             let retry = with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms));
             match retry {
                 Some(PushOutcome::Queued { flush_at }) => {
                     if flush_at <= now {
-                        flush_slot(sim, host, peer, slot, FlushCause::Timer);
+                        flush_slot(sim, host, peer, slot, FlushReason::Timer);
                     } else {
                         arm_flush_timer(sim, host, peer, slot, flush_at);
                     }
@@ -703,12 +666,12 @@ fn push_with_flush<W: StWorld>(
             }
         }
         Some(PushOutcome::DeadlineConflict) => {
-            flush_slot(sim, host, peer, slot, FlushCause::Conflict);
+            flush_slot(sim, host, peer, slot, FlushReason::Conflict);
             let retry = with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms));
             match retry {
                 Some(PushOutcome::Queued { flush_at }) => {
                     if flush_at <= now {
-                        flush_slot(sim, host, peer, slot, FlushCause::Timer);
+                        flush_slot(sim, host, peer, slot, FlushReason::Timer);
                     } else {
                         arm_flush_timer(sim, host, peer, slot, flush_at);
                     }
@@ -785,7 +748,7 @@ fn arm_flush_timer<W: StWorld>(
         {
             d.flush_timer = None;
         }
-        flush_slot(sim, host, peer, slot, FlushCause::Timer);
+        flush_slot(sim, host, peer, slot, FlushReason::Timer);
     });
     if let Some(d) = sim
         .state
@@ -799,21 +762,12 @@ fn arm_flush_timer<W: StWorld>(
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushCause {
-    Timer,
-    Overflow,
-    Conflict,
-    Fragment,
-    Close,
-}
-
 fn flush_slot<W: StWorld>(
     sim: &mut Sim<W>,
     host: HostId,
     peer: HostId,
     slot: u32,
-    cause: FlushCause,
+    reason: FlushReason,
 ) {
     let (bundle, net_rms) = {
         let st = sim.state.st();
@@ -834,21 +788,6 @@ fn flush_slot<W: StWorld>(
         let Some(net_rms) = d.net_rms else { return };
         (bundle, net_rms)
     };
-    {
-        let stats = &mut sim.state.st().host_mut(host).stats;
-        match cause {
-            FlushCause::Timer => stats.flushes_timer.incr(),
-            FlushCause::Overflow => stats.flushes_overflow.incr(),
-            FlushCause::Conflict => stats.flushes_conflict.incr(),
-            FlushCause::Fragment | FlushCause::Close => {}
-        }
-        if bundle.entries.len() > 1 {
-            stats.bundles_sent.incr();
-            stats.msgs_bundled.add(bundle.entries.len() as u64);
-        } else {
-            stats.msgs_alone.incr();
-        }
-    }
     let deadline = bundle.deadline;
     // The bundle's deadline becomes each component stream's actual
     // transmission deadline (ordering floor for their next messages).
@@ -875,29 +814,15 @@ fn flush_slot<W: StWorld>(
             }
         }
     }
-    {
-        let frames = bundle.entries.len();
-        let now = sim.now();
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            let reason = match cause {
-                FlushCause::Timer => FlushReason::Timer,
-                FlushCause::Overflow => FlushReason::Overflow,
-                FlushCause::Conflict => FlushReason::Conflict,
-                FlushCause::Fragment => FlushReason::Fragment,
-                FlushCause::Close => FlushReason::Close,
-            };
-            net.obs.emit(
-                now,
-                ObsEvent::PiggybackFlush {
-                    host: host.0,
-                    net_rms: net_rms.0,
-                    frames,
-                    reason,
-                },
-            );
-        }
-    }
+    emit(
+        sim,
+        ObsEvent::PiggybackFlush {
+            host: host.0,
+            net_rms: net_rms.0,
+            frames: bundle.entries.len(),
+            reason,
+        },
+    );
     let payload = bundle.encode();
     send_net(
         sim,
@@ -919,27 +844,15 @@ fn send_net<W: StWorld>(
     sent_at: SimTime,
     span: Option<u64>,
 ) {
-    let bytes = payload.len() as u64;
-    {
-        let stats = &mut sim.state.st().host_mut(host).stats;
-        stats.net_msgs_sent.incr();
-        stats.net_bytes_sent.add(bytes);
-    }
-    {
-        let now = sim.now();
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::StNetMsg {
-                    host: host.0,
-                    net_rms: net_rms.0,
-                    bytes,
-                    span,
-                },
-            );
-        }
-    }
+    emit(
+        sim,
+        ObsEvent::StNetMsg {
+            host: host.0,
+            net_rms: net_rms.0,
+            bytes: payload.len() as u64,
+            span,
+        },
+    );
     let mut msg = Message::from_wire(payload);
     msg.span = span;
     let _ = net::send_on_rms(sim, host, net_rms, msg, Some(deadline), Some(sent_at));
@@ -1016,15 +929,8 @@ fn assign_slot<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> b
         best
     };
     if let Some((slot, ready)) = candidate {
-        {
-            let now = sim.now();
-            let net = sim.state.net();
-            if net.obs.is_active() {
-                net.obs.emit(now, ObsEvent::CacheHit { host: host.0 });
-            }
-        }
+        emit(sim, ObsEvent::CacheHit { host: host.0 });
         let sth = sim.state.st().host_mut(host);
-        sth.stats.cache_hits.incr();
         if let Some(d) = sth.peers.get_mut(&peer).and_then(|p| p.data.get_mut(&slot)) {
             d.assigned.push(st_rms);
             d.assigned_capacity += st_params.capacity;
@@ -1037,14 +943,7 @@ fn assign_slot<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> b
 
     // Create a new network RMS (§4.2: "it is slow and costly to create
     // network RMS's" — this is the miss path).
-    sim.state.st().host_mut(host).stats.cache_misses.incr();
-    {
-        let now = sim.now();
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            net.obs.emit(now, ObsEvent::CacheMiss { host: host.0 });
-        }
-    }
+    emit(sim, ObsEvent::CacheMiss { host: host.0 });
     let (slack_fixed, slack_per_byte) = stage_slack(&sim.state);
     let mut net_desired = (*st_params).clone();
     // Capacity headroom invites future multiplexing (§4.2) — but for
@@ -1151,14 +1050,9 @@ fn evict_idle_cache<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) {
     idle.sort_by_key(|(_, used, _)| *used);
     let excess = idle.len() - limit;
     for (slot, _, net_rms) in idle.into_iter().take(excess) {
+        emit(sim, ObsEvent::CacheEvict { host: host.0 });
         {
-            let now = sim.now();
-            let net = sim.state.net();
-            if net.obs.is_active() {
-                net.obs.emit(now, ObsEvent::CacheEvict { host: host.0 });
-            }
             let sth = sim.state.st().host_mut(host);
-            sth.stats.cache_evictions.incr();
             sth.by_net.remove(&net_rms);
             if let Some(p) = sth.peers.get_mut(&peer) {
                 p.data.remove(&slot);
@@ -1180,12 +1074,9 @@ pub fn on_net_deliver<W: StWorld>(
     msg: Message,
     _info: DeliveryInfo,
 ) {
-    let frame = match decode(msg.wire()) {
-        Ok(f) => f,
-        Err(_) => {
-            sim.state.st().host_mut(host).stats.garbage_frames.incr();
-            return;
-        }
+    let Ok(frame) = decode(msg.wire()) else {
+        drop_frame(sim, host, DropCause::Malformed);
+        return;
     };
     match frame {
         Frame::Ctrl(c) => handle_ctrl(sim, host, net_rms, c),
@@ -1196,12 +1087,6 @@ pub fn on_net_deliver<W: StWorld>(
             }
         }
         Frame::FastAck { st_rms, seq } => {
-            sim.state
-                .st()
-                .host_mut(host)
-                .stats
-                .fast_acks_received
-                .incr();
             let known = sim
                 .state
                 .st_ref()
@@ -1249,7 +1134,7 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
                     .map(|k| mac::verify(k, nonce, b"hello", mac::Tag(tag)))
                     .unwrap_or(false);
             if !ok {
-                sim.state.st().host_mut(host).stats.auth_failures.incr();
+                drop_frame(sim, host, DropCause::AuthFailed);
                 return;
             }
             peer_state(sim, host, peer).control_in = Some(net_rms);
@@ -1280,7 +1165,7 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
                     .map(|k| mac::verify(k, nonce.wrapping_add(1), b"hello-ack", mac::Tag(tag)))
                     .unwrap_or(false);
             if !ok {
-                sim.state.st().host_mut(host).stats.auth_failures.incr();
+                drop_frame(sim, host, DropCause::AuthFailed);
                 return;
             }
             let queued = {
@@ -1349,7 +1234,6 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
                 if let Some(s) = sim.state.st().host_mut(host).streams.get_mut(&st_rms) {
                     s.pending_token = None;
                 }
-                sim.state.st().host_mut(host).stats.creates_completed.incr();
                 W::st_event(
                     sim,
                     host,
@@ -1441,6 +1325,7 @@ fn handle_data<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, d:
         }
     };
     if !exists {
+        drop_frame(sim, host, DropCause::NoStream);
         return;
     }
     let len = d.payload.len() as u64;
@@ -1521,54 +1406,43 @@ fn deliver_data<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, d: Dat
             (false, false)
         }
     };
-    {
-        // `now` here equals `DeliveryInfo::delivered_at`, closing the span
-        // exactly at the delay clock's end.
-        let net = sim.state.net();
-        if net.obs.is_active() {
-            if was_frag {
-                net.obs.emit(
-                    now,
-                    ObsEvent::Reassemble {
-                        host: host.0,
-                        st_rms: st_rms.0,
-                        seq,
-                        span: msg.span,
-                    },
-                );
-            }
-            net.obs.emit(
-                now,
-                ObsEvent::StDeliver {
-                    host: host.0,
-                    st_rms: st_rms.0,
-                    seq,
-                    bytes: msg.len() as u64,
-                    late,
-                    det,
-                    span: msg.span,
-                },
-            );
-        }
+    // `now` here equals `DeliveryInfo::delivered_at`, closing the span
+    // exactly at the delay clock's end.
+    if was_frag {
+        emit(
+            sim,
+            ObsEvent::Reassemble {
+                host: host.0,
+                st_rms: st_rms.0,
+                seq,
+                span: msg.span,
+            },
+        );
     }
+    emit(
+        sim,
+        ObsEvent::StDeliver {
+            host: host.0,
+            st_rms: st_rms.0,
+            seq,
+            bytes: msg.len() as u64,
+            late,
+            det,
+            span: msg.span,
+        },
+    );
     // Fast acknowledgement (§3.2): a small frame on the control channel.
     if fast_ack {
         let ctrl_out = peer_state(sim, host, peer).control_out;
         if let Some(rms) = ctrl_out {
-            sim.state.st().host_mut(host).stats.fast_acks_sent.incr();
-            {
-                let net = sim.state.net();
-                if net.obs.is_active() {
-                    net.obs.emit(
-                        now,
-                        ObsEvent::FastAckSent {
-                            host: host.0,
-                            st_rms: st_rms.0,
-                            seq,
-                        },
-                    );
-                }
-            }
+            emit(
+                sim,
+                ObsEvent::FastAckSent {
+                    host: host.0,
+                    st_rms: st_rms.0,
+                    seq,
+                },
+            );
             let payload = encode(&Frame::FastAck { st_rms, seq });
             let now = sim.now();
             let _ = net::send_on_rms(sim, host, rms, Message::from_wire(payload), Some(now), None);
@@ -1590,24 +1464,18 @@ pub fn on_net_event<W: StWorld>(sim: &mut Sim<W>, host: HostId, event: &NetRmsEv
             let purpose = sim.state.st().host_mut(host).net_pending.remove(token);
             match purpose {
                 Some(NetPurpose::ControlOut(peer)) => {
-                    {
-                        let sth = sim.state.st().host_mut(host);
-                        sth.stats.control_created.incr();
-                        sth.by_net.insert(*rms, NetUse::ControlOut(peer));
-                    }
-                    {
-                        let now = sim.now();
-                        let net = sim.state.net();
-                        if net.obs.is_active() {
-                            net.obs.emit(
-                                now,
-                                ObsEvent::ControlCreated {
-                                    host: host.0,
-                                    peer: peer.0,
-                                },
-                            );
-                        }
-                    }
+                    sim.state
+                        .st()
+                        .host_mut(host)
+                        .by_net
+                        .insert(*rms, NetUse::ControlOut(peer));
+                    emit(
+                        sim,
+                        ObsEvent::ControlCreated {
+                            host: host.0,
+                            peer: peer.0,
+                        },
+                    );
                     {
                         let p = peer_state(sim, host, peer);
                         p.control_out = Some(*rms);
@@ -1663,7 +1531,6 @@ pub fn on_net_event<W: StWorld>(sim: &mut Sim<W>, host: HostId, event: &NetRmsEv
                     };
                     for (st_rms, token, st_params) in ready_streams {
                         if let Some(token) = token {
-                            sim.state.st().host_mut(host).stats.creates_completed.incr();
                             W::st_event(
                                 sim,
                                 host,
@@ -1693,7 +1560,6 @@ pub fn on_net_event<W: StWorld>(sim: &mut Sim<W>, host: HostId, event: &NetRmsEv
                                 }
                             };
                             if let Some(token) = token {
-                                sim.state.st().host_mut(host).stats.creates_completed.incr();
                                 W::st_event(
                                     sim,
                                     host,
@@ -1847,16 +1713,13 @@ fn handle_net_failure<W: StWorld>(
                 out
             };
             if !victims.is_empty() {
-                let net = sim.state.net();
-                if net.obs.is_active() {
-                    net.obs.emit(
-                        now,
-                        ObsEvent::FailoverStarted {
-                            host: host.0,
-                            streams: victims.len() as u32,
-                        },
-                    );
-                }
+                emit(
+                    sim,
+                    ObsEvent::FailoverStarted {
+                        host: host.0,
+                        streams: victims.len() as u32,
+                    },
+                );
             }
             for st_rms in victims {
                 if assign_slot(sim, host, st_rms) {
@@ -1892,19 +1755,26 @@ fn complete_failover_if_pending<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_r
     let Some(since) = since else {
         return;
     };
-    let now = sim.now();
-    let latency_s = now.saturating_since(since).as_secs_f64();
-    let net = sim.state.net();
-    if net.obs.is_active() {
-        net.obs.emit(
-            now,
-            ObsEvent::FailoverCompleted {
-                host: host.0,
-                st_rms: st_rms.0,
-                latency_s,
-            },
-        );
-    }
+    let latency_s = sim.now().saturating_since(since).as_secs_f64();
+    emit(
+        sim,
+        ObsEvent::FailoverCompleted {
+            host: host.0,
+            st_rms: st_rms.0,
+            latency_s,
+        },
+    );
+}
+
+/// Count an arriving frame the ST discards, with its cause.
+fn drop_frame<W: StWorld>(sim: &mut Sim<W>, host: HostId, cause: DropCause) {
+    emit(
+        sim,
+        ObsEvent::Drop {
+            host: host.0,
+            cause,
+        },
+    );
 }
 
 /// The world's `NetWorld::network_event` must forward here.

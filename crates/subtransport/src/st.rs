@@ -218,55 +218,6 @@ pub struct StPending {
     pub fast_ack: bool,
 }
 
-/// Host-level ST statistics (feeding experiments e1/e3/e4/e9).
-#[derive(Debug, Default)]
-pub struct StStats {
-    /// Control channels established (outgoing halves).
-    pub control_created: Counter,
-    /// Hello messages sent.
-    pub hellos_sent: Counter,
-    /// Authentication failures observed.
-    pub auth_failures: Counter,
-    /// ST RMS creations requested here.
-    pub creates_requested: Counter,
-    /// ST RMS creations completed here.
-    pub creates_completed: Counter,
-    /// A cached data network RMS satisfied an assignment (§4.2).
-    pub cache_hits: Counter,
-    /// A new data network RMS had to be created.
-    pub cache_misses: Counter,
-    /// Idle cached network RMSs evicted (LRU).
-    pub cache_evictions: Counter,
-    /// Client messages sent on ST RMSs.
-    pub msgs_sent: Counter,
-    /// Network messages that carried a piggybacked bundle.
-    pub bundles_sent: Counter,
-    /// Client messages that travelled inside bundles.
-    pub msgs_bundled: Counter,
-    /// Client messages sent alone.
-    pub msgs_alone: Counter,
-    /// Queue flushes forced by the flush timer.
-    pub flushes_timer: Counter,
-    /// Queue flushes forced by overflow.
-    pub flushes_overflow: Counter,
-    /// Queue flushes forced by a deadline conflict.
-    pub flushes_conflict: Counter,
-    /// Messages that required fragmentation.
-    pub msgs_fragmented: Counter,
-    /// Fragments sent.
-    pub fragments_sent: Counter,
-    /// Fast acknowledgements sent (receiver side).
-    pub fast_acks_sent: Counter,
-    /// Fast acknowledgements delivered to clients (sender side).
-    pub fast_acks_received: Counter,
-    /// Frames that failed to decode.
-    pub garbage_frames: Counter,
-    /// Network bytes handed down (payloads only).
-    pub net_bytes_sent: Counter,
-    /// Network messages handed down.
-    pub net_msgs_sent: Counter,
-}
-
 /// Per-host ST state.
 #[derive(Debug, Default)]
 pub struct StHost {
@@ -280,8 +231,6 @@ pub struct StHost {
     pub by_net: DetHashMap<NetRmsId, NetUse>,
     /// ST creations in flight.
     pub pending: DetHashMap<StToken, StPending>,
-    /// Statistics.
-    pub stats: StStats,
 }
 
 /// The subtransport layer's world state.

@@ -92,6 +92,11 @@ impl StWorld for World {
     }
 }
 
+/// A counter of the world's metric registry (both hosts together).
+fn count(sim: &Sim<World>, name: &str) -> u64 {
+    sim.state.net.obs.registry.counter_value(name)
+}
+
 fn basic_request() -> RmsRequest {
     RmsRequest::exact(RmsParams::builder(32 * 1024, 8 * 1024).build().unwrap())
 }
@@ -130,15 +135,13 @@ fn control_channel_is_reused_across_streams() {
     let (net, a, b) = two_hosts_ethernet();
     let mut sim = Sim::new(World::new(net, StConfig::default()));
     let s1 = establish(&mut sim, a, b, &basic_request(), false);
-    let hellos_after_first = sim.state.st.host(a).stats.hellos_sent.get();
+    let hellos_after_first = count(&sim, "st.hello_sent");
     let s2 = establish(&mut sim, a, b, &basic_request(), false);
     assert_ne!(s1, s2);
     // No new Hello handshake for the second stream.
-    assert_eq!(
-        sim.state.st.host(a).stats.hellos_sent.get(),
-        hellos_after_first
-    );
-    assert_eq!(sim.state.st.host(a).stats.control_created.get(), 1);
+    assert_eq!(count(&sim, "st.hello_sent"), hellos_after_first);
+    // One control channel per direction (§3.2), each created once.
+    assert_eq!(count(&sim, "st.control_created"), 2);
 }
 
 #[test]
@@ -148,10 +151,9 @@ fn compatible_streams_share_one_network_rms() {
     let req = RmsRequest::exact(RmsParams::builder(8 * 1024, 1024).build().unwrap());
     let s1 = establish(&mut sim, a, b, &req, false);
     let s2 = establish(&mut sim, a, b, &req, false);
-    let stats = &sim.state.st.host(a).stats;
-    assert_eq!(stats.cache_misses.get(), 1, "one data net RMS created");
+    assert_eq!(count(&sim, "st.cache_miss"), 1, "one data net RMS created");
     assert_eq!(
-        stats.cache_hits.get(),
+        count(&sim, "st.cache_hit"),
         1,
         "second stream multiplexed onto it"
     );
@@ -178,9 +180,8 @@ fn closed_stream_leaves_cached_network_rms() {
         .any(|(h, e)| *h == b && e.contains("Closed")));
     // A new stream reuses the cached network RMS: no second create.
     let _s2 = establish(&mut sim, a, b, &req, false);
-    let stats = &sim.state.st.host(a).stats;
-    assert_eq!(stats.cache_misses.get(), 1);
-    assert_eq!(stats.cache_hits.get(), 1);
+    assert_eq!(count(&sim, "st.cache_miss"), 1);
+    assert_eq!(count(&sim, "st.cache_hit"), 1);
 }
 
 #[test]
@@ -207,12 +208,8 @@ fn piggybacking_bundles_messages() {
     }
     sim.run();
     assert_eq!(sim.state.st_deliveries.len(), 5);
-    let stats = &sim.state.st.host(a).stats;
-    assert!(
-        stats.bundles_sent.get() >= 1,
-        "at least one bundle: {stats:?}"
-    );
-    assert!(stats.msgs_bundled.get() >= 2);
+    assert!(count(&sim, "st.bundle_sent") >= 1, "at least one bundle");
+    assert!(count(&sim, "st.msg_bundled") >= 2);
     // Delivered in order.
     for (i, d) in sim.state.st_deliveries.iter().enumerate() {
         assert_eq!(d.2.payload()[0], i as u8);
@@ -234,9 +231,9 @@ fn piggyback_disabled_sends_alone() {
     }
     sim.run();
     assert_eq!(sim.state.st_deliveries.len(), 5);
-    let stats = &sim.state.st.host(a).stats;
-    assert_eq!(stats.bundles_sent.get(), 0);
-    assert_eq!(stats.msgs_alone.get(), 5);
+    // Each message is its own network message; nothing queues to flush.
+    assert_eq!(count(&sim, "st.net_msg_sent"), 5);
+    assert_eq!(count(&sim, "st.flush"), 0);
 }
 
 #[test]
@@ -249,9 +246,11 @@ fn large_messages_fragment_and_reassemble() {
     sim.run();
     assert_eq!(sim.state.st_deliveries.len(), 1);
     assert_eq!(sim.state.st_deliveries[0].2.payload().as_ref(), &body[..]);
-    let stats = &sim.state.st.host(a).stats;
-    assert_eq!(stats.msgs_fragmented.get(), 1);
-    assert!(stats.fragments_sent.get() >= 6, "8000B over ~1.5KB MTU");
+    assert_eq!(count(&sim, "st.msg_fragmented"), 1);
+    assert!(
+        count(&sim, "st.fragment_sent") >= 6,
+        "8000B over ~1.5KB MTU"
+    );
 }
 
 #[test]
@@ -262,7 +261,7 @@ fn fast_ack_reaches_sender() {
     engine::send(&mut sim, a, st_rms, Message::new(vec![9u8; 64])).unwrap();
     sim.run();
     assert_eq!(sim.state.fast_acks, vec![(a, st_rms, 0)]);
-    assert_eq!(sim.state.st.host(b).stats.fast_acks_sent.get(), 1);
+    assert_eq!(count(&sim, "st.fast_ack_sent"), 1);
 }
 
 #[test]
@@ -307,8 +306,8 @@ fn mismatched_keys_fail_authentication() {
     // Let the handshake proceed until a's Hello (signed with key 111) is on
     // the wire, then rotate the shared key: b now verifies with key 222 and
     // must reject the Hello.
-    while sim.state.st.host(a).stats.hellos_sent.get() == 0 && sim.step() {}
-    assert_eq!(sim.state.st.host(a).stats.hellos_sent.get(), 1);
+    while count(&sim, "st.hello_sent") == 0 && sim.step() {}
+    assert_eq!(count(&sim, "st.hello_sent"), 1);
     sim.state
         .st
         .auth_keys
@@ -323,7 +322,7 @@ fn mismatched_keys_fail_authentication() {
         sim.state.st_events
     );
     let _ = token;
-    assert!(sim.state.st.host(b).stats.auth_failures.get() > 0);
+    assert!(count(&sim, "st.drop.auth_failed") > 0);
 }
 
 #[test]
@@ -410,12 +409,12 @@ fn idle_cache_evicts_beyond_limit() {
     let req2 = RmsRequest::exact(params2);
     let s1 = establish(&mut sim, a, b, &req1, false);
     let s2 = establish(&mut sim, a, b, &req2, false);
-    assert_eq!(sim.state.st.host(a).stats.cache_misses.get(), 2);
+    assert_eq!(count(&sim, "st.cache_miss"), 2);
     engine::close(&mut sim, a, s1).unwrap();
     engine::close(&mut sim, a, s2).unwrap();
     sim.run();
     // Only one idle entry may stay cached.
-    assert_eq!(sim.state.st.host(a).stats.cache_evictions.get(), 1);
+    assert_eq!(count(&sim, "st.cache_eviction"), 1);
 }
 
 #[test]

@@ -15,6 +15,7 @@ use rms_core::hash::DetHashMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use dash_net::ids::HostId;
+use dash_net::state::emit;
 use dash_sim::engine::{Sim, TimerHandle};
 use dash_sim::obs::ObsEvent;
 use dash_sim::stats::{Counter, Histogram};
@@ -220,13 +221,10 @@ struct Call {
     started: SimTime,
 }
 
-/// RKOM statistics (per host).
+/// RKOM statistics (per host). Calls issued and completed are the
+/// registry's `rkom.call` / `rkom.completed`.
 #[derive(Debug, Default)]
 pub struct RkomStats {
-    /// Calls issued.
-    pub calls: Counter,
-    /// Calls completed successfully.
-    pub completed: Counter,
     /// Calls failed.
     pub failed: Counter,
     /// Request retransmissions (on the high-delay RMS).
@@ -351,7 +349,6 @@ pub fn call(
     let now = sim.now();
     {
         let rh = sim.state.rkom.host_mut(host);
-        rh.stats.calls.incr();
         rh.calls.insert(
             call_id,
             Call {
@@ -365,19 +362,14 @@ pub fn call(
         );
         rh.call_cbs.insert(call_id, Box::new(cb));
     }
-    {
-        let net = &mut sim.state.net;
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::RkomSend {
-                    host: host.0,
-                    peer: peer.0,
-                    call: call_id,
-                },
-            );
-        }
-    }
+    emit(
+        sim,
+        ObsEvent::RkomSend {
+            host: host.0,
+            peer: peer.0,
+            call: call_id,
+        },
+    );
     let msg = encode_msg(&RkomMsg::Request {
         call: call_id,
         service,
@@ -464,17 +456,13 @@ fn on_call_timeout(sim: &mut Sim<Stack>, host: HostId, call_id: u64) {
         })
     });
     if let Some(msg) = resend {
-        let now = sim.now();
-        let net = &mut sim.state.net;
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::RkomRetransmit {
-                    host: host.0,
-                    call: call_id,
-                },
-            );
-        }
+        emit(
+            sim,
+            ObsEvent::RkomRetransmit {
+                host: host.0,
+                call: call_id,
+            },
+        );
         // Retransmissions travel on the high-delay RMS (§3.3).
         send_on_channel(sim, host, peer, Lane::High, msg);
     }
@@ -814,21 +802,14 @@ fn handle_reply(
         }
         (rh.call_cbs.remove(&call), c.started)
     };
-    let now = sim.now();
-    {
-        let stats = &mut sim.state.rkom.host_mut(host).stats;
-        stats.completed.incr();
-        stats
-            .latency
-            .record(now.saturating_since(started).as_secs_f64());
-    }
-    {
-        let net = &mut sim.state.net;
-        if net.obs.is_active() {
-            net.obs
-                .emit(now, ObsEvent::RkomDeliver { host: host.0, call });
-        }
-    }
+    let rtt = sim.now().saturating_since(started);
+    sim.state
+        .rkom
+        .host_mut(host)
+        .stats
+        .latency
+        .record(rtt.as_secs_f64());
+    emit(sim, ObsEvent::RkomDeliver { host: host.0, call });
     // Acknowledge on the high-delay RMS so the server drops its cache.
     let ack = encode_msg(&RkomMsg::ReplyAck { call });
     send_on_channel(sim, host, server, Lane::High, ack);

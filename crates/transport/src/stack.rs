@@ -140,15 +140,15 @@ impl StackBuilder {
         self
     }
 
-    /// Install an observability sink (activates event emission; see
+    /// Install an observability sink (activates spans; see
     /// [`dash_sim::obs`]).
     pub fn obs_sink(mut self, sink: impl ObsSink + 'static) -> Self {
         self.sink = Some(Box::new(sink));
         self
     }
 
-    /// Activate observability without a sink: events feed the metric
-    /// registry and span tracker only.
+    /// Activate observability without a sink: span ids and the span
+    /// tracker. The metric registry counts either way.
     pub fn obs(mut self, enabled: bool) -> Self {
         self.obs_enabled = enabled;
         self
@@ -436,13 +436,16 @@ mod tests {
             .build();
         assert!(stack.cpus.is_none());
         let (net, _a, _b) = two_hosts_ethernet();
-        let stack = StackBuilder::new(net)
+        let mut stack = StackBuilder::new(net)
             .cpus(SchedPolicy::Edf, SimDuration::from_micros(5))
             .obs(true)
             .retain_spans(true)
             .build();
         assert_eq!(stack.cpus.as_ref().unwrap().len(), 2);
-        assert!(stack.net.obs.is_active());
+        assert!(
+            stack.net.obs.start_span().is_some(),
+            "obs(true) mints spans"
+        );
     }
 
     #[test]

@@ -48,8 +48,9 @@ use rms_core::hash::DetHashMap;
 
 use bytes::{BufMut, BytesMut};
 use dash_net::ids::HostId;
+use dash_net::state::emit;
 use dash_sim::engine::{Sim, TimerHandle};
-use dash_sim::obs::{ObsEvent, RetransmitCause};
+use dash_sim::obs::{DropCause, ObsEvent, RetransmitCause};
 use dash_sim::stats::{Counter, Histogram};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_subtransport::engine as st_engine;
@@ -714,17 +715,13 @@ pub fn send(
         }
     };
     if let Some(e) = blocked {
-        let now = sim.now();
-        let net = &mut sim.state.net;
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::StreamBlocked {
-                    host: host.0,
-                    session,
-                },
-            );
-        }
+        emit(
+            sim,
+            ObsEvent::StreamBlocked {
+                host: host.0,
+                session,
+            },
+        );
         return Err(e);
     }
     pump(sim, host, session);
@@ -812,25 +809,20 @@ fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
         });
         let len = msg.len() as u64;
         let mut wire = Message::from_wire(bytes);
-        {
-            // Open the lifecycle span here so it records the TransportSend
-            // stage ahead of StSend (the ST engine adopts an existing span
-            // instead of opening its own).
-            let net = &mut sim.state.net;
-            if net.obs.is_active() {
-                wire.span = net.obs.start_span();
-                net.obs.emit(
-                    now,
-                    ObsEvent::TransportSend {
-                        host: host.0,
-                        session,
-                        seq,
-                        bytes: len,
-                        span: wire.span,
-                    },
-                );
-            }
-        }
+        // Open the lifecycle span here so it records the TransportSend stage
+        // ahead of StSend (the ST engine adopts an existing span instead of
+        // opening its own).
+        wire.span = sim.state.net.obs.start_span();
+        emit(
+            sim,
+            ObsEvent::TransportSend {
+                host: host.0,
+                session,
+                seq,
+                bytes: len,
+                span: wire.span,
+            },
+        );
         match st_engine::send(sim, host, st_rms, wire) {
             Ok(st_seq) => {
                 // Ack-based capacity enforcement is clocked by ST fast
@@ -911,27 +903,21 @@ fn on_rto(sim: &mut Sim<Stack>, host: HostId, session: u64) {
         retransmit_head(sim, host, session, RetransmitCause::Rto);
         return;
     }
-    {
-        let now = sim.now();
-        let net = &mut sim.state.net;
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::StreamRetriesExhausted {
-                    host: host.0,
-                    session,
-                },
-            );
-            net.obs.emit(
-                now,
-                ObsEvent::StreamEnd {
-                    host: host.0,
-                    session,
-                    failed: true,
-                },
-            );
-        }
-    }
+    emit(
+        sim,
+        ObsEvent::StreamRetriesExhausted {
+            host: host.0,
+            session,
+        },
+    );
+    emit(
+        sim,
+        ObsEvent::StreamEnd {
+            host: host.0,
+            session,
+            failed: true,
+        },
+    );
     fire(
         sim,
         host,
@@ -962,19 +948,15 @@ fn retransmit_head(sim: &mut Sim<Stack>, host: HostId, session: u64, cause: Retr
         }
     };
     if let Some((st_rms, (seq, msg, sent_at))) = item {
-        let now = sim.now();
-        let net = &mut sim.state.net;
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::StreamRetransmit {
-                    host: host.0,
-                    session,
-                    seq,
-                    cause,
-                },
-            );
-        }
+        emit(
+            sim,
+            ObsEvent::StreamRetransmit {
+                host: host.0,
+                session,
+                seq,
+                cause,
+            },
+        );
         let bytes = encode_msg(&StreamMsg::Data {
             session,
             seq,
@@ -1084,19 +1066,13 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
             };
             if lane == StreamLane::Data {
                 sim.state.stream.host_mut(host).sessions.remove(&session);
-                {
-                    let now = sim.now();
-                    let net = &mut sim.state.net;
-                    if net.obs.is_active() {
-                        net.obs.emit(
-                            now,
-                            ObsEvent::StreamOpenFailed {
-                                host: host.0,
-                                session,
-                            },
-                        );
-                    }
-                }
+                emit(
+                    sim,
+                    ObsEvent::StreamOpenFailed {
+                        host: host.0,
+                        session,
+                    },
+                );
                 fire(
                     sim,
                     host,
@@ -1150,20 +1126,14 @@ fn end_by_st(sim: &mut Sim<Stack>, host: HostId, st_rms: StRmsId, reason: EndRea
         }
     };
     if existed {
-        {
-            let now = sim.now();
-            let net = &mut sim.state.net;
-            if net.obs.is_active() {
-                net.obs.emit(
-                    now,
-                    ObsEvent::StreamEnd {
-                        host: host.0,
-                        session,
-                        failed: !matches!(reason, EndReason::Closed),
-                    },
-                );
-            }
-        }
+        emit(
+            sim,
+            ObsEvent::StreamEnd {
+                host: host.0,
+                session,
+                failed: !matches!(reason, EndReason::Closed),
+            },
+        );
         fire(sim, host, StreamEvent::Ended { session, reason });
     }
 }
@@ -1314,6 +1284,14 @@ fn handle_data(
     // a delivery (`consume`) already covers everything received.
     let accepted = {
         let Some(s) = sim.state.stream.session_mut(host, session) else {
+            // Data ahead of the session's Hello, or after its end.
+            emit(
+                sim,
+                ObsEvent::Drop {
+                    host: host.0,
+                    cause: DropCause::NoSession,
+                },
+            );
             return;
         };
         if s.failed {
@@ -1436,16 +1414,14 @@ fn deliver(
         }
         s.since_last_ack += 1;
     }
-    if sim.state.net.obs.is_active() {
-        sim.state.net.obs.emit(
-            now,
-            ObsEvent::StreamDeliver {
-                host: host.0,
-                session,
-                seq,
-            },
-        );
-    }
+    emit(
+        sim,
+        ObsEvent::StreamDeliver {
+            host: host.0,
+            session,
+            seq,
+        },
+    );
     fire(
         sim,
         host,
@@ -1519,19 +1495,13 @@ fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
         });
         (bytes, s.ack_out, session)
     };
-    {
-        let now = sim.now();
-        let net = &mut sim.state.net;
-        if net.obs.is_active() {
-            net.obs.emit(
-                now,
-                ObsEvent::StreamAck {
-                    host: host.0,
-                    session,
-                },
-            );
-        }
-    }
+    emit(
+        sim,
+        ObsEvent::StreamAck {
+            host: host.0,
+            session,
+        },
+    );
     match target {
         Some(st_rms) => {
             // First message on the ack stream announces its purpose.
@@ -1675,6 +1645,37 @@ mod tests {
         // Six out-of-order arrivals re-acked at once, and the arrival that
         // closed the gap acknowledged without waiting for `ack_every`.
         assert_eq!(s.stats.acks_sent.get(), 7);
+    }
+
+    /// Data ahead of its session's Hello (or after the session ended) is
+    /// not delivered: it is dropped with a typed cause the registry counts.
+    #[test]
+    fn data_for_an_unknown_session_is_a_typed_drop() {
+        let (mut sim, b, _) = receiver(4000);
+        let delivered = std::rc::Rc::new(std::cell::Cell::new(0u32));
+        let tap = std::rc::Rc::clone(&delivered);
+        sim.state.on_stream(b, move |_sim, ev| {
+            if let StreamEvent::Delivered { .. } = ev {
+                tap.set(tap.get() + 1);
+            }
+        });
+        let data = encode_msg(&StreamMsg::Data {
+            session: 99,
+            seq: 0,
+            sent_at: SimTime::ZERO,
+            payload: WireMsg::from_bytes(bytes::Bytes::from_static(b"early")),
+        });
+        let info = DeliveryInfo {
+            sent_at: SimTime::ZERO,
+            delivered_at: SimTime::ZERO,
+            stream: 1,
+            seq: 0,
+        };
+        on_delivery(&mut sim, b, StRmsId(1), Message::from_wire(data), info);
+        let reg = &sim.state.net.obs.registry;
+        assert_eq!(reg.counter_value("stream.drop.no_session"), 1);
+        assert_eq!(reg.counter_value("stream.deliver"), 0);
+        assert_eq!(delivered.get(), 0);
     }
 
     #[test]

@@ -12,9 +12,14 @@ use dash_net::topology::dumbbell;
 use dash_sim::time::SimDuration;
 use dash_sim::Sim;
 use dash_transport::rkom::{self, RkomError};
-use dash_transport::stack::StackBuilder;
+use dash_transport::stack::{Stack, StackBuilder};
 use rms_core::error::FailReason;
 use rms_core::RmsError;
+
+/// Calls completed with a reply, world-wide (only `a` calls in these tests).
+fn completed(sim: &Sim<Stack>) -> u64 {
+    sim.state.net.obs.registry.counter_value("rkom.completed")
+}
 
 /// A reply arriving after the client gave up must not resurrect the call:
 /// the callback fires exactly once (with `Timeout`), and the late reply is
@@ -52,7 +57,7 @@ fn late_reply_after_retries_exhausted_is_absorbed() {
     assert_eq!(got[0], Err(RkomError::Timeout));
     let stats = &sim.state.rkom.host(a).stats;
     assert_eq!(stats.failed.get(), 1);
-    assert_eq!(stats.completed.get(), 0, "late reply must not count");
+    assert_eq!(completed(&sim), 0, "late reply must not count");
 }
 
 /// Duplicate replies (the server re-serving from its at-most-once cache
@@ -97,7 +102,7 @@ fn duplicate_reply_is_suppressed_at_client() {
     assert_eq!(got.len(), 1, "callback must fire exactly once: {got:?}");
     assert_eq!(got[0], Ok(Bytes::from_static(b"reply")));
     let stats = &sim.state.rkom.host(a).stats;
-    assert_eq!(stats.completed.get(), 1);
+    assert_eq!(completed(&sim), 1);
     assert_eq!(stats.failed.get(), 0);
 }
 
@@ -266,7 +271,7 @@ fn a_lost_request_is_retried_and_completes_exactly_once() {
     );
     sim.run_until(sim.now() + SimDuration::from_millis(20));
     assert_eq!(
-        sim.state.net.stats.wire_drops.get(),
+        sim.state.net.obs.registry.counter_value("net.wire_drop"),
         1,
         "the request was lost"
     );
@@ -278,5 +283,5 @@ fn a_lost_request_is_retried_and_completes_exactly_once() {
     assert_eq!(*executions.borrow(), 2, "the retried request ran once");
     let stats = &sim.state.rkom.host(a).stats;
     assert_eq!(stats.retransmissions.get(), 1);
-    assert_eq!(stats.completed.get(), 2);
+    assert_eq!(completed(&sim), 2);
 }

@@ -49,7 +49,10 @@ fn rkom_echo_round_trip() {
     sim.run();
     let got = result.borrow_mut().take().expect("call completed");
     assert_eq!(got.unwrap().as_ref(), b"echo:hello");
-    assert_eq!(sim.state.rkom.host(a).stats.completed.get(), 1);
+    assert_eq!(
+        sim.state.net.obs.registry.counter_value("rkom.completed"),
+        1
+    );
     assert_eq!(sim.state.rkom.host(b).stats.served.get(), 1);
 }
 
@@ -74,10 +77,16 @@ fn rkom_many_calls_share_channel() {
     }
     sim.run();
     assert_eq!(*count.borrow(), 20);
-    // One channel: exactly four ST creates from a (low+high out) and four
-    // from b; the ST layer reports creates_requested per side.
-    assert_eq!(sim.state.st.host(a).stats.creates_requested.get(), 2);
-    assert_eq!(sim.state.st.host(b).stats.creates_requested.get(), 2);
+    // One channel: four ST creates, a low- and a high-delay lane out of
+    // each side.
+    assert_eq!(
+        sim.state
+            .net
+            .obs
+            .registry
+            .counter_value("st.create_requested"),
+        4
+    );
 }
 
 #[test]
@@ -333,7 +342,7 @@ fn ack_based_capacity_enforcement_bounds_outstanding() {
     sim.run();
     assert_eq!(events.borrow().delivered.len(), 10);
     // Fast acks were actually used.
-    assert!(sim.state.st.host(b).stats.fast_acks_sent.get() > 0);
+    assert!(sim.state.net.obs.registry.counter_value("st.fast_ack_sent") > 0);
 }
 
 #[test]

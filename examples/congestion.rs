@@ -104,7 +104,7 @@ fn main() {
     println!(
         "TCP + source quench: {} gateway drops, {} quenches, {} KB delivered",
         tcp_drops,
-        sim.state.net.stats.quenches_sent.get(),
+        sim.state.net.obs.registry.counter_value("net.quench_sent"),
         tcp_bytes / 1024
     );
     assert!(

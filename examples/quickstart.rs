@@ -55,17 +55,29 @@ fn main() {
 
     assert_eq!(received.borrow().len(), 3);
 
-    // 6. What the layers did.
-    let st = &sim.state.st.host(alice).stats;
+    // 6. What the layers did, from the world's metric registry.
+    let reg = &sim.state.net.obs.registry;
     println!("---");
-    println!("subtransport at alice:");
-    println!("  control channels created: {}", st.control_created.get());
-    println!("  ST RMSs created:          {}", st.creates_completed.get());
-    println!("  network RMSs created:     {}", st.cache_misses.get());
-    println!("  net messages sent:        {}", st.net_msgs_sent.get());
+    println!("subtransport (both hosts):");
+    println!(
+        "  control channels created: {}",
+        reg.counter_value("st.control_created")
+    );
+    println!(
+        "  ST RMSs requested:        {}",
+        reg.counter_value("st.create_requested")
+    );
+    println!(
+        "  network RMSs created:     {}",
+        reg.counter_value("st.cache_miss")
+    );
+    println!(
+        "  net messages sent:        {}",
+        reg.counter_value("st.net_msg_sent")
+    );
     println!(
         "network: {} packets crossed the wire in {}",
-        sim.state.net.stats.packets_sent.get(),
+        reg.counter_value("net.packet_sent"),
         sim.now()
     );
     let _ = SimDuration::ZERO;

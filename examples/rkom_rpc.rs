@@ -103,11 +103,10 @@ fn main() {
     );
     sim.run();
 
-    let stats = &sim.state.rkom.host(client).stats;
     println!("---");
     println!(
         "{} calls completed ({} retransmissions; the first batch paid channel setup)",
-        stats.completed.get(),
-        stats.retransmissions.get(),
+        sim.state.net.obs.registry.counter_value("rkom.completed"),
+        sim.state.rkom.host(client).stats.retransmissions.get(),
     );
 }

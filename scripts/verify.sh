@@ -57,6 +57,13 @@ fi
 cargo test --workspace --exclude dash -q -- --skip propagates_instead_of_wedging
 cargo test -q --lib --examples
 cargo test -q --doc
+
+# The examples that read the metric registry by name, run as debug builds:
+# a misspelt counter name trips `MetricRegistry::counter_value`'s debug
+# assertion here instead of silently reading 0.
+for ex in quickstart congestion rkom_rpc; do
+    cargo run -q --example "$ex" >/dev/null
+done
 for t in tests/*.rs; do
     name="$(basename "$t" .rs)"
     case "$name" in chaos | explore | rt_conformance | no_spurious_work) continue ;; esac

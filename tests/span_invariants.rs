@@ -12,6 +12,7 @@ use dash::net::topology::two_hosts_ethernet;
 use dash::prelude::*;
 use dash::subtransport::engine as st_engine;
 use dash::subtransport::st::StEvent;
+use dash::transport::stream;
 
 /// Canonical pipeline order; every span's stage sequence must be a
 /// subsequence of this.
@@ -143,4 +144,51 @@ fn spans_are_ordered_nonnegative_and_sum_to_delivery_delay() {
         assert_eq!(span.stage_time(Stage::StSend), Some(*sent_at));
         assert_eq!(span.stage_time(Stage::StDeliver), Some(*delivered_at));
     }
+}
+
+/// Counting does not depend on `obs(true)`: the same two-host stream plan,
+/// every message far below the MTU so the 8-byte span field cannot change
+/// how anything is fragmented or bundled, counts the same with
+/// observability off and on — and the obs-off run mints no span id.
+#[test]
+fn counts_are_the_same_with_obs_off_and_on() {
+    let run = |obs: bool| {
+        let (net, a, b) = two_hosts_ethernet();
+        let mut sim = Sim::new(StackBuilder::new(net).obs(obs).build());
+        let session = stream::open(&mut sim, a, b, StreamProfile::default()).expect("opens");
+        sim.run();
+        for i in 0..20u8 {
+            stream::send(&mut sim, a, session, Message::new(vec![i; 100])).expect("port has room");
+            sim.run_until(sim.now() + SimDuration::from_millis(2));
+        }
+        sim.run();
+        sim
+    };
+    let mut off = run(false);
+    let on = run(true);
+    for name in [
+        "st.send",
+        "st.cache_miss",
+        "stream.deliver",
+        "net.packet_sent",
+    ] {
+        let (n_off, n_on) = (
+            off.state.net.obs.registry.counter_value(name),
+            on.state.net.obs.registry.counter_value(name),
+        );
+        assert!(n_on > 0, "{name} must count something");
+        assert_eq!(
+            n_off, n_on,
+            "{name}: {n_off} with obs off, {n_on} with obs on"
+        );
+    }
+    assert_eq!(
+        off.state.net.obs.registry.counter_value("stream.deliver"),
+        20
+    );
+    // Had the obs-off run minted an id, the first one minted now would not
+    // be the first of the namespace.
+    assert!(off.state.net.obs.spans().is_empty());
+    off.state.net.obs.enable();
+    assert_eq!(off.state.net.obs.start_span(), Some(1));
 }
