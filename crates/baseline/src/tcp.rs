@@ -24,7 +24,7 @@ use dash_net::pipeline as net;
 use dash_net::state::{emit, NetWorld};
 use dash_sim::engine::{Sim, TimerHandle};
 use dash_sim::obs::ObsEvent;
-use dash_sim::stats::{Counter, Histogram};
+use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::wire::WireMsg;
 
@@ -124,18 +124,12 @@ pub enum TcpStateKind {
 /// Per-connection statistics.
 #[derive(Debug, Default)]
 pub struct TcpStats {
-    /// Payload bytes accepted from the application.
-    pub bytes_queued: Counter,
     /// Payload bytes delivered in order to the peer application.
     pub bytes_delivered: Counter,
-    /// Segments sent (first transmissions).
-    pub segments_sent: Counter,
     /// Segments retransmitted.
     pub retransmitted: Counter,
     /// Source quenches processed.
     pub quenches: Counter,
-    /// Round-trip samples, seconds.
-    pub rtt: Histogram,
 }
 
 /// One endpoint of a TCP-like connection.
@@ -162,8 +156,7 @@ pub struct TcpConn {
     peer_window: u64,
     rto_timer: Option<TimerHandle>,
     rto_backoff: u32,
-    sent_at: HashMap<u64, SimTime>, // seq -> first-send time (for RTT)
-    retx_copy: Vec<u8>,             // shadow of unacknowledged bytes
+    retx_copy: Vec<u8>, // shadow of unacknowledged bytes
 
     // Receive side.
     rcv_nxt: u64,
@@ -316,7 +309,6 @@ fn new_conn(
         peer_window: config.recv_window,
         rto_timer: None,
         rto_backoff: 0,
-        sent_at: HashMap::new(),
         retx_copy: Vec::new(),
         rcv_nxt: 0,
         delivered: BytesMut::new(),
@@ -371,7 +363,6 @@ pub fn send<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64, data: &[u8])
             return;
         };
         c.send_buf.extend_from_slice(data);
-        c.stats.bytes_queued.add(data.len() as u64);
     }
     pump(sim, host, conn);
 }
@@ -410,7 +401,6 @@ fn send_segment<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, seg: 
 }
 
 fn pump<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
-    let now = sim.now();
     while let Some((peer, seg)) = {
         let config_mss = sim.state.tcp_ref().config.mss;
         let st = sim.state.tcp();
@@ -431,8 +421,6 @@ fn pump<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
                 let seq = c.snd_nxt;
                 c.snd_nxt += take as u64;
                 c.retx_copy.extend_from_slice(&payload);
-                c.stats.segments_sent.incr();
-                c.sent_at.insert(seq, now);
                 Some((
                     c.peer,
                     Segment {
@@ -589,7 +577,6 @@ fn rewind_and_retransmit<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64,
             c.send_buf = rebuilt;
             c.retx_copy.clear();
             c.snd_nxt = c.snd_una;
-            c.sent_at.clear();
             let segments = copy.len().div_ceil(1024) as u64;
             c.stats.retransmitted.add(segments);
             Some(segments)
@@ -681,7 +668,6 @@ pub fn on_datagram<W: TcpWorld>(
 }
 
 fn on_segment<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64, seg: Segment) {
-    let now = sim.now();
     let mss = sim.state.tcp_ref().config.mss;
     let mut connected = false;
     let mut data_bytes = 0u64;
@@ -718,10 +704,6 @@ fn on_segment<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64, seg: Segme
         // ACK processing.
         if seg.flags & FLAG_ACK != 0 && seg.ack > c.snd_una {
             let acked = seg.ack - c.snd_una;
-            // RTT sample from the oldest acked byte.
-            if let Some(t0) = c.sent_at.remove(&c.snd_una) {
-                c.stats.rtt.record(now.saturating_since(t0).as_secs_f64());
-            }
             // Drop the acknowledged prefix of the retransmission copy.
             let drop = (acked as usize).min(c.retx_copy.len());
             c.retx_copy.drain(..drop);

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! With `--json` the full metric registry follows the table as JSON Lines
-//! (one object per counter/gauge/histogram).
+//! (one object per counter/histogram).
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");

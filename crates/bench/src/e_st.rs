@@ -295,13 +295,7 @@ pub fn e9_piggyback() -> Table {
         let reg = &sim.state.net.obs.registry;
         let net_msgs = reg.counter_value("st.net_msg_sent") - base;
         let bundled = reg.counter_value("st.msg_bundled");
-        // Late deliveries per receiving stream: the registry keys them as
-        // "st.late.<st_rms>", so sum every per-stream counter.
-        let late: u64 = reg
-            .counters()
-            .filter(|(name, _)| name.starts_with("st.late."))
-            .map(|(_, v)| v)
-            .sum();
+        let late = reg.counter_value("st.late_delivery");
         let ds = delays.borrow();
         let mean = ds.iter().sum::<f64>() / ds.len().max(1) as f64;
         t.row(vec![

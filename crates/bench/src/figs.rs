@@ -193,7 +193,7 @@ pub fn fig3_rms_levels() -> Table {
 }
 
 /// [`fig3_rms_levels`] plus the full metric registry as JSON Lines (one
-/// object per counter/gauge/histogram) for machine consumption.
+/// object per counter/histogram) for machine consumption.
 pub fn fig3_rms_levels_json() -> (Table, String) {
     fig3_run()
 }

@@ -14,7 +14,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use dash_sim::stats::{Counter, Histogram};
+use dash_sim::stats::Counter;
 use dash_sim::time::SimTime;
 use rms_core::admission::ResourceLedger;
 
@@ -35,7 +35,6 @@ pub enum QueueDiscipline {
 struct Queued {
     key: SimTime,
     seq: u64,
-    enqueued_at: SimTime,
     packet: Packet,
 }
 
@@ -57,17 +56,12 @@ impl Ord for Queued {
     }
 }
 
-/// Interface statistics for the experiments.
+/// Interface statistics for the experiments. Queueing delay is the
+/// registry's `span.stage.queue`.
 #[derive(Debug, Default)]
 pub struct IfaceStats {
-    /// Packets fully transmitted.
-    pub tx_packets: Counter,
-    /// Wire bytes transmitted.
-    pub tx_bytes: Counter,
     /// Packets dropped because the queue byte limit was hit.
     pub overflow_drops: Counter,
-    /// Queueing delay (enqueue → transmission start), seconds.
-    pub queue_delay: Histogram,
     /// High-water mark of queued bytes.
     pub max_queued_bytes: u64,
 }
@@ -170,22 +164,16 @@ impl Iface {
         self.next_seq += 1;
         self.queued_bytes += bytes;
         self.stats.max_queued_bytes = self.stats.max_queued_bytes.max(self.queued_bytes);
-        self.queue.push(Queued {
-            key,
-            seq,
-            enqueued_at: now,
-            packet,
-        });
+        self.queue.push(Queued { key, seq, packet });
         true
     }
 
-    /// Pop the next packet to transmit, recording its queueing delay.
-    pub fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+    /// Pop the next packet to transmit. The queue keeps no timestamps, so
+    /// `_now` is unused: queueing delay is the registry's
+    /// `span.stage.queue`.
+    pub fn dequeue(&mut self, _now: SimTime) -> Option<Packet> {
         let q = self.queue.pop()?;
         self.queued_bytes -= q.packet.wire_bytes();
-        self.stats
-            .queue_delay
-            .record(now.saturating_since(q.enqueued_at).as_secs_f64());
         Some(q.packet)
     }
 
@@ -311,15 +299,6 @@ mod tests {
         assert_eq!(iface.queued_bytes(), 0);
         assert_eq!(iface.queued_packets(), 0);
         assert_eq!(iface.stats.max_queued_bytes, before);
-    }
-
-    #[test]
-    fn queue_delay_recorded() {
-        let mut iface = Iface::new(NetworkId(0), QueueDiscipline::Deadline, ledger(), None);
-        iface.enqueue(SimTime::ZERO, packet(0, 10));
-        iface.dequeue(SimTime::from_nanos(5_000)).unwrap();
-        assert_eq!(iface.stats.queue_delay.count(), 1);
-        assert!((iface.stats.queue_delay.mean() - 5e-6).abs() < 1e-12);
     }
 
     #[test]

@@ -930,8 +930,6 @@ pub fn start_tx<W: NetWorld>(sim: &mut Sim<W>, host: HostId, iface_idx: usize) {
         iface.set_busy(true);
         let network_id = iface.network;
         let bytes = packet.wire_bytes();
-        iface.stats.tx_packets.incr();
-        iface.stats.tx_bytes.add(bytes);
         let (queued_packets, queued_bytes) = (iface.queued_packets(), iface.queued_bytes());
         let rate = net.network(network_id).spec.rate_bps;
         let tx_time = SimDuration::from_secs_f64(bytes as f64 * 8.0 / rate);
@@ -1705,9 +1703,7 @@ fn deliver_data<W: NetWorld>(
         // Per-delivery stats.
         for (_, msg, s_at) in &deliveries {
             state.stats.delivered.incr();
-            state.stats.bytes.add(msg.len() as u64);
             let delay = now.saturating_since(*s_at);
-            state.stats.delays.record(delay.as_secs_f64());
             if delay > state.params.delay.bound_for(msg.len() as u64) {
                 state.stats.late.incr();
             }

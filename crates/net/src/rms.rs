@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use dash_security::cipher::Key;
 use dash_security::suite::MechanismPlan;
-use dash_sim::stats::{Counter, Histogram};
+use dash_sim::stats::Counter;
 use dash_sim::time::SimTime;
 use rms_core::message::Label;
 use rms_core::params::SharedParams;
@@ -26,8 +26,6 @@ pub enum RmsRole {
 pub struct RmsStats {
     /// Messages delivered to the client.
     pub delivered: Counter,
-    /// Payload bytes delivered.
-    pub bytes: Counter,
     /// Deliveries later than the RMS delay bound.
     pub late: Counter,
     /// Messages known lost (sequence gaps on an unreliable stream, or
@@ -40,8 +38,6 @@ pub struct RmsStats {
     /// Duplicate or out-of-date packets discarded to preserve in-sequence
     /// delivery.
     pub stale_dropped: Counter,
-    /// End-to-end delays, seconds.
-    pub delays: Histogram,
 }
 
 /// A buffered out-of-order arrival on a reliable stream.

@@ -19,7 +19,7 @@
 //! `'static` without borrowing the world.
 
 use crate::engine::Sim;
-use crate::stats::{Counter, Histogram};
+use crate::stats::Counter;
 use crate::time::{SimDuration, SimTime};
 
 /// How the CPU picks the next ready job.
@@ -70,7 +70,6 @@ struct ReadyJob<S> {
     /// O(log n) instead of a linear scan. The unique `seq` tie-break keeps
     /// the order identical to the old scan (and deterministic).
     key: u64,
-    arrival: SimTime,
     seq: u64,
     job: Job<S>,
 }
@@ -118,8 +117,6 @@ pub struct CpuStats {
     pub context_switches: Counter,
     /// Total busy time (including context-switch overhead).
     pub busy: SimDuration,
-    /// Lateness of completed jobs in seconds (0 for on-time jobs).
-    pub lateness: Histogram,
 }
 
 /// A simulated single-core CPU with a ready queue and scheduling policy.
@@ -193,14 +190,12 @@ impl<S: 'static> Cpu<S> {
 /// `acc` must return the same [`Cpu`] for the same `key` for the lifetime of
 /// the simulation.
 pub fn submit<S: 'static>(sim: &mut Sim<S>, acc: CpuAccessor<S>, key: u64, job: Job<S>) {
-    let now = sim.now();
     let cpu = acc(&mut sim.state, key);
     let seq = cpu.seq;
     cpu.seq += 1;
     let sched_key = cpu.sched_key(&job);
     cpu.ready.push(ReadyJob {
         key: sched_key,
-        arrival: now,
         seq,
         job,
     });
@@ -216,7 +211,6 @@ fn start_next<S: 'static>(sim: &mut Sim<S>, acc: CpuAccessor<S>, key: u64) {
     let Some(ready) = cpu.pick_next() else {
         return;
     };
-    let _ = ready.arrival;
     let switch = if cpu.current_stream == Some(ready.job.stream) {
         SimDuration::ZERO
     } else {
@@ -244,11 +238,9 @@ fn complete<S: 'static>(sim: &mut Sim<S>, acc: CpuAccessor<S>, key: u64) {
         let running = cpu.running.as_mut().expect("completion without a job");
         debug_assert_eq!(running.finish_at, now);
         cpu.stats.completed.incr();
-        let lateness = now.saturating_since(running.deadline);
-        if !lateness.is_zero() {
+        if now > running.deadline {
             cpu.stats.deadline_misses.incr();
         }
-        cpu.stats.lateness.record(lateness.as_secs_f64());
         running.cont.take().expect("continuation already taken")
     };
     // Run the continuation while `running` is still `Some`, so jobs it
@@ -341,7 +333,6 @@ mod tests {
         submit(&mut sim, acc, 0, job(0, 0, 0, 0, 10));
         sim.run();
         assert_eq!(sim.state.cpu.stats.deadline_misses.get(), 1);
-        assert!(sim.state.cpu.stats.lateness.mean() > 0.0);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   occurrence in every layer (admission decisions, interface queueing,
 //!   fragmentation, piggybacking, caching, ST/stream/RKOM sends and
 //!   deliveries, TCP retransmissions).
-//! - [`MetricRegistry`]: named counters, gauges, and histograms fed
-//!   automatically from events, replacing per-experiment private counter
-//!   plumbing.
+//! - [`MetricRegistry`]: named counters and histograms fed automatically
+//!   from events. Every world-level number is a registry counter; the
+//!   per-endpoint stats structs of the layers keep only the fields
+//!   something reads.
 //! - Lifecycle spans: a message allocated a span id at transport `send`
 //!   carries it through ST, fragmentation, the interface queue, the wire,
 //!   and reassembly to port delivery. Each [`Stage`] is timestamped on
@@ -33,8 +34,8 @@
 //! (queue overflow), [`ObsEvent::WireDrop`] (wire loss or damage), and
 //! [`ObsEvent::Drop`] with a [`DropCause`] for the rest.
 //!
-//! Sinks ([`ObsSink`]) observe the raw stream: [`JsonLinesSink`] exports
-//! JSON-Lines for offline analysis.
+//! Sinks ([`ObsSink`]) observe the raw stream, in installation order:
+//! [`JsonLinesSink`] exports JSON-Lines for offline analysis.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -799,8 +800,7 @@ const D_FAILOVER_STREAMS: usize = 12;
 /// Histograms fed from the event/span hot paths, slot-indexed. The
 /// `span.stage.*` block is laid out in [`Stage`] declaration order so a
 /// stage's slot is `H_STAGE_BASE + stage as usize`.
-const FAST_HIST_NAMES: [&str; 13] = [
-    "net.iface_queue_depth",
+const FAST_HIST_NAMES: [&str; 12] = [
     "span.e2e",
     "span.st",
     "span.net",
@@ -814,35 +814,29 @@ const FAST_HIST_NAMES: [&str; 13] = [
     "fault.recovery_latency",
     "routing.recompute_latency",
 ];
-const H_IFACE_QUEUE_DEPTH: usize = 0;
-const H_SPAN_E2E: usize = 1;
-const H_SPAN_ST: usize = 2;
-const H_SPAN_NET: usize = 3;
-const H_STAGE_BASE: usize = 4;
-const H_RECOVERY_LATENCY: usize = 11;
-const H_ROUTING_RECOMPUTE: usize = 12;
+const H_SPAN_E2E: usize = 0;
+const H_SPAN_ST: usize = 1;
+const H_SPAN_NET: usize = 2;
+const H_STAGE_BASE: usize = 3;
+const H_RECOVERY_LATENCY: usize = 10;
+const H_ROUTING_RECOMPUTE: usize = 11;
 
-/// Named counters, gauges, and histograms. Every metric the event stream
-/// itself produces lives in a fixed slot-indexed array, so the per-event
-/// path is an indexed add — no name hashing, no map walk, and (beyond the
-/// first sighting of a fault kind or late RMS) no allocation. Dynamic
-/// caller-registered metrics still live in `String`-keyed maps. Lookup by
-/// name routes to whichever storage owns it, and iteration merges them all
-/// sorted by name, so readers and the JSON export cannot tell the
-/// difference.
+/// Named counters and histograms. Every metric the event stream itself
+/// produces lives in a fixed slot-indexed array, so the per-event path is
+/// an indexed add — no name hashing, no map walk, and (beyond the first
+/// sighting of a fault kind) no allocation. Dynamic caller-registered
+/// metrics still live in `String`-keyed maps. Lookup by name routes to
+/// whichever storage owns it, and iteration merges them all sorted by name,
+/// so readers and the JSON export cannot tell the difference.
 #[derive(Debug)]
 pub struct MetricRegistry {
     event_counts: [Counter; EVENT_NAMES.len()],
     derived_counts: [Counter; DERIVED_NAMES.len()],
-    /// Per-RMS late counters keyed by st_rms; the `st.late.<rms>` name is
-    /// formatted once, on first sighting.
-    late_by_rms: BTreeMap<u64, (String, Counter)>,
     /// Per-kind fault counters keyed by kind; the `fault.<kind>` name is
     /// formatted once, on first sighting.
     fault_by_kind: BTreeMap<String, (String, Counter)>,
     fast_hists: [Histogram; FAST_HIST_NAMES.len()],
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -851,11 +845,9 @@ impl Default for MetricRegistry {
         MetricRegistry {
             event_counts: [Counter::new(); EVENT_NAMES.len()],
             derived_counts: [Counter::new(); DERIVED_NAMES.len()],
-            late_by_rms: BTreeMap::new(),
             fault_by_kind: BTreeMap::new(),
             fast_hists: std::array::from_fn(|_| Histogram::new()),
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
         }
     }
@@ -877,16 +869,6 @@ impl MetricRegistry {
         if let Some(i) = DERIVED_NAMES.iter().position(|n| *n == name) {
             return &mut self.derived_counts[i];
         }
-        if let Some(rms) = name
-            .strip_prefix("st.late.")
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            return &mut self
-                .late_by_rms
-                .entry(rms)
-                .or_insert_with(|| (name.to_string(), Counter::new()))
-                .1;
-        }
         if let Some(kind) = name.strip_prefix("fault.") {
             if !self.fault_by_kind.contains_key(kind) {
                 self.fault_by_kind
@@ -904,20 +886,14 @@ impl MetricRegistry {
     ///
     /// A misspelt name would silently read 0 and let an `== 0` assertion
     /// pass without testing anything, so debug builds panic on a name that
-    /// is neither a fixed slot, a member of the `st.late.` / `fault.`
-    /// families, nor a dynamic counter created through [`Self::counter`].
+    /// is neither a fixed slot, a member of the `fault.<kind>` family, nor a
+    /// dynamic counter created through [`Self::counter`].
     pub fn counter_value(&self, name: &str) -> u64 {
         if let Some(i) = EVENT_NAMES.iter().position(|n| *n == name) {
             return self.event_counts[i].get();
         }
         if let Some(i) = DERIVED_NAMES.iter().position(|n| *n == name) {
             return self.derived_counts[i].get();
-        }
-        if let Some(rms) = name
-            .strip_prefix("st.late.")
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            return self.late_by_rms.get(&rms).map(|e| e.1.get()).unwrap_or(0);
         }
         if let Some(kind) = name.strip_prefix("fault.") {
             return self.fault_by_kind.get(kind).map(|e| e.1.get()).unwrap_or(0);
@@ -927,21 +903,6 @@ impl MetricRegistry {
             "no counter named {name:?} (misspelt?)"
         );
         self.counters.get(name).map(|c| c.get()).unwrap_or(0)
-    }
-
-    /// Set the gauge named `name`. Updates in place; the key is only
-    /// allocated the first time a name is seen.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
-    }
-
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// The histogram named `name`, created on first use. Mutable access
@@ -982,9 +943,6 @@ impl MetricRegistry {
                 all.push((DERIVED_NAMES[i], c.get()));
             }
         }
-        for e in self.late_by_rms.values() {
-            all.push((e.0.as_str(), e.1.get()));
-        }
         for e in self.fault_by_kind.values() {
             all.push((e.0.as_str(), e.1.get()));
         }
@@ -995,23 +953,13 @@ impl MetricRegistry {
         all.into_iter()
     }
 
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Dump every metric as one JSON object per line (counters, gauges,
-    /// then histogram summaries with quantiles), each group sorted by name.
+    /// Dump every metric as one JSON object per line (counters, then
+    /// histogram summaries with quantiles), each group sorted by name.
     pub fn to_json_lines(&mut self) -> String {
         let mut out = String::new();
         for (name, v) in self.counters() {
             out.push_str(&format!(
                 "{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{v}}}\n"
-            ));
-        }
-        for (name, v) in self.gauges.iter() {
-            out.push_str(&format!(
-                "{{\"type\":\"gauge\",\"name\":\"{name}\",\"value\":{v}}}\n"
             ));
         }
         let mut hists: Vec<(&str, &mut Histogram)> = self
@@ -1042,24 +990,16 @@ impl MetricRegistry {
     ///
     /// The parallel executor keeps one registry per logical process and
     /// merges them in canonical (host-id) order after the run: counters
-    /// add, gauges take the later write (so the highest-id process wins —
-    /// a fixed rule, not a race), and histograms concatenate their sample
-    /// vectors in merge order. Merging the shard-local registries of a
-    /// P-way run therefore yields byte-identical [`Self::to_json_lines`]
-    /// output to the 1-way run of the same scenario.
+    /// add, and histograms concatenate their sample vectors in merge
+    /// order. Merging the shard-local registries of a P-way run therefore
+    /// yields byte-identical [`Self::to_json_lines`] output to the 1-way
+    /// run of the same scenario.
     pub fn merge_from(&mut self, other: &MetricRegistry) {
         for (mine, theirs) in self.event_counts.iter_mut().zip(&other.event_counts) {
             mine.add(theirs.get());
         }
         for (mine, theirs) in self.derived_counts.iter_mut().zip(&other.derived_counts) {
             mine.add(theirs.get());
-        }
-        for (rms, (name, c)) in &other.late_by_rms {
-            self.late_by_rms
-                .entry(*rms)
-                .or_insert_with(|| (name.clone(), Counter::new()))
-                .1
-                .add(c.get());
         }
         for (kind, (name, c)) in &other.fault_by_kind {
             self.fault_by_kind
@@ -1074,9 +1014,6 @@ impl MetricRegistry {
         for (name, c) in &other.counters {
             self.counters.entry(name.clone()).or_default().add(c.get());
         }
-        for (name, v) in &other.gauges {
-            self.gauges.insert(name.clone(), *v);
-        }
         for (name, h) in &other.histograms {
             self.histograms
                 .entry(name.clone())
@@ -1086,20 +1023,10 @@ impl MetricRegistry {
     }
 
     /// Record the registry-side effects of one event. Pure slot arithmetic:
-    /// the only allocations left are the first sighting of a fault kind or
-    /// a late RMS, and the first write to each gauge name.
+    /// the only allocation left is the first sighting of a fault kind.
     fn apply(&mut self, event: &ObsEvent) {
         self.event_counts[event.fast_index()].incr();
         match event {
-            ObsEvent::IfaceEnqueue {
-                queued_packets,
-                queued_bytes,
-                ..
-            } => {
-                self.gauge_set("net.iface_queue_packets", *queued_packets as f64);
-                self.gauge_set("net.iface_queue_bytes", *queued_bytes as f64);
-                self.fast_hists[H_IFACE_QUEUE_DEPTH].record(*queued_packets as f64);
-            }
             ObsEvent::Fragment { count, .. } => {
                 self.derived_counts[D_FRAGMENT_SENT].add(*count as u64);
             }
@@ -1122,13 +1049,8 @@ impl MetricRegistry {
             ObsEvent::StNetMsg { bytes, .. } => {
                 self.derived_counts[D_NET_BYTES_SENT].add(*bytes);
             }
-            ObsEvent::StDeliver { late, st_rms, .. } if *late => {
+            ObsEvent::StDeliver { late: true, .. } => {
                 self.derived_counts[D_LATE_DELIVERY].incr();
-                self.late_by_rms
-                    .entry(*st_rms)
-                    .or_insert_with(|| (format!("st.late.{st_rms}"), Counter::new()))
-                    .1
-                    .incr();
             }
             ObsEvent::TcpRetransmit { segments, .. } => {
                 self.derived_counts[D_TCP_SEGMENTS].add(*segments);
@@ -1257,8 +1179,8 @@ impl SpanTracker {
 // ---------------------------------------------------------------------------
 
 /// A consumer of the raw observability stream. Installed via
-/// `Obs::set_sink`; both hooks default to no-ops so a sink may care about
-/// only events or only spans.
+/// [`Obs::add_boxed_sink`]; both hooks default to no-ops so a sink may care
+/// about only events or only spans.
 pub trait ObsSink {
     /// An event was emitted at `time`.
     fn on_event(&mut self, time: SimTime, event: &ObsEvent) {
@@ -1312,51 +1234,16 @@ impl Drop for JsonLinesSink {
     }
 }
 
-/// Fans the stream out to several sinks in installation order. Built
-/// implicitly by [`Obs::add_boxed_sink`] so an online checker (e.g. the
-/// dash-check oracle) can observe a run without displacing the sink a
-/// bench or test already installed.
-#[derive(Default)]
-pub struct TeeSink {
-    sinks: Vec<Box<dyn ObsSink>>,
-}
-
-impl TeeSink {
-    /// An empty tee (a no-op sink until sinks are pushed).
-    pub fn new() -> Self {
-        TeeSink::default()
-    }
-
-    /// Append a sink; it sees every event/span after the existing ones.
-    pub fn push(&mut self, sink: Box<dyn ObsSink>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl ObsSink for TeeSink {
-    fn on_event(&mut self, time: SimTime, event: &ObsEvent) {
-        for s in self.sinks.iter_mut() {
-            s.on_event(time, event);
-        }
-    }
-
-    fn on_span(&mut self, record: &SpanRecord) {
-        for s in self.sinks.iter_mut() {
-            s.on_span(record);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The observability hub
 // ---------------------------------------------------------------------------
 
 /// The per-world observability hub: holds the activation flag, the metric
-/// registry, the span tracker, and the optional sink. Lives in the network
+/// registry, the span tracker, and the sinks. Lives in the network
 /// layer's state so every layer reaches it through `W::net()`.
 pub struct Obs {
     active: bool,
-    sink: Option<Box<dyn ObsSink>>,
+    sinks: Vec<Box<dyn ObsSink>>,
     /// The metric registry; it counts whether or not the hub is active.
     pub registry: MetricRegistry,
     tracker: SpanTracker,
@@ -1369,7 +1256,7 @@ impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
             .field("active", &self.active)
-            .field("sink", &self.sink.is_some())
+            .field("sinks", &self.sinks.len())
             .field("open_spans", &self.tracker.open.len())
             .field("completed_spans", &self.completed.len())
             .finish()
@@ -1380,7 +1267,7 @@ impl Default for Obs {
     fn default() -> Self {
         Obs {
             active: false,
-            sink: None,
+            sinks: Vec::new(),
             registry: MetricRegistry::new(),
             tracker: SpanTracker::default(),
             retain: false,
@@ -1403,31 +1290,13 @@ impl Obs {
         self.active = true;
     }
 
-    /// Install a sink and activate emission.
-    pub fn set_sink(&mut self, sink: impl ObsSink + 'static) {
-        self.set_boxed_sink(Box::new(sink));
-    }
-
-    /// Install an already-boxed sink and activate emission (used by
-    /// builders that collect the sink before the world exists).
-    pub fn set_boxed_sink(&mut self, sink: Box<dyn ObsSink>) {
-        self.sink = Some(sink);
-        self.active = true;
-    }
-
-    /// Install an *additional* sink without displacing an existing one:
-    /// the current sink (if any) and the new one are wrapped in a
-    /// [`TeeSink`]. Activates emission.
+    /// Install a sink and activate emission. Sinks see each event and
+    /// span in installation order, so an online checker (e.g. the
+    /// dash-check oracle) can observe a run next to a sink a bench or test
+    /// already installed.
     pub fn add_boxed_sink(&mut self, sink: Box<dyn ObsSink>) {
-        match self.sink.take() {
-            None => self.set_boxed_sink(sink),
-            Some(existing) => {
-                let mut tee = TeeSink::new();
-                tee.push(existing);
-                tee.push(sink);
-                self.set_boxed_sink(Box::new(tee));
-            }
-        }
+        self.sinks.push(sink);
+        self.active = true;
     }
 
     /// True when span ids, span tracking and sinks are on. Counting does
@@ -1476,7 +1345,7 @@ impl Obs {
 
     /// Emit one event: counts it in the registry and, while active,
     /// advances the event's span stage (closing the span on
-    /// [`Stage::StDeliver`]) and forwards it to the sink.
+    /// [`Stage::StDeliver`]) and forwards it to the sinks.
     pub fn emit(&mut self, time: SimTime, event: ObsEvent) {
         self.registry.apply(&event);
         if !self.active {
@@ -1494,12 +1363,12 @@ impl Obs {
                 }
             }
         }
-        if let Some(sink) = self.sink.as_mut() {
+        for sink in &mut self.sinks {
             sink.on_event(time, &event);
         }
     }
 
-    /// Feed a completed span into the latency histograms and the sink.
+    /// Feed a completed span into the latency histograms and the sinks.
     /// All target histograms live in fixed registry slots, so closing a
     /// span performs no name formatting or map walks.
     fn finish_span(&mut self, record: &SpanRecord) {
@@ -1517,7 +1386,7 @@ impl Obs {
             reg.fast_hists[H_STAGE_BASE + stage as usize]
                 .record(t1.saturating_since(t0).as_secs_f64());
         }
-        if let Some(sink) = self.sink.as_mut() {
+        for sink in &mut self.sinks {
             sink.on_span(record);
         }
     }
@@ -1573,12 +1442,29 @@ mod tests {
         // Installing a sink activates the hub: it sees what is emitted from
         // then on, nothing of what was counted before, and ids start at 1.
         let seen = std::rc::Rc::new(std::cell::Cell::new(0));
-        obs.set_sink(Tally(std::rc::Rc::clone(&seen)));
+        obs.add_boxed_sink(Box::new(Tally(std::rc::Rc::clone(&seen))));
         assert_eq!(seen.get(), 0);
         assert_eq!(obs.start_span(), Some(1));
         obs.emit(SimTime::ZERO, ObsEvent::CacheHit { host: 0 });
         assert_eq!(seen.get(), 1);
         assert_eq!(obs.registry.counter_value("st.cache_hit"), 2);
+    }
+
+    #[test]
+    fn sinks_see_each_event_in_installation_order() {
+        struct Tag(u8, std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+        impl ObsSink for Tag {
+            fn on_event(&mut self, _time: SimTime, _event: &ObsEvent) {
+                self.1.borrow_mut().push(self.0);
+            }
+        }
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut obs = Obs::new();
+        obs.add_boxed_sink(Box::new(Tag(1, std::rc::Rc::clone(&seen))));
+        obs.add_boxed_sink(Box::new(Tag(2, std::rc::Rc::clone(&seen))));
+        obs.emit(SimTime::ZERO, ObsEvent::CacheHit { host: 0 });
+        obs.emit(SimTime::ZERO, ObsEvent::CacheMiss { host: 0 });
+        assert_eq!(*seen.borrow(), [1, 2, 1, 2]);
     }
 
     #[test]
@@ -1589,10 +1475,19 @@ mod tests {
         let _ = reg.counter_value("st.cache_hits");
     }
 
+    /// Lateness is counted world-wide only (`st.late_delivery`); there is
+    /// no per-RMS family to read.
+    #[test]
+    #[should_panic(expected = "misspelt")]
+    #[cfg(debug_assertions)]
+    fn per_rms_late_name_is_unknown() {
+        let reg = MetricRegistry::new();
+        let _ = reg.counter_value("st.late.42");
+    }
+
     #[test]
     fn unknown_family_members_and_created_counters_read_zero() {
         let mut reg = MetricRegistry::new();
-        assert_eq!(reg.counter_value("st.late.42"), 0);
         assert_eq!(reg.counter_value("fault.partition"), 0);
         assert_eq!(reg.counter_value("net.drop.ttl"), 0);
         reg.counter("app.custom");
@@ -1674,7 +1569,7 @@ mod tests {
     }
 
     /// Name lookups route to the same cells the event stream feeds, for
-    /// every storage class (event slot, derived slot, fault kind, late RMS).
+    /// every storage class (event slot, derived slot, fault kind).
     #[test]
     fn counter_lookup_routes_to_fast_slots() {
         let mut obs = Obs::new();
@@ -1696,12 +1591,11 @@ mod tests {
         assert_eq!(reg.counter_value("fault.injected"), 1); // event slot
         assert_eq!(reg.counter_value("fault.partition"), 1); // per-kind slot
         assert_eq!(reg.counter_value("st.late_delivery"), 1); // derived slot
-        assert_eq!(reg.counter_value("st.late.7"), 1); // per-RMS slot
-                                                       // &mut access reaches the same cells.
+                                                              // &mut access reaches the same cells.
         reg.counter("fault.partition").incr();
-        reg.counter("st.late.7").incr();
+        reg.counter("st.late_delivery").incr();
         assert_eq!(reg.counter_value("fault.partition"), 2);
-        assert_eq!(reg.counter_value("st.late.7"), 2);
+        assert_eq!(reg.counter_value("st.late_delivery"), 2);
         // The merged iterator exports them all, sorted by name.
         let names: Vec<&str> = reg.counters().map(|(n, _)| n).collect();
         let mut sorted = names.clone();
@@ -1711,7 +1605,6 @@ mod tests {
             "fault.injected",
             "fault.partition",
             "st.deliver",
-            "st.late.7",
             "st.late_delivery",
         ] {
             assert!(names.contains(&want), "missing {want}");
@@ -1789,7 +1682,7 @@ mod tests {
 
         let shared = Shared::default();
         let mut obs = Obs::new();
-        obs.set_sink(JsonLinesSink::new(shared.clone()));
+        obs.add_boxed_sink(Box::new(JsonLinesSink::new(shared.clone())));
         for _ in 0..3 {
             let span = obs.start_span().unwrap();
             obs.emit(
@@ -1838,13 +1731,11 @@ mod tests {
     fn registry_json_dump_is_line_per_metric() {
         let mut reg = MetricRegistry::new();
         reg.counter("a.b").add(3);
-        reg.gauge_set("g", 1.5);
         reg.histogram("h").record(0.25);
         let dump = reg.to_json_lines();
         let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"counter\""));
-        assert!(lines[1].contains("\"gauge\""));
-        assert!(lines[2].contains("\"histogram\""));
+        assert!(lines[1].contains("\"histogram\""));
     }
 }

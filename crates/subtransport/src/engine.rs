@@ -1296,10 +1296,6 @@ fn new_stream(
         in_net: None,
         failed: false,
         failover_since: None,
-        delivered: Default::default(),
-        bytes: Default::default(),
-        late: Default::default(),
-        delays: Default::default(),
     }
 }
 
@@ -1385,18 +1381,12 @@ fn deliver_data<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, d: Dat
     let Some((msg, seq, sent_at, fast_ack)) = complete else {
         return;
     };
-    // Stats + lateness.
+    // Lateness, carried by the `StDeliver` event (and counted there).
     let (late, det) = {
-        let sth = sim.state.st().host_mut(host);
-        if let Some(stream) = sth.streams.get_mut(&st_rms) {
-            stream.delivered.incr();
-            stream.bytes.add(msg.len() as u64);
-            let delay = now.saturating_since(sent_at);
-            stream.delays.record(delay.as_secs_f64());
-            let late = delay > stream.params.delay.bound_for(msg.len() as u64);
-            if late {
-                stream.late.incr();
-            }
+        let sth = sim.state.st_ref().host(host);
+        if let Some(stream) = sth.streams.get(&st_rms) {
+            let late =
+                now.saturating_since(sent_at) > stream.params.delay.bound_for(msg.len() as u64);
             let det = matches!(
                 stream.params.delay.kind,
                 rms_core::delay::DelayBoundKind::Deterministic

@@ -13,7 +13,6 @@ use dash_net::ids::{CreateToken, HostId, NetRmsId};
 use dash_security::cipher::Key;
 use dash_security::cost::CostModel;
 use dash_sim::engine::{Sim, TimerHandle};
-use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::delay::DelayBound;
 use rms_core::error::{FailReason, RejectReason};
@@ -188,14 +187,6 @@ pub struct StStream {
     /// began failing over; cleared (with a recovery-latency observation)
     /// when a replacement slot is ready.
     pub failover_since: Option<SimTime>,
-    /// Receiver-side delivery statistics.
-    pub delivered: Counter,
-    /// Receiver-side payload bytes delivered.
-    pub bytes: Counter,
-    /// Receiver-side deliveries beyond the ST delay bound.
-    pub late: Counter,
-    /// Receiver-side end-to-end delays (client send → ST delivery), secs.
-    pub delays: dash_sim::stats::Histogram,
 }
 
 impl StStream {

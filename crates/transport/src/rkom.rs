@@ -62,15 +62,6 @@ pub struct RkomConfig {
     pub retry_timeout: SimDuration,
     /// Retransmissions before giving up.
     pub max_retries: u32,
-    /// Delay bound requested for the low-delay (initial) RMSs.
-    pub low_delay: SimDuration,
-    /// Delay bound requested for the high-delay (retransmission/ack) RMSs.
-    pub high_delay: SimDuration,
-    /// Capacity of each channel RMS ("may be large, unless it is known
-    /// that request or reply messages will be small and infrequent", §2.5).
-    pub capacity: u64,
-    /// Maximum request/reply payload size.
-    pub max_message: u64,
 }
 
 impl Default for RkomConfig {
@@ -78,13 +69,19 @@ impl Default for RkomConfig {
         RkomConfig {
             retry_timeout: SimDuration::from_millis(200),
             max_retries: 4,
-            low_delay: SimDuration::from_millis(20),
-            high_delay: SimDuration::from_millis(200),
-            capacity: 64 * 1024,
-            max_message: 16 * 1024,
         }
     }
 }
+
+/// Delay bound requested for the low-delay (initial) RMSs.
+const LOW_DELAY: SimDuration = SimDuration::from_millis(20);
+/// Delay bound requested for the high-delay (retransmission/ack) RMSs.
+const HIGH_DELAY: SimDuration = SimDuration::from_millis(200);
+/// Capacity of each channel RMS ("may be large, unless it is known that
+/// request or reply messages will be small and infrequent", §2.5).
+const CHANNEL_CAPACITY: u64 = 64 * 1024;
+/// Maximum request/reply payload size.
+const MAX_MESSAGE: u64 = 16 * 1024;
 
 const KIND_REQUEST: u8 = 1;
 const KIND_REPLY: u8 = 2;
@@ -493,12 +490,12 @@ fn fail_call(sim: &mut Sim<Stack>, host: HostId, call_id: u64, err: RkomError) {
 /// length).
 const RKOM_HEADER: u64 = 16;
 
-fn channel_request(config: &RkomConfig, fixed: SimDuration) -> RmsRequest {
-    let mms = config.max_message + RKOM_HEADER;
+fn channel_request(fixed: SimDuration) -> RmsRequest {
+    let mms = MAX_MESSAGE + RKOM_HEADER;
     let desired = RmsParams {
         reliability: rms_core::Reliability::Unreliable,
         security: rms_core::SecurityParams::NONE,
-        capacity: config.capacity.max(mms),
+        capacity: CHANNEL_CAPACITY.max(mms),
         max_message_size: mms,
         delay: DelayBound::best_effort_with(fixed, SimDuration::from_micros(10)),
         error_rate: rms_core::BitErrorRate::new(1e-4).expect("valid"),
@@ -509,7 +506,7 @@ fn channel_request(config: &RkomConfig, fixed: SimDuration) -> RmsRequest {
     // path can actually do, up to the high-delay budget (§2.4: the provider
     // matches the desired parameters as closely as possible).
     acceptable.delay =
-        DelayBound::best_effort_with(config.high_delay.max(fixed), SimDuration::from_micros(20));
+        DelayBound::best_effort_with(HIGH_DELAY.max(fixed), SimDuration::from_micros(20));
     RmsRequest::new(desired, acceptable).expect("desired covers floor")
 }
 
@@ -559,12 +556,8 @@ fn ensure_channel(sim: &mut Sim<Stack>, host: HostId, peer: HostId) {
         .get_mut(&peer)
         .expect("just inserted")
         .creating = true;
-    let config = sim.state.rkom.config.clone();
-    for (lane, fixed) in [
-        (Lane::Low, config.low_delay),
-        (Lane::High, config.high_delay),
-    ] {
-        match st_engine::create(sim, host, peer, &channel_request(&config, fixed), false) {
+    for (lane, fixed) in [(Lane::Low, LOW_DELAY), (Lane::High, HIGH_DELAY)] {
+        match st_engine::create(sim, host, peer, &channel_request(fixed), false) {
             Ok(token) => {
                 sim.state
                     .rkom

@@ -185,7 +185,7 @@ impl StackBuilder {
             stack.net.obs.retain_spans(true);
         }
         if let Some(sink) = self.sink {
-            stack.net.obs.set_boxed_sink(sink);
+            stack.net.obs.add_boxed_sink(sink);
         }
         stack
     }

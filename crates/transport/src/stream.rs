@@ -51,7 +51,7 @@ use dash_net::ids::HostId;
 use dash_net::state::emit;
 use dash_sim::engine::{Sim, TimerHandle};
 use dash_sim::obs::{DropCause, ObsEvent, RetransmitCause};
-use dash_sim::stats::{Counter, Histogram};
+use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
 use dash_subtransport::engine as st_engine;
 use dash_subtransport::ids::{StRmsId, StToken};
@@ -381,8 +381,6 @@ pub struct SessionStats {
     /// Messages found missing upstream (sequence numbers skipped by an
     /// arrival; a reliable session counts each once, when first skipped).
     pub gaps: Counter,
-    /// End-to-end delays of delivered messages, seconds.
-    pub delays: Histogram,
 }
 
 /// One stream session endpoint.
@@ -1406,7 +1404,6 @@ fn deliver(
         let len = payload.len() as u64;
         s.stats.delivered.incr();
         s.stats.bytes_delivered.add(len);
-        s.stats.delays.record(delay.as_secs_f64());
         if s.profile.receiver_fc {
             s.pending_buffer_bytes += len;
         } else {

@@ -35,6 +35,13 @@ cargo build --release
 # fails, the long suites below are measuring a stack that wastes work.
 cargo test -q --test no_spurious_work
 
+# Memory flat after warm-up: 2 000 more frames on a running stream must
+# leave the live heap where it was (a counting allocator measures it).
+if ! cargo test --release -q --test flat_memory; then
+    echo "verify: live heap grows with message count (growth in B above) — something records per message" >&2
+    exit 1
+fi
+
 # Every test runs exactly once. dash-par's panic-propagation tests go
 # first, by name and boxed: `std::sync::Barrier` does not poison, so a
 # regression there is a wedged executor, and this way it costs seconds
@@ -53,7 +60,8 @@ fi
 # are in here), then the root package's library, examples and doc tests,
 # then its integration tests one binary at a time — chaos, explore and
 # rt_conformance are held back because they carry a failure hint, a time
-# box or a release build below; no_spurious_work already ran above.
+# box or a release build below; no_spurious_work and flat_memory already
+# ran above.
 cargo test --workspace --exclude dash -q -- --skip propagates_instead_of_wedging
 cargo test -q --lib --examples
 cargo test -q --doc
@@ -66,7 +74,7 @@ for ex in quickstart congestion rkom_rpc; do
 done
 for t in tests/*.rs; do
     name="$(basename "$t" .rs)"
-    case "$name" in chaos | explore | rt_conformance | no_spurious_work) continue ;; esac
+    case "$name" in chaos | explore | rt_conformance | no_spurious_work | flat_memory) continue ;; esac
     cargo test -q --test "$name"
 done
 
