@@ -22,7 +22,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use dash_net::ids::HostId;
 use dash_net::pipeline as net;
 use dash_net::state::{emit, NetWorld};
-use dash_sim::engine::{Sim, TimerHandle};
+use dash_sim::engine::{Args, Sim, TimerHandle};
 use dash_sim::obs::ObsEvent;
 use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
@@ -458,7 +458,7 @@ fn ensure_rto<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
             .map(|c| base.saturating_mul(1u64 << c.rto_backoff.min(6)))
             .unwrap_or(base)
     };
-    let handle = sim.schedule_timer(rto, move |sim| on_rto(sim, host, conn));
+    let handle = sim.call_timer(rto, on_rto::<W>, (host.0, conn));
     if let Some(c) = sim.state.tcp().conn_mut(host, conn) {
         c.rto_timer = Some(handle);
     } else {
@@ -470,7 +470,8 @@ fn arm_rto<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
     ensure_rto(sim, host, conn);
 }
 
-fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
+fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, (host, conn): Args) {
+    let host = HostId(host);
     let mss = sim.state.tcp_ref().config.mss;
     let action = {
         let Some(c) = sim.state.tcp().conn_mut(host, conn) else {

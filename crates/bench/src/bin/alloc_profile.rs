@@ -32,20 +32,23 @@ struct SamplingAlloc;
 
 unsafe impl GlobalAlloc for SamplingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let n = COUNT.fetch_add(1, Ordering::Relaxed);
-        if n.is_multiple_of(SAMPLE_EVERY) {
-            IN_HOOK.with(|f| {
-                if !f.get() {
-                    f.set(true);
-                    let bt = std::backtrace::Backtrace::force_capture().to_string();
-                    let key = summarize(&bt);
-                    if let Ok(mut g) = TRACES.lock() {
-                        *g.get_or_insert_with(HashMap::new).entry(key).or_insert(0) += 1;
-                    }
-                    f.set(false);
+        // The sampling hook allocates too (the backtrace, its summary, the
+        // map entry); those are the tool's own and count nowhere.
+        IN_HOOK.with(|f| {
+            if f.get() {
+                return;
+            }
+            let n = COUNT.fetch_add(1, Ordering::Relaxed);
+            if n.is_multiple_of(SAMPLE_EVERY) {
+                f.set(true);
+                let bt = std::backtrace::Backtrace::force_capture().to_string();
+                let key = summarize(&bt);
+                if let Ok(mut g) = TRACES.lock() {
+                    *g.get_or_insert_with(HashMap::new).entry(key).or_insert(0) += 1;
                 }
-            });
-        }
+                f.set(false);
+            }
+        });
         System.alloc(layout)
     }
 

@@ -15,7 +15,7 @@ use dash_sim::time::SimDuration;
 use rms_core::error::FailReason;
 
 use crate::ids::{HostId, NetRmsId, NetworkId};
-use crate::pipeline::{fail_network, restore_network, start_tx};
+use crate::pipeline::{fail_network, kick_tx, restore_network};
 use crate::routing;
 use crate::state::{emit, NetRmsEvent, NetWorld};
 
@@ -85,7 +85,7 @@ pub fn stall_iface<W: NetWorld>(
     }
     // Kick the transmitter back to life once the stall expires; start_tx
     // is a no-op if a concurrent transmission already restarted it.
-    sim.schedule_at(until, move |sim| start_tx(sim, host, idx));
+    sim.call_at(until, kick_tx::<W>, (host.0, idx as u64));
 }
 
 /// Crash `host`: its transmit queues are discarded, its creation attempts

@@ -76,7 +76,10 @@ pub struct Iface {
     queued_bytes: u64,
     queue_limit_bytes: Option<u64>,
     next_seq: u64,
-    busy: bool,
+    /// The packet being serialized onto the wire, if any, as its slot in
+    /// the world's parking slab: an inline packet would add its 336 bytes
+    /// to every interface of every host, in every replica world.
+    on_wire: Option<u32>,
     /// Transmitter frozen until this instant (fault injection): queued
     /// packets wait, nothing is dropped by the stall itself.
     pub stalled_until: SimTime,
@@ -103,7 +106,7 @@ impl Iface {
             queued_bytes: 0,
             queue_limit_bytes,
             next_seq: 0,
-            busy: false,
+            on_wire: None,
             stalled_until: SimTime::ZERO,
             ledger,
             stats: IfaceStats::default(),
@@ -132,12 +135,20 @@ impl Iface {
 
     /// True while a packet is being serialized onto the wire.
     pub fn is_busy(&self) -> bool {
-        self.busy
+        self.on_wire.is_some()
     }
 
-    /// Mark the transmitter busy/idle (driven by the pipeline).
-    pub fn set_busy(&mut self, busy: bool) {
-        self.busy = busy;
+    /// Start serializing the packet parked at `slot` (driven by the
+    /// pipeline).
+    pub(crate) fn begin_tx(&mut self, slot: u32) {
+        debug_assert!(self.on_wire.is_none(), "transmitter already busy");
+        self.on_wire = Some(slot);
+    }
+
+    /// Finish serializing: the transmitter is idle again, and the parked
+    /// packet's slot is returned.
+    pub(crate) fn end_tx(&mut self) -> Option<u32> {
+        self.on_wire.take()
     }
 
     /// Enqueue a packet for transmission at `now`.

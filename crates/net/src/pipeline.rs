@@ -3,12 +3,16 @@
 //!
 //! All functions are generic over the world `W: NetWorld`, so the
 //! subtransport layer (and test harnesses) stack on top without this crate
-//! knowing their shape.
+//! knowing their shape. Every action this module schedules is an unboxed
+//! call (function plus ids): a packet between two steps — serializing, on
+//! the wire, or waiting for its CPU job — waits in [`NetState`]'s parking
+//! slab, never inside an event. A transmission's completion names the
+//! interface, which holds its packet's slot.
 
 use dash_security::cipher::{decrypt, encrypt, Key};
 use dash_security::mac;
 use dash_security::suite::{MechanismPlan, NetworkCapabilities};
-use dash_sim::engine::Sim;
+use dash_sim::engine::{Args, Call, Sim};
 use dash_sim::obs::{DropCause, ObsEvent};
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::admission::Admission;
@@ -186,9 +190,7 @@ pub fn create_rms<W: NetWorld>(
     );
     // Deferred so the caller records the returned token before any
     // failure/success event can fire.
-    sim.schedule_in(SimDuration::ZERO, move |sim| {
-        start_create_attempt(sim, creator, token);
-    });
+    sim.call_in(SimDuration::ZERO, create_attempt::<W>, (creator.0, token.0));
     Ok(token)
 }
 
@@ -229,10 +231,18 @@ pub fn create_rms_as_receiver<W: NetWorld>(
             attempts: 0,
         },
     );
-    sim.schedule_in(SimDuration::ZERO, move |sim| {
-        start_invite_attempt(sim, creator, token);
-    });
+    sim.call_in(SimDuration::ZERO, invite_attempt::<W>, (creator.0, token.0));
     Ok(token)
+}
+
+/// The call form of [`start_invite_attempt`]: `(creator, token)`.
+fn invite_attempt<W: NetWorld>(sim: &mut Sim<W>, (creator, token): Args) {
+    start_invite_attempt(sim, HostId(creator), CreateToken(token));
+}
+
+/// The call form of [`start_create_attempt`]: `(creator, token)`.
+fn create_attempt<W: NetWorld>(sim: &mut Sim<W>, (creator, token): Args) {
+    start_create_attempt(sim, HostId(creator), CreateToken(token));
 }
 
 fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: CreateToken) {
@@ -271,11 +281,9 @@ fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         next_hop: None,
     };
     route_and_enqueue(sim, creator, packet);
-    let timer = sim.schedule_timer(CREATE_TIMEOUT, move |sim| {
-        // Retry while the invite is still pending (the CreateReq arriving
-        // at us removes it).
-        start_invite_attempt(sim, creator, token);
-    });
+    // Retry while the invite is still pending (the CreateReq arriving at
+    // us removes it).
+    let timer = sim.call_timer(CREATE_TIMEOUT, invite_attempt::<W>, (creator.0, token.0));
     if let Some(inv) = sim.state.net().host_mut(creator).invites.get_mut(&token) {
         inv.timer = Some(timer);
     } else {
@@ -464,9 +472,7 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         next_hop: None,
     };
     route_and_enqueue(sim, creator, packet);
-    let timer = sim.schedule_timer(CREATE_TIMEOUT, move |sim| {
-        start_create_attempt(sim, creator, token);
-    });
+    let timer = sim.call_timer(CREATE_TIMEOUT, create_attempt::<W>, (creator.0, token.0));
     if let Some(p) = sim.state.net().host_mut(creator).pending.get_mut(&token) {
         p.timer = Some(timer);
     } else {
@@ -607,7 +613,7 @@ pub fn send_on_rms<W: NetWorld>(
     sent_at: Option<SimTime>,
 ) -> Result<(), RmsError> {
     let now = sim.now();
-    let (seq, params, plan, key, peer, deadline) = {
+    let (seq, params, plan, peer, deadline) = {
         let net = sim.state.net();
         let state = net
             .host_mut(host)
@@ -646,7 +652,6 @@ pub fn send_on_rms<W: NetWorld>(
             state.alloc_seq(),
             state.params.clone(),
             state.plan,
-            state.key,
             state.peer,
             queue_deadline,
         )
@@ -687,63 +692,68 @@ pub fn send_on_rms<W: NetWorld>(
         state.last_send_job_deadline = d;
         d
     };
+    // The packet waits for its CPU job parked, unsealed: the job's
+    // continuation applies the stream's plan.
+    let packet = Packet {
+        src: host,
+        dst: peer,
+        kind: PacketKind::Data(DataPacket {
+            rms,
+            seq,
+            source: msg.source,
+            target: msg.target,
+            span: msg.span,
+            payload: msg.into_wire(),
+            mac: None,
+            checksum: None,
+        }),
+        deadline,
+        sent_at,
+        corrupted: false,
+        hops: 0,
+        reliable: params.reliability == Reliability::Reliable,
+        next_plan: None,
+        source_route: None,
+        next_hop: None,
+    };
+    let slot = sim.state.net().parked.insert(packet);
     W::charge_cpu(
         sim,
         host,
         cost,
         cpu_deadline,
         rms.0,
-        Box::new(move |sim| {
-            // The stream may have failed while the CPU job waited.
-            {
-                let net = sim.state.net();
-                match net.host(host).rms.get(&rms) {
-                    Some(s) if !s.failed => {}
-                    _ => return,
-                }
-            }
-            let source = msg.source;
-            let target = msg.target;
-            let span = msg.span;
-            // Secured paths flatten the body once for the byte-stream
-            // transforms; the common unsecured path forwards the sender's
-            // segments untouched.
-            let payload = if plan.encrypt {
-                WireMsg::from_bytes(encrypt(key, seq, &msg.payload()))
-            } else {
-                msg.into_wire()
-            };
-            let tag = plan.mac.then(|| {
-                let context = seq ^ source.map(|l| l.0).unwrap_or(0).rotate_left(17);
-                mac::sign(key, context, &payload.contiguous()).0
-            });
-            let checksum = plan.checksum.map(|alg| alg.compute(&payload.contiguous()));
-            let packet = Packet {
-                src: host,
-                dst: peer,
-                kind: PacketKind::Data(DataPacket {
-                    rms,
-                    seq,
-                    payload,
-                    source,
-                    target,
-                    mac: tag,
-                    checksum,
-                    span,
-                }),
-                deadline,
-                sent_at,
-                corrupted: false,
-                hops: 0,
-                reliable: params.reliability == Reliability::Reliable,
-                next_plan: None,
-                source_route: None,
-                next_hop: None,
-            };
-            route_and_enqueue(sim, host, packet);
-        }),
+        Call::new(transmit_parked::<W>, (host.0, u64::from(slot))),
     );
     Ok(())
+}
+
+/// A send's CPU job finished: seal the data packet parked at `slot` with
+/// its stream's mechanisms and route it — unless the stream failed while
+/// the job waited.
+fn transmit_parked<W: NetWorld>(sim: &mut Sim<W>, (host, slot): Args) {
+    let host = HostId(host);
+    let mut packet = sim.state.net().parked.take(slot as u32);
+    let PacketKind::Data(d) = &mut packet.kind else {
+        unreachable!("only data packets wait for a send job")
+    };
+    let (plan, key) = match sim.state.net_ref().host(host).rms.get(&d.rms) {
+        Some(s) if !s.failed => (s.plan, s.key),
+        _ => return,
+    };
+    // Secured paths flatten the body once for the byte-stream transforms;
+    // the common unsecured path forwards the sender's segments untouched.
+    if plan.encrypt {
+        d.payload = WireMsg::from_bytes(encrypt(key, d.seq, &d.payload.contiguous()));
+    }
+    if plan.mac {
+        let context = d.seq ^ d.source.map(|l| l.0).unwrap_or(0).rotate_left(17);
+        d.mac = Some(mac::sign(key, context, &d.payload.contiguous()).0);
+    }
+    d.checksum = plan
+        .checksum
+        .map(|alg| alg.compute(&d.payload.contiguous()));
+    route_and_enqueue(sim, host, packet);
 }
 
 /// Send a raw datagram outside any RMS (the baseline primitive, §1).
@@ -794,7 +804,8 @@ pub fn route_and_enqueue<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet
     }
     if packet.dst == host {
         // Loopback: no wire involved.
-        sim.schedule_in(SimDuration::ZERO, move |sim| on_arrival(sim, host, packet));
+        let args = park(sim, host, packet);
+        sim.call_in(SimDuration::ZERO, arrive::<W>, args);
         return true;
     }
     let route = if let Some(sr) = packet.source_route.as_ref() {
@@ -915,7 +926,7 @@ fn send_quench<W: NetWorld>(
 /// has queued packets.
 pub fn start_tx<W: NetWorld>(sim: &mut Sim<W>, host: HostId, iface_idx: usize) {
     let now = sim.now();
-    let (packet, network_id, tx_time) = {
+    let tx_time = {
         let net = sim.state.net();
         let iface = &mut net.host_mut(host).ifaces[iface_idx];
         if iface.is_busy() || iface.is_stalled(now) {
@@ -927,10 +938,12 @@ pub fn start_tx<W: NetWorld>(sim: &mut Sim<W>, host: HostId, iface_idx: usize) {
             Some(p) => p,
             None => return,
         };
-        iface.set_busy(true);
         let network_id = iface.network;
-        let bytes = packet.wire_bytes();
         let (queued_packets, queued_bytes) = (iface.queued_packets(), iface.queued_bytes());
+        let bytes = packet.wire_bytes();
+        let span = packet.span();
+        let slot = net.parked.insert(packet);
+        net.host_mut(host).ifaces[iface_idx].begin_tx(slot);
         let rate = net.network(network_id).spec.rate_bps;
         let tx_time = SimDuration::from_secs_f64(bytes as f64 * 8.0 / rate);
         net.obs.emit(
@@ -938,28 +951,34 @@ pub fn start_tx<W: NetWorld>(sim: &mut Sim<W>, host: HostId, iface_idx: usize) {
             ObsEvent::IfaceDequeue {
                 host: host.0,
                 iface: iface_idx,
-                span: packet.span(),
+                span,
                 queued_packets,
                 queued_bytes,
             },
         );
-        (packet, network_id, tx_time)
+        tx_time
     };
-    sim.schedule_in(tx_time, move |sim| {
-        finish_tx(sim, host, iface_idx, network_id, packet);
-    });
+    sim.call_in(tx_time, finish_tx::<W>, (host.0, iface_idx as u64));
 }
 
-fn finish_tx<W: NetWorld>(
-    sim: &mut Sim<W>,
-    host: HostId,
-    iface_idx: usize,
-    network_id: NetworkId,
-    mut packet: Packet,
-) {
+/// The call form of [`start_tx`]: `(host, iface index)`.
+pub(crate) fn kick_tx<W: NetWorld>(sim: &mut Sim<W>, (host, iface_idx): Args) {
+    start_tx(sim, HostId(host), iface_idx as usize);
+}
+
+/// The transmission on `(host, iface index)` finished: the packet leaves
+/// the interface for the wire, and the transmitter moves on to the queue.
+fn finish_tx<W: NetWorld>(sim: &mut Sim<W>, (host, iface_idx): Args) {
+    let (host, iface_idx) = (HostId(host), iface_idx as usize);
     // Wire effects.
-    let (outcome, next_hop) = {
+    let (mut packet, network_id, outcome, next_hop) = {
         let net = sim.state.net();
+        let iface = &mut net.host_mut(host).ifaces[iface_idx];
+        let network_id = iface.network;
+        let slot = iface
+            .end_tx()
+            .expect("a finishing transmission has a packet");
+        let packet = net.parked.take(slot);
         // Frozen at enqueue time: re-resolving from the routing table here
         // could name a host that is not even attached to this network.
         let next_hop = packet.next_hop;
@@ -992,7 +1011,7 @@ fn finish_tx<W: NetWorld>(
             } = *net;
             networks[network_id.0 as usize].sample_traversal(rng, bytes, reliable)
         };
-        (outcome, next_hop)
+        (packet, network_id, outcome, next_hop)
     };
     if !matches!(outcome, WireOutcome::Delivered { .. }) {
         emit(
@@ -1013,8 +1032,7 @@ fn finish_tx<W: NetWorld>(
             deliver_or_divert(sim, host, next, delay, packet);
         }
     }
-    // Free the transmitter and continue with the queue.
-    sim.state.net().host_mut(host).ifaces[iface_idx].set_busy(false);
+    // Continue with the queue.
     start_tx(sim, host, iface_idx);
 }
 
@@ -1033,7 +1051,8 @@ fn deliver_or_divert<W: NetWorld>(
     packet: Packet,
 ) {
     if sim.state.net().wire_is_local(next) {
-        sim.schedule_in(delay, move |sim| on_arrival(sim, next, packet));
+        let args = park(sim, next, packet);
+        sim.call_in(delay, arrive::<W>, args);
         return;
     }
     let deliver_at = sim.now().saturating_add(delay);
@@ -1057,6 +1076,34 @@ fn deliver_or_divert<W: NetWorld>(
 // ---------------------------------------------------------------------------
 // Arrival / forwarding / per-kind handlers
 // ---------------------------------------------------------------------------
+
+/// Park `packet` until its arrival at `host`, returning the arrival call's
+/// ids.
+fn park<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) -> Args {
+    (host.0, u64::from(sim.state.net().parked.insert(packet)))
+}
+
+/// The arrival call: the packet parked at `slot` reaches `host`.
+fn arrive<W: NetWorld>(sim: &mut Sim<W>, (host, slot): Args) {
+    let packet = sim.state.net().parked.take(slot as u32);
+    on_arrival(sim, HostId(host), packet);
+}
+
+/// Inject a packet that another engine carried: it arrives at `host` at
+/// `at`, ordered among co-timed arrivals by `key` (see
+/// [`Sim::schedule_arrival`]). The parallel executor and the real-time
+/// scheduler deliver wire envelopes through this, parked the same way as
+/// a local wire hop.
+pub fn inject_arrival<W: NetWorld>(
+    sim: &mut Sim<W>,
+    at: SimTime,
+    key: u64,
+    host: HostId,
+    packet: Packet,
+) {
+    let args = park(sim, host, packet);
+    sim.call_arrival(at, key, arrive::<W>, args);
+}
 
 /// A packet arrived at `host` (off the wire or via loopback).
 pub fn on_arrival<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
@@ -1520,12 +1567,9 @@ fn handle_invite<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
 }
 
 fn handle_data<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
-    let data = match packet.kind {
-        PacketKind::Data(d) => d,
-        _ => unreachable!(),
+    let PacketKind::Data(data) = &packet.kind else {
+        unreachable!()
     };
-    let corrupted = packet.corrupted;
-    let sent_at = packet.sent_at;
     let rms = data.rms;
     let (plan, params) = {
         let net = sim.state.net();
@@ -1565,29 +1609,51 @@ fn handle_data<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
         state.last_recv_job_deadline = d;
         d
     };
+    let slot = sim.state.net().parked.insert(packet);
     W::charge_cpu(
         sim,
         host,
         cost,
         cpu_deadline,
         rms.0,
-        Box::new(move |sim| {
-            deliver_data(sim, host, rms, data, corrupted, sent_at);
-        }),
+        Call::new(deliver_parked::<W>, (host.0, u64::from(slot))),
     );
+}
+
+/// A receive's CPU job finished: verify, order and deliver the data packet
+/// parked at `slot`.
+fn deliver_parked<W: NetWorld>(sim: &mut Sim<W>, (host, slot): Args) {
+    let packet = sim.state.net().parked.take(slot as u32);
+    let PacketKind::Data(data) = packet.kind else {
+        unreachable!("only data packets wait for a receive job")
+    };
+    deliver_data(sim, HostId(host), data, packet.corrupted, packet.sent_at);
 }
 
 fn deliver_data<W: NetWorld>(
     sim: &mut Sim<W>,
     host: HostId,
-    rms_id: NetRmsId,
     data: DataPacket,
     corrupted: bool,
     sent_at: SimTime,
 ) {
     let now = sim.now();
-    // Stage 1: verification + ordering, against the endpoint state.
-    let mut deliveries: Vec<(u64, Message, SimTime)> = Vec::new();
+    let DataPacket {
+        rms: rms_id,
+        seq,
+        mut payload,
+        source,
+        target,
+        mac: tag,
+        checksum,
+        span,
+    } = data;
+    // Stage 1: verification + ordering, against the endpoint state. The
+    // head is the arriving message when it is deliverable now; `drained`
+    // holds what it releases from the reorder buffer (almost always
+    // nothing, so it never allocates).
+    let mut head: Option<Message> = None;
+    let mut drained: Vec<(u64, Message, SimTime)> = Vec::new();
     let mut failed_stream = false;
     {
         let net = sim.state.net();
@@ -1603,7 +1669,6 @@ fn deliver_data<W: NetWorld>(
         // Integrity: a corrupted packet is caught by checksum or MAC when
         // present; otherwise it is delivered corrupted (§2.2's error-rate
         // contract covers this case).
-        let mut payload = data.payload.clone();
         if corrupted {
             if plan.checksum.is_some() || plan.mac {
                 state.stats.corrupt_dropped.incr();
@@ -1622,9 +1687,8 @@ fn deliver_data<W: NetWorld>(
             // byte-stream transforms flatten once; unsecured streams (the
             // common case) never take these branches.
             if plan.mac {
-                let context = data.seq ^ data.source.map(|l| l.0).unwrap_or(0).rotate_left(17);
-                let ok = data
-                    .mac
+                let context = seq ^ source.map(|l| l.0).unwrap_or(0).rotate_left(17);
+                let ok = tag
                     .map(|m| mac::verify(key, context, &payload.contiguous(), mac::Tag(m)))
                     .unwrap_or(false);
                 if !ok {
@@ -1632,7 +1696,7 @@ fn deliver_data<W: NetWorld>(
                     return;
                 }
             }
-            if let (Some(alg), Some(sum)) = (plan.checksum, data.checksum) {
+            if let (Some(alg), Some(sum)) = (plan.checksum, checksum) {
                 if !alg.verify(&payload.contiguous(), sum) {
                     state.stats.corrupt_dropped.incr();
                     state.stats.lost.incr();
@@ -1641,27 +1705,27 @@ fn deliver_data<W: NetWorld>(
             }
         }
         if plan.encrypt {
-            payload = WireMsg::from_bytes(decrypt(key, data.seq, &payload.contiguous()));
+            payload = WireMsg::from_bytes(decrypt(key, seq, &payload.contiguous()));
         }
 
         // Ordering (§2 property 2: delivered in sequence).
         let reliable = state.params.reliability == Reliability::Reliable;
-        if state.is_stale(data.seq) {
+        if state.is_stale(seq) {
             state.stats.stale_dropped.incr();
             return;
         }
         let expected = state.last_delivered.map_or(0, |l| l + 1);
         let mk_msg = |payload: WireMsg| {
             let mut m = Message::from_wire(payload);
-            m.source = data.source;
-            m.target = data.target;
-            m.span = data.span;
+            m.source = source;
+            m.target = target;
+            m.span = span;
             m
         };
         if reliable {
-            if data.seq == expected {
-                deliveries.push((data.seq, mk_msg(payload), sent_at));
-                state.last_delivered = Some(data.seq);
+            if seq == expected {
+                head = Some(mk_msg(payload));
+                state.last_delivered = Some(seq);
                 // Drain the reorder buffer.
                 while let Some(next) = state.last_delivered.map(|l| l + 1) {
                     match state.reorder.remove(&next) {
@@ -1670,7 +1734,7 @@ fn deliver_data<W: NetWorld>(
                             m.source = b.source;
                             m.target = b.target;
                             m.span = b.span;
-                            deliveries.push((next, m, b.sent_at));
+                            drained.push((next, m, b.sent_at));
                             state.last_delivered = Some(next);
                         }
                         None => break,
@@ -1678,13 +1742,13 @@ fn deliver_data<W: NetWorld>(
                 }
             } else {
                 state.reorder.insert(
-                    data.seq,
+                    seq,
                     Buffered {
                         payload,
-                        source: data.source,
-                        target: data.target,
+                        source,
+                        target,
                         sent_at,
-                        span: data.span,
+                        span,
                     },
                 );
                 if state.reorder.len() > REORDER_FAIL_THRESHOLD {
@@ -1694,16 +1758,20 @@ fn deliver_data<W: NetWorld>(
             }
         } else {
             // Unreliable: deliver newest-in-order; count the gap as loss.
-            let gap = data.seq.saturating_sub(expected);
+            let gap = seq.saturating_sub(expected);
             state.stats.lost.add(gap);
-            state.last_delivered = Some(data.seq);
-            deliveries.push((data.seq, mk_msg(payload), sent_at));
+            state.last_delivered = Some(seq);
+            head = Some(mk_msg(payload));
         }
 
         // Per-delivery stats.
-        for (_, msg, s_at) in &deliveries {
+        let head = head.as_ref().map(|m| (m, sent_at));
+        for (msg, s_at) in head
+            .into_iter()
+            .chain(drained.iter().map(|(_, m, t)| (m, *t)))
+        {
             state.stats.delivered.incr();
-            let delay = now.saturating_since(*s_at);
+            let delay = now.saturating_since(s_at);
             if delay > state.params.delay.bound_for(msg.len() as u64) {
                 state.stats.late.incr();
             }
@@ -1721,7 +1789,8 @@ fn deliver_data<W: NetWorld>(
         return;
     }
     // Stage 2: hand off to the world.
-    for (seq, msg, s_at) in deliveries {
+    let head = head.map(|msg| (seq, msg, sent_at));
+    for (seq, msg, s_at) in head.into_iter().chain(drained) {
         emit(
             sim,
             ObsEvent::NetPacketDelivered {

@@ -1,17 +1,20 @@
 //! The network layer's world state and the [`NetWorld`] trait that upper
 //! layers implement to receive deliveries and events.
 //!
-//! `NetState` is deliberately non-generic: event closures capture only ids
-//! and reach it through `W::net()`. Upward calls (deliveries, RMS events)
+//! `NetState` is deliberately non-generic: scheduled actions carry only ids
+//! and reach it through `W::net()` — a packet between two protocol steps
+//! waits in [`NetState`]'s parking slab, and the action names its slot.
+//! Upward calls (deliveries, RMS events)
 //! go through the `NetWorld` trait, so the subtransport crate can stack on
 //! top without this crate knowing about it (paper Figure 1's
 //! network-independent / network-dependent interface).
 
 use rms_core::hash::DetHashMap;
 
-use dash_sim::engine::{Sim, TimerHandle};
+use dash_sim::engine::{Call, Sim, TimerHandle};
 use dash_sim::obs::{Obs, ObsEvent};
 use dash_sim::rng::Rng;
+use dash_sim::slab::Slab;
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::compat::RmsRequest;
 use rms_core::error::{FailReason, RejectReason};
@@ -27,6 +30,7 @@ use dash_security::suite::MechanismPlan;
 use crate::ids::{CreateToken, HostId, NetRmsId, NetworkId};
 use crate::iface::{Iface, QueueDiscipline};
 use crate::network::Network;
+use crate::packet::Packet;
 use crate::rms::NetRms;
 use crate::routing::{CandidatePath, Lsdb};
 
@@ -232,6 +236,11 @@ pub struct NetState {
     /// of a parallel run (`None` in ordinary serial execution). Boxed:
     /// the serial hot path pays one pointer, not an outbox.
     pub shard: Option<Box<crate::shard::ShardCtx>>,
+    /// Packets between two protocol steps — serializing (the interface
+    /// holds the slot), on the wire or a loopback hop toward their arrival
+    /// call, or waiting for the CPU job that sends or receives them (the
+    /// pending call carries the slot).
+    pub(crate) parked: Slab<Packet>,
     next_rms: u64,
     next_token: u64,
 }
@@ -249,6 +258,7 @@ impl NetState {
             partitions: std::collections::BTreeSet::new(),
             route_generation: 0,
             shard: None,
+            parked: Slab::new(),
             next_rms: 1,
             next_token: 1,
         }
@@ -503,10 +513,6 @@ pub enum NetRmsEvent {
     },
 }
 
-/// Continuation run when a charged CPU job completes
-/// (see [`NetWorld::charge_cpu`]).
-pub type CpuCont<W> = Box<dyn FnOnce(&mut Sim<W>)>;
-
 /// The world-state contract between the network layer and whatever runs
 /// above it.
 pub trait NetWorld: Sized + 'static {
@@ -515,7 +521,7 @@ pub trait NetWorld: Sized + 'static {
     /// Shared access to the embedded network state.
     fn net_ref(&self) -> &NetState;
 
-    /// Charge protocol CPU time at `host`, then run `cont`.
+    /// Charge protocol CPU time at `host`, then call `cont`.
     ///
     /// The default implementation models a single CPU per host with FIFO
     /// (run-to-completion) scheduling: jobs execute in submission order, so
@@ -529,7 +535,7 @@ pub trait NetWorld: Sized + 'static {
         cost: SimDuration,
         deadline: SimTime,
         stream: u64,
-        cont: CpuCont<Self>,
+        cont: Call<Self>,
     ) {
         let _ = (deadline, stream);
         fifo_charge_cpu(sim, host, cost, cont);
@@ -592,7 +598,7 @@ pub fn fifo_charge_cpu<W: NetWorld>(
     sim: &mut Sim<W>,
     host: HostId,
     cost: SimDuration,
-    cont: CpuCont<W>,
+    cont: Call<W>,
 ) {
     let now = sim.now();
     let h = sim.state.net().host_mut(host);
@@ -604,9 +610,9 @@ pub fn fifo_charge_cpu<W: NetWorld>(
     let finish = start.saturating_add(cost);
     h.cpu_free_at = finish;
     if finish <= now {
-        cont(sim);
+        cont.run(sim);
     } else {
-        sim.schedule_at(finish, cont);
+        sim.call_at(finish, cont.f, cont.args);
     }
 }
 

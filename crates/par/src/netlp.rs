@@ -74,9 +74,7 @@ impl Lp for StackLp {
             packet,
             ..
         } = env;
-        self.sim.schedule_arrival(deliver_at, key, move |sim| {
-            pipeline::on_arrival(sim, dst, packet);
-        });
+        pipeline::inject_arrival(&mut self.sim, deliver_at, key, dst, packet);
     }
 }
 

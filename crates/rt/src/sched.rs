@@ -9,7 +9,7 @@
 //!    is handed to the substrate
 //!    with its wall deadline ([`TimeDriver::wall_deadline`]).
 //! 2. **Arrivals** — every envelope the substrate has finished carrying
-//!    is injected with [`Sim::schedule_arrival`] under its canonical
+//!    is injected with [`pipeline::inject_arrival`] under its canonical
 //!    arrival key, exactly like the parallel executor's LPs, so ordering
 //!    among co-timed arrivals stays a pure function of what was sent.
 //!    Late carriage (real queueing) lands at the driver's *current*
@@ -159,9 +159,7 @@ fn inject<W: NetWorld>(sim: &mut Sim<W>, driver: &mut dyn TimeDriver, env: WireE
         ..
     } = env;
     let at = deliver_at.max(driver.now()).max(sim.now());
-    sim.schedule_arrival(at, key, move |sim| {
-        pipeline::on_arrival(sim, dst, packet);
-    });
+    pipeline::inject_arrival(sim, at, key, dst, packet);
 }
 
 /// Run `sim` against wall time: see the module docs for the loop's

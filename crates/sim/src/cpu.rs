@@ -14,11 +14,13 @@
 //! bounds, and non-preemptive EDF keeps the model (and its analysis) simple.
 //! This choice is recorded in `DESIGN.md`.
 //!
-//! The CPU lives inside the simulation world `S`; completion events reach it
-//! through a [`CpuAccessor`] function pointer so event closures stay
-//! `'static` without borrowing the world.
+//! The CPU lives inside the simulation world `S`, which lends it out by
+//! host key through [`CpuHost`]. Nothing here is boxed: a job's
+//! continuation is an unboxed [`Call`] (a function plus ids; the data it
+//! works on stays in the world), and its completion is a call event
+//! naming the host key.
 
-use crate::engine::Sim;
+use crate::engine::{Args, Call, Sim};
 use crate::stats::Counter;
 use crate::time::{SimDuration, SimTime};
 
@@ -46,12 +48,9 @@ pub struct Job<S> {
     pub stream: u64,
     /// CPU time the job consumes.
     pub cost: SimDuration,
-    /// Continuation run when the job completes.
-    pub cont: JobCont<S>,
+    /// Continuation called when the job completes.
+    pub cont: Call<S>,
 }
-
-/// Continuation run when a [`Job`] completes.
-pub type JobCont<S> = Box<dyn FnOnce(&mut Sim<S>)>;
 
 impl<S> std::fmt::Debug for Job<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -96,15 +95,17 @@ impl<S> Ord for ReadyJob<S> {
 }
 
 struct Running<S> {
-    cont: Option<JobCont<S>>,
+    cont: Call<S>,
     deadline: SimTime,
     finish_at: SimTime,
 }
 
-/// Function pointer that locates a host's CPU inside the world state.
-///
-/// Using a plain `fn` keeps completion events `Copy + 'static`.
-pub type CpuAccessor<S> = fn(&mut S, u64) -> &mut Cpu<S>;
+/// A world that models per-host CPUs.
+pub trait CpuHost: Sized + 'static {
+    /// The CPU of host `key`: the same one for the same key for the
+    /// lifetime of the simulation.
+    fn cpu(&mut self, key: u32) -> &mut Cpu<Self>;
+}
 
 /// Counters exported by a [`Cpu`] for the scheduling experiments.
 #[derive(Debug, Clone, Default)]
@@ -186,11 +187,8 @@ impl<S: 'static> Cpu<S> {
 }
 
 /// Submit a job to the CPU of host `key`, starting it immediately if idle.
-///
-/// `acc` must return the same [`Cpu`] for the same `key` for the lifetime of
-/// the simulation.
-pub fn submit<S: 'static>(sim: &mut Sim<S>, acc: CpuAccessor<S>, key: u64, job: Job<S>) {
-    let cpu = acc(&mut sim.state, key);
+pub fn submit<S: CpuHost>(sim: &mut Sim<S>, key: u32, job: Job<S>) {
+    let cpu = sim.state.cpu(key);
     let seq = cpu.seq;
     cpu.seq += 1;
     let sched_key = cpu.sched_key(&job);
@@ -200,13 +198,13 @@ pub fn submit<S: 'static>(sim: &mut Sim<S>, acc: CpuAccessor<S>, key: u64, job: 
         job,
     });
     if cpu.running.is_none() {
-        start_next(sim, acc, key);
+        start_next(sim, key);
     }
 }
 
-fn start_next<S: 'static>(sim: &mut Sim<S>, acc: CpuAccessor<S>, key: u64) {
+fn start_next<S: CpuHost>(sim: &mut Sim<S>, key: u32) {
     let now = sim.now();
-    let cpu = acc(&mut sim.state, key);
+    let cpu = sim.state.cpu(key);
     debug_assert!(cpu.running.is_none());
     let Some(ready) = cpu.pick_next() else {
         return;
@@ -224,31 +222,30 @@ fn start_next<S: 'static>(sim: &mut Sim<S>, acc: CpuAccessor<S>, key: u64) {
     let finish_at = now.saturating_add(service);
     cpu.stats.busy = cpu.stats.busy.saturating_add(service);
     cpu.running = Some(Running {
-        cont: Some(ready.job.cont),
+        cont: ready.job.cont,
         deadline: ready.job.deadline,
         finish_at,
     });
-    sim.schedule_at(finish_at, move |sim| complete(sim, acc, key));
+    sim.call_at(finish_at, complete::<S>, (key, 0));
 }
 
-fn complete<S: 'static>(sim: &mut Sim<S>, acc: CpuAccessor<S>, key: u64) {
+fn complete<S: CpuHost>(sim: &mut Sim<S>, (key, _): Args) {
     let now = sim.now();
     let cont = {
-        let cpu = acc(&mut sim.state, key);
-        let running = cpu.running.as_mut().expect("completion without a job");
+        let cpu = sim.state.cpu(key);
+        let running = cpu.running.as_ref().expect("completion without a job");
         debug_assert_eq!(running.finish_at, now);
         cpu.stats.completed.incr();
         if now > running.deadline {
             cpu.stats.deadline_misses.incr();
         }
-        running.cont.take().expect("continuation already taken")
+        running.cont
     };
     // Run the continuation while `running` is still `Some`, so jobs it
     // submits are queued rather than started re-entrantly.
-    cont(sim);
-    let cpu = acc(&mut sim.state, key);
-    cpu.running = None;
-    start_next(sim, acc, key);
+    cont.run(sim);
+    sim.state.cpu(key).running = None;
+    start_next(sim, key);
 }
 
 #[cfg(test)]
@@ -260,8 +257,14 @@ mod tests {
         order: Vec<u32>,
     }
 
-    fn acc(w: &mut World, _key: u64) -> &mut Cpu<World> {
-        &mut w.cpu
+    impl CpuHost for World {
+        fn cpu(&mut self, _key: u32) -> &mut Cpu<World> {
+            &mut self.cpu
+        }
+    }
+
+    fn push_tag(sim: &mut Sim<World>, (tag, _): Args) {
+        sim.state.order.push(tag);
     }
 
     fn world(policy: SchedPolicy, ctx: SimDuration) -> Sim<World> {
@@ -277,7 +280,7 @@ mod tests {
             priority,
             stream,
             cost: SimDuration::from_micros(cost_us),
-            cont: Box::new(move |sim| sim.state.order.push(tag)),
+            cont: Call::new(push_tag, (tag, 0)),
         }
     }
 
@@ -285,10 +288,10 @@ mod tests {
     fn edf_orders_by_deadline() {
         let mut sim = world(SchedPolicy::Edf, SimDuration::ZERO);
         // First job starts immediately (FIFO head), the rest sort by deadline.
-        submit(&mut sim, acc, 0, job(0, 100, 0, 0, 10));
-        submit(&mut sim, acc, 0, job(3, 30, 0, 0, 10));
-        submit(&mut sim, acc, 0, job(1, 10, 0, 0, 10));
-        submit(&mut sim, acc, 0, job(2, 20, 0, 0, 10));
+        submit(&mut sim, 0, job(0, 100, 0, 0, 10));
+        submit(&mut sim, 0, job(3, 30, 0, 0, 10));
+        submit(&mut sim, 0, job(1, 10, 0, 0, 10));
+        submit(&mut sim, 0, job(2, 20, 0, 0, 10));
         sim.run();
         assert_eq!(sim.state.order, vec![0, 1, 2, 3]);
     }
@@ -296,9 +299,9 @@ mod tests {
     #[test]
     fn fifo_orders_by_arrival() {
         let mut sim = world(SchedPolicy::Fifo, SimDuration::ZERO);
-        submit(&mut sim, acc, 0, job(0, 100, 0, 0, 10));
-        submit(&mut sim, acc, 0, job(1, 1, 0, 0, 10));
-        submit(&mut sim, acc, 0, job(2, 50, 0, 0, 10));
+        submit(&mut sim, 0, job(0, 100, 0, 0, 10));
+        submit(&mut sim, 0, job(1, 1, 0, 0, 10));
+        submit(&mut sim, 0, job(2, 50, 0, 0, 10));
         sim.run();
         assert_eq!(sim.state.order, vec![0, 1, 2]);
     }
@@ -306,9 +309,9 @@ mod tests {
     #[test]
     fn priority_orders_by_priority() {
         let mut sim = world(SchedPolicy::Priority, SimDuration::ZERO);
-        submit(&mut sim, acc, 0, job(0, 1, 5, 0, 10));
-        submit(&mut sim, acc, 0, job(2, 1, 9, 0, 10));
-        submit(&mut sim, acc, 0, job(1, 1, 1, 0, 10));
+        submit(&mut sim, 0, job(0, 1, 5, 0, 10));
+        submit(&mut sim, 0, job(2, 1, 9, 0, 10));
+        submit(&mut sim, 0, job(1, 1, 1, 0, 10));
         sim.run();
         assert_eq!(sim.state.order, vec![0, 1, 2]);
     }
@@ -316,9 +319,9 @@ mod tests {
     #[test]
     fn context_switch_charged_on_stream_change_only() {
         let mut sim = world(SchedPolicy::Fifo, SimDuration::from_micros(5));
-        submit(&mut sim, acc, 0, job(0, 100, 0, 1, 10)); // switch (first)
-        submit(&mut sim, acc, 0, job(1, 100, 0, 1, 10)); // same stream
-        submit(&mut sim, acc, 0, job(2, 100, 0, 2, 10)); // switch
+        submit(&mut sim, 0, job(0, 100, 0, 1, 10)); // switch (first)
+        submit(&mut sim, 0, job(1, 100, 0, 1, 10)); // same stream
+        submit(&mut sim, 0, job(2, 100, 0, 2, 10)); // switch
         sim.run();
         // 3 jobs * 10us + 2 switches * 5us = 40us.
         assert_eq!(sim.now(), SimTime::from_nanos(40_000));
@@ -330,27 +333,27 @@ mod tests {
     fn deadline_misses_counted() {
         let mut sim = world(SchedPolicy::Fifo, SimDuration::ZERO);
         // Deadline at 1us, cost 10us -> must miss.
-        submit(&mut sim, acc, 0, job(0, 0, 0, 0, 10));
+        submit(&mut sim, 0, job(0, 0, 0, 0, 10));
         sim.run();
         assert_eq!(sim.state.cpu.stats.deadline_misses.get(), 1);
     }
 
     #[test]
     fn continuation_can_submit_more_work() {
+        fn push_and_submit(sim: &mut Sim<World>, _: Args) {
+            sim.state.order.push(1);
+            submit(sim, 0, job(2, 1, 0, 0, 1));
+        }
         let mut sim = world(SchedPolicy::Edf, SimDuration::ZERO);
         submit(
             &mut sim,
-            acc,
             0,
             Job {
                 deadline: SimTime::MAX,
                 priority: 0,
                 stream: 0,
                 cost: SimDuration::from_micros(1),
-                cont: Box::new(|sim| {
-                    sim.state.order.push(1);
-                    submit(sim, acc, 0, job(2, 1, 0, 0, 1));
-                }),
+                cont: Call::new(push_and_submit, (0, 0)),
             },
         );
         sim.run();
@@ -361,8 +364,8 @@ mod tests {
     #[test]
     fn busy_time_accumulates() {
         let mut sim = world(SchedPolicy::Edf, SimDuration::ZERO);
-        submit(&mut sim, acc, 0, job(0, 100, 0, 0, 25));
-        submit(&mut sim, acc, 0, job(1, 100, 0, 0, 25));
+        submit(&mut sim, 0, job(0, 100, 0, 0, 25));
+        submit(&mut sim, 0, job(1, 100, 0, 0, 25));
         sim.run();
         assert_eq!(sim.state.cpu.stats.busy, SimDuration::from_micros(50));
         let taken = sim.state.cpu.take_stats();

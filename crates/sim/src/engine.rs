@@ -1,24 +1,38 @@
 //! The discrete-event engine.
 //!
 //! [`Sim<S>`] owns a virtual clock, a priority queue of pending events, and
-//! an application-defined world state `S`. Events are one-shot closures
-//! that receive `&mut Sim<S>` — they can mutate the world, read the clock,
-//! and schedule further events. Ties in time are broken by submission
-//! order, so a run is fully deterministic.
+//! an application-defined world state `S`. An event receives `&mut Sim<S>`
+//! — it can mutate the world, read the clock, and schedule further events
+//! — and comes in one of two forms:
+//!
+//! - a **call**: a plain function pointer plus a `Copy` pair of ids
+//!   ([`Args`]), scheduled with [`Sim::call_at`] and friends. Nothing is
+//!   boxed, so scheduling one allocates nothing once the queue has grown
+//!   to its working size. Protocol code uses this form only: the data an
+//!   action needs stays in the world (an interface, a slab slot) and the
+//!   ids say where.
+//! - a **closure**: a boxed one-shot closure, scheduled with
+//!   [`Sim::schedule_at`] and friends. Convenient for harness code — tests,
+//!   examples, traffic drivers, fault-plan installers — at the price of
+//!   one heap allocation per event.
+//!
+//! Both forms share one queue, one submission sequence and one jitter
+//! stream: ties in time are broken by submission order whatever the form,
+//! so a run is fully deterministic.
 //!
 //! # Queue representation
 //!
-//! Actions live in a slot-reusing slab; the binary heap orders small
-//! `Copy` keys (time, submission seq, slot, generation) instead of the
-//! boxed closures themselves, so heap sift operations move 24-byte
-//! entries rather than fat owner structs. Cancellation goes through a
-//! shared, non-generic `CancelBoard`: a [`TimerHandle`] marks its slot
-//! dirty without needing `&mut Sim`, and the engine drains dirty slots at
-//! the next scheduling boundary — dropping the cancelled closure (and
-//! whatever it captured) eagerly instead of carrying a tombstone until its
-//! due time. Generation counters make stale heap entries for reused slots
-//! harmless, and the heap compacts itself when dead entries outnumber
-//! live ones.
+//! Actions live in a slot-reusing slab of 32-byte slots (a call, or a
+//! closure's box pointer); the binary heap orders small `Copy` keys (time,
+//! submission seq, slot, generation) instead of the actions themselves, so
+//! heap sift operations move 24-byte entries rather than fat owner
+//! structs. Cancellation goes through a shared, non-generic
+//! `CancelBoard`: a [`TimerHandle`] marks its slot dirty without needing
+//! `&mut Sim`, and the engine drains dirty slots at the next scheduling
+//! boundary — dropping a cancelled closure (and whatever it captured)
+//! eagerly instead of carrying a tombstone until its due time. Generation
+//! counters make stale heap entries for reused slots harmless, and the
+//! heap compacts itself when dead entries outnumber live ones.
 //!
 //! ```
 //! use dash_sim::engine::Sim;
@@ -39,8 +53,55 @@ use std::rc::Rc;
 
 use crate::time::{SimDuration, SimTime};
 
-/// A scheduled action: a one-shot closure run at its scheduled instant.
+/// A scheduled closure: a one-shot closure run at its scheduled instant.
 pub type Event<S> = Box<dyn FnOnce(&mut Sim<S>)>;
+
+/// The ids an unboxed action is called with: by convention the host it
+/// runs on and one more id (a session, a token, a slab slot).
+pub type Args = (u32, u64);
+
+/// An unboxed action: a plain function over the simulator and its ids.
+pub type CallFn<S> = fn(&mut Sim<S>, Args);
+
+/// An unboxed action bound to its ids, as a value: what a deferred
+/// continuation (a CPU job's, say) holds until it is due.
+pub struct Call<S> {
+    /// The function to call.
+    pub f: CallFn<S>,
+    /// The ids to call it with.
+    pub args: Args,
+}
+
+impl<S> Call<S> {
+    /// Bind `f` to `args`.
+    pub fn new(f: CallFn<S>, args: Args) -> Self {
+        Call { f, args }
+    }
+
+    /// Call `f(sim, args)` now.
+    pub fn run(self, sim: &mut Sim<S>) {
+        (self.f)(sim, self.args)
+    }
+}
+
+impl<S> Clone for Call<S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<S> Copy for Call<S> {}
+
+impl<S> std::fmt::Debug for Call<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Call").field("args", &self.args).finish()
+    }
+}
+
+/// What one queue slot holds.
+enum Action<S> {
+    Call(Call<S>),
+    Closure(Event<S>),
+}
 
 /// Tie-break keys for [`Sim::schedule_arrival`] live above this bound;
 /// locally scheduled events use submission sequence numbers far below it.
@@ -61,7 +122,7 @@ pub fn arrival_key(src_host: u32, src_seq: u64) -> u64 {
 }
 
 /// The heap key for one scheduled action. `Copy` and small by design:
-/// sifting moves these, never the closures.
+/// sifting moves these, never the actions.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Entry {
     time: SimTime,
@@ -107,9 +168,9 @@ impl CancelBoard {
 
 /// Handle to a scheduled event that may be cancelled before it fires.
 ///
-/// Cancelling drops the pending closure at the engine's next scheduling
-/// boundary (its captures are released eagerly; the heap entry dies
-/// silently). Dropping the handle does *not* cancel the event; cancelling
+/// Cancelling drops the pending action at the engine's next scheduling
+/// boundary (a closure's captures are released eagerly; the heap entry
+/// dies silently). Dropping the handle does *not* cancel the event; cancelling
 /// after the event fired is a harmless no-op.
 #[derive(Clone)]
 pub struct TimerHandle {
@@ -160,8 +221,8 @@ pub struct Sim<S> {
     now: SimTime,
     seq: u64,
     queue: BinaryHeap<Entry>,
-    /// Slot-indexed storage for pending closures; `None` is a vacant slot.
-    actions: Vec<Option<Event<S>>>,
+    /// Slot-indexed storage for pending actions; `None` is a vacant slot.
+    actions: Vec<Option<Action<S>>>,
     free: Vec<u32>,
     board: Rc<RefCell<CancelBoard>>,
     /// Pending live events (scheduled, not yet fired or reaped).
@@ -173,7 +234,7 @@ pub struct Sim<S> {
     /// (the default — ordinary runs are bit-identical to a jitterless
     /// engine).
     jitter_max_ns: u64,
-    /// The simulated world. Public by design: event closures and the layer
+    /// The simulated world. Public by design: events and the layer
     /// crates built on this engine address the world through accessor traits
     /// on `S`.
     pub state: S,
@@ -282,7 +343,7 @@ impl<S> Sim<S> {
     }
 
     /// Claim a slot for `action`, returning `(slot, gen)`.
-    fn alloc_slot(&mut self, action: Event<S>) -> (u32, u32) {
+    fn alloc_slot(&mut self, action: Action<S>) -> (u32, u32) {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -307,7 +368,7 @@ impl<S> Sim<S> {
         self.free.push(slot);
     }
 
-    /// Drop the closures of every timer cancelled since the last drain.
+    /// Drop the actions of every timer cancelled since the last drain.
     /// Their heap entries stay behind but are invalidated by the slot's
     /// generation bump; compaction sweeps them out when they pile up.
     fn reap_cancelled(&mut self) {
@@ -336,13 +397,9 @@ impl<S> Sim<S> {
         }
     }
 
-    /// Schedule `action` to run at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time (events cannot run in
-    /// the past).
-    pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Sim<S>) + 'static) {
+    /// Queue `action` at `at` under the next submission seq (plus that
+    /// seq's jitter): the one path every local scheduling call shares.
+    fn push_local(&mut self, at: SimTime, action: Action<S>) -> (u32, u32) {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: {at} < now {}",
@@ -351,13 +408,82 @@ impl<S> Sim<S> {
         let seq = self.seq;
         self.seq += 1;
         let at = at.saturating_add(self.jitter_for(seq));
-        let (slot, gen) = self.alloc_slot(Box::new(action));
+        let (slot, gen) = self.alloc_slot(action);
         self.queue.push(Entry {
             time: at,
             seq,
             slot,
             gen,
         });
+        (slot, gen)
+    }
+
+    /// Queue `action` at `at` under an explicit arrival `key`.
+    fn push_arrival(&mut self, at: SimTime, key: u64, action: Action<S>) {
+        assert!(
+            at >= self.now,
+            "cannot schedule arrival in the past: {at} < now {}",
+            self.now
+        );
+        debug_assert!(key >= ARRIVAL_KEY_BASE, "arrival keys must set the top bit");
+        let (slot, gen) = self.alloc_slot(action);
+        self.queue.push(Entry {
+            time: at,
+            seq: key,
+            slot,
+            gen,
+        });
+    }
+
+    fn timer_handle(&self, (slot, gen): (u32, u32)) -> TimerHandle {
+        TimerHandle {
+            board: Rc::clone(&self.board),
+            slot,
+            gen,
+            requested: Cell::new(false),
+        }
+    }
+
+    /// Call `f(sim, args)` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time.
+    pub fn call_at(&mut self, at: SimTime, f: CallFn<S>, args: Args) {
+        self.push_local(at, Action::Call(Call::new(f, args)));
+    }
+
+    /// Call `f(sim, args)` `after` from now.
+    pub fn call_in(&mut self, after: SimDuration, f: CallFn<S>, args: Args) {
+        self.call_at(self.now.saturating_add(after), f, args);
+    }
+
+    /// Call `f(sim, args)` `after` from now, cancellably; returns a
+    /// [`TimerHandle`].
+    pub fn call_timer(&mut self, after: SimDuration, f: CallFn<S>, args: Args) -> TimerHandle {
+        let at = self.now.saturating_add(after);
+        let slot = self.push_local(at, Action::Call(Call::new(f, args)));
+        self.timer_handle(slot)
+    }
+
+    /// [`Sim::schedule_arrival`] for a call: `f(sim, args)` at `at`,
+    /// tie-broken by `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time.
+    pub fn call_arrival(&mut self, at: SimTime, key: u64, f: CallFn<S>, args: Args) {
+        self.push_arrival(at, key, Action::Call(Call::new(f, args)));
+    }
+
+    /// Schedule `action` to run at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time (events cannot run in
+    /// the past).
+    pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Sim<S>) + 'static) {
+        self.push_local(at, Action::Closure(Box::new(action)));
     }
 
     /// Schedule `action` to run `after` from now.
@@ -372,23 +498,8 @@ impl<S> Sim<S> {
         action: impl FnOnce(&mut Sim<S>) + 'static,
     ) -> TimerHandle {
         let at = self.now.saturating_add(after);
-        assert!(at >= self.now, "timer overflow");
-        let seq = self.seq;
-        self.seq += 1;
-        let at = at.saturating_add(self.jitter_for(seq));
-        let (slot, gen) = self.alloc_slot(Box::new(action));
-        self.queue.push(Entry {
-            time: at,
-            seq,
-            slot,
-            gen,
-        });
-        TimerHandle {
-            board: Rc::clone(&self.board),
-            slot,
-            gen,
-            requested: Cell::new(false),
-        }
+        let slot = self.push_local(at, Action::Closure(Box::new(action)));
+        self.timer_handle(slot)
     }
 
     /// Schedule a cross-engine arrival at `at`, tie-broken by an explicit
@@ -413,19 +524,7 @@ impl<S> Sim<S> {
         key: u64,
         action: impl FnOnce(&mut Sim<S>) + 'static,
     ) {
-        assert!(
-            at >= self.now,
-            "cannot schedule arrival in the past: {at} < now {}",
-            self.now
-        );
-        debug_assert!(key >= ARRIVAL_KEY_BASE, "arrival keys must set the top bit");
-        let (slot, gen) = self.alloc_slot(Box::new(action));
-        self.queue.push(Entry {
-            time: at,
-            seq: key,
-            slot,
-            gen,
-        });
+        self.push_arrival(at, key, Action::Closure(Box::new(action)));
     }
 
     /// Run the earliest live event if its time satisfies `within`: the one
@@ -456,7 +555,10 @@ impl<S> Sim<S> {
         debug_assert!(time >= self.now);
         self.now = time;
         self.processed += 1;
-        action(self);
+        match action {
+            Action::Call(call) => call.run(self),
+            Action::Closure(f) => f(self),
+        }
         true
     }
 
@@ -717,6 +819,91 @@ mod tests {
         sim.schedule_in(SimDuration::from_nanos(20), |s| s.state += 2);
         h.cancel();
         assert_eq!(sim.next_event_time(), Some(SimTime::from_nanos(20)));
+    }
+
+    /// A slot holds a function pointer and its ids, or a closure's box
+    /// pointer — never the data an action works on.
+    #[test]
+    fn a_queue_slot_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Action<Vec<u64>>>>(), 32);
+    }
+
+    fn push_call(sim: &mut Sim<Vec<u64>>, (_, id): Args) {
+        sim.state.push(id);
+    }
+
+    /// Calls and closures share one submission sequence: co-timed events
+    /// run in submission order whatever their form.
+    #[test]
+    fn calls_and_closures_tie_break_by_submission_order() {
+        let mut sim = Sim::new(Vec::new());
+        let t = SimTime::from_nanos(100);
+        for i in 0..8u64 {
+            if i % 2 == 0 {
+                sim.call_at(t, push_call, (0, i));
+            } else {
+                sim.schedule_at(t, move |s| s.state.push(i));
+            }
+        }
+        sim.call_in(SimDuration::from_nanos(50), push_call, (0, 100));
+        sim.run();
+        assert_eq!(sim.state, vec![100, 0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(sim.events_processed(), 9);
+    }
+
+    #[test]
+    fn cancelled_call_timer_neither_fires_nor_counts() {
+        let mut sim = Sim::new(Vec::new());
+        let dead = sim.call_timer(SimDuration::from_millis(1), push_call, (0, 1));
+        let live = sim.call_timer(SimDuration::from_millis(2), push_call, (0, 2));
+        dead.cancel();
+        assert!(dead.is_cancelled());
+        assert!(!live.is_cancelled());
+        sim.step();
+        assert_eq!(sim.events_pending(), 0, "the cancelled call was reaped");
+        sim.run();
+        assert_eq!(sim.state, vec![2]);
+        assert_eq!(sim.events_processed(), 1);
+    }
+
+    /// Jitter is drawn per submission seq, not per form: a schedule
+    /// mixing calls and closures is jittered exactly like the same
+    /// schedule written with closures only.
+    #[test]
+    fn jitter_applies_to_calls_and_closures_alike() {
+        let run = |calls: bool| {
+            let mut sim = Sim::new(Vec::new());
+            sim.set_schedule_jitter(7, SimDuration::from_micros(50));
+            for i in 0..16u64 {
+                if calls && i % 2 == 0 {
+                    sim.call_in(SimDuration::from_micros(10), push_call, (0, i));
+                } else {
+                    sim.schedule_in(SimDuration::from_micros(10), move |s| s.state.push(i));
+                }
+            }
+            sim.run();
+            (sim.state.clone(), sim.now())
+        };
+        let (mixed, t_mixed) = run(true);
+        let (closures, t_closures) = run(false);
+        assert_eq!(mixed, closures);
+        assert_eq!(t_mixed, t_closures);
+        assert_ne!(
+            mixed,
+            (0..16).collect::<Vec<_>>(),
+            "jitter permuted the order"
+        );
+    }
+
+    #[test]
+    fn call_arrivals_order_with_closure_arrivals_by_key() {
+        let t = SimTime::from_nanos(500);
+        let mut sim = Sim::new(Vec::new());
+        sim.call_arrival(t, arrival_key(2, 0), push_call, (0, 20));
+        sim.schedule_arrival(t, arrival_key(1, 0), |s| s.state.push(10));
+        sim.call_at(t, push_call, (0, 0));
+        sim.run();
+        assert_eq!(sim.state, vec![0, 10, 20]);
     }
 
     /// The load-bearing property of keyed arrivals: at equal times, pop

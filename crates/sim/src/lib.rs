@@ -9,8 +9,11 @@
 //! Components:
 //!
 //! - [`time`]: nanosecond [`time::SimTime`] / [`time::SimDuration`] newtypes.
-//! - [`engine`]: the event loop, [`engine::Sim<S>`], with closures as events
-//!   and deterministic tie-breaking.
+//! - [`engine`]: the event loop, [`engine::Sim<S>`], with unboxed calls
+//!   (function plus ids) and boxed closures as events, and deterministic
+//!   tie-breaking.
+//! - [`slab`]: the free-listed arena where the data a pending call works
+//!   on waits, addressed by the ids the call carries.
 //! - [`driver`]: the time-source seam ([`driver::TimeDriver`]) deciding how
 //!   the queue is paced — [`driver::VirtualDriver`] here (as fast as
 //!   possible), a wall-clock `Monotonic` driver in `dash-rt`.
@@ -40,11 +43,12 @@ pub mod engine;
 pub mod fault;
 pub mod obs;
 pub mod rng;
+pub mod slab;
 pub mod stats;
 pub mod time;
 
 pub use driver::{TimeDriver, VirtualDriver};
-pub use engine::{Event, Sim, TimerHandle};
+pub use engine::{Args, Call, CallFn, Event, Sim, TimerHandle};
 pub use fault::{ChaosConfig, FaultEvent, FaultKind, FaultPlan, GilbertElliott};
 pub use obs::{JsonLinesSink, MetricRegistry, Obs, ObsEvent, ObsSink, SpanRecord, Stage};
 pub use rng::Rng;

@@ -77,6 +77,9 @@ pub enum Stage {
 }
 
 impl Stage {
+    /// How many stages there are: a span's stage list never holds more.
+    const COUNT: usize = 7;
+
     /// Short stable identifier (used in JSON export and metric names).
     pub fn name(self) -> &'static str {
         match self {
@@ -1150,10 +1153,9 @@ impl SpanTracker {
         stream: u64,
         seq: u64,
     ) -> Option<SpanRecord> {
-        let entry = self
-            .open
-            .entry(span)
-            .or_insert_with(|| OpenSpan { stages: Vec::new() });
+        let entry = self.open.entry(span).or_insert_with(|| OpenSpan {
+            stages: Vec::with_capacity(Stage::COUNT),
+        });
         if !entry.stages.iter().any(|(s, _)| *s == stage) {
             entry.stages.push((stage, time));
         }

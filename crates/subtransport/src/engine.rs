@@ -5,11 +5,14 @@
 //! All functions are generic over `W:`[`StWorld`]. The world's
 //! [`dash_net::state::NetWorld`] implementation must forward network
 //! deliveries and events here via [`on_net_deliver`] / [`on_net_event`].
+//! Every action scheduled here is an unboxed call (function plus ids); a
+//! message waiting for its CPU job waits in [`crate::st::StState`]'s job
+//! slabs, and the job's continuation names the slot.
 
 use dash_net::ids::{HostId, NetRmsId, NetworkId};
 use dash_net::pipeline as net;
 use dash_net::state::{emit, NetRmsEvent};
-use dash_sim::engine::Sim;
+use dash_sim::engine::{Args, Call, Sim};
 use dash_sim::obs::{DropCause, FlushReason, ObsEvent};
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::compat::{negotiate, RmsRequest, ServiceTable};
@@ -269,14 +272,18 @@ fn arm_auth_timer<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) {
     if already {
         return;
     }
-    let handle = sim.schedule_timer(AUTH_TIMEOUT, move |sim| {
-        let authed = peer_state(sim, host, peer).authed;
-        peer_state(sim, host, peer).auth_timer = None;
-        if !authed {
-            fail_queued_creates(sim, host, peer, RejectReason::AuthenticationFailed);
-        }
-    });
+    let handle = sim.call_timer(AUTH_TIMEOUT, auth_timeout::<W>, (host.0, u64::from(peer.0)));
     peer_state(sim, host, peer).auth_timer = Some(handle);
+}
+
+/// The authentication timer of `(host, peer)` fired.
+fn auth_timeout<W: StWorld>(sim: &mut Sim<W>, (host, peer): Args) {
+    let (host, peer) = (HostId(host), HostId(peer as u32));
+    let authed = peer_state(sim, host, peer).authed;
+    peer_state(sim, host, peer).auth_timer = None;
+    if !authed {
+        fail_queued_creates(sim, host, peer, RejectReason::AuthenticationFailed);
+    }
 }
 
 fn fail_queued_creates<W: StWorld>(
@@ -428,36 +435,31 @@ pub fn send<W: StWorld>(
             None => d,
         }
     };
+    let job = sim.state.st().send_jobs.insert(SendJob {
+        peer,
+        slot,
+        st_rms,
+        st_params,
+        fast_ack,
+        seq,
+        msg,
+        sent_at: now,
+    });
     W::charge_cpu(
         sim,
         host,
         cost,
         cpu_deadline,
         st_rms.0,
-        Box::new(move |sim| {
-            dispatch_send(
-                sim,
-                SendJob {
-                    host,
-                    peer,
-                    slot,
-                    st_rms,
-                    st_params,
-                    fast_ack,
-                    seq,
-                    msg,
-                    sent_at: now,
-                },
-            );
-        }),
+        Call::new(dispatch_send::<W>, (host.0, u64::from(job))),
     );
     Ok(seq)
 }
 
 /// Everything `send` resolves before the CPU charge that the deferred
 /// dispatch needs again once the protocol processor gets to it.
-struct SendJob {
-    host: HostId,
+#[derive(Debug)]
+pub(crate) struct SendJob {
     peer: HostId,
     slot: u32,
     st_rms: StRmsId,
@@ -468,9 +470,10 @@ struct SendJob {
     sent_at: SimTime,
 }
 
-fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, job: SendJob) {
+/// A send's CPU job finished: dispatch the message parked at `job`.
+fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
+    let host = HostId(host);
     let SendJob {
-        host,
         peer,
         slot,
         st_rms,
@@ -479,7 +482,7 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, job: SendJob) {
         seq,
         msg,
         sent_at,
-    } = job;
+    } = sim.state.st().send_jobs.take(job as u32);
     let now = sim.now();
     // The slot (and its network parameters) may have vanished meanwhile.
     let (net_params, net_rms) = {
@@ -737,19 +740,8 @@ fn arm_flush_timer<W: StWorld>(
         }
     }
     let delay = flush_at.saturating_since(now);
-    let handle = sim.schedule_timer(delay, move |sim| {
-        if let Some(d) = sim
-            .state
-            .st()
-            .host_mut(host)
-            .peers
-            .get_mut(&peer)
-            .and_then(|p| p.data.get_mut(&slot))
-        {
-            d.flush_timer = None;
-        }
-        flush_slot(sim, host, peer, slot, FlushReason::Timer);
-    });
+    let peer_slot = (u64::from(peer.0) << 32) | u64::from(slot);
+    let handle = sim.call_timer(delay, flush_timeout::<W>, (host.0, peer_slot));
     if let Some(d) = sim
         .state
         .st()
@@ -760,6 +752,26 @@ fn arm_flush_timer<W: StWorld>(
     {
         d.flush_timer = Some((handle, flush_at));
     }
+}
+
+/// The flush timer of `(host, peer << 32 | slot)` fired.
+fn flush_timeout<W: StWorld>(sim: &mut Sim<W>, (host, peer_slot): Args) {
+    let (host, peer, slot) = (
+        HostId(host),
+        HostId((peer_slot >> 32) as u32),
+        peer_slot as u32,
+    );
+    if let Some(d) = sim
+        .state
+        .st()
+        .host_mut(host)
+        .peers
+        .get_mut(&peer)
+        .and_then(|p| p.data.get_mut(&slot))
+    {
+        d.flush_timer = None;
+    }
+    flush_slot(sim, host, peer, slot, FlushReason::Timer);
 }
 
 fn flush_slot<W: StWorld>(
@@ -1342,17 +1354,21 @@ fn handle_data<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, d:
             None => now.saturating_add(SimDuration::ZERO),
         }
     };
+    let job = sim.state.st().recv_jobs.insert((peer, d));
     W::charge_cpu(
         sim,
         host,
         cost,
         cpu_deadline,
         st_rms.0,
-        Box::new(move |sim| deliver_data(sim, host, peer, d)),
+        Call::new(deliver_data::<W>, (host.0, u64::from(job))),
     );
 }
 
-fn deliver_data<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, d: DataFrame) {
+/// A receive's CPU job finished: deliver the frame parked at `job`.
+fn deliver_data<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
+    let host = HostId(host);
+    let (peer, d) = sim.state.st().recv_jobs.take(job as u32);
     let now = sim.now();
     let st_rms = d.st_rms;
     let was_frag = d.frag.is_some();

@@ -13,6 +13,7 @@ use dash_net::ids::{CreateToken, HostId, NetRmsId};
 use dash_security::cipher::Key;
 use dash_security::cost::CostModel;
 use dash_sim::engine::{Sim, TimerHandle};
+use dash_sim::slab::Slab;
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::delay::DelayBound;
 use rms_core::error::{FailReason, RejectReason};
@@ -20,10 +21,11 @@ use rms_core::message::Message;
 use rms_core::params::{Reliability, RmsParams, SharedParams};
 use rms_core::port::DeliveryInfo;
 
+use crate::engine::SendJob;
 use crate::frag::Reassembly;
 use crate::ids::{StRmsId, StToken};
 use crate::piggyback::PiggybackQueue;
-use crate::wire::ControlMsg;
+use crate::wire::{ControlMsg, DataFrame};
 
 /// Default capacity requested for new data network RMSs (headroom for
 /// multiplexing more ST RMSs later, §4.2).
@@ -232,8 +234,18 @@ pub struct StState {
     /// Per-host state, indexed by [`HostId`].
     pub hosts: Vec<StHost>,
     /// Out-of-band pair keys for control-channel authentication (a stand-in
-    /// for the key-distribution protocol of Anderson et al. 1987, ref \[2\]).
+    /// for the key-distribution protocol of Anderson et al. 1987, ref \[2\]),
+    /// set explicitly. They override the derived keys of
+    /// [`StState::provision_all_keys`].
     pub auth_keys: DetHashMap<(u32, u32), Key>,
+    /// Hosts below this id share derived pair keys
+    /// ([`StState::provision_all_keys`]).
+    keyed_hosts: u32,
+    /// Messages waiting for their send-side CPU job.
+    pub(crate) send_jobs: Slab<SendJob>,
+    /// Frames (with their sending peer) waiting for their receive-side CPU
+    /// job.
+    pub(crate) recv_jobs: Slab<(HostId, DataFrame)>,
     next_st_rms: u64,
     next_token: u64,
     nonce_seed: u64,
@@ -246,20 +258,20 @@ impl StState {
             config,
             hosts: (0..n_hosts).map(|_| StHost::default()).collect(),
             auth_keys: Default::default(),
+            keyed_hosts: 0,
+            send_jobs: Slab::new(),
+            recv_jobs: Slab::new(),
             next_st_rms: 1,
             next_token: 1,
             nonce_seed: 0x5eed,
         }
     }
 
-    /// Provision keys for every pair among `hosts` (test/bench setup).
+    /// Provision a key for every pair among hosts `0..n_hosts` (test/bench
+    /// setup). Nothing is tabulated: each pair's key is derived from the
+    /// pair on lookup.
     pub fn provision_all_keys(&mut self, n_hosts: u32) {
-        for a in 0..n_hosts {
-            for b in (a + 1)..n_hosts {
-                let key = Key(0x1000_0000u64 | (u64::from(a) << 20) | u64::from(b));
-                self.auth_keys.insert((a, b), key);
-            }
-        }
+        self.keyed_hosts = n_hosts;
     }
 
     fn pair(a: HostId, b: HostId) -> (u32, u32) {
@@ -270,9 +282,16 @@ impl StState {
         }
     }
 
-    /// The shared key for a host pair, if provisioned.
+    /// The shared key for a host pair, if provisioned: an explicit
+    /// [`StState::auth_keys`] entry, else the derived key of two distinct
+    /// hosts covered by [`StState::provision_all_keys`].
     pub fn pair_key(&self, a: HostId, b: HostId) -> Option<Key> {
-        self.auth_keys.get(&Self::pair(a, b)).copied()
+        let (a, b) = Self::pair(a, b);
+        if let Some(key) = self.auth_keys.get(&(a, b)) {
+            return Some(*key);
+        }
+        (a != b && b < self.keyed_hosts)
+            .then(|| Key(0x1000_0000u64 | (u64::from(a) << 20) | u64::from(b)))
     }
 
     /// Access a host's ST state.

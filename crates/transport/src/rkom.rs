@@ -16,7 +16,7 @@ use rms_core::hash::DetHashMap;
 use bytes::{BufMut, Bytes, BytesMut};
 use dash_net::ids::HostId;
 use dash_net::state::emit;
-use dash_sim::engine::{Sim, TimerHandle};
+use dash_sim::engine::{Args, Sim, TimerHandle};
 use dash_sim::obs::ObsEvent;
 use dash_sim::stats::{Counter, Histogram};
 use dash_sim::time::{SimDuration, SimTime};
@@ -416,7 +416,7 @@ fn arm_call_timer(sim: &mut Sim<Stack>, host: HostId, call_id: u64) {
     else {
         return;
     };
-    let handle = sim.schedule_timer(period, move |sim| on_call_timeout(sim, host, call_id));
+    let handle = sim.call_timer(period, on_call_timeout, (host.0, call_id));
     let c = sim
         .state
         .rkom
@@ -429,7 +429,8 @@ fn arm_call_timer(sim: &mut Sim<Stack>, host: HostId, call_id: u64) {
     }
 }
 
-fn on_call_timeout(sim: &mut Sim<Stack>, host: HostId, call_id: u64) {
+fn on_call_timeout(sim: &mut Sim<Stack>, (host, call_id): Args) {
+    let host = HostId(host);
     let config_max = sim.state.rkom.config.max_retries;
     let rh = sim.state.rkom.host_mut(host);
     let Some(c) = rh.calls.get_mut(&call_id) else {

@@ -14,8 +14,8 @@
 use dash_baseline::tcp::{self, TcpEvent, TcpState, TcpWorld, TCP_PROTO};
 use dash_net::ids::{HostId, NetRmsId, NetworkId};
 use dash_net::state::{fifo_charge_cpu, NetRmsEvent, NetState, NetWorld};
-use dash_sim::cpu::{self, Cpu, SchedPolicy};
-use dash_sim::engine::Sim;
+use dash_sim::cpu::{self, Cpu, CpuHost, SchedPolicy};
+use dash_sim::engine::{Call, Sim};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_subtransport::engine as st_engine;
 use dash_subtransport::ids::StRmsId;
@@ -252,11 +252,10 @@ impl Stack {
     }
 }
 
-fn cpu_accessor(stack: &mut Stack, key: u64) -> &mut Cpu<Stack> {
-    &mut stack
-        .cpus
-        .as_mut()
-        .expect("cpu accessor used without modelled CPUs")[key as usize]
+impl CpuHost for Stack {
+    fn cpu(&mut self, key: u32) -> &mut Cpu<Stack> {
+        &mut self.cpus.as_mut().expect("a stack with modelled CPUs")[key as usize]
+    }
 }
 
 impl NetWorld for Stack {
@@ -273,13 +272,12 @@ impl NetWorld for Stack {
         cost: SimDuration,
         deadline: SimTime,
         stream: u64,
-        cont: Box<dyn FnOnce(&mut Sim<Self>)>,
+        cont: Call<Self>,
     ) {
         if sim.state.cpus.is_some() {
             cpu::submit(
                 sim,
-                cpu_accessor,
-                u64::from(host.0),
+                host.0,
                 dash_sim::cpu::Job {
                     deadline,
                     priority: 0,

@@ -49,7 +49,7 @@ use rms_core::hash::DetHashMap;
 use bytes::{BufMut, BytesMut};
 use dash_net::ids::HostId;
 use dash_net::state::emit;
-use dash_sim::engine::{Sim, TimerHandle};
+use dash_sim::engine::{Args, Sim, TimerHandle};
 use dash_sim::obs::{DropCause, ObsEvent, RetransmitCause};
 use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
@@ -726,6 +726,15 @@ pub fn send(
     Ok(())
 }
 
+/// The rate limiter's release timer of `(host, session)` fired.
+fn rate_release(sim: &mut Sim<Stack>, (host, session): Args) {
+    let host = HostId(host);
+    if let Some(s) = sim.state.stream.session_mut(host, session) {
+        s.rate_timer_armed = false;
+    }
+    pump(sim, host, session);
+}
+
 /// Try to move messages from the send port onto the data stream, honouring
 /// every active flow-control gate.
 fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
@@ -765,12 +774,7 @@ fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
                 if !s.rate_timer_armed {
                     s.rate_timer_armed = true;
                     let delay = at.saturating_since(now).max(SimDuration::from_nanos(1));
-                    sim.schedule_in(delay, move |sim| {
-                        if let Some(s) = sim.state.stream.session_mut(host, session) {
-                            s.rate_timer_armed = false;
-                        }
-                        pump(sim, host, session);
-                    });
+                    sim.call_in(delay, rate_release, (host.0, session));
                 }
                 return;
             }
@@ -862,7 +866,7 @@ fn ensure_rto(sim: &mut Sim<Stack>, host: HostId, session: u64) {
             s.profile.rto.saturating_mul(1u64 << s.rto_backoff.min(6))
         })
         .unwrap_or(SimDuration::from_millis(300));
-    let handle = sim.schedule_timer(rto, move |sim| on_rto(sim, host, session));
+    let handle = sim.call_timer(rto, on_rto, (host.0, session));
     if let Some(s) = sim.state.stream.session_mut(host, session) {
         s.rto_timer = Some(handle);
     } else {
@@ -870,7 +874,8 @@ fn ensure_rto(sim: &mut Sim<Stack>, host: HostId, session: u64) {
     }
 }
 
-fn on_rto(sim: &mut Sim<Stack>, host: HostId, session: u64) {
+fn on_rto(sim: &mut Sim<Stack>, (host, session): Args) {
+    let host = HostId(host);
     // A timeout resends only the *oldest* unacknowledged message. Blasting
     // the whole window on every timeout floods a slow bottleneck with
     // duplicate bursts faster than it drains, and the timeout is evidence
@@ -1450,18 +1455,22 @@ fn maybe_ack(sim: &mut Sim<Stack>, host: HostId, session: u64) {
     match decision {
         AckDecision::Now => send_ack(sim, host, session, false),
         AckDecision::Delayed(d) => {
-            let handle = sim.schedule_timer(d, move |sim| {
-                if let Some(s) = sim.state.stream.session_mut(host, session) {
-                    s.ack_timer = None;
-                }
-                send_ack(sim, host, session, false);
-            });
+            let handle = sim.call_timer(d, delayed_ack, (host.0, session));
             if let Some(s) = sim.state.stream.session_mut(host, session) {
                 s.ack_timer = Some(handle);
             }
         }
         AckDecision::No => {}
     }
+}
+
+/// The delayed-ack timer of `(host, session)` fired.
+fn delayed_ack(sim: &mut Sim<Stack>, (host, session): Args) {
+    let host = HostId(host);
+    if let Some(s) = sim.state.stream.session_mut(host, session) {
+        s.ack_timer = None;
+    }
+    send_ack(sim, host, session, false);
 }
 
 enum AckDecision {

@@ -42,6 +42,13 @@ if ! cargo test --release -q --test flat_memory; then
     exit 1
 fi
 
+# Allocations per voice frame on a running stream: protocol actions are
+# unboxed calls over slab-parked data, so none may allocate per message.
+if ! cargo test --release -q --test hot_path_allocs; then
+    echo "verify: a voice frame allocates more than its steady state (count above) — a protocol action boxes or copies per message" >&2
+    exit 1
+fi
+
 # Every test runs exactly once. dash-par's panic-propagation tests go
 # first, by name and boxed: `std::sync::Barrier` does not poison, so a
 # regression there is a wedged executor, and this way it costs seconds
@@ -60,8 +67,8 @@ fi
 # are in here), then the root package's library, examples and doc tests,
 # then its integration tests one binary at a time — chaos, explore and
 # rt_conformance are held back because they carry a failure hint, a time
-# box or a release build below; no_spurious_work and flat_memory already
-# ran above.
+# box or a release build below; no_spurious_work, flat_memory and
+# hot_path_allocs already ran above.
 cargo test --workspace --exclude dash -q -- --skip propagates_instead_of_wedging
 cargo test -q --lib --examples
 cargo test -q --doc
@@ -74,7 +81,7 @@ for ex in quickstart congestion rkom_rpc; do
 done
 for t in tests/*.rs; do
     name="$(basename "$t" .rs)"
-    case "$name" in chaos | explore | rt_conformance | no_spurious_work | flat_memory) continue ;; esac
+    case "$name" in chaos | explore | rt_conformance | no_spurious_work | flat_memory | hot_path_allocs) continue ;; esac
     cargo test -q --test "$name"
 done
 

@@ -19,7 +19,9 @@ use dash::core::wire::WireMsg;
 use dash::net::packet::Packet;
 use dash::net::shard::WireEnvelope;
 use dash::par::{ParConfig, ShardPlan};
+use dash::sim::engine::Call;
 use dash::sim::obs::{MetricRegistry, ObsEvent};
+use dash::transport::stack::Stack;
 
 fn assert_send<T: Send>() {}
 fn assert_sync<T: Sync>() {}
@@ -77,6 +79,14 @@ const _: () = {
     let _ = assert_sync::<ParConfig>;
     let _ = assert_send::<ShardPlan>;
     let _ = assert_sync::<ShardPlan>;
+};
+
+/// A protocol action is a function pointer plus ids — the data it works
+/// on stays in the world — so unlike a boxed closure it could cross a
+/// shard boundary as it is.
+const _: () = {
+    let _ = assert_send::<Call<Stack>>;
+    let _ = assert_sync::<Call<Stack>>;
 };
 
 /// The audit is compile-time; this test just records it in the report.
