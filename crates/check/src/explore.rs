@@ -3,9 +3,12 @@
 //! A [`Scenario`] is the complete input of one simulated run: topology
 //! seed, a small workload program ([`Op`]s), an optional fault-plan seed,
 //! schedule-jitter parameters, and debug switches. [`run_scenario`]
-//! executes it against the real stack on a dual-homed two-host topology
-//! with the [`crate::oracle()`] attached, and returns the violations plus
-//! the run's (event-kind → event-kind) transition bigrams.
+//! executes it against the real stack on the dual-homed two-host topology
+//! ([`dual_homed`]) with the [`crate::oracle()`] attached, and returns the
+//! violations, the run's (event-kind → event-kind) transition bigrams and
+//! the oracle's session totals. [`Scenario::chaos`] is the seeded chaos
+//! suite's preset, so chaos and exploration share one runner and one
+//! verdict.
 //!
 //! [`explore`] searches scenario space: seed corpus first, then mutate a
 //! corpus member per iteration. Bigrams are the novelty signal — a
@@ -20,8 +23,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use dash_net::fault::schedule_fault_plan;
-use dash_net::topology::TopologyBuilder;
-use dash_net::{HostId, NetState, NetworkSpec};
+use dash_net::topology::dual_homed;
 use dash_sim::{ChaosConfig, FaultPlan, Rng, Sim, SimDuration, SimTime};
 use dash_transport::stack::StackBuilder;
 use dash_transport::stream::{self, StreamProfile};
@@ -122,6 +124,41 @@ impl Scenario {
             force_admission: false,
         }
     }
+
+    /// The seeded chaos preset: three 32 KiB streams opened at once, 30
+    /// staggered 256 B sends on each (stream `k`'s `i`-th at
+    /// `20 + 7k + 40i` ms, so sends interleave with the fault window), and
+    /// a random fault plan drawn from `seed` — outages, partitions, burst
+    /// loss, interface stalls and receiver crashes. No jitter.
+    pub fn chaos(seed: u64) -> Scenario {
+        let open = Op {
+            at_ms: 0,
+            kind: OpKind::Open {
+                capacity: 32 * 1024,
+                det: false,
+            },
+        };
+        let mut ops = vec![open; 3];
+        for i in 0..30u64 {
+            for k in 0..3u64 {
+                ops.push(Op {
+                    at_ms: 20 + 7 * k + 40 * i,
+                    kind: OpKind::Send {
+                        stream: k as usize,
+                        bytes: 256,
+                    },
+                });
+            }
+        }
+        Scenario {
+            seed,
+            ops,
+            fault_seed: Some(seed),
+            jitter_seed: 0,
+            jitter_max_us: 0,
+            force_admission: false,
+        }
+    }
 }
 
 /// What one [`run_scenario`] produced.
@@ -135,6 +172,11 @@ pub struct RunReport {
     pub processed: u64,
     /// True if the run hit the event bound with work still queued.
     pub wedged: bool,
+    /// Stream deliveries the oracle saw, summed over sessions.
+    pub delivered: u64,
+    /// Sessions that ended in a typed failure (failed end, retries
+    /// exhausted, or failed open).
+    pub typed_failures: u64,
 }
 
 impl RunReport {
@@ -147,19 +189,6 @@ impl RunReport {
 /// Event bound: generous for workloads this size; hitting it is itself a
 /// `no-wedge` violation.
 const EVENT_BOUND: u64 = 2_000_000;
-
-/// Two hosts on two independent ethernets — the smallest topology where
-/// failover, alternate routing, and dual-ledger admission all exist.
-fn dual_homed(seed: u64) -> (NetState, HostId, HostId) {
-    let mut b = TopologyBuilder::new();
-    let n0 = b.network(NetworkSpec::ethernet("primary"));
-    let n1 = b.network(NetworkSpec::ethernet("backup"));
-    let a = b.host();
-    let c = b.host();
-    b.attach(a, n0).attach(a, n1).attach(c, n0).attach(c, n1);
-    b.seed(seed);
-    (b.build(), a, c)
-}
 
 /// Execute one scenario against the full stack with the oracle attached.
 pub fn run_scenario(scenario: &Scenario) -> RunReport {
@@ -254,11 +283,14 @@ pub fn run_scenario(scenario: &Scenario) -> RunReport {
     }
     handle.finish(sim.now());
 
+    let (delivered, typed_failures) = handle.session_totals();
     RunReport {
         violations: handle.violations(),
         bigrams: handle.bigrams(),
         processed,
         wedged,
+        delivered,
+        typed_failures,
     }
 }
 

@@ -341,6 +341,18 @@ impl OracleHandle {
         self.state.borrow().rto_retransmits
     }
 
+    /// The session table's totals: `(deliveries, sessions with a typed
+    /// failure)`. A suite reads them to show its runs were not vacuous —
+    /// that traffic flowed and the faults had teeth.
+    pub fn session_totals(&self) -> (u64, u64) {
+        let st = self.state.borrow();
+        let s = &st.sessions;
+        let delivered = s.delivered.values().sum();
+        let failed = s.ended.iter().filter(|&(_, &f)| f).map(|(id, _)| id);
+        let typed = failed.chain(&s.open_failed).collect::<BTreeSet<_>>().len() as u64;
+        (delivered, typed)
+    }
+
     /// Observed event-kind transition bigrams (the coverage signal).
     pub fn bigrams(&self) -> BTreeSet<(u16, u16)> {
         self.state.borrow().bigrams.clone()
@@ -616,6 +628,7 @@ mod tests {
         feed(&mut sink, 2, dlv(5, 0));
         handle.finish(t(3));
         assert!(!handle.violated());
+        assert_eq!(handle.session_totals(), (1, 0));
 
         // Shortfall with a typed end: clean.
         let (mut sink, handle) = oracle(OracleConfig::default());
@@ -631,6 +644,7 @@ mod tests {
         );
         handle.finish(t(3));
         assert!(!handle.violated());
+        assert_eq!(handle.session_totals(), (0, 1));
 
         // Silent shortfall: violation.
         let (mut sink, handle) = oracle(OracleConfig::default());

@@ -344,12 +344,6 @@ impl<'a> WireCursor<'a> {
     pub fn take_bytes(&mut self, n: usize) -> Result<Bytes, Truncated> {
         Ok(self.take_wire(n)?.contiguous())
     }
-
-    /// Take everything left as a zero-copy sub-message.
-    pub fn take_rest(&mut self) -> WireMsg {
-        self.take_wire(self.left)
-            .expect("remaining bytes available")
-    }
 }
 
 #[cfg(test)]
@@ -471,6 +465,7 @@ mod tests {
         assert_eq!(c.get_u8().unwrap(), 0xff);
         assert_eq!(c.remaining(), 0);
         assert_eq!(c.get_u8(), Err(Truncated));
+        assert_eq!(m.cursor().skip(6), Err(Truncated));
     }
 
     #[test]
@@ -483,19 +478,6 @@ mod tests {
         assert_eq!(c.get_u8().unwrap(), 0xaa);
         let taken = c.take_bytes(4).unwrap();
         assert_eq!(taken.as_ptr(), payload.as_ptr());
-    }
-
-    #[test]
-    fn cursor_take_rest_and_skip() {
-        let mut m = WireMsg::new();
-        m.push(seg(&[1, 2, 3]));
-        m.push(seg(&[4, 5]));
-        let mut c = m.cursor();
-        c.skip(2).unwrap();
-        let rest = c.take_rest();
-        assert_eq!(rest.contiguous().as_ref(), &[3, 4, 5]);
-        assert_eq!(c.remaining(), 0);
-        assert_eq!(m.cursor().skip(6), Err(Truncated));
     }
 
     #[test]

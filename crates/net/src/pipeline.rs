@@ -95,14 +95,6 @@ pub fn combined_service_table_on(
 /// Combine the security capabilities seen along `path`: the conservative
 /// intersection (everything must be trusted for the path to be trusted; the
 /// raw error rates accumulate).
-pub fn combined_capabilities<W: NetWorld>(
-    state: &W,
-    path: &[(HostId, usize, NetworkId, HostId)],
-) -> NetworkCapabilities {
-    combined_capabilities_on(state.net_ref(), path)
-}
-
-/// [`combined_capabilities`] against a bare [`NetState`].
 pub fn combined_capabilities_on(
     net: &NetState,
     path: &[(HostId, usize, NetworkId, HostId)],

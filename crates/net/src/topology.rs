@@ -182,6 +182,21 @@ pub fn two_hosts_ethernet() -> (NetState, HostId, HostId) {
     (b.build(), a, c)
 }
 
+/// A ready-made topology: two hosts, each attached to two independent
+/// Ethernets (`primary` and `backup`) — the smallest world where ST
+/// failover, alternate routing and dual-ledger admission all exist.
+/// `seed` seeds the link-jitter streams. Returns `(state, host_a, host_b)`.
+pub fn dual_homed(seed: u64) -> (NetState, HostId, HostId) {
+    let mut b = TopologyBuilder::new();
+    let n0 = b.network(NetworkSpec::ethernet("primary"));
+    let n1 = b.network(NetworkSpec::ethernet("backup"));
+    let a = b.host();
+    let c = b.host();
+    b.attach(a, n0).attach(a, n1).attach(c, n0).attach(c, n1);
+    b.seed(seed);
+    (b.build(), a, c)
+}
+
 /// A ready-made internetwork: two Ethernets joined by a long-haul link via
 /// two gateways. Returns `(state, host_a, host_b, gateway_a, gateway_b)`.
 pub fn dumbbell() -> (NetState, HostId, HostId, HostId, HostId) {

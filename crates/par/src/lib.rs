@@ -32,5 +32,5 @@ pub mod netlp;
 pub mod plan;
 
 pub use exec::{run_sharded, Lp, ParConfig};
-pub use netlp::{cross_shard_lookahead, local_lookahead, merge_traces, StackLp};
+pub use netlp::{cross_shard_lookahead, local_lookahead, StackLp};
 pub use plan::ShardPlan;

@@ -1,4 +1,4 @@
-//! The DASH stack as a logical process, plus lookahead and merge helpers.
+//! The DASH stack as a logical process, plus lookahead helpers.
 //!
 //! Each LP is a *full replica* of the topology: build the same
 //! `TopologyBuilder`/`StackBuilder` world in every LP (identical
@@ -117,53 +117,9 @@ pub fn cross_shard_lookahead(net: &NetState, plan: &ShardPlan) -> SimDuration {
         .max(MIN_LOOKAHEAD)
 }
 
-/// Merge per-LP trace buffers into the canonical run trace.
-///
-/// Each part is `(owner host, buffer)` where the buffer holds
-/// `"{time_ns} {event name} {detail}"` lines (the repo's standard trace
-/// sink format). Lines order by `(timestamp, owner host, emission
-/// index)` — a total order that is a pure function of the run, so the
-/// merged trace of a P-shard run is byte-identical to the 1-shard run.
-pub fn merge_traces(parts: &[(u32, String)]) -> String {
-    let mut decorated: Vec<(u64, u32, usize, &str)> = Vec::new();
-    for (host, buf) in parts {
-        for (idx, line) in buf.lines().enumerate() {
-            let t: u64 = line
-                .split(' ')
-                .next()
-                .and_then(|p| p.parse().ok())
-                .unwrap_or(0);
-            decorated.push((t, *host, idx, line));
-        }
-    }
-    decorated.sort_unstable();
-    let mut out = String::with_capacity(parts.iter().map(|(_, b)| b.len() + 1).sum());
-    for (_, _, _, line) in decorated {
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trace_merge_orders_by_time_then_host_then_index() {
-        let parts = vec![
-            (
-                2u32,
-                "100 b first-on-2\n100 b second-on-2\n50 a early\n".to_string(),
-            ),
-            (1u32, "100 a on-1\n".to_string()),
-        ];
-        let merged = merge_traces(&parts);
-        assert_eq!(
-            merged,
-            "50 a early\n100 a on-1\n100 b first-on-2\n100 b second-on-2\n"
-        );
-    }
 
     #[test]
     fn lookaheads_reflect_spanning_networks() {

@@ -317,19 +317,13 @@ impl<S> Sim<S> {
         self.live
     }
 
-    /// The time of the next pending event, if any. Timers cancelled since
-    /// the engine last ran may still be reported until they are reaped.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|e| e.time)
-    }
-
     /// The time of the earliest *live* event, if any.
     ///
-    /// Unlike [`Sim::peek_time`] this reaps cancelled timers and discards
-    /// stale heap heads first, so the answer is exact. The parallel
-    /// executor uses it to compute lookahead windows, where a dead head
-    /// would shrink an epoch for no reason (harmless) or, worse, hold the
-    /// global minimum at a time that never fires (livelock).
+    /// This reaps cancelled timers and discards stale heap heads first,
+    /// so the answer is exact. The parallel executor uses it to compute
+    /// lookahead windows, where a dead head would shrink an epoch for no
+    /// reason (harmless) or, worse, hold the global minimum at a time that
+    /// never fires (livelock).
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         self.reap_cancelled();
         loop {

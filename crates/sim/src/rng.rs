@@ -117,15 +117,6 @@ impl Rng {
         -mean * u.ln()
     }
 
-    /// Normally distributed value (Box–Muller).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "negative std_dev");
-        let u1 = 1.0 - self.f64();
-        let u2 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
     /// Pareto-distributed value with scale `xm > 0` and shape `alpha > 0`.
     ///
     /// Heavy-tailed; used for bursty traffic models.
@@ -133,26 +124,6 @@ impl Rng {
         assert!(xm > 0.0 && alpha > 0.0, "invalid pareto parameters");
         let u = 1.0 - self.f64();
         xm / u.powf(1.0 / alpha)
-    }
-
-    /// Poisson-distributed count with the given mean (Knuth's method; meant
-    /// for small means such as per-tick arrival counts).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(mean >= 0.0 && mean.is_finite(), "invalid mean: {mean}");
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-            if k > 10_000_000 {
-                // Defensive bound; unreachable for sane means.
-                return k;
-            }
-        }
     }
 
     /// Fisher–Yates shuffle.
@@ -246,32 +217,12 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments_are_close() {
-        let mut r = Rng::new(6);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut r = Rng::new(9);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
         assert!(!r.chance(-1.0));
         assert!(r.chance(2.0));
-    }
-
-    #[test]
-    fn poisson_mean_is_close() {
-        let mut r = Rng::new(13);
-        let n = 100_000;
-        let sum: u64 = (0..n).map(|_| r.poisson(2.5)).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 2.5).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

@@ -162,16 +162,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
 
-    /// Scale by a non-negative float, rounding to the nearest nanosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is negative or not finite.
-    pub fn mul_f64(self, f: f64) -> SimDuration {
-        assert!(f.is_finite() && f >= 0.0, "invalid scale factor: {f}");
-        SimDuration((self.0 as f64 * f).round() as u64)
-    }
-
     /// The larger of two durations.
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
@@ -310,7 +300,6 @@ mod tests {
         assert_eq!(a * 3, SimDuration::from_micros(30));
         assert_eq!(a / 2, SimDuration::from_micros(5));
         assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
-        assert_eq!(a.mul_f64(0.5), SimDuration::from_micros(5));
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
     }

@@ -4,27 +4,10 @@
 //! `mod common;` — items unused by one test binary are dead code there,
 //! hence the allows.
 
+use std::collections::BTreeSet;
 use std::fmt::Debug;
 
-use dash::net::state::NetState;
-use dash::net::topology::TopologyBuilder;
-use dash::net::NetworkSpec;
-use dash::prelude::*;
-
-/// Two hosts, each attached to two independent ethernets — the alternate
-/// network is what makes ST-level failover possible. The workhorse
-/// topology of the chaos and exploration suites.
-#[allow(dead_code)]
-pub fn dual_homed(seed: u64) -> (NetState, HostId, HostId) {
-    let mut b = TopologyBuilder::new();
-    let n0 = b.network(NetworkSpec::ethernet("primary"));
-    let n1 = b.network(NetworkSpec::ethernet("backup"));
-    let a = b.host();
-    let c = b.host();
-    b.attach(a, n0).attach(a, n1).attach(c, n0).attach(c, n1);
-    b.seed(seed);
-    (b.build(), a, c)
-}
+use dash::check::RunReport;
 
 /// Deterministic-replay assertion: execute `run` twice and require the
 /// `key` projection of both runs to match exactly. Returns the first run
@@ -40,4 +23,16 @@ where
     let (ka, kb) = (key(&first), key(&second));
     assert_eq!(ka, kb, "{label}: replay diverged between identical runs");
     first
+}
+
+/// The replay projection of an explorer run: events processed, coverage
+/// bigrams, and each violation as `invariant time detail`.
+#[allow(dead_code)]
+pub fn report_key(r: &RunReport) -> (u64, BTreeSet<(u16, u16)>, Vec<String>) {
+    let violations = r
+        .violations
+        .iter()
+        .map(|v| format!("{} {} {}", v.invariant, v.at.as_nanos(), v.detail))
+        .collect();
+    (r.processed, r.bigrams.clone(), violations)
 }

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::assert_replays;
+use common::{assert_replays, report_key};
 use dash::check::{explore, replay, run_scenario, shrink, ExploreConfig, Scenario};
 
 /// Baselines with the admission bypass armed — the seeded bug the
@@ -79,19 +79,7 @@ fn explorer_finds_seeded_admission_bug_and_shrinks_it() {
     let text = replay::to_text(&min);
     let parsed = replay::parse(&text).expect("replay text parses");
     assert_eq!(parsed, min);
-    let rerun = assert_replays(
-        "shrunk repro",
-        || run_scenario(&parsed),
-        |r| {
-            (
-                r.processed,
-                r.violations
-                    .iter()
-                    .map(|v| format!("{} {} {}", v.invariant, v.at.as_nanos(), v.detail))
-                    .collect::<Vec<_>>(),
-            )
-        },
-    );
+    let rerun = assert_replays("shrunk repro", || run_scenario(&parsed), report_key);
     assert!(
         rerun
             .violations
@@ -115,19 +103,7 @@ fn stored_repro_replays_byte_identically() {
     // The stored file is the canonical serialization of itself.
     assert_eq!(replay::to_text(&scenario), text);
 
-    let report = assert_replays(
-        "stored repro",
-        || run_scenario(&scenario),
-        |r| {
-            (
-                r.processed,
-                r.violations
-                    .iter()
-                    .map(|v| format!("{} {} {}", v.invariant, v.at.as_nanos(), v.detail))
-                    .collect::<Vec<_>>(),
-            )
-        },
-    );
+    let report = assert_replays("stored repro", || run_scenario(&scenario), report_key);
     assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
     assert_eq!(report.violations[0].invariant, "admission-ledger");
 
