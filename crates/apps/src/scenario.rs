@@ -160,6 +160,7 @@ struct WorldOut {
     host: u32,
     acct: Acct,
     events: u64,
+    pending: u64,
     peak_queue: u64,
     registry: MetricRegistry,
     obs: Events,
@@ -179,6 +180,7 @@ fn finish_world(host: u32, mut sim: Sim<Stack>, taps: Taps) -> WorldOut {
         host,
         acct: taps.acct.borrow().clone(),
         events: sim.events_processed(),
+        pending: sim.events_pending() as u64,
         peak_queue,
         registry: std::mem::take(&mut sim.state.net.obs.registry),
         obs: taps.events.take(),
@@ -238,6 +240,10 @@ pub struct Outcome {
     pub open_failed: u64,
     /// Engine events executed, summed over worlds.
     pub events: u64,
+    /// Live events still queued at the horizon, summed over worlds
+    /// (outside the digest). Nonzero means the cut left work undone — for
+    /// a run planned to go quiet first, a wedge.
+    pub pending: u64,
     /// ST messages delivered to ports (registry `st.deliver`).
     pub messages: u64,
     /// Per-class messages sent (source-side accounting).
@@ -395,7 +401,6 @@ pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
             let mut substrate = MemDatagram::new(MemConfig {
                 loss_per_mille,
                 seed: scn.seed,
-                ..MemConfig::default()
             });
             let report = run_rt(
                 &mut sim,
@@ -475,12 +480,14 @@ fn merge_outcome(
     let mut registry = MetricRegistry::new();
     let mut acct = Acct::default();
     let mut events = 0u64;
+    let mut pending = 0u64;
     let mut peak_queue_bytes = 0u64;
     let mut stream: Vec<(SimTime, u32, usize, ObsEvent)> = Vec::new();
     for o in outs {
         registry.merge_from(&o.registry);
         acct.merge(&o.acct);
         events += o.events;
+        pending += o.pending;
         peak_queue_bytes = peak_queue_bytes.max(o.peak_queue);
         stream.extend(
             o.obs
@@ -501,6 +508,7 @@ fn merge_outcome(
         streams_opened: acct.opened,
         open_failed: acct.failed,
         events,
+        pending,
         messages: registry.counter_value("st.deliver"),
         sent: acct.sent,
         received: acct.received,

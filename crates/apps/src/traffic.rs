@@ -87,7 +87,7 @@ const VOICE_INTERVAL: SimDuration = SimDuration::from_millis(20);
 const WAN_VOICE_BUDGET: SimDuration = SimDuration::from_millis(150);
 
 /// One planned stream flow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     /// Payload tag and accounting bucket.
     pub class: Class,

@@ -17,7 +17,7 @@
 use dash_apps::scenario::{run, Backend, Scenario};
 use dash_apps::traffic::{Class, Flow, Plan, Probe};
 use dash_net::state::NetState;
-use dash_net::topology::TopologyBuilder;
+use dash_net::topology::{mesh3x3, TopologyBuilder};
 use dash_net::{HostId, NetworkId, NetworkSpec};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_transport::stream::StreamProfile;
@@ -141,7 +141,13 @@ fn build_topo(p: &RoutingParams) -> (NetState, Vec<Vec<HostId>>, NetworkId) {
     tb.seed(p.seed ^ 0x90e11);
     let (sites, drill_target) = match p.topo {
         RoutingTopo::DumbbellBackup => build_dumbbell(&mut tb, p.hosts_per_lan),
-        RoutingTopo::Mesh3x3 => build_mesh3x3(&mut tb, p.hosts_per_lan),
+        RoutingTopo::Mesh3x3 => {
+            // The drill takes the mesh centre: every shortest
+            // corner-to-corner path crosses it, so its outage forces
+            // reconvergence around the rim.
+            let (nets, sites) = mesh3x3(&mut tb, p.hosts_per_lan);
+            (sites, nets[4])
+        }
     };
     (tb.build(), sites, drill_target)
 }
@@ -162,32 +168,6 @@ fn build_dumbbell(tb: &mut TopologyBuilder, hosts_per_lan: usize) -> (Vec<Vec<Ho
     tb.gateway(mid_b, lan_b);
     let side_b = lan(tb, lan_b, hosts_per_lan);
     (vec![side_a, side_b], mid_p)
-}
-
-fn build_mesh3x3(tb: &mut TopologyBuilder, hosts_per_lan: usize) -> (Vec<Vec<HostId>>, NetworkId) {
-    let mut nets = Vec::new();
-    let mut sites = Vec::new();
-    for r in 0..3 {
-        for c in 0..3 {
-            let net = tb.network(NetworkSpec::ethernet(format!("lan-{r}{c}")));
-            sites.push(lan(tb, net, hosts_per_lan));
-            nets.push(net);
-        }
-    }
-    // One gateway per adjacent pair.
-    for r in 0..3 {
-        for c in 0..3 {
-            if c + 1 < 3 {
-                tb.gateway(nets[r * 3 + c], nets[r * 3 + c + 1]);
-            }
-            if r + 1 < 3 {
-                tb.gateway(nets[r * 3 + c], nets[(r + 1) * 3 + c]);
-            }
-        }
-    }
-    // The drill takes the mesh centre: every shortest corner-to-corner
-    // path crosses it, so its outage forces reconvergence around the rim.
-    (sites, nets[4])
 }
 
 /// The stream population: a pure function of the parameters and the ids.

@@ -1,10 +1,13 @@
 //! Coverage-guided scenario exploration.
 //!
-//! A [`Scenario`] is the complete input of one simulated run: topology
-//! seed, a small workload program ([`Op`]s), an optional fault-plan seed,
-//! schedule-jitter parameters, and debug switches. [`run_scenario`]
-//! executes it against the real stack on the dual-homed two-host topology
-//! ([`dual_homed`]) with the [`crate::oracle()`] attached, and returns the
+//! A [`Scenario`] is the explorer's genome: topology seed, a list of
+//! reliable a → b stream [`Flow`]s, an optional fault-plan seed, schedule
+//! jitter, and a debug switch. It is a plan, like the macro workloads':
+//! [`Scenario::compile`] turns it into a [`dash_apps::scenario::Scenario`]
+//! on the dual-homed two-host topology ([`dual_homed`]), so the explorer
+//! speaks the one workload language and runs through the one
+//! [`scenario::run`]. [`run_scenario`] runs it serially and feeds the
+//! captured event stream to the [`crate::oracle()`], returning the
 //! violations, the run's (event-kind → event-kind) transition bigrams and
 //! the oracle's session totals. [`Scenario::chaos`] is the seeded chaos
 //! suite's preset, so chaos and exploration share one runner and one
@@ -18,65 +21,82 @@
 //! the first oracle violation (the find is then handed to
 //! [`crate::shrink()`]) or when the run budget is spent.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
-use dash_net::fault::schedule_fault_plan;
+use dash_apps::scenario::{self, Backend};
+use dash_apps::traffic::{Class, Flow};
+use dash_net::ids::HostId;
 use dash_net::topology::dual_homed;
-use dash_sim::{ChaosConfig, FaultPlan, Rng, Sim, SimDuration, SimTime};
-use dash_transport::stack::StackBuilder;
-use dash_transport::stream::{self, StreamProfile};
-use rms_core::{DelayBound, Message};
+use dash_sim::obs::ObsSink;
+use dash_sim::{ChaosConfig, FaultKind, FaultPlan, Rng, SimDuration, SimTime};
+use dash_transport::stream::StreamProfile;
+use rms_core::DelayBound;
 
 use crate::oracle::{oracle, OracleConfig};
 
-/// One step of a scenario's workload program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Op {
-    /// Virtual time of the step, milliseconds from run start.
-    pub at_ms: u64,
-    /// What the step does.
-    pub kind: OpKind,
-}
+/// The sending and receiving host of every explorer flow: the two hosts
+/// [`dual_homed`] builds, in its order.
+const A: HostId = HostId(0);
+const B: HostId = HostId(1);
 
-/// The workload vocabulary. Deliberately small: opens and sends compose
-/// into every interesting interleaving with faults and jitter, while
-/// each op keeps a well-defined expected outcome the oracle can check.
-/// (No close op: closing with unacked messages in flight can drop them
-/// without a typed failure, which is allowed — and would teach the
-/// explorer to "win" by closing streams.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// Open a reliable stream from host A to host B.
-    Open {
-        /// Requested RMS capacity, bytes.
-        capacity: u64,
-        /// Deterministic delay class (`A + B·size` contract) instead of
-        /// the default best-effort bound.
-        det: bool,
-    },
-    /// Send `bytes` zeroes on the `stream`-th opened stream (modulo the
-    /// number open at execution time; skipped when none are).
-    Send {
-        /// Index into the opened-streams list.
-        stream: usize,
-        /// Payload size.
-        bytes: u32,
-    },
+/// Every explorer flow's retransmission timeout and retry budget.
+const RTO: SimDuration = SimDuration::from_millis(100);
+const MAX_RETRIES: u32 = 8;
+
+/// The one explorer flow: a reliable a → b stream ([`RTO`],
+/// [`MAX_RETRIES`]) opened `start_ms` into the run that sends `count`
+/// messages of `len` bytes, one every `interval_ms` from its open, over an
+/// RMS of `capacity` bytes with a deterministic (`det`) or best-effort
+/// delay bound. These six fields are what the mutator varies and what a
+/// replay file stores.
+pub(crate) fn flow(
+    start_ms: u64,
+    count: u64,
+    interval_ms: u64,
+    len: u64,
+    capacity: u64,
+    det: bool,
+) -> Flow {
+    let mut profile = StreamProfile {
+        capacity,
+        reliable: true,
+        rto: RTO,
+        max_retries: MAX_RETRIES,
+        ..StreamProfile::default()
+    };
+    if det {
+        // 2µs/byte clears ethernet's per-byte floor; the 100ms fixed part
+        // dominates the implied C/D bandwidth, so large capacities demand
+        // real deterministic reservations.
+        profile.delay =
+            DelayBound::deterministic(SimDuration::from_millis(100), SimDuration::from_micros(2));
+    }
+    Flow {
+        class: Class::Bulk,
+        src: A,
+        dst: B,
+        start: SimDuration::from_millis(start_ms),
+        count,
+        interval: SimDuration::from_millis(interval_ms),
+        len,
+        // Accounting only: the oracle, not lateness, judges the run.
+        budget: profile.delay.bound_for(len),
+        profile,
+    }
 }
 
 /// A complete, self-contained run input. Equal scenarios produce
 /// byte-identical runs — this is what the replay file stores.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Topology seed (link jitter streams etc.).
     pub seed: u64,
-    /// Workload program.
-    pub ops: Vec<Op>,
+    /// The workload: every flow is built by the explorer's one flow
+    /// constructor (reliable, a → b).
+    pub flows: Vec<Flow>,
     /// Fault-plan seed; `None` runs on a healthy network.
     pub fault_seed: Option<u64>,
-    /// Schedule-jitter seed (see [`Sim::set_schedule_jitter`]).
+    /// Schedule-jitter seed (a [`FaultKind::TimerJitter`] at t = 0).
     pub jitter_seed: u64,
     /// Maximum additive schedule jitter, microseconds. Zero disables.
     pub jitter_max_us: u64,
@@ -87,37 +107,15 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A small benign baseline: two modest streams and a handful of
-    /// staggered sends on a healthy, jitter-free network.
+    /// A small benign baseline: two modest streams, three staggered 256 B
+    /// sends each, on a healthy, jitter-free network.
     pub fn baseline(seed: u64) -> Scenario {
-        let mut ops = vec![
-            Op {
-                at_ms: 0,
-                kind: OpKind::Open {
-                    capacity: 32 * 1024,
-                    det: false,
-                },
-            },
-            Op {
-                at_ms: 5,
-                kind: OpKind::Open {
-                    capacity: 16 * 1024,
-                    det: false,
-                },
-            },
-        ];
-        for i in 0..6u64 {
-            ops.push(Op {
-                at_ms: 20 + i * 40,
-                kind: OpKind::Send {
-                    stream: (i % 2) as usize,
-                    bytes: 256,
-                },
-            });
-        }
         Scenario {
             seed,
-            ops,
+            flows: vec![
+                flow(0, 3, 80, 256, 32 * 1024, false),
+                flow(5, 3, 80, 256, 16 * 1024, false),
+            ],
             fault_seed: None,
             jitter_seed: 0,
             jitter_max_us: 0,
@@ -126,37 +124,73 @@ impl Scenario {
     }
 
     /// The seeded chaos preset: three 32 KiB streams opened at once, 30
-    /// staggered 256 B sends on each (stream `k`'s `i`-th at
-    /// `20 + 7k + 40i` ms, so sends interleave with the fault window), and
-    /// a random fault plan drawn from `seed` — outages, partitions, burst
-    /// loss, interface stalls and receiver crashes. No jitter.
+    /// 256 B sends on each, 40 ms apart (so sends interleave with the
+    /// fault window), and a random fault plan drawn from `seed` —
+    /// outages, partitions, burst loss, interface stalls and receiver
+    /// crashes. No jitter.
     pub fn chaos(seed: u64) -> Scenario {
-        let open = Op {
-            at_ms: 0,
-            kind: OpKind::Open {
-                capacity: 32 * 1024,
-                det: false,
-            },
-        };
-        let mut ops = vec![open; 3];
-        for i in 0..30u64 {
-            for k in 0..3u64 {
-                ops.push(Op {
-                    at_ms: 20 + 7 * k + 40 * i,
-                    kind: OpKind::Send {
-                        stream: k as usize,
-                        bytes: 256,
-                    },
-                });
-            }
-        }
         Scenario {
             seed,
-            ops,
+            flows: vec![flow(0, 30, 40, 256, 32 * 1024, false); 3],
             fault_seed: Some(seed),
             jitter_seed: 0,
             jitter_max_us: 0,
             force_admission: false,
+        }
+    }
+
+    /// Plan the run: the workload language's scenario, a pure function of
+    /// the genome. Jitter is the first fault of the plan; the horizon is
+    /// the later of the last planned send and the last fault, plus the
+    /// profile's full RTO backoff chain (doubling every timeout — an upper
+    /// bound on the stream's capped backoff), so a run that still has work
+    /// queued there is wedged.
+    pub fn compile(&self) -> scenario::Scenario {
+        let mut faults = FaultPlan::new();
+        if self.jitter_max_us > 0 {
+            faults = faults.at(
+                SimTime::ZERO,
+                FaultKind::TimerJitter {
+                    seed: self.jitter_seed,
+                    max: SimDuration::from_micros(self.jitter_max_us),
+                },
+            );
+        }
+        if let Some(fault_seed) = self.fault_seed {
+            let cfg = ChaosConfig {
+                networks: vec![0, 1],
+                host_pairs: vec![(A.0, B.0)],
+                stall_targets: vec![(A.0, 0), (B.0, 1)],
+                crash_hosts: vec![B.0],
+                min_faults: 2,
+                max_faults: 6,
+                ..ChaosConfig::default()
+            };
+            let plan = FaultPlan::random(&mut Rng::new(fault_seed), &cfg);
+            faults.events.extend(plan.events);
+        }
+        let last_send = |f: &Flow| f.start.saturating_add(f.interval.saturating_mul(f.count));
+        let last_fault = faults.events.last().map(|e| e.at.since(SimTime::ZERO));
+        let busy = self.flows.iter().map(last_send).chain(last_fault).max();
+        let backoff = RTO.saturating_mul((2u64 << MAX_RETRIES) - 1);
+        let (seed, force_admission) = (self.seed, self.force_admission);
+        scenario::Scenario {
+            topo: Box::new(move || {
+                let (mut net, a, b) = dual_homed(seed);
+                debug_assert_eq!((a, b), (A, B));
+                net.config.debug_force_admission = force_admission;
+                net
+            }),
+            groups: Vec::new(),
+            plan: self.flows.clone().into(),
+            faults,
+            seed,
+            horizon: SimTime::ZERO
+                .saturating_add(busy.unwrap_or_default())
+                .saturating_add(backoff),
+            cpus: false,
+            record_trace: false,
+            keep_events: true,
         }
     }
 }
@@ -168,10 +202,8 @@ pub struct RunReport {
     pub violations: Vec<crate::oracle::Violation>,
     /// Transition bigrams observed (the coverage signal).
     pub bigrams: BTreeSet<(u16, u16)>,
-    /// Events processed before quiescence.
+    /// Events processed before the horizon.
     pub processed: u64,
-    /// True if the run hit the event bound with work still queued.
-    pub wedged: bool,
     /// Stream deliveries the oracle saw, summed over sessions.
     pub delivered: u64,
     /// Sessions that ended in a typed failure (failed end, retries
@@ -186,109 +218,33 @@ impl RunReport {
     }
 }
 
-/// Event bound: generous for workloads this size; hitting it is itself a
-/// `no-wedge` violation.
-const EVENT_BOUND: u64 = 2_000_000;
-
-/// Execute one scenario against the full stack with the oracle attached.
+/// Execute one scenario on the serial backend and judge its event stream
+/// with the full oracle. Work still queued at the horizon is a `no-wedge`
+/// violation.
 pub fn run_scenario(scenario: &Scenario) -> RunReport {
-    let (mut net, a, b) = dual_homed(scenario.seed);
-    net.config.debug_force_admission = scenario.force_admission;
-    let mut sim = Sim::new(StackBuilder::new(net).obs(true).build());
-    sim.set_schedule_jitter(
-        scenario.jitter_seed,
-        SimDuration::from_micros(scenario.jitter_max_us),
-    );
-
-    // Jitter may legitimately push a healthy deterministic delivery past
-    // its bound, so the det-delay check only runs on jitter-free runs.
-    // Every explorer stream is reliable, so gaps are fifo violations.
-    let (sink, handle) = oracle(OracleConfig {
-        check_completion: true,
-        check_det_delay: scenario.jitter_max_us == 0,
-        check_fifo_gaps: true,
-    });
-    sim.state.net.obs.add_boxed_sink(Box::new(sink));
-
-    // Sessions in open order; sends index into this list.
-    let sessions: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-    for op in &scenario.ops {
-        let at = SimTime::ZERO.saturating_add(SimDuration::from_millis(op.at_ms));
-        let sessions = Rc::clone(&sessions);
-        match op.kind {
-            OpKind::Open { capacity, det } => {
-                sim.schedule_at(at, move |sim| {
-                    let mut profile = StreamProfile {
-                        capacity,
-                        reliable: true,
-                        rto: SimDuration::from_millis(100),
-                        max_retries: 8,
-                        ..StreamProfile::default()
-                    };
-                    if det {
-                        // 2µs/byte clears ethernet's per-byte floor; the
-                        // 100ms fixed part dominates the implied C/D
-                        // bandwidth, so large capacities demand real
-                        // deterministic reservations.
-                        profile.delay = DelayBound::deterministic(
-                            SimDuration::from_millis(100),
-                            SimDuration::from_micros(2),
-                        );
-                    }
-                    if let Ok(session) = stream::open(sim, a, b, profile) {
-                        sessions.borrow_mut().push(session);
-                    }
-                });
-            }
-            OpKind::Send { stream, bytes } => {
-                sim.schedule_at(at, move |sim| {
-                    let session = {
-                        let s = sessions.borrow();
-                        if s.is_empty() {
-                            return;
-                        }
-                        s[stream % s.len()]
-                    };
-                    // A full send port is a typed backpressure signal,
-                    // not a violation; drop and move on.
-                    let _ = stream::send(sim, a, session, Message::zeroes(bytes as usize));
-                });
-            }
-        }
+    let scn = scenario.compile();
+    let out = scenario::run(&scn, Backend::Serial);
+    let (mut sink, handle) = oracle(OracleConfig::default());
+    for (t, e) in &out.stream {
+        sink.on_event(*t, e);
     }
-
-    if let Some(fault_seed) = scenario.fault_seed {
-        let cfg = ChaosConfig {
-            horizon: SimDuration::from_secs(2),
-            networks: vec![0, 1],
-            host_pairs: vec![(a.0, b.0)],
-            stall_targets: vec![(a.0, 0), (b.0, 1)],
-            crash_hosts: vec![b.0],
-            min_faults: 2,
-            max_faults: 6,
-            ..ChaosConfig::default()
-        };
-        let plan = FaultPlan::random(&mut Rng::new(fault_seed), &cfg);
-        schedule_fault_plan(&mut sim, &plan);
-    }
-
-    let processed = sim.run_bounded(EVENT_BOUND);
-    let wedged = sim.events_pending() > 0;
-    if wedged {
+    if out.pending > 0 {
         handle.report(
             "no-wedge",
-            sim.now(),
-            format!("event queue still busy after {processed} events"),
+            scn.horizon,
+            format!(
+                "{} events still queued at the horizon, {} processed",
+                out.pending, out.events
+            ),
         );
     }
-    handle.finish(sim.now());
+    handle.finish(scn.horizon);
 
     let (delivered, typed_failures) = handle.session_totals();
     RunReport {
         violations: handle.violations(),
         bigrams: handle.bigrams(),
-        processed,
-        wedged,
+        processed: out.events,
         delivered,
         typed_failures,
     }
@@ -313,16 +269,33 @@ impl Default for ExploreConfig {
     }
 }
 
-/// Workload program length cap — mutants stay small enough that a find
-/// shrinks quickly.
-const MAX_OPS: usize = 24;
+/// Workload length cap — mutants stay small enough that a find shrinks
+/// quickly.
+const MAX_FLOWS: usize = 8;
 
 /// Capacities the mutator draws from. The large deterministic request is
 /// the interesting one: it is the kind admission control exists to
 /// reject, so scenarios carrying it probe the admission/ledger seam.
 const CAPACITIES: [u64; 4] = [8 * 1024, 32 * 1024, 64 * 1024, 200_000];
-const SIZES: [u32; 3] = [64, 256, 1024];
+const COUNTS: [u64; 3] = [1, 3, 10];
+const INTERVALS_MS: [u64; 3] = [10, 40, 100];
+const SIZES: [u64; 3] = [64, 256, 1024];
 const JITTERS_US: [u64; 4] = [0, 50, 200, 1000];
+
+fn pick<T: Copy>(rng: &mut Rng, from: &[T]) -> T {
+    *rng.choose(from).expect("non-empty")
+}
+
+fn random_flow(rng: &mut Rng) -> Flow {
+    flow(
+        rng.below(1_500),
+        pick(rng, &COUNTS),
+        pick(rng, &INTERVALS_MS),
+        pick(rng, &SIZES),
+        pick(rng, &CAPACITIES),
+        rng.chance(0.5),
+    )
+}
 
 fn mutate(rng: &mut Rng, parent: &Scenario) -> Scenario {
     let mut s = parent.clone();
@@ -338,46 +311,26 @@ fn mutate(rng: &mut Rng, parent: &Scenario) -> Scenario {
         // Re-roll schedule jitter.
         1 => {
             s.jitter_seed = rng.next_u64();
-            s.jitter_max_us = JITTERS_US[rng.below(JITTERS_US.len() as u64) as usize];
+            s.jitter_max_us = pick(rng, &JITTERS_US);
         }
-        // Insert an op.
-        2 if s.ops.len() < MAX_OPS => {
-            let at_ms = rng.below(1_500);
-            let kind = if rng.chance(0.4) {
-                OpKind::Open {
-                    capacity: CAPACITIES[rng.below(CAPACITIES.len() as u64) as usize],
-                    det: rng.chance(0.5),
-                }
-            } else {
-                OpKind::Send {
-                    stream: rng.below(4) as usize,
-                    bytes: SIZES[rng.below(SIZES.len() as u64) as usize],
-                }
-            };
-            s.ops.push(Op { at_ms, kind });
+        // Insert a flow.
+        2 if s.flows.len() < MAX_FLOWS => s.flows.push(random_flow(rng)),
+        // Delete a flow.
+        3 if !s.flows.is_empty() => {
+            let i = rng.below(s.flows.len() as u64) as usize;
+            s.flows.remove(i);
         }
-        // Delete an op.
-        3 if !s.ops.is_empty() => {
-            let i = rng.below(s.ops.len() as u64) as usize;
-            s.ops.remove(i);
-        }
-        // Perturb an op in place.
-        4 if !s.ops.is_empty() => {
-            let i = rng.below(s.ops.len() as u64) as usize;
-            let op = &mut s.ops[i];
+        // Perturb a flow in place: its start, or everything else.
+        4 if !s.flows.is_empty() => {
+            let i = rng.below(s.flows.len() as u64) as usize;
+            let f = &mut s.flows[i];
             if rng.chance(0.5) {
-                op.at_ms = rng.below(1_500);
+                f.start = SimDuration::from_millis(rng.below(1_500));
             } else {
-                match &mut op.kind {
-                    OpKind::Open { capacity, det } => {
-                        *capacity = CAPACITIES[rng.below(CAPACITIES.len() as u64) as usize];
-                        *det = rng.chance(0.5);
-                    }
-                    OpKind::Send { stream, bytes } => {
-                        *stream = rng.below(4) as usize;
-                        *bytes = SIZES[rng.below(SIZES.len() as u64) as usize];
-                    }
-                }
+                *f = Flow {
+                    start: f.start,
+                    ..random_flow(rng)
+                };
             }
         }
         // Re-roll the topology seed (or fall through from a guarded arm).
@@ -447,6 +400,7 @@ pub fn explore(seeds: &[Scenario], cfg: &ExploreConfig) -> Option<(Scenario, Run
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::check_stream;
 
     #[test]
     fn baseline_scenario_runs_clean_and_replays_identically() {
@@ -457,8 +411,8 @@ mod tests {
             "baseline must pass: {:?}",
             a.violations
         );
-        assert!(!a.wedged);
         assert!(a.processed > 100, "stack barely ran: {}", a.processed);
+        assert_eq!(a.delivered, 6);
         assert!(!a.bigrams.is_empty());
         let b = run_scenario(&sc);
         assert_eq!(a.processed, b.processed);
@@ -499,6 +453,32 @@ mod tests {
         // Different jitter seed perturbs the schedule (almost surely a
         // different event count; at minimum not a violation).
         assert!(c.violations.is_empty());
+    }
+
+    /// Jitter is a fault like any other, so a jittered scenario runs on
+    /// `dash-par` too: every replica world applies it, and the run is the
+    /// same at one shard and two.
+    #[test]
+    fn jittered_scenario_is_shard_count_invariant_under_par() {
+        let scn = Scenario {
+            jitter_seed: 9,
+            jitter_max_us: 200,
+            ..Scenario::baseline(5)
+        }
+        .compile();
+        let par = |shards| {
+            scenario::run(
+                &scn,
+                Backend::Par {
+                    shards,
+                    lan_aligned: false,
+                },
+            )
+        };
+        let (one, two) = (par(1), par(2));
+        assert_eq!(one.determinism_digest(), two.determinism_digest());
+        assert!(one.received.iter().sum::<u64>() > 0);
+        assert_eq!(check_stream(&two.stream, true), Vec::<String>::new());
     }
 
     #[test]

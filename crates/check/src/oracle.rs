@@ -18,8 +18,9 @@
 //! `det-delay` excuses lateness once any fault has been observed: under
 //! an injected outage the delay contract is explicitly void (reliability
 //! and delay are negotiated for the healthy network, §2.1), and queued
-//! backlog may drain late even after recovery; both it and
-//! `no-spurious-work` are off under a jittered or wall-paced schedule
+//! backlog may drain late even after recovery. Schedule jitter is injected
+//! as a fault (`timer_jitter`), so the same excuse covers it and
+//! `no-spurious-work`; both are off on a wall-paced schedule
 //! ([`OracleConfig::check_det_delay`]). `no-spurious-work` judges
 //! the evidence-driven repairs only: a timeout retransmission is the
 //! sender's last resort when evidence cannot reach it (a lost tail, lost
@@ -54,11 +55,12 @@ pub struct OracleConfig {
     pub check_completion: bool,
     /// The two checks that only hold on an unperturbed virtual clock:
     /// `det-delay` and `no-spurious-work` above. Disable when the schedule
-    /// is jittered or paced against the wall clock: jitter may legitimately
-    /// push a healthy deterministic delivery past its bound, and it (or a
-    /// lossy real substrate) reorders or loses arrivals without any drop
-    /// event — genuine gap evidence for a receiver, invisible to the
-    /// oracle. (One switch, named for the older check.)
+    /// is paced against the wall clock (or jittered without a
+    /// `timer_jitter` fault announcing it): jitter may legitimately push a
+    /// healthy deterministic delivery past its bound, and it (or a lossy
+    /// real substrate) reorders or loses arrivals without any drop event —
+    /// genuine gap evidence for a receiver, invisible to the oracle. (One
+    /// switch, named for the older check.)
     pub check_det_delay: bool,
     /// Treat a delivery-sequence gap as a `fifo` violation. Only sound
     /// when every stream in the run is reliable: an *unreliable* stream

@@ -3,48 +3,52 @@
 //! byte-identically forever.
 //!
 //! ```text
-//! dash-check replay v1
+//! dash-check replay v2
 //! seed 13
 //! force_admission true
 //! jitter 0 0
 //! fault_seed none
-//! op 120 open 200000 det
-//! op 300 send 2 1024
+//! flow 120 1 40 1024 200000 det
 //! ```
 //!
-//! The format is deliberately dumb: one `key value` pair per line, ops
-//! in schedule order. [`parse`] ∘ [`to_text`] is the identity (tested),
+//! The format is deliberately dumb: one `key value…` entry per line, and
+//! one `flow <start_ms> <count> <interval_ms> <len> <capacity> <det|stat>`
+//! line per flow in plan order — the six fields the explorer's flow
+//! constructor takes. [`parse`] ∘ [`to_text`] is the identity (tested),
 //! and parsing is strict — an unknown line is an error, not a warning,
 //! because a replay that silently drops part of its scenario would
 //! "pass" without testing anything.
 
-use crate::explore::{Op, OpKind, Scenario};
+use rms_core::DelayBoundKind;
+
+use crate::explore::{flow, Scenario};
 
 /// Format version header; bump on any incompatible change.
-const HEADER: &str = "dash-check replay v1";
+const HEADER: &str = "dash-check replay v2";
 
 /// Serialize a scenario to replay text.
 pub fn to_text(s: &Scenario) -> String {
-    let mut out = String::new();
-    out.push_str(HEADER);
-    out.push('\n');
-    out.push_str(&format!("seed {}\n", s.seed));
-    out.push_str(&format!("force_admission {}\n", s.force_admission));
-    out.push_str(&format!("jitter {} {}\n", s.jitter_seed, s.jitter_max_us));
+    let mut out = format!(
+        "{HEADER}\nseed {}\nforce_admission {}\njitter {} {}\n",
+        s.seed, s.force_admission, s.jitter_seed, s.jitter_max_us
+    );
     match s.fault_seed {
         Some(fs) => out.push_str(&format!("fault_seed {fs}\n")),
         None => out.push_str("fault_seed none\n"),
     }
-    for op in &s.ops {
-        match op.kind {
-            OpKind::Open { capacity, det } => {
-                let class = if det { "det" } else { "stat" };
-                out.push_str(&format!("op {} open {} {}\n", op.at_ms, capacity, class));
-            }
-            OpKind::Send { stream, bytes } => {
-                out.push_str(&format!("op {} send {} {}\n", op.at_ms, stream, bytes));
-            }
-        }
+    for f in &s.flows {
+        let class = match f.profile.delay.kind {
+            DelayBoundKind::Deterministic => "det",
+            _ => "stat",
+        };
+        out.push_str(&format!(
+            "flow {} {} {} {} {} {class}\n",
+            f.start.as_millis(),
+            f.count,
+            f.interval.as_millis(),
+            f.len,
+            f.profile.capacity
+        ));
     }
     out
 }
@@ -72,7 +76,7 @@ pub fn parse(text: &str) -> Result<Scenario, String> {
 
     let mut scenario = Scenario {
         seed: 0,
-        ops: Vec::new(),
+        flows: Vec::new(),
         fault_seed: None,
         jitter_seed: 0,
         jitter_max_us: 0,
@@ -83,55 +87,37 @@ pub fn parse(text: &str) -> Result<Scenario, String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let num = |name: &str, v: &str| -> Result<u64, String> {
+            v.parse().map_err(|e| err(no, format!("{name}: {e}")))
+        };
         let fields: Vec<&str> = line.split_whitespace().collect();
         match fields.as_slice() {
-            ["seed", v] => {
-                scenario.seed = v.parse().map_err(|e| err(no, format!("seed: {e}")))?;
-            }
+            ["seed", v] => scenario.seed = num("seed", v)?,
             ["force_admission", v] => {
                 scenario.force_admission = v
                     .parse()
                     .map_err(|e| err(no, format!("force_admission: {e}")))?;
             }
             ["jitter", seed, max_us] => {
-                scenario.jitter_seed = seed
-                    .parse()
-                    .map_err(|e| err(no, format!("jitter seed: {e}")))?;
-                scenario.jitter_max_us = max_us
-                    .parse()
-                    .map_err(|e| err(no, format!("jitter max: {e}")))?;
+                scenario.jitter_seed = num("jitter seed", seed)?;
+                scenario.jitter_max_us = num("jitter max", max_us)?;
             }
             ["fault_seed", "none"] => scenario.fault_seed = None,
-            ["fault_seed", v] => {
-                scenario.fault_seed =
-                    Some(v.parse().map_err(|e| err(no, format!("fault_seed: {e}")))?);
-            }
-            ["op", at_ms, "open", capacity, class] => {
+            ["fault_seed", v] => scenario.fault_seed = Some(num("fault_seed", v)?),
+            ["flow", start_ms, count, interval_ms, len, capacity, class] => {
                 let det = match *class {
                     "det" => true,
                     "stat" => false,
                     other => return Err(err(no, format!("unknown delay class {other:?}"))),
                 };
-                scenario.ops.push(Op {
-                    at_ms: at_ms.parse().map_err(|e| err(no, format!("at_ms: {e}")))?,
-                    kind: OpKind::Open {
-                        capacity: capacity
-                            .parse()
-                            .map_err(|e| err(no, format!("capacity: {e}")))?,
-                        det,
-                    },
-                });
-            }
-            ["op", at_ms, "send", stream, bytes] => {
-                scenario.ops.push(Op {
-                    at_ms: at_ms.parse().map_err(|e| err(no, format!("at_ms: {e}")))?,
-                    kind: OpKind::Send {
-                        stream: stream
-                            .parse()
-                            .map_err(|e| err(no, format!("stream: {e}")))?,
-                        bytes: bytes.parse().map_err(|e| err(no, format!("bytes: {e}")))?,
-                    },
-                });
+                scenario.flows.push(flow(
+                    num("start_ms", start_ms)?,
+                    num("count", count)?,
+                    num("interval_ms", interval_ms)?,
+                    num("len", len)?,
+                    num("capacity", capacity)?,
+                    det,
+                ));
             }
             _ => return Err(err(no, format!("unrecognized line {line:?}"))),
         }
@@ -146,21 +132,9 @@ mod tests {
     fn sample() -> Scenario {
         Scenario {
             seed: 13,
-            ops: vec![
-                Op {
-                    at_ms: 120,
-                    kind: OpKind::Open {
-                        capacity: 200_000,
-                        det: true,
-                    },
-                },
-                Op {
-                    at_ms: 300,
-                    kind: OpKind::Send {
-                        stream: 2,
-                        bytes: 1024,
-                    },
-                },
+            flows: vec![
+                flow(120, 1, 40, 1024, 200_000, true),
+                flow(300, 3, 10, 64, 8 * 1024, false),
             ],
             fault_seed: Some(7),
             jitter_seed: 5,
@@ -184,22 +158,24 @@ mod tests {
 
     #[test]
     fn text_is_stable() {
-        let expected = "dash-check replay v1\n\
+        let expected = "dash-check replay v2\n\
                         seed 13\n\
                         force_admission true\n\
                         jitter 5 50\n\
                         fault_seed 7\n\
-                        op 120 open 200000 det\n\
-                        op 300 send 2 1024\n";
+                        flow 120 1 40 1024 200000 det\n\
+                        flow 300 3 10 64 8192 stat\n";
         assert_eq!(to_text(&sample()), expected);
     }
 
     #[test]
     fn comments_and_blank_lines_are_ignored_but_junk_is_not() {
-        let ok = "dash-check replay v1\n\n# a comment\nseed 4\n";
+        let ok = "dash-check replay v2\n\n# a comment\nseed 4\n";
         assert_eq!(parse(ok).unwrap().seed, 4);
-        assert!(parse("dash-check replay v1\nbogus line\n").is_err());
+        assert!(parse("dash-check replay v2\nbogus line\n").is_err());
         assert!(parse("not a replay\n").is_err());
-        assert!(parse("dash-check replay v1\nop 1 open 10 fancy\n").is_err());
+        assert!(parse("dash-check replay v1\nseed 4\n").is_err());
+        assert!(parse("dash-check replay v2\nflow 1 1 10 64 10 fancy\n").is_err());
+        assert!(parse("dash-check replay v2\nflow 1 1 10 64 10\n").is_err());
     }
 }

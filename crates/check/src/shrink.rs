@@ -1,14 +1,14 @@
 //! Automatic shrinking: reduce a failing [`Scenario`] to a minimal
 //! deterministic repro.
 //!
-//! Delta debugging (ddmin) over the workload program, plus two
+//! Delta debugging (ddmin) over the workload's flows, plus two
 //! scenario-level simplifications tried first: dropping the fault plan
 //! and zeroing schedule jitter — a repro that fails on a healthy,
 //! jitter-free network is worth far more than one entangled with an
 //! outage schedule. Because every run is a pure function of the
 //! scenario, "still fails" is a single deterministic re-execution; no
 //! flakiness budget, no retries. The whole pass iterates to a fixed
-//! point, so the result is 1-minimal: removing any single remaining op
+//! point, so the result is 1-minimal: removing any single remaining flow
 //! makes the failure disappear.
 
 use crate::explore::{run_scenario, Scenario};
@@ -17,20 +17,20 @@ fn fails(s: &Scenario) -> bool {
     run_scenario(s).failed()
 }
 
-/// One ddmin pass over `ops`: try removing chunks at granularity `n`,
+/// One ddmin pass over `flows`: try removing chunks at granularity `n`,
 /// doubling granularity when nothing can be removed.
-fn ddmin_ops(scenario: &mut Scenario) -> bool {
+fn ddmin_flows(scenario: &mut Scenario) -> bool {
     let mut reduced = false;
     let mut n = 2usize;
-    while scenario.ops.len() >= 2 {
-        let len = scenario.ops.len();
+    while scenario.flows.len() >= 2 {
+        let len = scenario.flows.len();
         let chunk = len.div_ceil(n);
         let mut removed_any = false;
         let mut start = 0;
-        while start < scenario.ops.len() {
-            let end = (start + chunk).min(scenario.ops.len());
+        while start < scenario.flows.len() {
+            let end = (start + chunk).min(scenario.flows.len());
             let mut candidate = scenario.clone();
-            candidate.ops.drain(start..end);
+            candidate.flows.drain(start..end);
             if fails(&candidate) {
                 *scenario = candidate;
                 reduced = true;
@@ -45,14 +45,14 @@ fn ddmin_ops(scenario: &mut Scenario) -> bool {
         } else if chunk <= 1 {
             break;
         } else {
-            n = (n * 2).min(scenario.ops.len());
+            n = (n * 2).min(scenario.flows.len());
         }
     }
-    // Final singleton sweep (covers the ops.len() == 1 entry case too).
+    // Final singleton sweep (covers the flows.len() == 1 entry case too).
     let mut i = 0;
-    while i < scenario.ops.len() {
+    while i < scenario.flows.len() {
         let mut candidate = scenario.clone();
-        candidate.ops.remove(i);
+        candidate.flows.remove(i);
         if fails(&candidate) {
             *scenario = candidate;
             reduced = true;
@@ -64,7 +64,7 @@ fn ddmin_ops(scenario: &mut Scenario) -> bool {
 }
 
 /// Shrink a failing scenario. The input must fail (debug-asserted); the
-/// returned scenario still fails and is 1-minimal in its ops, with the
+/// returned scenario still fails and is 1-minimal in its flows, with the
 /// fault plan and jitter removed whenever the failure survives without
 /// them.
 pub fn shrink(found: &Scenario) -> Scenario {
@@ -90,7 +90,7 @@ pub fn shrink(found: &Scenario) -> Scenario {
                 progress = true;
             }
         }
-        if ddmin_ops(&mut best) {
+        if ddmin_flows(&mut best) {
             progress = true;
         }
 
@@ -103,9 +103,9 @@ pub fn shrink(found: &Scenario) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{Op, OpKind};
+    use crate::explore::flow;
 
-    /// A scenario whose failure hinges on exactly one op: the forced
+    /// A scenario whose failure hinges on exactly one flow: the forced
     /// oversubscribing deterministic open. Everything else is chaff the
     /// shrinker must strip.
     fn padded_failure() -> Scenario {
@@ -114,25 +114,13 @@ mod tests {
         sc.fault_seed = Some(3);
         sc.jitter_seed = 5;
         sc.jitter_max_us = 50;
-        sc.ops.push(Op {
-            at_ms: 120,
-            kind: OpKind::Open {
-                capacity: 200_000,
-                det: true,
-            },
-        });
-        sc.ops.push(Op {
-            at_ms: 300,
-            kind: OpKind::Send {
-                stream: 2,
-                bytes: 1024,
-            },
-        });
+        sc.flows.push(flow(120, 1, 40, 1024, 200_000, true));
+        sc.flows.push(flow(300, 3, 10, 64, 8 * 1024, false));
         sc
     }
 
     #[test]
-    fn shrinks_padded_failure_to_the_single_guilty_op() {
+    fn shrinks_padded_failure_to_the_single_guilty_flow() {
         let found = padded_failure();
         assert!(fails(&found), "padded scenario must fail to begin with");
         let min = shrink(&found);
@@ -140,19 +128,13 @@ mod tests {
         assert_eq!(min.fault_seed, None, "fault plan is not needed");
         assert_eq!(min.jitter_max_us, 0, "jitter is not needed");
         assert_eq!(
-            min.ops,
-            vec![Op {
-                at_ms: 120,
-                kind: OpKind::Open {
-                    capacity: 200_000,
-                    det: true,
-                },
-            }],
+            min.flows,
+            vec![flow(120, 1, 40, 1024, 200_000, true)],
             "exactly the oversubscribing open must survive"
         );
-        // 1-minimality: removing the last op makes the failure vanish.
+        // 1-minimality: removing the last flow makes the failure vanish.
         let mut empty = min.clone();
-        empty.ops.clear();
+        empty.flows.clear();
         assert!(!fails(&empty));
     }
 }

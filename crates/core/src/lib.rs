@@ -15,7 +15,7 @@
 //! - [`message`]: untyped, labelled messages (§2).
 //! - [`wire`]: scatter-gather encoded messages ([`wire::WireMsg`]) and
 //!   the zero-copy decode cursor ([`wire::WireCursor`]).
-//! - [`port`]: passive receiver ports; delivery = enqueue (§2).
+//! - [`port`]: what a receiver learns with each delivery (§2).
 //! - [`bandwidth`]: the `C/D` bandwidth identity (§2.2).
 //! - [`admission`]: deterministic and statistical admission tests (§2.3).
 //! - [`error`]: shared error types, including RMS failure notification
@@ -78,5 +78,5 @@ pub use message::{Label, Message};
 pub use params::{
     Authentication, BitErrorRate, Privacy, Reliability, RmsParams, SecurityParams, SharedParams,
 };
-pub use port::{DeliveryInfo, Port};
+pub use port::DeliveryInfo;
 pub use wire::{WireCursor, WireMsg};

@@ -4,16 +4,11 @@
 //! considered delivered when it is enqueued on the port or given to a
 //! process waiting at the port."
 //!
-//! A [`Port`] is a bounded queue of `(Message, DeliveryInfo)` pairs. The
-//! bound models receive-buffer space; overflow is counted and reported so
-//! the receiver-flow-control experiments (§4.4) can observe drops.
-
-use std::collections::VecDeque;
-use std::fmt;
+//! Every layer hands a delivery to its receiver together with a
+//! [`DeliveryInfo`]: when the send started, when the message landed, and
+//! which stream and sequence number it carried.
 
 use dash_sim::time::{SimDuration, SimTime};
-
-use crate::message::Message;
 
 /// Per-delivery metadata recorded when a message lands on a port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,105 +31,6 @@ impl DeliveryInfo {
     }
 }
 
-/// Why a delivery was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortFull {
-    /// The configured queue limit that was hit.
-    pub limit: usize,
-}
-
-impl fmt::Display for PortFull {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "port queue full (limit {})", self.limit)
-    }
-}
-
-impl std::error::Error for PortFull {}
-
-/// A bounded receive queue.
-#[derive(Debug, Default)]
-pub struct Port {
-    queue: VecDeque<(Message, DeliveryInfo)>,
-    limit: Option<usize>,
-    delivered: u64,
-    dropped: u64,
-    bytes_delivered: u64,
-}
-
-impl Port {
-    /// An unbounded port.
-    pub fn new() -> Self {
-        Port::default()
-    }
-
-    /// A port that refuses deliveries beyond `limit` queued messages.
-    pub fn bounded(limit: usize) -> Self {
-        Port {
-            limit: Some(limit),
-            ..Port::default()
-        }
-    }
-
-    /// Deliver a message.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PortFull`] (and counts a drop) if the queue is at its
-    /// limit.
-    pub fn deliver(&mut self, msg: Message, info: DeliveryInfo) -> Result<(), PortFull> {
-        if let Some(limit) = self.limit {
-            if self.queue.len() >= limit {
-                self.dropped += 1;
-                return Err(PortFull { limit });
-            }
-        }
-        self.delivered += 1;
-        self.bytes_delivered += msg.len() as u64;
-        self.queue.push_back((msg, info));
-        Ok(())
-    }
-
-    /// Take the oldest queued message, if any.
-    pub fn recv(&mut self) -> Option<(Message, DeliveryInfo)> {
-        self.queue.pop_front()
-    }
-
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Total messages ever delivered (enqueued) here.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Total payload bytes ever delivered here.
-    pub fn bytes_delivered(&self) -> u64 {
-        self.bytes_delivered
-    }
-
-    /// Total deliveries refused because the queue was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The queue limit, if bounded.
-    pub fn limit(&self) -> Option<usize> {
-        self.limit
-    }
-
-    /// Drain every queued message, oldest first.
-    pub fn drain(&mut self) -> Vec<(Message, DeliveryInfo)> {
-        self.queue.drain(..).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,58 +45,11 @@ mod tests {
     }
 
     #[test]
-    fn fifo_delivery_order() {
-        let mut p = Port::new();
-        p.deliver(Message::new(vec![1]), info(0, 1)).unwrap();
-        p.deliver(Message::new(vec![2]), info(0, 2)).unwrap();
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.recv().unwrap().0.payload().as_ref(), &[1]);
-        assert_eq!(p.recv().unwrap().0.payload().as_ref(), &[2]);
-        assert!(p.recv().is_none());
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn bounded_port_drops_and_counts() {
-        let mut p = Port::bounded(2);
-        assert_eq!(p.limit(), Some(2));
-        p.deliver(Message::zeroes(1), info(0, 1)).unwrap();
-        p.deliver(Message::zeroes(1), info(0, 2)).unwrap();
-        let err = p.deliver(Message::zeroes(1), info(0, 3)).unwrap_err();
-        assert_eq!(err.limit, 2);
-        assert_eq!(p.dropped(), 1);
-        assert_eq!(p.delivered(), 2);
-        // Draining frees space again.
-        p.recv();
-        assert!(p.deliver(Message::zeroes(1), info(0, 4)).is_ok());
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let mut p = Port::new();
-        p.deliver(Message::zeroes(100), info(0, 1)).unwrap();
-        p.deliver(Message::zeroes(50), info(0, 2)).unwrap();
-        assert_eq!(p.bytes_delivered(), 150);
-    }
-
-    #[test]
     fn delivery_info_delay() {
         let i = info(1_000, 5_000);
         assert_eq!(i.delay(), SimDuration::from_nanos(4_000));
         // Clock skew clamps to zero rather than panicking.
         let weird = info(5_000, 1_000);
         assert_eq!(weird.delay(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn drain_empties_queue() {
-        let mut p = Port::new();
-        for i in 0..5 {
-            p.deliver(Message::zeroes(i), info(0, i as u64)).unwrap();
-        }
-        let all = p.drain();
-        assert_eq!(all.len(), 5);
-        assert!(p.is_empty());
-        assert_eq!(p.delivered(), 5);
     }
 }

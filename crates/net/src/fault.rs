@@ -3,10 +3,11 @@
 //! [`dash_sim::fault`] describes *what* goes wrong and when; this module
 //! knows *how* each fault lands on the network state: dead networks fail
 //! RMSs and reroute (§2 property 3), partitions filter the wire, burst
-//! models replace i.i.d. loss, stalls freeze transmitters, and host
-//! crashes wipe per-host protocol state. Every application is announced as
-//! an [`ObsEvent::FaultInjected`] so chaos harnesses can account for
-//! injected faults in the metric registry.
+//! models replace i.i.d. loss, stalls freeze transmitters, host crashes
+//! wipe per-host protocol state, and timer jitter perturbs the engine's
+//! schedule. Every application is announced as an
+//! [`ObsEvent::FaultInjected`] so chaos harnesses can account for injected
+//! faults in the metric registry.
 
 use dash_sim::engine::Sim;
 use dash_sim::fault::{FaultKind, FaultPlan};
@@ -61,6 +62,7 @@ pub fn apply_fault<W: NetWorld>(sim: &mut Sim<W>, kind: &FaultKind) {
         } => stall_iface(sim, HostId(*host), NetworkId(*network), *duration),
         FaultKind::HostCrash { host } => crash_host(sim, HostId(*host)),
         FaultKind::HostRestart { host } => restart_host(sim, HostId(*host)),
+        FaultKind::TimerJitter { seed, max } => sim.set_schedule_jitter(*seed, *max),
     }
 }
 

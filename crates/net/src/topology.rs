@@ -197,6 +197,31 @@ pub fn dual_homed(seed: u64) -> (NetState, HostId, HostId) {
     (b.build(), a, c)
 }
 
+/// Add a 3×3 grid of Ethernet LANs to `tb`: `hosts_per_lan` hosts on each
+/// and one gateway per adjacent pair (12 in all) — the `mesh-churn`
+/// benchmark topology at 30 per LAN (282 hosts). Returns the nine LANs and
+/// each LAN's hosts, row-major.
+pub fn mesh3x3(
+    tb: &mut TopologyBuilder,
+    hosts_per_lan: usize,
+) -> (Vec<NetworkId>, Vec<Vec<HostId>>) {
+    let nets: Vec<NetworkId> = (0..9)
+        .map(|i| tb.network(NetworkSpec::ethernet(format!("lan-{}{}", i / 3, i % 3))))
+        .collect();
+    let lans = (nets.iter())
+        .map(|&n| (0..hosts_per_lan).map(|_| tb.host_on(n)).collect())
+        .collect();
+    for at in 0..9 {
+        if at % 3 < 2 {
+            tb.gateway(nets[at], nets[at + 1]);
+        }
+        if at < 6 {
+            tb.gateway(nets[at], nets[at + 3]);
+        }
+    }
+    (nets, lans)
+}
+
 /// A ready-made internetwork: two Ethernets joined by a long-haul link via
 /// two gateways. Returns `(state, host_a, host_b, gateway_a, gateway_b)`.
 pub fn dumbbell() -> (NetState, HostId, HostId, HostId, HostId) {

@@ -14,29 +14,14 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use dash_net::ids::{HostId, NetworkId};
 use dash_net::routing::{AltPath, Lsdb};
 use dash_net::state::{NetState, Route, TTL};
-use dash_net::topology::TopologyBuilder;
-use dash_net::NetworkSpec;
+use dash_net::topology::{self, TopologyBuilder};
 use rms_core::hash::DetHashMap;
 
-/// A 3×3 grid of Ethernet LANs, `hosts_per_lan` hosts on each, one gateway
-/// per adjacent pair (12 in all): the `mesh-churn` benchmark topology at
-/// 30 per LAN (282 hosts). Returns the state and each LAN's hosts, row-major.
+/// [`topology::mesh3x3`] built on its own. Returns the state and each
+/// LAN's hosts, row-major.
 pub fn mesh3x3(hosts_per_lan: usize) -> (NetState, Vec<Vec<HostId>>) {
     let mut tb = TopologyBuilder::new();
-    let nets: Vec<NetworkId> = (0..9)
-        .map(|i| tb.network(NetworkSpec::ethernet(format!("lan-{i}"))))
-        .collect();
-    let lans = (nets.iter())
-        .map(|&n| (0..hosts_per_lan).map(|_| tb.host_on(n)).collect())
-        .collect();
-    for at in 0..9 {
-        if at % 3 < 2 {
-            tb.gateway(nets[at], nets[at + 1]);
-        }
-        if at < 6 {
-            tb.gateway(nets[at], nets[at + 3]);
-        }
-    }
+    let (_, lans) = topology::mesh3x3(&mut tb, hosts_per_lan);
     (tb.build(), lans)
 }
 

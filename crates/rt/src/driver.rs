@@ -64,10 +64,6 @@ impl TimeDriver for Monotonic {
     fn now(&mut self) -> SimTime {
         self.sim_of(Instant::now())
     }
-
-    fn is_realtime(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +108,6 @@ mod tests {
         );
         let b = d.wait_budget(SimTime::from_nanos(10_000_000_000));
         assert!(b > Duration::from_secs(8), "budget {b:?}");
-        assert!(d.is_realtime());
         assert!(d.now() >= SimTime::from_nanos(1_000_000_000));
     }
 }

@@ -40,6 +40,10 @@ use dash_sim::time::SimTime;
 
 use crate::substrate::{Carried, Substrate};
 
+/// How long one idle wait on the substrate lasts when the event queue is
+/// empty but envelopes are still in flight.
+const IDLE_WAIT: Duration = Duration::from_millis(10);
+
 /// Knobs for one [`run_rt`] call.
 #[derive(Debug, Clone)]
 pub struct RtOptions {
@@ -51,9 +55,6 @@ pub struct RtOptions {
     /// this much wall time has elapsed. The backstop that turns a wedged
     /// run into a report instead of a hang.
     pub max_wall: Option<Duration>,
-    /// How long one idle wait on the substrate lasts when the event
-    /// queue is empty but envelopes are still in flight.
-    pub idle_wait: Duration,
     /// Wall lag beyond which stepping an event counts as a deadline
     /// miss. Lag below this is scheduler noise, not a miss.
     pub miss_slack: Duration,
@@ -67,7 +68,6 @@ impl Default for RtOptions {
         RtOptions {
             horizon: None,
             max_wall: None,
-            idle_wait: Duration::from_millis(10),
             miss_slack: Duration::from_millis(5),
             record_lags: false,
         }
@@ -249,7 +249,7 @@ pub fn run_rt<W: NetWorld>(
                     break;
                 }
                 // Queue empty but envelopes still carried: wait for one.
-                let wait = wall_left.map_or(opts.idle_wait, |w| opts.idle_wait.min(w));
+                let wait = wall_left.map_or(IDLE_WAIT, |w| IDLE_WAIT.min(w));
                 if let Carried::Delivered(env) = substrate.recv(wait) {
                     inject(sim, driver, env);
                     report.injected += 1;

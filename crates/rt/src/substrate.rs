@@ -99,34 +99,20 @@ impl Substrate for SimLinks {
 }
 
 /// Configuration of the in-memory datagram substrate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MemConfig {
-    /// Bounded channel depth, each direction. A full outbound channel
-    /// drops the datagram (counted), like a full device ring; a full
-    /// inbound channel backpressures the carrier, adding real queueing
-    /// delay.
-    pub capacity: usize,
     /// Per-envelope loss probability in permille (0..=1000), decided by a
     /// pure hash of `(seed, src, seq)` so a lossy run's drop set is
     /// reproducible.
     pub loss_per_mille: u32,
     /// Seed for the loss hash.
     pub seed: u64,
-    /// Fixed extra carriage latency added to every envelope's deadline
-    /// (models driver/stack cost; zero by default).
-    pub extra_delay: Duration,
 }
 
-impl Default for MemConfig {
-    fn default() -> Self {
-        MemConfig {
-            capacity: 4096,
-            loss_per_mille: 0,
-            seed: 0,
-            extra_delay: Duration::ZERO,
-        }
-    }
-}
+/// Bounded channel depth, each direction. A full outbound channel drops
+/// the datagram (counted), like a full device ring; a full inbound channel
+/// backpressures the carrier, adding real queueing delay.
+const CHANNEL_DEPTH: usize = 4096;
 
 /// Shared carriage counters (`Relaxed` throughout: they are statistics
 /// and quiescence hints, never synchronization).
@@ -204,8 +190,8 @@ fn loss_hash(seed: u64, src: u32, seq: u64) -> u64 {
 impl MemDatagram {
     /// Spawn the carrier thread and return the substrate handle.
     pub fn new(cfg: MemConfig) -> Self {
-        let (to_carrier, carrier_rx) = mpsc::sync_channel::<Carry>(cfg.capacity.max(1));
-        let (carrier_tx, from_carrier) = mpsc::sync_channel::<WireEnvelope>(cfg.capacity.max(1));
+        let (to_carrier, carrier_rx) = mpsc::sync_channel::<Carry>(CHANNEL_DEPTH);
+        let (carrier_tx, from_carrier) = mpsc::sync_channel::<WireEnvelope>(CHANNEL_DEPTH);
         let counters = Arc::new(Counters::default());
         let c = Arc::clone(&counters);
         let carrier = std::thread::Builder::new()
@@ -333,7 +319,7 @@ fn carrier_loop(
                     counters.lost.fetch_add(1, AtomicOrdering::Relaxed);
                     continue;
                 }
-                let due = carry.wall_due.unwrap_or_else(Instant::now) + cfg.extra_delay;
+                let due = carry.wall_due.unwrap_or_else(Instant::now);
                 held.push(Held { due, seq, env });
                 seq += 1;
             }

@@ -50,10 +50,6 @@ pub trait TimeDriver {
     /// has been asked about; for a wall-clock driver it is the wall time
     /// elapsed since the run's anchor, expressed in virtual nanoseconds.
     fn now(&mut self) -> SimTime;
-
-    /// True when the driver paces on wall time (timers become real
-    /// deadlines, waits really block).
-    fn is_realtime(&self) -> bool;
 }
 
 /// The as-fast-as-possible driver: every instant is already due.
@@ -89,10 +85,6 @@ impl TimeDriver for VirtualDriver {
     fn now(&mut self) -> SimTime {
         self.hwm
     }
-
-    fn is_realtime(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -109,6 +101,5 @@ mod tests {
         assert_eq!(d.wait_budget(SimTime::from_nanos(100)), Duration::ZERO);
         assert_eq!(d.now(), SimTime::from_nanos(500));
         assert!(d.wall_deadline(SimTime::from_nanos(1)).is_none());
-        assert!(!d.is_realtime());
     }
 }

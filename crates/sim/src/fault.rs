@@ -1,6 +1,7 @@
 //! Fault-injection plans: scripted and seeded-random schedules of network
 //! failure/recovery, link flapping, host-pair partitions, burst loss
-//! (Gilbert–Elliott), interface stalls, and host crash/restart.
+//! (Gilbert–Elliott), interface stalls, host crash/restart, and schedule
+//! jitter.
 //!
 //! The paper treats reliability as a *negotiated parameter* (§2.1): a
 //! reliable RMS must stay reliable — or fail with notification — when the
@@ -132,6 +133,16 @@ pub enum FaultKind {
         /// The host.
         host: u32,
     },
+    /// Every event scheduled from now on fires up to `max` late, by an
+    /// amount drawn from `seed`
+    /// ([`crate::engine::Sim::set_schedule_jitter`]); a zero
+    /// `max` turns jitter off. Perturbs the interleaving, not the model.
+    TimerJitter {
+        /// Jitter stream seed.
+        seed: u64,
+        /// Largest additive delay.
+        max: SimDuration,
+    },
 }
 
 impl FaultKind {
@@ -148,6 +159,7 @@ impl FaultKind {
             FaultKind::IfaceStall { .. } => "iface_stall",
             FaultKind::HostCrash { .. } => "host_crash",
             FaultKind::HostRestart { .. } => "host_restart",
+            FaultKind::TimerJitter { .. } => "timer_jitter",
         }
     }
 }

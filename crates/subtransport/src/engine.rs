@@ -643,46 +643,30 @@ fn push_with_flush<W: StWorld>(
     net_mms: u64,
 ) {
     let now = sim.now();
-    let outcome = with_slot_queue(sim, host, peer, slot, |q| {
+    let mut outcome = with_slot_queue(sim, host, peer, slot, |q| {
         q.try_push(entry.clone(), net_mms)
     });
-    match outcome {
-        Some(PushOutcome::Queued { flush_at }) => {
-            if flush_at <= now {
-                flush_slot(sim, host, peer, slot, FlushReason::Timer);
-            } else {
-                arm_flush_timer(sim, host, peer, slot, flush_at);
-            }
+    // A refused push flushes the queue and retries once into the empty
+    // queue, which always takes it.
+    let refused = match outcome {
+        Some(PushOutcome::WouldOverflow) => Some(FlushReason::Overflow),
+        Some(PushOutcome::DeadlineConflict) => Some(FlushReason::Conflict),
+        _ => None,
+    };
+    if let Some(reason) = refused {
+        flush_slot(sim, host, peer, slot, reason);
+        outcome = with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms));
+        debug_assert!(
+            matches!(outcome, Some(PushOutcome::Queued { .. })),
+            "entry must fit an empty queue"
+        );
+    }
+    if let Some(PushOutcome::Queued { flush_at }) = outcome {
+        if flush_at <= now {
+            flush_slot(sim, host, peer, slot, FlushReason::Timer);
+        } else {
+            arm_flush_timer(sim, host, peer, slot, flush_at);
         }
-        Some(PushOutcome::WouldOverflow) => {
-            flush_slot(sim, host, peer, slot, FlushReason::Overflow);
-            let retry = with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms));
-            match retry {
-                Some(PushOutcome::Queued { flush_at }) => {
-                    if flush_at <= now {
-                        flush_slot(sim, host, peer, slot, FlushReason::Timer);
-                    } else {
-                        arm_flush_timer(sim, host, peer, slot, flush_at);
-                    }
-                }
-                _ => debug_assert!(false, "entry must fit an empty queue"),
-            }
-        }
-        Some(PushOutcome::DeadlineConflict) => {
-            flush_slot(sim, host, peer, slot, FlushReason::Conflict);
-            let retry = with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms));
-            match retry {
-                Some(PushOutcome::Queued { flush_at }) => {
-                    if flush_at <= now {
-                        flush_slot(sim, host, peer, slot, FlushReason::Timer);
-                    } else {
-                        arm_flush_timer(sim, host, peer, slot, flush_at);
-                    }
-                }
-                _ => debug_assert!(false, "entry must fit an empty queue"),
-            }
-        }
-        None => {}
     }
 }
 

@@ -70,7 +70,7 @@ use crate::stack::{Stack, MAGIC_STREAM};
 
 /// Stream session profile: which mechanisms to instantiate (§4.4's point is
 /// that every field here is optional machinery).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamProfile {
     /// RMS capacity of the data stream, bytes.
     pub capacity: u64,

@@ -27,33 +27,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use dash::net::routing::{ensure_host_routes, k_paths, mark_routes_dirty};
-use dash::net::state::NetState;
-use dash::net::topology::TopologyBuilder;
-use dash::net::NetworkSpec;
+use dash::net::topology::{mesh3x3, TopologyBuilder};
 use dash::prelude::*;
-
-/// A 3×3 grid of Ethernet LANs with one gateway per adjacent pair;
-/// returns the state and the first two hosts of each LAN, row-major.
-fn mesh3x3(hosts_per_lan: usize) -> (NetState, Vec<[HostId; 2]>) {
-    let mut tb = TopologyBuilder::new();
-    let nets: Vec<NetworkId> = (0..9)
-        .map(|i| tb.network(NetworkSpec::ethernet(format!("lan-{i}"))))
-        .collect();
-    let mut probes = Vec::new();
-    for &net in &nets {
-        let hosts: Vec<HostId> = (0..hosts_per_lan).map(|_| tb.host_on(net)).collect();
-        probes.push([hosts[0], hosts[1]]);
-    }
-    for at in 0..9 {
-        if at % 3 < 2 {
-            tb.gateway(nets[at], nets[at + 1]);
-        }
-        if at < 6 {
-            tb.gateway(nets[at], nets[at + 3]);
-        }
-    }
-    (tb.build(), probes)
-}
 
 /// Median of `rounds` timings of `op`, microseconds.
 fn median_us(rounds: usize, mut op: impl FnMut()) -> f64 {
@@ -72,11 +47,12 @@ fn main() -> ExitCode {
     println!("hosts  k_paths(k=3) us/call  one-host recompute us  worst pair");
     let mut ok = true;
     for hosts_per_lan in [8, 30, 110] {
-        let (mut net, probes) = mesh3x3(hosts_per_lan);
+        let mut tb = TopologyBuilder::new();
+        let (_, lans) = mesh3x3(&mut tb, hosts_per_lan);
+        let mut net = tb.build();
         let hosts = net.hosts.len() as u32;
-        let pairs: Vec<(HostId, HostId)> = probes
-            .iter()
-            .flat_map(|from| probes.iter().map(move |to| (from[0], to[1])))
+        let pairs: Vec<(HostId, HostId)> = (lans.iter())
+            .flat_map(|from| lans.iter().map(move |to| (from[0], to[1])))
             .collect();
         let fewest = pairs
             .iter()

@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
 # Full verification: formatting, release build, every test suite once,
-# one oracle-checked macro-workload smoke per backend, clippy and rustdoc
-# with warnings promoted to errors. Run from anywhere inside the repo.
+# the real-time conformance suite, clippy and rustdoc with warnings
+# promoted to errors, and the benchmark's smoke. Run from anywhere inside
+# the repo. (Every backend's oracle-checked macro-workload run is a test:
+# tests/determinism.rs, tests/mix_backends.rs, dash-bench's mix tests.)
 #
 # Time boxes only ever cover *execution*, never compilation: every boxed
 # binary is built beforehand, so a cold target directory (or a busy CI
 # machine paging the compiler) cannot eat a box and fail a run that
 # never even started. Boxes are env-tunable for slower machines:
-#   EXPLORE_BOX=60 PSCALE_BOX=240 RT_BOX=180 scripts/verify.sh
+#   EXPLORE_BOX=60 scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 EXPLORE_BOX="${EXPLORE_BOX:-30}"
-PSCALE_BOX="${PSCALE_BOX:-120}"
-RT_BOX="${RT_BOX:-90}"
 
 cargo fmt --all -- --check
 
@@ -97,10 +97,12 @@ PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test routing different
 # more cases than the default, optimised, under a second.
 PROPTEST_CASES=2000 cargo test --release -q -p dash-transport --test stream_recovery random_loss
 
-# Chaos suite: the explorer's `Scenario::chaos(seed)` preset for seeds
-# 0..28 (baked into tests/chaos.rs), run through `run_scenario` with the
-# oracle as the verdict. On failure the offending seed and its
-# violations are in the assertion message; reproduce with
+# Chaos suite: the explorer's `Scenario::chaos(seed)` flow preset (three
+# reliable 32 KiB flows of 30 x 256 B, 40 ms apart, under a fault plan
+# drawn from the seed) for seeds 0..28, baked into tests/chaos.rs, run
+# through `run_scenario` — `dash_apps::scenario::run` plus the oracle as
+# the verdict. On failure the offending seed and its violations are in
+# the assertion message; reproduce with
 #   cargo test --test chaos seeded_chaos -- --nocapture
 if ! cargo test --test chaos -q; then
     echo "verify: chaos suite FAILED — seeds 0..28; the failing seed is"       >&2
@@ -109,64 +111,29 @@ if ! cargo test --test chaos -q; then
     exit 1
 fi
 
-# Exploration suite (dash-check): fixed-seed coverage-guided search on
-# the healthy stack must find nothing, the seeded admission bug must be
-# found and shrunk, and the stored shrunk repro must replay
-# byte-identically. All deterministic; the box is a wedge guard, not a
-# noise allowance. Build first so the box times the search, not the
-# compiler.
+# Exploration suite (dash-check): fixed-seed coverage-guided search over
+# flow lists (from the `Scenario::baseline` preset) on the healthy stack
+# must find nothing, the seeded admission bug must be found and shrunk to
+# one flow, and the stored shrunk repro (tests/repros/, `dash-check replay
+# v2`) must replay byte-identically. All deterministic; the box is a wedge
+# guard, not a noise allowance. Build first so the box times the search,
+# not the compiler.
 cargo test --test explore -q --no-run
 if ! timeout "$EXPLORE_BOX" cargo test --test explore -q; then
     echo "verify: exploration suite FAILED (or exceeded its ${EXPLORE_BOX} s box) —" >&2
-    echo "verify: reproduce with cargo test --test explore -- --nocapture" >&2
+    echo "verify: reproduce with cargo test --test explore -- --nocapture;"  >&2
+    echo "verify: a find replays with replay::parse + run_scenario."         >&2
     exit 1
 fi
-
-# Macro-workload smokes, one per backend, each with the semantic oracle
-# attached (exit non-zero on any violation). The bench binaries are
-# built up front so a box never times the compiler — a 2-shard run
-# needs both worker threads live within its box, and compilation stalls
-# used to show up as spurious "wedged executor" timeouts.
-cargo build --release -q -p dash-bench
 
 # The routing cost curve doubles as a smoke: it exits non-zero if any
 # probed pair of the 3x3 mesh — up to 1 002 hosts — comes back with fewer
 # than three alternates (the capped clique search found none there).
 cargo run --release -q --example routing_cost >/dev/null
 
-# Serial: the e11 routing workload (saturated dumbbell, alternate
-# fallback, mid-run corridor outage) through the one `mix` runner.
-if ! timeout "$PSCALE_BOX" cargo run --release -q -p dash-bench --bin mix -- \
-        --backend serial --size e11-ci --oracle >/dev/null; then
-    echo "verify: e11 serial smoke FAILED (oracle violation or exceeded" >&2
-    echo "verify: its ${PSCALE_BOX} s box) — reproduce with"              >&2
-    echo "verify:   cargo run -p dash-bench --bin mix -- --backend serial --size e11-ci --oracle" >&2
-    exit 1
-fi
-
-# Parallel executor: a 2-shard run of the CI mix (e12), the oracle
-# checking the merged event stream. Digest equality at 1/2/4 shards is
-# enforced separately by tests/determinism.rs above.
-if ! timeout "$PSCALE_BOX" cargo run --release -q -p dash-bench --bin mix -- \
-        --backend par --size ci --shards 2 --oracle >/dev/null; then
-    echo "verify: e12 2-shard smoke FAILED (oracle violation or exceeded" >&2
-    echo "verify: its ${PSCALE_BOX} s box) — reproduce with"              >&2
-    echo "verify:   cargo run -p dash-bench --bin mix -- --backend par --size ci --shards 2 --oracle" >&2
-    exit 1
-fi
-
-# Real-time backend: the sim-vs-rt conformance suite, then a paced run
-# of the CI mix (e13; also exits non-zero on a wall-box stop). The run
-# itself is paced — ~1.5 s of wall time by design — so the box guards
-# against a wedged scheduler, not against slowness.
+# Real-time backend: the sim-vs-rt conformance suite, in release (its
+# paced runs are judged against the wall clock).
 cargo test --release --test rt_conformance -q
-if ! timeout "$RT_BOX" cargo run --release -q -p dash-bench --bin mix -- \
-        --backend rt --size ci --oracle >/dev/null; then
-    echo "verify: e13 real-time smoke FAILED (oracle violation, wall-box" >&2
-    echo "verify: stop, or exceeded its ${RT_BOX} s box) — reproduce with" >&2
-    echo "verify:   cargo run -p dash-bench --bin mix -- --backend rt --size ci --oracle" >&2
-    exit 1
-fi
 
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

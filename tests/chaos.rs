@@ -2,13 +2,14 @@
 //!
 //! The paper's §2.1 contract for a reliable RMS is exactly-once, in-order
 //! delivery or a typed failure. The seeded suite runs
-//! [`Scenario::chaos`] — three reliable streams on the dual-homed
-//! topology under a fault plan drawn from the seed (outages, partitions,
-//! burst loss, interface stalls, receiver crashes) — through the
-//! explorer's [`run_scenario`], so the semantic oracle is the verdict:
-//! FIFO with no gaps, completion or typed failure, no wedge, and the
-//! admission-ledger, route-loop and no-spurious-work invariants besides.
-//! Every seed must also replay identically.
+//! [`Scenario::chaos`] — three reliable flows on the dual-homed topology
+//! under a fault plan drawn from the seed (outages, partitions, burst
+//! loss, interface stalls, receiver crashes) — through the explorer's
+//! [`run_scenario`] (`dash_apps::scenario::run`, then the oracle), so the
+//! semantic oracle is the verdict: FIFO with no gaps, completion or typed
+//! failure, no work left queued at the horizon, and the admission-ledger,
+//! route-loop and no-spurious-work invariants besides. Every seed must
+//! also replay identically.
 //!
 //! Two targeted tests pin the recoveries the seeds only hit by chance: a
 //! mid-transfer failover to the backup network, and a receiver crash that
@@ -28,8 +29,8 @@ use dash::transport::stream::{self, EndReason};
 
 const EVENT_BOUND: u64 = 2_000_000;
 
-/// Run the chaos preset for `seed` and require a clean oracle verdict (a
-/// wedged run is a `no-wedge` violation).
+/// Run the chaos preset for `seed` and require a clean oracle verdict (work
+/// still queued at the horizon is a `no-wedge` violation).
 fn chaos_clean(seed: u64) -> RunReport {
     let report = run_scenario(&Scenario::chaos(seed));
     assert!(

@@ -41,8 +41,8 @@ fn exploration_smoke_passes_clean_on_healthy_stack() {
 
 /// The acceptance path end to end: the explorer finds the seeded
 /// admission bug inside the CI budget, the shrinker reduces the find to
-/// a repro of at most 10 workload operations (in practice: one), and the
-/// replay file reproduces the violation deterministically.
+/// the one oversubscribing flow, and the replay file reproduces the
+/// violation deterministically.
 #[test]
 fn explorer_finds_seeded_admission_bug_and_shrinks_it() {
     let cfg = ExploreConfig {
@@ -66,11 +66,7 @@ fn explorer_finds_seeded_admission_bug_and_shrinks_it() {
         .any(|l| l.contains("admission")));
 
     let min = shrink(&found);
-    assert!(
-        min.ops.len() <= 10,
-        "repro must shrink to <= 10 ops, got {}",
-        min.ops.len()
-    );
+    assert_eq!(min.flows.len(), 1, "repro must shrink to one flow: {min:?}");
     assert_eq!(min.fault_seed, None, "fault plan must shrink away");
     assert_eq!(min.jitter_max_us, 0, "jitter must shrink away");
 

@@ -234,7 +234,6 @@ fn oracle_holds_on_lossy_realtime_run() {
     let mut substrate = MemDatagram::new(MemConfig {
         loss_per_mille: 80,
         seed: 0xC0FFEE,
-        ..MemConfig::default()
     });
     let report = run_rt(
         &mut sim,
