@@ -71,9 +71,13 @@ pub fn e7_rkom() -> Table {
     {
         let (net, a, b, _, _) = dumbbell();
         let mut sim = Sim::new(StackBuilder::new(net).build());
-        let mut profile = StreamProfile::bulk();
-        profile.rto = SimDuration::from_millis(800);
-        let plan = Plan::from(vec![Flow::bulk(a, b, 512 * 1024, 4 * 1024, profile)]);
+        let plan = Plan::from(vec![Flow::bulk(
+            a,
+            b,
+            512 * 1024,
+            4 * 1024,
+            StreamProfile::bulk(),
+        )]);
         let acct = traffic::install(&mut sim, &plan, None);
         let done =
             traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(60));

@@ -29,7 +29,7 @@ use dash_net::ids::HostId;
 use dash_net::topology::dual_homed;
 use dash_sim::obs::ObsSink;
 use dash_sim::{ChaosConfig, FaultKind, FaultPlan, Rng, SimDuration, SimTime};
-use dash_transport::stream::StreamProfile;
+use dash_transport::stream::{StreamProfile, MAX_RETRIES};
 use rms_core::DelayBound;
 
 use crate::oracle::{oracle, OracleConfig};
@@ -39,16 +39,11 @@ use crate::oracle::{oracle, OracleConfig};
 const A: HostId = HostId(0);
 const B: HostId = HostId(1);
 
-/// Every explorer flow's retransmission timeout and retry budget.
-const RTO: SimDuration = SimDuration::from_millis(100);
-const MAX_RETRIES: u32 = 8;
-
-/// The one explorer flow: a reliable a → b stream ([`RTO`],
-/// [`MAX_RETRIES`]) opened `start_ms` into the run that sends `count`
-/// messages of `len` bytes, one every `interval_ms` from its open, over an
-/// RMS of `capacity` bytes with a deterministic (`det`) or best-effort
-/// delay bound. These six fields are what the mutator varies and what a
-/// replay file stores.
+/// The one explorer flow: a reliable a → b stream opened `start_ms` into
+/// the run that sends `count` messages of `len` bytes, one every
+/// `interval_ms` from its open, over an RMS of `capacity` bytes with a
+/// deterministic (`det`) or best-effort delay bound. These six fields are
+/// what the mutator varies and what a replay file stores.
 pub(crate) fn flow(
     start_ms: u64,
     count: u64,
@@ -60,8 +55,6 @@ pub(crate) fn flow(
     let mut profile = StreamProfile {
         capacity,
         reliable: true,
-        rto: RTO,
-        max_retries: MAX_RETRIES,
         ..StreamProfile::default()
     };
     if det {
@@ -142,9 +135,9 @@ impl Scenario {
     /// Plan the run: the workload language's scenario, a pure function of
     /// the genome. Jitter is the first fault of the plan; the horizon is
     /// the later of the last planned send and the last fault, plus the
-    /// profile's full RTO backoff chain (doubling every timeout — an upper
-    /// bound on the stream's capped backoff), so a run that still has work
-    /// queued there is wedged.
+    /// longest flow RTO's full backoff chain (doubling every timeout — an
+    /// upper bound on the stream's capped backoff), so a run that still has
+    /// work queued there is wedged.
     pub fn compile(&self) -> scenario::Scenario {
         let mut faults = FaultPlan::new();
         if self.jitter_max_us > 0 {
@@ -172,7 +165,9 @@ impl Scenario {
         let last_send = |f: &Flow| f.start.saturating_add(f.interval.saturating_mul(f.count));
         let last_fault = faults.events.last().map(|e| e.at.since(SimTime::ZERO));
         let busy = self.flows.iter().map(last_send).chain(last_fault).max();
-        let backoff = RTO.saturating_mul((2u64 << MAX_RETRIES) - 1);
+        let rto = self.flows.iter().map(|f| f.profile.rto()).max();
+        let rto = rto.unwrap_or_else(|| StreamProfile::default().rto());
+        let backoff = rto.saturating_mul((2u64 << MAX_RETRIES) - 1);
         let (seed, force_admission) = (self.seed, self.force_admission);
         scenario::Scenario {
             topo: Box::new(move || {

@@ -121,7 +121,9 @@ struct OracleState {
     drop_seen: bool,
     /// Timeout retransmissions seen (counted, not judged).
     rto_retransmits: u64,
-    ring: VecDeque<String>,
+    /// The trailing raw events, rendered only when a violation copies
+    /// them into its trace.
+    ring: VecDeque<(SimTime, ObsEvent)>,
     violations: Vec<Violation>,
     /// Previous event's fast index, for transition-bigram coverage.
     last_kind: Option<u16>,
@@ -133,7 +135,11 @@ struct OracleState {
 
 impl OracleState {
     fn violate(&mut self, invariant: &'static str, at: SimTime, detail: String) {
-        let trace = self.ring.iter().cloned().collect();
+        let trace = self
+            .ring
+            .iter()
+            .map(|(t, e)| format!("{} {} {e:?}", t.as_nanos(), e.name()))
+            .collect();
         self.violations.push(Violation {
             invariant,
             at,
@@ -146,8 +152,7 @@ impl OracleState {
         if self.ring.len() == TRACE_WINDOW {
             self.ring.pop_front();
         }
-        self.ring
-            .push_back(format!("{} {} {:?}", time.as_nanos(), event.name(), event));
+        self.ring.push_back((time, event.clone()));
 
         let kind = event.fast_index() as u16;
         if let Some(prev) = self.last_kind {
@@ -458,7 +463,12 @@ mod tests {
         assert_eq!(v[0].invariant, "fifo");
         assert!(v[0].detail.contains("duplicate"), "{}", v[0].detail);
         assert!(v[1].detail.contains("gap"), "{}", v[1].detail);
-        assert!(!v[0].trace.is_empty(), "violation must carry its trace");
+        // The trace is rendered at the violation: time, name, raw event.
+        assert_eq!(v[0].trace.len(), 4);
+        assert_eq!(
+            v[0].trace[0],
+            "0 stream.deliver StreamDeliver { host: 1, session: 7, seq: 0 }"
+        );
     }
 
     #[test]

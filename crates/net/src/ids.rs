@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// A host attached to one or more networks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u32);
 
 impl fmt::Display for HostId {

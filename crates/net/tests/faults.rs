@@ -221,9 +221,9 @@ fn partition_blocks_traffic_until_healed() {
     assert_eq!(sim.state.datagrams.len(), 1);
     assert_eq!(sim.state.datagrams[0].2.contiguous().as_ref(), b"through");
     // Fault applications were counted by kind.
-    let reg = &mut sim.state.net.obs.registry;
-    assert_eq!(reg.counter("fault.partition").get(), 1);
-    assert_eq!(reg.counter("fault.heal_partition").get(), 1);
+    let reg = &sim.state.net.obs.registry;
+    assert_eq!(reg.counter_value("fault.partition"), 1);
+    assert_eq!(reg.counter_value("fault.heal_partition"), 1);
 }
 
 #[test]
@@ -293,9 +293,9 @@ fn host_crash_fails_local_rms_and_restart_allows_new() {
         .deliveries
         .iter()
         .any(|(h, r, _)| *h == b && *r == rms2));
-    let reg = &mut sim.state.net.obs.registry;
-    assert_eq!(reg.counter("net.host_crashed").get(), 1);
-    assert_eq!(reg.counter("net.host_restarted").get(), 1);
+    let reg = &sim.state.net.obs.registry;
+    assert_eq!(reg.counter_value("net.host_crashed"), 1);
+    assert_eq!(reg.counter_value("net.host_restarted"), 1);
 }
 
 #[test]
@@ -371,9 +371,9 @@ fn stale_route_retry_reroutes_over_backup_path() {
     send_datagram(&mut sim, a, b, 7, Bytes::from_static(b"rerouted").into());
     sim.run();
     assert_eq!(sim.state.datagrams.len(), 1);
-    let reg = &mut sim.state.net.obs.registry;
-    assert!(reg.counter("routing.floods").get() > 0, "scoped re-flood");
-    assert!(reg.counter("routing.recompute").get() > 0, "lazy recompute");
+    let reg = &sim.state.net.obs.registry;
+    assert!(reg.counter_value("routing.floods") > 0, "scoped re-flood");
+    assert!(reg.counter_value("routing.recompute") > 0, "lazy recompute");
 }
 
 #[test]
@@ -404,9 +404,9 @@ fn scheduled_flap_plan_leaves_network_up_and_counts_faults() {
         .filter(|(_, up)| *up)
         .count() as u64;
     assert_eq!(ups, downs);
-    let reg = &mut sim.state.net.obs.registry;
-    assert_eq!(reg.counter("fault.network_down").get(), downs);
-    assert_eq!(reg.counter("fault.network_up").get(), downs);
+    let reg = &sim.state.net.obs.registry;
+    assert_eq!(reg.counter_value("fault.network_down"), downs);
+    assert_eq!(reg.counter_value("fault.network_up"), downs);
     // The network works again after the plan.
     let _ = establish(&mut sim, a, b);
 }

@@ -180,8 +180,8 @@ fn floods_propagate_multi_hop_with_split_horizon() {
     assert_eq!(ad.links.len(), 1, "a has one interface");
     // Sequence dedup bounds the flood: every host re-floods once, so the
     // counter records exactly one origination.
-    let reg = &mut sim.state.net.obs.registry;
-    assert_eq!(reg.counter("routing.floods").get(), 1);
+    let reg = &sim.state.net.obs.registry;
+    assert_eq!(reg.counter_value("routing.floods"), 1);
 }
 
 #[test]
@@ -212,8 +212,8 @@ fn saturated_primary_establishes_on_alternate() {
     // stream's recorded path crosses the backup middle.
     let path = sim.state.net.host(a).rms.get(&rms2).unwrap().path.clone();
     assert!(path.contains(&mid_b), "path {path:?} must use the backup");
-    let reg = &mut sim.state.net.obs.registry;
-    assert_eq!(reg.counter("routing.alternate_wins").get(), 1);
+    let reg = &sim.state.net.obs.registry;
+    assert_eq!(reg.counter_value("routing.alternate_wins"), 1);
 
     // And the alternate carries data end to end.
     send_on_rms(&mut sim, a, rms2, Message::new(vec![9u8; 256]), None, None).unwrap();

@@ -152,9 +152,15 @@ fn jittered_realtime_run_quiesces_within_the_wall_box() {
     sim.set_schedule_jitter(0xBAD_5EED, SimDuration::from_micros(50));
     // Jitter-induced reordering forces retransmissions, and every RTO wait
     // is real wall time under 1:1 pacing — keep the transfer small and the
-    // RTO tight so the jittered run stays seconds, not minutes.
-    let mut profile = StreamProfile::bulk();
-    profile.rto = SimDuration::from_millis(25);
+    // delay bound, and so the RTO derived from it, tight so the jittered
+    // run stays seconds, not minutes.
+    let profile = StreamProfile {
+        delay: rms_core::DelayBound::best_effort_with(
+            SimDuration::from_millis(5),
+            SimDuration::from_micros(1),
+        ),
+        ..StreamProfile::bulk()
+    };
     let plan = Plan::from(vec![Flow::bulk(a, b, 64 * 1024, 4 * 1024, profile)]);
     let bulk = traffic::install(&mut sim, &plan, None);
     let mut driver = Monotonic::start();

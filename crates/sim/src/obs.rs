@@ -824,23 +824,39 @@ const H_STAGE_BASE: usize = 3;
 const H_RECOVERY_LATENCY: usize = 10;
 const H_ROUTING_RECOMPUTE: usize = 11;
 
-/// Named counters and histograms. Every metric the event stream itself
-/// produces lives in a fixed slot-indexed array, so the per-event path is
-/// an indexed add — no name hashing, no map walk, and (beyond the first
-/// sighting of a fault kind) no allocation. Dynamic caller-registered
-/// metrics still live in `String`-keyed maps. Lookup by name routes to
-/// whichever storage owns it, and iteration merges them all sorted by name,
-/// so readers and the JSON export cannot tell the difference.
+/// `fault.<kind>` counters, one per [`crate::fault::FaultKind::name`].
+const FAULT_NAMES: [&str; 10] = [
+    "fault.network_down",
+    "fault.network_up",
+    "fault.partition",
+    "fault.heal_partition",
+    "fault.burst_loss_start",
+    "fault.burst_loss_end",
+    "fault.iface_stall",
+    "fault.host_crash",
+    "fault.host_restart",
+    "fault.timer_jitter",
+];
+
+/// The `fault.<kind>` slot of a fault kind's short name.
+fn fault_slot(kind: &str) -> Option<usize> {
+    FAULT_NAMES
+        .iter()
+        .position(|n| n.strip_prefix("fault.") == Some(kind))
+}
+
+/// Named counters and histograms. Every metric lives in a fixed
+/// slot-indexed array — the event names, the counters derived from event
+/// fields, one counter per fault kind, and the span and recovery
+/// histograms — so the per-event path is an indexed add: no name hashing,
+/// no map walk, no allocation. Lookup by name routes to the slot, and
+/// iteration merges the tables sorted by name.
 #[derive(Debug)]
 pub struct MetricRegistry {
     event_counts: [Counter; EVENT_NAMES.len()],
     derived_counts: [Counter; DERIVED_NAMES.len()],
-    /// Per-kind fault counters keyed by kind; the `fault.<kind>` name is
-    /// formatted once, on first sighting.
-    fault_by_kind: BTreeMap<String, (String, Counter)>,
+    fault_counts: [Counter; FAULT_NAMES.len()],
     fast_hists: [Histogram; FAST_HIST_NAMES.len()],
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Default for MetricRegistry {
@@ -848,10 +864,8 @@ impl Default for MetricRegistry {
         MetricRegistry {
             event_counts: [Counter::new(); EVENT_NAMES.len()],
             derived_counts: [Counter::new(); DERIVED_NAMES.len()],
-            fault_by_kind: BTreeMap::new(),
+            fault_counts: [Counter::new(); FAULT_NAMES.len()],
             fast_hists: std::array::from_fn(|_| Histogram::new()),
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
         }
     }
 }
@@ -862,35 +876,11 @@ impl MetricRegistry {
         MetricRegistry::default()
     }
 
-    /// The counter named `name`, created on first use. Names owned by the
-    /// fast arrays resolve to their slots, so this stays interchangeable
-    /// with the counters `MetricRegistry::apply` feeds.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        if let Some(i) = EVENT_NAMES.iter().position(|n| *n == name) {
-            return &mut self.event_counts[i];
-        }
-        if let Some(i) = DERIVED_NAMES.iter().position(|n| *n == name) {
-            return &mut self.derived_counts[i];
-        }
-        if let Some(kind) = name.strip_prefix("fault.") {
-            if !self.fault_by_kind.contains_key(kind) {
-                self.fault_by_kind
-                    .insert(kind.to_string(), (name.to_string(), Counter::new()));
-            }
-            return &mut self.fault_by_kind.get_mut(kind).expect("just inserted").1;
-        }
-        if !self.counters.contains_key(name) {
-            self.counters.insert(name.to_string(), Counter::default());
-        }
-        self.counters.get_mut(name).expect("just inserted")
-    }
-
     /// Current value of a counter (0 if it was never touched).
     ///
     /// A misspelt name would silently read 0 and let an `== 0` assertion
     /// pass without testing anything, so debug builds panic on a name that
-    /// is neither a fixed slot, a member of the `fault.<kind>` family, nor a
-    /// dynamic counter created through [`Self::counter`].
+    /// is neither a fixed slot nor a member of the `fault.<kind>` family.
     pub fn counter_value(&self, name: &str) -> u64 {
         if let Some(i) = EVENT_NAMES.iter().position(|n| *n == name) {
             return self.event_counts[i].get();
@@ -899,59 +889,44 @@ impl MetricRegistry {
             return self.derived_counts[i].get();
         }
         if let Some(kind) = name.strip_prefix("fault.") {
-            return self.fault_by_kind.get(kind).map(|e| e.1.get()).unwrap_or(0);
+            return fault_slot(kind).map_or(0, |i| self.fault_counts[i].get());
         }
-        debug_assert!(
-            self.counters.contains_key(name),
-            "no counter named {name:?} (misspelt?)"
-        );
-        self.counters.get(name).map(|c| c.get()).unwrap_or(0)
+        debug_assert!(false, "no counter named {name:?} (misspelt?)");
+        0
     }
 
-    /// The histogram named `name`, created on first use. Mutable access
-    /// also serves reads: quantiles sort the backing sample in place.
+    /// The histogram named `name`. Mutable access also serves reads:
+    /// quantiles sort the backing sample in place.
+    ///
+    /// # Panics
+    ///
+    /// On a name that is not a registry histogram; ask
+    /// [`Self::has_histogram`] first when the name is not known to be one.
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        if let Some(i) = FAST_HIST_NAMES.iter().position(|n| *n == name) {
-            return &mut self.fast_hists[i];
-        }
-        if !self.histograms.contains_key(name) {
-            self.histograms
-                .insert(name.to_string(), Histogram::default());
-        }
-        self.histograms.get_mut(name).expect("just inserted")
+        let i = FAST_HIST_NAMES.iter().position(|n| *n == name);
+        &mut self.fast_hists[i.unwrap_or_else(|| panic!("no histogram named {name:?}"))]
     }
 
     /// True if a histogram named `name` has recorded samples.
     pub fn has_histogram(&self, name: &str) -> bool {
-        if let Some(i) = FAST_HIST_NAMES.iter().position(|n| *n == name) {
-            return self.fast_hists[i].count() > 0;
-        }
-        self.histograms
-            .get(name)
-            .map(|h| h.count() > 0)
-            .unwrap_or(false)
+        FAST_HIST_NAMES
+            .iter()
+            .position(|n| *n == name)
+            .is_some_and(|i| self.fast_hists[i].count() > 0)
     }
 
-    /// All counters, sorted by name. Fast-array slots that were never
-    /// touched are omitted, matching the old on-first-use map behaviour.
+    /// All counters, sorted by name. Slots that were never touched are
+    /// omitted.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut all: Vec<(&str, u64)> = Vec::new();
-        for (i, c) in self.event_counts.iter().enumerate() {
-            if c.get() > 0 {
-                all.push((EVENT_NAMES[i], c.get()));
-            }
-        }
-        for (i, c) in self.derived_counts.iter().enumerate() {
-            if c.get() > 0 {
-                all.push((DERIVED_NAMES[i], c.get()));
-            }
-        }
-        for e in self.fault_by_kind.values() {
-            all.push((e.0.as_str(), e.1.get()));
-        }
-        for (k, v) in self.counters.iter() {
-            all.push((k.as_str(), v.get()));
-        }
+        let event = EVENT_NAMES.iter().zip(&self.event_counts);
+        let derived = DERIVED_NAMES.iter().zip(&self.derived_counts);
+        let fault = FAULT_NAMES.iter().zip(&self.fault_counts);
+        let mut all: Vec<(&str, u64)> = event
+            .chain(derived)
+            .chain(fault)
+            .filter(|(_, c)| c.get() > 0)
+            .map(|(n, c)| (*n, c.get()))
+            .collect();
         all.sort_unstable();
         all.into_iter()
     }
@@ -971,9 +946,6 @@ impl MetricRegistry {
             .enumerate()
             .map(|(i, h)| (FAST_HIST_NAMES[i], h))
             .collect();
-        for (k, h) in self.histograms.iter_mut() {
-            hists.push((k.as_str(), h));
-        }
         hists.sort_unstable_by_key(|(n, _)| *n);
         for (name, h) in hists {
             if h.count() == 0 {
@@ -1004,29 +976,15 @@ impl MetricRegistry {
         for (mine, theirs) in self.derived_counts.iter_mut().zip(&other.derived_counts) {
             mine.add(theirs.get());
         }
-        for (kind, (name, c)) in &other.fault_by_kind {
-            self.fault_by_kind
-                .entry(kind.clone())
-                .or_insert_with(|| (name.clone(), Counter::new()))
-                .1
-                .add(c.get());
+        for (mine, theirs) in self.fault_counts.iter_mut().zip(&other.fault_counts) {
+            mine.add(theirs.get());
         }
         for (mine, theirs) in self.fast_hists.iter_mut().zip(&other.fast_hists) {
             mine.merge_from(theirs);
         }
-        for (name, c) in &other.counters {
-            self.counters.entry(name.clone()).or_default().add(c.get());
-        }
-        for (name, h) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge_from(h);
-        }
     }
 
-    /// Record the registry-side effects of one event. Pure slot arithmetic:
-    /// the only allocation left is the first sighting of a fault kind.
+    /// Record the registry-side effects of one event. Pure slot arithmetic.
     fn apply(&mut self, event: &ObsEvent) {
         self.event_counts[event.fast_index()].incr();
         match event {
@@ -1058,19 +1016,10 @@ impl MetricRegistry {
             ObsEvent::TcpRetransmit { segments, .. } => {
                 self.derived_counts[D_TCP_SEGMENTS].add(*segments);
             }
-            ObsEvent::FaultInjected { kind } => {
-                if !self.fault_by_kind.contains_key(*kind) {
-                    self.fault_by_kind.insert(
-                        (*kind).to_string(),
-                        (format!("fault.{kind}"), Counter::new()),
-                    );
-                }
-                self.fault_by_kind
-                    .get_mut(*kind)
-                    .expect("just inserted")
-                    .1
-                    .incr();
-            }
+            ObsEvent::FaultInjected { kind } => match fault_slot(kind) {
+                Some(i) => self.fault_counts[i].incr(),
+                None => debug_assert!(false, "no fault kind {kind:?}"),
+            },
             ObsEvent::FailoverStarted { streams, .. } => {
                 self.derived_counts[D_FAILOVER_STREAMS].add(u64::from(*streams));
             }
@@ -1488,12 +1437,50 @@ mod tests {
     }
 
     #[test]
-    fn unknown_family_members_and_created_counters_read_zero() {
-        let mut reg = MetricRegistry::new();
+    fn untouched_and_unknown_family_members_read_zero() {
+        let reg = MetricRegistry::new();
         assert_eq!(reg.counter_value("fault.partition"), 0);
+        assert_eq!(reg.counter_value("fault.no_such_kind"), 0);
         assert_eq!(reg.counter_value("net.drop.ttl"), 0);
-        reg.counter("app.custom");
-        assert_eq!(reg.counter_value("app.custom"), 0);
+        assert!(!reg.has_histogram("no.such.histogram"));
+    }
+
+    #[test]
+    #[should_panic(expected = "no histogram named")]
+    fn histogram_outside_the_table_panics() {
+        MetricRegistry::new().histogram("h");
+    }
+
+    /// Every fault kind owns a `fault.<kind>` slot.
+    #[test]
+    fn every_fault_kind_has_a_slot() {
+        use crate::fault::{FaultKind, GilbertElliott};
+        let d = SimDuration::ZERO;
+        let kinds = [
+            FaultKind::NetworkDown { network: 0 },
+            FaultKind::NetworkUp { network: 0 },
+            FaultKind::Partition { a: 0, b: 1 },
+            FaultKind::HealPartition { a: 0, b: 1 },
+            FaultKind::BurstLossStart {
+                network: 0,
+                model: GilbertElliott::new(0.1, 0.1, 0.0, 1.0),
+            },
+            FaultKind::BurstLossEnd { network: 0 },
+            FaultKind::IfaceStall {
+                host: 0,
+                network: 0,
+                duration: d,
+            },
+            FaultKind::HostCrash { host: 0 },
+            FaultKind::HostRestart { host: 0 },
+            FaultKind::TimerJitter { seed: 0, max: d },
+        ];
+        let mut slots: Vec<usize> = kinds
+            .iter()
+            .map(|k| fault_slot(k.name()).unwrap())
+            .collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..FAULT_NAMES.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1524,6 +1511,7 @@ mod tests {
         let mut all: Vec<&str> = EVENT_NAMES
             .iter()
             .chain(DERIVED_NAMES.iter())
+            .chain(FAULT_NAMES.iter())
             .chain(FAST_HIST_NAMES.iter())
             .copied()
             .collect();
@@ -1571,7 +1559,7 @@ mod tests {
     }
 
     /// Name lookups route to the same cells the event stream feeds, for
-    /// every storage class (event slot, derived slot, fault kind).
+    /// every slot table (event slot, derived slot, fault kind).
     #[test]
     fn counter_lookup_routes_to_fast_slots() {
         let mut obs = Obs::new();
@@ -1589,15 +1577,11 @@ mod tests {
                 span: None,
             },
         );
-        let reg = &mut obs.registry;
+        let reg = &obs.registry;
         assert_eq!(reg.counter_value("fault.injected"), 1); // event slot
         assert_eq!(reg.counter_value("fault.partition"), 1); // per-kind slot
         assert_eq!(reg.counter_value("st.late_delivery"), 1); // derived slot
-                                                              // &mut access reaches the same cells.
-        reg.counter("fault.partition").incr();
-        reg.counter("st.late_delivery").incr();
-        assert_eq!(reg.counter_value("fault.partition"), 2);
-        assert_eq!(reg.counter_value("st.late_delivery"), 2);
+
         // The merged iterator exports them all, sorted by name.
         let names: Vec<&str> = reg.counters().map(|(n, _)| n).collect();
         let mut sorted = names.clone();
@@ -1732,8 +1716,8 @@ mod tests {
     #[test]
     fn registry_json_dump_is_line_per_metric() {
         let mut reg = MetricRegistry::new();
-        reg.counter("a.b").add(3);
-        reg.histogram("h").record(0.25);
+        reg.apply(&ObsEvent::CacheHit { host: 0 });
+        reg.histogram("span.e2e").record(0.25);
         let dump = reg.to_json_lines();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -51,11 +51,6 @@ impl RateLimiter {
         }
     }
 
-    /// The enforcement period `A + C·B`.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
     fn expire(&mut self, now: SimTime) {
         while let Some(&(t, bytes)) = self.sent.front() {
             if now.saturating_since(t) >= self.period {
@@ -81,7 +76,7 @@ impl RateLimiter {
     }
 
     /// When the next budget becomes available, if currently blocked.
-    pub fn next_release(&self, _now: SimTime) -> Option<SimTime> {
+    pub fn next_release(&self) -> Option<SimTime> {
         self.sent.front().map(|&(t, _)| t + self.period)
     }
 
@@ -140,11 +135,6 @@ impl AckWindow {
     /// Bytes currently outstanding.
     pub fn outstanding(&self) -> u64 {
         self.outstanding
-    }
-
-    /// True if nothing is outstanding.
-    pub fn is_idle(&self) -> bool {
-        self.outstanding == 0
     }
 }
 
@@ -217,7 +207,7 @@ mod tests {
     fn rate_limiter_period_is_a_plus_cb() {
         // A = 10ms, B = 1000ns, C = 1000 -> period = 10ms + 1ms = 11ms.
         let rl = RateLimiter::new(&params(1000, 10, 1000));
-        assert_eq!(rl.period(), SimDuration::from_millis(11));
+        assert_eq!(rl.period, SimDuration::from_millis(11));
     }
 
     #[test]
@@ -231,7 +221,7 @@ mod tests {
         assert!(!rl.may_send(t(2), 1));
         // First send expires after the 10ms period.
         assert!(rl.may_send(t(10), 600));
-        assert_eq!(rl.next_release(t(2)), Some(t(11))); // second release
+        assert_eq!(rl.next_release(), Some(t(11))); // second release
     }
 
     #[test]
@@ -255,7 +245,7 @@ mod tests {
         assert_eq!(w.ack_through(0), 400);
         assert!(w.may_send(300));
         assert_eq!(w.ack_through(1), 400);
-        assert!(w.is_idle());
+        assert!(w.outstanding() == 0);
     }
 
     #[test]
@@ -340,7 +330,7 @@ mod tests {
         assert!(!rl.may_send(t(9), 1));
         // At exactly t0 + period the window expires (>=, not >): the full
         // budget is available again in the same instant.
-        assert_eq!(rl.next_release(t(9)), Some(t(10)));
+        assert_eq!(rl.next_release(), Some(t(10)));
         assert!(rl.may_send(t(10), 1000));
         assert_eq!(rl.in_window(), 0);
     }
@@ -368,10 +358,10 @@ mod tests {
         // Peer acks everything (cumulative, possibly beyond the last seq it
         // actually saw) as it closes.
         assert_eq!(aw.ack_through(u64::MAX), 500);
-        assert!(aw.is_idle());
+        assert!(aw.outstanding() == 0);
         // The duplicate of that final ack arrives after the stream ended.
         assert_eq!(aw.ack_through(u64::MAX), 0);
-        assert!(aw.is_idle());
+        assert!(aw.outstanding() == 0);
         assert!(aw.may_send(500));
 
         let mut rw = ReceiverWindow::new(400);

@@ -36,15 +36,11 @@ impl std::fmt::Display for WouldBlock {
 impl std::error::Error for WouldBlock {}
 
 /// A bounded queue between an application sender and its send protocol.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SendPort {
     queue: VecDeque<Message>,
     limit_bytes: u64,
     queued_bytes: u64,
-    /// Offers refused because the port was full (the sender "blocked").
-    pub blocked_count: u64,
-    /// Messages accepted.
-    pub accepted: u64,
 }
 
 impl SendPort {
@@ -54,8 +50,6 @@ impl SendPort {
             queue: VecDeque::new(),
             limit_bytes,
             queued_bytes: 0,
-            blocked_count: 0,
-            accepted: 0,
         }
     }
 
@@ -64,24 +58,19 @@ impl SendPort {
     /// # Errors
     ///
     /// [`WouldBlock`] when the queue limit would be exceeded (the sender
-    /// must retry after the port drains).
+    /// must retry after the port drains). An oversized message on an empty
+    /// queue is admitted, so a message larger than the limit can still ever
+    /// be sent.
     pub fn offer(&mut self, msg: Message) -> Result<(), WouldBlock> {
         let len = msg.len() as u64;
         if self.queued_bytes + len > self.limit_bytes && !self.queue.is_empty() {
-            self.blocked_count += 1;
             return Err(WouldBlock {
                 queued_bytes: self.queued_bytes,
                 limit_bytes: self.limit_bytes,
             });
         }
-        // An oversized message on an empty queue is admitted so a message
-        // larger than the limit can still ever be sent.
-        if self.queued_bytes + len > self.limit_bytes && self.queue.is_empty() {
-            // admitted as the sole occupant
-        }
         self.queued_bytes += len;
         self.queue.push_back(msg);
-        self.accepted += 1;
         Ok(())
     }
 
@@ -96,26 +85,6 @@ impl SendPort {
         self.queued_bytes -= msg.len() as u64;
         Some(msg)
     }
-
-    /// Messages waiting.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if no messages wait.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Bytes waiting.
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
-    }
-
-    /// True if a message of `len` bytes would currently be accepted.
-    pub fn has_space(&self, len: u64) -> bool {
-        self.queue.is_empty() || self.queued_bytes + len <= self.limit_bytes
-    }
 }
 
 #[cfg(test)]
@@ -129,8 +98,6 @@ mod tests {
         assert!(p.offer(Message::zeroes(100)).is_ok());
         let err = p.offer(Message::zeroes(100)).unwrap_err();
         assert_eq!(err.queued_bytes, 200);
-        assert_eq!(p.blocked_count, 1);
-        assert_eq!(p.len(), 2);
     }
 
     #[test]
@@ -139,8 +106,9 @@ mod tests {
         p.offer(Message::zeroes(100)).unwrap();
         assert!(p.offer(Message::zeroes(1)).is_err());
         assert_eq!(p.pop().unwrap().len(), 100);
+        assert!(p.offer(Message::zeroes(99)).is_ok());
+        assert!(p.offer(Message::zeroes(2)).is_err());
         assert!(p.offer(Message::zeroes(1)).is_ok());
-        assert_eq!(p.queued_bytes(), 1);
     }
 
     #[test]
@@ -159,15 +127,5 @@ mod tests {
         assert_eq!(p.pop().unwrap().payload()[0], 1);
         assert_eq!(p.pop().unwrap().payload()[0], 2);
         assert!(p.pop().is_none());
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn has_space_matches_offer() {
-        let mut p = SendPort::new(100);
-        assert!(p.has_space(100));
-        p.offer(Message::zeroes(60)).unwrap();
-        assert!(p.has_space(40));
-        assert!(!p.has_space(41));
     }
 }

@@ -12,6 +12,13 @@
 //!   enforcement, receiver flow control with a finite receive buffer, and
 //!   sender flow control through a bounded [`SendPort`].
 //!
+//! A session is a function of the profile's mechanisms and its delay
+//! bound, nothing else. The receiving end learns the mechanisms from the
+//! data stream's Hello — one flags byte (reliable, receiver flow control)
+//! and the buffer size — so it runs exactly what the sender's profile names;
+//! the RTO ([`StreamProfile::rto`]) and the receive buffer
+//! ([`StreamProfile::receive_buffer`]) derive from the contract.
+//!
 //! Acknowledgement-based capacity enforcement is clocked by the ST's *fast
 //! acknowledgement* service (§3.2), exercising the paper's claim that it
 //! reduces response time and RMS establishment overhead (no reverse RMS
@@ -68,8 +75,9 @@ use crate::flow::{AckWindow, CapacityEnforcement, RateLimiter, ReceiverWindow};
 use crate::sendport::{SendPort, WouldBlock};
 use crate::stack::{Stack, MAGIC_STREAM};
 
-/// Stream session profile: which mechanisms to instantiate (§4.4's point is
-/// that every field here is optional machinery).
+/// Stream session profile: the data stream's contract and the §4.4
+/// mechanisms to run over it. Everything else a session does — its
+/// retransmission timeout, its receive buffer — derives from these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamProfile {
     /// RMS capacity of the data stream, bytes.
@@ -85,21 +93,8 @@ pub struct StreamProfile {
     /// Receiver flow control (adds the reverse ack stream and a finite
     /// receive buffer).
     pub receiver_fc: bool,
-    /// Receive buffer size when `receiver_fc` is on.
-    pub receive_buffer: u64,
     /// Sender-side IPC port limit (§4.4 sender flow control).
     pub send_port_limit: u64,
-    /// Send a cumulative ack every this many in-order deliveries.
-    pub ack_every: u32,
-    /// Flush pending acks after this long.
-    pub ack_delay: SimDuration,
-    /// Retransmission timeout (reliable streams).
-    pub rto: SimDuration,
-    /// Consecutive retransmission timeouts (no ack progress) before a
-    /// reliable sender gives up and ends the session with
-    /// [`EndReason::RetriesExhausted`] — a typed outcome instead of an
-    /// unbounded stall when the peer is gone.
-    pub max_retries: u32,
 }
 
 impl Default for StreamProfile {
@@ -114,20 +109,46 @@ impl Default for StreamProfile {
             enforcement: CapacityEnforcement::None,
             reliable: false,
             receiver_fc: false,
-            receive_buffer: 64 * 1024,
             send_port_limit: 64 * 1024,
-            ack_every: 4,
-            ack_delay: SimDuration::from_millis(5),
-            rto: SimDuration::from_millis(300),
-            max_retries: 8,
         }
     }
 }
 
+/// Consecutive retransmission timeouts (no ack progress) before a reliable
+/// sender gives up and ends the session with
+/// [`EndReason::RetriesExhausted`] — a typed outcome instead of an
+/// unbounded stall when the peer is gone.
+pub const MAX_RETRIES: u32 = 8;
+/// A receiver sends a cumulative ack every this many in-order deliveries...
+const ACK_EVERY: u32 = 4;
+/// ...or this long after the first unacknowledged one.
+const ACK_DELAY: SimDuration = SimDuration::from_millis(5);
+
 impl StreamProfile {
-    /// Does this profile need the reverse acknowledgement stream?
-    pub fn needs_ack_stream(&self) -> bool {
-        self.reliable || self.receiver_fc
+    /// Retransmission timeout: twice the round trip the contract admits
+    /// to — the data lane's bound for a full message plus the ack lane's
+    /// bound for one ack. This is RKOM's `retry_period` rule; the data
+    /// request accepts no other delay bound than the one it desires, so
+    /// this is also the negotiated round trip.
+    pub fn rto(&self) -> SimDuration {
+        let data = self.delay.bound_for(self.max_message + DATA_HEADER);
+        let ack = ack_params().delay.bound_for(ACK_LEN);
+        data.saturating_add(ack).saturating_mul(2)
+    }
+
+    /// The receiver's buffer: two capacities' worth, so a full window can
+    /// be in flight while the application holds another.
+    pub fn receive_buffer(&self) -> u64 {
+        2 * self.capacity
+    }
+
+    /// What the receiving end must run, as the Hello carries it.
+    fn mechanisms(&self) -> Mechanisms {
+        Mechanisms {
+            reliable: self.reliable,
+            receiver_fc: self.receiver_fc,
+            receive_buffer: self.receive_buffer(),
+        }
     }
 
     /// Bulk-transfer profile (§2.5): high capacity/delay data stream,
@@ -143,7 +164,6 @@ impl StreamProfile {
             enforcement: CapacityEnforcement::AckBased,
             reliable: true,
             receiver_fc: true,
-            receive_buffer: 256 * 1024,
             ..StreamProfile::default()
         }
     }
@@ -221,8 +241,8 @@ pub enum EndReason {
     /// The carrying ST stream failed (e.g. its network died with no
     /// alternate to fail over to).
     ChannelFailed(FailReason),
-    /// A reliable sender hit [`StreamProfile::max_retries`] consecutive
-    /// retransmission timeouts without acknowledgement progress.
+    /// A reliable sender hit [`MAX_RETRIES`] consecutive retransmission
+    /// timeouts without acknowledgement progress.
     RetriesExhausted,
 }
 
@@ -232,12 +252,39 @@ const KIND_ACK: u8 = 3;
 /// An ack from a receiver that has seen data past `cum_seq`.
 const KIND_GAP_ACK: u8 = 4;
 
+/// Hello flag bits: the receiver-side mechanisms the sender's profile names.
+const FLAG_RELIABLE: u8 = 1;
+const FLAG_RECEIVER_FC: u8 = 2;
+
+/// Bytes of an ack on the wire (magic + kind + session + cum_seq +
+/// consumed): the message the RTO's ack-lane term is bounded at.
+const ACK_LEN: u64 = 26;
+
+/// The receiving end's share of the §4.4 suite: what the sender's profile
+/// names and its Hello carries, and all a receiving session is built from.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Mechanisms {
+    /// Hold out-of-order arrivals and report gaps in acks.
+    reliable: bool,
+    /// Account delivered bytes against the buffer until the application
+    /// consumes them, and announce each `consume` with a window update.
+    receiver_fc: bool,
+    /// Bounds the hold and, with `receiver_fc`, the unconsumed bytes.
+    receive_buffer: u64,
+}
+
+impl Mechanisms {
+    /// Either mechanism needs the reverse acknowledgement stream.
+    fn acked(&self) -> bool {
+        self.reliable || self.receiver_fc
+    }
+}
+
 #[derive(Debug, PartialEq)]
 enum StreamMsg {
     Hello {
         session: u64,
-        needs_ack_stream: bool,
-        receive_buffer: u64,
+        mech: Mechanisms,
         ack_is_for: Option<u64>,
     },
     Data {
@@ -265,14 +312,14 @@ fn encode_msg(m: &StreamMsg) -> WireMsg {
     match m {
         StreamMsg::Hello {
             session,
-            needs_ack_stream,
-            receive_buffer,
+            mech,
             ack_is_for,
         } => {
             b.put_u8(KIND_HELLO);
             b.put_u64(*session);
-            b.put_u8(u8::from(*needs_ack_stream));
-            b.put_u64(*receive_buffer);
+            let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+            b.put_u8(flag(mech.reliable, FLAG_RELIABLE) | flag(mech.receiver_fc, FLAG_RECEIVER_FC));
+            b.put_u64(mech.receive_buffer);
             b.put_u64(ack_is_for.map_or(u64::MAX, |s| s));
         }
         StreamMsg::Data {
@@ -315,13 +362,19 @@ fn decode_msg(wire: &WireMsg) -> Option<StreamMsg> {
     match b.get_u8().ok()? {
         KIND_HELLO => {
             let session = b.get_u64().ok()?;
-            let needs_ack_stream = b.get_u8().ok()? != 0;
-            let receive_buffer = b.get_u64().ok()?;
+            let flags = b.get_u8().ok()?;
+            if flags & !(FLAG_RELIABLE | FLAG_RECEIVER_FC) != 0 {
+                return None;
+            }
+            let mech = Mechanisms {
+                reliable: flags & FLAG_RELIABLE != 0,
+                receiver_fc: flags & FLAG_RECEIVER_FC != 0,
+                receive_buffer: b.get_u64().ok()?,
+            };
             let raw = b.get_u64().ok()?;
             Some(StreamMsg::Hello {
                 session,
-                needs_ack_stream,
-                receive_buffer,
+                mech,
                 ack_is_for: (raw != u64::MAX).then_some(raw),
             })
         }
@@ -353,11 +406,12 @@ fn decode_msg(wire: &WireMsg) -> Option<StreamMsg> {
 }
 
 /// Which end of the session this host holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StreamRole {
     /// We send data.
     Tx,
     /// We receive data.
+    #[default]
     Rx,
 }
 
@@ -384,6 +438,7 @@ pub struct SessionStats {
 }
 
 /// One stream session endpoint.
+#[derive(Default)]
 pub struct Session {
     /// Globally unique session id (shared by both ends).
     pub id: u64,
@@ -391,14 +446,17 @@ pub struct Session {
     pub peer: HostId,
     /// Our role.
     pub role: StreamRole,
-    /// The profile in force.
-    pub profile: StreamProfile,
     /// Statistics.
     pub stats: SessionStats,
     /// Set once the session failed/ended.
     pub failed: bool,
+    /// The mechanisms in force: the sender's from its profile, the
+    /// receiver's from the Hello.
+    mech: Mechanisms,
 
     // Tx side.
+    enforcement: CapacityEnforcement,
+    rto: SimDuration,
     data_out: Option<StRmsId>,
     port: SendPort,
     next_seq: u64,
@@ -443,38 +501,31 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    fn new(id: u64, peer: HostId, role: StreamRole, profile: StreamProfile) -> Self {
-        let port = SendPort::new(profile.send_port_limit);
+    /// A receiving endpoint, built from the Hello alone.
+    fn rx(id: u64, peer: HostId, mech: Mechanisms) -> Self {
         Session {
             id,
             peer,
-            role,
-            port,
-            profile,
-            stats: SessionStats::default(),
-            failed: false,
-            data_out: None,
-            next_seq: 0,
-            unacked: VecDeque::new(),
-            rate: None,
-            ackwin: None,
-            rwin: None,
-            rto_timer: None,
-            rto_backoff: 0,
-            repairing: None,
-            rate_timer_armed: false,
-            was_blocked: false,
-            data_in: None,
-            ack_out: None,
-            next_expected: 0,
-            frontier: 0,
-            held: BTreeMap::new(),
-            held_bytes: 0,
-            pending_buffer_bytes: 0,
-            consumed_total: 0,
-            since_last_ack: 0,
-            ack_timer: None,
-            pending_acks: Vec::new(),
+            mech,
+            ..Session::default()
+        }
+    }
+
+    /// A sending endpoint running what `profile` names. Capacity
+    /// enforcement waits for the *negotiated* parameters (the provider may
+    /// grant less capacity than desired); the receiver's window is known
+    /// now.
+    fn tx(id: u64, peer: HostId, profile: &StreamProfile) -> Self {
+        let mech = profile.mechanisms();
+        Session {
+            role: StreamRole::Tx,
+            enforcement: profile.enforcement,
+            rto: profile.rto(),
+            port: SendPort::new(profile.send_port_limit),
+            rwin: mech
+                .receiver_fc
+                .then(|| ReceiverWindow::new(mech.receive_buffer)),
+            ..Session::rx(id, peer, mech)
         }
     }
 
@@ -606,13 +657,7 @@ pub fn open(
         s.next_session += 1;
         id
     };
-    let mut session = Session::new(session_id, peer, StreamRole::Tx, profile.clone());
-    // Capacity-dependent mechanisms are instantiated once the ST layer
-    // reports the *negotiated* parameters (the provider may grant less
-    // capacity than desired).
-    if profile.receiver_fc {
-        session.rwin = Some(ReceiverWindow::new(profile.receive_buffer));
-    }
+    let session = Session::tx(session_id, peer, &profile);
     sim.state
         .stream
         .host_mut(host)
@@ -655,9 +700,10 @@ fn data_params(profile: &StreamProfile) -> RmsParams {
 
 fn data_request(profile: &StreamProfile) -> RmsRequest {
     let desired = data_params(profile);
-    // Floor: the full message size is non-negotiable, but less in-flight
-    // capacity is survivable — the flow-control windows adapt to whatever
-    // was actually granted.
+    // Floor: the full message size and the delay bound are non-negotiable
+    // (the RTO is derived from the bound), but less in-flight capacity is
+    // survivable — the flow-control windows adapt to whatever was actually
+    // granted.
     let mut acceptable = desired.clone();
     acceptable.capacity = desired.max_message_size;
     RmsRequest::new(desired, acceptable).expect("desired covers floor")
@@ -769,7 +815,7 @@ fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
                 let at = s
                     .rate
                     .as_ref()
-                    .and_then(|r| r.next_release(now))
+                    .and_then(|r| r.next_release())
                     .unwrap_or(now + SimDuration::from_millis(1));
                 if !s.rate_timer_armed {
                     s.rate_timer_armed = true;
@@ -798,7 +844,7 @@ fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
                 w.record_send(len);
             }
             s.stats.sent.incr();
-            if s.profile.reliable {
+            if s.mech.reliable {
                 s.unacked.push_back((seq, msg.clone(), now));
             }
             (st_rms, seq, msg)
@@ -847,30 +893,20 @@ fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
 }
 
 fn ensure_rto(sim: &mut Sim<Stack>, host: HostId, session: u64) {
-    let need = {
-        let Some(s) = sim.state.stream.session_mut(host, session) else {
+    let rto = {
+        let Some(s) = sim.state.stream.session(host, session) else {
             return;
         };
-        s.profile.reliable && !s.unacked.is_empty() && s.rto_timer.is_none()
+        if !s.mech.reliable || s.unacked.is_empty() || s.rto_timer.is_some() {
+            return;
+        }
+        // Exponential backoff keeps spurious retransmissions from melting
+        // down a slow path.
+        s.rto.saturating_mul(1u64 << s.rto_backoff.min(6))
     };
-    if !need {
-        return;
-    }
-    let rto = sim
-        .state
-        .stream
-        .session(host, session)
-        .map(|s| {
-            // Exponential backoff keeps spurious retransmissions from
-            // melting down a slow path.
-            s.profile.rto.saturating_mul(1u64 << s.rto_backoff.min(6))
-        })
-        .unwrap_or(SimDuration::from_millis(300));
     let handle = sim.call_timer(rto, on_rto, (host.0, session));
     if let Some(s) = sim.state.stream.session_mut(host, session) {
         s.rto_timer = Some(handle);
-    } else {
-        handle.cancel();
     }
 }
 
@@ -889,7 +925,7 @@ fn on_rto(sim: &mut Sim<Stack>, (host, session): Args) {
         if s.failed || s.unacked.is_empty() {
             return;
         }
-        if s.rto_backoff >= s.profile.max_retries {
+        if s.rto_backoff >= MAX_RETRIES {
             // Bounded retry: the peer (or the path) is gone — surface a
             // typed outcome instead of backing off forever.
             s.failed = true;
@@ -898,7 +934,7 @@ fn on_rto(sim: &mut Sim<Stack>, (host, session): Args) {
             }
             true
         } else {
-            s.rto_backoff = (s.rto_backoff + 1).min(8);
+            s.rto_backoff += 1;
             false
         }
     };
@@ -973,18 +1009,17 @@ fn retransmit_head(sim: &mut Sim<Stack>, host: HostId, session: u64, cause: Retr
 
 /// Receiver side: the application consumed `bytes` from the session's
 /// buffer, opening the receiver-flow-control window.
+/// A session without receiver flow control keeps no account to open.
 pub fn consume(sim: &mut Sim<Stack>, host: HostId, session: u64, bytes: u64) {
-    let update = {
-        let Some(s) = sim.state.stream.session_mut(host, session) else {
-            return;
-        };
-        s.pending_buffer_bytes = s.pending_buffer_bytes.saturating_sub(bytes);
-        s.consumed_total += bytes;
-        s.profile.receiver_fc
+    let Some(s) = sim.state.stream.session_mut(host, session) else {
+        return;
     };
-    if update {
-        send_ack(sim, host, session, true);
+    if !s.mech.receiver_fc {
+        return;
     }
+    s.pending_buffer_bytes = s.pending_buffer_bytes.saturating_sub(bytes);
+    s.consumed_total += bytes;
+    send_ack(sim, host, session, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -1020,14 +1055,14 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
                 .insert(st_rms, session);
             match lane {
                 StreamLane::Data => {
-                    let (peer_buffer, needs_ack) = {
+                    let mech = {
                         let Some(s) = sim.state.stream.session_mut(host, session) else {
                             return;
                         };
                         s.data_out = Some(st_rms);
                         // Build capacity enforcement from the *actual*
                         // negotiated parameters (§4.4).
-                        match s.profile.enforcement {
+                        match s.enforcement {
                             CapacityEnforcement::None => {}
                             CapacityEnforcement::RateBased => {
                                 s.rate = Some(RateLimiter::new(&params));
@@ -1036,12 +1071,11 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
                                 s.ackwin = Some(AckWindow::new(params.capacity));
                             }
                         }
-                        (s.profile.receive_buffer, s.profile.needs_ack_stream())
+                        s.mech
                     };
                     let hello = encode_msg(&StreamMsg::Hello {
                         session,
-                        needs_ack_stream: needs_ack,
-                        receive_buffer: peer_buffer,
+                        mech,
                         ack_is_for: None,
                     });
                     let _ = st_engine::send(sim, host, st_rms, Message::from_wire(hello));
@@ -1155,8 +1189,7 @@ pub fn on_delivery(
     match decoded {
         StreamMsg::Hello {
             session,
-            needs_ack_stream,
-            receive_buffer,
+            mech,
             ack_is_for,
         } => {
             if let Some(tx_session) = ack_is_for {
@@ -1176,13 +1209,7 @@ pub fn on_delivery(
             if sim.state.stream.host(host).sessions.contains_key(&session) {
                 return; // duplicate hello
             }
-            let profile = StreamProfile {
-                receive_buffer,
-                receiver_fc: needs_ack_stream,
-                reliable: needs_ack_stream,
-                ..StreamProfile::default()
-            };
-            let mut s = Session::new(session, peer, StreamRole::Rx, profile);
+            let mut s = Session::rx(session, peer, mech);
             s.data_in = Some(st_rms);
             sim.state.stream.host_mut(host).sessions.insert(session, s);
             sim.state
@@ -1190,7 +1217,7 @@ pub fn on_delivery(
                 .host_mut(host)
                 .by_st
                 .insert(st_rms, session);
-            if needs_ack_stream {
+            if mech.acked() {
                 // Create the reverse acknowledgement stream (§2.5).
                 if let Ok(token) =
                     st_engine::create(sim, host, peer, &RmsRequest::exact(ack_params()), false)
@@ -1301,7 +1328,7 @@ fn handle_data(
             return;
         }
         let len = payload.len() as u64;
-        if s.profile.reliable {
+        if s.mech.reliable {
             if seq > s.frontier {
                 s.stats.gaps.add(seq - s.frontier);
             }
@@ -1311,12 +1338,12 @@ fn handle_data(
             // Duplicate of something already delivered.
             None
         } else if seq > s.next_expected {
-            if s.profile.reliable {
+            if s.mech.reliable {
                 // Out of order: hold it for the retransmission of what is
                 // missing, within the receive buffer; a duplicate of a held
                 // message is dropped.
                 if !s.held.contains_key(&seq) {
-                    if s.pending_buffer_bytes + s.held_bytes + len <= s.profile.receive_buffer {
+                    if s.pending_buffer_bytes + s.held_bytes + len <= s.mech.receive_buffer {
                         s.held_bytes += len;
                         s.held.insert(seq, (sent_at, payload));
                     } else {
@@ -1331,10 +1358,10 @@ fn handle_data(
                 Some((payload, Vec::new()))
             }
         } else {
-            if s.profile.receiver_fc {
+            if s.mech.receiver_fc {
                 // The in-order message outranks anything held: make room
                 // from the far end of the hold before refusing it.
-                while s.pending_buffer_bytes + s.held_bytes + len > s.profile.receive_buffer {
+                while s.pending_buffer_bytes + s.held_bytes + len > s.mech.receive_buffer {
                     let Some((_, (_, evicted))) = s.held.pop_last() else {
                         break;
                     };
@@ -1342,7 +1369,7 @@ fn handle_data(
                     s.stats.buffer_drops.incr();
                 }
             }
-            if s.profile.receiver_fc && s.pending_buffer_bytes + len > s.profile.receive_buffer {
+            if s.mech.receiver_fc && s.pending_buffer_bytes + len > s.mech.receive_buffer {
                 // Receive buffer full: drop; the sender's window should have
                 // prevented this (counted to make violations visible).
                 s.stats.buffer_drops.incr();
@@ -1371,7 +1398,7 @@ fn handle_data(
             .state
             .stream
             .session(host, session)
-            .is_some_and(|s| s.profile.needs_ack_stream());
+            .is_some_and(|s| s.mech.acked());
         if needs {
             send_ack(sim, host, session, true);
         }
@@ -1409,10 +1436,8 @@ fn deliver(
         let len = payload.len() as u64;
         s.stats.delivered.incr();
         s.stats.bytes_delivered.add(len);
-        if s.profile.receiver_fc {
+        if s.mech.receiver_fc {
             s.pending_buffer_bytes += len;
-        } else {
-            s.consumed_total += len;
         }
         s.since_last_ack += 1;
     }
@@ -1437,30 +1462,19 @@ fn deliver(
 }
 
 fn maybe_ack(sim: &mut Sim<Stack>, host: HostId, session: u64) {
-    let decision = {
-        let Some(s) = sim.state.stream.session_mut(host, session) else {
-            return;
-        };
-        if !s.profile.needs_ack_stream() {
-            return;
-        }
-        if s.since_last_ack >= s.profile.ack_every {
-            AckDecision::Now
-        } else if s.since_last_ack > 0 && s.ack_timer.is_none() {
-            AckDecision::Delayed(s.profile.ack_delay)
-        } else {
-            AckDecision::No
-        }
+    let Some(s) = sim.state.stream.session(host, session) else {
+        return;
     };
-    match decision {
-        AckDecision::Now => send_ack(sim, host, session, false),
-        AckDecision::Delayed(d) => {
-            let handle = sim.call_timer(d, delayed_ack, (host.0, session));
-            if let Some(s) = sim.state.stream.session_mut(host, session) {
-                s.ack_timer = Some(handle);
-            }
+    if !s.mech.acked() {
+        return;
+    }
+    if s.since_last_ack >= ACK_EVERY {
+        send_ack(sim, host, session, false);
+    } else if s.since_last_ack > 0 && s.ack_timer.is_none() {
+        let handle = sim.call_timer(ACK_DELAY, delayed_ack, (host.0, session));
+        if let Some(s) = sim.state.stream.session_mut(host, session) {
+            s.ack_timer = Some(handle);
         }
-        AckDecision::No => {}
     }
 }
 
@@ -1473,14 +1487,8 @@ fn delayed_ack(sim: &mut Sim<Stack>, (host, session): Args) {
     send_ack(sim, host, session, false);
 }
 
-enum AckDecision {
-    Now,
-    Delayed(SimDuration),
-    No,
-}
-
 fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
-    let (bytes, target, tx_session) = {
+    let (bytes, target, announce) = {
         let Some(s) = sim.state.stream.session_mut(host, session) else {
             return;
         };
@@ -1499,7 +1507,8 @@ fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
             consumed: s.consumed_total,
             gap: s.frontier > s.next_expected,
         });
-        (bytes, s.ack_out, session)
+        // The first message on the ack stream announces its purpose.
+        (bytes, s.ack_out, s.stats.acks_sent.get() == 1)
     };
     emit(
         sim,
@@ -1510,19 +1519,11 @@ fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
     );
     match target {
         Some(st_rms) => {
-            // First message on the ack stream announces its purpose.
-            let announced = sim
-                .state
-                .stream
-                .session(host, session)
-                .map(|s| s.stats.acks_sent.get() > 1)
-                .unwrap_or(true);
-            if !announced {
+            if announce {
                 let hello = encode_msg(&StreamMsg::Hello {
-                    session: tx_session,
-                    needs_ack_stream: false,
-                    receive_buffer: 0,
-                    ack_is_for: Some(tx_session),
+                    session,
+                    mech: Mechanisms::default(),
+                    ack_is_for: Some(session),
                 });
                 let _ = st_engine::send(sim, host, st_rms, Message::from_wire(hello));
             }
@@ -1544,42 +1545,73 @@ fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
 mod tests {
     use super::*;
 
+    /// Every message round-trips, and each kind keeps its frame length:
+    /// the Hello's flags byte took the place of a one-byte boolean.
     #[test]
     fn wire_round_trips() {
+        let mech = |reliable, receiver_fc| Mechanisms {
+            reliable,
+            receiver_fc,
+            receive_buffer: 4096,
+        };
+        let payload = WireMsg::from_bytes(bytes::Bytes::from_static(b"body"));
         let msgs = [
-            StreamMsg::Hello {
-                session: 5,
-                needs_ack_stream: true,
-                receive_buffer: 4096,
-                ack_is_for: None,
-            },
-            StreamMsg::Hello {
-                session: 6,
-                needs_ack_stream: false,
-                receive_buffer: 0,
-                ack_is_for: Some(5),
-            },
-            StreamMsg::Data {
-                session: 5,
-                seq: 9,
-                sent_at: SimTime::from_nanos(77),
-                payload: WireMsg::from_bytes(bytes::Bytes::from_static(b"body")),
-            },
-            StreamMsg::Ack {
-                session: 5,
-                cum_seq: Some(8),
-                consumed: 1000,
-                gap: false,
-            },
-            StreamMsg::Ack {
-                session: 5,
-                cum_seq: None,
-                consumed: 0,
-                gap: true,
-            },
+            (
+                27,
+                StreamMsg::Hello {
+                    session: 5,
+                    mech: mech(true, true),
+                    ack_is_for: None,
+                },
+            ),
+            (
+                27,
+                StreamMsg::Hello {
+                    session: 5,
+                    mech: mech(true, false),
+                    ack_is_for: None,
+                },
+            ),
+            (
+                27,
+                StreamMsg::Hello {
+                    session: 6,
+                    mech: Mechanisms::default(),
+                    ack_is_for: Some(5),
+                },
+            ),
+            (
+                DATA_HEADER + 4,
+                StreamMsg::Data {
+                    session: 5,
+                    seq: 9,
+                    sent_at: SimTime::from_nanos(77),
+                    payload,
+                },
+            ),
+            (
+                ACK_LEN,
+                StreamMsg::Ack {
+                    session: 5,
+                    cum_seq: Some(8),
+                    consumed: 1000,
+                    gap: false,
+                },
+            ),
+            (
+                ACK_LEN,
+                StreamMsg::Ack {
+                    session: 5,
+                    cum_seq: None,
+                    consumed: 0,
+                    gap: true,
+                },
+            ),
         ];
-        for m in msgs {
-            assert_eq!(decode_msg(&encode_msg(&m)), Some(m));
+        for (len, m) in msgs {
+            let wire = encode_msg(&m);
+            assert_eq!(wire.len() as u64, len, "{m:?}");
+            assert_eq!(decode_msg(&wire), Some(m));
         }
     }
 
@@ -1596,6 +1628,15 @@ mod tests {
             ]))),
             None
         );
+        // A Hello naming a mechanism this end does not know.
+        let mut hello = vec![MAGIC_STREAM, KIND_HELLO];
+        hello.extend_from_slice(&5u64.to_be_bytes());
+        hello.push(FLAG_RELIABLE | 4);
+        hello.extend_from_slice(&[0; 16]);
+        assert_eq!(
+            decode_msg(&WireMsg::from_bytes(bytes::Bytes::from(hello))),
+            None
+        );
     }
 
     /// A receiving endpoint with no wire under it: arrivals are injected
@@ -1603,13 +1644,12 @@ mod tests {
     fn receiver(receive_buffer: u64) -> (Sim<Stack>, HostId, u64) {
         let (net, a, b) = dash_net::topology::two_hosts_ethernet();
         let mut sim = Sim::new(crate::stack::StackBuilder::new(net).build());
-        let profile = StreamProfile {
+        let mech = Mechanisms {
             reliable: true,
             receiver_fc: true,
             receive_buffer,
-            ..StreamProfile::default()
         };
-        let rx = Session::new(7, a, StreamRole::Rx, profile);
+        let rx = Session::rx(7, a, mech);
         sim.state.stream.host_mut(b).sessions.insert(7, rx);
         (sim, b, 7)
     }
@@ -1688,10 +1728,21 @@ mod tests {
     fn profiles_reflect_paper_table() {
         let bulk = StreamProfile::bulk();
         assert!(bulk.reliable && bulk.receiver_fc);
-        assert!(bulk.needs_ack_stream());
+        assert!(bulk.mechanisms().acked());
         let voice = StreamProfile::voice();
-        assert!(!voice.reliable && !voice.needs_ack_stream());
+        assert!(!voice.reliable && !voice.mechanisms().acked());
         assert_eq!(voice.enforcement, CapacityEnforcement::RateBased);
         assert!(voice.delay.fixed < bulk.delay.fixed);
+    }
+
+    /// RTO and receive buffer follow from the contract: 2 × (500 ms +
+    /// 10 µs × (8 KiB + 30 B) + 50 ms + 10 µs × 26 B) for `bulk()`.
+    #[test]
+    fn rto_and_buffer_derive_from_the_contract() {
+        let us = SimDuration::from_micros;
+        assert_eq!(StreamProfile::bulk().rto(), us(1_264_960));
+        assert_eq!(StreamProfile::default().rto(), us(321_600));
+        assert_eq!(StreamProfile::bulk().receive_buffer(), 256 * 1024);
+        assert_eq!(StreamProfile::default().receive_buffer(), 64 * 1024);
     }
 }

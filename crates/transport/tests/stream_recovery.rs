@@ -19,7 +19,7 @@ use dash_sim::obs::{ObsEvent, ObsSink, RetransmitCause};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_sim::Sim;
 use dash_transport::stack::{Stack, StackBuilder};
-use dash_transport::stream::{self, EndReason, StreamEvent, StreamProfile};
+use dash_transport::stream::{self, EndReason, StreamEvent, StreamProfile, MAX_RETRIES};
 use proptest::prelude::*;
 use rms_core::message::Message;
 
@@ -310,12 +310,12 @@ impl Rig {
     }
 }
 
-/// Reliable, nothing else; the RTO clears the WAN rig's ~65 ms round trip.
+/// Reliable, nothing else; the RTO (≈322 ms, from the default delay bound)
+/// clears the WAN rig's ~65 ms round trip.
 fn reliable() -> StreamProfile {
     StreamProfile {
         reliable: true,
         max_message: 1024,
-        rto: SimDuration::from_millis(300),
         ..StreamProfile::default()
     }
 }
@@ -385,14 +385,11 @@ fn a_lost_retransmission_falls_back_to_the_rto() {
 }
 
 /// (iii) With the peer gone the timeouts back off exponentially and
-/// `max_retries` ends the session with a typed reason.
+/// `MAX_RETRIES` ends the session with a typed reason.
 #[test]
 fn a_dead_path_backs_off_and_exhausts_the_retry_budget() {
-    let rto = SimDuration::from_millis(300);
-    let mut rig = Rig::wan(StreamProfile {
-        max_retries: 3,
-        ..reliable()
-    });
+    let rto = reliable().rto();
+    let mut rig = Rig::wan(reliable());
     rig.lose(|p| matches!(p, Pkt::Data { .. }));
     let sent_at = rig.sim.now();
     rig.send(3, 200);
@@ -410,12 +407,15 @@ fn a_dead_path_backs_off_and_exhausts_the_retry_budget() {
             .map(|r| r.0.saturating_since(sent_at))
             .collect()
     };
-    // rto, then 2·rto and 4·rto after the previous one.
-    assert_eq!(
-        times,
-        [rto, rto.saturating_mul(3), rto.saturating_mul(7)],
-        "backoff"
-    );
+    // rto, then 2·rto, 4·rto, ... after the previous one, the factor
+    // capped at 64.
+    let mut want = Vec::new();
+    let mut at = SimDuration::ZERO;
+    for n in 0..MAX_RETRIES {
+        at = at.saturating_add(rto.saturating_mul(1 << n.min(6)));
+        want.push(at);
+    }
+    assert_eq!(times, want, "backoff");
 }
 
 /// (iv) Losing acks is not losing data. A later cumulative ack covers a
@@ -424,11 +424,7 @@ fn a_dead_path_backs_off_and_exhausts_the_retry_budget() {
 /// nothing more.
 #[test]
 fn lost_acks_alone_never_retransmit_before_an_rto() {
-    let mut rig = Rig::wan(StreamProfile {
-        ack_every: 4,
-        ..reliable()
-    });
-    rig.consume_at_delivery.set(false); // acks come from `ack_every` alone
+    let mut rig = Rig::wan(reliable());
     let mut acks = 0;
     rig.lose(move |p| {
         acks += u32::from(p == Pkt::Ack);
@@ -445,7 +441,8 @@ fn lost_acks_alone_never_retransmit_before_an_rto() {
     let sent_at = rig.sim.now();
     rig.send(8, 200);
     // Every ack of the burst is lost; the path heals once the RTO has fired.
-    rig.run_for(SimDuration::from_millis(310));
+    let rto = reliable().rto();
+    rig.run_for(rto.saturating_add(SimDuration::from_millis(10)));
     deaf.set(false);
     rig.run();
     assert_eq!(rig.seqs(), (0..=16).collect::<Vec<u64>>());
@@ -453,7 +450,7 @@ fn lost_acks_alone_never_retransmit_before_an_rto() {
     assert_eq!(w.resent.len(), 1, "{:?}", w.resent);
     let (at, seq, cause) = w.resent[0];
     assert_eq!((seq, cause), (9, RetransmitCause::Rto));
-    assert_eq!(at.saturating_since(sent_at), SimDuration::from_millis(300));
+    assert_eq!(at.saturating_since(sent_at), rto);
     assert_eq!(w.collateral, 0, "unplanned loss");
 }
 
@@ -463,7 +460,7 @@ fn lost_acks_alone_never_retransmit_before_an_rto() {
 fn window_updates_with_unchanged_cum_seq_do_not_enter_recovery() {
     let mut rig = Rig::wan(StreamProfile {
         receiver_fc: true,
-        receive_buffer: 8 * 1024,
+        capacity: 4 * 1024, // an 8 KiB receive buffer
         ..reliable()
     });
     rig.consume_at_delivery.set(false);
@@ -487,13 +484,13 @@ fn window_updates_with_unchanged_cum_seq_do_not_enter_recovery() {
 }
 
 /// (vi) The hold lives inside the receive buffer: a sender that overruns
-/// it (no receiver flow control on its side) has the excess dropped, the
-/// in-order arrival makes room for itself, and everything is repaired on
-/// evidence — no timeout.
+/// it (no receiver flow control on either side) has the excess dropped,
+/// the in-order arrival goes straight to the application and releases the
+/// hold behind it, and everything is repaired on evidence — no timeout.
 #[test]
 fn the_hold_never_exceeds_the_receive_buffer() {
     let mut rig = Rig::wan(StreamProfile {
-        receive_buffer: 4000,
+        capacity: 2000, // a 4 000 B receive buffer
         ..reliable()
     });
     rig.lose(first_send_of(1));
@@ -507,13 +504,10 @@ fn the_hold_never_exceeds_the_receive_buffer() {
     }
     assert_eq!(peak, 4000, "the hold filled");
     assert_eq!(rig.seqs(), (0..=8).collect::<Vec<u64>>());
-    // #2..#5 were held, #6..#8 refused; #1 evicted #5 to land.
-    assert_eq!(rig.rx().stats.buffer_drops.get(), 4);
+    // #2..#5 were held, #6..#8 refused; #1 took no buffer space to land.
+    assert_eq!(rig.rx().stats.buffer_drops.get(), 3);
     let resent = rig.resent();
-    assert_eq!(
-        resent.iter().map(|r| r.0).collect::<Vec<_>>(),
-        [1, 5, 6, 7, 8]
-    );
+    assert_eq!(resent.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 6, 7, 8]);
     assert!(resent.iter().all(|r| r.1 != RetransmitCause::Rto));
     rig.assert_no_collateral();
 }
@@ -521,38 +515,41 @@ fn the_hold_never_exceeds_the_receive_buffer() {
 proptest! {
     /// Any finite set of lost data and ack packets: every message is
     /// delivered exactly once and in order, the session neither wedges nor
-    /// fails, and the repair work is proportional to the loss.
+    /// fails, and the repair work is proportional to the loss — with and
+    /// without receiver flow control.
     #[test]
     fn random_loss_is_repaired_exactly_once_in_order_and_in_proportion(
         messages in 5usize..40,
         doomed in proptest::collection::vec(0u32..150, 0..14),
     ) {
-        let mut rig = Rig::lan(StreamProfile {
+        let with_fc = StreamProfile {
             receiver_fc: true,
-            receive_buffer: 16 * 1024,
-            rto: SimDuration::from_millis(100),
-            max_retries: 30,
+            capacity: 8 * 1024, // a 16 KiB receive buffer
             ..reliable()
-        });
-        let mut nth = 0;
-        rig.lose(move |p| {
-            if p == Pkt::Other {
-                return false;
-            }
-            nth += 1;
-            doomed.contains(&nth)
-        });
-        rig.send(messages, 1000);
-        rig.run();
-        prop_assert_eq!(rig.seqs(), (0..=messages as u64).collect::<Vec<u64>>());
-        prop_assert!(rig.ended.borrow().is_empty());
-        let w = rig.wire.borrow();
-        let drops = w.lost.len() as u64 + u64::from(w.collateral);
-        let rtos = w.resent.iter().filter(|r| r.2 == RetransmitCause::Rto).count() as u64;
-        prop_assert!(
-            rig.retransmitted() <= 2 * drops + rtos,
-            "{} retransmissions for {} drops and {} timeouts",
-            rig.retransmitted(), drops, rtos
-        );
+        };
+        for profile in [reliable(), with_fc] {
+            let mut rig = Rig::lan(profile);
+            let doomed = doomed.clone();
+            let mut nth = 0;
+            rig.lose(move |p| {
+                if p == Pkt::Other {
+                    return false;
+                }
+                nth += 1;
+                doomed.contains(&nth)
+            });
+            rig.send(messages, 1000);
+            rig.run();
+            prop_assert_eq!(rig.seqs(), (0..=messages as u64).collect::<Vec<u64>>());
+            prop_assert!(rig.ended.borrow().is_empty());
+            let w = rig.wire.borrow();
+            let drops = w.lost.len() as u64 + u64::from(w.collateral);
+            let rtos = w.resent.iter().filter(|r| r.2 == RetransmitCause::Rto).count() as u64;
+            prop_assert!(
+                rig.retransmitted() <= 2 * drops + rtos,
+                "{} retransmissions for {} drops and {} timeouts",
+                rig.retransmitted(), drops, rtos
+            );
+        }
     }
 }

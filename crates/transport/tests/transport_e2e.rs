@@ -236,6 +236,43 @@ fn plain_stream_delivers_in_order() {
     }
 }
 
+/// A reliable stream without receiver flow control runs none at the
+/// receiver either: an application that never consumes still gets every
+/// message, in order, with no buffer drop to repair. (When the Hello
+/// carried one "needs acks" bit, the receiver also ran flow control
+/// against a buffer its sender never heard of, and this stream stalled at
+/// 65 of 100 and ended `RetriesExhausted`.)
+#[test]
+fn reliable_only_receiver_runs_no_flow_control() {
+    let (mut sim, a, b) = stack2();
+    let events = collect_taps(&mut sim, &[a, b]);
+    let ended = Rc::new(RefCell::new(Vec::new()));
+    let e = Rc::clone(&ended);
+    sim.state.on_stream(a, move |_, ev| {
+        if let StreamEvent::Ended { reason, .. } = ev {
+            e.borrow_mut().push(reason);
+        }
+    });
+    let profile = StreamProfile {
+        reliable: true,
+        ..StreamProfile::default()
+    };
+    let session = stream::open(&mut sim, a, b, profile).unwrap();
+    sim.run();
+    for i in 0..100u8 {
+        stream::send(&mut sim, a, session, Message::new(vec![i; 1000])).unwrap();
+    }
+    sim.run();
+    let seqs: Vec<u64> = events.borrow().delivered.iter().map(|d| d.1).collect();
+    assert_eq!(seqs, (0..100).collect::<Vec<u64>>());
+    let tx = sim.state.stream.session(a, session).unwrap();
+    assert_eq!(tx.stats.retransmitted.get(), 0);
+    let rx = sim.state.stream.session(b, session).unwrap();
+    assert_eq!(rx.stats.buffer_drops.get(), 0);
+    assert_eq!(rx.receive_buffer_pending(), 0, "nothing to account");
+    assert!(ended.borrow().is_empty(), "{:?}", ended.borrow());
+}
+
 #[test]
 fn reliable_stream_survives_loss() {
     let mut builder = TopologyBuilder::new();
@@ -248,7 +285,6 @@ fn reliable_stream_survives_loss() {
     let events = collect_taps(&mut sim, &[a, b]);
     let profile = StreamProfile {
         reliable: true,
-        rto: SimDuration::from_millis(50),
         ..StreamProfile::default()
     };
     let session = stream::open(&mut sim, a, b, profile).unwrap();
@@ -260,12 +296,6 @@ fn reliable_stream_survives_loss() {
         stream::send(&mut sim, a, session, Message::new(vec![i as u8; 1000])).unwrap();
         // Space the sends so the run terminates quickly.
         sim.run_until(sim.now() + SimDuration::from_millis(2));
-        // Model the consuming application.
-        let pending = sim.state.stream.session(b, session).unwrap();
-        let pending = pending.receive_buffer_pending();
-        if pending > 0 {
-            stream::consume(&mut sim, b, session, pending);
-        }
     }
     sim.run();
     let ev = events.borrow();
@@ -382,9 +412,8 @@ fn receiver_flow_control_stalls_sender_until_consume() {
     let profile = StreamProfile {
         reliable: true,
         receiver_fc: true,
-        receive_buffer: 2_000,
+        capacity: 1_000, // a 2 000 B receive buffer
         max_message: 1_000,
-        ack_every: 1,
         ..StreamProfile::default()
     };
     let session = stream::open(&mut sim, a, b, profile).unwrap();

@@ -58,7 +58,6 @@ fn stream_fails_over_to_alternate_network_mid_transfer() {
     }
     let profile = StreamProfile {
         reliable: true,
-        rto: SimDuration::from_millis(50),
         ..StreamProfile::default()
     };
     let session = stream::open(&mut sim, a, b, profile).unwrap();
@@ -145,8 +144,6 @@ fn host_crash_yields_typed_end_not_a_stall() {
     }
     let profile = StreamProfile {
         reliable: true,
-        rto: SimDuration::from_millis(50),
-        max_retries: 4,
         ..StreamProfile::default()
     };
     let session = stream::open(&mut sim, a, b, profile).unwrap();

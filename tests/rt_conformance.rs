@@ -58,11 +58,16 @@ struct Workload {
     rkom_n: u32,
 }
 
-/// One reliable transfer each way. A tight RTO keeps retransmission
-/// stalls short in wall time.
+/// One reliable transfer each way. A tight delay bound keeps the RTO
+/// derived from it, and so retransmission stalls, short in wall time.
 fn bulk_both_ways(a: HostId, b: HostId, ab_bytes: u64, ba_bytes: u64) -> Plan {
-    let mut profile = StreamProfile::bulk();
-    profile.rto = SimDuration::from_millis(25);
+    let profile = StreamProfile {
+        delay: dash::core::DelayBound::best_effort_with(
+            SimDuration::from_millis(5),
+            SimDuration::from_micros(1),
+        ),
+        ..StreamProfile::bulk()
+    };
     Plan::from(vec![
         Flow::bulk(a, b, ab_bytes, 4 * 1024, profile.clone()),
         Flow::bulk(b, a, ba_bytes, 4 * 1024, profile),
