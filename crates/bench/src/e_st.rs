@@ -6,6 +6,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use dash_apps::taps::Dispatcher;
 use dash_net::topology::TopologyBuilder;
 use dash_net::NetworkSpec;
@@ -87,7 +88,8 @@ pub fn e3_caching() -> Table {
         for i in 0..n_creates {
             let peer = peers[(i % 3) as usize];
             let before = created.borrow().len();
-            let token = st_engine::create(&mut sim, client, peer, &request, false).unwrap();
+            let token =
+                st_engine::create(&mut sim, client, peer, &request, false, Bytes::new()).unwrap();
             pending.borrow_mut().insert(token.0, sim.now());
             sim.run();
             // Close the stream we just created.

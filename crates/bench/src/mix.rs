@@ -534,7 +534,8 @@ mod tests {
         // to the LAN wire delay — tiny workload, same digest.
         let p = MixParams::micro().scenario();
         let a = run(&p, par(1, false));
-        assert!(a.messages > 20, "messages {}", a.messages);
+        let received: u64 = a.received.iter().sum();
+        assert!(received > 10, "received {received}");
         let b = run(&p, par(3, false));
         assert_eq!(a.determinism_digest(), b.determinism_digest());
         let c = run(&p, par(3, true));

@@ -396,6 +396,7 @@ pub fn explore(seeds: &[Scenario], cfg: &ExploreConfig) -> Option<(Scenario, Run
 mod tests {
     use super::*;
     use crate::oracle::check_stream;
+    use dash_sim::obs::{DropCause, ObsEvent};
 
     #[test]
     fn baseline_scenario_runs_clean_and_replays_identically() {
@@ -474,6 +475,37 @@ mod tests {
         assert_eq!(one.determinism_digest(), two.determinism_digest());
         assert!(one.received.iter().sum::<u64>() > 0);
         assert_eq!(check_stream(&two.stream, true), Vec::<String>::new());
+    }
+
+    /// Schedule jitter reorders events, but it cannot put a session's data
+    /// ahead of the session: the receiving end is built from the ST
+    /// create's opening header before any data is sent.
+    #[test]
+    fn jitter_never_puts_data_ahead_of_its_session() {
+        for seed in 0..4 {
+            let sc = Scenario {
+                fault_seed: None,
+                jitter_seed: seed,
+                jitter_max_us: 500,
+                ..Scenario::chaos(seed)
+            };
+            let out = scenario::run(&sc.compile(), Backend::Serial);
+            let no_session = out
+                .stream
+                .iter()
+                .filter(|(_, e)| {
+                    matches!(
+                        e,
+                        ObsEvent::Drop {
+                            cause: DropCause::NoSession,
+                            ..
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(no_session, 0, "seed {seed}");
+            assert!(out.received.iter().sum::<u64>() > 0, "seed {seed}");
+        }
     }
 
     #[test]

@@ -30,12 +30,6 @@ pub fn implied_bandwidth(params: &RmsParams) -> f64 {
     }
 }
 
-/// The interval `D·M/C` at which maximum-size messages can be sent without
-/// ever exceeding the capacity `C` of outstanding data.
-pub fn steady_send_interval(params: &RmsParams) -> SimDuration {
-    send_interval_for(params, params.max_message_size)
-}
-
 /// The interval `D(M)·M/C` for messages of a particular size `M ≤ max`.
 /// At this spacing, at most `C/M` messages (total size `C`) can be
 /// outstanding, because everything older than `D(M)` has been delivered.
@@ -47,17 +41,6 @@ pub fn send_interval_for(params: &RmsParams, message_size: u64) -> SimDuration {
     // D * M / C with integer nanosecond arithmetic via u128.
     let ns = d.as_nanos() as u128 * message_size as u128 / params.capacity as u128;
     SimDuration::from_nanos(ns.min(u64::MAX as u128) as u64)
-}
-
-/// The maximum number of messages of size `M` that can be outstanding at
-/// once under the capacity rule (`⌊C/M⌋`), i.e. the window size a transport
-/// protocol gets "for free" from the RMS parameters (§5: "fixed window size
-/// determined by RMS capacity").
-pub fn window_messages(params: &RmsParams, message_size: u64) -> u64 {
-    if message_size == 0 {
-        return u64::MAX;
-    }
-    params.capacity / message_size
 }
 
 #[cfg(test)]
@@ -87,16 +70,17 @@ mod tests {
     fn send_interval_identity() {
         // D = 10ms, M = 1000, C = 100_000 -> interval = 0.1ms.
         let p = params(100_000, 1_000, 10, 0);
-        assert_eq!(steady_send_interval(&p), SimDuration::from_micros(100));
+        let interval = send_interval_for(&p, p.max_message_size);
+        assert_eq!(interval, SimDuration::from_micros(100));
         // Bandwidth = M / interval = C / D.
-        let bw = 1_000.0 / steady_send_interval(&p).as_secs_f64();
+        let bw = 1_000.0 / interval.as_secs_f64();
         assert!((bw - implied_bandwidth(&p)).abs() < 1.0);
     }
 
     #[test]
     fn interval_respects_capacity_rule() {
         let p = params(10_000, 1_000, 5, 0);
-        let interval = steady_send_interval(&p);
+        let interval = send_interval_for(&p, p.max_message_size);
         let d = p.delay.bound_for(p.max_message_size);
         // Messages sent in the last D seconds: D / interval; bytes = that * M
         // must not exceed C.
@@ -109,9 +93,8 @@ mod tests {
 
     #[test]
     fn per_byte_component_participates() {
-        // B = 1us/byte, A = 0: D(1000) = 1ms. C = 2000 -> window of 2 msgs.
+        // B = 1us/byte, A = 0: D(1000) = 1ms. C = 2000 -> two messages a ms.
         let p = params(2_000, 1_000, 0, 1_000);
-        assert_eq!(window_messages(&p, 1_000), 2);
         assert_eq!(send_interval_for(&p, 1_000), SimDuration::from_micros(500));
     }
 
@@ -119,8 +102,7 @@ mod tests {
     fn degenerate_cases() {
         let p = params(1_000, 100, 0, 0); // zero delay bound
         assert_eq!(implied_bandwidth(&p), 0.0);
-        assert_eq!(steady_send_interval(&p), SimDuration::ZERO);
-        assert_eq!(window_messages(&p, 0), u64::MAX);
+        assert_eq!(send_interval_for(&p, 100), SimDuration::ZERO);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl StatisticalSpec {
             delay_probability,
         }
     }
-
-    /// Peak load implied by the burstiness factor, bytes per second.
-    pub fn peak_load(&self) -> f64 {
-        self.average_load * self.burstiness
-    }
 }
 
 /// The type of a delay bound (§2.3), ordered by strength.
@@ -207,11 +202,5 @@ mod tests {
     #[should_panic(expected = "burstiness")]
     fn statistical_spec_validates() {
         let _ = StatisticalSpec::new(1e6, 0.5, 0.99);
-    }
-
-    #[test]
-    fn peak_load() {
-        let s = StatisticalSpec::new(100.0, 3.0, 0.9);
-        assert_eq!(s.peak_load(), 300.0);
     }
 }

@@ -117,36 +117,6 @@ impl Message {
     pub fn is_empty(&self) -> bool {
         self.payload.is_empty()
     }
-
-    /// Split the payload into chunks of at most `chunk` bytes, preserving
-    /// order. Used by the subtransport layer's fragmentation (§4.3). The
-    /// labels are carried on every fragment; the chunks are zero-copy
-    /// views of this message's segments. An empty message yields one
-    /// empty fragment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`.
-    pub fn split_into(&self, chunk: usize) -> Vec<Message> {
-        assert!(chunk > 0, "chunk size must be positive");
-        if self.payload.is_empty() {
-            return vec![self.clone()];
-        }
-        let len = self.payload.len();
-        let mut out = Vec::with_capacity(len.div_ceil(chunk));
-        let mut start = 0;
-        while start < len {
-            let end = (start + chunk).min(len);
-            out.push(Message {
-                source: self.source,
-                target: self.target,
-                span: self.span,
-                payload: self.payload.slice(start, end),
-            });
-            start = end;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -183,41 +153,6 @@ mod tests {
         // And so is the wire body.
         assert_eq!(m.wire().seg_count(), 1);
         assert_eq!(m.into_wire().contiguous().as_ptr(), body.as_ptr());
-    }
-
-    #[test]
-    fn split_into_preserves_bytes_and_labels() {
-        let m = Message::labelled(Label(7), Label(8), (0u8..10).collect::<Vec<_>>());
-        let parts = m.split_into(4);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].len(), 4);
-        assert_eq!(parts[1].len(), 4);
-        assert_eq!(parts[2].len(), 2);
-        let rejoined: Vec<u8> = parts.iter().flat_map(|p| p.payload().to_vec()).collect();
-        assert_eq!(rejoined, (0u8..10).collect::<Vec<_>>());
-        assert!(parts.iter().all(|p| p.source == Some(Label(7))));
-    }
-
-    #[test]
-    fn split_exact_multiple() {
-        let m = Message::zeroes(8);
-        assert_eq!(m.split_into(4).len(), 2);
-        assert_eq!(m.split_into(8).len(), 1);
-        assert_eq!(m.split_into(9).len(), 1);
-    }
-
-    #[test]
-    fn split_empty_yields_one_fragment() {
-        let m = Message::new(Vec::new());
-        let parts = m.split_into(4);
-        assert_eq!(parts.len(), 1);
-        assert!(parts[0].is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk")]
-    fn split_zero_chunk_panics() {
-        Message::zeroes(4).split_into(0);
     }
 
     #[test]

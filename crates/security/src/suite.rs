@@ -72,19 +72,6 @@ impl MechanismPlan {
         }
         c
     }
-
-    /// Bytes of header overhead this plan adds to each message (tag and
-    /// checksum fields).
-    pub fn header_overhead(&self) -> u64 {
-        let mut n = 0;
-        if self.mac {
-            n += 8;
-        }
-        if self.checksum.is_some() {
-            n += 4;
-        }
-        n
-    }
 }
 
 /// Choose the cheapest software mechanisms that realize `params` over a
@@ -262,7 +249,5 @@ mod tests {
             checksum: Some(Algorithm::Crc32),
         };
         assert!(full.cost().cost_for(1500) > MechanismPlan::NONE.cost().cost_for(1500));
-        assert_eq!(full.header_overhead(), 12);
-        assert_eq!(MechanismPlan::NONE.header_overhead(), 0);
     }
 }

@@ -9,6 +9,7 @@
 //! message waiting for its CPU job waits in [`crate::st::StState`]'s job
 //! slabs, and the job's continuation names the slot.
 
+use bytes::Bytes;
 use dash_net::ids::{HostId, NetRmsId, NetworkId};
 use dash_net::pipeline as net;
 use dash_net::state::{emit, NetRmsEvent};
@@ -32,7 +33,7 @@ use crate::st::{
     control_params, DataOut, NetPurpose, NetUse, PeerState, StEvent, StPending, StRole, StStream,
     StWorld, AUTH_TIMEOUT, DATA_CAPACITY_DEFAULT, ST_MAX_MESSAGE_SIZE,
 };
-use crate::wire::{decode, encode, ControlMsg, DataFrame, Frame};
+use crate::wire::{decode, encode, ControlMsg, DataFrame, Frame, MAX_OPENING_HEADER};
 
 const NAK_REASON_LIMITS: u8 = 1;
 
@@ -96,19 +97,30 @@ pub fn st_negotiate<W: StWorld>(
 ///
 /// Triggers control-channel establishment and authentication on first
 /// contact (§3.2). Completion is reported as [`StEvent::Created`] /
-/// [`StEvent::CreateFailed`] with the returned token.
+/// [`StEvent::CreateFailed`] with the returned token. The opening `header`
+/// rides the create request on the reliable control channel and reaches
+/// the receiving client in [`StEvent::InboundCreated`], before any data
+/// sent on the stream.
 ///
 /// # Errors
 ///
 /// Fails synchronously when there is no route, negotiation cannot succeed,
-/// or no pair key is provisioned for the control-channel authentication.
+/// no pair key is provisioned for the control-channel authentication, or
+/// the header is longer than [`MAX_OPENING_HEADER`].
 pub fn create<W: StWorld>(
     sim: &mut Sim<W>,
     host: HostId,
     peer: HostId,
     request: &RmsRequest,
     fast_ack: bool,
+    header: Bytes,
 ) -> Result<StToken, RmsError> {
+    if header.len() > MAX_OPENING_HEADER {
+        return Err(RmsError::MessageTooLarge {
+            size: header.len() as u64,
+            limit: MAX_OPENING_HEADER as u64,
+        });
+    }
     let params = st_negotiate(sim, host, peer, request)?;
     let st = sim.state.st();
     if st.pair_key(host, peer).is_none() {
@@ -140,6 +152,7 @@ pub fn create<W: StWorld>(
             token,
             params,
             fast_ack,
+            header,
         },
     );
     Ok(token)
@@ -1180,6 +1193,7 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
             token,
             params,
             fast_ack,
+            header,
         } => {
             // Receiver-side accept policy: parameters were negotiated by
             // the sender against the real path; we only enforce our own
@@ -1197,8 +1211,7 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
                 return;
             }
             let st_rms = sim.state.st().alloc_st_rms();
-            let params = params.shared();
-            let stream = new_stream(st_rms, peer, StRole::Receiver, params.clone(), fast_ack);
+            let stream = new_stream(st_rms, peer, StRole::Receiver, params.shared(), fast_ack);
             sim.state.st().host_mut(host).streams.insert(st_rms, stream);
             send_ctrl(sim, host, peer, ControlMsg::StCreateAck { token, st_rms });
             W::st_event(
@@ -1207,8 +1220,7 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
                 StEvent::InboundCreated {
                     st_rms,
                     peer,
-                    params,
-                    fast_ack,
+                    header,
                 },
             );
         }

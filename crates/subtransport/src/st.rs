@@ -9,6 +9,7 @@
 
 use rms_core::hash::DetHashMap;
 
+use bytes::Bytes;
 use dash_net::ids::{CreateToken, HostId, NetRmsId};
 use dash_security::cipher::Key;
 use dash_security::cost::CostModel;
@@ -374,16 +375,16 @@ pub enum StEvent {
         /// Why.
         reason: RejectReason,
     },
-    /// A receiving stream appeared at this host.
+    /// A receiving stream appeared at this host. It is reported before the
+    /// creator learns of the stream, so before any data can arrive on it.
     InboundCreated {
         /// The new stream.
         st_rms: StRmsId,
         /// The sending peer.
         peer: HostId,
-        /// ST-level parameters.
-        params: SharedParams,
-        /// Whether its frames will request fast acks.
-        fast_ack: bool,
+        /// The creator's opening header, as passed to
+        /// [`crate::engine::create`].
+        header: Bytes,
     },
     /// A stream failed.
     Failed {

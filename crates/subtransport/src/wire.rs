@@ -14,7 +14,7 @@
 //! encoder's output is the single source of truth for frame sizes; there
 //! is no parallel size computation to drift out of sync with `put_data`.
 
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use dash_sim::time::{SimDuration, SimTime};
 use rms_core::delay::{DelayBound, DelayBoundKind, StatisticalSpec};
 use rms_core::message::Label;
@@ -120,6 +120,10 @@ pub enum ControlMsg {
         params: RmsParams,
         /// Whether data frames will request fast acknowledgements.
         fast_ack: bool,
+        /// The client's opening header, opaque to the ST: what the
+        /// receiving client needs to claim the stream before any data
+        /// arrives on it. At most [`MAX_OPENING_HEADER`] bytes.
+        header: Bytes,
     },
     /// Positive reply carrying the receiver-assigned stream id.
     StCreateAck {
@@ -171,6 +175,9 @@ const CTRL_CREATE_REQ: u8 = 3;
 const CTRL_CREATE_ACK: u8 = 4;
 const CTRL_CREATE_NAK: u8 = 5;
 const CTRL_CLOSE: u8 = 6;
+
+/// Longest opening header a [`ControlMsg::StCreateReq`] carries.
+pub const MAX_OPENING_HEADER: usize = 64;
 
 const FLAG_FRAG: u8 = 1;
 const FLAG_FAST_ACK: u8 = 2;
@@ -267,11 +274,14 @@ fn put_ctrl(buf: &mut BytesMut, c: &ControlMsg) {
             token,
             params,
             fast_ack,
+            header,
         } => {
             buf.put_u8(CTRL_CREATE_REQ);
             buf.put_u64(token.0);
             buf.put_u8(u8::from(*fast_ack));
             put_params(buf, params);
+            buf.put_u8(header.len() as u8);
+            buf.put_slice(header);
         }
         ControlMsg::StCreateAck { token, st_rms } => {
             buf.put_u8(CTRL_CREATE_ACK);
@@ -463,10 +473,15 @@ fn get_ctrl(c: &mut WireCursor<'_>) -> Result<ControlMsg, WireError> {
             let token = StToken(c.get_u64()?);
             let fast_ack = c.get_u8()? != 0;
             let params = get_params(c)?;
+            let len = c.get_u8()? as usize;
+            if len > MAX_OPENING_HEADER {
+                return Err(WireError::Invalid("opening header length"));
+            }
             Ok(ControlMsg::StCreateReq {
                 token,
                 params,
                 fast_ack,
+                header: c.take_bytes(len)?,
             })
         }
         CTRL_CREATE_ACK => Ok(ControlMsg::StCreateAck {
@@ -620,6 +635,7 @@ mod tests {
                 token: StToken(7),
                 params: sample_params(),
                 fast_ack: true,
+                header: Bytes::from_static(&[0xD6; MAX_OPENING_HEADER]),
             },
             ControlMsg::StCreateAck {
                 token: StToken(7),
@@ -647,8 +663,25 @@ mod tests {
             token: StToken(1),
             params: p,
             fast_ack: false,
+            header: Bytes::new(),
         });
         assert_eq!(decode(&encode(&f)).unwrap(), f);
+    }
+
+    /// The opening header's length is bounded on decode: a request claiming
+    /// more than [`MAX_OPENING_HEADER`] bytes is refused, whatever follows.
+    #[test]
+    fn oversized_opening_header_fails() {
+        let f = Frame::Ctrl(ControlMsg::StCreateReq {
+            token: StToken(1),
+            params: sample_params(),
+            fast_ack: false,
+            header: Bytes::from(vec![1; MAX_OPENING_HEADER + 1]),
+        });
+        assert_eq!(
+            decode(&encode(&f)),
+            Err(WireError::Invalid("opening header length"))
+        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn basic_request() -> RmsRequest {
 }
 
 fn establish(sim: &mut Sim<World>, a: HostId, b: HostId, req: &RmsRequest, fa: bool) -> StRmsId {
-    let token = engine::create(sim, a, b, req, fa).expect("create accepted");
+    let token = engine::create(sim, a, b, req, fa, Bytes::new()).expect("create accepted");
     sim.run();
     sim.state
         .created
@@ -278,7 +278,7 @@ fn missing_pair_key_fails_fast() {
         fast_acks: Vec::new(),
     };
     let mut sim = Sim::new(world);
-    let err = engine::create(&mut sim, a, b, &basic_request(), false).unwrap_err();
+    let err = engine::create(&mut sim, a, b, &basic_request(), false, Bytes::new()).unwrap_err();
     assert!(matches!(
         err,
         RmsError::CreationRejected(RejectReason::AuthenticationFailed)
@@ -302,7 +302,7 @@ fn mismatched_keys_fail_authentication() {
         fast_acks: Vec::new(),
     };
     let mut sim = Sim::new(world);
-    let token = engine::create(&mut sim, a, b, &basic_request(), false).unwrap();
+    let token = engine::create(&mut sim, a, b, &basic_request(), false, Bytes::new()).unwrap();
     // Let the handshake proceed until a's Hello (signed with key 111) is on
     // the wire, then rotate the shared key: b now verifies with key 222 and
     // must reject the Hello.

@@ -10,6 +10,11 @@
 //! Semantics: at-most-once execution via a per-(client, call) duplicate
 //! cache at the server, released by a reply acknowledgement on the
 //! high-delay RMS.
+//!
+//! Each lane's ST create carries the opening header `[0xD5]`. A callee
+//! claims the lane when it is created and starts its own half of the
+//! channel then, so the reverse lanes are being created while the first
+//! request is still in flight.
 
 use rms_core::hash::DetHashMap;
 
@@ -26,7 +31,6 @@ use dash_subtransport::st::{StEvent, StWorld as _};
 use rms_core::delay::DelayBound;
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
-use rms_core::port::DeliveryInfo;
 use rms_core::wire::WireMsg;
 use rms_core::{RmsError, RmsRequest};
 
@@ -82,6 +86,9 @@ const HIGH_DELAY: SimDuration = SimDuration::from_millis(200);
 const CHANNEL_CAPACITY: u64 = 64 * 1024;
 /// Maximum request/reply payload size.
 const MAX_MESSAGE: u64 = 16 * 1024;
+
+/// The opening header of every channel lane.
+const OPENING_HEADER: &[u8] = &[MAGIC_RKOM];
 
 const KIND_REQUEST: u8 = 1;
 const KIND_REPLY: u8 = 2;
@@ -558,7 +565,8 @@ fn ensure_channel(sim: &mut Sim<Stack>, host: HostId, peer: HostId) {
         .expect("just inserted")
         .creating = true;
     for (lane, fixed) in [(Lane::Low, LOW_DELAY), (Lane::High, HIGH_DELAY)] {
-        match st_engine::create(sim, host, peer, &channel_request(fixed), false) {
+        let header = Bytes::from_static(OPENING_HEADER);
+        match st_engine::create(sim, host, peer, &channel_request(fixed), false, header) {
             Ok(token) => {
                 sim.state
                     .rkom
@@ -585,6 +593,24 @@ fn fail_channel(sim: &mut Sim<Stack>, host: HostId, peer: HostId, err: RkomError
 // ---------------------------------------------------------------------------
 // Routing hooks used by `Stack`
 // ---------------------------------------------------------------------------
+
+/// A channel lane from `peer` appeared at `host`: claim it and start this
+/// host's half of the channel if it has none. Returns whether `header` was
+/// RKOM's (and the lane is now RKOM's).
+pub fn on_inbound(
+    sim: &mut Sim<Stack>,
+    host: HostId,
+    st_rms: StRmsId,
+    peer: HostId,
+    header: &Bytes,
+) -> bool {
+    if header.as_ref() != OPENING_HEADER {
+        return false;
+    }
+    sim.state.rkom.host_mut(host).owned.insert(st_rms, peer);
+    ensure_channel(sim, host, peer);
+    true
+}
 
 /// Does RKOM own this (receiving or sending) ST RMS at `host`?
 pub fn owns(stack: &Stack, host: HostId, st_rms: StRmsId) -> bool {
@@ -655,45 +681,21 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
             }
         }
         StEvent::Closed { st_rms } => {
-            let peer = sim.state.rkom.host_mut(host).owned.remove(&st_rms);
-            if let Some(peer) = peer {
-                fail_channel(sim, host, peer, RkomError::Timeout);
-            }
+            // The peer closed a lane of its half: ours, and the calls on
+            // it, are untouched.
+            sim.state.rkom.host_mut(host).owned.remove(&st_rms);
         }
         _ => {}
     }
 }
 
-/// Handle an ST delivery addressed to RKOM.
-pub fn on_delivery(
-    sim: &mut Sim<Stack>,
-    host: HostId,
-    st_rms: StRmsId,
-    msg: Message,
-    _info: DeliveryInfo,
-) {
+/// Handle an ST delivery on a lane RKOM owns.
+pub fn on_delivery(sim: &mut Sim<Stack>, host: HostId, st_rms: StRmsId, msg: Message) {
     let Some(decoded) = decode_msg(msg.wire()) else {
         return;
     };
-    // Claim the inbound stream and learn the peer from the ST layer.
-    let peer = {
-        match sim.state.rkom.host(host).owned.get(&st_rms).copied() {
-            Some(p) => p,
-            None => {
-                let Some(p) = sim
-                    .state
-                    .st_ref()
-                    .host(host)
-                    .streams
-                    .get(&st_rms)
-                    .map(|s| s.peer)
-                else {
-                    return;
-                };
-                sim.state.rkom.host_mut(host).owned.insert(st_rms, p);
-                p
-            }
-        }
+    let Some(peer) = sim.state.rkom.host(host).owned.get(&st_rms).copied() else {
+        return;
     };
     match decoded {
         RkomMsg::Request {

@@ -6,10 +6,11 @@
 //! short-term scheduling (§4.1). Examples, integration tests, applications
 //! and benchmarks all run on this type.
 //!
-//! Delivery routing: every transport protocol prefixes its ST messages with
-//! a magic byte (`0xD5` RKOM, `0xD6` streams). ST messages on streams not
-//! owned by a transport protocol and not starting with a reserved magic
-//! byte are handed to the application tap.
+//! Routing: a transport protocol claims each ST RMS it receives on when the
+//! RMS is created, from the first byte of the creator's opening header
+//! (`0xD5` RKOM, `0xD6` streams); deliveries then route by ownership alone.
+//! Streams no transport protocol owns, and their events, are handed to the
+//! application tap.
 
 use dash_baseline::tcp::{self, TcpEvent, TcpState, TcpWorld, TCP_PROTO};
 use dash_net::ids::{HostId, NetRmsId, NetworkId};
@@ -29,9 +30,9 @@ use dash_sim::obs::ObsSink;
 use crate::rkom::{self, RkomState};
 use crate::stream::{self, StreamEvent, StreamState};
 
-/// Reserved first byte of RKOM ST messages.
+/// Reserved first byte of RKOM opening headers and messages.
 pub const MAGIC_RKOM: u8 = 0xD5;
-/// Reserved first byte of stream-protocol ST messages.
+/// Reserved first byte of stream-protocol opening headers and messages.
 pub const MAGIC_STREAM: u8 = 0xD6;
 
 /// Application-facing notifications from the stack.
@@ -361,17 +362,12 @@ impl StWorld for Stack {
         msg: Message,
         info: DeliveryInfo,
     ) {
-        // Owned streams route to their protocol; unknown streams are
-        // claimed by magic byte.
-        if rkom::owns(&sim.state, host, st_rms)
-            || msg.wire().first_byte() == Some(MAGIC_RKOM)
-                && !stream::owns(&sim.state, host, st_rms)
-        {
-            rkom::on_delivery(sim, host, st_rms, msg, info);
+        if rkom::owns(&sim.state, host, st_rms) {
+            rkom::on_delivery(sim, host, st_rms, msg);
             return;
         }
-        if stream::owns(&sim.state, host, st_rms) || msg.wire().first_byte() == Some(MAGIC_STREAM) {
-            stream::on_delivery(sim, host, st_rms, msg, info);
+        if stream::owns(&sim.state, host, st_rms) {
+            stream::on_delivery(sim, host, msg);
             return;
         }
         Stack::fire_app_event(
@@ -411,10 +407,19 @@ impl StWorld for Stack {
                     return;
                 }
             }
-            StEvent::InboundCreated { .. } => {
-                // Ownership of inbound streams is established by the first
-                // message's magic byte; applications may still observe the
-                // event.
+            StEvent::InboundCreated {
+                st_rms,
+                peer,
+                header,
+            } => {
+                let claimed = match header.first() {
+                    Some(&MAGIC_RKOM) => rkom::on_inbound(sim, host, *st_rms, *peer, header),
+                    Some(&MAGIC_STREAM) => stream::on_inbound(sim, host, *st_rms, *peer, header),
+                    _ => false,
+                };
+                if claimed {
+                    return;
+                }
             }
         }
         Stack::fire_app_event(sim, AppEvent::StEvent { host, event });

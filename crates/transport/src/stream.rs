@@ -14,10 +14,16 @@
 //!
 //! A session is a function of the profile's mechanisms and its delay
 //! bound, nothing else. The receiving end learns the mechanisms from the
-//! data stream's Hello — one flags byte (reliable, receiver flow control)
-//! and the buffer size — so it runs exactly what the sender's profile names;
-//! the RTO ([`StreamProfile::rto`]) and the receive buffer
+//! Hello — one flags byte (reliable, receiver flow control) and the buffer
+//! size — so it runs exactly what the sender's profile names; the RTO
+//! ([`StreamProfile::rto`]) and the receive buffer
 //! ([`StreamProfile::receive_buffer`]) derive from the contract.
+//!
+//! Every lane is claimed when it is created. The Hello is the opening
+//! header of the data lane's ST create, and the ack lane's create names
+//! the session it acknowledges the same way, so the receiving end holds
+//! the session (or binds the lane to it) before any data can be sent on
+//! the lane.
 //!
 //! Acknowledgement-based capacity enforcement is clocked by the ST's *fast
 //! acknowledgement* service (§3.2), exercising the paper's claim that it
@@ -35,6 +41,9 @@
 //!   is loss evidence. A re-ack of the same `cum_seq` for a *duplicate*
 //!   arrival, or a window update from [`consume`], carries no `gap` and is
 //!   never mistaken for one.
+//! - **Sender — never more than the receiver can hold.** Unacknowledged
+//!   bytes stay within the receive buffer the Hello announces, so the hold
+//!   never has to refuse data the sender will only resend.
 //! - **Sender — one recovery state.** `repairing` names the hole already
 //!   resent. A `gap` ack whose hole (the head of `unacked`) is not the one
 //!   being repaired resends the head once — a *duplicate* ack when it
@@ -53,7 +62,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rms_core::hash::DetHashMap;
 
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use dash_net::ids::HostId;
 use dash_net::state::emit;
 use dash_sim::engine::{Args, Sim, TimerHandle};
@@ -62,12 +71,11 @@ use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
 use dash_subtransport::engine as st_engine;
 use dash_subtransport::ids::{StRmsId, StToken};
-use dash_subtransport::st::{StEvent, StWorld as _};
+use dash_subtransport::st::StEvent;
 use rms_core::delay::DelayBound;
 use rms_core::error::{FailReason, RmsError};
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
-use rms_core::port::DeliveryInfo;
 use rms_core::wire::WireMsg;
 use rms_core::RmsRequest;
 
@@ -246,6 +254,7 @@ pub enum EndReason {
     RetriesExhausted,
 }
 
+/// Second byte of a Hello: the opening header, never a lane message.
 const KIND_HELLO: u8 = 1;
 const KIND_DATA: u8 = 2;
 const KIND_ACK: u8 = 3;
@@ -280,13 +289,59 @@ impl Mechanisms {
     }
 }
 
+/// A stream lane's opening header, carried by its ST create (27 bytes:
+/// magic, kind, session, flags, receive buffer, acknowledged session). A
+/// data lane's Hello names the mechanisms the receiving end must run; an
+/// ack lane's names the session it acknowledges.
+#[derive(Debug, PartialEq)]
+struct Hello {
+    session: u64,
+    mech: Mechanisms,
+    ack_is_for: Option<u64>,
+}
+
+impl Hello {
+    fn encode(&self) -> Bytes {
+        let mut b = BytesMut::with_capacity(27);
+        b.put_u8(MAGIC_STREAM);
+        b.put_u8(KIND_HELLO);
+        b.put_u64(self.session);
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        let mech = &self.mech;
+        b.put_u8(flag(mech.reliable, FLAG_RELIABLE) | flag(mech.receiver_fc, FLAG_RECEIVER_FC));
+        b.put_u64(mech.receive_buffer);
+        b.put_u64(self.ack_is_for.map_or(u64::MAX, |s| s));
+        b.freeze()
+    }
+
+    fn decode(header: &Bytes) -> Option<Hello> {
+        let wire = WireMsg::from_bytes(header.clone());
+        let mut b = wire.cursor();
+        if b.get_u8().ok()? != MAGIC_STREAM || b.get_u8().ok()? != KIND_HELLO {
+            return None;
+        }
+        let session = b.get_u64().ok()?;
+        let flags = b.get_u8().ok()?;
+        if flags & !(FLAG_RELIABLE | FLAG_RECEIVER_FC) != 0 {
+            return None;
+        }
+        let mech = Mechanisms {
+            reliable: flags & FLAG_RELIABLE != 0,
+            receiver_fc: flags & FLAG_RECEIVER_FC != 0,
+            receive_buffer: b.get_u64().ok()?,
+        };
+        let raw = b.get_u64().ok()?;
+        Some(Hello {
+            session,
+            mech,
+            ack_is_for: (raw != u64::MAX).then_some(raw),
+        })
+    }
+}
+
+/// A message on a stream lane.
 #[derive(Debug, PartialEq)]
 enum StreamMsg {
-    Hello {
-        session: u64,
-        mech: Mechanisms,
-        ack_is_for: Option<u64>,
-    },
     Data {
         session: u64,
         seq: u64,
@@ -310,18 +365,6 @@ fn encode_msg(m: &StreamMsg) -> WireMsg {
     let mut b = BytesMut::with_capacity(32);
     b.put_u8(MAGIC_STREAM);
     match m {
-        StreamMsg::Hello {
-            session,
-            mech,
-            ack_is_for,
-        } => {
-            b.put_u8(KIND_HELLO);
-            b.put_u64(*session);
-            let flag = |on: bool, bit: u8| if on { bit } else { 0 };
-            b.put_u8(flag(mech.reliable, FLAG_RELIABLE) | flag(mech.receiver_fc, FLAG_RECEIVER_FC));
-            b.put_u64(mech.receive_buffer);
-            b.put_u64(ack_is_for.map_or(u64::MAX, |s| s));
-        }
         StreamMsg::Data {
             session,
             seq,
@@ -360,24 +403,6 @@ fn decode_msg(wire: &WireMsg) -> Option<StreamMsg> {
         return None;
     }
     match b.get_u8().ok()? {
-        KIND_HELLO => {
-            let session = b.get_u64().ok()?;
-            let flags = b.get_u8().ok()?;
-            if flags & !(FLAG_RELIABLE | FLAG_RECEIVER_FC) != 0 {
-                return None;
-            }
-            let mech = Mechanisms {
-                reliable: flags & FLAG_RELIABLE != 0,
-                receiver_fc: flags & FLAG_RECEIVER_FC != 0,
-                receive_buffer: b.get_u64().ok()?,
-            };
-            let raw = b.get_u64().ok()?;
-            Some(StreamMsg::Hello {
-                session,
-                mech,
-                ack_is_for: (raw != u64::MAX).then_some(raw),
-            })
-        }
         KIND_DATA => {
             let session = b.get_u64().ok()?;
             let seq = b.get_u64().ok()?;
@@ -461,6 +486,8 @@ pub struct Session {
     port: SendPort,
     next_seq: u64,
     unacked: VecDeque<(u64, Message, SimTime)>,
+    /// Payload bytes in `unacked`.
+    unacked_bytes: u64,
     rate: Option<RateLimiter>,
     ackwin: Option<AckWindow>,
     rwin: Option<ReceiverWindow>,
@@ -473,7 +500,6 @@ pub struct Session {
     was_blocked: bool,
 
     // Rx side.
-    data_in: Option<StRmsId>,
     ack_out: Option<StRmsId>,
     next_expected: u64,
     /// One past the highest sequence seen (reliable sessions): where the
@@ -664,11 +690,16 @@ pub fn open(
         .sessions
         .insert(session_id, session);
     let fast_ack = profile.enforcement == CapacityEnforcement::AckBased;
-    let token = st_engine::create(sim, host, peer, &data_request(&profile), fast_ack).inspect_err(
-        |_| {
+    let hello = Hello {
+        session: session_id,
+        mech: profile.mechanisms(),
+        ack_is_for: None,
+    };
+    let request = data_request(&profile);
+    let token = st_engine::create(sim, host, peer, &request, fast_ack, hello.encode())
+        .inspect_err(|_| {
             sim.state.stream.host_mut(host).sessions.remove(&session_id);
-        },
-    )?;
+        })?;
     sim.state
         .stream
         .host_mut(host)
@@ -834,6 +865,12 @@ fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
                     return; // unblocked by window updates
                 }
             }
+            if s.mech.reliable
+                && !s.unacked.is_empty()
+                && s.unacked_bytes + len > s.mech.receive_buffer
+            {
+                return; // the receiver could not hold it: unblocked by acks
+            }
             let msg = s.port.pop().expect("peeked");
             let seq = s.next_seq;
             s.next_seq += 1;
@@ -846,6 +883,7 @@ fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
             s.stats.sent.incr();
             if s.mech.reliable {
                 s.unacked.push_back((seq, msg.clone(), now));
+                s.unacked_bytes += len;
             }
             (st_rms, seq, msg)
         };
@@ -1055,7 +1093,7 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
                 .insert(st_rms, session);
             match lane {
                 StreamLane::Data => {
-                    let mech = {
+                    {
                         let Some(s) = sim.state.stream.session_mut(host, session) else {
                             return;
                         };
@@ -1071,14 +1109,7 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
                                 s.ackwin = Some(AckWindow::new(params.capacity));
                             }
                         }
-                        s.mech
-                    };
-                    let hello = encode_msg(&StreamMsg::Hello {
-                        session,
-                        mech,
-                        ack_is_for: None,
-                    });
-                    let _ = st_engine::send(sim, host, st_rms, Message::from_wire(hello));
+                    }
                     fire(sim, host, StreamEvent::Opened { session });
                     pump(sim, host, session);
                 }
@@ -1175,86 +1206,72 @@ fn end_by_st(sim: &mut Sim<Stack>, host: HostId, st_rms: StRmsId, reason: EndRea
     }
 }
 
-/// Handle an ST delivery addressed to the stream module.
-pub fn on_delivery(
+/// A stream lane appeared at `host`, opened by `peer` with `header`: build
+/// the receiving session from a data lane's Hello, or bind the peer's ack
+/// lane to the session it names. Returns whether the header was a Hello
+/// (and the lane is now the stream module's).
+pub fn on_inbound(
     sim: &mut Sim<Stack>,
     host: HostId,
     st_rms: StRmsId,
-    msg: Message,
-    _info: DeliveryInfo,
-) {
+    peer: HostId,
+    header: &Bytes,
+) -> bool {
+    let Some(hello) = Hello::decode(header) else {
+        return false;
+    };
+    let sh = sim.state.stream.host_mut(host);
+    if let Some(session) = hello.ack_is_for {
+        // The peer's acknowledgement lane for a session we send on.
+        sh.by_st.insert(st_rms, session);
+        return true;
+    }
+    let session = hello.session;
+    if sh.sessions.contains_key(&session) {
+        return false; // a session id this host already holds
+    }
+    sh.by_st.insert(st_rms, session);
+    sh.sessions
+        .insert(session, Session::rx(session, peer, hello.mech));
+    if hello.mech.acked() {
+        // Create the reverse acknowledgement stream (§2.5); its Hello names
+        // the session it acknowledges.
+        let ack_hello = Hello {
+            session,
+            mech: Mechanisms::default(),
+            ack_is_for: Some(session),
+        };
+        let request = RmsRequest::exact(ack_params());
+        if let Ok(token) = st_engine::create(sim, host, peer, &request, false, ack_hello.encode()) {
+            sim.state
+                .stream
+                .host_mut(host)
+                .tokens
+                .insert(token, (session, StreamLane::Ack));
+        }
+    }
+    fire(sim, host, StreamEvent::Incoming { session, peer });
+    true
+}
+
+/// Handle an ST delivery on a lane the stream module owns.
+pub fn on_delivery(sim: &mut Sim<Stack>, host: HostId, msg: Message) {
     let Some(decoded) = decode_msg(msg.wire()) else {
         return;
     };
     match decoded {
-        StreamMsg::Hello {
-            session,
-            mech,
-            ack_is_for,
-        } => {
-            if let Some(tx_session) = ack_is_for {
-                // This is the peer's ack stream announcing itself.
-                sim.state
-                    .stream
-                    .host_mut(host)
-                    .by_st
-                    .insert(st_rms, tx_session);
-                return;
-            }
-            // A new incoming data session.
-            let peer = match sim.state.st_ref().host(host).streams.get(&st_rms) {
-                Some(s) => s.peer,
-                None => return,
-            };
-            if sim.state.stream.host(host).sessions.contains_key(&session) {
-                return; // duplicate hello
-            }
-            let mut s = Session::rx(session, peer, mech);
-            s.data_in = Some(st_rms);
-            sim.state.stream.host_mut(host).sessions.insert(session, s);
-            sim.state
-                .stream
-                .host_mut(host)
-                .by_st
-                .insert(st_rms, session);
-            if mech.acked() {
-                // Create the reverse acknowledgement stream (§2.5).
-                if let Ok(token) =
-                    st_engine::create(sim, host, peer, &RmsRequest::exact(ack_params()), false)
-                {
-                    sim.state
-                        .stream
-                        .host_mut(host)
-                        .tokens
-                        .insert(token, (session, StreamLane::Ack));
-                }
-            }
-            fire(sim, host, StreamEvent::Incoming { session, peer });
-        }
         StreamMsg::Data {
             session,
             seq,
             sent_at,
             payload,
-        } => {
-            sim.state
-                .stream
-                .host_mut(host)
-                .by_st
-                .insert(st_rms, session);
-            handle_data(sim, host, session, seq, sent_at, payload);
-        }
+        } => handle_data(sim, host, session, seq, sent_at, payload),
         StreamMsg::Ack {
             session,
             cum_seq,
             consumed,
             gap,
         } => {
-            sim.state
-                .stream
-                .host_mut(host)
-                .by_st
-                .insert(st_rms, session);
             let repair = {
                 let Some(s) = sim.state.stream.session_mut(host, session) else {
                     return;
@@ -1262,7 +1279,8 @@ pub fn on_delivery(
                 let mut progressed = false;
                 if let Some(cum) = cum_seq {
                     while s.unacked.front().is_some_and(|&(sq, _, _)| sq <= cum) {
-                        s.unacked.pop_front();
+                        let (_, acked, _) = s.unacked.pop_front().expect("front exists");
+                        s.unacked_bytes -= acked.len() as u64;
                         progressed = true;
                     }
                 }
@@ -1314,7 +1332,7 @@ fn handle_data(
     // a delivery (`consume`) already covers everything received.
     let accepted = {
         let Some(s) = sim.state.stream.session_mut(host, session) else {
-            // Data ahead of the session's Hello, or after its end.
+            // Data naming a session this host does not hold.
             emit(
                 sim,
                 ObsEvent::Drop {
@@ -1488,7 +1506,7 @@ fn delayed_ack(sim: &mut Sim<Stack>, (host, session): Args) {
 }
 
 fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
-    let (bytes, target, announce) = {
+    let (bytes, target) = {
         let Some(s) = sim.state.stream.session_mut(host, session) else {
             return;
         };
@@ -1507,8 +1525,7 @@ fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
             consumed: s.consumed_total,
             gap: s.frontier > s.next_expected,
         });
-        // The first message on the ack stream announces its purpose.
-        (bytes, s.ack_out, s.stats.acks_sent.get() == 1)
+        (bytes, s.ack_out)
     };
     emit(
         sim,
@@ -1519,14 +1536,6 @@ fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
     );
     match target {
         Some(st_rms) => {
-            if announce {
-                let hello = encode_msg(&StreamMsg::Hello {
-                    session,
-                    mech: Mechanisms::default(),
-                    ack_is_for: Some(session),
-                });
-                let _ = st_engine::send(sim, host, st_rms, Message::from_wire(hello));
-            }
             let _ = st_engine::send(sim, host, st_rms, Message::from_wire(bytes));
         }
         None => {
@@ -1545,41 +1554,45 @@ fn send_ack(sim: &mut Sim<Stack>, host: HostId, session: u64, force: bool) {
 mod tests {
     use super::*;
 
-    /// Every message round-trips, and each kind keeps its frame length:
-    /// the Hello's flags byte took the place of a one-byte boolean.
+    /// Every Hello round-trips in 27 bytes — its flags byte took the place
+    /// of a one-byte boolean — and fits the ST's opening-header bound.
     #[test]
-    fn wire_round_trips() {
+    fn hello_round_trips() {
         let mech = |reliable, receiver_fc| Mechanisms {
             reliable,
             receiver_fc,
             receive_buffer: 4096,
         };
+        let hellos = [
+            Hello {
+                session: 5,
+                mech: mech(true, true),
+                ack_is_for: None,
+            },
+            Hello {
+                session: 5,
+                mech: mech(true, false),
+                ack_is_for: None,
+            },
+            Hello {
+                session: 6,
+                mech: Mechanisms::default(),
+                ack_is_for: Some(5),
+            },
+        ];
+        for h in hellos {
+            let header = h.encode();
+            assert_eq!(header.len(), 27, "{h:?}");
+            assert!(header.len() <= dash_subtransport::wire::MAX_OPENING_HEADER);
+            assert_eq!(Hello::decode(&header), Some(h));
+        }
+    }
+
+    /// Every lane message round-trips, and each kind keeps its frame length.
+    #[test]
+    fn wire_round_trips() {
         let payload = WireMsg::from_bytes(bytes::Bytes::from_static(b"body"));
         let msgs = [
-            (
-                27,
-                StreamMsg::Hello {
-                    session: 5,
-                    mech: mech(true, true),
-                    ack_is_for: None,
-                },
-            ),
-            (
-                27,
-                StreamMsg::Hello {
-                    session: 5,
-                    mech: mech(true, false),
-                    ack_is_for: None,
-                },
-            ),
-            (
-                27,
-                StreamMsg::Hello {
-                    session: 6,
-                    mech: Mechanisms::default(),
-                    ack_is_for: Some(5),
-                },
-            ),
             (
                 DATA_HEADER + 4,
                 StreamMsg::Data {
@@ -1628,15 +1641,23 @@ mod tests {
             ]))),
             None
         );
-        // A Hello naming a mechanism this end does not know.
-        let mut hello = vec![MAGIC_STREAM, KIND_HELLO];
-        hello.extend_from_slice(&5u64.to_be_bytes());
-        hello.push(FLAG_RELIABLE | 4);
-        hello.extend_from_slice(&[0; 16]);
-        assert_eq!(
-            decode_msg(&WireMsg::from_bytes(bytes::Bytes::from(hello))),
-            None
-        );
+        // A Hello is an opening header, never a lane message.
+        let hello = Hello {
+            session: 5,
+            mech: Mechanisms::default(),
+            ack_is_for: None,
+        };
+        assert_eq!(decode_msg(&WireMsg::from_bytes(hello.encode())), None);
+        // A Hello naming a mechanism this end does not know, a truncated
+        // one, and RKOM's header.
+        let mut unknown = vec![MAGIC_STREAM, KIND_HELLO];
+        unknown.extend_from_slice(&5u64.to_be_bytes());
+        unknown.push(FLAG_RELIABLE | 4);
+        unknown.extend_from_slice(&[0; 16]);
+        let truncated = hello.encode().slice(..26);
+        for header in [Bytes::from(unknown), truncated, Bytes::from_static(&[0xD5])] {
+            assert_eq!(Hello::decode(&header), None, "{header:?}");
+        }
     }
 
     /// A receiving endpoint with no wire under it: arrivals are injected
@@ -1693,8 +1714,8 @@ mod tests {
         assert_eq!(s.stats.acks_sent.get(), 7);
     }
 
-    /// Data ahead of its session's Hello (or after the session ended) is
-    /// not delivered: it is dropped with a typed cause the registry counts.
+    /// Data naming a session this host does not hold is not delivered: it
+    /// is dropped with a typed cause the registry counts.
     #[test]
     fn data_for_an_unknown_session_is_a_typed_drop() {
         let (mut sim, b, _) = receiver(4000);
@@ -1711,13 +1732,7 @@ mod tests {
             sent_at: SimTime::ZERO,
             payload: WireMsg::from_bytes(bytes::Bytes::from_static(b"early")),
         });
-        let info = DeliveryInfo {
-            sent_at: SimTime::ZERO,
-            delivered_at: SimTime::ZERO,
-            stream: 1,
-            seq: 0,
-        };
-        on_delivery(&mut sim, b, StRmsId(1), Message::from_wire(data), info);
+        on_delivery(&mut sim, b, Message::from_wire(data));
         let reg = &sim.state.net.obs.registry;
         assert_eq!(reg.counter_value("stream.drop.no_session"), 1);
         assert_eq!(reg.counter_value("stream.deliver"), 0);

@@ -8,13 +8,25 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use dash_net::fault::apply_fault;
 use dash_net::topology::dumbbell;
 use dash_sim::time::SimDuration;
-use dash_sim::Sim;
+use dash_sim::{FaultKind, Sim};
 use dash_transport::rkom::{self, RkomError};
 use dash_transport::stack::{Stack, StackBuilder};
 use rms_core::error::FailReason;
 use rms_core::RmsError;
+
+/// Freeze `b`'s interface on the dumbbell's `lan-b` for 300 ms: whatever
+/// it sends meanwhile leaves late.
+fn stall_lan_b(sim: &mut Sim<Stack>, b: dash_net::HostId) {
+    let stall = FaultKind::IfaceStall {
+        host: b.0,
+        network: 2,
+        duration: SimDuration::from_millis(300),
+    };
+    apply_fault(sim, &stall);
+}
 
 /// Calls completed with a reply, world-wide (only `a` calls in these tests).
 fn completed(sim: &Sim<Stack>) -> u64 {
@@ -67,15 +79,16 @@ fn late_reply_after_retries_exhausted_is_absorbed() {
 fn duplicate_reply_is_suppressed_at_client() {
     let (net, a, b, _, _) = dumbbell();
     let mut sim = Sim::new(StackBuilder::new(net).build());
-    // Retransmit before the first reply can cross the WAN (channel
-    // establishment plus the round trip take well over 80 ms), so the
-    // server sees duplicate requests and re-sends the cached reply.
+    // The first reply leaves late: b's interface stalls as the request is
+    // served, so the client retransmits, the server sees duplicate
+    // requests and re-sends the cached reply.
     sim.state.rkom.config.retry_timeout = SimDuration::from_millis(80);
     sim.state.rkom.config.max_retries = 10;
     let executions = Rc::new(RefCell::new(0u32));
     let ex2 = Rc::clone(&executions);
-    rkom::register_service(&mut sim.state, b, 1, move |_s, _c, _req| {
+    rkom::register_service(&mut sim.state, b, 1, move |sim, _c, _req| {
         *ex2.borrow_mut() += 1;
+        stall_lan_b(sim, b);
         Bytes::from_static(b"reply")
     });
     let outcomes = Rc::new(RefCell::new(Vec::new()));
@@ -197,6 +210,84 @@ fn first_call_to_a_fresh_wan_peer_is_not_retransmitted() {
     assert_eq!(sim.state.rkom.host(a).stats.retransmissions.get(), 0);
     assert_eq!(sim.state.rkom.host(b).stats.served.get(), 1);
     assert_eq!(sim.state.rkom.host(b).stats.duplicates_served.get(), 0);
+}
+
+/// The callee opens its half of the channel when the caller's first lane
+/// arrives, so the first reply does not wait for it: from the service
+/// handler to the caller's completion, the first call to a fresh WAN peer
+/// takes as long as the second.
+#[test]
+fn the_first_reply_does_not_wait_for_the_callee_half() {
+    let (net, a, b, _, _) = dumbbell();
+    let mut sim = Sim::new(StackBuilder::new(net).build());
+    let served = Rc::new(RefCell::new(Vec::new()));
+    let s2 = Rc::clone(&served);
+    rkom::register_service(&mut sim.state, b, 1, move |s, _c, _req| {
+        s2.borrow_mut().push(s.now());
+        Bytes::from_static(b"pong")
+    });
+    let mut reply_legs = Vec::new();
+    for _ in 0..2 {
+        let done = Rc::new(RefCell::new(None));
+        let d2 = Rc::clone(&done);
+        rkom::call(
+            &mut sim,
+            a,
+            b,
+            1,
+            Bytes::from_static(b"ping"),
+            move |s, res| {
+                assert!(res.is_ok());
+                *d2.borrow_mut() = Some(s.now());
+            },
+        );
+        sim.run();
+        let handled = *served.borrow().last().expect("served");
+        let completed = done.borrow().expect("completed");
+        reply_legs.push(completed.saturating_since(handled));
+    }
+    assert_eq!(served.borrow().len(), 2);
+    assert_eq!(reply_legs[0], reply_legs[1], "{reply_legs:?}");
+    assert_eq!(sim.state.rkom.host(a).stats.retransmissions.get(), 0);
+}
+
+/// After an outage each host re-creates its own half of the channel, and a
+/// lane of the peer's old half closing meanwhile (its `StClose` waits for
+/// the control channel to come back) leaves this host's half and its calls
+/// alone: the first call after the outage completes.
+#[test]
+fn a_peer_closing_its_old_lanes_does_not_fail_our_calls() {
+    let (net, a, b, _, _) = dumbbell();
+    let mut sim = Sim::new(StackBuilder::new(net).build());
+    rkom::register_service(&mut sim.state, b, 1, |_s, _c, _req| {
+        Bytes::from_static(b"pong")
+    });
+    // Warm up: both halves of the channel exist.
+    rkom::call(&mut sim, a, b, 1, Bytes::from_static(b"warm"), |_s, res| {
+        assert!(res.is_ok());
+    });
+    sim.run();
+    // The WAN goes dark and comes back; every lane across it failed.
+    let wan = dash_net::NetworkId(1);
+    dash_net::pipeline::fail_network(&mut sim, wan);
+    sim.run_until(sim.now() + SimDuration::from_millis(100));
+    dash_net::pipeline::restore_network(&mut sim, wan);
+    let outcomes = Rc::new(RefCell::new(Vec::new()));
+    let o2 = Rc::clone(&outcomes);
+    rkom::call(
+        &mut sim,
+        a,
+        b,
+        1,
+        Bytes::from_static(b"after"),
+        move |_s, res| {
+            o2.borrow_mut().push(res);
+        },
+    );
+    sim.run();
+    let got = outcomes.borrow();
+    assert_eq!(*got, [Ok(Bytes::from_static(b"pong"))]);
+    assert_eq!(sim.state.rkom.host(a).stats.failed.get(), 0);
 }
 
 /// While the channel cannot be created the attempt budget still runs — the

@@ -50,10 +50,23 @@ fn mix_counts(o: &Outcome) -> [u64; 4] {
 /// and messages fell (15202/1284, 15625/1338, 14853/1320 before), streams
 /// opened and refused did not move, and the `E11_*` rows — no bulk flows —
 /// stayed byte-identical.
-const E10_CI: [u64; 4] = [12558, 1032, 29, 4];
+///
+/// Re-pinned once when every lane became claimed at its ST create: the
+/// stream Hello rides the create instead of the data lane, and an RKOM
+/// callee opens its half of the channel when the caller's first lane
+/// arrives. Streams opened and refused did not move. Messages
+/// (`st.deliver`) lost the data lanes' Hellos (28 at `ci`, 25 at
+/// `routing_ci`) and one paced churn message, and gained the replies and
+/// reply acks of the RKOM calls that now finish inside the horizon
+/// (`rkom.completed` 68 → 104 and 60 → 96 of 120: +36 replies, +32 acks):
+/// 1032 → 1071 (1072 under e12) and 1057 → 1099. Events rose with them
+/// (12558, 12607, 11886 before). The `E11_*` rows, which have no RKOM,
+/// lost only their Hellos: `st.deliver` 337 → 321 and 262 → 248, events
+/// 5782 → 5758 and 6301 → 6273.
+const E10_CI: [u64; 4] = [13095, 1071, 29, 4];
 /// The parallel executor (e12) at `ci` and `routing_ci`, any shard count.
-const E12_CI: [u64; 4] = [12607, 1032, 29, 4];
-const E12_ROUTING_CI: [u64; 4] = [11886, 1057, 27, 6];
+const E12_CI: [u64; 4] = [13274, 1072, 29, 4];
+const E12_ROUTING_CI: [u64; 4] = [12605, 1099, 27, 6];
 
 /// `[events, floods, recomputes, alternate_wins, recoveries,
 /// streams_opened, open_failed]` of an e11 run.
@@ -69,8 +82,8 @@ fn routing_counts(o: &Outcome) -> [u64; 7] {
     ]
 }
 
-const E11_CI_DUMBBELL: [u64; 7] = [5782, 4, 14, 1, 12, 17, 1];
-const E11_CI_MESH: [u64; 7] = [6301, 14, 18, 0, 3, 14, 4];
+const E11_CI_DUMBBELL: [u64; 7] = [5758, 4, 14, 1, 12, 17, 1];
+const E11_CI_MESH: [u64; 7] = [6273, 14, 18, 0, 3, 14, 4];
 
 /// The full CI scenario (faults, churn, CPUs, trace recording) twice.
 /// The digest covers every deterministic scalar plus the full registry

@@ -135,7 +135,15 @@ fn secure_stream_on_untrusted_internetwork() {
             g.borrow_mut().push(msg);
         }
     });
-    let _tok = st::create(&mut sim, a, c, &RmsRequest::exact(params), false).unwrap();
+    let _tok = st::create(
+        &mut sim,
+        a,
+        c,
+        &RmsRequest::exact(params),
+        false,
+        Bytes::new(),
+    )
+    .unwrap();
     sim.run();
     let st_rms = *sim.state.st.host(a).streams.keys().next().unwrap();
     let secret = b"the midnight launch codes".to_vec();
@@ -181,7 +189,15 @@ fn unfragmented_payload_is_delivered_without_copying() {
             g.borrow_mut().push(msg);
         }
     });
-    let _tok = st::create(&mut sim, a, c, &RmsRequest::exact(params), false).unwrap();
+    let _tok = st::create(
+        &mut sim,
+        a,
+        c,
+        &RmsRequest::exact(params),
+        false,
+        Bytes::new(),
+    )
+    .unwrap();
     sim.run();
     let st_rms = *sim.state.st.host(a).streams.keys().next().unwrap();
     let body = Bytes::from(vec![0xABu8; 1024]);

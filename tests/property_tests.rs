@@ -46,13 +46,18 @@ fn arb_ctrl() -> impl Strategy<Value = ControlMsg> {
             .prop_map(|(host, nonce, tag)| ControlMsg::Hello { host, nonce, tag }),
         (any::<u32>(), any::<u64>(), any::<u64>())
             .prop_map(|(host, nonce, tag)| ControlMsg::HelloAck { host, nonce, tag }),
-        (any::<u64>(), arb_params(), any::<bool>()).prop_map(|(t, params, fast_ack)| {
-            ControlMsg::StCreateReq {
+        (
+            any::<u64>(),
+            arb_params(),
+            any::<bool>(),
+            proptest::collection::vec(any::<u8>(), 0..wire::MAX_OPENING_HEADER + 1)
+        )
+            .prop_map(|(t, params, fast_ack, header)| ControlMsg::StCreateReq {
                 token: StToken(t),
                 params,
                 fast_ack,
-            }
-        }),
+                header: Bytes::from(header),
+            }),
         (any::<u64>(), any::<u64>()).prop_map(|(t, s)| ControlMsg::StCreateAck {
             token: StToken(t),
             st_rms: StRmsId(s),

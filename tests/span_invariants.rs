@@ -7,6 +7,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use dash::core::{RmsParams, RmsRequest};
 use dash::net::topology::two_hosts_ethernet;
 use dash::prelude::*;
@@ -70,7 +71,7 @@ fn spans_are_ordered_nonnegative_and_sum_to_delivery_delay() {
         });
     }
     let request = RmsRequest::exact(RmsParams::builder(16 * 1024, 2048).build().unwrap());
-    st_engine::create(&mut sim, a, b, &request, false).expect("create accepted");
+    st_engine::create(&mut sim, a, b, &request, false, Bytes::new()).expect("create accepted");
     sim.run();
     let stream = st_rms.borrow().expect("ST RMS created");
 
