@@ -26,7 +26,7 @@ use dash_sim::engine::{Args, Sim, TimerHandle};
 use dash_sim::obs::ObsEvent;
 use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
-use rms_core::wire::WireMsg;
+use rms_core::wire::{self, WireMsg};
 
 /// The datagram protocol number used by this TCP-like transport.
 pub const TCP_PROTO: u16 = 6;
@@ -74,18 +74,18 @@ struct Segment {
     payload: Bytes,
 }
 
-/// Encode as a scatter-gather wire body: a 33-byte owned header chunk
-/// plus the payload's shared view (never copied).
+/// Encode as a scatter-gather wire body: a 33-byte header carved from the
+/// shared header store plus the payload's shared view (never copied).
 fn encode_segment(s: &Segment) -> WireMsg {
-    let mut b = BytesMut::with_capacity(33);
-    b.put_u16(s.src_port);
-    b.put_u16(s.dst_port);
-    b.put_u64(s.seq);
-    b.put_u64(s.ack);
-    b.put_u8(s.flags);
-    b.put_u64(s.window);
-    b.put_u32(s.payload.len() as u32);
-    let mut out = WireMsg::from_bytes(b.freeze());
+    let mut out = WireMsg::from_bytes(wire::header(33, |b| {
+        b.put_u16(s.src_port);
+        b.put_u16(s.dst_port);
+        b.put_u64(s.seq);
+        b.put_u64(s.ack);
+        b.put_u8(s.flags);
+        b.put_u64(s.window);
+        b.put_u32(s.payload.len() as u32);
+    }));
     out.push(s.payload.clone());
     out
 }

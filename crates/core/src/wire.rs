@@ -3,15 +3,16 @@
 //! The paper's messages are untyped byte arrays (§2); nothing in the
 //! model requires a message body to be materialized contiguously with
 //! the protocol headers wrapped around it. [`WireMsg`] exploits that: an
-//! encoded frame is an ordered list of segments — small owned header
-//! chunks plus zero-copy [`Bytes`] views of the application payload —
-//! so encode never copies payload bytes and decode hands back views of
-//! the sender's buffer.
+//! encoded frame is an ordered list of segments — small header views
+//! plus zero-copy [`Bytes`] views of the application payload — so encode
+//! never copies payload bytes and decode hands back views of the
+//! sender's buffer.
 //!
-//! Up to three segments are stored inline (header + payload + trailer
-//! covers every frame the stack emits), so the common case allocates
-//! nothing beyond the header chunk itself. [`WireMsg::push`] coalesces
-//! adjacent views of the same backing buffer, which is what makes
+//! Up to three segments are stored inline (ST header + stream header +
+//! payload covers every unbundled frame the stack emits), so the common
+//! case allocates nothing for the segment list. Data-path headers are
+//! carved by [`header`] from a shared per-thread store, so they allocate
+//! nothing of their own either. [`WireMsg::push`] coalesces adjacent views of the same backing buffer, which is what makes
 //! fragment reassembly re-form the original payload view instead of
 //! accumulating a long segment list.
 //!
@@ -21,12 +22,45 @@
 //! (security transforms, tests, the wiretap); it is free when the
 //! message already is contiguous and an explicit, visible copy when not.
 
+use std::cell::Cell;
 use std::fmt;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 /// Number of segments stored without heap-allocating the segment list.
 const INLINE_SEGS: usize = 3;
+
+/// Capacity of each store [`header`] carves headers from.
+const HEADER_STORE: usize = 4096;
+
+thread_local! {
+    /// The writer of the current header store. Each world runs on one
+    /// thread and the store only holds bytes already handed out, so what
+    /// a run encodes never depends on which thread ran it.
+    static HEADERS: Cell<BytesMut> = const { Cell::new(BytesMut::new()) };
+}
+
+/// Encode one data-path header of at most `max_len` bytes: `write` fills
+/// the buffer, and the written bytes come back as a view of a shared
+/// per-thread store, with no allocation of their own. When the store runs
+/// out it is reused from its start if no view of it is left, and
+/// otherwise replaced by a fresh 4 KiB one; views keep the old store
+/// alive until the last of them is dropped.
+pub fn header(max_len: usize, write: impl FnOnce(&mut BytesMut)) -> Bytes {
+    HEADERS.with(|cell| {
+        // Taken out, not borrowed: a `write` that encodes a header of its
+        // own would only start a second store.
+        let mut buf = cell.take();
+        if buf.capacity() < max_len {
+            buf.reserve(max_len.max(HEADER_STORE));
+        }
+        write(&mut buf);
+        debug_assert!(buf.len() <= max_len, "header overran its {max_len} bytes");
+        let out = buf.split().freeze();
+        cell.set(buf);
+        out
+    })
+}
 
 /// Error returned by [`WireCursor`] reads that run past the message end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -491,6 +525,35 @@ mod tests {
         let sub = c.take_wire(32).unwrap();
         assert_eq!(sub.seg_count(), 1);
         assert_eq!(sub.contiguous().as_ptr(), payload.as_ptr());
+    }
+
+    #[test]
+    fn segment_and_message_sizes_are_pinned() {
+        // Every wire segment is a `Bytes` and every queued frame a
+        // `WireMsg`, so their sizes scale the whole stack's footprint. An
+        // inline 46-byte header repr made them 64 B and 296 B and raised
+        // the benchmark's `peak_rss_mb` by 18 % on `mixed-scale` (46.9 to
+        // 55.3 MB) and 16 % on `mesh-churn` (14.1 to 16.5 MB); headers
+        // are carved from a shared store instead.
+        assert_eq!(std::mem::size_of::<Bytes>(), 32);
+        assert_eq!(std::mem::size_of::<WireMsg>(), 136);
+    }
+
+    #[test]
+    fn headers_are_carved_back_to_back_from_one_store() {
+        // `a` reserves 16 bytes and writes 3, so `b`'s 8 fit behind it.
+        let a = header(16, |b| b.extend_from_slice(&[1, 2, 3]));
+        let b = header(8, |b| b.extend_from_slice(&[4, 5]));
+        assert_eq!(a.as_ref(), &[1, 2, 3]);
+        assert_eq!(b.as_ref(), &[4, 5]);
+        let joined = Bytes::merge_contiguous(&a, &b).expect("same store, adjacent");
+        assert_eq!(joined.as_ref(), &[1, 2, 3, 4, 5]);
+        // A header larger than a store still encodes.
+        let big = header(2 * HEADER_STORE, |b| {
+            b.extend_from_slice(&[7; 2 * HEADER_STORE])
+        });
+        assert_eq!(big.len(), 2 * HEADER_STORE);
+        assert_eq!(header(4, |b| b.extend_from_slice(&[9])).as_ref(), &[9]);
     }
 
     #[test]

@@ -733,18 +733,18 @@ fn transmit_parked<W: NetWorld>(sim: &mut Sim<W>, (host, slot): Args) {
         Some(s) if !s.failed => (s.plan, s.key),
         _ => return,
     };
-    // Secured paths flatten the body once for the byte-stream transforms;
-    // the common unsecured path forwards the sender's segments untouched.
+    // Encryption flattens the body once, since it writes a new buffer
+    // anyway; the MAC and the checksum read the segments in place.
     if plan.encrypt {
         d.payload = WireMsg::from_bytes(encrypt(key, d.seq, &d.payload.contiguous()));
     }
     if plan.mac {
         let context = d.seq ^ d.source.map(|l| l.0).unwrap_or(0).rotate_left(17);
-        d.mac = Some(mac::sign(key, context, &d.payload.contiguous()).0);
+        d.mac = Some(mac::sign_segments(key, context, d.payload.segments().map(|s| &s[..])).0);
     }
     d.checksum = plan
         .checksum
-        .map(|alg| alg.compute(&d.payload.contiguous()));
+        .map(|alg| alg.compute_segments(d.payload.segments().map(|s| &s[..])));
     route_and_enqueue(sim, host, packet);
 }
 
@@ -1675,13 +1675,14 @@ fn deliver_data<W: NetWorld>(
             payload = WireMsg::from(v);
             state.stats.corrupt_delivered.incr();
         } else {
-            // Authentication: verify tag and source label (§2.1). The
-            // byte-stream transforms flatten once; unsecured streams (the
-            // common case) never take these branches.
+            // Authentication: verify tag and source label (§2.1). The MAC
+            // and the checksum read the segments in place; unsecured
+            // streams (the common case) never take these branches.
+            let segments = || payload.segments().map(|s| &s[..]);
             if plan.mac {
                 let context = seq ^ source.map(|l| l.0).unwrap_or(0).rotate_left(17);
                 let ok = tag
-                    .map(|m| mac::verify(key, context, &payload.contiguous(), mac::Tag(m)))
+                    .map(|m| mac::sign_segments(key, context, segments()) == mac::Tag(m))
                     .unwrap_or(false);
                 if !ok {
                     state.stats.corrupt_dropped.incr();
@@ -1689,7 +1690,7 @@ fn deliver_data<W: NetWorld>(
                 }
             }
             if let (Some(alg), Some(sum)) = (plan.checksum, checksum) {
-                if !alg.verify(&payload.contiguous(), sum) {
+                if alg.compute_segments(segments()) != sum {
                     state.stats.corrupt_dropped.incr();
                     state.stats.lost.incr();
                     return;

@@ -30,10 +30,18 @@ impl Algorithm {
     /// Compute the checksum of `data` as a 32-bit value (the Internet sum
     /// occupies the low 16 bits).
     pub fn compute(self, data: &[u8]) -> u32 {
+        self.compute_segments([data])
+    }
+
+    /// Compute the checksum of the concatenation of `segments` in place —
+    /// a scatter-gather message's segments, without flattening them. The
+    /// value equals [`Algorithm::compute`] of the joined bytes, however
+    /// they are split.
+    pub fn compute_segments<'a>(self, segments: impl IntoIterator<Item = &'a [u8]>) -> u32 {
         match self {
-            Algorithm::Internet => internet_checksum(data) as u32,
-            Algorithm::Fletcher32 => fletcher32(data),
-            Algorithm::Crc32 => crc32(data),
+            Algorithm::Internet => internet_checksum_segments(segments) as u32,
+            Algorithm::Fletcher32 => fletcher32_segments(segments),
+            Algorithm::Crc32 => crc32_segments(segments),
         }
     }
 
@@ -55,16 +63,39 @@ impl Algorithm {
     }
 }
 
+/// Feed the big-endian 16-bit words of `segments`' concatenation to
+/// `word`, a word straddling two segments included; an odd final byte is
+/// padded with zero.
+fn for_each_word<'a>(segments: impl IntoIterator<Item = &'a [u8]>, mut word: impl FnMut(u16)) {
+    let mut odd: Option<u8> = None;
+    for seg in segments {
+        let mut rest = seg;
+        if let (Some(hi), Some((&lo, tail))) = (odd, rest.split_first()) {
+            word(u16::from_be_bytes([hi, lo]));
+            odd = None;
+            rest = tail;
+        }
+        let mut pairs = rest.chunks_exact(2);
+        for c in &mut pairs {
+            word(u16::from_be_bytes([c[0], c[1]]));
+        }
+        if let [last] = pairs.remainder() {
+            odd = Some(*last);
+        }
+    }
+    if let Some(hi) = odd {
+        word(u16::from_be_bytes([hi, 0]));
+    }
+}
+
 /// RFC 1071 ones-complement 16-bit checksum.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
+    internet_checksum_segments([data])
+}
+
+fn internet_checksum_segments<'a>(segments: impl IntoIterator<Item = &'a [u8]>) -> u16 {
+    let mut sum: u64 = 0;
+    for_each_word(segments, |w| sum += u64::from(w));
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
@@ -74,24 +105,26 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 /// Fletcher-32 checksum over bytes (word size 16, blocked to avoid
 /// overflow).
 pub fn fletcher32(data: &[u8]) -> u32 {
-    let mut c0: u32 = 0;
-    let mut c1: u32 = 0;
-    // Process 16-bit words; odd trailing byte padded with zero.
-    let mut words: Vec<u16> = data
-        .chunks(2)
-        .map(|c| u16::from_be_bytes([c[0], *c.get(1).unwrap_or(&0)]))
-        .collect();
-    if words.is_empty() {
-        words.push(0);
-    }
-    for block in words.chunks(359) {
-        for &w in block {
-            c0 += u32::from(w);
-            c1 += c0;
+    fletcher32_segments([data])
+}
+
+fn fletcher32_segments<'a>(segments: impl IntoIterator<Item = &'a [u8]>) -> u32 {
+    // Words are summed in blocks of 359, the most that cannot overflow
+    // the 32-bit sums, then reduced.
+    const BLOCK: u32 = 359;
+    let (mut c0, mut c1, mut in_block) = (0u32, 0u32, 0u32);
+    for_each_word(segments, |w| {
+        c0 += u32::from(w);
+        c1 += c0;
+        in_block += 1;
+        if in_block == BLOCK {
+            c0 %= 65_535;
+            c1 %= 65_535;
+            in_block = 0;
         }
-        c0 %= 65_535;
-        c1 %= 65_535;
-    }
+    });
+    c0 %= 65_535;
+    c1 %= 65_535;
     (c1 << 16) | c0
 }
 
@@ -117,13 +150,19 @@ fn crc32_table() -> [u32; 256] {
 
 /// CRC-32 (IEEE 802.3), table-driven.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_segments([data])
+}
+
+fn crc32_segments<'a>(segments: impl IntoIterator<Item = &'a [u8]>) -> u32 {
     // Build the table once.
     use std::sync::OnceLock;
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(crc32_table);
     let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = table[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    for seg in segments {
+        for &b in seg {
+            c = table[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        }
     }
     !c
 }
@@ -167,6 +206,21 @@ mod tests {
         // construction, but content changes always show.
         assert_eq!(fletcher32(b"abc"), fletcher32(b"abc\0"));
         assert_ne!(fletcher32(b"ab"), fletcher32(b"ac"));
+    }
+
+    #[test]
+    fn long_input_values_are_pinned() {
+        // Values of the flat, slice-at-a-time implementations the
+        // segment-streaming forms replaced: odd lengths, more than one
+        // Fletcher block, and all-ones words.
+        let pattern: Vec<u8> = (0..2001u32).map(|i| (i * 7 + 3) as u8).collect();
+        let ones = [0xffu8; 1001];
+        assert_eq!(internet_checksum(&pattern), 0x3c93);
+        assert_eq!(fletcher32(&pattern), 0x8a57_c36c);
+        assert_eq!(crc32(&pattern), 0x13fc_b738);
+        assert_eq!(internet_checksum(&ones), 0x00ff);
+        assert_eq!(fletcher32(&ones), 0xff00_ff00);
+        assert_eq!(crc32(&ones), 0xd939_639e);
     }
 
     #[test]

@@ -48,6 +48,9 @@ use crate::time::{SimDuration, SimTime};
 /// a bounded tracker keeps long lossy runs from accumulating state.
 const MAX_OPEN_SPANS: usize = 1 << 16;
 
+/// Emptied stage lists the span tracker keeps for reuse.
+const MAX_SPARE_SPANS: usize = 256;
+
 // ---------------------------------------------------------------------------
 // Stages and events
 // ---------------------------------------------------------------------------
@@ -1089,6 +1092,9 @@ struct SpanTracker {
     open: BTreeMap<u64, OpenSpan>,
     /// Open spans discarded because the tracker was full.
     dropped: u64,
+    /// Emptied stage lists of finished spans, for the next spans to
+    /// reuse instead of allocating their own.
+    spare: Vec<Vec<(Stage, SimTime)>>,
 }
 
 impl SpanTracker {
@@ -1102,8 +1108,11 @@ impl SpanTracker {
         stream: u64,
         seq: u64,
     ) -> Option<SpanRecord> {
+        let spare = &mut self.spare;
         let entry = self.open.entry(span).or_insert_with(|| OpenSpan {
-            stages: Vec::with_capacity(Stage::COUNT),
+            stages: spare
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(Stage::COUNT)),
         });
         if !entry.stages.iter().any(|(s, _)| *s == stage) {
             entry.stages.push((stage, time));
@@ -1118,10 +1127,22 @@ impl SpanTracker {
             });
         }
         if self.open.len() > MAX_OPEN_SPANS {
-            self.open.pop_first();
+            if let Some((_, evicted)) = self.open.pop_first() {
+                self.recycle(evicted.stages);
+            }
             self.dropped += 1;
         }
         None
+    }
+
+    /// Keep a finished span's stage list for the next span, up to
+    /// [`MAX_SPARE_SPANS`] of them: spans open and close at about the same
+    /// rate, so a burst of open spans need not stay allocated after it.
+    fn recycle(&mut self, mut stages: Vec<(Stage, SimTime)>) {
+        if self.spare.len() < MAX_SPARE_SPANS {
+            stages.clear();
+            self.spare.push(stages);
+        }
     }
 }
 
@@ -1311,6 +1332,8 @@ impl Obs {
                 self.finish_span(&record);
                 if self.retain {
                     self.completed.push(record);
+                } else {
+                    self.tracker.recycle(record.stages);
                 }
             }
         }
@@ -1595,6 +1618,32 @@ mod tests {
         ] {
             assert!(names.contains(&want), "missing {want}");
         }
+    }
+
+    #[test]
+    fn finished_spans_hand_their_stage_lists_to_the_next() {
+        let mut obs = Obs::new();
+        obs.enable();
+        let send = |span| ObsEvent::StSend {
+            host: 0,
+            st_rms: 9,
+            seq: 4,
+            bytes: 10,
+            span: Some(span),
+        };
+        let first = obs.start_span().unwrap();
+        obs.emit(SimTime::from_nanos(1), send(first));
+        obs.emit(SimTime::from_nanos(2), deliver_event(first));
+        assert_eq!(obs.tracker.spare.len(), 1);
+        let second = obs.start_span().unwrap();
+        obs.emit(SimTime::from_nanos(3), send(second));
+        assert!(obs.tracker.spare.is_empty(), "the open span took it");
+        assert_eq!(obs.tracker.open[&second].stages.len(), 1);
+        // Retained spans keep their lists.
+        obs.retain_spans(true);
+        obs.emit(SimTime::from_nanos(4), deliver_event(second));
+        assert!(obs.tracker.spare.is_empty());
+        assert_eq!(obs.spans()[0].stages.len(), 2);
     }
 
     #[test]

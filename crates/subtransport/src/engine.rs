@@ -656,24 +656,23 @@ fn push_with_flush<W: StWorld>(
     net_mms: u64,
 ) {
     let now = sim.now();
-    let mut outcome = with_slot_queue(sim, host, peer, slot, |q| {
-        q.try_push(entry.clone(), net_mms)
-    });
-    // A refused push flushes the queue and retries once into the empty
-    // queue, which always takes it.
-    let refused = match outcome {
-        Some(PushOutcome::WouldOverflow) => Some(FlushReason::Overflow),
-        Some(PushOutcome::DeadlineConflict) => Some(FlushReason::Conflict),
-        _ => None,
+    // A refused push hands the entry back: flush the queue and retry once
+    // into the empty queue, which always takes it.
+    let outcome = match with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms)) {
+        Some(PushOutcome::WouldOverflow(entry)) => {
+            flush_slot(sim, host, peer, slot, FlushReason::Overflow);
+            with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms))
+        }
+        Some(PushOutcome::DeadlineConflict(entry)) => {
+            flush_slot(sim, host, peer, slot, FlushReason::Conflict);
+            with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms))
+        }
+        first => first,
     };
-    if let Some(reason) = refused {
-        flush_slot(sim, host, peer, slot, reason);
-        outcome = with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms));
-        debug_assert!(
-            matches!(outcome, Some(PushOutcome::Queued { .. })),
-            "entry must fit an empty queue"
-        );
-    }
+    debug_assert!(
+        matches!(outcome, None | Some(PushOutcome::Queued { .. })),
+        "entry must fit an empty queue"
+    );
     if let Some(PushOutcome::Queued { flush_at }) = outcome {
         if flush_at <= now {
             flush_slot(sim, host, peer, slot, FlushReason::Timer);
@@ -778,61 +777,47 @@ fn flush_slot<W: StWorld>(
     slot: u32,
     reason: FlushReason,
 ) {
-    let (bundle, net_rms) = {
-        let st = sim.state.st();
-        let Some(d) = st
-            .host_mut(host)
-            .peers
-            .get_mut(&peer)
-            .and_then(|p| p.data.get_mut(&slot))
-        else {
-            return;
-        };
-        if let Some((t, _)) = d.flush_timer.take() {
-            t.cancel();
-        }
-        let Some(bundle) = d.queue.flush() else {
-            return;
-        };
-        let Some(net_rms) = d.net_rms else { return };
-        (bundle, net_rms)
+    let now = sim.now();
+    let sth = sim.state.st().host_mut(host);
+    let Some(d) = sth.peers.get_mut(&peer).and_then(|p| p.data.get_mut(&slot)) else {
+        return;
     };
+    if let Some((t, _)) = d.flush_timer.take() {
+        t.cancel();
+    }
+    let net_rms = d.net_rms;
+    let Some(bundle) = d.queue.flush() else {
+        return;
+    };
+    let Some(net_rms) = net_rms else { return };
     let deadline = bundle.deadline;
+    let entries = bundle.entries();
     // The bundle's deadline becomes each component stream's actual
     // transmission deadline (ordering floor for their next messages).
-    let streams: Vec<StRmsId> = bundle.entries.iter().map(|e| e.st_rms).collect();
-    let earliest_sent = bundle
-        .entries
-        .iter()
-        .map(|e| e.sent_at)
-        .min()
-        .unwrap_or_else(|| sim.now());
+    for e in entries {
+        if let Some(stream) = sth.streams.get_mut(&e.st_rms) {
+            stream.last_tx_deadline = stream.last_tx_deadline.max(deadline);
+        }
+    }
+    let earliest_sent = entries.iter().map(|e| e.sent_at).min().unwrap_or(now);
     // The network-layer leg of a bundle is attributed to the span of its
     // oldest frame; the other frames' spans skip the net stages and close
     // at delivery.
-    let bundle_span = bundle
-        .entries
+    let bundle_span = entries
         .iter()
         .min_by_key(|e| e.sent_at)
         .and_then(|e| e.span);
-    {
-        let sth = sim.state.st().host_mut(host);
-        for s in streams {
-            if let Some(stream) = sth.streams.get_mut(&s) {
-                stream.last_tx_deadline = stream.last_tx_deadline.max(deadline);
-            }
-        }
-    }
+    let frames = entries.len();
+    let payload = bundle.encode();
     emit(
         sim,
         ObsEvent::PiggybackFlush {
             host: host.0,
             net_rms: net_rms.0,
-            frames: bundle.entries.len(),
+            frames,
             reason,
         },
     );
-    let payload = bundle.encode();
     send_net(
         sim,
         host,

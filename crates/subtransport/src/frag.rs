@@ -177,21 +177,25 @@ pub struct FragSpec {
     pub span: Option<u64>,
 }
 
-/// Split a payload into fragment frames of at most `chunk` payload bytes.
-/// Each fragment's payload is a zero-copy sub-view of `payload`'s
-/// segments.
+/// Split a payload into fragment frames of at most `chunk` payload bytes,
+/// made one at a time as the iterator is drained. Each fragment's payload
+/// is a zero-copy sub-view of `payload`'s segments.
 ///
 /// # Panics
 ///
 /// Panics if `chunk == 0`.
-pub fn fragment(spec: &FragSpec, payload: &WireMsg, chunk: usize) -> Vec<DataFrame> {
+pub fn fragment<'a>(
+    spec: &FragSpec,
+    payload: &'a WireMsg,
+    chunk: usize,
+) -> impl ExactSizeIterator<Item = DataFrame> + 'a {
     assert!(chunk > 0, "fragment chunk must be positive");
+    let spec = *spec;
     let count = payload.len().div_ceil(chunk).max(1) as u32;
-    let mut out = Vec::with_capacity(count as usize);
-    for i in 0..count {
+    (0..count).map(move |i| {
         let start = i as usize * chunk;
         let end = (start + chunk).min(payload.len());
-        out.push(DataFrame {
+        DataFrame {
             st_rms: spec.st_rms,
             seq: spec.seq,
             frag: Some(FragInfo { index: i, count }),
@@ -203,9 +207,8 @@ pub fn fragment(spec: &FragSpec, payload: &WireMsg, chunk: usize) -> Vec<DataFra
             target: spec.target,
             span: spec.span,
             payload: payload.slice(start, end),
-        });
-    }
-    out
+        }
+    })
 }
 
 #[cfg(test)]
@@ -238,6 +241,7 @@ mod tests {
             &WireMsg::from(total),
             frag_len,
         )
+        .collect::<Vec<_>>()
     }
 
     #[test]
@@ -255,7 +259,7 @@ mod tests {
     #[test]
     fn fragment_uneven_tail() {
         let payload = WireMsg::from(vec![1u8; 250]);
-        let fs = fragment(&spec(0), &payload, 100);
+        let fs = fragment(&spec(0), &payload, 100).collect::<Vec<_>>();
         assert_eq!(fs.len(), 3);
         assert_eq!(fs[2].payload.len(), 50);
     }
@@ -281,7 +285,7 @@ mod tests {
     #[test]
     fn reassembly_recovers_original_view_without_copying() {
         let body = Bytes::from((0u8..=255).collect::<Vec<u8>>());
-        let fs = fragment(&spec(0), &WireMsg::from_bytes(body.clone()), 100);
+        let fs = fragment(&spec(0), &WireMsg::from_bytes(body.clone()), 100).collect::<Vec<_>>();
         assert_eq!(fs.len(), 3);
         let mut r = Reassembly::new();
         r.push(fs[0].clone());
@@ -302,7 +306,7 @@ mod tests {
         // with either side, but the payload must still be byte-identical
         // to the original message.
         let body = Bytes::from((0u8..=255).collect::<Vec<u8>>());
-        let fs = fragment(&spec(9), &WireMsg::from_bytes(body.clone()), 100);
+        let fs = fragment(&spec(9), &WireMsg::from_bytes(body.clone()), 100).collect::<Vec<_>>();
         assert_eq!(fs.len(), 3);
         let mut retx = fs[1].clone();
         retx.payload = WireMsg::from(fs[1].payload.contiguous().to_vec());
@@ -333,7 +337,8 @@ mod tests {
             },
             &payload,
             100,
-        );
+        )
+        .collect::<Vec<_>>();
         assert_eq!(fs.len(), 1);
         let mut r = Reassembly::new();
         let done = r.push(fs[0].clone()).unwrap();
@@ -387,7 +392,8 @@ mod tests {
             },
             &payload,
             100,
-        );
+        )
+        .collect::<Vec<_>>();
         assert_eq!(fs.len(), 3);
         assert!(!fs[0].fast_ack && !fs[1].fast_ack && fs[2].fast_ack);
     }
@@ -404,7 +410,8 @@ mod tests {
             },
             &payload,
             100,
-        );
+        )
+        .collect::<Vec<_>>();
         let mut r = Reassembly::new();
         r.push(fs[0].clone());
         let done = r.push(fs[1].clone()).unwrap();
@@ -415,7 +422,7 @@ mod tests {
 
     #[test]
     fn empty_payload_fragments_to_one() {
-        let fs = fragment(&spec(0), &WireMsg::new(), 100);
+        let fs = fragment(&spec(0), &WireMsg::new(), 100).collect::<Vec<_>>();
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].frag.unwrap().count, 1);
     }

@@ -28,9 +28,9 @@
 //! before the queue's minimum cannot join (no single deadline would serve
 //! both); the queue is flushed first.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use dash_sim::time::SimTime;
-use rms_core::wire::WireMsg;
+use rms_core::wire::{self, WireMsg};
 
 use crate::ids::StRmsId;
 
@@ -41,7 +41,7 @@ pub const BUNDLE_OVERHEAD: u64 = 3;
 const TAG_BUNDLE: u8 = 2;
 
 /// One message waiting in a piggybacking queue, already encoded.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingEntry {
     /// The frame, encoded and ready to transmit (`wire.len()` is its
     /// exact on-wire size).
@@ -61,7 +61,7 @@ pub struct PendingEntry {
 }
 
 /// Result of trying to add a message to the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PushOutcome {
     /// Accepted; (re)arm the flush timer for the returned instant.
     Queued {
@@ -69,11 +69,12 @@ pub enum PushOutcome {
         flush_at: SimTime,
     },
     /// The bundle would exceed the network maximum message size: flush the
-    /// queue, then retry.
-    WouldOverflow,
+    /// queue, then retry with the entry handed back.
+    WouldOverflow(PendingEntry),
     /// The message's maximum deadline precedes the queue's minimum: no
-    /// single network deadline could satisfy both. Flush, then retry.
-    DeadlineConflict,
+    /// single network deadline could satisfy both. Flush, then retry with
+    /// the entry handed back.
+    DeadlineConflict(PendingEntry),
 }
 
 /// A per-network-RMS piggybacking queue.
@@ -121,7 +122,8 @@ impl PiggybackQueue {
     }
 
     /// Try to append `entry`, keeping the bundle within
-    /// `max_bundle_bytes`.
+    /// `max_bundle_bytes`. A refused entry comes back in the outcome, so
+    /// the caller can flush and retry without having kept a copy.
     pub fn try_push(&mut self, entry: PendingEntry, max_bundle_bytes: u64) -> PushOutcome {
         let entry_len = entry.wire.len() as u64;
         let projected = if self.entries.is_empty() {
@@ -130,11 +132,11 @@ impl PiggybackQueue {
             BUNDLE_OVERHEAD + self.encoded_bytes + entry_len
         };
         if projected > max_bundle_bytes {
-            return PushOutcome::WouldOverflow;
+            return PushOutcome::WouldOverflow(entry);
         }
         if let Some(queue_min) = self.min_deadline() {
             if entry.max_deadline < queue_min {
-                return PushOutcome::DeadlineConflict;
+                return PushOutcome::DeadlineConflict(entry);
             }
         }
         self.encoded_bytes += entry_len;
@@ -143,48 +145,55 @@ impl PiggybackQueue {
         PushOutcome::Queued { flush_at }
     }
 
-    /// Flush: take every queued message. Returns the entries (in arrival
-    /// order), the network transmission deadline to pass down (the queue's
-    /// maximum, clamped to its minimum), and the per-stream actual deadline
-    /// each component message is considered to have had.
-    pub fn flush(&mut self) -> Option<FlushedBundle> {
+    /// Flush: take every queued message. The bundle hands out the entries
+    /// (in arrival order) and the network transmission deadline to pass
+    /// down (the queue's maximum, clamped to its minimum); the queue keeps
+    /// its entry storage for the next messages.
+    pub fn flush(&mut self) -> Option<FlushedBundle<'_>> {
         if self.entries.is_empty() {
             return None;
         }
         let max_d = self.max_deadline().expect("non-empty");
         let min_d = self.min_deadline().expect("non-empty");
         let deadline = if max_d < min_d { min_d } else { max_d };
-        let entries = std::mem::take(&mut self.entries);
         self.encoded_bytes = 0;
-        Some(FlushedBundle { entries, deadline })
+        Some(FlushedBundle {
+            entries: self.entries.drain(..),
+            deadline,
+        })
     }
 }
 
-/// The result of flushing a queue.
+/// The result of flushing a queue. Dropping it empties the queue.
 #[derive(Debug)]
-pub struct FlushedBundle {
-    /// Component entries, in arrival order, each carrying its pre-encoded
-    /// frame.
-    pub entries: Vec<PendingEntry>,
+pub struct FlushedBundle<'a> {
+    entries: std::vec::Drain<'a, PendingEntry>,
     /// The single transmission deadline the bundle gets at the network
     /// layer — also the actual transmission deadline of every component
     /// (feeding the next messages' minimum-deadline floors).
     pub deadline: SimTime,
 }
 
-impl FlushedBundle {
+impl FlushedBundle<'_> {
+    /// Component entries, in arrival order, each carrying its pre-encoded
+    /// frame.
+    pub fn entries(&self) -> &[PendingEntry] {
+        self.entries.as_slice()
+    }
+
     /// Assemble the single network payload: the lone entry's frame as-is,
     /// or a 3-byte bundle header followed by every entry's segments. No
     /// frame is re-encoded and no payload byte is copied.
     pub fn encode(mut self) -> WireMsg {
         if self.entries.len() == 1 {
-            return self.entries.remove(0).wire;
+            return self.entries.next().expect("one entry").wire;
         }
-        let mut hdr = BytesMut::with_capacity(BUNDLE_OVERHEAD as usize);
-        hdr.put_u8(TAG_BUNDLE);
-        hdr.put_u16(self.entries.len() as u16);
-        let mut out = WireMsg::from_bytes(hdr.freeze());
-        for e in &self.entries {
+        let count = self.entries.len() as u16;
+        let mut out = WireMsg::from_bytes(wire::header(BUNDLE_OVERHEAD as usize, |hdr| {
+            hdr.put_u8(TAG_BUNDLE);
+            hdr.put_u16(count);
+        }));
+        for e in self.entries {
             out.append(&e.wire);
         }
         out
@@ -269,7 +278,8 @@ mod tests {
             q.try_push(e.clone(), budget),
             PushOutcome::Queued { .. }
         ));
-        assert_eq!(q.try_push(e, budget), PushOutcome::WouldOverflow);
+        // The refused entry comes back whole for the retry.
+        assert_eq!(q.try_push(e.clone(), budget), PushOutcome::WouldOverflow(e));
         assert_eq!(q.len(), 1);
     }
 
@@ -279,10 +289,25 @@ mod tests {
         // Queue holds a message whose ordering floor is 2000ns.
         q.try_push(entry(1, 10, 2_000, 5_000), 10_000);
         // A new very-urgent message (max 1500ns) cannot share a deadline.
-        assert_eq!(
+        assert!(matches!(
             q.try_push(entry(2, 10, 0, 1_500), 10_000),
-            PushOutcome::DeadlineConflict
-        );
+            PushOutcome::DeadlineConflict(e) if e.st_rms == StRmsId(2)
+        ));
+    }
+
+    #[test]
+    fn flush_keeps_the_entry_storage() {
+        let mut q = PiggybackQueue::new();
+        for i in 0..4 {
+            q.try_push(entry_with_seq(i, i, 1_000), 10_000);
+        }
+        let cap = q.entries.capacity();
+        let bundle = q.flush().unwrap();
+        assert_eq!(bundle.entries().len(), 4);
+        drop(bundle);
+        assert!(q.is_empty());
+        assert_eq!(q.bundle_bytes(), 0);
+        assert_eq!(q.entries.capacity(), cap);
     }
 
     #[test]

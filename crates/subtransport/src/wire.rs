@@ -6,9 +6,9 @@
 //! message whose size is the sum of its parts, and fragment headers (§4.3)
 //! really cost bytes.
 //!
-//! Frames encode to scatter-gather [`WireMsg`]s: the fixed-size header
-//! fields go into one small owned chunk and payload bytes ride along as
-//! zero-copy segment views — a message body is never copied on encode.
+//! Frames encode to scatter-gather [`WireMsg`]s: the header fields are
+//! carved from the shared header store ([`wire::header`]) and payload
+//! bytes ride along as zero-copy segment views — a message body is never copied on encode.
 //! Decode walks a [`WireCursor`] over the shared segments and hands the
 //! payload back as views of the sender's buffer. [`WireMsg::len`] on the
 //! encoder's output is the single source of truth for frame sizes; there
@@ -21,7 +21,7 @@ use rms_core::message::Label;
 use rms_core::params::{
     Authentication, BitErrorRate, Privacy, Reliability, RmsParams, SecurityParams,
 };
-use rms_core::wire::{Truncated, WireCursor, WireMsg};
+use rms_core::wire::{self, Truncated, WireCursor, WireMsg};
 
 use crate::ids::{StRmsId, StToken};
 
@@ -300,31 +300,35 @@ fn put_ctrl(buf: &mut BytesMut, c: &ControlMsg) {
     }
 }
 
-/// Encode a frame as a scatter-gather [`WireMsg`]: header fields in one
-/// owned chunk (bundles share a single header arena), payload bytes as
-/// zero-copy segment views. `encode(f).len()` is the frame's exact wire
-/// size.
+/// Longest data header `put_data_header` writes: tag, stream, seq,
+/// flags, fragment index and count, send time, both labels, span and
+/// payload length.
+const MAX_DATA_HEADER: usize = 62;
+
+/// Encode a frame as a scatter-gather [`WireMsg`]: header fields carved
+/// from the shared header store (bundles share one header arena),
+/// payload bytes as zero-copy segment views. `encode(f).len()` is the
+/// frame's exact wire size.
 pub fn encode(frame: &Frame) -> WireMsg {
     match frame {
         Frame::Data(d) => {
-            let mut buf = BytesMut::with_capacity(64);
-            put_data_header(&mut buf, d);
-            let mut out = WireMsg::from_bytes(buf.freeze());
+            let mut out =
+                WireMsg::from_bytes(wire::header(MAX_DATA_HEADER, |buf| put_data_header(buf, d)));
             out.append(&d.payload);
             out
         }
         Frame::Bundle(frames) => {
             // All headers go into one arena; the frame payloads are
             // interleaved between zero-copy slices of it.
-            let mut buf = BytesMut::with_capacity(16 + 48 * frames.len());
-            buf.put_u8(TAG_BUNDLE);
-            buf.put_u16(frames.len() as u16);
             let mut cuts = Vec::with_capacity(frames.len());
-            for d in frames {
-                put_data_header(&mut buf, d);
-                cuts.push(buf.len());
-            }
-            let arena = buf.freeze();
+            let arena = wire::header(3 + MAX_DATA_HEADER * frames.len(), |buf| {
+                buf.put_u8(TAG_BUNDLE);
+                buf.put_u16(frames.len() as u16);
+                for d in frames {
+                    put_data_header(buf, d);
+                    cuts.push(buf.len());
+                }
+            });
             let mut out = WireMsg::new();
             let mut prev = 0;
             for (d, cut) in frames.iter().zip(cuts) {
@@ -339,13 +343,11 @@ pub fn encode(frame: &Frame) -> WireMsg {
             put_ctrl(&mut buf, c);
             WireMsg::from_bytes(buf.freeze())
         }
-        Frame::FastAck { st_rms, seq } => {
-            let mut buf = BytesMut::with_capacity(17);
+        Frame::FastAck { st_rms, seq } => WireMsg::from_bytes(wire::header(17, |buf| {
             buf.put_u8(TAG_FASTACK);
             buf.put_u64(st_rms.0);
             buf.put_u64(*seq);
-            WireMsg::from_bytes(buf.freeze())
-        }
+        })),
     }
 }
 
@@ -615,7 +617,7 @@ mod tests {
         assert_eq!(segs.len(), 4);
         let arena_base = segs[0].as_ptr();
         let hdr1 = segs[2].as_ptr();
-        assert_eq!(unsafe { arena_base.add(segs[0].len()) }, hdr1);
+        assert_eq!(arena_base.wrapping_add(segs[0].len()), hdr1);
     }
 
     #[test]

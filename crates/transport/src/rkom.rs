@@ -18,7 +18,7 @@
 
 use rms_core::hash::DetHashMap;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use dash_net::ids::HostId;
 use dash_net::state::emit;
 use dash_sim::engine::{Args, Sim, TimerHandle};
@@ -31,7 +31,7 @@ use dash_subtransport::st::{StEvent, StWorld as _};
 use rms_core::delay::DelayBound;
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
-use rms_core::wire::WireMsg;
+use rms_core::wire::{self, WireMsg};
 use rms_core::{RmsError, RmsRequest};
 
 use crate::stack::{Stack, MAGIC_RKOM};
@@ -114,44 +114,44 @@ enum RkomMsg {
     },
 }
 
-/// Encode into a scatter-gather wire body: one owned header chunk plus
-/// the caller's payload handle shared as a segment (no copy).
+/// Encode into a scatter-gather wire body: one header carved from the
+/// shared header store plus the caller's payload handle shared as a
+/// segment (no copy).
 fn encode_msg(m: &RkomMsg) -> WireMsg {
-    let mut b = BytesMut::with_capacity(32);
-    b.put_u8(MAGIC_RKOM);
-    match m {
-        RkomMsg::Request {
-            call,
-            service,
-            payload,
-        } => {
-            b.put_u8(KIND_REQUEST);
-            b.put_u64(*call);
-            b.put_u16(*service);
-            b.put_u32(payload.len() as u32);
-            let mut out = WireMsg::from_bytes(b.freeze());
-            out.push(payload.clone());
-            return out;
+    let hdr = wire::header(32, |b| {
+        b.put_u8(MAGIC_RKOM);
+        match m {
+            RkomMsg::Request {
+                call,
+                service,
+                payload,
+            } => {
+                b.put_u8(KIND_REQUEST);
+                b.put_u64(*call);
+                b.put_u16(*service);
+                b.put_u32(payload.len() as u32);
+            }
+            RkomMsg::Reply {
+                call,
+                status,
+                payload,
+            } => {
+                b.put_u8(KIND_REPLY);
+                b.put_u64(*call);
+                b.put_u8(*status);
+                b.put_u32(payload.len() as u32);
+            }
+            RkomMsg::ReplyAck { call } => {
+                b.put_u8(KIND_REPLY_ACK);
+                b.put_u64(*call);
+            }
         }
-        RkomMsg::Reply {
-            call,
-            status,
-            payload,
-        } => {
-            b.put_u8(KIND_REPLY);
-            b.put_u64(*call);
-            b.put_u8(*status);
-            b.put_u32(payload.len() as u32);
-            let mut out = WireMsg::from_bytes(b.freeze());
-            out.push(payload.clone());
-            return out;
-        }
-        RkomMsg::ReplyAck { call } => {
-            b.put_u8(KIND_REPLY_ACK);
-            b.put_u64(*call);
-        }
+    });
+    let mut out = WireMsg::from_bytes(hdr);
+    if let RkomMsg::Request { payload, .. } | RkomMsg::Reply { payload, .. } = m {
+        out.push(payload.clone());
     }
-    WireMsg::from_bytes(b.freeze())
+    out
 }
 
 fn decode_msg(wire: &WireMsg) -> Option<RkomMsg> {
@@ -822,6 +822,7 @@ fn handle_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     #[test]
     fn wire_round_trips() {

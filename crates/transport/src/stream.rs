@@ -76,7 +76,7 @@ use rms_core::delay::DelayBound;
 use rms_core::error::{FailReason, RmsError};
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
-use rms_core::wire::WireMsg;
+use rms_core::wire::{self, WireMsg};
 use rms_core::RmsRequest;
 
 use crate::flow::{AckWindow, CapacityEnforcement, RateLimiter, ReceiverWindow};
@@ -358,41 +358,43 @@ enum StreamMsg {
     },
 }
 
-/// Encode into a scatter-gather wire body: one small owned header chunk,
-/// followed (for `Data`) by the payload's segments shared as-is — the
-/// payload bytes are never copied.
+/// Encode into a scatter-gather wire body: one header carved from the
+/// shared header store, followed (for `Data`) by the payload's segments
+/// shared as-is — the payload bytes are never copied.
 fn encode_msg(m: &StreamMsg) -> WireMsg {
-    let mut b = BytesMut::with_capacity(32);
-    b.put_u8(MAGIC_STREAM);
-    match m {
-        StreamMsg::Data {
-            session,
-            seq,
-            sent_at,
-            payload,
-        } => {
-            b.put_u8(KIND_DATA);
-            b.put_u64(*session);
-            b.put_u64(*seq);
-            b.put_u64(sent_at.as_nanos());
-            b.put_u32(payload.len() as u32);
-            let mut out = WireMsg::from_bytes(b.freeze());
-            out.append(payload);
-            return out;
+    let hdr = wire::header(32, |b| {
+        b.put_u8(MAGIC_STREAM);
+        match m {
+            StreamMsg::Data {
+                session,
+                seq,
+                sent_at,
+                payload,
+            } => {
+                b.put_u8(KIND_DATA);
+                b.put_u64(*session);
+                b.put_u64(*seq);
+                b.put_u64(sent_at.as_nanos());
+                b.put_u32(payload.len() as u32);
+            }
+            StreamMsg::Ack {
+                session,
+                cum_seq,
+                consumed,
+                gap,
+            } => {
+                b.put_u8(if *gap { KIND_GAP_ACK } else { KIND_ACK });
+                b.put_u64(*session);
+                b.put_u64(cum_seq.map_or(u64::MAX, |s| s));
+                b.put_u64(*consumed);
+            }
         }
-        StreamMsg::Ack {
-            session,
-            cum_seq,
-            consumed,
-            gap,
-        } => {
-            b.put_u8(if *gap { KIND_GAP_ACK } else { KIND_ACK });
-            b.put_u64(*session);
-            b.put_u64(cum_seq.map_or(u64::MAX, |s| s));
-            b.put_u64(*consumed);
-        }
+    });
+    let mut out = WireMsg::from_bytes(hdr);
+    if let StreamMsg::Data { payload, .. } = m {
+        out.append(payload);
     }
-    WireMsg::from_bytes(b.freeze())
+    out
 }
 
 /// Cursor-decode a scatter-gather body; `Data` payloads are sliced out of

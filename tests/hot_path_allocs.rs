@@ -1,13 +1,15 @@
 //! Heap allocations per frame on a running stream: the stack's hot path
-//! schedules unboxed calls and parks its data in reused slabs, so a frame
-//! costs only the allocations its message genuinely needs.
+//! schedules unboxed calls, parks its data in reused slabs, carves every
+//! header from a shared header store and checksums segments in place, so
+//! a frame costs about one allocation on every leg — the harness's own
+//! tick closure.
 //!
-//! The voice leg is the headline (7 per frame; 19 when every protocol
-//! action was a boxed closure); the reliable and fragmenting reliable legs
-//! hold the same line on the acked and fragmented paths. A boxed closure
-//! per protocol action — a CPU job's continuation, a transmission, a wire
-//! hop, a flush timer — adds one allocation per frame and fails a leg's
-//! bound. The harness is in `tests/steady/mod.rs`.
+//! All three legs — voice, reliable with receiver flow control, and
+//! fragmenting reliable — hold that line. A boxed closure per protocol
+//! action (a CPU job's continuation, a transmission, a wire hop, a flush
+//! timer), a header in a buffer of its own or a flattened payload adds
+//! one allocation per frame and fails a leg's bound. The harness is in
+//! `tests/steady/mod.rs`.
 
 mod steady;
 

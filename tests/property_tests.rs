@@ -7,6 +7,9 @@ use dash::core::compat::{is_compatible, negotiate, PerfLimits, RmsRequest, Servi
 use dash::core::delay::{DelayBound, DelayBoundKind, StatisticalSpec};
 use dash::core::params::{BitErrorRate, Reliability, RmsParams, SecurityParams};
 use dash::core::wire::WireMsg;
+use dash::security::checksum::Algorithm;
+use dash::security::cipher::Key;
+use dash::security::mac;
 use dash::sim::time::{SimDuration, SimTime};
 use dash::subtransport::frag::{fragment, FragSpec, Reassembly};
 use dash::subtransport::ids::StRmsId;
@@ -302,11 +305,11 @@ proptest! {
                 max_deadline: SimTime::from_nanos(1_000_000),
             };
             pushed += 1;
-            match q.try_push(entry.clone(), budget) {
+            match q.try_push(entry, budget) {
                 PushOutcome::Queued { .. } => {}
-                PushOutcome::WouldOverflow | PushOutcome::DeadlineConflict => {
+                PushOutcome::WouldOverflow(entry) | PushOutcome::DeadlineConflict(entry) => {
                     if let Some(bundle) = q.flush() {
-                        flushed.extend(bundle.entries.iter().map(|e| decoded_seq(&e.wire)));
+                        flushed.extend(bundle.entries().iter().map(|e| decoded_seq(&e.wire)));
                     }
                     // After a flush the entry must fit (entries are smaller
                     // than any budget we generate).
@@ -319,10 +322,43 @@ proptest! {
             prop_assert!(q.bundle_bytes() <= budget.max(500));
         }
         if let Some(bundle) = q.flush() {
-            flushed.extend(bundle.entries.iter().map(|e| decoded_seq(&e.wire)));
+            flushed.extend(bundle.entries().iter().map(|e| decoded_seq(&e.wire)));
         }
         prop_assert_eq!(flushed.len() as u64, pushed);
         prop_assert!(flushed.windows(2).all(|w| w[0] < w[1]), "order preserved");
+    }
+
+    /// Every checksum and the MAC read a message's segments in place and
+    /// give the value of the flattened bytes, however they are split —
+    /// empty and odd-length segments included.
+    #[test]
+    fn checksums_and_mac_read_segments_in_place(
+        raw in proptest::collection::vec((0u8..3, proptest::collection::vec(any::<u8>(), 0..800)), 0..8),
+        key in any::<u64>(),
+        context in any::<u64>(),
+    ) {
+        // Empty, one-byte and long segments (long enough to cross
+        // Fletcher-32's 359-word blocks), in any order.
+        let segs: Vec<Vec<u8>> = raw
+            .into_iter()
+            .map(|(kind, mut data)| {
+                data.truncate(match kind {
+                    0 => 0,
+                    1 => 1,
+                    _ => data.len(),
+                });
+                data
+            })
+            .collect();
+        let flat: Vec<u8> = segs.concat();
+        let parts = || segs.iter().map(Vec::as_slice);
+        for alg in Algorithm::ALL {
+            prop_assert_eq!(alg.compute_segments(parts()), alg.compute(&flat));
+        }
+        prop_assert_eq!(
+            mac::sign_segments(Key(key), context, parts()),
+            mac::sign(Key(key), context, &flat)
+        );
     }
 
     /// The ack window never allows more than the capacity outstanding.
