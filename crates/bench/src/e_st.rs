@@ -14,8 +14,9 @@ use dash_sim::cpu::SchedPolicy;
 use dash_sim::time::{SimDuration, SimTime};
 use dash_sim::Sim;
 use dash_subtransport::engine as st_engine;
+use dash_subtransport::ids::Client;
 use dash_subtransport::st::{StConfig, StEvent};
-use dash_transport::stack::{AppEvent, StackBuilder};
+use dash_transport::stack::{AppEvent, StackBuilder, PROTO_APP};
 use dash_transport::stream::{self, StreamProfile};
 use rms_core::delay::DelayBound;
 use rms_core::message::Message;
@@ -56,8 +57,8 @@ pub fn e3_caching() -> Table {
                 .build(),
         );
 
-        // Track creation latency through the app tap (tokens of direct ST
-        // creates are unclaimed by transports and reach the tap).
+        // Track creation latency through the app tap: each direct ST create
+        // is bound to an application client named by its index.
         let pending: Rc<RefCell<HashMap<u64, SimTime>>> = Rc::new(RefCell::new(HashMap::new()));
         let latencies: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
         let created: Rc<RefCell<Vec<(u64, dash_subtransport::ids::StRmsId)>>> =
@@ -68,16 +69,17 @@ pub fn e3_caching() -> Table {
             let created = Rc::clone(&created);
             sim.state.on_app(move |sim, ev| {
                 if let AppEvent::StEvent {
-                    event: StEvent::Created { token, st_rms, .. },
+                    client,
+                    event: StEvent::Created { st_rms, .. },
                     ..
                 } = ev
                 {
-                    if let Some(t0) = pending.borrow_mut().remove(&token.0) {
+                    if let Some(t0) = pending.borrow_mut().remove(&client.id) {
                         latencies
                             .borrow_mut()
                             .push(sim.now().saturating_since(t0).as_secs_f64());
                     }
-                    created.borrow_mut().push((token.0, st_rms));
+                    created.borrow_mut().push((client.id, st_rms));
                 }
             });
         }
@@ -88,9 +90,12 @@ pub fn e3_caching() -> Table {
         for i in 0..n_creates {
             let peer = peers[(i % 3) as usize];
             let before = created.borrow().len();
-            let token =
-                st_engine::create(&mut sim, client, peer, &request, false, Bytes::new()).unwrap();
-            pending.borrow_mut().insert(token.0, sim.now());
+            let app = Client {
+                proto: PROTO_APP,
+                id: i,
+            };
+            st_engine::create(&mut sim, client, peer, &request, false, app, Bytes::new()).unwrap();
+            pending.borrow_mut().insert(i, sim.now());
             sim.run();
             // Close the stream we just created.
             let new: Vec<_> = created.borrow()[before..].to_vec();

@@ -1647,7 +1647,8 @@ fn deliver_data<W: NetWorld>(
     let mut head: Option<Message> = None;
     let mut drained: Vec<(u64, Message, SimTime)> = Vec::new();
     let mut failed_stream = false;
-    {
+    let mut corrupt = false;
+    'verify: {
         let net = sim.state.net();
         let Some(state) = net.host_mut(host).rms.get_mut(&rms_id) else {
             return;
@@ -1663,9 +1664,9 @@ fn deliver_data<W: NetWorld>(
         // contract covers this case).
         if corrupted {
             if plan.checksum.is_some() || plan.mac {
-                state.stats.corrupt_dropped.incr();
                 state.stats.lost.incr();
-                return;
+                corrupt = true;
+                break 'verify;
             }
             // Visible, deterministic corruption of the delivered bytes.
             let mut v = payload.contiguous().to_vec();
@@ -1685,15 +1686,15 @@ fn deliver_data<W: NetWorld>(
                     .map(|m| mac::sign_segments(key, context, segments()) == mac::Tag(m))
                     .unwrap_or(false);
                 if !ok {
-                    state.stats.corrupt_dropped.incr();
-                    return;
+                    corrupt = true;
+                    break 'verify;
                 }
             }
             if let (Some(alg), Some(sum)) = (plan.checksum, checksum) {
                 if alg.compute_segments(segments()) != sum {
-                    state.stats.corrupt_dropped.incr();
                     state.stats.lost.incr();
-                    return;
+                    corrupt = true;
+                    break 'verify;
                 }
             }
         }
@@ -1704,7 +1705,6 @@ fn deliver_data<W: NetWorld>(
         // Ordering (§2 property 2: delivered in sequence).
         let reliable = state.params.reliability == Reliability::Reliable;
         if state.is_stale(seq) {
-            state.stats.stale_dropped.incr();
             return;
         }
         let expected = state.last_delivered.map_or(0, |l| l + 1);
@@ -1769,6 +1769,10 @@ fn deliver_data<W: NetWorld>(
                 state.stats.late.incr();
             }
         }
+    }
+    if corrupt {
+        drop_packet(sim, host, DropCause::Corrupt);
+        return;
     }
     if failed_stream {
         W::rms_event(

@@ -31,13 +31,8 @@ pub struct RmsStats {
     /// Messages known lost (sequence gaps on an unreliable stream, or
     /// detected-corrupt drops).
     pub lost: Counter,
-    /// Corrupted packets dropped by checksum/MAC verification.
-    pub corrupt_dropped: Counter,
     /// Corrupted packets delivered (no checksum selected).
     pub corrupt_delivered: Counter,
-    /// Duplicate or out-of-date packets discarded to preserve in-sequence
-    /// delivery.
-    pub stale_dropped: Counter,
 }
 
 /// A buffered out-of-order arrival on a reliable stream.

@@ -489,7 +489,7 @@ fn corruption_detected_when_error_rate_needs_checksum() {
     sim.run();
     let stats = &sim.state.net.host(c).rms[&rms].stats;
     assert!(
-        stats.corrupt_dropped.get() > 0,
+        sim.state.net.obs.registry.counter_value("net.drop.corrupt") > 0,
         "noisy wire must corrupt some packets; checksum catches them"
     );
     assert_eq!(stats.corrupt_delivered.get(), 0);
@@ -535,7 +535,8 @@ fn corruption_delivered_when_client_tolerates_errors() {
         stats.corrupt_delivered.get() > 0,
         "no checksum -> corrupt bytes delivered"
     );
-    assert_eq!(stats.corrupt_dropped.get(), 0);
+    let reg = &sim.state.net.obs.registry;
+    assert_eq!(reg.counter_value("net.drop.corrupt"), 0);
 }
 
 #[test]

@@ -175,6 +175,9 @@ pub enum DropCause {
     NoRoute,
     /// Net: the packet's hop budget ran out.
     Ttl,
+    /// Net: a packet whose checksum or MAC failed verification at the
+    /// receiving end of its network RMS.
+    Corrupt,
     /// ST: a network message that does not decode as an ST frame.
     Malformed,
     /// ST: a control-channel Hello or HelloAck failed authentication.
@@ -182,6 +185,13 @@ pub enum DropCause {
     /// ST: a data frame for an ST RMS this host does not receive on
     /// (unknown, or failed).
     NoStream,
+    /// ST: a message sent while its stream had no network RMS to ride —
+    /// the carrier died, and the message was still queued on it or its
+    /// replacement was still being created.
+    NoCarrier,
+    /// ST: a partially reassembled message, discarded when a fragment of
+    /// another message (or one past a gap) arrived.
+    Reassembly,
     /// Stream transport: data for a session this host does not hold.
     NoSession,
 }
@@ -624,7 +634,7 @@ pub enum ObsEvent {
 /// Every distinct event counter name, indexed by [`ObsEvent::fast_index`].
 /// The registry keeps these counts in a plain array so the per-event fast
 /// path is an indexed increment — no map lookup, no allocation.
-pub const EVENT_NAMES: [&str; 57] = [
+pub const EVENT_NAMES: [&str; 60] = [
     "net.admission_admitted",
     "net.admission_rejected",
     "net.iface_enqueue",
@@ -678,9 +688,12 @@ pub const EVENT_NAMES: [&str; 57] = [
     "net.drop.host_down",
     "net.drop.no_route",
     "net.drop.ttl",
+    "net.drop.corrupt",
     "st.drop.malformed",
     "st.drop.auth_failed",
     "st.drop.no_stream",
+    "st.drop.no_carrier",
+    "st.drop.reassembly",
     "stream.drop.no_session",
 ];
 
@@ -1568,9 +1581,12 @@ mod tests {
             (DropCause::HostDown, "net.drop.host_down"),
             (DropCause::NoRoute, "net.drop.no_route"),
             (DropCause::Ttl, "net.drop.ttl"),
+            (DropCause::Corrupt, "net.drop.corrupt"),
             (DropCause::Malformed, "st.drop.malformed"),
             (DropCause::AuthFailed, "st.drop.auth_failed"),
             (DropCause::NoStream, "st.drop.no_stream"),
+            (DropCause::NoCarrier, "st.drop.no_carrier"),
+            (DropCause::Reassembly, "st.drop.reassembly"),
             (DropCause::NoSession, "stream.drop.no_session"),
         ] {
             assert_eq!(ObsEvent::Drop { host: 0, cause }.name(), name);

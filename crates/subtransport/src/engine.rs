@@ -27,7 +27,7 @@ use rms_core::wire::WireMsg;
 use dash_security::mac;
 
 use crate::frag::{fragment, FragSpec, Reassembly};
-use crate::ids::{StRmsId, StToken};
+use crate::ids::{Client, StRmsId};
 use crate::piggyback::{PendingEntry, PiggybackQueue, PushOutcome};
 use crate::st::{
     control_params, DataOut, NetPurpose, NetUse, PeerState, StEvent, StPending, StRole, StStream,
@@ -93,14 +93,15 @@ pub fn st_negotiate<W: StWorld>(
 // Creation
 // ---------------------------------------------------------------------------
 
-/// Create an ST RMS from `host` (sender) to `peer` (receiver).
+/// Create an ST RMS from `host` (sender) to `peer` (receiver), bound at
+/// this end to `client`.
 ///
 /// Triggers control-channel establishment and authentication on first
-/// contact (§3.2). Completion is reported as [`StEvent::Created`] /
-/// [`StEvent::CreateFailed`] with the returned token. The opening `header`
-/// rides the create request on the reliable control channel and reaches
-/// the receiving client in [`StEvent::InboundCreated`], before any data
-/// sent on the stream.
+/// contact (§3.2). Completion is reported to `client` as
+/// [`StEvent::Created`] / [`StEvent::CreateFailed`]. The opening `header`
+/// rides the create request on the reliable control channel; the receiving
+/// world binds the lane to a client from it
+/// ([`StWorld::st_inbound`]) before any data sent on the stream arrives.
 ///
 /// # Errors
 ///
@@ -113,8 +114,9 @@ pub fn create<W: StWorld>(
     peer: HostId,
     request: &RmsRequest,
     fast_ack: bool,
+    client: Client,
     header: Bytes,
-) -> Result<StToken, RmsError> {
+) -> Result<(), RmsError> {
     if header.len() > MAX_OPENING_HEADER {
         return Err(RmsError::MessageTooLarge {
             size: header.len() as u64,
@@ -132,6 +134,7 @@ pub fn create<W: StWorld>(
     st.host_mut(host).pending.insert(
         token,
         StPending {
+            client,
             peer,
             params: params.clone().shared(),
             fast_ack,
@@ -155,7 +158,7 @@ pub fn create<W: StWorld>(
             header,
         },
     );
-    Ok(token)
+    Ok(())
 }
 
 /// Close an ST RMS from its sender side. The underlying data network RMS
@@ -307,16 +310,12 @@ fn fail_queued_creates<W: StWorld>(
 ) {
     let queued = std::mem::take(&mut peer_state(sim, host, peer).queued_ctrl);
     for msg in queued {
-        if let ControlMsg::StCreateReq { token, .. } = msg {
-            sim.state.st().host_mut(host).pending.remove(&token);
-            W::st_event(
-                sim,
-                host,
-                StEvent::CreateFailed {
-                    token,
-                    reason: reason.clone(),
-                },
-            );
+        let ControlMsg::StCreateReq { token, .. } = msg else {
+            continue;
+        };
+        if let Some(pending) = sim.state.st().host_mut(host).pending.remove(&token) {
+            let reason = reason.clone();
+            W::st_event(sim, host, pending.client, StEvent::CreateFailed { reason });
         }
     }
 }
@@ -497,21 +496,20 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
         sent_at,
     } = sim.state.st().send_jobs.take(job as u32);
     let now = sim.now();
-    // The slot (and its network parameters) may have vanished meanwhile.
-    let (net_params, net_rms) = {
-        let st = sim.state.st();
-        match st
-            .host(host)
-            .peers
-            .get(&peer)
-            .and_then(|p| p.data.get(&slot))
-        {
-            Some(d) => match d.net_rms {
-                Some(r) => (d.params.clone(), r),
-                None => return,
-            },
-            None => return,
-        }
+    // The carrier may have died meanwhile, its slot gone, or the slot the
+    // stream failed over to may still be waiting for its network RMS: the
+    // message is lost, and counted.
+    let carrier = sim
+        .state
+        .st_ref()
+        .host(host)
+        .peers
+        .get(&peer)
+        .and_then(|p| p.data.get(&slot))
+        .and_then(|d| Some((d.params.clone(), d.net_rms?)));
+    let Some((net_params, net_rms)) = carrier else {
+        drop_frame(sim, host, DropCause::NoCarrier);
+        return;
     };
     let len = msg.len() as u64;
     let source = msg.source;
@@ -988,35 +986,31 @@ fn assign_slot<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> b
             false
         }
         Err(e) => {
-            // Report failure through the pending token; an established
-            // stream (re-admitting after its carrier died) has none, so it
-            // stays behind marked failed — later sends return a typed
-            // [`RmsError::Failed`] — and the client hears a typed event.
-            let token = sim
-                .state
-                .st()
-                .host_mut(host)
-                .streams
-                .get_mut(&st_rms)
-                .and_then(|s| s.pending_token.take());
-            if let Some(token) = token {
-                sim.state.st().host_mut(host).streams.remove(&st_rms);
-                let reason = reject_of(&e);
-                W::st_event(sim, host, StEvent::CreateFailed { token, reason });
-            } else {
-                if let Some(s) = sim.state.st().host_mut(host).streams.get_mut(&st_rms) {
+            // A creation not yet reported fails as such; an established
+            // stream (re-admitting after its carrier died) stays behind
+            // marked failed — later sends return a typed
+            // [`RmsError::Failed`] — and its client hears a typed event.
+            let (client, creating) = {
+                let streams = &mut sim.state.st().host_mut(host).streams;
+                let s = streams.get_mut(&st_rms).expect("assigned above");
+                if !s.creating {
                     s.failed = true;
                     s.failover_since = None;
                 }
-                W::st_event(
-                    sim,
-                    host,
-                    StEvent::Failed {
-                        st_rms,
-                        reason: FailReason::NetworkDown,
-                    },
-                );
-            }
+                (s.client, s.creating)
+            };
+            let event = if creating {
+                sim.state.st().host_mut(host).streams.remove(&st_rms);
+                StEvent::CreateFailed {
+                    reason: reject_of(&e),
+                }
+            } else {
+                StEvent::Failed {
+                    st_rms,
+                    reason: FailReason::NetworkDown,
+                }
+            };
+            W::st_event(sim, host, client, event);
             send_ctrl(sim, host, peer, ControlMsg::StClose { st_rms });
             false
         }
@@ -1081,16 +1075,11 @@ pub fn on_net_deliver<W: StWorld>(
             }
         }
         Frame::FastAck { st_rms, seq } => {
-            let known = sim
-                .state
-                .st_ref()
-                .host(host)
-                .streams
-                .get(&st_rms)
-                .map(|s| s.role == StRole::Sender)
-                .unwrap_or(false);
-            if known {
-                W::st_event(sim, host, StEvent::FastAck { st_rms, seq });
+            let client = (sim.state.st_ref().host(host).streams.get(&st_rms))
+                .filter(|s| s.role == StRole::Sender)
+                .map(|s| s.client);
+            if let Some(client) = client {
+                W::st_event(sim, host, client, StEvent::FastAck { st_rms, seq });
             }
         }
     }
@@ -1196,18 +1185,12 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
                 return;
             }
             let st_rms = sim.state.st().alloc_st_rms();
-            let stream = new_stream(st_rms, peer, StRole::Receiver, params.shared(), fast_ack);
-            sim.state.st().host_mut(host).streams.insert(st_rms, stream);
             send_ctrl(sim, host, peer, ControlMsg::StCreateAck { token, st_rms });
-            W::st_event(
-                sim,
-                host,
-                StEvent::InboundCreated {
-                    st_rms,
-                    peer,
-                    header,
-                },
-            );
+            // Bound once, here, for the lane's life.
+            let client = W::st_inbound(sim, host, st_rms, peer, &header);
+            let role = StRole::Receiver;
+            let stream = new_stream(st_rms, peer, role, client, params.shared(), fast_ack);
+            sim.state.st().host_mut(host).streams.insert(st_rms, stream);
         }
         ControlMsg::StCreateAck { token, st_rms } => {
             let Some(pending) = sim.state.st().host_mut(host).pending.remove(&token) else {
@@ -1217,50 +1200,25 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
                 st_rms,
                 pending.peer,
                 StRole::Sender,
+                pending.client,
                 pending.params.clone(),
                 pending.fast_ack,
             );
-            stream.pending_token = Some(token);
+            stream.creating = true;
             sim.state.st().host_mut(host).streams.insert(st_rms, stream);
-            let ready = assign_slot(sim, host, st_rms);
-            if ready {
-                if let Some(s) = sim.state.st().host_mut(host).streams.get_mut(&st_rms) {
-                    s.pending_token = None;
-                }
-                W::st_event(
-                    sim,
-                    host,
-                    StEvent::Created {
-                        token,
-                        st_rms,
-                        params: pending.params,
-                    },
-                );
+            if assign_slot(sim, host, st_rms) {
+                report_created(sim, host, st_rms);
             }
         }
         ControlMsg::StCreateNak { token, reason: _ } => {
-            if sim
-                .state
-                .st()
-                .host_mut(host)
-                .pending
-                .remove(&token)
-                .is_some()
-            {
-                W::st_event(
-                    sim,
-                    host,
-                    StEvent::CreateFailed {
-                        token,
-                        reason: RejectReason::PeerRejected,
-                    },
-                );
+            if let Some(pending) = sim.state.st().host_mut(host).pending.remove(&token) {
+                let reason = RejectReason::PeerRejected;
+                W::st_event(sim, host, pending.client, StEvent::CreateFailed { reason });
             }
         }
         ControlMsg::StClose { st_rms } => {
-            let existed = sim.state.st().host_mut(host).streams.remove(&st_rms);
-            if existed.is_some() {
-                W::st_event(sim, host, StEvent::Closed { st_rms });
+            if let Some(s) = sim.state.st().host_mut(host).streams.remove(&st_rms) {
+                W::st_event(sim, host, s.client, StEvent::Closed { st_rms });
             }
         }
     }
@@ -1270,6 +1228,7 @@ fn new_stream(
     id: StRmsId,
     peer: HostId,
     role: StRole,
+    client: Client,
     params: SharedParams,
     fast_ack: bool,
 ) -> StStream {
@@ -1277,10 +1236,11 @@ fn new_stream(
         id,
         peer,
         role,
+        client,
         params,
         fast_ack,
         slot: None,
-        pending_token: None,
+        creating: false,
         next_seq: 0,
         last_tx_deadline: SimTime::ZERO,
         last_send_job_deadline: SimTime::ZERO,
@@ -1354,13 +1314,17 @@ fn deliver_data<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
     let st_rms = d.st_rms;
     let was_frag = d.frag.is_some();
     // Reassemble if fragmented.
-    let complete = {
+    let mut discarded = 0;
+    let (client, complete) = {
         let sth = sim.state.st().host_mut(host);
         let Some(stream) = sth.streams.get_mut(&st_rms) else {
             return;
         };
-        if was_frag {
-            stream.reassembly.push(d).map(|r| {
+        let complete = if was_frag {
+            let before = stream.reassembly.partials_discarded;
+            let done = stream.reassembly.push(d);
+            discarded = stream.reassembly.partials_discarded - before;
+            done.map(|r| {
                 let mut m = Message::from_wire(r.payload);
                 m.source = r.source;
                 m.target = r.target;
@@ -1373,8 +1337,14 @@ fn deliver_data<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
             m.target = d.target;
             m.span = d.span;
             Some((m, d.seq, d.sent_at, d.fast_ack))
-        }
+        };
+        (stream.client, complete)
     };
+    // Each partial message a fragment of another one (or a gap) cut short
+    // is a lost message.
+    for _ in 0..discarded {
+        drop_frame(sim, host, DropCause::Reassembly);
+    }
     let Some((msg, seq, sent_at, fast_ack)) = complete else {
         return;
     };
@@ -1441,7 +1411,7 @@ fn deliver_data<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
         stream: st_rms.0,
         seq,
     };
-    W::st_deliver(sim, host, st_rms, msg, info);
+    W::st_deliver(sim, host, client, st_rms, msg, info);
 }
 
 /// The world's `NetWorld::rms_event` must forward here.
@@ -1508,55 +1478,18 @@ pub fn on_net_event<W: StWorld>(sim: &mut Sim<W>, host: HostId, event: &NetRmsEv
                             d.assigned = assigned.clone();
                             d.assigned_capacity = sum;
                         }
-                        let mut out = Vec::new();
-                        for sid in &assigned {
-                            if let Some(s) = sth.streams.get_mut(sid) {
-                                out.push((s.id, s.pending_token.take(), s.params.clone()));
-                            }
-                        }
-                        (out, spilled)
+                        (assigned, spilled)
                     };
-                    for (st_rms, token, st_params) in ready_streams {
-                        if let Some(token) = token {
-                            W::st_event(
-                                sim,
-                                host,
-                                StEvent::Created {
-                                    token,
-                                    st_rms,
-                                    params: st_params,
-                                },
-                            );
-                        }
+                    for st_rms in ready_streams {
+                        report_created(sim, host, st_rms);
                         complete_failover_if_pending(sim, host, st_rms);
                     }
                     for st_rms in spilled {
                         if let Some(s) = sim.state.st().host_mut(host).streams.get_mut(&st_rms) {
                             s.slot = None;
                         }
-                        let ready = assign_slot(sim, host, st_rms);
-                        if ready {
-                            let (token, st_params) = {
-                                let sth = sim.state.st().host_mut(host);
-                                match sth.streams.get_mut(&st_rms) {
-                                    Some(s) => (s.pending_token.take(), s.params.clone()),
-                                    None => (
-                                        None,
-                                        RmsParams::builder(1, 1).build().expect("valid").shared(),
-                                    ),
-                                }
-                            };
-                            if let Some(token) = token {
-                                W::st_event(
-                                    sim,
-                                    host,
-                                    StEvent::Created {
-                                        token,
-                                        st_rms,
-                                        params: st_params,
-                                    },
-                                );
-                            }
+                        if assign_slot(sim, host, st_rms) {
+                            report_created(sim, host, st_rms);
                             complete_failover_if_pending(sim, host, st_rms);
                         }
                     }
@@ -1572,7 +1505,7 @@ pub fn on_net_event<W: StWorld>(sim: &mut Sim<W>, host: HostId, event: &NetRmsEv
                     fail_queued_creates(sim, host, peer, reason.clone());
                 }
                 Some(NetPurpose::DataOut(peer, slot)) => {
-                    let victims: Vec<(StRmsId, Option<StToken>)> = {
+                    let victims: Vec<(StRmsId, Client, bool)> = {
                         let sth = sim.state.st().host_mut(host);
                         let assigned = sth
                             .peers
@@ -1582,17 +1515,14 @@ pub fn on_net_event<W: StWorld>(sim: &mut Sim<W>, host: HostId, event: &NetRmsEv
                             .unwrap_or_default();
                         let mut out = Vec::new();
                         for sid in assigned {
-                            if !sth.streams.contains_key(&sid) {
+                            let Some(s) = sth.streams.get_mut(&sid) else {
                                 continue;
-                            }
-                            let tok = sth
-                                .streams
-                                .get_mut(&sid)
-                                .and_then(|s| s.pending_token.take());
-                            if tok.is_some() {
+                            };
+                            let (client, creating) = (s.client, s.creating);
+                            if creating {
                                 // Never-established create: forget it.
                                 sth.streams.remove(&sid);
-                            } else if let Some(s) = sth.streams.get_mut(&sid) {
+                            } else {
                                 // Established stream whose failover carrier
                                 // could not be created: keep it marked
                                 // failed so sends return a typed error.
@@ -1600,31 +1530,23 @@ pub fn on_net_event<W: StWorld>(sim: &mut Sim<W>, host: HostId, event: &NetRmsEv
                                 s.failover_since = None;
                                 s.slot = None;
                             }
-                            out.push((sid, tok));
+                            out.push((sid, client, creating));
                         }
                         out
                     };
-                    for (st_rms, tok) in victims {
+                    for (st_rms, client, creating) in victims {
                         send_ctrl(sim, host, peer, ControlMsg::StClose { st_rms });
-                        if let Some(tok) = tok {
-                            W::st_event(
-                                sim,
-                                host,
-                                StEvent::CreateFailed {
-                                    token: tok,
-                                    reason: reason.clone(),
-                                },
-                            );
+                        let event = if creating {
+                            StEvent::CreateFailed {
+                                reason: reason.clone(),
+                            }
                         } else {
-                            W::st_event(
-                                sim,
-                                host,
-                                StEvent::Failed {
-                                    st_rms,
-                                    reason: FailReason::NetworkDown,
-                                },
-                            );
-                        }
+                            StEvent::Failed {
+                                st_rms,
+                                reason: FailReason::NetworkDown,
+                            }
+                        };
+                        W::st_event(sim, host, client, event);
                     }
                 }
                 None => {}
@@ -1679,14 +1601,11 @@ fn handle_net_failure<W: StWorld>(
             // alternate is exhausted does the client see a typed failure
             // (via assign_slot / CreateFailed).
             let now = sim.now();
-            let victims: Vec<StRmsId> = {
+            let (victims, stranded) = {
                 let sth = sim.state.st().host_mut(host);
-                let assigned = sth
-                    .peers
-                    .get_mut(&peer)
-                    .and_then(|p| p.data.remove(&slot))
-                    .map(|d| d.assigned)
-                    .unwrap_or_default();
+                let dead = sth.peers.get_mut(&peer).and_then(|p| p.data.remove(&slot));
+                let (assigned, stranded) =
+                    dead.map_or((Vec::new(), 0), |d| (d.assigned, d.queue.len()));
                 let mut out = Vec::new();
                 for sid in &assigned {
                     if let Some(s) = sth.streams.get_mut(sid) {
@@ -1697,8 +1616,13 @@ fn handle_net_failure<W: StWorld>(
                         out.push(s.id);
                     }
                 }
-                out
+                (out, stranded)
             };
+            // Messages still waiting in the dead carrier's piggyback queue
+            // never left the host.
+            for _ in 0..stranded {
+                drop_frame(sim, host, DropCause::NoCarrier);
+            }
             if !victims.is_empty() {
                 emit(
                     sim,
@@ -1729,6 +1653,20 @@ fn handle_net_failure<W: StWorld>(
     }
 }
 
+/// Report a creation whose slot just became ready to its client (once: a
+/// stream failing over was reported long ago).
+fn report_created<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) {
+    let created = (sim.state.st().host_mut(host).streams.get_mut(&st_rms))
+        .filter(|s| s.creating)
+        .map(|s| {
+            s.creating = false;
+            (s.client, s.params.clone())
+        });
+    if let Some((client, params)) = created {
+        W::st_event(sim, host, client, StEvent::Created { st_rms, params });
+    }
+}
+
 /// If `st_rms` was failing over, close the failover span: record the
 /// recovery latency and emit [`ObsEvent::FailoverCompleted`].
 fn complete_failover_if_pending<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) {
@@ -1753,7 +1691,7 @@ fn complete_failover_if_pending<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_r
     );
 }
 
-/// Count an arriving frame the ST discards, with its cause.
+/// Count a frame or message the ST discards, with its cause.
 fn drop_frame<W: StWorld>(sim: &mut Sim<W>, host: HostId, cause: DropCause) {
     emit(
         sim,

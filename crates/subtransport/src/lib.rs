@@ -30,5 +30,5 @@ pub mod st;
 pub mod wire;
 
 pub use engine::{can_multiplex, close, create, on_net_deliver, on_net_event, send, st_negotiate};
-pub use ids::{StRmsId, StToken};
+pub use ids::{Client, StRmsId};
 pub use st::{StConfig, StEvent, StRole, StState, StWorld};

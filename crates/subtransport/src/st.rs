@@ -24,7 +24,7 @@ use rms_core::port::DeliveryInfo;
 
 use crate::engine::SendJob;
 use crate::frag::Reassembly;
-use crate::ids::{StRmsId, StToken};
+use crate::ids::{Client, StRmsId};
 use crate::piggyback::PiggybackQueue;
 use crate::wire::{ControlMsg, DataFrame};
 
@@ -163,14 +163,17 @@ pub struct StStream {
     pub peer: HostId,
     /// Our role.
     pub role: StRole,
+    /// The client this end of the lane is bound to.
+    pub client: Client,
     /// ST-level parameters.
     pub params: SharedParams,
     /// Whether data frames request fast acknowledgements (§3.2).
     pub fast_ack: bool,
     /// Sender: the data slot this stream is multiplexed onto.
     pub slot: Option<u32>,
-    /// Sender: creation token to report once the slot is ready.
-    pub pending_token: Option<StToken>,
+    /// Sender: the creation is not yet reported to the client; it is once
+    /// the slot is ready ([`StEvent::Created`]).
+    pub creating: bool,
     /// Sender: next message sequence number.
     pub next_seq: u64,
     /// Sender: ordering floor — the previous message's actual transmission
@@ -204,6 +207,8 @@ impl StStream {
 /// An ST RMS creation in flight at its creator.
 #[derive(Debug)]
 pub struct StPending {
+    /// The creating client.
+    pub client: Client,
     /// Data receiver.
     pub peer: HostId,
     /// Negotiated ST-level parameters.
@@ -223,8 +228,9 @@ pub struct StHost {
     pub net_pending: DetHashMap<CreateToken, NetPurpose>,
     /// Known network RMS usages.
     pub by_net: DetHashMap<NetRmsId, NetUse>,
-    /// ST creations in flight.
-    pub pending: DetHashMap<StToken, StPending>,
+    /// ST creations in flight, by the token correlating the create request
+    /// with its answer.
+    pub pending: DetHashMap<u64, StPending>,
 }
 
 /// The subtransport layer's world state.
@@ -331,8 +337,8 @@ impl StState {
     }
 
     /// Allocate an ST creation token.
-    pub fn alloc_token(&mut self) -> StToken {
-        let t = StToken(self.next_token);
+    pub fn alloc_token(&mut self) -> u64 {
+        let t = self.next_token;
         self.next_token += 1;
         t
     }
@@ -356,13 +362,11 @@ pub enum StRole {
     Receiver,
 }
 
-/// ST lifecycle events reported to clients.
+/// ST lifecycle events, each reported to the client of its lane.
 #[derive(Debug)]
 pub enum StEvent {
     /// A creation initiated here completed; the stream is ready to send on.
     Created {
-        /// The creator's token.
-        token: StToken,
         /// The new stream.
         st_rms: StRmsId,
         /// Its ST-level parameters.
@@ -370,21 +374,8 @@ pub enum StEvent {
     },
     /// A creation initiated here failed.
     CreateFailed {
-        /// The creator's token.
-        token: StToken,
         /// Why.
         reason: RejectReason,
-    },
-    /// A receiving stream appeared at this host. It is reported before the
-    /// creator learns of the stream, so before any data can arrive on it.
-    InboundCreated {
-        /// The new stream.
-        st_rms: StRmsId,
-        /// The sending peer.
-        peer: HostId,
-        /// The creator's opening header, as passed to
-        /// [`crate::engine::create`].
-        header: Bytes,
     },
     /// A stream failed.
     Failed {
@@ -408,20 +399,33 @@ pub enum StEvent {
     },
 }
 
-/// The world contract for layers above the ST.
+/// The world contract for layers above the ST. Every lane is bound to one
+/// [`Client`] for its life; deliveries and events carry it.
 pub trait StWorld: dash_net::state::NetWorld {
     /// The embedded ST state.
     fn st(&mut self) -> &mut StState;
     /// Shared access to the embedded ST state.
     fn st_ref(&self) -> &StState;
-    /// A message arrived on a receiving ST RMS.
+    /// A receiving stream from `peer` appeared at `host`, opened with the
+    /// creator's `header` (as passed to [`crate::engine::create`]): name
+    /// the client it is bound to. Called once per lane, before the creator
+    /// learns of the stream, so before any data can arrive on it.
+    fn st_inbound(
+        sim: &mut Sim<Self>,
+        host: HostId,
+        st_rms: StRmsId,
+        peer: HostId,
+        header: &Bytes,
+    ) -> Client;
+    /// A message arrived on a receiving ST RMS bound to `client`.
     fn st_deliver(
         sim: &mut Sim<Self>,
         host: HostId,
+        client: Client,
         st_rms: StRmsId,
         msg: Message,
         info: DeliveryInfo,
     );
-    /// An ST lifecycle event occurred.
-    fn st_event(sim: &mut Sim<Self>, host: HostId, event: StEvent);
+    /// An ST lifecycle event occurred on a lane bound to `client`.
+    fn st_event(sim: &mut Sim<Self>, host: HostId, client: Client, event: StEvent);
 }

@@ -23,7 +23,7 @@ use rms_core::params::{
 };
 use rms_core::wire::{self, Truncated, WireCursor, WireMsg};
 
-use crate::ids::{StRmsId, StToken};
+use crate::ids::StRmsId;
 
 /// Why decoding failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,7 +115,7 @@ pub enum ControlMsg {
     /// the data sender).
     StCreateReq {
         /// Requester's correlation token.
-        token: StToken,
+        token: u64,
         /// The negotiated ST-level parameters.
         params: RmsParams,
         /// Whether data frames will request fast acknowledgements.
@@ -128,14 +128,14 @@ pub enum ControlMsg {
     /// Positive reply carrying the receiver-assigned stream id.
     StCreateAck {
         /// Echo of the request token.
-        token: StToken,
+        token: u64,
         /// The new stream id.
         st_rms: StRmsId,
     },
     /// Negative reply.
     StCreateNak {
         /// Echo of the request token.
-        token: StToken,
+        token: u64,
         /// Coarse reason code.
         reason: u8,
     },
@@ -277,7 +277,7 @@ fn put_ctrl(buf: &mut BytesMut, c: &ControlMsg) {
             header,
         } => {
             buf.put_u8(CTRL_CREATE_REQ);
-            buf.put_u64(token.0);
+            buf.put_u64(*token);
             buf.put_u8(u8::from(*fast_ack));
             put_params(buf, params);
             buf.put_u8(header.len() as u8);
@@ -285,12 +285,12 @@ fn put_ctrl(buf: &mut BytesMut, c: &ControlMsg) {
         }
         ControlMsg::StCreateAck { token, st_rms } => {
             buf.put_u8(CTRL_CREATE_ACK);
-            buf.put_u64(token.0);
+            buf.put_u64(*token);
             buf.put_u64(st_rms.0);
         }
         ControlMsg::StCreateNak { token, reason } => {
             buf.put_u8(CTRL_CREATE_NAK);
-            buf.put_u64(token.0);
+            buf.put_u64(*token);
             buf.put_u8(*reason);
         }
         ControlMsg::StClose { st_rms } => {
@@ -472,7 +472,7 @@ fn get_ctrl(c: &mut WireCursor<'_>) -> Result<ControlMsg, WireError> {
             tag: c.get_u64()?,
         }),
         CTRL_CREATE_REQ => {
-            let token = StToken(c.get_u64()?);
+            let token = c.get_u64()?;
             let fast_ack = c.get_u8()? != 0;
             let params = get_params(c)?;
             let len = c.get_u8()? as usize;
@@ -487,11 +487,11 @@ fn get_ctrl(c: &mut WireCursor<'_>) -> Result<ControlMsg, WireError> {
             })
         }
         CTRL_CREATE_ACK => Ok(ControlMsg::StCreateAck {
-            token: StToken(c.get_u64()?),
+            token: c.get_u64()?,
             st_rms: StRmsId(c.get_u64()?),
         }),
         CTRL_CREATE_NAK => Ok(ControlMsg::StCreateNak {
-            token: StToken(c.get_u64()?),
+            token: c.get_u64()?,
             reason: c.get_u8()?,
         }),
         CTRL_CLOSE => Ok(ControlMsg::StClose {
@@ -634,17 +634,17 @@ mod tests {
                 tag: 0xef01,
             },
             ControlMsg::StCreateReq {
-                token: StToken(7),
+                token: 7,
                 params: sample_params(),
                 fast_ack: true,
                 header: Bytes::from_static(&[0xD6; MAX_OPENING_HEADER]),
             },
             ControlMsg::StCreateAck {
-                token: StToken(7),
+                token: 7,
                 st_rms: StRmsId(12),
             },
             ControlMsg::StCreateNak {
-                token: StToken(7),
+                token: 7,
                 reason: 2,
             },
             ControlMsg::StClose {
@@ -662,7 +662,7 @@ mod tests {
         let mut p = sample_params();
         p.delay.kind = DelayBoundKind::Statistical(StatisticalSpec::new(5e5, 3.0, 0.95));
         let f = Frame::Ctrl(ControlMsg::StCreateReq {
-            token: StToken(1),
+            token: 1,
             params: p,
             fast_ack: false,
             header: Bytes::new(),
@@ -675,7 +675,7 @@ mod tests {
     #[test]
     fn oversized_opening_header_fails() {
         let f = Frame::Ctrl(ControlMsg::StCreateReq {
-            token: StToken(1),
+            token: 1,
             params: sample_params(),
             fast_ack: false,
             header: Bytes::from(vec![1; MAX_OPENING_HEADER + 1]),

@@ -9,7 +9,7 @@ use dash_net::topology::{dumbbell, two_hosts_ethernet};
 use dash_sim::time::SimDuration;
 use dash_sim::Sim;
 use dash_subtransport::engine;
-use dash_subtransport::ids::{StRmsId, StToken};
+use dash_subtransport::ids::{Client, StRmsId};
 use dash_subtransport::st::{StConfig, StEvent, StState, StWorld};
 use rms_core::delay::DelayBound;
 use rms_core::message::Message;
@@ -22,7 +22,7 @@ struct World {
     st: StState,
     st_deliveries: Vec<(HostId, StRmsId, Message, DeliveryInfo)>,
     st_events: Vec<(HostId, String)>,
-    created: Vec<(HostId, StToken, StRmsId)>,
+    created: Vec<(HostId, Client, StRmsId)>,
     inbound: Vec<(HostId, StRmsId)>,
     fast_acks: Vec<(HostId, StRmsId, u64)>,
 }
@@ -72,20 +72,31 @@ impl StWorld for World {
     fn st_ref(&self) -> &StState {
         &self.st
     }
+    fn st_inbound(
+        sim: &mut Sim<Self>,
+        host: HostId,
+        st_rms: StRmsId,
+        _peer: HostId,
+        _header: &Bytes,
+    ) -> Client {
+        sim.state.inbound.push((host, st_rms));
+        RECEIVER
+    }
     fn st_deliver(
         sim: &mut Sim<Self>,
         host: HostId,
+        client: Client,
         st_rms: StRmsId,
         msg: Message,
         info: DeliveryInfo,
     ) {
+        assert_eq!(client, RECEIVER, "a receiving lane keeps its client");
         sim.state.st_deliveries.push((host, st_rms, msg, info));
     }
-    fn st_event(sim: &mut Sim<Self>, host: HostId, event: StEvent) {
+    fn st_event(sim: &mut Sim<Self>, host: HostId, client: Client, event: StEvent) {
         sim.state.st_events.push((host, format!("{event:?}")));
         match event {
-            StEvent::Created { token, st_rms, .. } => sim.state.created.push((host, token, st_rms)),
-            StEvent::InboundCreated { st_rms, .. } => sim.state.inbound.push((host, st_rms)),
+            StEvent::Created { st_rms, .. } => sim.state.created.push((host, client, st_rms)),
             StEvent::FastAck { st_rms, seq } => sim.state.fast_acks.push((host, st_rms, seq)),
             _ => {}
         }
@@ -101,13 +112,22 @@ fn basic_request() -> RmsRequest {
     RmsRequest::exact(RmsParams::builder(32 * 1024, 8 * 1024).build().unwrap())
 }
 
+/// The client every receiving lane of this world is bound to.
+const RECEIVER: Client = Client { proto: 1, id: 0 };
+
+/// A creator's client, distinct per create.
+fn creator(id: u64) -> Client {
+    Client { proto: 2, id }
+}
+
 fn establish(sim: &mut Sim<World>, a: HostId, b: HostId, req: &RmsRequest, fa: bool) -> StRmsId {
-    let token = engine::create(sim, a, b, req, fa, Bytes::new()).expect("create accepted");
+    let client = creator(sim.state.created.len() as u64);
+    engine::create(sim, a, b, req, fa, client, Bytes::new()).expect("create accepted");
     sim.run();
     sim.state
         .created
         .iter()
-        .find(|(h, t, _)| *h == a && *t == token)
+        .find(|(h, c, _)| *h == a && *c == client)
         .map(|(_, _, s)| *s)
         .unwrap_or_else(|| panic!("creation did not complete: {:?}", sim.state.st_events))
 }
@@ -251,6 +271,36 @@ fn large_messages_fragment_and_reassemble() {
         count(&sim, "st.fragment_sent") >= 6,
         "8000B over ~1.5KB MTU"
     );
+    assert_eq!(count(&sim, "st.drop.reassembly"), 0);
+}
+
+/// A fragment lost in the middle of a message leaves a partial that a
+/// gap or the next message's first fragment cuts short: each such message
+/// is one typed `st.drop.reassembly`, never also a delivery.
+#[test]
+fn a_partial_cut_short_is_a_typed_drop() {
+    let (net, a, b) = two_hosts_ethernet(); // MTU 1536: 6 fragments each
+    let mut sim = Sim::new(World::new(net, StConfig::default()));
+    let st_rms = establish(&mut sim, a, b, &basic_request(), false);
+    sim.state
+        .net
+        .network_mut(dash_net::NetworkId(0))
+        .spec
+        .drop_prob = 0.05;
+    let n = 40;
+    for _ in 0..n {
+        engine::send(&mut sim, a, st_rms, Message::new(vec![7u8; 8000])).unwrap();
+        sim.run();
+    }
+    let (delivered, cut) = (
+        sim.state.st_deliveries.len(),
+        count(&sim, "st.drop.reassembly"),
+    );
+    assert!(cut > 0, "the loss must cut some partial short");
+    assert!(
+        delivered + cut as usize <= n,
+        "{delivered} delivered, {cut} cut"
+    );
 }
 
 #[test]
@@ -278,7 +328,16 @@ fn missing_pair_key_fails_fast() {
         fast_acks: Vec::new(),
     };
     let mut sim = Sim::new(world);
-    let err = engine::create(&mut sim, a, b, &basic_request(), false, Bytes::new()).unwrap_err();
+    let err = engine::create(
+        &mut sim,
+        a,
+        b,
+        &basic_request(),
+        false,
+        creator(0),
+        Bytes::new(),
+    )
+    .unwrap_err();
     assert!(matches!(
         err,
         RmsError::CreationRejected(RejectReason::AuthenticationFailed)
@@ -302,7 +361,16 @@ fn mismatched_keys_fail_authentication() {
         fast_acks: Vec::new(),
     };
     let mut sim = Sim::new(world);
-    let token = engine::create(&mut sim, a, b, &basic_request(), false, Bytes::new()).unwrap();
+    engine::create(
+        &mut sim,
+        a,
+        b,
+        &basic_request(),
+        false,
+        creator(0),
+        Bytes::new(),
+    )
+    .unwrap();
     // Let the handshake proceed until a's Hello (signed with key 111) is on
     // the wire, then rotate the shared key: b now verifies with key 222 and
     // must reject the Hello.
@@ -321,7 +389,6 @@ fn mismatched_keys_fail_authentication() {
         "events: {:?}",
         sim.state.st_events
     );
-    let _ = token;
     assert!(count(&sim, "st.drop.auth_failed") > 0);
 }
 

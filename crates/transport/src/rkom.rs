@@ -14,7 +14,9 @@
 //! Each lane's ST create carries the opening header `[0xD5]`. A callee
 //! claims the lane when it is created and starts its own half of the
 //! channel then, so the reverse lanes are being created while the first
-//! request is still in flight.
+//! request is still in flight. A lane's ST client names its peer and, for
+//! an outgoing lane, which half of the channel it is, so RKOM keeps no map
+//! of its lanes.
 
 use rms_core::hash::DetHashMap;
 
@@ -26,7 +28,7 @@ use dash_sim::obs::ObsEvent;
 use dash_sim::stats::{Counter, Histogram};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_subtransport::engine as st_engine;
-use dash_subtransport::ids::{StRmsId, StToken};
+use dash_subtransport::ids::{Client, StRmsId};
 use dash_subtransport::st::{StEvent, StWorld as _};
 use rms_core::delay::DelayBound;
 use rms_core::message::Message;
@@ -59,23 +61,11 @@ impl std::fmt::Display for RkomError {
 
 impl std::error::Error for RkomError {}
 
-/// RKOM configuration.
-#[derive(Debug, Clone)]
-pub struct RkomConfig {
-    /// Retransmission timeout for outstanding calls.
-    pub retry_timeout: SimDuration,
-    /// Retransmissions before giving up.
-    pub max_retries: u32,
-}
-
-impl Default for RkomConfig {
-    fn default() -> Self {
-        RkomConfig {
-            retry_timeout: SimDuration::from_millis(200),
-            max_retries: 4,
-        }
-    }
-}
+/// Retransmission timeout of an outstanding call (the floor of its retry
+/// period, see `retry_period`).
+pub const RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(200);
+/// Retransmissions before a call gives up with [`RkomError::Timeout`].
+pub const MAX_RETRIES: u32 = 4;
 
 /// Delay bound requested for the low-delay (initial) RMSs.
 const LOW_DELAY: SimDuration = SimDuration::from_millis(20);
@@ -194,6 +184,28 @@ enum Lane {
     High,
 }
 
+impl Lane {
+    /// The ST client of this lane of the channel to `peer`: the peer, and
+    /// the lane in the low bit. An incoming lane is bound as `Low`: only
+    /// its peer matters.
+    fn client(self, peer: HostId) -> Client {
+        Client {
+            proto: MAGIC_RKOM,
+            id: u64::from(peer.0) << 1 | u64::from(self == Lane::High),
+        }
+    }
+
+    /// The peer and lane a client of [`Lane::client`] names.
+    fn of(client: Client) -> (HostId, Lane) {
+        let lane = if client.id & 1 == 0 {
+            Lane::Low
+        } else {
+            Lane::High
+        };
+        (HostId((client.id >> 1) as u32), lane)
+    }
+}
+
 /// The outgoing half of an RKOM channel to one peer.
 #[derive(Debug, Default)]
 struct Channel {
@@ -249,8 +261,6 @@ pub struct RkomHost {
     calls: DetHashMap<u64, Call>,
     call_cbs: DetHashMap<u64, CallCallback>,
     reply_cache: DetHashMap<(HostId, u64), WireMsg>,
-    owned: DetHashMap<StRmsId, HostId>,
-    tokens: DetHashMap<StToken, (HostId, Lane)>,
     /// Statistics.
     pub stats: RkomStats,
 }
@@ -286,17 +296,14 @@ impl std::fmt::Debug for RkomHost {
 /// The RKOM module's state.
 #[derive(Debug)]
 pub struct RkomState {
-    /// Configuration.
-    pub config: RkomConfig,
     hosts: Vec<RkomHost>,
     next_call: u64,
 }
 
 impl RkomState {
-    /// State for `n` hosts with default configuration.
+    /// State for `n` hosts.
     pub fn new(n: usize) -> Self {
         RkomState {
-            config: RkomConfig::default(),
             hosts: (0..n).map(|_| RkomHost::default()).collect(),
             next_call: 1,
         }
@@ -387,17 +394,14 @@ pub fn call(
 /// How long a call waits before its next attempt.
 ///
 /// The retry clock of a request is meaningful only once the request is on
-/// the wire: on a ready channel the period is the configured timeout or,
+/// the wire: on a ready channel the period is [`RETRY_TIMEOUT`] or,
 /// when the path is slower than that, twice what the *negotiated*
 /// low-delay RMS promises for a message of this size — a round trip the
 /// provider itself admits to is not evidence of loss. While the channel is
 /// still being created the request sits in `Channel::waiting`; the timer
 /// then only meters the creation against the attempt budget.
 fn retry_period(sim: &Sim<Stack>, host: HostId, call: &Call) -> SimDuration {
-    let rkom = &sim.state.rkom;
-    let timeout = rkom.config.retry_timeout;
-    let low = rkom
-        .host(host)
+    let low = (sim.state.rkom.host(host))
         .channels
         .get(&call.peer)
         .filter(|ch| ch.ready())
@@ -406,9 +410,9 @@ fn retry_period(sim: &Sim<Stack>, host: HostId, call: &Call) -> SimDuration {
     match low {
         Some(stream) => {
             let size = RKOM_HEADER + call.payload.len() as u64;
-            timeout.max(stream.params.delay.bound_for(size).saturating_mul(2))
+            RETRY_TIMEOUT.max(stream.params.delay.bound_for(size).saturating_mul(2))
         }
-        None => timeout,
+        None => RETRY_TIMEOUT,
     }
 }
 
@@ -438,13 +442,12 @@ fn arm_call_timer(sim: &mut Sim<Stack>, host: HostId, call_id: u64) {
 
 fn on_call_timeout(sim: &mut Sim<Stack>, (host, call_id): Args) {
     let host = HostId(host);
-    let config_max = sim.state.rkom.config.max_retries;
     let rh = sim.state.rkom.host_mut(host);
     let Some(c) = rh.calls.get_mut(&call_id) else {
         return;
     };
     c.attempts += 1;
-    if c.attempts > config_max {
+    if c.attempts > MAX_RETRIES {
         fail_call(sim, host, call_id, RkomError::Timeout);
         return;
     }
@@ -565,19 +568,12 @@ fn ensure_channel(sim: &mut Sim<Stack>, host: HostId, peer: HostId) {
         .expect("just inserted")
         .creating = true;
     for (lane, fixed) in [(Lane::Low, LOW_DELAY), (Lane::High, HIGH_DELAY)] {
+        let request = channel_request(fixed);
         let header = Bytes::from_static(OPENING_HEADER);
-        match st_engine::create(sim, host, peer, &channel_request(fixed), false, header) {
-            Ok(token) => {
-                sim.state
-                    .rkom
-                    .host_mut(host)
-                    .tokens
-                    .insert(token, (peer, lane));
-            }
-            Err(e) => {
-                fail_channel(sim, host, peer, RkomError::ChannelFailed(e));
-                return;
-            }
+        let client = lane.client(peer);
+        if let Err(e) = st_engine::create(sim, host, peer, &request, false, client, header) {
+            fail_channel(sim, host, peer, RkomError::ChannelFailed(e));
+            return;
         }
     }
 }
@@ -595,44 +591,37 @@ fn fail_channel(sim: &mut Sim<Stack>, host: HostId, peer: HostId, err: RkomError
 // ---------------------------------------------------------------------------
 
 /// A channel lane from `peer` appeared at `host`: claim it and start this
-/// host's half of the channel if it has none. Returns whether `header` was
-/// RKOM's (and the lane is now RKOM's).
+/// host's half of the channel if it has none. Returns the lane's client if
+/// `header` is RKOM's.
 pub fn on_inbound(
     sim: &mut Sim<Stack>,
     host: HostId,
-    st_rms: StRmsId,
     peer: HostId,
     header: &Bytes,
-) -> bool {
+) -> Option<Client> {
     if header.as_ref() != OPENING_HEADER {
-        return false;
+        return None;
     }
-    sim.state.rkom.host_mut(host).owned.insert(st_rms, peer);
     ensure_channel(sim, host, peer);
-    true
+    Some(Lane::Low.client(peer))
 }
 
-/// Does RKOM own this (receiving or sending) ST RMS at `host`?
-pub fn owns(stack: &Stack, host: HostId, st_rms: StRmsId) -> bool {
-    stack.rkom.host(host).owned.contains_key(&st_rms)
-}
-
-/// Does RKOM await this ST creation token at `host`?
-pub fn claims_token(stack: &Stack, host: HostId, token: StToken) -> bool {
-    stack.rkom.host(host).tokens.contains_key(&token)
-}
-
-/// Handle an ST lifecycle event addressed to RKOM.
-pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
+/// Handle an ST lifecycle event on a lane bound to `client`.
+///
+/// A stale event is harmless: a lane fails the channel only while it is
+/// still one of the channel's outgoing lanes.
+pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, client: Client, event: StEvent) {
+    let (peer, lane) = Lane::of(client);
     match event {
-        StEvent::Created { token, st_rms, .. } => {
-            let Some((peer, lane)) = sim.state.rkom.host_mut(host).tokens.remove(&token) else {
-                return;
-            };
+        StEvent::Created { st_rms, .. } => {
             let flush = {
-                let rh = sim.state.rkom.host_mut(host);
-                rh.owned.insert(st_rms, peer);
-                let ch = rh.channels.entry(peer).or_default();
+                let ch = sim
+                    .state
+                    .rkom
+                    .host_mut(host)
+                    .channels
+                    .entry(peer)
+                    .or_default();
                 match lane {
                     Lane::Low => ch.low_out = Some(st_rms),
                     Lane::High => ch.high_out = Some(st_rms),
@@ -656,47 +645,32 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
                 }
             }
         }
-        StEvent::CreateFailed { token, reason } => {
-            let Some((peer, _)) = sim.state.rkom.host_mut(host).tokens.remove(&token) else {
-                return;
-            };
-            fail_channel(
-                sim,
-                host,
-                peer,
-                RkomError::ChannelFailed(RmsError::CreationRejected(reason)),
-            );
+        StEvent::CreateFailed { reason } => {
+            let err = RkomError::ChannelFailed(RmsError::CreationRejected(reason));
+            fail_channel(sim, host, peer, err);
         }
         StEvent::Failed { st_rms, reason } => {
             // Typed channel failure (e.g. the network died with no
             // alternate), not a generic timeout.
-            let peer = sim.state.rkom.host_mut(host).owned.remove(&st_rms);
-            if let Some(peer) = peer {
-                fail_channel(
-                    sim,
-                    host,
-                    peer,
-                    RkomError::ChannelFailed(RmsError::Failed(reason)),
-                );
+            let ours = (sim.state.rkom.host(host).channels.get(&peer))
+                .is_some_and(|ch| [ch.low_out, ch.high_out].contains(&Some(st_rms)));
+            if ours {
+                let err = RkomError::ChannelFailed(RmsError::Failed(reason));
+                fail_channel(sim, host, peer, err);
             }
         }
-        StEvent::Closed { st_rms } => {
-            // The peer closed a lane of its half: ours, and the calls on
-            // it, are untouched.
-            sim.state.rkom.host_mut(host).owned.remove(&st_rms);
-        }
-        _ => {}
+        // The peer closed a lane of its half: ours, and the calls on it,
+        // are untouched. RKOM asks for no fast acknowledgements.
+        StEvent::Closed { .. } | StEvent::FastAck { .. } => {}
     }
 }
 
-/// Handle an ST delivery on a lane RKOM owns.
-pub fn on_delivery(sim: &mut Sim<Stack>, host: HostId, st_rms: StRmsId, msg: Message) {
+/// Handle an ST delivery on a lane bound to `client`.
+pub fn on_delivery(sim: &mut Sim<Stack>, host: HostId, client: Client, msg: Message) {
     let Some(decoded) = decode_msg(msg.wire()) else {
         return;
     };
-    let Some(peer) = sim.state.rkom.host(host).owned.get(&st_rms).copied() else {
-        return;
-    };
+    let (peer, _) = Lane::of(client);
     match decoded {
         RkomMsg::Request {
             call,

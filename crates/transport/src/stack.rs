@@ -6,12 +6,15 @@
 //! short-term scheduling (§4.1). Examples, integration tests, applications
 //! and benchmarks all run on this type.
 //!
-//! Routing: a transport protocol claims each ST RMS it receives on when the
-//! RMS is created, from the first byte of the creator's opening header
-//! (`0xD5` RKOM, `0xD6` streams); deliveries then route by ownership alone.
-//! Streams no transport protocol owns, and their events, are handed to the
-//! application tap.
+//! Routing: every ST RMS is bound to one [`Client`] at each end — by its
+//! creator at [`st_engine::create`], and at the receiving end once, when it
+//! is created, from the creator's opening header (`0xD5` RKOM, `0xD6`
+//! streams; anything else is the application's). The ST hands the client
+//! back with every delivery and event, and the stack routes on
+//! `client.proto` alone. Lanes bound to the application, and their events,
+//! are handed to the application tap.
 
+use bytes::Bytes;
 use dash_baseline::tcp::{self, TcpEvent, TcpState, TcpWorld, TCP_PROTO};
 use dash_net::ids::{HostId, NetRmsId, NetworkId};
 use dash_net::state::{fifo_charge_cpu, NetRmsEvent, NetState, NetWorld};
@@ -19,7 +22,7 @@ use dash_sim::cpu::{self, Cpu, CpuHost, SchedPolicy};
 use dash_sim::engine::{Call, Sim};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_subtransport::engine as st_engine;
-use dash_subtransport::ids::StRmsId;
+use dash_subtransport::ids::{Client, StRmsId};
 use dash_subtransport::st::{StConfig, StEvent, StState, StWorld};
 use rms_core::message::Message;
 use rms_core::port::DeliveryInfo;
@@ -34,11 +37,15 @@ use crate::stream::{self, StreamEvent, StreamState};
 pub const MAGIC_RKOM: u8 = 0xD5;
 /// Reserved first byte of stream-protocol opening headers and messages.
 pub const MAGIC_STREAM: u8 = 0xD6;
+/// The protocol of lanes bound to the application: every inbound lane whose
+/// opening header no transport protocol decodes. (An application creating a
+/// lane may name any protocol but the two above.)
+pub const PROTO_APP: u8 = 0;
 
 /// Application-facing notifications from the stack.
 #[derive(Debug)]
 pub enum AppEvent {
-    /// An ST message arrived on a stream owned by the application.
+    /// An ST message arrived on a stream bound to the application.
     StDeliver {
         /// Receiving host.
         host: HostId,
@@ -49,10 +56,12 @@ pub enum AppEvent {
         /// Delivery metadata.
         info: DeliveryInfo,
     },
-    /// An ST lifecycle event not claimed by a transport protocol.
+    /// An ST lifecycle event on a lane bound to the application.
     StEvent {
         /// The host observing the event.
         host: HostId,
+        /// The client the lane is bound to.
+        client: Client,
         /// The event.
         event: StEvent,
     },
@@ -193,7 +202,8 @@ impl StackBuilder {
 }
 
 impl Stack {
-    /// Install the application tap receiving unclaimed deliveries/events.
+    /// Install the application tap receiving the deliveries and events of
+    /// lanes bound to the application.
     ///
     /// Part of the uniform tap family: [`Stack::on_app`],
     /// [`Stack::on_tcp`], [`Stack::on_stream`].
@@ -355,74 +365,60 @@ impl StWorld for Stack {
         &self.st
     }
 
+    fn st_inbound(
+        sim: &mut Sim<Self>,
+        host: HostId,
+        st_rms: StRmsId,
+        peer: HostId,
+        header: &Bytes,
+    ) -> Client {
+        let claimed = match header.first() {
+            Some(&MAGIC_RKOM) => rkom::on_inbound(sim, host, peer, header),
+            Some(&MAGIC_STREAM) => stream::on_inbound(sim, host, peer, header),
+            _ => None,
+        };
+        claimed.unwrap_or(Client {
+            proto: PROTO_APP,
+            id: st_rms.0,
+        })
+    }
+
     fn st_deliver(
         sim: &mut Sim<Self>,
         host: HostId,
+        client: Client,
         st_rms: StRmsId,
         msg: Message,
         info: DeliveryInfo,
     ) {
-        if rkom::owns(&sim.state, host, st_rms) {
-            rkom::on_delivery(sim, host, st_rms, msg);
-            return;
+        match client.proto {
+            MAGIC_RKOM => rkom::on_delivery(sim, host, client, msg),
+            MAGIC_STREAM => stream::on_delivery(sim, host, msg),
+            _ => Stack::fire_app_event(
+                sim,
+                AppEvent::StDeliver {
+                    host,
+                    st_rms,
+                    msg,
+                    info,
+                },
+            ),
         }
-        if stream::owns(&sim.state, host, st_rms) {
-            stream::on_delivery(sim, host, msg);
-            return;
-        }
-        Stack::fire_app_event(
-            sim,
-            AppEvent::StDeliver {
-                host,
-                st_rms,
-                msg,
-                info,
-            },
-        );
     }
 
-    fn st_event(sim: &mut Sim<Self>, host: HostId, event: StEvent) {
-        // Creation results route by token; stream-scoped events by
-        // ownership.
-        match &event {
-            StEvent::Created { token, .. } | StEvent::CreateFailed { token, .. } => {
-                if rkom::claims_token(&sim.state, host, *token) {
-                    rkom::on_st_event(sim, host, event);
-                    return;
-                }
-                if stream::claims_token(&sim.state, host, *token) {
-                    stream::on_st_event(sim, host, event);
-                    return;
-                }
-            }
-            StEvent::Failed { st_rms, .. }
-            | StEvent::Closed { st_rms }
-            | StEvent::FastAck { st_rms, .. } => {
-                if rkom::owns(&sim.state, host, *st_rms) {
-                    rkom::on_st_event(sim, host, event);
-                    return;
-                }
-                if stream::owns(&sim.state, host, *st_rms) {
-                    stream::on_st_event(sim, host, event);
-                    return;
-                }
-            }
-            StEvent::InboundCreated {
-                st_rms,
-                peer,
-                header,
-            } => {
-                let claimed = match header.first() {
-                    Some(&MAGIC_RKOM) => rkom::on_inbound(sim, host, *st_rms, *peer, header),
-                    Some(&MAGIC_STREAM) => stream::on_inbound(sim, host, *st_rms, *peer, header),
-                    _ => false,
-                };
-                if claimed {
-                    return;
-                }
-            }
+    fn st_event(sim: &mut Sim<Self>, host: HostId, client: Client, event: StEvent) {
+        match client.proto {
+            MAGIC_RKOM => rkom::on_st_event(sim, host, client, event),
+            MAGIC_STREAM => stream::on_st_event(sim, host, client, event),
+            _ => Stack::fire_app_event(
+                sim,
+                AppEvent::StEvent {
+                    host,
+                    client,
+                    event,
+                },
+            ),
         }
-        Stack::fire_app_event(sim, AppEvent::StEvent { host, event });
     }
 }
 
@@ -462,6 +458,10 @@ mod tests {
             &mut sim,
             AppEvent::StEvent {
                 host: a,
+                client: Client {
+                    proto: PROTO_APP,
+                    id: 999,
+                },
                 event: StEvent::Closed {
                     st_rms: StRmsId(999),
                 },

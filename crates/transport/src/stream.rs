@@ -23,7 +23,10 @@
 //! header of the data lane's ST create, and the ack lane's create names
 //! the session it acknowledges the same way, so the receiving end holds
 //! the session (or binds the lane to it) before any data can be sent on
-//! the lane.
+//! the lane. Both ends bind each lane to the session as its ST client
+//! ([`Client`] `{ proto: 0xD6, id: session }`); which lane of the session
+//! an event is about follows from the session's role, so the module keeps
+//! no map of its lanes.
 //!
 //! Acknowledgement-based capacity enforcement is clocked by the ST's *fast
 //! acknowledgement* service (§3.2), exercising the paper's claim that it
@@ -70,7 +73,7 @@ use dash_sim::obs::{DropCause, ObsEvent, RetransmitCause};
 use dash_sim::stats::Counter;
 use dash_sim::time::{SimDuration, SimTime};
 use dash_subtransport::engine as st_engine;
-use dash_subtransport::ids::{StRmsId, StToken};
+use dash_subtransport::ids::{Client, StRmsId};
 use dash_subtransport::st::StEvent;
 use rms_core::delay::DelayBound;
 use rms_core::error::{FailReason, RmsError};
@@ -583,8 +586,6 @@ pub(crate) type StreamTap = Box<dyn FnMut(&mut Sim<Stack>, StreamEvent)>;
 #[derive(Default)]
 pub struct StreamHost {
     sessions: DetHashMap<u64, Session>,
-    by_st: DetHashMap<StRmsId, u64>,
-    tokens: DetHashMap<StToken, (u64, StreamLane)>,
     tap: Option<StreamTap>,
 }
 
@@ -594,12 +595,6 @@ impl std::fmt::Debug for StreamHost {
             .field("sessions", &self.sessions.len())
             .finish()
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StreamLane {
-    Data,
-    Ack,
 }
 
 /// The stream module's state.
@@ -698,16 +693,19 @@ pub fn open(
         ack_is_for: None,
     };
     let request = data_request(&profile);
-    let token = st_engine::create(sim, host, peer, &request, fast_ack, hello.encode())
-        .inspect_err(|_| {
-            sim.state.stream.host_mut(host).sessions.remove(&session_id);
-        })?;
-    sim.state
-        .stream
-        .host_mut(host)
-        .tokens
-        .insert(token, (session_id, StreamLane::Data));
+    let (client, header) = (lane_client(session_id), hello.encode());
+    st_engine::create(sim, host, peer, &request, fast_ack, client, header).inspect_err(|_| {
+        sim.state.stream.host_mut(host).sessions.remove(&session_id);
+    })?;
     Ok(session_id)
+}
+
+/// The ST client of every lane of `session`, at both ends.
+fn lane_client(session: u64) -> Client {
+    Client {
+        proto: MAGIC_STREAM,
+        id: session,
+    }
 }
 
 /// Bytes of stream-protocol header on a data message (magic + kind +
@@ -922,7 +920,9 @@ fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
                 }
             }
             Err(_) => {
-                // Should not happen (sizes validated); count as a gap.
+                // The data lane failed (no carrier was left to fail over
+                // to) or is gone; its `Failed`/`Closed` event ends the
+                // session. Count the message as a gap.
                 if let Some(s) = sim.state.stream.session_mut(host, session) {
                     s.stats.gaps.incr();
                 }
@@ -1066,103 +1066,69 @@ pub fn consume(sim: &mut Sim<Stack>, host: HostId, session: u64, bytes: u64) {
 // Receiving
 // ---------------------------------------------------------------------------
 
-/// Does the stream module own this ST RMS at `host`?
-pub fn owns(stack: &Stack, host: HostId, st_rms: StRmsId) -> bool {
-    stack.stream.host(host).by_st.contains_key(&st_rms)
-}
-
-/// Does the stream module await this ST creation token?
-pub fn claims_token(stack: &Stack, host: HostId, token: StToken) -> bool {
-    stack.stream.host(host).tokens.contains_key(&token)
-}
-
-/// Handle an ST lifecycle event addressed to the stream module.
-pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
-    match event {
-        StEvent::Created {
-            token,
-            st_rms,
-            params,
-        } => {
-            let Some((session, lane)) = sim.state.stream.host_mut(host).tokens.remove(&token)
-            else {
-                return;
-            };
-            sim.state
-                .stream
-                .host_mut(host)
-                .by_st
-                .insert(st_rms, session);
-            match lane {
-                StreamLane::Data => {
-                    {
-                        let Some(s) = sim.state.stream.session_mut(host, session) else {
-                            return;
-                        };
-                        s.data_out = Some(st_rms);
-                        // Build capacity enforcement from the *actual*
-                        // negotiated parameters (§4.4).
-                        match s.enforcement {
-                            CapacityEnforcement::None => {}
-                            CapacityEnforcement::RateBased => {
-                                s.rate = Some(RateLimiter::new(&params));
-                            }
-                            CapacityEnforcement::AckBased => {
-                                s.ackwin = Some(AckWindow::new(params.capacity));
-                            }
-                        }
+/// Handle an ST lifecycle event on a lane of the session `client` names:
+/// the data lane at a sender, the ack lane at a receiver — or, for
+/// `Failed`/`Closed`, either lane at either end.
+pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, client: Client, event: StEvent) {
+    let session = client.id;
+    let Some(role) = sim.state.stream.session(host, session).map(|s| s.role) else {
+        return;
+    };
+    match (event, role) {
+        (StEvent::Created { st_rms, params }, StreamRole::Tx) => {
+            {
+                let s = (sim.state.stream.session_mut(host, session)).expect("looked up above");
+                s.data_out = Some(st_rms);
+                // Build capacity enforcement from the *actual* negotiated
+                // parameters (§4.4).
+                match s.enforcement {
+                    CapacityEnforcement::None => {}
+                    CapacityEnforcement::RateBased => {
+                        s.rate = Some(RateLimiter::new(&params));
                     }
-                    fire(sim, host, StreamEvent::Opened { session });
-                    pump(sim, host, session);
-                }
-                StreamLane::Ack => {
-                    let pending = {
-                        let Some(s) = sim.state.stream.session_mut(host, session) else {
-                            return;
-                        };
-                        s.ack_out = Some(st_rms);
-                        std::mem::take(&mut s.pending_acks)
-                    };
-                    for bytes in pending {
-                        let _ = st_engine::send(sim, host, st_rms, Message::from_wire(bytes));
+                    CapacityEnforcement::AckBased => {
+                        s.ackwin = Some(AckWindow::new(params.capacity));
                     }
                 }
             }
+            fire(sim, host, StreamEvent::Opened { session });
+            pump(sim, host, session);
         }
-        StEvent::CreateFailed { token, reason } => {
-            let Some((session, lane)) = sim.state.stream.host_mut(host).tokens.remove(&token)
-            else {
-                return;
+        (StEvent::Created { st_rms, .. }, StreamRole::Rx) => {
+            let pending = {
+                let s = (sim.state.stream.session_mut(host, session)).expect("looked up above");
+                s.ack_out = Some(st_rms);
+                std::mem::take(&mut s.pending_acks)
             };
-            if lane == StreamLane::Data {
-                sim.state.stream.host_mut(host).sessions.remove(&session);
-                emit(
-                    sim,
-                    ObsEvent::StreamOpenFailed {
-                        host: host.0,
-                        session,
-                    },
-                );
-                fire(
-                    sim,
-                    host,
-                    StreamEvent::OpenFailed {
-                        session,
-                        reason: RmsError::CreationRejected(reason),
-                    },
-                );
+            for bytes in pending {
+                let _ = st_engine::send(sim, host, st_rms, Message::from_wire(bytes));
             }
         }
-        StEvent::Failed { st_rms, reason } => {
-            end_by_st(sim, host, st_rms, EndReason::ChannelFailed(reason));
+        (StEvent::CreateFailed { reason }, StreamRole::Tx) => {
+            sim.state.stream.host_mut(host).sessions.remove(&session);
+            emit(
+                sim,
+                ObsEvent::StreamOpenFailed {
+                    host: host.0,
+                    session,
+                },
+            );
+            fire(
+                sim,
+                host,
+                StreamEvent::OpenFailed {
+                    session,
+                    reason: RmsError::CreationRejected(reason),
+                },
+            );
         }
-        StEvent::Closed { st_rms } => {
-            end_by_st(sim, host, st_rms, EndReason::Closed);
+        (StEvent::Failed { reason, .. }, _) => {
+            end(sim, host, session, EndReason::ChannelFailed(reason));
         }
-        StEvent::FastAck { st_rms, seq } => {
-            let Some(session) = sim.state.stream.host(host).by_st.get(&st_rms).copied() else {
-                return;
-            };
+        (StEvent::Closed { .. }, _) => {
+            end(sim, host, session, EndReason::Closed);
+        }
+        (StEvent::FastAck { seq, .. }, _) => {
             if let Some(s) = sim.state.stream.session_mut(host, session) {
                 if let Some(w) = &mut s.ackwin {
                     w.ack_through(seq);
@@ -1170,16 +1136,16 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, event: StEvent) {
             }
             pump(sim, host, session);
         }
-        _ => {}
+        // The ack lane could not be created: acks stay parked, and a
+        // reliable sender's retries end the session.
+        (StEvent::CreateFailed { .. }, StreamRole::Rx) => {}
     }
 }
 
-/// Tear down the session carried by `st_rms` (if any) and surface a typed
-/// [`StreamEvent::Ended`] to the application.
-fn end_by_st(sim: &mut Sim<Stack>, host: HostId, st_rms: StRmsId, reason: EndReason) {
-    let Some(session) = sim.state.stream.host_mut(host).by_st.remove(&st_rms) else {
-        return;
-    };
+/// Tear down `session` once — a session already ended ignores the events
+/// of its other lanes — and surface a typed [`StreamEvent::Ended`] to the
+/// application.
+fn end(sim: &mut Sim<Stack>, host: HostId, session: u64, reason: EndReason) {
     let existed = {
         match sim.state.stream.session_mut(host, session) {
             Some(s) if !s.failed => {
@@ -1210,29 +1176,25 @@ fn end_by_st(sim: &mut Sim<Stack>, host: HostId, st_rms: StRmsId, reason: EndRea
 
 /// A stream lane appeared at `host`, opened by `peer` with `header`: build
 /// the receiving session from a data lane's Hello, or bind the peer's ack
-/// lane to the session it names. Returns whether the header was a Hello
-/// (and the lane is now the stream module's).
+/// lane to the session it names. Returns the lane's client if the header
+/// is a Hello this host accepts — not one naming a session it already
+/// holds.
 pub fn on_inbound(
     sim: &mut Sim<Stack>,
     host: HostId,
-    st_rms: StRmsId,
     peer: HostId,
     header: &Bytes,
-) -> bool {
-    let Some(hello) = Hello::decode(header) else {
-        return false;
-    };
-    let sh = sim.state.stream.host_mut(host);
+) -> Option<Client> {
+    let hello = Hello::decode(header)?;
     if let Some(session) = hello.ack_is_for {
         // The peer's acknowledgement lane for a session we send on.
-        sh.by_st.insert(st_rms, session);
-        return true;
+        return Some(lane_client(session));
     }
     let session = hello.session;
+    let sh = sim.state.stream.host_mut(host);
     if sh.sessions.contains_key(&session) {
-        return false; // a session id this host already holds
+        return None;
     }
-    sh.by_st.insert(st_rms, session);
     sh.sessions
         .insert(session, Session::rx(session, peer, hello.mech));
     if hello.mech.acked() {
@@ -1244,19 +1206,15 @@ pub fn on_inbound(
             ack_is_for: Some(session),
         };
         let request = RmsRequest::exact(ack_params());
-        if let Ok(token) = st_engine::create(sim, host, peer, &request, false, ack_hello.encode()) {
-            sim.state
-                .stream
-                .host_mut(host)
-                .tokens
-                .insert(token, (session, StreamLane::Ack));
-        }
+        let client = lane_client(session);
+        let _ = st_engine::create(sim, host, peer, &request, false, client, ack_hello.encode());
     }
     fire(sim, host, StreamEvent::Incoming { session, peer });
-    true
+    Some(lane_client(session))
 }
 
-/// Handle an ST delivery on a lane the stream module owns.
+/// Handle an ST delivery on a stream lane. Every lane message names its
+/// session.
 pub fn on_delivery(sim: &mut Sim<Stack>, host: HostId, msg: Message) {
     let Some(decoded) = decode_msg(msg.wire()) else {
         return;

@@ -17,15 +17,21 @@ use dash_transport::stack::{Stack, StackBuilder};
 use rms_core::error::FailReason;
 use rms_core::RmsError;
 
-/// Freeze `b`'s interface on the dumbbell's `lan-b` for 300 ms: whatever
-/// it sends meanwhile leaves late.
-fn stall_lan_b(sim: &mut Sim<Stack>, b: dash_net::HostId) {
+/// Freeze `b`'s interface on the dumbbell's `lan-b` for `duration`:
+/// whatever it sends meanwhile leaves late.
+fn stall_lan_b(sim: &mut Sim<Stack>, b: dash_net::HostId, duration: SimDuration) {
     let stall = FaultKind::IfaceStall {
         host: b.0,
         network: 2,
-        duration: SimDuration::from_millis(300),
+        duration,
     };
     apply_fault(sim, &stall);
+}
+
+/// The longest a call can wait for its reply on a ready channel: every
+/// attempt's retry period, each at least [`rkom::RETRY_TIMEOUT`].
+fn call_budget() -> SimDuration {
+    rkom::RETRY_TIMEOUT * u64::from(rkom::MAX_RETRIES + 1)
 }
 
 /// Calls completed with a reply, world-wide (only `a` calls in these tests).
@@ -41,13 +47,12 @@ fn completed(sim: &Sim<Stack>) -> u64 {
 fn late_reply_after_retries_exhausted_is_absorbed() {
     let (net, a, b, _, _) = dumbbell();
     let mut sim = Sim::new(StackBuilder::new(net).build());
-    // Give up long before the ~70 ms WAN round trip: the request reaches
-    // the server and is served, but the reply lands on a dead call.
-    sim.state.rkom.config.retry_timeout = SimDuration::from_millis(20);
-    sim.state.rkom.config.max_retries = 0;
     let outcomes = Rc::new(RefCell::new(Vec::new()));
     let o2 = Rc::clone(&outcomes);
-    rkom::register_service(&mut sim.state, b, 1, |_s, _c, _req| {
+    // The request reaches the server and is served, but its reply leaves
+    // only after the caller spent every retry: it lands on a dead call.
+    rkom::register_service(&mut sim.state, b, 1, move |sim, _c, _req| {
+        stall_lan_b(sim, b, call_budget() + rkom::RETRY_TIMEOUT);
         Bytes::from_static(b"too late")
     });
     rkom::call(
@@ -80,15 +85,18 @@ fn duplicate_reply_is_suppressed_at_client() {
     let (net, a, b, _, _) = dumbbell();
     let mut sim = Sim::new(StackBuilder::new(net).build());
     // The first reply leaves late: b's interface stalls as the request is
-    // served, so the client retransmits, the server sees duplicate
-    // requests and re-sends the cached reply.
-    sim.state.rkom.config.retry_timeout = SimDuration::from_millis(80);
-    sim.state.rkom.config.max_retries = 10;
+    // served, for longer than a retry period, so the client retransmits,
+    // the server sees duplicate requests and re-sends the cached reply —
+    // and for less than the retries left, so the call still completes.
     let executions = Rc::new(RefCell::new(0u32));
     let ex2 = Rc::clone(&executions);
     rkom::register_service(&mut sim.state, b, 1, move |sim, _c, _req| {
         *ex2.borrow_mut() += 1;
-        stall_lan_b(sim, b);
+        stall_lan_b(
+            sim,
+            b,
+            rkom::RETRY_TIMEOUT * 2 + SimDuration::from_millis(100),
+        );
         Bytes::from_static(b"reply")
     });
     let outcomes = Rc::new(RefCell::new(Vec::new()));
@@ -204,7 +212,7 @@ fn first_call_to_a_fresh_wan_peer_is_not_retransmitted() {
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].1, Ok(Bytes::from_static(b"pong")));
     assert!(
-        got[0].0.saturating_since(issued) > sim.state.rkom.config.retry_timeout,
+        got[0].0.saturating_since(issued) > rkom::RETRY_TIMEOUT,
         "the scenario must outlast the retry timeout to mean anything"
     );
     assert_eq!(sim.state.rkom.host(a).stats.retransmissions.get(), 0);
@@ -291,17 +299,13 @@ fn a_peer_closing_its_old_lanes_does_not_fail_our_calls() {
 }
 
 /// While the channel cannot be created the attempt budget still runs — the
-/// call ends with a typed failure after `max_retries + 1` periods — but
+/// call ends with a typed failure after `MAX_RETRIES + 1` periods — but
 /// nothing was ever sent, so nothing is counted (or queued) as a
 /// retransmission.
 #[test]
 fn an_unready_channel_spends_the_budget_without_retransmitting() {
     let (net, a, b, g1, _) = dumbbell();
     let mut sim = Sim::new(StackBuilder::new(net).build());
-    sim.state.rkom.config.retry_timeout = SimDuration::from_millis(50);
-    sim.state.rkom.config.max_retries = 3;
-    // Nothing leaves a's LAN: the creation request never gets an answer.
-    sim.state.net.partition(a, g1);
     let outcomes = Rc::new(RefCell::new(Vec::new()));
     let o2 = Rc::clone(&outcomes);
     let issued = sim.now();
@@ -315,14 +319,25 @@ fn an_unready_channel_spends_the_budget_without_retransmitting() {
             o2.borrow_mut().push((s.now(), res));
         },
     );
+    // a's control channel toward b comes up, then nothing leaves a's LAN:
+    // authentication, and every lane create queued behind it, waits for an
+    // answer that never comes. Neither fails before the budget is spent:
+    // the ST gives authentication 2 s.
+    assert!(call_budget() < dash_subtransport::st::AUTH_TIMEOUT);
+    let controls = |sim: &Sim<Stack>| {
+        sim.state
+            .net
+            .obs
+            .registry
+            .counter_value("st.control_created")
+    };
+    while controls(&sim) == 0 && sim.step() {}
+    sim.state.net.partition(a, g1);
     sim.run();
     let got = outcomes.borrow();
     assert_eq!(got.len(), 1, "callback must fire exactly once: {got:?}");
     assert_eq!(got[0].1, Err(RkomError::Timeout));
-    assert_eq!(
-        got[0].0.saturating_since(issued),
-        SimDuration::from_millis(200)
-    );
+    assert_eq!(got[0].0.saturating_since(issued), call_budget());
     let stats = &sim.state.rkom.host(a).stats;
     assert_eq!(stats.retransmissions.get(), 0);
     assert_eq!(stats.failed.get(), 1);

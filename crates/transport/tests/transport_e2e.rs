@@ -151,23 +151,21 @@ fn rkom_retransmits_over_lossy_network() {
 
 #[test]
 fn rkom_at_most_once_under_duplicates() {
-    // Force retransmissions with a short timeout and a late reply: the
-    // server must execute each call once even when requests duplicate.
+    // Force retransmissions with a late reply: the server must execute
+    // each call once even when requests duplicate.
     let (net, a, b, _, _) = dumbbell();
     let mut sim = Sim::new(StackBuilder::new(net).build());
-    // A short timeout so the initial request gets retransmitted, but
-    // generous retries so the call still completes.
-    sim.state.rkom.config.retry_timeout = SimDuration::from_millis(80);
-    sim.state.rkom.config.max_retries = 10;
     let executions = Rc::new(RefCell::new(0u32));
     let ex2 = Rc::clone(&executions);
     rkom::register_service(&mut sim.state, b, 1, move |sim, _c, _req| {
         *ex2.borrow_mut() += 1;
-        // The reply leaves late: b's interface on lan-b stalls for 300 ms.
+        // The reply leaves late: b's interface on lan-b stalls for longer
+        // than a retry period (so the request is retransmitted) and less
+        // than the retries left (so the call still completes).
         let stall = FaultKind::IfaceStall {
             host: b.0,
             network: 2,
-            duration: SimDuration::from_millis(300),
+            duration: rkom::RETRY_TIMEOUT * 2 + SimDuration::from_millis(100),
         };
         apply_fault(sim, &stall);
         Bytes::from_static(b"done")

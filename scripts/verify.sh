@@ -97,6 +97,13 @@ PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test routing different
 # more cases than the default, optimised, under a second.
 PROPTEST_CASES=2000 cargo test --release -q -p dash-transport --test stream_recovery random_loss
 
+# Hostile opening headers: arbitrary and near-miss headers (0xD5/0xD6
+# prefixes, truncated Hellos, unknown flag bits, Hellos naming a session
+# the host holds) ride ST creates to a stack host; nothing panics, every
+# inbound lane gets exactly the client its header earns, and no session id
+# gets a second receiving session — on far more cases than the default.
+PROPTEST_CASES=2000 cargo test --release -q -p dash-transport --test hostile_headers
+
 # Chaos suite: the explorer's `Scenario::chaos(seed)` flow preset (three
 # reliable 32 KiB flows of 30 x 256 B, 40 ms apart, under a fault plan
 # drawn from the seed) for seeds 0..28, baked into tests/chaos.rs, run

@@ -39,7 +39,7 @@ pub mod prelude {
         JsonLinesSink, MetricRegistry, Obs, ObsEvent, ObsSink, SpanRecord, Stage,
     };
     pub use dash_sim::time::{SimDuration, SimTime};
-    pub use dash_subtransport::ids::{StRmsId, StToken};
+    pub use dash_subtransport::ids::{Client, StRmsId};
     pub use dash_subtransport::st::StConfig;
     pub use dash_transport::stack::{AppEvent, Stack, StackBuilder};
     pub use dash_transport::stream::{StreamEvent, StreamProfile};

@@ -13,8 +13,9 @@ use dash::net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
 use dash::net::{NetworkId, NetworkSpec};
 use dash::sim::cpu::SchedPolicy;
 use dash::sim::{Sim, SimDuration};
+use dash::subtransport::ids::Client;
 use dash::transport::rkom;
-use dash::transport::stack::StackBuilder;
+use dash::transport::stack::{StackBuilder, PROTO_APP};
 use dash::transport::stream::StreamProfile;
 
 #[test]
@@ -135,12 +136,16 @@ fn secure_stream_on_untrusted_internetwork() {
             g.borrow_mut().push(msg);
         }
     });
-    let _tok = st::create(
+    st::create(
         &mut sim,
         a,
         c,
         &RmsRequest::exact(params),
         false,
+        Client {
+            proto: PROTO_APP,
+            id: 1,
+        },
         Bytes::new(),
     )
     .unwrap();
@@ -189,12 +194,16 @@ fn unfragmented_payload_is_delivered_without_copying() {
             g.borrow_mut().push(msg);
         }
     });
-    let _tok = st::create(
+    st::create(
         &mut sim,
         a,
         c,
         &RmsRequest::exact(params),
         false,
+        Client {
+            proto: PROTO_APP,
+            id: 1,
+        },
         Bytes::new(),
     )
     .unwrap();

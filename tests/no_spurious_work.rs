@@ -114,7 +114,7 @@ fn assert_no_spurious_work(name: &str, o: &Outcome) {
     // later than one period after the call was issued (the old clock fired
     // at exactly one period, on a request that had never been sent). What
     // is left is a timeout on a ready channel, and is reported.
-    let retry = dash::transport::rkom::RkomConfig::default().retry_timeout;
+    let retry = dash::transport::rkom::RETRY_TIMEOUT;
     let rkom = rkom_retransmissions(o);
     for r in &rkom {
         let waited = r.at.saturating_since(r.issued);

@@ -23,7 +23,6 @@ fn decoded_seq(w: &WireMsg) -> u64 {
         other => panic!("unexpected frame {other:?}"),
     }
 }
-use dash::subtransport::ids::StToken;
 use dash::subtransport::wire::ControlMsg;
 use dash::transport::flow::{AckWindow, RateLimiter, ReceiverWindow};
 
@@ -56,19 +55,17 @@ fn arb_ctrl() -> impl Strategy<Value = ControlMsg> {
             proptest::collection::vec(any::<u8>(), 0..wire::MAX_OPENING_HEADER + 1)
         )
             .prop_map(|(t, params, fast_ack, header)| ControlMsg::StCreateReq {
-                token: StToken(t),
+                token: t,
                 params,
                 fast_ack,
                 header: Bytes::from(header),
             }),
         (any::<u64>(), any::<u64>()).prop_map(|(t, s)| ControlMsg::StCreateAck {
-            token: StToken(t),
+            token: t,
             st_rms: StRmsId(s),
         }),
-        (any::<u64>(), any::<u8>()).prop_map(|(t, reason)| ControlMsg::StCreateNak {
-            token: StToken(t),
-            reason,
-        }),
+        (any::<u64>(), any::<u8>())
+            .prop_map(|(t, reason)| ControlMsg::StCreateNak { token: t, reason }),
         any::<u64>().prop_map(|s| ControlMsg::StClose { st_rms: StRmsId(s) }),
     ]
 }

@@ -13,6 +13,7 @@ use dash::net::topology::two_hosts_ethernet;
 use dash::prelude::*;
 use dash::subtransport::engine as st_engine;
 use dash::subtransport::st::StEvent;
+use dash::transport::stack::PROTO_APP;
 use dash::transport::stream;
 
 /// Canonical pipeline order; every span's stage sequence must be a
@@ -71,7 +72,12 @@ fn spans_are_ordered_nonnegative_and_sum_to_delivery_delay() {
         });
     }
     let request = RmsRequest::exact(RmsParams::builder(16 * 1024, 2048).build().unwrap());
-    st_engine::create(&mut sim, a, b, &request, false, Bytes::new()).expect("create accepted");
+    let client = Client {
+        proto: PROTO_APP,
+        id: 1,
+    };
+    st_engine::create(&mut sim, a, b, &request, false, client, Bytes::new())
+        .expect("create accepted");
     sim.run();
     let stream = st_rms.borrow().expect("ST RMS created");
 
