@@ -112,7 +112,7 @@ pub fn e5_capacity() -> Table {
 /// counted but discarded).
 pub struct NetOnly {
     net: NetState,
-    created: Vec<(u64, NetRmsId)>,
+    created: Vec<NetRmsId>,
     rejected: u64,
 }
 
@@ -133,7 +133,7 @@ impl NetWorld for NetOnly {
     }
     fn rms_event(sim: &mut Sim<Self>, _host: HostId, event: NetRmsEvent) {
         match event {
-            NetRmsEvent::Created { token, rms, .. } => sim.state.created.push((token.0, rms)),
+            NetRmsEvent::Created { rms, .. } => sim.state.created.push(rms),
             NetRmsEvent::CreateFailed { .. } => sim.state.rejected += 1,
             _ => {}
         }
@@ -188,7 +188,7 @@ pub fn e6_admission() -> Table {
         }
         let admitted = sim.state.created.len() as u64;
         // Drive every admitted stream at its C/D rate for 2 seconds.
-        let streams: Vec<NetRmsId> = sim.state.created.iter().map(|(_, r)| *r).collect();
+        let streams: Vec<NetRmsId> = sim.state.created.clone();
         let interval = rms_core::bandwidth::send_interval_for(&params, 1024);
         let end = sim.now() + SimDuration::from_secs(2);
         while sim.now() < end {

@@ -243,24 +243,12 @@ fn fig3_run() -> (Table, String) {
     sim.run();
 
     // Stage budgets: the ST negotiated bound vs the network RMS bound.
-    let st_bound = sim
-        .state
-        .st
-        .host(a)
-        .streams
-        .values()
-        .find(|s| s.role == dash_subtransport::StRole::Sender)
-        .map(|s| s.params.delay.bound_for(430))
-        .unwrap_or(SimDuration::ZERO);
-    let net_bound = sim
-        .state
-        .st
-        .host(a)
-        .peers
-        .get(&b)
-        .and_then(|p| p.data.values().next())
-        .map(|d| d.params.delay.bound_for(460))
-        .unwrap_or(SimDuration::ZERO);
+    let sth = sim.state.st.host(a);
+    let sender = (sth.streams.values()).find(|s| s.role == dash_subtransport::StRole::Sender);
+    let st_bound = sender.map_or(SimDuration::ZERO, |s| s.params.delay.bound_for(430));
+    let net_bound = (sender.and_then(|s| s.carrier))
+        .and_then(|c| sth.carriers[&c].data.as_ref())
+        .map_or(SimDuration::ZERO, |d| d.params.delay.bound_for(460));
     // Measured: every latency below comes from message lifecycle spans
     // (dash_sim::obs) — each delivered message carried a span id from the
     // transport send through ST, the interface queue, and the wire to port

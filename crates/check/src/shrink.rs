@@ -5,13 +5,19 @@
 //! scenario-level simplifications tried first: dropping the fault plan
 //! and zeroing schedule jitter — a repro that fails on a healthy,
 //! jitter-free network is worth far more than one entangled with an
-//! outage schedule. Because every run is a pure function of the
-//! scenario, "still fails" is a single deterministic re-execution; no
-//! flakiness budget, no retries. The whole pass iterates to a fixed
-//! point, so the result is 1-minimal: removing any single remaining flow
+//! outage schedule. Last, flows that only fail together are coalesced
+//! pairwise into one flow carrying their summed capacity, so an
+//! oversubscription spread over several flows shrinks to a single flow
+//! too. Because every run is a pure function of the scenario, "still
+//! fails" is a single deterministic re-execution; no flakiness budget, no
+//! retries. The whole pass iterates to a fixed point, so the result is
+//! 1-minimal: removing any single remaining flow, or coalescing any two,
 //! makes the failure disappear.
 
-use crate::explore::{run_scenario, Scenario};
+use dash_apps::traffic::Flow;
+use rms_core::delay::DelayBoundKind;
+
+use crate::explore::{flow, run_scenario, Scenario};
 
 fn fails(s: &Scenario) -> bool {
     run_scenario(s).failed()
@@ -63,6 +69,49 @@ fn ddmin_flows(scenario: &mut Scenario) -> bool {
     reduced
 }
 
+/// One flow carrying both `a`'s and `b`'s load: the earlier start, the
+/// longer run, the larger message and the summed capacity. `None` unless
+/// both share a delay-bound kind (the replay format names only that).
+fn coalesced(a: &Flow, b: &Flow) -> Option<Flow> {
+    let det = |f: &Flow| matches!(f.profile.delay.kind, DelayBoundKind::Deterministic);
+    (det(a) == det(b)).then(|| {
+        flow(
+            a.start.min(b.start).as_millis(),
+            a.count.max(b.count),
+            a.interval.as_millis(),
+            a.len.max(b.len),
+            a.profile.capacity + b.profile.capacity,
+            det(a),
+        )
+    })
+}
+
+/// Coalesce pairs of flows while the failure survives it.
+fn coalesce_flows(scenario: &mut Scenario) -> bool {
+    let mut reduced = false;
+    let mut i = 0;
+    while i < scenario.flows.len() {
+        let mut j = i + 1;
+        while j < scenario.flows.len() {
+            let candidate = coalesced(&scenario.flows[i], &scenario.flows[j]).map(|f| {
+                let mut c = scenario.clone();
+                c.flows[i] = f;
+                c.flows.remove(j);
+                c
+            });
+            match candidate {
+                Some(c) if fails(&c) => {
+                    *scenario = c;
+                    reduced = true;
+                }
+                _ => j += 1,
+            }
+        }
+        i += 1;
+    }
+    reduced
+}
+
 /// Shrink a failing scenario. The input must fail (debug-asserted); the
 /// returned scenario still fails and is 1-minimal in its flows, with the
 /// fault plan and jitter removed whenever the failure survives without
@@ -90,7 +139,7 @@ pub fn shrink(found: &Scenario) -> Scenario {
                 progress = true;
             }
         }
-        if ddmin_flows(&mut best) {
+        if ddmin_flows(&mut best) || coalesce_flows(&mut best) {
             progress = true;
         }
 
@@ -136,5 +185,21 @@ mod tests {
         let mut empty = min.clone();
         empty.flows.clear();
         assert!(!fails(&empty));
+    }
+
+    #[test]
+    fn coalesces_flows_that_only_oversubscribe_together() {
+        // Each open alone fits the deterministic budget; the two together
+        // oversubscribe it.
+        let half = flow(120, 1, 40, 1024, 80 * 1024, true);
+        let mut found = Scenario::baseline(13);
+        found.force_admission = true;
+        found.flows.extend([half.clone(), half.clone()]);
+        assert!(fails(&found), "the pair must fail to begin with");
+        let mut alone = found.clone();
+        alone.flows.pop();
+        assert!(!fails(&alone), "one of them alone must not");
+        let min = shrink(&found);
+        assert_eq!(min.flows, vec![flow(120, 1, 40, 1024, 160 * 1024, true)]);
     }
 }

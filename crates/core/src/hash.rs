@@ -11,9 +11,12 @@
 //! word is folded into the state with an xor, a multiply by a
 //! randomly-chosen odd constant, and a rotate to move the well-mixed high
 //! bits down to where `HashMap` reads them. Crucially it is *unseeded*,
-//! so iteration order is identical across runs and processes — the
-//! determinism suite already proves no observable behavior depends on map
-//! order, and a fixed hasher keeps it that way by construction.
+//! so iteration order is identical across runs and processes, and a run
+//! replays exactly. Iteration order is still arbitrary: it moves when a
+//! map's keys or capacity do. So code that *chooses* among a map's entries
+//! (which cached carrier a new ST stream rides, which idle carrier is
+//! evicted) states its rule — ready first, then the lowest id — or sorts,
+//! rather than taking whichever entry iteration meets first.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -23,23 +23,15 @@ impl fmt::Display for NetworkId {
     }
 }
 
-/// A network-level RMS, unique across the simulation.
+/// A network-level RMS, unique across the simulation. Its creator
+/// allocates it before the first creation attempt, and it names the RMS
+/// in every handshake packet and lifecycle event from request to close.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetRmsId(pub u64);
 
 impl fmt::Display for NetRmsId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "nrms{}", self.0)
-    }
-}
-
-/// Correlation token for asynchronous RMS creation requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CreateToken(pub u64);
-
-impl fmt::Display for CreateToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tok{}", self.0)
     }
 }
 
@@ -52,7 +44,6 @@ mod tests {
         assert_eq!(HostId(3).to_string(), "h3");
         assert_eq!(NetworkId(1).to_string(), "net1");
         assert_eq!(NetRmsId(9).to_string(), "nrms9");
-        assert_eq!(CreateToken(2).to_string(), "tok2");
     }
 
     #[test]

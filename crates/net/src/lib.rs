@@ -48,10 +48,10 @@
 //! let (net, a, b) = dash_net::topology::two_hosts_ethernet();
 //! let mut sim = Sim::new(World { net, got: Vec::new() });
 //! let params = RmsParams::builder(64 * 1024, 1024).build().expect("valid");
-//! let token = dash_net::pipeline::create_rms(&mut sim, a, b, &RmsRequest::exact(params))
+//! let rms = dash_net::pipeline::create_rms(&mut sim, a, b, &RmsRequest::exact(params))
 //!     .expect("creatable");
-//! # let _ = token;
-//! sim.run(); // handshake completes; sends may follow
+//! sim.run(); // handshake completes; `rms` is ready to send on
+//! assert!(sim.state.net.host(a).rms.contains_key(&rms));
 //! ```
 
 // `tests/common/mod.rs` is also included by `routing::spf`'s unit tests;
@@ -74,7 +74,7 @@ pub mod topology;
 /// Convenient re-exports for worlds built on this crate.
 pub mod prelude {
     pub use crate::fault::{apply_fault, crash_host, restart_host, schedule_fault_plan};
-    pub use crate::ids::{CreateToken, HostId, NetRmsId, NetworkId};
+    pub use crate::ids::{HostId, NetRmsId, NetworkId};
     pub use crate::network::NetworkSpec;
     pub use crate::pipeline::{
         close_rms, create_rms, create_rms_as_receiver, fail_network, restore_network,
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::topology::TopologyBuilder;
 }
 
-pub use ids::{CreateToken, HostId, NetRmsId, NetworkId};
+pub use ids::{HostId, NetRmsId, NetworkId};
 pub use network::NetworkSpec;
 pub use state::{emit, NetConfig, NetRmsEvent, NetState, NetWorld};
 pub use topology::TopologyBuilder;

@@ -9,7 +9,7 @@ use rms_core::message::Label;
 use rms_core::params::SharedParams;
 use rms_core::wire::WireMsg;
 
-use crate::ids::{CreateToken, HostId, NetRmsId, NetworkId};
+use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::routing::lsdb::LinkStateAd;
 
 /// An explicit hop-by-hop route pinned into a packet by the creator (or by
@@ -89,45 +89,36 @@ pub enum PacketKind {
     /// Hop-by-hop RMS creation request, reserving resources as it travels
     /// from the data sender toward the data receiver.
     CreateReq {
-        /// Creator's correlation token.
-        token: CreateToken,
-        /// The RMS id allocated by the sender side.
+        /// The RMS id allocated by the sender side (by the inviter, when
+        /// the request answers an invite).
         rms: NetRmsId,
         /// The negotiated parameters being reserved.
         params: SharedParams,
         /// Networks traversed so far (for failure notification).
         path: Vec<crate::ids::NetworkId>,
         /// Set when this request answers a receiver-side create (invite).
-        invite: Option<CreateToken>,
+        invite: bool,
     },
     /// Positive reply, routed from receiver back to sender.
     CreateAck {
-        /// Echo of the request token.
-        token: CreateToken,
         /// The created RMS.
         rms: NetRmsId,
         /// Networks on the forward path (receiver echoes them back).
         path: Vec<crate::ids::NetworkId>,
-        /// Echo of the invite token, if any.
-        invite: Option<CreateToken>,
     },
     /// Negative reply; hops that reserved for `rms` release on sight.
     CreateNak {
-        /// Echo of the request token.
-        token: CreateToken,
         /// The RMS whose reservations must be released.
         rms: NetRmsId,
         /// Why.
         reason: NakReason,
-        /// Echo of the invite token, if any.
-        invite: Option<CreateToken>,
     },
     /// A receiver-side creator asks the peer to initiate a sender-side
     /// create toward it (§2.4: "the creator of an RMS may act as either the
     /// sender or the receiver").
     Invite {
-        /// Creator's correlation token (echoed through the whole exchange).
-        token: CreateToken,
+        /// The RMS id the inviter allocated; the peer's create uses it.
+        rms: NetRmsId,
         /// Parameters the receiver-creator wants.
         params: SharedParams,
     },

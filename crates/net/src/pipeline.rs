@@ -23,7 +23,7 @@ use rms_core::params::{BitErrorRate, Reliability, SharedParams};
 use rms_core::port::DeliveryInfo;
 use rms_core::wire::WireMsg;
 
-use crate::ids::{CreateToken, HostId, NetRmsId, NetworkId};
+use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::network::WireOutcome;
 use crate::packet::{DataPacket, NakReason, Packet, PacketKind, SourceRoute};
 use crate::rms::{Buffered, NetRms, RmsRole, REORDER_FAIL_THRESHOLD};
@@ -137,9 +137,9 @@ fn nak_to_reject(reason: NakReason) -> RejectReason {
 /// against its own combined service table (§2.4); admission control then
 /// reserves hop by hop as the `CreateReq` travels the chosen path (§2.3),
 /// and a NAK makes the creator fall back to the next alternate instead of
-/// failing outright. The result arrives asynchronously as a
-/// [`NetRmsEvent::Created`] / [`NetRmsEvent::CreateFailed`] carrying the
-/// returned token.
+/// failing outright. Returns the RMS id allocated for the stream; the
+/// result arrives asynchronously as a [`NetRmsEvent::Created`] /
+/// [`NetRmsEvent::CreateFailed`] naming it.
 ///
 /// # Errors
 ///
@@ -150,28 +150,26 @@ pub fn create_rms<W: NetWorld>(
     creator: HostId,
     peer: HostId,
     request: &RmsRequest,
-) -> Result<CreateToken, RmsError> {
+) -> Result<NetRmsId, RmsError> {
     if creator == peer {
         return Err(RmsError::CreationRejected(RejectReason::NoRoute));
     }
     let alternates = routing::candidate_paths(sim.state.net_ref(), creator, peer, request)?;
 
     let net = sim.state.net();
-    let token = net.alloc_token();
     let rms = net.alloc_rms_id();
     let key = Key(net.rng.next_u64());
     let route_gen = net.route_generation;
     let first = &alternates[0];
     let (params, plan) = (first.params.clone(), first.plan);
     net.host_mut(creator).pending.insert(
-        token,
+        rms,
         PendingCreate {
-            rms,
             peer,
             params,
             attempts: 0,
             timer: None,
-            invite: None,
+            invite: false,
             plan,
             key,
             request: request.clone(),
@@ -180,16 +178,17 @@ pub fn create_rms<W: NetWorld>(
             route_gen,
         },
     );
-    // Deferred so the caller records the returned token before any
+    // Deferred so the caller records the returned id before any
     // failure/success event can fire.
-    sim.call_in(SimDuration::ZERO, create_attempt::<W>, (creator.0, token.0));
-    Ok(token)
+    sim.call_in(SimDuration::ZERO, create_attempt::<W>, (creator.0, rms.0));
+    Ok(rms)
 }
 
 /// Create a network RMS with `creator` as the data **receiver** (§2.4: the
 /// creator may act as either end). Sends an `Invite`; the peer initiates
-/// the reserving `CreateReq` back toward us. Completion surfaces as
-/// [`NetRmsEvent::InboundCreated`] with `invite = Some(token)` (or
+/// the reserving `CreateReq` back toward us, under the RMS id allocated
+/// here and returned. Completion surfaces as
+/// [`NetRmsEvent::InboundCreated`] with `invite` set (or
 /// [`NetRmsEvent::InviteFailed`]).
 ///
 /// # Errors
@@ -200,7 +199,7 @@ pub fn create_rms_as_receiver<W: NetWorld>(
     creator: HostId,
     peer: HostId,
     request: &RmsRequest,
-) -> Result<CreateToken, RmsError> {
+) -> Result<NetRmsId, RmsError> {
     if creator == peer {
         return Err(RmsError::CreationRejected(RejectReason::NoRoute));
     }
@@ -213,9 +212,9 @@ pub fn create_rms_as_receiver<W: NetWorld>(
     let table = combined_service_table(&sim.state, &path);
     let params = negotiate(&table, request)?.shared();
 
-    let token = sim.state.net().alloc_token();
+    let rms = sim.state.net().alloc_rms_id();
     sim.state.net().host_mut(creator).invites.insert(
-        token,
+        rms,
         PendingInvite {
             peer,
             params: params.clone(),
@@ -223,24 +222,24 @@ pub fn create_rms_as_receiver<W: NetWorld>(
             attempts: 0,
         },
     );
-    sim.call_in(SimDuration::ZERO, invite_attempt::<W>, (creator.0, token.0));
-    Ok(token)
+    sim.call_in(SimDuration::ZERO, invite_attempt::<W>, (creator.0, rms.0));
+    Ok(rms)
 }
 
-/// The call form of [`start_invite_attempt`]: `(creator, token)`.
-fn invite_attempt<W: NetWorld>(sim: &mut Sim<W>, (creator, token): Args) {
-    start_invite_attempt(sim, HostId(creator), CreateToken(token));
+/// The call form of [`start_invite_attempt`]: `(creator, rms)`.
+fn invite_attempt<W: NetWorld>(sim: &mut Sim<W>, (creator, rms): Args) {
+    start_invite_attempt(sim, HostId(creator), NetRmsId(rms));
 }
 
-/// The call form of [`start_create_attempt`]: `(creator, token)`.
-fn create_attempt<W: NetWorld>(sim: &mut Sim<W>, (creator, token): Args) {
-    start_create_attempt(sim, HostId(creator), CreateToken(token));
+/// The call form of [`start_create_attempt`]: `(creator, rms)`.
+fn create_attempt<W: NetWorld>(sim: &mut Sim<W>, (creator, rms): Args) {
+    start_create_attempt(sim, HostId(creator), NetRmsId(rms));
 }
 
-fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: CreateToken) {
+fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: NetRmsId) {
     let now = sim.now();
     let (peer, params, attempts) = {
-        let inv = match sim.state.net().host_mut(creator).invites.get_mut(&token) {
+        let inv = match sim.state.net().host_mut(creator).invites.get_mut(&rms) {
             Some(i) => i,
             None => return,
         };
@@ -248,12 +247,12 @@ fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         (inv.peer, inv.params.clone(), inv.attempts)
     };
     if attempts > CREATE_RETRIES {
-        sim.state.net().host_mut(creator).invites.remove(&token);
+        sim.state.net().host_mut(creator).invites.remove(&rms);
         W::rms_event(
             sim,
             creator,
             NetRmsEvent::InviteFailed {
-                token,
+                rms,
                 reason: RejectReason::Timeout,
             },
         );
@@ -262,7 +261,7 @@ fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
     let packet = Packet {
         src: creator,
         dst: peer,
-        kind: PacketKind::Invite { token, params },
+        kind: PacketKind::Invite { rms, params },
         deadline: now,
         sent_at: now,
         corrupted: false,
@@ -275,33 +274,33 @@ fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
     route_and_enqueue(sim, creator, packet);
     // Retry while the invite is still pending (the CreateReq arriving at
     // us removes it).
-    let timer = sim.call_timer(CREATE_TIMEOUT, invite_attempt::<W>, (creator.0, token.0));
-    if let Some(inv) = sim.state.net().host_mut(creator).invites.get_mut(&token) {
+    let timer = sim.call_timer(CREATE_TIMEOUT, invite_attempt::<W>, (creator.0, rms.0));
+    if let Some(inv) = sim.state.net().host_mut(creator).invites.get_mut(&rms) {
         inv.timer = Some(timer);
     } else {
         timer.cancel();
     }
 }
 
-fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: CreateToken) {
+fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: NetRmsId) {
     let now = sim.now();
-    let (rms, peer, invite, attempts) = {
-        let p = match sim.state.net().host_mut(creator).pending.get_mut(&token) {
+    let (peer, invite, attempts) = {
+        let p = match sim.state.net().host_mut(creator).pending.get_mut(&rms) {
             Some(p) => p,
             None => return,
         };
         p.attempts += 1;
-        (p.rms, p.peer, p.invite, p.attempts)
+        (p.peer, p.invite, p.attempts)
     };
     if attempts > CREATE_RETRIES {
         // Give up: clean any partial reservations and report.
-        sim.state.net().host_mut(creator).pending.remove(&token);
+        sim.state.net().host_mut(creator).pending.remove(&rms);
         release_local_and_send_release(sim, creator, rms, peer);
         W::rms_event(
             sim,
             creator,
             NetRmsEvent::CreateFailed {
-                token,
+                rms,
                 reason: RejectReason::Timeout,
             },
         );
@@ -317,12 +316,12 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         let net = sim.state.net_ref();
         net.host(creator)
             .pending
-            .get(&token)
+            .get(&rms)
             .is_some_and(|p| p.route_gen != net.route_generation)
     };
     if stale {
         release_hop(sim.state.net(), creator, rms);
-        let request = match sim.state.net_ref().host(creator).pending.get(&token) {
+        let request = match sim.state.net_ref().host(creator).pending.get(&rms) {
             Some(p) => p.request.clone(),
             None => return,
         };
@@ -330,7 +329,7 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
             Ok(candidates) => {
                 let gen = sim.state.net_ref().route_generation;
                 let net = sim.state.net();
-                if let Some(p) = net.host_mut(creator).pending.get_mut(&token) {
+                if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
                     p.params = candidates[0].params.clone();
                     p.plan = candidates[0].plan;
                     p.alternates = candidates;
@@ -339,12 +338,12 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
                 }
             }
             Err(err) => {
-                sim.state.net().host_mut(creator).pending.remove(&token);
+                sim.state.net().host_mut(creator).pending.remove(&rms);
                 let reason = match err {
                     RmsError::CreationRejected(r) => r,
                     _ => RejectReason::NoRoute,
                 };
-                W::rms_event(sim, creator, NetRmsEvent::CreateFailed { token, reason });
+                W::rms_event(sim, creator, NetRmsEvent::CreateFailed { rms, reason });
                 return;
             }
         }
@@ -357,7 +356,7 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
     let chosen = loop {
         let (first_net_id, first_hop, params, plan) = {
             let net = sim.state.net_ref();
-            let p = match net.host(creator).pending.get(&token) {
+            let p = match net.host(creator).pending.get(&rms) {
                 Some(p) => p,
                 None => return,
             };
@@ -369,7 +368,7 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         let net = sim.state.net();
         if net.network(first_net_id).down {
             release_hop(net, creator, rms);
-            if let Some(p) = net.host_mut(creator).pending.get_mut(&token) {
+            if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
                 p.alt_idx += 1;
             }
             continue;
@@ -377,7 +376,7 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         let iface = match net.host(creator).iface_on(first_net_id) {
             Some(i) => i,
             None => {
-                if let Some(p) = net.host_mut(creator).pending.get_mut(&token) {
+                if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
                     p.alt_idx += 1;
                 }
                 continue;
@@ -385,7 +384,7 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         };
         if let Err(detail) = admit_hop(net, now, creator, iface, rms, &params) {
             admission_detail = Some(detail);
-            if let Some(p) = net.host_mut(creator).pending.get_mut(&token) {
+            if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
                 p.alt_idx += 1;
             }
             continue;
@@ -397,25 +396,25 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
                 next_hop: first_hop,
             },
         );
-        if let Some(p) = net.host_mut(creator).pending.get_mut(&token) {
+        if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
             p.params = params.clone();
             p.plan = plan;
         }
         break Some((first_net_id, params, plan));
     };
     let Some((first_net, params, plan)) = chosen else {
-        sim.state.net().host_mut(creator).pending.remove(&token);
+        sim.state.net().host_mut(creator).pending.remove(&rms);
         let reason = match admission_detail {
             Some(detail) => RejectReason::AdmissionDenied { detail },
             None => RejectReason::NoRoute,
         };
-        W::rms_event(sim, creator, NetRmsEvent::CreateFailed { token, reason });
+        W::rms_event(sim, creator, NetRmsEvent::CreateFailed { rms, reason });
         return;
     };
 
     let (key, source_route) = {
         let net = sim.state.net_ref();
-        let p = match net.host(creator).pending.get(&token) {
+        let p = match net.host(creator).pending.get(&rms) {
             Some(p) => p,
             None => return,
         };
@@ -448,7 +447,6 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         src: creator,
         dst: peer,
         kind: PacketKind::CreateReq {
-            token,
             rms,
             params,
             path: vec![first_net],
@@ -464,8 +462,8 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, token: C
         next_hop: None,
     };
     route_and_enqueue(sim, creator, packet);
-    let timer = sim.call_timer(CREATE_TIMEOUT, create_attempt::<W>, (creator.0, token.0));
-    if let Some(p) = sim.state.net().host_mut(creator).pending.get_mut(&token) {
+    let timer = sim.call_timer(CREATE_TIMEOUT, create_attempt::<W>, (creator.0, rms.0));
+    if let Some(p) = sim.state.net().host_mut(creator).pending.get_mut(&rms) {
         p.timer = Some(timer);
     } else {
         timer.cancel();
@@ -721,8 +719,8 @@ pub fn send_on_rms<W: NetWorld>(
 }
 
 /// A send's CPU job finished: seal the data packet parked at `slot` with
-/// its stream's mechanisms and route it — unless the stream failed while
-/// the job waited.
+/// its stream's mechanisms and route it — unless the stream failed or
+/// closed while the job waited, which drops it.
 fn transmit_parked<W: NetWorld>(sim: &mut Sim<W>, (host, slot): Args) {
     let host = HostId(host);
     let mut packet = sim.state.net().parked.take(slot as u32);
@@ -731,7 +729,7 @@ fn transmit_parked<W: NetWorld>(sim: &mut Sim<W>, (host, slot): Args) {
     };
     let (plan, key) = match sim.state.net_ref().host(host).rms.get(&d.rms) {
         Some(s) if !s.failed => (s.plan, s.key),
-        _ => return,
+        _ => return drop_packet(sim, host, DropCause::NoRms),
     };
     // Encryption flattens the body once, since it writes a new buffer
     // anyway; the MAC and the checksum read the segments in place.
@@ -1158,8 +1156,13 @@ fn forward<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packet) {
 /// Build the reverse of `sr` as seen from the host at `sr.hops[at_index]`
 /// (or, for the receiver endpoint, the final hop): the path back to
 /// `creator` over exactly the networks the request traveled, so ACKs and
-/// NAKs retrace the reservations they confirm or undo.
-fn reverse_route(sr: &SourceRoute, at_index: usize, creator: HostId) -> SourceRoute {
+/// NAKs retrace the reservations they confirm or undo. A route too short
+/// for `at_index` (forged, or truncated) has no reverse: the reply then
+/// goes by table.
+fn reverse_route(sr: &SourceRoute, at_index: usize, creator: HostId) -> Option<SourceRoute> {
+    if at_index >= sr.networks.len() || at_index > sr.hops.len() {
+        return None;
+    }
     let mut hops = Vec::with_capacity(at_index + 1);
     let mut networks = Vec::with_capacity(at_index + 1);
     for j in (0..at_index).rev() {
@@ -1168,11 +1171,11 @@ fn reverse_route(sr: &SourceRoute, at_index: usize, creator: HostId) -> SourceRo
     }
     hops.push(creator);
     networks.push(sr.networks[0]);
-    SourceRoute {
+    Some(SourceRoute {
         hops,
         networks,
         next: 0,
-    }
+    })
 }
 
 fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
@@ -1191,15 +1194,14 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         source_route,
         next_hop: _,
     } = packet;
-    let (token, rms, params, mut path, invite) = match kind {
-        PacketKind::CreateReq {
-            token,
-            rms,
-            params,
-            path,
-            invite,
-        } => (token, rms, params, path, invite),
-        _ => unreachable!(),
+    let PacketKind::CreateReq {
+        rms,
+        params,
+        mut path,
+        invite,
+    } = kind
+    else {
+        unreachable!()
     };
     let (plan, key) = next_plan.unwrap_or((MechanismPlan::NONE, Key(0)));
 
@@ -1224,15 +1226,13 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         // detoured by a concurrent route change.
         let back = source_route
             .as_ref()
-            .map(|sr| reverse_route(sr, sr.next, src));
+            .and_then(|sr| reverse_route(sr, sr.next, src));
         let ack = Packet {
             src: host,
             dst: src,
             kind: PacketKind::CreateAck {
-                token,
                 rms,
                 path: path.clone(),
-                invite,
             },
             deadline: now,
             sent_at: now,
@@ -1246,8 +1246,8 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         route_and_enqueue(sim, host, ack);
         if is_new {
             // If this answers our invite, resolve it.
-            if let Some(inv_token) = invite {
-                if let Some(inv) = sim.state.net().host_mut(host).invites.remove(&inv_token) {
+            if invite {
+                if let Some(inv) = sim.state.net().host_mut(host).invites.remove(&rms) {
                     if let Some(t) = inv.timer {
                         t.cancel();
                     }
@@ -1276,8 +1276,9 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         let net = sim.state.net();
         let next = source_route.as_ref().and_then(|sr| {
             let next_idx = sr.next + 1;
+            let up = |n: NetworkId| net.networks.get(n.0 as usize).is_some_and(|n| !n.down);
             match (sr.networks.get(next_idx), sr.hops.get(next_idx)) {
-                (Some(&n), Some(&h)) if !net.network(n).down => net
+                (Some(&n), Some(&h)) if up(n) => net
                     .host(host)
                     .iface_on(n)
                     .map(|iface| Route { iface, next_hop: h }),
@@ -1308,7 +1309,6 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
                     src,
                     dst,
                     kind: PacketKind::CreateReq {
-                        token,
                         rms,
                         params,
                         path,
@@ -1334,16 +1334,11 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
             release_hop(sim.state.net(), host, rms);
             let back = source_route
                 .as_ref()
-                .map(|sr| reverse_route(sr, sr.next, src));
+                .and_then(|sr| reverse_route(sr, sr.next, src));
             let nak = Packet {
                 src: host,
                 dst: src,
-                kind: PacketKind::CreateNak {
-                    token,
-                    rms,
-                    reason,
-                    invite,
-                },
+                kind: PacketKind::CreateNak { rms, reason },
                 deadline: now,
                 sent_at: now,
                 corrupted: false,
@@ -1361,11 +1356,8 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
 fn handle_create_nak<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
     // All interesting fields are `Copy`; match by reference so the packet
     // stays whole for the forwarding case below.
-    let (token, rms, reason) = match &packet.kind {
-        PacketKind::CreateNak {
-            token, rms, reason, ..
-        } => (*token, *rms, *reason),
-        _ => unreachable!(),
+    let PacketKind::CreateNak { rms, reason } = packet.kind else {
+        unreachable!()
     };
     // Every hop holding a reservation for this stream releases it (and
     // drops its forwarding pin).
@@ -1381,7 +1373,7 @@ fn handle_create_nak<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
     if retryable {
         let advanced = {
             let net = sim.state.net();
-            match net.host_mut(host).pending.get_mut(&token) {
+            match net.host_mut(host).pending.get_mut(&rms) {
                 Some(p) if p.alt_idx + 1 < p.alternates.len() => {
                     p.alt_idx += 1;
                     p.attempts = 0;
@@ -1397,11 +1389,11 @@ fn handle_create_nak<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
             }
         };
         if advanced {
-            start_create_attempt(sim, host, token);
+            start_create_attempt(sim, host, rms);
             return;
         }
     }
-    if let Some(p) = sim.state.net().host_mut(host).pending.remove(&token) {
+    if let Some(p) = sim.state.net().host_mut(host).pending.remove(&rms) {
         if let Some(t) = p.timer {
             t.cancel();
         }
@@ -1409,7 +1401,7 @@ fn handle_create_nak<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
             sim,
             host,
             NetRmsEvent::CreateFailed {
-                token,
+                rms,
                 reason: nak_to_reject(reason),
             },
         );
@@ -1448,16 +1440,16 @@ fn handle_release<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packe
 
 fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
     // The ack is consumed here; move the path out instead of cloning it.
-    let (token, rms, path) = match packet.kind {
-        PacketKind::CreateAck {
-            token, rms, path, ..
-        } => (token, rms, path),
-        _ => unreachable!(),
+    let PacketKind::CreateAck { rms, path } = packet.kind else {
+        unreachable!()
     };
-    let pending = match sim.state.net().host_mut(host).pending.remove(&token) {
-        Some(p) => p,
-        None => return, // duplicate ack
-    };
+    // Only the stream's peer answers its request; anything else is a
+    // duplicate (the create already finished) or not ours to accept.
+    let pending = &mut sim.state.net().host_mut(host).pending;
+    if pending.get(&rms).is_none_or(|p| p.peer != packet.src) {
+        return;
+    }
+    let pending = pending.remove(&rms).expect("checked above");
     if let Some(t) = pending.timer {
         t.cancel();
     }
@@ -1488,7 +1480,7 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         path,
     );
     sim.state.net().host_mut(host).rms.insert(rms, endpoint);
-    let event = if pending.invite.is_some() {
+    let event = if pending.invite {
         NetRmsEvent::SenderCreatedByInvite {
             rms,
             peer: pending.peer,
@@ -1496,7 +1488,6 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         }
     } else {
         NetRmsEvent::Created {
-            token,
             rms,
             params: pending.params,
         }
@@ -1506,19 +1497,13 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
 
 fn handle_invite<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
     let inviter = packet.src;
-    let (token, params) = match packet.kind {
-        PacketKind::Invite { token, params } => (token, params),
-        _ => unreachable!(),
+    let PacketKind::Invite { rms, params } = packet.kind else {
+        unreachable!()
     };
-    // Already answering this invite? Then this is a retransmitted invite.
-    let already = sim
-        .state
-        .net_ref()
-        .host(host)
-        .pending
-        .values()
-        .any(|p| p.invite == Some(token));
-    if already {
+    // A retransmitted invite we are answering (or have answered) names a
+    // stream this host already knows.
+    let h = sim.state.net_ref().host(host);
+    if inviter == host || h.pending.contains_key(&rms) || h.rms.contains_key(&rms) {
         return;
     }
     // Resolve candidates for the data direction (us -> inviter); a
@@ -1530,21 +1515,18 @@ fn handle_invite<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
         return;
     };
     let net = sim.state.net();
-    let local_token = net.alloc_token();
-    let rms = net.alloc_rms_id();
     let key = Key(net.rng.next_u64());
     let route_gen = net.route_generation;
     let first = &alternates[0];
     let (params, plan) = (first.params.clone(), first.plan);
     net.host_mut(host).pending.insert(
-        local_token,
+        rms,
         PendingCreate {
-            rms,
             peer: inviter,
             params,
             attempts: 0,
             timer: None,
-            invite: Some(token),
+            invite: true,
             plan,
             key,
             request,
@@ -1553,9 +1535,9 @@ fn handle_invite<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
             route_gen,
         },
     );
-    start_create_attempt(sim, host, local_token);
-    // (Invite-answering creates have no caller waiting on the token, so a
-    // synchronous first attempt is fine here.)
+    // Nobody waits on the id of an invite-answering create, so the first
+    // attempt runs synchronously.
+    start_create_attempt(sim, host, rms);
 }
 
 fn handle_data<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
@@ -1567,7 +1549,7 @@ fn handle_data<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
         let net = sim.state.net();
         match net.host(host).rms.get(&rms) {
             Some(s) if s.role == RmsRole::Receiver && !s.failed => (s.plan, s.params.clone()),
-            _ => return, // unknown/failed/wrong-role: silently dropped
+            _ => return drop_packet(sim, host, DropCause::NoRms),
         }
     };
     let len = data.payload.len() as u64;
@@ -1647,15 +1629,14 @@ fn deliver_data<W: NetWorld>(
     let mut head: Option<Message> = None;
     let mut drained: Vec<(u64, Message, SimTime)> = Vec::new();
     let mut failed_stream = false;
-    let mut corrupt = false;
+    let mut dropped = None;
     'verify: {
         let net = sim.state.net();
-        let Some(state) = net.host_mut(host).rms.get_mut(&rms_id) else {
-            return;
+        let Some(state) = (net.host_mut(host).rms.get_mut(&rms_id)).filter(|s| !s.failed) else {
+            // The stream failed or closed while the receive job waited.
+            dropped = Some(DropCause::NoRms);
+            break 'verify;
         };
-        if state.failed {
-            return;
-        }
         let plan = state.plan;
         let key = state.key;
 
@@ -1665,7 +1646,7 @@ fn deliver_data<W: NetWorld>(
         if corrupted {
             if plan.checksum.is_some() || plan.mac {
                 state.stats.lost.incr();
-                corrupt = true;
+                dropped = Some(DropCause::Corrupt);
                 break 'verify;
             }
             // Visible, deterministic corruption of the delivered bytes.
@@ -1686,14 +1667,14 @@ fn deliver_data<W: NetWorld>(
                     .map(|m| mac::sign_segments(key, context, segments()) == mac::Tag(m))
                     .unwrap_or(false);
                 if !ok {
-                    corrupt = true;
+                    dropped = Some(DropCause::Corrupt);
                     break 'verify;
                 }
             }
             if let (Some(alg), Some(sum)) = (plan.checksum, checksum) {
                 if alg.compute_segments(segments()) != sum {
                     state.stats.lost.incr();
-                    corrupt = true;
+                    dropped = Some(DropCause::Corrupt);
                     break 'verify;
                 }
             }
@@ -1770,9 +1751,8 @@ fn deliver_data<W: NetWorld>(
             }
         }
     }
-    if corrupt {
-        drop_packet(sim, host, DropCause::Corrupt);
-        return;
+    if let Some(cause) = dropped {
+        return drop_packet(sim, host, cause);
     }
     if failed_stream {
         W::rms_event(

@@ -27,7 +27,7 @@ use dash_security::cipher::Key;
 use dash_security::cost::CostModel;
 use dash_security::suite::MechanismPlan;
 
-use crate::ids::{CreateToken, HostId, NetRmsId, NetworkId};
+use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::iface::{Iface, QueueDiscipline};
 use crate::network::Network;
 use crate::packet::Packet;
@@ -117,11 +117,10 @@ impl RouteTable {
     }
 }
 
-/// An in-flight creation attempt at its creator.
+/// An in-flight creation attempt at its creator, keyed by the RMS id
+/// allocated for the stream.
 #[derive(Debug)]
 pub struct PendingCreate {
-    /// The RMS id allocated for the stream.
-    pub rms: NetRmsId,
     /// Data-receiver host (peer of the sender).
     pub peer: HostId,
     /// Negotiated parameters being requested along the path.
@@ -131,7 +130,7 @@ pub struct PendingCreate {
     /// Retry timer.
     pub timer: Option<TimerHandle>,
     /// Set if this create answers a peer's invite.
-    pub invite: Option<CreateToken>,
+    pub invite: bool,
     /// Security mechanisms selected for the stream (§2.5).
     pub plan: MechanismPlan,
     /// Stream key the receiver was given on the request.
@@ -148,7 +147,8 @@ pub struct PendingCreate {
     pub route_gen: u64,
 }
 
-/// An invite (receiver-side create) awaiting the peer's sender-side create.
+/// An invite (receiver-side create) awaiting the peer's sender-side create,
+/// keyed by the RMS id the inviter allocated.
 #[derive(Debug)]
 pub struct PendingInvite {
     /// The data-sender host being invited.
@@ -190,9 +190,9 @@ pub struct NetHost {
     /// RMS → (outbound interface index, reserved parameters).
     pub reservations: DetHashMap<NetRmsId, (usize, SharedParams)>,
     /// Creation attempts initiated here.
-    pub pending: DetHashMap<CreateToken, PendingCreate>,
+    pub pending: DetHashMap<NetRmsId, PendingCreate>,
     /// Invites initiated here (receiver-side creates).
-    pub invites: DetHashMap<CreateToken, PendingInvite>,
+    pub invites: DetHashMap<NetRmsId, PendingInvite>,
     /// When this host's CPU becomes free (used by the default FIFO CPU
     /// model of [`NetWorld::charge_cpu`]).
     pub cpu_free_at: SimTime,
@@ -242,7 +242,6 @@ pub struct NetState {
     /// pending call carries the slot).
     pub(crate) parked: Slab<Packet>,
     next_rms: u64,
-    next_token: u64,
 }
 
 impl NetState {
@@ -260,7 +259,6 @@ impl NetState {
             shard: None,
             parked: Slab::new(),
             next_rms: 1,
-            next_token: 1,
         }
     }
 
@@ -299,8 +297,8 @@ impl NetState {
     ///   owner)`, so each host's draw stream is the same no matter which
     ///   other hosts' draws would have interleaved in a shared world;
     /// * id allocation — rebased to the disjoint namespace
-    ///   `(owner + 1) << 40`, so RMS ids and tokens minted independently
-    ///   on different shards never collide;
+    ///   `(owner + 1) << 40`, so RMS ids minted independently on
+    ///   different shards never collide;
     /// * wire delivery — [`crate::pipeline`] diverts transmissions toward
     ///   unowned hosts into the shard outbox instead of scheduling them.
     pub fn enable_lp_mode(&mut self, owner: HostId, root_seed: u64) {
@@ -326,11 +324,10 @@ impl NetState {
         }));
     }
 
-    /// Rebase RMS-id and token allocation to start at `base`
+    /// Rebase RMS-id allocation to start at `base`
     /// (see [`NetState::enable_lp_mode`]).
     pub fn set_id_namespace(&mut self, base: u64) {
         self.next_rms = base;
-        self.next_token = base;
     }
 
     /// Move the wire envelopes diverted toward other logical processes
@@ -409,13 +406,6 @@ impl NetState {
         id
     }
 
-    /// Allocate a fresh creation token.
-    pub fn alloc_token(&mut self) -> CreateToken {
-        let t = CreateToken(self.next_token);
-        self.next_token += 1;
-        t
-    }
-
     /// The hop-by-hop path from `src` to `dst` as `(hop host, iface index,
     /// network, next hop)` tuples, or `None` if unroutable.
     ///
@@ -450,14 +440,14 @@ impl NetState {
     }
 }
 
-/// Events the network layer reports upward about RMS lifecycle.
+/// Events the network layer reports upward about RMS lifecycle. Each
+/// names the RMS by the id its creator allocated, which
+/// [`crate::pipeline::create_rms`] and
+/// [`crate::pipeline::create_rms_as_receiver`] return.
 #[derive(Debug)]
 pub enum NetRmsEvent {
-    /// A creation initiated here (sender side, or sender side on behalf of
-    /// a peer invite) finished successfully.
+    /// A creation initiated here finished successfully.
     Created {
-        /// The creator's token.
-        token: CreateToken,
         /// The new stream.
         rms: NetRmsId,
         /// Its negotiated parameters.
@@ -465,13 +455,13 @@ pub enum NetRmsEvent {
     },
     /// A creation initiated here failed.
     CreateFailed {
-        /// The creator's token.
-        token: CreateToken,
+        /// The stream that was being created.
+        rms: NetRmsId,
         /// Why.
         reason: RejectReason,
     },
     /// A receiving endpoint appeared at this host (a peer created a stream
-    /// toward us). If `invite` is set, it answers our earlier invite.
+    /// toward us).
     InboundCreated {
         /// The new stream.
         rms: NetRmsId,
@@ -479,8 +469,8 @@ pub enum NetRmsEvent {
         peer: HostId,
         /// Negotiated parameters.
         params: SharedParams,
-        /// Our invite token, when this answers a receiver-side create.
-        invite: Option<CreateToken>,
+        /// Set when this answers our invite (a receiver-side create).
+        invite: bool,
     },
     /// This host now owns the *sending* end of a stream it did not ask for:
     /// it accepted a peer's invite (§2.4 receiver-side creation).
@@ -494,8 +484,8 @@ pub enum NetRmsEvent {
     },
     /// An invite we sent was refused or timed out.
     InviteFailed {
-        /// Our invite token.
-        token: CreateToken,
+        /// The stream the invite asked for.
+        rms: NetRmsId,
         /// Why.
         reason: RejectReason,
     },
@@ -626,9 +616,6 @@ mod tests {
         let a = s.alloc_rms_id();
         let b = s.alloc_rms_id();
         assert_ne!(a, b);
-        let t1 = s.alloc_token();
-        let t2 = s.alloc_token();
-        assert_ne!(t1, t2);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! burst loss, interface stalls, host crashes, and the control-packet
 //! overflow exemption.
 
+mod world;
+
 use bytes::Bytes;
 use dash_net::fault::{apply_fault, crash_host, restart_host, schedule_fault_plan, stall_iface};
-use dash_net::ids::{CreateToken, HostId, NetRmsId};
+use dash_net::ids::{HostId, NetRmsId};
 use dash_net::network::NetworkSpec;
 use dash_net::pipeline::{create_rms, fail_network, send_datagram, send_on_rms};
-use dash_net::state::{NetRmsEvent, NetState, NetWorld};
+use dash_net::state::NetState;
 use dash_net::topology::{two_hosts_ethernet, TopologyBuilder};
 use dash_net::NetworkId;
 use dash_sim::fault::{FaultKind, FaultPlan, GilbertElliott};
@@ -16,90 +18,15 @@ use dash_sim::Sim;
 use rms_core::error::{FailReason, RejectReason};
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
-use rms_core::port::DeliveryInfo;
-use rms_core::wire::WireMsg;
 use rms_core::RmsRequest;
-
-/// A recording world.
-struct World {
-    net: NetState,
-    deliveries: Vec<(HostId, NetRmsId, Message)>,
-    created: Vec<(HostId, CreateToken, NetRmsId)>,
-    create_failed: Vec<(HostId, CreateToken, RejectReason)>,
-    failed: Vec<(HostId, NetRmsId, FailReason)>,
-    datagrams: Vec<(HostId, u16, WireMsg, SimTime)>,
-    network_events: Vec<(NetworkId, bool)>,
-}
-
-impl World {
-    fn new(mut net: NetState) -> Self {
-        net.obs.enable();
-        World {
-            net,
-            deliveries: Vec::new(),
-            created: Vec::new(),
-            create_failed: Vec::new(),
-            failed: Vec::new(),
-            datagrams: Vec::new(),
-            network_events: Vec::new(),
-        }
-    }
-}
-
-impl NetWorld for World {
-    fn net(&mut self) -> &mut NetState {
-        &mut self.net
-    }
-    fn net_ref(&self) -> &NetState {
-        &self.net
-    }
-    fn deliver_up(
-        sim: &mut Sim<Self>,
-        host: HostId,
-        rms: NetRmsId,
-        msg: Message,
-        _info: DeliveryInfo,
-    ) {
-        sim.state.deliveries.push((host, rms, msg));
-    }
-    fn rms_event(sim: &mut Sim<Self>, host: HostId, event: NetRmsEvent) {
-        match event {
-            NetRmsEvent::Created { token, rms, .. } => sim.state.created.push((host, token, rms)),
-            NetRmsEvent::CreateFailed { token, reason } => {
-                sim.state.create_failed.push((host, token, reason));
-            }
-            NetRmsEvent::Failed { rms, reason } => sim.state.failed.push((host, rms, reason)),
-            _ => {}
-        }
-    }
-    fn deliver_datagram(
-        sim: &mut Sim<Self>,
-        host: HostId,
-        _src: HostId,
-        proto: u16,
-        payload: WireMsg,
-        sent_at: SimTime,
-    ) {
-        sim.state.datagrams.push((host, proto, payload, sent_at));
-    }
-    fn network_event(sim: &mut Sim<Self>, network: NetworkId, up: bool) {
-        sim.state.network_events.push((network, up));
-    }
-}
+use world::World;
 
 fn basic_params() -> RmsParams {
     RmsParams::builder(64 * 1024, 1024).build().unwrap()
 }
 
 fn establish(sim: &mut Sim<World>, a: HostId, b: HostId) -> NetRmsId {
-    let token = create_rms(sim, a, b, &RmsRequest::exact(basic_params())).expect("creatable");
-    sim.run();
-    sim.state
-        .created
-        .iter()
-        .find(|(h, t, _)| *h == a && *t == token)
-        .map(|(_, _, rms)| *rms)
-        .expect("creation completed")
+    world::establish(sim, a, b, basic_params())
 }
 
 /// Two hosts joined by a slow long-haul link, so packets spend milliseconds
@@ -136,12 +63,12 @@ fn in_flight_packets_on_failed_network_are_lost() {
     // Both endpoints heard the typed failure.
     assert!(sim
         .state
-        .failed
+        .failed()
         .iter()
         .any(|(h, r, reason)| *h == a && *r == rms && *reason == FailReason::NetworkDown));
     assert!(sim
         .state
-        .failed
+        .failed()
         .iter()
         .any(|(h, r, reason)| *h == b && *r == rms && *reason == FailReason::NetworkDown));
     // The upward availability hook fired.
@@ -154,18 +81,17 @@ fn admission_rejects_creates_on_down_network() {
     let mut sim = Sim::new(World::new(net));
     // The create is accepted synchronously (route existed), but the network
     // dies before the handshake's first packet goes out.
-    let token = create_rms(&mut sim, a, b, &RmsRequest::exact(basic_params())).unwrap();
+    let rms = create_rms(&mut sim, a, b, &RmsRequest::exact(basic_params())).unwrap();
     fail_network(&mut sim, NetworkId(0));
     sim.run();
     assert!(
         sim.state
-            .create_failed
-            .iter()
-            .any(|(h, t, reason)| *h == a && *t == token && *reason == RejectReason::NoRoute),
+            .create_failed()
+            .contains(&(a, rms, RejectReason::NoRoute)),
         "pending create must be refused on a down network: {:?}",
-        sim.state.create_failed
+        sim.state.create_failed()
     );
-    assert!(sim.state.created.is_empty());
+    assert!(sim.state.created().is_empty());
 
     // And a fresh create fails synchronously: routing knows the medium is
     // gone.
@@ -188,18 +114,15 @@ fn control_packets_exempt_from_overflow_under_datagram_flood() {
     for _ in 0..32 {
         send_datagram(&mut sim, a, c, 9, Bytes::from(vec![0u8; 1024]).into());
     }
-    let token = create_rms(&mut sim, a, c, &RmsRequest::exact(basic_params())).unwrap();
+    let rms = create_rms(&mut sim, a, c, &RmsRequest::exact(basic_params())).unwrap();
     sim.run();
 
     let drops = sim.state.net.host(a).ifaces[0].stats.overflow_drops.get();
     assert!(drops > 0, "flood must overflow the data queue");
     assert!(
-        sim.state
-            .created
-            .iter()
-            .any(|(h, t, _)| *h == a && *t == token),
+        sim.state.created().contains(&(a, rms)),
         "handshake must complete despite the flooded queue: {:?}",
-        sim.state.create_failed
+        sim.state.create_failed()
     );
 }
 
@@ -273,7 +196,7 @@ fn host_crash_fails_local_rms_and_restart_allows_new() {
     crash_host(&mut sim, b);
     assert!(sim
         .state
-        .failed
+        .failed()
         .iter()
         .any(|(h, r, reason)| *h == b && *r == rms && *reason == FailReason::ResourcesRevoked));
 
@@ -292,7 +215,7 @@ fn host_crash_fails_local_rms_and_restart_allows_new() {
         .state
         .deliveries
         .iter()
-        .any(|(h, r, _)| *h == b && *r == rms2));
+        .any(|(h, r, _, _)| *h == b && *r == rms2));
     let reg = &sim.state.net.obs.registry;
     assert_eq!(reg.counter_value("net.host_crashed"), 1);
     assert_eq!(reg.counter_value("net.host_restarted"), 1);
@@ -345,7 +268,7 @@ fn stale_route_retry_reroutes_over_backup_path() {
     // over the surviving backup path.
     let (net, a, b, wan_p, _wan_b) = dumbbell_with_backup();
     let mut sim = Sim::new(World::new(net));
-    let token = create_rms(&mut sim, a, b, &RmsRequest::exact(basic_params())).unwrap();
+    let rms = create_rms(&mut sim, a, b, &RmsRequest::exact(basic_params())).unwrap();
 
     // The first CreateReq needs ~30 ms of WAN propagation; kill the
     // primary WAN while the handshake is crossing it.
@@ -354,17 +277,14 @@ fn stale_route_retry_reroutes_over_backup_path() {
     sim.run();
 
     assert!(
-        sim.state
-            .created
-            .iter()
-            .any(|(h, t, _)| *h == a && *t == token),
+        sim.state.created().contains(&(a, rms)),
         "retry must re-route over the backup WAN: {:?}",
-        sim.state.create_failed
+        sim.state.create_failed()
     );
     assert!(
-        sim.state.create_failed.is_empty(),
+        sim.state.create_failed().is_empty(),
         "no NoRoute from the stale retry: {:?}",
-        sim.state.create_failed
+        sim.state.create_failed()
     );
     // Reconvergence is lazy: tables rebuild at first use. Table-routed
     // traffic (a datagram) forces the rebuild and lands on the backup.

@@ -1,9 +1,11 @@
 //! Receiver-side creation (§2.4 invites) and statistical-RMS behaviour at
 //! the network layer.
 
-use dash_net::ids::{HostId, NetRmsId};
+mod world;
+
+use dash_net::ids::HostId;
 use dash_net::pipeline::{create_rms, create_rms_as_receiver, send_on_rms};
-use dash_net::state::{NetRmsEvent, NetState, NetWorld};
+use dash_net::state::NetRmsEvent;
 use dash_net::topology::two_hosts_ethernet;
 use dash_sim::time::SimDuration;
 use dash_sim::Sim;
@@ -11,66 +13,16 @@ use rms_core::bandwidth::send_interval_for;
 use rms_core::delay::{DelayBound, DelayBoundKind, StatisticalSpec};
 use rms_core::message::Message;
 use rms_core::params::{BitErrorRate, RmsParams};
-use rms_core::port::DeliveryInfo;
 use rms_core::RmsRequest;
-
-#[derive(Default)]
-struct Events {
-    delivered: u64,
-    created: u64,
-    inbound_with_invite: u64,
-    sender_by_invite: u64,
-    rejected: u64,
-}
-
-struct World {
-    net: NetState,
-    ev: Events,
-}
-
-impl NetWorld for World {
-    fn net(&mut self) -> &mut NetState {
-        &mut self.net
-    }
-    fn net_ref(&self) -> &NetState {
-        &self.net
-    }
-    fn deliver_up(
-        sim: &mut Sim<Self>,
-        _host: HostId,
-        _rms: NetRmsId,
-        _msg: Message,
-        _info: DeliveryInfo,
-    ) {
-        sim.state.ev.delivered += 1;
-    }
-    fn rms_event(sim: &mut Sim<Self>, _host: HostId, event: NetRmsEvent) {
-        match event {
-            NetRmsEvent::Created { .. } => sim.state.ev.created += 1,
-            NetRmsEvent::InboundCreated {
-                invite: Some(_), ..
-            } => {
-                sim.state.ev.inbound_with_invite += 1;
-            }
-            NetRmsEvent::SenderCreatedByInvite { .. } => sim.state.ev.sender_by_invite += 1,
-            NetRmsEvent::CreateFailed { .. } | NetRmsEvent::InviteFailed { .. } => {
-                sim.state.ev.rejected += 1
-            }
-            _ => {}
-        }
-    }
-}
+use world::World;
 
 fn world() -> (Sim<World>, HostId, HostId) {
     let (net, a, b) = two_hosts_ethernet();
-    (
-        Sim::new(World {
-            net,
-            ev: Events::default(),
-        }),
-        a,
-        b,
-    )
+    (Sim::new(World::new(net)), a, b)
+}
+
+fn count(sim: &Sim<World>, pred: impl Fn(&NetRmsEvent) -> bool) -> usize {
+    sim.state.events.iter().filter(|(_, e)| pred(e)).count()
 }
 
 #[test]
@@ -79,31 +31,35 @@ fn receiver_side_invite_creates_a_working_stream() {
     // b asks to *receive* from a (§2.4: "the creator of an RMS may act as
     // either the sender or the receiver").
     let params = RmsParams::builder(32 * 1024, 1024).build().unwrap();
-    create_rms_as_receiver(&mut sim, b, a, &RmsRequest::exact(params)).unwrap();
+    let rms = create_rms_as_receiver(&mut sim, b, a, &RmsRequest::exact(params)).unwrap();
     sim.run();
     assert_eq!(
-        sim.state.ev.inbound_with_invite, 1,
+        count(&sim, |e| matches!(
+            e,
+            NetRmsEvent::InboundCreated { invite: true, .. }
+        )),
+        1,
         "b's endpoint answers the invite"
     );
     assert_eq!(
-        sim.state.ev.sender_by_invite, 1,
+        count(&sim, |e| matches!(
+            e,
+            NetRmsEvent::SenderCreatedByInvite { .. }
+        )),
+        1,
         "a owns a sender it did not request"
     );
-    // a's new sender endpoint can carry traffic to b.
-    let rms = *sim
-        .state
-        .net
-        .host(a)
-        .rms
-        .iter()
-        .find(|(_, r)| matches!(r.role, dash_net::rms::RmsRole::Sender))
-        .map(|(id, _)| id)
-        .unwrap();
+    // a's new sender endpoint, named by the invite's id, can carry traffic
+    // to b.
+    assert!(matches!(
+        sim.state.net.host(a).rms[&rms].role,
+        dash_net::rms::RmsRole::Sender
+    ));
     for _ in 0..5 {
         send_on_rms(&mut sim, a, rms, Message::zeroes(100), None, None).unwrap();
     }
     sim.run();
-    assert_eq!(sim.state.ev.delivered, 5);
+    assert_eq!(sim.state.deliveries.len(), 5);
 }
 
 #[test]
@@ -124,10 +80,15 @@ fn statistical_streams_admit_until_the_math_says_no() {
         let _ = create_rms(&mut sim, a, b, &RmsRequest::exact(params.clone()));
         sim.run();
     }
-    let admitted = sim.state.ev.created;
+    let admitted = sim.state.created().len();
     assert!(admitted >= 2, "low utilization must admit: {admitted}");
     assert!(admitted < 8, "saturation must deny: {admitted}");
-    assert!(sim.state.ev.rejected > 0);
+    assert!(
+        count(&sim, |e| matches!(
+            e,
+            NetRmsEvent::CreateFailed { .. } | NetRmsEvent::InviteFailed { .. }
+        )) > 0
+    );
 }
 
 #[test]
@@ -142,16 +103,9 @@ fn statistical_stream_meets_its_bound_at_declared_load() {
         .error_rate(BitErrorRate::new(1e-4).unwrap())
         .build()
         .unwrap();
-    create_rms(&mut sim, a, b, &RmsRequest::exact(params.clone())).unwrap();
+    let rms = create_rms(&mut sim, a, b, &RmsRequest::exact(params.clone())).unwrap();
     sim.run();
-    let rms = *sim
-        .state
-        .net
-        .host(a)
-        .rms
-        .keys()
-        .next()
-        .expect("stream created");
+    assert!(sim.state.created().contains(&(a, rms)), "stream created");
     // Send at the declared average load for one second.
     let interval = send_interval_for(&params, 1_024);
     let end = sim.now() + SimDuration::from_secs(1);

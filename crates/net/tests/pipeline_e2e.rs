@@ -1,91 +1,25 @@
 //! End-to-end tests of the network layer: creation handshake, sequenced
 //! delivery, admission control, security mechanisms, failure notification.
 
+mod world;
+
 use bytes::Bytes;
-use dash_net::ids::{CreateToken, HostId, NetRmsId};
+use dash_net::ids::HostId;
 use dash_net::network::NetworkSpec;
 use dash_net::pipeline::{
     close_rms, create_rms, create_rms_as_receiver, fail_network, send_datagram, send_on_rms,
 };
-use dash_net::state::{NetRmsEvent, NetState, NetWorld};
+use dash_net::state::NetRmsEvent;
 use dash_net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
 use dash_net::NetworkId;
-use dash_sim::time::{SimDuration, SimTime};
+use dash_sim::time::SimDuration;
 use dash_sim::Sim;
 use rms_core::delay::DelayBound;
-use rms_core::error::FailReason;
+use rms_core::error::{FailReason, RejectReason};
 use rms_core::message::{Label, Message};
 use rms_core::params::{BitErrorRate, Reliability, RmsParams, SecurityParams};
-use rms_core::port::DeliveryInfo;
-use rms_core::wire::WireMsg;
 use rms_core::RmsRequest;
-
-/// A recording world: every delivery and event is logged.
-struct World {
-    net: NetState,
-    deliveries: Vec<(HostId, NetRmsId, Message, DeliveryInfo)>,
-    events: Vec<(HostId, String)>,
-    created: Vec<(HostId, CreateToken, NetRmsId)>,
-    inbound: Vec<(HostId, NetRmsId)>,
-    failed: Vec<(HostId, NetRmsId, FailReason)>,
-    datagrams: Vec<(HostId, u16, WireMsg)>,
-    quenches: Vec<HostId>,
-}
-
-impl World {
-    fn new(net: NetState) -> Self {
-        World {
-            net,
-            deliveries: Vec::new(),
-            events: Vec::new(),
-            created: Vec::new(),
-            inbound: Vec::new(),
-            failed: Vec::new(),
-            datagrams: Vec::new(),
-            quenches: Vec::new(),
-        }
-    }
-}
-
-impl NetWorld for World {
-    fn net(&mut self) -> &mut NetState {
-        &mut self.net
-    }
-    fn net_ref(&self) -> &NetState {
-        &self.net
-    }
-    fn deliver_up(
-        sim: &mut Sim<Self>,
-        host: HostId,
-        rms: NetRmsId,
-        msg: Message,
-        info: DeliveryInfo,
-    ) {
-        sim.state.deliveries.push((host, rms, msg, info));
-    }
-    fn rms_event(sim: &mut Sim<Self>, host: HostId, event: NetRmsEvent) {
-        sim.state.events.push((host, format!("{event:?}")));
-        match event {
-            NetRmsEvent::Created { token, rms, .. } => sim.state.created.push((host, token, rms)),
-            NetRmsEvent::InboundCreated { rms, .. } => sim.state.inbound.push((host, rms)),
-            NetRmsEvent::Failed { rms, reason } => sim.state.failed.push((host, rms, reason)),
-            _ => {}
-        }
-    }
-    fn deliver_datagram(
-        sim: &mut Sim<Self>,
-        host: HostId,
-        _src: HostId,
-        proto: u16,
-        payload: WireMsg,
-        _sent_at: SimTime,
-    ) {
-        sim.state.datagrams.push((host, proto, payload));
-    }
-    fn deliver_quench(sim: &mut Sim<Self>, host: HostId, _proto: u16, _dst: HostId) {
-        sim.state.quenches.push(host);
-    }
-}
+use world::{establish, World};
 
 fn basic_params() -> RmsParams {
     RmsParams::builder(64 * 1024, 1024).build().unwrap()
@@ -95,25 +29,12 @@ fn settle(sim: &mut Sim<World>) {
     sim.run();
 }
 
-/// Create an RMS and return its id once the handshake completes.
-fn establish(sim: &mut Sim<World>, a: HostId, b: HostId, params: RmsParams) -> NetRmsId {
-    let token = create_rms(sim, a, b, &RmsRequest::exact(params)).expect("create accepted");
-    settle(sim);
-    let (_, _, rms) = *sim
-        .state
-        .created
-        .iter()
-        .find(|(h, t, _)| *h == a && *t == token)
-        .expect("creation completed");
-    rms
-}
-
 #[test]
 fn handshake_creates_both_endpoints() {
     let (net, a, b) = two_hosts_ethernet();
     let mut sim = Sim::new(World::new(net));
     let rms = establish(&mut sim, a, b, basic_params());
-    assert_eq!(sim.state.inbound, vec![(b, rms)]);
+    assert_eq!(sim.state.inbound(), vec![(b, rms)]);
     assert!(sim.state.net.host(a).rms.contains_key(&rms));
     assert!(sim.state.net.host(b).rms.contains_key(&rms));
 }
@@ -195,11 +116,14 @@ fn deterministic_admission_exhausts_and_releases() {
     // Third is denied at the creator's own interface.
     let t3 = create_rms(&mut sim, a, b, &RmsRequest::exact(params.clone())).unwrap();
     settle(&mut sim);
-    let failed = sim.state.events.iter().any(|(h, e)| {
-        *h == a
-            && e.contains("CreateFailed")
-            && e.contains(&format!("{t3:?}").replace("CreateToken", ""))
-            || e.contains("AdmissionDenied")
+    let failed = sim.state.saw(a, |e| {
+        matches!(
+            e,
+            NetRmsEvent::CreateFailed {
+                rms,
+                reason: RejectReason::AdmissionDenied { .. },
+            } if *rms == t3
+        )
     });
     assert!(
         failed,
@@ -219,7 +143,7 @@ fn best_effort_never_rejected() {
     for _ in 0..50 {
         let _ = establish(&mut sim, a, b, basic_params());
     }
-    assert_eq!(sim.state.created.len(), 50);
+    assert_eq!(sim.state.created().len(), 50);
 }
 
 #[test]
@@ -229,11 +153,10 @@ fn close_notifies_receiver() {
     let rms = establish(&mut sim, a, b, basic_params());
     close_rms(&mut sim, a, rms).unwrap();
     settle(&mut sim);
-    assert!(sim
-        .state
-        .events
-        .iter()
-        .any(|(h, e)| *h == b && e.contains("Closed")));
+    assert!(sim.state.saw(
+        b,
+        |e| matches!(e, NetRmsEvent::Closed { rms: r } if *r == rms)
+    ));
     assert!(!sim.state.net.host(b).rms.contains_key(&rms));
 }
 
@@ -244,17 +167,37 @@ fn network_failure_notifies_clients() {
     let rms = establish(&mut sim, a, b, basic_params());
     fail_network(&mut sim, NetworkId(1)); // the WAN
     settle(&mut sim);
-    let failed_hosts: Vec<HostId> = sim.state.failed.iter().map(|(h, _, _)| *h).collect();
+    let failed = sim.state.failed();
+    let failed_hosts: Vec<HostId> = failed.iter().map(|(h, _, _)| *h).collect();
     assert!(failed_hosts.contains(&a));
     assert!(failed_hosts.contains(&b));
-    assert!(sim
-        .state
-        .failed
+    assert!(failed
         .iter()
         .all(|(_, r, reason)| *r == rms && *reason == FailReason::NetworkDown));
     // Sends now fail.
     let err = send_on_rms(&mut sim, a, rms, Message::zeroes(10), None, None).unwrap_err();
     assert!(matches!(err, rms_core::RmsError::Failed(_)));
+}
+
+#[test]
+fn data_whose_rms_fails_during_its_send_job_is_dropped_as_no_rms() {
+    let (net, a, b) = two_hosts_ethernet();
+    let mut sim = Sim::new(World::new(net));
+    let rms = establish(&mut sim, a, b, basic_params());
+    // Each send parks its packet behind a CPU job; the network (and with
+    // it the RMS) fails before any of the jobs runs.
+    for _ in 0..3 {
+        send_on_rms(&mut sim, a, rms, Message::zeroes(100), None, None).unwrap();
+    }
+    fail_network(&mut sim, NetworkId(0));
+    settle(&mut sim);
+    assert!(sim.state.deliveries.is_empty());
+    let reg = &sim.state.net.obs.registry;
+    assert_eq!(
+        reg.counter_value("net.drop.no_rms"),
+        3,
+        "one typed drop per message"
+    );
 }
 
 #[test]
@@ -277,20 +220,20 @@ fn receiver_side_creation_via_invite() {
     let (net, a, b) = two_hosts_ethernet();
     let mut sim = Sim::new(World::new(net));
     // b wants to *receive* from a.
-    let token = create_rms_as_receiver(&mut sim, b, a, &RmsRequest::exact(basic_params())).unwrap();
+    let rms = create_rms_as_receiver(&mut sim, b, a, &RmsRequest::exact(basic_params())).unwrap();
     settle(&mut sim);
-    // b got an inbound endpoint answering the invite.
-    assert!(sim.state.events.iter().any(|(h, e)| *h == b
-        && e.contains("InboundCreated")
-        && e.contains(&format!("{token:?}"))));
+    // b got an inbound endpoint answering the invite, under the id the
+    // invite allocated.
+    assert!(sim.state.saw(b, |e| matches!(
+        e,
+        NetRmsEvent::InboundCreated { rms: r, invite: true, .. } if *r == rms
+    )));
     // a got a sender endpoint by invite.
-    assert!(sim
-        .state
-        .events
-        .iter()
-        .any(|(h, e)| *h == a && e.contains("SenderCreatedByInvite")));
+    assert!(sim.state.saw(a, |e| matches!(
+        e,
+        NetRmsEvent::SenderCreatedByInvite { rms: r, .. } if *r == rms
+    )));
     // And a can now send to b.
-    let rms = sim.state.inbound.last().unwrap().1;
     send_on_rms(&mut sim, a, rms, Message::zeroes(64), None, None).unwrap();
     settle(&mut sim);
     assert_eq!(sim.state.deliveries.len(), 1);

@@ -3,71 +3,25 @@
 //! fallback, and deterministic route computation over random meshes.
 
 mod common;
+mod world;
 
 use std::collections::BTreeMap;
 
-use dash_net::ids::{CreateToken, HostId, NetRmsId};
+use dash_net::ids::HostId;
 use dash_net::network::NetworkSpec;
 use dash_net::pipeline::{create_rms, send_on_rms};
 use dash_net::routing::{self, candidate_paths, flood_from, k_paths};
-use dash_net::state::{NetRmsEvent, NetState, NetWorld, Route};
+use dash_net::state::{NetState, Route};
 use dash_net::topology::{compute_routes, dumbbell, TopologyBuilder};
 use dash_net::NetworkId;
 use dash_sim::time::SimDuration;
 use dash_sim::Sim;
 use proptest::prelude::*;
 use rms_core::delay::DelayBound;
-use rms_core::error::RejectReason;
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
-use rms_core::port::DeliveryInfo;
 use rms_core::RmsRequest;
-
-struct World {
-    net: NetState,
-    created: Vec<(HostId, CreateToken, NetRmsId)>,
-    create_failed: Vec<(HostId, CreateToken, RejectReason)>,
-    deliveries: Vec<(HostId, NetRmsId)>,
-}
-
-impl World {
-    fn new(mut net: NetState) -> Self {
-        net.obs.enable();
-        World {
-            net,
-            created: Vec::new(),
-            create_failed: Vec::new(),
-            deliveries: Vec::new(),
-        }
-    }
-}
-
-impl NetWorld for World {
-    fn net(&mut self) -> &mut NetState {
-        &mut self.net
-    }
-    fn net_ref(&self) -> &NetState {
-        &self.net
-    }
-    fn deliver_up(
-        sim: &mut Sim<Self>,
-        host: HostId,
-        rms: NetRmsId,
-        _msg: Message,
-        _info: DeliveryInfo,
-    ) {
-        sim.state.deliveries.push((host, rms));
-    }
-    fn rms_event(sim: &mut Sim<Self>, host: HostId, event: NetRmsEvent) {
-        match event {
-            NetRmsEvent::Created { token, rms, .. } => sim.state.created.push((host, token, rms)),
-            NetRmsEvent::CreateFailed { token, reason } => {
-                sim.state.create_failed.push((host, token, reason));
-            }
-            _ => {}
-        }
-    }
-}
+use world::World;
 
 /// Two fast LANs joined by two parallel single-Ethernet middles: the
 /// primary pair (`g1`, `g2`, lower host ids) and a backup pair. Returns
@@ -157,13 +111,13 @@ fn thousand_host_mesh_still_routes_and_establishes() {
     assert_simple(&paths, src, dst);
     let mut sim = Sim::new(World::new(net));
     let best_effort = RmsParams::builder(64 * 1024, 1024).build().unwrap();
-    let token = create_rms(&mut sim, src, dst, &RmsRequest::exact(best_effort))
+    let rms = create_rms(&mut sim, src, dst, &RmsRequest::exact(best_effort))
         .expect("a reachable peer is not NoRoute");
     sim.run();
     assert!(
-        sim.state.created.iter().any(|(_, t, _)| *t == token),
+        sim.state.created().contains(&(src, rms)),
         "{:?}",
-        sim.state.create_failed
+        sim.state.create_failed()
     );
 }
 
@@ -194,20 +148,17 @@ fn saturated_primary_establishes_on_alternate() {
     let big = create_rms(&mut sim, a, peer, &RmsRequest::exact(det_params(48 * 1024))).unwrap();
     sim.run();
     assert!(
-        sim.state.created.iter().any(|(_, t, _)| *t == big),
+        sim.state.created().contains(&(a, big)),
         "saturating stream must establish: {:?}",
-        sim.state.create_failed
+        sim.state.create_failed()
     );
 
-    let second = create_rms(&mut sim, a, peer, &RmsRequest::exact(det_params(16 * 1024))).unwrap();
+    let rms2 = create_rms(&mut sim, a, peer, &RmsRequest::exact(det_params(16 * 1024))).unwrap();
     sim.run();
-    let rms2 = sim
-        .state
-        .created
-        .iter()
-        .find(|(_, t, _)| *t == second)
-        .map(|(_, _, r)| *r)
-        .expect("second stream establishes on the alternate");
+    assert!(
+        sim.state.created().contains(&(a, rms2)),
+        "second stream establishes on the alternate"
+    );
     // It won on the backup path: the alternate-win counter fired and the
     // stream's recorded path crosses the backup middle.
     let path = sim.state.net.host(a).rms.get(&rms2).unwrap().path.clone();
@@ -222,7 +173,7 @@ fn saturated_primary_establishes_on_alternate() {
         .state
         .deliveries
         .iter()
-        .any(|(h, r)| *h == peer && *r == rms2));
+        .any(|(h, r, _, _)| *h == peer && *r == rms2));
 }
 
 #[test]
@@ -234,7 +185,7 @@ fn refreshed_headroom_reorders_candidates() {
     let mut sim = Sim::new(World::new(net));
     let big = create_rms(&mut sim, a, peer, &RmsRequest::exact(det_params(48 * 1024))).unwrap();
     sim.run();
-    assert!(sim.state.created.iter().any(|(_, t, _)| *t == big));
+    assert!(sim.state.created().contains(&(a, big)));
     // The saturated gateways advertise their shrunken headroom.
     let g1 = HostId(1);
     let g2 = HostId(2);
@@ -254,15 +205,12 @@ fn refreshed_headroom_reorders_candidates() {
     );
     assert!(!candidates[0].is_primary);
 
-    let second = create_rms(&mut sim, a, peer, &request).unwrap();
+    let rms2 = create_rms(&mut sim, a, peer, &request).unwrap();
     sim.run();
-    let rms2 = sim
-        .state
-        .created
-        .iter()
-        .find(|(_, t, _)| *t == second)
-        .map(|(_, _, r)| *r)
-        .expect("establishes first try on the backup");
+    assert!(
+        sim.state.created().contains(&(a, rms2)),
+        "establishes first try on the backup"
+    );
     let path = sim.state.net.host(a).rms.get(&rms2).unwrap().path.clone();
     assert!(path.contains(&mid_b));
 }
@@ -275,7 +223,7 @@ fn lsa_headroom_tracks_reservations() {
     let before = sim.state.net.host(peer).lsdb.get(g1).unwrap().links[1].headroom_bps;
     let big = create_rms(&mut sim, a, peer, &RmsRequest::exact(det_params(48 * 1024))).unwrap();
     sim.run();
-    assert!(sim.state.created.iter().any(|(_, t, _)| *t == big));
+    assert!(sim.state.created().contains(&(a, big)));
     flood_from(&mut sim, g1);
     sim.run();
     let after = sim.state.net.host(peer).lsdb.get(g1).unwrap().links[1].headroom_bps;

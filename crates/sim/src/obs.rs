@@ -178,6 +178,10 @@ pub enum DropCause {
     /// Net: a packet whose checksum or MAC failed verification at the
     /// receiving end of its network RMS.
     Corrupt,
+    /// Net: a data packet whose network RMS is unknown, or failed, at this
+    /// end — it failed or closed while the packet waited for its send or
+    /// receive CPU job, or before the packet arrived.
+    NoRms,
     /// ST: a network message that does not decode as an ST frame.
     Malformed,
     /// ST: a control-channel Hello or HelloAck failed authentication.
@@ -634,7 +638,7 @@ pub enum ObsEvent {
 /// Every distinct event counter name, indexed by [`ObsEvent::fast_index`].
 /// The registry keeps these counts in a plain array so the per-event fast
 /// path is an indexed increment — no map lookup, no allocation.
-pub const EVENT_NAMES: [&str; 60] = [
+pub const EVENT_NAMES: [&str; 61] = [
     "net.admission_admitted",
     "net.admission_rejected",
     "net.iface_enqueue",
@@ -689,6 +693,7 @@ pub const EVENT_NAMES: [&str; 60] = [
     "net.drop.no_route",
     "net.drop.ttl",
     "net.drop.corrupt",
+    "net.drop.no_rms",
     "st.drop.malformed",
     "st.drop.auth_failed",
     "st.drop.no_stream",
@@ -1582,6 +1587,7 @@ mod tests {
             (DropCause::NoRoute, "net.drop.no_route"),
             (DropCause::Ttl, "net.drop.ttl"),
             (DropCause::Corrupt, "net.drop.corrupt"),
+            (DropCause::NoRms, "net.drop.no_rms"),
             (DropCause::Malformed, "st.drop.malformed"),
             (DropCause::AuthFailed, "st.drop.auth_failed"),
             (DropCause::NoStream, "st.drop.no_stream"),

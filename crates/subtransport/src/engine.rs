@@ -30,7 +30,7 @@ use crate::frag::{fragment, FragSpec, Reassembly};
 use crate::ids::{Client, StRmsId};
 use crate::piggyback::{PendingEntry, PiggybackQueue, PushOutcome};
 use crate::st::{
-    control_params, DataOut, NetPurpose, NetUse, PeerState, StEvent, StPending, StRole, StStream,
+    control_params, Carrier, DataOut, PeerState, StEvent, StHost, StPending, StRole, StStream,
     StWorld, AUTH_TIMEOUT, DATA_CAPACITY_DEFAULT, ST_MAX_MESSAGE_SIZE,
 };
 use crate::wire::{decode, encode, ControlMsg, DataFrame, Frame, MAX_OPENING_HEADER};
@@ -130,7 +130,7 @@ pub fn create<W: StWorld>(
             RejectReason::AuthenticationFailed,
         ));
     }
-    let token = st.alloc_token();
+    let token = st.alloc_create_token();
     st.host_mut(host).pending.insert(
         token,
         StPending {
@@ -169,62 +169,45 @@ pub fn create<W: StWorld>(
 /// [`RmsError::UnknownStream`] if the stream does not exist here, or
 /// [`RmsError::WrongDirection`] if this host is the receiver.
 pub fn close<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> Result<(), RmsError> {
-    let (peer, slot) = {
+    let (peer, carrier) = {
         let sth = sim.state.st().host_mut(host);
         let stream = sth.streams.get(&st_rms).ok_or(RmsError::UnknownStream)?;
         if stream.role != StRole::Sender {
             return Err(RmsError::WrongDirection);
         }
-        (stream.peer, stream.slot)
+        (stream.peer, stream.carrier)
     };
     // Flush any queued frames of this stream before it disappears.
-    if let Some(slot) = slot {
-        flush_slot(sim, host, peer, slot, FlushReason::Close);
+    if let Some(carrier) = carrier {
+        flush_carrier(sim, host, carrier, FlushReason::Close);
     }
-    {
-        let sth = sim.state.st().host_mut(host);
-        sth.streams.remove(&st_rms);
-        if let (Some(slot), Some(p)) = (slot, sth.peers.get_mut(&peer)) {
-            if let Some(d) = p.data.get_mut(&slot) {
-                d.assigned.retain(|s| *s != st_rms);
-            }
+    sim.state.st().host_mut(host).streams.remove(&st_rms);
+    if let Some(carrier) = carrier {
+        if let Some(d) = data_out(sim, host, carrier) {
+            d.assigned.retain(|s| *s != st_rms);
         }
+        recompute_capacity(sim, host, carrier);
     }
-    recompute_slot_capacity(sim, host, peer, slot);
     send_ctrl(sim, host, peer, ControlMsg::StClose { st_rms });
     evict_idle_cache(sim, host, peer);
     Ok(())
 }
 
-fn recompute_slot_capacity<W: StWorld>(
-    sim: &mut Sim<W>,
-    host: HostId,
-    peer: HostId,
-    slot: Option<u32>,
-) {
-    let Some(slot) = slot else { return };
-    let st = sim.state.st();
-    let assigned: Vec<StRmsId> = match st
-        .host(host)
-        .peers
-        .get(&peer)
-        .and_then(|p| p.data.get(&slot))
-    {
-        Some(d) => d.assigned.clone(),
-        None => return,
-    };
-    let total: u64 = assigned
-        .iter()
-        .filter_map(|s| st.host(host).streams.get(s))
-        .map(|s| s.params.capacity)
-        .sum();
-    if let Some(d) = st
-        .host_mut(host)
-        .peers
-        .get_mut(&peer)
-        .and_then(|p| p.data.get_mut(&slot))
-    {
-        d.assigned_capacity = total;
+/// The multiplexing state of `host`'s data carrier `carrier`, if it has one.
+fn data_out<W: StWorld>(sim: &mut Sim<W>, host: HostId, carrier: NetRmsId) -> Option<&mut DataOut> {
+    let c = sim.state.st().host_mut(host).carriers.get_mut(&carrier)?;
+    c.data.as_mut()
+}
+
+fn recompute_capacity<W: StWorld>(sim: &mut Sim<W>, host: HostId, carrier: NetRmsId) {
+    let StHost {
+        carriers, streams, ..
+    } = sim.state.st().host_mut(host);
+    if let Some(d) = carriers.get_mut(&carrier).and_then(|c| c.data.as_mut()) {
+        d.assigned_capacity = (d.assigned.iter())
+            .filter_map(|s| streams.get(s))
+            .map(|s| s.params.capacity)
+            .sum();
     }
 }
 
@@ -236,27 +219,28 @@ fn peer_state<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) -> &mut 
     sim.state.st().host_mut(host).peers.entry(peer).or_default()
 }
 
+/// Our control-channel half toward `peer`, once the network created it.
+fn control_out<W: StWorld>(sim: &Sim<W>, host: HostId, peer: HostId) -> Option<NetRmsId> {
+    let sth = sim.state.st_ref().host(host);
+    let rms = sth.peers.get(&peer)?.control_out?;
+    sth.carriers.get(&rms)?.ready.then_some(rms)
+}
+
 fn ensure_control<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) {
-    let need_create = {
-        let p = peer_state(sim, host, peer);
-        p.control_out.is_none() && !p.control_creating
-    };
-    if !need_create {
+    if peer_state(sim, host, peer).control_out.is_some() {
         return;
     }
-    peer_state(sim, host, peer).control_creating = true;
     match net::create_rms(sim, host, peer, &RmsRequest::exact(control_params())) {
-        Ok(token) => {
-            sim.state
-                .st()
-                .host_mut(host)
-                .net_pending
-                .insert(token, NetPurpose::ControlOut(peer));
+        Ok(rms) => {
+            let carrier = Carrier {
+                peer,
+                ready: false,
+                data: None,
+            };
+            sim.state.st().host_mut(host).carriers.insert(rms, carrier);
+            peer_state(sim, host, peer).control_out = Some(rms);
         }
-        Err(e) => {
-            peer_state(sim, host, peer).control_creating = false;
-            fail_queued_creates(sim, host, peer, reject_of(&e));
-        }
+        Err(e) => fail_queued_creates(sim, host, peer, reject_of(&e)),
     }
 }
 
@@ -271,11 +255,7 @@ fn reject_of(e: &RmsError) -> RejectReason {
 /// authenticating the control channel first if needed.
 fn send_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: ControlMsg) {
     ensure_control(sim, host, peer);
-    let ready = {
-        let p = peer_state(sim, host, peer);
-        p.control_out.is_some() && p.authed
-    };
-    if ready {
+    if control_out(sim, host, peer).is_some() && peer_state(sim, host, peer).authed {
         emit_ctrl(sim, host, peer, msg);
     } else {
         peer_state(sim, host, peer).queued_ctrl.push(msg);
@@ -322,7 +302,7 @@ fn fail_queued_creates<W: StWorld>(
 
 /// Actually put a control message on the wire (control channel must exist).
 fn emit_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: ControlMsg) {
-    let Some(rms) = peer_state(sim, host, peer).control_out else {
+    let Some(rms) = control_out(sim, host, peer) else {
         // Channel vanished; requeue.
         peer_state(sim, host, peer).queued_ctrl.push(msg);
         return;
@@ -335,7 +315,7 @@ fn emit_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: Cont
 /// Emit a pre-authentication frame (Hello/HelloAck) if the channel exists,
 /// else hold it.
 fn emit_pre_auth<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: ControlMsg) {
-    if peer_state(sim, host, peer).control_out.is_some() {
+    if control_out(sim, host, peer).is_some() {
         emit_ctrl(sim, host, peer, msg);
     } else {
         peer_state(sim, host, peer).pre_auth.push(msg);
@@ -389,7 +369,7 @@ pub fn send<W: StWorld>(
     mut msg: Message,
 ) -> Result<u64, RmsError> {
     let now = sim.now();
-    let (peer, slot, st_params, fast_ack, seq) = {
+    let (carrier, st_params, fast_ack, seq) = {
         let sth = sim.state.st().host_mut(host);
         let stream = sth
             .streams
@@ -401,7 +381,7 @@ pub fn send<W: StWorld>(
         if stream.failed {
             return Err(RmsError::Failed(FailReason::NetworkDown));
         }
-        let slot = stream.slot.ok_or(RmsError::UnknownStream)?;
+        let carrier = stream.carrier.ok_or(RmsError::UnknownStream)?;
         if msg.len() as u64 > stream.params.max_message_size {
             return Err(RmsError::MessageTooLarge {
                 size: msg.len() as u64,
@@ -409,13 +389,7 @@ pub fn send<W: StWorld>(
             });
         }
         let seq = stream.alloc_seq();
-        (
-            stream.peer,
-            slot,
-            stream.params.clone(),
-            stream.fast_ack,
-            seq,
-        )
+        (carrier, stream.params.clone(), stream.fast_ack, seq)
     };
     let len = msg.len() as u64;
     // Open (or adopt) the message's lifecycle span. `now` here equals the
@@ -448,8 +422,7 @@ pub fn send<W: StWorld>(
         }
     };
     let job = sim.state.st().send_jobs.insert(SendJob {
-        peer,
-        slot,
+        carrier,
         st_rms,
         st_params,
         fast_ack,
@@ -472,8 +445,7 @@ pub fn send<W: StWorld>(
 /// dispatch needs again once the protocol processor gets to it.
 #[derive(Debug)]
 pub(crate) struct SendJob {
-    peer: HostId,
-    slot: u32,
+    carrier: NetRmsId,
     st_rms: StRmsId,
     st_params: SharedParams,
     fast_ack: bool,
@@ -486,8 +458,7 @@ pub(crate) struct SendJob {
 fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
     let host = HostId(host);
     let SendJob {
-        peer,
-        slot,
+        carrier,
         st_rms,
         st_params,
         fast_ack,
@@ -496,18 +467,13 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
         sent_at,
     } = sim.state.st().send_jobs.take(job as u32);
     let now = sim.now();
-    // The carrier may have died meanwhile, its slot gone, or the slot the
-    // stream failed over to may still be waiting for its network RMS: the
-    // message is lost, and counted.
-    let carrier = sim
-        .state
-        .st_ref()
-        .host(host)
-        .peers
-        .get(&peer)
-        .and_then(|p| p.data.get(&slot))
-        .and_then(|d| Some((d.params.clone(), d.net_rms?)));
-    let Some((net_params, net_rms)) = carrier else {
+    // The carrier may have died meanwhile, or the carrier the stream
+    // failed over to may still be waiting for its network RMS: the message
+    // is lost, and counted.
+    let net_params = (sim.state.st_ref().host(host).carriers.get(&carrier))
+        .filter(|c| c.ready)
+        .and_then(|c| Some(c.data.as_ref()?.params.clone()));
+    let Some(net_params) = net_params else {
         drop_frame(sim, host, DropCause::NoCarrier);
         return;
     };
@@ -537,7 +503,7 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
     if frame_len > net_mms {
         // Fragmentation path (§4.3): never piggybacked; flush the queue
         // first so per-stream ordering survives.
-        flush_slot(sim, host, peer, slot, FlushReason::Fragment);
+        flush_carrier(sim, host, carrier, FlushReason::Fragment);
         // Per-fragment header: the whole-message header plus the 8 bytes
         // the frag flag adds (index + count).
         let header = (frame_len - len) + 8;
@@ -569,9 +535,9 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
         );
         for f in frames {
             let payload = encode(&Frame::Data(f));
-            send_net(sim, host, net_rms, payload, deadline, sent_at, span);
+            send_net(sim, host, carrier, payload, deadline, sent_at, span);
         }
-        touch_slot(sim, host, peer, slot, now);
+        touch_carrier(sim, host, carrier, now);
         return;
     }
 
@@ -579,8 +545,8 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
     let piggyback = sim.state.st_ref().config.piggyback;
     if !piggyback {
         let deadline = clamp_stream_deadline(sim, host, st_rms, max_deadline);
-        send_net(sim, host, net_rms, wire, deadline, sent_at, span);
-        touch_slot(sim, host, peer, slot, now);
+        send_net(sim, host, carrier, wire, deadline, sent_at, span);
+        touch_carrier(sim, host, carrier, now);
         return;
     }
 
@@ -601,17 +567,17 @@ fn dispatch_send<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
         min_deadline,
         max_deadline,
     };
-    push_with_flush(sim, host, peer, slot, entry, net_mms);
-    let pending = with_slot_queue(sim, host, peer, slot, |q| q.len()).unwrap_or(0);
+    push_with_flush(sim, host, carrier, entry, net_mms);
+    let pending = data_out(sim, host, carrier).map_or(0, |d| d.queue.len());
     emit(
         sim,
         ObsEvent::PiggybackCoalesce {
             host: host.0,
-            net_rms: net_rms.0,
+            net_rms: carrier.0,
             pending,
         },
     );
-    touch_slot(sim, host, peer, slot, now);
+    touch_carrier(sim, host, carrier, now);
 }
 
 /// §4.3.1: maximum transmission deadline = arrival + (ST bound − network
@@ -648,22 +614,24 @@ fn clamp_stream_deadline<W: StWorld>(
 fn push_with_flush<W: StWorld>(
     sim: &mut Sim<W>,
     host: HostId,
-    peer: HostId,
-    slot: u32,
+    carrier: NetRmsId,
     entry: PendingEntry,
     net_mms: u64,
 ) {
     let now = sim.now();
+    let push = |sim: &mut Sim<W>, entry: PendingEntry| {
+        data_out(sim, host, carrier).map(|d| d.queue.try_push(entry, net_mms))
+    };
     // A refused push hands the entry back: flush the queue and retry once
     // into the empty queue, which always takes it.
-    let outcome = match with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms)) {
+    let outcome = match push(sim, entry) {
         Some(PushOutcome::WouldOverflow(entry)) => {
-            flush_slot(sim, host, peer, slot, FlushReason::Overflow);
-            with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms))
+            flush_carrier(sim, host, carrier, FlushReason::Overflow);
+            push(sim, entry)
         }
         Some(PushOutcome::DeadlineConflict(entry)) => {
-            flush_slot(sim, host, peer, slot, FlushReason::Conflict);
-            with_slot_queue(sim, host, peer, slot, |q| q.try_push(entry, net_mms))
+            flush_carrier(sim, host, carrier, FlushReason::Conflict);
+            push(sim, entry)
         }
         first => first,
     };
@@ -673,127 +641,76 @@ fn push_with_flush<W: StWorld>(
     );
     if let Some(PushOutcome::Queued { flush_at }) = outcome {
         if flush_at <= now {
-            flush_slot(sim, host, peer, slot, FlushReason::Timer);
+            flush_carrier(sim, host, carrier, FlushReason::Timer);
         } else {
-            arm_flush_timer(sim, host, peer, slot, flush_at);
+            arm_flush_timer(sim, host, carrier, flush_at);
         }
     }
-}
-
-fn with_slot_queue<W: StWorld, T>(
-    sim: &mut Sim<W>,
-    host: HostId,
-    peer: HostId,
-    slot: u32,
-    f: impl FnOnce(&mut PiggybackQueue) -> T,
-) -> Option<T> {
-    sim.state
-        .st()
-        .host_mut(host)
-        .peers
-        .get_mut(&peer)
-        .and_then(|p| p.data.get_mut(&slot))
-        .map(|d| f(&mut d.queue))
 }
 
 fn arm_flush_timer<W: StWorld>(
     sim: &mut Sim<W>,
     host: HostId,
-    peer: HostId,
-    slot: u32,
+    carrier: NetRmsId,
     flush_at: SimTime,
 ) {
-    let now = sim.now();
-    let rearm = {
-        let st = sim.state.st();
-        match st
-            .host(host)
-            .peers
-            .get(&peer)
-            .and_then(|p| p.data.get(&slot))
-            .and_then(|d| d.flush_timer.as_ref())
-        {
-            Some((_, at)) => flush_at < *at,
-            None => true,
-        }
-    };
-    if !rearm {
+    let delay = flush_at.saturating_since(sim.now());
+    let Some(d) = data_out(sim, host, carrier) else {
         return;
-    }
-    // Cancel any existing timer.
-    if let Some(d) = sim
-        .state
-        .st()
-        .host_mut(host)
-        .peers
-        .get_mut(&peer)
-        .and_then(|p| p.data.get_mut(&slot))
-    {
-        if let Some((t, _)) = d.flush_timer.take() {
-            t.cancel();
+    };
+    match d.flush_timer.take() {
+        Some((t, at)) if flush_at >= at => {
+            d.flush_timer = Some((t, at));
+            return;
         }
+        Some((t, _)) => t.cancel(),
+        None => {}
     }
-    let delay = flush_at.saturating_since(now);
-    let peer_slot = (u64::from(peer.0) << 32) | u64::from(slot);
-    let handle = sim.call_timer(delay, flush_timeout::<W>, (host.0, peer_slot));
-    if let Some(d) = sim
-        .state
-        .st()
-        .host_mut(host)
-        .peers
-        .get_mut(&peer)
-        .and_then(|p| p.data.get_mut(&slot))
-    {
+    let handle = sim.call_timer(delay, flush_timeout::<W>, (host.0, carrier.0));
+    if let Some(d) = data_out(sim, host, carrier) {
         d.flush_timer = Some((handle, flush_at));
     }
 }
 
-/// The flush timer of `(host, peer << 32 | slot)` fired.
-fn flush_timeout<W: StWorld>(sim: &mut Sim<W>, (host, peer_slot): Args) {
-    let (host, peer, slot) = (
-        HostId(host),
-        HostId((peer_slot >> 32) as u32),
-        peer_slot as u32,
-    );
-    if let Some(d) = sim
-        .state
-        .st()
-        .host_mut(host)
-        .peers
-        .get_mut(&peer)
-        .and_then(|p| p.data.get_mut(&slot))
-    {
+/// The flush timer of `(host, carrier)` fired.
+fn flush_timeout<W: StWorld>(sim: &mut Sim<W>, (host, carrier): Args) {
+    let (host, carrier) = (HostId(host), NetRmsId(carrier));
+    if let Some(d) = data_out(sim, host, carrier) {
         d.flush_timer = None;
     }
-    flush_slot(sim, host, peer, slot, FlushReason::Timer);
+    flush_carrier(sim, host, carrier, FlushReason::Timer);
 }
 
-fn flush_slot<W: StWorld>(
+fn flush_carrier<W: StWorld>(
     sim: &mut Sim<W>,
     host: HostId,
-    peer: HostId,
-    slot: u32,
+    carrier: NetRmsId,
     reason: FlushReason,
 ) {
     let now = sim.now();
-    let sth = sim.state.st().host_mut(host);
-    let Some(d) = sth.peers.get_mut(&peer).and_then(|p| p.data.get_mut(&slot)) else {
+    let StHost {
+        carriers, streams, ..
+    } = sim.state.st().host_mut(host);
+    let Some(Carrier {
+        ready: true,
+        data: Some(d),
+        ..
+    }) = carriers.get_mut(&carrier)
+    else {
         return;
     };
     if let Some((t, _)) = d.flush_timer.take() {
         t.cancel();
     }
-    let net_rms = d.net_rms;
     let Some(bundle) = d.queue.flush() else {
         return;
     };
-    let Some(net_rms) = net_rms else { return };
     let deadline = bundle.deadline;
     let entries = bundle.entries();
     // The bundle's deadline becomes each component stream's actual
     // transmission deadline (ordering floor for their next messages).
     for e in entries {
-        if let Some(stream) = sth.streams.get_mut(&e.st_rms) {
+        if let Some(stream) = streams.get_mut(&e.st_rms) {
             stream.last_tx_deadline = stream.last_tx_deadline.max(deadline);
         }
     }
@@ -811,7 +728,7 @@ fn flush_slot<W: StWorld>(
         sim,
         ObsEvent::PiggybackFlush {
             host: host.0,
-            net_rms: net_rms.0,
+            net_rms: carrier.0,
             frames,
             reason,
         },
@@ -819,7 +736,7 @@ fn flush_slot<W: StWorld>(
     send_net(
         sim,
         host,
-        net_rms,
+        carrier,
         payload,
         deadline,
         earliest_sent,
@@ -850,15 +767,8 @@ fn send_net<W: StWorld>(
     let _ = net::send_on_rms(sim, host, net_rms, msg, Some(deadline), Some(sent_at));
 }
 
-fn touch_slot<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, slot: u32, now: SimTime) {
-    if let Some(d) = sim
-        .state
-        .st()
-        .host_mut(host)
-        .peers
-        .get_mut(&peer)
-        .and_then(|p| p.data.get_mut(&slot))
-    {
+fn touch_carrier<W: StWorld>(sim: &mut Sim<W>, host: HostId, carrier: NetRmsId, now: SimTime) {
+    if let Some(d) = data_out(sim, host, carrier) {
         d.last_used = now;
     }
 }
@@ -896,39 +806,29 @@ pub fn can_multiplex(st: &RmsParams, net: &RmsParams, assigned_capacity: u64) ->
         && assigned_capacity + st.capacity <= net.capacity
 }
 
-/// Find or create a data network RMS for a new sender stream; returns true
-/// if the stream is immediately ready (cache hit on a ready slot).
-fn assign_slot<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> bool {
+/// Find or create a data carrier for a new sender stream; returns true if
+/// the stream is immediately ready (cache hit on a ready carrier). Of the
+/// cached carriers to the peer that can take the stream, a ready one wins
+/// over one still being created, then the lowest [`NetRmsId`].
+fn assign_carrier<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> bool {
     let (peer, st_params) = {
         let stream = &sim.state.st_ref().host(host).streams[&st_rms];
         (stream.peer, stream.params.clone())
     };
-    // Try existing slots (ready first, then creating).
-    let candidate = {
-        let st = sim.state.st_ref();
-        let empty = Default::default();
-        let p = st.host(host).peers.get(&peer).unwrap_or(&empty);
-        let mut best: Option<(u32, bool)> = None;
-        for (slot, d) in &p.data {
-            if can_multiplex(&st_params, &d.params, d.assigned_capacity) {
-                let ready = d.net_rms.is_some();
-                match best {
-                    Some((_, best_ready)) if best_ready || !ready => {}
-                    _ => best = Some((*slot, ready)),
-                }
-            }
-        }
-        best
-    };
-    if let Some((slot, ready)) = candidate {
+    let candidate = (sim.state.st_ref().host(host).carriers.iter())
+        .filter(|(_, c)| c.peer == peer)
+        .filter_map(|(id, c)| Some((*id, c.ready, c.data.as_ref()?)))
+        .filter(|(_, _, d)| can_multiplex(&st_params, &d.params, d.assigned_capacity))
+        .min_by_key(|(id, ready, _)| (!ready, *id))
+        .map(|(id, ready, _)| (id, ready));
+    if let Some((carrier, ready)) = candidate {
         emit(sim, ObsEvent::CacheHit { host: host.0 });
-        let sth = sim.state.st().host_mut(host);
-        if let Some(d) = sth.peers.get_mut(&peer).and_then(|p| p.data.get_mut(&slot)) {
+        if let Some(d) = data_out(sim, host, carrier) {
             d.assigned.push(st_rms);
             d.assigned_capacity += st_params.capacity;
         }
-        if let Some(s) = sth.streams.get_mut(&st_rms) {
-            s.slot = Some(slot);
+        if let Some(s) = sim.state.st().host_mut(host).streams.get_mut(&st_rms) {
+            s.carrier = Some(carrier);
         }
         return ready;
     }
@@ -956,19 +856,14 @@ fn assign_slot<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> b
         acceptable: net_floor,
     };
     match net::create_rms(sim, host, peer, &request) {
-        Ok(token) => {
-            let sth = sim.state.st().host_mut(host);
-            let p = sth.peers.entry(peer).or_default();
-            let slot = p.next_slot;
-            p.next_slot += 1;
-            p.data.insert(
-                slot,
-                DataOut {
-                    net_rms: None,
-                    token: Some(token),
-                    // While creating, advertise the *desired* parameters for
-                    // multiplex matching; Created{params} replaces them with
-                    // the negotiated actuals and spills streams if the
+        Ok(carrier) => {
+            let created = Carrier {
+                peer,
+                ready: false,
+                data: Some(DataOut {
+                    // While creating, advertise the *desired* parameters
+                    // for multiplex matching; Created{params} replaces them
+                    // with the negotiated actuals and spills streams if the
                     // grant came back smaller.
                     params: request.desired.clone().shared(),
                     assigned: vec![st_rms],
@@ -976,12 +871,12 @@ fn assign_slot<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> b
                     queue: PiggybackQueue::new(),
                     flush_timer: None,
                     last_used: SimTime::ZERO,
-                },
-            );
-            sth.net_pending
-                .insert(token, NetPurpose::DataOut(peer, slot));
+                }),
+            };
+            let sth = sim.state.st().host_mut(host);
+            sth.carriers.insert(carrier, created);
             if let Some(s) = sth.streams.get_mut(&st_rms) {
-                s.slot = Some(slot);
+                s.carrier = Some(carrier);
             }
             false
         }
@@ -1017,36 +912,26 @@ fn assign_slot<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -> b
     }
 }
 
-/// Evict least-recently-used idle cached network RMSs beyond the limit.
+/// Evict least-recently-used idle cached data carriers to `peer` beyond
+/// the limit; of two used last at the same instant, the lower
+/// [`NetRmsId`] goes first.
 fn evict_idle_cache<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) {
     let limit = sim.state.st_ref().config.cache_idle_limit;
-    let mut idle: Vec<(u32, SimTime, NetRmsId)> = {
-        let st = sim.state.st_ref();
-        match st.host(host).peers.get(&peer) {
-            Some(p) => p
-                .data
-                .iter()
-                .filter(|(_, d)| d.assigned.is_empty() && d.net_rms.is_some() && d.queue.is_empty())
-                .map(|(slot, d)| (*slot, d.last_used, d.net_rms.expect("checked")))
-                .collect(),
-            None => return,
-        }
-    };
+    let mut idle: Vec<(SimTime, NetRmsId)> = (sim.state.st_ref().host(host).carriers.iter())
+        .filter(|(_, c)| c.peer == peer && c.ready)
+        .filter_map(|(id, c)| Some((*id, c.data.as_ref()?)))
+        .filter(|(_, d)| d.assigned.is_empty() && d.queue.is_empty())
+        .map(|(id, d)| (d.last_used, id))
+        .collect();
     if idle.len() <= limit {
         return;
     }
-    idle.sort_by_key(|(_, used, _)| *used);
+    idle.sort_unstable();
     let excess = idle.len() - limit;
-    for (slot, _, net_rms) in idle.into_iter().take(excess) {
+    for (_, carrier) in idle.into_iter().take(excess) {
         emit(sim, ObsEvent::CacheEvict { host: host.0 });
-        {
-            let sth = sim.state.st().host_mut(host);
-            sth.by_net.remove(&net_rms);
-            if let Some(p) = sth.peers.get_mut(&peer) {
-                p.data.remove(&slot);
-            }
-        }
-        let _ = net::close_rms(sim, host, net_rms);
+        sim.state.st().host_mut(host).carriers.remove(&carrier);
+        let _ = net::close_rms(sim, host, carrier);
     }
 }
 
@@ -1098,13 +983,6 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
     let Some(peer) = net_peer_of(sim, host, net_rms) else {
         return;
     };
-    // Lazily register this network RMS as the peer's control-in half.
-    sim.state
-        .st()
-        .host_mut(host)
-        .by_net
-        .entry(net_rms)
-        .or_insert(NetUse::ControlIn(peer));
     match msg {
         ControlMsg::Hello {
             host: claimed,
@@ -1120,7 +998,6 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
                 drop_frame(sim, host, DropCause::AuthFailed);
                 return;
             }
-            peer_state(sim, host, peer).control_in = Some(net_rms);
             let ack_tag = key
                 .map(|k| mac::sign(k, nonce.wrapping_add(1), b"hello-ack").0)
                 .unwrap_or(0);
@@ -1206,7 +1083,7 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
             );
             stream.creating = true;
             sim.state.st().host_mut(host).streams.insert(st_rms, stream);
-            if assign_slot(sim, host, st_rms) {
+            if assign_carrier(sim, host, st_rms) {
                 report_created(sim, host, st_rms);
             }
         }
@@ -1239,14 +1116,13 @@ fn new_stream(
         client,
         params,
         fast_ack,
-        slot: None,
+        carrier: None,
         creating: false,
         next_seq: 0,
         last_tx_deadline: SimTime::ZERO,
         last_send_job_deadline: SimTime::ZERO,
         last_recv_job_deadline: SimTime::ZERO,
         reassembly: Reassembly::new(),
-        in_net: None,
         failed: false,
         failover_since: None,
     }
@@ -1256,23 +1132,9 @@ fn handle_data<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, d:
     let Some(peer) = net_peer_of(sim, host, net_rms) else {
         return;
     };
-    sim.state
-        .st()
-        .host_mut(host)
-        .by_net
-        .entry(net_rms)
-        .or_insert(NetUse::DataIn(peer));
     let st_rms = d.st_rms;
-    let exists = {
-        let sth = sim.state.st().host_mut(host);
-        match sth.streams.get_mut(&st_rms) {
-            Some(s) if s.role == StRole::Receiver && !s.failed => {
-                s.in_net = Some(net_rms);
-                true
-            }
-            _ => false,
-        }
-    };
+    let exists = (sim.state.st_ref().host(host).streams.get(&st_rms))
+        .is_some_and(|s| s.role == StRole::Receiver && !s.failed);
     if !exists {
         drop_frame(sim, host, DropCause::NoStream);
         return;
@@ -1390,8 +1252,7 @@ fn deliver_data<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
     );
     // Fast acknowledgement (§3.2): a small frame on the control channel.
     if fast_ack {
-        let ctrl_out = peer_state(sim, host, peer).control_out;
-        if let Some(rms) = ctrl_out {
+        if let Some(rms) = control_out(sim, host, peer) {
             emit(
                 sim,
                 ObsEvent::FastAckSent {
@@ -1417,243 +1278,193 @@ fn deliver_data<W: StWorld>(sim: &mut Sim<W>, (host, job): Args) {
 /// The world's `NetWorld::rms_event` must forward here.
 pub fn on_net_event<W: StWorld>(sim: &mut Sim<W>, host: HostId, event: &NetRmsEvent) {
     match event {
-        NetRmsEvent::Created { token, rms, params } => {
-            let purpose = sim.state.st().host_mut(host).net_pending.remove(token);
-            match purpose {
-                Some(NetPurpose::ControlOut(peer)) => {
-                    sim.state
-                        .st()
-                        .host_mut(host)
-                        .by_net
-                        .insert(*rms, NetUse::ControlOut(peer));
-                    emit(
-                        sim,
-                        ObsEvent::ControlCreated {
-                            host: host.0,
-                            peer: peer.0,
-                        },
-                    );
-                    {
-                        let p = peer_state(sim, host, peer);
-                        p.control_out = Some(*rms);
-                        p.control_creating = false;
-                    }
-                    // Authenticate (§3.2), then flush any pre-auth frames.
-                    send_hello(sim, host, peer);
-                    let pre = std::mem::take(&mut peer_state(sim, host, peer).pre_auth);
-                    for m in pre {
-                        emit_ctrl(sim, host, peer, m);
-                    }
-                }
-                Some(NetPurpose::DataOut(peer, slot)) => {
-                    // Adopt the actual parameters; if the grant is smaller
-                    // than the multiplexed demand (§4.2 capacity rule),
-                    // spill the newest streams to other slots.
-                    let (ready_streams, spilled) = {
-                        let sth = sim.state.st().host_mut(host);
-                        sth.by_net.insert(*rms, NetUse::DataOut(peer, slot));
-                        let mut assigned =
-                            match sth.peers.get_mut(&peer).and_then(|p| p.data.get_mut(&slot)) {
-                                Some(d) => {
-                                    d.net_rms = Some(*rms);
-                                    d.token = None;
-                                    d.params = params.clone();
-                                    d.assigned.clone()
-                                }
-                                None => Vec::new(),
-                            };
-                        let cap_of = |sth: &crate::st::StHost, sid: &StRmsId| {
-                            sth.streams.get(sid).map(|s| s.params.capacity).unwrap_or(0)
-                        };
-                        let mut sum: u64 = assigned.iter().map(|sid| cap_of(sth, sid)).sum();
-                        let mut spilled = Vec::new();
-                        while sum > params.capacity && assigned.len() > 1 {
-                            let victim = assigned.pop().expect("len > 1");
-                            sum -= cap_of(sth, &victim);
-                            spilled.push(victim);
-                        }
-                        if let Some(d) =
-                            sth.peers.get_mut(&peer).and_then(|p| p.data.get_mut(&slot))
-                        {
-                            d.assigned = assigned.clone();
-                            d.assigned_capacity = sum;
-                        }
-                        (assigned, spilled)
-                    };
-                    for st_rms in ready_streams {
-                        report_created(sim, host, st_rms);
-                        complete_failover_if_pending(sim, host, st_rms);
-                    }
-                    for st_rms in spilled {
-                        if let Some(s) = sim.state.st().host_mut(host).streams.get_mut(&st_rms) {
-                            s.slot = None;
-                        }
-                        if assign_slot(sim, host, st_rms) {
-                            report_created(sim, host, st_rms);
-                            complete_failover_if_pending(sim, host, st_rms);
-                        }
-                    }
-                }
-                None => {}
-            }
+        NetRmsEvent::Created { rms, params } => carrier_created(sim, host, *rms, params),
+        NetRmsEvent::CreateFailed { rms, reason } => {
+            carrier_create_failed(sim, host, *rms, reason);
         }
-        NetRmsEvent::CreateFailed { token, reason } => {
-            let purpose = sim.state.st().host_mut(host).net_pending.remove(token);
-            match purpose {
-                Some(NetPurpose::ControlOut(peer)) => {
-                    peer_state(sim, host, peer).control_creating = false;
-                    fail_queued_creates(sim, host, peer, reason.clone());
-                }
-                Some(NetPurpose::DataOut(peer, slot)) => {
-                    let victims: Vec<(StRmsId, Client, bool)> = {
-                        let sth = sim.state.st().host_mut(host);
-                        let assigned = sth
-                            .peers
-                            .get_mut(&peer)
-                            .and_then(|p| p.data.remove(&slot))
-                            .map(|d| d.assigned)
-                            .unwrap_or_default();
-                        let mut out = Vec::new();
-                        for sid in assigned {
-                            let Some(s) = sth.streams.get_mut(&sid) else {
-                                continue;
-                            };
-                            let (client, creating) = (s.client, s.creating);
-                            if creating {
-                                // Never-established create: forget it.
-                                sth.streams.remove(&sid);
-                            } else {
-                                // Established stream whose failover carrier
-                                // could not be created: keep it marked
-                                // failed so sends return a typed error.
-                                s.failed = true;
-                                s.failover_since = None;
-                                s.slot = None;
-                            }
-                            out.push((sid, client, creating));
-                        }
-                        out
-                    };
-                    for (st_rms, client, creating) in victims {
-                        send_ctrl(sim, host, peer, ControlMsg::StClose { st_rms });
-                        let event = if creating {
-                            StEvent::CreateFailed {
-                                reason: reason.clone(),
-                            }
-                        } else {
-                            StEvent::Failed {
-                                st_rms,
-                                reason: FailReason::NetworkDown,
-                            }
-                        };
-                        W::st_event(sim, host, client, event);
-                    }
-                }
-                None => {}
-            }
-        }
-        NetRmsEvent::Failed { rms, reason } => {
-            handle_net_failure(sim, host, *rms, *reason);
-        }
-        NetRmsEvent::Closed { rms } => {
-            let use_ = sim.state.st().host_mut(host).by_net.remove(rms);
-            if let Some(NetUse::ControlIn(peer)) = use_ {
-                peer_state(sim, host, peer).control_in = None;
-            }
-        }
-        // The ST does not use invites or raw inbound notifications.
-        NetRmsEvent::InboundCreated { .. }
+        NetRmsEvent::Failed { rms, .. } => carrier_failed(sim, host, *rms),
+        // Inbound network RMSs keep no state here (a frame names its ST
+        // RMS, and the network layer its peer), and the ST uses no
+        // invites.
+        NetRmsEvent::Closed { .. }
+        | NetRmsEvent::InboundCreated { .. }
         | NetRmsEvent::SenderCreatedByInvite { .. }
         | NetRmsEvent::InviteFailed { .. } => {}
     }
 }
 
-fn handle_net_failure<W: StWorld>(
+/// The network created our carrier `rms`.
+fn carrier_created<W: StWorld>(
     sim: &mut Sim<W>,
     host: HostId,
     rms: NetRmsId,
-    _reason: FailReason,
+    params: &SharedParams,
 ) {
-    let use_ = sim.state.st().host_mut(host).by_net.remove(&rms);
-    match use_ {
-        Some(NetUse::ControlOut(peer)) => {
-            {
-                let p = peer_state(sim, host, peer);
-                p.control_out = None;
-                p.authed = false;
-            }
-            fail_queued_creates(sim, host, peer, RejectReason::Timeout);
-            // An alternate network may still connect the two hosts:
-            // re-establish eagerly so later creates don't pay the setup.
-            ensure_control(sim, host, peer);
+    let StHost {
+        carriers, streams, ..
+    } = sim.state.st().host_mut(host);
+    let Some(carrier) = carriers.get_mut(&rms) else {
+        return;
+    };
+    carrier.ready = true;
+    let peer = carrier.peer;
+    let Some(d) = carrier.data.as_mut() else {
+        emit(
+            sim,
+            ObsEvent::ControlCreated {
+                host: host.0,
+                peer: peer.0,
+            },
+        );
+        // Authenticate (§3.2), then flush any pre-auth frames.
+        send_hello(sim, host, peer);
+        let pre = std::mem::take(&mut peer_state(sim, host, peer).pre_auth);
+        for m in pre {
+            emit_ctrl(sim, host, peer, m);
         }
-        Some(NetUse::ControlIn(peer)) => {
-            peer_state(sim, host, peer).control_in = None;
+        return;
+    };
+    // Adopt the actual parameters; if the grant is smaller than the
+    // multiplexed demand (§4.2 capacity rule), spill the newest streams to
+    // other carriers.
+    d.params = params.clone();
+    let cap_of = |sid: &StRmsId| streams.get(sid).map_or(0, |s| s.params.capacity);
+    let mut sum: u64 = d.assigned.iter().map(cap_of).sum();
+    let mut spilled = Vec::new();
+    while sum > params.capacity && d.assigned.len() > 1 {
+        let victim = d.assigned.pop().expect("len > 1");
+        sum -= cap_of(&victim);
+        spilled.push(victim);
+    }
+    d.assigned_capacity = sum;
+    let ready_streams = d.assigned.clone();
+    for st_rms in ready_streams {
+        report_created(sim, host, st_rms);
+        complete_failover_if_pending(sim, host, st_rms);
+    }
+    for st_rms in spilled {
+        if let Some(s) = sim.state.st().host_mut(host).streams.get_mut(&st_rms) {
+            s.carrier = None;
         }
-        Some(NetUse::DataOut(peer, slot)) => {
-            // Failover (§4.2): the carrier died, but the ST streams on it
-            // are still live contracts with their clients. Detach them and
-            // re-run admission over whatever routes remain — a cached
-            // network RMS on an alternate network, or a fresh creation
-            // whose `dash_net::routing` candidate walk re-homes the path
-            // across the surviving k-alternates (admission NAKs on one
-            // alternate fall through to the next). Only when every
-            // alternate is exhausted does the client see a typed failure
-            // (via assign_slot / CreateFailed).
-            let now = sim.now();
-            let (victims, stranded) = {
-                let sth = sim.state.st().host_mut(host);
-                let dead = sth.peers.get_mut(&peer).and_then(|p| p.data.remove(&slot));
-                let (assigned, stranded) =
-                    dead.map_or((Vec::new(), 0), |d| (d.assigned, d.queue.len()));
-                let mut out = Vec::new();
-                for sid in &assigned {
-                    if let Some(s) = sth.streams.get_mut(sid) {
-                        s.slot = None;
-                        if s.failover_since.is_none() {
-                            s.failover_since = Some(now);
-                        }
-                        out.push(s.id);
-                    }
-                }
-                (out, stranded)
-            };
-            // Messages still waiting in the dead carrier's piggyback queue
-            // never left the host.
-            for _ in 0..stranded {
-                drop_frame(sim, host, DropCause::NoCarrier);
-            }
-            if !victims.is_empty() {
-                emit(
-                    sim,
-                    ObsEvent::FailoverStarted {
-                        host: host.0,
-                        streams: victims.len() as u32,
-                    },
-                );
-            }
-            for st_rms in victims {
-                if assign_slot(sim, host, st_rms) {
-                    complete_failover_if_pending(sim, host, st_rms);
-                }
-            }
+        if assign_carrier(sim, host, st_rms) {
+            report_created(sim, host, st_rms);
+            complete_failover_if_pending(sim, host, st_rms);
         }
-        Some(NetUse::DataIn(_peer)) => {
-            // Receiver side: the inbound carrier died, but the sender may
-            // fail over to a replacement; the binding is re-learned from
-            // the first frame on the new carrier (handle_data). Forget it.
-            let sth = sim.state.st().host_mut(host);
-            for s in sth.streams.values_mut() {
-                if s.role == StRole::Receiver && s.in_net == Some(rms) {
-                    s.in_net = None;
-                }
-            }
-        }
-        None => {}
     }
 }
 
-/// Report a creation whose slot just became ready to its client (once: a
+/// The network could not create our carrier `rms`.
+fn carrier_create_failed<W: StWorld>(
+    sim: &mut Sim<W>,
+    host: HostId,
+    rms: NetRmsId,
+    reason: &RejectReason,
+) {
+    let Some(carrier) = sim.state.st().host_mut(host).carriers.remove(&rms) else {
+        return;
+    };
+    let peer = carrier.peer;
+    let Some(d) = carrier.data else {
+        peer_state(sim, host, peer).control_out = None;
+        fail_queued_creates(sim, host, peer, reason.clone());
+        return;
+    };
+    let mut victims = Vec::new();
+    let streams = &mut sim.state.st().host_mut(host).streams;
+    for sid in d.assigned {
+        let Some(s) = streams.get_mut(&sid) else {
+            continue;
+        };
+        let (client, creating) = (s.client, s.creating);
+        if creating {
+            // Never-established create: forget it.
+            streams.remove(&sid);
+        } else {
+            // Established stream whose failover carrier could not be
+            // created: keep it marked failed so sends return a typed error.
+            s.failed = true;
+            s.failover_since = None;
+            s.carrier = None;
+        }
+        victims.push((sid, client, creating));
+    }
+    for (st_rms, client, creating) in victims {
+        send_ctrl(sim, host, peer, ControlMsg::StClose { st_rms });
+        let event = if creating {
+            StEvent::CreateFailed {
+                reason: reason.clone(),
+            }
+        } else {
+            StEvent::Failed {
+                st_rms,
+                reason: FailReason::NetworkDown,
+            }
+        };
+        W::st_event(sim, host, client, event);
+    }
+}
+
+/// Our established carrier `rms` failed (an inbound network RMS failing
+/// needs nothing here: its sender fails over).
+fn carrier_failed<W: StWorld>(sim: &mut Sim<W>, host: HostId, rms: NetRmsId) {
+    let Some(carrier) = sim.state.st().host_mut(host).carriers.remove(&rms) else {
+        return;
+    };
+    let peer = carrier.peer;
+    let Some(d) = carrier.data else {
+        {
+            let p = peer_state(sim, host, peer);
+            p.control_out = None;
+            p.authed = false;
+        }
+        fail_queued_creates(sim, host, peer, RejectReason::Timeout);
+        // An alternate network may still connect the two hosts:
+        // re-establish eagerly so later creates don't pay the setup.
+        ensure_control(sim, host, peer);
+        return;
+    };
+    // Failover (§4.2): the carrier died, but the ST streams on it are still
+    // live contracts with their clients. Detach them and re-run admission
+    // over whatever routes remain — a cached network RMS on an alternate
+    // network, or a fresh creation whose `dash_net::routing` candidate walk
+    // re-homes the path across the surviving k-alternates (admission NAKs
+    // on one alternate fall through to the next). Only when every
+    // alternate is exhausted does the client see a typed failure (via
+    // assign_carrier / CreateFailed).
+    let now = sim.now();
+    let streams = &mut sim.state.st().host_mut(host).streams;
+    let mut victims = Vec::new();
+    for sid in &d.assigned {
+        if let Some(s) = streams.get_mut(sid) {
+            s.carrier = None;
+            if s.failover_since.is_none() {
+                s.failover_since = Some(now);
+            }
+            victims.push(s.id);
+        }
+    }
+    // Messages still waiting in the dead carrier's piggyback queue never
+    // left the host.
+    for _ in 0..d.queue.len() {
+        drop_frame(sim, host, DropCause::NoCarrier);
+    }
+    if !victims.is_empty() {
+        emit(
+            sim,
+            ObsEvent::FailoverStarted {
+                host: host.0,
+                streams: victims.len() as u32,
+            },
+        );
+    }
+    for st_rms in victims {
+        if assign_carrier(sim, host, st_rms) {
+            complete_failover_if_pending(sim, host, st_rms);
+        }
+    }
+}
+
+/// Report a creation whose carrier just became ready to its client (once: a
 /// stream failing over was reported long ago).
 fn report_created<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) {
     let created = (sim.state.st().host_mut(host).streams.get_mut(&st_rms))
@@ -1728,9 +1539,8 @@ pub fn on_network_event<W: StWorld>(sim: &mut Sim<W>, network: NetworkId, up: bo
                 .iter()
                 .filter(|(peer, p)| {
                     p.control_out.is_none()
-                        && !p.control_creating
-                        && (!p.data.is_empty()
-                            || !p.queued_ctrl.is_empty()
+                        && (!p.queued_ctrl.is_empty()
+                            || sth.carriers.values().any(|c| c.peer == **peer)
                             || sth.streams.values().any(|s| s.peer == **peer))
                 })
                 .map(|(peer, _)| *peer)

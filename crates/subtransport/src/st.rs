@@ -10,7 +10,7 @@
 use rms_core::hash::DetHashMap;
 
 use bytes::Bytes;
-use dash_net::ids::{CreateToken, HostId, NetRmsId};
+use dash_net::ids::{HostId, NetRmsId};
 use dash_security::cipher::Key;
 use dash_security::cost::CostModel;
 use dash_sim::engine::{Sim, TimerHandle};
@@ -84,36 +84,26 @@ impl Default for StConfig {
     }
 }
 
-/// What a network RMS create (initiated by the ST) was for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetPurpose {
-    /// Our half of the control channel to `peer`.
-    ControlOut(HostId),
-    /// A data stream toward `peer`; the value is the local data-RMS slot.
-    DataOut(HostId, u32),
+/// An outbound network RMS this host created toward a peer: its half of
+/// the peer's control channel, or a data carrier onto which ST RMSs are
+/// multiplexed (§4.2). Recorded in [`StHost::carriers`] under the id
+/// [`dash_net::pipeline::create_rms`] returned, before the network reports
+/// the create's outcome.
+#[derive(Debug)]
+pub struct Carrier {
+    /// The receiving host.
+    pub peer: HostId,
+    /// Set once the network RMS is created; nothing is sent on it before.
+    pub ready: bool,
+    /// Multiplexing state of a data carrier; `None` for the control
+    /// channel's outbound half.
+    pub data: Option<DataOut>,
 }
 
-/// What a known network RMS is used for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetUse {
-    /// Our outgoing control half toward the peer.
-    ControlOut(HostId),
-    /// The peer's control half toward us.
-    ControlIn(HostId),
-    /// An outgoing data stream (value = local slot).
-    DataOut(HostId, u32),
-    /// An incoming data stream from the peer.
-    DataIn(HostId),
-}
-
-/// An outgoing data network RMS slot: creating or ready, with its assigned
-/// ST RMSs and piggyback queue.
+/// A data carrier's multiplexing state: its assigned ST RMSs and its
+/// piggyback queue.
 #[derive(Debug)]
 pub struct DataOut {
-    /// The network RMS once created.
-    pub net_rms: Option<NetRmsId>,
-    /// The network create token while creating.
-    pub token: Option<CreateToken>,
     /// Network-level parameters (requested while creating; actual once
     /// ready).
     pub params: SharedParams,
@@ -132,12 +122,9 @@ pub struct DataOut {
 /// Authentication/connection state for one peer.
 #[derive(Debug, Default)]
 pub struct PeerState {
-    /// Our outgoing control-channel network RMS.
+    /// Our outgoing control-channel network RMS, from its create on; its
+    /// [`Carrier`] says when it is ready.
     pub control_out: Option<NetRmsId>,
-    /// True while the control-out create is in flight.
-    pub control_creating: bool,
-    /// The peer's incoming control-channel network RMS.
-    pub control_in: Option<NetRmsId>,
     /// Nonce of our outstanding Hello.
     pub my_nonce: u64,
     /// True once the peer answered our Hello correctly.
@@ -148,10 +135,6 @@ pub struct PeerState {
     pub pre_auth: Vec<ControlMsg>,
     /// Timer failing queued creates if authentication stalls.
     pub auth_timer: Option<TimerHandle>,
-    /// Data slots (keyed by slot id).
-    pub data: DetHashMap<u32, DataOut>,
-    /// Next data slot id.
-    pub next_slot: u32,
 }
 
 /// One ST RMS endpoint.
@@ -169,10 +152,10 @@ pub struct StStream {
     pub params: SharedParams,
     /// Whether data frames request fast acknowledgements (§3.2).
     pub fast_ack: bool,
-    /// Sender: the data slot this stream is multiplexed onto.
-    pub slot: Option<u32>,
+    /// Sender: the data carrier this stream is multiplexed onto.
+    pub carrier: Option<NetRmsId>,
     /// Sender: the creation is not yet reported to the client; it is once
-    /// the slot is ready ([`StEvent::Created`]).
+    /// the carrier is ready ([`StEvent::Created`]).
     pub creating: bool,
     /// Sender: next message sequence number.
     pub next_seq: u64,
@@ -185,13 +168,11 @@ pub struct StStream {
     pub last_recv_job_deadline: SimTime,
     /// Receiver: reassembly state (§4.3).
     pub reassembly: Reassembly,
-    /// Receiver: the inbound network RMS (learned from the first frame).
-    pub in_net: Option<NetRmsId>,
     /// Set when the stream failed.
     pub failed: bool,
     /// Sender: instant the stream lost its carrier to a network failure and
     /// began failing over; cleared (with a recovery-latency observation)
-    /// when a replacement slot is ready.
+    /// when a replacement carrier is ready.
     pub failover_since: Option<SimTime>,
 }
 
@@ -224,10 +205,8 @@ pub struct StHost {
     pub peers: DetHashMap<HostId, PeerState>,
     /// Live streams, both roles.
     pub streams: DetHashMap<StRmsId, StStream>,
-    /// Purpose of in-flight network creates.
-    pub net_pending: DetHashMap<CreateToken, NetPurpose>,
-    /// Known network RMS usages.
-    pub by_net: DetHashMap<NetRmsId, NetUse>,
+    /// Every outbound network RMS this host created, creating or ready.
+    pub carriers: DetHashMap<NetRmsId, Carrier>,
     /// ST creations in flight, by the token correlating the create request
     /// with its answer.
     pub pending: DetHashMap<u64, StPending>,
@@ -336,8 +315,9 @@ impl StState {
         id
     }
 
-    /// Allocate an ST creation token.
-    pub fn alloc_token(&mut self) -> u64 {
+    /// Allocate the token correlating an ST create request with its
+    /// answer.
+    pub fn alloc_create_token(&mut self) -> u64 {
         let t = self.next_token;
         self.next_token += 1;
         t

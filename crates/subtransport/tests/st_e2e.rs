@@ -25,6 +25,10 @@ struct World {
     created: Vec<(HostId, Client, StRmsId)>,
     inbound: Vec<(HostId, StRmsId)>,
     fast_acks: Vec<(HostId, StRmsId, u64)>,
+    /// Network RMSs created at their sending host, in creation order.
+    net_created: Vec<(HostId, NetRmsId)>,
+    /// The network RMS each network-level delivery arrived on.
+    net_deliveries: Vec<(HostId, NetRmsId)>,
 }
 
 impl World {
@@ -40,6 +44,8 @@ impl World {
             created: Vec::new(),
             inbound: Vec::new(),
             fast_acks: Vec::new(),
+            net_created: Vec::new(),
+            net_deliveries: Vec::new(),
         }
     }
 }
@@ -58,9 +64,13 @@ impl NetWorld for World {
         msg: Message,
         info: DeliveryInfo,
     ) {
+        sim.state.net_deliveries.push((host, rms));
         engine::on_net_deliver(sim, host, rms, msg, info);
     }
     fn rms_event(sim: &mut Sim<Self>, host: HostId, event: NetRmsEvent) {
+        if let NetRmsEvent::Created { rms, .. } = &event {
+            sim.state.net_created.push((host, *rms));
+        }
         engine::on_net_event(sim, host, &event);
     }
 }
@@ -318,15 +328,8 @@ fn fast_ack_reaches_sender() {
 fn missing_pair_key_fails_fast() {
     let (net, a, b) = two_hosts_ethernet();
     let n = net.hosts.len();
-    let world = World {
-        net,
-        st: StState::new(StConfig::default(), n), // no keys provisioned
-        st_deliveries: Vec::new(),
-        st_events: Vec::new(),
-        created: Vec::new(),
-        inbound: Vec::new(),
-        fast_acks: Vec::new(),
-    };
+    let mut world = World::new(net, StConfig::default());
+    world.st = StState::new(StConfig::default(), n); // no keys provisioned
     let mut sim = Sim::new(world);
     let err = engine::create(
         &mut sim,
@@ -351,15 +354,8 @@ fn mismatched_keys_fail_authentication() {
     let mut st = StState::new(StConfig::default(), n);
     // Both sides have keys, but different ones: Hello verification fails.
     st.auth_keys.insert((0, 1), dash_security::Key(111));
-    let world = World {
-        net,
-        st,
-        st_deliveries: Vec::new(),
-        st_events: Vec::new(),
-        created: Vec::new(),
-        inbound: Vec::new(),
-        fast_acks: Vec::new(),
-    };
+    let mut world = World::new(net, StConfig::default());
+    world.st = st;
     let mut sim = Sim::new(world);
     engine::create(
         &mut sim,
@@ -485,6 +481,46 @@ fn idle_cache_evicts_beyond_limit() {
 }
 
 #[test]
+fn a_new_stream_rides_the_lowest_idle_ready_carrier() {
+    let (net, a, b) = two_hosts_ethernet();
+    let mut sim = Sim::new(World::new(net, StConfig::default()));
+    // Streams needing more than half of a 64 KiB carrier never share one:
+    // three stay open and fill theirs; two more leave theirs idle, cached
+    // and ready on close.
+    let request =
+        |kib: u64| RmsRequest::exact(RmsParams::builder(kib * 1024, 1024).build().unwrap());
+    for _ in 0..3 {
+        establish(&mut sim, a, b, &request(60), false);
+    }
+    let idle: Vec<StRmsId> = (0..2)
+        .map(|_| establish(&mut sim, a, b, &request(40), false))
+        .collect();
+    for s in idle {
+        engine::close(&mut sim, a, s).unwrap();
+    }
+    sim.run();
+    assert_eq!(count(&sim, "st.cache_miss"), 5);
+    assert_eq!(count(&sim, "st.cache_eviction"), 0);
+    // `a`'s network RMSs: its control-channel half, then one carrier per
+    // stream above; the last two are the idle ones.
+    let ours: Vec<NetRmsId> = (sim.state.net_created.iter())
+        .filter(|(h, _)| *h == a)
+        .map(|(_, rms)| *rms)
+        .collect();
+    assert_eq!(ours.len(), 6);
+    let (first_idle, second_idle) = (ours[4], ours[5]);
+    assert!(first_idle < second_idle);
+    // Either idle carrier can take this stream; the full ones cannot. The
+    // choice is the lowest id, not whichever the carrier table meets first.
+    let s = establish(&mut sim, a, b, &request(8), false);
+    assert_eq!(count(&sim, "st.cache_miss"), 5, "a cache hit");
+    sim.state.net_deliveries.clear();
+    engine::send(&mut sim, a, s, Message::new(vec![5u8; 64])).unwrap();
+    sim.run();
+    assert_eq!(sim.state.net_deliveries, vec![(b, first_idle)]);
+}
+
+#[test]
 fn deterministic_st_stream_gets_deterministic_net_rms() {
     let (net, a, b) = two_hosts_ethernet();
     let mut sim = Sim::new(World::new(net, StConfig::default()));
@@ -498,8 +534,9 @@ fn deterministic_st_stream_gets_deterministic_net_rms() {
     let st_rms = establish(&mut sim, a, b, &RmsRequest::exact(params), false);
     // The underlying data net RMS must be deterministic (§4.2 rule 1).
     let stream = &sim.state.st.host(a).streams[&st_rms];
-    let slot = stream.slot.unwrap();
-    let d = &sim.state.st.host(a).peers[&b].data[&slot];
+    let carrier = &sim.state.st.host(a).carriers[&stream.carrier.unwrap()];
+    assert_eq!(carrier.peer, b);
+    let d = carrier.data.as_ref().unwrap();
     assert!(matches!(
         d.params.delay.kind,
         rms_core::DelayBoundKind::Deterministic

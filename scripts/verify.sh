@@ -104,6 +104,13 @@ PROPTEST_CASES=2000 cargo test --release -q -p dash-transport --test stream_reco
 # gets a second receiving session — on far more cases than the default.
 PROPTEST_CASES=2000 cargo test --release -q -p dash-transport --test hostile_headers
 
+# Hostile handshakes: forged and duplicated CreateReq/Ack/Nak, Invite and
+# Release packets (ids leaning toward a create in flight and a live RMS,
+# sources from every host, malformed source routes) injected at the
+# network layer; nothing panics, the run drains, the create reports exactly
+# one outcome, and only its peer's ack can create it.
+PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test hostile_handshake
+
 # Chaos suite: the explorer's `Scenario::chaos(seed)` flow preset (three
 # reliable 32 KiB flows of 30 x 256 B, 40 ms apart, under a fault plan
 # drawn from the seed) for seeds 0..28, baked into tests/chaos.rs, run
