@@ -138,9 +138,37 @@ impl PerfLimits {
 /// A provider's offer table: what it can do for each reliability × security
 /// combination. Unsupported combinations are simply absent ("this may be
 /// zero if the combination cannot be directly supported", §3.1).
+///
+/// One fixed slot per combination, so building, reading and combining a
+/// table allocate nothing. Iteration follows the slot order — security in
+/// [`SecurityParams::all`] order, unreliable before reliable within each —
+/// whatever order the combinations were declared in; it is the order
+/// [`negotiate`] breaks closeness ties by.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceTable {
-    entries: Vec<(Reliability, SecurityParams, PerfLimits)>,
+    slots: [Option<PerfLimits>; 8],
+}
+
+/// The combination each [`ServiceTable`] slot holds, in slot order.
+const COMBINATIONS: [(Reliability, SecurityParams); 8] = {
+    let sec = SecurityParams::all();
+    let (u, r) = (Reliability::Unreliable, Reliability::Reliable);
+    [
+        (u, sec[0]),
+        (r, sec[0]),
+        (u, sec[1]),
+        (r, sec[1]),
+        (u, sec[2]),
+        (r, sec[2]),
+        (u, sec[3]),
+        (r, sec[3]),
+    ]
+};
+
+/// The slot of a combination: the inverse of [`COMBINATIONS`].
+fn slot(reliability: Reliability, security: SecurityParams) -> usize {
+    let sec = security.authentication as usize + 2 * security.privacy as usize;
+    2 * sec + reliability as usize
 }
 
 impl ServiceTable {
@@ -149,17 +177,15 @@ impl ServiceTable {
         ServiceTable::default()
     }
 
-    /// Declare support for a combination. Later entries for the same
-    /// combination replace earlier ones.
+    /// Declare support for a combination. Declaring a combination again
+    /// replaces its limits.
     pub fn support(
         &mut self,
         reliability: Reliability,
         security: SecurityParams,
         limits: PerfLimits,
     ) -> &mut Self {
-        self.entries
-            .retain(|(r, s, _)| !(*r == reliability && *s == security));
-        self.entries.push((reliability, security, limits));
+        self.slots[slot(reliability, security)] = Some(limits);
         self
     }
 
@@ -169,15 +195,26 @@ impl ServiceTable {
         reliability: Reliability,
         security: SecurityParams,
     ) -> Option<&PerfLimits> {
-        self.entries
-            .iter()
-            .find(|(r, s, _)| *r == reliability && *s == security)
-            .map(|(_, _, l)| l)
+        self.slots[slot(reliability, security)].as_ref()
     }
 
-    /// Iterate over all supported combinations.
-    pub fn iter(&self) -> impl Iterator<Item = &(Reliability, SecurityParams, PerfLimits)> {
-        self.entries.iter()
+    /// Iterate over all supported combinations, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (Reliability, SecurityParams, &PerfLimits)> {
+        (COMBINATIONS.iter().zip(&self.slots))
+            .filter_map(|(&(rel, sec), limits)| Some((rel, sec, limits.as_ref()?)))
+    }
+
+    /// Let `keep` adjust each supported combination's limits in place, and
+    /// withdraw the combinations it returns `false` for.
+    pub fn retain_mut(
+        &mut self,
+        mut keep: impl FnMut(Reliability, SecurityParams, &mut PerfLimits) -> bool,
+    ) {
+        for (&(rel, sec), entry) in COMBINATIONS.iter().zip(&mut self.slots) {
+            if entry.as_mut().is_some_and(|limits| !keep(rel, sec, limits)) {
+                *entry = None;
+            }
+        }
     }
 }
 
@@ -234,7 +271,8 @@ pub fn negotiate(
     let floor = &request.acceptable;
     let want = &request.desired;
 
-    let mut candidates: Vec<(u32, RmsParams)> = Vec::new();
+    // The first combination with the lowest closeness score wins.
+    let mut best: Option<(u32, RmsParams)> = None;
     let mut saw_combination = false;
     for (rel, sec, limits) in table.iter() {
         if !(rel.includes(floor.reliability) && sec.includes(floor.security)) {
@@ -277,8 +315,8 @@ pub fn negotiate(
         };
 
         let actual = RmsParams {
-            reliability: *rel,
-            security: *sec,
+            reliability: rel,
+            security: sec,
             capacity,
             max_message_size,
             delay: DelayBound {
@@ -294,21 +332,19 @@ pub fn negotiate(
 
         // Closeness score: prefer the exact desired combination, then the
         // fewest gratuitous extra properties (each costs provider work).
-        let extra = u32::from(*rel != want.reliability)
+        let extra = u32::from(rel != want.reliability)
             + u32::from(sec.authentication != want.security.authentication)
             + u32::from(sec.privacy != want.security.privacy);
-        candidates.push((extra, actual));
+        if best.as_ref().is_none_or(|(score, _)| extra < *score) {
+            best = Some((extra, actual));
+        }
     }
 
-    candidates
-        .into_iter()
-        .min_by_key(|(score, _)| *score)
-        .map(|(_, p)| p)
-        .ok_or(if saw_combination {
-            NegotiationError::PerformanceUnreachable
-        } else {
-            NegotiationError::UnsupportedCombination
-        })
+    best.map(|(_, p)| p).ok_or(if saw_combination {
+        NegotiationError::PerformanceUnreachable
+    } else {
+        NegotiationError::UnsupportedCombination
+    })
 }
 
 #[cfg(test)]
@@ -491,5 +527,24 @@ mod tests {
             5
         );
         assert_eq!(table.iter().count(), 1);
+    }
+
+    #[test]
+    fn service_table_iterates_in_slot_order_and_retains_in_place() {
+        let mut table = ServiceTable::new();
+        for sec in SecurityParams::all().into_iter().rev() {
+            table.support(Reliability::Reliable, sec, generous_limits());
+            table.support(Reliability::Unreliable, sec, generous_limits());
+        }
+        let order: Vec<_> = table.iter().map(|(r, s, _)| (r, s)).collect();
+        assert_eq!(order, COMBINATIONS);
+        table.retain_mut(|rel, _, limits| {
+            limits.max_capacity = 7;
+            rel == Reliability::Reliable
+        });
+        assert_eq!(table.iter().count(), 4);
+        assert!(table
+            .iter()
+            .all(|(r, _, l)| r == Reliability::Reliable && l.max_capacity == 7));
     }
 }

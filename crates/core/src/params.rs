@@ -90,7 +90,7 @@ impl SecurityParams {
     }
 
     /// All four combinations, weakest first.
-    pub fn all() -> [SecurityParams; 4] {
+    pub const fn all() -> [SecurityParams; 4] {
         [
             SecurityParams::NONE,
             SecurityParams {

@@ -11,6 +11,8 @@
 //! derived [`ServiceTable`] advertising, for each reliability × security
 //! combination, the performance limits it supports.
 
+use std::cell::OnceCell;
+
 use dash_security::checksum::Algorithm;
 use dash_security::suite::NetworkCapabilities;
 use dash_sim::fault::GilbertElliott;
@@ -215,6 +217,8 @@ pub struct Network {
     /// When enabled, every data payload traversing the network is recorded
     /// (what an eavesdropper would capture).
     pub wiretap: Option<Vec<bytes::Bytes>>,
+    /// `spec.service_table()`, derived on first read.
+    service: OnceCell<ServiceTable>,
 }
 
 /// The wire's verdict on one packet traversal.
@@ -244,7 +248,14 @@ impl Network {
             down: false,
             burst: None,
             wiretap: None,
+            service: OnceCell::new(),
         }
+    }
+
+    /// The §3.1 service table of [`Network::spec`], derived once, on first
+    /// read: set the spec before the network carries traffic.
+    pub fn service_table(&self) -> &ServiceTable {
+        self.service.get_or_init(|| self.spec.service_table())
     }
 
     /// Sample what happens to a packet of `wire_bytes` bytes crossing this

@@ -45,59 +45,47 @@ pub fn combined_service_table<W: NetWorld>(
     state: &W,
     path: &[(HostId, usize, NetworkId, HostId)],
 ) -> ServiceTable {
-    combined_service_table_on(state.net_ref(), path)
+    combined_service_table_on(state.net_ref(), path.iter().map(|&(_, _, n, _)| n))
 }
 
-/// [`combined_service_table`] against a bare [`NetState`] (used by the
-/// routing subsystem, which negotiates per candidate path).
+/// [`combined_service_table`] over the networks a path crosses, in hop
+/// order, against a bare [`NetState`] (used by the routing subsystem,
+/// which negotiates per candidate path). Folds hop by hop into one table.
 pub fn combined_service_table_on(
     net: &NetState,
-    path: &[(HostId, usize, NetworkId, HostId)],
+    networks: impl IntoIterator<Item = NetworkId>,
 ) -> ServiceTable {
-    let mut out = ServiceTable::new();
-    if path.is_empty() {
-        return out;
-    }
-    let tables: Vec<ServiceTable> = path
-        .iter()
-        .map(|(_, _, n, _)| net.network(*n).spec.service_table())
-        .collect();
-    for (rel, sec, first) in tables[0].iter() {
-        let mut acc = *first;
-        let mut ok = true;
-        for t in &tables[1..] {
-            match t.limits(*rel, *sec) {
-                Some(l) => {
-                    acc.min_fixed_delay = acc.min_fixed_delay.saturating_add(l.min_fixed_delay);
-                    acc.min_per_byte_delay =
-                        acc.min_per_byte_delay.saturating_add(l.min_per_byte_delay);
-                    acc.max_capacity = acc.max_capacity.min(l.max_capacity);
-                    acc.max_message_size = acc.max_message_size.min(l.max_message_size);
-                    let combined_ber =
-                        (acc.min_error_rate.rate() + l.min_error_rate.rate()).clamp(0.0, 1.0);
-                    acc.min_error_rate =
-                        BitErrorRate::new(combined_ber).expect("valid combined rate");
-                    acc.max_kind_strength = acc.max_kind_strength.min(l.max_kind_strength);
-                }
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            out.support(*rel, *sec, acc);
-        }
+    let mut networks = networks.into_iter();
+    let Some(first) = networks.next() else {
+        return ServiceTable::new();
+    };
+    let mut out = net.network(first).service_table().clone();
+    for n in networks {
+        let hop = net.network(n).service_table();
+        out.retain_mut(|rel, sec, acc| {
+            let Some(l) = hop.limits(rel, sec) else {
+                return false;
+            };
+            acc.min_fixed_delay = acc.min_fixed_delay.saturating_add(l.min_fixed_delay);
+            acc.min_per_byte_delay = acc.min_per_byte_delay.saturating_add(l.min_per_byte_delay);
+            acc.max_capacity = acc.max_capacity.min(l.max_capacity);
+            acc.max_message_size = acc.max_message_size.min(l.max_message_size);
+            let combined_ber =
+                (acc.min_error_rate.rate() + l.min_error_rate.rate()).clamp(0.0, 1.0);
+            acc.min_error_rate = BitErrorRate::new(combined_ber).expect("valid combined rate");
+            acc.max_kind_strength = acc.max_kind_strength.min(l.max_kind_strength);
+            true
+        });
     }
     out
 }
 
-/// Combine the security capabilities seen along `path`: the conservative
-/// intersection (everything must be trusted for the path to be trusted; the
-/// raw error rates accumulate).
+/// Combine the security capabilities of the networks a path crosses: the
+/// conservative intersection (everything must be trusted for the path to
+/// be trusted; the raw error rates accumulate).
 pub fn combined_capabilities_on(
     net: &NetState,
-    path: &[(HostId, usize, NetworkId, HostId)],
+    networks: impl IntoIterator<Item = NetworkId>,
 ) -> NetworkCapabilities {
     let mut caps = NetworkCapabilities {
         trusted: true,
@@ -106,8 +94,8 @@ pub fn combined_capabilities_on(
         physical_broadcast: true,
         raw_ber: 0.0,
     };
-    for (_, _, n, _) in path {
-        let c = net.network(*n).spec.caps;
+    for n in networks {
+        let c = net.network(n).spec.caps;
         caps.trusted &= c.trusted;
         caps.link_encryption &= c.link_encryption;
         caps.hardware_checksum &= c.hardware_checksum;
@@ -813,8 +801,9 @@ pub fn route_and_enqueue<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet
             _ => None,
         };
         pinned.or_else(|| {
-            routing::ensure_host_routes(sim.state.net(), now, host);
-            sim.state.net_ref().host(host).routes.get(packet.dst)
+            let net = sim.state.net();
+            routing::ensure_host_routes(net, now, host);
+            net.routes(host).get(packet.dst)
         })
     };
     let route = match route {

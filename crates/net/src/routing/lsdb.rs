@@ -99,8 +99,7 @@ impl Lsdb {
     }
 
     /// Whether `self` and `other` still read the same table — true for
-    /// clones of one database until either installs something new. Route
-    /// computation uses it to build one adjacency per distinct table.
+    /// clones of one database until either installs something new.
     pub fn shares_backing(&self, other: &Lsdb) -> bool {
         Arc::ptr_eq(&self.entries, &other.entries)
     }

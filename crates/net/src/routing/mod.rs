@@ -21,10 +21,12 @@
 //!   `pipeline::create_rms`): RMS creation walks the alternates in order —
 //!   advertised-headroom-sufficient paths first — and falls back to the
 //!   next one on a creation NAK instead of failing outright.
-//! - **Event-driven reconvergence** ([`mark_routes_dirty`] +
-//!   [`ensure_host_routes`]): fault events bump a route generation and
-//!   trigger scoped re-floods; each host lazily recomputes its table the
-//!   next time it needs one, recording the reconvergence latency in the
+//! - **On-demand tables and event-driven reconvergence**
+//!   ([`mark_routes_dirty`] + [`ensure_host_routes`]): a host's graph and
+//!   first-hop table are built when first read and dropped whenever its
+//!   LSDB or the availability flags change; fault events bump a route
+//!   generation and trigger scoped re-floods, and the next table-routed
+//!   packet at each host records the reconvergence latency in the
 //!   `routing.recompute_latency` histogram.
 //!
 //! Determinism: the LSDB is an origin-indexed table, flood order follows interface
@@ -112,7 +114,8 @@ pub fn local_links(state: &NetState, host: HostId) -> Vec<LinkInfo> {
 /// full rebuilds). Sequence numbers keep advancing, so every fresh ad
 /// supersedes whatever a host learned from live floods: each host ends up
 /// holding exactly the fresh set, which is therefore built once and handed
-/// to all of them as one shared backing.
+/// to all of them as one shared backing. Every host's routes are dropped
+/// with its old database.
 pub fn seed_lsdbs(state: &mut NetState) {
     let mut seeded = Lsdb::default();
     for h in 0..state.hosts.len() {
@@ -127,32 +130,31 @@ pub fn seed_lsdbs(state: &mut NetState) {
     }
     for host in &mut state.hosts {
         host.lsdb = seeded.clone();
+        host.routes.take();
     }
 }
 
-/// Bump the route generation and mark every host's table stale as of
-/// `now`. Called by fault events (network down/up, host crash/restart):
-/// live availability flags changed, so every table may be wrong. Tables
-/// reconverge lazily via [`ensure_host_routes`]; in-flight creation
-/// attempts notice the generation bump and re-resolve their candidates.
+/// Bump the route generation and drop every host's routes as of `now`.
+/// Called by fault events (network down/up, host crash/restart): live
+/// availability flags changed, so every table may be wrong. Each is
+/// rebuilt when next read; in-flight creation attempts notice the
+/// generation bump and re-resolve their candidates.
 pub fn mark_routes_dirty(state: &mut NetState, now: SimTime) {
     state.route_generation += 1;
     for host in &mut state.hosts {
-        host.routes_dirty_since = Some(host.routes_dirty_since.map_or(now, |d| d.min(now)));
+        host.mark_routes_dirty(now);
     }
 }
 
-/// Recompute `host`'s first-hop table if the routing layer marked it stale,
-/// recording the reconvergence latency (trigger → table rebuilt) in
-/// `routing.recompute_latency`.
+/// Bring `host`'s table up to date for a table-routed packet: build it if
+/// it was dropped, and if it was marked dirty since the last such packet,
+/// count a `routing.recompute` and record the reconvergence latency
+/// (trigger → first table-routed packet) in `routing.recompute_latency`.
 pub fn ensure_host_routes(state: &mut NetState, now: SimTime, host: HostId) {
-    let Some(dirty_since) = state.host(host).routes_dirty_since else {
+    state.routes(host);
+    let Some(dirty_since) = state.host_mut(host).routes_dirty_since.take() else {
         return;
     };
-    let routes = spf::primary_routes(state, host);
-    let h = state.host_mut(host);
-    h.routes = routes;
-    h.routes_dirty_since = None;
     state.obs.emit(
         now,
         ObsEvent::RoutingRecompute {
@@ -190,7 +192,7 @@ pub fn flood_from<W: NetWorld>(sim: &mut Sim<W>, origin: HostId) {
         });
         let h = net.host_mut(origin);
         h.lsdb.install(Arc::clone(&ad));
-        h.routes_dirty_since = Some(h.routes_dirty_since.map_or(now, |d| d.min(now)));
+        h.mark_routes_dirty(now);
         net.obs.emit(
             now,
             ObsEvent::RoutingFlood {
@@ -214,39 +216,36 @@ fn flood_ad<W: NetWorld>(
     exclude: Option<NetworkId>,
 ) {
     let now = sim.now();
-    let mut sends: Vec<(usize, NetworkId, HostId)> = Vec::new();
-    {
-        let net = sim.state.net_ref();
-        for (idx, iface) in net.host(from).ifaces.iter().enumerate() {
-            let network = iface.network;
-            if Some(network) == exclude || net.network(network).down {
+    for iface_idx in 0..sim.state.net_ref().host(from).ifaces.len() {
+        let via = sim.state.net_ref().host(from).ifaces[iface_idx].network;
+        if Some(via) == exclude || sim.state.net_ref().network(via).down {
+            continue;
+        }
+        // Enqueueing never changes who is attached, so the list can be
+        // re-read by index instead of collected.
+        for at in 0..sim.state.net_ref().network(via).attached.len() {
+            let peer = sim.state.net_ref().network(via).attached[at];
+            if peer == from {
                 continue;
             }
-            for &peer in &net.network(network).attached {
-                if peer != from {
-                    sends.push((idx, network, peer));
-                }
-            }
+            let packet = Packet {
+                src: from,
+                dst: peer,
+                kind: PacketKind::LinkStateAd {
+                    ad: Arc::clone(ad),
+                    via,
+                },
+                deadline: now,
+                sent_at: now,
+                corrupted: false,
+                hops,
+                reliable: true,
+                next_plan: None,
+                source_route: None,
+                next_hop: Some(peer),
+            };
+            enqueue_on(sim, from, iface_idx, packet);
         }
-    }
-    for (iface_idx, via, peer) in sends {
-        let packet = Packet {
-            src: from,
-            dst: peer,
-            kind: PacketKind::LinkStateAd {
-                ad: Arc::clone(ad),
-                via,
-            },
-            deadline: now,
-            sent_at: now,
-            corrupted: false,
-            hops,
-            reliable: true,
-            next_plan: None,
-            source_route: None,
-            next_hop: Some(peer),
-        };
-        enqueue_on(sim, from, iface_idx, packet);
     }
 }
 
@@ -262,10 +261,9 @@ pub(crate) fn handle_lsa<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Pa
     let hops = packet.hops;
     let fresh = {
         let net = sim.state.net();
-        let stamped = ad.stamped_at;
         let h = net.host_mut(host);
         if h.lsdb.install(Arc::clone(&ad)) {
-            h.routes_dirty_since = Some(h.routes_dirty_since.map_or(stamped, |d| d.min(stamped)));
+            h.mark_routes_dirty(ad.stamped_at);
             true
         } else {
             false
@@ -277,24 +275,6 @@ pub(crate) fn handle_lsa<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Pa
     if hops < TTL {
         flood_ad(sim, host, &ad, hops + 1, Some(via));
     }
-}
-
-/// The `(hop host, iface index, network, next hop)` tuples of an explicit
-/// path, or `None` if some hop lacks the interface the path assumes.
-pub fn path_tuples(
-    state: &NetState,
-    creator: HostId,
-    hops: &[HostId],
-    networks: &[NetworkId],
-) -> Option<Vec<(HostId, usize, NetworkId, HostId)>> {
-    let mut out = Vec::with_capacity(hops.len());
-    let mut here = creator;
-    for (i, &network) in networks.iter().enumerate() {
-        let iface = state.host(here).iface_on(network)?;
-        out.push((here, iface, network, hops[i]));
-        here = hops[i];
-    }
-    Some(out)
 }
 
 /// Resolve the ordered alternate list for an RMS creation from `creator`
@@ -319,16 +299,18 @@ pub fn candidate_paths(
         return Err(RmsError::CreationRejected(RejectReason::NoRoute));
     }
     let mut first_err: Option<RmsError> = None;
-    let mut viable: Vec<CandidatePath> = Vec::new();
+    let mut viable: Vec<CandidatePath> = Vec::with_capacity(paths.len());
     for (i, p) in paths.into_iter().enumerate() {
-        let Some(tuples) = path_tuples(state, creator, &p.hops, &p.networks) else {
+        // Every hop must hold the interface the path assumes.
+        let senders = std::iter::once(creator).chain(p.hops.iter().copied());
+        if !(senders.zip(&p.networks)).all(|(h, &n)| state.host(h).iface_on(n).is_some()) {
             continue;
-        };
-        let table = combined_service_table_on(state, &tuples);
-        match negotiate(&table, request) {
+        }
+        let networks = p.networks.iter().copied();
+        match negotiate(&combined_service_table_on(state, networks.clone()), request) {
             Ok(negotiated) => {
                 let params = negotiated.shared();
-                let caps = combined_capabilities_on(state, &tuples);
+                let caps = combined_capabilities_on(state, networks);
                 let (plan, _) = select_mechanisms(&params, &caps);
                 viable.push(CandidatePath {
                     hops: p.hops,

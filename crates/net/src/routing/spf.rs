@@ -14,6 +14,11 @@
 //!   lowest HostId sequence" — used by RMS establishment to walk
 //!   admission-aware alternates.
 //!
+//! Both read a host's `HostRoutes`: its graph and first-hop table, built
+//! together on first read ([`NetState::routes`]) and dropped together
+//! whenever the LSDB or the availability flags change; searches reuse the
+//! world's one `Scratch`.
+//!
 //! Topology (who is attached to what) comes from the LSDB; *availability*
 //! (network down, host crashed) is read from the live state, modelling
 //! instantaneous link-layer failure detection, while the QoS attributes
@@ -41,12 +46,12 @@ pub struct AltPath {
     pub min_headroom_bps: f64,
 }
 
-/// The live host–network graph one LSDB describes: the database (host →
-/// its links, in interface order) plus each network's attachment list,
-/// ascending by host id because origins iterate in ascending order; a down
-/// network's list is empty. It depends on the database and the network
-/// flags only, not on who asks, so hosts reading one database can share
-/// one `NetGraph` ([`NetGraph::describes`]) and pay a BFS each.
+/// The host–network graph one LSDB describes: the database (host → its
+/// links, in interface order) plus each network's attachment list,
+/// ascending by host id because origins iterate in ascending order. It
+/// depends on the database alone; a down network is skipped when it is
+/// read ([`NetGraph::on`]), like a crashed host.
+#[derive(Debug)]
 pub(crate) struct NetGraph {
     lsdb: Lsdb,
     /// `attached[start[n]..start[n + 1]]` is network `n`'s list.
@@ -54,12 +59,52 @@ pub(crate) struct NetGraph {
     attached: Vec<HostId>,
 }
 
+/// A host's routing view: the graph of its LSDB and the first-hop table
+/// computed over it. Built on first read ([`NetState::routes`]); every
+/// site that marks the host's routes dirty drops it.
+#[derive(Debug)]
+pub(crate) struct HostRoutes {
+    pub(crate) graph: NetGraph,
+    pub(crate) table: RouteTable,
+}
+
+impl HostRoutes {
+    pub(crate) fn build(state: &NetState, host: HostId) -> Self {
+        let graph = NetGraph::new(state, state.host(host).lsdb.clone());
+        let table = graph.routes_from(state, host, &mut state.route_scratch.borrow_mut().bfs);
+        HostRoutes { graph, table }
+    }
+}
+
+/// Reusable search buffers: one per world, so a table build or a
+/// [`k_paths`] call allocates only when the world's largest search so far
+/// grows.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    bfs: BfsScratch,
+    /// Hop distance to the destination (`u32::MAX`: not reached).
+    dist: Vec<u32>,
+    arena: Vec<Node>,
+    /// `(arena index, hops)` of each answer.
+    found: Vec<(usize, usize)>,
+    visits: Vec<usize>,
+}
+
+/// The breadth-first search's buffers.
+#[derive(Debug, Default)]
+pub(crate) struct BfsScratch {
+    seen: Vec<bool>,
+    exhausted: Vec<bool>,
+    queue: Vec<HostId>,
+    fresh: Vec<(HostId, usize)>,
+}
+
 /// One partial path in the search arena: `host`, reached over `network`
 /// from the node at index `parent` (the root is `src`, its own parent).
 /// `run` ranks the path's hop sequence among its layer's distinct hop
 /// sequences (paths may differ in networks only); until a layer is sorted
 /// it holds the parent's, so the derived order is `(hops, networks)` order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Node {
     run: u32,
     host: HostId,
@@ -69,9 +114,8 @@ struct Node {
 
 impl NetGraph {
     pub(crate) fn new(state: &NetState, lsdb: Lsdb) -> Self {
-        let live = |link: &&LinkInfo| !state.network(link.network).down;
         let mut start = vec![0u32; state.networks.len() + 1];
-        for link in lsdb.entries().flat_map(|ad| &ad.links).filter(live) {
+        for link in lsdb.entries().flat_map(|ad| &ad.links) {
             start[link.network.0 as usize + 1] += 1;
         }
         for n in 1..start.len() {
@@ -80,7 +124,7 @@ impl NetGraph {
         let mut attached = vec![HostId(0); start[start.len() - 1] as usize];
         let mut fill = start.clone();
         for ad in lsdb.entries() {
-            for link in ad.links.iter().filter(live) {
+            for link in &ad.links {
                 let at = &mut fill[link.network.0 as usize];
                 attached[*at as usize] = ad.origin;
                 *at += 1;
@@ -93,13 +137,11 @@ impl NetGraph {
         }
     }
 
-    /// Whether this graph was built over the table `lsdb` still reads
-    /// ([`Lsdb::shares_backing`]).
-    pub(crate) fn describes(&self, lsdb: &Lsdb) -> bool {
-        self.lsdb.shares_backing(lsdb)
-    }
-
-    fn on(&self, network: NetworkId) -> &[HostId] {
+    /// The hosts on `network`, or none while it is down.
+    fn on(&self, state: &NetState, network: NetworkId) -> &[HostId] {
+        if state.network(network).down {
+            return &[];
+        }
         let n = network.0 as usize;
         &self.attached[self.start[n] as usize..self.start[n + 1] as usize]
     }
@@ -119,12 +161,20 @@ impl NetGraph {
         &self,
         state: &NetState,
         root: HostId,
+        scratch: &mut BfsScratch,
         mut first_visit: impl FnMut(HostId, HostId, usize),
     ) {
-        let mut seen = vec![false; state.hosts.len()];
-        let mut exhausted = vec![false; state.networks.len()];
-        let mut queue = Vec::with_capacity(seen.len());
-        let mut fresh: Vec<(HostId, usize)> = Vec::new();
+        let BfsScratch {
+            seen,
+            exhausted,
+            queue,
+            fresh,
+        } = scratch;
+        seen.clear();
+        seen.resize(state.hosts.len(), false);
+        exhausted.clear();
+        exhausted.resize(state.networks.len(), false);
+        queue.clear();
         seen[root.0 as usize] = true;
         queue.push(root);
         let mut head = 0;
@@ -132,7 +182,7 @@ impl NetGraph {
             head += 1;
             for (iface, link) in self.links(u).iter().enumerate() {
                 if !replace(&mut exhausted[link.network.0 as usize], true) {
-                    let peers = self.on(link.network).iter();
+                    let peers = self.on(state, link.network).iter();
                     fresh.extend(peers.filter(|p| !seen[p.0 as usize]).map(|&p| (p, iface)));
                 }
             }
@@ -150,11 +200,16 @@ impl NetGraph {
 
     /// Shortest-hop first-hop table from `src` (see [`primary_routes`] for
     /// the determinism contract).
-    pub(crate) fn routes_from(&self, state: &NetState, src: HostId) -> RouteTable {
+    pub(crate) fn routes_from(
+        &self,
+        state: &NetState,
+        src: HostId,
+        scratch: &mut BfsScratch,
+    ) -> RouteTable {
         let mut table = RouteTable::unreachable(state.hosts.len());
         // A crashed host originates nothing.
         if state.host(src).up {
-            self.bfs(state, src, |u, v, iface| {
+            self.bfs(state, src, scratch, |u, v, iface| {
                 // Inherit the parent's first hop; only `src` has none.
                 let direct = Route { iface, next_hop: v };
                 table.set(v, table.get(u).unwrap_or(direct));
@@ -183,16 +238,23 @@ impl NetGraph {
         src: HostId,
         dst: HostId,
         k: usize,
+        scratch: &mut Scratch,
     ) -> (Vec<AltPath>, usize) {
-        let mut dist = vec![u32::MAX; state.hosts.len()]; // MAX: not reached
+        let Scratch {
+            bfs,
+            dist,
+            arena,
+            found,
+            visits,
+        } = scratch;
+        dist.clear();
+        dist.resize(state.hosts.len(), u32::MAX);
         dist[dst.0 as usize] = 0;
-        self.bfs(state, dst, |u, v, _| {
+        self.bfs(state, dst, bfs, |u, v, _| {
             dist[v.0 as usize] = dist[u.0 as usize] + 1
         });
         let mut expanded = 0;
-        let mut arena: Vec<Node> = Vec::new();
-        let mut found: Vec<(usize, usize)> = Vec::new(); // (arena index, hops)
-        let mut visits = vec![0usize; state.hosts.len()];
+        found.clear();
         for bound in dist[src.0 as usize]..=u32::from(TTL) {
             arena.clear();
             arena.push(Node {
@@ -201,7 +263,8 @@ impl NetGraph {
                 parent: 0,
                 network: NetworkId(0),
             });
-            visits.fill(0);
+            visits.clear();
+            visits.resize(state.hosts.len(), 0);
             found.clear();
             let mut lo = 0;
             'layers: for len in 0..=bound {
@@ -223,12 +286,12 @@ impl NetGraph {
                     *seen += 1;
                     expanded += 1;
                     for link in self.links(tail) {
-                        for &host in self.on(link.network) {
+                        for &host in self.on(state, link.network) {
                             // Too far to finish within `bound`; crashed hosts
                             // end a path but never carry one; no loops.
                             if dist[host.0 as usize] < bound - len
                                 && (host == dst || state.host(host).up)
-                                && path(&arena, at).all(|n| n.host != host)
+                                && path(arena, at).all(|n| n.host != host)
                             {
                                 let (parent, network) = (at as u32, link.network);
                                 arena.push(Node {
@@ -257,9 +320,7 @@ impl NetGraph {
                 break;
             }
         }
-        let paths = found
-            .iter()
-            .map(|&(at, len)| self.alt_path(&arena, at, len));
+        let paths = found.iter().map(|&(at, len)| self.alt_path(arena, at, len));
         (paths.collect(), expanded)
     }
 
@@ -291,25 +352,31 @@ fn path(arena: &[Node], at: usize) -> impl Iterator<Item = &Node> {
     std::iter::successors(Some(at), up).map(move |at| &arena[at])
 }
 
-/// Shortest-hop first-hop table from `src`, computed over `src`'s LSDB.
+/// Shortest-hop first-hop table from `src`, computed afresh over `src`'s
+/// LSDB (the table [`NetState::routes`] builds on demand, without its
+/// cache: the reference the tests compare it against).
 ///
 /// Determinism contract: identical to the original global BFS — neighbours
 /// are taken in `(peer, iface)` order, ties resolve to the first visit, down
 /// networks contribute no edges, and crashed hosts are reachable but never
 /// expanded as transit.
 pub fn primary_routes(state: &NetState, src: HostId) -> RouteTable {
-    NetGraph::new(state, state.host(src).lsdb.clone()).routes_from(state, src)
+    let graph = NetGraph::new(state, state.host(src).lsdb.clone());
+    graph.routes_from(state, src, &mut BfsScratch::default())
 }
 
 /// Up to `k` loop-free paths from `src` to `dst`, in `(length, hops,
 /// networks)` order so the result sequence is byte-stable across runs.
-/// Returns an empty vector when `dst` is unreachable.
+/// Returns an empty vector when `dst` is unreachable. Searches `src`'s
+/// on-demand graph with the world's scratch buffers, so once both exist
+/// the call allocates only its answer.
 pub fn k_paths(state: &NetState, src: HostId, dst: HostId, k: usize) -> Vec<AltPath> {
     if src == dst || k == 0 {
         return Vec::new();
     }
-    let graph = NetGraph::new(state, state.host(src).lsdb.clone());
-    graph.search(state, src, dst, k).0
+    let graph = &state.host_routes(src).graph;
+    let scratch = &mut state.route_scratch.borrow_mut();
+    graph.search(state, src, dst, k, scratch).0
 }
 
 #[cfg(test)]
@@ -324,7 +391,7 @@ mod tests {
     /// Partial paths expanded finding 3 alternates, and how many came back.
     fn cost(state: &NetState, src: HostId, dst: HostId) -> (usize, usize) {
         let graph = NetGraph::new(state, state.host(src).lsdb.clone());
-        let (paths, expanded) = graph.search(state, src, dst, 3);
+        let (paths, expanded) = graph.search(state, src, dst, 3, &mut Scratch::default());
         (expanded, paths.len())
     }
 

@@ -9,6 +9,8 @@
 //! top without this crate knowing about it (paper Figure 1's
 //! network-independent / network-dependent interface).
 
+use std::cell::{OnceCell, RefCell};
+
 use rms_core::hash::DetHashMap;
 
 use dash_sim::engine::{Call, Sim, TimerHandle};
@@ -32,6 +34,7 @@ use crate::iface::{Iface, QueueDiscipline};
 use crate::network::Network;
 use crate::packet::Packet;
 use crate::rms::NetRms;
+use crate::routing::spf::{HostRoutes, Scratch};
 use crate::routing::{CandidatePath, Lsdb};
 
 /// Creation handshake retry timeout.
@@ -81,8 +84,9 @@ pub struct Route {
 
 /// A host's first-hop table: one compact slot per destination, indexed by
 /// host id (dense because host ids are) — a lookup is an index, and a
-/// table costs 8 bytes per destination where a hash map cost several times
-/// that, which is what every replica world multiplies by H².
+/// table costs 8 bytes per destination. Built on demand
+/// ([`NetState::routes`]), so a world holds tables only for the hosts that
+/// route.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteTable {
     /// `slots[dst]` is `(next hop, interface index)`; an interface index
@@ -168,17 +172,19 @@ pub struct NetHost {
     pub id: HostId,
     /// Attached interfaces.
     pub ifaces: Vec<Iface>,
-    /// First-hop routes: destination → (interface, next hop). Recomputed
-    /// from the LSDB whenever `routes_dirty_since` is set (see
-    /// [`crate::routing::ensure_host_routes`]).
-    pub routes: RouteTable,
-    /// This host's link-state database (one ad per known origin).
+    /// The graph of `lsdb` and the first-hop table over it, built on
+    /// first read ([`NetState::routes`]) and dropped by
+    /// [`NetHost::mark_routes_dirty`].
+    pub(crate) routes: OnceCell<HostRoutes>,
+    /// This host's link-state database (one ad per known origin). Install
+    /// through the routing layer, which drops the host's routes with it.
     pub lsdb: Lsdb,
     /// Sequence number of the last link-state ad this host originated.
     pub lsa_seq: u64,
-    /// When set, `routes` may no longer reflect the LSDB / availability
-    /// flags; the value is the earliest trigger time (used to measure
-    /// reconvergence latency when the table is lazily rebuilt).
+    /// When set, the LSDB or the availability flags changed and no
+    /// table-routed packet has been forwarded here since: the earliest
+    /// trigger time, from which [`crate::routing::ensure_host_routes`]
+    /// measures the reconvergence latency it records.
     pub routes_dirty_since: Option<SimTime>,
     /// Pinned next hops for RMSs established through this host: data and
     /// teardown follow the path admission actually reserved, not whatever
@@ -205,6 +211,14 @@ impl NetHost {
     /// Index of the interface attached to `network`, if any.
     pub fn iface_on(&self, network: NetworkId) -> Option<usize> {
         self.ifaces.iter().position(|i| i.network == network)
+    }
+
+    /// What this host's routes were computed from changed at `since`:
+    /// drop them (the next read rebuilds them) and keep the earliest
+    /// trigger time for the reconvergence latency.
+    pub(crate) fn mark_routes_dirty(&mut self, since: SimTime) {
+        self.routes.take();
+        self.routes_dirty_since = Some(self.routes_dirty_since.map_or(since, |d| d.min(since)));
     }
 }
 
@@ -241,6 +255,8 @@ pub struct NetState {
     /// call, or waiting for the CPU job that sends or receives them (the
     /// pending call carries the slot).
     pub(crate) parked: Slab<Packet>,
+    /// The buffers every route computation in this world reuses.
+    pub(crate) route_scratch: RefCell<Scratch>,
     next_rms: u64,
 }
 
@@ -258,6 +274,7 @@ impl NetState {
             route_generation: 0,
             shard: None,
             parked: Slab::new(),
+            route_scratch: RefCell::default(),
             next_rms: 1,
         }
     }
@@ -406,13 +423,23 @@ impl NetState {
         id
     }
 
+    /// `host`'s first-hop table over its LSDB and the live availability
+    /// flags, built on first read. Reading it emits nothing: the
+    /// reconvergence a fault starts is accounted where a table-routed packet
+    /// next needs it ([`crate::routing::ensure_host_routes`]).
+    pub fn routes(&self, host: HostId) -> &RouteTable {
+        &self.host_routes(host).table
+    }
+
+    pub(crate) fn host_routes(&self, host: HostId) -> &HostRoutes {
+        (self.host(host).routes).get_or_init(|| HostRoutes::build(self, host))
+    }
+
     /// The hop-by-hop path from `src` to `dst` as `(hop host, iface index,
-    /// network, next hop)` tuples, or `None` if unroutable.
-    ///
-    /// Stale-safe: a hop whose table was marked dirty by the routing layer
-    /// is consulted through an ad-hoc recomputation (not cached — this
-    /// method takes `&self`), so callers holding only shared access (e.g.
-    /// ST negotiation) always see reconverged routes.
+    /// network, next hop)` tuples, or `None` if unroutable. Each hop reads
+    /// its on-demand table ([`NetState::routes`]), so callers holding only
+    /// shared access (e.g. ST negotiation) see reconverged routes, and a
+    /// walk over built tables allocates only its answer.
     pub fn path(
         &self,
         src: HostId,
@@ -422,12 +449,7 @@ impl NetState {
         let mut out = Vec::new();
         let mut hops = 0;
         while here != dst {
-            let host = self.host(here);
-            let route = if host.routes_dirty_since.is_some() {
-                crate::routing::primary_routes(self, here).get(dst)?
-            } else {
-                host.routes.get(dst)?
-            };
+            let route = self.routes(here).get(dst)?;
             let network = self.host(here).ifaces[route.iface].network;
             out.push((here, route.iface, network, route.next_hop));
             here = route.next_hop;

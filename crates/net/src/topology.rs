@@ -1,20 +1,18 @@
-//! Topology construction: hosts, networks, attachments, and shortest-path
-//! routing.
+//! Topology construction: hosts, networks and attachments.
 //!
 //! An internetwork is a bipartite graph of hosts and networks; a host
 //! attached to two networks is a gateway that store-and-forwards with
 //! deadline queueing (§2.5). At build time every host's link-state
-//! database is seeded and its first-hop table computed by the routing
+//! database is seeded; a host's first-hop table is computed by the routing
 //! subsystem's deterministic BFS (fewest hops; ties broken toward
-//! lower-numbered neighbours); thereafter [`crate::routing`] keeps tables
-//! converged event-drivenly.
+//! lower-numbered neighbours) when something first reads it, and
+//! [`crate::routing`] drops it whenever what it was computed from changes.
 
 use rms_core::admission::ResourceLedger;
 
 use crate::ids::{HostId, NetworkId};
 use crate::iface::Iface;
 use crate::network::{Network, NetworkSpec};
-use crate::routing::spf::NetGraph;
 use crate::state::{NetConfig, NetHost, NetState};
 
 /// Builder for a [`NetState`] (C-BUILDER).
@@ -101,7 +99,7 @@ impl TopologyBuilder {
     }
 
     /// Materialize the [`NetState`]: create interfaces with admission
-    /// ledgers and compute all-pairs routes.
+    /// ledgers and seed every link-state database.
     pub fn build(self) -> NetState {
         let mut state = NetState::new(self.config.clone(), self.seed);
         for (i, spec) in self.specs.iter().enumerate() {
@@ -144,30 +142,18 @@ impl TopologyBuilder {
     }
 }
 
-/// (Re)compute all-pairs shortest-hop routes: seed every LSDB with a fresh
-/// ad from every host, then rebuild each host's first-hop table eagerly.
+/// Seed every LSDB with a fresh ad from every host and drop every
+/// host's routes; each table is rebuilt when something first reads it
+/// ([`NetState::routes`]).
 ///
-/// Fault-aware: down networks carry no edges, and crashed hosts are never
-/// used as transit (they can still be a destination — packets addressed to
-/// them die on arrival instead). This is the build-time (and full-rebuild)
-/// path; live fault events use the scoped, event-driven reconvergence of
-/// [`crate::routing`] instead.
-///
-/// The host–network graph is built once per distinct LSDB backing — once
-/// in all, straight after seeding — and each host runs its own BFS over it.
+/// This is the build-time (and full-rebuild) path; it starts no
+/// reconvergence, so no host owes a `routing.recompute`. Live fault events
+/// use the scoped, event-driven reconvergence of [`crate::routing`]
+/// instead.
 pub fn compute_routes(state: &mut NetState) {
     crate::routing::seed_lsdbs(state);
     state.route_generation += 1;
-    let mut built: Option<NetGraph> = None;
-    for h in 0..state.hosts.len() {
-        let lsdb = &state.hosts[h].lsdb;
-        let graph = match &built {
-            Some(graph) if graph.describes(lsdb) => graph,
-            _ => &*built.insert(NetGraph::new(state, lsdb.clone())),
-        };
-        let routes = graph.routes_from(state, HostId(h as u32));
-        let host = &mut state.hosts[h];
-        host.routes = routes;
+    for host in &mut state.hosts {
         host.routes_dirty_since = None;
     }
 }
@@ -243,11 +229,11 @@ mod tests {
     #[test]
     fn two_hosts_route_directly() {
         let (state, a, c) = two_hosts_ethernet();
-        let r = state.host(a).routes.get(c).unwrap();
+        let r = state.routes(a).get(c).unwrap();
         assert_eq!(r.next_hop, c);
         assert_eq!(r.iface, 0);
-        assert!(state.host(a).routes.get(a).is_none());
-        assert_eq!(state.host(a).routes.iter().collect::<Vec<_>>(), [(c, r)]);
+        assert!(state.routes(a).get(a).is_none());
+        assert_eq!(state.routes(a).iter().collect::<Vec<_>>(), [(c, r)]);
     }
 
     #[test]
@@ -275,7 +261,7 @@ mod tests {
         let a = b.host_on(n1);
         let c = b.host_on(n2);
         let state = b.build();
-        assert!(state.host(a).routes.get(c).is_none());
+        assert!(state.routes(a).get(c).is_none());
         assert!(state.path(a, c).is_none());
     }
 

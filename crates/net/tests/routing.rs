@@ -7,12 +7,13 @@ mod world;
 
 use std::collections::BTreeMap;
 
+use dash_net::fault::{crash_host, restart_host};
 use dash_net::ids::HostId;
 use dash_net::network::NetworkSpec;
-use dash_net::pipeline::{create_rms, send_on_rms};
+use dash_net::pipeline::{create_rms, fail_network, restore_network, send_on_rms};
 use dash_net::routing::{self, candidate_paths, flood_from, k_paths};
-use dash_net::state::{NetState, Route};
-use dash_net::topology::{compute_routes, dumbbell, TopologyBuilder};
+use dash_net::state::{NetState, Route, TTL};
+use dash_net::topology::{dumbbell, TopologyBuilder};
 use dash_net::NetworkId;
 use dash_sim::time::SimDuration;
 use dash_sim::Sim;
@@ -299,6 +300,25 @@ fn build_mesh(n_nets: usize, attachments: &[Vec<bool>]) -> NetState {
     b.build()
 }
 
+/// `NetState::path` as a walk over tables computed fresh at every hop.
+fn fresh_path(
+    net: &NetState,
+    src: HostId,
+    dst: HostId,
+) -> Option<Vec<(HostId, usize, NetworkId, HostId)>> {
+    let (mut here, mut out) = (src, Vec::new());
+    while here != dst {
+        let route = routing::primary_routes(net, here).get(dst)?;
+        let network = net.host(here).ifaces[route.iface].network;
+        out.push((here, route.iface, network, route.next_hop));
+        here = route.next_hop;
+        if out.len() > TTL as usize {
+            return None;
+        }
+    }
+    Some(out)
+}
+
 /// A first-hop table in destination order, so the dense table and the
 /// reference's hash map compare (and print) alike.
 fn sorted(routes: impl IntoIterator<Item = (HostId, Route)>) -> BTreeMap<HostId, Route> {
@@ -327,9 +347,9 @@ proptest! {
             let r1 = routing::primary_routes(&s1, src);
             let r2 = routing::primary_routes(&s2, src);
             prop_assert_eq!(&r1, &r2);
-            // And the built tables match a fresh computation (build-time
+            // And the on-demand tables match a fresh computation (build-time
             // seeding introduced no divergence).
-            prop_assert_eq!(&s1.host(src).routes, &r1);
+            prop_assert_eq!(s1.routes(src), &r1);
             for dst in 0..hosts {
                 if src.0 == dst as u32 {
                     continue;
@@ -343,30 +363,68 @@ proptest! {
         }
     }
 
-    /// A full rebuild serves every host from one graph built over the
-    /// shared seeded table; each table must equal what the host computes
-    /// alone from its own LSDB — with a network down and a host crashed, so
-    /// the availability flags go through both paths.
+    /// Tables are built when read and dropped when what they were computed
+    /// from changes. Random reads — a table through `ensure_host_routes`, a
+    /// `path` walk, `k_paths` — in random host order, interleaved with
+    /// network down/up, host crash/restart and LSA floods, must each equal
+    /// a computation made fresh at that moment. And `routing.recompute`
+    /// must count exactly the table reads at hosts marked dirty since their
+    /// last such read: a fault marks every host, a flood its origin and each
+    /// host that installs its ad; `path` and `k_paths` reads count nothing.
     #[test]
-    fn shared_graph_tables_equal_per_host_computation(
-        n_nets in 1usize..4,
-        attachments in collection::vec(collection::vec(any::<bool>(), 4..5), 2..7),
-        down in 0usize..4,
-        crashed in 0usize..7,
+    fn differential_on_demand_tables_match_fresh_computation(
+        n_nets in 1usize..5,
+        homes in collection::vec(collection::vec(0usize..64, 1..3), 2..10),
+        ops in collection::vec((0u8..7, 0usize..64, 0usize..64), 1..24),
     ) {
-        let attachments: Vec<Vec<bool>> = attachments
-            .into_iter()
-            .map(|mut v| { v.truncate(n_nets); v })
+        let attachments: Vec<Vec<bool>> = homes
+            .iter()
+            .map(|at| (0..n_nets).map(|n| at.iter().any(|a| a % n_nets == n)).collect())
             .collect();
-        let mut s = build_mesh(n_nets, &attachments);
-        let hosts = s.hosts.len();
-        s.networks[down % n_nets].down = true;
-        s.hosts[crashed % hosts].up = false;
-        compute_routes(&mut s);
-        for h in 0..hosts {
-            let h = HostId(h as u32);
-            prop_assert!(s.host(h).lsdb.shares_backing(&s.host(HostId(0)).lsdb));
-            prop_assert_eq!(&s.host(h).routes, &routing::primary_routes(&s, h));
+        let mut sim = Sim::new(World::new(build_mesh(n_nets, &attachments)));
+        let hosts = sim.state.net.hosts.len();
+        let mut dirty = vec![false; hosts];
+        let mut recomputes = 0;
+        for (op, a, b) in ops {
+            let (h, peer) = (HostId((a % hosts) as u32), HostId((b % hosts) as u32));
+            let network = NetworkId((b % n_nets) as u32);
+            let seqs = |net: &NetState| -> Vec<Option<u64>> {
+                (net.hosts.iter()).map(|x| x.lsdb.get(h).map(|ad| ad.seq)).collect()
+            };
+            let (before, generation) = (seqs(&sim.state.net), sim.state.net.route_generation);
+            match op {
+                0 => {
+                    let now = sim.now();
+                    routing::ensure_host_routes(&mut sim.state.net, now, h);
+                    recomputes += u64::from(std::mem::take(&mut dirty[h.0 as usize]));
+                    let net = &sim.state.net;
+                    prop_assert_eq!(net.routes(h), &routing::primary_routes(net, h));
+                }
+                1 => {
+                    let net = &sim.state.net;
+                    prop_assert_eq!(net.path(h, peer), fresh_path(net, h, peer));
+                }
+                2 => {
+                    let net = &sim.state.net;
+                    let (fresh, pops) = common::k_paths(net, h, peer, 3);
+                    prop_assert!(pops <= common::EXPANSION_CAP);
+                    prop_assert_eq!(k_paths(net, h, peer, 3), fresh);
+                }
+                3 => fail_network(&mut sim, network),
+                4 => restore_network(&mut sim, network),
+                5 if sim.state.net.host(h).up => crash_host(&mut sim, h),
+                5 => restart_host(&mut sim, h),
+                _ => flood_from(&mut sim, h),
+            }
+            sim.run();
+            let net = &sim.state.net;
+            if net.route_generation != generation {
+                dirty.fill(true);
+            }
+            for (x, (was, now)) in before.iter().zip(seqs(net)).enumerate() {
+                dirty[x] |= *was != now;
+            }
+            prop_assert_eq!(net.obs.registry.counter_value("routing.recompute"), recomputes);
         }
     }
 

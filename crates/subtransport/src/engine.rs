@@ -16,7 +16,7 @@ use dash_net::state::{emit, NetRmsEvent};
 use dash_sim::engine::{Args, Call, Sim};
 use dash_sim::obs::{DropCause, FlushReason, ObsEvent};
 use dash_sim::time::{SimDuration, SimTime};
-use rms_core::compat::{negotiate, RmsRequest, ServiceTable};
+use rms_core::compat::{negotiate, RmsRequest};
 use rms_core::delay::DelayBoundKind;
 use rms_core::error::{FailReason, RejectReason, RmsError};
 use rms_core::message::Message;
@@ -73,20 +73,18 @@ pub fn st_negotiate<W: StWorld>(
         .net_ref()
         .path(host, peer)
         .ok_or(RmsError::CreationRejected(RejectReason::NoRoute))?;
-    let net_table = net::combined_service_table(&sim.state, &path);
+    let mut table = net::combined_service_table(&sim.state, &path);
     let (slack_fixed, slack_per_byte) = stage_slack(&sim.state);
-    let mut shifted = ServiceTable::new();
-    for (rel, sec, limits) in net_table.iter() {
-        let mut l = *limits;
+    table.retain_mut(|_, _, l| {
         l.min_fixed_delay = l.min_fixed_delay.saturating_add(slack_fixed);
         l.min_per_byte_delay = l.min_per_byte_delay.saturating_add(slack_per_byte);
         l.max_message_size = l
             .max_message_size
             .max(ST_MAX_MESSAGE_SIZE)
             .min(l.max_capacity);
-        shifted.support(*rel, *sec, l);
-    }
-    Ok(negotiate(&shifted, request)?)
+        true
+    });
+    Ok(negotiate(&table, request)?)
 }
 
 // ---------------------------------------------------------------------------
