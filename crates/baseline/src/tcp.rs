@@ -498,14 +498,10 @@ fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, (host, conn): Args) {
                 c.ssthresh = (c.cwnd / 2).max(mss);
                 c.cwnd = mss;
                 c.rto_backoff = (c.rto_backoff + 1).min(8);
-                // Go-back-N: rewind to the oldest unacknowledged byte.
-                let una = c.snd_una;
-                let unsent = c.snd_nxt - una;
-                // Prepend the in-flight bytes back onto the send buffer by
-                // reconstructing from the retransmission copy we keep.
-                Some(RtoAction::Rewind {
-                    rewind_bytes: unsent,
-                })
+                // Go-back-N: rewind to the oldest unacknowledged byte,
+                // prepending the in-flight bytes back onto the send buffer
+                // from the retransmission copy we keep.
+                Some(RtoAction::Rewind)
             }
             _ => None,
         }
@@ -529,10 +525,10 @@ fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, (host, conn): Args) {
             );
             ensure_rto(sim, host, conn);
         }
-        Some(RtoAction::Rewind { rewind_bytes }) => {
+        Some(RtoAction::Rewind) => {
             // We keep no per-segment retransmission buffer; instead we
-            // retransmit from the retained copies in `retx_buf`.
-            rewind_and_retransmit(sim, host, conn, rewind_bytes);
+            // retransmit from the retained copies in `retx_copy`.
+            rewind_and_retransmit(sim, host, conn);
             ensure_rto(sim, host, conn);
         }
         Some(RtoAction::GiveUp) => {
@@ -544,19 +540,16 @@ fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, (host, conn): Args) {
 
 enum RtoAction {
     Resyn { peer: HostId, src: u16, dst: u16 },
-    Rewind { rewind_bytes: u64 },
+    Rewind,
     GiveUp,
 }
 
 /// Retransmission model: the sender keeps a shadow copy of unacknowledged
-/// bytes in `retx` so go-back-N can resend them. To keep the structure
+/// bytes in `retx_copy` so go-back-N can resend them. To keep the structure
 /// simple we stash them back at the *front* of the send buffer and reset
 /// `snd_nxt`.
-#[derive(Debug, Default)]
-pub struct RetxShadow;
-
-fn rewind_and_retransmit<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64, _bytes: u64) {
-    // The shadow copy lives in `retx_buf` keyed per connection.
+fn rewind_and_retransmit<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
+    // The shadow copy lives in the connection's `retx_copy`.
     let rewound = {
         let st = sim.state.tcp();
         let Some(c) = st.conn_mut(host, conn) else {

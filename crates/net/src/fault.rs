@@ -161,9 +161,12 @@ pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
     }
 }
 
-/// Bring a crashed host back. Its protocol state starts empty (RMSs lost
-/// in the crash stay failed); routing may use it as transit again once it
-/// re-announces itself by flooding fresh link state. Idempotent.
+/// Bring a crashed host back. Its creation attempts and invites were
+/// abandoned at the crash, but [`crash_host`] kept every endpoint (marked
+/// failed, and failed they stay), reservation and forwarding pin, and
+/// nothing releases them yet (see DESIGN.md, "Fault model"). Routing may
+/// use the host as transit again once it re-announces itself by flooding
+/// fresh link state. Idempotent.
 pub fn restart_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
     let now = sim.now();
     {

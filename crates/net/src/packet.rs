@@ -31,14 +31,10 @@ pub struct SourceRoute {
 }
 
 impl SourceRoute {
-    /// The network the packet must cross next, if any hops remain.
-    pub fn next_network(&self) -> Option<NetworkId> {
-        self.networks.get(self.next).copied()
-    }
-
-    /// The host the packet must be handed to next, if any hops remain.
-    pub fn next_hop(&self) -> Option<HostId> {
-        self.hops.get(self.next).copied()
+    /// Leg `i`: the network to cross and the host it reaches, if the route
+    /// has that many legs. The packet's next leg is `leg(self.next)`.
+    pub fn leg(&self, i: usize) -> Option<(NetworkId, HostId)> {
+        Some((*self.networks.get(i)?, *self.hops.get(i)?))
     }
 }
 
@@ -197,6 +193,26 @@ pub struct Packet {
 }
 
 impl Packet {
+    /// A control packet `src` originates toward `dst` at `now`: due now,
+    /// sent with link ARQ, no hops taken, routed by table. Packets that
+    /// differ (a datagram without ARQ, a source-routed request, a flooded
+    /// ad) override fields by struct update.
+    pub fn control(src: HostId, dst: HostId, kind: PacketKind, now: SimTime) -> Packet {
+        Packet {
+            src,
+            dst,
+            kind,
+            deadline: now,
+            sent_at: now,
+            corrupted: false,
+            hops: 0,
+            reliable: true,
+            next_plan: None,
+            source_route: None,
+            next_hop: None,
+        }
+    }
+
     /// Total bytes this packet occupies on the wire.
     pub fn wire_bytes(&self) -> u64 {
         let route = self

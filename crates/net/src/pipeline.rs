@@ -26,8 +26,8 @@ use rms_core::wire::WireMsg;
 use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::network::WireOutcome;
 use crate::packet::{DataPacket, NakReason, Packet, PacketKind, SourceRoute};
-use crate::rms::{Buffered, NetRms, RmsRole, REORDER_FAIL_THRESHOLD};
-use crate::routing;
+use crate::rms::{NetRms, RmsRole, REORDER_FAIL_THRESHOLD};
+use crate::routing::{self, CandidatePath};
 use crate::state::{
     emit, NetRmsEvent, NetState, NetWorld, PendingCreate, PendingInvite, Route, CREATE_RETRIES,
     CREATE_TIMEOUT, TTL,
@@ -143,33 +143,43 @@ pub fn create_rms<W: NetWorld>(
         return Err(RmsError::CreationRejected(RejectReason::NoRoute));
     }
     let alternates = routing::candidate_paths(sim.state.net_ref(), creator, peer, request)?;
-
     let net = sim.state.net();
     let rms = net.alloc_rms_id();
+    begin_create(net, creator, rms, peer, false, request.clone(), alternates);
+    // Deferred so the caller records the returned id before any
+    // failure/success event can fire.
+    sim.call_in(SimDuration::ZERO, create_attempt::<W>, (creator.0, rms.0));
+    Ok(rms)
+}
+
+/// File the record of a create `creator` starts toward `peer` under `rms`,
+/// at the first of its `alternates`, and draw the stream key the receiver
+/// will be given.
+fn begin_create(
+    net: &mut NetState,
+    creator: HostId,
+    rms: NetRmsId,
+    peer: HostId,
+    invite: bool,
+    request: RmsRequest,
+    alternates: Vec<CandidatePath>,
+) {
     let key = Key(net.rng.next_u64());
     let route_gen = net.route_generation;
-    let first = &alternates[0];
-    let (params, plan) = (first.params.clone(), first.plan);
     net.host_mut(creator).pending.insert(
         rms,
         PendingCreate {
             peer,
-            params,
             attempts: 0,
             timer: None,
-            invite: false,
-            plan,
+            invite,
             key,
-            request: request.clone(),
+            request,
             alternates,
             alt_idx: 0,
             route_gen,
         },
     );
-    // Deferred so the caller records the returned id before any
-    // failure/success event can fire.
-    sim.call_in(SimDuration::ZERO, create_attempt::<W>, (creator.0, rms.0));
-    Ok(rms)
 }
 
 /// Create a network RMS with `creator` as the data **receiver** (§2.4: the
@@ -246,19 +256,7 @@ fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
         );
         return;
     }
-    let packet = Packet {
-        src: creator,
-        dst: peer,
-        kind: PacketKind::Invite { rms, params },
-        deadline: now,
-        sent_at: now,
-        corrupted: false,
-        hops: 0,
-        reliable: true,
-        next_plan: None,
-        source_route: None,
-        next_hop: None,
-    };
+    let packet = Packet::control(creator, peer, PacketKind::Invite { rms, params }, now);
     route_and_enqueue(sim, creator, packet);
     // Retry while the invite is still pending (the CreateReq arriving at
     // us removes it).
@@ -272,17 +270,16 @@ fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
 
 fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: NetRmsId) {
     let now = sim.now();
-    let (peer, invite, attempts) = {
-        let p = match sim.state.net().host_mut(creator).pending.get_mut(&rms) {
-            Some(p) => p,
-            None => return,
-        };
-        p.attempts += 1;
-        (p.peer, p.invite, p.attempts)
+    let net = sim.state.net();
+    let route_gen = net.route_generation;
+    let Some(p) = net.host_mut(creator).pending.get_mut(&rms) else {
+        return;
     };
+    p.attempts += 1;
+    let (peer, attempts) = (p.peer, p.attempts);
     if attempts > CREATE_RETRIES {
         // Give up: clean any partial reservations and report.
-        sim.state.net().host_mut(creator).pending.remove(&rms);
+        net.host_mut(creator).pending.remove(&rms);
         release_local_and_send_release(sim, creator, rms, peer);
         W::rms_event(
             sim,
@@ -300,33 +297,18 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
     // name dead first hops. Detect staleness via the route generation and
     // re-resolve alternates from the original request instead of blindly
     // resending into a black hole.
-    let stale = {
-        let net = sim.state.net_ref();
-        net.host(creator)
-            .pending
-            .get(&rms)
-            .is_some_and(|p| p.route_gen != net.route_generation)
-    };
-    if stale {
-        release_hop(sim.state.net(), creator, rms);
-        let request = match sim.state.net_ref().host(creator).pending.get(&rms) {
-            Some(p) => p.request.clone(),
-            None => return,
-        };
-        match routing::candidate_paths(sim.state.net_ref(), creator, peer, &request) {
-            Ok(candidates) => {
-                let gen = sim.state.net_ref().route_generation;
-                let net = sim.state.net();
-                if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
-                    p.params = candidates[0].params.clone();
-                    p.plan = candidates[0].plan;
-                    p.alternates = candidates;
-                    p.alt_idx = 0;
-                    p.route_gen = gen;
-                }
+    if p.route_gen != route_gen {
+        let request = p.request.clone();
+        release_hop(net, creator, rms);
+        match routing::candidate_paths(net, creator, peer, &request) {
+            Ok(alternates) => {
+                let p = net.host_mut(creator).pending.get_mut(&rms).expect("filed");
+                p.alternates = alternates;
+                p.alt_idx = 0;
+                p.route_gen = route_gen;
             }
             Err(err) => {
-                sim.state.net().host_mut(creator).pending.remove(&rms);
+                net.host_mut(creator).pending.remove(&rms);
                 let reason = match err {
                     RmsError::CreationRejected(r) => r,
                     _ => RejectReason::NoRoute,
@@ -337,118 +319,70 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
         }
     }
 
-    // Walk the alternates from the current cursor: reserve on our own
-    // outbound interface (hop 0), idempotently, advancing past candidates
-    // whose first hop is down or refuses admission.
-    let mut admission_detail: Option<String> = None;
-    let chosen = loop {
-        let (first_net_id, first_hop, params, plan) = {
-            let net = sim.state.net_ref();
-            let p = match net.host(creator).pending.get(&rms) {
-                Some(p) => p,
-                None => return,
-            };
-            match p.alternates.get(p.alt_idx) {
-                Some(c) => (c.networks[0], c.hops[0], c.params.clone(), c.plan),
-                None => break None,
-            }
-        };
+    // Walk the alternates from the current cursor, taking our own first
+    // leg's reservation step like every hop does, and advance past
+    // candidates whose first leg is down or refuses admission.
+    let mut admission_detail = None;
+    loop {
         let net = sim.state.net();
-        if net.network(first_net_id).down {
-            release_hop(net, creator, rms);
-            if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
-                p.alt_idx += 1;
-            }
-            continue;
-        }
-        let iface = match net.host(creator).iface_on(first_net_id) {
-            Some(i) => i,
-            None => {
-                if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
-                    p.alt_idx += 1;
-                }
-                continue;
-            }
+        let p = &net.host(creator).pending[&rms];
+        let Some(c) = p.alternates.get(p.alt_idx) else {
+            net.host_mut(creator).pending.remove(&rms);
+            let reason = match admission_detail {
+                Some(detail) => RejectReason::AdmissionDenied { detail },
+                None => RejectReason::NoRoute,
+            };
+            W::rms_event(sim, creator, NetRmsEvent::CreateFailed { rms, reason });
+            return;
         };
-        if let Err(detail) = admit_hop(net, now, creator, iface, rms, &params) {
-            admission_detail = Some(detail);
-            if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
-                p.alt_idx += 1;
+        let (leg, params) = ((c.networks[0], c.hops[0]), c.params.clone());
+        match reserve_leg(net, now, creator, rms, Some(leg), &params) {
+            Ok(_) => break,
+            Err(detail) => {
+                admission_detail = detail.or(admission_detail);
+                net.host_mut(creator)
+                    .pending
+                    .get_mut(&rms)
+                    .expect("filed")
+                    .alt_idx += 1;
             }
-            continue;
         }
-        net.host_mut(creator).rms_next.insert(
-            rms,
-            Route {
-                iface,
-                next_hop: first_hop,
-            },
-        );
-        if let Some(p) = net.host_mut(creator).pending.get_mut(&rms) {
-            p.params = params.clone();
-            p.plan = plan;
-        }
-        break Some((first_net_id, params, plan));
-    };
-    let Some((first_net, params, plan)) = chosen else {
-        sim.state.net().host_mut(creator).pending.remove(&rms);
-        let reason = match admission_detail {
-            Some(detail) => RejectReason::AdmissionDenied { detail },
-            None => RejectReason::NoRoute,
-        };
-        W::rms_event(sim, creator, NetRmsEvent::CreateFailed { rms, reason });
-        return;
-    };
-
-    let (key, source_route) = {
-        let net = sim.state.net_ref();
-        let p = match net.host(creator).pending.get(&rms) {
-            Some(p) => p,
-            None => return,
-        };
-        let c = &p.alternates[p.alt_idx];
-        (
-            p.key,
-            SourceRoute {
-                hops: c.hops.clone(),
-                networks: c.networks.clone(),
-                next: 0,
-            },
-        )
-    };
-    if sim.state.net().obs.is_active() {
-        // Announce the pinned source route (creator first) so an external
-        // oracle can check the chosen alternate is loop-free. The one
-        // guarded emit: the hop list costs an allocation per creation.
-        let mut hops: Vec<u32> = Vec::with_capacity(source_route.hops.len() + 1);
-        hops.push(creator.0);
-        hops.extend(source_route.hops.iter().map(|h| h.0));
-        sim.state.net().obs.emit(
-            now,
-            ObsEvent::RoutingPathPinned {
-                host: creator.0,
-                hops,
-            },
-        );
     }
-    let packet = Packet {
-        src: creator,
-        dst: peer,
-        kind: PacketKind::CreateReq {
-            rms,
-            params,
-            path: vec![first_net],
-            invite,
-        },
-        deadline: now,
-        sent_at: now,
-        corrupted: false,
-        hops: 0,
-        reliable: true,
-        next_plan: Some((plan, key)),
-        source_route: Some(source_route),
-        next_hop: None,
+
+    let net = sim.state.net();
+    let p = &net.host(creator).pending[&rms];
+    let c = &p.alternates[p.alt_idx];
+    // Announce the pinned source route (creator first) so an external
+    // oracle can check the chosen alternate is loop-free. The one guarded
+    // emit: the hop list costs an allocation per creation.
+    let pinned: Option<Vec<u32>> = (net.obs.is_active()).then(|| {
+        std::iter::once(creator.0)
+            .chain(c.hops.iter().map(|h| h.0))
+            .collect()
+    });
+    let kind = PacketKind::CreateReq {
+        rms,
+        params: c.params.clone(),
+        path: vec![c.networks[0]],
+        invite: p.invite,
     };
+    let source_route = SourceRoute {
+        hops: c.hops.clone(),
+        networks: c.networks.clone(),
+        next: 0,
+    };
+    let packet = Packet {
+        next_plan: Some((c.plan, p.key)),
+        source_route: Some(source_route),
+        ..Packet::control(creator, peer, kind, now)
+    };
+    if let Some(hops) = pinned {
+        let event = ObsEvent::RoutingPathPinned {
+            host: creator.0,
+            hops,
+        };
+        net.obs.emit(now, event);
+    }
     route_and_enqueue(sim, creator, packet);
     let timer = sim.call_timer(CREATE_TIMEOUT, create_attempt::<W>, (creator.0, rms.0));
     if let Some(p) = sim.state.net().host_mut(creator).pending.get_mut(&rms) {
@@ -456,6 +390,45 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
     } else {
         timer.cancel();
     }
+}
+
+/// One hop's step of establishment, the same at the creator's first hop
+/// and at every transit hop: `leg`, the network to cross and the host it
+/// reaches, must be up and leave from one of `host`'s interfaces;
+/// admission (§2.3, [`admit_hop`]) then reserves `params` there, and `rms`
+/// is pinned to the leg so data and teardown follow the reservation even
+/// after reconvergence moves the table. Returns the leg's network. A
+/// refused leg leaves nothing held here and says why: `None` when there is
+/// no usable leg, the ledger's explanation when admission refused.
+fn reserve_leg(
+    net: &mut NetState,
+    now: SimTime,
+    host: HostId,
+    rms: NetRmsId,
+    leg: Option<(NetworkId, HostId)>,
+    params: &SharedParams,
+) -> Result<NetworkId, Option<String>> {
+    let route = leg.and_then(|(network, next_hop)| {
+        let up = net
+            .networks
+            .get(network.0 as usize)
+            .is_some_and(|n| !n.down);
+        let iface = net.host(host).iface_on(network).filter(|_| up)?;
+        Some((network, Route { iface, next_hop }))
+    });
+    let verdict = match route {
+        Some((network, route)) => admit_hop(net, now, host, route.iface, rms, params)
+            .map(|()| {
+                net.host_mut(host).rms_next.insert(rms, route);
+                network
+            })
+            .map_err(Some),
+        None => Err(None),
+    };
+    if verdict.is_err() {
+        release_hop(net, host, rms);
+    }
+    verdict
 }
 
 /// Release `host`'s reservation for `rms`, if it holds one, and drop its
@@ -519,25 +492,20 @@ fn release_local_and_send_release<W: NetWorld>(
 ) {
     let now = sim.now();
     let pin = release_hop(sim.state.net(), host, rms);
-    let mut packet = Packet {
-        src: host,
-        dst: peer,
-        kind: PacketKind::Release { rms },
-        deadline: now,
-        sent_at: now,
-        corrupted: false,
-        hops: 0,
-        reliable: true,
-        next_plan: None,
-        source_route: None,
-        next_hop: None,
-    };
-    // Tear down along the pinned path when we still have it, so the
-    // release follows the reservations it is undoing even after routes
-    // moved elsewhere.
+    let packet = Packet::control(host, peer, PacketKind::Release { rms }, now);
+    send_release(sim, host, pin, packet);
+}
+
+/// Send a `Release` on from `host` along the pin its stream had here, so
+/// teardown follows the reservations it is undoing even after routes
+/// moved elsewhere; by table when there was none.
+fn send_release<W: NetWorld>(sim: &mut Sim<W>, host: HostId, pin: Option<Route>, packet: Packet) {
     match pin {
         Some(route) => {
-            packet.next_hop = Some(route.next_hop);
+            let packet = Packet {
+                next_hop: Some(route.next_hop),
+                ..packet
+            };
             enqueue_on(sim, host, route.iface, packet);
         }
         None => {
@@ -745,17 +713,8 @@ pub fn send_datagram<W: NetWorld>(
 ) {
     let now = sim.now();
     let packet = Packet {
-        src: host,
-        dst,
-        kind: PacketKind::Raw { proto, payload },
-        deadline: now,
-        sent_at: now,
-        corrupted: false,
-        hops: 0,
         reliable: false,
-        next_plan: None,
-        source_route: None,
-        next_hop: None,
+        ..Packet::control(host, dst, PacketKind::Raw { proto, payload }, now)
     };
     route_and_enqueue(sim, host, packet);
 }
@@ -788,10 +747,10 @@ pub fn route_and_enqueue<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet
     }
     let route = if let Some(sr) = packet.source_route.as_ref() {
         let net = sim.state.net_ref();
-        sr.next_network()
-            .and_then(|n| net.host(host).iface_on(n))
-            .zip(sr.next_hop())
-            .map(|(iface, next_hop)| Route { iface, next_hop })
+        sr.leg(sr.next).and_then(|(network, next_hop)| {
+            let iface = net.host(host).iface_on(network)?;
+            Some(Route { iface, next_hop })
+        })
     } else {
         let pinned = match &packet.kind {
             PacketKind::Data(d) => sim.state.net_ref().host(host).rms_next.get(&d.rms).copied(),
@@ -886,17 +845,8 @@ fn send_quench<W: NetWorld>(
     let now = sim.now();
     emit(sim, ObsEvent::QuenchSent { host: host.0 });
     let packet = Packet {
-        src: host,
-        dst: to,
-        kind: PacketKind::Quench { proto, dropped_dst },
-        deadline: now,
-        sent_at: now,
-        corrupted: false,
-        hops: 0,
         reliable: false,
-        next_plan: None,
-        source_route: None,
-        next_hop: None,
+        ..Packet::control(host, to, PacketKind::Quench { proto, dropped_dst }, now)
     };
     route_and_enqueue(sim, host, packet);
 }
@@ -1167,179 +1117,107 @@ fn reverse_route(sr: &SourceRoute, at_index: usize, creator: HostId) -> Option<S
     })
 }
 
-fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
-    // Take the packet apart by value: the kind's params and path move out
-    // once instead of being cloned just to destructure.
-    let Packet {
-        src,
-        dst,
-        kind,
-        deadline,
-        sent_at,
-        corrupted,
-        hops,
-        reliable,
-        next_plan,
-        source_route,
-        next_hop: _,
-    } = packet;
+fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packet) {
+    if packet.dst == host {
+        return accept_create_req(sim, host, packet);
+    }
+    // Transit hop: take the reservation step on the next leg of the
+    // creator's source route and forward the request in place, or refuse.
+    let now = sim.now();
     let PacketKind::CreateReq {
         rms,
-        params,
-        mut path,
-        invite,
-    } = kind
+        ref params,
+        ref mut path,
+        ..
+    } = packet.kind
     else {
         unreachable!()
     };
-    let (plan, key) = next_plan.unwrap_or((MechanismPlan::NONE, Key(0)));
+    let leg = (packet.source_route.as_ref()).and_then(|sr| sr.leg(sr.next + 1));
+    match reserve_leg(sim.state.net(), now, host, rms, leg, params) {
+        Ok(network) => {
+            path.push(network);
+            forward(sim, host, packet);
+        }
+        Err(detail) => {
+            let reason = match detail {
+                Some(_) => NakReason::Admission,
+                None => NakReason::NoRoute,
+            };
+            let nak = PacketKind::CreateNak { rms, reason };
+            answer_creator(sim, host, packet.src, packet.source_route.as_ref(), nak);
+        }
+    }
+}
 
-    if dst == host {
-        // Receiver endpoint. Idempotent: a retry of an already-accepted
-        // request just re-acks.
-        let is_new = !sim.state.net_ref().host(host).rms.contains_key(&rms);
-        if is_new {
-            let endpoint = NetRms::new(
-                rms,
-                RmsRole::Receiver,
-                src,
-                params.clone(),
-                plan,
-                key,
-                path.clone(),
-            );
-            sim.state.net().host_mut(host).rms.insert(rms, endpoint);
-        }
-        let now = sim.now();
-        // Retrace the request's own path so the confirmation cannot be
-        // detoured by a concurrent route change.
-        let back = source_route
-            .as_ref()
-            .and_then(|sr| reverse_route(sr, sr.next, src));
-        let ack = Packet {
-            src: host,
-            dst: src,
-            kind: PacketKind::CreateAck {
-                rms,
-                path: path.clone(),
-            },
-            deadline: now,
-            sent_at: now,
-            corrupted: false,
-            hops: 0,
-            reliable: true,
-            next_plan: None,
-            source_route: back,
-            next_hop: None,
-        };
-        route_and_enqueue(sim, host, ack);
-        if is_new {
-            // If this answers our invite, resolve it.
-            if invite {
-                if let Some(inv) = sim.state.net().host_mut(host).invites.remove(&rms) {
-                    if let Some(t) = inv.timer {
-                        t.cancel();
-                    }
-                }
-            }
-            W::rms_event(
-                sim,
-                host,
-                NetRmsEvent::InboundCreated {
-                    rms,
-                    peer: src,
-                    params,
-                    invite,
-                },
-            );
-        }
+/// Answer a `CreateReq` from `host` to its creator `src`, retracing the
+/// request's source route `sr` so the answer cannot be detoured by a
+/// concurrent route change.
+fn answer_creator<W: NetWorld>(
+    sim: &mut Sim<W>,
+    host: HostId,
+    src: HostId,
+    sr: Option<&SourceRoute>,
+    kind: PacketKind,
+) {
+    let now = sim.now();
+    let packet = Packet {
+        source_route: sr.and_then(|sr| reverse_route(sr, sr.next, src)),
+        ..Packet::control(host, src, kind, now)
+    };
+    route_and_enqueue(sim, host, packet);
+}
+
+/// A request reached its receiver: open the receiving endpoint, once (a
+/// retry of an accepted request is just re-acked), and confirm.
+fn accept_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
+    let src = packet.src;
+    let PacketKind::CreateReq {
+        rms,
+        params,
+        path,
+        invite,
+    } = packet.kind
+    else {
+        unreachable!()
+    };
+    let is_new = !sim.state.net_ref().host(host).rms.contains_key(&rms);
+    if is_new {
+        let (plan, key) = packet.next_plan.unwrap_or((MechanismPlan::NONE, Key(0)));
+        let endpoint = NetRms::new(
+            rms,
+            RmsRole::Receiver,
+            src,
+            params.clone(),
+            plan,
+            key,
+            path.clone(),
+        );
+        sim.state.net().host_mut(host).rms.insert(rms, endpoint);
+    }
+    let ack = PacketKind::CreateAck { rms, path };
+    answer_creator(sim, host, src, packet.source_route.as_ref(), ack);
+    if !is_new {
         return;
     }
-
-    // Intermediate hop: reserve on the outbound interface named by the
-    // creator's source route and forward. The creator pinned the path; the
-    // next leg must exist, be up, and be reachable from one of our
-    // interfaces.
-    let now = sim.now();
-    let verdict = {
-        let net = sim.state.net();
-        let next = source_route.as_ref().and_then(|sr| {
-            let next_idx = sr.next + 1;
-            let up = |n: NetworkId| net.networks.get(n.0 as usize).is_some_and(|n| !n.down);
-            match (sr.networks.get(next_idx), sr.hops.get(next_idx)) {
-                (Some(&n), Some(&h)) if up(n) => net
-                    .host(host)
-                    .iface_on(n)
-                    .map(|iface| Route { iface, next_hop: h }),
-                _ => None,
+    // If this answers our invite, resolve it.
+    if invite {
+        if let Some(inv) = sim.state.net().host_mut(host).invites.remove(&rms) {
+            if let Some(t) = inv.timer {
+                t.cancel();
             }
-        });
-        match next {
-            None => Err(NakReason::NoRoute),
-            Some(route) => admit_hop(net, now, host, route.iface, rms, &params)
-                .map(|()| route)
-                .map_err(|_| NakReason::Admission),
-        }
-    };
-    match verdict {
-        Ok(route) => {
-            let net = sim.state.net();
-            // Pin this stream's forwarding so data and teardown follow the
-            // reservation even after reconvergence moves the table.
-            net.host_mut(host).rms_next.insert(rms, route);
-            let network = net.host(host).ifaces[route.iface].network;
-            path.push(network);
-            if hops < TTL {
-                let fwd_route = source_route.map(|mut sr| {
-                    sr.next += 1;
-                    sr
-                });
-                let fwd = Packet {
-                    src,
-                    dst,
-                    kind: PacketKind::CreateReq {
-                        rms,
-                        params,
-                        path,
-                        invite,
-                    },
-                    deadline,
-                    sent_at,
-                    corrupted,
-                    hops: hops + 1,
-                    reliable,
-                    next_plan: Some((plan, key)),
-                    source_route: fwd_route,
-                    next_hop: None,
-                };
-                route_and_enqueue(sim, host, fwd);
-            } else {
-                drop_packet(sim, host, DropCause::Ttl);
-            }
-        }
-        Err(reason) => {
-            // Our own partial state must not outlive the refusal: a retry
-            // may have reserved here on an earlier attempt.
-            release_hop(sim.state.net(), host, rms);
-            let back = source_route
-                .as_ref()
-                .and_then(|sr| reverse_route(sr, sr.next, src));
-            let nak = Packet {
-                src: host,
-                dst: src,
-                kind: PacketKind::CreateNak { rms, reason },
-                deadline: now,
-                sent_at: now,
-                corrupted: false,
-                hops: 0,
-                reliable: true,
-                next_plan: None,
-                source_route: back,
-                next_hop: None,
-            };
-            route_and_enqueue(sim, host, nak);
         }
     }
+    W::rms_event(
+        sim,
+        host,
+        NetRmsEvent::InboundCreated {
+            rms,
+            peer: src,
+            params,
+            invite,
+        },
+    );
 }
 
 fn handle_create_nak<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
@@ -1366,9 +1244,6 @@ fn handle_create_nak<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
                 Some(p) if p.alt_idx + 1 < p.alternates.len() => {
                     p.alt_idx += 1;
                     p.attempts = 0;
-                    let c = &p.alternates[p.alt_idx];
-                    p.params = c.params.clone();
-                    p.plan = c.plan;
                     if let Some(t) = p.timer.take() {
                         t.cancel();
                     }
@@ -1411,15 +1286,7 @@ fn handle_release<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packe
             drop_packet(sim, host, DropCause::Ttl);
             return;
         }
-        match pin {
-            Some(route) => {
-                packet.next_hop = Some(route.next_hop);
-                enqueue_on(sim, host, route.iface, packet);
-            }
-            None => {
-                route_and_enqueue(sim, host, packet);
-            }
-        }
+        send_release(sim, host, pin, packet);
         return;
     }
     if sim.state.net().host_mut(host).rms.remove(&rms).is_some() {
@@ -1444,11 +1311,8 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
     }
     // Record when a fallback path (not the shortest candidate) carried the
     // establishment to completion.
-    if pending
-        .alternates
-        .get(pending.alt_idx)
-        .is_some_and(|c| !c.is_primary)
-    {
+    let c = &pending.alternates[pending.alt_idx];
+    if !c.is_primary {
         emit(
             sim,
             ObsEvent::RoutingAlternateWin {
@@ -1457,29 +1321,23 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
             },
         );
     }
-    // The plan and key were chosen at request time and carried to the
-    // receiver; adopt the same ones here.
+    // The chosen alternate's plan and the key were carried to the
+    // receiver at request time; adopt the same ones here.
+    let (peer, params) = (pending.peer, c.params.clone());
     let endpoint = NetRms::new(
         rms,
         RmsRole::Sender,
-        pending.peer,
-        pending.params.clone(),
-        pending.plan,
+        peer,
+        params.clone(),
+        c.plan,
         pending.key,
         path,
     );
     sim.state.net().host_mut(host).rms.insert(rms, endpoint);
     let event = if pending.invite {
-        NetRmsEvent::SenderCreatedByInvite {
-            rms,
-            peer: pending.peer,
-            params: pending.params,
-        }
+        NetRmsEvent::SenderCreatedByInvite { rms, peer, params }
     } else {
-        NetRmsEvent::Created {
-            rms,
-            params: pending.params,
-        }
+        NetRmsEvent::Created { rms, params }
     };
     W::rms_event(sim, host, event);
 }
@@ -1503,26 +1361,14 @@ fn handle_invite<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
         // No viable path back: let the inviter's own retry/timeout decide.
         return;
     };
-    let net = sim.state.net();
-    let key = Key(net.rng.next_u64());
-    let route_gen = net.route_generation;
-    let first = &alternates[0];
-    let (params, plan) = (first.params.clone(), first.plan);
-    net.host_mut(host).pending.insert(
+    begin_create(
+        sim.state.net(),
+        host,
         rms,
-        PendingCreate {
-            peer: inviter,
-            params,
-            attempts: 0,
-            timer: None,
-            invite: true,
-            plan,
-            key,
-            request,
-            alternates,
-            alt_idx: 0,
-            route_gen,
-        },
+        inviter,
+        true,
+        request,
+        alternates,
     );
     // Nobody waits on the id of an invite-answering create, so the first
     // attempt runs synchronously.
@@ -1691,29 +1537,14 @@ fn deliver_data<W: NetWorld>(
                 state.last_delivered = Some(seq);
                 // Drain the reorder buffer.
                 while let Some(next) = state.last_delivered.map(|l| l + 1) {
-                    match state.reorder.remove(&next) {
-                        Some(b) => {
-                            let mut m = Message::from_wire(b.payload);
-                            m.source = b.source;
-                            m.target = b.target;
-                            m.span = b.span;
-                            drained.push((next, m, b.sent_at));
-                            state.last_delivered = Some(next);
-                        }
-                        None => break,
-                    }
+                    let Some((m, s_at)) = state.reorder.remove(&next) else {
+                        break;
+                    };
+                    drained.push((next, m, s_at));
+                    state.last_delivered = Some(next);
                 }
             } else {
-                state.reorder.insert(
-                    seq,
-                    Buffered {
-                        payload,
-                        source,
-                        target,
-                        sent_at,
-                        span,
-                    },
-                );
+                state.reorder.insert(seq, (mk_msg(payload), sent_at));
                 if state.reorder.len() > REORDER_FAIL_THRESHOLD {
                     state.failed = true;
                     failed_stream = true;

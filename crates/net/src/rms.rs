@@ -6,9 +6,8 @@ use dash_security::cipher::Key;
 use dash_security::suite::MechanismPlan;
 use dash_sim::stats::Counter;
 use dash_sim::time::SimTime;
-use rms_core::message::Label;
+use rms_core::message::Message;
 use rms_core::params::SharedParams;
-use rms_core::wire::WireMsg;
 
 use crate::ids::{HostId, NetRmsId, NetworkId};
 
@@ -33,21 +32,6 @@ pub struct RmsStats {
     pub lost: Counter,
     /// Corrupted packets delivered (no checksum selected).
     pub corrupt_delivered: Counter,
-}
-
-/// A buffered out-of-order arrival on a reliable stream.
-#[derive(Debug)]
-pub struct Buffered {
-    /// Decrypted payload (scatter-gather, shared with the arrival path).
-    pub payload: WireMsg,
-    /// Source label.
-    pub source: Option<Label>,
-    /// Target label.
-    pub target: Option<Label>,
-    /// Original send time.
-    pub sent_at: SimTime,
-    /// Observability span id riding with the message.
-    pub span: Option<u64>,
 }
 
 /// When a reliable stream's reorder buffer exceeds this many messages the
@@ -87,8 +71,9 @@ pub struct NetRms {
     pub last_recv_job_deadline: SimTime,
     /// Receiver side: highest sequence delivered so far.
     pub last_delivered: Option<u64>,
-    /// Receiver side, reliable streams: out-of-order buffer.
-    pub reorder: BTreeMap<u64, Buffered>,
+    /// Receiver side, reliable streams: out-of-order arrivals, decrypted
+    /// and verified, by sequence number, each with its original send time.
+    pub reorder: BTreeMap<u64, (Message, SimTime)>,
     /// Receiver-side statistics.
     pub stats: RmsStats,
 }

@@ -228,21 +228,14 @@ fn flood_ad<W: NetWorld>(
             if peer == from {
                 continue;
             }
+            let ad = PacketKind::LinkStateAd {
+                ad: Arc::clone(ad),
+                via,
+            };
             let packet = Packet {
-                src: from,
-                dst: peer,
-                kind: PacketKind::LinkStateAd {
-                    ad: Arc::clone(ad),
-                    via,
-                },
-                deadline: now,
-                sent_at: now,
-                corrupted: false,
                 hops,
-                reliable: true,
-                next_plan: None,
-                source_route: None,
                 next_hop: Some(peer),
+                ..Packet::control(from, peer, ad, now)
             };
             enqueue_on(sim, from, iface_idx, packet);
         }

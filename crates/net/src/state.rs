@@ -27,7 +27,6 @@ use rms_core::wire::WireMsg;
 
 use dash_security::cipher::Key;
 use dash_security::cost::CostModel;
-use dash_security::suite::MechanismPlan;
 
 use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::iface::{Iface, QueueDiscipline};
@@ -122,27 +121,26 @@ impl RouteTable {
 }
 
 /// An in-flight creation attempt at its creator, keyed by the RMS id
-/// allocated for the stream.
+/// allocated for the stream. The parameters being reserved and the
+/// security plan (§2.5) are the attempted alternate's, read from
+/// `alternates[alt_idx]`.
 #[derive(Debug)]
 pub struct PendingCreate {
     /// Data-receiver host (peer of the sender).
     pub peer: HostId,
-    /// Negotiated parameters being requested along the path.
-    pub params: SharedParams,
     /// Attempts so far.
     pub attempts: u32,
     /// Retry timer.
     pub timer: Option<TimerHandle>,
     /// Set if this create answers a peer's invite.
     pub invite: bool,
-    /// Security mechanisms selected for the stream (§2.5).
-    pub plan: MechanismPlan,
     /// Stream key the receiver was given on the request.
     pub key: Key,
     /// The original request, kept so a retry can re-resolve candidate
     /// paths after a fault-driven reconvergence.
     pub request: RmsRequest,
-    /// Ordered alternate paths resolved by the routing subsystem.
+    /// Ordered alternate paths resolved by the routing subsystem, each
+    /// with the parameters and plan negotiated against it.
     pub alternates: Vec<CandidatePath>,
     /// Index of the alternate currently being attempted.
     pub alt_idx: usize,

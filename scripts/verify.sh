@@ -128,6 +128,20 @@ PROPTEST_CASES=64 cargo test --release -q --test rkom_cold_start
 # one outcome, and only its peer's ack can create it.
 PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test hostile_handshake
 
+# Reservation bookkeeping: random creates, invites and closes on a 3x3
+# mesh with demands that make gateways NAK (the creator walks its
+# alternates) and creators refuse their own first hop; once each run
+# drains, every reservation and forwarding pin belongs to a live endpoint
+# or a pending create, and every interface ledger equals the sum of the
+# reservations it holds. Optimised, about a second.
+if ! PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test reservations; then
+    echo "verify: a reservation or pin outlived its stream, or a ledger drifted from"   >&2
+    echo "verify: its reservations (case and ops above): a refusal, NAK, release or"   >&2
+    echo "verify: close leaves state behind — reproduce with"                           >&2
+    echo "verify:   PROPTEST_CASES=2000 cargo test --release -p dash-net --test reservations" >&2
+    exit 1
+fi
+
 # Chaos suite: the explorer's `Scenario::chaos(seed)` flow preset (three
 # reliable 32 KiB flows of 30 x 256 B, 40 ms apart, under a fault plan
 # drawn from the seed) for seeds 0..28, baked into tests/chaos.rs, run
