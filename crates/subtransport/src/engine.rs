@@ -30,12 +30,10 @@ use crate::frag::{fragment, FragSpec, Reassembly};
 use crate::ids::{Client, StRmsId};
 use crate::piggyback::{PendingEntry, PiggybackQueue, PushOutcome};
 use crate::st::{
-    control_params, Carrier, DataOut, PeerState, StEvent, StHost, StPending, StRole, StStream,
-    StWorld, AUTH_TIMEOUT, DATA_CAPACITY_DEFAULT, ST_MAX_MESSAGE_SIZE,
+    control_params, Carrier, DataOut, PeerState, StEvent, StHost, StRole, StStream, StWorld,
+    AUTH_TIMEOUT, DATA_CAPACITY_DEFAULT, ST_MAX_MESSAGE_SIZE,
 };
 use crate::wire::{decode, encode, ControlMsg, DataFrame, Frame, MAX_OPENING_HEADER};
-
-const NAK_REASON_LIMITS: u8 = 1;
 
 // ---------------------------------------------------------------------------
 // Negotiation
@@ -92,7 +90,8 @@ pub fn st_negotiate<W: StWorld>(
 // ---------------------------------------------------------------------------
 
 /// Create an ST RMS from `host` (sender) to `peer` (receiver), bound at
-/// this end to `client`.
+/// this end to `client`. The stream's id is chosen here; both ends file
+/// the stream under it, and the request and its answer name it.
 ///
 /// Triggers control-channel establishment and authentication on first
 /// contact (§3.2). Completion is reported to `client` as
@@ -128,15 +127,14 @@ pub fn create<W: StWorld>(
             RejectReason::AuthenticationFailed,
         ));
     }
-    let token = st.alloc_create_token();
-    st.host_mut(host).pending.insert(
-        token,
-        StPending {
-            client,
-            peer,
-            params: params.clone().shared(),
-            fast_ack,
-        },
+    let st_rms = st.alloc_st_rms();
+    let stream = new_stream(
+        st_rms,
+        peer,
+        StRole::Sender,
+        client,
+        params.clone().shared(),
+        fast_ack,
     );
     emit(
         sim,
@@ -150,12 +148,17 @@ pub fn create<W: StWorld>(
         host,
         peer,
         ControlMsg::StCreateReq {
-            token,
+            st_rms,
             params,
             fast_ack,
             header,
         },
     );
+    // Filed once the request is sent or queued: a control channel that
+    // cannot be created fails the creates already waiting, while this one
+    // waits for the authentication timer, so `create` never reports an
+    // outcome before it returns.
+    sim.state.st().host_mut(host).streams.insert(st_rms, stream);
     Ok(())
 }
 
@@ -238,7 +241,7 @@ fn ensure_control<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) {
             sim.state.st().host_mut(host).carriers.insert(rms, carrier);
             peer_state(sim, host, peer).control_out = Some(rms);
         }
-        Err(e) => fail_queued_creates(sim, host, peer, reject_of(&e)),
+        Err(e) => fail_creates(sim, host, peer, reject_of(&e)),
     }
 }
 
@@ -256,7 +259,7 @@ fn send_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: Cont
     if control_out(sim, host, peer).is_some() && peer_state(sim, host, peer).authed {
         emit_ctrl(sim, host, peer, msg);
     } else {
-        peer_state(sim, host, peer).queued_ctrl.push(msg);
+        peer_state(sim, host, peer).queued.push(msg);
         arm_auth_timer(sim, host, peer);
     }
 }
@@ -276,33 +279,41 @@ fn auth_timeout<W: StWorld>(sim: &mut Sim<W>, (host, peer): Args) {
     let authed = peer_state(sim, host, peer).authed;
     peer_state(sim, host, peer).auth_timer = None;
     if !authed {
-        fail_queued_creates(sim, host, peer, RejectReason::AuthenticationFailed);
+        fail_creates(sim, host, peer, RejectReason::AuthenticationFailed);
     }
 }
 
-fn fail_queued_creates<W: StWorld>(
-    sim: &mut Sim<W>,
-    host: HostId,
-    peer: HostId,
-    reason: RejectReason,
-) {
-    let queued = std::mem::take(&mut peer_state(sim, host, peer).queued_ctrl);
-    for msg in queued {
-        let ControlMsg::StCreateReq { token, .. } = msg else {
+/// The control channel to `peer` failed or did not authenticate: every
+/// create to `peer` still awaiting its answer fails, sent or queued, and
+/// the messages waiting for authentication are dropped.
+fn fail_creates<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, reason: RejectReason) {
+    peer_state(sim, host, peer).queued.retain(is_pre_auth);
+    let streams = &mut sim.state.st().host_mut(host).streams;
+    let mut failed: Vec<StRmsId> = (streams.values())
+        .filter(|s| s.peer == peer && s.awaiting_answer())
+        .map(|s| s.id)
+        .collect();
+    // In the order the creates were requested.
+    failed.sort_unstable();
+    for st_rms in failed {
+        let Some(s) = sim.state.st().host_mut(host).streams.remove(&st_rms) else {
             continue;
         };
-        if let Some(pending) = sim.state.st().host_mut(host).pending.remove(&token) {
-            let reason = reason.clone();
-            W::st_event(sim, host, pending.client, StEvent::CreateFailed { reason });
-        }
+        let reason = reason.clone();
+        W::st_event(sim, host, s.client, StEvent::CreateFailed { reason });
     }
+}
+
+/// A frame sent before authentication: the answer to the peer's Hello.
+fn is_pre_auth(msg: &ControlMsg) -> bool {
+    matches!(msg, ControlMsg::HelloAck { .. })
 }
 
 /// Actually put a control message on the wire (control channel must exist).
 fn emit_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: ControlMsg) {
     let Some(rms) = control_out(sim, host, peer) else {
         // Channel vanished; requeue.
-        peer_state(sim, host, peer).queued_ctrl.push(msg);
+        peer_state(sim, host, peer).queued.push(msg);
         return;
     };
     let payload = encode(&Frame::Ctrl(msg));
@@ -310,13 +321,13 @@ fn emit_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: Cont
     let _ = net::send_on_rms(sim, host, rms, Message::from_wire(payload), Some(now), None);
 }
 
-/// Emit a pre-authentication frame (Hello/HelloAck) if the channel exists,
-/// else hold it.
+/// Emit a pre-authentication frame (a HelloAck) if the channel exists,
+/// else queue it for the channel.
 fn emit_pre_auth<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, msg: ControlMsg) {
     if control_out(sim, host, peer).is_some() {
         emit_ctrl(sim, host, peer, msg);
     } else {
-        peer_state(sim, host, peer).pre_auth.push(msg);
+        peer_state(sim, host, peer).queued.push(msg);
         ensure_control(sim, host, peer);
     }
 }
@@ -1032,71 +1043,66 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
                 if let Some(t) = p.auth_timer.take() {
                     t.cancel();
                 }
-                std::mem::take(&mut p.queued_ctrl)
+                std::mem::take(&mut p.queued)
             };
             for m in queued {
                 emit_ctrl(sim, host, peer, m);
             }
         }
         ControlMsg::StCreateReq {
-            token,
+            st_rms,
             params,
             fast_ack,
             header,
         } => {
             // Receiver-side accept policy: parameters were negotiated by
             // the sender against the real path; we only enforce our own
-            // client-facing limits.
-            if params.max_message_size > ST_MAX_MESSAGE_SIZE {
-                send_ctrl(
-                    sim,
-                    host,
-                    peer,
-                    ControlMsg::StCreateNak {
-                        token,
-                        reason: NAK_REASON_LIMITS,
-                    },
-                );
+            // client-facing limits. An id this host already holds is
+            // refused and the stream holding it left alone: a repeated
+            // request opens no second stream.
+            let held = sim.state.st_ref().host(host).streams.contains_key(&st_rms);
+            if held || params.max_message_size > ST_MAX_MESSAGE_SIZE {
+                send_ctrl(sim, host, peer, ControlMsg::StCreateNak { st_rms });
                 return;
             }
-            let st_rms = sim.state.st().alloc_st_rms();
-            send_ctrl(sim, host, peer, ControlMsg::StCreateAck { token, st_rms });
+            send_ctrl(sim, host, peer, ControlMsg::StCreateAck { st_rms });
             // Bound once, here, for the lane's life.
             let client = W::st_inbound(sim, host, st_rms, peer, &header);
             let role = StRole::Receiver;
             let stream = new_stream(st_rms, peer, role, client, params.shared(), fast_ack);
             sim.state.st().host_mut(host).streams.insert(st_rms, stream);
         }
-        ControlMsg::StCreateAck { token, st_rms } => {
-            let Some(pending) = sim.state.st().host_mut(host).pending.remove(&token) else {
-                return;
-            };
-            let mut stream = new_stream(
-                st_rms,
-                pending.peer,
-                StRole::Sender,
-                pending.client,
-                pending.params.clone(),
-                pending.fast_ack,
-            );
-            stream.creating = true;
-            sim.state.st().host_mut(host).streams.insert(st_rms, stream);
-            if assign_carrier(sim, host, st_rms) {
+        // An answer counts only from the stream's peer, and only while the
+        // stream awaits it.
+        ControlMsg::StCreateAck { st_rms } => {
+            if awaits_answer(sim, host, peer, st_rms) && assign_carrier(sim, host, st_rms) {
                 report_created(sim, host, st_rms);
             }
         }
-        ControlMsg::StCreateNak { token, reason: _ } => {
-            if let Some(pending) = sim.state.st().host_mut(host).pending.remove(&token) {
+        ControlMsg::StCreateNak { st_rms } => {
+            let awaits = awaits_answer(sim, host, peer, st_rms);
+            let streams = &mut sim.state.st().host_mut(host).streams;
+            if let Some(s) = awaits.then(|| streams.remove(&st_rms)).flatten() {
                 let reason = RejectReason::PeerRejected;
-                W::st_event(sim, host, pending.client, StEvent::CreateFailed { reason });
+                W::st_event(sim, host, s.client, StEvent::CreateFailed { reason });
             }
         }
+        // Only the sender closes a stream, and only its receiving end.
         ControlMsg::StClose { st_rms } => {
-            if let Some(s) = sim.state.st().host_mut(host).streams.remove(&st_rms) {
+            let streams = &mut sim.state.st().host_mut(host).streams;
+            let ours = (streams.get(&st_rms))
+                .is_some_and(|s| s.peer == peer && s.role == StRole::Receiver);
+            if let Some(s) = ours.then(|| streams.remove(&st_rms)).flatten() {
                 W::st_event(sim, host, s.client, StEvent::Closed { st_rms });
             }
         }
     }
+}
+
+/// `host`'s stream `st_rms` to `peer` awaits the answer to its request.
+fn awaits_answer<W: StWorld>(sim: &Sim<W>, host: HostId, peer: HostId, st_rms: StRmsId) -> bool {
+    (sim.state.st_ref().host(host).streams.get(&st_rms))
+        .is_some_and(|s| s.peer == peer && s.awaiting_answer())
 }
 
 fn new_stream(
@@ -1115,7 +1121,7 @@ fn new_stream(
         params,
         fast_ack,
         carrier: None,
-        creating: false,
+        creating: role == StRole::Sender,
         next_seq: 0,
         last_tx_deadline: SimTime::ZERO,
         last_send_job_deadline: SimTime::ZERO,
@@ -1314,9 +1320,14 @@ fn carrier_created<W: StWorld>(
                 peer: peer.0,
             },
         );
-        // Authenticate (§3.2), then flush any pre-auth frames.
+        // Authenticate (§3.2), then answer the peer's Hellos; the rest
+        // waits for authentication.
         send_hello(sim, host, peer);
-        let pre = std::mem::take(&mut peer_state(sim, host, peer).pre_auth);
+        let p = peer_state(sim, host, peer);
+        let (pre, rest) = std::mem::take(&mut p.queued)
+            .into_iter()
+            .partition(is_pre_auth);
+        p.queued = rest;
         for m in pre {
             emit_ctrl(sim, host, peer, m);
         }
@@ -1364,7 +1375,7 @@ fn carrier_create_failed<W: StWorld>(
     let peer = carrier.peer;
     let Some(d) = carrier.data else {
         peer_state(sim, host, peer).control_out = None;
-        fail_queued_creates(sim, host, peer, reason.clone());
+        fail_creates(sim, host, peer, reason.clone());
         return;
     };
     let mut victims = Vec::new();
@@ -1415,7 +1426,7 @@ fn carrier_failed<W: StWorld>(sim: &mut Sim<W>, host: HostId, rms: NetRmsId) {
             p.control_out = None;
             p.authed = false;
         }
-        fail_queued_creates(sim, host, peer, RejectReason::Timeout);
+        fail_creates(sim, host, peer, RejectReason::Timeout);
         // An alternate network may still connect the two hosts:
         // re-establish eagerly so later creates don't pay the setup.
         ensure_control(sim, host, peer);
@@ -1537,7 +1548,7 @@ pub fn on_network_event<W: StWorld>(sim: &mut Sim<W>, network: NetworkId, up: bo
                 .iter()
                 .filter(|(peer, p)| {
                     p.control_out.is_none()
-                        && (!p.queued_ctrl.is_empty()
+                        && (p.queued.iter().any(|m| !is_pre_auth(m))
                             || sth.carriers.values().any(|c| c.peer == **peer)
                             || sth.streams.values().any(|s| s.peer == **peer))
                 })

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// An ST-level RMS (assigned by the receiving ST at creation).
+/// An ST-level RMS, named by its sending ST when it requests the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StRmsId(pub u64);
 

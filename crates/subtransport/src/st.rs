@@ -35,7 +35,7 @@ pub const DATA_CAPACITY_DEFAULT: u64 = 64 * 1024;
 /// layer's, supported by fragmentation (§4.3).
 pub const ST_MAX_MESSAGE_SIZE: u64 = 64 * 1024;
 /// How long to wait for control-channel authentication before failing
-/// queued creates.
+/// the creates waiting for it.
 pub const AUTH_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// Parameters requested for each direction of a peer control channel
@@ -129,18 +129,18 @@ pub struct PeerState {
     pub my_nonce: u64,
     /// True once the peer answered our Hello correctly.
     pub authed: bool,
-    /// Control messages awaiting authentication.
-    pub queued_ctrl: Vec<ControlMsg>,
-    /// Hello/HelloAck frames awaiting the control-out RMS (pre-auth).
-    pub pre_auth: Vec<ControlMsg>,
-    /// Timer failing queued creates if authentication stalls.
+    /// Control messages waiting for the channel, in order: HelloAcks go
+    /// once it is ready, the rest once it is authenticated.
+    pub queued: Vec<ControlMsg>,
+    /// Timer failing the creates to this peer if authentication stalls.
     pub auth_timer: Option<TimerHandle>,
 }
 
 /// One ST RMS endpoint.
 #[derive(Debug)]
 pub struct StStream {
-    /// Stream id (assigned by the receiving ST).
+    /// Stream id, chosen by the sending ST in [`crate::engine::create`] and
+    /// kept by both ends from request to close.
     pub id: StRmsId,
     /// The other host.
     pub peer: HostId,
@@ -155,7 +155,8 @@ pub struct StStream {
     /// Sender: the data carrier this stream is multiplexed onto.
     pub carrier: Option<NetRmsId>,
     /// Sender: the creation is not yet reported to the client; it is once
-    /// the carrier is ready ([`StEvent::Created`]).
+    /// the carrier is ready ([`StEvent::Created`]). Without a carrier, the
+    /// stream still awaits the receiver's answer.
     pub creating: bool,
     /// Sender: next message sequence number.
     pub next_seq: u64,
@@ -183,19 +184,12 @@ impl StStream {
         self.next_seq += 1;
         s
     }
-}
 
-/// An ST RMS creation in flight at its creator.
-#[derive(Debug)]
-pub struct StPending {
-    /// The creating client.
-    pub client: Client,
-    /// Data receiver.
-    pub peer: HostId,
-    /// Negotiated ST-level parameters.
-    pub params: SharedParams,
-    /// Fast-ack option.
-    pub fast_ack: bool,
+    /// Sender: the create request is sent or queued, and the receiver has
+    /// not answered it yet.
+    pub fn awaiting_answer(&self) -> bool {
+        self.creating && self.carrier.is_none()
+    }
 }
 
 /// Per-host ST state.
@@ -203,13 +197,10 @@ pub struct StPending {
 pub struct StHost {
     /// Peer connection state.
     pub peers: DetHashMap<HostId, PeerState>,
-    /// Live streams, both roles.
+    /// Streams, both roles, from the create request on.
     pub streams: DetHashMap<StRmsId, StStream>,
     /// Every outbound network RMS this host created, creating or ready.
     pub carriers: DetHashMap<NetRmsId, Carrier>,
-    /// ST creations in flight, by the token correlating the create request
-    /// with its answer.
-    pub pending: DetHashMap<u64, StPending>,
 }
 
 /// The subtransport layer's world state.
@@ -233,7 +224,6 @@ pub struct StState {
     /// job.
     pub(crate) recv_jobs: Slab<(HostId, DataFrame)>,
     next_st_rms: u64,
-    next_token: u64,
     nonce_seed: u64,
 }
 
@@ -248,7 +238,6 @@ impl StState {
             send_jobs: Slab::new(),
             recv_jobs: Slab::new(),
             next_st_rms: 1,
-            next_token: 1,
             nonce_seed: 0x5eed,
         }
     }
@@ -298,14 +287,13 @@ impl StState {
         &mut self.hosts[id.0 as usize]
     }
 
-    /// Rebase ST RMS-id and token allocation to start at `base`.
+    /// Rebase ST RMS-id allocation to start at `base`.
     ///
     /// The parallel executor gives each logical process the disjoint
     /// namespace `(owner + 1) << 40`, so ids minted independently on
     /// different shards never collide when their streams interact.
     pub fn set_id_namespace(&mut self, base: u64) {
         self.next_st_rms = base;
-        self.next_token = base;
     }
 
     /// Allocate a globally unique ST RMS id.
@@ -313,14 +301,6 @@ impl StState {
         let id = StRmsId(self.next_st_rms);
         self.next_st_rms += 1;
         id
-    }
-
-    /// Allocate the token correlating an ST create request with its
-    /// answer.
-    pub fn alloc_create_token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
     }
 
     /// A fresh Hello nonce.

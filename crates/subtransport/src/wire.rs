@@ -114,8 +114,8 @@ pub enum ControlMsg {
     /// Request to create an ST RMS toward the receiver (the requester is
     /// the data sender).
     StCreateReq {
-        /// Requester's correlation token.
-        token: u64,
+        /// The new stream's id, chosen by the requester.
+        st_rms: StRmsId,
         /// The negotiated ST-level parameters.
         params: RmsParams,
         /// Whether data frames will request fast acknowledgements.
@@ -125,19 +125,15 @@ pub enum ControlMsg {
         /// arrives on it. At most [`MAX_OPENING_HEADER`] bytes.
         header: Bytes,
     },
-    /// Positive reply carrying the receiver-assigned stream id.
+    /// Positive reply: the receiver holds its end of the stream.
     StCreateAck {
-        /// Echo of the request token.
-        token: u64,
-        /// The new stream id.
+        /// The requested stream.
         st_rms: StRmsId,
     },
     /// Negative reply.
     StCreateNak {
-        /// Echo of the request token.
-        token: u64,
-        /// Coarse reason code.
-        reason: u8,
+        /// The refused stream.
+        st_rms: StRmsId,
     },
     /// Close an ST RMS (sent by its sender side).
     StClose {
@@ -271,27 +267,25 @@ fn put_ctrl(buf: &mut BytesMut, c: &ControlMsg) {
             buf.put_u64(*tag);
         }
         ControlMsg::StCreateReq {
-            token,
+            st_rms,
             params,
             fast_ack,
             header,
         } => {
             buf.put_u8(CTRL_CREATE_REQ);
-            buf.put_u64(*token);
+            buf.put_u64(st_rms.0);
             buf.put_u8(u8::from(*fast_ack));
             put_params(buf, params);
             buf.put_u8(header.len() as u8);
             buf.put_slice(header);
         }
-        ControlMsg::StCreateAck { token, st_rms } => {
+        ControlMsg::StCreateAck { st_rms } => {
             buf.put_u8(CTRL_CREATE_ACK);
-            buf.put_u64(*token);
             buf.put_u64(st_rms.0);
         }
-        ControlMsg::StCreateNak { token, reason } => {
+        ControlMsg::StCreateNak { st_rms } => {
             buf.put_u8(CTRL_CREATE_NAK);
-            buf.put_u64(*token);
-            buf.put_u8(*reason);
+            buf.put_u64(st_rms.0);
         }
         ControlMsg::StClose { st_rms } => {
             buf.put_u8(CTRL_CLOSE);
@@ -472,7 +466,7 @@ fn get_ctrl(c: &mut WireCursor<'_>) -> Result<ControlMsg, WireError> {
             tag: c.get_u64()?,
         }),
         CTRL_CREATE_REQ => {
-            let token = c.get_u64()?;
+            let st_rms = StRmsId(c.get_u64()?);
             let fast_ack = c.get_u8()? != 0;
             let params = get_params(c)?;
             let len = c.get_u8()? as usize;
@@ -480,19 +474,17 @@ fn get_ctrl(c: &mut WireCursor<'_>) -> Result<ControlMsg, WireError> {
                 return Err(WireError::Invalid("opening header length"));
             }
             Ok(ControlMsg::StCreateReq {
-                token,
+                st_rms,
                 params,
                 fast_ack,
                 header: c.take_bytes(len)?,
             })
         }
         CTRL_CREATE_ACK => Ok(ControlMsg::StCreateAck {
-            token: c.get_u64()?,
             st_rms: StRmsId(c.get_u64()?),
         }),
         CTRL_CREATE_NAK => Ok(ControlMsg::StCreateNak {
-            token: c.get_u64()?,
-            reason: c.get_u8()?,
+            st_rms: StRmsId(c.get_u64()?),
         }),
         CTRL_CLOSE => Ok(ControlMsg::StClose {
             st_rms: StRmsId(c.get_u64()?),
@@ -634,18 +626,16 @@ mod tests {
                 tag: 0xef01,
             },
             ControlMsg::StCreateReq {
-                token: 7,
+                st_rms: StRmsId(12),
                 params: sample_params(),
                 fast_ack: true,
                 header: Bytes::from_static(&[0xD6; MAX_OPENING_HEADER]),
             },
             ControlMsg::StCreateAck {
-                token: 7,
                 st_rms: StRmsId(12),
             },
             ControlMsg::StCreateNak {
-                token: 7,
-                reason: 2,
+                st_rms: StRmsId(12),
             },
             ControlMsg::StClose {
                 st_rms: StRmsId(12),
@@ -662,7 +652,7 @@ mod tests {
         let mut p = sample_params();
         p.delay.kind = DelayBoundKind::Statistical(StatisticalSpec::new(5e5, 3.0, 0.95));
         let f = Frame::Ctrl(ControlMsg::StCreateReq {
-            token: 1,
+            st_rms: StRmsId(1),
             params: p,
             fast_ack: false,
             header: Bytes::new(),
@@ -675,7 +665,7 @@ mod tests {
     #[test]
     fn oversized_opening_header_fails() {
         let f = Frame::Ctrl(ControlMsg::StCreateReq {
-            token: 1,
+            st_rms: StRmsId(1),
             params: sample_params(),
             fast_ack: false,
             header: Bytes::from(vec![1; MAX_OPENING_HEADER + 1]),

@@ -545,3 +545,36 @@ fn deterministic_st_stream_gets_deterministic_net_rms() {
     sim.run();
     assert_eq!(sim.state.st_deliveries.len(), 1);
 }
+
+/// A create whose request is already on the wire when its control
+/// channel's network fails hears `CreateFailed`; it does not wait for an
+/// answer that can no longer come.
+#[test]
+fn a_create_sent_before_its_channel_fails_is_failed() {
+    let (net, a, b, _, _) = dumbbell();
+    let mut sim = Sim::new(World::new(net, StConfig::default()));
+    establish(&mut sim, a, b, &basic_request(), false);
+    let client = creator(99);
+    engine::create(
+        &mut sim,
+        a,
+        b,
+        &basic_request(),
+        false,
+        client,
+        Bytes::new(),
+    )
+    .unwrap();
+    let wan = dash_net::NetworkId(1);
+    dash_net::pipeline::fail_network(&mut sim, wan);
+    sim.run();
+    dash_net::pipeline::restore_network(&mut sim, wan);
+    sim.run();
+    let outcomes: Vec<&String> = (sim.state.st_events.iter())
+        .filter(|(h, e)| *h == a && (e.starts_with("Created") || e.starts_with("CreateFailed")))
+        .map(|(_, e)| e)
+        .collect();
+    assert_eq!(outcomes.len(), 2, "events: {:?}", sim.state.st_events);
+    assert!(outcomes[1].starts_with("CreateFailed"), "{outcomes:?}");
+    assert!(sim.state.st.host(a).streams.values().all(|s| !s.creating));
+}

@@ -235,6 +235,7 @@ struct Call {
     attempts: u32,
     timer: Option<TimerHandle>,
     started: SimTime,
+    cb: CallCallback,
 }
 
 /// RKOM statistics (per host). Calls issued and completed are the
@@ -259,7 +260,6 @@ pub struct RkomHost {
     channels: DetHashMap<HostId, Channel>,
     services: DetHashMap<u16, Option<Handler>>,
     calls: DetHashMap<u64, Call>,
-    call_cbs: DetHashMap<u64, CallCallback>,
     reply_cache: DetHashMap<(HostId, u64), WireMsg>,
     /// Statistics.
     pub stats: RkomStats,
@@ -358,21 +358,18 @@ pub fn call(
         id
     };
     let now = sim.now();
-    {
-        let rh = sim.state.rkom.host_mut(host);
-        rh.calls.insert(
-            call_id,
-            Call {
-                peer,
-                service,
-                payload: payload.clone(),
-                attempts: 0,
-                timer: None,
-                started: now,
-            },
-        );
-        rh.call_cbs.insert(call_id, Box::new(cb));
-    }
+    sim.state.rkom.host_mut(host).calls.insert(
+        call_id,
+        Call {
+            peer,
+            service,
+            payload: payload.clone(),
+            attempts: 0,
+            timer: None,
+            started: now,
+            cb: Box::new(cb),
+        },
+    );
     emit(
         sim,
         ObsEvent::RkomSend {
@@ -478,18 +475,16 @@ fn on_call_timeout(sim: &mut Sim<Stack>, (host, call_id): Args) {
 }
 
 fn fail_call(sim: &mut Sim<Stack>, host: HostId, call_id: u64, err: RkomError) {
-    let cb = {
+    let call = {
         let rh = sim.state.rkom.host_mut(host);
-        if let Some(c) = rh.calls.remove(&call_id) {
-            if let Some(t) = c.timer {
-                t.cancel();
-            }
-        }
         rh.stats.failed.incr();
-        rh.call_cbs.remove(&call_id)
+        rh.calls.remove(&call_id)
     };
-    if let Some(cb) = cb {
-        cb(sim, Err(err));
+    if let Some(c) = call {
+        if let Some(t) = c.timer {
+            t.cancel();
+        }
+        (c.cb)(sim, Err(err));
     }
 }
 
@@ -758,21 +753,16 @@ fn handle_reply(
     status: u8,
     payload: Bytes,
 ) {
-    let (cb, started) = {
-        let rh = sim.state.rkom.host_mut(host);
-        let Some(c) = rh.calls.remove(&call) else {
-            // Duplicate reply; ack it again so the server can clean up.
-            let ack = encode_msg(&RkomMsg::ReplyAck { call });
-            let _ = rh;
-            send_on_channel(sim, host, server, Lane::High, ack);
-            return;
-        };
-        if let Some(t) = c.timer {
-            t.cancel();
-        }
-        (rh.call_cbs.remove(&call), c.started)
+    let Some(c) = sim.state.rkom.host_mut(host).calls.remove(&call) else {
+        // Duplicate reply; ack it again so the server can clean up.
+        let ack = encode_msg(&RkomMsg::ReplyAck { call });
+        send_on_channel(sim, host, server, Lane::High, ack);
+        return;
     };
-    let rtt = sim.now().saturating_since(started);
+    if let Some(t) = c.timer {
+        t.cancel();
+    }
+    let rtt = sim.now().saturating_since(c.started);
     sim.state
         .rkom
         .host_mut(host)
@@ -783,14 +773,12 @@ fn handle_reply(
     // Acknowledge on the high-delay RMS so the server drops its cache.
     let ack = encode_msg(&RkomMsg::ReplyAck { call });
     send_on_channel(sim, host, server, Lane::High, ack);
-    if let Some(cb) = cb {
-        let result = if status == STATUS_OK {
-            Ok(payload)
-        } else {
-            Err(RkomError::NoSuchService)
-        };
-        cb(sim, result);
-    }
+    let result = if status == STATUS_OK {
+        Ok(payload)
+    } else {
+        Err(RkomError::NoSuchService)
+    };
+    (c.cb)(sim, result);
 }
 
 #[cfg(test)]

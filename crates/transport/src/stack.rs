@@ -238,7 +238,7 @@ impl Stack {
     /// Must be called on a freshly built stack, before any events run.
     /// It re-seeds the wire RNG as a pure function of `(root_seed,
     /// owner)` and rebases every global id counter (network RMS ids, ST
-    /// RMS ids and tokens, stream sessions, RKOM calls, obs span ids) to the disjoint namespace `(owner + 1) << 40`, so ids
+    /// RMS ids, stream sessions, RKOM calls, obs span ids) to the disjoint namespace `(owner + 1) << 40`, so ids
     /// minted independently by different logical processes never collide
     /// when their packets and event streams meet.
     pub fn enable_lp_mode(&mut self, owner: HostId, root_seed: u64) {

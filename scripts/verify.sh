@@ -142,6 +142,20 @@ if ! PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test reservations
     exit 1
 fi
 
+# Hostile ST control messages: forged, duplicated and replayed
+# StCreateReq/Ack/Nak and StClose from the peer and a third host, handed to
+# the ST while a create is in flight on a 3-host LAN; nothing panics, every
+# create ends in exactly one outcome, no request name opens a second
+# receiving stream, and an answer from a non-peer changes nothing.
+if ! PROPTEST_CASES=2000 cargo test --release -q -p dash-subtransport --test hostile_control; then
+    echo "verify: a forged or repeated ST control message faked, repeated or lost a"    >&2
+    echo "verify: create's outcome, or opened a second stream under one id (assertion"  >&2
+    echo "verify: above): the ST answered a non-peer or an id it already holds —"       >&2
+    echo "verify: reproduce with"                                                        >&2
+    echo "verify:   PROPTEST_CASES=2000 cargo test --release -p dash-subtransport --test hostile_control" >&2
+    exit 1
+fi
+
 # Chaos suite: the explorer's `Scenario::chaos(seed)` flow preset (three
 # reliable 32 KiB flows of 30 x 256 B, 40 ms apart, under a fault plan
 # drawn from the seed) for seeds 0..28, baked into tests/chaos.rs, run

@@ -54,18 +54,14 @@ fn arb_ctrl() -> impl Strategy<Value = ControlMsg> {
             any::<bool>(),
             proptest::collection::vec(any::<u8>(), 0..wire::MAX_OPENING_HEADER + 1)
         )
-            .prop_map(|(t, params, fast_ack, header)| ControlMsg::StCreateReq {
-                token: t,
+            .prop_map(|(s, params, fast_ack, header)| ControlMsg::StCreateReq {
+                st_rms: StRmsId(s),
                 params,
                 fast_ack,
                 header: Bytes::from(header),
             }),
-        (any::<u64>(), any::<u64>()).prop_map(|(t, s)| ControlMsg::StCreateAck {
-            token: t,
-            st_rms: StRmsId(s),
-        }),
-        (any::<u64>(), any::<u8>())
-            .prop_map(|(t, reason)| ControlMsg::StCreateNak { token: t, reason }),
+        any::<u64>().prop_map(|s| ControlMsg::StCreateAck { st_rms: StRmsId(s) }),
+        any::<u64>().prop_map(|s| ControlMsg::StCreateNak { st_rms: StRmsId(s) }),
         any::<u64>().prop_map(|s| ControlMsg::StClose { st_rms: StRmsId(s) }),
     ]
 }
