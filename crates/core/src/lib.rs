@@ -64,7 +64,7 @@ pub mod bandwidth;
 pub mod compat;
 pub mod delay;
 pub mod error;
-pub mod hash;
+pub use dash_sim::hash;
 pub mod message;
 pub mod params;
 pub mod port;

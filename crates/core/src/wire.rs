@@ -8,9 +8,11 @@
 //! never copies payload bytes and decode hands back views of the
 //! sender's buffer.
 //!
-//! Up to three segments are stored inline (ST header + stream header +
-//! payload covers every unbundled frame the stack emits), so the common
-//! case allocates nothing for the segment list. Data-path headers are
+//! Up to four segments are stored inline: an ST header, a transport
+//! header and a payload of up to two parts (a scatter-gather sender's tag
+//! and body) cover every unbundled frame the stack emits, so the common
+//! case allocates nothing for the segment list. Only bundles, which
+//! interleave several frames, spill to a heap list. Data-path headers are
 //! carved by [`header`] from a shared per-thread store, so they allocate
 //! nothing of their own either. [`WireMsg::push`] coalesces adjacent views of the same backing buffer, which is what makes
 //! fragment reassembly re-form the original payload view instead of
@@ -28,7 +30,7 @@ use std::fmt;
 use bytes::{Bytes, BytesMut};
 
 /// Number of segments stored without heap-allocating the segment list.
-const INLINE_SEGS: usize = 3;
+const INLINE_SEGS: usize = 4;
 
 /// Capacity of each store [`header`] carves headers from.
 const HEADER_STORE: usize = 4096;
@@ -79,10 +81,29 @@ impl std::error::Error for Truncated {}
 /// contiguous in memory.
 #[derive(Clone, Default)]
 pub struct WireMsg {
-    inline: [Bytes; INLINE_SEGS],
-    spill: Vec<Bytes>,
-    segs: usize,
-    total: usize,
+    segs: Segs,
+}
+
+/// A [`WireMsg`]'s segments. The inline form needs no count or length of
+/// its own: empty segments are never stored, so its segments are the
+/// views before the first empty one, and its length is their sum. The
+/// discriminant takes the word those two fields would, which keeps a
+/// `WireMsg` at 136 bytes.
+#[derive(Clone)]
+enum Segs {
+    Inline([Bytes; INLINE_SEGS]),
+    Spill { segs: Vec<Bytes>, total: usize },
+}
+
+impl Default for Segs {
+    fn default() -> Self {
+        Segs::Inline(Default::default())
+    }
+}
+
+/// How many of `inline`'s views are segments.
+fn inline_count(inline: &[Bytes; INLINE_SEGS]) -> usize {
+    inline.iter().take_while(|s| !s.is_empty()).count()
 }
 
 impl WireMsg {
@@ -102,41 +123,31 @@ impl WireMsg {
     /// frame sizes (there is no parallel size computation to drift from
     /// the encoder).
     pub fn len(&self) -> usize {
-        self.total
+        match &self.segs {
+            Segs::Inline(inline) => inline.iter().map(Bytes::len).sum(),
+            Segs::Spill { total, .. } => *total,
+        }
     }
 
     /// True when the message has no bytes.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.as_slice().is_empty()
     }
 
     /// Number of segments (empty segments are never stored).
     pub fn seg_count(&self) -> usize {
-        self.segs
+        self.as_slice().len()
     }
 
     /// The first byte, if any — O(1), for protocol-magic dispatch.
     pub fn first_byte(&self) -> Option<u8> {
-        if self.segs == 0 {
-            None
-        } else {
-            self.seg(0).first().copied()
-        }
+        self.as_slice().first().map(|s| s[0])
     }
 
-    fn seg(&self, i: usize) -> &Bytes {
-        if i < INLINE_SEGS {
-            &self.inline[i]
-        } else {
-            &self.spill[i - INLINE_SEGS]
-        }
-    }
-
-    fn seg_mut(&mut self, i: usize) -> &mut Bytes {
-        if i < INLINE_SEGS {
-            &mut self.inline[i]
-        } else {
-            &mut self.spill[i - INLINE_SEGS]
+    fn as_slice(&self) -> &[Bytes] {
+        match &self.segs {
+            Segs::Inline(inline) => &inline[..inline_count(inline)],
+            Segs::Spill { segs, .. } => segs,
         }
     }
 
@@ -147,20 +158,35 @@ impl WireMsg {
         if segment.is_empty() {
             return;
         }
-        self.total += segment.len();
-        if self.segs > 0 {
-            let tail = self.seg_mut(self.segs - 1);
-            if let Some(joined) = Bytes::merge_contiguous(tail, &segment) {
-                *tail = joined;
-                return;
+        match &mut self.segs {
+            Segs::Inline(inline) => {
+                let n = inline_count(inline);
+                if n > 0 {
+                    if let Some(joined) = Bytes::merge_contiguous(&inline[n - 1], &segment) {
+                        inline[n - 1] = joined;
+                        return;
+                    }
+                }
+                if n < INLINE_SEGS {
+                    inline[n] = segment;
+                    return;
+                }
+                let total = inline.iter().map(Bytes::len).sum::<usize>() + segment.len();
+                let mut segs = Vec::with_capacity(2 * INLINE_SEGS);
+                segs.extend(inline.iter_mut().map(std::mem::take));
+                segs.push(segment);
+                self.segs = Segs::Spill { segs, total };
+            }
+            Segs::Spill { segs, total } => {
+                *total += segment.len();
+                let tail = segs.last_mut().expect("a spilled message has segments");
+                if let Some(joined) = Bytes::merge_contiguous(tail, &segment) {
+                    *tail = joined;
+                } else {
+                    segs.push(segment);
+                }
             }
         }
-        if self.segs < INLINE_SEGS {
-            self.inline[self.segs] = segment;
-        } else {
-            self.spill.push(segment);
-        }
-        self.segs += 1;
     }
 
     /// Append every segment of `other` (refcount bumps only).
@@ -172,7 +198,7 @@ impl WireMsg {
 
     /// Iterate over the segments in order.
     pub fn segments(&self) -> impl Iterator<Item = &Bytes> {
-        (0..self.segs).map(move |i| self.seg(i))
+        self.as_slice().iter()
     }
 
     /// One flat buffer holding the whole message. Zero-copy when the
@@ -181,12 +207,12 @@ impl WireMsg {
     /// kept for consumers that need contiguity (security transforms,
     /// the wiretap, tests and compatibility shims).
     pub fn contiguous(&self) -> Bytes {
-        match self.segs {
-            0 => Bytes::new(),
-            1 => self.seg(0).clone(),
-            _ => {
-                let mut flat = Vec::with_capacity(self.total);
-                for s in self.segments() {
+        match self.as_slice() {
+            [] => Bytes::new(),
+            [one] => one.clone(),
+            segs => {
+                let mut flat = Vec::with_capacity(self.len());
+                for s in segs {
                     flat.extend_from_slice(s);
                 }
                 Bytes::from(flat)
@@ -201,33 +227,41 @@ impl WireMsg {
     ///
     /// Panics if the range is out of bounds.
     pub fn slice(&self, start: usize, end: usize) -> WireMsg {
-        assert!(start <= end && end <= self.total, "slice out of bounds");
-        let mut out = WireMsg::new();
-        let mut pos = 0usize;
-        for s in self.segments() {
-            let seg_end = pos + s.len();
-            if seg_end > start && pos < end {
-                let from = start.saturating_sub(pos);
-                let to = s.len().min(end - pos);
-                out.push(s.slice(from..to));
-            }
-            pos = seg_end;
-            if pos >= end {
-                break;
-            }
-        }
-        out
+        assert!(start <= end && end <= self.len(), "slice out of bounds");
+        slice_segs(self.as_slice(), start, end)
     }
 
     /// A cursor reading this message from the start.
     pub fn cursor(&self) -> WireCursor<'_> {
+        let total = self.len();
         WireCursor {
-            msg: self,
+            segs: self.as_slice(),
             seg: 0,
             off: 0,
-            left: self.total,
+            left: total,
+            total,
         }
     }
+}
+
+/// The views of `segs` covering `start..end` of their logical byte range,
+/// which the caller has checked lies within it.
+fn slice_segs(segs: &[Bytes], start: usize, end: usize) -> WireMsg {
+    let mut out = WireMsg::new();
+    let mut pos = 0usize;
+    for s in segs {
+        let seg_end = pos + s.len();
+        if seg_end > start && pos < end {
+            let from = start.saturating_sub(pos);
+            let to = s.len().min(end - pos);
+            out.push(s.slice(from..to));
+        }
+        pos = seg_end;
+        if pos >= end {
+            break;
+        }
+    }
+    out
 }
 
 impl From<Bytes> for WireMsg {
@@ -245,7 +279,7 @@ impl From<Vec<u8>> for WireMsg {
 /// Equality over the logical byte string, independent of segmentation.
 impl PartialEq for WireMsg {
     fn eq(&self, other: &Self) -> bool {
-        if self.total != other.total {
+        if self.len() != other.len() {
             return false;
         }
         let mut a = self.segments().flat_map(|s| s.iter());
@@ -264,7 +298,12 @@ impl Eq for WireMsg {}
 
 impl fmt::Debug for WireMsg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WireMsg[{} segs, {} bytes]", self.segs, self.total)
+        write!(
+            f,
+            "WireMsg[{} segs, {} bytes]",
+            self.seg_count(),
+            self.len()
+        )
     }
 }
 
@@ -274,10 +313,11 @@ impl fmt::Debug for WireMsg {
 /// operations return zero-copy views of the underlying segments.
 #[derive(Clone)]
 pub struct WireCursor<'a> {
-    msg: &'a WireMsg,
+    segs: &'a [Bytes],
     seg: usize,
     off: usize,
     left: usize,
+    total: usize,
 }
 
 impl<'a> WireCursor<'a> {
@@ -288,7 +328,7 @@ impl<'a> WireCursor<'a> {
 
     /// Absolute position from the start of the message.
     fn pos(&self) -> usize {
-        self.msg.len() - self.left
+        self.total - self.left
     }
 
     /// Copy exactly `N` bytes into an array, advancing.
@@ -299,7 +339,7 @@ impl<'a> WireCursor<'a> {
         let mut out = [0u8; N];
         let mut filled = 0;
         while filled < N {
-            let seg = self.msg.seg(self.seg);
+            let seg = &self.segs[self.seg];
             let avail = seg.len() - self.off;
             let take = avail.min(N - filled);
             out[filled..filled + take].copy_from_slice(&seg[self.off..self.off + take]);
@@ -313,7 +353,7 @@ impl<'a> WireCursor<'a> {
     fn advance_within(&mut self, n: usize) {
         self.off += n;
         self.left -= n;
-        while self.seg < self.msg.seg_count() && self.off == self.msg.seg(self.seg).len() {
+        while self.seg < self.segs.len() && self.off == self.segs[self.seg].len() {
             self.seg += 1;
             self.off = 0;
         }
@@ -326,7 +366,7 @@ impl<'a> WireCursor<'a> {
         }
         let mut togo = n;
         while togo > 0 {
-            let avail = self.msg.seg(self.seg).len() - self.off;
+            let avail = self.segs[self.seg].len() - self.off;
             let take = avail.min(togo);
             togo -= take;
             self.advance_within(take);
@@ -366,7 +406,7 @@ impl<'a> WireCursor<'a> {
             return Err(Truncated);
         }
         let start = self.pos();
-        let out = self.msg.slice(start, start + n);
+        let out = slice_segs(self.segs, start, start + n);
         self.skip(n)?;
         Ok(out)
     }
@@ -404,13 +444,31 @@ mod tests {
     #[test]
     fn inline_then_spill() {
         let mut m = WireMsg::new();
-        for i in 0..5u8 {
+        for i in 0..6u8 {
             m.push(seg(&[i, i]));
+            assert_eq!(m.seg_count(), i as usize + 1);
+            assert_eq!(m.len(), 2 * (i as usize + 1));
         }
+        let flat = m.contiguous();
+        assert_eq!(flat.as_ref(), &[0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]);
+        let mut c = m.cursor();
+        c.skip(7).unwrap();
+        assert_eq!(c.get_u8().unwrap(), 3);
+        assert_eq!(c.take_bytes(4).unwrap().as_ref(), &[4, 4, 5, 5]);
+    }
+
+    #[test]
+    fn a_spilled_tail_still_coalesces() {
+        let backing = seg(&[1, 2, 3, 4, 5, 6]);
+        let mut m = WireMsg::new();
+        for i in 0..4u8 {
+            m.push(seg(&[i]));
+        }
+        m.push(backing.slice(0..3));
+        m.push(backing.slice(3..6));
         assert_eq!(m.seg_count(), 5);
         assert_eq!(m.len(), 10);
-        let flat = m.contiguous();
-        assert_eq!(flat.as_ref(), &[0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
+        assert_eq!(m.slice(4, 10).contiguous().as_ptr(), backing.as_ptr());
     }
 
     #[test]
@@ -534,7 +592,10 @@ mod tests {
         // inline 46-byte header repr made them 64 B and 296 B and raised
         // the benchmark's `peak_rss_mb` by 18 % on `mixed-scale` (46.9 to
         // 55.3 MB) and 16 % on `mesh-churn` (14.1 to 16.5 MB); headers
-        // are carved from a shared store instead.
+        // are carved from a shared store instead. Four inline segments
+        // fit the same 136 B as three did, because the inline form keeps
+        // no count or length (see `Segs`); a plain fourth array slot beside
+        // the spill list, count and length would make it 168 B.
         assert_eq!(std::mem::size_of::<Bytes>(), 32);
         assert_eq!(std::mem::size_of::<WireMsg>(), 136);
     }

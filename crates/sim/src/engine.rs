@@ -378,16 +378,12 @@ impl<S> Sim<S> {
             }
         }
         // A heap mostly full of dead entries costs every subsequent push
-        // and pop; rebuild it from the survivors once they are a minority.
+        // and pop; sweep them out in place once the survivors are a
+        // minority. Entries order by unique `(time, seq)`, so the pop order
+        // of the survivors does not change.
         if self.queue.len() > 64 && self.queue.len() > 2 * self.live {
             let board = self.board.borrow();
-            let retained: Vec<Entry> = self
-                .queue
-                .drain()
-                .filter(|e| board.gens[e.slot as usize] == e.gen)
-                .collect();
-            drop(board);
-            self.queue = BinaryHeap::from(retained);
+            self.queue.retain(|e| board.gens[e.slot as usize] == e.gen);
         }
     }
 

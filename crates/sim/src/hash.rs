@@ -1,7 +1,7 @@
 //! Deterministic, fast hashing for hot-path maps.
 //!
 //! The per-packet maps (network RMS tables, route tables, subtransport
-//! stream tables, session tables) are keyed by small integers and looked
+//! stream tables, session tables, the open-span table) are keyed by small integers and looked
 //! up several times per simulated event. `std`'s default SipHash is
 //! DoS-resistant but costs tens of nanoseconds per lookup, which is pure
 //! overhead in a closed simulation: every key is generated internally, so

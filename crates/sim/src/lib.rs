@@ -22,6 +22,8 @@
 //! - [`rng`]: self-contained xoshiro256++ PRNG with forkable sub-streams.
 //! - [`fault`]: fault-injection plans (scripted and seeded-random schedules
 //!   of network failure, partitions, burst loss, stalls, crashes).
+//! - [`hash`]: the deterministic hasher behind the id-keyed tables of
+//!   every layer.
 //! - [`stats`]: counters, online moments, exact-quantile histograms, rate
 //!   meters.
 //!
@@ -41,6 +43,7 @@ pub mod cpu;
 pub mod driver;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod obs;
 pub mod rng;
 pub mod slab;

@@ -37,9 +37,11 @@
 //! Sinks ([`ObsSink`]) observe the raw stream, in installation order:
 //! [`JsonLinesSink`] exports JSON-Lines for offline analysis.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::Write;
 
+use crate::hash::DetHashMap;
 use crate::stats::{Counter, Histogram};
 use crate::time::{SimDuration, SimTime};
 
@@ -1104,10 +1106,15 @@ struct OpenSpan {
     stages: Vec<(Stage, SimTime)>,
 }
 
-/// Tracks open spans and closes them on [`Stage::StDeliver`].
+/// Tracks open spans and closes them on [`Stage::StDeliver`]. Its tables
+/// keep their capacity once warm, so opening and closing a span
+/// allocates nothing.
 #[derive(Debug, Default)]
 struct SpanTracker {
-    open: BTreeMap<u64, OpenSpan>,
+    open: DetHashMap<u64, OpenSpan>,
+    /// Every open span's id, smallest on top, for eviction. A closed span
+    /// leaves its id behind until [`SpanTracker::sweep`] clears it.
+    ids: BinaryHeap<Reverse<u64>>,
     /// Open spans discarded because the tracker was full.
     dropped: u64,
     /// Emptied stage lists of finished spans, for the next spans to
@@ -1126,17 +1133,21 @@ impl SpanTracker {
         stream: u64,
         seq: u64,
     ) -> Option<SpanRecord> {
-        let spare = &mut self.spare;
-        let entry = self.open.entry(span).or_insert_with(|| OpenSpan {
-            stages: spare
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(Stage::COUNT)),
+        let (spare, ids) = (&mut self.spare, &mut self.ids);
+        let entry = self.open.entry(span).or_insert_with(|| {
+            ids.push(Reverse(span));
+            OpenSpan {
+                stages: spare
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(Stage::COUNT)),
+            }
         });
         if !entry.stages.iter().any(|(s, _)| *s == stage) {
             entry.stages.push((stage, time));
         }
         if stage == Stage::StDeliver {
             let done = self.open.remove(&span).expect("span just touched");
+            self.sweep();
             return Some(SpanRecord {
                 span,
                 stream,
@@ -1145,12 +1156,30 @@ impl SpanTracker {
             });
         }
         if self.open.len() > MAX_OPEN_SPANS {
-            if let Some((_, evicted)) = self.open.pop_first() {
-                self.recycle(evicted.stages);
-            }
+            self.evict_smallest();
             self.dropped += 1;
         }
         None
+    }
+
+    /// Discard the open span with the smallest id.
+    fn evict_smallest(&mut self) {
+        while let Some(Reverse(id)) = self.ids.pop() {
+            if let Some(evicted) = self.open.remove(&id) {
+                self.recycle(evicted.stages);
+                return;
+            }
+        }
+    }
+
+    /// Clear closed spans' ids once they outnumber the open ones, in
+    /// place: the heap keeps its capacity, and each sweep at least halves
+    /// it, so sweeping costs O(1) per span amortised.
+    fn sweep(&mut self) {
+        if self.ids.len() > 2 * self.open.len() {
+            let open = &self.open;
+            self.ids.retain(|Reverse(id)| open.contains_key(id));
+        }
     }
 
     /// Keep a finished span's stage list for the next span, up to

@@ -33,7 +33,7 @@ use crate::st::{
     control_params, Carrier, DataOut, PeerState, StEvent, StHost, StRole, StStream, StWorld,
     AUTH_TIMEOUT, DATA_CAPACITY_DEFAULT, ST_MAX_MESSAGE_SIZE,
 };
-use crate::wire::{decode, encode, ControlMsg, DataFrame, Frame, MAX_OPENING_HEADER};
+use crate::wire::{decode_into, encode, ControlMsg, DataFrame, Frame, MAX_OPENING_HEADER};
 
 // ---------------------------------------------------------------------------
 // Negotiation
@@ -956,18 +956,29 @@ pub fn on_net_deliver<W: StWorld>(
     msg: Message,
     _info: DeliveryInfo,
 ) {
-    let Ok(frame) = decode(msg.wire()) else {
-        drop_frame(sim, host, DropCause::Malformed);
-        return;
+    // A bundle's frames come back in the ST's kept list, which is empty
+    // between uses; a malformed bundle is dropped before any of it runs.
+    let mut frames = std::mem::take(&mut sim.state.st().bundle_frames);
+    let decoded = decode_into(msg.wire(), &mut frames);
+    if decoded.is_ok() {
+        for d in frames.drain(..) {
+            handle_data(sim, host, net_rms, d);
+        }
+    }
+    frames.clear();
+    sim.state.st().bundle_frames = frames;
+    let frame = match decoded {
+        Ok(Some(frame)) => frame,
+        Ok(None) => return,
+        Err(_) => {
+            drop_frame(sim, host, DropCause::Malformed);
+            return;
+        }
     };
     match frame {
         Frame::Ctrl(c) => handle_ctrl(sim, host, net_rms, c),
         Frame::Data(d) => handle_data(sim, host, net_rms, d),
-        Frame::Bundle(frames) => {
-            for d in frames {
-                handle_data(sim, host, net_rms, d);
-            }
-        }
+        Frame::Bundle(_) => unreachable!("decode_into returns a bundle's frames in its list"),
         Frame::FastAck { st_rms, seq } => {
             let client = (sim.state.st_ref().host(host).streams.get(&st_rms))
                 .filter(|s| s.role == StRole::Sender)

@@ -223,6 +223,10 @@ pub struct StState {
     /// Frames (with their sending peer) waiting for their receive-side CPU
     /// job.
     pub(crate) recv_jobs: Slab<(HostId, DataFrame)>,
+    /// The frames of the bundle being received, kept so that decoding a
+    /// bundle allocates nothing (taken while in use, so a delivery that
+    /// re-enters the receive path decodes into a list of its own).
+    pub(crate) bundle_frames: Vec<DataFrame>,
     next_st_rms: u64,
     nonce_seed: u64,
 }
@@ -237,6 +241,7 @@ impl StState {
             keyed_hosts: 0,
             send_jobs: Slab::new(),
             recv_jobs: Slab::new(),
+            bundle_frames: Vec::new(),
             next_st_rms: 1,
             nonce_seed: 0x5eed,
         }

@@ -500,12 +500,26 @@ fn get_ctrl(c: &mut WireCursor<'_>) -> Result<ControlMsg, WireError> {
 ///
 /// [`WireError`] on truncation, unknown tags, or invalid fields.
 pub fn decode(msg: &WireMsg) -> Result<Frame, WireError> {
+    let mut frames = Vec::new();
+    Ok(decode_into(msg, &mut frames)?.unwrap_or(Frame::Bundle(frames)))
+}
+
+/// [`decode`], with a bundle's frames decoded into `frames` (emptied
+/// first) and reported as `Ok(None)`, so a receiver that keeps the list
+/// decodes bundles without allocating. A bundle is decoded whole before
+/// any of it is returned: one malformed frame makes the bundle an error.
+///
+/// # Errors
+///
+/// As [`decode`]; `frames` then holds what was decoded before the fault.
+pub fn decode_into(msg: &WireMsg, frames: &mut Vec<DataFrame>) -> Result<Option<Frame>, WireError> {
     let mut c = msg.cursor();
-    match c.get_u8()? {
-        TAG_DATA => Ok(Frame::Data(get_data(&mut c)?)),
+    let frame = match c.get_u8()? {
+        TAG_DATA => Frame::Data(get_data(&mut c)?),
         TAG_BUNDLE => {
             let count = c.get_u16()? as usize;
-            let mut frames = Vec::with_capacity(count);
+            frames.clear();
+            frames.reserve(count);
             for _ in 0..count {
                 let tag = c.get_u8()?;
                 if tag != TAG_DATA {
@@ -513,15 +527,16 @@ pub fn decode(msg: &WireMsg) -> Result<Frame, WireError> {
                 }
                 frames.push(get_data(&mut c)?);
             }
-            Ok(Frame::Bundle(frames))
+            return Ok(None);
         }
-        TAG_CTRL => Ok(Frame::Ctrl(get_ctrl(&mut c)?)),
-        TAG_FASTACK => Ok(Frame::FastAck {
+        TAG_CTRL => Frame::Ctrl(get_ctrl(&mut c)?),
+        TAG_FASTACK => Frame::FastAck {
             st_rms: StRmsId(c.get_u64()?),
             seq: c.get_u64()?,
-        }),
-        t => Err(WireError::BadTag(t)),
-    }
+        },
+        t => return Err(WireError::BadTag(t)),
+    };
+    Ok(Some(frame))
 }
 
 #[cfg(test)]

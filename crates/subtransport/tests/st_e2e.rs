@@ -11,10 +11,12 @@ use dash_sim::Sim;
 use dash_subtransport::engine;
 use dash_subtransport::ids::{Client, StRmsId};
 use dash_subtransport::st::{StConfig, StEvent, StState, StWorld};
+use dash_subtransport::wire::{encode, DataFrame, Frame};
 use rms_core::delay::DelayBound;
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
 use rms_core::port::DeliveryInfo;
+use rms_core::wire::WireMsg;
 use rms_core::{RejectReason, RmsError, RmsRequest};
 
 struct World {
@@ -311,6 +313,49 @@ fn a_partial_cut_short_is_a_typed_drop() {
         delivered + cut as usize <= n,
         "{delivered} delivered, {cut} cut"
     );
+}
+
+#[test]
+fn a_bundle_with_a_malformed_frame_is_dropped_whole() {
+    let (net, a, b) = two_hosts_ethernet();
+    let mut sim = Sim::new(World::new(net, StConfig::default()));
+    let st_rms = establish(&mut sim, a, b, &basic_request(), false);
+    engine::send(&mut sim, a, st_rms, Message::new(vec![1u8; 16])).unwrap();
+    sim.run();
+    let (_, carrier) = *sim.state.net_deliveries.last().expect("the send arrived");
+    let sent_at = sim.now();
+    let frame = |seq: u64| DataFrame {
+        st_rms,
+        seq,
+        frag: None,
+        sent_at,
+        fast_ack: false,
+        source: None,
+        target: None,
+        span: None,
+        payload: WireMsg::from(vec![seq as u8; 16]),
+    };
+    let bundle = |first: u64| Frame::Bundle((first..first + 3).map(frame).collect());
+    let inject = |sim: &mut Sim<World>, wire: WireMsg| {
+        let now = sim.now();
+        let info = DeliveryInfo {
+            sent_at: now,
+            delivered_at: now,
+            stream: carrier.0,
+            seq: 0,
+        };
+        engine::on_net_deliver(sim, b, carrier, Message::from_wire(wire), info);
+        sim.run();
+    };
+
+    inject(&mut sim, encode(&bundle(1)));
+    assert_eq!(sim.state.st_deliveries.len(), 4, "a sound bundle delivers");
+    // The third frame's tag is the first byte after the other two.
+    let mut bytes = encode(&bundle(4)).contiguous().to_vec();
+    bytes[3 + 2 * encode(&Frame::Data(frame(4))).len()] = 0xee;
+    inject(&mut sim, WireMsg::from(bytes));
+    assert_eq!(sim.state.st_deliveries.len(), 4, "no frame of it ran");
+    assert_eq!(count(&sim, "st.drop.malformed"), 1);
 }
 
 #[test]

@@ -44,7 +44,10 @@ cargo test -q --test no_spurious_work
 # Establishment's route work is held to the same standard: once a host's
 # on-demand graph and table exist, `candidate_paths` and a `path` walk
 # allocate only their answers, and building a topology computes no routes
-# (dash-net's route_allocs, its own counting allocator).
+# (dash-net's route_allocs, its own counting allocator). The span tracker
+# too: with obs on and warm, a span opened and delivered allocates nothing,
+# and a full tracker still discards the smallest open id (dash-sim's
+# span_allocs).
 if ! cargo test --release -q --test hot_path_allocs --test flat_memory; then
     echo "verify: a running stream left its steady state (leg above): more allocations" >&2
     echo "verify: per frame means a protocol action boxes or copies per message; live" >&2
@@ -57,6 +60,13 @@ if ! cargo test --release -q -p dash-net --test route_allocs; then
     echo "verify: establishment rebuilds a graph, search buffers or service tables per" >&2
     echo "verify: call, or building a topology computes routes again — reproduce with"  >&2
     echo "verify:   cargo test --release -p dash-net --test route_allocs -- --nocapture" >&2
+    exit 1
+fi
+if ! cargo test --release -q -p dash-sim --test span_allocs; then
+    echo "verify: the span tracker allocates per span, or evicts other than the"          >&2
+    echo "verify: smallest open id (test above): its tables must keep their capacity" >&2
+    echo "verify: once warm — reproduce with"                                         >&2
+    echo "verify:   cargo test --release -p dash-sim --test span_allocs -- --nocapture" >&2
     exit 1
 fi
 

@@ -4,11 +4,13 @@
 //! a frame costs about one allocation on every leg — the harness's own
 //! tick closure.
 //!
-//! All three legs — voice, reliable with receiver flow control, and
+//! All four legs — voice, tagged voice (a two-part payload, so four
+//! segments a frame), reliable with receiver flow control, and
 //! fragmenting reliable — hold that line. A boxed closure per protocol
 //! action (a CPU job's continuation, a transmission, a wire hop, a flush
-//! timer), a header in a buffer of its own or a flattened payload adds
-//! one allocation per frame and fails a leg's bound. The harness is in
+//! timer), a header in a buffer of its own, a flattened payload or a
+//! segment list spilled to the heap adds one allocation per frame and
+//! fails a leg's bound. The harness is in
 //! `tests/steady/mod.rs`.
 
 mod steady;

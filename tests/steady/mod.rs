@@ -7,9 +7,10 @@
 //! heap bytes (allocated minus freed). Each leg opens one stream on a
 //! two-host Ethernet with EDF host CPUs, drives it with a
 //! self-rescheduling 20 ms frame tick, warms up for 1 000 frames, then
-//! measures 2 000 more. The legs are voice (160 B), reliable with
-//! receiver flow control (160 B) and fragmenting reliable
-//! (`StreamProfile::bulk()`, 4 KiB frames).
+//! measures 2 000 more. The legs are voice (160 B), tagged voice (160 B
+//! handed over in two parts, a 1-byte tag and a body, as a scatter-gather
+//! sender does), reliable with receiver flow control (160 B) and
+//! fragmenting reliable (`StreamProfile::bulk()`, 4 KiB frames).
 //!
 //! Observability stays off: the registry's span histograms keep every
 //! sample by design (exact quantiles), and they only exist while obs is
@@ -21,6 +22,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 
+use bytes::Bytes;
+use dash::core::wire::WireMsg;
 use dash::net::topology::two_hosts_ethernet;
 use dash::prelude::*;
 use dash::sim::cpu::SchedPolicy;
@@ -69,6 +72,10 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const FRAME_MS: u64 = 20;
+/// The tagged leg's bound, tighter than the others': its four-segment
+/// frames spilled their segment list to the heap once, one allocation
+/// per frame (2.03), and a spill on a quarter of them fails it.
+const TAGGED_BOUND: f64 = 1.25;
 const WARMUP_FRAMES: u64 = 1_000;
 pub const MEASURED_FRAMES: u64 = 2_000;
 
@@ -84,14 +91,18 @@ pub struct Leg {
     pub allocs_bound: f64,
     /// Whether the ST fragments this leg's messages.
     pub fragments: bool,
+    /// Whether each message is a 1-byte tag followed by the body, two
+    /// segments, rather than one.
+    pub tagged: bool,
 }
 
 /// About one allocation per frame on every leg: the harness's own tick
-/// closure (voice 1.03, reliable 1.06, fragmenting 1.24). The headers
-/// come from the shared header store, the checksum reads the segments in
-/// place and fragments are made one at a time; the rest is the odd table
-/// resize.
-pub fn legs() -> [Leg; 3] {
+/// closure (voice 1.03, tagged voice 1.03, reliable 1.06, fragmenting
+/// 1.13). The headers come from the shared header store, the checksum
+/// reads the segments in place, a frame's four segments (ST header,
+/// transport header, tag, body) are held inline and fragments are made one
+/// at a time; the rest is the odd table resize.
+pub fn legs() -> [Leg; 4] {
     [
         Leg {
             name: "voice",
@@ -99,6 +110,15 @@ pub fn legs() -> [Leg; 3] {
             bytes: 160,
             allocs_bound: 1.5,
             fragments: false,
+            tagged: false,
+        },
+        Leg {
+            name: "tagged voice",
+            profile: StreamProfile::voice(),
+            bytes: 160,
+            allocs_bound: TAGGED_BOUND,
+            fragments: false,
+            tagged: true,
         },
         Leg {
             name: "reliable",
@@ -110,6 +130,7 @@ pub fn legs() -> [Leg; 3] {
             bytes: 160,
             allocs_bound: 1.5,
             fragments: false,
+            tagged: false,
         },
         Leg {
             name: "fragmenting",
@@ -117,16 +138,31 @@ pub fn legs() -> [Leg; 3] {
             bytes: 4 * 1024,
             allocs_bound: 1.5,
             fragments: true,
+            tagged: false,
         },
     ]
 }
 
+/// The bodies of the tagged leg's messages.
+static BODY: [u8; 4096] = [0; 4096];
+
+/// One message of `bytes` bytes: zeroes, or a 1-byte tag and a body
+/// from static storage.
+fn message(bytes: usize, tagged: bool) -> Message {
+    if !tagged {
+        return Message::zeroes(bytes);
+    }
+    let mut wire = WireMsg::from_bytes(Bytes::from_static(&[0x7a]));
+    wire.push(Bytes::from_static(&BODY[..bytes - 1]));
+    Message::from_wire(wire)
+}
+
 /// Send one frame and schedule the next, forever: the pending-event set
 /// stays one tick deep instead of holding every future frame.
-fn tick(sim: &mut Sim<Stack>, host: HostId, session: u64, bytes: usize) {
-    stream::send(sim, host, session, Message::zeroes(bytes)).expect("send port has room");
+fn tick(sim: &mut Sim<Stack>, host: HostId, session: u64, bytes: usize, tagged: bool) {
+    stream::send(sim, host, session, message(bytes, tagged)).expect("send port has room");
     sim.schedule_in(SimDuration::from_millis(FRAME_MS), move |sim| {
-        tick(sim, host, session, bytes)
+        tick(sim, host, session, bytes, tagged)
     });
 }
 
@@ -154,7 +190,7 @@ pub fn steady(leg: &Leg) -> Steady {
         stream::open(&mut sim, a, b, leg.profile.clone()).expect("a quiet LAN admits the stream");
     sim.run();
     let start = sim.now();
-    tick(&mut sim, a, session, leg.bytes);
+    tick(&mut sim, a, session, leg.bytes, leg.tagged);
     let frames = |n: u64| start + SimDuration::from_millis(FRAME_MS * n);
 
     sim.run_until(frames(WARMUP_FRAMES));
