@@ -12,11 +12,14 @@
 //! header and a payload of up to two parts (a scatter-gather sender's tag
 //! and body) cover every unbundled frame the stack emits, so the common
 //! case allocates nothing for the segment list. Only bundles, which
-//! interleave several frames, spill to a heap list. Data-path headers are
-//! carved by [`header`] from a shared per-thread store, so they allocate
-//! nothing of their own either. [`WireMsg::push`] coalesces adjacent views of the same backing buffer, which is what makes
-//! fragment reassembly re-form the original payload view instead of
-//! accumulating a long segment list.
+//! interleave several frames, spill to a heap list, and a spilled list
+//! goes back to a per-thread free list when its message drops, so the
+//! next spill allocates nothing either. Headers are carved by [`header`]
+//! from a shared per-thread store, so they allocate nothing of their own.
+//!
+//! [`WireMsg::push`] coalesces adjacent views of the same backing buffer,
+//! which is what makes fragment reassembly re-form the original payload
+//! view instead of accumulating a long segment list.
 //!
 //! [`WireCursor`] is the decode side: big-endian reads and zero-copy
 //! `take` operations that slice the shared segments. [`WireMsg::contiguous`]
@@ -24,7 +27,7 @@
 //! (security transforms, tests, the wiretap); it is free when the
 //! message already is contiguous and an explicit, visible copy when not.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 
 use bytes::{Bytes, BytesMut};
@@ -35,15 +38,51 @@ const INLINE_SEGS: usize = 4;
 /// Capacity of each store [`header`] carves headers from.
 const HEADER_STORE: usize = 4096;
 
+/// Most spilled segment lists a thread keeps for reuse.
+const SPILL_POOL: usize = 64;
+
+/// Largest segment list the pool keeps: a bundle's fits, while a long
+/// reassembly list is freed rather than pinned for the rest of the run.
+const SPILL_POOL_CAP: usize = 64;
+
 thread_local! {
     /// The writer of the current header store. Each world runs on one
     /// thread and the store only holds bytes already handed out, so what
     /// a run encodes never depends on which thread ran it.
     static HEADERS: Cell<BytesMut> = const { Cell::new(BytesMut::new()) };
+
+    /// Empty segment lists of dropped spilled messages, for the next
+    /// spill. Like the header store, it holds nothing a run can observe.
+    static SPILLS: RefCell<Vec<Vec<Bytes>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Encode one data-path header of at most `max_len` bytes: `write` fills
-/// the buffer, and the written bytes come back as a view of a shared
+/// An empty segment list with room for `segments`, taken from this
+/// thread's pool when it has one.
+fn spill_list(segments: usize) -> Vec<Bytes> {
+    let mut list = (SPILLS.try_with(|pool| pool.borrow_mut().pop()).ok())
+        .flatten()
+        .unwrap_or_default();
+    list.reserve(segments);
+    list
+}
+
+/// Hand `list` back to this thread's pool, or free it if it is long, the
+/// pool is full or the thread is tearing its pool down.
+fn recycle(mut list: Vec<Bytes>) {
+    list.clear();
+    if list.capacity() > SPILL_POOL_CAP {
+        return;
+    }
+    let _ = SPILLS.try_with(|pool| {
+        let mut pool = pool.borrow_mut();
+        if pool.len() < SPILL_POOL {
+            pool.push(list);
+        }
+    });
+}
+
+/// Encode one header of at most `max_len` bytes: `write` fills the
+/// buffer, and the written bytes come back as a view of a shared
 /// per-thread store, with no allocation of their own. When the store runs
 /// out it is reused from its start if no view of it is left, and
 /// otherwise replaced by a fresh 4 KiB one; views keep the old store
@@ -88,8 +127,8 @@ pub struct WireMsg {
 /// its own: empty segments are never stored, so its segments are the
 /// views before the first empty one, and its length is their sum. The
 /// discriminant takes the word those two fields would, which keeps a
-/// `WireMsg` at 136 bytes.
-#[derive(Clone)]
+/// `WireMsg` at 136 bytes. A spilled list comes from and goes back to
+/// the thread's pool ([`spill_list`], [`recycle`]).
 enum Segs {
     Inline([Bytes; INLINE_SEGS]),
     Spill { segs: Vec<Bytes>, total: usize },
@@ -98,6 +137,30 @@ enum Segs {
 impl Default for Segs {
     fn default() -> Self {
         Segs::Inline(Default::default())
+    }
+}
+
+impl Clone for Segs {
+    fn clone(&self) -> Self {
+        match self {
+            Segs::Inline(inline) => Segs::Inline(inline.clone()),
+            Segs::Spill { segs, total } => {
+                let mut list = spill_list(segs.len());
+                list.extend_from_slice(segs);
+                Segs::Spill {
+                    segs: list,
+                    total: *total,
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Segs {
+    fn drop(&mut self) {
+        if let Segs::Spill { segs, .. } = self {
+            recycle(std::mem::take(segs));
+        }
     }
 }
 
@@ -110,6 +173,21 @@ impl WireMsg {
     /// An empty message.
     pub fn new() -> Self {
         WireMsg::default()
+    }
+
+    /// An empty message with room for `segments` segments. More than fit
+    /// inline take one list from the thread's pool up front, so pushing
+    /// them never regrows it.
+    pub fn with_capacity(segments: usize) -> Self {
+        if segments <= INLINE_SEGS {
+            return WireMsg::new();
+        }
+        WireMsg {
+            segs: Segs::Spill {
+                segs: spill_list(segments),
+                total: 0,
+            },
+        }
     }
 
     /// A message consisting of one segment.
@@ -172,19 +250,20 @@ impl WireMsg {
                     return;
                 }
                 let total = inline.iter().map(Bytes::len).sum::<usize>() + segment.len();
-                let mut segs = Vec::with_capacity(2 * INLINE_SEGS);
+                let mut segs = spill_list(2 * INLINE_SEGS);
                 segs.extend(inline.iter_mut().map(std::mem::take));
                 segs.push(segment);
                 self.segs = Segs::Spill { segs, total };
             }
             Segs::Spill { segs, total } => {
                 *total += segment.len();
-                let tail = segs.last_mut().expect("a spilled message has segments");
-                if let Some(joined) = Bytes::merge_contiguous(tail, &segment) {
-                    *tail = joined;
-                } else {
-                    segs.push(segment);
+                if let Some(tail) = segs.last_mut() {
+                    if let Some(joined) = Bytes::merge_contiguous(tail, &segment) {
+                        *tail = joined;
+                        return;
+                    }
                 }
+                segs.push(segment);
             }
         }
     }
@@ -615,6 +694,97 @@ mod tests {
         });
         assert_eq!(big.len(), 2 * HEADER_STORE);
         assert_eq!(header(4, |b| b.extend_from_slice(&[9])).as_ref(), &[9]);
+    }
+
+    /// A message of `n` one-byte segments from distinct buffers.
+    fn spilled(n: u8) -> WireMsg {
+        let mut m = WireMsg::new();
+        for i in 0..n {
+            m.push(seg(&[i]));
+        }
+        m
+    }
+
+    /// A spilled message's segment list.
+    fn list(m: &WireMsg) -> &Vec<Bytes> {
+        match &m.segs {
+            Segs::Spill { segs, .. } => segs,
+            Segs::Inline(_) => panic!("{m:?} is inline"),
+        }
+    }
+
+    /// Where a spilled message's segment list lives.
+    fn list_ptr(m: &WireMsg) -> *const Bytes {
+        list(m).as_ptr()
+    }
+
+    #[test]
+    fn a_dropped_spill_list_is_reused_by_the_next_spill() {
+        let first = spilled(6);
+        let list = list_ptr(&first);
+        drop(first);
+        let second = spilled(7);
+        assert_eq!(list_ptr(&second), list);
+        assert_eq!(second.seg_count(), 7);
+        drop(second);
+        // A message sized up front takes the same list.
+        let mut sized = WireMsg::with_capacity(8);
+        assert_eq!(list_ptr(&sized), list);
+        assert!(sized.is_empty());
+        sized.push(seg(&[1]));
+        sized.push(seg(&[2]));
+        assert_eq!(sized.contiguous().as_ref(), &[1, 2]);
+        // Up to four segments need no list at all.
+        assert!(matches!(WireMsg::with_capacity(4).segs, Segs::Inline(_)));
+    }
+
+    #[test]
+    fn a_long_spill_list_is_freed_not_pooled() {
+        let long = spilled(SPILL_POOL_CAP as u8 + 1);
+        assert!(list(&long).capacity() > SPILL_POOL_CAP);
+        drop(long);
+        // Had the long list been pooled, the next spill would take it.
+        let next = spilled(5);
+        assert!(list(&next).capacity() <= SPILL_POOL_CAP);
+    }
+
+    #[test]
+    fn a_clone_of_a_spilled_message_equals_it_and_leaves_it_intact() {
+        let original = spilled(9);
+        let views: Vec<*const u8> = original.segments().map(|s| s.as_ptr()).collect();
+        let copy = original.clone();
+        assert_eq!(copy, original);
+        assert_eq!(copy.seg_count(), 9);
+        assert_eq!(copy.len(), 9);
+        assert_ne!(list_ptr(&copy), list_ptr(&original));
+        drop(copy);
+        // The original keeps its views and bytes after the clone is gone.
+        assert_eq!(
+            original.segments().map(|s| s.as_ptr()).collect::<Vec<_>>(),
+            views
+        );
+        assert_eq!(original.contiguous().as_ref(), &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn a_spilled_message_in_a_thread_local_drops_at_thread_exit() {
+        thread_local! {
+            static HELD: RefCell<WireMsg> = RefCell::new(WireMsg::new());
+        }
+        // Thread-locals are torn down in an order the platform picks, so
+        // set `HELD` up before and after the pool: one order drops the
+        // message into a live pool, the other after the pool is gone.
+        for held_first in [true, false] {
+            std::thread::spawn(move || {
+                if held_first {
+                    HELD.with(|_| {});
+                }
+                drop(spilled(5));
+                HELD.with(|h| *h.borrow_mut() = spilled(6));
+            })
+            .join()
+            .expect("thread exit drops the message without panicking");
+        }
     }
 
     #[test]

@@ -182,14 +182,18 @@ impl FlushedBundle<'_> {
     }
 
     /// Assemble the single network payload: the lone entry's frame as-is,
-    /// or a 3-byte bundle header followed by every entry's segments. No
-    /// frame is re-encoded and no payload byte is copied.
+    /// or a 3-byte bundle header followed by every entry's segments, in one
+    /// segment list sized for all of them up front (and recycled once the
+    /// bundle drops). No frame is re-encoded and no payload byte is copied.
     pub fn encode(mut self) -> WireMsg {
         if self.entries.len() == 1 {
             return self.entries.next().expect("one entry").wire;
         }
         let count = self.entries.len() as u16;
-        let mut out = WireMsg::from_bytes(wire::header(BUNDLE_OVERHEAD as usize, |hdr| {
+        let entries = self.entries.as_slice();
+        let mut out =
+            WireMsg::with_capacity(1 + entries.iter().map(|e| e.wire.seg_count()).sum::<usize>());
+        out.push(wire::header(BUNDLE_OVERHEAD as usize, |hdr| {
             hdr.put_u8(TAG_BUNDLE);
             hdr.put_u16(count);
         }));

@@ -299,6 +299,21 @@ fn put_ctrl(buf: &mut BytesMut, c: &ControlMsg) {
 /// payload length.
 const MAX_DATA_HEADER: usize = 62;
 
+/// Shortest encoded data frame: tag, stream, seq, flags, send time and
+/// payload length, with no options and an empty payload.
+const MIN_DATA_FRAME: usize = 30;
+
+/// Longest parameter block `put_params` writes: three mode bytes, the
+/// capacity, message size and two delay terms, the delay kind with a
+/// statistical spec, and the error rate.
+const MAX_PARAMS_LEN: usize = 3 + 4 * 8 + 1 + 3 * 8 + 8;
+
+/// Longest control frame `put_ctrl` writes: a [`ControlMsg::StCreateReq`]
+/// (frame and control tags, stream, fast-ack flag) with statistical
+/// parameters and a [`MAX_OPENING_HEADER`]-byte opening header behind its
+/// length byte.
+pub const MAX_CTRL_LEN: usize = 2 + 8 + 1 + MAX_PARAMS_LEN + 1 + MAX_OPENING_HEADER;
+
 /// Encode a frame as a scatter-gather [`WireMsg`]: header fields carved
 /// from the shared header store (bundles share one header arena),
 /// payload bytes as zero-copy segment views. `encode(f).len()` is the
@@ -323,7 +338,8 @@ pub fn encode(frame: &Frame) -> WireMsg {
                     cuts.push(buf.len());
                 }
             });
-            let mut out = WireMsg::new();
+            let segs = frames.iter().map(|d| 1 + d.payload.seg_count()).sum();
+            let mut out = WireMsg::with_capacity(segs);
             let mut prev = 0;
             for (d, cut) in frames.iter().zip(cuts) {
                 out.push(arena.slice(prev..cut));
@@ -333,9 +349,15 @@ pub fn encode(frame: &Frame) -> WireMsg {
             out
         }
         Frame::Ctrl(c) => {
-            let mut buf = BytesMut::with_capacity(64);
-            put_ctrl(&mut buf, c);
-            WireMsg::from_bytes(buf.freeze())
+            // `create` refuses a longer opening header; only a hostile-input
+            // test encodes one, and it gets the room it writes.
+            let over = match c {
+                ControlMsg::StCreateReq { header, .. } => {
+                    header.len().saturating_sub(MAX_OPENING_HEADER)
+                }
+                _ => 0,
+            };
+            WireMsg::from_bytes(wire::header(MAX_CTRL_LEN + over, |buf| put_ctrl(buf, c)))
         }
         Frame::FastAck { st_rms, seq } => WireMsg::from_bytes(wire::header(17, |buf| {
             buf.put_u8(TAG_FASTACK);
@@ -519,7 +541,9 @@ pub fn decode_into(msg: &WireMsg, frames: &mut Vec<DataFrame>) -> Result<Option<
         TAG_BUNDLE => {
             let count = c.get_u16()? as usize;
             frames.clear();
-            frames.reserve(count);
+            // A forged count must not size the kept list: reserve only what
+            // the bytes left could hold.
+            frames.reserve(count.min(c.remaining() / MIN_DATA_FRAME));
             for _ in 0..count {
                 let tag = c.get_u8()?;
                 if tag != TAG_DATA {
@@ -689,6 +713,68 @@ mod tests {
             decode(&encode(&f)),
             Err(WireError::Invalid("opening header length"))
         );
+    }
+
+    /// Control frames are carved from the header store with
+    /// [`MAX_CTRL_LEN`] bytes of room: the longest one, a create request
+    /// with statistical parameters and a full opening header, fills it
+    /// exactly, and every other fits.
+    #[test]
+    fn the_longest_control_frame_fills_max_ctrl_len() {
+        let mut p = sample_params();
+        p.delay.kind = DelayBoundKind::Statistical(StatisticalSpec::new(5e5, 3.0, 0.95));
+        let longest = ControlMsg::StCreateReq {
+            st_rms: StRmsId(u64::MAX),
+            params: p,
+            fast_ack: true,
+            header: Bytes::from_static(&[0xD6; MAX_OPENING_HEADER]),
+        };
+        assert_eq!(encode(&Frame::Ctrl(longest)).len(), MAX_CTRL_LEN);
+        let others = [
+            ControlMsg::Hello {
+                host: u32::MAX,
+                nonce: u64::MAX,
+                tag: u64::MAX,
+            },
+            ControlMsg::HelloAck {
+                host: u32::MAX,
+                nonce: u64::MAX,
+                tag: u64::MAX,
+            },
+            ControlMsg::StCreateReq {
+                st_rms: StRmsId(1),
+                params: sample_params(),
+                fast_ack: false,
+                header: Bytes::from_static(&[0xD6; MAX_OPENING_HEADER]),
+            },
+            ControlMsg::StClose { st_rms: StRmsId(1) },
+        ];
+        for m in others {
+            assert!(
+                encode(&Frame::Ctrl(m.clone())).len() < MAX_CTRL_LEN,
+                "{m:?}"
+            );
+        }
+    }
+
+    /// A bundle header's frame count is the sender's word only: a forged
+    /// `[0x02, 0xFF, 0xFF]` with no frames behind it is refused, and the
+    /// kept frame list is not sized for 65 535 frames on its say-so.
+    #[test]
+    fn a_forged_bundle_count_does_not_size_the_frame_list() {
+        let forged = WireMsg::from_bytes(Bytes::from_static(&[TAG_BUNDLE, 0xFF, 0xFF]));
+        let mut frames = Vec::new();
+        assert_eq!(decode_into(&forged, &mut frames), Err(WireError::Truncated));
+        assert_eq!(frames.capacity(), 0);
+        // A real bundle behind a forged count reserves only what its bytes
+        // could hold (two frames; a `Vec`'s first allocation holds four).
+        let real = encode(&Frame::Bundle(vec![sample_data(0, 0), sample_data(1, 0)]));
+        let mut lying = real.contiguous().to_vec();
+        lying[1..3].copy_from_slice(&u16::MAX.to_be_bytes());
+        let lying = WireMsg::from(lying);
+        assert_eq!(decode_into(&lying, &mut frames), Err(WireError::Truncated));
+        assert_eq!(frames.len(), 2);
+        assert!(frames.capacity() <= 4, "{}", frames.capacity());
     }
 
     #[test]

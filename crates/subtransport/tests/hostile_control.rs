@@ -8,7 +8,9 @@
 //! `CreateFailed` for its client, a host binds a receiving lane only under
 //! an id it does not hold (so a repeated request opens no second stream),
 //! and an answer from a host other than the stream's peer changes nothing
-//! at all: the run without those answers is the same run.
+//! at all: the run without those answers is the same run. Forged bundle
+//! headers, whose frame counts promise frames that are not there, are
+//! dropped as malformed and change nothing either.
 //!
 //! Run wider with `PROPTEST_CASES=2000 cargo test --release -p
 //! dash-subtransport --test hostile_control`.
@@ -20,15 +22,17 @@ use dash_net::ids::{HostId, NetRmsId};
 use dash_net::network::NetworkSpec;
 use dash_net::state::{NetRmsEvent, NetState, NetWorld};
 use dash_net::topology::TopologyBuilder;
+use dash_sim::time::SimTime;
 use dash_sim::Sim;
 use dash_subtransport::engine;
 use dash_subtransport::ids::{Client, StRmsId};
 use dash_subtransport::st::{StConfig, StEvent, StState, StWorld};
-use dash_subtransport::wire::{encode, ControlMsg, Frame};
+use dash_subtransport::wire::{encode, ControlMsg, DataFrame, Frame};
 use proptest::prelude::*;
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
 use rms_core::port::DeliveryInfo;
+use rms_core::wire::WireMsg;
 use rms_core::RmsRequest;
 
 const A: HostId = HostId(0);
@@ -235,6 +239,11 @@ fn message(f: &Forged, st_rms: StRmsId) -> ControlMsg {
 /// Deliver `msg` at `to` as if it arrived from `from`, on the lowest
 /// network RMS `to` shares with `from`.
 fn inject(sim: &mut Sim<World>, from: HostId, to: HostId, msg: ControlMsg) {
+    inject_wire(sim, from, to, encode(&Frame::Ctrl(msg)));
+}
+
+/// [`inject`] for a message of any bytes.
+fn inject_wire(sim: &mut Sim<World>, from: HostId, to: HostId, wire: WireMsg) {
     let rms = (sim.state.net.host(to).rms.values())
         .filter(|r| r.peer == from)
         .map(|r| r.id)
@@ -247,7 +256,6 @@ fn inject(sim: &mut Sim<World>, from: HostId, to: HostId, msg: ControlMsg) {
         stream: rms.0,
         seq: 0,
     };
-    let wire = encode(&Frame::Ctrl(msg));
     engine::on_net_deliver(sim, to, rms, Message::from_wire(wire), info);
 }
 
@@ -264,6 +272,12 @@ struct Run {
 /// Connect every pair, open the live stream, start the create in flight and
 /// deliver `forged` while it runs.
 fn run(forged: &[Forged]) -> Run {
+    run_with(forged, &[]).0
+}
+
+/// [`run`], also delivering each `(step, from, to, message)` of `raw`;
+/// returns the malformed frames the ST dropped too.
+fn run_with(forged: &[Forged], raw: &[(u32, HostId, HostId, WireMsg)]) -> (Run, u64) {
     let mut t = TopologyBuilder::new();
     let lan = t.network(NetworkSpec::ethernet("lan"));
     for h in [A, B, C] {
@@ -296,6 +310,9 @@ fn run(forged: &[Forged]) -> Run {
         for f in forged.iter().filter(|f| f.at_step == step) {
             inject(&mut sim, f.from, f.to, message(f, ids.named(f.id)));
         }
+        for (_, from, to, wire) in raw.iter().filter(|r| r.0 == step) {
+            inject_wire(&mut sim, *from, *to, wire.clone());
+        }
         if !sim.step() && step >= LAST_STEP {
             break;
         }
@@ -306,11 +323,54 @@ fn run(forged: &[Forged]) -> Run {
         .map(|h| h.streams.keys().copied().collect::<BTreeSet<_>>())
         .map(|s| s.into_iter().collect())
         .collect();
-    Run {
+    let malformed = sim
+        .state
+        .net
+        .obs
+        .registry
+        .counter_value("st.drop.malformed");
+    let run = Run {
         events: std::mem::take(&mut sim.state.events),
         streams,
         creates,
-    }
+    };
+    (run, malformed)
+}
+
+/// Forged bundle headers — the three bytes `[0x02, 0xFF, 0xFF]`, and a
+/// real bundle whose count claims 65 535 frames — from the peer and from
+/// the bystander, during the create in flight and after it: each is
+/// dropped whole as malformed, and nothing else about the run changes.
+/// (`wire`'s `a_forged_bundle_count_does_not_size_the_frame_list` checks
+/// that the count does not size the ST's kept frame list.)
+#[test]
+fn forged_bundle_counts_are_dropped_as_malformed() {
+    let header = WireMsg::from_bytes(Bytes::from_static(&[0x02, 0xFF, 0xFF]));
+    let frame = |seq| DataFrame {
+        st_rms: StRmsId(1),
+        seq,
+        frag: None,
+        sent_at: SimTime::ZERO,
+        fast_ack: false,
+        source: None,
+        target: None,
+        span: None,
+        payload: WireMsg::from(vec![7u8; 16]),
+    };
+    let mut lying = encode(&Frame::Bundle(vec![frame(0), frame(1)]))
+        .contiguous()
+        .to_vec();
+    lying[1..3].copy_from_slice(&u16::MAX.to_be_bytes());
+    let lying = WireMsg::from(lying);
+    let raw: Vec<_> = [(3, B, A), (5, C, B), (LAST_STEP, A, B)]
+        .into_iter()
+        .flat_map(|(step, from, to)| {
+            [header.clone(), lying.clone()].map(|wire| (step, from, to, wire))
+        })
+        .collect();
+    let (got, malformed) = run_with(&[], &raw);
+    assert_eq!(malformed, raw.len() as u64);
+    assert_eq!(got, run(&[]), "a forged bundle changed the run");
 }
 
 proptest! {

@@ -65,7 +65,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rms_core::hash::DetHashMap;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use dash_net::ids::HostId;
 use dash_net::state::emit;
 use dash_sim::engine::{Args, Sim, TimerHandle};
@@ -292,10 +292,14 @@ impl Mechanisms {
     }
 }
 
-/// A stream lane's opening header, carried by its ST create (27 bytes:
-/// magic, kind, session, flags, receive buffer, acknowledged session). A
-/// data lane's Hello names the mechanisms the receiving end must run; an
-/// ack lane's names the session it acknowledges.
+/// Bytes of a Hello on the wire: magic, kind, session, flags, receive
+/// buffer and acknowledged session.
+const HELLO_LEN: usize = 27;
+
+/// A stream lane's opening header, carried by its ST create
+/// ([`HELLO_LEN`] bytes, carved from the shared header store). A data
+/// lane's Hello names the mechanisms the receiving end must run; an ack
+/// lane's names the session it acknowledges.
 #[derive(Debug, PartialEq)]
 struct Hello {
     session: u64,
@@ -305,16 +309,16 @@ struct Hello {
 
 impl Hello {
     fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(27);
-        b.put_u8(MAGIC_STREAM);
-        b.put_u8(KIND_HELLO);
-        b.put_u64(self.session);
-        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
-        let mech = &self.mech;
-        b.put_u8(flag(mech.reliable, FLAG_RELIABLE) | flag(mech.receiver_fc, FLAG_RECEIVER_FC));
-        b.put_u64(mech.receive_buffer);
-        b.put_u64(self.ack_is_for.map_or(u64::MAX, |s| s));
-        b.freeze()
+        wire::header(HELLO_LEN, |b| {
+            b.put_u8(MAGIC_STREAM);
+            b.put_u8(KIND_HELLO);
+            b.put_u64(self.session);
+            let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+            let mech = &self.mech;
+            b.put_u8(flag(mech.reliable, FLAG_RELIABLE) | flag(mech.receiver_fc, FLAG_RECEIVER_FC));
+            b.put_u64(mech.receive_buffer);
+            b.put_u64(self.ack_is_for.map_or(u64::MAX, |s| s));
+        })
     }
 
     fn decode(header: &Bytes) -> Option<Hello> {
@@ -1515,7 +1519,8 @@ mod tests {
     use super::*;
 
     /// Every Hello round-trips in 27 bytes — its flags byte took the place
-    /// of a one-byte boolean — and fits the ST's opening-header bound.
+    /// of a one-byte boolean — within the room it takes from the header
+    /// store, and fits the ST's opening-header bound.
     #[test]
     fn hello_round_trips() {
         let mech = |reliable, receiver_fc| Mechanisms {
@@ -1543,6 +1548,7 @@ mod tests {
         for h in hellos {
             let header = h.encode();
             assert_eq!(header.len(), 27, "{h:?}");
+            assert!(header.len() <= HELLO_LEN);
             assert!(header.len() <= dash_subtransport::wire::MAX_OPENING_HEADER);
             assert_eq!(Hello::decode(&header), Some(h));
         }

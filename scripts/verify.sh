@@ -35,12 +35,17 @@ cargo build --release
 # fails, the long suites below are measuring a stack that wastes work.
 cargo test -q --test no_spurious_work
 
-# The data path's steady state: on a running stream (voice, reliable,
-# and fragmenting reliable), 2 000 more frames must cost a fixed number
-# of allocations each and leave the live heap where it was. Protocol
-# actions are unboxed calls over slab-parked data, and nothing records
-# per message (one counting allocator, tests/steady/mod.rs, measures
-# both; hot_path_allocs gates the allocations, flat_memory the heap).
+# The data path's steady state: on a running stream (voice, tagged and
+# bundled voice, reliable, and fragmenting reliable), 2 000 more ticks
+# must cost a fixed number of allocations per message and leave the live
+# heap where it was. Protocol actions are unboxed calls over slab-parked
+# data, headers — control frames and the stream Hello included — are
+# carved from the shared header store, a bundle's segment list is
+# recycled, and nothing records per message (one counting allocator,
+# tests/steady/mod.rs, measures both; hot_path_allocs gates the
+# allocations, flat_memory the heap). rms-core's wire_allocs holds the
+# segment-list pool to the same standard: once warm, a bundle-sized
+# message, its clone and a message spilled by pushing allocate nothing.
 # Establishment's route work is held to the same standard: once a host's
 # on-demand graph and table exist, `candidate_paths` and a `path` walk
 # allocate only their answers, and building a topology computes no routes
@@ -67,6 +72,13 @@ if ! cargo test --release -q -p dash-sim --test span_allocs; then
     echo "verify: smallest open id (test above): its tables must keep their capacity" >&2
     echo "verify: once warm — reproduce with"                                         >&2
     echo "verify:   cargo test --release -p dash-sim --test span_allocs -- --nocapture" >&2
+    exit 1
+fi
+if ! cargo test --release -q -p rms-core --test wire_allocs; then
+    echo "verify: a spilled wire message allocates its segment list (test above): a"  >&2
+    echo "verify: bundle's list must come from and go back to the per-thread pool"    >&2
+    echo "verify: once warm — reproduce with"                                         >&2
+    echo "verify:   cargo test --release -p rms-core --test wire_allocs -- --nocapture" >&2
     exit 1
 fi
 

@@ -9,8 +9,10 @@
 //! self-rescheduling 20 ms frame tick, warms up for 1 000 frames, then
 //! measures 2 000 more. The legs are voice (160 B), tagged voice (160 B
 //! handed over in two parts, a 1-byte tag and a body, as a scatter-gather
-//! sender does), reliable with receiver flow control (160 B) and
-//! fragmenting reliable (`StreamProfile::bulk()`, 4 KiB frames).
+//! sender does), bundled voice (four tagged messages a tick, which the ST
+//! piggybacks into one network message), reliable with receiver flow
+//! control (160 B) and fragmenting reliable (`StreamProfile::bulk()`,
+//! 4 KiB frames). Allocations are counted per message sent.
 //!
 //! Observability stays off: the registry's span histograms keep every
 //! sample by design (exact quantiles), and they only exist while obs is
@@ -76,6 +78,14 @@ const FRAME_MS: u64 = 20;
 /// frames spilled their segment list to the heap once, one allocation
 /// per frame (2.03), and a spill on a quarter of them fails it.
 const TAGGED_BOUND: f64 = 1.25;
+/// Messages the bundled leg sends each tick.
+const BUNDLED_PER_TICK: u64 = 4;
+/// The bundled leg's bound: the tick closure shared by its four messages
+/// (0.25 each) plus slack for the odd table resize. A bundle's
+/// 17-segment list grown push by push (8, 16, 32) costs three
+/// allocations per bundle, 0.75 per message, and one list allocated per
+/// bundle 0.25; either fails it.
+const BUNDLED_BOUND: f64 = 0.4;
 const WARMUP_FRAMES: u64 = 1_000;
 pub const MEASURED_FRAMES: u64 = 2_000;
 
@@ -94,15 +104,18 @@ pub struct Leg {
     /// Whether each message is a 1-byte tag followed by the body, two
     /// segments, rather than one.
     pub tagged: bool,
+    /// Messages sent each tick; more than one get piggybacked.
+    pub per_tick: u64,
 }
 
-/// About one allocation per frame on every leg: the harness's own tick
-/// closure (voice 1.03, tagged voice 1.03, reliable 1.06, fragmenting
-/// 1.13). The headers come from the shared header store, the checksum
-/// reads the segments in place, a frame's four segments (ST header,
-/// transport header, tag, body) are held inline and fragments are made one
-/// at a time; the rest is the odd table resize.
-pub fn legs() -> [Leg; 4] {
+/// About one allocation per tick on every leg: the harness's own tick
+/// closure (voice 1.03, tagged voice 1.03, bundled voice 0.28 per message
+/// at four a tick, reliable 1.06, fragmenting 1.13). The headers come from
+/// the shared header store, the checksum reads the segments in place, a
+/// frame's four segments (ST header, transport header, tag, body) are held
+/// inline, a bundle's list is recycled and fragments are made one at a
+/// time; the rest is the odd table resize.
+pub fn legs() -> [Leg; 5] {
     [
         Leg {
             name: "voice",
@@ -111,6 +124,7 @@ pub fn legs() -> [Leg; 4] {
             allocs_bound: 1.5,
             fragments: false,
             tagged: false,
+            per_tick: 1,
         },
         Leg {
             name: "tagged voice",
@@ -119,6 +133,19 @@ pub fn legs() -> [Leg; 4] {
             allocs_bound: TAGGED_BOUND,
             fragments: false,
             tagged: true,
+            per_tick: 1,
+        },
+        Leg {
+            name: "bundled voice",
+            profile: StreamProfile {
+                capacity: BUNDLED_PER_TICK * 16 * 1024,
+                ..StreamProfile::voice()
+            },
+            bytes: 160,
+            allocs_bound: BUNDLED_BOUND,
+            fragments: false,
+            tagged: true,
+            per_tick: BUNDLED_PER_TICK,
         },
         Leg {
             name: "reliable",
@@ -131,6 +158,7 @@ pub fn legs() -> [Leg; 4] {
             allocs_bound: 1.5,
             fragments: false,
             tagged: false,
+            per_tick: 1,
         },
         Leg {
             name: "fragmenting",
@@ -139,6 +167,7 @@ pub fn legs() -> [Leg; 4] {
             allocs_bound: 1.5,
             fragments: true,
             tagged: false,
+            per_tick: 1,
         },
     ]
 }
@@ -157,12 +186,16 @@ fn message(bytes: usize, tagged: bool) -> Message {
     Message::from_wire(wire)
 }
 
-/// Send one frame and schedule the next, forever: the pending-event set
-/// stays one tick deep instead of holding every future frame.
-fn tick(sim: &mut Sim<Stack>, host: HostId, session: u64, bytes: usize, tagged: bool) {
-    stream::send(sim, host, session, message(bytes, tagged)).expect("send port has room");
+/// Send one tick's messages and schedule the next tick, forever: the
+/// pending-event set stays one tick deep instead of holding every future
+/// frame.
+fn tick(sim: &mut Sim<Stack>, host: HostId, session: u64, leg: (usize, bool, u64)) {
+    let (bytes, tagged, per_tick) = leg;
+    for _ in 0..per_tick {
+        stream::send(sim, host, session, message(bytes, tagged)).expect("send port has room");
+    }
     sim.schedule_in(SimDuration::from_millis(FRAME_MS), move |sim| {
-        tick(sim, host, session, bytes, tagged)
+        tick(sim, host, session, leg)
     });
 }
 
@@ -190,7 +223,7 @@ pub fn steady(leg: &Leg) -> Steady {
         stream::open(&mut sim, a, b, leg.profile.clone()).expect("a quiet LAN admits the stream");
     sim.run();
     let start = sim.now();
-    tick(&mut sim, a, session, leg.bytes, leg.tagged);
+    tick(&mut sim, a, session, (leg.bytes, leg.tagged, leg.per_tick));
     let frames = |n: u64| start + SimDuration::from_millis(FRAME_MS * n);
 
     sim.run_until(frames(WARMUP_FRAMES));
@@ -202,8 +235,14 @@ pub fn steady(leg: &Leg) -> Steady {
     let reg = &sim.state.net.obs.registry;
     let delivered = reg.counter_value("stream.deliver");
     assert!(
-        delivered + 2 >= WARMUP_FRAMES + MEASURED_FRAMES,
+        delivered + 2 * leg.per_tick >= (WARMUP_FRAMES + MEASURED_FRAMES) * leg.per_tick,
         "{}: the stream ran: {delivered} frames delivered",
+        leg.name
+    );
+    let bundles = reg.counter_value("st.bundle_sent");
+    assert!(
+        leg.per_tick == 1 || bundles >= WARMUP_FRAMES + MEASURED_FRAMES,
+        "{}: only {bundles} bundles sent",
         leg.name
     );
     let fragmented = reg.counter_value("st.msg_fragmented");
@@ -214,12 +253,13 @@ pub fn steady(leg: &Leg) -> Steady {
         leg.name
     );
     let s = Steady {
-        allocs_per_frame: allocs as f64 / MEASURED_FRAMES as f64,
+        allocs_per_frame: allocs as f64 / (MEASURED_FRAMES * leg.per_tick) as f64,
         heap_growth,
     };
     println!(
         "{}: {:.3} allocations per frame, live heap {:+} B over \
-         {MEASURED_FRAMES} frames, {fragmented} messages fragmented",
+         {MEASURED_FRAMES} ticks, {fragmented} messages fragmented, \
+         {bundles} bundles sent",
         leg.name, s.allocs_per_frame, s.heap_growth
     );
     s
