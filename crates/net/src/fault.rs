@@ -3,22 +3,26 @@
 //! [`dash_sim::fault`] describes *what* goes wrong and when; this module
 //! knows *how* each fault lands on the network state: dead networks fail
 //! RMSs and reroute (§2 property 3), partitions filter the wire, burst
-//! models replace i.i.d. loss, stalls freeze transmitters, host crashes
-//! wipe per-host protocol state, and timer jitter perturbs the engine's
-//! schedule. Every application is announced as an
-//! [`ObsEvent::FaultInjected`] so chaos harnesses can account for injected
-//! faults in the metric registry.
+//! models replace i.i.d. loss, stalls freeze transmitters, a host crash
+//! empties the host's transmit queues, fails its endpoints and answers the
+//! creates and invites it drops (its endpoints, reservations and pins stay
+//! behind), and timer jitter perturbs the engine's schedule. Every
+//! application is announced as an [`ObsEvent::FaultInjected`] so chaos
+//! harnesses can account for injected faults in the metric registry.
 
 use dash_sim::engine::Sim;
 use dash_sim::fault::{FaultKind, FaultPlan};
 use dash_sim::obs::ObsEvent;
 use dash_sim::time::SimDuration;
-use rms_core::error::FailReason;
+use rms_core::error::{FailReason, RejectReason};
 
 use crate::ids::{HostId, NetRmsId, NetworkId};
-use crate::pipeline::{fail_network, kick_tx, restore_network};
+use crate::pipeline::{
+    fail_network, give_up_create, give_up_invite, kick_tx, reconverge, report_failed,
+    restore_network, witnesses_on,
+};
 use crate::routing;
-use crate::state::{emit, NetRmsEvent, NetWorld};
+use crate::state::{emit, NetWorld};
 
 /// Schedule every event of `plan` against the simulation. Events fire at
 /// their recorded times in plan order (ties broken by scheduling sequence,
@@ -90,94 +94,65 @@ pub fn stall_iface<W: NetWorld>(
     sim.call_at(until, kick_tx::<W>, (host.0, idx as u64));
 }
 
-/// Crash `host`: its transmit queues are discarded, its creation attempts
-/// and invites are abandoned (timers cancelled), every local RMS endpoint
-/// fails with [`FailReason::ResourcesRevoked`], and routing tables are
-/// marked dirty so the crashed host is no longer used as transit (its
-/// neighbours re-flood to spread the word). Idempotent.
+/// Crash `host`: its transmit queues are discarded, every local RMS
+/// endpoint fails with [`FailReason::ResourcesRevoked`], and routing tables
+/// are marked dirty so the crashed host is no longer used as transit (its
+/// up neighbours re-flood to spread the word). Its creation attempts and
+/// invites are abandoned and answered after the endpoint failures, in
+/// ascending id order: a create with
+/// [`crate::state::NetRmsEvent::CreateFailed`], an invite with
+/// [`crate::state::NetRmsEvent::InviteFailed`], both `NoRoute`, since a
+/// crashed host routes nothing. Endpoints, reservations and forwarding
+/// pins stay behind (see DESIGN.md, "Fault model"). Idempotent.
 pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
-    let now = sim.now();
-    let mut failures: Vec<NetRmsId> = Vec::new();
-    {
-        let net = sim.state.net();
-        let h = net.host_mut(host);
-        if !h.up {
-            return;
-        }
-        h.up = false;
-        for iface in &mut h.ifaces {
-            // Pending finish_tx events still fire; they see the host down,
-            // treat the packet as lost, and release the transmitter.
-            iface.clear();
-        }
-        for (_, p) in h.pending.drain() {
-            if let Some(t) = p.timer {
-                t.cancel();
-            }
-        }
-        for (_, i) in h.invites.drain() {
-            if let Some(t) = i.timer {
-                t.cancel();
-            }
-        }
-        for (id, st) in h.rms.iter_mut() {
-            if !st.failed {
-                st.failed = true;
-                failures.push(*id);
-            }
-        }
-        // `rms` is a HashMap: sort the notifications for deterministic
-        // replay.
-        failures.sort();
-        routing::mark_routes_dirty(net, now);
-        net.obs.emit(now, ObsEvent::HostCrashed { host: host.0 });
+    let net = sim.state.net();
+    let h = net.host_mut(host);
+    if !h.up {
+        return;
     }
-    // The crashed host's up neighbours witnessed the failure: they
-    // re-flood (ascending host order for deterministic replay).
-    let witnesses: Vec<HostId> = {
-        let net = sim.state.net_ref();
-        let mut seen = std::collections::BTreeSet::new();
-        for iface in &net.host(host).ifaces {
-            for peer in &net.network(iface.network).attached {
-                if *peer != host && net.host(*peer).up {
-                    seen.insert(*peer);
-                }
-            }
-        }
-        seen.into_iter().collect()
-    };
-    for w in witnesses {
-        routing::flood_from(sim, w);
+    h.up = false;
+    for iface in &mut h.ifaces {
+        // Pending finish_tx events still fire; they see the host down,
+        // treat the packet as lost, and release the transmitter.
+        iface.clear();
     }
-    for rms in failures {
-        W::rms_event(
-            sim,
-            host,
-            NetRmsEvent::Failed {
-                rms,
-                reason: FailReason::ResourcesRevoked,
-            },
-        );
+    let mut failed = Vec::new();
+    for (id, st) in h.rms.iter_mut() {
+        if !st.failed {
+            st.failed = true;
+            failed.push((host, *id));
+        }
+    }
+    let mut dropped: Vec<NetRmsId> = h.pending.keys().chain(h.invites.keys()).copied().collect();
+    dropped.sort_unstable();
+    // The witnesses are the crashed host's up neighbours, each once, in
+    // ascending order.
+    let ifaces = &net.host(host).ifaces;
+    let mut witnesses: Vec<HostId> = (ifaces.iter())
+        .flat_map(|iface| witnesses_on(net, iface.network))
+        .collect();
+    witnesses.sort_unstable();
+    witnesses.dedup();
+    reconverge(sim, ObsEvent::HostCrashed { host: host.0 }, &witnesses);
+    report_failed(sim, &mut failed, FailReason::ResourcesRevoked);
+    // Each routine passes over an id that names none of its records.
+    for rms in dropped {
+        give_up_create(sim, host, rms, RejectReason::NoRoute);
+        give_up_invite(sim, host, rms, RejectReason::NoRoute);
     }
 }
 
-/// Bring a crashed host back. Its creation attempts and invites were
-/// abandoned at the crash, but [`crash_host`] kept every endpoint (marked
-/// failed, and failed they stay), reservation and forwarding pin, and
-/// nothing releases them yet (see DESIGN.md, "Fault model"). Routing may
-/// use the host as transit again once it re-announces itself by flooding
-/// fresh link state. Idempotent.
+/// Bring a crashed host back. [`crash_host`] answered its creation
+/// attempts and invites but kept every endpoint (marked failed, and failed
+/// they stay), reservation and forwarding pin, and nothing releases them
+/// yet (see DESIGN.md, "Fault model"), so the host does not start empty.
+/// Routing may use the host as transit again once it re-announces itself
+/// by flooding fresh link state. Idempotent.
 pub fn restart_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
-    let now = sim.now();
-    {
-        let net = sim.state.net();
-        let h = net.host_mut(host);
-        if h.up {
-            return;
-        }
-        h.up = true;
-        routing::mark_routes_dirty(net, now);
-        net.obs.emit(now, ObsEvent::HostRestarted { host: host.0 });
+    let h = sim.state.net().host_mut(host);
+    if h.up {
+        return;
     }
-    routing::flood_from(sim, host);
+    h.up = true;
+    reconverge(sim, ObsEvent::HostRestarted { host: host.0 }, &[host]);
 }

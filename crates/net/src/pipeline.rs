@@ -245,15 +245,7 @@ fn start_invite_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
         (inv.peer, inv.params.clone(), inv.attempts)
     };
     if attempts > CREATE_RETRIES {
-        sim.state.net().host_mut(creator).invites.remove(&rms);
-        W::rms_event(
-            sim,
-            creator,
-            NetRmsEvent::InviteFailed {
-                rms,
-                reason: RejectReason::Timeout,
-            },
-        );
+        give_up_invite(sim, creator, rms, RejectReason::Timeout);
         return;
     }
     let packet = Packet::control(creator, peer, PacketKind::Invite { rms, params }, now);
@@ -279,16 +271,8 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
     let (peer, attempts) = (p.peer, p.attempts);
     if attempts > CREATE_RETRIES {
         // Give up: clean any partial reservations and report.
-        net.host_mut(creator).pending.remove(&rms);
         release_local_and_send_release(sim, creator, rms, peer);
-        W::rms_event(
-            sim,
-            creator,
-            NetRmsEvent::CreateFailed {
-                rms,
-                reason: RejectReason::Timeout,
-            },
-        );
+        give_up_create(sim, creator, rms, RejectReason::Timeout);
         return;
     }
 
@@ -308,12 +292,11 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
                 p.route_gen = route_gen;
             }
             Err(err) => {
-                net.host_mut(creator).pending.remove(&rms);
                 let reason = match err {
                     RmsError::CreationRejected(r) => r,
                     _ => RejectReason::NoRoute,
                 };
-                W::rms_event(sim, creator, NetRmsEvent::CreateFailed { rms, reason });
+                give_up_create(sim, creator, rms, reason);
                 return;
             }
         }
@@ -327,12 +310,11 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
         let net = sim.state.net();
         let p = &net.host(creator).pending[&rms];
         let Some(c) = p.alternates.get(p.alt_idx) else {
-            net.host_mut(creator).pending.remove(&rms);
             let reason = match admission_detail {
                 Some(detail) => RejectReason::AdmissionDenied { detail },
                 None => RejectReason::NoRoute,
             };
-            W::rms_event(sim, creator, NetRmsEvent::CreateFailed { rms, reason });
+            give_up_create(sim, creator, rms, reason);
             return;
         };
         let (leg, params) = ((c.networks[0], c.hops[0]), c.params.clone());
@@ -390,6 +372,41 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
     } else {
         timer.cancel();
     }
+}
+
+/// Give up the create `creator` started under `rms`, if it is still
+/// pending: drop its record, cancel its retry timer and tell the creator
+/// (§2 property 3: once). Releasing what the attempt reserved is the
+/// caller's step.
+pub(crate) fn give_up_create<W: NetWorld>(
+    sim: &mut Sim<W>,
+    creator: HostId,
+    rms: NetRmsId,
+    reason: RejectReason,
+) {
+    let Some(p) = sim.state.net().host_mut(creator).pending.remove(&rms) else {
+        return;
+    };
+    if let Some(t) = p.timer {
+        t.cancel();
+    }
+    W::rms_event(sim, creator, NetRmsEvent::CreateFailed { rms, reason });
+}
+
+/// [`give_up_create`] for an invite `creator` sent under `rms`.
+pub(crate) fn give_up_invite<W: NetWorld>(
+    sim: &mut Sim<W>,
+    creator: HostId,
+    rms: NetRmsId,
+    reason: RejectReason,
+) {
+    let Some(inv) = sim.state.net().host_mut(creator).invites.remove(&rms) else {
+        return;
+    };
+    if let Some(t) = inv.timer {
+        t.cancel();
+    }
+    W::rms_event(sim, creator, NetRmsEvent::InviteFailed { rms, reason });
 }
 
 /// One hop's step of establishment, the same at the creator's first hop
@@ -1020,7 +1037,7 @@ fn arrive<W: NetWorld>(sim: &mut Sim<W>, (host, slot): Args) {
 
 /// Inject a packet that another engine carried: it arrives at `host` at
 /// `at`, ordered among co-timed arrivals by `key` (see
-/// [`Sim::schedule_arrival`]). The parallel executor and the real-time
+/// [`Sim::call_arrival`]). The parallel executor and the real-time
 /// scheduler deliver wire envelopes through this, parked the same way as
 /// a local wire hop.
 pub fn inject_arrival<W: NetWorld>(
@@ -1257,19 +1274,7 @@ fn handle_create_nak<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
             return;
         }
     }
-    if let Some(p) = sim.state.net().host_mut(host).pending.remove(&rms) {
-        if let Some(t) = p.timer {
-            t.cancel();
-        }
-        W::rms_event(
-            sim,
-            host,
-            NetRmsEvent::CreateFailed {
-                rms,
-                reason: nak_to_reject(reason),
-            },
-        );
-    }
+    give_up_create(sim, host, rms, nak_to_reject(reason));
 }
 
 fn handle_release<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packet) {
@@ -1575,14 +1580,7 @@ fn deliver_data<W: NetWorld>(
         return drop_packet(sim, host, cause);
     }
     if failed_stream {
-        W::rms_event(
-            sim,
-            host,
-            NetRmsEvent::Failed {
-                rms: rms_id,
-                reason: FailReason::GuaranteeViolated,
-            },
-        );
+        report_failed(sim, &mut [(host, rms_id)], FailReason::GuaranteeViolated);
         return;
     }
     // Stage 2: hand off to the world.
@@ -1621,53 +1619,24 @@ fn deliver_data<W: NetWorld>(
 /// failure — those attached to the dead network — re-flood their link
 /// state so the rest of the internetwork learns the new headroom picture.
 pub fn fail_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
-    let now = sim.now();
-    let mut failures: Vec<(HostId, NetRmsId)> = Vec::new();
-    {
-        let net = sim.state.net();
-        if net.network(network).down {
-            return;
-        }
-        net.network_mut(network).down = true;
-        for host in &mut net.hosts {
-            for (id, state) in host.rms.iter_mut() {
-                if !state.failed && state.path.contains(&network) {
-                    state.failed = true;
-                    failures.push((host.id, *id));
-                }
+    let net = sim.state.net();
+    if net.network(network).down {
+        return;
+    }
+    net.network_mut(network).down = true;
+    let mut failed = Vec::new();
+    for host in &mut net.hosts {
+        for (id, state) in host.rms.iter_mut() {
+            if !state.failed && state.path.contains(&network) {
+                state.failed = true;
+                failed.push((host.id, *id));
             }
         }
-        // `NetHost::rms` is a HashMap: sort so notification order (and thus
-        // everything downstream of it) is identical across runs of a seed.
-        failures.sort_by_key(|(h, r)| (h.0, r.0));
-        routing::mark_routes_dirty(net, now);
-        net.obs
-            .emit(now, ObsEvent::NetworkFailed { network: network.0 });
     }
-    // Scoped re-flood from the failure's witnesses (`attached` is in build
-    // order, ascending, so flood order is deterministic).
-    let witnesses: Vec<HostId> = {
-        let net = sim.state.net_ref();
-        net.network(network)
-            .attached
-            .iter()
-            .copied()
-            .filter(|h| net.host(*h).up)
-            .collect()
-    };
-    for h in witnesses {
-        routing::flood_from(sim, h);
-    }
-    for (host, rms) in failures {
-        W::rms_event(
-            sim,
-            host,
-            NetRmsEvent::Failed {
-                rms,
-                reason: FailReason::NetworkDown,
-            },
-        );
-    }
+    let witnesses = witnesses_on(net, network);
+    let event = ObsEvent::NetworkFailed { network: network.0 };
+    reconverge(sim, event, &witnesses);
+    report_failed(sim, &mut failed, FailReason::NetworkDown);
     W::network_event(sim, network, false);
 }
 
@@ -1677,28 +1646,50 @@ pub fn fail_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
 /// [`fail_network`], reconvergence is scoped: dirty tables plus a re-flood
 /// from the restored network's attached hosts.
 pub fn restore_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
-    let now = sim.now();
-    {
-        let net = sim.state.net();
-        if !net.network(network).down {
-            return;
-        }
-        net.network_mut(network).down = false;
-        routing::mark_routes_dirty(net, now);
-        net.obs
-            .emit(now, ObsEvent::NetworkRestored { network: network.0 });
+    let net = sim.state.net();
+    if !net.network(network).down {
+        return;
     }
-    let witnesses: Vec<HostId> = {
-        let net = sim.state.net_ref();
-        net.network(network)
-            .attached
-            .iter()
-            .copied()
-            .filter(|h| net.host(*h).up)
-            .collect()
-    };
-    for h in witnesses {
-        routing::flood_from(sim, h);
-    }
+    net.network_mut(network).down = false;
+    let witnesses = witnesses_on(net, network);
+    let event = ObsEvent::NetworkRestored { network: network.0 };
+    reconverge(sim, event, &witnesses);
     W::network_event(sim, network, true);
+}
+
+/// The up hosts attached to `network`, in build order (ascending): the
+/// witnesses of a change to it.
+pub(crate) fn witnesses_on(net: &NetState, network: NetworkId) -> Vec<HostId> {
+    (net.network(network).attached.iter().copied())
+        .filter(|h| net.host(*h).up)
+        .collect()
+}
+
+/// Reconverge after the fault or recovery `event` announces: every host's
+/// table is marked dirty (bumping the route generation, so a create retry
+/// re-resolves its alternates), the event is emitted, and each of
+/// `witnesses` re-floods its link state, in the order given.
+pub(crate) fn reconverge<W: NetWorld>(sim: &mut Sim<W>, event: ObsEvent, witnesses: &[HostId]) {
+    let now = sim.now();
+    let net = sim.state.net();
+    routing::mark_routes_dirty(net, now);
+    net.obs.emit(now, event);
+    for &host in witnesses {
+        routing::flood_from(sim, host);
+    }
+}
+
+/// Tell the owner of each endpoint in `failed` that it failed for
+/// `reason` (§2 property 3), in ascending `(host, rms)` order: endpoints
+/// are collected from hash maps, and replay must not depend on their
+/// iteration order.
+pub(crate) fn report_failed<W: NetWorld>(
+    sim: &mut Sim<W>,
+    failed: &mut [(HostId, NetRmsId)],
+    reason: FailReason,
+) {
+    failed.sort_unstable();
+    for &(host, rms) in &*failed {
+        W::rms_event(sim, host, NetRmsEvent::Failed { rms, reason });
+    }
 }

@@ -7,7 +7,7 @@
 //! diverted into the [`ShardCtx::outbox`] as a [`WireEnvelope`] instead
 //! of being scheduled locally. The executor routes envelopes to the
 //! owning LP, which injects them with
-//! [`dash_sim::engine::Sim::schedule_arrival`] under the canonical
+//! [`dash_sim::engine::Sim::call_arrival`] under the canonical
 //! `(deliver_at, source host, per-source seq)` key, so arrival order is
 //! a pure function of what was sent — never of how hosts were grouped
 //! onto worker threads or in which batch an envelope crossed a shard.

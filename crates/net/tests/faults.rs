@@ -8,8 +8,10 @@ use bytes::Bytes;
 use dash_net::fault::{apply_fault, crash_host, restart_host, schedule_fault_plan, stall_iface};
 use dash_net::ids::{HostId, NetRmsId};
 use dash_net::network::NetworkSpec;
-use dash_net::pipeline::{create_rms, fail_network, send_datagram, send_on_rms};
-use dash_net::state::NetState;
+use dash_net::pipeline::{
+    create_rms, create_rms_as_receiver, fail_network, send_datagram, send_on_rms,
+};
+use dash_net::state::{NetRmsEvent, NetState};
 use dash_net::topology::{two_hosts_ethernet, TopologyBuilder};
 use dash_net::NetworkId;
 use dash_sim::fault::{FaultKind, FaultPlan, GilbertElliott};
@@ -219,6 +221,60 @@ fn host_crash_fails_local_rms_and_restart_allows_new() {
     let reg = &sim.state.net.obs.registry;
     assert_eq!(reg.counter_value("net.host_crashed"), 1);
     assert_eq!(reg.counter_value("net.host_restarted"), 1);
+}
+
+/// Every event `host` saw.
+fn events_at(sim: &Sim<World>, host: HostId) -> Vec<&NetRmsEvent> {
+    (sim.state.events.iter())
+        .filter(|(h, _)| *h == host)
+        .map(|(_, e)| e)
+        .collect()
+}
+
+/// A create whose creator crashes before its first attempt runs is
+/// answered at the crash, once: a crashed host routes nothing.
+#[test]
+fn a_create_dropped_by_its_creators_crash_is_answered_once() {
+    let (net, a, b) = two_hosts_ethernet();
+    let mut sim = Sim::new(World::new(net));
+    let rms = create_rms(&mut sim, a, b, &RmsRequest::exact(basic_params())).unwrap();
+    crash_host(&mut sim, a);
+    sim.run();
+    let events = events_at(&sim, a);
+    assert!(
+        matches!(
+            events[..],
+            [NetRmsEvent::CreateFailed {
+                rms: r,
+                reason: RejectReason::NoRoute,
+            }] if *r == rms
+        ),
+        "{events:?}"
+    );
+}
+
+/// An invite whose inviter crashes before it is first sent is answered at
+/// the crash, once.
+#[test]
+fn an_invite_dropped_by_its_inviters_crash_is_answered_once() {
+    let (net, a, b) = two_hosts_ethernet();
+    let mut sim = Sim::new(World::new(net));
+    let request = RmsRequest::exact(basic_params());
+    let rms = create_rms_as_receiver(&mut sim, b, a, &request).unwrap();
+    crash_host(&mut sim, b);
+    sim.run();
+    let events = events_at(&sim, b);
+    assert!(
+        matches!(
+            events[..],
+            [NetRmsEvent::InviteFailed {
+                rms: r,
+                reason: RejectReason::NoRoute,
+            }] if *r == rms
+        ),
+        "{events:?}"
+    );
+    assert!(events_at(&sim, a).is_empty(), "the invite never left b");
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! L` for the relevant lookahead `L`, so by construction every envelope
 //! is injected into its destination before that LP's clock reaches the
 //! delivery time — no event is ever scheduled into an LP's past.
-//! Injection uses [`dash_sim::engine::Sim::schedule_arrival`] with the
+//! Injection uses [`dash_sim::engine::Sim::call_arrival`] with the
 //! canonical `(source host, per-source seq)` tie-break key, so co-timed
 //! events pop in an order that depends only on what was sent. Each LP
 //! therefore executes the exact same event sequence under every plan,
@@ -336,7 +336,7 @@ fn worker<L: Lp, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_sim::engine::{arrival_key, Sim};
+    use dash_sim::engine::{arrival_key, Args, Sim};
 
     const WIRE: SimDuration = SimDuration::from_millis(2);
 
@@ -351,13 +351,15 @@ mod tests {
 
     /// Synthetic LP world: logs every arrival, bounces balls while they
     /// have hops left, and seeds local traffic that collides in time with
-    /// arrivals to exercise the tie-break.
+    /// arrivals to exercise the tie-break. An injected ball waits in
+    /// `parked` until its arrival call names its slot.
     struct Node {
         host: u32,
         n: u32,
         log: Vec<(u64, u32, u64)>,
         outbox: Vec<Ball>,
         out_seq: u64,
+        parked: Vec<Option<Ball>>,
     }
 
     fn send(sim: &mut Sim<Node>, dst: u32, hops: u32) {
@@ -397,25 +399,33 @@ mod tests {
             env.dst
         }
         fn inject(&mut self, env: Ball) {
-            let Ball {
-                deliver_at,
-                src,
-                seq,
-                dst,
-                hops,
-            } = env;
-            self.sim
-                .schedule_arrival(deliver_at, arrival_key(src, seq), move |sim| {
-                    sim.state.log.push((sim.now().as_nanos(), src, seq));
-                    if hops > 0 {
-                        let n = sim.state.n;
-                        send(
-                            sim,
-                            (src.wrapping_mul(7) + dst.wrapping_mul(3) + 1) % n,
-                            hops - 1,
-                        );
-                    }
-                });
+            let (at, key) = (env.deliver_at, arrival_key(env.src, env.seq));
+            let parked = &mut self.sim.state.parked;
+            parked.push(Some(env));
+            let slot = parked.len() as u64 - 1;
+            self.sim.call_arrival(at, key, arrive, (0, slot));
+        }
+    }
+
+    /// The ball parked at `slot` arrives.
+    fn arrive(sim: &mut Sim<Node>, (_, slot): Args) {
+        let Ball {
+            src,
+            seq,
+            dst,
+            hops,
+            ..
+        } = sim.state.parked[slot as usize]
+            .take()
+            .expect("arrives once");
+        sim.state.log.push((sim.now().as_nanos(), src, seq));
+        if hops > 0 {
+            let n = sim.state.n;
+            send(
+                sim,
+                (src.wrapping_mul(7) + dst.wrapping_mul(3) + 1) % n,
+                hops - 1,
+            );
         }
     }
 
@@ -426,6 +436,7 @@ mod tests {
             log: Vec::new(),
             outbox: Vec::new(),
             out_seq: 0,
+            parked: Vec::new(),
         });
         // Local traffic at multiples of the wire delay, so locally timed
         // events collide with arrivals and the tie-break decides.
@@ -575,6 +586,7 @@ mod tests {
                     log: Vec::new(),
                     outbox: Vec::new(),
                     out_seq: 0,
+                    parked: Vec::new(),
                 }),
             },
             |lp| lp.sim.now(),

@@ -19,7 +19,7 @@
 //!   the global minimum before exchanging envelopes at a barrier.
 //! * **Canonical arrival order**: envelopes are injected with
 //!   `(time, source, per-source seq)` keys
-//!   ([`dash_sim::engine::Sim::schedule_arrival`]), making heap pop
+//!   ([`dash_sim::engine::Sim::call_arrival`]), making heap pop
 //!   order a pure function of what was sent — never of thread timing,
 //!   shard count, or injection batching.
 //!

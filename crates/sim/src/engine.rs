@@ -103,7 +103,7 @@ enum Action<S> {
     Closure(Event<S>),
 }
 
-/// Tie-break keys for [`Sim::schedule_arrival`] live above this bound;
+/// Tie-break keys for [`Sim::call_arrival`] live above this bound;
 /// locally scheduled events use submission sequence numbers far below it.
 pub const ARRIVAL_KEY_BASE: u64 = 1 << 63;
 
@@ -456,8 +456,18 @@ impl<S> Sim<S> {
         self.timer_handle(slot)
     }
 
-    /// [`Sim::schedule_arrival`] for a call: `f(sim, args)` at `at`,
-    /// tie-broken by `key`.
+    /// Schedule a cross-engine arrival, `f(sim, args)` at `at`, tie-broken
+    /// by an explicit `key` instead of a submission sequence number.
+    ///
+    /// The parallel executor injects envelopes from *other* engines with
+    /// this: the key (see [`arrival_key`]) has the top bit set, so at
+    /// equal times locally scheduled events (whose sequence numbers stay
+    /// far below `1 << 63`) always run first, and co-timed arrivals order
+    /// by `(source host, per-source seq)` — a total order that depends
+    /// only on what was sent, never on when or in which batch the
+    /// envelope was injected. No submission seq is consumed and no
+    /// schedule jitter is applied, so injection leaves the local event
+    /// stream byte-identical.
     ///
     /// # Panics
     ///
@@ -490,31 +500,6 @@ impl<S> Sim<S> {
         let at = self.now.saturating_add(after);
         let slot = self.push_local(at, Action::Closure(Box::new(action)));
         self.timer_handle(slot)
-    }
-
-    /// Schedule a cross-engine arrival at `at`, tie-broken by an explicit
-    /// `key` instead of a submission sequence number.
-    ///
-    /// The parallel executor injects envelopes from *other* engines with
-    /// this: the key (see [`arrival_key`]) has the top bit set, so at
-    /// equal times locally scheduled events (whose sequence numbers stay
-    /// far below `1 << 63`) always run first, and co-timed arrivals order
-    /// by `(source host, per-source seq)` — a total order that depends
-    /// only on what was sent, never on when or in which batch the
-    /// envelope was injected. No submission seq is consumed and no
-    /// schedule jitter is applied, so injection leaves the local event
-    /// stream byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn schedule_arrival(
-        &mut self,
-        at: SimTime,
-        key: u64,
-        action: impl FnOnce(&mut Sim<S>) + 'static,
-    ) {
-        self.push_arrival(at, key, Action::Closure(Box::new(action)));
     }
 
     /// Run the earliest live event if its time satisfies `within`: the one
@@ -577,7 +562,7 @@ impl<S> Sim<S> {
     /// (`dash::par`): the bound is exclusive — an event at exactly
     /// `horizon` stays pending — so cross-engine arrivals timed
     /// `>= horizon` may still be injected afterwards (via
-    /// [`Sim::schedule_arrival`]) without ever scheduling into the past.
+    /// [`Sim::call_arrival`]) without ever scheduling into the past.
     pub fn run_until_horizon(&mut self, horizon: SimTime) {
         while self.step_within(|t| t < horizon) {}
         self.now = self.now.max(horizon);
@@ -885,30 +870,20 @@ mod tests {
         );
     }
 
-    #[test]
-    fn call_arrivals_order_with_closure_arrivals_by_key() {
-        let t = SimTime::from_nanos(500);
-        let mut sim = Sim::new(Vec::new());
-        sim.call_arrival(t, arrival_key(2, 0), push_call, (0, 20));
-        sim.schedule_arrival(t, arrival_key(1, 0), |s| s.state.push(10));
-        sim.call_at(t, push_call, (0, 0));
-        sim.run();
-        assert_eq!(sim.state, vec![0, 10, 20]);
-    }
-
     /// The load-bearing property of keyed arrivals: at equal times, pop
     /// order is `(local events) < (arrivals by (src, seq))` regardless of
     /// the order or batching in which the arrivals were injected.
     #[test]
     fn keyed_arrivals_order_canonically() {
         let t = SimTime::from_nanos(500);
+        fn push_pair(sim: &mut Sim<Vec<Args>>, args: Args) {
+            sim.state.push(args);
+        }
         let run = |inject_order: &[(u32, u64)]| {
             let mut sim = Sim::new(Vec::new());
-            sim.schedule_at(t, |s| s.state.push((u32::MAX, 0)));
+            sim.call_at(t, push_pair, (u32::MAX, 0));
             for &(src, seq) in inject_order {
-                sim.schedule_arrival(t, arrival_key(src, seq), move |s| {
-                    s.state.push((src, seq));
-                });
+                sim.call_arrival(t, arrival_key(src, seq), push_pair, (src, seq));
             }
             sim.run();
             sim.state
@@ -927,7 +902,7 @@ mod tests {
             let mut sim = Sim::new(Vec::new());
             sim.schedule_in(SimDuration::from_nanos(10), |s| s.state.push(1));
             if with_arrival {
-                sim.schedule_arrival(SimTime::from_nanos(5), arrival_key(3, 0), |_| {});
+                sim.call_arrival(SimTime::from_nanos(5), arrival_key(3, 0), |_, _| {}, (0, 0));
             }
             sim.schedule_in(SimDuration::from_nanos(10), |s| s.state.push(2));
             sim.run();

@@ -296,12 +296,39 @@ fn fail_creates<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, reason
     // In the order the creates were requested.
     failed.sort_unstable();
     for st_rms in failed {
-        let Some(s) = sim.state.st().host_mut(host).streams.remove(&st_rms) else {
-            continue;
-        };
-        let reason = reason.clone();
-        W::st_event(sim, host, s.client, StEvent::CreateFailed { reason });
+        give_up_stream(sim, host, st_rms, reason.clone());
     }
+}
+
+/// `host`'s stream `st_rms` will get no carrier: a create still waiting
+/// for its outcome is forgotten and fails with `reason`; an established
+/// stream (failing over) stays behind, detached and marked failed, so
+/// later sends return a typed [`RmsError::Failed`], and fails with
+/// [`FailReason::NetworkDown`]. Either way its client hears it once.
+fn give_up_stream<W: StWorld>(
+    sim: &mut Sim<W>,
+    host: HostId,
+    st_rms: StRmsId,
+    reason: RejectReason,
+) {
+    let streams = &mut sim.state.st().host_mut(host).streams;
+    let Some(s) = streams.get_mut(&st_rms) else {
+        return;
+    };
+    let client = s.client;
+    let event = if s.creating {
+        streams.remove(&st_rms);
+        StEvent::CreateFailed { reason }
+    } else {
+        s.failed = true;
+        s.failover_since = None;
+        s.carrier = None;
+        StEvent::Failed {
+            st_rms,
+            reason: FailReason::NetworkDown,
+        }
+    };
+    W::st_event(sim, host, client, event);
 }
 
 /// A frame sent before authentication: the answer to the peer's Hello.
@@ -890,31 +917,7 @@ fn assign_carrier<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -
             false
         }
         Err(e) => {
-            // A creation not yet reported fails as such; an established
-            // stream (re-admitting after its carrier died) stays behind
-            // marked failed — later sends return a typed
-            // [`RmsError::Failed`] — and its client hears a typed event.
-            let (client, creating) = {
-                let streams = &mut sim.state.st().host_mut(host).streams;
-                let s = streams.get_mut(&st_rms).expect("assigned above");
-                if !s.creating {
-                    s.failed = true;
-                    s.failover_since = None;
-                }
-                (s.client, s.creating)
-            };
-            let event = if creating {
-                sim.state.st().host_mut(host).streams.remove(&st_rms);
-                StEvent::CreateFailed {
-                    reason: reject_of(&e),
-                }
-            } else {
-                StEvent::Failed {
-                    st_rms,
-                    reason: FailReason::NetworkDown,
-                }
-            };
-            W::st_event(sim, host, client, event);
+            give_up_stream(sim, host, st_rms, reject_of(&e));
             send_ctrl(sim, host, peer, ControlMsg::StClose { st_rms });
             false
         }
@@ -1091,11 +1094,8 @@ fn handle_ctrl<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, ms
             }
         }
         ControlMsg::StCreateNak { st_rms } => {
-            let awaits = awaits_answer(sim, host, peer, st_rms);
-            let streams = &mut sim.state.st().host_mut(host).streams;
-            if let Some(s) = awaits.then(|| streams.remove(&st_rms)).flatten() {
-                let reason = RejectReason::PeerRejected;
-                W::st_event(sim, host, s.client, StEvent::CreateFailed { reason });
+            if awaits_answer(sim, host, peer, st_rms) {
+                give_up_stream(sim, host, st_rms, RejectReason::PeerRejected);
             }
         }
         // Only the sender closes a stream, and only its receiving end.
@@ -1363,13 +1363,7 @@ fn carrier_created<W: StWorld>(
         complete_failover_if_pending(sim, host, st_rms);
     }
     for st_rms in spilled {
-        if let Some(s) = sim.state.st().host_mut(host).streams.get_mut(&st_rms) {
-            s.carrier = None;
-        }
-        if assign_carrier(sim, host, st_rms) {
-            report_created(sim, host, st_rms);
-            complete_failover_if_pending(sim, host, st_rms);
-        }
+        reassign(sim, host, st_rms);
     }
 }
 
@@ -1389,38 +1383,11 @@ fn carrier_create_failed<W: StWorld>(
         fail_creates(sim, host, peer, reason.clone());
         return;
     };
-    let mut victims = Vec::new();
-    let streams = &mut sim.state.st().host_mut(host).streams;
-    for sid in d.assigned {
-        let Some(s) = streams.get_mut(&sid) else {
-            continue;
-        };
-        let (client, creating) = (s.client, s.creating);
-        if creating {
-            // Never-established create: forget it.
-            streams.remove(&sid);
-        } else {
-            // Established stream whose failover carrier could not be
-            // created: keep it marked failed so sends return a typed error.
-            s.failed = true;
-            s.failover_since = None;
-            s.carrier = None;
+    for st_rms in d.assigned {
+        if sim.state.st_ref().host(host).streams.contains_key(&st_rms) {
+            send_ctrl(sim, host, peer, ControlMsg::StClose { st_rms });
+            give_up_stream(sim, host, st_rms, reason.clone());
         }
-        victims.push((sid, client, creating));
-    }
-    for (st_rms, client, creating) in victims {
-        send_ctrl(sim, host, peer, ControlMsg::StClose { st_rms });
-        let event = if creating {
-            StEvent::CreateFailed {
-                reason: reason.clone(),
-            }
-        } else {
-            StEvent::Failed {
-                st_rms,
-                reason: FailReason::NetworkDown,
-            }
-        };
-        W::st_event(sim, host, client, event);
     }
 }
 
@@ -1449,17 +1416,14 @@ fn carrier_failed<W: StWorld>(sim: &mut Sim<W>, host: HostId, rms: NetRmsId) {
     // network, or a fresh creation whose `dash_net::routing` candidate walk
     // re-homes the path across the surviving k-alternates (admission NAKs
     // on one alternate fall through to the next). Only when every
-    // alternate is exhausted does the client see a typed failure (via
-    // assign_carrier / CreateFailed).
+    // alternate is exhausted does the client see a typed failure
+    // (`give_up_stream`).
     let now = sim.now();
     let streams = &mut sim.state.st().host_mut(host).streams;
     let mut victims = Vec::new();
     for sid in &d.assigned {
         if let Some(s) = streams.get_mut(sid) {
-            s.carrier = None;
-            if s.failover_since.is_none() {
-                s.failover_since = Some(now);
-            }
+            s.failover_since.get_or_insert(now);
             victims.push(s.id);
         }
     }
@@ -1478,9 +1442,20 @@ fn carrier_failed<W: StWorld>(sim: &mut Sim<W>, host: HostId, rms: NetRmsId) {
         );
     }
     for st_rms in victims {
-        if assign_carrier(sim, host, st_rms) {
-            complete_failover_if_pending(sim, host, st_rms);
-        }
+        reassign(sim, host, st_rms);
+    }
+}
+
+/// Detach `st_rms` from its carrier and assign it again (§4.2); if the
+/// carrier it lands on is ready, a create is reported and a failover
+/// completed now, else when that carrier's network RMS is created.
+fn reassign<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) {
+    if let Some(s) = sim.state.st().host_mut(host).streams.get_mut(&st_rms) {
+        s.carrier = None;
+    }
+    if assign_carrier(sim, host, st_rms) {
+        report_created(sim, host, st_rms);
+        complete_failover_if_pending(sim, host, st_rms);
     }
 }
 

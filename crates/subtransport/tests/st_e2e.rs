@@ -623,3 +623,33 @@ fn a_create_sent_before_its_channel_fails_is_failed() {
     assert!(outcomes[1].starts_with("CreateFailed"), "{outcomes:?}");
     assert!(sim.state.st.host(a).streams.values().all(|s| !s.creating));
 }
+
+/// A create whose data carrier is still being created when its host
+/// crashes hears `CreateFailed`, once: the crash answers the carrier's
+/// network create, and the carrier goes with it, so no later create can
+/// be put on a carrier that will never be ready.
+#[test]
+fn a_create_whose_carrier_is_pending_when_its_host_crashes_is_answered() {
+    let (net, a, b) = two_hosts_ethernet();
+    let mut sim = Sim::new(World::new(net, StConfig::default()));
+    let client = creator(7);
+    let req = basic_request();
+    engine::create(&mut sim, a, b, &req, false, client, Bytes::new()).unwrap();
+    let carrier_pending = |sim: &Sim<World>| {
+        (sim.state.st.host(a).carriers.iter())
+            .any(|(id, c)| c.data.is_some() && sim.state.net.host(a).pending.contains_key(id))
+    };
+    while !carrier_pending(&sim) {
+        assert!(sim.step(), "the data carrier's create never started");
+    }
+    dash_net::fault::crash_host(&mut sim, a);
+    sim.run();
+    let outcomes: Vec<&String> = (sim.state.st_events.iter())
+        .filter(|(h, e)| *h == a && (e.starts_with("Created") || e.starts_with("CreateFailed")))
+        .map(|(_, e)| e)
+        .collect();
+    assert_eq!(outcomes.len(), 1, "events: {:?}", sim.state.st_events);
+    assert!(outcomes[0].starts_with("CreateFailed"), "{outcomes:?}");
+    assert!(sim.state.st.host(a).streams.is_empty());
+    assert!((sim.state.st.host(a).carriers.values()).all(|c| c.data.is_none()));
+}

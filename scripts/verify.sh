@@ -251,4 +251,8 @@ if ! grep -Eq '"transport\.stream\.retransmit_frac": 0,?$' "$bulk_json"; then
     exit 1
 fi
 
+# A report, not a gate: non-test Rust lines per crate, the number the
+# simplicity work pushes down.
+scripts/loc.sh
+
 echo "verify: OK"
