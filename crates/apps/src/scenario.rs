@@ -37,9 +37,10 @@ use dash_sim::fault::FaultPlan;
 use dash_sim::obs::{MetricRegistry, ObsEvent, ObsSink};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_sim::Sim;
+use dash_subtransport::st::StConfig;
 use dash_transport::stack::{Stack, StackBuilder};
 
-use crate::traffic::{self, Acct, Class, Plan, SharedAcct, CLASSES};
+use crate::traffic::{self, Acct, Class, Plan, SharedAcct};
 
 /// The one input of [`run`]: what to build, what to offer, what to break
 /// and how to observe it. Every world of a run — the serial world, each
@@ -61,14 +62,42 @@ pub struct Scenario {
     pub seed: u64,
     /// Where the run is cut (exclusive).
     pub horizon: SimTime,
-    /// Model per-host protocol CPUs with EDF scheduling.
-    pub cpus: bool,
+    /// The subtransport's configuration on every host.
+    pub st: StConfig,
+    /// Per-host protocol CPUs: their scheduling policy and context-switch
+    /// cost. `None` models protocol processing as free.
+    pub cpus: Option<(SchedPolicy, SimDuration)>,
     /// Render the observability trace into the digest (determinism runs;
     /// costly). Plans leave it off.
     pub record_trace: bool,
     /// Hand the merged event stream back in [`Outcome::stream`] — what
     /// the dash-check semantic oracle consumes. Plans leave it off.
     pub keep_events: bool,
+}
+
+impl Scenario {
+    /// `plan` on the network `topo` builds, cut after `length`: no
+    /// faults, no shard groups, seed 0, the default subtransport, free
+    /// protocol processing, nothing recorded. Struct update syntax sets
+    /// the rest.
+    pub fn new(
+        topo: impl Fn() -> NetState + Send + Sync + 'static,
+        plan: Plan,
+        length: SimDuration,
+    ) -> Scenario {
+        Scenario {
+            topo: Box::new(topo),
+            groups: Vec::new(),
+            plan,
+            faults: FaultPlan::new(),
+            seed: 0,
+            horizon: SimTime::ZERO.saturating_add(length),
+            st: StConfig::default(),
+            cpus: None,
+            record_trace: false,
+            keep_events: false,
+        }
+    }
 }
 
 /// What executes the workload.
@@ -138,9 +167,9 @@ struct Taps {
 /// every world applies it at the same times, so routing and admission
 /// see the same topology everywhere.
 fn build_world(scn: &Scenario, net: NetState, owner: Option<HostId>) -> (Sim<Stack>, Taps) {
-    let mut builder = StackBuilder::new(net).obs(true);
-    if scn.cpus {
-        builder = builder.cpus(SchedPolicy::Edf, SimDuration::from_micros(5));
+    let mut builder = StackBuilder::new(net).obs(true).st_config(scn.st.clone());
+    if let Some((policy, context_switch)) = scn.cpus {
+        builder = builder.cpus(policy, context_switch);
     }
     let events = Rc::new(RefCell::new(Vec::new()));
     if scn.record_trace || scn.keep_events {
@@ -162,6 +191,7 @@ struct WorldOut {
     events: u64,
     pending: u64,
     peak_queue: u64,
+    cpu_busy: SimDuration,
     registry: MetricRegistry,
     obs: Events,
 }
@@ -176,12 +206,15 @@ fn finish_world(host: u32, mut sim: Sim<Stack>, taps: Taps) -> WorldOut {
         .map(|i| i.stats.max_queued_bytes)
         .max()
         .unwrap_or(0);
+    let cpu_busy = (sim.state.cpus.iter().flatten())
+        .fold(SimDuration::ZERO, |sum, c| sum.saturating_add(c.stats.busy));
     WorldOut {
         host,
         acct: taps.acct.borrow().clone(),
         events: sim.events_processed(),
         pending: sim.events_pending() as u64,
         peak_queue,
+        cpu_busy,
         registry: std::mem::take(&mut sim.state.net.obs.registry),
         obs: taps.events.take(),
     }
@@ -233,59 +266,31 @@ impl Lp for WorldLp {
 pub struct Outcome {
     /// Hosts in the topology.
     pub hosts: usize,
-    /// Sessions opened successfully (RPC excluded — RKOM rides cached
-    /// channels, not per-call streams).
-    pub streams_opened: u64,
-    /// Session opens refused (admission, routing, or faults).
-    pub open_failed: u64,
+    /// The traffic driver's accounting, merged over worlds: sessions
+    /// opened and refused, per-class sends, deliveries, lateness, bytes
+    /// and delays, RPC calls.
+    pub acct: Acct,
+    /// The metric registry, merged host-ascending over worlds: every
+    /// layer's counters and histograms.
+    pub registry: MetricRegistry,
     /// Engine events executed, summed over worlds.
     pub events: u64,
     /// Live events still queued at the horizon, summed over worlds
     /// (outside the digest). Nonzero means the cut left work undone — for
     /// a run planned to go quiet first, a wedge.
     pub pending: u64,
-    /// ST messages delivered to ports (registry `st.deliver`).
-    pub messages: u64,
-    /// Per-class messages sent (source-side accounting).
-    pub sent: [u64; CLASSES],
-    /// Per-class messages delivered (destination-side accounting).
-    pub received: [u64; CLASSES],
-    /// Per-class deliveries past the class budget.
-    pub late: [u64; CLASSES],
-    /// Per-class delivered payload bytes.
-    pub bytes: [u64; CLASSES],
-    /// Paced frames dropped at the source by sender flow control.
-    pub source_drops: u64,
-    /// RPC calls issued (outside the digest: it is fixed by the plan).
-    pub rpc_issued: u64,
-    /// RPC calls completed.
-    pub rpc_completed: u64,
-    /// RPC calls that returned an error.
-    pub rpc_failed: u64,
+    /// Protocol-CPU busy time summed over hosts, context switches
+    /// included (outside the digest; zero when the scenario models no
+    /// CPUs).
+    pub cpu_busy: SimDuration,
     /// Virtual seconds simulated.
     pub sim_secs: f64,
     /// Wall-clock seconds of the run phase (not deterministic).
     pub wall_secs: f64,
     /// Peak interface transmit-queue depth, bytes, across all worlds.
     pub peak_queue_bytes: u64,
-    /// RMS cache misses (each one is a fresh network-RMS creation — the
-    /// churn the short-lived cross-site sessions are there to cause).
-    pub cache_misses: u64,
-    /// RMS cache evictions (idle slots LRU-evicted beyond the limit).
-    pub cache_evictions: u64,
     /// Fault events in the drill plan (every world applies all of them).
     pub faults_injected: u64,
-    /// Link-state ads originated (`routing.floods`).
-    pub floods: u64,
-    /// Lazy route-table recomputations (`routing.recompute`).
-    pub recomputes: u64,
-    /// Establishments that won on a non-primary alternate
-    /// (`routing.alternate_wins`).
-    pub alternate_wins: u64,
-    /// Subtransport failovers completed (`fault.recovery_latency` count).
-    pub recoveries: u64,
-    /// Metric-registry dump (JSON lines; host-ascending merge under `Par`).
-    pub registry_dump: String,
     /// Observability trace (empty unless `record_trace`).
     pub trace_dump: String,
     /// The run's event stream (empty unless `keep_events` or
@@ -300,6 +305,11 @@ pub struct Outcome {
 }
 
 impl Outcome {
+    /// ST messages delivered to ports (registry `st.deliver`).
+    pub fn messages(&self) -> u64 {
+        self.registry.counter_value("st.deliver")
+    }
+
     /// Voice-class on-time fraction (voice + WAN voice + churn).
     pub fn voice_on_time(&self) -> f64 {
         let idx = [
@@ -307,14 +317,11 @@ impl Outcome {
             Class::WanVoice as usize,
             Class::Churn as usize,
         ];
-        let sent: u64 = idx.iter().map(|&i| self.sent[i]).sum();
+        let a = &self.acct;
+        let sent: u64 = idx.iter().map(|&i| a.sent[i]).sum();
         let good: u64 = idx
             .iter()
-            .map(|&i| {
-                self.received[i]
-                    .saturating_sub(self.late[i])
-                    .min(self.sent[i])
-            })
+            .map(|&i| a.received[i].saturating_sub(a.late[i]).min(a.sent[i]))
             .sum();
         if sent == 0 {
             0.0
@@ -334,28 +341,29 @@ impl Outcome {
     /// The deterministic portion: byte-identical between replays, and
     /// under `Par` across shard counts and placements.
     pub fn determinism_digest(&self) -> String {
+        let (a, reg) = (&self.acct, &self.registry);
         format!(
             "opened={} failed={} events={} messages={} sent={:?} received={:?} \
              late={:?} bytes={:?} drops={} rpc={}/{} sim_secs={:.9} peak_queue={} \
              misses={} evictions={} faults={}\n\
              --- registry ---\n{}--- trace ---\n{}",
-            self.streams_opened,
-            self.open_failed,
+            a.opened,
+            a.failed,
             self.events,
-            self.messages,
-            self.sent,
-            self.received,
-            self.late,
-            self.bytes,
-            self.source_drops,
-            self.rpc_completed,
-            self.rpc_failed,
+            self.messages(),
+            a.sent,
+            a.received,
+            a.late,
+            a.bytes,
+            a.source_drops,
+            a.rpc_completed,
+            a.rpc_failed,
             self.sim_secs,
             self.peak_queue_bytes,
-            self.cache_misses,
-            self.cache_evictions,
+            reg.counter_value("st.cache_miss"),
+            reg.counter_value("st.cache_eviction"),
             self.faults_injected,
-            self.registry_dump,
+            render_registry(reg),
             self.trace_dump,
         )
     }
@@ -369,6 +377,14 @@ impl Outcome {
         }
         format!("{h:016x}")
     }
+}
+
+/// `reg` as JSON lines. Rendering sorts histogram samples in place, so it
+/// works on a copy and the outcome's registry stays as merged.
+fn render_registry(reg: &MetricRegistry) -> String {
+    let mut copy = MetricRegistry::new();
+    copy.merge_from(reg);
+    copy.to_json_lines()
 }
 
 // ---------------------------------------------------------------------------
@@ -481,6 +497,7 @@ fn merge_outcome(
     let mut acct = Acct::default();
     let mut events = 0u64;
     let mut pending = 0u64;
+    let mut cpu_busy = SimDuration::ZERO;
     let mut peak_queue_bytes = 0u64;
     let mut stream: Vec<(SimTime, u32, usize, ObsEvent)> = Vec::new();
     for o in outs {
@@ -488,6 +505,7 @@ fn merge_outcome(
         acct.merge(&o.acct);
         events += o.events;
         pending += o.pending;
+        cpu_busy = cpu_busy.saturating_add(o.cpu_busy);
         peak_queue_bytes = peak_queue_bytes.max(o.peak_queue);
         stream.extend(
             o.obs
@@ -505,30 +523,15 @@ fn merge_outcome(
     }
     Outcome {
         hosts,
-        streams_opened: acct.opened,
-        open_failed: acct.failed,
+        acct,
+        registry,
         events,
         pending,
-        messages: registry.counter_value("st.deliver"),
-        sent: acct.sent,
-        received: acct.received,
-        late: acct.late,
-        bytes: acct.bytes,
-        source_drops: acct.source_drops,
-        rpc_issued: acct.rpc_issued,
-        rpc_completed: acct.rpc_completed,
-        rpc_failed: acct.rpc_failed,
+        cpu_busy,
         sim_secs,
         wall_secs,
         peak_queue_bytes,
-        cache_misses: registry.counter_value("st.cache_miss"),
-        cache_evictions: registry.counter_value("st.cache_eviction"),
         faults_injected: scn.faults.events.len() as u64,
-        floods: registry.counter_value("routing.floods"),
-        recomputes: registry.counter_value("routing.recompute"),
-        alternate_wins: registry.counter_value("routing.alternate_wins"),
-        recoveries: registry.histogram("fault.recovery_latency").count() as u64,
-        registry_dump: registry.to_json_lines(),
         trace_dump,
         stream: stream.into_iter().map(|(t, _, _, e)| (t, e)).collect(),
         rt,

@@ -20,6 +20,7 @@ use bytes::Bytes;
 use dash_net::ids::HostId;
 use dash_net::pipeline::send_datagram;
 use dash_sim::engine::Sim;
+use dash_sim::rng::Rng;
 use dash_sim::stats::Histogram;
 use dash_sim::time::{SimDuration, SimTime};
 use dash_transport::rkom;
@@ -66,19 +67,21 @@ impl Class {
     }
 }
 
-const ZERO_LEN: usize = 8192;
-static ZERO: [u8; ZERO_LEN] = [0u8; ZERO_LEN];
+const ZERO_LEN: u64 = 64 * 1024;
+static ZERO: [u8; ZERO_LEN as usize] = [0u8; ZERO_LEN as usize];
 
-/// Build a class-tagged payload: one static tag byte, then a static zero
-/// body — the same zero-allocation scatter-gather path real payloads take.
+/// Build a class-tagged payload of `len` bytes: one static tag byte, then
+/// a static zero body (one segment per 64 KiB) — the same zero-allocation
+/// scatter-gather path real payloads take.
 fn tagged(class: Class, len: u64) -> Message {
     const TAGS: [u8; CLASSES] = [1, 2, 3, 4, 5];
     let i = class as usize;
     let mut w = WireMsg::from_bytes(Bytes::from_static(&TAGS[i..i + 1]));
-    if len > 1 {
-        w.push(Bytes::from_static(
-            &ZERO[..(len - 1).min(ZERO_LEN as u64) as usize],
-        ));
+    let mut body = len.saturating_sub(1);
+    while body > 0 {
+        let n = body.min(ZERO_LEN);
+        w.push(Bytes::from_static(&ZERO[..n as usize]));
+        body -= n;
     }
     Message::from_wire(w)
 }
@@ -103,6 +106,11 @@ pub struct Flow {
     /// Pacing interval; zero means "pump until flow control pushes back,
     /// resume on `Drained`".
     pub interval: SimDuration,
+    /// `Some(seed)`: Poisson pacing — each gap is an exponential draw
+    /// with mean `interval` from a generator the flow carries (the draw
+    /// advances the seed), so the gaps are a pure function of the plan
+    /// on every backend. `None`: every gap is `interval`.
+    pub poisson: Option<u64>,
     /// Payload length per message, including the tag byte.
     pub len: u64,
     /// Stream profile to open: the RMS parameters that *are* the workload.
@@ -124,6 +132,7 @@ impl Flow {
             start: SimDuration::from_micros((index as u64 % 32) * 125),
             count: (duration.as_nanos() / VOICE_INTERVAL.as_nanos()).max(1),
             interval: VOICE_INTERVAL,
+            poisson: None,
             len: 160,
             profile: StreamProfile::voice(),
             budget: SimDuration::from_millis(40),
@@ -151,6 +160,7 @@ impl Flow {
             start,
             count: 4,
             interval: SimDuration::from_millis(50),
+            poisson: None,
             len: 160,
             profile: StreamProfile {
                 capacity: 4 * 1024,
@@ -177,6 +187,7 @@ impl Flow {
             start: SimDuration::ZERO,
             count: total_bytes.div_ceil(chunk),
             interval: SimDuration::ZERO,
+            poisson: None,
             len: chunk,
             profile,
             budget: SimDuration::from_millis(500),
@@ -345,13 +356,13 @@ impl Acct {
         self.planned[c] > 0 && self.received[c] >= self.planned[c]
     }
 
-    /// Seconds from `class`'s first send to its last delivery (`None`
-    /// until [`complete`](Acct::complete)).
+    /// Seconds from `class`'s first send to its latest delivery so far
+    /// (`None` before both); whether that was the last planned delivery is
+    /// [`complete`](Acct::complete).
     pub fn transfer_secs(&self, class: Class) -> Option<f64> {
         let c = class as usize;
         let (first, last) = (self.first_send[c]?, self.last_delivery[c]?);
-        self.complete(class)
-            .then(|| last.saturating_since(first).as_secs_f64())
+        Some(last.saturating_since(first).as_secs_f64())
     }
 
     /// Goodput of `class` in bytes/second over
@@ -536,10 +547,10 @@ fn pace(sim: &mut Sim<Stack>, host: HostId, session: u64, acct: SharedAcct) {
         let mut a = acct.borrow_mut();
         a.tx.get_mut(&session).map(|t| {
             t.count = t.count.saturating_sub(1);
-            (t.class, t.len, t.interval, t.count > 0)
+            (t.class, t.len, next_gap(t), t.count > 0)
         })
     };
-    let Some((class, len, interval, more)) = step else {
+    let Some((class, len, gap, more)) = step else {
         return;
     };
     acct.borrow_mut().count_sent(class, sim.now());
@@ -547,8 +558,19 @@ fn pace(sim: &mut Sim<Stack>, host: HostId, session: u64, acct: SharedAcct) {
         acct.borrow_mut().source_drops += 1;
     }
     if more {
-        sim.schedule_in(interval, move |sim| pace(sim, host, session, acct));
+        sim.schedule_in(gap, move |sim| pace(sim, host, session, acct));
     }
+}
+
+/// The gap before a paced flow's next message (see [`Flow::poisson`]).
+fn next_gap(f: &mut Flow) -> SimDuration {
+    let Some(seed) = f.poisson else {
+        return f.interval;
+    };
+    let mut rng = Rng::new(seed);
+    let gap = rng.exp(f.interval.as_secs_f64());
+    f.poisson = Some(rng.next_u64());
+    SimDuration::from_secs_f64(gap)
 }
 
 /// Pumped sender (bulk): offer messages until the send port refuses;
@@ -686,6 +708,37 @@ mod tests {
         assert_eq!(a.rpc_completed, a.rpc_issued);
         assert!(a.rpc_latency.mean() > 0.0);
         assert!(a.rpc_latency.mean() < 0.05, "LAN RPC should be fast");
+    }
+
+    #[test]
+    fn a_tagged_payload_has_the_length_asked_for() {
+        for len in [1, 2, 8193, 8194, ZERO_LEN + 1, ZERO_LEN + 2, 3 * ZERO_LEN] {
+            let msg = tagged(Class::Heavy, len);
+            assert_eq!(msg.len() as u64, len);
+            assert_eq!(msg.wire().first_byte(), Some(Class::Heavy as u8 + 1));
+        }
+    }
+
+    #[test]
+    fn poisson_gaps_are_a_pure_function_of_the_seed() {
+        let flow = |seed| Flow {
+            interval: SimDuration::from_millis(2),
+            poisson: Some(seed),
+            ..Flow::voice(HostId(0), HostId(1), 0, SimDuration::ZERO)
+        };
+        let gaps = |mut f: Flow| (0..2_000).map(|_| next_gap(&mut f)).collect::<Vec<_>>();
+        let (a, b) = (gaps(flow(7)), gaps(flow(8)));
+        assert_eq!(a, gaps(flow(7)), "same seed, same gaps");
+        assert_ne!(a, b);
+        let mean = a.iter().map(|g| g.as_secs_f64()).sum::<f64>() / a.len() as f64;
+        assert!((mean - 0.002).abs() < 0.0002, "mean gap {mean}");
+        let fixed = Flow {
+            poisson: None,
+            ..flow(7)
+        };
+        assert!(gaps(fixed)
+            .iter()
+            .all(|g| *g == SimDuration::from_millis(2)));
     }
 
     #[test]

@@ -116,18 +116,18 @@ fn report(label: &str, backend: Backend, o: &Outcome) {
         o.hosts,
         o.events,
         o.wall_secs,
-        o.streams_opened,
-        o.open_failed,
-        o.messages,
-        o.rpc_completed,
-        o.rpc_issued,
+        o.acct.opened,
+        o.acct.failed,
+        o.messages(),
+        o.acct.rpc_completed,
+        o.acct.rpc_issued,
         o.voice_on_time() * 100.0,
-        o.cache_misses,
+        o.registry.counter_value("st.cache_miss"),
         o.faults_injected,
-        o.alternate_wins,
-        o.floods,
-        o.recomputes,
-        o.recoveries,
+        o.registry.counter_value("routing.alternate_wins"),
+        o.registry.counter_value("routing.floods"),
+        o.registry.counter_value("routing.recompute"),
+        o.registry.counter_value("st.failover_completed"),
     );
 }
 

@@ -8,10 +8,9 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        for (id, f) in dash_bench::all_experiments() {
+        for (id, e) in dash_bench::all_experiments() {
             eprintln!("running {id} ...");
-            let t = f();
-            println!("{}", t.render());
+            println!("{}", e.table().render());
         }
     } else {
         for id in &args {

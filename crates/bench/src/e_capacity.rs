@@ -1,22 +1,17 @@
 //! e5_capacity — the C/D bandwidth identity (§2.2); e6_admission —
 //! deterministic / statistical / best-effort admission control (§2.3).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use bytes::Bytes;
-use dash_apps::taps::Dispatcher;
+use dash_apps::scenario::{Outcome, Scenario};
+use dash_apps::traffic::{Class, Flow, Plan};
 use dash_net::ids::{HostId, NetRmsId};
 use dash_net::pipeline as netp;
 use dash_net::state::{NetRmsEvent, NetState, NetWorld};
-use dash_net::topology::TopologyBuilder;
+use dash_net::topology::{two_hosts_ethernet, TopologyBuilder};
 use dash_net::NetworkSpec;
 use dash_sim::time::SimDuration;
 use dash_sim::Sim;
 use dash_transport::flow::CapacityEnforcement;
-use dash_transport::stack::StackBuilder;
-use dash_transport::stream::{self, StreamProfile};
-use rms_core::bandwidth::implied_bandwidth;
+use dash_transport::stream::StreamProfile;
 use rms_core::delay::{DelayBound, DelayBoundKind, StatisticalSpec};
 use rms_core::message::Message;
 use rms_core::params::{BitErrorRate, RmsParams};
@@ -24,10 +19,51 @@ use rms_core::port::DeliveryInfo;
 use rms_core::RmsRequest;
 
 use crate::table::{f, pct, secs, Table};
+use crate::{best_effort, paced};
+
+/// e5's streams, by row: capacity and fixed delay-bound part (ms).
+const E5_ROWS: [(u64, u64); 4] = [
+    (8 << 10, 100),
+    (8 << 10, 400),
+    (32 << 10, 100),
+    (64 << 10, 400),
+];
+
+/// The rate-based stream of an `E5_ROWS` entry.
+fn e5_profile((capacity, fixed_ms): (u64, u64)) -> StreamProfile {
+    StreamProfile {
+        capacity,
+        max_message: 1024,
+        delay: best_effort(fixed_ms),
+        enforcement: CapacityEnforcement::RateBased,
+        send_port_limit: 4 * capacity,
+        ..StreamProfile::default()
+    }
+}
 
 /// e5_capacity — a sender pacing at the RMS rate achieves ~C/D throughput
-/// (§2.2's derivation).
-pub fn e5_capacity() -> Table {
+/// (§2.2's derivation). Per `E5_ROWS` entry, a 1 KiB message is offered
+/// every 2 ms for 4 s, far above the RMS rate, so the send port stays full
+/// and the rate limiter alone paces transmission.
+pub fn e5_scenarios() -> Vec<Scenario> {
+    let scenario = |row| {
+        let flow = Flow {
+            count: 2_000,
+            interval: SimDuration::from_millis(2),
+            len: 1024,
+            ..paced(e5_profile(row))
+        };
+        Scenario::new(
+            || two_hosts_ethernet().0,
+            Plan::from(vec![flow]),
+            SimDuration::from_secs(10),
+        )
+    };
+    E5_ROWS.into_iter().map(scenario).collect()
+}
+
+/// e5's table from the outcomes of [`e5_scenarios`].
+pub fn e5_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e5_capacity",
         "the capacity/delay bandwidth identity: throughput ≈ C/D",
@@ -40,66 +76,23 @@ pub fn e5_capacity() -> Table {
         "measured",
         "ratio",
     ]);
-    for (capacity, fixed_ms) in [
-        (8 * 1024u64, 100u64),
-        (8 * 1024, 400),
-        (32 * 1024, 100),
-        (64 * 1024, 400),
-    ] {
-        let mut b = TopologyBuilder::new();
-        let n = b.network(NetworkSpec::ethernet("lan"));
-        let ha = b.host_on(n);
-        let hb = b.host_on(n);
-        let mut sim = Sim::new(StackBuilder::new(b.build()).build());
-        let taps = Dispatcher::install(&mut sim, &[ha, hb]);
-        let profile = StreamProfile {
-            capacity,
-            max_message: 1024,
-            delay: DelayBound::best_effort_with(
-                SimDuration::from_millis(fixed_ms),
-                SimDuration::from_micros(10),
-            ),
-            enforcement: CapacityEnforcement::RateBased,
-            send_port_limit: 4 * capacity,
-            ..StreamProfile::default()
-        };
-        let session = stream::open(&mut sim, ha, hb, profile.clone()).unwrap();
-        let bytes = Rc::new(RefCell::new(0u64));
-        let b2 = Rc::clone(&bytes);
-        taps.register(session, move |_s, ev| {
-            *b2.borrow_mut() += ev.msg.len() as u64
-        });
-        sim.run();
-        // Saturate the send port; the rate limiter paces transmission.
-        let run_secs = 4.0;
-        let t0 = sim.now();
-        let end = t0 + SimDuration::from_secs_f64(run_secs);
-        while sim.now() < end {
-            let _ = stream::send(&mut sim, ha, session, Message::zeroes(1024));
-            sim.run_until(sim.now() + SimDuration::from_millis(2));
-        }
-        sim.run();
-        let measured = *bytes.borrow() as f64 / sim.now().saturating_since(t0).as_secs_f64();
+    for (row, o) in E5_ROWS.into_iter().zip(outs) {
+        let measured = o.acct.goodput(Class::Voice).unwrap_or(0.0);
         // Rate-based enforcement is the pessimistic §4.4 variant: at most C
         // bytes per A + C·B period, so the sustainable rate is C/(A + C·B).
-        let params = RmsParams::builder(capacity, 1024)
-            .delay(profile.delay)
-            .build()
-            .unwrap();
-        let period = params.delay.bound_for(capacity);
-        let predicted = capacity as f64 / period.as_secs_f64();
-        let ideal = implied_bandwidth(&params);
+        let period = e5_profile(row).delay.bound_for(row.0);
+        let predicted = row.0 as f64 / period.as_secs_f64();
         t.row(vec![
-            capacity.to_string(),
+            row.0.to_string(),
             secs(period.as_secs_f64()),
             format!("{} B/s", f(predicted)),
             format!("{} B/s", f(measured)),
             f(measured / predicted),
         ]);
-        let _ = ideal;
     }
     t.note("rate-based enforcement over a quiet 10 Mb/s LAN; the wire never limits these rates");
     t.note("§4.4 calls this approach pessimistic: it assumes the maximum delay for all messages, so the sustained rate is C/(A+C·B) ≤ the §2.2 ideal C/D(M)");
+    t.note("measured is delivered bytes over first send to last delivery");
     t.note("expected shape: measured ≈ predicted (ratio ≈ 1), scaling with C and 1/period");
     t
 }
@@ -224,33 +217,32 @@ pub fn e6_admission() -> Table {
             },
             lost.to_string(),
         ]);
-        let _ = Bytes::new();
     }
     t.note("16 requests of C/D = 160 KB/s each against a 10 Mb/s Ethernet (90% reservable → 7 deterministic fit)");
     t.note("expected shape: deterministic admits ~7 and misses nothing; statistical admits a few more; best-effort admits all 16 and pays with late deliveries");
     t
 }
 
-/// Small helper used by unit tests of this module.
-pub fn admission_world() -> (Sim<NetOnly>, HostId, HostId) {
-    let mut b = TopologyBuilder::new();
-    let n = b.network(NetworkSpec::ethernet("lan"));
-    let ha = b.host_on(n);
-    let hb = b.host_on(n);
-    (
-        Sim::new(NetOnly {
-            net: b.build(),
-            created: Vec::new(),
-            rejected: 0,
-        }),
-        ha,
-        hb,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two hosts on a quiet Ethernet, in a network-only world.
+    fn admission_world() -> (Sim<NetOnly>, HostId, HostId) {
+        let mut b = TopologyBuilder::new();
+        let n = b.network(NetworkSpec::ethernet("lan"));
+        let ha = b.host_on(n);
+        let hb = b.host_on(n);
+        (
+            Sim::new(NetOnly {
+                net: b.build(),
+                created: Vec::new(),
+                rejected: 0,
+            }),
+            ha,
+            hb,
+        )
+    }
 
     #[test]
     fn netonly_world_admits_and_rejects() {

@@ -19,7 +19,7 @@ use dash_apps::traffic::{Class, Flow, Plan, Probe};
 use dash_net::state::NetState;
 use dash_net::topology::{mesh3x3, TopologyBuilder};
 use dash_net::{HostId, NetworkId, NetworkSpec};
-use dash_sim::time::{SimDuration, SimTime};
+use dash_sim::time::SimDuration;
 use dash_transport::stream::StreamProfile;
 use rms_core::delay::DelayBound;
 
@@ -102,34 +102,28 @@ impl RoutingParams {
     pub fn scenario(&self) -> Scenario {
         let (_, sites, drill_target) = build_topo(self);
         let program = self.clone();
+        let plan = Plan {
+            flows: plan_flows(self, &sites),
+            rpcs: Vec::new(),
+            // Table-routed traffic between the extreme sites.
+            probes: vec![Probe {
+                a: sites[0][0],
+                b: sites[sites.len() - 1][self.hosts_per_lan - 1],
+                interval: self.probe_interval,
+                end: self.duration,
+            }],
+        };
+        let length = self.duration.saturating_add(SimDuration::from_millis(400));
+        // No aligned placement exists here: every gateway sits on two
+        // LANs, so any multi-shard plan splits an Ethernet and the `Par`
+        // epoch is its wire delay wherever the hosts land.
         Scenario {
-            plan: Plan {
-                flows: plan_flows(self, &sites),
-                rpcs: Vec::new(),
-                // Table-routed traffic between the extreme sites.
-                probes: vec![Probe {
-                    a: sites[0][0],
-                    b: sites[sites.len() - 1][self.hosts_per_lan - 1],
-                    interval: self.probe_interval,
-                    end: self.duration,
-                }],
-            },
             // The primary corridor (dumbbell) or the mesh centre goes
             // dark, then heals: reconvergence, alternate re-homing and
             // recovery latency are all part of the measurement.
             faults: outage_drill(self.duration, drill_target),
-            // No aligned placement exists here: every gateway sits on two
-            // LANs, so any multi-shard plan splits an Ethernet and the
-            // `Par` epoch is its wire delay wherever the hosts land.
-            groups: Vec::new(),
-            topo: Box::new(move || build_topo(&program).0),
             seed: self.seed,
-            horizon: SimTime::ZERO
-                .saturating_add(self.duration)
-                .saturating_add(SimDuration::from_millis(400)),
-            cpus: false,
-            record_trace: false,
-            keep_events: false,
+            ..Scenario::new(move || build_topo(&program).0, plan, length)
         }
     }
 }
@@ -202,6 +196,7 @@ fn plan_flows(p: &RoutingParams, sites: &[Vec<HostId>]) -> Vec<Flow> {
             start: SimDuration::from_millis(10 * (h as u64 + 1)),
             count: (p.duration.as_nanos() / heavy_interval.as_nanos()).max(1),
             interval: heavy_interval,
+            poisson: None,
             len: 512,
             profile: StreamProfile {
                 capacity: 40 * 1024,
@@ -268,15 +263,16 @@ pub fn e11_routing() -> Table {
             ..RoutingParams::ci()
         };
         let o = run(&p.scenario(), Backend::Serial);
+        let count = |name| o.registry.counter_value(name).to_string();
         t.row(vec![
             label.to_string(),
-            o.streams_opened.to_string(),
-            o.open_failed.to_string(),
-            o.alternate_wins.to_string(),
-            o.floods.to_string(),
-            o.recomputes.to_string(),
-            o.recoveries.to_string(),
-            o.messages.to_string(),
+            o.acct.opened.to_string(),
+            o.acct.failed.to_string(),
+            count("routing.alternate_wins"),
+            count("routing.floods"),
+            count("routing.recompute"),
+            count("st.failover_completed"),
+            o.messages().to_string(),
             o.events.to_string(),
         ]);
     }

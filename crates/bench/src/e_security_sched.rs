@@ -2,21 +2,20 @@
 //! (§2.5); e2_scheduling — deadline-based scheduling beats FIFO/priority
 //! for mixed real-time traffic (§4.1, conclusion).
 
-use dash_apps::traffic::{self, Class, Flow, Plan, RpcFlow};
+use dash_apps::scenario::{Outcome, Scenario};
+use dash_apps::traffic::{Class, Flow, Plan, RpcFlow};
 use dash_net::iface::QueueDiscipline;
 use dash_net::state::NetConfig;
-use dash_net::topology::TopologyBuilder;
 use dash_net::NetworkSpec;
 use dash_security::cost::CostModel;
 use dash_sim::cpu::SchedPolicy;
 use dash_sim::time::SimDuration;
-use dash_sim::Sim;
 use dash_subtransport::st::StConfig;
-use dash_transport::stack::StackBuilder;
 use dash_transport::stream::StreamProfile;
 use rms_core::params::{BitErrorRate, RmsParams, SecurityParams};
 
 use crate::table::{f, pct, secs, Table};
+use crate::{lan, A, B};
 
 /// e1_security — for each network capability set, which mechanisms does
 /// negotiation select, and what do they cost?
@@ -90,8 +89,76 @@ pub fn e1_security() -> Table {
     t
 }
 
-/// e2_scheduling — EDF vs FIFO vs static priority under mixed load (§4.1).
-pub fn e2_scheduling() -> Table {
+/// e2's rows: CPU policy and interface queue discipline.
+const E2_ROWS: [(&str, SchedPolicy, &str, QueueDiscipline); 3] = [
+    (
+        "edf",
+        SchedPolicy::Edf,
+        "deadline",
+        QueueDiscipline::Deadline,
+    ),
+    ("fifo", SchedPolicy::Fifo, "fifo", QueueDiscipline::Fifo),
+    (
+        "priority",
+        SchedPolicy::Priority,
+        "fifo",
+        QueueDiscipline::Fifo,
+    ),
+];
+
+/// e2_scheduling — EDF vs FIFO vs static priority under mixed load
+/// (§4.1): 2 s of voice, a 768 KiB transfer and 50 calls/s of RPC between
+/// one host pair, under each of `E2_ROWS`.
+pub fn e2_scenarios() -> Vec<Scenario> {
+    // Make protocol processing expensive enough that CPU scheduling
+    // matters: 40 us fixed + 150 ns/byte per packet (the CPU, not the
+    // wire, is the contended resource, as in §4.1's protocol-process
+    // scheduling discussion).
+    let cost = CostModel::new(SimDuration::from_micros(40), SimDuration::from_nanos(150));
+    let plan = Plan {
+        flows: vec![
+            Flow::voice(A, B, 0, SimDuration::from_secs(2)),
+            Flow::bulk(A, B, 768 * 1024, 8 * 1024, StreamProfile::bulk()),
+        ],
+        rpcs: vec![RpcFlow {
+            client: A,
+            server: B,
+            service: 0x0101,
+            calls: 100,
+            interval: SimDuration::from_millis(20),
+            start: SimDuration::ZERO,
+            request: 64,
+            reply: 256,
+        }],
+        ..Plan::default()
+    };
+    let scenario = |(_, policy, _, discipline)| {
+        let config = NetConfig {
+            discipline,
+            per_packet_cpu: cost,
+            ..NetConfig::default()
+        };
+        // Under deliberate CPU overload the backlog can outlive the
+        // workloads, so the run is cut 500 ms after they end.
+        let length = SimDuration::from_millis(2_500);
+        Scenario {
+            st: StConfig {
+                st_cpu: cost,
+                ..StConfig::default()
+            },
+            cpus: Some((policy, SimDuration::from_micros(10))),
+            ..Scenario::new(
+                lan(NetworkSpec::ethernet("lan"), config),
+                plan.clone(),
+                length,
+            )
+        }
+    };
+    E2_ROWS.into_iter().map(scenario).collect()
+}
+
+/// e2's table from the outcomes of [`e2_scenarios`].
+pub fn e2_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e2_scheduling",
         "deadline-based CPU + interface scheduling vs FIFO and priorities",
@@ -105,84 +172,15 @@ pub fn e2_scheduling() -> Table {
         "rpc mean",
         "bulk goodput",
     ]);
-    for (cpu_name, policy, disc_name, discipline) in [
-        (
-            "edf",
-            SchedPolicy::Edf,
-            "deadline",
-            QueueDiscipline::Deadline,
-        ),
-        ("fifo", SchedPolicy::Fifo, "fifo", QueueDiscipline::Fifo),
-        (
-            "priority",
-            SchedPolicy::Priority,
-            "fifo",
-            QueueDiscipline::Fifo,
-        ),
-    ] {
-        let mut b = TopologyBuilder::new();
-        let n = b.network(NetworkSpec::ethernet("lan"));
-        let ha = b.host_on(n);
-        let hb = b.host_on(n);
-        let net_config = NetConfig {
-            discipline,
-            // Make protocol processing expensive enough that CPU scheduling
-            // matters: 40 us fixed + 150 ns/byte per packet (the CPU, not
-            // the wire, is the contended resource, as in §4.1's
-            // protocol-process scheduling discussion).
-            per_packet_cpu: CostModel::new(
-                SimDuration::from_micros(40),
-                SimDuration::from_nanos(150),
-            ),
-            ..NetConfig::default()
-        };
-        b.config(net_config);
-        let st_config = StConfig {
-            st_cpu: CostModel::new(SimDuration::from_micros(40), SimDuration::from_nanos(150)),
-            ..StConfig::default()
-        };
-        let stack = StackBuilder::new(b.build())
-            .st_config(st_config)
-            .cpus(policy, SimDuration::from_micros(10))
-            .build();
-        let mut sim = Sim::new(stack);
-
-        // Competing workloads on the same host pair: 2 s of voice, a
-        // 768 KB transfer, 50 calls/s of RPC for 2 s.
-        let plan = Plan {
-            flows: vec![
-                Flow::voice(ha, hb, 0, SimDuration::from_secs(2)),
-                Flow::bulk(ha, hb, 768 * 1024, 8 * 1024, StreamProfile::bulk()),
-            ],
-            rpcs: vec![RpcFlow {
-                client: ha,
-                server: hb,
-                service: 0x0101,
-                calls: 100,
-                interval: SimDuration::from_millis(20),
-                start: SimDuration::ZERO,
-                request: 64,
-                reply: 256,
-            }],
-            ..Plan::default()
-        };
-        let acct = traffic::install(&mut sim, &plan, None);
-        traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(3));
-        // Bounded drain: under deliberate CPU overload the backlog can
-        // outlive the workloads, so cap the tail.
-        sim.run_until(sim.now() + SimDuration::from_millis(500));
-        let a = acct.borrow();
-        let mut vd = a.delays[Class::Voice as usize].clone();
-        let bulk_goodput = a
-            .goodput(Class::Bulk)
-            .unwrap_or(a.bytes[Class::Bulk as usize] as f64 / 3.0);
+    for ((cpu, _, iface, _), o) in E2_ROWS.into_iter().zip(outs) {
+        let a = &o.acct;
         t.row(vec![
-            cpu_name.into(),
-            disc_name.into(),
+            cpu.into(),
+            iface.into(),
             pct(a.on_time_fraction(Class::Voice)),
-            secs(vd.quantile(0.99)),
+            secs(a.delays[Class::Voice as usize].clone().quantile(0.99)),
             secs(a.rpc_latency.mean()),
-            format!("{} B/s", f(bulk_goodput)),
+            format!("{} B/s", f(a.goodput(Class::Bulk).unwrap_or(0.0))),
         ]);
     }
     t.note("voice budget 40 ms; per-packet CPU cost inflated to 40 us + 150 ns/B so scheduling policy dominates");

@@ -7,8 +7,11 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dash_apps::taps::Dispatcher;
-use dash_net::topology::TopologyBuilder;
+use dash_apps::scenario::{Outcome, Scenario};
+use dash_apps::traffic::{Class, Flow, Plan};
+use dash_check::check_stream;
+use dash_net::state::NetConfig;
+use dash_net::topology::{two_hosts_ethernet, TopologyBuilder};
 use dash_net::NetworkSpec;
 use dash_sim::cpu::SchedPolicy;
 use dash_sim::time::{SimDuration, SimTime};
@@ -17,13 +20,12 @@ use dash_subtransport::engine as st_engine;
 use dash_subtransport::ids::Client;
 use dash_subtransport::st::{StConfig, StEvent};
 use dash_transport::stack::{AppEvent, StackBuilder, PROTO_APP};
-use dash_transport::stream::{self, StreamProfile};
-use rms_core::delay::DelayBound;
-use rms_core::message::Message;
+use dash_transport::stream::StreamProfile;
 use rms_core::params::RmsParams;
 use rms_core::RmsRequest;
 
 use crate::table::{f, pct, secs, Table};
+use crate::{best_effort, lan, paced};
 
 /// e3_caching — creating network RMSs is costly; the ST caches them (§4.2).
 pub fn e3_caching() -> Table {
@@ -124,10 +126,46 @@ pub fn e3_caching() -> Table {
     t
 }
 
+/// e4's ST message sizes, by row.
+const E4_SIZES: [u64; 7] = [512, 1024, 2048, 4096, 8192, 16 * 1024, 32 * 1024];
+
 /// e4_fragmentation — the ST's maximum-message-size trade-off (§4.3):
-/// bigger ST messages amortize context switches but a single lost fragment
-/// kills the whole message.
-pub fn e4_fragmentation() -> Table {
+/// bigger ST messages amortize context switches but a single lost
+/// fragment kills the whole message. Per `E4_SIZES` entry, 1 MiB in
+/// messages of that size, paced at ~6 Mb/s over a lossy Ethernet with
+/// costly context switches.
+pub fn e4_scenarios() -> Vec<Scenario> {
+    let mut spec = NetworkSpec::ethernet("lossy");
+    spec.caps.raw_ber = 4e-7; // per-fragment corruption ~0.5%
+    spec.drop_prob = 2e-3;
+    let scenario = |size: u64| {
+        let profile = StreamProfile {
+            max_message: size,
+            capacity: (4 * size).max(32 * 1024),
+            // Checksums on: corrupted fragments become losses.
+            reliable: false,
+            delay: best_effort(200),
+            ..StreamProfile::default()
+        };
+        let flow = Flow {
+            count: (1 << 20) / size,
+            // ~6 Mb/s offered, so the wire is not the bottleneck.
+            interval: SimDuration::from_secs_f64(size as f64 * 8.0 / 6e6),
+            len: size,
+            ..paced(profile)
+        };
+        let topo = lan(spec.clone(), NetConfig::default());
+        Scenario {
+            // Heavy context switches make small messages expensive.
+            cpus: Some((SchedPolicy::Edf, SimDuration::from_micros(100))),
+            ..Scenario::new(topo, Plan::from(vec![flow]), SimDuration::from_secs(4))
+        }
+    };
+    E4_SIZES.into_iter().map(scenario).collect()
+}
+
+/// e4's table from the outcomes of [`e4_scenarios`].
+pub fn e4_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e4_fragmentation",
         "goodput vs ST maximum message size on a lossy network with context-switch costs",
@@ -142,87 +180,71 @@ pub fn e4_fragmentation() -> Table {
         "goodput",
         "cpu busy",
     ]);
-    for msg_size in [512u64, 1024, 2048, 4096, 8192, 16 * 1024, 32 * 1024] {
-        let mut b = TopologyBuilder::new();
-        let mut spec = NetworkSpec::ethernet("lossy");
-        spec.caps.raw_ber = 4e-7; // per-fragment corruption ~0.5%
-        spec.drop_prob = 2e-3;
-        let n = b.network(spec);
-        let ha = b.host_on(n);
-        let hb = b.host_on(n);
-        // Heavy context switches make small messages expensive.
-        let stack = StackBuilder::new(b.build())
-            .cpus(SchedPolicy::Edf, SimDuration::from_micros(100))
-            .obs(true)
-            .build();
-        let mut sim = Sim::new(stack);
-        let taps = Dispatcher::install(&mut sim, &[ha, hb]);
-        let profile = StreamProfile {
-            max_message: msg_size,
-            capacity: (4 * msg_size).max(32 * 1024),
-            // Checksums on: corrupted fragments become losses.
-            reliable: false,
-            delay: DelayBound::best_effort_with(
-                SimDuration::from_millis(200),
-                SimDuration::from_micros(10),
-            ),
-            ..StreamProfile::default()
-        };
-        let session = stream::open(&mut sim, ha, hb, profile).unwrap();
-        let delivered = Rc::new(RefCell::new((0u64, 0u64))); // (msgs, bytes)
-        let d2 = Rc::clone(&delivered);
-        taps.register(session, move |_s, ev| {
-            let mut d = d2.borrow_mut();
-            d.0 += 1;
-            d.1 += ev.msg.len() as u64;
-        });
-        sim.run();
-        let total_bytes = 1024 * 1024u64;
-        let n_msgs = total_bytes / msg_size;
-        let t0 = sim.now();
-        for _ in 0..n_msgs {
-            let _ = stream::send(&mut sim, ha, session, Message::zeroes(msg_size as usize));
-            // Pace at ~6 Mb/s offered so the wire is not the bottleneck.
-            sim.run_until(sim.now() + SimDuration::from_secs_f64(msg_size as f64 * 8.0 / 6e6));
-        }
-        sim.run();
-        let elapsed = sim.now().saturating_since(t0).as_secs_f64();
-        let (msgs, bytes) = *delivered.borrow();
-        let frags = {
-            let reg = &sim.state.net.obs.registry;
-            let fragmented = reg.counter_value("st.msg_fragmented");
-            if fragmented > 0 {
-                reg.counter_value("st.fragment_sent") as f64 / fragmented as f64
-            } else {
-                1.0
-            }
-        };
-        let busy: f64 = sim
-            .state
-            .cpus
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|c| c.stats.busy.as_secs_f64())
-            .sum();
+    for (size, o) in E4_SIZES.into_iter().zip(outs) {
+        let (a, reg) = (&o.acct, &o.registry);
+        let fragmented = reg.counter_value("st.msg_fragmented");
+        let frags = reg.counter_value("st.fragment_sent") as f64 / fragmented.max(1) as f64;
+        let c = Class::Voice as usize;
         t.row(vec![
-            msg_size.to_string(),
-            f(frags),
-            n_msgs.to_string(),
-            msgs.to_string(),
-            pct(msgs as f64 / n_msgs as f64),
-            format!("{} B/s", f(bytes as f64 / elapsed)),
-            secs(busy),
+            size.to_string(),
+            f(if fragmented > 0 { frags } else { 1.0 }),
+            a.sent[c].to_string(),
+            a.received[c].to_string(),
+            pct(a.received[c] as f64 / a.sent[c] as f64),
+            format!("{} B/s", f(a.goodput(Class::Voice).unwrap_or(0.0))),
+            secs(o.cpu_busy.as_secs_f64()),
         ]);
     }
     t.note("1 MB offered at ~6 Mb/s over a lossy Ethernet (BER 4e-7, drop 0.2%), context switch 100 us, unreliable stream");
+    t.note("goodput is delivered bytes over first send to last delivery; cpu busy sums both hosts' protocol CPUs, establishment included");
     t.note("expected shape: goodput rises with message size (fewer context switches), then falls as whole-message loss dominates — an interior optimum");
     t
 }
 
+/// e9's rows: piggybacking and its queueing slack (ms).
+const E9_ROWS: [(&str, bool, u64); 4] = [
+    ("off", false, 0),
+    ("on", true, 1),
+    ("on", true, 4),
+    ("on", true, 16),
+];
+
 /// e9_piggyback — the §4.3.1 piggybacking policy: ordering and deadlines
-/// preserved, overhead reduced, with the queueing-slack knob.
-pub fn e9_piggyback() -> Table {
+/// preserved, overhead reduced, with the queueing-slack knob. Per
+/// `E9_ROWS` entry, four streams on one network RMS each send 100
+/// messages of 64 B with Poisson gaps of mean 2 ms — 500 µs between
+/// messages on the shared carrier.
+pub fn e9_scenarios() -> Vec<Scenario> {
+    let profile = StreamProfile {
+        capacity: 8 * 1024,
+        max_message: 128,
+        delay: best_effort(60),
+        ..StreamProfile::default()
+    };
+    let flows = (0..4).map(|i| Flow {
+        count: 100,
+        interval: SimDuration::from_millis(2),
+        poisson: Some(77 + i),
+        ..paced(profile.clone())
+    });
+    let plan = Plan::from(flows.collect::<Vec<_>>());
+    let scenario = |(_, piggyback, slack_ms)| Scenario {
+        st: StConfig {
+            piggyback,
+            piggyback_slack: SimDuration::from_millis(slack_ms),
+            ..StConfig::default()
+        },
+        ..Scenario::new(
+            || two_hosts_ethernet().0,
+            plan.clone(),
+            SimDuration::from_secs(2),
+        )
+    };
+    E9_ROWS.into_iter().map(scenario).collect()
+}
+
+/// e9's table from the outcomes of [`e9_scenarios`].
+pub fn e9_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e9_piggyback",
         "piggyback policy: slack vs bundling vs delay, with ordering checks",
@@ -238,85 +260,25 @@ pub fn e9_piggyback() -> Table {
         "order ok",
         "late",
     ]);
-    for (label, piggyback, slack_ms) in [
-        ("off", false, 0u64),
-        ("on", true, 1),
-        ("on", true, 4),
-        ("on", true, 16),
-    ] {
-        let config = StConfig {
-            piggyback,
-            piggyback_slack: SimDuration::from_millis(slack_ms),
-            ..StConfig::default()
-        };
-        let mut b = TopologyBuilder::new();
-        let n = b.network(NetworkSpec::ethernet("lan"));
-        let ha = b.host_on(n);
-        let hb = b.host_on(n);
-        let mut sim = Sim::new(
-            StackBuilder::new(b.build())
-                .st_config(config)
-                .obs(true)
-                .build(),
-        );
-        let taps = Dispatcher::install(&mut sim, &[ha, hb]);
-        let profile = StreamProfile {
-            capacity: 8 * 1024,
-            max_message: 128,
-            delay: DelayBound::best_effort_with(
-                SimDuration::from_millis(60),
-                SimDuration::from_micros(10),
-            ),
-            ..StreamProfile::default()
-        };
-        let sessions: Vec<u64> = (0..4)
-            .map(|_| stream::open(&mut sim, ha, hb, profile.clone()).unwrap())
-            .collect();
-        let order_ok = Rc::new(RefCell::new(true));
-        let delays = Rc::new(RefCell::new(Vec::new()));
-        let last_seq: Rc<RefCell<HashMap<u64, u64>>> = Rc::new(RefCell::new(HashMap::new()));
-        for &s in &sessions {
-            let ok = Rc::clone(&order_ok);
-            let d2 = Rc::clone(&delays);
-            let ls = Rc::clone(&last_seq);
-            taps.register(s, move |_sim, ev| {
-                let mut m = ls.borrow_mut();
-                if m.get(&s).is_some_and(|prev| ev.seq <= *prev) {
-                    *ok.borrow_mut() = false;
-                }
-                m.insert(s, ev.seq);
-                d2.borrow_mut().push(ev.delay.as_secs_f64());
-            });
-        }
-        sim.run();
-        let base = sim.state.net.obs.registry.counter_value("st.net_msg_sent");
-        let n_msgs = 400usize;
-        let mut rng = dash_sim::rng::Rng::new(77);
-        for i in 0..n_msgs {
-            let s = sessions[i % sessions.len()];
-            let _ = stream::send(&mut sim, ha, s, Message::zeroes(64));
-            let gap = rng.exp(0.0005); // mean 500 us
-            sim.run_until(sim.now() + SimDuration::from_secs_f64(gap));
-        }
-        sim.run();
-        let reg = &sim.state.net.obs.registry;
-        let net_msgs = reg.counter_value("st.net_msg_sent") - base;
+    for ((label, _, slack_ms), o) in E9_ROWS.into_iter().zip(outs) {
+        let (a, reg) = (&o.acct, &o.registry);
         let bundled = reg.counter_value("st.msg_bundled");
-        let late = reg.counter_value("st.late_delivery");
-        let ds = delays.borrow();
-        let mean = ds.iter().sum::<f64>() / ds.len().max(1) as f64;
+        let fifo = check_stream(&o.stream, true)
+            .iter()
+            .all(|v| !v.starts_with("[fifo]"));
         t.row(vec![
             label.into(),
             format!("{slack_ms}ms"),
-            net_msgs.to_string(),
+            reg.counter_value("st.net_msg_sent").to_string(),
             bundled.to_string(),
-            pct(bundled as f64 / n_msgs as f64),
-            secs(mean),
-            order_ok.borrow().to_string(),
-            late.to_string(),
+            pct(bundled as f64 / a.sent[Class::Voice as usize] as f64),
+            secs(a.delays[Class::Voice as usize].mean()),
+            fifo.to_string(),
+            reg.counter_value("st.late_delivery").to_string(),
         ]);
     }
     t.note("4 ST RMSs on one network RMS, 400 × 64 B messages, Poisson 500 us gaps");
+    t.note("'order ok' is the semantic oracle's fifo verdict on the run's event stream");
     t.note("expected shape: more slack → more bundling and fewer net msgs, delay grows by ≤ slack, ordering always holds, no late deliveries");
     t
 }

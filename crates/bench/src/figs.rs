@@ -6,38 +6,63 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use dash_apps::scenario::{Outcome, Scenario};
 use dash_apps::taps::Dispatcher;
-use dash_apps::traffic::{self, Class, Flow, Plan};
-use dash_net::topology::{dumbbell, TopologyBuilder};
+use dash_apps::traffic::{Class, Flow, Plan, RpcFlow};
+use dash_net::state::NetConfig;
+use dash_net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
 use dash_net::NetworkSpec;
 use dash_sim::time::SimDuration;
 use dash_sim::Sim;
 use dash_subtransport::st::StConfig;
 use dash_transport::flow::CapacityEnforcement;
-use dash_transport::rkom;
-use dash_transport::stack::{Stack, StackBuilder};
+use dash_transport::stack::StackBuilder;
 use dash_transport::stream::{self, StreamProfile};
-use rms_core::delay::DelayBound;
 use rms_core::message::Message;
 
 use crate::table::{f, pct, secs, Table};
+use crate::{best_effort, lan, paced, A, B};
 
-fn lan_stack() -> (Sim<Stack>, dash_net::HostId, dash_net::HostId) {
-    let mut b = TopologyBuilder::new();
-    let n = b.network(NetworkSpec::ethernet("lan"));
-    let a = b.host_on(n);
-    let c = b.host_on(n);
-    (
-        Sim::new(StackBuilder::new(b.build()).obs(true).build()),
-        a,
-        c,
-    )
-}
+/// The networks fig1 runs over, by row.
+const FIG1_NETWORKS: [&str; 3] = ["ethernet-10M", "fast-lan-100M", "internet-dumbbell"];
 
 /// fig1_layering — the same upper stack runs unchanged over different
 /// network types (Figure 1's network-independent / network-dependent
-/// split).
-pub fn fig1_layering() -> Table {
+/// split): a second of voice and a 128 KiB transfer over each of
+/// `FIG1_NETWORKS`.
+pub fn fig1_scenarios() -> Vec<Scenario> {
+    let plan = |voice: Flow| {
+        let bulk = Flow::bulk(
+            voice.src,
+            voice.dst,
+            128 << 10,
+            4 << 10,
+            StreamProfile::bulk(),
+        );
+        Plan::from(vec![voice, bulk])
+    };
+    let (second, length) = (SimDuration::from_secs(1), SimDuration::from_secs(5));
+    let fast = lan(NetworkSpec::fast_lan("fast"), NetConfig::default());
+    // The WAN row's voice asks for a budget a WAN can meet: the point is
+    // that the code runs, not that a WAN meets LAN deadlines.
+    let (_, a, b, _, _) = dumbbell();
+    let wan_voice = Flow {
+        class: Class::Voice,
+        ..Flow::wan_voice(a, b, 0, second)
+    };
+    vec![
+        Scenario::new(
+            || two_hosts_ethernet().0,
+            plan(Flow::voice(A, B, 0, second)),
+            length,
+        ),
+        Scenario::new(fast, plan(Flow::voice(A, B, 0, second)), length),
+        Scenario::new(|| dumbbell().0, plan(wan_voice), length),
+    ]
+}
+
+/// fig1's table from the outcomes of [`fig1_scenarios`].
+pub fn fig1_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "fig1_layering",
         "network-independent stack over interchangeable network-dependent parts",
@@ -50,47 +75,14 @@ pub fn fig1_layering() -> Table {
         "bulk goodput",
         "bulk done",
     ]);
-    for (name, which) in [
-        ("ethernet-10M", 0),
-        ("fast-lan-100M", 1),
-        ("internet-dumbbell", 2),
-    ] {
-        let (mut sim, a, b) = match which {
-            0 => lan_stack(),
-            1 => {
-                let mut tb = TopologyBuilder::new();
-                let n = tb.network(NetworkSpec::fast_lan("fast"));
-                let a = tb.host_on(n);
-                let c = tb.host_on(n);
-                (Sim::new(StackBuilder::new(tb.build()).build()), a, c)
-            }
-            _ => {
-                let (net, a, b, _, _) = dumbbell();
-                (Sim::new(StackBuilder::new(net).build()), a, b)
-            }
-        };
-        // Relax the voice budget for the WAN case; the point here is that
-        // the code runs, not that a WAN meets LAN deadlines.
-        let (voice, class): (fn(_, _, _, _) -> Flow, _) = if which == 2 {
-            (Flow::wan_voice, Class::WanVoice)
-        } else {
-            (Flow::voice, Class::Voice)
-        };
-        let plan = Plan::from(vec![
-            voice(a, b, 0, SimDuration::from_secs(1)),
-            Flow::bulk(a, b, 128 * 1024, 4 * 1024, StreamProfile::bulk()),
-        ]);
-        let acct = traffic::install(&mut sim, &plan, None);
-        let done =
-            traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(20));
-        sim.run();
-        let v = acct.borrow();
+    for (name, o) in FIG1_NETWORKS.into_iter().zip(outs) {
+        let a = &o.acct;
         t.row(vec![
             name.into(),
-            pct(v.on_time_fraction(class)),
-            secs(v.delays[class as usize].mean()),
-            format!("{} B/s", f(v.goodput(Class::Bulk).unwrap_or(0.0))),
-            done.to_string(),
+            pct(a.on_time_fraction(Class::Voice)),
+            secs(a.delays[Class::Voice as usize].mean()),
+            format!("{} B/s", f(a.goodput(Class::Bulk).unwrap_or(0.0))),
+            a.complete(Class::Bulk).to_string(),
         ]);
     }
     t.note("voice budget: 40 ms on LANs, 150 ms on the internet path");
@@ -98,37 +90,40 @@ pub fn fig1_layering() -> Table {
 }
 
 /// fig2_architecture — walk the whole Figure 2 stack once and account for
-/// every layer's activity.
-pub fn fig2_architecture() -> Table {
-    let (net, a, b, _, _) = dumbbell();
-    let mut sim = Sim::new(StackBuilder::new(net).obs(true).build());
-    let taps = Dispatcher::install(&mut sim, &[a, b]);
-    // One RKOM call.
-    let latency = Rc::new(RefCell::new(0.0f64));
-    let l2 = Rc::clone(&latency);
-    rkom::register_service(&mut sim.state, b, 9, |_s, _c, req| req);
-    let t0 = sim.now();
-    rkom::call(
-        &mut sim,
-        a,
-        b,
-        9,
-        bytes::Bytes::from_static(b"walk"),
-        move |sim, res| {
-            assert!(res.is_ok());
-            *l2.borrow_mut() = sim.now().saturating_since(t0).as_secs_f64();
-        },
-    );
-    sim.run();
-    // One stream message.
-    let session = stream::open(&mut sim, a, b, StreamProfile::default()).unwrap();
-    let got = Rc::new(RefCell::new(0u64));
-    let g2 = Rc::clone(&got);
-    taps.register(session, move |_s, _delivery| *g2.borrow_mut() += 1);
-    sim.run();
-    stream::send(&mut sim, a, session, Message::zeroes(512)).unwrap();
-    sim.run();
+/// every layer's activity: one RKOM call across the dumbbell, then one
+/// stream message once the call is answered.
+pub fn fig2_scenarios() -> Vec<Scenario> {
+    let (_, a, b, _, _) = dumbbell();
+    let rpc = RpcFlow {
+        client: a,
+        server: b,
+        service: 9,
+        calls: 1,
+        interval: SimDuration::from_millis(1),
+        start: SimDuration::ZERO,
+        request: 4,
+        reply: 4,
+    };
+    let message = Flow {
+        start: SimDuration::from_secs(1),
+        len: 512,
+        profile: StreamProfile::default(),
+        ..Flow::voice(a, b, 0, SimDuration::ZERO)
+    };
+    let plan = Plan {
+        flows: vec![message],
+        rpcs: vec![rpc],
+        ..Plan::default()
+    };
+    vec![Scenario::new(
+        || dumbbell().0,
+        plan,
+        SimDuration::from_secs(3),
+    )]
+}
 
+/// fig2's table from the outcome of [`fig2_scenarios`].
+pub fn fig2_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "fig2_architecture",
         "one pass through the DASH communication architecture (Figure 2)",
@@ -137,68 +132,51 @@ pub fn fig2_architecture() -> Table {
     t.columns(&["layer", "activity", "count"]);
     // Every count below comes from the cross-layer metric registry fed by
     // typed ObsEvents (dash_sim::obs), not from layer-private counters.
-    let reg = &sim.state.net.obs.registry;
+    let (a, reg) = (&outs[0].acct, &outs[0].registry);
+    let delivered = a.received.iter().sum::<u64>().to_string();
+    let rtt = secs(a.rpc_latency.mean());
     t.row(vec![
         "transport/RKOM".into(),
         "call round-trip latency".into(),
-        secs(*latency.borrow()),
+        rtt,
     ]);
     t.row(vec![
         "transport/stream".into(),
         "messages delivered".into(),
-        got.borrow().to_string(),
+        delivered,
     ]);
-    t.row(vec![
-        "subtransport".into(),
-        "control channels created".into(),
-        reg.counter_value("st.control_created").to_string(),
-    ]);
-    t.row(vec![
-        "subtransport".into(),
-        "hello handshakes sent".into(),
-        reg.counter_value("st.hello_sent").to_string(),
-    ]);
-    t.row(vec![
-        "subtransport".into(),
-        "ST RMS creates requested".into(),
-        reg.counter_value("st.create_requested").to_string(),
-    ]);
-    t.row(vec![
-        "subtransport".into(),
-        "data network RMSs created".into(),
-        reg.counter_value("st.cache_miss").to_string(),
-    ]);
-    t.row(vec![
-        "subtransport".into(),
-        "net messages sent".into(),
-        reg.counter_value("st.net_msg_sent").to_string(),
-    ]);
-    t.row(vec![
-        "network".into(),
-        "packets sent".into(),
-        reg.counter_value("net.packet_sent").to_string(),
-    ]);
-    t.row(vec![
-        "network".into(),
-        "packets delivered".into(),
-        reg.counter_value("net.packet_delivered").to_string(),
-    ]);
+    for (layer, activity, counter) in [
+        (
+            "subtransport",
+            "control channels created",
+            "st.control_created",
+        ),
+        ("subtransport", "hello handshakes sent", "st.hello_sent"),
+        (
+            "subtransport",
+            "ST RMS creates requested",
+            "st.create_requested",
+        ),
+        ("subtransport", "data network RMSs created", "st.cache_miss"),
+        ("subtransport", "net messages sent", "st.net_msg_sent"),
+        ("network", "packets sent", "net.packet_sent"),
+        ("network", "packets delivered", "net.packet_delivered"),
+    ] {
+        let count = reg.counter_value(counter).to_string();
+        t.row(vec![layer.into(), activity.into(), count]);
+    }
     t
 }
 
 /// fig3_rms_levels — the delay bound of a high-level RMS decomposes into
 /// per-stage budgets (Figure 3, §3.4, §4.1).
 pub fn fig3_rms_levels() -> Table {
-    fig3_run().0
+    fig3_rms_levels_json().0
 }
 
 /// [`fig3_rms_levels`] plus the full metric registry as JSON Lines (one
 /// object per counter/histogram) for machine consumption.
 pub fn fig3_rms_levels_json() -> (Table, String) {
-    fig3_run()
-}
-
-fn fig3_run() -> (Table, String) {
     // Piggybacking off: bundles would skew the per-stage delay attribution
     // (a bundle's network delay is measured from its oldest component).
     let config = StConfig {
@@ -223,10 +201,7 @@ fn fig3_run() -> (Table, String) {
     let taps = Dispatcher::install(&mut sim, &[a, b]);
     let profile = StreamProfile {
         max_message: 512,
-        delay: DelayBound::best_effort_with(
-            SimDuration::from_millis(50),
-            SimDuration::from_micros(10),
-        ),
+        delay: best_effort(50),
         ..StreamProfile::default()
     };
     let session = stream::open(&mut sim, a, b, profile).unwrap();
@@ -361,9 +336,52 @@ fn fig3_run() -> (Table, String) {
     (t, json)
 }
 
+/// fig4's rows: piggybacking, and the gap between client messages (µs).
+const FIG4_ROWS: [(bool, u64); 6] = [
+    (false, 200),
+    (false, 1_000),
+    (false, 5_000),
+    (true, 200),
+    (true, 1_000),
+    (true, 5_000),
+];
+
 /// fig4_multiplexing — piggybacking and upward multiplexing (Figure 4,
-/// §4.2, §4.3.1).
-pub fn fig4_multiplexing() -> Table {
+/// §4.2, §4.3.1): per `FIG4_ROWS` entry, three streams multiplexed onto
+/// one network RMS take turns to send 300 messages of 64 B.
+pub fn fig4_scenarios() -> Vec<Scenario> {
+    let profile = StreamProfile {
+        capacity: 8 * 1024,
+        max_message: 128,
+        delay: best_effort(50),
+        ..StreamProfile::default()
+    };
+    let scenario = |(piggyback, gap_us)| {
+        let gap = SimDuration::from_micros(gap_us);
+        let flows = (0..3).map(|i| Flow {
+            start: gap.saturating_mul(i),
+            count: 100,
+            interval: gap.saturating_mul(3),
+            ..paced(profile.clone())
+        });
+        Scenario {
+            st: StConfig {
+                piggyback,
+                piggyback_slack: SimDuration::from_millis(2),
+                ..StConfig::default()
+            },
+            ..Scenario::new(
+                || two_hosts_ethernet().0,
+                Plan::from(flows.collect::<Vec<_>>()),
+                SimDuration::from_secs(3),
+            )
+        }
+    };
+    FIG4_ROWS.into_iter().map(scenario).collect()
+}
+
+/// fig4's table from the outcomes of [`fig4_scenarios`].
+pub fn fig4_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "fig4_multiplexing",
         "ST RMSs multiplexed onto one network RMS, with piggybacking",
@@ -378,77 +396,69 @@ pub fn fig4_multiplexing() -> Table {
         "bundled",
         "mean delay",
     ]);
-    for piggyback in [false, true] {
-        for interval_us in [200u64, 1_000, 5_000] {
-            let config = StConfig {
-                piggyback,
-                piggyback_slack: SimDuration::from_millis(2),
-                ..StConfig::default()
-            };
-            let mut b = TopologyBuilder::new();
-            let n = b.network(NetworkSpec::ethernet("lan"));
-            let ha = b.host_on(n);
-            let hb = b.host_on(n);
-            let mut sim = Sim::new(
-                StackBuilder::new(b.build())
-                    .st_config(StConfig { ..config })
-                    .obs(true)
-                    .build(),
-            );
-            let taps = Dispatcher::install(&mut sim, &[ha, hb]);
-            // Three ST streams multiplexed onto one data network RMS.
-            let profile = StreamProfile {
-                capacity: 8 * 1024,
-                max_message: 128,
-                delay: DelayBound::best_effort_with(
-                    SimDuration::from_millis(50),
-                    SimDuration::from_micros(10),
-                ),
-                ..StreamProfile::default()
-            };
-            let sessions: Vec<u64> = (0..3)
-                .map(|_| stream::open(&mut sim, ha, hb, profile.clone()).unwrap())
-                .collect();
-            let delays = Rc::new(RefCell::new(Vec::new()));
-            for &s in &sessions {
-                let d2 = Rc::clone(&delays);
-                taps.register(s, move |_s, ev| {
-                    d2.borrow_mut().push(ev.delay.as_secs_f64())
-                });
-            }
-            sim.run();
-            let base_msgs = sim.state.net.obs.registry.counter_value("st.net_msg_sent");
-            let n_msgs = 300usize;
-            for i in 0..n_msgs {
-                let s = sessions[i % 3];
-                let _ = stream::send(&mut sim, ha, s, Message::zeroes(64));
-                sim.run_until(sim.now() + SimDuration::from_nanos(interval_us * 1_000));
-            }
-            sim.run();
-            let reg = &sim.state.net.obs.registry;
-            let net_msgs = reg.counter_value("st.net_msg_sent") - base_msgs;
-            let bundled = reg.counter_value("st.msg_bundled");
-            let ds = delays.borrow();
-            let mean = ds.iter().sum::<f64>() / ds.len().max(1) as f64;
-            t.row(vec![
-                piggyback.to_string(),
-                format!("{}us", interval_us),
-                n_msgs.to_string(),
-                net_msgs.to_string(),
-                f(net_msgs as f64 / n_msgs as f64),
-                bundled.to_string(),
-                secs(mean),
-            ]);
-        }
+    for ((piggyback, gap_us), o) in FIG4_ROWS.into_iter().zip(outs) {
+        let (a, reg) = (&o.acct, &o.registry);
+        let net_msgs = reg.counter_value("st.net_msg_sent");
+        t.row(vec![
+            piggyback.to_string(),
+            format!("{gap_us}us"),
+            a.sent[Class::Voice as usize].to_string(),
+            net_msgs.to_string(),
+            f(net_msgs as f64 / a.sent[Class::Voice as usize] as f64),
+            reg.counter_value("st.msg_bundled").to_string(),
+            secs(a.delays[Class::Voice as usize].mean()),
+        ]);
     }
-    t.note("same 3 ST RMSs share one network RMS in every row (cache hits = 2)");
+    t.note("same 3 ST RMSs share one network RMS in every row; each paces itself at 3× the interval, the three offset by one interval");
     t.note("expected shape: piggybacking cuts net msgs/client msg at high rates, at a small delay cost");
     t
 }
 
+/// fig5's flow-control options, by row.
+fn fig5_cases() -> [(&'static str, StreamProfile); 4] {
+    let open = StreamProfile {
+        max_message: 1024,
+        capacity: 32 * 1024,
+        ..StreamProfile::default()
+    };
+    let enforced = |enforcement| StreamProfile {
+        enforcement,
+        ..open.clone()
+    };
+    [
+        ("none", open.clone()),
+        (
+            "rate-based capacity",
+            enforced(CapacityEnforcement::RateBased),
+        ),
+        (
+            "ack-based capacity (fast acks)",
+            enforced(CapacityEnforcement::AckBased),
+        ),
+        (
+            "capacity+receiver-fc+reliable (end-to-end)",
+            StreamProfile {
+                max_message: 1024,
+                capacity: 32 * 1024,
+                ..StreamProfile::bulk()
+            },
+        ),
+    ]
+}
+
 /// fig5_flow_control — the cost of each flow-control option (Figure 5,
-/// §4.4).
-pub fn fig5_flow_control() -> Table {
+/// §4.4): one 256 KiB transfer in 1 KiB messages per option.
+pub fn fig5_scenarios() -> Vec<Scenario> {
+    (fig5_cases().into_iter())
+        .map(|(_, profile)| {
+            let plan = Plan::from(vec![Flow::bulk(A, B, 256 * 1024, 1024, profile)]);
+            Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(6))
+        })
+        .collect()
+}
+
+/// fig5's table from the outcomes of [`fig5_scenarios`].
+pub fn fig5_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "fig5_flow_control",
         "flow-control options and what each one costs",
@@ -463,64 +473,20 @@ pub fn fig5_flow_control() -> Table {
         "sender blocked",
         "delivered",
     ]);
-    let cases: Vec<(&str, StreamProfile)> = vec![
-        ("none", {
-            StreamProfile {
-                max_message: 1024,
-                capacity: 32 * 1024,
-                ..StreamProfile::default()
-            }
-        }),
-        ("rate-based capacity", {
-            StreamProfile {
-                max_message: 1024,
-                capacity: 32 * 1024,
-                enforcement: CapacityEnforcement::RateBased,
-                ..StreamProfile::default()
-            }
-        }),
-        ("ack-based capacity (fast acks)", {
-            StreamProfile {
-                max_message: 1024,
-                capacity: 32 * 1024,
-                enforcement: CapacityEnforcement::AckBased,
-                ..StreamProfile::default()
-            }
-        }),
-        ("capacity+receiver-fc+reliable (end-to-end)", {
-            let mut p = StreamProfile::bulk();
-            p.max_message = 1024;
-            p.capacity = 32 * 1024;
-            p
-        }),
-    ];
-    for (name, profile) in cases {
-        let (mut sim, a, b) = lan_stack();
-        let plan = Plan::from(vec![Flow::bulk(a, b, 256 * 1024, 1024, profile)]);
-        let acct = traffic::install(&mut sim, &plan, None);
-        let done =
-            traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(30));
-        sim.run();
-        let s = acct.borrow();
-        let (reverse, blocked, delivered) = {
-            let reg = &sim.state.net.obs.registry;
-            let acks = reg.counter_value("stream.ack_sent");
-            let fast = reg.counter_value("st.fast_ack_sent");
-            let blocked = reg.counter_value("stream.sender_blocked");
-            let delivered = reg.counter_value("stream.deliver");
-            (acks + fast, blocked, delivered)
-        };
+    for ((name, _), o) in fig5_cases().into_iter().zip(outs) {
+        let (a, reg) = (&o.acct, &o.registry);
+        let reverse = reg.counter_value("stream.ack_sent") + reg.counter_value("st.fast_ack_sent");
         t.row(vec![
             name.into(),
-            done.to_string(),
-            secs(s.transfer_secs(Class::Bulk).unwrap_or(f64::NAN)),
-            format!("{} B/s", f(s.goodput(Class::Bulk).unwrap_or(0.0))),
+            a.complete(Class::Bulk).to_string(),
+            secs(a.transfer_secs(Class::Bulk).unwrap_or(f64::NAN)),
+            format!("{} B/s", f(a.goodput(Class::Bulk).unwrap_or(0.0))),
             reverse.to_string(),
-            blocked.to_string(),
-            delivered.to_string(),
+            reg.counter_value("stream.sender_blocked").to_string(),
+            reg.counter_value("stream.deliver").to_string(),
         ]);
     }
     t.note("'reverse msgs' counts transport acks + ST fast acknowledgements");
-    t.note("expected shape: 'none' is fastest on a clean LAN but offers no guarantees; each mechanism adds reverse traffic or pacing delay");
+    t.note("expected shape: reverse msgs appear only with ack-based or end-to-end flow control; rate-based pacing is the slowest; on a clean LAN 'none' buys no speed over the ack-based variants");
     t
 }

@@ -23,6 +23,7 @@ use dash_net::ids::{HostId, NetworkId};
 use dash_net::state::NetState;
 use dash_net::topology::TopologyBuilder;
 use dash_net::NetworkSpec;
+use dash_sim::cpu::SchedPolicy;
 use dash_sim::fault::{FaultKind, FaultPlan};
 use dash_sim::rng::Rng;
 use dash_sim::time::{SimDuration, SimTime};
@@ -156,16 +157,14 @@ impl MixParams {
         let program = self.clone();
         Scenario {
             faults: make_fault_plan(self, &topo),
-            plan: plan_population(self, &topo.lan_hosts),
             groups: topo.groups,
-            topo: Box::new(move || build_topo(&program).0),
             seed: self.seed,
-            horizon: SimTime::ZERO
-                .saturating_add(self.duration)
-                .saturating_add(self.grace),
-            cpus: true,
-            record_trace: false,
-            keep_events: false,
+            cpus: Some((SchedPolicy::Edf, SimDuration::from_micros(5))),
+            ..Scenario::new(
+                move || build_topo(&program).0,
+                plan_population(self, &topo.lan_hosts),
+                self.duration.saturating_add(self.grace),
+            )
         }
     }
 }
@@ -396,9 +395,9 @@ pub fn e10_scale() -> Table {
         let o = run(&p.scenario(), Backend::Serial);
         t.row(vec![
             (p.lans * (p.voice_per_lan + p.bulk_per_lan)).to_string(),
-            o.streams_opened.to_string(),
-            o.open_failed.to_string(),
-            o.messages.to_string(),
+            o.acct.opened.to_string(),
+            o.acct.failed.to_string(),
+            o.messages().to_string(),
             pct(o.voice_on_time()),
             o.events.to_string(),
             format!("{} B", f(o.peak_queue_bytes as f64)),
@@ -450,9 +449,9 @@ pub fn e12_pscale() -> Table {
         t.row(vec![
             shards.to_string(),
             o.events.to_string(),
-            o.messages.to_string(),
-            o.streams_opened.to_string(),
-            o.open_failed.to_string(),
+            o.messages().to_string(),
+            o.acct.opened.to_string(),
+            o.acct.failed.to_string(),
             verdict.to_string(),
             format!("{:.2}", o.wall_secs),
         ]);
@@ -496,7 +495,7 @@ pub fn e13_rt() -> Table {
             format!("{:.1}%", loss_per_mille as f64 / 10.0),
             format!("{:.2}", o.wall_secs),
             format!("{:.2}", o.sim_secs),
-            o.messages.to_string(),
+            o.messages().to_string(),
             pct(o.voice_on_time()),
             rt.deadline_misses.to_string(),
             rt.substrate_dropped.to_string(),
@@ -534,7 +533,7 @@ mod tests {
         // to the LAN wire delay — tiny workload, same digest.
         let p = MixParams::micro().scenario();
         let a = run(&p, par(1, false));
-        let received: u64 = a.received.iter().sum();
+        let received: u64 = a.acct.received.iter().sum();
         assert!(received > 10, "received {received}");
         let b = run(&p, par(3, false));
         assert_eq!(a.determinism_digest(), b.determinism_digest());
@@ -579,9 +578,9 @@ mod tests {
         assert_eq!(planned, 6 * 256);
         for backend in [Backend::Serial, par(2, true)] {
             let o = run(&scenario, backend);
-            assert_eq!(o.sent[bulk], planned, "{backend:?}");
-            assert_eq!(o.received[bulk], planned, "{backend:?}");
-            assert_eq!(o.bytes[bulk], 6 << 20, "{backend:?}");
+            assert_eq!(o.acct.sent[bulk], planned, "{backend:?}");
+            assert_eq!(o.acct.received[bulk], planned, "{backend:?}");
+            assert_eq!(o.acct.bytes[bulk], 6 << 20, "{backend:?}");
         }
     }
 

@@ -71,6 +71,7 @@ pub(crate) fn flow(
         start: SimDuration::from_millis(start_ms),
         count,
         interval: SimDuration::from_millis(interval_ms),
+        poisson: None,
         len,
         // Accounting only: the oracle, not lateness, judges the run.
         budget: profile.delay.bound_for(len),
@@ -169,23 +170,18 @@ impl Scenario {
         let rto = rto.unwrap_or_else(|| StreamProfile::default().rto());
         let backoff = rto.saturating_mul((2u64 << MAX_RETRIES) - 1);
         let (seed, force_admission) = (self.seed, self.force_admission);
+        let topo = move || {
+            let (mut net, a, b) = dual_homed(seed);
+            debug_assert_eq!((a, b), (A, B));
+            net.config.debug_force_admission = force_admission;
+            net
+        };
+        let length = busy.unwrap_or_default().saturating_add(backoff);
         scenario::Scenario {
-            topo: Box::new(move || {
-                let (mut net, a, b) = dual_homed(seed);
-                debug_assert_eq!((a, b), (A, B));
-                net.config.debug_force_admission = force_admission;
-                net
-            }),
-            groups: Vec::new(),
-            plan: self.flows.clone().into(),
             faults,
             seed,
-            horizon: SimTime::ZERO
-                .saturating_add(busy.unwrap_or_default())
-                .saturating_add(backoff),
-            cpus: false,
-            record_trace: false,
             keep_events: true,
+            ..scenario::Scenario::new(topo, self.flows.clone().into(), length)
         }
     }
 }
@@ -473,7 +469,7 @@ mod tests {
         };
         let (one, two) = (par(1), par(2));
         assert_eq!(one.determinism_digest(), two.determinism_digest());
-        assert!(one.received.iter().sum::<u64>() > 0);
+        assert!(one.acct.received.iter().sum::<u64>() > 0);
         assert_eq!(check_stream(&two.stream, true), Vec::<String>::new());
     }
 
@@ -504,7 +500,7 @@ mod tests {
                 })
                 .count();
             assert_eq!(no_session, 0, "seed {seed}");
-            assert!(out.received.iter().sum::<u64>() > 0, "seed {seed}");
+            assert!(out.acct.received.iter().sum::<u64>() > 0, "seed {seed}");
         }
     }
 

@@ -58,19 +58,14 @@ fn scenario() -> Scenario {
         }
     }
     Scenario {
-        topo: Box::new(build_net),
         // LAN-aligned placement: each LAN and its gateway share a shard,
         // so only the 30 ms WAN spans shards and the epoch is its delay.
         groups: (0..2)
             .map(|lan| (0..=HOSTS_PER_LAN).map(|i| first_of(lan) + i).collect())
             .collect(),
-        plan: Plan::from(flows),
-        faults: FaultPlan::new(),
         seed: SEED,
-        horizon: SimTime::ZERO.saturating_add(SimDuration::from_millis(400)),
-        cpus: false,
         record_trace: true,
-        keep_events: false,
+        ..Scenario::new(build_net, Plan::from(flows), SimDuration::from_millis(400))
     }
 }
 
@@ -82,15 +77,15 @@ fn main() {
     };
 
     println!("serial reference (1 shard):");
-    let one = run(&scenario, par(1));
-    println!("  {} messages delivered", one.messages);
+    let mut one = run(&scenario, par(1));
+    println!("  {} messages delivered", one.messages());
 
     println!("parallel run (4 shards):");
     let four = run(&scenario, par(4));
-    println!("  {} messages delivered", four.messages);
+    println!("  {} messages delivered", four.messages());
 
-    assert!(one.messages > 0);
-    assert_eq!(one.streams_opened, 2 * HOSTS_PER_LAN as u64);
+    assert!(one.messages() > 0);
+    assert_eq!(one.acct.opened, 2 * HOSTS_PER_LAN as u64);
     assert_eq!(
         one.determinism_digest(),
         four.determinism_digest(),
@@ -100,7 +95,7 @@ fn main() {
     println!(
         "merged registries and traces byte-identical: digest {}, {} metric lines, {} trace lines",
         one.digest_hash(),
-        one.registry_dump.lines().count(),
+        one.registry.to_json_lines().lines().count(),
         one.trace_dump.lines().count(),
     );
 }

@@ -212,6 +212,17 @@ fi
 # than three alternates (the capped clique search found none there).
 cargo run --release -q --example routing_cost >/dev/null
 
+# Every paper table once, in release (about 3 s, most of it e13's
+# wall-paced run). A planned experiment panics on an oracle violation, so
+# a panic or violation in any table, not only those a test runs, fails
+# here.
+if ! cargo run --release -q -p dash-bench --bin run_experiments >/dev/null; then
+    echo "verify: run_experiments FAILED (panic or oracle violation above) —" >&2
+    echo "verify: reproduce one table with"                                   >&2
+    echo "verify:   cargo run --release -p dash-bench --bin run_experiments <id>" >&2
+    exit 1
+fi
+
 # Real-time backend: the sim-vs-rt conformance suite, in release (its
 # paced runs are judged against the wall clock).
 cargo test --release --test rt_conformance -q

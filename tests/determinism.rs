@@ -40,7 +40,7 @@ fn violations(scenario: Scenario) -> Vec<String> {
 
 /// `[events, messages, streams_opened, open_failed]` of a mix run.
 fn mix_counts(o: &Outcome) -> [u64; 4] {
-    [o.events, o.messages, o.streams_opened, o.open_failed]
+    [o.events, o.messages(), o.acct.opened, o.acct.failed]
 }
 
 /// The serial engine (e10) at `ci`.
@@ -73,12 +73,12 @@ const E12_ROUTING_CI: [u64; 4] = [12605, 1099, 27, 6];
 fn routing_counts(o: &Outcome) -> [u64; 7] {
     [
         o.events,
-        o.floods,
-        o.recomputes,
-        o.alternate_wins,
-        o.recoveries,
-        o.streams_opened,
-        o.open_failed,
+        o.registry.counter_value("routing.floods"),
+        o.registry.counter_value("routing.recompute"),
+        o.registry.counter_value("routing.alternate_wins"),
+        o.registry.counter_value("st.failover_completed"),
+        o.acct.opened,
+        o.acct.failed,
     ]
 }
 
@@ -102,11 +102,11 @@ fn e10_ci_replay_is_byte_identical() {
     // control-plane churn, real faults. A silent no-op run would make the
     // byte-compare above vacuous.
     assert!(
-        first.streams_opened > 20,
+        first.acct.opened > 20,
         "CI scenario too small: {} streams",
-        first.streams_opened
+        first.acct.opened
     );
-    assert!(first.messages > 500, "only {} messages", first.messages);
+    assert!(first.messages() > 500, "only {} messages", first.messages());
     assert!(first.events > 10_000, "only {} events", first.events);
     assert_eq!(first.faults_injected, 4);
     assert!(
@@ -178,11 +178,23 @@ fn e11_routing_churn_replay_is_byte_identical() {
     // The scenario exercised what it claims to: establishment fell back
     // to an alternate, the outage triggered floods and recomputations,
     // and streams re-homed (failovers recorded recovery latency).
-    assert!(first.streams_opened > 5, "{} streams", first.streams_opened);
-    assert!(first.alternate_wins >= 1, "no alternate wins");
-    assert!(first.floods > 0, "no link-state floods");
-    assert!(first.recomputes > 0, "no route recomputations");
-    assert!(first.recoveries > 0, "no subtransport failovers");
+    assert!(first.acct.opened > 5, "{} streams", first.acct.opened);
+    assert!(
+        first.registry.counter_value("routing.alternate_wins") >= 1,
+        "no alternate wins"
+    );
+    assert!(
+        first.registry.counter_value("routing.floods") > 0,
+        "no link-state floods"
+    );
+    assert!(
+        first.registry.counter_value("routing.recompute") > 0,
+        "no route recomputations"
+    );
+    assert!(
+        first.registry.counter_value("st.failover_completed") > 0,
+        "no subtransport failovers"
+    );
     assert_eq!(first.faults_injected, 2, "the drill must actually run");
     assert!(
         !first.trace_dump.is_empty(),
@@ -207,10 +219,19 @@ fn e11_mesh_replay_is_byte_identical() {
     );
     // The centre outage forced reconvergence: floods, recomputations and
     // re-homed streams, with traffic still flowing around the rim.
-    assert!(first.streams_opened > 5, "{} streams", first.streams_opened);
-    assert!(first.floods > 0, "no link-state floods");
-    assert!(first.recomputes > 0, "no route recomputations");
-    assert!(first.recoveries > 0, "no subtransport failovers");
+    assert!(first.acct.opened > 5, "{} streams", first.acct.opened);
+    assert!(
+        first.registry.counter_value("routing.floods") > 0,
+        "no link-state floods"
+    );
+    assert!(
+        first.registry.counter_value("routing.recompute") > 0,
+        "no route recomputations"
+    );
+    assert!(
+        first.registry.counter_value("st.failover_completed") > 0,
+        "no subtransport failovers"
+    );
     assert_eq!(first.faults_injected, 2, "the drill must actually run");
     assert!(
         !first.trace_dump.is_empty(),
@@ -261,14 +282,14 @@ fn pscale_digests(params: MixParams) -> Outcome {
 fn e12_scale_workload_identical_at_1_2_4_shards() {
     let first = pscale_digests(MixParams::ci());
     assert_eq!(mix_counts(&first), E12_CI, "e12 ci counts drifted");
-    assert!(
-        first.streams_opened > 15,
-        "{} streams",
-        first.streams_opened
-    );
-    assert!(first.messages > 500, "only {} messages", first.messages);
+    assert!(first.acct.opened > 15, "{} streams", first.acct.opened);
+    assert!(first.messages() > 500, "only {} messages", first.messages());
     assert_eq!(first.faults_injected, 4, "the drill must actually run");
-    assert!(first.rpc_completed > 10, "only {} rpc", first.rpc_completed);
+    assert!(
+        first.acct.rpc_completed > 10,
+        "only {} rpc",
+        first.acct.rpc_completed
+    );
     assert!(
         !first.trace_dump.is_empty(),
         "CI size must record the network trace"
@@ -287,11 +308,7 @@ fn e12_routing_workload_identical_at_1_2_4_shards() {
         E12_ROUTING_CI,
         "e12 routing_ci counts drifted"
     );
-    assert!(
-        first.streams_opened > 15,
-        "{} streams",
-        first.streams_opened
-    );
+    assert!(first.acct.opened > 15, "{} streams", first.acct.opened);
     assert!(
         first.faults_injected > 0,
         "the WAN outage must actually fire"

@@ -46,7 +46,7 @@ fn conform(scn: Scenario) -> (Outcome, Outcome) {
         shards,
         lan_aligned: true,
     };
-    let planned = |o: &Outcome| (o.streams_opened + o.open_failed, o.rpc_issued);
+    let planned = |o: &Outcome| (o.acct.opened + o.acct.failed, o.acct.rpc_issued);
     let serial = run(scn, Backend::Serial);
     let (par1, par2) = (run(scn, par(1)), run(scn, par(2)));
     let rt = run(scn, Backend::Rt { loss_per_mille: 0 });
@@ -76,9 +76,13 @@ fn conform(scn: Scenario) -> (Outcome, Outcome) {
 #[test]
 fn every_backend_runs_the_whole_plan_with_the_oracle_clean() {
     let (serial, rt) = conform(trimmed_ci().scenario());
-    let attempted = serial.streams_opened + serial.open_failed;
+    let attempted = serial.acct.opened + serial.acct.failed;
     assert!(attempted >= 10, "plan too small: {attempted} sessions");
-    assert!(serial.rpc_issued >= 20, "{} calls", serial.rpc_issued);
+    assert!(
+        serial.acct.rpc_issued >= 20,
+        "{} calls",
+        serial.acct.rpc_issued
+    );
     assert_eq!(serial.faults_injected, 4, "the drill must run");
 
     // The paced run really was paced, really crossed the substrate, and
@@ -88,10 +92,10 @@ fn every_backend_runs_the_whole_plan_with_the_oracle_clean() {
     assert!(report.transmitted > 0 && report.injected > 0);
     assert!(rt.wall_secs >= 0.4, "paced run finished impossibly fast");
     assert!(
-        2 * rt.messages >= serial.messages,
+        2 * rt.messages() >= serial.messages(),
         "rt delivered {} of serial's {}",
-        rt.messages,
-        serial.messages
+        rt.messages(),
+        serial.messages()
     );
 }
 
@@ -108,13 +112,22 @@ fn e11_mesh_runs_on_every_backend_with_the_oracle_clean() {
         ..RoutingParams::ci().on_mesh()
     };
     let (serial, rt) = conform(params.scenario());
-    let attempted = serial.streams_opened + serial.open_failed;
+    let attempted = serial.acct.opened + serial.acct.failed;
     assert!(attempted >= 10, "plan too small: {attempted} sessions");
     assert_eq!(serial.faults_injected, 2, "the drill must run");
     for (name, o) in [("serial", &serial), ("rt", &rt)] {
-        assert!(o.floods > 0, "{name}: no link-state floods");
-        assert!(o.recomputes > 0, "{name}: no route recomputations");
-        assert!(o.recoveries > 0, "{name}: no subtransport failovers");
+        assert!(
+            o.registry.counter_value("routing.floods") > 0,
+            "{name}: no link-state floods"
+        );
+        assert!(
+            o.registry.counter_value("routing.recompute") > 0,
+            "{name}: no route recomputations"
+        );
+        assert!(
+            o.registry.counter_value("st.failover_completed") > 0,
+            "{name}: no subtransport failovers"
+        );
     }
 }
 
@@ -130,5 +143,5 @@ fn e13_ci_is_oracle_clean_and_stops_cleanly() {
     let violations = check_stream(&o.stream, false);
     assert!(violations.is_empty(), "{violations:?}");
     assert!(o.clean_stop(), "stop {:?}", o.rt);
-    assert!(o.messages > 500, "only {} messages", o.messages);
+    assert!(o.messages() > 500, "only {} messages", o.messages());
 }

@@ -88,8 +88,15 @@ fn rkom_retransmissions(o: &Outcome) -> Vec<Resend> {
 }
 
 fn assert_no_spurious_work(name: &str, o: &Outcome) {
-    assert!(o.received.iter().sum::<u64>() > 500, "{name}: the plan ran");
-    assert!(o.rpc_completed >= 40, "{name}: {} calls", o.rpc_completed);
+    assert!(
+        o.acct.received.iter().sum::<u64>() > 500,
+        "{name}: the plan ran"
+    );
+    assert!(
+        o.acct.rpc_completed >= 40,
+        "{name}: {} calls",
+        o.acct.rpc_completed
+    );
     let lost = o
         .stream
         .iter()
@@ -135,10 +142,10 @@ fn assert_no_spurious_work(name: &str, o: &Outcome) {
         );
     }
     assert!(
-        rkom.len() as u64 * 20 <= o.rpc_issued,
+        rkom.len() as u64 * 20 <= o.acct.rpc_issued,
         "{name}: {} RKOM retransmissions for {} calls",
         rkom.len(),
-        o.rpc_issued
+        o.acct.rpc_issued
     );
 }
 

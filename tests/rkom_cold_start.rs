@@ -22,10 +22,10 @@ proptest! {
             ..MixParams::ci()
         };
         let o = run(&plan.scenario(), Backend::Serial);
-        prop_assert_eq!(o.rpc_issued, 120, "seed {}: the plan's calls", seed);
+        prop_assert_eq!(o.acct.rpc_issued, 120, "seed {}: the plan's calls", seed);
         prop_assert_eq!(
-            (o.rpc_completed, o.rpc_failed, o.pending),
-            (o.rpc_issued, 0, 0),
+            (o.acct.rpc_completed, o.acct.rpc_failed, o.pending),
+            (o.acct.rpc_issued, 0, 0),
             "seed {}: (completed, failed, pending)",
             seed
         );
