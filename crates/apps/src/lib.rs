@@ -8,7 +8,9 @@
 //! - [`traffic`]: the plan types — a [`traffic::Flow`] is digitized voice
 //!   (64 kb/s CBR, 40 ms budget), bulk transfer or any other `(profile,
 //!   pacing, size)` triple, an [`traffic::RpcFlow`] a request/reply pair
-//!   over RKOM (§3.3) — and [`traffic::install`], the one driver that
+//!   over RKOM (§3.3), a [`traffic::TcpFlow`] a bulk transfer or a
+//!   sequential request/reply pair ([`traffic::TcpWork`]) over the
+//!   TCP-like baseline — and [`traffic::install`], the one driver that
 //!   opens, paces or pumps, classifies and counts them per owned endpoint.
 //! - [`scenario`]: a [`scenario::Scenario`] (topology program + plan +
 //!   fault drill) and the one [`scenario::run`] over the serial,
@@ -16,8 +18,6 @@
 //! - [`window`]: network window system traffic — small input events one
 //!   way, bulky graphics the other (§2.5, ref \[7\]); the one *reactive*
 //!   workload, so it is handlers, not a plan.
-//! - [`rpc`]: the sequential request/reply client over the TCP-like
-//!   baseline, for the e7 comparison.
 //! - [`taps`]: the one host-tap installer; session-keyed dispatch so
 //!   planned flows and ad-hoc handlers share a host.
 //!
@@ -25,7 +25,6 @@
 //! crate never names the oracle; `scenario::run` hands back the event
 //! stream that `dash_check::check_stream` judges.
 
-pub mod rpc;
 pub mod scenario;
 pub mod taps;
 pub mod traffic;

@@ -24,6 +24,7 @@ use std::fmt::Write;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use dash_baseline::tcp::TcpConfig;
 use dash_net::fault::schedule_fault_plan;
 use dash_net::ids::HostId;
 use dash_net::shard::WireEnvelope;
@@ -64,6 +65,8 @@ pub struct Scenario {
     pub horizon: SimTime,
     /// The subtransport's configuration on every host.
     pub st: StConfig,
+    /// The TCP-like baseline's configuration on every host.
+    pub tcp: TcpConfig,
     /// Per-host protocol CPUs: their scheduling policy and context-switch
     /// cost. `None` models protocol processing as free.
     pub cpus: Option<(SchedPolicy, SimDuration)>,
@@ -77,8 +80,8 @@ pub struct Scenario {
 
 impl Scenario {
     /// `plan` on the network `topo` builds, cut after `length`: no
-    /// faults, no shard groups, seed 0, the default subtransport, free
-    /// protocol processing, nothing recorded. Struct update syntax sets
+    /// faults, no shard groups, seed 0, the default subtransport and TCP
+    /// baseline, free protocol processing, nothing recorded. Struct update syntax sets
     /// the rest.
     pub fn new(
         topo: impl Fn() -> NetState + Send + Sync + 'static,
@@ -93,6 +96,7 @@ impl Scenario {
             seed: 0,
             horizon: SimTime::ZERO.saturating_add(length),
             st: StConfig::default(),
+            tcp: TcpConfig::default(),
             cpus: None,
             record_trace: false,
             keep_events: false,
@@ -178,6 +182,7 @@ fn build_world(scn: &Scenario, net: NetState, owner: Option<HostId>) -> (Sim<Sta
         });
     }
     let mut sim = Sim::new(builder.build());
+    sim.state.tcp.config = scn.tcp.clone();
     let acct = traffic::install(&mut sim, &scn.plan, owner);
     schedule_fault_plan(&mut sim, &scn.faults);
     (sim, Taps { acct, events })
@@ -264,6 +269,8 @@ impl Lp for WorldLp {
 /// placements, which is the whole point.
 #[derive(Debug)]
 pub struct Outcome {
+    /// What executed the run.
+    pub backend: Backend,
     /// Hosts in the topology.
     pub hosts: usize,
     /// The traffic driver's accounting, merged over worlds: sessions
@@ -400,12 +407,13 @@ fn render_registry(reg: &MetricRegistry) -> String {
 pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
     let net = (scn.topo)();
     let hosts = net.hosts.len();
-    match backend {
+    let (sim_time, wall, outs, rt) = match backend {
         Backend::Serial => {
             let (mut sim, taps) = build_world(scn, net, None);
             let started = Instant::now();
             sim.run_until_horizon(scn.horizon);
-            collect_single(scn, hosts, sim, taps, started.elapsed().as_secs_f64(), None)
+            let wall = started.elapsed();
+            (sim.now(), wall, vec![finish_world(0, sim, taps)], None)
         }
         Backend::Rt { loss_per_mille } => {
             let (mut sim, taps) = build_world(scn, net, None);
@@ -429,8 +437,12 @@ pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
                     ..RtOptions::default()
                 },
             );
-            let wall_secs = report.wall.as_secs_f64();
-            collect_single(scn, hosts, sim, taps, wall_secs, Some(report))
+            (
+                sim.now(),
+                report.wall,
+                vec![finish_world(0, sim, taps)],
+                Some(report),
+            )
         }
         Backend::Par {
             shards,
@@ -462,31 +474,18 @@ pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
                 },
                 |w: WorldLp| finish_world(w.lp.host(), w.lp.sim, w.taps),
             );
-            let wall_secs = started.elapsed().as_secs_f64();
-            let sim_secs = scn.horizon.as_secs_f64();
-            merge_outcome(scn, hosts, outs, sim_secs, wall_secs, None)
+            (scn.horizon, started.elapsed(), outs, None)
         }
-    }
-}
-
-/// The outcome of a run with one world (`Serial`, `Rt`).
-fn collect_single(
-    scn: &Scenario,
-    hosts: usize,
-    sim: Sim<Stack>,
-    taps: Taps,
-    wall_secs: f64,
-    rt: Option<RtReport>,
-) -> Outcome {
-    let sim_secs = sim.now().as_secs_f64();
-    let out = finish_world(0, sim, taps);
-    merge_outcome(scn, hosts, vec![out], sim_secs, wall_secs, rt)
+    };
+    let (sim_secs, wall_secs) = (sim_time.as_secs_f64(), wall.as_secs_f64());
+    merge_outcome(scn, backend, hosts, outs, sim_secs, wall_secs, rt)
 }
 
 /// Sum the worlds. `run_sharded` returns results indexed by host, so the
 /// merge order (host ascending) is fixed regardless of the shard plan.
 fn merge_outcome(
     scn: &Scenario,
+    backend: Backend,
     hosts: usize,
     outs: Vec<WorldOut>,
     sim_secs: f64,
@@ -522,6 +521,7 @@ fn merge_outcome(
         }
     }
     Outcome {
+        backend,
         hosts,
         acct,
         registry,

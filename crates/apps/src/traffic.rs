@@ -3,8 +3,10 @@
 //! The paper defines its workloads — digitized voice, bulk transfer, RPC
 //! (§1, §2.5) — only by the RMS parameters they pick, so a workload here
 //! is data: a [`Flow`] is `(StreamProfile, pacing, size)` between two
-//! hosts, an [`RpcFlow`] a paced RKOM client/server pair, a [`Probe`] a
-//! table-routed datagram pair, and a [`Plan`] a list of each. A plan is a
+//! hosts, an [`RpcFlow`] a paced RKOM client/server pair, a [`TcpFlow`]
+//! the same work over the TCP-like baseline §1 argues against, a
+//! [`Probe`] a table-routed datagram pair, and a [`Plan`] a list of each.
+//! A plan is a
 //! pure function of whatever planned it, so the serial world and every
 //! replica world of a `dash-par` run hold the same plan and
 //! [`install`] makes each act only on the endpoints it owns. Senders tag
@@ -17,6 +19,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use dash_baseline::tcp::{self, TcpEvent};
 use dash_net::ids::HostId;
 use dash_net::pipeline::send_datagram;
 use dash_sim::engine::Sim;
@@ -55,15 +58,9 @@ pub const CLASSES: usize = 5;
 
 impl Class {
     fn from_tag(tag: u8) -> Option<Class> {
-        [
-            Class::Voice,
-            Class::WanVoice,
-            Class::Bulk,
-            Class::Churn,
-            Class::Heavy,
-        ]
-        .get(usize::from(tag).wrapping_sub(1))
-        .copied()
+        use Class::*;
+        let classes = [Voice, WanVoice, Bulk, Churn, Heavy];
+        classes.get(usize::from(tag).wrapping_sub(1)).copied()
     }
 }
 
@@ -225,6 +222,43 @@ pub struct RpcFlow {
     pub reply: usize,
 }
 
+/// One planned connection over the TCP-like baseline (§1's comparator):
+/// `client` connects to `server:port` at `start` and, once connected,
+/// does its [`TcpWork`].
+#[derive(Debug, Clone, Copy)]
+pub struct TcpFlow {
+    /// Connecting host.
+    pub client: HostId,
+    /// Listening host.
+    pub server: HostId,
+    /// Listening port, unique per server.
+    pub port: u16,
+    /// Connect time, as an offset from the run start.
+    pub start: SimDuration,
+    /// What the connection carries.
+    pub work: TcpWork,
+}
+
+/// What a [`TcpFlow`] carries, counted where its RMS counterpart counts.
+#[derive(Debug, Clone, Copy)]
+pub enum TcpWork {
+    /// A transfer of this many bytes, written at once: one [`Class::Bulk`]
+    /// message (a byte stream stamps none, so no delay is recorded) whose
+    /// bytes count as they arrive.
+    Bulk(u64),
+    /// Sequential echo calls, counted in the `rpc_*` fields: each request
+    /// leaves when the previous reply is whole — the pattern §1 says
+    /// request/reply primitives force.
+    Rpc {
+        /// Calls to issue.
+        calls: u64,
+        /// Request payload bytes.
+        request: u64,
+        /// Reply payload bytes.
+        reply: u64,
+    },
+}
+
 /// Table-routed datagram probes between two hosts, both ways, every
 /// `interval` until `end`. Floods and RMS traffic never consult the route
 /// table (they are source-routed or pinned), so probes are what turns
@@ -248,6 +282,8 @@ pub struct Plan {
     pub flows: Vec<Flow>,
     /// RKOM client/server pairs.
     pub rpcs: Vec<RpcFlow>,
+    /// Connections over the TCP-like baseline.
+    pub tcp: Vec<TcpFlow>,
     /// Datagram probes.
     pub probes: Vec<Probe>,
 }
@@ -307,6 +343,9 @@ pub struct Acct {
     /// Tx session -> its flow, `count` running down (lookups only,
     /// never iterated).
     tx: BTreeMap<u64, Flow>,
+    /// Client TCP connection -> its flow and when its current call (or
+    /// transfer) started (lookups only, never iterated).
+    tcp: BTreeMap<(HostId, u64), (TcpFlow, SimTime)>,
 }
 
 impl Acct {
@@ -326,10 +365,7 @@ impl Acct {
             self.late[c] += o.late[c];
             self.bytes[c] += o.bytes[c];
             self.delays[c].merge_from(&o.delays[c]);
-            self.first_send[c] = match (self.first_send[c], o.first_send[c]) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            self.first_send[c] = self.first_send[c].into_iter().chain(o.first_send[c]).min();
             self.last_delivery[c] = self.last_delivery[c].max(o.last_delivery[c]);
         }
     }
@@ -450,6 +486,24 @@ pub fn install_on(
             let r = *r;
             let a = Rc::clone(&acct);
             sim.schedule_in(r.start, move |sim| rpc_tick(sim, r, 0, a));
+        }
+    }
+    if !plan.tcp.is_empty() {
+        for t in plan.tcp.iter().filter(|t| owned(t.server)) {
+            tcp::listen(sim, t.server, t.port);
+            if let TcpWork::Bulk(_) = t.work {
+                acct.borrow_mut().planned[Class::Bulk as usize] += 1;
+            }
+        }
+        let (flows, a) = (plan.tcp.clone(), Rc::clone(&acct));
+        sim.state
+            .on_tcp(move |sim, host, ev| on_tcp_event(sim, host, ev, &flows, &a));
+        for t in plan.tcp.iter().filter(|t| owned(t.client)) {
+            let (t, a) = (*t, Rc::clone(&acct));
+            sim.schedule_in(t.start, move |sim| {
+                let conn = tcp::connect(sim, t.client, t.server, t.port);
+                a.borrow_mut().tcp.insert((t.client, conn), (t, sim.now()));
+            });
         }
     }
     for &p in &plan.probes {
@@ -624,6 +678,81 @@ fn rpc_tick(sim: &mut Sim<Stack>, r: RpcFlow, n: u64, acct: SharedAcct) {
     sim.schedule_in(r.interval, move |sim| rpc_tick(sim, r, n + 1, acct));
 }
 
+/// The TCP baseline's driver: a client writes its transfer or first
+/// request once connected and the next request when a reply is whole; a
+/// server counts transfer bytes or answers each whole request. Both read
+/// every arrival at once.
+fn on_tcp_event(
+    sim: &mut Sim<Stack>,
+    host: HostId,
+    ev: TcpEvent,
+    flows: &[TcpFlow],
+    acct: &SharedAcct,
+) {
+    let now = sim.now();
+    let (conn, bytes) = match ev {
+        TcpEvent::Connected { conn } => (conn, 0),
+        TcpEvent::Data { conn, bytes } => (conn, bytes),
+        _ => return,
+    };
+    let Some(c) = sim.state.tcp.conn_mut(host, conn) else {
+        return;
+    };
+    c.read();
+    let (total, port) = (c.stats.bytes_delivered.get(), c.local_port);
+    // How many whole `unit`-byte messages this arrival completed.
+    let completed = |unit: u64| total / unit - (total - bytes) / unit;
+    let mut guard = acct.borrow_mut();
+    let a = &mut *guard;
+    let write = if let Some((t, started)) = a.tcp.get_mut(&(host, conn)) {
+        match t.work {
+            TcpWork::Bulk(len) => {
+                a.count_sent(Class::Bulk, now);
+                len
+            }
+            TcpWork::Rpc {
+                calls,
+                request,
+                reply,
+            } => {
+                if bytes > 0 {
+                    // A reply: the next request waits until it is whole.
+                    if completed(reply) == 0 {
+                        return;
+                    }
+                    a.rpc_completed += 1;
+                    (a.rpc_latency).record(now.saturating_since(*started).as_secs_f64());
+                    if total / reply >= calls {
+                        return;
+                    }
+                }
+                *started = now;
+                a.rpc_issued += 1;
+                request
+            }
+        }
+    } else {
+        let server = flows.iter().find(|t| t.server == host && t.port == port);
+        let Some(t) = server.filter(|_| bytes > 0) else {
+            return;
+        };
+        match t.work {
+            TcpWork::Bulk(len) => {
+                let b = Class::Bulk as usize;
+                a.bytes[b] += bytes;
+                a.received[b] += completed(len);
+                a.last_delivery[b] = Some(now);
+                return;
+            }
+            TcpWork::Rpc { request, reply, .. } => completed(request) * reply,
+        }
+    };
+    drop(guard);
+    if write > 0 {
+        tcp::send(sim, host, conn, &vec![0; write as usize]);
+    }
+}
+
 /// One direction of a [`Probe`], driven by the world owning `from`.
 fn probe_tick(sim: &mut Sim<Stack>, from: HostId, to: HostId, p: Probe) {
     if sim.now() >= SimTime::ZERO.saturating_add(p.end) {
@@ -708,6 +837,69 @@ mod tests {
         assert_eq!(a.rpc_completed, a.rpc_issued);
         assert!(a.rpc_latency.mean() > 0.0);
         assert!(a.rpc_latency.mean() < 0.05, "LAN RPC should be fast");
+    }
+
+    /// A TCP connection from `a` to `b`'s `port` carrying `work`.
+    fn tcp_flow(a: HostId, b: HostId, port: u16, work: TcpWork) -> TcpFlow {
+        TcpFlow {
+            client: a,
+            server: b,
+            port,
+            start: SimDuration::ZERO,
+            work,
+        }
+    }
+
+    #[test]
+    fn tcp_rpc_sequential_calls_complete() {
+        let (calls, request, reply) = (20, 64, 256);
+        let (mut sim, acct) = lan(|a, b| Plan {
+            tcp: vec![tcp_flow(
+                a,
+                b,
+                80,
+                TcpWork::Rpc {
+                    calls,
+                    request,
+                    reply,
+                },
+            )],
+            ..Plan::default()
+        });
+        sim.run();
+        let a = acct.borrow();
+        assert_eq!((a.rpc_issued, a.rpc_completed, a.rpc_failed), (20, 20, 0));
+        assert_eq!(a.rpc_latency.count(), 20);
+        // One call at a time: the run lasts at least the calls' sum.
+        let sum = a.rpc_latency.mean() * 20.0;
+        assert!(sim.now().as_secs_f64() >= sum, "{sum} s of calls");
+    }
+
+    #[test]
+    fn tcp_bulk_beside_tcp_rpc_on_one_server() {
+        let (mut sim, acct) = lan(|a, b| Plan {
+            tcp: vec![
+                tcp_flow(a, b, 80, TcpWork::Bulk(100_000)),
+                tcp_flow(
+                    a,
+                    b,
+                    81,
+                    TcpWork::Rpc {
+                        calls: 3,
+                        request: 8,
+                        reply: 8,
+                    },
+                ),
+            ],
+            ..Plan::default()
+        });
+        sim.run();
+        let a = acct.borrow();
+        assert!(a.complete(Class::Bulk), "{a:?}");
+        let b = Class::Bulk as usize;
+        assert_eq!((a.sent[b], a.received[b], a.bytes[b]), (1, 1, 100_000));
+        assert!(a.goodput(Class::Bulk).unwrap() > 200_000.0);
+        assert_eq!(a.rpc_completed, 3);
     }
 
     #[test]

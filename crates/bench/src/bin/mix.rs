@@ -20,8 +20,8 @@
 
 use dash_apps::scenario::{run, Backend, Outcome, Scenario};
 use dash_bench::e_routing::RoutingParams;
+use dash_bench::judge;
 use dash_bench::mix::MixParams;
-use dash_check::check_stream;
 
 const USAGE: &str = "usage: mix [--backend serial|par|rt] [--oracle]
            [--size ci|routing-ci|micro|full|e11-ci|e11-mesh-ci|e11|e11-mesh]
@@ -92,8 +92,8 @@ fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
     Ok((format!("{backend} {size}"), scenario, backends))
 }
 
-fn report(label: &str, backend: Backend, o: &Outcome) {
-    let detail = match (backend, &o.rt) {
+fn report(label: &str, o: &Outcome) {
+    let detail = match (o.backend, &o.rt) {
         (Backend::Par { shards, .. }, _) => {
             format!(", shards {shards}, digest {}", o.digest_hash())
         }
@@ -138,32 +138,14 @@ fn main() {
         std::process::exit(2);
     });
 
-    let mut failed = false;
-    let mut reference: Option<String> = None;
+    let (mut par_digest, mut faults) = (None, Vec::new());
     for &backend in &backends {
         let o = run(&scenario, backend);
-        report(&label, backend, &o);
-        for line in check_stream(&o.stream, o.rt.is_none()) {
-            eprintln!("mix [{label}]: ORACLE {line}");
-            failed = true;
-        }
-        if !o.clean_stop() {
-            eprintln!("mix [{label}]: hit the wall-clock backstop with work outstanding");
-            failed = true;
-        }
-        if backends.len() > 1 {
-            let digest = o.determinism_digest();
-            match &reference {
-                None => reference = Some(digest),
-                Some(r) if *r == digest => {}
-                Some(_) => {
-                    eprintln!("mix [{label}]: DIVERGED from the first shard count — the parallel executor is broken");
-                    failed = true;
-                }
-            }
-        }
+        report(&label, &o);
+        faults.extend(judge(&o, &mut par_digest));
     }
-    if failed {
+    faults.iter().for_each(|f| eprintln!("mix [{label}]: {f}"));
+    if !faults.is_empty() {
         std::process::exit(1);
     }
     if scenario.keep_events {

@@ -1,4 +1,5 @@
-//! Run every experiment (or one, by id) and print its table.
+//! Run every experiment (or those named, in the order given) and print its
+//! table.
 //!
 //! ```text
 //! cargo run -p dash-bench --release --bin run_experiments            # all
@@ -6,29 +7,20 @@
 //! ```
 
 fn main() {
+    let all = dash_bench::all_experiments();
+    let known = || all.iter().map(|(id, _)| id.to_string());
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        for (id, e) in dash_bench::all_experiments() {
-            eprintln!("running {id} ...");
-            println!("{}", e.table().render());
-        }
+    for id in if args.is_empty() {
+        known().collect()
     } else {
-        for id in &args {
-            match dash_bench::run_one(id) {
-                Some(t) => println!("{}", t.render()),
-                None => {
-                    eprintln!("unknown experiment: {id}");
-                    eprintln!(
-                        "known: {}",
-                        dash_bench::all_experiments()
-                            .iter()
-                            .map(|(n, _)| *n)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
+        args
+    } {
+        let Some(&(id, e)) = all.iter().find(|(n, _)| *n == id) else {
+            let known: Vec<String> = known().collect();
+            eprintln!("unknown experiment: {id}\nknown: {}", known.join(", "));
+            std::process::exit(2);
+        };
+        eprintln!("running {id} ...");
+        println!("{}", e.table(id).render());
     }
 }

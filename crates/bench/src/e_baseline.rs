@@ -1,137 +1,195 @@
 //! e7_rkom — request/reply and stream performance vs the TCP-like baseline
 //! on a high-delay path (§1, §3.3); e8_congestion — RMS capacity
 //! enforcement vs TCP + source quench through a shared gateway (§4.4).
+//! Both race the baseline as plan words ([`TcpFlow`]) beside their RMS
+//! counterparts, each leg its own scenario.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dash_apps::rpc::run_tcp_rpc;
-use dash_apps::traffic::{self, Class, Flow, Plan, RpcFlow};
-use dash_baseline::tcp;
+use dash_apps::scenario::{Outcome, Scenario};
+use dash_apps::traffic::{Class, Flow, Plan, RpcFlow, TcpFlow, TcpWork};
+use dash_baseline::TcpConfig;
+use dash_net::state::NetState;
 use dash_net::topology::{dumbbell, TopologyBuilder};
 use dash_net::{HostId, NetworkSpec};
+use dash_sim::obs::ObsEvent;
 use dash_sim::time::SimDuration;
-use dash_sim::Sim;
 use dash_transport::flow::CapacityEnforcement;
-use dash_transport::stack::{Stack, StackBuilder};
 use dash_transport::stream::StreamProfile;
 use rms_core::delay::DelayBound;
 
 use crate::table::{f, secs, Table};
 
-/// e7_rkom — RKOM vs sequential TCP RPC, and RMS stream vs TCP stream, on
-/// the high-delay internet path.
-pub fn e7_rkom() -> Table {
+/// e7's bulk transfer, bytes.
+const E7_BULK: u64 = 512 * 1024;
+
+/// e7_rkom's legs, each alone on the dumbbell's high-delay path: RKOM at
+/// 20 calls/s for 3 s, 50 sequential calls over one TCP connection, and
+/// 512 KiB over an RMS bulk stream and over one TCP connection.
+pub fn e7_scenarios() -> Vec<Scenario> {
+    let (_, a, b, _, _) = dumbbell();
+    let tcp = |work| Plan {
+        tcp: vec![TcpFlow {
+            client: a,
+            server: b,
+            port: 80,
+            start: SimDuration::ZERO,
+            work,
+        }],
+        ..Plan::default()
+    };
+    let rkom = Plan {
+        rpcs: vec![RpcFlow {
+            client: a,
+            server: b,
+            service: 0x0101,
+            calls: 60,
+            interval: SimDuration::from_millis(50),
+            start: SimDuration::ZERO,
+            request: 64,
+            reply: 256,
+        }],
+        ..Plan::default()
+    };
+    let stream = Plan::from(vec![Flow::bulk(
+        a,
+        b,
+        E7_BULK,
+        4 * 1024,
+        StreamProfile::bulk(),
+    )]);
+    let rpc = TcpWork::Rpc {
+        calls: 50,
+        request: 64,
+        reply: 256,
+    };
+    [rkom, tcp(rpc), stream, tcp(TcpWork::Bulk(E7_BULK))]
+        .into_iter()
+        .map(|plan| Scenario::new(|| dumbbell().0, plan, SimDuration::from_secs(10)))
+        .collect()
+}
+
+/// e7's table from the outcomes of [`e7_scenarios`].
+pub fn e7_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e7_rkom",
         "request/reply and streaming on a high-delay path: RMS stack vs TCP baseline",
         "§1: request/reply primitives cannot efficiently provide stream-style communication on high-delay networks; §3.3: RKOM exploits RMS features",
     );
     t.columns(&["workload", "protocol", "result", "detail"]);
-
-    // --- RPC latency: RKOM at 20 calls/s for 3 s, then 50 sequential
-    // calls over one TCP connection; both fill the same accounting ---
-    for protocol in ["RKOM", "TCP sequential"] {
-        let (net, a, b, _, _) = dumbbell();
-        let mut sim = Sim::new(StackBuilder::new(net).build());
-        let acct = if protocol == "RKOM" {
-            let plan = Plan {
-                rpcs: vec![RpcFlow {
-                    client: a,
-                    server: b,
-                    service: 0x0101,
-                    calls: 60,
-                    interval: SimDuration::from_millis(50),
-                    start: SimDuration::ZERO,
-                    request: 64,
-                    reply: 256,
-                }],
-                ..Plan::default()
-            };
-            traffic::install(&mut sim, &plan, None)
-        } else {
-            run_tcp_rpc(&mut sim, a, b, 80, 50, 64, 256)
-        };
-        sim.run();
-        let s = acct.borrow();
-        let mut lat = s.rpc_latency.clone();
+    for (protocol, o) in ["RKOM", "TCP sequential"].into_iter().zip(outs) {
+        let mut lat = o.acct.rpc_latency.clone();
         t.row(vec![
             "RPC (64B→256B)".into(),
             protocol.into(),
             format!("mean {}", secs(lat.mean())),
             format!(
                 "{} calls, p99 {}",
-                s.rpc_completed,
+                o.acct.rpc_completed,
                 secs(lat.quantile(0.99))
             ),
         ]);
     }
-
-    // --- Bulk throughput on the long-fat path ---
-    {
-        let (net, a, b, _, _) = dumbbell();
-        let mut sim = Sim::new(StackBuilder::new(net).build());
-        let plan = Plan::from(vec![Flow::bulk(
-            a,
-            b,
-            512 * 1024,
-            4 * 1024,
-            StreamProfile::bulk(),
-        )]);
-        let acct = traffic::install(&mut sim, &plan, None);
-        let done =
-            traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(60));
-        let goodput = acct.borrow().goodput(Class::Bulk).unwrap_or(0.0);
+    for (protocol, o) in ["RMS stream", "TCP"].into_iter().zip(&outs[2..]) {
+        let a = &o.acct;
         t.row(vec![
             "bulk 512KB".into(),
-            "RMS stream".into(),
-            format!("{} B/s", f(goodput)),
-            format!("complete: {done}"),
-        ]);
-    }
-    {
-        let (net, a, b, _, _) = dumbbell();
-        let mut sim = Sim::new(StackBuilder::new(net).build());
-        let done_bytes = Rc::new(RefCell::new(0u64));
-        let d2 = Rc::clone(&done_bytes);
-        sim.state.on_tcp(move |sim, host, ev| {
-            if let tcp::TcpEvent::Data { conn, bytes } = ev {
-                *d2.borrow_mut() += bytes;
-                if let Some(c) = sim.state.tcp.conn_mut(host, conn) {
-                    let _ = c.read();
-                }
-            }
-        });
-        tcp::listen(&mut sim, b, 80);
-        let conn = tcp::connect(&mut sim, a, b, 80);
-        sim.run();
-        let t0 = sim.now();
-        tcp::send(&mut sim, a, conn, &vec![0u8; 512 * 1024]);
-        // Bounded drive.
-        let end = t0 + SimDuration::from_secs(60);
-        while sim.now() < end && *done_bytes.borrow() < 512 * 1024 {
-            sim.run_until(sim.now() + SimDuration::from_millis(100));
-            if sim.events_pending() == 0 {
-                break;
-            }
-        }
-        let got = *done_bytes.borrow();
-        let dt = sim.now().saturating_since(t0).as_secs_f64();
-        t.row(vec![
-            "bulk 512KB".into(),
-            "TCP".into(),
-            format!("{} B/s", f(got as f64 / dt.max(1e-9))),
-            format!("{} of {} bytes", got, 512 * 1024),
+            protocol.into(),
+            format!("{} B/s", f(a.goodput(Class::Bulk).unwrap_or(0.0))),
+            format!("{} of {E7_BULK} bytes", a.bytes[Class::Bulk as usize]),
         ]);
     }
     t.note("path: Ethernet → 1.5 Mb/s, 30 ms one-way WAN → Ethernet");
+    t.note("RPC latency counts from each call's send, after the TCP handshake; bulk goodput is delivered bytes over first send to last delivery");
     t.note("expected shape: RKOM RPC ≈ TCP RPC once connected (both one round trip), but RKOM needs no per-conversation handshake; streams beat sequential request/reply for bulk on long-delay paths");
     t
 }
 
-/// e8_congestion — a shared bottleneck gateway: admitted, rate-enforced RMS
-/// streams vs TCP with / without source-quench reaction.
-pub fn e8_congestion() -> Table {
+/// e8's internetwork: three senders on `lan-a`, its gateway onto a slow
+/// 400 kb/s WAN with 16 KB transmit buffers, a second gateway onto
+/// `lan-b` and three receivers. Returns `(net, senders, receivers,
+/// bottleneck gateway)`.
+fn e8_net() -> (NetState, Vec<HostId>, Vec<HostId>, HostId) {
+    let mut b = TopologyBuilder::new();
+    let lan_a = b.network(NetworkSpec::ethernet("lan-a"));
+    let mut wan = NetworkSpec::long_haul("wan");
+    wan.rate_bps = 400_000.0;
+    wan.drop_prob = 0.0;
+    wan.caps.raw_ber = 0.0;
+    let wan = b.network(wan);
+    let lan_b = b.network(NetworkSpec::ethernet("lan-b"));
+    let senders: Vec<HostId> = (0..3).map(|_| b.host_on(lan_a)).collect();
+    let gateway = b.gateway(lan_a, wan);
+    b.gateway(wan, lan_b);
+    let receivers: Vec<HostId> = (0..3).map(|_| b.host_on(lan_b)).collect();
+    b.iface_queue_limit(Some(16 * 1024));
+    (b.build(), senders, receivers, gateway)
+}
+
+/// e8's rows: RMS or TCP, and whether TCP reacts to source quench.
+const E8_ROWS: [(&str, bool); 3] = [
+    ("RMS rate-enforced", false),
+    ("TCP + quench reaction", true),
+    ("TCP ignoring quench", false),
+];
+
+/// e8_congestion — three senders share the bottleneck gateway: 24 KB
+/// each over admitted, rate-enforced RMS streams, or 96 KB each over TCP
+/// with and without source-quench reaction.
+pub fn e8_scenarios() -> Vec<Scenario> {
+    let (_, senders, receivers, _) = e8_net();
+    let pairs = || senders.iter().copied().zip(receivers.iter().copied());
+    let profile = StreamProfile {
+        // The capacity is each flow's burst allowance (§2.2): sized so the
+        // three flows' worst-case bursts fit the gateway's 16 KB buffer —
+        // exactly the reservation a deterministic RMS would have made.
+        capacity: 4 * 1024,
+        max_message: 512,
+        delay: DelayBound::best_effort_with(
+            SimDuration::from_millis(1200),
+            // The 400 kb/s bottleneck costs 20 us/B alone; leave head room
+            // for the LAN hops and ST stage.
+            SimDuration::from_micros(40),
+        ),
+        enforcement: CapacityEnforcement::RateBased,
+        ..StreamProfile::default()
+    };
+    let rms = Plan::from(
+        pairs()
+            .map(|(s, r)| Flow::bulk(s, r, 24 * 1024, 512, profile.clone()))
+            .collect::<Vec<_>>(),
+    );
+    let tcp = Plan {
+        tcp: (pairs().zip(8000..))
+            .map(|((client, server), port)| TcpFlow {
+                client,
+                server,
+                port,
+                start: SimDuration::ZERO,
+                work: TcpWork::Bulk(96 * 1024),
+            })
+            .collect(),
+        ..Plan::default()
+    };
+    E8_ROWS
+        .into_iter()
+        .enumerate()
+        .map(|(i, (_, quench_reacts))| Scenario {
+            tcp: TcpConfig {
+                quench_reacts,
+                rto: SimDuration::from_millis(500),
+                ..TcpConfig::default()
+            },
+            ..Scenario::new(
+                || e8_net().0,
+                if i == 0 { rms.clone() } else { tcp.clone() },
+                SimDuration::from_secs(25),
+            )
+        })
+        .collect()
+}
+
+/// e8's table from the outcomes of [`e8_scenarios`]: gateway overflow
+/// drops are the `IfaceDrop` events at the bottleneck gateway.
+pub fn e8_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e8_congestion",
         "congestion at a shared gateway: RMS capacity enforcement vs source quench",
@@ -142,167 +200,25 @@ pub fn e8_congestion() -> Table {
         "gateway overflow drops",
         "quenches",
         "total goodput",
-        "per-flow goodput",
+        "all delivered",
     ]);
-
-    let build = || -> (Sim<Stack>, Vec<HostId>, Vec<HostId>, HostId) {
-        let mut b = TopologyBuilder::new();
-        let lan_a = b.network(NetworkSpec::ethernet("lan-a"));
-        let mut wan = NetworkSpec::long_haul("wan");
-        wan.rate_bps = 400_000.0; // slow bottleneck
-        wan.drop_prob = 0.0;
-        wan.caps.raw_ber = 0.0;
-        let wan = b.network(wan);
-        let lan_b = b.network(NetworkSpec::ethernet("lan-b"));
-        let senders: Vec<HostId> = (0..3).map(|_| b.host_on(lan_a)).collect();
-        let g1 = b.gateway(lan_a, wan);
-        let _g2 = b.gateway(wan, lan_b);
-        let receivers: Vec<HostId> = (0..3).map(|_| b.host_on(lan_b)).collect();
-        b.iface_queue_limit(Some(16 * 1024));
-        (
-            Sim::new(StackBuilder::new(b.build()).build()),
-            senders,
-            receivers,
-            g1,
-        )
-    };
-
-    // Scenario A: RMS streams with rate-based capacity enforcement sized to
-    // share the bottleneck (3 × 16 KB / 1 s ≈ 48 KB/s < 50 KB/s wire).
-    {
-        let (mut sim, senders, receivers, g1) = build();
-        // One plan per sender/receiver pair, so each flow has its own
-        // accounting (the pairs share no host).
-        let mut flows = Vec::new();
-        for (s, r) in senders.iter().zip(receivers.iter()) {
-            let profile = StreamProfile {
-                // The capacity is each flow's burst allowance (§2.2): sized
-                // so the three flows' worst-case bursts fit the gateway's
-                // 16 KB buffer — exactly the reservation a deterministic RMS
-                // would have made.
-                capacity: 4 * 1024,
-                max_message: 512,
-                delay: DelayBound::best_effort_with(
-                    SimDuration::from_millis(1200),
-                    // The 400 kb/s bottleneck costs 20 us/B alone; leave
-                    // head room for the LAN hops and ST stage.
-                    SimDuration::from_micros(40),
-                ),
-                enforcement: CapacityEnforcement::RateBased,
-                ..StreamProfile::default()
-            };
-            let plan = Plan::from(vec![Flow::bulk(*s, *r, 24 * 1024, 512, profile)]);
-            flows.push(traffic::install(&mut sim, &plan, None));
-        }
-        let end = sim.now() + SimDuration::from_secs(25);
-        while sim.now() < end {
-            sim.run_until(sim.now() + SimDuration::from_millis(100));
-            if sim.events_pending() == 0 {
-                break;
-            }
-        }
-        let drops = sim.state.net.host(g1).ifaces[1].stats.overflow_drops.get();
-        let elapsed = sim.now().as_secs_f64();
-        let per_flow: Vec<f64> = flows
-            .iter()
-            .map(|f2| f2.borrow().bytes[Class::Bulk as usize] as f64 / elapsed)
-            .collect();
-        let total: f64 = per_flow.iter().sum();
+    let gateway = e8_net().3;
+    for ((label, _), o) in E8_ROWS.into_iter().zip(outs) {
+        let drops = (o.stream.iter())
+            .filter(|(_, e)| matches!(e, ObsEvent::IfaceDrop { host, .. } if *host == gateway.0))
+            .count();
         t.row(vec![
-            "RMS rate-enforced".into(),
+            label.into(),
             drops.to_string(),
-            sim.state
-                .net
-                .obs
-                .registry
-                .counter_value("net.quench_sent")
-                .to_string(),
-            format!("{} B/s", f(total)),
-            per_flow
-                .iter()
-                .map(|x| f(*x))
-                .collect::<Vec<_>>()
-                .join(" / "),
-        ]);
-    }
-
-    // Scenarios B and C: TCP flows with and without quench reaction.
-    for (name, reacts) in [
-        ("TCP + quench reaction", true),
-        ("TCP ignoring quench", false),
-    ] {
-        let (mut sim, senders, receivers, g1) = build();
-        sim.state.tcp.config.quench_reacts = reacts;
-        sim.state.tcp.config.rto = SimDuration::from_millis(500);
-        let delivered: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![0; 3]));
-        let conn_index: Rc<RefCell<std::collections::HashMap<u64, usize>>> =
-            Rc::new(RefCell::new(std::collections::HashMap::new()));
-        {
-            let delivered = Rc::clone(&delivered);
-            let conn_index = Rc::clone(&conn_index);
-            sim.state.on_tcp(move |sim, host, ev| {
-                if let tcp::TcpEvent::Data { conn, bytes } = ev {
-                    if let Some(&i) = conn_index.borrow().get(&conn) {
-                        delivered.borrow_mut()[i] += bytes;
-                    }
-                    if let Some(c) = sim.state.tcp.conn_mut(host, conn) {
-                        let _ = c.read();
-                    }
-                }
-            });
-        }
-        for (i, r) in receivers.iter().enumerate() {
-            tcp::listen(&mut sim, *r, 8000 + i as u16);
-        }
-        let mut conns = Vec::new();
-        for (i, (s, r)) in senders.iter().zip(receivers.iter()).enumerate() {
-            let c = tcp::connect(&mut sim, *s, *r, 8000 + i as u16);
-            conns.push((*s, c));
-        }
-        sim.run();
-        // Server-side accepted connections also produce Data events; map
-        // them by scanning each receiver's connections.
-        for (i, r) in receivers.iter().enumerate() {
-            for (id, _) in sim.state.tcp.host(*r).conns.iter() {
-                conn_index.borrow_mut().insert(*id, i);
-            }
-        }
-        for (s, c) in &conns {
-            tcp::send(&mut sim, *s, *c, &vec![0u8; 96 * 1024]);
-        }
-        let end = sim.now() + SimDuration::from_secs(10);
-        while sim.now() < end {
-            sim.run_until(sim.now() + SimDuration::from_millis(100));
-            if sim.events_pending() == 0 {
-                break;
-            }
-        }
-        let drops = sim.state.net.host(g1).ifaces[1].stats.overflow_drops.get();
-        let elapsed = sim.now().as_secs_f64();
-        let per_flow: Vec<f64> = delivered
-            .borrow()
-            .iter()
-            .map(|b| *b as f64 / elapsed)
-            .collect();
-        let total: f64 = per_flow.iter().sum();
-        t.row(vec![
-            name.into(),
-            drops.to_string(),
-            sim.state
-                .net
-                .obs
-                .registry
-                .counter_value("net.quench_sent")
-                .to_string(),
-            format!("{} B/s", f(total)),
-            per_flow
-                .iter()
-                .map(|x| f(*x))
-                .collect::<Vec<_>>()
-                .join(" / "),
+            o.registry.counter_value("net.quench_sent").to_string(),
+            format!("{} B/s", f(o.acct.goodput(Class::Bulk).unwrap_or(0.0))),
+            o.acct.complete(Class::Bulk).to_string(),
         ]);
     }
     t.note("bottleneck: 400 kb/s WAN behind a gateway with 16 KB transmit buffers; RMS flows move 24 KB each, TCP flows 96 KB each");
+    t.note(
+        "goodput is delivered bytes over first send to last delivery, summed over the three flows",
+    );
     t.note("expected shape: rate-enforced RMS flows produce ~zero gateway drops; TCP overruns the gateway, and ignoring quench drops most");
     t
 }

@@ -135,6 +135,7 @@ impl NetWorld for NetOnly {
 
 /// e6_admission — deterministic reservation, statistical tests, best-effort
 /// always-admit (§2.3), and the resulting deadline behaviour under load.
+/// Built: it runs a network-only world, which ROADMAP item 11 reworks.
 pub fn e6_admission() -> Table {
     let mut t = Table::new(
         "e6_admission",

@@ -11,10 +11,11 @@
 //! floods, lazy route recomputations, alternate-path wins, subtransport
 //! failovers — in the one `Outcome`, and those counts are
 //! deterministic, so `tests/determinism.rs` pins them at the CI size.
-//! Only the topology programs, the plan, the presets and the table live
-//! here; running it — on any backend — is `mix --size e11-ci|e11-mesh-ci|e11|e11-mesh`.
+//! Only the topology programs, the plan, the presets and the projection
+//! live here; running it — on any backend — is `mix --size
+//! e11-ci|e11-mesh-ci|e11|e11-mesh`.
 
-use dash_apps::scenario::{run, Backend, Scenario};
+use dash_apps::scenario::{Outcome, Scenario};
 use dash_apps::traffic::{Class, Flow, Plan, Probe};
 use dash_net::state::NetState;
 use dash_net::topology::{mesh3x3, TopologyBuilder};
@@ -104,7 +105,6 @@ impl RoutingParams {
         let program = self.clone();
         let plan = Plan {
             flows: plan_flows(self, &sites),
-            rpcs: Vec::new(),
             // Table-routed traffic between the extreme sites.
             probes: vec![Probe {
                 a: sites[0][0],
@@ -112,6 +112,7 @@ impl RoutingParams {
                 interval: self.probe_interval,
                 end: self.duration,
             }],
+            ..Plan::default()
         };
         let length = self.duration.saturating_add(SimDuration::from_millis(400));
         // No aligned placement exists here: every gateway sits on two
@@ -231,13 +232,20 @@ fn plan_flows(p: &RoutingParams, sites: &[Vec<HostId>]) -> Vec<Flow> {
     flows
 }
 
-/// e11_routing — QoS routing under saturation, churn and faults.
+/// e11_routing — QoS routing under saturation, churn and faults, at the
+/// CI size on the dumbbell and on the mesh.
 ///
 /// Claim: link-state dissemination plus constrained alternate selection
 /// turns admission refusals and mid-run outages into re-homed paths
 /// (alternate wins, bounded reconvergence work) instead of failed or
 /// stalled sessions.
-pub fn e11_routing() -> Table {
+pub fn e11_scenarios() -> Vec<Scenario> {
+    let ci = RoutingParams::ci();
+    vec![ci.scenario(), ci.on_mesh().scenario()]
+}
+
+/// e11's table from the outcomes of [`e11_scenarios`].
+pub fn e11_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e11_routing",
         "QoS routing: dumbbell-with-backup saturation + 3x3 mesh under churn, mid-run outage drill",
@@ -254,15 +262,7 @@ pub fn e11_routing() -> Table {
         "msgs delivered",
         "events",
     ]);
-    for (label, topo) in [
-        ("dumbbell", RoutingTopo::DumbbellBackup),
-        ("mesh", RoutingTopo::Mesh3x3),
-    ] {
-        let p = RoutingParams {
-            topo,
-            ..RoutingParams::ci()
-        };
-        let o = run(&p.scenario(), Backend::Serial);
+    for (label, o) in ["dumbbell", "mesh"].into_iter().zip(outs) {
         let count = |name| o.registry.counter_value(name).to_string();
         t.row(vec![
             label.to_string(),

@@ -18,7 +18,8 @@ use crate::table::{f, pct, secs, Table};
 use crate::{lan, A, B};
 
 /// e1_security — for each network capability set, which mechanisms does
-/// negotiation select, and what do they cost?
+/// negotiation select, and what do they cost? Built: it runs no world until
+/// a stream can ask for security (ROADMAP item 3).
 pub fn e1_security() -> Table {
     let mut t = Table::new(
         "e1_security",

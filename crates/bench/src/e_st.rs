@@ -28,6 +28,7 @@ use crate::table::{f, pct, secs, Table};
 use crate::{best_effort, lan, paced};
 
 /// e3_caching — creating network RMSs is costly; the ST caches them (§4.2).
+/// Built: it closes ST RMSs below the stream layer, which has no close word.
 pub fn e3_caching() -> Table {
     let mut t = Table::new(
         "e3_caching",

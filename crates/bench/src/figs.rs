@@ -169,7 +169,8 @@ pub fn fig2_table(outs: &[Outcome]) -> Table {
 }
 
 /// fig3_rms_levels — the delay bound of a high-level RMS decomposes into
-/// per-stage budgets (Figure 3, §3.4, §4.1).
+/// per-stage budgets (Figure 3, §3.4, §4.1). Built: it waits on negotiated
+/// bounds in the event stream (ROADMAP items 6 and 12).
 pub fn fig3_rms_levels() -> Table {
     fig3_rms_levels_json().0
 }

@@ -77,44 +77,86 @@ pub fn paced(profile: StreamProfile) -> Flow {
     }
 }
 
-/// Run each scenario on the serial engine with its event stream kept, and
-/// hold the stream to the semantic oracle: a planned experiment reports
-/// no row from a run that broke an invariant.
+/// The one verdict on a run, shared by every planned table and the `mix`
+/// binary: the semantic oracle on its event stream (the `det-delay` bound
+/// is off only on `Backend::Rt`, whose deliveries wait on real carriage),
+/// the rt backend's wall-clock backstop, and the parallel executor's
+/// contract that every shard count merges to one digest — `par_digest`
+/// carries the first `Par` digest among the runs of one scenario (start
+/// each scenario with `None`). Empty means sound.
+pub fn judge(o: &Outcome, par_digest: &mut Option<String>) -> Vec<String> {
+    let on_wall_clock = matches!(o.backend, Backend::Rt { .. });
+    let mut faults: Vec<String> = (check_stream(&o.stream, !on_wall_clock).into_iter())
+        .map(|v| format!("ORACLE {v}"))
+        .collect();
+    if !o.clean_stop() {
+        faults.push("hit the wall-clock backstop with work outstanding".into());
+    }
+    if let Backend::Par { .. } = o.backend {
+        let digest = o.determinism_digest();
+        if *par_digest.get_or_insert_with(|| digest.clone()) != digest {
+            faults.push("DIVERGED from the first shard count: the executor is broken".into());
+        }
+    }
+    faults
+}
+
+/// Run each scenario on each of `backends` (scenario-major) with its
+/// event stream kept, and hold every run to [`judge`]: a planned
+/// experiment reports no row from a run that broke an invariant.
 ///
 /// # Panics
 ///
-/// On any oracle violation, with the scenario's index and the violations.
-pub fn run_checked(scenarios: Vec<Scenario>) -> Vec<Outcome> {
-    (scenarios.into_iter().enumerate())
-        .map(|(i, scn)| {
-            let scn = Scenario {
-                keep_events: true,
-                ..scn
-            };
-            let o = run(&scn, Backend::Serial);
-            let violations = check_stream(&o.stream, true);
-            assert!(violations.is_empty(), "scenario {i}: {violations:#?}");
-            o
-        })
-        .collect()
+/// On any fault, naming the table `id`, the scenario's index and the
+/// backend.
+pub fn run_checked(id: &str, scenarios: Vec<Scenario>, backends: &[Backend]) -> Vec<Outcome> {
+    let mut outs = Vec::new();
+    for (i, scn) in scenarios.into_iter().enumerate() {
+        let scn = Scenario {
+            keep_events: true,
+            ..scn
+        };
+        let mut par_digest = None;
+        for &backend in backends {
+            let o = run(&scn, backend);
+            let faults = judge(&o, &mut par_digest);
+            assert!(
+                faults.is_empty(),
+                "{id}, scenario {i} on {backend:?}: {faults:#?}"
+            );
+            outs.push(o);
+        }
+    }
+    outs
 }
+
+/// One serial run per scenario: what most planned experiments use.
+pub const SERIAL: &[Backend] = &[Backend::Serial];
 
 /// How an experiment produces its table.
 #[derive(Clone, Copy)]
 pub enum Experiment {
-    /// It builds and drives its own world.
+    /// It builds and drives its own world; the doc of each such table
+    /// names what it waits on to become planned.
     Built(fn() -> Table),
-    /// It is planned as data: its scenarios, run by [`run_checked`], and
-    /// the pure projection of their outcomes onto its table.
-    Planned(fn() -> Vec<Scenario>, fn(&[Outcome]) -> Table),
+    /// It is planned as data: its scenarios, the backends [`run_checked`]
+    /// runs each on, and the pure projection of their outcomes (in that
+    /// order) onto its table.
+    Planned(
+        fn() -> Vec<Scenario>,
+        &'static [Backend],
+        fn(&[Outcome]) -> Table,
+    ),
 }
 
 impl Experiment {
-    /// Run the experiment and render its table.
-    pub fn table(self) -> Table {
+    /// Run the experiment `id` and render its table.
+    pub fn table(self, id: &str) -> Table {
         match self {
             Experiment::Built(table) => table(),
-            Experiment::Planned(scenarios, project) => project(&run_checked(scenarios())),
+            Experiment::Planned(scenarios, backends, project) => {
+                project(&run_checked(id, scenarios(), backends))
+            }
         }
     }
 }
@@ -125,31 +167,32 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
     use crate::{figs::*, mix::*};
     use Experiment::{Built, Planned};
     vec![
-        ("fig1_layering", Planned(fig1_scenarios, fig1_table)),
-        ("fig2_architecture", Planned(fig2_scenarios, fig2_table)),
+        ("fig1_layering", Planned(fig1_scenarios, SERIAL, fig1_table)),
+        (
+            "fig2_architecture",
+            Planned(fig2_scenarios, SERIAL, fig2_table),
+        ),
         ("fig3_rms_levels", Built(fig3_rms_levels)),
-        ("fig4_multiplexing", Planned(fig4_scenarios, fig4_table)),
-        ("fig5_flow_control", Planned(fig5_scenarios, fig5_table)),
+        (
+            "fig4_multiplexing",
+            Planned(fig4_scenarios, SERIAL, fig4_table),
+        ),
+        (
+            "fig5_flow_control",
+            Planned(fig5_scenarios, SERIAL, fig5_table),
+        ),
         ("e1_security", Built(e1_security)),
-        ("e2_scheduling", Planned(e2_scenarios, e2_table)),
+        ("e2_scheduling", Planned(e2_scenarios, SERIAL, e2_table)),
         ("e3_caching", Built(e3_caching)),
-        ("e4_fragmentation", Planned(e4_scenarios, e4_table)),
-        ("e5_capacity", Planned(e5_scenarios, e5_table)),
+        ("e4_fragmentation", Planned(e4_scenarios, SERIAL, e4_table)),
+        ("e5_capacity", Planned(e5_scenarios, SERIAL, e5_table)),
         ("e6_admission", Built(e6_admission)),
-        ("e7_rkom", Built(e7_rkom)),
-        ("e8_congestion", Built(e8_congestion)),
-        ("e9_piggyback", Planned(e9_scenarios, e9_table)),
-        ("e10_scale", Built(e10_scale)),
-        ("e11_routing", Built(e11_routing)),
-        ("e12_pscale", Built(e12_pscale)),
-        ("e13_rt", Built(e13_rt)),
+        ("e7_rkom", Planned(e7_scenarios, SERIAL, e7_table)),
+        ("e8_congestion", Planned(e8_scenarios, SERIAL, e8_table)),
+        ("e9_piggyback", Planned(e9_scenarios, SERIAL, e9_table)),
+        ("e10_scale", Planned(e10_scenarios, SERIAL, e10_table)),
+        ("e11_routing", Planned(e11_scenarios, SERIAL, e11_table)),
+        ("e12_pscale", Planned(ci_scenarios, E12_BACKENDS, e12_table)),
+        ("e13_rt", Planned(ci_scenarios, E13_BACKENDS, e13_table)),
     ]
-}
-
-/// Run one experiment by id.
-pub fn run_one(id: &str) -> Option<Table> {
-    all_experiments()
-        .into_iter()
-        .find(|(n, _)| *n == id)
-        .map(|(_, e)| e.table())
 }

@@ -4,21 +4,20 @@
 //! The workload language ([`dash_apps::traffic`]: flows, RKOM pairs,
 //! probes, the per-endpoint driver) and the runner
 //! ([`dash_apps::scenario`]: `Scenario`, `Backend`, `run`, `Outcome`) are
-//! library code in `dash-apps`; the verdict on a run's event stream is
-//! [`dash_check::check_stream`]. What lives here is what is specific to
+//! library code in `dash-apps`; the verdict on a run is
+//! [`crate::judge`]. What lives here is what is specific to
 //! this experiment family: [`MixParams`] and its presets, the pure plan
 //! function [`MixParams::scenario`] (edge LANs joined by a WAN backbone
 //! carrying mostly intra-LAN voice with a WAN-crossing slice, reliable
 //! bulk transfers, cross-LAN RKOM calls, churn waves of short-lived
 //! sessions and a mid-run fault drill), its topology program and drill,
 //! and the e10 (serial engine), e12 (`dash-par`) and e13 (`dash-rt`)
-//! tables. `RoutingParams::scenario` in [`crate::e_routing`] is the other
+//! scenarios and projections. `RoutingParams::scenario` in [`crate::e_routing`] is the other
 //! plan function (e11). Wall-clock, allocation and per-layer measurements
 //! of this workload live in `dash-benchmark`.
 
-use dash_apps::scenario::{run, Backend, Scenario};
+use dash_apps::scenario::{Backend, Outcome, Scenario};
 use dash_apps::traffic::{Flow, Plan, RpcFlow};
-use dash_check::check_stream;
 use dash_net::ids::{HostId, NetworkId};
 use dash_net::state::NetState;
 use dash_net::topology::TopologyBuilder;
@@ -29,6 +28,7 @@ use dash_sim::rng::Rng;
 use dash_sim::time::{SimDuration, SimTime};
 use dash_transport::stream::StreamProfile;
 
+use crate::judge;
 use crate::table::{f, pct, Table};
 
 // ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ fn plan_population(p: &MixParams, lan_hosts: &[Vec<HostId>]) -> Plan {
     Plan {
         flows,
         rpcs,
-        probes: Vec::new(),
+        ..Plan::default()
     }
 }
 
@@ -361,12 +361,32 @@ fn make_fault_plan(p: &MixParams, topo: &Topo) -> FaultPlan {
 // The experiment tables
 // ---------------------------------------------------------------------------
 
-/// e10_scale — scaling shape at increasing stream populations.
+/// e10_scale — scaling shape at increasing stream populations: four
+/// LANs of five hosts with 6, 12 and 24 voice sessions each, a third of
+/// them crossing the WAN, no churn and no drill.
 ///
 /// Claim: delivered throughput scales ~linearly with the offered stream
 /// population until capacity admission binds (WAN-crossing sessions start
 /// being refused), after which refusals grow instead of load.
-pub fn e10_scale() -> Table {
+pub fn e10_scenarios() -> Vec<Scenario> {
+    let scenario = |scale: usize| {
+        MixParams {
+            lans: 4,
+            hosts_per_lan: 5,
+            voice_per_lan: 6 * scale,
+            cross_fraction: 0.35,
+            bulk_bytes: 256 * 1024,
+            churn_per_wave: 0,
+            fault_drill: false,
+            ..MixParams::ci()
+        }
+        .scenario()
+    };
+    [1, 2, 4].map(scenario).into()
+}
+
+/// e10's table from the outcomes of [`e10_scenarios`].
+pub fn e10_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e10_scale",
         "macro-workload: mixed voice/bulk/RPC over many LANs + WAN",
@@ -381,20 +401,9 @@ pub fn e10_scale() -> Table {
         "events",
         "peak queue",
     ]);
-    for scale in [1usize, 2, 4] {
-        let p = MixParams {
-            lans: 4,
-            hosts_per_lan: 5,
-            voice_per_lan: 6 * scale,
-            cross_fraction: 0.35,
-            bulk_bytes: 256 * 1024,
-            churn_per_wave: 0,
-            fault_drill: false,
-            ..MixParams::ci()
-        };
-        let o = run(&p.scenario(), Backend::Serial);
+    for o in outs {
         t.row(vec![
-            (p.lans * (p.voice_per_lan + p.bulk_per_lan)).to_string(),
+            (o.acct.opened + o.acct.failed).to_string(),
             o.acct.opened.to_string(),
             o.acct.failed.to_string(),
             o.messages().to_string(),
@@ -408,12 +417,28 @@ pub fn e10_scale() -> Table {
     t
 }
 
-/// e12_pscale — shard-count invariance of the parallel executor.
-///
-/// Claim: the merged outcome of the conservative parallel run is
-/// byte-identical from 1 shard to P shards; threads change wall-clock
-/// only.
-pub fn e12_pscale() -> Table {
+/// e12's backends: the parallel executor at 1, 2 and 4 shards, LANs kept
+/// whole.
+pub const E12_BACKENDS: &[Backend] = &[aligned(1), aligned(2), aligned(4)];
+
+const fn aligned(shards: u32) -> Backend {
+    Backend::Par {
+        shards,
+        lan_aligned: true,
+    }
+}
+
+/// e12_pscale and e13_rt's one scenario, the ci-size mix. e12's claim: a
+/// P-shard parallel run merges byte-identical to the 1-shard run. e13's:
+/// the unchanged stack runs in real time with the oracle clean, voice
+/// mostly on time, and substrate loss exercised.
+pub fn ci_scenarios() -> Vec<Scenario> {
+    vec![MixParams::ci().scenario()]
+}
+
+/// e12's table from the outcomes of [`ci_scenarios`] on
+/// [`E12_BACKENDS`]: each digest against the first.
+pub fn e12_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e12_pscale",
         "e10 macro-workload on the conservative parallel executor",
@@ -428,23 +453,15 @@ pub fn e12_pscale() -> Table {
         "digest vs 1 shard",
         "wall s",
     ]);
-    let mut reference: Option<String> = None;
-    for shards in [1u32, 2, 4] {
-        let o = run(
-            &MixParams::ci().scenario(),
-            Backend::Par {
-                shards,
-                lan_aligned: true,
-            },
-        );
-        let digest = o.determinism_digest();
-        let verdict = match &reference {
-            None => {
-                reference = Some(digest);
-                "reference"
-            }
-            Some(r) if *r == digest => "identical",
-            Some(_) => "DIVERGED",
+    let reference = outs[0].determinism_digest();
+    for (i, o) in outs.iter().enumerate() {
+        let Backend::Par { shards, .. } = o.backend else {
+            panic!("e12 runs on the parallel executor, not {:?}", o.backend);
+        };
+        let verdict = match i {
+            0 => "reference",
+            _ if o.determinism_digest() == reference => "identical",
+            _ => "DIVERGED",
         };
         t.row(vec![
             shards.to_string(),
@@ -461,12 +478,16 @@ pub fn e12_pscale() -> Table {
     t
 }
 
-/// e13_rt — the stack on wall-clock time.
-///
-/// Claim: the unchanged protocol stack runs in real time on `dash-rt`
-/// with the oracle clean, voice mostly on time, and — with substrate loss
-/// injected — drops demonstrably exercised and still zero violations.
-pub fn e13_rt() -> Table {
+/// e13's backends: the wall-paced scheduler without and with 2 %
+/// substrate loss.
+pub const E13_BACKENDS: &[Backend] = &[
+    Backend::Rt { loss_per_mille: 0 },
+    Backend::Rt { loss_per_mille: 20 },
+];
+
+/// e13's table from the outcomes of [`ci_scenarios`] on
+/// [`E13_BACKENDS`].
+pub fn e13_table(outs: &[Outcome]) -> Table {
     let mut t = Table::new(
         "e13_rt",
         "macro-workload on the real-time backend (wall pacing + datagram substrate)",
@@ -483,14 +504,11 @@ pub fn e13_rt() -> Table {
         "stop",
         "oracle",
     ]);
-    for loss_per_mille in [0u32, 20] {
-        let scenario = Scenario {
-            keep_events: true,
-            ..MixParams::ci().scenario()
+    for o in outs {
+        let (Backend::Rt { loss_per_mille }, Some(rt)) = (o.backend, &o.rt) else {
+            panic!("e13 runs on the real-time backend, not {:?}", o.backend);
         };
-        let o = run(&scenario, Backend::Rt { loss_per_mille });
-        let rt = o.rt.as_ref().expect("an rt run carries its report");
-        let violations = check_stream(&o.stream, false);
+        let faults = judge(o, &mut None);
         t.row(vec![
             format!("{:.1}%", loss_per_mille as f64 / 10.0),
             format!("{:.2}", o.wall_secs),
@@ -500,10 +518,10 @@ pub fn e13_rt() -> Table {
             rt.deadline_misses.to_string(),
             rt.substrate_dropped.to_string(),
             format!("{:?}", rt.stop).to_lowercase(),
-            if violations.is_empty() {
+            if faults.is_empty() {
                 "clean".into()
             } else {
-                format!("{} VIOLATIONS", violations.len())
+                format!("{} VIOLATIONS", faults.len())
             },
         ]);
     }
@@ -511,113 +529,4 @@ pub fn e13_rt() -> Table {
     t.note("loss touches only best-effort carriage (reliability contract); control plane and reliable RMSs cross lossless");
     t.note("counts are not deterministic here (real carriage timing feeds back into the schedule); the oracle verdict and the stop reason are the gated facts");
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dash_apps::traffic::{self, Class, CLASSES};
-    use dash_sim::Sim;
-    use dash_transport::stack::StackBuilder;
-
-    fn par(shards: u32, lan_aligned: bool) -> Backend {
-        Backend::Par {
-            shards,
-            lan_aligned,
-        }
-    }
-
-    #[test]
-    fn hashed_placement_matches_aligned() {
-        // Hashed placement splits LANs across shards, shrinking epochs
-        // to the LAN wire delay — tiny workload, same digest.
-        let p = MixParams::micro().scenario();
-        let a = run(&p, par(1, false));
-        let received: u64 = a.acct.received.iter().sum();
-        assert!(received > 10, "received {received}");
-        let b = run(&p, par(3, false));
-        assert_eq!(a.determinism_digest(), b.determinism_digest());
-        let c = run(&p, par(3, true));
-        assert_eq!(a.determinism_digest(), c.determinism_digest());
-    }
-
-    #[test]
-    fn oracle_is_clean_on_the_merged_stream() {
-        let scenario = Scenario {
-            keep_events: true,
-            ..MixParams::ci().scenario()
-        };
-        let o = run(&scenario, par(2, true));
-        let violations = check_stream(&o.stream, true);
-        assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    /// A transfer larger than the bulk profile's 256 KiB receive buffer
-    /// completes: the driver's sink consumes at delivery. (Before it did,
-    /// every flow stalled at 64 chunks, at any size above the buffer.)
-    #[test]
-    fn bulk_larger_than_the_receive_buffer_delivers_every_chunk() {
-        let p = MixParams {
-            bulk_bytes: 1 << 20,
-            churn_per_wave: 0,
-            fault_drill: false,
-            // Two 1 MiB transfers share each 10 Mb/s LAN: ~2 s of wire.
-            duration: SimDuration::from_secs(4),
-            grace: SimDuration::from_secs(2),
-            ..MixParams::ci()
-        };
-        let scenario = p.scenario();
-        let bulk = Class::Bulk as usize;
-        let planned: u64 = scenario
-            .plan
-            .flows
-            .iter()
-            .filter(|f| f.class == Class::Bulk)
-            .map(|f| f.count)
-            .sum();
-        assert_eq!(planned, 6 * 256);
-        for backend in [Backend::Serial, par(2, true)] {
-            let o = run(&scenario, backend);
-            assert_eq!(o.acct.sent[bulk], planned, "{backend:?}");
-            assert_eq!(o.acct.received[bulk], planned, "{backend:?}");
-            assert_eq!(o.acct.bytes[bulk], 6 << 20, "{backend:?}");
-        }
-    }
-
-    /// The ownership filter partitions the plan: what `install(..,
-    /// Some(h))` schedules and registers, summed over all hosts, is what
-    /// `install(.., None)` does — flow for flow, each host taking exactly
-    /// the opens, call loops and services the plan gives it.
-    #[test]
-    fn per_host_installs_partition_the_plan() {
-        let scenario = MixParams::micro().scenario();
-        let plan = &scenario.plan;
-        let hosts = (scenario.topo)().hosts.len() as u32;
-        // (scheduled opens and call loops, which pairs' services exist,
-        // planned rx messages)
-        let installed = |owner: Option<HostId>| {
-            let mut sim = Sim::new(StackBuilder::new((scenario.topo)()).build());
-            assert_eq!(sim.events_pending(), 0, "a fresh world is idle");
-            let acct = traffic::install(&mut sim, plan, owner);
-            let served = |r: &RpcFlow| sim.state.rkom.host(r.server).has_service(r.service);
-            let served: Vec<usize> = plan.rpcs.iter().map(|r| served(r) as usize).collect();
-            let planned = acct.borrow().planned;
-            (sim.events_pending(), served, planned)
-        };
-        let mut sum = (0, vec![0; plan.rpcs.len()], [0u64; CLASSES]);
-        for h in (0..hosts).map(HostId) {
-            let (pending, served, planned) = installed(Some(h));
-            let mine = plan.flows.iter().filter(|f| f.src == h).count()
-                + plan.rpcs.iter().filter(|r| r.client == h).count();
-            assert_eq!(pending, mine, "{h:?} scheduled someone else's share");
-            for (r, n) in plan.rpcs.iter().zip(&served) {
-                assert_eq!(*n, (r.server == h) as usize, "{h:?} service {}", r.service);
-            }
-            sum.0 += pending;
-            sum.1.iter_mut().zip(served).for_each(|(s, n)| *s += n);
-            sum.2.iter_mut().zip(planned).for_each(|(s, n)| *s += n);
-        }
-        assert_eq!(sum, installed(None));
-        assert_eq!(sum.0, plan.flows.len() + plan.rpcs.len());
-    }
 }

@@ -1,22 +1,29 @@
-//! The planned paper experiments: each runs oracle-clean (`run_checked`
-//! panics otherwise), its projection renders a table with a row per
-//! scenario at least, and the shape its notes claim holds.
+//! The planned paper experiments: each runs oracle-clean on its backends
+//! (`run_checked` panics otherwise), its projection renders a table with
+//! a row per outcome at least, and the shape its notes claim holds.
 
-use dash_apps::scenario::{Outcome, Scenario};
+use dash_apps::scenario::Outcome;
 use dash_apps::traffic::Class;
-use dash_bench::{all_experiments, e_capacity, e_security_sched, e_st, figs, run_checked};
+use dash_bench::{all_experiments, run_checked};
 use dash_bench::{Experiment, Table};
 
-/// Run a planned experiment: its outcomes and its table.
-fn planned(scenarios: fn() -> Vec<Scenario>, project: fn(&[Outcome]) -> Table) -> Vec<Outcome> {
-    let outs = run_checked(scenarios());
+/// Run the planned experiment `id`: its outcomes and its table.
+fn planned(id: &str) -> (Vec<Outcome>, Table) {
+    let found = all_experiments().into_iter().find(|(n, _)| *n == id);
+    let Some((_, Experiment::Planned(scenarios, backends, project))) = found else {
+        panic!("{id} is not a planned experiment");
+    };
+    let outs = run_checked(id, scenarios(), backends);
     let table = project(&outs);
-    assert!(
-        table.rows.len() >= outs.len(),
-        "{}: a row per scenario",
-        table.id
-    );
-    outs
+    assert!(table.rows.len() >= outs.len(), "{id}: a row per outcome");
+    (outs, table)
+}
+
+/// Column `col` of `table`'s row `row`, parsed.
+fn cell<T: std::str::FromStr>(table: &Table, row: usize, col: usize) -> T {
+    let text = &table.rows[row][col];
+    text.parse()
+        .unwrap_or_else(|_| panic!("{}: {text:?} does not parse", table.id))
 }
 
 fn counter(o: &Outcome, name: &str) -> u64 {
@@ -29,14 +36,22 @@ fn net_per_client(o: &Outcome) -> f64 {
 }
 
 #[test]
-fn exactly_the_eight_moved_experiments_are_planned() {
-    let planned: Vec<&str> = all_experiments()
+fn all_but_four_experiments_are_planned() {
+    let (planned, built): (Vec<_>, Vec<_>) = all_experiments()
         .into_iter()
-        .filter(|(_, e)| matches!(e, Experiment::Planned(..)))
-        .map(|(id, _)| id)
-        .collect();
+        .partition(|(_, e)| matches!(e, Experiment::Planned(..)));
+    let ids = |v: Vec<(&'static str, _)>| v.into_iter().map(|(id, _)| id).collect::<Vec<_>>();
     assert_eq!(
-        planned,
+        ids(built),
+        [
+            "fig3_rms_levels",
+            "e1_security",
+            "e3_caching",
+            "e6_admission"
+        ]
+    );
+    assert_eq!(
+        ids(planned),
         [
             "fig1_layering",
             "fig2_architecture",
@@ -45,14 +60,20 @@ fn exactly_the_eight_moved_experiments_are_planned() {
             "e2_scheduling",
             "e4_fragmentation",
             "e5_capacity",
+            "e7_rkom",
+            "e8_congestion",
             "e9_piggyback",
+            "e10_scale",
+            "e11_routing",
+            "e12_pscale",
+            "e13_rt",
         ]
     );
 }
 
 #[test]
 fn fig1_every_network_completes_the_transfer_with_voice_on_time() {
-    for o in planned(figs::fig1_scenarios, figs::fig1_table) {
+    for o in planned("fig1_layering").0 {
         assert!(o.acct.complete(Class::Bulk), "{:?}", o.acct);
         assert_eq!(o.acct.on_time_fraction(Class::Voice), 1.0);
     }
@@ -60,7 +81,7 @@ fn fig1_every_network_completes_the_transfer_with_voice_on_time() {
 
 #[test]
 fn fig2_one_call_and_one_message_cross_every_layer() {
-    let outs = planned(figs::fig2_scenarios, figs::fig2_table);
+    let outs = planned("fig2_architecture").0;
     let a = &outs[0].acct;
     assert_eq!((a.rpc_completed, a.received.iter().sum::<u64>()), (1, 1));
     assert!(counter(&outs[0], "st.control_created") > 0);
@@ -68,7 +89,7 @@ fn fig2_one_call_and_one_message_cross_every_layer() {
 
 #[test]
 fn fig4_piggybacking_cuts_net_messages_per_client_message() {
-    let outs = planned(figs::fig4_scenarios, figs::fig4_table);
+    let outs = planned("fig4_multiplexing").0;
     let (off, on) = outs.split_at(3);
     for (off, on) in off.iter().zip(on) {
         assert_eq!(net_per_client(off), 1.0);
@@ -81,7 +102,7 @@ fn fig4_piggybacking_cuts_net_messages_per_client_message() {
 
 #[test]
 fn fig5_reverse_messages_appear_only_with_acks() {
-    let outs = planned(figs::fig5_scenarios, figs::fig5_table);
+    let outs = planned("fig5_flow_control").0;
     let reverse: Vec<u64> = (outs.iter())
         .map(|o| counter(o, "stream.ack_sent") + counter(o, "st.fast_ack_sent"))
         .collect();
@@ -92,7 +113,7 @@ fn fig5_reverse_messages_appear_only_with_acks() {
 
 #[test]
 fn e2_edf_keeps_voice_on_time_and_fifo_does_not() {
-    let outs = planned(e_security_sched::e2_scenarios, e_security_sched::e2_table);
+    let outs = planned("e2_scheduling").0;
     let on_time: Vec<f64> = (outs.iter())
         .map(|o| o.acct.on_time_fraction(Class::Voice))
         .collect();
@@ -105,7 +126,7 @@ fn e2_edf_keeps_voice_on_time_and_fifo_does_not() {
 
 #[test]
 fn e4_cpu_busy_time_falls_with_message_size() {
-    let outs = planned(e_st::e4_scenarios, e_st::e4_table);
+    let outs = planned("e4_fragmentation").0;
     for w in outs.windows(2) {
         assert!(
             w[1].cpu_busy < w[0].cpu_busy,
@@ -118,8 +139,7 @@ fn e4_cpu_busy_time_falls_with_message_size() {
 
 #[test]
 fn e5_measured_rate_is_the_predicted_rate() {
-    let outs = run_checked(e_capacity::e5_scenarios());
-    let table = e_capacity::e5_table(&outs);
+    let (_, table) = planned("e5_capacity");
     for row in &table.rows {
         let ratio: f64 = row.last().unwrap().parse().unwrap();
         assert!((0.95..1.2).contains(&ratio), "measured/predicted {ratio}");
@@ -128,10 +148,72 @@ fn e5_measured_rate_is_the_predicted_rate() {
 
 #[test]
 fn e9_piggybacking_cuts_net_messages_and_no_delivery_is_late() {
-    let outs = planned(e_st::e9_scenarios, e_st::e9_table);
+    let outs = planned("e9_piggyback").0;
     assert_eq!(net_per_client(&outs[0]), 1.0);
     for w in outs.windows(2) {
         assert!(net_per_client(&w[1]) < net_per_client(&w[0]));
     }
     assert!(outs.iter().all(|o| counter(o, "st.late_delivery") == 0));
+}
+
+#[test]
+fn e7_both_rpc_legs_complete_and_the_stream_outruns_tcp() {
+    let (outs, _) = planned("e7_rkom");
+    let calls: Vec<_> = (outs[..2].iter())
+        .map(|o| (o.acct.rpc_issued, o.acct.rpc_completed, o.acct.rpc_failed))
+        .collect();
+    assert_eq!(calls, [(60, 60, 0), (50, 50, 0)], "RKOM, TCP sequential");
+    let (stream, tcp) = (&outs[2].acct, &outs[3].acct);
+    assert!(stream.complete(Class::Bulk) && tcp.complete(Class::Bulk));
+    let goodput = |a: &dash_apps::traffic::Acct| a.goodput(Class::Bulk).unwrap();
+    assert!(
+        goodput(stream) > goodput(tcp),
+        "stream {} B/s, TCP {} B/s",
+        goodput(stream),
+        goodput(tcp)
+    );
+}
+
+#[test]
+fn e8_rate_enforcement_drops_nothing_and_ignoring_quench_drops_most() {
+    let (outs, table) = planned("e8_congestion");
+    let drops: Vec<u64> = (0..3).map(|row| cell(&table, row, 1)).collect();
+    assert_eq!(drops[0], 0, "RMS rate-enforced: {drops:?}");
+    assert!(
+        drops[2] > drops[1],
+        "ignoring quench vs reacting: {drops:?}"
+    );
+    assert!(outs.iter().all(|o| o.acct.complete(Class::Bulk)));
+}
+
+#[test]
+fn e10_delivered_messages_grow_with_the_offered_streams() {
+    let (outs, _) = planned("e10_scale");
+    for w in outs.windows(2) {
+        assert!(w[1].messages() > w[0].messages());
+    }
+}
+
+#[test]
+fn e11_outages_are_re_homed_on_both_topologies() {
+    let (outs, _) = planned("e11_routing");
+    assert!(counter(&outs[0], "routing.alternate_wins") > 0, "dumbbell");
+    assert!(outs.iter().all(|o| counter(o, "st.failover_completed") > 0));
+}
+
+#[test]
+fn e12_every_shard_count_merges_to_one_digest() {
+    let (outs, table) = planned("e12_pscale");
+    let shards: Vec<u32> = (0..3).map(|row| cell(&table, row, 0)).collect();
+    assert_eq!(shards, [1, 2, 4]);
+    let digest = outs[0].determinism_digest();
+    assert!(outs.iter().all(|o| o.determinism_digest() == digest));
+}
+
+#[test]
+fn e13_both_rt_rows_stop_at_the_horizon() {
+    let (_, table) = planned("e13_rt");
+    for row in &table.rows {
+        assert_eq!((row[7].as_str(), row[8].as_str()), ("horizon", "clean"));
+    }
 }
