@@ -131,15 +131,15 @@ fn nak_to_reject(reason: NakReason) -> RejectReason {
 ///
 /// # Errors
 ///
-/// Fails synchronously if there is no route or negotiation cannot succeed
-/// on any candidate path.
+/// Fails synchronously if `creator` is crashed, there is no route, or
+/// negotiation cannot succeed on any candidate path.
 pub fn create_rms<W: NetWorld>(
     sim: &mut Sim<W>,
     creator: HostId,
     peer: HostId,
     request: &RmsRequest,
 ) -> Result<NetRmsId, RmsError> {
-    if creator == peer {
+    if creator == peer || !sim.state.net_ref().host(creator).up {
         return Err(RmsError::CreationRejected(RejectReason::NoRoute));
     }
     let alternates = routing::candidate_paths(sim.state.net_ref(), creator, peer, request)?;
@@ -191,14 +191,15 @@ fn begin_create(
 ///
 /// # Errors
 ///
-/// Fails synchronously if there is no route or negotiation cannot succeed.
+/// Fails synchronously if `creator` is crashed, there is no route, or
+/// negotiation cannot succeed.
 pub fn create_rms_as_receiver<W: NetWorld>(
     sim: &mut Sim<W>,
     creator: HostId,
     peer: HostId,
     request: &RmsRequest,
 ) -> Result<NetRmsId, RmsError> {
-    if creator == peer {
+    if creator == peer || !sim.state.net_ref().host(creator).up {
         return Err(RmsError::CreationRejected(RejectReason::NoRoute));
     }
     // Data flows peer -> creator; negotiate along that direction.

@@ -17,7 +17,7 @@ use dash_net::NetworkId;
 use dash_sim::fault::{FaultKind, FaultPlan, GilbertElliott};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_sim::Sim;
-use rms_core::error::{FailReason, RejectReason};
+use rms_core::error::{FailReason, RejectReason, RmsError};
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
 use rms_core::RmsRequest;
@@ -275,6 +275,26 @@ fn an_invite_dropped_by_its_inviters_crash_is_answered_once() {
         "{events:?}"
     );
     assert!(events_at(&sim, a).is_empty(), "the invite never left b");
+}
+
+/// A create and an invite at a crashed host are refused at once: no
+/// attempt leaves it, so nothing is dropped and nothing answers later.
+#[test]
+fn a_crashed_host_refuses_creates_and_invites_at_once() {
+    let (net, a, b) = two_hosts_ethernet();
+    let mut sim = Sim::new(World::new(net));
+    crash_host(&mut sim, a);
+    sim.run();
+    let host_down =
+        |sim: &Sim<World>| (sim.state.net.obs.registry).counter_value("net.drop.host_down");
+    let drops = host_down(&sim);
+    let request = RmsRequest::exact(basic_params());
+    let refused = Err(RmsError::CreationRejected(RejectReason::NoRoute));
+    assert_eq!(create_rms(&mut sim, a, b, &request), refused);
+    assert_eq!(create_rms_as_receiver(&mut sim, a, b, &request), refused);
+    sim.run();
+    assert!(events_at(&sim, a).is_empty(), "{:?}", events_at(&sim, a));
+    assert_eq!(host_down(&sim), drops, "an attempt left the crashed host");
 }
 
 #[test]
