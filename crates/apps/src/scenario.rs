@@ -81,8 +81,8 @@ pub struct Scenario {
 impl Scenario {
     /// `plan` on the network `topo` builds, cut after `length`: no
     /// faults, no shard groups, seed 0, the default subtransport and TCP
-    /// baseline, free protocol processing, nothing recorded. Struct update syntax sets
-    /// the rest.
+    /// baseline, free protocol processing, nothing recorded. Struct update
+    /// syntax sets the rest.
     pub fn new(
         topo: impl Fn() -> NetState + Send + Sync + 'static,
         plan: Plan,

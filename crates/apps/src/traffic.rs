@@ -4,15 +4,15 @@
 //! (§1, §2.5) — only by the RMS parameters they pick, so a workload here
 //! is data: a [`Flow`] is `(StreamProfile, pacing, size)` between two
 //! hosts, an [`RpcFlow`] a paced RKOM client/server pair, a [`TcpFlow`]
-//! the same work over the TCP-like baseline §1 argues against, a
-//! [`Probe`] a table-routed datagram pair, and a [`Plan`] a list of each.
-//! A plan is a
-//! pure function of whatever planned it, so the serial world and every
-//! replica world of a `dash-par` run hold the same plan and
-//! [`install`] makes each act only on the endpoints it owns. Senders tag
-//! the first payload byte with the flow's [`Class`], so a receiver
-//! accounts a delivery without knowing which session the sender minted —
-//! under `dash-par` the two live in different worlds.
+//! a bulk transfer or request/reply pair over the TCP-like baseline §1
+//! argues against, a [`Probe`] a table-routed datagram pair, and a
+//! [`Plan`] a list of each. A plan is a pure function of whatever planned
+//! it, so the serial world and every replica world of a `dash-par` run
+//! hold the same plan and [`install`] makes each act only on the
+//! endpoints it owns. Senders tag the first payload byte with the flow's
+//! [`Class`], so a receiver accounts a delivery without knowing which
+//! session the sender minted — under `dash-par` the two live in different
+//! worlds.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -223,18 +223,15 @@ pub struct RpcFlow {
 }
 
 /// One planned connection over the TCP-like baseline (§1's comparator):
-/// `client` connects to `server:port` at `start` and, once connected,
-/// does its [`TcpWork`].
+/// `client` connects to `server` at the run start and, once connected,
+/// does its [`TcpWork`]. The `i`-th of a plan's connections listens on
+/// port [`TCP_PORT_BASE`]` + i`.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpFlow {
     /// Connecting host.
     pub client: HostId,
     /// Listening host.
     pub server: HostId,
-    /// Listening port, unique per server.
-    pub port: u16,
-    /// Connect time, as an offset from the run start.
-    pub start: SimDuration,
     /// What the connection carries.
     pub work: TcpWork,
 }
@@ -258,6 +255,9 @@ pub enum TcpWork {
         reply: u64,
     },
 }
+
+/// The listening port of a plan's first [`TcpFlow`].
+pub const TCP_PORT_BASE: u16 = 8000;
 
 /// Table-routed datagram probes between two hosts, both ways, every
 /// `interval` until `end`. Floods and RMS traffic never consult the route
@@ -489,19 +489,22 @@ pub fn install_on(
         }
     }
     if !plan.tcp.is_empty() {
-        for t in plan.tcp.iter().filter(|t| owned(t.server)) {
-            tcp::listen(sim, t.server, t.port);
+        let flows = plan.tcp.iter().zip(TCP_PORT_BASE..);
+        for (t, port) in flows.clone().filter(|(t, _)| owned(t.server)) {
+            tcp::listen(sim, t.server, port);
             if let TcpWork::Bulk(_) = t.work {
                 acct.borrow_mut().planned[Class::Bulk as usize] += 1;
             }
         }
-        let (flows, a) = (plan.tcp.clone(), Rc::clone(&acct));
+        let (plan_tcp, a) = (plan.tcp.clone(), Rc::clone(&acct));
         sim.state
-            .on_tcp(move |sim, host, ev| on_tcp_event(sim, host, ev, &flows, &a));
-        for t in plan.tcp.iter().filter(|t| owned(t.client)) {
-            let (t, a) = (*t, Rc::clone(&acct));
-            sim.schedule_in(t.start, move |sim| {
-                let conn = tcp::connect(sim, t.client, t.server, t.port);
+            .on_tcp(move |sim, host, ev| on_tcp_event(sim, host, ev, &plan_tcp, &a));
+        for (&t, port) in flows.filter(|(t, _)| owned(t.client)) {
+            let a = Rc::clone(&acct);
+            // At the run start, not now: a connect sends at once, and the
+            // world is still being set up (a `Par` replica is not yet one).
+            sim.schedule_in(SimDuration::ZERO, move |sim| {
+                let conn = tcp::connect(sim, t.client, t.server, port);
                 a.borrow_mut().tcp.insert((t.client, conn), (t, sim.now()));
             });
         }
@@ -721,7 +724,8 @@ fn on_tcp_event(
                         return;
                     }
                     a.rpc_completed += 1;
-                    (a.rpc_latency).record(now.saturating_since(*started).as_secs_f64());
+                    a.rpc_latency
+                        .record(now.saturating_since(*started).as_secs_f64());
                     if total / reply >= calls {
                         return;
                     }
@@ -732,8 +736,8 @@ fn on_tcp_event(
             }
         }
     } else {
-        let server = flows.iter().find(|t| t.server == host && t.port == port);
-        let Some(t) = server.filter(|_| bytes > 0) else {
+        let flow = flows.get(usize::from(port.wrapping_sub(TCP_PORT_BASE)));
+        let Some(t) = flow.filter(|t| t.server == host && bytes > 0) else {
             return;
         };
         match t.work {
@@ -839,13 +843,11 @@ mod tests {
         assert!(a.rpc_latency.mean() < 0.05, "LAN RPC should be fast");
     }
 
-    /// A TCP connection from `a` to `b`'s `port` carrying `work`.
-    fn tcp_flow(a: HostId, b: HostId, port: u16, work: TcpWork) -> TcpFlow {
+    /// A TCP connection from `a` to `b` carrying `work`.
+    fn tcp_flow(a: HostId, b: HostId, work: TcpWork) -> TcpFlow {
         TcpFlow {
             client: a,
             server: b,
-            port,
-            start: SimDuration::ZERO,
             work,
         }
     }
@@ -857,7 +859,6 @@ mod tests {
             tcp: vec![tcp_flow(
                 a,
                 b,
-                80,
                 TcpWork::Rpc {
                     calls,
                     request,
@@ -879,11 +880,10 @@ mod tests {
     fn tcp_bulk_beside_tcp_rpc_on_one_server() {
         let (mut sim, acct) = lan(|a, b| Plan {
             tcp: vec![
-                tcp_flow(a, b, 80, TcpWork::Bulk(100_000)),
+                tcp_flow(a, b, TcpWork::Bulk(100_000)),
                 tcp_flow(
                     a,
                     b,
-                    81,
                     TcpWork::Rpc {
                         calls: 3,
                         request: 8,

@@ -8,15 +8,13 @@
 
 fn main() {
     let all = dash_bench::all_experiments();
-    let known = || all.iter().map(|(id, _)| id.to_string());
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for id in if args.is_empty() {
-        known().collect()
-    } else {
-        args
-    } {
+    let known: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
+    let mut ids: Vec<String> = std::env::args().skip(1).collect();
+    if ids.is_empty() {
+        ids = known.iter().map(|id| id.to_string()).collect();
+    }
+    for id in ids {
         let Some(&(id, e)) = all.iter().find(|(n, _)| *n == id) else {
-            let known: Vec<String> = known().collect();
             eprintln!("unknown experiment: {id}\nknown: {}", known.join(", "));
             std::process::exit(2);
         };

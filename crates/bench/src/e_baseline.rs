@@ -30,8 +30,6 @@ pub fn e7_scenarios() -> Vec<Scenario> {
         tcp: vec![TcpFlow {
             client: a,
             server: b,
-            port: 80,
-            start: SimDuration::ZERO,
             work,
         }],
         ..Plan::default()
@@ -158,12 +156,10 @@ pub fn e8_scenarios() -> Vec<Scenario> {
             .collect::<Vec<_>>(),
     );
     let tcp = Plan {
-        tcp: (pairs().zip(8000..))
-            .map(|((client, server), port)| TcpFlow {
+        tcp: pairs()
+            .map(|(client, server)| TcpFlow {
                 client,
                 server,
-                port,
-                start: SimDuration::ZERO,
                 work: TcpWork::Bulk(96 * 1024),
             })
             .collect(),

@@ -198,7 +198,7 @@ pub fn e4_table(outs: &[Outcome]) -> Table {
     }
     t.note("1 MB offered at ~6 Mb/s over a lossy Ethernet (BER 4e-7, drop 0.2%), context switch 100 us, unreliable stream");
     t.note("goodput is delivered bytes over first send to last delivery; cpu busy sums both hosts' protocol CPUs, establishment included");
-    t.note("expected shape: goodput rises with message size (fewer context switches), then falls as whole-message loss dominates — an interior optimum");
+    t.note("expected shape: cpu busy falls with message size (fewer context switches) while whole-message loss climbs; the offered rate, not the cpu, caps goodput, so it only falls with size");
     t
 }
 

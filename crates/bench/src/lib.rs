@@ -1,10 +1,10 @@
 //! # dash-bench — the experiment harness
 //!
-//! One runner per figure/claim of the paper (see DESIGN.md's experiment
-//! index). Each returns a [`table::Table`]; the `run_experiments` binary
-//! prints them all. The macro-workload behind e10/e12/e13 is described
-//! once in [`mix`] and run on three backends by the `mix` binary; how
-//! fast any of it runs is `dash-benchmark`'s business, not this crate's.
+//! One [`Experiment`] per figure/claim of the paper (see DESIGN.md's
+//! experiment index), most planned as scenarios run by [`run_checked`] and
+//! judged by [`judge`]; the `run_experiments` binary prints every table.
+//! The macro-workload of e10/e12/e13 is planned once in [`mix`]; how fast
+//! any of it runs is `dash-benchmark`'s business, not this crate's.
 //!
 //! The paper (an architecture technical report) publishes no measured
 //! tables, so "reproduction" here means: run the subsystem each figure

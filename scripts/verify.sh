@@ -213,11 +213,13 @@ fi
 cargo run --release -q --example routing_cost >/dev/null
 
 # Every paper table once, in release (about 3 s, most of it e13's
-# wall-paced run). A planned experiment panics on an oracle violation, so
-# a panic or violation in any table, not only those a test runs, fails
-# here.
+# wall-paced run). Every planned experiment, e10-e13 included, runs
+# through run_checked, which panics on an oracle violation, a wall-box
+# stop or a shard-count divergence and names the table; so any of those
+# in any table, not only those a test runs, fails here.
 if ! cargo run --release -q -p dash-bench --bin run_experiments >/dev/null; then
-    echo "verify: run_experiments FAILED (panic or oracle violation above) —" >&2
+    echo "verify: run_experiments FAILED (the panic above names the table:" >&2
+    echo "verify: oracle violation, wall-box stop or shard divergence) —"   >&2
     echo "verify: reproduce one table with"                                   >&2
     echo "verify:   cargo run --release -p dash-bench --bin run_experiments <id>" >&2
     exit 1
