@@ -5,14 +5,15 @@
 //! is data: a [`Flow`] is `(StreamProfile, pacing, size)` between two
 //! hosts, an [`RpcFlow`] a paced RKOM client/server pair, a [`TcpFlow`]
 //! a bulk transfer or request/reply pair over the TCP-like baseline §1
-//! argues against, a [`Probe`] a table-routed datagram pair, and a
-//! [`Plan`] a list of each. A plan is a pure function of whatever planned
-//! it, so the serial world and every replica world of a `dash-par` run
-//! hold the same plan and [`install`] makes each act only on the
-//! endpoints it owns. Senders tag the first payload byte with the flow's
-//! [`Class`], so a receiver accounts a delivery without knowing which
-//! session the sender minted — under `dash-par` the two live in different
-//! worlds.
+//! argues against, a [`WindowFlow`] a network window system (§2.5), a
+//! [`Probe`] a table-routed datagram pair, and a [`Plan`] a list of each.
+//! A plan is a pure function of whatever planned it, so the serial world
+//! and every replica world of a `dash-par` run hold the same plan and
+//! [`install`] makes each act only on the endpoints it owns. Senders tag
+//! the first payload byte with the flow's [`Class`] (a window's messages
+//! with a tag of their own), so a receiver accounts a delivery without
+//! knowing which session the sender minted — under `dash-par` the two
+//! live in different worlds.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -32,8 +33,6 @@ use dash_transport::stream::{self, StreamEvent, StreamProfile};
 use rms_core::delay::DelayBound;
 use rms_core::message::Message;
 use rms_core::wire::WireMsg;
-
-use crate::taps::Dispatcher;
 
 /// The payload tag (`tag = class index + 1`, first byte of every stream
 /// message) and accounting bucket of a flow. What a flow *asks of the
@@ -259,6 +258,57 @@ pub enum TcpWork {
 /// The listening port of a plan's first [`TcpFlow`].
 pub const TCP_PORT_BASE: u16 = 8000;
 
+/// One planned network window system (§2.5, ref \[7\]): input events go
+/// user → app on a low-capacity RMS, graphics updates come back on a
+/// higher-capacity one. The user's world sends Poisson events from the run
+/// start until `duration` is up; the app's world answers each with a
+/// Pareto-sized update that echoes the event's send time, and the user's
+/// world counts the interaction in [`Acct`]'s `window_*` fields.
+#[derive(Debug, Clone, Copy)]
+pub struct WindowFlow {
+    /// The host with the mouse, keyboard and screen.
+    pub user: HostId,
+    /// The application's host.
+    pub app: HostId,
+    /// Mean input-event rate, events/second.
+    pub event_rate: f64,
+    /// Input event size, bytes (at least the 13 the event carries).
+    pub event_bytes: u64,
+    /// Mean graphics update size, bytes (Pareto-tailed).
+    pub graphics_bytes: u64,
+    /// Event → screen-update latency past which an interaction is late:
+    /// human perception tolerates a moderate delay.
+    pub budget: SimDuration,
+    /// No event is sent at or after this offset from the run start.
+    pub duration: SimDuration,
+    /// Seed of the event gaps and, derived, of the update sizes.
+    pub seed: u64,
+}
+
+impl WindowFlow {
+    /// A user typing and pointing at 50 events/s of 32 B for 2 s,
+    /// answered by 2 KiB updates on average, within a 100 ms budget.
+    pub fn new(user: HostId, app: HostId, seed: u64) -> WindowFlow {
+        WindowFlow {
+            user,
+            app,
+            event_rate: 50.0,
+            event_bytes: 32,
+            graphics_bytes: 2 * 1024,
+            budget: SimDuration::from_millis(100),
+            duration: SimDuration::from_secs(2),
+            seed,
+        }
+    }
+}
+
+/// First byte of a window system's input event and of the graphics
+/// update answering it; [`Class::from_tag`] claims neither. Both carry
+/// the window's plan index (4 bytes) and the event's send time (8 bytes)
+/// behind the tag.
+const EVENT_TAG: u8 = 0xE0;
+const UPDATE_TAG: u8 = 0xE1;
+
 /// Table-routed datagram probes between two hosts, both ways, every
 /// `interval` until `end`. Floods and RMS traffic never consult the route
 /// table (they are source-routed or pinned), so probes are what turns
@@ -284,6 +334,8 @@ pub struct Plan {
     pub rpcs: Vec<RpcFlow>,
     /// Connections over the TCP-like baseline.
     pub tcp: Vec<TcpFlow>,
+    /// Network window systems.
+    pub windows: Vec<WindowFlow>,
     /// Datagram probes.
     pub probes: Vec<Probe>,
 }
@@ -336,6 +388,13 @@ pub struct Acct {
     pub last_delivery: [Option<SimTime>; CLASSES],
     /// Round-trip latency of every answered RKOM call, seconds.
     pub rpc_latency: Histogram,
+    /// Window-system input events sent.
+    pub window_events: u64,
+    /// Answered window interactions past their window's budget.
+    pub window_late: u64,
+    /// Event → screen-update latency of every answered window
+    /// interaction, seconds: its count is the interactions answered.
+    pub window_latency: Histogram,
     /// Sender sessions opened here, as `(source host, session)`.
     sessions: Vec<(HostId, u64)>,
     /// Lateness budget per class, from the flows this world receives.
@@ -346,6 +405,18 @@ pub struct Acct {
     /// Client TCP connection -> its flow and when its current call (or
     /// transfer) started (lookups only, never iterated).
     tcp: BTreeMap<(HostId, u64), (TcpFlow, SimTime)>,
+    /// The plan's window systems, by plan index.
+    windows: Vec<Window>,
+}
+
+/// A planned window system as the worlds holding its ends see it.
+#[derive(Debug, Clone)]
+struct Window {
+    flow: WindowFlow,
+    /// The graphics session, once the app's world opened it.
+    graphics: Option<u64>,
+    /// The update-size generator, drawn in the app's world.
+    sizes: Rng,
 }
 
 impl Acct {
@@ -358,6 +429,9 @@ impl Acct {
         self.rpc_completed += o.rpc_completed;
         self.rpc_failed += o.rpc_failed;
         self.rpc_latency.merge_from(&o.rpc_latency);
+        self.window_events += o.window_events;
+        self.window_late += o.window_late;
+        self.window_latency.merge_from(&o.window_latency);
         for c in 0..CLASSES {
             self.planned[c] += o.planned[c];
             self.sent[c] += o.sent[c];
@@ -424,40 +498,35 @@ pub type SharedAcct = Rc<RefCell<Acct>>;
 
 /// Install `plan` on a world. With `owner == None` the world is the whole
 /// system; with `Some(h)` it is `h`'s replica under `dash-par` and only
-/// `h`'s endpoints act. Returns the world's accounting.
+/// `h`'s endpoints act. The driver claims the stream tap of every host
+/// with an owned stream end. Returns the world's accounting.
 pub fn install(sim: &mut Sim<Stack>, plan: &Plan, owner: Option<HostId>) -> SharedAcct {
-    let mut hosts: Vec<HostId> = plan
-        .flows
-        .iter()
-        .flat_map(|f| [f.src, f.dst])
-        .filter(|h| owner.is_none_or(|o| o == *h))
-        .collect();
-    hosts.sort_unstable();
-    hosts.dedup();
-    let taps = Dispatcher::install(sim, &hosts);
-    install_on(sim, &taps, plan, owner)
-}
-
-/// [`install`] on hosts `taps` already covers: the plan's flows take the
-/// stream events no session handler registered with `taps` claims, so
-/// planned traffic and ad-hoc [`Dispatcher`] sessions share a host.
-pub fn install_on(
-    sim: &mut Sim<Stack>,
-    taps: &Dispatcher,
-    plan: &Plan,
-    owner: Option<HostId>,
-) -> SharedAcct {
     let owned = |h: HostId| owner.is_none_or(|o| o == h);
-    let acct: SharedAcct = Rc::new(RefCell::new(Acct::default()));
+    let acct = SharedAcct::default();
     {
         let mut a = acct.borrow_mut();
         for f in plan.flows.iter().filter(|f| owned(f.dst)) {
             a.planned[f.class as usize] += f.count;
             a.budget[f.class as usize] = f.budget;
         }
+        a.windows = (plan.windows.iter())
+            .map(|&flow| Window {
+                flow,
+                graphics: None,
+                sizes: Rng::new(flow.seed.wrapping_mul(0x9e37_79b9).wrapping_add(0xA44)),
+            })
+            .collect();
     }
-    let a = Rc::clone(&acct);
-    taps.on_unclaimed(move |sim, host, ev| on_stream_event(sim, host, ev, &a));
+    let flow_ends = plan.flows.iter().flat_map(|f| [f.src, f.dst]);
+    let window_ends = plan.windows.iter().flat_map(|w| [w.user, w.app]);
+    let mut hosts: Vec<HostId> = flow_ends.chain(window_ends).filter(|&h| owned(h)).collect();
+    hosts.sort_unstable();
+    hosts.dedup();
+    for h in hosts {
+        let a = Rc::clone(&acct);
+        sim.state
+            .on_stream(h, move |sim, ev| on_stream_event(sim, h, ev, &a));
+    }
     for f in plan.flows.iter().filter(|f| owned(f.src)) {
         let f = f.clone();
         let a = Rc::clone(&acct);
@@ -516,6 +585,13 @@ pub fn install_on(
             }
         }
     }
+    for (i, w) in (0..).zip(&plan.windows) {
+        if owned(w.user) || owned(w.app) {
+            let a = Rc::clone(&acct);
+            // At the run start, as the TCP connects above.
+            sim.schedule_in(SimDuration::ZERO, move |sim| open_window(sim, i, owner, a));
+        }
+    }
     acct
 }
 
@@ -571,18 +647,21 @@ fn on_stream_event(sim: &mut Sim<Stack>, host: HostId, ev: StreamEvent, acct: &S
             delay,
             ..
         } => {
-            let Some(class) = msg.wire().first_byte().and_then(Class::from_tag) else {
-                return;
-            };
-            let c = class as usize;
-            {
-                let mut a = acct.borrow_mut();
-                a.received[c] += 1;
-                a.bytes[c] += msg.len() as u64;
-                a.delays[c].record(delay.as_secs_f64());
-                a.last_delivery[c] = Some(sim.now());
-                if delay > a.budget[c] {
-                    a.late[c] += 1;
+            match msg.wire().first_byte() {
+                Some(EVENT_TAG | UPDATE_TAG) => on_window_msg(sim, host, &msg, acct),
+                tag => {
+                    let Some(class) = tag.and_then(Class::from_tag) else {
+                        return;
+                    };
+                    let c = class as usize;
+                    let mut a = acct.borrow_mut();
+                    a.received[c] += 1;
+                    a.bytes[c] += msg.len() as u64;
+                    a.delays[c].record(delay.as_secs_f64());
+                    a.last_delivery[c] = Some(sim.now());
+                    if delay > a.budget[c] {
+                        a.late[c] += 1;
+                    }
                 }
             }
             // Disk-speed sink: consume at once so receiver flow control
@@ -757,6 +836,101 @@ fn on_tcp_event(
     }
 }
 
+/// Open window `i`'s streams at the run start with §2.5's parameters:
+/// in the app's world the higher-capacity graphics stream, in the user's
+/// world the low-capacity event stream, whose input source starts at once.
+fn open_window(sim: &mut Sim<Stack>, i: u32, owner: Option<HostId>, acct: SharedAcct) {
+    let owned = |h: HostId| owner.is_none_or(|o| o == h);
+    let w = acct.borrow().windows[i as usize].flow;
+    if owned(w.app) {
+        match stream::open(sim, w.app, w.user, window_profile(64 * 1024, 16 * 1024, 60)) {
+            Ok(s) => acct.borrow_mut().windows[i as usize].graphics = Some(s),
+            Err(_) => acct.borrow_mut().failed += 1,
+        }
+    }
+    if owned(w.user) {
+        match stream::open(sim, w.user, w.app, window_profile(4 * 1024, 256, 30)) {
+            Ok(s) => window_events(sim, i, s, Rng::new(w.seed), acct),
+            Err(_) => acct.borrow_mut().failed += 1,
+        }
+    }
+}
+
+/// A best-effort window stream profile: `ms` plus 10 µs per byte.
+fn window_profile(capacity: u64, max_message: u64, ms: u64) -> StreamProfile {
+    let delay =
+        DelayBound::best_effort_with(SimDuration::from_millis(ms), SimDuration::from_micros(10));
+    StreamProfile {
+        capacity,
+        max_message,
+        delay,
+        ..StreamProfile::default()
+    }
+}
+
+/// Window `i`'s input source in the user's world: after each exponential
+/// gap (mean `1 / event_rate`) one event, until the window's `duration`
+/// is up.
+fn window_events(sim: &mut Sim<Stack>, i: u32, session: u64, mut rng: Rng, acct: SharedAcct) {
+    let w = acct.borrow().windows[i as usize].flow;
+    if sim.now() >= SimTime::ZERO.saturating_add(w.duration) {
+        return;
+    }
+    let gap = SimDuration::from_secs_f64(rng.exp(1.0 / w.event_rate));
+    sim.schedule_in(gap, move |sim| {
+        acct.borrow_mut().window_events += 1;
+        let event = window_msg(EVENT_TAG, i, sim.now(), w.event_bytes);
+        let _ = stream::send(sim, w.user, session, event);
+        window_events(sim, i, session, rng, acct);
+    });
+}
+
+/// A window message: `tag`, the window's plan index and an event's send
+/// time, zero-padded to `len` bytes.
+fn window_msg(tag: u8, i: u32, sent: SimTime, len: u64) -> Message {
+    let mut p = vec![0u8; (len as usize).max(13)];
+    p[0] = tag;
+    p[1..5].copy_from_slice(&i.to_be_bytes());
+    p[5..13].copy_from_slice(&sent.as_nanos().to_be_bytes());
+    Message::new(p)
+}
+
+/// A window message's plan index and event send time.
+fn window_header(msg: &Message) -> Option<(u32, SimTime)> {
+    let p = msg.payload();
+    let i = u32::from_be_bytes(p.get(1..5)?.try_into().ok()?);
+    let sent = u64::from_be_bytes(p.get(5..13)?.try_into().ok()?);
+    Some((i, SimTime::from_nanos(sent)))
+}
+
+/// A window message arrived. In the app's world it is an input event,
+/// answered with a graphics update of a Pareto-tailed size that echoes
+/// the event's send time; in the user's world it is that update, and the
+/// interaction is counted with its latency.
+fn on_window_msg(sim: &mut Sim<Stack>, host: HostId, msg: &Message, acct: &SharedAcct) {
+    let Some((i, sent)) = window_header(msg) else {
+        return;
+    };
+    let mut a = acct.borrow_mut();
+    let Some(w) = a.windows.get_mut(i as usize) else {
+        return;
+    };
+    if msg.wire().first_byte() == Some(EVENT_TAG) {
+        let mean = w.flow.graphics_bytes as f64;
+        let len = (mean * w.sizes.pareto(0.45, 1.8)).clamp(256.0, 15_000.0);
+        let Some(session) = w.graphics else {
+            return;
+        };
+        drop(a);
+        let update = window_msg(UPDATE_TAG, i, sent, len as u64);
+        let _ = stream::send(sim, host, session, update);
+    } else {
+        let (budget, latency) = (w.flow.budget, sim.now().saturating_since(sent));
+        a.window_latency.record(latency.as_secs_f64());
+        a.window_late += u64::from(latency > budget);
+    }
+}
+
 /// One direction of a [`Probe`], driven by the world owning `from`.
 fn probe_tick(sim: &mut Sim<Stack>, from: HostId, to: HostId, p: Probe) {
     if sim.now() >= SimTime::ZERO.saturating_add(p.end) {
@@ -900,6 +1074,24 @@ mod tests {
         assert_eq!((a.sent[b], a.received[b], a.bytes[b]), (1, 1, 100_000));
         assert!(a.goodput(Class::Bulk).unwrap() > 200_000.0);
         assert_eq!(a.rpc_completed, 3);
+    }
+
+    #[test]
+    fn interactive_loop_on_lan_is_snappy() {
+        let (mut sim, acct) = lan(|user, app| Plan {
+            windows: vec![WindowFlow::new(user, app, 21)],
+            ..Plan::default()
+        });
+        sim.run();
+        let a = acct.borrow();
+        let sent = a.window_events;
+        assert!(sent > 50, "events {sent}");
+        let answered = a.window_latency.count();
+        assert!(answered as f64 > sent as f64 * 0.8, "{answered} of {sent}");
+        assert_eq!(a.window_late, 0, "LAN interactions inside 100 ms");
+        assert!(a.window_latency.mean() < 0.05);
+        // The window's messages are counted in no class.
+        assert_eq!((a.sent, a.received), ([0; CLASSES], [0; CLASSES]));
     }
 
     #[test]

@@ -9,7 +9,6 @@ use std::rc::Rc;
 use bytes::Bytes;
 use dash_apps::scenario::{Outcome, Scenario};
 use dash_apps::traffic::{Class, Flow, Plan};
-use dash_check::check_stream;
 use dash_net::state::NetConfig;
 use dash_net::topology::{two_hosts_ethernet, TopologyBuilder};
 use dash_net::NetworkSpec;
@@ -258,15 +257,11 @@ pub fn e9_table(outs: &[Outcome]) -> Table {
         "bundled msgs",
         "bundling",
         "mean delay",
-        "order ok",
         "late",
     ]);
     for ((label, _, slack_ms), o) in E9_ROWS.into_iter().zip(outs) {
         let (a, reg) = (&o.acct, &o.registry);
         let bundled = reg.counter_value("st.msg_bundled");
-        let fifo = check_stream(&o.stream, true)
-            .iter()
-            .all(|v| !v.starts_with("[fifo]"));
         t.row(vec![
             label.into(),
             format!("{slack_ms}ms"),
@@ -274,12 +269,10 @@ pub fn e9_table(outs: &[Outcome]) -> Table {
             bundled.to_string(),
             pct(bundled as f64 / a.sent[Class::Voice as usize] as f64),
             secs(a.delays[Class::Voice as usize].mean()),
-            fifo.to_string(),
             reg.counter_value("st.late_delivery").to_string(),
         ]);
     }
     t.note("4 ST RMSs on one network RMS, 400 × 64 B messages, Poisson 500 us gaps");
-    t.note("'order ok' is the semantic oracle's fifo verdict on the run's event stream");
     t.note("expected shape: more slack → more bundling and fewer net msgs, delay grows by ≤ slack, ordering always holds, no late deliveries");
     t
 }

@@ -3,12 +3,8 @@
 //! depicts and quantifies the claim attached to it. See DESIGN.md's
 //! experiment index.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use dash_apps::scenario::{Outcome, Scenario};
-use dash_apps::taps::Dispatcher;
-use dash_apps::traffic::{Class, Flow, Plan, RpcFlow};
+use dash_apps::traffic::{self, Class, Flow, Plan, RpcFlow};
 use dash_net::state::NetConfig;
 use dash_net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
 use dash_net::NetworkSpec;
@@ -199,24 +195,22 @@ pub fn fig3_rms_levels_json() -> (Table, String) {
             .retain_spans(true)
             .build(),
     );
-    let taps = Dispatcher::install(&mut sim, &[a, b]);
     let profile = StreamProfile {
         max_message: 512,
         delay: best_effort(50),
         ..StreamProfile::default()
     };
-    let session = stream::open(&mut sim, a, b, profile).unwrap();
-    let delays = Rc::new(RefCell::new(Vec::new()));
-    let d2 = Rc::clone(&delays);
-    taps.register(session, move |_s, ev| {
-        d2.borrow_mut().push(ev.delay.as_secs_f64())
-    });
+    let measured = Flow {
+        src: a,
+        dst: b,
+        count: 200,
+        interval: SimDuration::from_millis(2),
+        len: 400,
+        ..paced(profile)
+    };
+    let acct = traffic::install(&mut sim, &Plan::from(vec![measured]), None);
     sim.run();
-    for _ in 0..200 {
-        let _ = stream::send(&mut sim, a, session, Message::zeroes(400));
-        sim.run_until(sim.now() + SimDuration::from_millis(2));
-    }
-    sim.run();
+    let session = acct.borrow().sessions()[0].1;
 
     // Stage budgets: the ST negotiated bound vs the network RMS bound.
     let sth = sim.state.st.host(a);
@@ -230,10 +224,9 @@ pub fn fig3_rms_levels_json() -> (Table, String) {
     // transport send through ST, the interface queue, and the wire to port
     // delivery, and the registry aggregated the per-stage intervals.
     let spans_completed = sim.state.net.obs.spans().len();
-    let delivered_in_measurement = delays.borrow().len();
-    let app_mean = {
-        let ds = delays.borrow();
-        ds.iter().sum::<f64>() / ds.len().max(1) as f64
+    let (delivered_in_measurement, app_mean) = {
+        let client = &acct.borrow().delays[Class::Voice as usize];
+        (client.count(), client.mean())
     };
     let (net_mean, st_mean, e2e_mean) = {
         let reg = &mut sim.state.net.obs.registry;

@@ -28,7 +28,6 @@ use dash_sim::rng::Rng;
 use dash_sim::time::{SimDuration, SimTime};
 use dash_transport::stream::StreamProfile;
 
-use crate::judge;
 use crate::table::{f, pct, Table};
 
 // ---------------------------------------------------------------------------
@@ -502,13 +501,11 @@ pub fn e13_table(outs: &[Outcome]) -> Table {
         "misses",
         "dropped",
         "stop",
-        "oracle",
     ]);
     for o in outs {
         let (Backend::Rt { loss_per_mille }, Some(rt)) = (o.backend, &o.rt) else {
             panic!("e13 runs on the real-time backend, not {:?}", o.backend);
         };
-        let faults = judge(o, &mut None);
         t.row(vec![
             format!("{:.1}%", loss_per_mille as f64 / 10.0),
             format!("{:.2}", o.wall_secs),
@@ -518,11 +515,6 @@ pub fn e13_table(outs: &[Outcome]) -> Table {
             rt.deadline_misses.to_string(),
             rt.substrate_dropped.to_string(),
             format!("{:?}", rt.stop).to_lowercase(),
-            if faults.is_empty() {
-                "clean".into()
-            } else {
-                format!("{} VIOLATIONS", faults.len())
-            },
         ]);
     }
     t.note("wall ≈ sim by construction: the monotonic driver paces events, so this table costs real seconds");

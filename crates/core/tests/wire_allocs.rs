@@ -3,54 +3,15 @@
 //! and dropping both costs no allocation, and neither does carving its
 //! headers from the shared header store.
 //!
-//! The counting allocator counts per thread (the test harness runs tests
-//! on threads of their own), reallocations included.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! `dash_sim::alloc::Counting` counts per thread (the test harness runs
+//! tests on threads of their own), reallocations included.
 
 use bytes::{BufMut, Bytes};
+use dash_sim::alloc::{counts, Counting};
 use rms_core::wire::{self, WireMsg};
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// [`System`] plus this thread's allocation counter.
-struct Counting;
-
-// SAFETY: every operation is delegated to `System` unchanged; the counter
-// is a const-initialised thread-local without a destructor, so touching
-// it neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
 
 /// Bundle-shaped cycles measured once warm.
 const CYCLES: u64 = 10_000;
@@ -99,7 +60,7 @@ fn a_warm_bundle_and_its_clone_allocate_nothing() {
         drop((b, c, again));
     }
 
-    let before = allocs();
+    let before = counts().allocs;
     let mut bytes = 0;
     for _ in 0..CYCLES {
         let b = bundle(&frames);
@@ -109,7 +70,8 @@ fn a_warm_bundle_and_its_clone_allocate_nothing() {
         drop(b);
         drop(c);
     }
-    let spent = allocs() - before;
+    let spent = counts().allocs - before;
+    println!("{spent} allocations over {CYCLES} bundles and their clones");
     assert_eq!(bytes, CYCLES as usize * (3 + 6 * (30 + 26 + 160)));
     assert_eq!(
         spent, 0,
@@ -129,10 +91,11 @@ fn a_message_spilled_by_pushing_reuses_a_pooled_list() {
         m
     };
     drop(grow());
-    let before = allocs();
+    let before = counts().allocs;
     for _ in 0..CYCLES {
         drop(grow());
     }
-    let spent = allocs() - before;
+    let spent = counts().allocs - before;
+    println!("{spent} allocations over {CYCLES} spills");
     assert_eq!(spent, 0, "{spent} allocations over {CYCLES} spills");
 }

@@ -4,64 +4,20 @@
 //! and building a topology computes no routes, so its bytes grow linearly
 //! in the hosts instead of with their square.
 //!
-//! The counting allocator counts per thread (the test harness runs tests
-//! on threads of their own), reallocations included.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! `dash_sim::alloc::Counting` counts per thread (the test harness runs
+//! tests on threads of their own), reallocations included.
 
 use dash_net::ids::HostId;
 use dash_net::routing::{candidate_paths, mark_routes_dirty};
 use dash_net::state::NetState;
 use dash_net::topology::{mesh3x3, TopologyBuilder};
+use dash_sim::alloc::{counted, Counting};
 use dash_sim::time::SimTime;
 use rms_core::params::RmsParams;
 use rms_core::RmsRequest;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
-}
-
-/// [`System`] plus this thread's allocation and byte counters.
-struct Counting;
-
-// SAFETY: every operation is delegated to `System` unchanged; the counters
-// are const-initialised thread-locals without destructors, so touching
-// them neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// `f`'s result, and the allocations and bytes it cost on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (a, b) = (ALLOCS.get(), BYTES.get());
-    let out = f();
-    (out, ALLOCS.get() - a, BYTES.get() - b)
-}
 
 fn mesh(hosts_per_lan: usize) -> (NetState, Vec<Vec<HostId>>) {
     let mut tb = TopologyBuilder::new();
@@ -84,7 +40,9 @@ fn candidate_paths_allocates_only_its_answer() {
         ("neighbour LAN", lans[1][0]),
     ] {
         let warm = candidate_paths(&net, src, dst, &request).unwrap();
-        let (again, allocs, _) = counted(|| candidate_paths(&net, src, dst, &request).unwrap());
+        let (again, spent) = counted(|| candidate_paths(&net, src, dst, &request).unwrap());
+        let allocs = spent.allocs;
+        println!("candidate_paths, {pair}: {allocs} allocations per call");
         assert_eq!(again.len(), 3, "{pair}");
         assert_eq!(again.len(), warm.len(), "{pair}");
         assert!(allocs <= 12, "{pair}: {allocs} allocations per call");
@@ -100,18 +58,23 @@ fn a_second_path_walk_allocates_only_its_result() {
     mark_routes_dirty(&mut net, SimTime::ZERO);
     let (src, dst) = (lans[0][0], lans[8][0]);
     let first = net.path(src, dst).unwrap();
-    let (again, allocs, _) = counted(|| net.path(src, dst).unwrap());
+    let (again, spent) = counted(|| net.path(src, dst).unwrap());
+    let allocs = spent.allocs;
     assert_eq!(again, first);
     // The same result pushed hop by hop, as the walk builds it.
-    let (_, result_allocs, _) = counted(|| {
+    let (_, result) = counted(|| {
         let mut out = Vec::new();
         for &hop in &first {
             out.push(std::hint::black_box(hop));
         }
         out
     });
+    println!(
+        "second path walk: {allocs} allocations, its result alone {}",
+        result.allocs
+    );
     assert_eq!(first.len(), 5, "corner to corner crosses four gateways");
-    assert_eq!(allocs, result_allocs, "a {}-hop walk", first.len());
+    assert_eq!(allocs, result.allocs, "a {}-hop walk", first.len());
 }
 
 /// Building computes no routes, so its bytes are linear in the hosts:
@@ -122,9 +85,10 @@ fn topology_build_bytes_grow_linearly() {
     let bytes = |per_lan| {
         let mut tb = TopologyBuilder::new();
         mesh3x3(&mut tb, per_lan);
-        counted(|| tb.build()).2
+        counted(|| tb.build()).1.bytes
     };
     let (small, large) = (bytes(30), bytes(110));
+    println!("mesh3x3 build: {small} B at 30 hosts per LAN, {large} B at 110");
     assert!(
         large <= 4 * small,
         "mesh3x3(110) build: {large} B, mesh3x3(30): {small} B"

@@ -26,6 +26,8 @@
 //!   every layer.
 //! - [`stats`]: counters, online moments, exact-quantile histograms, rate
 //!   meters.
+//! - [`alloc`]: the counting global allocator that allocation gates
+//!   install (per-thread allocations, bytes and live bytes).
 //!
 //! ## Example
 //!
@@ -39,6 +41,7 @@
 //! assert_eq!(sim.state, ["a", "b"]);
 //! ```
 
+pub mod alloc;
 pub mod cpu;
 pub mod driver;
 pub mod engine;

@@ -3,48 +3,14 @@
 //! tracker is warm, and a tracker past its cap still discards the
 //! smallest open id first, whichever namespace it came from.
 //!
-//! The counting allocator counts per thread (the test harness runs tests
-//! on threads of their own), reallocations included.
+//! `dash_sim::alloc::Counting` counts per thread (the test harness runs
+//! tests on threads of their own), reallocations included.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeSet;
 
+use dash_sim::alloc::{counted, Counting};
 use dash_sim::obs::{Obs, ObsEvent, Stage};
 use dash_sim::time::SimTime;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// [`System`] plus this thread's allocation counter.
-struct Counting;
-
-// SAFETY: every operation is delegated to `System` unchanged; the counter
-// is a const-initialised thread-local without a destructor, so touching
-// it neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -142,11 +108,13 @@ fn a_span_allocates_nothing_once_the_tracker_is_warm() {
     for n in 0..WARMUP {
         cycle(&mut obs, n);
     }
-    let before = ALLOCS.get();
-    for n in WARMUP..WARMUP + MEASURED {
-        cycle(&mut obs, n);
-    }
-    let allocs = ALLOCS.get() - before;
+    let ((), spent) = counted(|| {
+        for n in WARMUP..WARMUP + MEASURED {
+            cycle(&mut obs, n);
+        }
+    });
+    let allocs = spent.allocs;
+    println!("{allocs} allocations over {MEASURED} span lives");
     let closed = obs.registry.histogram("span.e2e").count() as u64;
     assert_eq!(
         closed,

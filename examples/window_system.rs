@@ -1,43 +1,45 @@
 //! A network window system (paper §2.5, ref [7]).
 //!
 //! Mouse/keyboard events flow user → application on a low-capacity RMS;
-//! graphics updates flow back on a higher-capacity one. The example prints
-//! the interaction (event → paint) latency distribution.
+//! graphics updates flow back on a higher-capacity one. The window system
+//! is one word of the traffic plan, run by the one scenario runner; the
+//! example prints the interaction (event → paint) latency distribution.
 //!
 //! ```text
 //! cargo run --example window_system
 //! ```
 
-use dash::apps::taps::Dispatcher;
-use dash::apps::window::{start_window_system, WindowSpec};
+use dash::apps::scenario::{run, Backend, Scenario};
+use dash::apps::traffic::{Plan, WindowFlow};
 use dash::net::topology::two_hosts_ethernet;
-use dash::sim::{Sim, SimDuration};
-use dash::transport::stack::StackBuilder;
+use dash::sim::SimDuration;
 
 fn main() {
-    let (net, user, app) = two_hosts_ethernet();
-    let mut sim = Sim::new(StackBuilder::new(net).build());
-    let taps = Dispatcher::install(&mut sim, &[user, app]);
-
-    let spec = WindowSpec {
+    let (_, user, app) = two_hosts_ethernet();
+    let window = WindowFlow {
         event_rate: 80.0, // a busy user
         duration: SimDuration::from_secs(3),
-        ..WindowSpec::default()
+        ..WindowFlow::new(user, app, 99)
     };
-    let stats = start_window_system(&mut sim, &taps, user, app, spec, 99);
-    sim.run();
+    let plan = Plan {
+        windows: vec![window],
+        ..Plan::default()
+    };
+    let scn = Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(4));
+    let o = run(&scn, Backend::Serial);
 
-    let s = stats.borrow();
-    let mut lat = s.interaction_latency.clone();
-    println!("input events sent:       {}", s.events_sent);
-    println!("events reaching the app: {}", s.events_received);
-    println!("graphics updates painted: {}", s.updates_received);
+    let a = &o.acct;
+    let mut lat = a.window_latency.clone();
+    println!("input events sent:        {}", a.window_events);
+    println!("graphics updates painted: {}", lat.count());
     println!(
-        "interaction latency: mean {:.2} ms, p99 {:.2} ms ({} over the 100 ms budget)",
+        "interaction latency: mean {:.2} ms, p99 {:.2} ms, max {:.2} ms ({} over the {} ms budget)",
         lat.mean() * 1e3,
         lat.quantile(0.99) * 1e3,
-        s.late_interactions
+        lat.max() * 1e3,
+        a.window_late,
+        window.budget.as_millis()
     );
-    assert!(s.updates_received > 0);
-    assert_eq!(s.late_interactions, 0, "a quiet LAN should feel instant");
+    assert!(lat.count() > 0, "no update was painted");
+    assert_eq!(a.window_late, 0, "a quiet LAN should feel instant");
 }

@@ -42,14 +42,14 @@ cargo test -q --test no_spurious_work
 # data, headers — control frames and the stream Hello included — are
 # carved from the shared header store, a bundle's segment list is
 # recycled, and nothing records per message (one counting allocator,
-# tests/steady/mod.rs, measures both; hot_path_allocs gates the
+# dash_sim::alloc::Counting, measures both; hot_path_allocs gates the
 # allocations, flat_memory the heap). rms-core's wire_allocs holds the
 # segment-list pool to the same standard: once warm, a bundle-sized
 # message, its clone and a message spilled by pushing allocate nothing.
 # Establishment's route work is held to the same standard: once a host's
 # on-demand graph and table exist, `candidate_paths` and a `path` walk
 # allocate only their answers, and building a topology computes no routes
-# (dash-net's route_allocs, its own counting allocator). The span tracker
+# (dash-net's route_allocs). The span tracker
 # too: with obs on and warm, a span opened and delivered allocates nothing,
 # and a full tracker still discards the smallest open id (dash-sim's
 # span_allocs).
@@ -108,8 +108,9 @@ cargo test -q --doc
 
 # The examples that read the metric registry by name, run as debug builds:
 # a misspelt counter name trips `MetricRegistry::counter_value`'s debug
-# assertion here instead of silently reading 0.
-for ex in quickstart congestion rkom_rpc; do
+# assertion here instead of silently reading 0. window_system asserts that
+# the window-system plan word paints updates inside its 100 ms budget.
+for ex in quickstart congestion rkom_rpc window_system; do
     cargo run -q --example "$ex" >/dev/null
 done
 for t in tests/*.rs; do

@@ -12,7 +12,7 @@ use steady::{legs, steady, MEASURED_FRAMES};
 
 /// Growth allowed over the measured frames: a few table resizes, not one
 /// sample per message.
-const BOUND_BYTES: isize = 16 * 1024;
+const BOUND_BYTES: i64 = 16 * 1024;
 
 #[test]
 fn per_stream_state_is_flat_in_message_count() {

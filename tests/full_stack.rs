@@ -5,67 +5,93 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dash::apps::taps::Dispatcher;
-use dash::apps::traffic::{self, Class, Flow, Plan};
-use dash::apps::window::{start_window_system, WindowSpec};
+use dash::apps::scenario::{run, Backend, Scenario};
+use dash::apps::traffic::{self, Class, Flow, Plan, RpcFlow, WindowFlow};
+use dash::check::check_stream;
 use dash::net::pipeline::fail_network;
 use dash::net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
 use dash::net::{NetworkId, NetworkSpec};
 use dash::sim::cpu::SchedPolicy;
 use dash::sim::{Sim, SimDuration};
 use dash::subtransport::ids::Client;
-use dash::transport::rkom;
 use dash::transport::stack::{StackBuilder, PROTO_APP};
 use dash::transport::stream::StreamProfile;
+use dash_bench::judge;
 
+/// Every workload the paper names, as one plan on the EDF-CPU LAN: voice,
+/// a bulk transfer, RKOM calls and a window system share the two hosts,
+/// and the run's event stream is oracle-clean.
 #[test]
 fn every_workload_coexists_on_one_lan() {
-    let (net, a, b) = two_hosts_ethernet();
-    let stack = StackBuilder::new(net)
-        .cpus(SchedPolicy::Edf, SimDuration::from_micros(5))
-        .build();
-    let mut sim = Sim::new(stack);
-    let taps = Dispatcher::install(&mut sim, &[a, b]);
+    let (_, a, b) = two_hosts_ethernet();
+    let plan = Plan {
+        flows: vec![
+            Flow::voice(a, b, 0, SimDuration::from_secs(1)),
+            Flow::bulk(a, b, 256 * 1024, 4 * 1024, StreamProfile::bulk()),
+        ],
+        rpcs: vec![RpcFlow {
+            client: a,
+            server: b,
+            service: 1,
+            calls: 10,
+            interval: SimDuration::from_millis(10),
+            start: SimDuration::ZERO,
+            request: 1,
+            reply: 1,
+        }],
+        windows: vec![WindowFlow::new(a, b, 5)],
+        ..Plan::default()
+    };
+    let scn = Scenario {
+        cpus: Some((SchedPolicy::Edf, SimDuration::from_micros(5))),
+        keep_events: true,
+        ..Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(4))
+    };
+    let o = run(&scn, Backend::Serial);
+    let violations = check_stream(&o.stream, true);
+    assert!(violations.is_empty(), "{violations:?}");
 
-    // Planned flows and the window system's session handlers share the
-    // two hosts' taps.
-    let plan = Plan::from(vec![
-        Flow::voice(a, b, 0, SimDuration::from_secs(1)),
-        Flow::bulk(a, b, 256 * 1024, 4 * 1024, StreamProfile::bulk()),
-    ]);
-    let acct = traffic::install_on(&mut sim, &taps, &plan, None);
-    let window = start_window_system(&mut sim, &taps, a, b, WindowSpec::default(), 5);
-    let echoed = Rc::new(RefCell::new(0u32));
-    rkom::register_service(&mut sim.state, b, 1, |_s, _c, req| req);
-    for _ in 0..10 {
-        let e = Rc::clone(&echoed);
-        rkom::call(
-            &mut sim,
-            a,
-            b,
-            1,
-            Bytes::from_static(b"x"),
-            move |_s, res| {
-                assert!(res.is_ok());
-                *e.borrow_mut() += 1;
-            },
-        );
-    }
-    let bulk_done =
-        traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(10));
-    sim.run_until(sim.now() + SimDuration::from_secs(2));
-
-    let v = acct.borrow();
-    assert!(bulk_done, "bulk: {v:?}");
-    assert_eq!(*echoed.borrow(), 10);
+    let v = &o.acct;
+    assert!(v.complete(Class::Bulk), "bulk: {v:?}");
+    assert_eq!((v.rpc_issued, v.rpc_completed, v.rpc_failed), (10, 10, 0));
     assert!(
         v.on_time_fraction(Class::Voice) > 0.9,
         "voice on-time {:?}",
         v.on_time_fraction(Class::Voice)
     );
-    let w = window.borrow();
-    assert!(w.updates_received > 0);
-    assert_eq!(w.late_interactions, 0);
+    assert!(v.window_latency.count() > 0);
+    assert_eq!(v.window_late, 0);
+}
+
+/// The window system on the serial engine and on `dash-par` at 1, 2 and
+/// 4 shards: oracle-clean, inside its budget, one digest across the
+/// shard counts.
+#[test]
+fn a_window_plan_is_oracle_clean_on_serial_and_par() {
+    let (_, user, app) = two_hosts_ethernet();
+    let plan = Plan {
+        windows: vec![WindowFlow::new(user, app, 21)],
+        ..Plan::default()
+    };
+    let scn = Scenario {
+        keep_events: true,
+        ..Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(3))
+    };
+    let par = |shards| Backend::Par {
+        shards,
+        lan_aligned: false,
+    };
+    let mut par_digest = None;
+    for backend in [Backend::Serial, par(1), par(2), par(4)] {
+        let o = run(&scn, backend);
+        let faults = judge(&o, &mut par_digest);
+        assert!(faults.is_empty(), "{backend:?}: {faults:?}");
+        let a = &o.acct;
+        let (sent, answered) = (a.window_events, a.window_latency.count() as u64);
+        assert!(sent > 50, "{backend:?}: events {sent}");
+        assert!(answered * 5 > sent * 4, "{backend:?}: {answered} of {sent}");
+        assert_eq!(a.window_late, 0, "{backend:?}");
+    }
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! `tests/hot_path_allocs.rs` (allocations per frame) and
 //! `tests/flat_memory.rs` (live-heap growth).
 //!
-//! One counting global allocator tracks both allocations (reallocations
-//! included, as the benchmark's `allocs_per_msg` counts them) and live
-//! heap bytes (allocated minus freed). Each leg opens one stream on a
+//! The counting global allocator (`dash_sim::alloc::Counting`) tracks
+//! both allocations (reallocations included, as the benchmark's
+//! `allocs_per_msg` counts them) and live heap bytes (allocated minus
+//! freed) on the thread that runs the stream. Each leg opens one stream on a
 //! two-host Ethernet with EDF host CPUs, drives it with a
 //! self-rescheduling 20 ms frame tick, warms up for 1 000 frames, then
 //! measures 2 000 more. The legs are voice (160 B), tagged voice (160 B
@@ -21,54 +22,13 @@
 //! measured. Items one binary does not read are dead code there, hence
 //! the allows.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
-
 use bytes::Bytes;
 use dash::core::wire::WireMsg;
 use dash::net::topology::two_hosts_ethernet;
 use dash::prelude::*;
+use dash::sim::alloc::{counted, Counting};
 use dash::sim::cpu::SchedPolicy;
 use dash::transport::stream;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-/// [`System`] plus an allocation counter and a live-byte gauge.
-struct Counting;
-
-// SAFETY: every operation is delegated to `System` unchanged; the added
-// relaxed arithmetic publishes no other data and touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via this allocator.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from `System` via this allocator.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            LIVE.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        p
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -203,7 +163,7 @@ fn tick(sim: &mut Sim<Stack>, host: HostId, session: u64, leg: (usize, bool, u64
 #[allow(dead_code)]
 pub struct Steady {
     pub allocs_per_frame: f64,
-    pub heap_growth: isize,
+    pub heap_growth: i64,
 }
 
 /// Run `leg`'s stream with the receiving application consuming each
@@ -227,10 +187,7 @@ pub fn steady(leg: &Leg) -> Steady {
     let frames = |n: u64| start + SimDuration::from_millis(FRAME_MS * n);
 
     sim.run_until(frames(WARMUP_FRAMES));
-    let (allocs, live) = (ALLOCS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
-    sim.run_until(frames(WARMUP_FRAMES + MEASURED_FRAMES));
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
-    let heap_growth = LIVE.load(Ordering::Relaxed) - live;
+    let ((), spent) = counted(|| sim.run_until(frames(WARMUP_FRAMES + MEASURED_FRAMES)));
 
     let reg = &sim.state.net.obs.registry;
     let delivered = reg.counter_value("stream.deliver");
@@ -253,8 +210,8 @@ pub fn steady(leg: &Leg) -> Steady {
         leg.name
     );
     let s = Steady {
-        allocs_per_frame: allocs as f64 / (MEASURED_FRAMES * leg.per_tick) as f64,
-        heap_growth,
+        allocs_per_frame: spent.allocs as f64 / (MEASURED_FRAMES * leg.per_tick) as f64,
+        heap_growth: spent.live,
     };
     println!(
         "{}: {:.3} allocations per frame, live heap {:+} B over \
