@@ -5,15 +5,11 @@
 //! data, driven by one per-endpoint driver on the assembled
 //! [`dash_transport::stack::Stack`]:
 //!
-//! - [`traffic`]: the plan types — a [`traffic::Flow`] is digitized voice
-//!   (64 kb/s CBR, 40 ms budget), bulk transfer or any other `(profile,
-//!   pacing, size)` triple, an [`traffic::RpcFlow`] a request/reply pair
-//!   over RKOM (§3.3), a [`traffic::TcpFlow`] a bulk transfer or a
-//!   sequential request/reply pair ([`traffic::TcpWork`]) over the
-//!   TCP-like baseline, a [`traffic::WindowFlow`] a network window system
-//!   (small input events one way, bulky graphics updates answering them
-//!   the other, §2.5) — and [`traffic::install`], the one driver that
-//!   opens, paces or pumps, answers, classifies and counts them per owned
+//! - [`traffic`]: the plan — [`traffic::Flow`] (voice, bulk or any other
+//!   `(profile, pacing, size)` triple), [`traffic::RpcFlow`] (RKOM, §3.3),
+//!   [`traffic::TcpFlow`] (the TCP-like baseline), [`traffic::WindowFlow`]
+//!   (a network window system, §2.5) — and [`traffic::install`], the one
+//!   driver that opens, paces or pumps, answers and counts them per owned
 //!   endpoint.
 //! - [`scenario`]: a [`scenario::Scenario`] (topology program + plan +
 //!   fault drill) and the one [`scenario::run`] over the serial,

@@ -276,8 +276,7 @@ pub struct WindowFlow {
     pub event_bytes: u64,
     /// Mean graphics update size, bytes (Pareto-tailed).
     pub graphics_bytes: u64,
-    /// Event → screen-update latency past which an interaction is late:
-    /// human perception tolerates a moderate delay.
+    /// Event → screen-update latency past which an interaction is late.
     pub budget: SimDuration,
     /// No event is sent at or after this offset from the run start.
     pub duration: SimDuration,
@@ -390,6 +389,8 @@ pub struct Acct {
     pub rpc_latency: Histogram,
     /// Window-system input events sent.
     pub window_events: u64,
+    /// Window-system input events delivered to the app's world.
+    pub window_received: u64,
     /// Answered window interactions past their window's budget.
     pub window_late: u64,
     /// Event → screen-update latency of every answered window
@@ -430,6 +431,7 @@ impl Acct {
         self.rpc_failed += o.rpc_failed;
         self.rpc_latency.merge_from(&o.rpc_latency);
         self.window_events += o.window_events;
+        self.window_received += o.window_received;
         self.window_late += o.window_late;
         self.window_latency.merge_from(&o.window_latency);
         for c in 0..CLASSES {
@@ -648,7 +650,8 @@ fn on_stream_event(sim: &mut Sim<Stack>, host: HostId, ev: StreamEvent, acct: &S
             ..
         } => {
             match msg.wire().first_byte() {
-                Some(EVENT_TAG | UPDATE_TAG) => on_window_msg(sim, host, &msg, acct),
+                Some(EVENT_TAG) => answer_window_event(sim, &msg, acct),
+                Some(UPDATE_TAG) => count_window_update(sim, &msg, acct),
                 tag => {
                     let Some(class) = tag.and_then(Class::from_tag) else {
                         return;
@@ -836,9 +839,8 @@ fn on_tcp_event(
     }
 }
 
-/// Open window `i`'s streams at the run start with §2.5's parameters:
-/// in the app's world the higher-capacity graphics stream, in the user's
-/// world the low-capacity event stream, whose input source starts at once.
+/// Open window `i`'s streams at the run start (§2.5): the app's world its
+/// graphics stream, the user's world its event stream and input source.
 fn open_window(sim: &mut Sim<Stack>, i: u32, owner: Option<HostId>, acct: SharedAcct) {
     let owned = |h: HostId| owner.is_none_or(|o| o == h);
     let w = acct.borrow().windows[i as usize].flow;
@@ -858,19 +860,17 @@ fn open_window(sim: &mut Sim<Stack>, i: u32, owner: Option<HostId>, acct: Shared
 
 /// A best-effort window stream profile: `ms` plus 10 µs per byte.
 fn window_profile(capacity: u64, max_message: u64, ms: u64) -> StreamProfile {
-    let delay =
-        DelayBound::best_effort_with(SimDuration::from_millis(ms), SimDuration::from_micros(10));
+    let delay = SimDuration::from_millis(ms);
     StreamProfile {
         capacity,
         max_message,
-        delay,
+        delay: DelayBound::best_effort_with(delay, SimDuration::from_micros(10)),
         ..StreamProfile::default()
     }
 }
 
-/// Window `i`'s input source in the user's world: after each exponential
-/// gap (mean `1 / event_rate`) one event, until the window's `duration`
-/// is up.
+/// Window `i`'s input source in the user's world: one event after each
+/// exponential gap of mean `1 / event_rate`, until `duration` is up.
 fn window_events(sim: &mut Sim<Stack>, i: u32, session: u64, mut rng: Rng, acct: SharedAcct) {
     let w = acct.borrow().windows[i as usize].flow;
     if sim.now() >= SimTime::ZERO.saturating_add(w.duration) {
@@ -903,32 +903,38 @@ fn window_header(msg: &Message) -> Option<(u32, SimTime)> {
     Some((i, SimTime::from_nanos(sent)))
 }
 
-/// A window message arrived. In the app's world it is an input event,
-/// answered with a graphics update of a Pareto-tailed size that echoes
-/// the event's send time; in the user's world it is that update, and the
-/// interaction is counted with its latency.
-fn on_window_msg(sim: &mut Sim<Stack>, host: HostId, msg: &Message, acct: &SharedAcct) {
+/// An input event reached the app's world: count it and answer with a
+/// Pareto-sized graphics update that echoes its send time.
+fn answer_window_event(sim: &mut Sim<Stack>, msg: &Message, acct: &SharedAcct) {
     let Some((i, sent)) = window_header(msg) else {
         return;
     };
     let mut a = acct.borrow_mut();
+    a.window_received += 1;
     let Some(w) = a.windows.get_mut(i as usize) else {
         return;
     };
-    if msg.wire().first_byte() == Some(EVENT_TAG) {
-        let mean = w.flow.graphics_bytes as f64;
-        let len = (mean * w.sizes.pareto(0.45, 1.8)).clamp(256.0, 15_000.0);
-        let Some(session) = w.graphics else {
-            return;
-        };
-        drop(a);
-        let update = window_msg(UPDATE_TAG, i, sent, len as u64);
-        let _ = stream::send(sim, host, session, update);
-    } else {
-        let (budget, latency) = (w.flow.budget, sim.now().saturating_since(sent));
-        a.window_latency.record(latency.as_secs_f64());
-        a.window_late += u64::from(latency > budget);
-    }
+    let len = (w.flow.graphics_bytes as f64 * w.sizes.pareto(0.45, 1.8)).clamp(256.0, 15_000.0);
+    let (Some(session), app) = (w.graphics, w.flow.app) else {
+        return;
+    };
+    drop(a);
+    let update = window_msg(UPDATE_TAG, i, sent, len as u64);
+    let _ = stream::send(sim, app, session, update);
+}
+
+/// A graphics update reached the user's world: count the interaction.
+fn count_window_update(sim: &Sim<Stack>, msg: &Message, acct: &SharedAcct) {
+    let Some((i, sent)) = window_header(msg) else {
+        return;
+    };
+    let mut a = acct.borrow_mut();
+    let Some(w) = a.windows.get(i as usize) else {
+        return;
+    };
+    let (budget, latency) = (w.flow.budget, sim.now().saturating_since(sent));
+    a.window_latency.record(latency.as_secs_f64());
+    a.window_late += u64::from(latency > budget);
 }
 
 /// One direction of a [`Probe`], driven by the world owning `from`.
@@ -1084,8 +1090,11 @@ mod tests {
         });
         sim.run();
         let a = acct.borrow();
+        assert_eq!(a.failed, 0);
         let sent = a.window_events;
         assert!(sent > 50, "events {sent}");
+        let received = a.window_received;
+        assert!(received as f64 > sent as f64 * 0.9, "{received} of {sent}");
         let answered = a.window_latency.count();
         assert!(answered as f64 > sent as f64 * 0.8, "{answered} of {sent}");
         assert_eq!(a.window_late, 0, "LAN interactions inside 100 ms");

@@ -7,7 +7,7 @@
 //! tests on threads of their own), reallocations included.
 
 use bytes::{BufMut, Bytes};
-use dash_sim::alloc::{counts, Counting};
+use dash_sim::alloc::{counted, Counting};
 use rms_core::wire::{self, WireMsg};
 
 #[global_allocator]
@@ -60,17 +60,18 @@ fn a_warm_bundle_and_its_clone_allocate_nothing() {
         drop((b, c, again));
     }
 
-    let before = counts().allocs;
     let mut bytes = 0;
-    for _ in 0..CYCLES {
-        let b = bundle(&frames);
-        let c = b.clone();
-        assert_eq!(c.seg_count(), 25);
-        bytes += c.len();
-        drop(b);
-        drop(c);
-    }
-    let spent = counts().allocs - before;
+    let ((), spent) = counted(|| {
+        for _ in 0..CYCLES {
+            let b = bundle(&frames);
+            let c = b.clone();
+            assert_eq!(c.seg_count(), 25);
+            bytes += c.len();
+            drop(b);
+            drop(c);
+        }
+    });
+    let spent = spent.allocs;
     println!("{spent} allocations over {CYCLES} bundles and their clones");
     assert_eq!(bytes, CYCLES as usize * (3 + 6 * (30 + 26 + 160)));
     assert_eq!(
@@ -91,11 +92,12 @@ fn a_message_spilled_by_pushing_reuses_a_pooled_list() {
         m
     };
     drop(grow());
-    let before = counts().allocs;
-    for _ in 0..CYCLES {
-        drop(grow());
-    }
-    let spent = counts().allocs - before;
+    let ((), spent) = counted(|| {
+        for _ in 0..CYCLES {
+            drop(grow());
+        }
+    });
+    let spent = spent.allocs;
     println!("{spent} allocations over {CYCLES} spills");
     assert_eq!(spent, 0, "{spent} allocations over {CYCLES} spills");
 }

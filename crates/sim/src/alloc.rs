@@ -50,7 +50,7 @@ thread_local! {
 
 /// This thread's counts so far. They move only while [`Counting`] is the
 /// global allocator.
-pub fn counts() -> Counts {
+fn counts() -> Counts {
     COUNTS.with(Cell::get)
 }
 

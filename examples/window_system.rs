@@ -31,6 +31,7 @@ fn main() {
     let a = &o.acct;
     let mut lat = a.window_latency.clone();
     println!("input events sent:        {}", a.window_events);
+    println!("events reaching the app:  {}", a.window_received);
     println!("graphics updates painted: {}", lat.count());
     println!(
         "interaction latency: mean {:.2} ms, p99 {:.2} ms, max {:.2} ms ({} over the {} ms budget)",

@@ -88,7 +88,13 @@ fn a_window_plan_is_oracle_clean_on_serial_and_par() {
         assert!(faults.is_empty(), "{backend:?}: {faults:?}");
         let a = &o.acct;
         let (sent, answered) = (a.window_events, a.window_latency.count() as u64);
+        assert_eq!(a.failed, 0, "{backend:?}");
         assert!(sent > 50, "{backend:?}: events {sent}");
+        let received = a.window_received;
+        assert!(
+            received * 10 > sent * 9,
+            "{backend:?}: {received} of {sent}"
+        );
         assert!(answered * 5 > sent * 4, "{backend:?}: {answered} of {sent}");
         assert_eq!(a.window_late, 0, "{backend:?}");
     }
