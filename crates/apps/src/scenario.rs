@@ -41,7 +41,7 @@ use dash_sim::Sim;
 use dash_subtransport::st::StConfig;
 use dash_transport::stack::{Stack, StackBuilder};
 
-use crate::traffic::{self, Acct, Class, Plan, SharedAcct};
+use crate::traffic::{self, Acct, Class, Plan, SharedAcct, Tally};
 
 /// The one input of [`run`]: what to build, what to offer, what to break
 /// and how to observe it. Every world of a run — the serial world, each
@@ -134,9 +134,6 @@ pub enum Backend {
 /// The rt backend's hard wall box; hitting it is a failure
 /// ([`StopReason::WallBox`]).
 const RT_MAX_WALL: Duration = Duration::from_secs(60);
-/// Wall lag beyond which an event stepped by the rt backend counts as a
-/// deadline miss.
-const RT_MISS_SLACK: Duration = Duration::from_millis(5);
 
 // ---------------------------------------------------------------------------
 // Worlds
@@ -273,9 +270,8 @@ pub struct Outcome {
     pub backend: Backend,
     /// Hosts in the topology.
     pub hosts: usize,
-    /// The traffic driver's accounting, merged over worlds: sessions
-    /// opened and refused, per-class sends, deliveries, lateness, bytes
-    /// and delays, RPC calls.
+    /// The traffic driver's accounting, merged over worlds: one tally per
+    /// plan entry.
     pub acct: Acct,
     /// The metric registry, merged host-ascending over worlds: every
     /// layer's counters and histograms.
@@ -319,22 +315,9 @@ impl Outcome {
 
     /// Voice-class on-time fraction (voice + WAN voice + churn).
     pub fn voice_on_time(&self) -> f64 {
-        let idx = [
-            Class::Voice as usize,
-            Class::WanVoice as usize,
-            Class::Churn as usize,
-        ];
-        let a = &self.acct;
-        let sent: u64 = idx.iter().map(|&i| a.sent[i]).sum();
-        let good: u64 = idx
-            .iter()
-            .map(|&i| a.received[i].saturating_sub(a.late[i]).min(a.sent[i]))
-            .sum();
-        if sent == 0 {
-            0.0
-        } else {
-            good as f64 / sent as f64
-        }
+        use Class::*;
+        let voice = [Voice, WanVoice, Churn].map(|c| self.acct.class(c));
+        voice.iter().sum::<Tally>().on_time_fraction()
     }
 
     /// Whether the run ended the way a healthy run ends: anything but
@@ -346,25 +329,30 @@ impl Outcome {
     }
 
     /// The deterministic portion: byte-identical between replays, and
-    /// under `Par` across shard counts and placements.
+    /// under `Par` across shard counts and placements. Flow counts are
+    /// printed per [`Class`], RKOM calls summed.
     pub fn determinism_digest(&self) -> String {
+        use Class::*;
         let (a, reg) = (&self.acct, &self.registry);
+        let classes = [Voice, WanVoice, Bulk, Churn, Heavy].map(|c| a.class(c));
+        let per_class = |field: fn(&Tally) -> u64| classes.each_ref().map(field);
+        let (streams, calls): (_, Tally) = (a.streams(), a.rpcs.values().sum());
         format!(
             "opened={} failed={} events={} messages={} sent={:?} received={:?} \
              late={:?} bytes={:?} drops={} rpc={}/{} sim_secs={:.9} peak_queue={} \
              misses={} evictions={} faults={}\n\
              --- registry ---\n{}--- trace ---\n{}",
-            a.opened,
-            a.failed,
+            streams.opened,
+            streams.failed,
             self.events,
             self.messages(),
-            a.sent,
-            a.received,
-            a.late,
-            a.bytes,
-            a.source_drops,
-            a.rpc_completed,
-            a.rpc_failed,
+            per_class(|t| t.sent),
+            per_class(|t| t.received),
+            per_class(|t| t.late),
+            per_class(|t| t.bytes),
+            classes.iter().map(|t| t.dropped).sum::<u64>(),
+            calls.received,
+            calls.failed,
             self.sim_secs,
             self.peak_queue_bytes,
             reg.counter_value("st.cache_miss"),
@@ -433,7 +421,6 @@ pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
                 &RtOptions {
                     horizon: Some(scn.horizon),
                     max_wall: Some(RT_MAX_WALL),
-                    miss_slack: RT_MISS_SLACK,
                     ..RtOptions::default()
                 },
             );

@@ -9,14 +9,18 @@
 //! [`Probe`] a table-routed datagram pair, and a [`Plan`] a list of each.
 //! A plan is a pure function of whatever planned it, so the serial world
 //! and every replica world of a `dash-par` run hold the same plan and
-//! [`install`] makes each act only on the endpoints it owns. Senders tag
-//! the first payload byte with the flow's [`Class`] (a window's messages
-//! with a tag of their own), so a receiver accounts a delivery without
-//! knowing which session the sender minted — under `dash-par` the two
-//! live in different worlds.
+//! [`install`] makes each act only on the endpoints it owns.
+//!
+//! Every plan entry is counted in one [`Tally`], and [`Acct`] holds one
+//! tally list per plan list, keyed by plan index. Every stream message the
+//! driver sends starts with a kind byte and its entry's plan index, so a
+//! receiver counts a delivery against its own entry — budget included —
+//! without knowing which session the sender minted: under `dash-par` the
+//! two live in different worlds.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::iter::Sum;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -32,12 +36,11 @@ use dash_transport::stack::Stack;
 use dash_transport::stream::{self, StreamEvent, StreamProfile};
 use rms_core::delay::DelayBound;
 use rms_core::message::Message;
-use rms_core::wire::WireMsg;
+use rms_core::wire::{self, WireMsg};
 
-/// The payload tag (`tag = class index + 1`, first byte of every stream
-/// message) and accounting bucket of a flow. What a flow *asks of the
-/// stack* is its [`Flow::profile`]; the class only names the bucket its
-/// messages are counted in.
+/// A grouping of flows for reports: what a flow *asks of the stack* is
+/// its [`Flow::profile`], and what it did is its own [`Tally`];
+/// [`Acct::class`] sums the tallies of one class's flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
     /// Intra-LAN voice.
@@ -52,28 +55,31 @@ pub enum Class {
     Heavy = 4,
 }
 
-/// Number of [`Class`] values.
-pub const CLASSES: usize = 5;
-
-impl Class {
-    fn from_tag(tag: u8) -> Option<Class> {
-        use Class::*;
-        let classes = [Voice, WanVoice, Bulk, Churn, Heavy];
-        classes.get(usize::from(tag).wrapping_sub(1)).copied()
-    }
-}
+/// First byte of every stream message the driver sends: a flow's message,
+/// a window's input event, or the graphics update answering one. The
+/// entry's plan index (4 bytes) follows; a window's messages then carry
+/// the event's send time (8 bytes).
+const FLOW: u8 = 0xF0;
+const EVENT: u8 = 0xE0;
+const UPDATE: u8 = 0xE1;
 
 const ZERO_LEN: u64 = 64 * 1024;
 static ZERO: [u8; ZERO_LEN as usize] = [0u8; ZERO_LEN as usize];
 
-/// Build a class-tagged payload of `len` bytes: one static tag byte, then
-/// a static zero body (one segment per 64 KiB) — the same zero-allocation
-/// scatter-gather path real payloads take.
-fn tagged(class: Class, len: u64) -> Message {
-    const TAGS: [u8; CLASSES] = [1, 2, 3, 4, 5];
-    let i = class as usize;
-    let mut w = WireMsg::from_bytes(Bytes::from_static(&TAGS[i..i + 1]));
-    let mut body = len.saturating_sub(1);
+/// A stream message of `len` bytes (at least its header): `kind`, plan
+/// index `i` and, on a window's messages, the event's `sent` time, carved
+/// from the shared header store, then a static zero body (one segment per
+/// 64 KiB) — the zero-allocation scatter-gather path real payloads take.
+fn stamped(kind: u8, i: u32, sent: Option<SimTime>, len: u64) -> Message {
+    let head = wire::header(13, |b| {
+        b.extend_from_slice(&[kind]);
+        b.extend_from_slice(&i.to_be_bytes());
+        if let Some(t) = sent {
+            b.extend_from_slice(&t.as_nanos().to_be_bytes());
+        }
+    });
+    let mut body = len.saturating_sub(head.len() as u64);
+    let mut w = WireMsg::from_bytes(head);
     while body > 0 {
         let n = body.min(ZERO_LEN);
         w.push(Bytes::from_static(&ZERO[..n as usize]));
@@ -88,7 +94,7 @@ const WAN_VOICE_BUDGET: SimDuration = SimDuration::from_millis(150);
 /// One planned stream flow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
-    /// Payload tag and accounting bucket.
+    /// The report grouping the flow's tally is summed into.
     pub class: Class,
     /// Sending host.
     pub src: HostId,
@@ -107,12 +113,12 @@ pub struct Flow {
     /// advances the seed), so the gaps are a pure function of the plan
     /// on every backend. `None`: every gap is `interval`.
     pub poisson: Option<u64>,
-    /// Payload length per message, including the tag byte.
+    /// Payload length per message, including the 5-byte header (a
+    /// shorter length still sends the header).
     pub len: u64,
     /// Stream profile to open: the RMS parameters that *are* the workload.
     pub profile: StreamProfile,
-    /// Lateness budget: a delivery slower than this counts as late. Flows
-    /// of one class towards one world share one budget.
+    /// Lateness budget: a delivery slower than this counts as late.
     pub budget: SimDuration,
 }
 
@@ -238,11 +244,11 @@ pub struct TcpFlow {
 /// What a [`TcpFlow`] carries, counted where its RMS counterpart counts.
 #[derive(Debug, Clone, Copy)]
 pub enum TcpWork {
-    /// A transfer of this many bytes, written at once: one [`Class::Bulk`]
-    /// message (a byte stream stamps none, so no delay is recorded) whose
-    /// bytes count as they arrive.
+    /// A transfer of this many bytes, written at once: one message (a
+    /// byte stream stamps none, so no delay is recorded) whose bytes count
+    /// as they arrive.
     Bulk(u64),
-    /// Sequential echo calls, counted in the `rpc_*` fields: each request
+    /// Sequential echo calls, counted like an [`RpcFlow`]'s: each request
     /// leaves when the previous reply is whole — the pattern §1 says
     /// request/reply primitives force.
     Rpc {
@@ -263,7 +269,7 @@ pub const TCP_PORT_BASE: u16 = 8000;
 /// higher-capacity one. The user's world sends Poisson events from the run
 /// start until `duration` is up; the app's world answers each with a
 /// Pareto-sized update that echoes the event's send time, and the user's
-/// world counts the interaction in [`Acct`]'s `window_*` fields.
+/// world counts the interaction in the window's [`Tally`].
 #[derive(Debug, Clone, Copy)]
 pub struct WindowFlow {
     /// The host with the mouse, keyboard and screen.
@@ -300,13 +306,6 @@ impl WindowFlow {
         }
     }
 }
-
-/// First byte of a window system's input event and of the graphics
-/// update answering it; [`Class::from_tag`] claims neither. Both carry
-/// the window's plan index (4 bytes) and the event's send time (8 bytes)
-/// behind the tag.
-const EVENT_TAG: u8 = 0xE0;
-const UPDATE_TAG: u8 = 0xE1;
 
 /// Table-routed datagram probes between two hosts, both ways, every
 /// `interval` until `end`. Floods and RMS traffic never consult the route
@@ -349,65 +348,127 @@ impl From<Vec<Flow>> for Plan {
     }
 }
 
-/// Per-world accounting, split by traffic class (index with
-/// `class as usize`). Tx-side fields populate in the world owning a
-/// flow's source, rx-side fields in the world owning its destination; a
-/// sharded run [`merge`](Acct::merge)s them all.
+/// What one plan entry did, counted by the worlds owning its ends and
+/// [`merge`](Tally::merge)d. A [`Flow`] counts its messages; an
+/// [`RpcFlow`] counts calls issued as `sent`, answers as `received`, errors
+/// as `failed` and round trips as `delays`; a [`TcpFlow`] counts like
+/// either; a [`WindowFlow`] counts input events sent as `sent`, events
+/// reaching the app as `received`, event → update latencies as `delays`
+/// (their count is the interactions answered) and answers past its budget
+/// as `late`.
+#[derive(Debug, Default, Clone)]
+pub struct Tally {
+    /// Messages (or calls) planned, counted where they are received.
+    pub planned: u64,
+    /// Sessions (or TCP connections) opened.
+    pub opened: u64,
+    /// Session opens refused or failed; calls that returned an error.
+    pub failed: u64,
+    /// Messages sent (paced ones whether accepted or not, pumped ones
+    /// once accepted).
+    pub sent: u64,
+    /// Messages delivered.
+    pub received: u64,
+    /// Deliveries past the entry's budget.
+    pub late: u64,
+    /// Delivered payload bytes.
+    pub bytes: u64,
+    /// Paced messages refused by sender flow control: lost at the source.
+    pub dropped: u64,
+    /// End-to-end delay of every delivery, seconds.
+    pub delays: Histogram,
+    /// When the first message was sent.
+    pub first_send: Option<SimTime>,
+    /// When the latest message was delivered.
+    pub last_delivery: Option<SimTime>,
+}
+
+impl Tally {
+    /// Fold another world's tally of the same entry (or another entry's,
+    /// for a sum) into this one.
+    pub fn merge(&mut self, o: &Tally) {
+        self.planned += o.planned;
+        self.opened += o.opened;
+        self.failed += o.failed;
+        self.sent += o.sent;
+        self.received += o.received;
+        self.late += o.late;
+        self.bytes += o.bytes;
+        self.dropped += o.dropped;
+        self.delays.merge_from(&o.delays);
+        self.first_send = self.first_send.into_iter().chain(o.first_send).min();
+        self.last_delivery = self.last_delivery.max(o.last_delivery);
+    }
+
+    /// Fraction of the sent messages that arrived within budget.
+    pub fn on_time_fraction(&self) -> f64 {
+        if self.sent == 0 {
+            0.0
+        } else {
+            self.received.saturating_sub(self.late) as f64 / self.sent as f64
+        }
+    }
+
+    /// True once every planned message was delivered.
+    pub fn complete(&self) -> bool {
+        self.planned > 0 && self.received >= self.planned
+    }
+
+    /// Seconds from the first send to the latest delivery so far (`None`
+    /// before both); whether that was the last planned delivery is
+    /// [`complete`](Tally::complete).
+    pub fn transfer_secs(&self) -> Option<f64> {
+        let (first, last) = (self.first_send?, self.last_delivery?);
+        Some(last.saturating_since(first).as_secs_f64())
+    }
+
+    /// Goodput in bytes/second over [`transfer_secs`](Tally::transfer_secs)
+    /// (infinite if that is zero).
+    pub fn goodput(&self) -> Option<f64> {
+        Some(self.bytes as f64 / self.transfer_secs()?)
+    }
+
+    fn count_sent(&mut self, now: SimTime) {
+        self.sent += 1;
+        self.first_send.get_or_insert(now);
+    }
+}
+
+/// The [`merge`](Tally::merge) of every tally.
+impl<'a> Sum<&'a Tally> for Tally {
+    fn sum<I: Iterator<Item = &'a Tally>>(tallies: I) -> Tally {
+        tallies.fold(Tally::default(), |mut sum, t| {
+            sum.merge(t);
+            sum
+        })
+    }
+}
+
+/// Per-world accounting: a tally for each plan entry this world counts an
+/// end of (an RPC's server counts nothing); [`merge`](Acct::merge)d over a
+/// run's worlds, every entry's.
 #[derive(Debug, Default, Clone)]
 pub struct Acct {
-    /// Sessions opened successfully.
-    pub opened: u64,
-    /// Session opens refused or failed.
-    pub failed: u64,
-    /// Messages the plan sends towards receivers this world owns.
-    pub planned: [u64; CLASSES],
-    /// Messages sent (paced frames whether accepted or not; pumped
-    /// chunks once the send port accepted them).
-    pub sent: [u64; CLASSES],
-    /// Messages delivered.
-    pub received: [u64; CLASSES],
-    /// Deliveries past the flow's budget.
-    pub late: [u64; CLASSES],
-    /// Delivered payload bytes.
-    pub bytes: [u64; CLASSES],
-    /// Paced messages refused by sender flow control and dropped (voice
-    /// semantics: the frame is lost at the source, not retried).
-    pub source_drops: u64,
-    /// RKOM calls issued.
-    pub rpc_issued: u64,
-    /// RKOM calls answered.
-    pub rpc_completed: u64,
-    /// RKOM calls that returned an error.
-    pub rpc_failed: u64,
-    /// End-to-end delay of every delivery, seconds.
-    pub delays: [Histogram; CLASSES],
-    /// When the first message of each class was sent.
-    pub first_send: [Option<SimTime>; CLASSES],
-    /// When the latest message of each class was delivered.
-    pub last_delivery: [Option<SimTime>; CLASSES],
-    /// Round-trip latency of every answered RKOM call, seconds.
-    pub rpc_latency: Histogram,
-    /// Window-system input events sent.
-    pub window_events: u64,
-    /// Window-system input events delivered to the app's world.
-    pub window_received: u64,
-    /// Answered window interactions past their window's budget.
-    pub window_late: u64,
-    /// Event → screen-update latency of every answered window
-    /// interaction, seconds: its count is the interactions answered.
-    pub window_latency: Histogram,
+    /// [`Plan::flows`]' tallies.
+    pub flows: BTreeMap<u32, Tally>,
+    /// [`Plan::rpcs`]' tallies.
+    pub rpcs: BTreeMap<u32, Tally>,
+    /// [`Plan::tcp`]'s tallies.
+    pub tcp: BTreeMap<u32, Tally>,
+    /// [`Plan::windows`]' tallies.
+    pub windows: BTreeMap<u32, Tally>,
+    /// The class and lateness budget of each flow in `flows`.
+    flow_kinds: BTreeMap<u32, (Class, SimDuration)>,
     /// Sender sessions opened here, as `(source host, session)`.
     sessions: Vec<(HostId, u64)>,
-    /// Lateness budget per class, from the flows this world receives.
-    budget: [SimDuration; CLASSES],
-    /// Tx session -> its flow, `count` running down (lookups only,
-    /// never iterated).
-    tx: BTreeMap<u64, Flow>,
-    /// Client TCP connection -> its flow and when its current call (or
-    /// transfer) started (lookups only, never iterated).
-    tcp: BTreeMap<(HostId, u64), (TcpFlow, SimTime)>,
-    /// The plan's window systems, by plan index.
-    windows: Vec<Window>,
+    /// Tx session -> its flow's plan index and the flow, `count` running
+    /// down (lookups only, never iterated).
+    tx: BTreeMap<u64, (u32, Flow)>,
+    /// Client TCP connection -> its plan index and when its current call
+    /// (or transfer) started (lookups only, never iterated).
+    conns: BTreeMap<(HostId, u64), (u32, SimTime)>,
+    /// The window systems with an end here, by plan index.
+    ends: BTreeMap<u32, Window>,
 }
 
 /// A planned window system as the worlds holding its ends see it.
@@ -416,6 +477,8 @@ struct Window {
     flow: WindowFlow,
     /// The graphics session, once the app's world opened it.
     graphics: Option<u64>,
+    /// The event session, once the user's world opened it.
+    events: Option<u64>,
     /// The update-size generator, drawn in the app's world.
     sizes: Rng,
 }
@@ -423,27 +486,32 @@ struct Window {
 impl Acct {
     /// Fold another world's accounting into this one.
     pub fn merge(&mut self, o: &Acct) {
-        self.opened += o.opened;
-        self.failed += o.failed;
-        self.source_drops += o.source_drops;
-        self.rpc_issued += o.rpc_issued;
-        self.rpc_completed += o.rpc_completed;
-        self.rpc_failed += o.rpc_failed;
-        self.rpc_latency.merge_from(&o.rpc_latency);
-        self.window_events += o.window_events;
-        self.window_received += o.window_received;
-        self.window_late += o.window_late;
-        self.window_latency.merge_from(&o.window_latency);
-        for c in 0..CLASSES {
-            self.planned[c] += o.planned[c];
-            self.sent[c] += o.sent[c];
-            self.received[c] += o.received[c];
-            self.late[c] += o.late[c];
-            self.bytes[c] += o.bytes[c];
-            self.delays[c].merge_from(&o.delays[c]);
-            self.first_send[c] = self.first_send[c].into_iter().chain(o.first_send[c]).min();
-            self.last_delivery[c] = self.last_delivery[c].max(o.last_delivery[c]);
+        let lists = [
+            (&mut self.flows, &o.flows),
+            (&mut self.rpcs, &o.rpcs),
+            (&mut self.tcp, &o.tcp),
+            (&mut self.windows, &o.windows),
+        ];
+        for (mine, theirs) in lists {
+            for (&i, t) in theirs {
+                mine.entry(i).or_default().merge(t);
+            }
         }
+        self.flow_kinds.extend(&o.flow_kinds);
+    }
+
+    /// The sum of `class`'s flow tallies.
+    pub fn class(&self, class: Class) -> Tally {
+        (self.flows.iter())
+            .filter(|(i, _)| self.flow_kinds.get(i).is_some_and(|k| k.0 == class))
+            .map(|(_, t)| t)
+            .sum()
+    }
+
+    /// The sum of every flow's and window's tally: the stream sessions
+    /// opened, and the opens refused or failed.
+    pub fn streams(&self) -> Tally {
+        self.flows.values().chain(self.windows.values()).sum()
     }
 
     /// Sender sessions this world opened, as `(source host, session)` in
@@ -452,46 +520,15 @@ impl Acct {
         &self.sessions
     }
 
-    /// Fraction of `class`'s sent messages that arrived within budget.
-    pub fn on_time_fraction(&self, class: Class) -> f64 {
-        let c = class as usize;
-        if self.sent[c] == 0 {
-            0.0
-        } else {
-            self.received[c].saturating_sub(self.late[c]) as f64 / self.sent[c] as f64
+    /// The tally of the flow or window that opened sending session
+    /// `session` here, and the flow's pacing interval.
+    fn opener(&mut self, session: u64) -> Option<(&mut Tally, Option<SimDuration>)> {
+        if let Some((i, f)) = self.tx.get(&session) {
+            return Some((self.flows.entry(*i).or_default(), Some(f.interval)));
         }
-    }
-
-    /// True once every message planned for `class` was delivered.
-    pub fn complete(&self, class: Class) -> bool {
-        let c = class as usize;
-        self.planned[c] > 0 && self.received[c] >= self.planned[c]
-    }
-
-    /// Seconds from `class`'s first send to its latest delivery so far
-    /// (`None` before both); whether that was the last planned delivery is
-    /// [`complete`](Acct::complete).
-    pub fn transfer_secs(&self, class: Class) -> Option<f64> {
-        let c = class as usize;
-        let (first, last) = (self.first_send[c]?, self.last_delivery[c]?);
-        Some(last.saturating_since(first).as_secs_f64())
-    }
-
-    /// Goodput of `class` in bytes/second over
-    /// [`transfer_secs`](Acct::transfer_secs).
-    pub fn goodput(&self, class: Class) -> Option<f64> {
-        self.transfer_secs(class).map(|dt| {
-            if dt > 0.0 {
-                self.bytes[class as usize] as f64 / dt
-            } else {
-                f64::INFINITY
-            }
-        })
-    }
-
-    fn count_sent(&mut self, class: Class, now: SimTime) {
-        self.sent[class as usize] += 1;
-        self.first_send[class as usize].get_or_insert(now);
+        let (&i, _) = (self.ends.iter())
+            .find(|(_, w)| w.graphics == Some(session) || w.events == Some(session))?;
+        Some((self.windows.entry(i).or_default(), None))
     }
 }
 
@@ -505,20 +542,6 @@ pub type SharedAcct = Rc<RefCell<Acct>>;
 pub fn install(sim: &mut Sim<Stack>, plan: &Plan, owner: Option<HostId>) -> SharedAcct {
     let owned = |h: HostId| owner.is_none_or(|o| o == h);
     let acct = SharedAcct::default();
-    {
-        let mut a = acct.borrow_mut();
-        for f in plan.flows.iter().filter(|f| owned(f.dst)) {
-            a.planned[f.class as usize] += f.count;
-            a.budget[f.class as usize] = f.budget;
-        }
-        a.windows = (plan.windows.iter())
-            .map(|&flow| Window {
-                flow,
-                graphics: None,
-                sizes: Rng::new(flow.seed.wrapping_mul(0x9e37_79b9).wrapping_add(0xA44)),
-            })
-            .collect();
-    }
     let flow_ends = plan.flows.iter().flat_map(|f| [f.src, f.dst]);
     let window_ends = plan.windows.iter().flat_map(|w| [w.user, w.app]);
     let mut hosts: Vec<HostId> = flow_ends.chain(window_ends).filter(|&h| owned(h)).collect();
@@ -529,21 +552,30 @@ pub fn install(sim: &mut Sim<Stack>, plan: &Plan, owner: Option<HostId>) -> Shar
         sim.state
             .on_stream(h, move |sim, ev| on_stream_event(sim, h, ev, &a));
     }
-    for f in plan.flows.iter().filter(|f| owned(f.src)) {
+    for (i, f) in (0..).zip(&plan.flows) {
+        if owned(f.src) || owned(f.dst) {
+            let mut a = acct.borrow_mut();
+            a.flows.entry(i).or_default().planned = if owned(f.dst) { f.count } else { 0 };
+            a.flow_kinds.insert(i, (f.class, f.budget));
+        }
+        if !owned(f.src) {
+            continue;
+        }
         let f = f.clone();
         let a = Rc::clone(&acct);
         sim.schedule_in(f.start, move |sim| {
-            match stream::open(sim, f.src, f.dst, f.profile.clone()) {
+            let opened = stream::open(sim, f.src, f.dst, f.profile.clone());
+            let mut a = a.borrow_mut();
+            match opened {
                 Ok(session) => {
-                    let mut a = a.borrow_mut();
                     a.sessions.push((f.src, session));
-                    a.tx.insert(session, f);
+                    a.tx.insert(session, (i, f));
                 }
-                Err(_) => a.borrow_mut().failed += 1,
+                Err(_) => a.flows.entry(i).or_default().failed += 1,
             }
         });
     }
-    for r in &plan.rpcs {
+    for (i, r) in (0..).zip(&plan.rpcs) {
         if owned(r.server) {
             let reply = Bytes::from_static(&ZERO[..r.reply]);
             rkom::register_service(
@@ -555,28 +587,31 @@ pub fn install(sim: &mut Sim<Stack>, plan: &Plan, owner: Option<HostId>) -> Shar
         }
         if owned(r.client) {
             let r = *r;
+            acct.borrow_mut().rpcs.entry(i).or_default().planned = r.calls;
             let a = Rc::clone(&acct);
-            sim.schedule_in(r.start, move |sim| rpc_tick(sim, r, 0, a));
+            sim.schedule_in(r.start, move |sim| rpc_tick(sim, i, r, 0, a));
         }
     }
     if !plan.tcp.is_empty() {
-        let flows = plan.tcp.iter().zip(TCP_PORT_BASE..);
-        for (t, port) in flows.clone().filter(|(t, _)| owned(t.server)) {
+        let flows = (0..).zip(&plan.tcp).zip(TCP_PORT_BASE..);
+        for ((i, t), port) in flows.clone().filter(|((_, t), _)| owned(t.server)) {
             tcp::listen(sim, t.server, port);
             if let TcpWork::Bulk(_) = t.work {
-                acct.borrow_mut().planned[Class::Bulk as usize] += 1;
+                acct.borrow_mut().tcp.entry(i).or_default().planned = 1;
             }
         }
         let (plan_tcp, a) = (plan.tcp.clone(), Rc::clone(&acct));
         sim.state
             .on_tcp(move |sim, host, ev| on_tcp_event(sim, host, ev, &plan_tcp, &a));
-        for (&t, port) in flows.filter(|(t, _)| owned(t.client)) {
+        for ((i, &t), port) in flows.filter(|((_, t), _)| owned(t.client)) {
             let a = Rc::clone(&acct);
             // At the run start, not now: a connect sends at once, and the
             // world is still being set up (a `Par` replica is not yet one).
             sim.schedule_in(SimDuration::ZERO, move |sim| {
                 let conn = tcp::connect(sim, t.client, t.server, port);
-                a.borrow_mut().tcp.insert((t.client, conn), (t, sim.now()));
+                let mut a = a.borrow_mut();
+                a.tcp.entry(i).or_default();
+                a.conns.insert((t.client, conn), (i, sim.now()));
             });
         }
     }
@@ -587,8 +622,19 @@ pub fn install(sim: &mut Sim<Stack>, plan: &Plan, owner: Option<HostId>) -> Shar
             }
         }
     }
-    for (i, w) in (0..).zip(&plan.windows) {
-        if owned(w.user) || owned(w.app) {
+    for (i, &flow) in (0..).zip(&plan.windows) {
+        if owned(flow.user) || owned(flow.app) {
+            let sizes = Rng::new(flow.seed.wrapping_mul(0x9e37_79b9).wrapping_add(0xA44));
+            let (graphics, events) = (None, None);
+            let window = Window {
+                flow,
+                graphics,
+                events,
+                sizes,
+            };
+            let mut a = acct.borrow_mut();
+            a.windows.insert(i, Tally::default());
+            a.ends.insert(i, window);
             let a = Rc::clone(&acct);
             // At the run start, as the TCP connects above.
             sim.schedule_in(SimDuration::ZERO, move |sim| open_window(sim, i, owner, a));
@@ -597,28 +643,14 @@ pub fn install(sim: &mut Sim<Stack>, plan: &Plan, owner: Option<HostId>) -> Shar
     acct
 }
 
-/// Step `sim` until every message planned for `class` was delivered, the
-/// world goes quiet, or `deadline` passes. Returns true on completion.
-pub fn run_until_delivered(
-    sim: &mut Sim<Stack>,
-    acct: &SharedAcct,
-    class: Class,
-    deadline: SimDuration,
-) -> bool {
-    let end = sim.now().saturating_add(deadline);
-    while !acct.borrow().complete(class) && sim.next_event_time().is_some_and(|t| t <= end) {
-        sim.step();
-    }
-    acct.borrow().complete(class)
-}
-
 fn on_stream_event(sim: &mut Sim<Stack>, host: HostId, ev: StreamEvent, acct: &SharedAcct) {
     match ev {
         StreamEvent::Opened { session } => {
             let pacing = {
                 let mut a = acct.borrow_mut();
-                a.tx.get(&session).map(|t| t.interval).inspect(|_| {
-                    a.opened += 1;
+                a.opener(session).and_then(|(t, pacing)| {
+                    t.opened += 1;
+                    pacing
                 })
             };
             match pacing {
@@ -629,8 +661,14 @@ fn on_stream_event(sim: &mut Sim<Stack>, host: HostId, ev: StreamEvent, acct: &S
         }
         StreamEvent::OpenFailed { session, .. } => {
             let mut a = acct.borrow_mut();
-            if a.tx.remove(&session).is_some() {
-                a.failed += 1;
+            if let Some((t, _)) = a.opener(session) {
+                t.failed += 1;
+            }
+            a.tx.remove(&session);
+            // A window's failed stream carries nothing more.
+            for w in a.ends.values_mut() {
+                w.graphics = w.graphics.filter(|&s| s != session);
+                w.events = w.events.filter(|&s| s != session);
             }
         }
         StreamEvent::Drained { session } => {
@@ -638,7 +676,7 @@ fn on_stream_event(sim: &mut Sim<Stack>, host: HostId, ev: StreamEvent, acct: &S
                 .borrow()
                 .tx
                 .get(&session)
-                .is_some_and(|t| t.interval.is_zero());
+                .is_some_and(|(_, t)| t.interval.is_zero());
             if pumped {
                 pump(sim, host, session, acct);
             }
@@ -649,23 +687,9 @@ fn on_stream_event(sim: &mut Sim<Stack>, host: HostId, ev: StreamEvent, acct: &S
             delay,
             ..
         } => {
-            match msg.wire().first_byte() {
-                Some(EVENT_TAG) => answer_window_event(sim, &msg, acct),
-                Some(UPDATE_TAG) => count_window_update(sim, &msg, acct),
-                tag => {
-                    let Some(class) = tag.and_then(Class::from_tag) else {
-                        return;
-                    };
-                    let c = class as usize;
-                    let mut a = acct.borrow_mut();
-                    a.received[c] += 1;
-                    a.bytes[c] += msg.len() as u64;
-                    a.delays[c].record(delay.as_secs_f64());
-                    a.last_delivery[c] = Some(sim.now());
-                    if delay > a.budget[c] {
-                        a.late[c] += 1;
-                    }
-                }
+            let answer = count_delivery(&mut acct.borrow_mut(), &msg, delay, sim.now());
+            if let Some((app, graphics, update)) = answer {
+                let _ = stream::send(sim, app, graphics, update);
             }
             // Disk-speed sink: consume at once so receiver flow control
             // (a no-op on profiles without it) never throttles a transfer
@@ -683,18 +707,19 @@ fn on_stream_event(sim: &mut Sim<Stack>, host: HostId, ev: StreamEvent, acct: &S
 /// the frame at the source, it is never retried.
 fn pace(sim: &mut Sim<Stack>, host: HostId, session: u64, acct: SharedAcct) {
     let step = {
-        let mut a = acct.borrow_mut();
-        a.tx.get_mut(&session).map(|t| {
+        let mut guard = acct.borrow_mut();
+        let a = &mut *guard;
+        a.tx.get_mut(&session).map(|(i, t)| {
             t.count = t.count.saturating_sub(1);
-            (t.class, t.len, next_gap(t), t.count > 0)
+            a.flows.entry(*i).or_default().count_sent(sim.now());
+            (*i, t.len, next_gap(t), t.count > 0)
         })
     };
-    let Some((class, len, gap, more)) = step else {
+    let Some((i, len, gap, more)) = step else {
         return;
     };
-    acct.borrow_mut().count_sent(class, sim.now());
-    if stream::send(sim, host, session, tagged(class, len)).is_err() {
-        acct.borrow_mut().source_drops += 1;
+    if stream::send(sim, host, session, stamped(FLOW, i, None, len)).is_err() {
+        acct.borrow_mut().flows.entry(i).or_default().dropped += 1;
     }
     if more {
         sim.schedule_in(gap, move |sim| pace(sim, host, session, acct));
@@ -716,32 +741,32 @@ fn next_gap(f: &mut Flow) -> SimDuration {
 /// `Drained` resumes the pump.
 fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64, acct: &SharedAcct) {
     loop {
-        let step = {
-            let a = acct.borrow();
-            match a.tx.get(&session) {
-                Some(t) if t.count > 0 => Some((t.class, t.len)),
-                _ => None,
-            }
+        let step = match acct.borrow().tx.get(&session) {
+            Some(&(i, ref t)) if t.count > 0 => Some((i, t.len)),
+            _ => None,
         };
-        let Some((class, len)) = step else { return };
-        if stream::send(sim, host, session, tagged(class, len)).is_err() {
+        let Some((i, len)) = step else { return };
+        if stream::send(sim, host, session, stamped(FLOW, i, None, len)).is_err() {
             return;
         }
-        let mut a = acct.borrow_mut();
-        a.count_sent(class, sim.now());
-        if let Some(t) = a.tx.get_mut(&session) {
+        let mut guard = acct.borrow_mut();
+        let a = &mut *guard;
+        a.flows.entry(i).or_default().count_sent(sim.now());
+        if let Some((_, t)) = a.tx.get_mut(&session) {
             t.count -= 1;
         }
     }
 }
 
-fn rpc_tick(sim: &mut Sim<Stack>, r: RpcFlow, n: u64, acct: SharedAcct) {
+fn rpc_tick(sim: &mut Sim<Stack>, i: u32, r: RpcFlow, n: u64, acct: SharedAcct) {
     if n >= r.calls {
         return;
     }
-    acct.borrow_mut().rpc_issued += 1;
-    let a = Rc::clone(&acct);
     let started = sim.now();
+    let mut a = acct.borrow_mut();
+    a.rpcs.entry(i).or_default().count_sent(started);
+    drop(a);
+    let a = Rc::clone(&acct);
     rkom::call(
         sim,
         r.client,
@@ -749,18 +774,19 @@ fn rpc_tick(sim: &mut Sim<Stack>, r: RpcFlow, n: u64, acct: SharedAcct) {
         r.service,
         Bytes::from_static(&ZERO[..r.request]),
         move |sim, res| {
-            let mut acct = a.borrow_mut();
+            let mut a = a.borrow_mut();
+            let t = a.rpcs.entry(i).or_default();
             match res {
                 Ok(_) => {
-                    acct.rpc_completed += 1;
+                    t.received += 1;
                     let rtt = sim.now().saturating_since(started);
-                    acct.rpc_latency.record(rtt.as_secs_f64());
+                    t.delays.record(rtt.as_secs_f64());
                 }
-                Err(_) => acct.rpc_failed += 1,
+                Err(_) => t.failed += 1,
             }
         },
     );
-    sim.schedule_in(r.interval, move |sim| rpc_tick(sim, r, n + 1, acct));
+    sim.schedule_in(r.interval, move |sim| rpc_tick(sim, i, r, n + 1, acct));
 }
 
 /// The TCP baseline's driver: a client writes its transfer or first
@@ -789,10 +815,12 @@ fn on_tcp_event(
     let completed = |unit: u64| total / unit - (total - bytes) / unit;
     let mut guard = acct.borrow_mut();
     let a = &mut *guard;
-    let write = if let Some((t, started)) = a.tcp.get_mut(&(host, conn)) {
-        match t.work {
+    let write = if let Some((i, started)) = a.conns.get_mut(&(host, conn)) {
+        let t = a.tcp.entry(*i).or_default();
+        t.opened += u64::from(bytes == 0);
+        match flows[*i as usize].work {
             TcpWork::Bulk(len) => {
-                a.count_sent(Class::Bulk, now);
+                t.count_sent(now);
                 len
             }
             TcpWork::Rpc {
@@ -805,29 +833,30 @@ fn on_tcp_event(
                     if completed(reply) == 0 {
                         return;
                     }
-                    a.rpc_completed += 1;
-                    a.rpc_latency
+                    t.received += 1;
+                    t.delays
                         .record(now.saturating_since(*started).as_secs_f64());
                     if total / reply >= calls {
                         return;
                     }
                 }
                 *started = now;
-                a.rpc_issued += 1;
+                t.count_sent(now);
                 request
             }
         }
     } else {
-        let flow = flows.get(usize::from(port.wrapping_sub(TCP_PORT_BASE)));
-        let Some(t) = flow.filter(|t| t.server == host && bytes > 0) else {
+        let i = port.wrapping_sub(TCP_PORT_BASE);
+        let flow = flows.get(usize::from(i));
+        let Some(f) = flow.filter(|f| f.server == host && bytes > 0) else {
             return;
         };
-        match t.work {
+        match f.work {
             TcpWork::Bulk(len) => {
-                let b = Class::Bulk as usize;
-                a.bytes[b] += bytes;
-                a.received[b] += completed(len);
-                a.last_delivery[b] = Some(now);
+                let t = a.tcp.entry(u32::from(i)).or_default();
+                t.bytes += bytes;
+                t.received += completed(len);
+                t.last_delivery = Some(now);
                 return;
             }
             TcpWork::Rpc { request, reply, .. } => completed(request) * reply,
@@ -843,17 +872,20 @@ fn on_tcp_event(
 /// graphics stream, the user's world its event stream and input source.
 fn open_window(sim: &mut Sim<Stack>, i: u32, owner: Option<HostId>, acct: SharedAcct) {
     let owned = |h: HostId| owner.is_none_or(|o| o == h);
-    let w = acct.borrow().windows[i as usize].flow;
+    let w = acct.borrow().ends[&i].flow;
     if owned(w.app) {
         match stream::open(sim, w.app, w.user, window_profile(64 * 1024, 16 * 1024, 60)) {
-            Ok(s) => acct.borrow_mut().windows[i as usize].graphics = Some(s),
-            Err(_) => acct.borrow_mut().failed += 1,
+            Ok(s) => acct.borrow_mut().ends.get_mut(&i).unwrap().graphics = Some(s),
+            Err(_) => acct.borrow_mut().windows.entry(i).or_default().failed += 1,
         }
     }
     if owned(w.user) {
         match stream::open(sim, w.user, w.app, window_profile(4 * 1024, 256, 30)) {
-            Ok(s) => window_events(sim, i, s, Rng::new(w.seed), acct),
-            Err(_) => acct.borrow_mut().failed += 1,
+            Ok(s) => {
+                acct.borrow_mut().ends.get_mut(&i).unwrap().events = Some(s);
+                window_events(sim, i, s, Rng::new(w.seed), acct);
+            }
+            Err(_) => acct.borrow_mut().windows.entry(i).or_default().failed += 1,
         }
     }
 }
@@ -870,71 +902,74 @@ fn window_profile(capacity: u64, max_message: u64, ms: u64) -> StreamProfile {
 }
 
 /// Window `i`'s input source in the user's world: one event after each
-/// exponential gap of mean `1 / event_rate`, until `duration` is up.
+/// exponential gap of mean `1 / event_rate`, until `duration` is up or the
+/// event stream's open fails. A refused event is dropped at the source.
 fn window_events(sim: &mut Sim<Stack>, i: u32, session: u64, mut rng: Rng, acct: SharedAcct) {
-    let w = acct.borrow().windows[i as usize].flow;
+    let w = acct.borrow().ends[&i].flow;
     if sim.now() >= SimTime::ZERO.saturating_add(w.duration) {
         return;
     }
     let gap = SimDuration::from_secs_f64(rng.exp(1.0 / w.event_rate));
     sim.schedule_in(gap, move |sim| {
-        acct.borrow_mut().window_events += 1;
-        let event = window_msg(EVENT_TAG, i, sim.now(), w.event_bytes);
-        let _ = stream::send(sim, w.user, session, event);
+        if acct.borrow().ends[&i].events != Some(session) {
+            return;
+        }
+        let now = sim.now();
+        let refused = stream::send(
+            sim,
+            w.user,
+            session,
+            stamped(EVENT, i, Some(now), w.event_bytes),
+        );
+        let mut a = acct.borrow_mut();
+        let t = a.windows.entry(i).or_default();
+        t.count_sent(now);
+        t.dropped += u64::from(refused.is_err());
+        drop(a);
         window_events(sim, i, session, rng, acct);
     });
 }
 
-/// A window message: `tag`, the window's plan index and an event's send
-/// time, zero-padded to `len` bytes.
-fn window_msg(tag: u8, i: u32, sent: SimTime, len: u64) -> Message {
-    let mut p = vec![0u8; (len as usize).max(13)];
-    p[0] = tag;
-    p[1..5].copy_from_slice(&i.to_be_bytes());
-    p[5..13].copy_from_slice(&sent.as_nanos().to_be_bytes());
-    Message::new(p)
-}
-
-/// A window message's plan index and event send time.
-fn window_header(msg: &Message) -> Option<(u32, SimTime)> {
-    let p = msg.payload();
-    let i = u32::from_be_bytes(p.get(1..5)?.try_into().ok()?);
-    let sent = u64::from_be_bytes(p.get(5..13)?.try_into().ok()?);
-    Some((i, SimTime::from_nanos(sent)))
-}
-
-/// An input event reached the app's world: count it and answer with a
-/// Pareto-sized graphics update that echoes its send time.
-fn answer_window_event(sim: &mut Sim<Stack>, msg: &Message, acct: &SharedAcct) {
-    let Some((i, sent)) = window_header(msg) else {
-        return;
-    };
-    let mut a = acct.borrow_mut();
-    a.window_received += 1;
-    let Some(w) = a.windows.get_mut(i as usize) else {
-        return;
-    };
-    let len = (w.flow.graphics_bytes as f64 * w.sizes.pareto(0.45, 1.8)).clamp(256.0, 15_000.0);
-    let (Some(session), app) = (w.graphics, w.flow.app) else {
-        return;
-    };
-    drop(a);
-    let update = window_msg(UPDATE_TAG, i, sent, len as u64);
-    let _ = stream::send(sim, app, session, update);
-}
-
-/// A graphics update reached the user's world: count the interaction.
-fn count_window_update(sim: &Sim<Stack>, msg: &Message, acct: &SharedAcct) {
-    let Some((i, sent)) = window_header(msg) else {
-        return;
-    };
-    let mut a = acct.borrow_mut();
-    let Some(w) = a.windows.get(i as usize) else {
-        return;
-    };
-    let (budget, latency) = (w.flow.budget, sim.now().saturating_since(sent));
-    a.window_latency.record(latency.as_secs_f64());
-    a.window_late += u64::from(latency > budget);
+/// Count a delivery against its plan entry: a flow's message against the
+/// flow's budget, a window's input event as received, a window's update as
+/// an answered interaction. An input event's answer comes back: the app,
+/// its graphics session and a Pareto-sized update echoing the event's send
+/// time.
+fn count_delivery(
+    a: &mut Acct,
+    msg: &Message,
+    delay: SimDuration,
+    now: SimTime,
+) -> Option<(HostId, u64, Message)> {
+    let mut head = msg.wire().cursor();
+    let (kind, i) = (head.get_u8().ok()?, head.get_u32().ok()?);
+    let sent = head.get_u64().map(SimTime::from_nanos);
+    match (kind, sent) {
+        (FLOW, _) => {
+            let budget = a.flow_kinds.get(&i)?.1;
+            let t = a.flows.get_mut(&i)?;
+            t.received += 1;
+            t.bytes += msg.len() as u64;
+            t.delays.record(delay.as_secs_f64());
+            t.last_delivery = Some(now);
+            t.late += u64::from(delay > budget);
+        }
+        (EVENT, Ok(sent)) => {
+            let (t, w) = (a.windows.get_mut(&i)?, a.ends.get_mut(&i)?);
+            t.received += 1;
+            let len = w.flow.graphics_bytes as f64 * w.sizes.pareto(0.45, 1.8);
+            let update = stamped(UPDATE, i, Some(sent), len.clamp(256.0, 15_000.0) as u64);
+            return Some((w.flow.app, w.graphics?, update));
+        }
+        (UPDATE, Ok(sent)) => {
+            let (t, w) = (a.windows.get_mut(&i)?, a.ends.get(&i)?);
+            let latency = now.saturating_since(sent);
+            t.delays.record(latency.as_secs_f64());
+            t.late += u64::from(latency > w.flow.budget);
+        }
+        _ => {}
+    }
+    None
 }
 
 /// One direction of a [`Probe`], driven by the world owning `from`.
@@ -949,7 +984,8 @@ fn probe_tick(sim: &mut Sim<Stack>, from: HostId, to: HostId, p: Probe) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_net::topology::two_hosts_ethernet;
+    use dash_net::fault::crash_host;
+    use dash_net::topology::{dumbbell, two_hosts_ethernet};
     use dash_transport::stack::StackBuilder;
 
     /// A quiet 10 Mb/s Ethernet with `flows` installed on it.
@@ -971,13 +1007,14 @@ mod tests {
                 StreamProfile::bulk(),
             )])
         });
-        let done = run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(30));
+        sim.run();
         let a = acct.borrow();
-        assert!(done, "transfer incomplete: {a:?}");
-        assert_eq!(a.bytes[Class::Bulk as usize], 256 * 1024);
-        assert_eq!((a.opened, a.failed), (1, 0));
+        let bulk = &a.flows[&0];
+        assert!(bulk.complete(), "transfer incomplete: {a:?}");
+        assert_eq!(bulk.bytes, 256 * 1024);
+        assert_eq!((bulk.opened, bulk.failed), (1, 0));
         // 10 Mb/s Ethernet: goodput should be a meaningful fraction.
-        let goodput = a.goodput(Class::Bulk).expect("complete");
+        let goodput = bulk.goodput().expect("complete");
         assert!(
             goodput > 200_000.0,
             "goodput {goodput} B/s too low for a 10 Mb/s LAN"
@@ -990,13 +1027,38 @@ mod tests {
             lan(|a, b| Plan::from(vec![Flow::voice(a, b, 0, SimDuration::from_secs(2))]));
         sim.run();
         let a = acct.borrow();
-        let v = Class::Voice as usize;
+        let v = &a.flows[&0];
         // 2 s of 20 ms frames ≈ 100 frames.
-        assert!(a.sent[v] >= 95, "sent {}", a.sent[v]);
-        assert!(a.received[v] as f64 >= a.sent[v] as f64 * 0.98);
-        assert_eq!(a.late[v], 0, "quiet LAN must meet the 40 ms budget");
-        assert!(a.on_time_fraction(Class::Voice) > 0.97);
-        assert!(a.delays[v].mean() > 0.0);
+        assert!(v.sent >= 95, "sent {}", v.sent);
+        assert!(v.received as f64 >= v.sent as f64 * 0.98);
+        assert_eq!(v.late, 0, "quiet LAN must meet the 40 ms budget");
+        assert!(v.on_time_fraction() > 0.97);
+        assert!(v.delays.mean() > 0.0);
+    }
+
+    /// Two voice flows into one world, one with a budget no delivery can
+    /// meet and one every delivery meets: each is judged by its own.
+    #[test]
+    fn each_flow_is_judged_against_its_own_budget() {
+        let (net, a, b, _, _) = dumbbell();
+        let mut sim = Sim::new(StackBuilder::new(net).build());
+        let voice = |index, budget| Flow {
+            budget,
+            ..Flow::wan_voice(a, b, index, SimDuration::from_millis(500))
+        };
+        let plan = Plan::from(vec![
+            voice(0, SimDuration::from_millis(1)),
+            voice(1, SimDuration::from_secs(1)),
+        ]);
+        let acct = install(&mut sim, &plan, None);
+        sim.run();
+        let acct = acct.borrow();
+        let (tight, loose) = (&acct.flows[&0], &acct.flows[&1]);
+        assert!(tight.received > 20, "{tight:?}");
+        assert_eq!(tight.late, tight.received, "a WAN path takes over 1 ms");
+        assert!(loose.received > 20, "{loose:?}");
+        assert_eq!(loose.late, 0, "no delivery takes 1 s");
+        assert_eq!(acct.class(Class::WanVoice).late, tight.late);
     }
 
     #[test]
@@ -1016,11 +1078,11 @@ mod tests {
         });
         sim.run();
         let a = acct.borrow();
-        assert_eq!(a.rpc_issued, 200);
-        assert_eq!(a.rpc_failed, 0);
-        assert_eq!(a.rpc_completed, a.rpc_issued);
-        assert!(a.rpc_latency.mean() > 0.0);
-        assert!(a.rpc_latency.mean() < 0.05, "LAN RPC should be fast");
+        let r = &a.rpcs[&0];
+        assert_eq!((r.sent, r.received, r.failed), (200, 200, 0));
+        assert!(r.complete());
+        assert!(r.delays.mean() > 0.0);
+        assert!(r.delays.mean() < 0.05, "LAN RPC should be fast");
     }
 
     /// A TCP connection from `a` to `b` carrying `work`.
@@ -1049,10 +1111,11 @@ mod tests {
         });
         sim.run();
         let a = acct.borrow();
-        assert_eq!((a.rpc_issued, a.rpc_completed, a.rpc_failed), (20, 20, 0));
-        assert_eq!(a.rpc_latency.count(), 20);
+        let t = &a.tcp[&0];
+        assert_eq!((t.opened, t.sent, t.received, t.failed), (1, 20, 20, 0));
+        assert_eq!(t.delays.count(), 20);
         // One call at a time: the run lasts at least the calls' sum.
-        let sum = a.rpc_latency.mean() * 20.0;
+        let sum = t.delays.mean() * 20.0;
         assert!(sim.now().as_secs_f64() >= sum, "{sum} s of calls");
     }
 
@@ -1075,11 +1138,13 @@ mod tests {
         });
         sim.run();
         let a = acct.borrow();
-        assert!(a.complete(Class::Bulk), "{a:?}");
-        let b = Class::Bulk as usize;
-        assert_eq!((a.sent[b], a.received[b], a.bytes[b]), (1, 1, 100_000));
-        assert!(a.goodput(Class::Bulk).unwrap() > 200_000.0);
-        assert_eq!(a.rpc_completed, 3);
+        let bulk = &a.tcp[&0];
+        assert!(bulk.complete(), "{a:?}");
+        assert_eq!((bulk.sent, bulk.received, bulk.bytes), (1, 1, 100_000));
+        assert!(bulk.goodput().unwrap() > 200_000.0);
+        assert_eq!(a.tcp[&1].received, 3);
+        // A connection is counted in its own tally, in no class.
+        assert_eq!(a.class(Class::Bulk).sent, 0);
     }
 
     #[test]
@@ -1090,26 +1155,64 @@ mod tests {
         });
         sim.run();
         let a = acct.borrow();
-        assert_eq!(a.failed, 0);
-        let sent = a.window_events;
-        assert!(sent > 50, "events {sent}");
-        let received = a.window_received;
-        assert!(received as f64 > sent as f64 * 0.9, "{received} of {sent}");
-        let answered = a.window_latency.count();
-        assert!(answered as f64 > sent as f64 * 0.8, "{answered} of {sent}");
-        assert_eq!(a.window_late, 0, "LAN interactions inside 100 ms");
-        assert!(a.window_latency.mean() < 0.05);
-        // The window's messages are counted in no class.
-        assert_eq!((a.sent, a.received), ([0; CLASSES], [0; CLASSES]));
+        let w = &a.windows[&0];
+        assert_eq!((w.opened, w.failed), (2, 0));
+        assert!(w.sent > 50, "events {}", w.sent);
+        assert!(w.received * 10 > w.sent * 9, "{} of {}", w.received, w.sent);
+        let answered = w.delays.count() as u64;
+        assert!(answered * 5 > w.sent * 4, "{answered} of {}", w.sent);
+        assert_eq!(w.late, 0, "LAN interactions inside 100 ms");
+        assert!(w.delays.mean() < 0.05);
+        assert!(a.flows.is_empty());
+    }
+
+    /// The app's host is down from the start: both of the window's
+    /// streams fail, the user's only after `stream::open` returned `Ok`;
+    /// both failures land in the window's tally, and no event is sent once
+    /// the event stream has failed.
+    #[test]
+    fn a_window_stream_whose_open_fails_later_is_counted() {
+        let (net, user, app) = two_hosts_ethernet();
+        let mut sim = Sim::new(StackBuilder::new(net).build());
+        sim.schedule_in(SimDuration::ZERO, move |sim| crash_host(sim, app));
+        let plan = Plan {
+            windows: vec![WindowFlow::new(user, app, 21)],
+            ..Plan::default()
+        };
+        let acct = install(&mut sim, &plan, None);
+        sim.run();
+        let a = acct.borrow();
+        let w = &a.windows[&0];
+        assert_eq!((w.opened, w.failed), (0, 2), "{w:?}");
+        assert_eq!(a.streams().failed, 2);
+        assert_eq!((w.received, w.delays.count()), (0, 0));
+        // The input source stops when its stream fails: 2 s at 50 events/s
+        // would send about 100.
+        assert!(w.sent < 50, "{} events into a failed stream", w.sent);
     }
 
     #[test]
-    fn a_tagged_payload_has_the_length_asked_for() {
-        for len in [1, 2, 8193, 8194, ZERO_LEN + 1, ZERO_LEN + 2, 3 * ZERO_LEN] {
-            let msg = tagged(Class::Heavy, len);
+    fn a_stamped_payload_has_the_length_asked_for() {
+        for len in [
+            13,
+            14,
+            8193,
+            8194,
+            ZERO_LEN + 1,
+            ZERO_LEN + 13,
+            3 * ZERO_LEN,
+        ] {
+            let msg = stamped(FLOW, 7, None, len);
             assert_eq!(msg.len() as u64, len);
-            assert_eq!(msg.wire().first_byte(), Some(Class::Heavy as u8 + 1));
+            let mut head = msg.wire().cursor();
+            assert_eq!((head.get_u8(), head.get_u32()), (Ok(FLOW), Ok(7)));
+            let sent = SimTime::from_nanos(123_456);
+            let update = stamped(UPDATE, 9, Some(sent), len);
+            let mut head = update.wire().cursor();
+            assert_eq!((head.get_u8(), head.get_u32()), (Ok(UPDATE), Ok(9)));
+            assert_eq!(head.get_u64().map(SimTime::from_nanos), Ok(sent));
         }
+        assert_eq!(stamped(FLOW, 0, None, 1).len(), 5, "the header is sent");
     }
 
     #[test]
@@ -1135,31 +1238,38 @@ mod tests {
     }
 
     #[test]
-    fn acct_fractions_and_merge() {
-        let v = Class::Voice;
-        let mut a = Acct::default();
-        assert_eq!(a.on_time_fraction(v), 0.0);
-        a.sent[0] = 10;
-        a.received[0] = 8;
-        a.late[0] = 2;
-        assert!((a.on_time_fraction(v) - 0.6).abs() < 1e-9);
+    fn tally_fractions_and_merge() {
+        let mut t = Tally::default();
+        assert_eq!(t.on_time_fraction(), 0.0);
+        t.sent = 10;
+        t.received = 8;
+        t.late = 2;
+        assert!((t.on_time_fraction() - 0.6).abs() < 1e-9);
         // More late than received cannot go negative.
-        a.late[0] = 9;
-        assert_eq!(a.on_time_fraction(v), 0.0);
+        t.late = 9;
+        assert_eq!(t.on_time_fraction(), 0.0);
 
         // Tx side in one world, rx side in another: the merge is whole.
         let at = |ms| Some(SimTime::ZERO.saturating_add(SimDuration::from_millis(ms)));
-        let mut tx = Acct::default();
-        tx.sent[2] = 4;
-        tx.first_send[2] = at(5);
-        let mut rx = Acct::default();
-        rx.planned[2] = 4;
-        rx.received[2] = 4;
-        rx.bytes[2] = 4000;
-        rx.last_delivery[2] = at(1005);
-        assert!(rx.goodput(Class::Bulk).is_none(), "no first send here");
-        tx.merge(&rx);
-        assert!(tx.complete(Class::Bulk));
-        assert!((tx.goodput(Class::Bulk).unwrap() - 4000.0).abs() < 1e-6);
+        let tx = Tally {
+            sent: 4,
+            first_send: at(5),
+            ..Tally::default()
+        };
+        let rx = Tally {
+            planned: 4,
+            received: 4,
+            bytes: 4000,
+            last_delivery: at(1005),
+            ..Tally::default()
+        };
+        assert!(rx.goodput().is_none(), "no first send here");
+        let mut worlds = [Acct::default(), Acct::default()];
+        worlds[0].flows.insert(3, tx);
+        worlds[1].flows.insert(3, rx);
+        let mut merged = Acct::default();
+        worlds.iter().for_each(|w| merged.merge(w));
+        assert!(merged.flows[&3].complete());
+        assert!((merged.flows[&3].goodput().unwrap() - 4000.0).abs() < 1e-6);
     }
 }

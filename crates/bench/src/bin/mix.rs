@@ -19,6 +19,7 @@
 //! by `dash-benchmark`, not here.
 
 use dash_apps::scenario::{run, Backend, Outcome, Scenario};
+use dash_apps::traffic::Tally;
 use dash_bench::e_routing::RoutingParams;
 use dash_bench::judge;
 use dash_bench::mix::MixParams;
@@ -93,6 +94,7 @@ fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
 }
 
 fn report(label: &str, o: &Outcome) {
+    let (streams, calls): (_, Tally) = (o.acct.streams(), o.acct.rpcs.values().sum());
     let detail = match (o.backend, &o.rt) {
         (Backend::Par { shards, .. }, _) => {
             format!(", shards {shards}, digest {}", o.digest_hash())
@@ -116,11 +118,11 @@ fn report(label: &str, o: &Outcome) {
         o.hosts,
         o.events,
         o.wall_secs,
-        o.acct.opened,
-        o.acct.failed,
+        streams.opened,
+        streams.failed,
         o.messages(),
-        o.acct.rpc_completed,
-        o.acct.rpc_issued,
+        calls.received,
+        calls.sent,
         o.voice_on_time() * 100.0,
         o.registry.counter_value("st.cache_miss"),
         o.faults_injected,

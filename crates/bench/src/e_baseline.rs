@@ -5,7 +5,7 @@
 //! counterparts, each leg its own scenario.
 
 use dash_apps::scenario::{Outcome, Scenario};
-use dash_apps::traffic::{Class, Flow, Plan, RpcFlow, TcpFlow, TcpWork};
+use dash_apps::traffic::{Acct, Flow, Plan, RpcFlow, Tally, TcpFlow, TcpWork};
 use dash_baseline::TcpConfig;
 use dash_net::state::NetState;
 use dash_net::topology::{dumbbell, TopologyBuilder};
@@ -74,31 +74,36 @@ pub fn e7_table(outs: &[Outcome]) -> Table {
     );
     t.columns(&["workload", "protocol", "result", "detail"]);
     for (protocol, o) in ["RKOM", "TCP sequential"].into_iter().zip(outs) {
-        let mut lat = o.acct.rpc_latency.clone();
+        let mut calls: Tally = o.acct.rpcs.values().chain(o.acct.tcp.values()).sum();
         t.row(vec![
             "RPC (64B→256B)".into(),
             protocol.into(),
-            format!("mean {}", secs(lat.mean())),
+            format!("mean {}", secs(calls.delays.mean())),
             format!(
                 "{} calls, p99 {}",
-                o.acct.rpc_completed,
-                secs(lat.quantile(0.99))
+                calls.received,
+                secs(calls.delays.quantile(0.99))
             ),
         ]);
     }
     for (protocol, o) in ["RMS stream", "TCP"].into_iter().zip(&outs[2..]) {
-        let a = &o.acct;
+        let bulk: Tally = transfers(&o.acct).sum();
         t.row(vec![
             "bulk 512KB".into(),
             protocol.into(),
-            format!("{} B/s", f(a.goodput(Class::Bulk).unwrap_or(0.0))),
-            format!("{} of {E7_BULK} bytes", a.bytes[Class::Bulk as usize]),
+            format!("{} B/s", f(bulk.goodput().unwrap_or(0.0))),
+            format!("{} of {E7_BULK} bytes", bulk.bytes),
         ]);
     }
     t.note("path: Ethernet → 1.5 Mb/s, 30 ms one-way WAN → Ethernet");
     t.note("RPC latency counts from each call's send, after the TCP handshake; bulk goodput is delivered bytes over first send to last delivery");
     t.note("expected shape: RKOM RPC ≈ TCP RPC once connected (both one round trip), but RKOM needs no per-conversation handshake; streams beat sequential request/reply for bulk on long-delay paths");
     t
+}
+
+/// A leg's transfers: its stream flows, then its TCP connections.
+fn transfers(a: &Acct) -> impl Iterator<Item = &Tally> {
+    a.flows.values().chain(a.tcp.values())
 }
 
 /// e8's internetwork: three senders on `lan-a`, its gateway onto a slow
@@ -196,6 +201,7 @@ pub fn e8_table(outs: &[Outcome]) -> Table {
         "gateway overflow drops",
         "quenches",
         "total goodput",
+        "per-flow goodput",
         "all delivered",
     ]);
     let gateway = e8_net().3;
@@ -203,18 +209,21 @@ pub fn e8_table(outs: &[Outcome]) -> Table {
         let drops = (o.stream.iter())
             .filter(|(_, e)| matches!(e, ObsEvent::IfaceDrop { host, .. } if *host == gateway.0))
             .count();
+        let total: Tally = transfers(&o.acct).sum();
+        let shares: Vec<String> = transfers(&o.acct)
+            .map(|t| f(t.goodput().unwrap_or(0.0)))
+            .collect();
         t.row(vec![
             label.into(),
             drops.to_string(),
             o.registry.counter_value("net.quench_sent").to_string(),
-            format!("{} B/s", f(o.acct.goodput(Class::Bulk).unwrap_or(0.0))),
-            o.acct.complete(Class::Bulk).to_string(),
+            format!("{} B/s", f(total.goodput().unwrap_or(0.0))),
+            format!("{} B/s", shares.join(" / ")),
+            total.complete().to_string(),
         ]);
     }
     t.note("bottleneck: 400 kb/s WAN behind a gateway with 16 KB transmit buffers; RMS flows move 24 KB each, TCP flows 96 KB each");
-    t.note(
-        "goodput is delivered bytes over first send to last delivery, summed over the three flows",
-    );
+    t.note("total goodput is the three flows' delivered bytes over the first send to the last delivery of any; each per-flow share is one flow's bytes over its own first send to last delivery");
     t.note("expected shape: rate-enforced RMS flows produce ~zero gateway drops; TCP overruns the gateway, and ignoring quench drops most");
     t
 }

@@ -2,7 +2,7 @@
 //! deterministic / statistical / best-effort admission control (§2.3).
 
 use dash_apps::scenario::{Outcome, Scenario};
-use dash_apps::traffic::{Class, Flow, Plan};
+use dash_apps::traffic::{Flow, Plan};
 use dash_net::ids::{HostId, NetRmsId};
 use dash_net::pipeline as netp;
 use dash_net::state::{NetRmsEvent, NetState, NetWorld};
@@ -77,7 +77,7 @@ pub fn e5_table(outs: &[Outcome]) -> Table {
         "ratio",
     ]);
     for (row, o) in E5_ROWS.into_iter().zip(outs) {
-        let measured = o.acct.goodput(Class::Voice).unwrap_or(0.0);
+        let measured = o.acct.flows[&0].goodput().unwrap_or(0.0);
         // Rate-based enforcement is the pessimistic §4.4 variant: at most C
         // bytes per A + C·B period, so the sustainable rate is C/(A + C·B).
         let period = e5_profile(row).delay.bound_for(row.0);

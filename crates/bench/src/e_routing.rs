@@ -264,10 +264,11 @@ pub fn e11_table(outs: &[Outcome]) -> Table {
     ]);
     for (label, o) in ["dumbbell", "mesh"].into_iter().zip(outs) {
         let count = |name| o.registry.counter_value(name).to_string();
+        let streams = o.acct.streams();
         t.row(vec![
             label.to_string(),
-            o.acct.opened.to_string(),
-            o.acct.failed.to_string(),
+            streams.opened.to_string(),
+            streams.failed.to_string(),
             count("routing.alternate_wins"),
             count("routing.floods"),
             count("routing.recompute"),

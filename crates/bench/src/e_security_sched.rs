@@ -174,14 +174,14 @@ pub fn e2_table(outs: &[Outcome]) -> Table {
         "bulk goodput",
     ]);
     for ((cpu, _, iface, _), o) in E2_ROWS.into_iter().zip(outs) {
-        let a = &o.acct;
+        let (mut voice, bulk) = (o.acct.class(Class::Voice), o.acct.class(Class::Bulk));
         t.row(vec![
             cpu.into(),
             iface.into(),
-            pct(a.on_time_fraction(Class::Voice)),
-            secs(a.delays[Class::Voice as usize].clone().quantile(0.99)),
-            secs(a.rpc_latency.mean()),
-            format!("{} B/s", f(a.goodput(Class::Bulk).unwrap_or(0.0))),
+            pct(voice.on_time_fraction()),
+            secs(voice.delays.quantile(0.99)),
+            secs(o.acct.rpcs[&0].delays.mean()),
+            format!("{} B/s", f(bulk.goodput().unwrap_or(0.0))),
         ]);
     }
     t.note("voice budget 40 ms; per-packet CPU cost inflated to 40 us + 150 ns/B so scheduling policy dominates");

@@ -181,17 +181,16 @@ pub fn e4_table(outs: &[Outcome]) -> Table {
         "cpu busy",
     ]);
     for (size, o) in E4_SIZES.into_iter().zip(outs) {
-        let (a, reg) = (&o.acct, &o.registry);
+        let (a, reg) = (&o.acct.flows[&0], &o.registry);
         let fragmented = reg.counter_value("st.msg_fragmented");
         let frags = reg.counter_value("st.fragment_sent") as f64 / fragmented.max(1) as f64;
-        let c = Class::Voice as usize;
         t.row(vec![
             size.to_string(),
             f(if fragmented > 0 { frags } else { 1.0 }),
-            a.sent[c].to_string(),
-            a.received[c].to_string(),
-            pct(a.received[c] as f64 / a.sent[c] as f64),
-            format!("{} B/s", f(a.goodput(Class::Voice).unwrap_or(0.0))),
+            a.sent.to_string(),
+            a.received.to_string(),
+            pct(a.received as f64 / a.sent as f64),
+            format!("{} B/s", f(a.goodput().unwrap_or(0.0))),
             secs(o.cpu_busy.as_secs_f64()),
         ]);
     }
@@ -260,15 +259,15 @@ pub fn e9_table(outs: &[Outcome]) -> Table {
         "late",
     ]);
     for ((label, _, slack_ms), o) in E9_ROWS.into_iter().zip(outs) {
-        let (a, reg) = (&o.acct, &o.registry);
+        let (voice, reg) = (o.acct.class(Class::Voice), &o.registry);
         let bundled = reg.counter_value("st.msg_bundled");
         t.row(vec![
             label.into(),
             format!("{slack_ms}ms"),
             reg.counter_value("st.net_msg_sent").to_string(),
             bundled.to_string(),
-            pct(bundled as f64 / a.sent[Class::Voice as usize] as f64),
-            secs(a.delays[Class::Voice as usize].mean()),
+            pct(bundled as f64 / voice.sent as f64),
+            secs(voice.delays.mean()),
             reg.counter_value("st.late_delivery").to_string(),
         ]);
     }

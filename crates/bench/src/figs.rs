@@ -72,13 +72,13 @@ pub fn fig1_table(outs: &[Outcome]) -> Table {
         "bulk done",
     ]);
     for (name, o) in FIG1_NETWORKS.into_iter().zip(outs) {
-        let a = &o.acct;
+        let (voice, bulk) = (o.acct.class(Class::Voice), o.acct.class(Class::Bulk));
         t.row(vec![
             name.into(),
-            pct(a.on_time_fraction(Class::Voice)),
-            secs(a.delays[Class::Voice as usize].mean()),
-            format!("{} B/s", f(a.goodput(Class::Bulk).unwrap_or(0.0))),
-            a.complete(Class::Bulk).to_string(),
+            pct(voice.on_time_fraction()),
+            secs(voice.delays.mean()),
+            format!("{} B/s", f(bulk.goodput().unwrap_or(0.0))),
+            bulk.complete().to_string(),
         ]);
     }
     t.note("voice budget: 40 ms on LANs, 150 ms on the internet path");
@@ -129,8 +129,8 @@ pub fn fig2_table(outs: &[Outcome]) -> Table {
     // Every count below comes from the cross-layer metric registry fed by
     // typed ObsEvents (dash_sim::obs), not from layer-private counters.
     let (a, reg) = (&outs[0].acct, &outs[0].registry);
-    let delivered = a.received.iter().sum::<u64>().to_string();
-    let rtt = secs(a.rpc_latency.mean());
+    let delivered = a.flows[&0].received.to_string();
+    let rtt = secs(a.rpcs[&0].delays.mean());
     t.row(vec![
         "transport/RKOM".into(),
         "call round-trip latency".into(),
@@ -225,7 +225,7 @@ pub fn fig3_rms_levels_json() -> (Table, String) {
     // delivery, and the registry aggregated the per-stage intervals.
     let spans_completed = sim.state.net.obs.spans().len();
     let (delivered_in_measurement, app_mean) = {
-        let client = &acct.borrow().delays[Class::Voice as usize];
+        let client = &acct.borrow().flows[&0].delays;
         (client.count(), client.mean())
     };
     let (net_mean, st_mean, e2e_mean) = {
@@ -391,16 +391,16 @@ pub fn fig4_table(outs: &[Outcome]) -> Table {
         "mean delay",
     ]);
     for ((piggyback, gap_us), o) in FIG4_ROWS.into_iter().zip(outs) {
-        let (a, reg) = (&o.acct, &o.registry);
+        let (voice, reg) = (o.acct.class(Class::Voice), &o.registry);
         let net_msgs = reg.counter_value("st.net_msg_sent");
         t.row(vec![
             piggyback.to_string(),
             format!("{gap_us}us"),
-            a.sent[Class::Voice as usize].to_string(),
+            voice.sent.to_string(),
             net_msgs.to_string(),
-            f(net_msgs as f64 / a.sent[Class::Voice as usize] as f64),
+            f(net_msgs as f64 / voice.sent as f64),
             reg.counter_value("st.msg_bundled").to_string(),
-            secs(a.delays[Class::Voice as usize].mean()),
+            secs(voice.delays.mean()),
         ]);
     }
     t.note("same 3 ST RMSs share one network RMS in every row; each paces itself at 3× the interval, the three offset by one interval");
@@ -468,13 +468,13 @@ pub fn fig5_table(outs: &[Outcome]) -> Table {
         "delivered",
     ]);
     for ((name, _), o) in fig5_cases().into_iter().zip(outs) {
-        let (a, reg) = (&o.acct, &o.registry);
+        let (bulk, reg) = (&o.acct.flows[&0], &o.registry);
         let reverse = reg.counter_value("stream.ack_sent") + reg.counter_value("st.fast_ack_sent");
         t.row(vec![
             name.into(),
-            a.complete(Class::Bulk).to_string(),
-            secs(a.transfer_secs(Class::Bulk).unwrap_or(f64::NAN)),
-            format!("{} B/s", f(a.goodput(Class::Bulk).unwrap_or(0.0))),
+            bulk.complete().to_string(),
+            secs(bulk.transfer_secs().unwrap_or(f64::NAN)),
+            format!("{} B/s", f(bulk.goodput().unwrap_or(0.0))),
             reverse.to_string(),
             reg.counter_value("stream.sender_blocked").to_string(),
             reg.counter_value("stream.deliver").to_string(),

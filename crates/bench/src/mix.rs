@@ -401,10 +401,11 @@ pub fn e10_table(outs: &[Outcome]) -> Table {
         "peak queue",
     ]);
     for o in outs {
+        let streams = o.acct.streams();
         t.row(vec![
-            (o.acct.opened + o.acct.failed).to_string(),
-            o.acct.opened.to_string(),
-            o.acct.failed.to_string(),
+            (streams.opened + streams.failed).to_string(),
+            streams.opened.to_string(),
+            streams.failed.to_string(),
             o.messages().to_string(),
             pct(o.voice_on_time()),
             o.events.to_string(),
@@ -462,12 +463,13 @@ pub fn e12_table(outs: &[Outcome]) -> Table {
             _ if o.determinism_digest() == reference => "identical",
             _ => "DIVERGED",
         };
+        let streams = o.acct.streams();
         t.row(vec![
             shards.to_string(),
             o.events.to_string(),
             o.messages().to_string(),
-            o.acct.opened.to_string(),
-            o.acct.failed.to_string(),
+            streams.opened.to_string(),
+            streams.failed.to_string(),
             verdict.to_string(),
             format!("{:.2}", o.wall_secs),
         ]);

@@ -3,7 +3,7 @@
 //! a row per outcome at least, and the shape its notes claim holds.
 
 use dash_apps::scenario::Outcome;
-use dash_apps::traffic::Class;
+use dash_apps::traffic::{Class, Tally};
 use dash_bench::{all_experiments, run_checked};
 use dash_bench::{Experiment, Table};
 
@@ -32,7 +32,7 @@ fn counter(o: &Outcome, name: &str) -> u64 {
 
 /// Network messages per message the clients sent.
 fn net_per_client(o: &Outcome) -> f64 {
-    counter(o, "st.net_msg_sent") as f64 / o.acct.sent[Class::Voice as usize] as f64
+    counter(o, "st.net_msg_sent") as f64 / o.acct.class(Class::Voice).sent as f64
 }
 
 #[test]
@@ -74,8 +74,8 @@ fn all_but_four_experiments_are_planned() {
 #[test]
 fn fig1_every_network_completes_the_transfer_with_voice_on_time() {
     for o in planned("fig1_layering").0 {
-        assert!(o.acct.complete(Class::Bulk), "{:?}", o.acct);
-        assert_eq!(o.acct.on_time_fraction(Class::Voice), 1.0);
+        assert!(o.acct.class(Class::Bulk).complete(), "{:?}", o.acct);
+        assert_eq!(o.acct.class(Class::Voice).on_time_fraction(), 1.0);
     }
 }
 
@@ -83,7 +83,7 @@ fn fig1_every_network_completes_the_transfer_with_voice_on_time() {
 fn fig2_one_call_and_one_message_cross_every_layer() {
     let outs = planned("fig2_architecture").0;
     let a = &outs[0].acct;
-    assert_eq!((a.rpc_completed, a.received.iter().sum::<u64>()), (1, 1));
+    assert_eq!((a.rpcs[&0].received, a.flows[&0].received), (1, 1));
     assert!(counter(&outs[0], "st.control_created") > 0);
 }
 
@@ -108,14 +108,14 @@ fn fig5_reverse_messages_appear_only_with_acks() {
         .collect();
     assert_eq!(reverse[..2], [0, 0], "none and rate-based send no acks");
     assert!(reverse[2] > 0 && reverse[3] > 0, "{reverse:?}");
-    assert!(outs.iter().all(|o| o.acct.complete(Class::Bulk)));
+    assert!(outs.iter().all(|o| o.acct.flows[&0].complete()));
 }
 
 #[test]
 fn e2_edf_keeps_voice_on_time_and_fifo_does_not() {
     let outs = planned("e2_scheduling").0;
     let on_time: Vec<f64> = (outs.iter())
-        .map(|o| o.acct.on_time_fraction(Class::Voice))
+        .map(|o| o.acct.class(Class::Voice).on_time_fraction())
         .collect();
     assert!(on_time[0] >= 0.99, "edf {on_time:?}");
     assert!(
@@ -160,12 +160,15 @@ fn e9_piggybacking_cuts_net_messages_and_no_delivery_is_late() {
 fn e7_both_rpc_legs_complete_and_the_stream_outruns_tcp() {
     let (outs, _) = planned("e7_rkom");
     let calls: Vec<_> = (outs[..2].iter())
-        .map(|o| (o.acct.rpc_issued, o.acct.rpc_completed, o.acct.rpc_failed))
+        .map(|o| {
+            let t: Tally = o.acct.rpcs.values().chain(o.acct.tcp.values()).sum();
+            (t.sent, t.received, t.failed)
+        })
         .collect();
     assert_eq!(calls, [(60, 60, 0), (50, 50, 0)], "RKOM, TCP sequential");
-    let (stream, tcp) = (&outs[2].acct, &outs[3].acct);
-    assert!(stream.complete(Class::Bulk) && tcp.complete(Class::Bulk));
-    let goodput = |a: &dash_apps::traffic::Acct| a.goodput(Class::Bulk).unwrap();
+    let (stream, tcp) = (&outs[2].acct.flows[&0], &outs[3].acct.tcp[&0]);
+    assert!(stream.complete() && tcp.complete());
+    let goodput = |t: &Tally| t.goodput().unwrap();
     assert!(
         goodput(stream) > goodput(tcp),
         "stream {} B/s, TCP {} B/s",
@@ -183,7 +186,19 @@ fn e8_rate_enforcement_drops_nothing_and_ignoring_quench_drops_most() {
         drops[2] > drops[1],
         "ignoring quench vs reacting: {drops:?}"
     );
-    assert!(outs.iter().all(|o| o.acct.complete(Class::Bulk)));
+    // Each of the three flows moved its share: every per-flow goodput is
+    // non-zero in every row.
+    for (row, o) in outs.iter().enumerate() {
+        let transfers: Vec<&Tally> = o.acct.flows.values().chain(o.acct.tcp.values()).collect();
+        assert_eq!(transfers.len(), 3, "row {row}");
+        assert!(transfers.iter().all(|t| t.complete()), "row {row}");
+        let shares = &table.rows[row][4];
+        let shares: Vec<f64> = (shares.trim_end_matches(" B/s").split(" / "))
+            .map(|s| s.parse().unwrap())
+            .collect();
+        assert_eq!(shares.len(), 3, "row {row}: {shares:?}");
+        assert!(shares.iter().all(|&s| s > 0.0), "row {row}: {shares:?}");
+    }
 }
 
 #[test]

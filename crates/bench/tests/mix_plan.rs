@@ -3,7 +3,7 @@
 //! serial and par, and per-host installs partition the plan.
 
 use dash_apps::scenario::{run, Backend};
-use dash_apps::traffic::{self, Class, RpcFlow, CLASSES};
+use dash_apps::traffic::{self, Acct, Class, RpcFlow};
 use dash_bench::mix::MixParams;
 use dash_net::ids::HostId;
 use dash_sim::time::SimDuration;
@@ -23,7 +23,7 @@ fn hashed_placement_matches_aligned() {
     // to the LAN wire delay — tiny workload, same digest.
     let p = MixParams::micro().scenario();
     let a = run(&p, par(1, false));
-    let received: u64 = a.acct.received.iter().sum();
+    let received: u64 = a.acct.flows.values().map(|t| t.received).sum();
     assert!(received > 10, "received {received}");
     let b = run(&p, par(3, false));
     assert_eq!(a.determinism_digest(), b.determinism_digest());
@@ -46,7 +46,6 @@ fn bulk_larger_than_the_receive_buffer_delivers_every_chunk() {
         ..MixParams::ci()
     };
     let scenario = p.scenario();
-    let bulk = Class::Bulk as usize;
     let planned: u64 = scenario
         .plan
         .flows
@@ -57,45 +56,63 @@ fn bulk_larger_than_the_receive_buffer_delivers_every_chunk() {
     assert_eq!(planned, 6 * 256);
     for backend in [Backend::Serial, par(2, true)] {
         let o = run(&scenario, backend);
-        assert_eq!(o.acct.sent[bulk], planned, "{backend:?}");
-        assert_eq!(o.acct.received[bulk], planned, "{backend:?}");
-        assert_eq!(o.acct.bytes[bulk], 6 << 20, "{backend:?}");
+        let bulk = o.acct.class(Class::Bulk);
+        assert_eq!(bulk.sent, planned, "{backend:?}");
+        assert_eq!(bulk.received, planned, "{backend:?}");
+        assert_eq!(bulk.bytes, 6 << 20, "{backend:?}");
     }
 }
 
 /// The ownership filter partitions the plan: what `install(..,
 /// Some(h))` schedules and registers, summed over all hosts, is what
 /// `install(.., None)` does — flow for flow, each host taking exactly
-/// the opens, call loops and services the plan gives it.
+/// the opens, call loops and services the plan gives it, and keeping
+/// tallies only for the entries it holds an end of.
 #[test]
 fn per_host_installs_partition_the_plan() {
     let scenario = MixParams::micro().scenario();
     let plan = &scenario.plan;
     let hosts = (scenario.topo)().hosts.len() as u32;
-    // (scheduled opens and call loops, which pairs' services exist,
-    // planned rx messages)
+    // Each flow's and each call loop's planned messages, by plan index.
+    let planned = |a: &Acct| {
+        let flows = a.flows.iter().map(|(&i, t)| (i, t.planned));
+        let rpcs = a.rpcs.iter().map(|(&i, t)| (i, t.planned));
+        (flows.collect::<Vec<_>>(), rpcs.collect::<Vec<_>>())
+    };
+    // (scheduled opens and call loops, which pairs' services exist, the
+    // world's accounting)
     let installed = |owner: Option<HostId>| {
         let mut sim = Sim::new(StackBuilder::new((scenario.topo)()).build());
         assert_eq!(sim.events_pending(), 0, "a fresh world is idle");
         let acct = traffic::install(&mut sim, plan, owner);
         let served = |r: &RpcFlow| sim.state.rkom.host(r.server).has_service(r.service);
         let served: Vec<usize> = plan.rpcs.iter().map(|r| served(r) as usize).collect();
-        let planned = acct.borrow().planned;
-        (sim.events_pending(), served, planned)
+        let acct = acct.borrow().clone();
+        (sim.events_pending(), served, acct)
     };
-    let mut sum = (0, vec![0; plan.rpcs.len()], [0u64; CLASSES]);
+    let mut sum = (0, vec![0; plan.rpcs.len()], Acct::default());
     for h in (0..hosts).map(HostId) {
-        let (pending, served, planned) = installed(Some(h));
+        let (pending, served, acct) = installed(Some(h));
         let mine = plan.flows.iter().filter(|f| f.src == h).count()
             + plan.rpcs.iter().filter(|r| r.client == h).count();
         assert_eq!(pending, mine, "{h:?} scheduled someone else's share");
         for (r, n) in plan.rpcs.iter().zip(&served) {
             assert_eq!(*n, (r.server == h) as usize, "{h:?} service {}", r.service);
         }
+        let ends = |i: &u32| {
+            let f = &plan.flows[*i as usize];
+            f.src == h || f.dst == h
+        };
+        assert!(
+            acct.flows.keys().all(ends),
+            "{h:?} tallies a flow it holds no end of"
+        );
         sum.0 += pending;
         sum.1.iter_mut().zip(served).for_each(|(s, n)| *s += n);
-        sum.2.iter_mut().zip(planned).for_each(|(s, n)| *s += n);
+        sum.2.merge(&acct);
     }
-    assert_eq!(sum, installed(None));
+    let whole = installed(None);
+    assert_eq!((sum.0, &sum.1), (whole.0, &whole.1));
+    assert_eq!(planned(&sum.2), planned(&whole.2));
     assert_eq!(sum.0, plan.flows.len() + plan.rpcs.len());
 }

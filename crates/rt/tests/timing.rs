@@ -182,5 +182,5 @@ fn jittered_realtime_run_quiesces_within_the_wall_box() {
         report.events
     );
     let s = bulk.borrow();
-    assert!(s.complete(Class::Bulk), "bulk incomplete: {s:?}");
+    assert!(s.class(Class::Bulk).complete(), "bulk incomplete: {s:?}");
 }

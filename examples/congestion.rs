@@ -68,7 +68,7 @@ fn main() {
         }
     }
     let rms_drops = sim.state.net.host(g1).ifaces[1].stats.overflow_drops.get();
-    let rms_bytes = acct.borrow().bytes[Class::Bulk as usize];
+    let rms_bytes = acct.borrow().class(Class::Bulk).bytes;
     println!(
         "RMS rate-enforced: {} gateway drops, {} KB delivered",
         rms_drops,

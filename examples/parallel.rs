@@ -85,7 +85,7 @@ fn main() {
     println!("  {} messages delivered", four.messages());
 
     assert!(one.messages() > 0);
-    assert_eq!(one.acct.opened, 2 * HOSTS_PER_LAN as u64);
+    assert_eq!(one.acct.streams().opened, 2 * HOSTS_PER_LAN as u64);
     assert_eq!(
         one.determinism_digest(),
         four.determinism_digest(),

@@ -11,7 +11,7 @@
 //! cargo run --example voice_stream
 //! ```
 
-use dash::apps::traffic::{self, Class, Flow, Plan};
+use dash::apps::traffic::{self, Flow, Plan};
 use dash::net::topology::two_hosts_ethernet;
 use dash::sim::{Sim, SimDuration};
 use dash::transport::stack::StackBuilder;
@@ -28,29 +28,28 @@ fn main() {
         Flow::bulk(a, b, 768 * 1024, 8 * 1024, StreamProfile::bulk()),
     ]);
     let acct = traffic::install(&mut sim, &plan, None);
-    let done =
-        traffic::run_until_delivered(&mut sim, &acct, Class::Bulk, SimDuration::from_secs(5));
-    sim.run_until(sim.now() + SimDuration::from_secs(1));
+    sim.run_until(sim.now() + SimDuration::from_secs(6));
 
-    let s = acct.borrow();
-    let voice = Class::Voice as usize;
-    let mut delays = s.delays[voice].clone();
+    let a = acct.borrow();
+    let (voice, bulk) = (&a.flows[&0], &a.flows[&1]);
+    let mut delays = voice.delays.clone();
     println!(
         "voice: {} frames sent, {} received",
-        s.sent[voice], s.received[voice]
+        voice.sent, voice.received
     );
     println!(
         "voice: {:.1}% on time (40 ms budget), mean delay {:.2} ms, p99 {:.2} ms",
-        s.on_time_fraction(Class::Voice) * 100.0,
+        voice.on_time_fraction() * 100.0,
         delays.mean() * 1e3,
         delays.quantile(0.99) * 1e3
     );
     println!(
-        "bulk: complete={done}, goodput {:.0} KB/s",
-        s.goodput(Class::Bulk).unwrap_or(0.0) / 1024.0
+        "bulk: complete={}, goodput {:.0} KB/s",
+        bulk.complete(),
+        bulk.goodput().unwrap_or(0.0) / 1024.0
     );
     assert!(
-        s.on_time_fraction(Class::Voice) > 0.9,
+        voice.on_time_fraction() > 0.9,
         "deadline queueing should protect voice"
     );
 }

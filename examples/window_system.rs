@@ -28,19 +28,19 @@ fn main() {
     let scn = Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(4));
     let o = run(&scn, Backend::Serial);
 
-    let a = &o.acct;
-    let mut lat = a.window_latency.clone();
-    println!("input events sent:        {}", a.window_events);
-    println!("events reaching the app:  {}", a.window_received);
+    let w = &o.acct.windows[&0];
+    let mut lat = w.delays.clone();
+    println!("input events sent:        {}", w.sent);
+    println!("events reaching the app:  {}", w.received);
     println!("graphics updates painted: {}", lat.count());
     println!(
         "interaction latency: mean {:.2} ms, p99 {:.2} ms, max {:.2} ms ({} over the {} ms budget)",
         lat.mean() * 1e3,
         lat.quantile(0.99) * 1e3,
         lat.max() * 1e3,
-        a.window_late,
+        w.late,
         window.budget.as_millis()
     );
     assert!(lat.count() > 0, "no update was painted");
-    assert_eq!(a.window_late, 0, "a quiet LAN should feel instant");
+    assert_eq!(w.late, 0, "a quiet LAN should feel instant");
 }

@@ -109,8 +109,11 @@ cargo test -q --doc
 # The examples that read the metric registry by name, run as debug builds:
 # a misspelt counter name trips `MetricRegistry::counter_value`'s debug
 # assertion here instead of silently reading 0. window_system asserts that
-# the window-system plan word paints updates inside its 100 ms budget.
-for ex in quickstart congestion rkom_rpc window_system; do
+# the window-system plan word paints updates inside its 100 ms budget;
+# voice_stream and parallel assert on the traffic driver's tallies (voice
+# on time beside a bulk transfer; every stream opened on dash-par). Each
+# runs in about a second.
+for ex in quickstart congestion rkom_rpc window_system voice_stream parallel; do
     cargo run -q --example "$ex" >/dev/null
 done
 for t in tests/*.rs; do

@@ -40,7 +40,12 @@ fn violations(scenario: Scenario) -> Vec<String> {
 
 /// `[events, messages, streams_opened, open_failed]` of a mix run.
 fn mix_counts(o: &Outcome) -> [u64; 4] {
-    [o.events, o.messages(), o.acct.opened, o.acct.failed]
+    [
+        o.events,
+        o.messages(),
+        o.acct.streams().opened,
+        o.acct.streams().failed,
+    ]
 }
 
 /// The serial engine (e10) at `ci`.
@@ -80,8 +85,8 @@ fn routing_counts(o: &Outcome) -> [u64; 7] {
         o.registry.counter_value("routing.recompute"),
         o.registry.counter_value("routing.alternate_wins"),
         o.registry.counter_value("st.failover_completed"),
-        o.acct.opened,
-        o.acct.failed,
+        o.acct.streams().opened,
+        o.acct.streams().failed,
     ]
 }
 
@@ -105,9 +110,9 @@ fn e10_ci_replay_is_byte_identical() {
     // control-plane churn, real faults. A silent no-op run would make the
     // byte-compare above vacuous.
     assert!(
-        first.acct.opened > 20,
+        first.acct.streams().opened > 20,
         "CI scenario too small: {} streams",
-        first.acct.opened
+        first.acct.streams().opened
     );
     assert!(first.messages() > 500, "only {} messages", first.messages());
     assert!(first.events > 10_000, "only {} events", first.events);
@@ -181,7 +186,11 @@ fn e11_routing_churn_replay_is_byte_identical() {
     // The scenario exercised what it claims to: establishment fell back
     // to an alternate, the outage triggered floods and recomputations,
     // and streams re-homed (failovers recorded recovery latency).
-    assert!(first.acct.opened > 5, "{} streams", first.acct.opened);
+    assert!(
+        first.acct.streams().opened > 5,
+        "{} streams",
+        first.acct.streams().opened
+    );
     assert!(
         first.registry.counter_value("routing.alternate_wins") >= 1,
         "no alternate wins"
@@ -222,7 +231,11 @@ fn e11_mesh_replay_is_byte_identical() {
     );
     // The centre outage forced reconvergence: floods, recomputations and
     // re-homed streams, with traffic still flowing around the rim.
-    assert!(first.acct.opened > 5, "{} streams", first.acct.opened);
+    assert!(
+        first.acct.streams().opened > 5,
+        "{} streams",
+        first.acct.streams().opened
+    );
     assert!(
         first.registry.counter_value("routing.floods") > 0,
         "no link-state floods"
@@ -285,13 +298,17 @@ fn pscale_digests(params: MixParams) -> Outcome {
 fn e12_scale_workload_identical_at_1_2_4_shards() {
     let first = pscale_digests(MixParams::ci());
     assert_eq!(mix_counts(&first), E12_CI, "e12 ci counts drifted");
-    assert!(first.acct.opened > 15, "{} streams", first.acct.opened);
+    assert!(
+        first.acct.streams().opened > 15,
+        "{} streams",
+        first.acct.streams().opened
+    );
     assert!(first.messages() > 500, "only {} messages", first.messages());
     assert_eq!(first.faults_injected, 4, "the drill must actually run");
     assert!(
-        first.acct.rpc_completed > 10,
+        first.acct.rpcs.values().map(|t| t.received).sum::<u64>() > 10,
         "only {} rpc",
-        first.acct.rpc_completed
+        first.acct.rpcs.values().map(|t| t.received).sum::<u64>()
     );
     assert!(
         !first.trace_dump.is_empty(),
@@ -311,7 +328,11 @@ fn e12_routing_workload_identical_at_1_2_4_shards() {
         E12_ROUTING_CI,
         "e12 routing_ci counts drifted"
     );
-    assert!(first.acct.opened > 15, "{} streams", first.acct.opened);
+    assert!(
+        first.acct.streams().opened > 15,
+        "{} streams",
+        first.acct.streams().opened
+    );
     assert!(
         first.faults_injected > 0,
         "the WAN outage must actually fire"

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dash::apps::scenario::{run, Backend, Scenario};
-use dash::apps::traffic::{self, Class, Flow, Plan, RpcFlow, WindowFlow};
+use dash::apps::traffic::{self, Flow, Plan, RpcFlow, WindowFlow};
 use dash::check::check_stream;
 use dash::net::pipeline::fail_network;
 use dash::net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
@@ -51,16 +51,15 @@ fn every_workload_coexists_on_one_lan() {
     let violations = check_stream(&o.stream, true);
     assert!(violations.is_empty(), "{violations:?}");
 
-    let v = &o.acct;
-    assert!(v.complete(Class::Bulk), "bulk: {v:?}");
-    assert_eq!((v.rpc_issued, v.rpc_completed, v.rpc_failed), (10, 10, 0));
-    assert!(
-        v.on_time_fraction(Class::Voice) > 0.9,
-        "voice on-time {:?}",
-        v.on_time_fraction(Class::Voice)
-    );
-    assert!(v.window_latency.count() > 0);
-    assert_eq!(v.window_late, 0);
+    let (voice, bulk) = (&o.acct.flows[&0], &o.acct.flows[&1]);
+    assert!(bulk.complete(), "bulk: {bulk:?}");
+    let calls = &o.acct.rpcs[&0];
+    assert_eq!((calls.sent, calls.received, calls.failed), (10, 10, 0));
+    let on_time = voice.on_time_fraction();
+    assert!(on_time > 0.9, "voice on-time {on_time:?}");
+    let window = &o.acct.windows[&0];
+    assert!(window.delays.count() > 0);
+    assert_eq!(window.late, 0);
 }
 
 /// The window system on the serial engine and on `dash-par` at 1, 2 and
@@ -86,17 +85,17 @@ fn a_window_plan_is_oracle_clean_on_serial_and_par() {
         let o = run(&scn, backend);
         let faults = judge(&o, &mut par_digest);
         assert!(faults.is_empty(), "{backend:?}: {faults:?}");
-        let a = &o.acct;
-        let (sent, answered) = (a.window_events, a.window_latency.count() as u64);
-        assert_eq!(a.failed, 0, "{backend:?}");
+        let w = &o.acct.windows[&0];
+        let (sent, answered) = (w.sent, w.delays.count() as u64);
+        assert_eq!((w.opened, w.failed), (2, 0), "{backend:?}");
         assert!(sent > 50, "{backend:?}: events {sent}");
-        let received = a.window_received;
+        let received = w.received;
         assert!(
             received * 10 > sent * 9,
             "{backend:?}: {received} of {sent}"
         );
         assert!(answered * 5 > sent * 4, "{backend:?}: {answered} of {sent}");
-        assert_eq!(a.window_late, 0, "{backend:?}");
+        assert_eq!(w.late, 0, "{backend:?}");
     }
 }
 
@@ -117,14 +116,14 @@ fn stack_survives_network_failure_and_reestablishes() {
     // The WAN dies mid-transfer.
     fail_network(&mut sim, NetworkId(1));
     sim.run_until(sim.now() + SimDuration::from_secs(1));
-    assert!(!bulk.borrow().complete(Class::Bulk));
+    assert!(!bulk.borrow().flows[&0].complete());
 
     // The network comes back; a fresh session works (clients must create
     // new RMSs after failure, §4.4).
     dash::net::pipeline::restore_network(&mut sim, NetworkId(1));
     let retry = traffic::install(&mut sim, &plan, None);
-    let done =
-        traffic::run_until_delivered(&mut sim, &retry, Class::Bulk, SimDuration::from_secs(30));
+    sim.run_until(sim.now() + SimDuration::from_secs(30));
+    let done = retry.borrow().flows[&0].complete();
     assert!(done, "retry transfer should complete: {:?}", retry.borrow());
 }
 
@@ -137,7 +136,11 @@ fn deterministic_runs_are_reproducible() {
         let voice = traffic::install(&mut sim, &plan, None);
         sim.run();
         let v = voice.borrow();
-        (v.sent[0], v.received[0], sim.events_processed())
+        (
+            v.flows[&0].sent,
+            v.flows[&0].received,
+            sim.events_processed(),
+        )
     };
     let first = run();
     let second = run();

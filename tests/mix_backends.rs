@@ -46,7 +46,12 @@ fn conform(scn: Scenario) -> (Outcome, Outcome) {
         shards,
         lan_aligned: true,
     };
-    let planned = |o: &Outcome| (o.acct.opened + o.acct.failed, o.acct.rpc_issued);
+    let planned = |o: &Outcome| {
+        (
+            o.acct.streams().opened + o.acct.streams().failed,
+            o.acct.rpcs.values().map(|t| t.sent).sum::<u64>(),
+        )
+    };
     let serial = run(scn, Backend::Serial);
     let (par1, par2) = (run(scn, par(1)), run(scn, par(2)));
     let rt = run(scn, Backend::Rt { loss_per_mille: 0 });
@@ -76,12 +81,13 @@ fn conform(scn: Scenario) -> (Outcome, Outcome) {
 #[test]
 fn every_backend_runs_the_whole_plan_with_the_oracle_clean() {
     let (serial, rt) = conform(trimmed_ci().scenario());
-    let attempted = serial.acct.opened + serial.acct.failed;
+    let streams = serial.acct.streams();
+    let attempted = streams.opened + streams.failed;
     assert!(attempted >= 10, "plan too small: {attempted} sessions");
     assert!(
-        serial.acct.rpc_issued >= 20,
+        serial.acct.rpcs.values().map(|t| t.sent).sum::<u64>() >= 20,
         "{} calls",
-        serial.acct.rpc_issued
+        serial.acct.rpcs.values().map(|t| t.sent).sum::<u64>()
     );
     assert_eq!(serial.faults_injected, 4, "the drill must run");
 
@@ -112,7 +118,8 @@ fn e11_mesh_runs_on_every_backend_with_the_oracle_clean() {
         ..RoutingParams::ci().on_mesh()
     };
     let (serial, rt) = conform(params.scenario());
-    let attempted = serial.acct.opened + serial.acct.failed;
+    let streams = serial.acct.streams();
+    let attempted = streams.opened + streams.failed;
     assert!(attempted >= 10, "plan too small: {attempted} sessions");
     assert_eq!(serial.faults_injected, 2, "the drill must run");
     for (name, o) in [("serial", &serial), ("rt", &rt)] {

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 
 use dash::apps::scenario::{run, Backend, Outcome, Scenario};
+use dash::apps::traffic::Tally;
 use dash::check::check_stream;
 use dash_bench::mix::MixParams;
 use dash_sim::obs::ObsEvent;
@@ -88,15 +89,10 @@ fn rkom_retransmissions(o: &Outcome) -> Vec<Resend> {
 }
 
 fn assert_no_spurious_work(name: &str, o: &Outcome) {
-    assert!(
-        o.acct.received.iter().sum::<u64>() > 500,
-        "{name}: the plan ran"
-    );
-    assert!(
-        o.acct.rpc_completed >= 40,
-        "{name}: {} calls",
-        o.acct.rpc_completed
-    );
+    let received: u64 = o.acct.flows.values().map(|t| t.received).sum();
+    assert!(received > 500, "{name}: the plan ran");
+    let calls: Tally = o.acct.rpcs.values().sum();
+    assert!(calls.received >= 40, "{name}: {} calls", calls.received);
     let lost = o
         .stream
         .iter()
@@ -142,10 +138,10 @@ fn assert_no_spurious_work(name: &str, o: &Outcome) {
         );
     }
     assert!(
-        rkom.len() as u64 * 20 <= o.acct.rpc_issued,
+        rkom.len() as u64 * 20 <= calls.sent,
         "{name}: {} RKOM retransmissions for {} calls",
         rkom.len(),
-        o.acct.rpc_issued
+        calls.sent
     );
 }
 

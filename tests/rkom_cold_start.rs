@@ -10,6 +10,7 @@
 //! horizon.
 
 use dash::apps::scenario::{run, Backend};
+use dash::apps::traffic::Tally;
 use dash_bench::mix::MixParams;
 use proptest::prelude::*;
 
@@ -22,10 +23,11 @@ proptest! {
             ..MixParams::ci()
         };
         let o = run(&plan.scenario(), Backend::Serial);
-        prop_assert_eq!(o.acct.rpc_issued, 120, "seed {}: the plan's calls", seed);
+        let calls: Tally = o.acct.rpcs.values().sum();
+        prop_assert_eq!(calls.sent, 120, "seed {}: the plan's calls", seed);
         prop_assert_eq!(
-            (o.acct.rpc_completed, o.acct.rpc_failed, o.pending),
-            (o.acct.rpc_issued, 0, 0),
+            (calls.received, calls.failed, o.pending),
+            (calls.sent, 0, 0),
             "seed {}: (completed, failed, pending)",
             seed
         );

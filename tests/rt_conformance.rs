@@ -124,7 +124,7 @@ fn run_with_driver(driver: &mut dyn TimeDriver) -> (Vec<String>, String) {
         },
     );
     assert!(report.quiesced(), "stop {:?}", report.stop);
-    assert!(w.bulk.borrow().complete(Class::Bulk));
+    assert!(w.bulk.borrow().class(Class::Bulk).complete());
     assert_eq!(*w.rkom_ok.borrow(), w.rkom_n);
     let trace = lines.borrow().clone();
     (trace, w.sim.state.net.obs.registry.to_json_lines())
@@ -176,7 +176,7 @@ fn memdatagram_substrate_preserves_session_outcomes() {
     assert_eq!(substrate.in_flight(), 0);
     // Session outcomes match the virtual run's.
     assert!(
-        w.bulk.borrow().complete(Class::Bulk),
+        w.bulk.borrow().class(Class::Bulk).complete(),
         "{:?}",
         w.bulk.borrow()
     );
@@ -254,7 +254,11 @@ fn oracle_holds_on_lossy_realtime_run() {
     // The loss was real...
     assert!(report.substrate_dropped > 0, "loss never exercised");
     // ...and the reliable layers recovered everything anyway.
-    assert!(bulk.borrow().complete(Class::Bulk), "{:?}", bulk.borrow());
+    assert!(
+        bulk.borrow().class(Class::Bulk).complete(),
+        "{:?}",
+        bulk.borrow()
+    );
     let violations = handle.violations();
     assert!(violations.is_empty(), "oracle: {violations:?}");
 }
