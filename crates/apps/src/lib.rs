@@ -13,11 +13,12 @@
 //!   endpoint.
 //! - [`scenario`]: a [`scenario::Scenario`] (topology program + plan +
 //!   fault drill) and the one [`scenario::run`] over the serial,
-//!   `dash-par` and `dash-rt` backends.
+//!   `dash-par` and `dash-rt` backends, which judges every run with the
+//!   `dash_check` oracle and returns its [`scenario::Verdict`].
 //!
-//! Dependency direction: `dash-apps` ← `dash-check` ← `dash-bench`. This
-//! crate never names the oracle; `scenario::run` hands back the event
-//! stream that `dash_check::check_stream` judges.
+//! Dependency direction: `dash-check` (the oracle, a leaf above
+//! `dash-sim`) ← `dash-apps` ← `dash-bench` (plans, tables and the
+//! explorer).
 
 pub mod scenario;
 pub mod traffic;

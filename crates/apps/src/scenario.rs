@@ -1,4 +1,4 @@
-//! One scenario, one `run`, three backends.
+//! One scenario, one `run`, three backends, one verdict.
 //!
 //! A [`Scenario`] is everything a macro run needs: the topology program,
 //! the traffic [`Plan`], the fault plan and the run-level settings. It is
@@ -14,17 +14,20 @@
 //! contract is replay-identity per backend and shard-count invariance
 //! under `Par`, not `Serial == Par`.
 //!
-//! This module sits *below* `dash-check` (direction: scenario ← check ←
-//! bench): `run` hands the merged, canonically ordered event stream back
-//! in [`Outcome::stream`], and whoever wants a verdict feeds it to
-//! `dash_check::check_stream`.
+//! Every run is judged as it runs: `run` attaches the `dash_check` oracle
+//! and returns its [`Verdict`] in [`Outcome::verdict`]. On `Serial` and
+//! `Rt` the oracle is a sink in the world, so nothing is captured unless
+//! `keep_events` or `record_trace` asks; on `Par` the replica worlds'
+//! captures are merged by `(time, host, emission index)` and fed to the
+//! same oracle at the end.
 
 use std::cell::RefCell;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use dash_baseline::tcp::TcpConfig;
+use dash_check::{oracle, OracleConfig, OracleSink, Violation};
 use dash_net::fault::schedule_fault_plan;
 use dash_net::ids::HostId;
 use dash_net::shard::WireEnvelope;
@@ -73,8 +76,9 @@ pub struct Scenario {
     /// Render the observability trace into the digest (determinism runs;
     /// costly). Plans leave it off.
     pub record_trace: bool,
-    /// Hand the merged event stream back in [`Outcome::stream`] — what
-    /// the dash-check semantic oracle consumes. Plans leave it off.
+    /// Hand the merged event stream back in [`Outcome::stream`], for a
+    /// caller that reads events (the explorer, a table counting drops);
+    /// the verdict does not need it. Plans leave it off.
     pub keep_events: bool,
 }
 
@@ -143,8 +147,8 @@ const RT_MAX_WALL: Duration = Duration::from_secs(60);
 type Events = Vec<(SimTime, ObsEvent)>;
 
 /// Event sink capturing a world's typed events. The merged capture of a
-/// run is what the determinism trace is rendered from and what the
-/// semantic oracle checks — one stream, whatever the backend.
+/// run is what the determinism trace is rendered from, what
+/// [`Outcome::stream`] hands back, and what a `Par` run's oracle reads.
 struct CaptureSink {
     out: Rc<RefCell<Events>>,
 }
@@ -158,7 +162,7 @@ impl ObsSink for CaptureSink {
 /// The harness's handles into one populated world.
 struct Taps {
     acct: SharedAcct,
-    /// Filled when the scenario records a trace or keeps its events.
+    /// Filled when the world captures (see [`build_world`]).
     events: Rc<RefCell<Events>>,
 }
 
@@ -166,19 +170,28 @@ struct Taps {
 /// world is the whole system; with `Some(h)` it is `h`'s replica under
 /// `dash-par` and only `h`'s endpoints act. The fault plan is replicated:
 /// every world applies it at the same times, so routing and admission
-/// see the same topology everywhere.
-fn build_world(scn: &Scenario, net: NetState, owner: Option<HostId>) -> (Sim<Stack>, Taps) {
+/// see the same topology everywhere. A world without the online `oracle`
+/// (a `Par` replica) captures its events for the merged verdict.
+fn build_world(
+    scn: &Scenario,
+    net: NetState,
+    owner: Option<HostId>,
+    oracle: Option<OracleSink>,
+) -> (Sim<Stack>, Taps) {
     let mut builder = StackBuilder::new(net).obs(true).st_config(scn.st.clone());
     if let Some((policy, context_switch)) = scn.cpus {
         builder = builder.cpus(policy, context_switch);
     }
     let events = Rc::new(RefCell::new(Vec::new()));
-    if scn.record_trace || scn.keep_events {
+    if oracle.is_none() || scn.record_trace || scn.keep_events {
         builder = builder.obs_sink(CaptureSink {
             out: Rc::clone(&events),
         });
     }
     let mut sim = Sim::new(builder.build());
+    if let Some(oracle) = oracle {
+        sim.state.net.obs.add_boxed_sink(Box::new(oracle));
+    }
     sim.state.tcp.config = scn.tcp.clone();
     let acct = traffic::install(&mut sim, &scn.plan, owner);
     schedule_fault_plan(&mut sim, &scn.faults);
@@ -299,9 +312,11 @@ pub struct Outcome {
     /// The run's event stream (empty unless `keep_events` or
     /// `record_trace`): the worlds' captures merged by `(time, owner
     /// host, emission index)` — a total order that is a pure function of
-    /// the run, so a trace rendered from it and an oracle's verdict on it
-    /// are the same at every shard count and placement.
+    /// the run, so a trace rendered from it is the same at every shard
+    /// count and placement.
     pub stream: Vec<(SimTime, ObsEvent)>,
+    /// The oracle's judgement, as deterministic as the rest of the outcome.
+    pub verdict: Verdict,
     /// The real-time scheduler's report (`Rt` only): stop reason, wall
     /// lag, deadline misses, substrate carriage counts.
     pub rt: Option<RtReport>,
@@ -318,14 +333,6 @@ impl Outcome {
         use Class::*;
         let voice = [Voice, WanVoice, Churn].map(|c| self.acct.class(c));
         voice.iter().sum::<Tally>().on_time_fraction()
-    }
-
-    /// Whether the run ended the way a healthy run ends: anything but
-    /// the rt backend's wall-clock backstop.
-    pub fn clean_stop(&self) -> bool {
-        self.rt
-            .as_ref()
-            .is_none_or(|r| r.stop != StopReason::WallBox)
     }
 
     /// The deterministic portion: byte-identical between replays, and
@@ -382,12 +389,53 @@ fn render_registry(reg: &MetricRegistry) -> String {
     copy.to_json_lines()
 }
 
+/// What the oracle found in one run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Verdict {
+    /// Violations in detection order, ending with `clean-stop` if the rt
+    /// backend's wall-clock backstop cut the run.
+    pub violations: Vec<Violation>,
+    /// Stream deliveries the oracle saw, summed over sessions.
+    pub delivered: u64,
+    /// Sessions that ended in a typed failure (failed end, retries
+    /// exhausted, or failed open).
+    pub typed_failures: u64,
+}
+
+impl Verdict {
+    /// No violation.
+    pub fn is_clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+
+    /// Whether some violation is of `invariant`.
+    pub fn names(&self, invariant: &str) -> bool {
+        self.violations.iter().any(|v| v.invariant == invariant)
+    }
+}
+
+/// `oracle clean (0 violations)`, or the count and one
+/// `[invariant] t=<ns> detail` line per violation.
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_clean() {
+            return write!(f, "oracle clean (0 violations)");
+        }
+        write!(f, "oracle: {} violations", self.violations.len())?;
+        for v in &self.violations {
+            let (invariant, at) = (v.invariant, v.at.as_nanos());
+            write!(f, "\n  [{invariant}] t={at} {}", v.detail)?;
+        }
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The run
 // ---------------------------------------------------------------------------
 
 /// Run `scn` on `backend`: the one place a macro world is built, driven,
-/// stepped, collected and digested.
+/// stepped, collected, digested and judged.
 ///
 /// # Panics
 ///
@@ -395,16 +443,22 @@ fn render_registry(reg: &MetricRegistry) -> String {
 pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
     let net = (scn.topo)();
     let hosts = net.hosts.len();
+    // A window's streams are best-effort; `Rt`'s clock is the wall's.
+    let reliable = scn.plan.windows.is_empty() && scn.plan.flows.iter().all(|f| f.profile.reliable);
+    let wall_paced = matches!(backend, Backend::Rt { .. });
+    let (sink, judge) = oracle(OracleConfig::for_run(reliable, wall_paced));
+    // Taken by a world that judges online; left for the merged stream.
+    let mut sink = Some(sink);
     let (sim_time, wall, outs, rt) = match backend {
         Backend::Serial => {
-            let (mut sim, taps) = build_world(scn, net, None);
+            let (mut sim, taps) = build_world(scn, net, None, sink.take());
             let started = Instant::now();
             sim.run_until_horizon(scn.horizon);
             let wall = started.elapsed();
             (sim.now(), wall, vec![finish_world(0, sim, taps)], None)
         }
         Backend::Rt { loss_per_mille } => {
-            let (mut sim, taps) = build_world(scn, net, None);
+            let (mut sim, taps) = build_world(scn, net, None, sink.take());
             // Every wire hop crosses the substrate from t=0, establishment
             // included (control-plane carriage is lossless by the
             // reliability contract — see `Substrate::transmit`).
@@ -453,7 +507,7 @@ pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
                 &cfg,
                 |h| {
                     let owner = HostId(h);
-                    let (sim, taps) = build_world(scn, (scn.topo)(), Some(owner));
+                    let (sim, taps) = build_world(scn, (scn.topo)(), Some(owner), None);
                     WorldLp {
                         lp: StackLp::new(sim, owner, scn.seed),
                         taps,
@@ -465,11 +519,36 @@ pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
         }
     };
     let (sim_secs, wall_secs) = (sim_time.as_secs_f64(), wall.as_secs_f64());
-    merge_outcome(scn, backend, hosts, outs, sim_secs, wall_secs, rt)
+    let wall_box = rt.as_ref().is_some_and(|r| r.stop == StopReason::WallBox);
+    let mut out = merge_outcome(scn, backend, hosts, outs, sim_secs, wall_secs, rt);
+    if let Some(mut sink) = sink {
+        for (t, e) in &out.stream {
+            sink.on_event(*t, e);
+        }
+    }
+    // Completion is judged once the run has gone quiet, never at a cut.
+    if out.pending == 0 {
+        judge.finish(scn.horizon);
+    }
+    if wall_box {
+        let detail = "hit the wall-clock backstop with work outstanding".to_string();
+        judge.report("clean-stop", sim_time, detail);
+    }
+    let (delivered, typed_failures) = judge.session_totals();
+    out.verdict = Verdict {
+        violations: judge.violations(),
+        delivered,
+        typed_failures,
+    };
+    if !(scn.keep_events || scn.record_trace) {
+        out.stream = Vec::new();
+    }
+    out
 }
 
 /// Sum the worlds. `run_sharded` returns results indexed by host, so the
 /// merge order (host ascending) is fixed regardless of the shard plan.
+/// The verdict is [`run`]'s to fill in.
 fn merge_outcome(
     scn: &Scenario,
     backend: Backend,
@@ -521,6 +600,7 @@ fn merge_outcome(
         faults_injected: scn.faults.events.len() as u64,
         trace_dump,
         stream: stream.into_iter().map(|(t, _, _, e)| (t, e)).collect(),
+        verdict: Verdict::default(),
         rt,
     }
 }

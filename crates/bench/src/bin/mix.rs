@@ -5,26 +5,26 @@
 //!
 //! ```text
 //! cargo run -p dash-bench --release --bin mix -- --backend serial --size full
-//! cargo run -p dash-bench --release --bin mix -- --backend serial --size e11-ci --oracle
-//! cargo run -p dash-bench --release --bin mix -- --backend par --size ci --oracle         # scan 1/2/4 shards
-//! cargo run -p dash-bench --release --bin mix -- --backend par --size ci --shards 2 --oracle
-//! cargo run -p dash-bench --release --bin mix -- --backend rt --size ci --loss 20 --oracle
+//! cargo run -p dash-bench --release --bin mix -- --backend serial --size e11-ci
+//! cargo run -p dash-bench --release --bin mix -- --backend par --size ci         # scan 1/2/4 shards
+//! cargo run -p dash-bench --release --bin mix -- --backend par --size ci --shards 2
+//! cargo run -p dash-bench --release --bin mix -- --backend rt --size ci --loss 20
 //! ```
 //!
-//! A `par` run without `--shards` scans 1/2/4 shards and demands the
-//! merged determinism digests be byte-identical — the executor's core
-//! contract. An `rt` run is *paced*: it costs `duration + grace` of real
-//! time. Exit 2 on bad usage; exit 1 on an oracle violation, a shard
-//! divergence or a wall-box stop. How fast any of this runs is measured
-//! by `dash-benchmark`, not here.
+//! Every run prints its report line and its verdict line. A `par` run
+//! without `--shards` scans 1/2/4 shards and demands the merged
+//! determinism digests be byte-identical — the executor's core contract.
+//! An `rt` run is *paced*: it costs `duration + grace` of real time. Exit
+//! 2 on bad usage; exit 1 on a verdict that is not clean (an oracle
+//! violation or a wall-box stop) or a shard divergence. How fast any of
+//! this runs is measured by `dash-benchmark`, not here.
 
 use dash_apps::scenario::{run, Backend, Outcome, Scenario};
 use dash_apps::traffic::Tally;
 use dash_bench::e_routing::RoutingParams;
-use dash_bench::judge;
 use dash_bench::mix::MixParams;
 
-const USAGE: &str = "usage: mix [--backend serial|par|rt] [--oracle]
+const USAGE: &str = "usage: mix [--backend serial|par|rt]
            [--size ci|routing-ci|micro|full|e11-ci|e11-mesh-ci|e11|e11-mesh]
            [--shards N] [--hashed]    (par; without --shards: scan 1/2/4)
            [--loss PER_MILLE]         (rt; 0..=1000)";
@@ -32,7 +32,6 @@ const USAGE: &str = "usage: mix [--backend serial|par|rt] [--oracle]
 fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
     let mut backend = "serial";
     let mut size = "ci";
-    let mut oracle = false;
     let mut shards: Option<u32> = None;
     let mut hashed = false;
     let mut loss: Option<u32> = None;
@@ -42,7 +41,6 @@ fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
         match arg.as_str() {
             "--backend" => backend = value()?,
             "--size" => size = value()?,
-            "--oracle" => oracle = true,
             "--hashed" => hashed = true,
             "--shards" => {
                 let n = value()?.parse().ok().filter(|n| *n > 0);
@@ -55,7 +53,10 @@ fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    let mut scenario = match size {
+    // No trace and no kept events: the trace only feeds the digest, and
+    // the printed hash covers the registry and every scalar, which is
+    // what a CLI run compares; the verdict is taken online.
+    let scenario = match size {
         "ci" => MixParams::ci().scenario(),
         "routing-ci" => MixParams::routing_ci().scenario(),
         "micro" => MixParams::micro().scenario(),
@@ -87,9 +88,6 @@ fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
         }],
         other => return Err(format!("unknown backend: {other}")),
     };
-    // No trace: it only feeds the digest, and the printed hash covers the
-    // registry and every scalar, which is what a CLI run compares.
-    scenario.keep_events = oracle;
     Ok((format!("{backend} {size}"), scenario, backends))
 }
 
@@ -140,18 +138,22 @@ fn main() {
         std::process::exit(2);
     });
 
-    let (mut par_digest, mut faults) = (None, Vec::new());
+    let (mut par_digest, mut failed) = (None, false);
     for &backend in &backends {
         let o = run(&scenario, backend);
         report(&label, &o);
-        faults.extend(judge(&o, &mut par_digest));
+        println!("mix [{label}]: {}", o.verdict);
+        failed |= !o.verdict.is_clean();
+        if let Backend::Par { .. } = backend {
+            let digest = o.determinism_digest();
+            if *par_digest.get_or_insert_with(|| digest.clone()) != digest {
+                eprintln!("mix [{label}]: DIVERGED from the first shard count");
+                failed = true;
+            }
+        }
     }
-    faults.iter().for_each(|f| eprintln!("mix [{label}]: {f}"));
-    if !faults.is_empty() {
+    if failed {
         std::process::exit(1);
-    }
-    if scenario.keep_events {
-        println!("mix [{label}]: oracle clean (0 violations)");
     }
     if backends.len() > 1 {
         println!("mix [{label}]: all shard counts byte-identical");

@@ -179,6 +179,8 @@ pub fn e8_scenarios() -> Vec<Scenario> {
                 rto: SimDuration::from_millis(500),
                 ..TcpConfig::default()
             },
+            // e8_table counts the gateway's drop events.
+            keep_events: true,
             ..Scenario::new(
                 || e8_net().0,
                 if i == 0 { rms.clone() } else { tcp.clone() },

@@ -5,34 +5,30 @@
 //! jitter, and a debug switch. It is a plan, like the macro workloads':
 //! [`Scenario::compile`] turns it into a [`dash_apps::scenario::Scenario`]
 //! on the dual-homed two-host topology ([`dual_homed`]), so the explorer
-//! speaks the one workload language and runs through the one
-//! [`scenario::run`]. [`run_scenario`] runs it serially and feeds the
-//! captured event stream to the [`crate::oracle()`], returning the
-//! violations, the run's (event-kind → event-kind) transition bigrams and
-//! the oracle's session totals. [`Scenario::chaos`] is the seeded chaos
-//! suite's preset, so chaos and exploration share one runner and one
-//! verdict.
+//! speaks the one workload language and is judged by the one
+//! [`scenario::run`]. [`run_scenario`] runs it serially: that verdict,
+//! `no-wedge` if work is queued at a horizon past every backoff chain, and
+//! the (event-kind → event-kind) bigrams of its kept event stream.
+//! [`Scenario::chaos`] is the seeded chaos suite's preset.
 //!
 //! [`explore`] searches scenario space: seed corpus first, then mutate a
 //! corpus member per iteration. Bigrams are the novelty signal — a
 //! mutant that exercises an unseen transition joins the corpus, one that
 //! doesn't is discarded — so the budget concentrates where behaviour is
 //! new rather than re-rolling the same happy path. The search stops at
-//! the first oracle violation (the find is then handed to
-//! [`crate::shrink()`]) or when the run budget is spent.
+//! the first violation (the find is then handed to [`crate::shrink()`])
+//! or when the run budget is spent.
 
 use std::collections::BTreeSet;
 
-use dash_apps::scenario::{self, Backend};
+use dash_apps::scenario::{self, Backend, Verdict};
 use dash_apps::traffic::{Class, Flow};
+use dash_check::oracle::{trace_line, Violation, TRACE_WINDOW};
 use dash_net::ids::HostId;
 use dash_net::topology::dual_homed;
-use dash_sim::obs::ObsSink;
 use dash_sim::{ChaosConfig, FaultKind, FaultPlan, Rng, SimDuration, SimTime};
 use dash_transport::stream::{StreamProfile, MAX_RETRIES};
 use rms_core::DelayBound;
-
-use crate::oracle::{oracle, OracleConfig};
 
 /// The sending and receiving host of every explorer flow: the two hosts
 /// [`dual_homed`] builds, in its order.
@@ -189,55 +185,37 @@ impl Scenario {
 /// What one [`run_scenario`] produced.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Oracle violations, in detection order. Empty means the run passed.
-    pub violations: Vec<crate::oracle::Violation>,
+    /// The run's verdict, `no-wedge` included. Clean means it passed.
+    pub verdict: Verdict,
     /// Transition bigrams observed (the coverage signal).
     pub bigrams: BTreeSet<(u16, u16)>,
     /// Events processed before the horizon.
     pub processed: u64,
-    /// Stream deliveries the oracle saw, summed over sessions.
-    pub delivered: u64,
-    /// Sessions that ended in a typed failure (failed end, retries
-    /// exhausted, or failed open).
-    pub typed_failures: u64,
 }
 
-impl RunReport {
-    /// Did the oracle object?
-    pub fn failed(&self) -> bool {
-        !self.violations.is_empty()
-    }
-}
-
-/// Execute one scenario on the serial backend and judge its event stream
-/// with the full oracle. Work still queued at the horizon is a `no-wedge`
-/// violation.
+/// Execute one scenario on the serial backend: its verdict, plus a
+/// `no-wedge` violation when work is still queued at the horizon.
 pub fn run_scenario(scenario: &Scenario) -> RunReport {
     let scn = scenario.compile();
-    let out = scenario::run(&scn, Backend::Serial);
-    let (mut sink, handle) = oracle(OracleConfig::default());
-    for (t, e) in &out.stream {
-        sink.on_event(*t, e);
-    }
+    let mut out = scenario::run(&scn, Backend::Serial);
     if out.pending > 0 {
-        handle.report(
-            "no-wedge",
-            scn.horizon,
-            format!(
+        let tail = &out.stream[out.stream.len().saturating_sub(TRACE_WINDOW)..];
+        out.verdict.violations.push(Violation {
+            invariant: "no-wedge",
+            at: scn.horizon,
+            detail: format!(
                 "{} events still queued at the horizon, {} processed",
                 out.pending, out.events
             ),
-        );
+            trace: tail.iter().map(|(t, e)| trace_line(*t, e)).collect(),
+        });
     }
-    handle.finish(scn.horizon);
-
-    let (delivered, typed_failures) = handle.session_totals();
+    let kinds = out.stream.iter().map(|(_, e)| e.fast_index() as u16);
+    let bigrams = kinds.clone().zip(kinds.skip(1)).collect();
     RunReport {
-        violations: handle.violations(),
-        bigrams: handle.bigrams(),
+        verdict: out.verdict,
+        bigrams,
         processed: out.events,
-        delivered,
-        typed_failures,
     }
 }
 
@@ -249,15 +227,6 @@ pub struct ExploreConfig {
     /// Seed of the mutation stream; same seeds + same config ⇒ the same
     /// search, run for run.
     pub mutation_seed: u64,
-}
-
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        ExploreConfig {
-            budget_runs: 60,
-            mutation_seed: 1,
-        }
-    }
 }
 
 /// Workload length cap — mutants stay small enough that a find shrinks
@@ -351,7 +320,7 @@ pub fn explore(seeds: &[Scenario], cfg: &ExploreConfig) -> Option<(Scenario, Run
                    coverage: &mut BTreeSet<(u16, u16)>|
      -> Option<(Scenario, RunReport)> {
         let report = run_scenario(&scenario);
-        if report.failed() {
+        if !report.verdict.is_clean() {
             return Some((scenario, report));
         }
         let novel = report.bigrams.iter().any(|b| !coverage.contains(b));
@@ -391,20 +360,15 @@ pub fn explore(seeds: &[Scenario], cfg: &ExploreConfig) -> Option<(Scenario, Run
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::check_stream;
     use dash_sim::obs::{DropCause, ObsEvent};
 
     #[test]
     fn baseline_scenario_runs_clean_and_replays_identically() {
         let sc = Scenario::baseline(3);
         let a = run_scenario(&sc);
-        assert!(
-            a.violations.is_empty(),
-            "baseline must pass: {:?}",
-            a.violations
-        );
+        assert!(a.verdict.is_clean(), "baseline must pass: {}", a.verdict);
         assert!(a.processed > 100, "stack barely ran: {}", a.processed);
-        assert_eq!(a.delivered, 6);
+        assert_eq!(a.verdict.delivered, 6);
         assert!(!a.bigrams.is_empty());
         let b = run_scenario(&sc);
         assert_eq!(a.processed, b.processed);
@@ -419,9 +383,9 @@ mod tests {
         };
         let report = run_scenario(&sc);
         assert!(
-            report.violations.is_empty(),
-            "chaos within spec must pass: {:?}",
-            report.violations
+            report.verdict.is_clean(),
+            "chaos within spec must pass: {}",
+            report.verdict
         );
     }
 
@@ -436,7 +400,7 @@ mod tests {
         let b = run_scenario(&base);
         assert_eq!(a.processed, b.processed);
         assert_eq!(a.bigrams, b.bigrams);
-        assert!(a.violations.is_empty(), "{:?}", a.violations);
+        assert!(a.verdict.is_clean(), "{}", a.verdict);
         let other = Scenario {
             jitter_seed: 10,
             ..base
@@ -444,7 +408,7 @@ mod tests {
         let c = run_scenario(&other);
         // Different jitter seed perturbs the schedule (almost surely a
         // different event count; at minimum not a violation).
-        assert!(c.violations.is_empty());
+        assert!(c.verdict.is_clean());
     }
 
     /// Jitter is a fault like any other, so a jittered scenario runs on
@@ -470,7 +434,7 @@ mod tests {
         let (one, two) = (par(1), par(2));
         assert_eq!(one.determinism_digest(), two.determinism_digest());
         assert!(one.acct.flows.values().any(|t| t.received > 0));
-        assert_eq!(check_stream(&two.stream, true), Vec::<String>::new());
+        assert!(two.verdict.is_clean(), "{}", two.verdict);
     }
 
     /// Schedule jitter reorders events, but it cannot put a session's data

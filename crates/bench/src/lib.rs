@@ -1,10 +1,13 @@
 //! # dash-bench — the experiment harness
 //!
 //! One [`Experiment`] per figure/claim of the paper (see DESIGN.md's
-//! experiment index), most planned as scenarios run by [`run_checked`] and
-//! judged by [`judge`]; the `run_experiments` binary prints every table.
-//! The macro-workload of e10/e12/e13 is planned once in [`mix`]; how fast
-//! any of it runs is `dash-benchmark`'s business, not this crate's.
+//! experiment index), most planned as scenarios run by [`run_checked`],
+//! which refuses a run whose `Outcome::verdict` is not clean; the
+//! `run_experiments` binary prints every table. The macro-workload of
+//! e10/e12/e13 is planned once in [`mix`]; how fast any of it runs is
+//! `dash-benchmark`'s business, not this crate's.
+//! The simulation-testing search ([`mod@explore`], [`mod@shrink`],
+//! [`replay`]) lives here too, above the plans it shares a language with.
 //!
 //! The paper (an architecture technical report) publishes no measured
 //! tables, so "reproduction" here means: run the subsystem each figure
@@ -17,15 +20,19 @@ pub mod e_capacity;
 pub mod e_routing;
 pub mod e_security_sched;
 pub mod e_st;
+pub mod explore;
 pub mod figs;
 pub mod mix;
+pub mod replay;
+pub mod shrink;
 pub mod table;
 
+pub use explore::explore;
+pub use shrink::shrink;
 pub use table::Table;
 
 use dash_apps::scenario::{run, Backend, Outcome, Scenario};
 use dash_apps::traffic::{Class, Flow};
-use dash_check::check_stream;
 use dash_net::state::{NetConfig, NetState};
 use dash_net::topology::TopologyBuilder;
 use dash_net::{HostId, NetworkSpec};
@@ -77,53 +84,31 @@ pub fn paced(profile: StreamProfile) -> Flow {
     }
 }
 
-/// The one verdict on a run, shared by every planned table and the `mix`
-/// binary: the semantic oracle on its event stream (the `det-delay` bound
-/// is off only on `Backend::Rt`, whose deliveries wait on real carriage),
-/// the rt backend's wall-clock backstop, and the parallel executor's
-/// contract that every shard count merges to one digest — `par_digest`
-/// carries the first `Par` digest among the runs of one scenario (start
-/// each scenario with `None`). Empty means sound.
-pub fn judge(o: &Outcome, par_digest: &mut Option<String>) -> Vec<String> {
-    let on_wall_clock = matches!(o.backend, Backend::Rt { .. });
-    let mut faults: Vec<String> = (check_stream(&o.stream, !on_wall_clock).into_iter())
-        .map(|v| format!("ORACLE {v}"))
-        .collect();
-    if !o.clean_stop() {
-        faults.push("hit the wall-clock backstop with work outstanding".into());
-    }
-    if let Backend::Par { .. } = o.backend {
-        let digest = o.determinism_digest();
-        if *par_digest.get_or_insert_with(|| digest.clone()) != digest {
-            faults.push("DIVERGED from the first shard count: the executor is broken".into());
-        }
-    }
-    faults
-}
-
-/// Run each scenario on each of `backends` (scenario-major) with its
-/// event stream kept, and hold every run to [`judge`]: a planned
-/// experiment reports no row from a run that broke an invariant.
+/// Run each scenario on each of `backends` (scenario-major) and refuse
+/// what no table may report: a verdict that is not clean, or a `Par`
+/// digest that differs from the scenario's first `Par` run's (every
+/// shard count must merge to one digest).
 ///
 /// # Panics
 ///
-/// On any fault, naming the table `id`, the scenario's index and the
+/// On any such fault, naming the table `id`, the scenario's index and the
 /// backend.
 pub fn run_checked(id: &str, scenarios: Vec<Scenario>, backends: &[Backend]) -> Vec<Outcome> {
     let mut outs = Vec::new();
     for (i, scn) in scenarios.into_iter().enumerate() {
-        let scn = Scenario {
-            keep_events: true,
-            ..scn
-        };
         let mut par_digest = None;
         for &backend in backends {
             let o = run(&scn, backend);
-            let faults = judge(&o, &mut par_digest);
-            assert!(
-                faults.is_empty(),
-                "{id}, scenario {i} on {backend:?}: {faults:#?}"
-            );
+            let at = format!("{id}, scenario {i} on {backend:?}");
+            assert!(o.verdict.is_clean(), "{at}: {}", o.verdict);
+            if let Backend::Par { .. } = backend {
+                let digest = o.determinism_digest();
+                let first = par_digest.get_or_insert_with(|| digest.clone());
+                assert!(
+                    *first == digest,
+                    "{at}: DIVERGED from the first shard count"
+                );
+            }
             outs.push(o);
         }
     }

@@ -4,8 +4,8 @@
 //! The workload language ([`dash_apps::traffic`]: flows, RKOM pairs,
 //! probes, the per-endpoint driver) and the runner
 //! ([`dash_apps::scenario`]: `Scenario`, `Backend`, `run`, `Outcome`) are
-//! library code in `dash-apps`; the verdict on a run is
-//! [`crate::judge`]. What lives here is what is specific to
+//! library code in `dash-apps`, and the verdict on a run is the
+//! runner's `Outcome::verdict`. What lives here is what is specific to
 //! this experiment family: [`MixParams`] and its presets, the pure plan
 //! function [`MixParams::scenario`] (edge LANs joined by a WAN backbone
 //! carrying mostly intra-LAN voice with a WAN-crossing slice, reliable

@@ -20,7 +20,7 @@ use rms_core::delay::DelayBoundKind;
 use crate::explore::{flow, run_scenario, Scenario};
 
 fn fails(s: &Scenario) -> bool {
-    run_scenario(s).failed()
+    !run_scenario(s).verdict.is_clean()
 }
 
 /// One ddmin pass over `flows`: try removing chunks at granularity `n`,

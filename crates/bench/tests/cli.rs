@@ -20,6 +20,8 @@ fn mix(args: &[&str]) -> (Option<i32>, String, String) {
 fn bad_usage_exits_2_with_usage() {
     for args in [
         &["--no-such-flag"][..],
+        // The oracle is no flag: every run prints its verdict.
+        &["--oracle"],
         &["--backend"],
         &["--backend", "quantum"],
         &["--size", "galactic"],
@@ -45,13 +47,13 @@ fn bad_usage_exits_2_with_usage() {
 
 #[test]
 fn a_clean_run_exits_0_and_reports_its_digest() {
-    let (code, stdout, stderr) = mix(&["--backend", "par", "--size", "micro", "--oracle"]);
+    let (code, stdout, stderr) = mix(&["--backend", "par", "--size", "micro"]);
     assert_eq!(code, Some(0), "{stderr}");
     assert_eq!(stdout.matches("digest ").count(), 3, "{stdout}");
     assert!(stdout.contains("oracle clean") && stdout.contains("byte-identical"));
 
     // The e11 routing workload is a `--size`, not a binary of its own.
-    let (code, stdout, stderr) = mix(&["--backend", "serial", "--size", "e11-ci", "--oracle"]);
+    let (code, stdout, stderr) = mix(&["--backend", "serial", "--size", "e11-ci"]);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("alt wins") && stdout.contains("oracle clean"));
 }

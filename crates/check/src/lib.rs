@@ -1,32 +1,18 @@
-//! dash-check — simulation testing for the RMS stack.
+//! dash-check — the semantic oracle for the RMS stack.
 //!
-//! The deterministic simulator underneath the stack makes every run a
-//! reproducible function of its inputs (topology seed, workload, fault
-//! plan, timer jitter). This crate turns that property into a model
-//! checker for the paper's semantic guarantees, in three parts:
+//! [`mod@oracle`] is a small reference model of what the stack promises:
+//! per-stream FIFO exactly-once-or-typed-failure delivery (§2.1),
+//! admission never oversubscribing a ledger (§2.3), deterministic-class
+//! messages meeting their `A + B·size` bound (§2.2), loop-free routing
+//! alternates and no repair work without loss evidence. It consumes the
+//! [`dash_sim::obs::ObsEvent`] stream as an [`dash_sim::obs::ObsSink`] and
+//! records each violation with the trailing event trace.
 //!
-//! - [`mod@oracle`]: a small reference model of what the stack promises —
-//!   per-stream FIFO exactly-once-or-typed-failure delivery (§2.1),
-//!   admission never oversubscribing a ledger (§2.3), deterministic-class
-//!   messages meeting their `A + B·size` bound (§2.2), and loop-free
-//!   routing alternates. It consumes the [`dash_sim::obs::ObsEvent`]
-//!   stream online and fails fast with the violating event trace.
-//! - [`mod@explore`]: a coverage-guided explorer that mutates workloads
-//!   (lists of `dash_apps::traffic::Flow`), fault-plan seeds, and
-//!   schedule-jitter parameters, compiles each mutant to a
-//!   `dash_apps::scenario::Scenario` and runs it through
-//!   `dash_apps::scenario::run`, using observed (event-kind → event-kind)
-//!   transition bigrams as the novelty signal to keep a corpus and spend a
-//!   fixed run budget where behaviour is new.
-//! - [`mod@shrink`] + [`replay`]: once a violation is found, delta-debugging
-//!   reduces the scenario to a minimal deterministic repro and a small
-//!   text replay file that `cargo test` re-runs byte-identically.
+//! This crate is a leaf above `dash-sim`: `dash_apps::scenario::run`
+//! attaches it to every run and returns its verdict, the benchmark
+//! installs it in its traced worlds, and the explorer, shrinker and replay
+//! files that search for violations live in `dash-bench`.
 
-pub mod explore;
 pub mod oracle;
-pub mod replay;
-pub mod shrink;
 
-pub use explore::{explore, run_scenario, ExploreConfig, RunReport, Scenario};
-pub use oracle::{check_stream, oracle, OracleConfig, OracleHandle, OracleSink, Violation};
-pub use shrink::shrink;
+pub use oracle::{oracle, OracleConfig, OracleHandle, OracleSink, Violation};

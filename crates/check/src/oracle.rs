@@ -1,10 +1,11 @@
 //! The semantic oracle: a reference model of the stack's guarantees fed
 //! from the observability stream.
 //!
-//! The oracle is an [`ObsSink`], so it watches any instrumented run —
-//! explorer scenarios, the e10/e11 macro-workloads under `--oracle`, or
-//! an ad-hoc test — without touching the code under test. It checks five
-//! invariants online and one at end of run:
+//! The oracle is an [`ObsSink`], so it watches any instrumented run
+//! without touching the code under test: `dash_apps::scenario::run`
+//! attaches one to every run it executes (its `Outcome::verdict`), and a
+//! hand-built world installs one itself. It checks five invariants online
+//! and one at end of run:
 //!
 //! | invariant          | events consumed                               | claim |
 //! |--------------------|-----------------------------------------------|-------|
@@ -24,10 +25,10 @@
 //! ([`OracleConfig::check_det_delay`]). `no-spurious-work` judges
 //! the evidence-driven repairs only: a timeout retransmission is the
 //! sender's last resort when evidence cannot reach it (a lost tail, lost
-//! acks), so `Rto` retransmits are counted
-//! ([`OracleHandle::rto_retransmits`]) and not judged. `completion` only makes
-//! sense for runs driven to quiescence, so it is a config switch —
-//! horizon-cut bench runs leave traffic legitimately in flight.
+//! acks), so `Rto` retransmits are not judged. `completion` only makes
+//! sense for runs driven to quiescence, so it is a config switch and
+//! [`OracleHandle::finish`] is called only at quiescence — horizon-cut
+//! runs leave traffic legitimately in flight.
 //!
 //! Every violation carries a bounded trailing window of the raw event
 //! trace, so a failure is diagnosable without re-running.
@@ -40,7 +41,7 @@ use dash_sim::obs::{ObsEvent, ObsSink, RetransmitCause};
 use dash_sim::time::SimTime;
 
 /// Trailing raw events kept for the violation trace.
-const TRACE_WINDOW: usize = 64;
+pub const TRACE_WINDOW: usize = 64;
 
 /// Relative slack for the ledger comparison: reservations are sums of
 /// `f64` implied bandwidths, so exact equality at the budget must not
@@ -53,29 +54,29 @@ pub struct OracleConfig {
     /// End-of-run completeness-or-typed-failure check. Enable for runs
     /// driven to quiescence; disable for horizon-cut workloads.
     pub check_completion: bool,
-    /// The two checks that only hold on an unperturbed virtual clock:
-    /// `det-delay` and `no-spurious-work` above. Disable when the schedule
-    /// is paced against the wall clock (or jittered without a
-    /// `timer_jitter` fault announcing it): jitter may legitimately push a
-    /// healthy deterministic delivery past its bound, and it (or a lossy
-    /// real substrate) reorders or loses arrivals without any drop event —
-    /// genuine gap evidence for a receiver, invisible to the oracle. (One
-    /// switch, named for the older check.)
+    /// The two checks that only hold on an unperturbed virtual clock,
+    /// `det-delay` and `no-spurious-work` (one switch, named for the
+    /// older). Disable on a wall-paced schedule: it may push a healthy
+    /// deterministic delivery past its bound, and reorders or loses
+    /// arrivals without any drop event the oracle could see.
     pub check_det_delay: bool,
     /// Treat a delivery-sequence gap as a `fifo` violation. Only sound
     /// when every stream in the run is reliable: an *unreliable* stream
-    /// legitimately skips lost messages, so mixed workloads (the bench
-    /// macro-runs) disable this and keep the duplicate/reorder check,
-    /// which holds for any stream.
+    /// legitimately skips lost messages. Duplicates and reorders are
+    /// violations on any stream.
     pub check_fifo_gaps: bool,
 }
 
-impl Default for OracleConfig {
-    fn default() -> Self {
+impl OracleConfig {
+    /// The checks a run can be held to: the virtual-clock pair unless it
+    /// is `wall_paced`, fifo gaps and completion only if `all_reliable`
+    /// (every stream it opens is reliable). Completion is judged only when
+    /// [`OracleHandle::finish`] is called, at quiescence.
+    pub fn for_run(all_reliable: bool, wall_paced: bool) -> OracleConfig {
         OracleConfig {
-            check_completion: true,
-            check_det_delay: true,
-            check_fifo_gaps: true,
+            check_completion: all_reliable,
+            check_det_delay: !wall_paced,
+            check_fifo_gaps: all_reliable,
         }
     }
 }
@@ -84,16 +85,23 @@ impl Default for OracleConfig {
 /// it was detected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
-    /// Short invariant name (`fifo`, `admission-ledger`, `det-delay`,
-    /// `route-loop`, `no-spurious-work`, `completion`, `no-wedge`).
+    /// Short invariant name: one of the table above, or one a caller
+    /// reports through [`OracleHandle::report`] (the runner's
+    /// `clean-stop`, the explorer's `no-wedge`).
     pub invariant: &'static str,
     /// Virtual time of detection.
     pub at: SimTime,
     /// What went wrong.
     pub detail: String,
-    /// The last `TRACE_WINDOW` (64) raw events up to and including the
-    /// violating one, oldest first.
+    /// The last [`TRACE_WINDOW`] raw events up to and including the
+    /// violating one, oldest first, each as a [`trace_line`].
     pub trace: Vec<String>,
+}
+
+/// One event of a violation's trace: virtual nanoseconds, event name and
+/// the raw event.
+pub fn trace_line(time: SimTime, event: &ObsEvent) -> String {
+    format!("{} {} {event:?}", time.as_nanos(), event.name())
 }
 
 #[derive(Debug, Default)]
@@ -119,27 +127,15 @@ struct OracleState {
     /// Set once a packet or message was dropped (queue overflow, wire
     /// loss/damage, or any typed [`ObsEvent::Drop`] cause).
     drop_seen: bool,
-    /// Timeout retransmissions seen (counted, not judged).
-    rto_retransmits: u64,
     /// The trailing raw events, rendered only when a violation copies
     /// them into its trace.
     ring: VecDeque<(SimTime, ObsEvent)>,
     violations: Vec<Violation>,
-    /// Previous event's fast index, for transition-bigram coverage.
-    last_kind: Option<u16>,
-    /// Observed (event-kind → event-kind) transitions. Not an invariant:
-    /// this is the coverage signal [`crate::explore`] feeds on, collected
-    /// here so one sink pass serves both the oracle and the explorer.
-    bigrams: BTreeSet<(u16, u16)>,
 }
 
 impl OracleState {
     fn violate(&mut self, invariant: &'static str, at: SimTime, detail: String) {
-        let trace = self
-            .ring
-            .iter()
-            .map(|(t, e)| format!("{} {} {e:?}", t.as_nanos(), e.name()))
-            .collect();
+        let trace = self.ring.iter().map(|(t, e)| trace_line(*t, e)).collect();
         self.violations.push(Violation {
             invariant,
             at,
@@ -154,12 +150,6 @@ impl OracleState {
         }
         self.ring.push_back((time, event.clone()));
 
-        let kind = event.fast_index() as u16;
-        if let Some(prev) = self.last_kind {
-            self.bigrams.insert((prev, kind));
-        }
-        self.last_kind = Some(kind);
-
         match event {
             ObsEvent::FaultInjected { .. }
             | ObsEvent::NetworkFailed { .. }
@@ -168,15 +158,15 @@ impl OracleState {
                 self.drop_seen = true
             }
             ObsEvent::StreamRetransmit {
-                cause: RetransmitCause::Rto,
-                ..
-            } => self.rto_retransmits += 1,
-            ObsEvent::StreamRetransmit {
                 host,
                 session,
                 seq,
                 cause,
-            } if self.cfg.check_det_delay && !self.drop_seen && !self.fault_seen => {
+            } if *cause != RetransmitCause::Rto
+                && self.cfg.check_det_delay
+                && !self.drop_seen
+                && !self.fault_seen =>
+            {
                 self.violate(
                     "no-spurious-work",
                     time,
@@ -313,8 +303,8 @@ impl ObsSink for OracleSink {
     }
 }
 
-/// The reader half: query violations and coverage after (or during) the
-/// run. Cheap to clone.
+/// The reader half: query violations and session totals after (or
+/// during) the run. Cheap to clone.
 #[derive(Clone)]
 pub struct OracleHandle {
     state: Rc<RefCell<OracleState>>,
@@ -327,8 +317,8 @@ impl OracleHandle {
         self.state.borrow_mut().finish(at);
     }
 
-    /// Record an externally detected violation (e.g. the runner's wedge
-    /// detector), with whatever trailing trace the oracle has.
+    /// Record an externally detected violation (e.g. the runner's
+    /// wall-clock backstop), with whatever trailing trace the oracle has.
     pub fn report(&self, invariant: &'static str, at: SimTime, detail: String) {
         self.state.borrow_mut().violate(invariant, at, detail);
     }
@@ -336,16 +326,6 @@ impl OracleHandle {
     /// Violations found so far, in detection order.
     pub fn violations(&self) -> Vec<Violation> {
         self.state.borrow().violations.clone()
-    }
-
-    /// True once any violation was recorded — the fail-fast poll.
-    pub fn violated(&self) -> bool {
-        !self.state.borrow().violations.is_empty()
-    }
-
-    /// Timeout (`Rto`) retransmissions observed — reported, never judged.
-    pub fn rto_retransmits(&self) -> u64 {
-        self.state.borrow().rto_retransmits
     }
 
     /// The session table's totals: `(deliveries, sessions with a typed
@@ -359,11 +339,6 @@ impl OracleHandle {
         let typed = failed.chain(&s.open_failed).collect::<BTreeSet<_>>().len() as u64;
         (delivered, typed)
     }
-
-    /// Observed event-kind transition bigrams (the coverage signal).
-    pub fn bigrams(&self) -> BTreeSet<(u16, u16)> {
-        self.state.borrow().bigrams.clone()
-    }
 }
 
 /// Build an oracle: the sink to install and the handle to read.
@@ -373,11 +348,8 @@ pub fn oracle(cfg: OracleConfig) -> (OracleSink, OracleHandle) {
         sessions: Sessions::default(),
         fault_seen: false,
         drop_seen: false,
-        rto_retransmits: 0,
         ring: VecDeque::with_capacity(TRACE_WINDOW),
         violations: Vec::new(),
-        last_kind: None,
-        bigrams: BTreeSet::new(),
     }));
     (
         OracleSink {
@@ -387,34 +359,15 @@ pub fn oracle(cfg: OracleConfig) -> (OracleSink, OracleHandle) {
     )
 }
 
-/// Check the merged event stream of a horizon-cut macro run
-/// (`dash_apps::scenario::Outcome::stream`); one human-readable line per
-/// violation. Completion is off (traffic is legitimately in flight at the
-/// cut) and FIFO-gap checking is off (unreliable media legitimately skips
-/// lost messages). `det_delay` (which also carries `no-spurious-work`)
-/// stays on wherever virtual time is the only clock — fault drills
-/// self-excuse — and goes off on the rt backend, where wall lag feeds real
-/// carriage timing back into arrival times.
-pub fn check_stream(stream: &[(SimTime, ObsEvent)], det_delay: bool) -> Vec<String> {
-    let (mut sink, handle) = oracle(OracleConfig {
-        check_completion: false,
-        check_det_delay: det_delay,
-        check_fifo_gaps: false,
-    });
-    for (t, e) in stream {
-        sink.on_event(*t, e);
-    }
-    handle
-        .violations()
-        .iter()
-        .map(|v| format!("[{}] t={} {}", v.invariant, v.at.as_nanos(), v.detail))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dash_sim::obs::DropCause;
+
+    /// Every check on: an all-reliable run on the virtual clock.
+    fn all_checks() -> OracleConfig {
+        OracleConfig::for_run(true, false)
+    }
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -426,7 +379,7 @@ mod tests {
 
     #[test]
     fn fifo_catches_gap_duplicate_and_passes_in_order() {
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         for seq in 0..3 {
             feed(
                 &mut sink,
@@ -438,7 +391,7 @@ mod tests {
                 },
             );
         }
-        assert!(!handle.violated());
+        assert!(handle.violations().is_empty());
         // A duplicate of #1 and then a gap to #5.
         feed(
             &mut sink,
@@ -473,7 +426,7 @@ mod tests {
 
     #[test]
     fn ledger_oversubscription_is_flagged_but_boundary_is_not() {
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(
             &mut sink,
             1,
@@ -484,7 +437,7 @@ mod tests {
                 budget_bps: 900_000.0,
             },
         );
-        assert!(!handle.violated(), "exactly-at-budget is legal");
+        assert!(handle.violations().is_empty(), "exactly-at-budget is legal");
         feed(
             &mut sink,
             2,
@@ -511,17 +464,20 @@ mod tests {
             det: true,
             span: None,
         };
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(&mut sink, 1, late(1));
         assert_eq!(handle.violations()[0].invariant, "det-delay");
 
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(&mut sink, 1, ObsEvent::FaultInjected { kind: "partition" });
         feed(&mut sink, 2, late(1));
-        assert!(!handle.violated(), "fault excuses deterministic lateness");
+        assert!(
+            handle.violations().is_empty(),
+            "fault excuses deterministic lateness"
+        );
 
         // Late *statistical* deliveries are never violations.
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(
             &mut sink,
             1,
@@ -535,12 +491,12 @@ mod tests {
                 span: None,
             },
         );
-        assert!(!handle.violated());
+        assert!(handle.violations().is_empty());
     }
 
     #[test]
     fn route_loop_detection() {
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(
             &mut sink,
             1,
@@ -549,7 +505,7 @@ mod tests {
                 hops: vec![0, 3, 5, 2],
             },
         );
-        assert!(!handle.violated());
+        assert!(handle.violations().is_empty());
         feed(
             &mut sink,
             2,
@@ -571,10 +527,9 @@ mod tests {
         };
         // No drop, fault or crash so far: an evidence-driven repair is a
         // violation with its trace; a timeout is only counted.
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(&mut sink, 1, rtx(RetransmitCause::Rto));
-        assert!(!handle.violated());
-        assert_eq!(handle.rto_retransmits(), 1);
+        assert!(handle.violations().is_empty());
         feed(&mut sink, 2, rtx(RetransmitCause::DupAck));
         feed(&mut sink, 3, rtx(RetransmitCause::PartialAck));
         let v = handle.violations();
@@ -588,10 +543,10 @@ mod tests {
         // the check is off with `det-delay`.
         let (mut sink, handle) = oracle(OracleConfig {
             check_det_delay: false,
-            ..OracleConfig::default()
+            ..all_checks()
         });
         feed(&mut sink, 1, rtx(RetransmitCause::DupAck));
-        assert!(!handle.violated());
+        assert!(handle.violations().is_empty());
 
         // Every kind of loss evidence excuses the repairs that follow it.
         for evidence in [
@@ -612,11 +567,11 @@ mod tests {
             ObsEvent::NetworkFailed { network: 1 },
             ObsEvent::HostCrashed { host: 2 },
         ] {
-            let (mut sink, handle) = oracle(OracleConfig::default());
+            let (mut sink, handle) = oracle(all_checks());
             feed(&mut sink, 1, evidence);
             feed(&mut sink, 2, rtx(RetransmitCause::DupAck));
             feed(&mut sink, 3, rtx(RetransmitCause::PartialAck));
-            assert!(!handle.violated(), "{:?}", handle.violations());
+            assert!(handle.violations().is_empty(), "{:?}", handle.violations());
         }
     }
 
@@ -635,15 +590,15 @@ mod tests {
             seq,
         };
         // Delivered in full: clean.
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(&mut sink, 1, send(5, 0));
         feed(&mut sink, 2, dlv(5, 0));
         handle.finish(t(3));
-        assert!(!handle.violated());
+        assert!(handle.violations().is_empty());
         assert_eq!(handle.session_totals(), (1, 0));
 
         // Shortfall with a typed end: clean.
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(&mut sink, 1, send(5, 0));
         feed(
             &mut sink,
@@ -655,17 +610,17 @@ mod tests {
             },
         );
         handle.finish(t(3));
-        assert!(!handle.violated());
+        assert!(handle.violations().is_empty());
         assert_eq!(handle.session_totals(), (0, 1));
 
         // Silent shortfall: violation.
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(&mut sink, 1, send(5, 0));
         handle.finish(t(3));
         assert_eq!(handle.violations()[0].invariant, "completion");
 
         // An orderly close does not excuse a shortfall.
-        let (mut sink, handle) = oracle(OracleConfig::default());
+        let (mut sink, handle) = oracle(all_checks());
         feed(&mut sink, 1, send(5, 0));
         feed(
             &mut sink,
@@ -678,19 +633,5 @@ mod tests {
         );
         handle.finish(t(3));
         assert_eq!(handle.violations()[0].invariant, "completion");
-    }
-
-    #[test]
-    fn bigram_coverage_accumulates_transitions() {
-        let (mut sink, handle) = oracle(OracleConfig::default());
-        feed(&mut sink, 1, ObsEvent::CacheHit { host: 0 });
-        feed(&mut sink, 2, ObsEvent::CacheMiss { host: 0 });
-        feed(&mut sink, 3, ObsEvent::CacheHit { host: 0 });
-        feed(&mut sink, 4, ObsEvent::CacheMiss { host: 0 });
-        let hit = ObsEvent::CacheHit { host: 0 }.fast_index() as u16;
-        let miss = ObsEvent::CacheMiss { host: 0 }.fast_index() as u16;
-        let bg = handle.bigrams();
-        assert_eq!(bg.len(), 2);
-        assert!(bg.contains(&(hit, miss)) && bg.contains(&(miss, hit)));
     }
 }

@@ -1,5 +1,5 @@
 //! A counting global allocator: [`System`] plus per-thread counts of
-//! allocations, bytes allocated and live bytes.
+//! allocations, bytes allocated, live bytes and their high-water mark.
 //!
 //! A test binary that measures what code allocates installs it as its one
 //! global allocator and reads the counts around the code under test:
@@ -12,9 +12,13 @@
 //!
 //! fn main() {
 //!     let (v, spent) = counted(|| vec![0u8; 64]);
-//!     assert_eq!((spent.allocs, spent.bytes, spent.live), (1, 64, 64));
+//!     assert_eq!((spent.allocs, spent.bytes, spent.live, spent.peak), (1, 64, 64, 64));
 //!     let ((), freed) = counted(|| drop(v));
-//!     assert_eq!((freed.allocs, freed.live), (0, -64));
+//!     assert_eq!((freed.allocs, freed.live, freed.peak), (0, -64, 0));
+//!     // A buffer freed inside the stretch still raised its mark, and an
+//!     // outer stretch sees an inner one's.
+//!     let (((), inner), outer) = counted(|| counted(|| drop(vec![0u8; 128])));
+//!     assert_eq!((inner.live, inner.peak, outer.peak), (0, 128, 128));
 //! }
 //! ```
 //!
@@ -36,6 +40,10 @@ pub struct Counts {
     /// another thread than the one that allocated it moves both threads'
     /// figures.
     pub live: i64,
+    /// The highest `live` reached. For what [`counted`] returns it is
+    /// relative to the stretch's start, so never negative; for the
+    /// thread it is the mark since the innermost running `counted` began.
+    pub peak: i64,
 }
 
 thread_local! {
@@ -44,6 +52,7 @@ thread_local! {
             allocs: 0,
             bytes: 0,
             live: 0,
+            peak: 0,
         })
     };
 }
@@ -54,16 +63,26 @@ fn counts() -> Counts {
     COUNTS.with(Cell::get)
 }
 
-/// `f`'s result and what it allocated on this thread.
+/// `f`'s result and what it allocated on this thread. The thread's
+/// high-water mark is reset to the current `live` for `f` and restored
+/// after it, raised by whatever `f` reached.
 pub fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
-    let (before, out) = (counts(), f());
+    let before = counts();
+    set_peak(before.live);
+    let out = f();
     let after = counts();
+    set_peak(after.peak.max(before.peak));
     let spent = Counts {
         allocs: after.allocs - before.allocs,
         bytes: after.bytes - before.bytes,
         live: after.live - before.live,
+        peak: after.peak - before.live,
     };
     (out, spent)
+}
+
+fn set_peak(peak: i64) {
+    COUNTS.with(|c| c.set(Counts { peak, ..c.get() }));
 }
 
 fn count(allocs: u64, bytes: usize, live: i64) {
@@ -73,6 +92,7 @@ fn count(allocs: u64, bytes: usize, live: i64) {
             allocs: n.allocs + allocs,
             bytes: n.bytes + bytes as u64,
             live: n.live + live,
+            peak: n.peak.max(n.live + live),
         });
     });
 }

@@ -85,6 +85,11 @@ fn main() {
     println!("  {} messages delivered", four.messages());
 
     assert!(one.messages() > 0);
+    assert!(one.verdict.is_clean(), "{}", one.verdict);
+    assert_eq!(
+        one.verdict, four.verdict,
+        "one verdict at every shard count"
+    );
     assert_eq!(one.acct.streams().opened, 2 * HOSTS_PER_LAN as u64);
     assert_eq!(
         one.determinism_digest(),

@@ -27,6 +27,8 @@ fn main() {
     };
     let scn = Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(4));
     let o = run(&scn, Backend::Serial);
+    println!("{}", o.verdict);
+    assert!(o.verdict.is_clean(), "the run broke an RMS guarantee");
 
     let w = &o.acct.windows[&0];
     let mut lat = w.delays.clone();

@@ -17,12 +17,18 @@ EXPLORE_BOX="${EXPLORE_BOX:-30}"
 
 cargo fmt --all -- --check
 
-# Dependency direction: scenario <- check <- bench. The workload library
-# must stay below the oracle and the experiment harness, or the explorer
-# (dash-check) can never sit on `dash_apps::scenario`.
-if cargo tree -p dash-apps -e normal --prefix none | grep -E '^dash-(check|bench) '; then
-    echo "verify: dash-apps depends on dash-check or dash-bench (above);" >&2
-    echo "verify: the direction is dash-apps <- dash-check <- dash-bench." >&2
+# Dependency direction: check <- apps <- bench. The oracle is a leaf
+# above dash-sim, so the scenario runner can judge every run and the
+# benchmark can install the oracle without linking the workload library
+# or the explorer (which lives in dash-bench, above the plans).
+if cargo tree -p dash-check -e normal --prefix none | grep -E '^(dash-|rms-core )' | grep -vE '^dash-(check|sim) '; then
+    echo "verify: dash-check depends on a workspace crate other than dash-sim (above);" >&2
+    echo "verify: the oracle must stay a leaf: check <- apps <- bench." >&2
+    exit 1
+fi
+if cargo tree -p dash-benchmark -e normal -i dash-apps 2>/dev/null | grep .; then
+    echo "verify: dash-benchmark links dash-apps (path above); it may use" >&2
+    echo "verify: dash-check's oracle, never the workload library."       >&2
     exit 1
 fi
 
@@ -185,9 +191,9 @@ fi
 # Chaos suite: the explorer's `Scenario::chaos(seed)` flow preset (three
 # reliable 32 KiB flows of 30 x 256 B, 40 ms apart, under a fault plan
 # drawn from the seed) for seeds 0..28, baked into tests/chaos.rs, run
-# through `run_scenario` — `dash_apps::scenario::run` plus the oracle as
-# the verdict. On failure the offending seed and its violations are in
-# the assertion message; reproduce with
+# through `run_scenario` — `dash_apps::scenario::run`, whose verdict is
+# the oracle's, plus `no-wedge`. On failure the offending seed and its
+# violations are in the assertion message; reproduce with
 #   cargo test --test chaos seeded_chaos -- --nocapture
 if ! cargo test --test chaos -q; then
     echo "verify: chaos suite FAILED — seeds 0..28; the failing seed is"       >&2
@@ -196,7 +202,7 @@ if ! cargo test --test chaos -q; then
     exit 1
 fi
 
-# Exploration suite (dash-check): fixed-seed coverage-guided search over
+# Exploration suite (dash-bench's explorer): fixed-seed coverage-guided search over
 # flow lists (from the `Scenario::baseline` preset) on the healthy stack
 # must find nothing, the seeded admission bug must be found and shrunk to
 # one flow, and the stored shrunk repro (tests/repros/, `dash-check replay
@@ -218,9 +224,10 @@ cargo run --release -q --example routing_cost >/dev/null
 
 # Every paper table once, in release (about 3 s, most of it e13's
 # wall-paced run). Every planned experiment, e10-e13 included, runs
-# through run_checked, which panics on an oracle violation, a wall-box
-# stop or a shard-count divergence and names the table; so any of those
-# in any table, not only those a test runs, fails here.
+# through run_checked, which panics on a verdict that is not clean (an
+# oracle violation or a wall-box stop) or a shard-count divergence and
+# names the table; so any of those in any table, not only those a test
+# runs, fails here.
 if ! cargo run --release -q -p dash-bench --bin run_experiments >/dev/null; then
     echo "verify: run_experiments FAILED (the panic above names the table:" >&2
     echo "verify: oracle violation, wall-box stop or shard divergence) —"   >&2

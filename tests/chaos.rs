@@ -5,11 +5,12 @@
 //! [`Scenario::chaos`] — three reliable flows on the dual-homed topology
 //! under a fault plan drawn from the seed (outages, partitions, burst
 //! loss, interface stalls, receiver crashes) — through the explorer's
-//! [`run_scenario`] (`dash_apps::scenario::run`, then the oracle), so the
-//! semantic oracle is the verdict: FIFO with no gaps, completion or typed
-//! failure, no work left queued at the horizon, and the admission-ledger,
-//! route-loop and no-spurious-work invariants besides. Every seed must
-//! also replay identically.
+//! [`run_scenario`] (`dash_apps::scenario::run`, which judges the run as
+//! it runs), so the semantic oracle is the verdict: FIFO with no gaps,
+//! completion or typed failure, no work left queued at the horizon, and
+//! the admission-ledger, route-loop and no-spurious-work invariants
+//! besides. Every seed must also replay identically, and its verdict must
+//! equal a fresh oracle's on the run's kept event stream.
 //!
 //! Two targeted tests pin the recoveries the seeds only hit by chance: a
 //! mid-transfer failover to the backup network, and a receiver crash that
@@ -21,11 +22,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use common::{assert_replays, report_key};
-use dash::check::{run_scenario, RunReport, Scenario};
+use dash::apps::scenario::{run, Backend};
+use dash::check::{oracle, OracleConfig};
 use dash::net::pipeline::fail_network;
 use dash::net::topology::dual_homed;
 use dash::prelude::*;
 use dash::transport::stream::{self, EndReason};
+use dash_bench::explore::{run_scenario, RunReport, Scenario};
 
 const EVENT_BOUND: u64 = 2_000_000;
 
@@ -33,11 +36,7 @@ const EVENT_BOUND: u64 = 2_000_000;
 /// still queued at the horizon is a `no-wedge` violation).
 fn chaos_clean(seed: u64) -> RunReport {
     let report = run_scenario(&Scenario::chaos(seed));
-    assert!(
-        report.violations.is_empty(),
-        "seed {seed}: {:?}",
-        report.violations
-    );
+    assert!(report.verdict.is_clean(), "seed {seed}: {}", report.verdict);
     report
 }
 
@@ -238,14 +237,38 @@ fn seeded_chaos_upholds_invariants_and_replays_identically() {
             || chaos_clean(seed),
             report_key,
         );
-        delivered += report.delivered;
-        failed += report.typed_failures;
+        delivered += report.verdict.delivered;
+        failed += report.verdict.typed_failures;
     }
     // The suite as a whole exercised both outcomes: plenty of deliveries,
     // and at least some typed failures (otherwise the plans were toothless).
     println!("chaos seeds 0..28: {delivered} deliveries, {failed} typed failures");
     assert!(delivered > 100, "only {delivered} deliveries");
     assert!(failed > 0, "no run produced a typed failure");
+}
+
+/// The verdict the runner takes online equals the one a fresh oracle
+/// reports when fed the run's kept stream afterwards: the serial world
+/// emits in time order, so the kept stream's merge order is the order the
+/// online oracle saw. Every chaos stream is reliable and the serial clock
+/// is virtual: the runner's configuration for the run.
+#[test]
+fn online_verdict_equals_the_oracle_fed_afterwards() {
+    for seed in 0..28u64 {
+        let scn = Scenario::chaos(seed).compile();
+        assert!(scn.keep_events);
+        let o = run(&scn, Backend::Serial);
+        let (mut sink, handle) = oracle(OracleConfig::for_run(true, false));
+        for (t, e) in &o.stream {
+            sink.on_event(*t, e);
+        }
+        if o.pending == 0 {
+            handle.finish(scn.horizon);
+        }
+        assert_eq!(o.verdict.violations, handle.violations(), "seed {seed}");
+        let totals = (o.verdict.delivered, o.verdict.typed_failures);
+        assert_eq!(totals, handle.session_totals(), "seed {seed}");
+    }
 }
 
 mod chaos_properties {

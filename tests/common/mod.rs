@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 
-use dash::check::RunReport;
+use dash_bench::explore::RunReport;
 
 /// Deterministic-replay assertion: execute `run` twice and require the
 /// `key` projection of both runs to match exactly. Returns the first run
@@ -30,6 +30,7 @@ where
 #[allow(dead_code)]
 pub fn report_key(r: &RunReport) -> (u64, BTreeSet<(u16, u16)>, Vec<String>) {
     let violations = r
+        .verdict
         .violations
         .iter()
         .map(|v| format!("{} {} {}", v.invariant, v.at.as_nanos(), v.detail))

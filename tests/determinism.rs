@@ -17,7 +17,6 @@ mod common;
 
 use common::assert_replays;
 use dash::apps::scenario::{run, Backend, Outcome, Scenario};
-use dash::check::check_stream;
 use dash_bench::e_routing::RoutingParams;
 use dash_bench::mix::MixParams;
 
@@ -29,13 +28,10 @@ fn traced(scenario: Scenario) -> Scenario {
     }
 }
 
-/// The semantic oracle's verdict on a serial run of the plan.
-fn violations(scenario: Scenario) -> Vec<String> {
-    let scenario = Scenario {
-        keep_events: true,
-        ..scenario
-    };
-    check_stream(&run(&scenario, Backend::Serial).stream, true)
+/// Require a clean verdict on a serial run of the plan.
+fn assert_clean(label: &str, scenario: Scenario) {
+    let o = run(&scenario, Backend::Serial);
+    assert!(o.verdict.is_clean(), "{label}: {}", o.verdict);
 }
 
 /// `[events, messages, streams_opened, open_failed]` of a mix run.
@@ -159,8 +155,7 @@ fn e10_ci_without_drill_also_replays() {
 /// The semantic oracle holds at zero violations on the serial CI run.
 #[test]
 fn e10_ci_is_oracle_clean() {
-    let found = violations(MixParams::ci().scenario());
-    assert!(found.is_empty(), "{found:?}");
+    assert_clean("e10 ci", MixParams::ci().scenario());
 }
 
 /// Routing-churn golden: the e11 dumbbell scenario — link-state floods,
@@ -260,8 +255,7 @@ fn e11_mesh_replay_is_byte_identical() {
 #[test]
 fn e11_ci_is_oracle_clean() {
     for params in [RoutingParams::ci(), RoutingParams::ci().on_mesh()] {
-        let found = violations(params.scenario());
-        assert!(found.is_empty(), "{:?}: {found:?}", params.topo);
+        assert_clean(&format!("{:?}", params.topo), params.scenario());
     }
 }
 

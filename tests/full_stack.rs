@@ -7,7 +7,6 @@ use std::rc::Rc;
 use bytes::Bytes;
 use dash::apps::scenario::{run, Backend, Scenario};
 use dash::apps::traffic::{self, Flow, Plan, RpcFlow, WindowFlow};
-use dash::check::check_stream;
 use dash::net::pipeline::fail_network;
 use dash::net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
 use dash::net::{NetworkId, NetworkSpec};
@@ -16,11 +15,10 @@ use dash::sim::{Sim, SimDuration};
 use dash::subtransport::ids::Client;
 use dash::transport::stack::{StackBuilder, PROTO_APP};
 use dash::transport::stream::StreamProfile;
-use dash_bench::judge;
 
 /// Every workload the paper names, as one plan on the EDF-CPU LAN: voice,
 /// a bulk transfer, RKOM calls and a window system share the two hosts,
-/// and the run's event stream is oracle-clean.
+/// and the run's verdict is clean.
 #[test]
 fn every_workload_coexists_on_one_lan() {
     let (_, a, b) = two_hosts_ethernet();
@@ -44,12 +42,10 @@ fn every_workload_coexists_on_one_lan() {
     };
     let scn = Scenario {
         cpus: Some((SchedPolicy::Edf, SimDuration::from_micros(5))),
-        keep_events: true,
         ..Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(4))
     };
     let o = run(&scn, Backend::Serial);
-    let violations = check_stream(&o.stream, true);
-    assert!(violations.is_empty(), "{violations:?}");
+    assert!(o.verdict.is_clean(), "{}", o.verdict);
 
     let (voice, bulk) = (&o.acct.flows[&0], &o.acct.flows[&1]);
     assert!(bulk.complete(), "bulk: {bulk:?}");
@@ -72,10 +68,7 @@ fn a_window_plan_is_oracle_clean_on_serial_and_par() {
         windows: vec![WindowFlow::new(user, app, 21)],
         ..Plan::default()
     };
-    let scn = Scenario {
-        keep_events: true,
-        ..Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(3))
-    };
+    let scn = Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(3));
     let par = |shards| Backend::Par {
         shards,
         lan_aligned: false,
@@ -83,8 +76,12 @@ fn a_window_plan_is_oracle_clean_on_serial_and_par() {
     let mut par_digest = None;
     for backend in [Backend::Serial, par(1), par(2), par(4)] {
         let o = run(&scn, backend);
-        let faults = judge(&o, &mut par_digest);
-        assert!(faults.is_empty(), "{backend:?}: {faults:?}");
+        assert!(o.verdict.is_clean(), "{backend:?}: {}", o.verdict);
+        if let Backend::Par { .. } = backend {
+            let digest = o.determinism_digest();
+            let first = par_digest.get_or_insert_with(|| digest.clone());
+            assert!(*first == digest, "{backend:?} diverged from par(1)");
+        }
         let w = &o.acct.windows[&0];
         let (sent, answered) = (w.sent, w.delays.count() as u64);
         assert_eq!((w.opened, w.failed), (2, 0), "{backend:?}");

@@ -11,7 +11,6 @@
 //! second.
 
 use dash::apps::scenario::{run, Backend, Outcome, Scenario};
-use dash::check::check_stream;
 use dash_bench::e_routing::RoutingParams;
 use dash_bench::mix::MixParams;
 use dash_sim::time::SimDuration;
@@ -34,14 +33,11 @@ fn trimmed_ci() -> MixParams {
 }
 
 /// Run `scn` on Serial, Par(1), Par(2) and Rt(loss 0) and assert what
-/// every backend owes: the whole plan attempted, the oracle clean, a
-/// clean stop, and the parallel executor's shard-count invariance.
+/// every backend owes: the whole plan attempted, a clean verdict (the
+/// oracle and the stop), and the parallel executor's shard-count
+/// invariance.
 /// Returns the serial and the rt outcome for scenario-specific checks.
-fn conform(scn: Scenario) -> (Outcome, Outcome) {
-    let scn = &Scenario {
-        keep_events: true,
-        ..scn
-    };
+fn conform(scn: &Scenario) -> (Outcome, Outcome) {
     let par = |shards| Backend::Par {
         shards,
         lan_aligned: true,
@@ -66,9 +62,7 @@ fn conform(scn: Scenario) -> (Outcome, Outcome) {
             planned(&serial),
             "{name} ran a different plan than serial"
         );
-        let violations = check_stream(&o.stream, o.rt.is_none());
-        assert!(violations.is_empty(), "{name}: {violations:?}");
-        assert!(o.clean_stop(), "{name} hit the wall box");
+        assert!(o.verdict.is_clean(), "{name}: {}", o.verdict);
     }
     assert_eq!(
         par1.determinism_digest(),
@@ -80,7 +74,7 @@ fn conform(scn: Scenario) -> (Outcome, Outcome) {
 
 #[test]
 fn every_backend_runs_the_whole_plan_with_the_oracle_clean() {
-    let (serial, rt) = conform(trimmed_ci().scenario());
+    let (serial, rt) = conform(&trimmed_ci().scenario());
     let streams = serial.acct.streams();
     let attempted = streams.opened + streams.failed;
     assert!(attempted >= 10, "plan too small: {attempted} sessions");
@@ -117,7 +111,7 @@ fn e11_mesh_runs_on_every_backend_with_the_oracle_clean() {
         duration: SimDuration::from_millis(500),
         ..RoutingParams::ci().on_mesh()
     };
-    let (serial, rt) = conform(params.scenario());
+    let (serial, rt) = conform(&params.scenario());
     let streams = serial.acct.streams();
     let attempted = streams.opened + streams.failed;
     assert!(attempted >= 10, "plan too small: {attempted} sessions");
@@ -142,13 +136,10 @@ fn e11_mesh_runs_on_every_backend_with_the_oracle_clean() {
 /// at wall-clock speed, oracle clean, never the wall-clock backstop.
 #[test]
 fn e13_ci_is_oracle_clean_and_stops_cleanly() {
-    let scenario = Scenario {
-        keep_events: true,
-        ..MixParams::ci().scenario()
-    };
-    let o = run(&scenario, Backend::Rt { loss_per_mille: 0 });
-    let violations = check_stream(&o.stream, false);
-    assert!(violations.is_empty(), "{violations:?}");
-    assert!(o.clean_stop(), "stop {:?}", o.rt);
+    let o = run(
+        &MixParams::ci().scenario(),
+        Backend::Rt { loss_per_mille: 0 },
+    );
+    assert!(o.verdict.is_clean(), "stop {:?}: {}", o.rt, o.verdict);
     assert!(o.messages() > 500, "only {} messages", o.messages());
 }

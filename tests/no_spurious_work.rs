@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 
 use dash::apps::scenario::{run, Backend, Outcome, Scenario};
 use dash::apps::traffic::Tally;
-use dash::check::check_stream;
 use dash_bench::mix::MixParams;
 use dash_sim::obs::ObsEvent;
 use dash_sim::time::SimTime;
@@ -109,8 +108,7 @@ fn assert_no_spurious_work(name: &str, o: &Outcome) {
         resent.is_empty(),
         "{name}: stream retransmissions {resent:?}"
     );
-    let violations = check_stream(&o.stream, true);
-    assert!(violations.is_empty(), "{name}: {violations:?}");
+    assert!(o.verdict.is_clean(), "{name}: {}", o.verdict);
 
     // RKOM: the retry clock of a call queued behind channel creation
     // starts when the channel is ready, so its first resend comes strictly
