@@ -207,7 +207,7 @@ fn wan_voice_profile() -> StreamProfile {
 
 /// One planned RKOM pairing (§3.3): `calls` calls at `interval` pacing
 /// from `start`, `request` bytes out and `reply` bytes back.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RpcFlow {
     /// Calling host.
     pub client: HostId,
@@ -231,7 +231,7 @@ pub struct RpcFlow {
 /// `client` connects to `server` at the run start and, once connected,
 /// does its [`TcpWork`]. The `i`-th of a plan's connections listens on
 /// port [`TCP_PORT_BASE`]` + i`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpFlow {
     /// Connecting host.
     pub client: HostId,
@@ -242,7 +242,7 @@ pub struct TcpFlow {
 }
 
 /// What a [`TcpFlow`] carries, counted where its RMS counterpart counts.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TcpWork {
     /// A transfer of this many bytes, written at once: one message (a
     /// byte stream stamps none, so no delay is recorded) whose bytes count
@@ -270,7 +270,7 @@ pub const TCP_PORT_BASE: u16 = 8000;
 /// start until `duration` is up; the app's world answers each with a
 /// Pareto-sized update that echoes the event's send time, and the user's
 /// world counts the interaction in the window's [`Tally`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowFlow {
     /// The host with the mouse, keyboard and screen.
     pub user: HostId,
@@ -311,7 +311,7 @@ impl WindowFlow {
 /// `interval` until `end`. Floods and RMS traffic never consult the route
 /// table (they are source-routed or pinned), so probes are what turns
 /// "routes marked dirty" into counted lazy recomputations.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Probe {
     /// One end.
     pub a: HostId,
@@ -324,7 +324,7 @@ pub struct Probe {
 }
 
 /// Everything a workload offers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Plan {
     /// Stream flows.
     pub flows: Vec<Flow>,
@@ -792,7 +792,8 @@ fn rpc_tick(sim: &mut Sim<Stack>, i: u32, r: RpcFlow, n: u64, acct: SharedAcct) 
 /// The TCP baseline's driver: a client writes its transfer or first
 /// request once connected and the next request when a reply is whole; a
 /// server counts transfer bytes or answers each whole request. Both read
-/// every arrival at once.
+/// every arrival at once. A client connection that closes (it gave up)
+/// before its work is done counts as failed.
 fn on_tcp_event(
     sim: &mut Sim<Stack>,
     host: HostId,
@@ -804,7 +805,22 @@ fn on_tcp_event(
     let (conn, bytes) = match ev {
         TcpEvent::Connected { conn } => (conn, 0),
         TcpEvent::Data { conn, bytes } => (conn, bytes),
-        _ => return,
+        TcpEvent::Closed { conn } => {
+            let c = sim.state.tcp.conn(host, conn);
+            let unacked = c.map_or(0, |c| c.in_flight() + c.backlog());
+            let mut guard = acct.borrow_mut();
+            let a = &mut *guard;
+            if let Some((i, _)) = a.conns.remove(&(host, conn)) {
+                let t = a.tcp.entry(i).or_default();
+                let done = match flows[i as usize].work {
+                    TcpWork::Bulk(_) => t.opened > 0 && unacked == 0,
+                    TcpWork::Rpc { calls, .. } => t.received >= calls,
+                };
+                t.failed += u64::from(!done);
+            }
+            return;
+        }
+        TcpEvent::Accepted { .. } => return,
     };
     let Some(c) = sim.state.tcp.conn_mut(host, conn) else {
         return;
@@ -1145,6 +1161,42 @@ mod tests {
         assert_eq!(a.tcp[&1].received, 3);
         // A connection is counted in its own tally, in no class.
         assert_eq!(a.class(Class::Bulk).sent, 0);
+    }
+
+    /// `tcp` from `a` to `b`, with `b` crashed `crash_at` into the run and
+    /// never restarted; the world cut after ten minutes.
+    fn tcp_to_a_dead_server(crash_at: SimDuration, work: TcpWork) -> (Sim<Stack>, Tally) {
+        let (net, a, b) = two_hosts_ethernet();
+        let mut sim = Sim::new(StackBuilder::new(net).build());
+        sim.schedule_in(crash_at, move |sim| crash_host(sim, b));
+        let plan = Plan {
+            tcp: vec![tcp_flow(a, b, work)],
+            ..Plan::default()
+        };
+        let acct = install(&mut sim, &plan, None);
+        sim.run_until_horizon(SimTime::ZERO.saturating_add(SimDuration::from_secs(600)));
+        let t = acct.borrow().tcp[&0].clone();
+        (sim, t)
+    }
+
+    /// A connect to a host that is down gives up in `SynSent`, and the
+    /// give-up is the entry's typed failure.
+    #[test]
+    fn a_tcp_connect_that_gives_up_is_counted_failed() {
+        let (sim, t) = tcp_to_a_dead_server(SimDuration::ZERO, TcpWork::Bulk(64 * 1024));
+        assert_eq!((t.opened, t.sent, t.received, t.failed), (0, 0, 0, 1));
+        assert_eq!(sim.events_pending(), 0);
+    }
+
+    /// An established transfer whose server dies mid-way gives up after
+    /// `tcp::MAX_RETRIES` unanswered timeouts instead of rewinding forever.
+    #[test]
+    fn an_established_tcp_connection_to_a_dead_server_gives_up() {
+        let crash = SimDuration::from_millis(100);
+        let (sim, t) = tcp_to_a_dead_server(crash, TcpWork::Bulk(4 << 20));
+        assert_eq!((t.opened, t.failed), (1, 1), "{t:?}");
+        assert!(t.bytes > 0 && t.bytes < 4 << 20, "{} B", t.bytes);
+        assert_eq!(sim.events_pending(), 0, "the connection still retries");
     }
 
     #[test]

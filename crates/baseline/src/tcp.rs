@@ -59,6 +59,24 @@ impl Default for TcpConfig {
     }
 }
 
+impl TcpConfig {
+    /// The longest an established connection retries before it gives up:
+    /// its first RTO plus [`MAX_RETRIES`] backed-off ones (a connect gives
+    /// up sooner).
+    pub fn give_up_after(&self) -> SimDuration {
+        (0..=MAX_RETRIES).fold(SimDuration::ZERO, |sum, b| {
+            sum.saturating_add(self.rto.saturating_mul(1 << b.min(MAX_BACKOFF)))
+        })
+    }
+}
+
+/// Consecutive retransmission timeouts (no ack progress) after which an
+/// established connection gives up with [`TcpEvent::Closed`], as a
+/// reliable stream does (`dash_transport::stream::MAX_RETRIES`).
+pub const MAX_RETRIES: u32 = 8;
+/// The RTO doubles per unanswered timeout up to `2^MAX_BACKOFF` times.
+const MAX_BACKOFF: u32 = 6;
+
 const FLAG_SYN: u8 = 1;
 const FLAG_ACK: u8 = 2;
 const FLAG_FIN: u8 = 4;
@@ -455,7 +473,7 @@ fn ensure_rto<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
         let st = sim.state.tcp_ref();
         let base = st.config.rto;
         st.conn(host, conn)
-            .map(|c| base.saturating_mul(1u64 << c.rto_backoff.min(6)))
+            .map(|c| base.saturating_mul(1u64 << c.rto_backoff.min(MAX_BACKOFF)))
             .unwrap_or(base)
     };
     let handle = sim.call_timer(rto, on_rto::<W>, (host.0, conn));
@@ -493,15 +511,23 @@ fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, (host, conn): Args) {
                 }
             }
             TcpStateKind::Established if c.in_flight() > 0 => {
-                // Timeout: multiplicative decrease + slow start restart
-                // (RFC 793-era behaviour with congestion response).
-                c.ssthresh = (c.cwnd / 2).max(mss);
-                c.cwnd = mss;
-                c.rto_backoff = (c.rto_backoff + 1).min(8);
-                // Go-back-N: rewind to the oldest unacknowledged byte,
-                // prepending the in-flight bytes back onto the send buffer
-                // from the retransmission copy we keep.
-                Some(RtoAction::Rewind)
+                if c.rto_backoff >= MAX_RETRIES {
+                    // The peer (or the path) is gone: a typed end, not a
+                    // rewind every 64 RTOs forever.
+                    c.state = TcpStateKind::Closed;
+                    Some(RtoAction::GiveUp)
+                } else {
+                    // Timeout: multiplicative decrease + slow start
+                    // restart (RFC 793-era behaviour with congestion
+                    // response).
+                    c.ssthresh = (c.cwnd / 2).max(mss);
+                    c.cwnd = mss;
+                    c.rto_backoff += 1;
+                    // Go-back-N: rewind to the oldest unacknowledged
+                    // byte, prepending the in-flight bytes back onto the
+                    // send buffer from the retransmission copy we keep.
+                    Some(RtoAction::Rewind)
+                }
             }
             _ => None,
         }

@@ -1,184 +1,182 @@
-//! Coverage-guided scenario exploration.
+//! Coverage-guided exploration of the runner's own plan.
 //!
-//! A [`Scenario`] is the explorer's genome: topology seed, a list of
-//! reliable a → b stream [`Flow`]s, an optional fault-plan seed, schedule
-//! jitter, and a debug switch. It is a plan, like the macro workloads':
-//! [`Scenario::compile`] turns it into a [`dash_apps::scenario::Scenario`]
-//! on the dual-homed two-host topology ([`dual_homed`]), so the explorer
-//! speaks the one workload language and is judged by the one
-//! [`scenario::run`]. [`run_scenario`] runs it serially: that verdict,
-//! `no-wedge` if work is queued at a horizon past every backoff chain, and
-//! the (event-kind → event-kind) bigrams of its kept event stream.
-//! [`Scenario::chaos`] is the seeded chaos suite's preset.
-//!
-//! [`explore`] searches scenario space: seed corpus first, then mutate a
-//! corpus member per iteration. Bigrams are the novelty signal — a
-//! mutant that exercises an unseen transition joins the corpus, one that
-//! doesn't is discarded — so the budget concentrates where behaviour is
-//! new rather than re-rolling the same happy path. The search stops at
-//! the first violation (the find is then handed to [`crate::shrink()`])
-//! or when the run budget is spent.
+//! A [`Genome`] is a traffic [`Plan`] of every word and a [`FaultPlan`]
+//! (schedule jitter included) on the two-host [`dual_homed`] topology;
+//! [`run_scenario`] runs its [`Genome::scenario`] serially and adds
+//! `no-wedge` if work is still queued at [`Genome::quiet_by`]. [`explore`]
+//! runs the seed corpus, then mutates a corpus member per run; a mutant
+//! whose event stream shows an unseen (event-kind → event-kind) bigram
+//! joins the corpus. The search stops at the first violation (handed to
+//! [`crate::shrink()`]) or when the budget is spent.
 
 use std::collections::BTreeSet;
 
 use dash_apps::scenario::{self, Backend, Verdict};
-use dash_apps::traffic::{Class, Flow};
+use dash_apps::traffic::{Flow, Plan, Probe, RpcFlow, TcpFlow, TcpWork, WindowFlow};
+use dash_baseline::TcpConfig;
 use dash_check::oracle::{trace_line, Violation, TRACE_WINDOW};
 use dash_net::ids::HostId;
 use dash_net::topology::dual_homed;
 use dash_sim::{ChaosConfig, FaultKind, FaultPlan, Rng, SimDuration, SimTime};
+use dash_transport::rkom;
 use dash_transport::stream::{StreamProfile, MAX_RETRIES};
 use rms_core::DelayBound;
 
-/// The sending and receiving host of every explorer flow: the two hosts
-/// [`dual_homed`] builds, in its order.
-const A: HostId = HostId(0);
-const B: HostId = HostId(1);
+/// The hosts [`dual_homed`] builds, in its order.
+pub const A: HostId = HostId(0);
+/// See [`A`].
+pub const B: HostId = HostId(1);
 
-/// The one explorer flow: a reliable a → b stream opened `start_ms` into
-/// the run that sends `count` messages of `len` bytes, one every
-/// `interval_ms` from its open, over an RMS of `capacity` bytes with a
-/// deterministic (`det`) or best-effort delay bound. These six fields are
-/// what the mutator varies and what a replay file stores.
-pub(crate) fn flow(
-    start_ms: u64,
-    count: u64,
-    interval_ms: u64,
-    len: u64,
-    capacity: u64,
-    det: bool,
-) -> Flow {
-    let mut profile = StreamProfile {
-        capacity,
-        reliable: true,
-        ..StreamProfile::default()
-    };
-    if det {
-        // 2µs/byte clears ethernet's per-byte floor; the 100ms fixed part
-        // dominates the implied C/D bandwidth, so large capacities demand
-        // real deterministic reservations.
-        profile.delay =
-            DelayBound::deterministic(SimDuration::from_millis(100), SimDuration::from_micros(2));
-    }
-    Flow {
-        class: Class::Bulk,
-        src: A,
-        dst: B,
-        start: SimDuration::from_millis(start_ms),
-        count,
-        interval: SimDuration::from_millis(interval_ms),
-        poisson: None,
-        len,
-        // Accounting only: the oracle, not lateness, judges the run.
-        budget: profile.delay.bound_for(len),
-        profile,
-    }
-}
-
-/// A complete, self-contained run input. Equal scenarios produce
+/// A complete, self-contained run input. Equal genomes produce
 /// byte-identical runs — this is what the replay file stores.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// Topology seed (link jitter streams etc.).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Genome {
+    /// Seed of the [`dual_homed`] topology and of the run.
     pub seed: u64,
-    /// The workload: every flow is built by the explorer's one flow
-    /// constructor (reliable, a → b).
-    pub flows: Vec<Flow>,
-    /// Fault-plan seed; `None` runs on a healthy network.
-    pub fault_seed: Option<u64>,
-    /// Schedule-jitter seed (a [`FaultKind::TimerJitter`] at t = 0).
-    pub jitter_seed: u64,
-    /// Maximum additive schedule jitter, microseconds. Zero disables.
-    pub jitter_max_us: u64,
     /// Debug switch: bypass admission control
-    /// ([`dash_net::NetConfig::debug_force_admission`]). Used to verify
-    /// the oracle catches what admission control exists to prevent.
+    /// ([`dash_net::NetConfig::debug_force_admission`]), so the oracle
+    /// can be shown to catch what admission control exists to prevent.
     pub force_admission: bool,
+    /// The workload, every word between [`A`] and [`B`].
+    pub plan: Plan,
+    /// Every fault, schedule jitter (a `TimerJitter` event) included.
+    pub faults: FaultPlan,
 }
 
-impl Scenario {
-    /// A small benign baseline: two modest streams, three staggered 256 B
-    /// sends each, on a healthy, jitter-free network.
-    pub fn baseline(seed: u64) -> Scenario {
-        Scenario {
-            seed,
-            flows: vec![
-                flow(0, 3, 80, 256, 32 * 1024, false),
-                flow(5, 3, 80, 256, 16 * 1024, false),
-            ],
-            fault_seed: None,
-            jitter_seed: 0,
-            jitter_max_us: 0,
-            force_admission: false,
-        }
+/// Reliable 256 B messages from [`A`] to [`B`]: `count` of them from
+/// `start` ms, one every `interval` ms, over `capacity` bytes.
+pub(crate) fn paced(start: u64, count: u64, interval: u64, capacity: u64) -> Flow {
+    let mut f = Flow::bulk(A, B, count * 256, 256, StreamProfile::default());
+    (f.start, f.interval) = (ms(start), ms(interval));
+    (f.profile.capacity, f.profile.reliable) = (capacity, true);
+    f
+}
+
+/// The faults the chaos preset and the mutator draw: outages, partitions,
+/// burst loss, interface stalls and receiver crashes, each healed.
+fn chaos_config() -> ChaosConfig {
+    ChaosConfig {
+        networks: vec![0, 1],
+        host_pairs: vec![(A.0, B.0)],
+        stall_targets: vec![(A.0, 0), (B.0, 1)],
+        crash_hosts: vec![B.0],
+        min_faults: 2,
+        max_faults: 6,
+        ..ChaosConfig::default()
+    }
+}
+
+const fn ms(n: u64) -> SimDuration {
+    SimDuration::from_millis(n)
+}
+
+impl Genome {
+    /// A small benign baseline on a healthy, jitter-free network: two
+    /// modest reliable streams of three staggered 256 B sends each.
+    pub fn baseline(seed: u64) -> Genome {
+        let flows = vec![paced(0, 3, 80, 32 * 1024), paced(5, 3, 80, 16 * 1024)];
+        let mut g = Genome::default();
+        (g.seed, g.plan) = (seed, flows.into());
+        g
     }
 
     /// The seeded chaos preset: three 32 KiB streams opened at once, 30
     /// 256 B sends on each, 40 ms apart (so sends interleave with the
-    /// fault window), and a random fault plan drawn from `seed` —
-    /// outages, partitions, burst loss, interface stalls and receiver
-    /// crashes. No jitter.
-    pub fn chaos(seed: u64) -> Scenario {
-        Scenario {
-            seed,
-            flows: vec![flow(0, 30, 40, 256, 32 * 1024, false); 3],
-            fault_seed: Some(seed),
-            jitter_seed: 0,
-            jitter_max_us: 0,
-            force_admission: false,
-        }
+    /// fault window), and the random fault plan drawn from `seed`.
+    pub fn chaos(seed: u64) -> Genome {
+        let mut g = Genome::baseline(seed);
+        g.plan = vec![paced(0, 30, 40, 32 * 1024); 3].into();
+        g.faults = FaultPlan::random(&mut Rng::new(seed), &chaos_config());
+        g
     }
 
-    /// Plan the run: the workload language's scenario, a pure function of
-    /// the genome. Jitter is the first fault of the plan; the horizon is
-    /// the later of the last planned send and the last fault, plus the
-    /// longest flow RTO's full backoff chain (doubling every timeout — an
-    /// upper bound on the stream's capped backoff), so a run that still has
-    /// work queued there is wedged.
-    pub fn compile(&self) -> scenario::Scenario {
-        let mut faults = FaultPlan::new();
-        if self.jitter_max_us > 0 {
-            faults = faults.at(
-                SimTime::ZERO,
-                FaultKind::TimerJitter {
-                    seed: self.jitter_seed,
-                    max: SimDuration::from_micros(self.jitter_max_us),
-                },
-            );
-        }
-        if let Some(fault_seed) = self.fault_seed {
-            let cfg = ChaosConfig {
-                networks: vec![0, 1],
-                host_pairs: vec![(A.0, B.0)],
-                stall_targets: vec![(A.0, 0), (B.0, 1)],
-                crash_hosts: vec![B.0],
-                min_faults: 2,
-                max_faults: 6,
-                ..ChaosConfig::default()
+    /// When the run must be quiet: the end of the last planned activity or
+    /// fault (a pumped flow or TCP connection moving 100 kB/s), plus the
+    /// longest retry chain of the layers in use — the stream's backoff
+    /// doubling every time, RKOM's attempts, TCP's give-up.
+    pub fn quiet_by(&self) -> SimDuration {
+        let p = &self.plan;
+        // Saturating: a replay file can hold any numbers.
+        let pump = |bytes: u64| SimDuration::from_micros(10).saturating_mul(bytes);
+        let paced_end =
+            |start: SimDuration, gap: SimDuration, n| start.saturating_add(gap.saturating_mul(n));
+        let flows = p.flows.iter().map(|f| {
+            let gap = if f.interval.is_zero() {
+                pump(f.len)
+            } else {
+                f.interval
             };
-            let plan = FaultPlan::random(&mut Rng::new(fault_seed), &cfg);
-            faults.events.extend(plan.events);
-        }
-        let last_send = |f: &Flow| f.start.saturating_add(f.interval.saturating_mul(f.count));
-        let last_fault = faults.events.last().map(|e| e.at.since(SimTime::ZERO));
-        let busy = self.flows.iter().map(last_send).chain(last_fault).max();
-        let rto = self.flows.iter().map(|f| f.profile.rto()).max();
+            paced_end(f.start, gap, f.count)
+        });
+        let rpcs = p
+            .rpcs
+            .iter()
+            .map(|r| paced_end(r.start, r.interval, r.calls));
+        let tcp = p.tcp.iter().map(|t| match t.work {
+            TcpWork::Bulk(len) => pump(len),
+            TcpWork::Rpc {
+                calls,
+                request,
+                reply,
+            } => pump(calls.saturating_mul(request.saturating_add(reply))),
+        });
+        let faults = self.faults.events.iter().map(|e| {
+            let stall = match e.kind {
+                FaultKind::IfaceStall { duration, .. } => duration,
+                _ => SimDuration::ZERO,
+            };
+            e.at.since(SimTime::ZERO).saturating_add(stall)
+        });
+        let windows = p.windows.iter().map(|w| w.duration);
+        let ends = (flows.chain(rpcs).chain(tcp).chain(faults).chain(windows))
+            .chain(p.probes.iter().map(|p| p.end));
+        let rto = p.flows.iter().map(|f| f.profile.rto()).max();
         let rto = rto.unwrap_or_else(|| StreamProfile::default().rto());
-        let backoff = rto.saturating_mul((2u64 << MAX_RETRIES) - 1);
+        let chains = [
+            Some(rto.saturating_mul((2u64 << MAX_RETRIES) - 1)),
+            (!p.rpcs.is_empty()).then(|| rkom::RETRY_TIMEOUT * u64::from(rkom::MAX_RETRIES + 1)),
+            (!p.tcp.is_empty()).then(|| TcpConfig::default().give_up_after()),
+        ];
+        let chain = chains.into_iter().flatten().max().unwrap_or_default();
+        ends.max().unwrap_or_default().saturating_add(chain)
+    }
+
+    /// The runner's scenario on `dual_homed(seed)`, cut at
+    /// [`Genome::quiet_by`], its events kept for the coverage signal.
+    pub fn scenario(&self) -> scenario::Scenario {
         let (seed, force_admission) = (self.seed, self.force_admission);
         let topo = move || {
-            let (mut net, a, b) = dual_homed(seed);
-            debug_assert_eq!((a, b), (A, B));
+            let mut net = dual_homed(seed).0;
             net.config.debug_force_admission = force_admission;
             net
         };
-        let length = busy.unwrap_or_default().saturating_add(backoff);
-        scenario::Scenario {
-            faults,
-            seed,
-            keep_events: true,
-            ..scenario::Scenario::new(topo, self.flows.clone().into(), length)
+        let plan = self.plan.clone();
+        let mut scn = scenario::Scenario::new(topo, plan, self.quiet_by());
+        (scn.faults, scn.seed, scn.keep_events) = (self.faults.clone(), seed, true);
+        scn
+    }
+
+    /// Its entries: the plan's five lists, then the fault events.
+    pub(crate) fn len(&self) -> usize {
+        let p = &self.plan;
+        let plan = p.flows.len() + p.rpcs.len() + p.tcp.len() + p.windows.len();
+        plan + p.probes.len() + self.faults.events.len()
+    }
+
+    /// Remove entries `from..to`, counted as [`Genome::len`] counts them.
+    pub(crate) fn remove(&mut self, mut from: usize, mut to: usize) {
+        fn cut<T>(v: &mut Vec<T>, from: &mut usize, to: &mut usize) {
+            let n = v.len();
+            v.drain((*from).min(n)..(*to).min(n));
+            (*from, *to) = (from.saturating_sub(n), to.saturating_sub(n));
         }
+        let p = &mut self.plan;
+        cut(&mut p.flows, &mut from, &mut to);
+        cut(&mut p.rpcs, &mut from, &mut to);
+        cut(&mut p.tcp, &mut from, &mut to);
+        cut(&mut p.windows, &mut from, &mut to);
+        cut(&mut p.probes, &mut from, &mut to);
+        cut(&mut self.faults.events, &mut from, &mut to);
     }
 }
 
@@ -193,29 +191,28 @@ pub struct RunReport {
     pub processed: u64,
 }
 
-/// Execute one scenario on the serial backend: its verdict, plus a
+/// Execute one genome on the serial backend: its verdict, plus a
 /// `no-wedge` violation when work is still queued at the horizon.
-pub fn run_scenario(scenario: &Scenario) -> RunReport {
-    let scn = scenario.compile();
+pub fn run_scenario(genome: &Genome) -> RunReport {
+    let scn = genome.scenario();
     let mut out = scenario::run(&scn, Backend::Serial);
     if out.pending > 0 {
         let tail = &out.stream[out.stream.len().saturating_sub(TRACE_WINDOW)..];
+        let (pending, events) = (out.pending, out.events);
         out.verdict.violations.push(Violation {
             invariant: "no-wedge",
             at: scn.horizon,
-            detail: format!(
-                "{} events still queued at the horizon, {} processed",
-                out.pending, out.events
-            ),
+            detail: format!("{pending} events still queued at the horizon, {events} processed"),
             trace: tail.iter().map(|(t, e)| trace_line(*t, e)).collect(),
         });
     }
     let kinds = out.stream.iter().map(|(_, e)| e.fast_index() as u16);
     let bigrams = kinds.clone().zip(kinds.skip(1)).collect();
+    let (verdict, processed) = (out.verdict, out.events);
     RunReport {
-        verdict: out.verdict,
+        verdict,
         bigrams,
-        processed: out.events,
+        processed,
     }
 }
 
@@ -229,13 +226,13 @@ pub struct ExploreConfig {
     pub mutation_seed: u64,
 }
 
-/// Workload length cap — mutants stay small enough that a find shrinks
-/// quickly.
-const MAX_FLOWS: usize = 8;
+/// Plan size cap: a find shrinks quickly and a run stays sub-second.
+const MAX_ENTRIES: usize = 8;
 
-/// Capacities the mutator draws from. The large deterministic request is
-/// the interesting one: it is the kind admission control exists to
-/// reject, so scenarios carrying it probe the admission/ledger seam.
+/// The plan words: [`Flow`]'s four constructors, RPC, TCP, window, probe.
+const WORDS: u64 = 8;
+
+/// A large deterministic request probes the admission/ledger seam.
 const CAPACITIES: [u64; 4] = [8 * 1024, 32 * 1024, 64 * 1024, 200_000];
 const COUNTS: [u64; 3] = [1, 3, 10];
 const INTERVALS_MS: [u64; 3] = [10, 40, 100];
@@ -246,112 +243,134 @@ fn pick<T: Copy>(rng: &mut Rng, from: &[T]) -> T {
     *rng.choose(from).expect("non-empty")
 }
 
-fn random_flow(rng: &mut Rng) -> Flow {
-    flow(
-        rng.below(1_500),
-        pick(rng, &COUNTS),
-        pick(rng, &INTERVALS_MS),
-        pick(rng, &SIZES),
-        pick(rng, &CAPACITIES),
-        rng.chance(0.5),
-    )
+/// Append an entry of word `w` (see [`WORDS`]) from `src` to `dst`,
+/// drawn small from the word's own constructor.
+pub(crate) fn push_word(rng: &mut Rng, plan: &mut Plan, w: u64, (src, dst): (HostId, HostId)) {
+    let (start, count) = (ms(rng.below(1_500)), pick(rng, &COUNTS));
+    let interval = ms(pick(rng, &INTERVALS_MS));
+    let (len, reply, lasts) = (pick(rng, &SIZES), pick(rng, &SIZES), interval * count);
+    match w {
+        0 => plan.flows.push(Flow::voice(src, dst, 0, lasts)),
+        1 => plan.flows.push(Flow::wan_voice(src, dst, 0, lasts)),
+        2 => plan.flows.push(Flow::churn(src, dst, start)),
+        3 => {
+            let mut f = Flow::bulk(src, dst, count * len, len, StreamProfile::default());
+            (f.start, f.profile.reliable) = (start, true);
+            reask(rng, &mut f);
+            plan.flows.push(f);
+        }
+        4 => plan.rpcs.push(RpcFlow {
+            client: src,
+            server: dst,
+            service: rng.below(1 << 16) as u16,
+            calls: count,
+            interval,
+            start,
+            request: len as usize,
+            reply: reply as usize,
+        }),
+        5 => plan.tcp.push(TcpFlow {
+            client: src,
+            server: dst,
+            work: match rng.chance(0.5) {
+                true => TcpWork::Bulk(count * len),
+                false => TcpWork::Rpc {
+                    calls: count,
+                    request: len,
+                    reply,
+                },
+            },
+        }),
+        6 => plan.windows.push(WindowFlow {
+            duration: lasts,
+            ..WindowFlow::new(src, dst, rng.next_u64())
+        }),
+        _ => plan.probes.push(Probe {
+            a: src,
+            b: dst,
+            interval,
+            end: start,
+        }),
+    }
 }
 
-fn mutate(rng: &mut Rng, parent: &Scenario) -> Scenario {
-    let mut s = parent.clone();
-    match rng.below(6) {
-        // Toggle or re-roll the fault plan.
+/// Give `f` another RMS request: a capacity and, half the time, a
+/// deterministic delay bound.
+fn reask(rng: &mut Rng, f: &mut Flow) {
+    f.profile.capacity = pick(rng, &CAPACITIES);
+    if rng.chance(0.5) {
+        // The 100 ms fixed part dominates the implied C/D bandwidth;
+        // 2 µs/B clears ethernet's per-byte floor.
+        let per_byte = SimDuration::from_micros(2);
+        f.profile.delay = DelayBound::deterministic(ms(100), per_byte);
+    }
+}
+
+pub(crate) fn mutate(rng: &mut Rng, parent: &Genome) -> Genome {
+    let mut g = parent.clone();
+    let ends = [(A, B), (B, A)][rng.below(2) as usize];
+    let (flows, entries) = (g.plan.flows.len(), g.len() - g.faults.events.len());
+    let faults = &mut g.faults;
+    match rng.below(8) {
+        // Add paired faults and recoveries.
         0 => {
-            s.fault_seed = match s.fault_seed {
-                None => Some(rng.next_u64()),
-                Some(_) if rng.chance(0.3) => None,
-                Some(_) => Some(rng.next_u64()),
-            };
+            let batch = FaultPlan::random(rng, &chaos_config());
+            faults.events.extend(batch.events);
+            faults.events.sort_by_key(|e| e.at);
         }
-        // Re-roll schedule jitter.
+        // Add schedule jitter from t = 0.
         1 => {
-            s.jitter_seed = rng.next_u64();
-            s.jitter_max_us = pick(rng, &JITTERS_US);
+            let (seed, max) = (rng.next_u64(), pick(rng, &JITTERS_US));
+            let max = SimDuration::from_micros(max);
+            *faults =
+                std::mem::take(faults).at(SimTime::ZERO, FaultKind::TimerJitter { seed, max });
         }
-        // Insert a flow.
-        2 if s.flows.len() < MAX_FLOWS => s.flows.push(random_flow(rng)),
-        // Delete a flow.
-        3 if !s.flows.is_empty() => {
-            let i = rng.below(s.flows.len() as u64) as usize;
-            s.flows.remove(i);
+        // Add an entry of any word.
+        2 | 3 if entries < MAX_ENTRIES => {
+            let w = rng.below(WORDS);
+            push_word(rng, &mut g.plan, w, ends);
         }
-        // Perturb a flow in place: its start, or everything else.
-        4 if !s.flows.is_empty() => {
-            let i = rng.below(s.flows.len() as u64) as usize;
-            let f = &mut s.flows[i];
-            if rng.chance(0.5) {
-                f.start = SimDuration::from_millis(rng.below(1_500));
-            } else {
-                *f = Flow {
-                    start: f.start,
-                    ..random_flow(rng)
-                };
-            }
+        // Drop an entry or a fault (a recovery too: the fault never heals).
+        4 if g.len() > 0 => {
+            let i = rng.below(g.len() as u64) as usize;
+            g.remove(i, i + 1);
+        }
+        // Ask a flow for another RMS: the parameters that are the workload.
+        5 | 6 if flows > 0 => {
+            let i = rng.below(flows as u64) as usize;
+            reask(rng, &mut g.plan.flows[i]);
         }
         // Re-roll the topology seed (or fall through from a guarded arm).
-        _ => s.seed = rng.next_u64(),
+        _ => g.seed = rng.next_u64(),
     }
-    s
+    g
 }
 
-/// Run the coverage-guided search. Returns the first failing scenario
-/// and its report, or `None` if the budget passes clean.
-///
-/// `force_admission` is inherited from whichever corpus member is
-/// mutated, never flipped: it is a debug switch for seeding known bugs,
-/// not a search dimension.
-pub fn explore(seeds: &[Scenario], cfg: &ExploreConfig) -> Option<(Scenario, RunReport)> {
-    assert!(
-        !seeds.is_empty(),
-        "explore needs at least one seed scenario"
-    );
+/// Run the coverage-guided search: the first failing genome and its
+/// report, or `None` if the budget passes clean. `force_admission` is
+/// inherited, never flipped: it seeds a known bug, it is not searched.
+pub fn explore(seeds: &[Genome], cfg: &ExploreConfig) -> Option<(Genome, RunReport)> {
+    assert!(!seeds.is_empty(), "explore needs at least one seed genome");
     let mut rng = Rng::new(cfg.mutation_seed);
-    let mut corpus: Vec<Scenario> = Vec::new();
-    let mut coverage: BTreeSet<(u16, u16)> = BTreeSet::new();
-    let mut runs = 0usize;
-
-    let execute = |scenario: Scenario,
-                   corpus: &mut Vec<Scenario>,
-                   coverage: &mut BTreeSet<(u16, u16)>|
-     -> Option<(Scenario, RunReport)> {
-        let report = run_scenario(&scenario);
+    let mut corpus: Vec<Genome> = Vec::new();
+    let mut coverage = BTreeSet::new();
+    for run in 0..cfg.budget_runs {
+        let genome = match seeds.get(run) {
+            Some(seed) => seed.clone(),
+            // Until a run adds coverage, mutate the seeds.
+            None => {
+                let from = if corpus.is_empty() { seeds } else { &corpus };
+                let i = rng.below(from.len() as u64) as usize;
+                mutate(&mut rng, &from[i])
+            }
+        };
+        let report = run_scenario(&genome);
         if !report.verdict.is_clean() {
-            return Some((scenario, report));
+            return Some((genome, report));
         }
-        let novel = report.bigrams.iter().any(|b| !coverage.contains(b));
-        if novel {
+        if report.bigrams.iter().any(|b| !coverage.contains(b)) {
             coverage.extend(report.bigrams.iter().copied());
-            corpus.push(scenario);
-        }
-        None
-    };
-
-    for seed in seeds {
-        if runs >= cfg.budget_runs {
-            return None;
-        }
-        runs += 1;
-        if let Some(hit) = execute(seed.clone(), &mut corpus, &mut coverage) {
-            return Some(hit);
-        }
-    }
-    // Seeds that added no coverage still belong in the corpus — there is
-    // nothing else to mutate from.
-    if corpus.is_empty() {
-        corpus.extend(seeds.iter().cloned());
-    }
-
-    while runs < cfg.budget_runs {
-        runs += 1;
-        let parent = corpus[rng.below(corpus.len() as u64) as usize].clone();
-        let child = mutate(&mut rng, &parent);
-        if let Some(hit) = execute(child, &mut corpus, &mut coverage) {
-            return Some(hit);
+            corpus.push(genome);
         }
     }
     None
@@ -362,26 +381,39 @@ mod tests {
     use super::*;
     use dash_sim::obs::{DropCause, ObsEvent};
 
+    /// `g` with schedule jitter of up to `max_us` drawn from `seed`.
+    pub(crate) fn jittered(g: Genome, seed: u64, max_us: u64) -> Genome {
+        let max = SimDuration::from_micros(max_us);
+        let faults = FaultPlan::new().at(SimTime::ZERO, FaultKind::TimerJitter { seed, max });
+        Genome { faults, ..g }
+    }
+
     #[test]
-    fn baseline_scenario_runs_clean_and_replays_identically() {
-        let sc = Scenario::baseline(3);
-        let a = run_scenario(&sc);
+    fn dual_homed_builds_a_then_b() {
+        let (_, a, b) = dual_homed(3);
+        assert_eq!((a, b), (A, B));
+    }
+
+    #[test]
+    fn baseline_genome_runs_clean_and_replays_identically() {
+        let g = Genome::baseline(3);
+        let a = run_scenario(&g);
         assert!(a.verdict.is_clean(), "baseline must pass: {}", a.verdict);
         assert!(a.processed > 100, "stack barely ran: {}", a.processed);
         assert_eq!(a.verdict.delivered, 6);
         assert!(!a.bigrams.is_empty());
-        let b = run_scenario(&sc);
+        let b = run_scenario(&g);
         assert_eq!(a.processed, b.processed);
         assert_eq!(a.bigrams, b.bigrams);
     }
 
     #[test]
-    fn faulted_scenario_still_satisfies_the_oracle() {
-        let sc = Scenario {
-            fault_seed: Some(11),
-            ..Scenario::baseline(11)
+    fn faulted_genome_still_satisfies_the_oracle() {
+        let g = Genome {
+            faults: Genome::chaos(11).faults,
+            ..Genome::baseline(11)
         };
-        let report = run_scenario(&sc);
+        let report = run_scenario(&g);
         assert!(
             report.verdict.is_clean(),
             "chaos within spec must pass: {}",
@@ -390,38 +422,25 @@ mod tests {
     }
 
     #[test]
-    fn jittered_scenario_is_deterministic_per_jitter_seed() {
-        let base = Scenario {
-            jitter_seed: 9,
-            jitter_max_us: 200,
-            ..Scenario::baseline(5)
-        };
+    fn jittered_genome_is_deterministic_per_jitter_seed() {
+        let base = jittered(Genome::baseline(5), 9, 200);
         let a = run_scenario(&base);
         let b = run_scenario(&base);
         assert_eq!(a.processed, b.processed);
         assert_eq!(a.bigrams, b.bigrams);
         assert!(a.verdict.is_clean(), "{}", a.verdict);
-        let other = Scenario {
-            jitter_seed: 10,
-            ..base
-        };
-        let c = run_scenario(&other);
         // Different jitter seed perturbs the schedule (almost surely a
         // different event count; at minimum not a violation).
+        let c = run_scenario(&jittered(base, 10, 200));
         assert!(c.verdict.is_clean());
     }
 
-    /// Jitter is a fault like any other, so a jittered scenario runs on
+    /// Jitter is a fault like any other, so a jittered genome runs on
     /// `dash-par` too: every replica world applies it, and the run is the
     /// same at one shard and two.
     #[test]
     fn jittered_scenario_is_shard_count_invariant_under_par() {
-        let scn = Scenario {
-            jitter_seed: 9,
-            jitter_max_us: 200,
-            ..Scenario::baseline(5)
-        }
-        .compile();
+        let scn = jittered(Genome::baseline(5), 9, 200).scenario();
         let par = |shards| {
             scenario::run(
                 &scn,
@@ -443,13 +462,8 @@ mod tests {
     #[test]
     fn jitter_never_puts_data_ahead_of_its_session() {
         for seed in 0..4 {
-            let sc = Scenario {
-                fault_seed: None,
-                jitter_seed: seed,
-                jitter_max_us: 500,
-                ..Scenario::chaos(seed)
-            };
-            let out = scenario::run(&sc.compile(), Backend::Serial);
+            let g = jittered(Genome::chaos(seed), seed, 500);
+            let out = scenario::run(&g.scenario(), Backend::Serial);
             let no_session = out
                 .stream
                 .iter()
@@ -471,9 +485,28 @@ mod tests {
         }
     }
 
+    /// The horizon covers each layer's give-up: a TCP connection's, and
+    /// a pumped flow's bytes.
+    #[test]
+    fn quiet_by_covers_every_word_in_use() {
+        let mut g = Genome::baseline(1);
+        let flows = g.quiet_by();
+        push_word(&mut Rng::new(1), &mut g.plan, 5, (A, B));
+        assert!(g.quiet_by() >= flows.max(TcpConfig::default().give_up_after()));
+        let mut bulk = Genome::default();
+        bulk.plan
+            .flows
+            .push(Flow::bulk(A, B, 1 << 20, 1024, StreamProfile::default()));
+        let chain = StreamProfile::default().rto() * ((2 << MAX_RETRIES) - 1);
+        assert_eq!(
+            bulk.quiet_by(),
+            SimDuration::from_micros(10) * (1 << 20) + chain
+        );
+    }
+
     #[test]
     fn mutation_is_deterministic() {
-        let parent = Scenario::baseline(1);
+        let parent = Genome::baseline(1);
         let a = mutate(&mut Rng::new(42), &parent);
         let b = mutate(&mut Rng::new(42), &parent);
         assert_eq!(a, b);
@@ -481,7 +514,7 @@ mod tests {
 
     #[test]
     fn explore_passes_clean_on_a_small_healthy_budget() {
-        let seeds = [Scenario::baseline(1), Scenario::baseline(2)];
+        let seeds = [Genome::baseline(1), Genome::baseline(2)];
         let cfg = ExploreConfig {
             budget_runs: 6,
             mutation_seed: 7,

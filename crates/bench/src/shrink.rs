@@ -1,189 +1,150 @@
-//! Automatic shrinking: reduce a failing [`Scenario`] to a minimal
+//! Automatic shrinking: reduce a failing [`Genome`] to a minimal
 //! deterministic repro.
 //!
-//! Delta debugging (ddmin) over the workload's flows, plus two
-//! scenario-level simplifications tried first: dropping the fault plan
-//! and zeroing schedule jitter — a repro that fails on a healthy,
-//! jitter-free network is worth far more than one entangled with an
-//! outage schedule. Last, flows that only fail together are coalesced
-//! pairwise into one flow carrying their summed capacity, so an
-//! oversubscription spread over several flows shrinks to a single flow
-//! too. Because every run is a pure function of the scenario, "still
-//! fails" is a single deterministic re-execution; no flakiness budget, no
-//! retries. The whole pass iterates to a fixed point, so the result is
-//! 1-minimal: removing any single remaining flow, or coalescing any two,
-//! makes the failure disappear.
+//! ddmin over the genome's six lists end to end — the plan's five, then
+//! the fault events, jitter included — and the coalescing of two flows
+//! into one carrying both capacities, repeated to a fixed point: the
+//! result is 1-minimal. "Still fails" means the first violation names the
+//! find's invariant, since dropping a fault's recovery can trade one
+//! failure for another; every run is a pure function of the genome, so
+//! that is one re-execution.
 
 use dash_apps::traffic::Flow;
-use rms_core::delay::DelayBoundKind;
+use dash_transport::stream::StreamProfile;
 
-use crate::explore::{flow, run_scenario, Scenario};
+use crate::explore::{run_scenario, Genome};
 
-fn fails(s: &Scenario) -> bool {
-    !run_scenario(s).verdict.is_clean()
+/// The invariant a genome's run violates first, if any.
+fn first_violation(g: &Genome) -> Option<&'static str> {
+    let verdict = run_scenario(g).verdict;
+    verdict.violations.first().map(|v| v.invariant)
 }
 
-/// One ddmin pass over `flows`: try removing chunks at granularity `n`,
-/// doubling granularity when nothing can be removed.
-fn ddmin_flows(scenario: &mut Scenario) -> bool {
+/// ddmin over the genome's entries and faults: remove chunks of half of
+/// them while the failure survives, then of a quarter, down to single
+/// ones.
+fn ddmin(g: &mut Genome, fails: &dyn Fn(&Genome) -> bool) -> bool {
     let mut reduced = false;
-    let mut n = 2usize;
-    while scenario.flows.len() >= 2 {
-        let len = scenario.flows.len();
-        let chunk = len.div_ceil(n);
-        let mut removed_any = false;
+    let mut chunk = g.len().div_ceil(2);
+    loop {
         let mut start = 0;
-        while start < scenario.flows.len() {
-            let end = (start + chunk).min(scenario.flows.len());
-            let mut candidate = scenario.clone();
-            candidate.flows.drain(start..end);
+        while start < g.len() {
+            let mut candidate = g.clone();
+            candidate.remove(start, start + chunk);
             if fails(&candidate) {
-                *scenario = candidate;
-                reduced = true;
-                removed_any = true;
-                // Same start index now holds the next chunk.
+                (*g, reduced) = (candidate, true);
             } else {
-                start = end;
+                start += chunk;
             }
         }
-        if removed_any {
-            n = 2.max(n / 2);
-        } else if chunk <= 1 {
-            break;
-        } else {
-            n = (n * 2).min(scenario.flows.len());
+        if chunk <= 1 {
+            return reduced;
         }
+        chunk = chunk.div_ceil(2);
     }
-    // Final singleton sweep (covers the flows.len() == 1 entry case too).
-    let mut i = 0;
-    while i < scenario.flows.len() {
-        let mut candidate = scenario.clone();
-        candidate.flows.remove(i);
-        if fails(&candidate) {
-            *scenario = candidate;
-            reduced = true;
-        } else {
-            i += 1;
-        }
-    }
-    reduced
 }
 
 /// One flow carrying both `a`'s and `b`'s load: the earlier start, the
-/// longer run, the larger message and the summed capacity. `None` unless
-/// both share a delay-bound kind (the replay format names only that).
+/// longer run, the larger message and the summed capacity, on `a`'s
+/// profile otherwise. `None` unless both run between the same hosts
+/// under the same kind of delay bound.
 fn coalesced(a: &Flow, b: &Flow) -> Option<Flow> {
-    let det = |f: &Flow| matches!(f.profile.delay.kind, DelayBoundKind::Deterministic);
-    (det(a) == det(b)).then(|| {
-        flow(
-            a.start.min(b.start).as_millis(),
-            a.count.max(b.count),
-            a.interval.as_millis(),
-            a.len.max(b.len),
-            a.profile.capacity + b.profile.capacity,
-            det(a),
-        )
+    let same = (a.src, a.dst, &a.profile.delay.kind) == (b.src, b.dst, &b.profile.delay.kind);
+    let capacity = a.profile.capacity + b.profile.capacity;
+    same.then(|| Flow {
+        start: a.start.min(b.start),
+        count: a.count.max(b.count),
+        len: a.len.max(b.len),
+        profile: StreamProfile {
+            capacity,
+            ..a.profile.clone()
+        },
+        ..a.clone()
     })
 }
 
-/// Coalesce pairs of flows while the failure survives it.
-fn coalesce_flows(scenario: &mut Scenario) -> bool {
-    let mut reduced = false;
-    let mut i = 0;
-    while i < scenario.flows.len() {
-        let mut j = i + 1;
-        while j < scenario.flows.len() {
-            let candidate = coalesced(&scenario.flows[i], &scenario.flows[j]).map(|f| {
-                let mut c = scenario.clone();
-                c.flows[i] = f;
-                c.flows.remove(j);
-                c
-            });
-            match candidate {
-                Some(c) if fails(&c) => {
-                    *scenario = c;
-                    reduced = true;
-                }
-                _ => j += 1,
+/// Coalesce the first pair of flows whose coalition still fails.
+fn coalesce_flows(g: &mut Genome, fails: &dyn Fn(&Genome) -> bool) -> bool {
+    let n = g.plan.flows.len();
+    for (i, j) in (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))) {
+        let mut c = g.clone();
+        if let Some(f) = coalesced(&c.plan.flows[i], &c.plan.flows[j]) {
+            c.plan.flows[i] = f;
+            c.plan.flows.remove(j);
+            if fails(&c) {
+                *g = c;
+                return true;
             }
         }
-        i += 1;
     }
-    reduced
+    false
 }
 
-/// Shrink a failing scenario. The input must fail (debug-asserted); the
-/// returned scenario still fails and is 1-minimal in its flows, with the
-/// fault plan and jitter removed whenever the failure survives without
-/// them.
-pub fn shrink(found: &Scenario) -> Scenario {
-    debug_assert!(fails(found), "shrink() needs a failing scenario");
-    let mut best = found.clone();
-    loop {
-        let mut progress = false;
-
-        if best.fault_seed.is_some() {
-            let mut candidate = best.clone();
-            candidate.fault_seed = None;
-            if fails(&candidate) {
-                best = candidate;
-                progress = true;
-            }
-        }
-        if best.jitter_max_us != 0 {
-            let mut candidate = best.clone();
-            candidate.jitter_max_us = 0;
-            candidate.jitter_seed = 0;
-            if fails(&candidate) {
-                best = candidate;
-                progress = true;
-            }
-        }
-        if ddmin_flows(&mut best) || coalesce_flows(&mut best) {
-            progress = true;
-        }
-
-        if !progress {
-            return best;
-        }
-    }
+/// Shrink a failing genome: the result fails first on the invariant
+/// `found` fails first on, and is 1-minimal.
+///
+/// # Panics
+///
+/// Panics if `found` runs clean.
+pub fn shrink(found: &Genome) -> Genome {
+    let invariant = first_violation(found).expect("shrink() needs a failing genome");
+    let fails = |g: &Genome| first_violation(g) == Some(invariant);
+    let mut g = found.clone();
+    // Both passes run each round: `|` does not short-circuit.
+    while ddmin(&mut g, &fails) | coalesce_flows(&mut g, &fails) {}
+    g
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::flow;
+    use crate::explore::paced;
+    use dash_sim::{FaultKind, SimDuration, SimTime};
+    use rms_core::DelayBound;
 
-    /// A scenario whose failure hinges on exactly one flow: the forced
+    /// One deterministic 256 B send 120 ms into the run over `capacity`
+    /// bytes.
+    fn det(capacity: u64) -> Flow {
+        let mut f = paced(120, 1, 40, capacity);
+        let (fixed, per_byte) = (SimDuration::from_millis(100), SimDuration::from_micros(2));
+        f.profile.delay = DelayBound::deterministic(fixed, per_byte);
+        f
+    }
+
+    /// A genome whose failure hinges on exactly one flow: the forced
     /// oversubscribing deterministic open. Everything else is chaff the
-    /// shrinker must strip.
-    fn padded_failure() -> Scenario {
-        let mut sc = Scenario::baseline(13);
-        sc.force_admission = true;
-        sc.fault_seed = Some(3);
-        sc.jitter_seed = 5;
-        sc.jitter_max_us = 50;
-        sc.flows.push(flow(120, 1, 40, 1024, 200_000, true));
-        sc.flows.push(flow(300, 3, 10, 64, 8 * 1024, false));
-        sc
+    /// shrinker must strip, faults and jitter included.
+    fn padded_failure() -> Genome {
+        let mut g = Genome::baseline(13);
+        g.force_admission = true;
+        g.faults = Genome::chaos(3).faults;
+        let max = SimDuration::from_micros(50);
+        let jitter = FaultKind::TimerJitter { seed: 5, max };
+        g.faults = g.faults.at(SimTime::ZERO, jitter);
+        g.plan.flows.push(det(200_000));
+        g.plan.flows.push(paced(300, 3, 10, 8 * 1024));
+        g
+    }
+
+    fn fails(g: &Genome) -> bool {
+        first_violation(g).is_some()
     }
 
     #[test]
     fn shrinks_padded_failure_to_the_single_guilty_flow() {
         let found = padded_failure();
-        assert!(fails(&found), "padded scenario must fail to begin with");
+        assert!(fails(&found), "padded genome must fail to begin with");
         let min = shrink(&found);
-        assert!(fails(&min), "shrunk scenario must still fail");
-        assert_eq!(min.fault_seed, None, "fault plan is not needed");
-        assert_eq!(min.jitter_max_us, 0, "jitter is not needed");
+        assert_eq!(first_violation(&min), Some("admission-ledger"));
+        assert!(min.faults.events.is_empty(), "faults are not needed");
         assert_eq!(
-            min.flows,
-            vec![flow(120, 1, 40, 1024, 200_000, true)],
+            min.plan.flows,
+            vec![det(200_000)],
             "exactly the oversubscribing open must survive"
         );
         // 1-minimality: removing the last flow makes the failure vanish.
         let mut empty = min.clone();
-        empty.flows.clear();
+        empty.plan.flows.clear();
         assert!(!fails(&empty));
     }
 
@@ -191,15 +152,13 @@ mod tests {
     fn coalesces_flows_that_only_oversubscribe_together() {
         // Each open alone fits the deterministic budget; the two together
         // oversubscribe it.
-        let half = flow(120, 1, 40, 1024, 80 * 1024, true);
-        let mut found = Scenario::baseline(13);
+        let mut found = Genome::baseline(13);
         found.force_admission = true;
-        found.flows.extend([half.clone(), half.clone()]);
+        found.plan.flows.extend([det(80 * 1024), det(80 * 1024)]);
         assert!(fails(&found), "the pair must fail to begin with");
         let mut alone = found.clone();
-        alone.flows.pop();
+        alone.plan.flows.pop();
         assert!(!fails(&alone), "one of them alone must not");
-        let min = shrink(&found);
-        assert_eq!(min.flows, vec![flow(120, 1, 40, 1024, 160 * 1024, true)]);
+        assert_eq!(shrink(&found).plan.flows, vec![det(160 * 1024)]);
     }
 }

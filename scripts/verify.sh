@@ -188,27 +188,28 @@ if ! PROPTEST_CASES=2000 cargo test --release -q -p dash-subtransport --test hos
     exit 1
 fi
 
-# Chaos suite: the explorer's `Scenario::chaos(seed)` flow preset (three
-# reliable 32 KiB flows of 30 x 256 B, 40 ms apart, under a fault plan
-# drawn from the seed) for seeds 0..28, baked into tests/chaos.rs, run
-# through `run_scenario` — `dash_apps::scenario::run`, whose verdict is
-# the oracle's, plus `no-wedge`. On failure the offending seed and its
-# violations are in the assertion message; reproduce with
+# Chaos suite: the explorer's `Genome::chaos(seed)` preset (three
+# reliable 32 KiB flows of 30 x 256 B, 40 ms apart, under the fault plan
+# drawn from the seed, stored as events) for seeds 0..28, baked into
+# tests/chaos.rs, run through `run_scenario` — `dash_apps::scenario::run`,
+# whose verdict is the oracle's, plus `no-wedge` — with the summed
+# deliveries and typed failures pinned. On failure the offending seed and
+# its violations are in the assertion message; reproduce with
 #   cargo test --test chaos seeded_chaos -- --nocapture
 if ! cargo test --test chaos -q; then
     echo "verify: chaos suite FAILED — seeds 0..28; the failing seed is"       >&2
-    echo "verify: printed above, and run_scenario(&Scenario::chaos(seed))"     >&2
+    echo "verify: printed above, and run_scenario(&Genome::chaos(seed))"      >&2
     echo "verify: replays it exactly with the same oracle violations."         >&2
     exit 1
 fi
 
-# Exploration suite (dash-bench's explorer): fixed-seed coverage-guided search over
-# flow lists (from the `Scenario::baseline` preset) on the healthy stack
-# must find nothing, the seeded admission bug must be found and shrunk to
-# one flow, and the stored shrunk repro (tests/repros/, `dash-check replay
-# v2`) must replay byte-identically. All deterministic; the box is a wedge
-# guard, not a noise allowance. Build first so the box times the search,
-# not the compiler.
+# Exploration suite (dash-bench's explorer): fixed-seed coverage-guided
+# search over genomes of every plan word and fault event on the healthy
+# stack must find nothing, the seeded admission bug must be found and
+# shrunk to one flow, and every stored repro (tests/repros/, `dash replay
+# v3`) must replay byte-identically and still fail. All deterministic;
+# the box is a wedge guard, not a noise allowance. Build first so the box
+# times the search, not the compiler.
 cargo test --test explore -q --no-run
 if ! timeout "$EXPLORE_BOX" cargo test --test explore -q; then
     echo "verify: exploration suite FAILED (or exceeded its ${EXPLORE_BOX} s box) —" >&2

@@ -1,7 +1,7 @@
 //! End-to-end tests of the simulation-testing pipeline (`dash_bench`'s
 //! explorer, shrinker and replay files over the `dash-check` oracle):
 //! coverage-guided exploration finds a seeded semantic bug, the shrinker
-//! reduces it to a minimal repro, the stored replay file re-runs
+//! reduces it to a minimal repro, every stored replay file re-runs
 //! byte-identically, and every backend returns the same verdict on it.
 //!
 //! The seeded bug is `NetConfig::debug_force_admission`: a debug switch
@@ -13,50 +13,110 @@
 
 mod common;
 
+use std::path::Path;
+
 use common::{assert_replays, report_key};
 use dash::apps::scenario::{run, Backend, Verdict};
-use dash_bench::explore::{explore, run_scenario, ExploreConfig, Scenario};
+use dash::apps::traffic::{Flow, Probe, RpcFlow, TcpFlow, TcpWork, WindowFlow};
+use dash::prelude::SimDuration;
+use dash_bench::explore::{explore, run_scenario, ExploreConfig, Genome, A, B};
 use dash_bench::{replay, shrink};
 
-/// The shrunk admission repro stored in the tree, parsed, and its text.
-fn stored_repro() -> (Scenario, String) {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/repros/admission_oversubscribe.repro"
-    ))
-    .expect("stored repro exists");
-    (replay::parse(&text).expect("stored repro parses"), text)
+const REPROS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/repros");
+
+/// A stored repro, parsed, and its text.
+fn stored(path: &Path) -> (Genome, String) {
+    let text = std::fs::read_to_string(path).expect("stored repro exists");
+    let parsed = replay::parse(&text);
+    (
+        parsed.unwrap_or_else(|e| panic!("{}: {e}", path.display())),
+        text,
+    )
+}
+
+/// The shrunk admission repro stored in the tree.
+fn admission_repro() -> Genome {
+    stored(&Path::new(REPROS).join("admission_oversubscribe.repro")).0
 }
 
 /// Baselines with the admission bypass armed — the seeded bug the
 /// explorer is expected to find.
-fn seeded_bug_corpus() -> Vec<Scenario> {
-    let mut seeds = vec![Scenario::baseline(1), Scenario::baseline(2)];
+fn seeded_bug_corpus() -> Vec<Genome> {
+    let mut seeds = vec![Genome::baseline(1), Genome::baseline(2)];
     for s in &mut seeds {
         s.force_admission = true;
     }
     seeds
 }
 
-/// Fast fixed-seed smoke: a small healthy budget explores clean. This is
-/// the time-boxed entry `scripts/verify.sh` runs.
+/// [`Genome::baseline`] plus one small entry of every other plan word,
+/// from `b` to `a`: a voice stream, an RPC pair, a TCP connection, a
+/// window system and a probe pair.
+fn every_word(seed: u64) -> Genome {
+    let mut g = Genome::baseline(seed);
+    let ms = SimDuration::from_millis;
+    let p = &mut g.plan;
+    p.flows.push(Flow::voice(B, A, 0, ms(200)));
+    p.rpcs.push(RpcFlow {
+        client: B,
+        server: A,
+        service: 7,
+        calls: 3,
+        interval: ms(40),
+        start: ms(10),
+        request: 64,
+        reply: 256,
+    });
+    let work = TcpWork::Rpc {
+        calls: 3,
+        request: 64,
+        reply: 256,
+    };
+    p.tcp.push(TcpFlow {
+        client: B,
+        server: A,
+        work,
+    });
+    let window = WindowFlow::new(B, A, seed);
+    p.windows.push(WindowFlow {
+        duration: ms(300),
+        ..window
+    });
+    p.probes.push(Probe {
+        a: B,
+        b: A,
+        interval: ms(40),
+        end: ms(200),
+    });
+    g
+}
+
+/// Fixed-seed smoke: 150 runs seeded with every plan word explore the
+/// healthy stack clean. This is the time-boxed entry `scripts/verify.sh`
+/// runs.
 #[test]
 fn exploration_smoke_passes_clean_on_healthy_stack() {
-    let seeds = [Scenario::baseline(1), Scenario::baseline(2)];
+    let seeds = [every_word(1), every_word(2)];
     let cfg = ExploreConfig {
-        budget_runs: 12,
+        budget_runs: 150,
         mutation_seed: 5,
     };
-    assert!(
-        explore(&seeds, &cfg).is_none(),
-        "healthy stack must survive the smoke budget"
-    );
+    if let Some((g, report)) = explore(&seeds, &cfg) {
+        let text = replay::to_text(&g);
+        panic!("healthy stack failed: {}\n{text}", report.verdict);
+    }
 }
 
 /// The acceptance path end to end: the explorer finds the seeded
 /// admission bug inside the CI budget, the shrinker reduces the find to
-/// the one oversubscribing flow, and the replay file reproduces the
-/// violation deterministically.
+/// the one oversubscribing flow and the faults it needs, and the replay
+/// file reproduces the violation deterministically.
+///
+/// This search's find needs three faults: its one deterministic 64 KiB
+/// flow fails over to the backup network and back onto the primary, whose
+/// ledger still holds the reservation of the flow's failed first RMS
+/// (failed RMSs leak their reservations, ROADMAP item 2). Admission would
+/// refuse the second reservation; the bypass lets the oracle see it.
 #[test]
 fn explorer_finds_seeded_admission_bug_and_shrinks_it() {
     let cfg = ExploreConfig {
@@ -77,13 +137,26 @@ fn explorer_finds_seeded_admission_bug_and_shrinks_it() {
         .any(|l| l.contains("admission")));
 
     let min = shrink(&found);
-    assert_eq!(min.flows.len(), 1, "repro must shrink to one flow: {min:?}");
-    assert_eq!(min.fault_seed, None, "fault plan must shrink away");
-    assert_eq!(min.jitter_max_us, 0, "jitter must shrink away");
-
-    // The minimal scenario round-trips through the replay format and
-    // still reproduces the violation — byte-identically, run for run.
     let text = replay::to_text(&min);
+    let p = &min.plan;
+    assert_eq!(p.flows.len(), 1, "repro must shrink to one flow:\n{text}");
+    let others = p.rpcs.len() + p.tcp.len() + p.windows.len() + p.probes.len();
+    assert_eq!(others, 0, "every other entry must shrink away:\n{text}");
+    // Every fault left is needed: without it the find is gone.
+    for i in 0..min.faults.events.len() {
+        let mut without = min.clone();
+        without.faults.events.remove(i);
+        let verdict = run_scenario(&without).verdict;
+        let first = verdict.violations.first().map(|v| v.invariant);
+        assert_ne!(
+            first,
+            Some("admission-ledger"),
+            "fault {i} is not needed:\n{text}"
+        );
+    }
+
+    // The minimal genome round-trips through the replay format and still
+    // reproduces the violation — byte-identically, run for run.
     let parsed = replay::parse(&text).expect("replay text parses");
     assert_eq!(parsed, min);
     let rerun = assert_replays("shrunk repro", || run_scenario(&parsed), report_key);
@@ -93,24 +166,54 @@ fn explorer_finds_seeded_admission_bug_and_shrinks_it() {
     );
 }
 
-/// The repro stored in the tree (the output of the shrink above, checked
-/// in as a regression anchor) replays byte-identically and still trips
-/// the admission-ledger invariant.
+/// Every repro stored in `tests/repros/` is the canonical text of a
+/// genome, replays byte-identically and still fails: a new repro needs no
+/// new test code.
+#[test]
+fn every_stored_repro_replays() {
+    let mut paths: Vec<_> = std::fs::read_dir(REPROS)
+        .expect("tests/repros exists")
+        .map(|e| e.expect("readable entry").path())
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty());
+    for path in paths {
+        let (genome, text) = stored(&path);
+        let name = path.display().to_string();
+        assert_eq!(replay::to_text(&genome), text, "{name} is not canonical");
+        let report = assert_replays(&name, || run_scenario(&genome), report_key);
+        assert!(!report.verdict.is_clean(), "{name} no longer fails");
+    }
+}
+
+/// The stored admission repro (the shrink above, checked in as a
+/// regression anchor) replays to the numbers it was stored with, and
+/// trips the admission-ledger invariant once.
 #[test]
 fn stored_repro_replays_byte_identically() {
-    let (scenario, text) = stored_repro();
-    // The stored file is the canonical serialization of itself.
-    assert_eq!(replay::to_text(&scenario), text);
-
-    let report = assert_replays("stored repro", || run_scenario(&scenario), report_key);
+    let genome = admission_repro();
+    let report = run_scenario(&genome);
+    assert_eq!((report.processed, report.bigrams.len()), (212, 33));
     let found = &report.verdict.violations;
     assert_eq!(found.len(), 1, "{}", report.verdict);
-    assert_eq!(found[0].invariant, "admission-ledger");
+    let v = &found[0];
+    assert_eq!(
+        (v.invariant, v.at.as_nanos()),
+        ("admission-ledger", 5_935_474)
+    );
+    assert_eq!(
+        v.detail,
+        "host 0: ledger oversubscribed, reserved 1981648 B/s > deterministic budget 1125000 B/s"
+    );
+    let digest = run(&genome.scenario(), Backend::Serial).digest_hash();
+    assert_eq!(digest, "31c9b994f3605807");
 
     // With the seeded bug disarmed, the same workload is clean: the
     // oversubscribing open is denied (a typed outcome, not a violation).
-    let mut fixed = scenario.clone();
-    fixed.force_admission = false;
+    let fixed = Genome {
+        force_admission: false,
+        ..genome
+    };
     let clean = run_scenario(&fixed);
     assert!(
         clean.verdict.is_clean(),
@@ -119,14 +222,14 @@ fn stored_repro_replays_byte_identically() {
     );
 }
 
-/// One verdict whatever executes the run: the stored repro, compiled to
-/// the runner's scenario, is judged online on `Serial` and `Rt` and over
-/// the merged stream on `Par`. Every backend names the oversubscribed
-/// ledger, `Par` agrees with itself at one shard and two, and with the
-/// seeded bug disarmed all four are clean.
+/// One verdict whatever executes the run: the stored repro, as the
+/// runner's scenario, is judged online on `Serial` and `Rt` and over the
+/// merged stream on `Par`. Every backend names the oversubscribed ledger,
+/// `Par` agrees with itself at one shard and two, and with the seeded bug
+/// disarmed all four are clean.
 #[test]
 fn stored_repro_has_one_verdict_on_every_backend() {
-    let (armed, _) = stored_repro();
+    let armed = admission_repro();
     let par = |shards| Backend::Par {
         shards,
         lan_aligned: false,
@@ -137,8 +240,8 @@ fn stored_repro_has_one_verdict_on_every_backend() {
         par(2),
         Backend::Rt { loss_per_mille: 0 },
     ];
-    let verdicts = |s: &Scenario| -> [Verdict; 4] {
-        let scn = s.compile();
+    let verdicts = |g: &Genome| -> [Verdict; 4] {
+        let scn = g.scenario();
         backends.map(|b| run(&scn, b).verdict)
     };
     let found = verdicts(&armed);
@@ -147,7 +250,7 @@ fn stored_repro_has_one_verdict_on_every_backend() {
     }
     assert_eq!(found[1], found[2], "par(2) judged differently from par(1)");
 
-    let disarmed = Scenario {
+    let disarmed = Genome {
         force_admission: false,
         ..armed
     };
