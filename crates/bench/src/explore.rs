@@ -13,12 +13,10 @@ use std::collections::BTreeSet;
 
 use dash_apps::scenario::{self, Backend, Verdict};
 use dash_apps::traffic::{Flow, Plan, Probe, RpcFlow, TcpFlow, TcpWork, WindowFlow};
-use dash_baseline::TcpConfig;
 use dash_check::oracle::{trace_line, Violation, TRACE_WINDOW};
 use dash_net::ids::HostId;
 use dash_net::topology::dual_homed;
 use dash_sim::{ChaosConfig, FaultKind, FaultPlan, Rng, SimDuration, SimTime};
-use dash_transport::rkom;
 use dash_transport::stream::{StreamProfile, MAX_RETRIES};
 use rms_core::DelayBound;
 
@@ -92,8 +90,10 @@ impl Genome {
 
     /// When the run must be quiet: the end of the last planned activity or
     /// fault (a pumped flow or TCP connection moving 100 kB/s), plus the
-    /// longest retry chain of the layers in use — the stream's backoff
-    /// doubling every time, RKOM's attempts, TCP's give-up.
+    /// stream's backoff chain, doubling every time, at the flows' longest
+    /// RTO (the default profile's if there are none). At every profile
+    /// the mutator draws, that chain outlasts RKOM's attempts and TCP's
+    /// give-up, so it covers every word.
     pub fn quiet_by(&self) -> SimDuration {
         let p = &self.plan;
         // Saturating: a replay file can hold any numbers.
@@ -132,12 +132,7 @@ impl Genome {
             .chain(p.probes.iter().map(|p| p.end));
         let rto = p.flows.iter().map(|f| f.profile.rto()).max();
         let rto = rto.unwrap_or_else(|| StreamProfile::default().rto());
-        let chains = [
-            Some(rto.saturating_mul((2u64 << MAX_RETRIES) - 1)),
-            (!p.rpcs.is_empty()).then(|| rkom::RETRY_TIMEOUT * u64::from(rkom::MAX_RETRIES + 1)),
-            (!p.tcp.is_empty()).then(|| TcpConfig::default().give_up_after()),
-        ];
-        let chain = chains.into_iter().flatten().max().unwrap_or_default();
+        let chain = rto.saturating_mul((2u64 << MAX_RETRIES) - 1);
         ends.max().unwrap_or_default().saturating_add(chain)
     }
 
@@ -255,7 +250,7 @@ pub(crate) fn push_word(rng: &mut Rng, plan: &mut Plan, w: u64, (src, dst): (Hos
         2 => plan.flows.push(Flow::churn(src, dst, start)),
         3 => {
             let mut f = Flow::bulk(src, dst, count * len, len, StreamProfile::default());
-            (f.start, f.profile.reliable) = (start, true);
+            f.profile.reliable = true;
             reask(rng, &mut f);
             plan.flows.push(f);
         }
@@ -294,16 +289,18 @@ pub(crate) fn push_word(rng: &mut Rng, plan: &mut Plan, w: u64, (src, dst): (Hos
     }
 }
 
-/// Give `f` another RMS request: a capacity and, half the time, a
-/// deterministic delay bound.
+/// Give `f` another RMS request, a capacity and, half the time, a
+/// deterministic delay bound (best effort otherwise), and another start.
 fn reask(rng: &mut Rng, f: &mut Flow) {
     f.profile.capacity = pick(rng, &CAPACITIES);
-    if rng.chance(0.5) {
-        // The 100 ms fixed part dominates the implied C/D bandwidth;
-        // 2 µs/B clears ethernet's per-byte floor.
-        let per_byte = SimDuration::from_micros(2);
-        f.profile.delay = DelayBound::deterministic(ms(100), per_byte);
-    }
+    // The 100 ms fixed part dominates the implied C/D bandwidth;
+    // 2 µs/B clears ethernet's per-byte floor.
+    let det = DelayBound::deterministic(ms(100), SimDuration::from_micros(2));
+    f.profile.delay = match rng.chance(0.5) {
+        true => det,
+        false => StreamProfile::default().delay,
+    };
+    f.start = ms(rng.below(1_500));
 }
 
 pub(crate) fn mutate(rng: &mut Rng, parent: &Genome) -> Genome {
@@ -379,7 +376,9 @@ pub fn explore(seeds: &[Genome], cfg: &ExploreConfig) -> Option<(Genome, RunRepo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dash_baseline::TcpConfig;
     use dash_sim::obs::{DropCause, ObsEvent};
+    use dash_transport::rkom;
 
     /// `g` with schedule jitter of up to `max_us` drawn from `seed`.
     pub(crate) fn jittered(g: Genome, seed: u64, max_us: u64) -> Genome {
@@ -485,14 +484,19 @@ mod tests {
         }
     }
 
-    /// The horizon covers each layer's give-up: a TCP connection's, and
-    /// a pumped flow's bytes.
+    /// At every stream profile [`push_word`] draws, the stream's backoff
+    /// chain outlasts RKOM's attempts and TCP's give-up; a pumped flow is
+    /// bounded by its bytes.
     #[test]
     fn quiet_by_covers_every_word_in_use() {
-        let mut g = Genome::baseline(1);
-        let flows = g.quiet_by();
-        push_word(&mut Rng::new(1), &mut g.plan, 5, (A, B));
-        assert!(g.quiet_by() >= flows.max(TcpConfig::default().give_up_after()));
+        let mut plan = Plan::default();
+        for (seed, w) in (0..50).flat_map(|s| (0..4).map(move |w| (s, w))) {
+            push_word(&mut Rng::new(seed), &mut plan, w, (A, B));
+        }
+        let rto = plan.flows.iter().map(|f| f.profile.rto()).min();
+        let shortest = rto.expect("flows drawn") * ((2 << MAX_RETRIES) - 1);
+        assert!(shortest >= TcpConfig::default().give_up_after());
+        assert!(shortest >= rkom::RETRY_TIMEOUT * u64::from(rkom::MAX_RETRIES + 1));
         let mut bulk = Genome::default();
         bulk.plan
             .flows

@@ -269,7 +269,13 @@ mod tests {
             let (mut rng, mut g) = (Rng::new(seed), Genome::baseline(seed));
             for _ in 0..150 {
                 g = mutate(&mut rng, &g);
-                assert_eq!(parse(&to_text(&g)).as_ref(), Ok(&g), "{}", to_text(&g));
+                let text = to_text(&g);
+                assert_eq!(parse(&text).as_ref(), Ok(&g), "{text}");
+                // `variants!` spells each fault kind as `FaultKind::name`.
+                let lines = text.lines().filter_map(|l| l.strip_prefix("fault "));
+                let written = lines.map(|l| l.split(' ').nth(1).unwrap_or_default());
+                let names = g.faults.events.iter().map(|e| e.kind.name());
+                assert!(written.eq(names), "{text}");
                 let p = &g.plan;
                 let lens = [p.flows.len(), p.rpcs.len(), p.tcp.len(), p.windows.len()];
                 for (n, len) in lists

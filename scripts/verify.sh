@@ -206,8 +206,9 @@ fi
 # Exploration suite (dash-bench's explorer): fixed-seed coverage-guided
 # search over genomes of every plan word and fault event on the healthy
 # stack must find nothing, the seeded admission bug must be found and
-# shrunk to one flow, and every stored repro (tests/repros/, `dash replay
-# v3`) must replay byte-identically and still fail. All deterministic;
+# shrunk to one flow with no fault on at least 18 of 20 mutation seeds,
+# and every stored repro (tests/repros/, `dash replay v3`) must replay
+# byte-identically and still fail. All deterministic;
 # the box is a wedge guard, not a noise allowance. Build first so the box
 # times the search, not the compiler.
 cargo test --test explore -q --no-run
