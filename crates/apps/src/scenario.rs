@@ -17,16 +17,17 @@
 //! Every run is judged as it runs: `run` attaches the `dash_check` oracle
 //! and returns its [`Verdict`] in [`Outcome::verdict`]. On `Serial` and
 //! `Rt` the oracle is a sink in the world, so nothing is captured unless
-//! `keep_events` or `record_trace` asks; on `Par` the replica worlds'
-//! captures are merged by `(time, host, emission index)` and fed to the
-//! same oracle at the end.
+//! `keep_events` asks; on `Par` the replica worlds' captures are merged
+//! by `(time, host, emission index)` and fed to the same oracle at the
+//! end.
 
 use std::cell::RefCell;
-use std::fmt::{self, Write};
+use std::fmt;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use dash_baseline::tcp::TcpConfig;
+use dash_check::oracle::trace_line;
 use dash_check::{oracle, OracleConfig, OracleSink, Violation};
 use dash_net::fault::schedule_fault_plan;
 use dash_net::ids::HostId;
@@ -73,12 +74,10 @@ pub struct Scenario {
     /// Per-host protocol CPUs: their scheduling policy and context-switch
     /// cost. `None` models protocol processing as free.
     pub cpus: Option<(SchedPolicy, SimDuration)>,
-    /// Render the observability trace into the digest (determinism runs;
-    /// costly). Plans leave it off.
-    pub record_trace: bool,
     /// Hand the merged event stream back in [`Outcome::stream`], for a
-    /// caller that reads events (the explorer, a table counting drops);
-    /// the verdict does not need it. Plans leave it off.
+    /// caller that reads events (the explorer, a table counting drops, a
+    /// determinism run whose digest renders them); the verdict does not
+    /// need it. Plans leave it off.
     pub keep_events: bool,
 }
 
@@ -102,7 +101,6 @@ impl Scenario {
             st: StConfig::default(),
             tcp: TcpConfig::default(),
             cpus: None,
-            record_trace: false,
             keep_events: false,
         }
     }
@@ -147,8 +145,8 @@ const RT_MAX_WALL: Duration = Duration::from_secs(60);
 type Events = Vec<(SimTime, ObsEvent)>;
 
 /// Event sink capturing a world's typed events. The merged capture of a
-/// run is what the determinism trace is rendered from, what
-/// [`Outcome::stream`] hands back, and what a `Par` run's oracle reads.
+/// run is what [`Outcome::stream`] hands back (and the digest renders)
+/// and what a `Par` run's oracle reads.
 struct CaptureSink {
     out: Rc<RefCell<Events>>,
 }
@@ -183,7 +181,7 @@ fn build_world(
         builder = builder.cpus(policy, context_switch);
     }
     let events = Rc::new(RefCell::new(Vec::new()));
-    if oracle.is_none() || scn.record_trace || scn.keep_events {
+    if oracle.is_none() || scn.keep_events {
         builder = builder.obs_sink(CaptureSink {
             out: Rc::clone(&events),
         });
@@ -307,13 +305,10 @@ pub struct Outcome {
     pub peak_queue_bytes: u64,
     /// Fault events in the drill plan (every world applies all of them).
     pub faults_injected: u64,
-    /// Observability trace (empty unless `record_trace`).
-    pub trace_dump: String,
-    /// The run's event stream (empty unless `keep_events` or
-    /// `record_trace`): the worlds' captures merged by `(time, owner
-    /// host, emission index)` — a total order that is a pure function of
-    /// the run, so a trace rendered from it is the same at every shard
-    /// count and placement.
+    /// The run's event stream (empty unless `keep_events`): the worlds'
+    /// captures merged by `(time, owner host, emission index)` — a total
+    /// order that is a pure function of the run, so a trace rendered from
+    /// it is the same at every shard count and placement.
     pub stream: Vec<(SimTime, ObsEvent)>,
     /// The oracle's judgement, as deterministic as the rest of the outcome.
     pub verdict: Verdict,
@@ -337,13 +332,17 @@ impl Outcome {
 
     /// The deterministic portion: byte-identical between replays, and
     /// under `Par` across shard counts and placements. Flow counts are
-    /// printed per [`Class`], RKOM calls summed.
+    /// printed per [`Class`], RKOM calls summed; the trace is
+    /// [`Outcome::stream`], one [`trace_line`] per event.
     pub fn determinism_digest(&self) -> String {
         use Class::*;
         let (a, reg) = (&self.acct, &self.registry);
         let classes = [Voice, WanVoice, Bulk, Churn, Heavy].map(|c| a.class(c));
         let per_class = |field: fn(&Tally) -> u64| classes.each_ref().map(field);
         let (streams, calls): (_, Tally) = (a.streams(), a.rpcs.values().sum());
+        let trace: String = (self.stream.iter())
+            .map(|(t, e)| trace_line(*t, e) + "\n")
+            .collect();
         format!(
             "opened={} failed={} events={} messages={} sent={:?} received={:?} \
              late={:?} bytes={:?} drops={} rpc={}/{} sim_secs={:.9} peak_queue={} \
@@ -366,7 +365,7 @@ impl Outcome {
             reg.counter_value("st.cache_eviction"),
             self.faults_injected,
             render_registry(reg),
-            self.trace_dump,
+            trace,
         )
     }
 
@@ -540,7 +539,7 @@ pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
         delivered,
         typed_failures,
     };
-    if !(scn.keep_events || scn.record_trace) {
+    if !scn.keep_events {
         out.stream = Vec::new();
     }
     out
@@ -580,12 +579,6 @@ fn merge_outcome(
         );
     }
     stream.sort_by_key(|&(t, host, i, _)| (t, host, i));
-    let mut trace_dump = String::new();
-    if scn.record_trace {
-        for (t, _, _, e) in &stream {
-            let _ = writeln!(trace_dump, "{} {} {e:?}", t.as_nanos(), e.name());
-        }
-    }
     Outcome {
         backend,
         hosts,
@@ -598,7 +591,6 @@ fn merge_outcome(
         wall_secs,
         peak_queue_bytes,
         faults_injected: scn.faults.events.len() as u64,
-        trace_dump,
         stream: stream.into_iter().map(|(t, _, _, e)| (t, e)).collect(),
         verdict: Verdict::default(),
         rt,

@@ -10,16 +10,13 @@
 //! cargo run -p dash-bench --release --bin fig3_rms_levels -- --json
 //! ```
 //!
-//! With `--json` the full metric registry follows the table as JSON Lines
-//! (one object per counter/histogram).
+//! With `--json` the fault drill's full metric registry follows the table
+//! as JSON Lines (one object per counter/histogram).
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    if json {
-        let (table, registry) = dash_bench::figs::fig3_rms_levels_json();
-        println!("{}", table.render());
+    let (table, registry) = dash_bench::figs::fig3_rms_levels_json();
+    println!("{}", table.render());
+    if std::env::args().any(|a| a == "--json") {
         print!("{registry}");
-    } else {
-        println!("{}", dash_bench::figs::fig3_rms_levels().render());
     }
 }

@@ -4,20 +4,21 @@
 //! experiment index.
 
 use dash_apps::scenario::{Outcome, Scenario};
-use dash_apps::traffic::{self, Class, Flow, Plan, RpcFlow};
+use dash_apps::traffic::{Class, Flow, Plan, RpcFlow};
 use dash_net::state::NetConfig;
-use dash_net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
-use dash_net::NetworkSpec;
+use dash_net::topology::{dual_homed, dumbbell, two_hosts_ethernet};
+use dash_net::{NetworkId, NetworkSpec};
+use dash_sim::fault::FaultPlan;
+use dash_sim::obs::MetricRegistry;
 use dash_sim::time::SimDuration;
-use dash_sim::Sim;
 use dash_subtransport::st::StConfig;
 use dash_transport::flow::CapacityEnforcement;
-use dash_transport::stack::StackBuilder;
-use dash_transport::stream::{self, StreamProfile};
-use rms_core::message::Message;
+use dash_transport::stream::StreamProfile;
+use rms_core::delay::DelayBound;
 
+use crate::mix::outage_drill;
 use crate::table::{f, pct, secs, Table};
-use crate::{best_effort, lan, paced, A, B};
+use crate::{best_effort, lan, paced, run_checked, A, B, SERIAL};
 
 /// The networks fig1 runs over, by row.
 const FIG1_NETWORKS: [&str; 3] = ["ethernet-10M", "fast-lan-100M", "internet-dumbbell"];
@@ -164,113 +165,86 @@ pub fn fig2_table(outs: &[Outcome]) -> Table {
     t
 }
 
-/// fig3_rms_levels — the delay bound of a high-level RMS decomposes into
-/// per-stage budgets (Figure 3, §3.4, §4.1). Built: it waits on negotiated
-/// bounds in the event stream (ROADMAP items 6 and 12).
-pub fn fig3_rms_levels() -> Table {
-    fig3_rms_levels_json().0
-}
-
-/// [`fig3_rms_levels`] plus the full metric registry as JSON Lines (one
-/// object per counter/histogram) for machine consumption.
-pub fn fig3_rms_levels_json() -> (Table, String) {
-    // Piggybacking off: bundles would skew the per-stage delay attribution
-    // (a bundle's network delay is measured from its oldest component).
-    let config = StConfig {
+/// fig3's subtransport: piggybacking off, since bundles would skew the
+/// per-stage delay attribution (a bundle's network delay is measured from
+/// its oldest component).
+fn fig3_st() -> StConfig {
+    StConfig {
         piggyback: false,
         ..StConfig::default()
-    };
-    // Two parallel LANs with both hosts dual-homed: the measurement runs
-    // on one, and the closing fault drill fails it over to the other.
-    let mut tb = TopologyBuilder::new();
-    let n = tb.network(NetworkSpec::ethernet("lan"));
-    let n2 = tb.network(NetworkSpec::ethernet("backup"));
-    let a = tb.host();
-    let b = tb.host();
-    tb.attach(a, n).attach(a, n2).attach(b, n).attach(b, n2);
-    let mut sim = Sim::new(
-        StackBuilder::new(tb.build())
-            .st_config(config)
-            .obs(true)
-            .retain_spans(true)
-            .build(),
-    );
-    let profile = StreamProfile {
+    }
+}
+
+/// fig3's stream: 512 B messages under a 50 ms + 10 µs/B best-effort bound.
+fn fig3_profile() -> StreamProfile {
+    StreamProfile {
         max_message: 512,
         delay: best_effort(50),
         ..StreamProfile::default()
-    };
+    }
+}
+
+/// The sizes a 400 B message of fig3 is bounded at: 430 B at the ST (its
+/// 30 B stream header added) and a nominal 460 B on the network.
+const FIG3_ST_BYTES: u64 = 430;
+const FIG3_NET_BYTES: u64 = 460;
+
+/// fig3_rms_levels — the delay bound of a high-level RMS decomposes into
+/// per-stage budgets (Figure 3, §3.4, §4.1), on two dual-homed hosts:
+/// 200 paced 400 B messages measure the stages, and a drill takes the
+/// carrying network (0) down mid-flow and back up, so the ST fails over.
+pub fn fig3_scenarios() -> Vec<Scenario> {
     let measured = Flow {
-        src: a,
-        dst: b,
         count: 200,
         interval: SimDuration::from_millis(2),
         len: 400,
-        ..paced(profile)
+        ..paced(fig3_profile())
     };
-    let acct = traffic::install(&mut sim, &Plan::from(vec![measured]), None);
-    sim.run();
-    let session = acct.borrow().sessions()[0].1;
-
-    // Stage budgets: the ST negotiated bound vs the network RMS bound.
-    let sth = sim.state.st.host(a);
-    let sender = (sth.streams.values()).find(|s| s.role == dash_subtransport::StRole::Sender);
-    let st_bound = sender.map_or(SimDuration::ZERO, |s| s.params.delay.bound_for(430));
-    let net_bound = (sender.and_then(|s| s.carrier))
-        .and_then(|c| sth.carriers[&c].data.as_ref())
-        .map_or(SimDuration::ZERO, |d| d.params.delay.bound_for(460));
-    // Measured: every latency below comes from message lifecycle spans
-    // (dash_sim::obs) — each delivered message carried a span id from the
-    // transport send through ST, the interface queue, and the wire to port
-    // delivery, and the registry aggregated the per-stage intervals.
-    let spans_completed = sim.state.net.obs.spans().len();
-    let (delivered_in_measurement, app_mean) = {
-        let client = &acct.borrow().flows[&0].delays;
-        (client.count(), client.mean())
+    let drill = Flow {
+        count: 20,
+        ..measured.clone()
     };
-    let (net_mean, st_mean, e2e_mean) = {
-        let reg = &mut sim.state.net.obs.registry;
-        (
-            reg.histogram("span.net").mean(),
-            reg.histogram("span.st").mean(),
-            reg.histogram("span.e2e").mean(),
+    let scenario = |flow, faults| Scenario {
+        faults,
+        st: fig3_st(),
+        ..Scenario::new(
+            || dual_homed(1).0,
+            Plan::from(vec![flow]),
+            SimDuration::from_secs(1),
         )
     };
+    vec![
+        scenario(measured, FaultPlan::new()),
+        scenario(
+            drill,
+            outage_drill(SimDuration::from_millis(40), NetworkId(0)),
+        ),
+    ]
+}
 
-    // Fault drill (after the delay measurement is captured): fail the
-    // stream's carrier network mid-traffic and restore it, so the JSON
-    // registry dump carries the per-fault-kind counters and the
-    // recovery-latency histogram next to the delay decomposition.
-    let carrier = sim
-        .state
-        .net
-        .host(a)
-        .rms
-        .values()
-        .next()
-        .map(|r| r.path[0])
-        .unwrap_or(dash_net::NetworkId(0));
-    for _ in 0..3 {
-        let _ = stream::send(&mut sim, a, session, Message::zeroes(400));
-        sim.run_until(sim.now() + SimDuration::from_millis(2));
-    }
-    dash_net::fault::apply_fault(
-        &mut sim,
-        &dash_sim::FaultKind::NetworkDown { network: carrier.0 },
-    );
-    for _ in 0..5 {
-        let _ = stream::send(&mut sim, a, session, Message::zeroes(400));
-        sim.run_until(sim.now() + SimDuration::from_millis(2));
-    }
-    sim.run();
-    dash_net::fault::apply_fault(
-        &mut sim,
-        &dash_sim::FaultKind::NetworkUp { network: carrier.0 },
-    );
-    sim.run();
-
-    let reg = &mut sim.state.net.obs.registry;
-    let recovery_mean = reg.histogram("fault.recovery_latency").mean();
+/// fig3's table from the outcomes of [`fig3_scenarios`]. The budgets are
+/// the flow's requested bound at the ST and, below it, that bound less
+/// the ST stage's share ([`StConfig::stage_slack`]): what the ST asks of
+/// the network. Every measured latency comes from message lifecycle spans
+/// (`dash_sim::obs`) — each delivered message carried a span id from the
+/// transport send through ST, the interface queue and the wire to port
+/// delivery, and the registry aggregated the per-stage intervals.
+pub fn fig3_table(outs: &[Outcome]) -> Table {
+    let st = fig3_profile().delay;
+    let (slack_fixed, slack_per_byte) = fig3_st().stage_slack();
+    let net = DelayBound {
+        fixed: st.fixed.saturating_sub(slack_fixed),
+        per_byte: st.per_byte.saturating_sub(slack_per_byte),
+        ..st
+    };
+    let st_bound = secs(st.bound_for(FIG3_ST_BYTES).as_secs_f64());
+    let net_bound = secs(net.bound_for(FIG3_NET_BYTES).as_secs_f64());
+    // The registry's histograms are read through `&mut` (quantiles sort).
+    let mut reg = MetricRegistry::new();
+    reg.merge_from(&outs[0].registry);
+    let client = &outs[0].acct.flows[&0].delays;
+    let mut recovery = MetricRegistry::new();
+    recovery.merge_from(&outs[1].registry);
 
     let mut t = Table::new(
         "fig3_rms_levels",
@@ -278,26 +252,22 @@ pub fn fig3_rms_levels_json() -> (Table, String) {
         "an upper-level RMS's delay bound is divided among stages; each stage's measured delay fits its budget",
     );
     t.columns(&["stage", "budget (bound)", "measured mean"]);
-    t.row(vec![
-        "network RMS".into(),
-        secs(net_bound.as_secs_f64()),
-        secs(net_mean),
-    ]);
-    t.row(vec![
-        "ST RMS (adds queueing+cpu)".into(),
-        secs(st_bound.as_secs_f64()),
-        secs(st_mean),
-    ]);
-    t.row(vec![
-        "span end-to-end".into(),
-        secs(st_bound.as_secs_f64()),
-        secs(e2e_mean),
-    ]);
-    t.row(vec![
-        "client-observed".into(),
-        secs(st_bound.as_secs_f64()),
-        secs(app_mean),
-    ]);
+    for (stage, bound, mean) in [
+        ("network RMS", &net_bound, reg.histogram("span.net").mean()),
+        (
+            "ST RMS (adds queueing+cpu)",
+            &st_bound,
+            reg.histogram("span.st").mean(),
+        ),
+        (
+            "span end-to-end",
+            &st_bound,
+            reg.histogram("span.e2e").mean(),
+        ),
+        ("client-observed", &st_bound, client.mean()),
+    ] {
+        t.row(vec![stage.into(), bound.clone(), secs(mean)]);
+    }
     // Per-stage budget table: consecutive span intervals. Stage names come
     // from Stage::interval(); each row is the latency from that stage to
     // the next one the message passed through.
@@ -311,23 +281,29 @@ pub fn fig3_rms_levels_json() -> (Table, String) {
     ] {
         let name = format!("span.stage.{interval}");
         if reg.has_histogram(&name) {
-            t.row(vec![
-                label.into(),
-                "-".into(),
-                secs(reg.histogram(&name).mean()),
-            ]);
+            let mean = secs(reg.histogram(&name).mean());
+            t.row(vec![label.into(), "-".into(), mean]);
         }
     }
     t.note(format!(
-        "messages delivered: {delivered_in_measurement} (lifecycle spans completed: {spans_completed})"
+        "messages delivered: {} (lifecycle spans completed: {})",
+        client.count(),
+        reg.histogram("span.e2e").count()
     ));
     t.note("invariant: measured(network) <= measured(ST) <= ST bound");
     t.note(format!(
         "fault drill: carrier network failed and restored; ST failover recovered in mean {}",
-        secs(recovery_mean)
+        secs(recovery.histogram("fault.recovery_latency").mean())
     ));
-    let json = reg.to_json_lines();
-    (t, json)
+    t
+}
+
+/// fig3's table plus the drill run's full metric registry as JSON Lines
+/// (one object per counter/histogram) for machine consumption.
+pub fn fig3_rms_levels_json() -> (Table, String) {
+    let mut outs = run_checked("fig3_rms_levels", fig3_scenarios(), SERIAL);
+    let table = fig3_table(&outs);
+    (table, outs[1].registry.to_json_lines())
 }
 
 /// fig4's rows: piggybacking, and the gap between client messages (µs).

@@ -157,7 +157,10 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
             "fig2_architecture",
             Planned(fig2_scenarios, SERIAL, fig2_table),
         ),
-        ("fig3_rms_levels", Built(fig3_rms_levels)),
+        (
+            "fig3_rms_levels",
+            Planned(fig3_scenarios, SERIAL, fig3_table),
+        ),
         (
             "fig4_multiplexing",
             Planned(fig4_scenarios, SERIAL, fig4_table),

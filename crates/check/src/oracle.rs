@@ -104,24 +104,25 @@ pub fn trace_line(time: SimTime, event: &ObsEvent) -> String {
     format!("{} {} {event:?}", time.as_nanos(), event.name())
 }
 
+/// What the oracle knows of one stream session.
 #[derive(Debug, Default)]
-struct Sessions {
-    /// Sends the transport accepted, per session.
-    accepted: BTreeMap<u64, u64>,
-    /// Next expected sequence number at the receiver, per session.
-    next_seq: BTreeMap<u64, u64>,
-    /// Count of deliveries observed at the receiver, per session.
-    delivered: BTreeMap<u64, u64>,
-    /// Sessions that ended; `true` means a typed failure.
-    ended: BTreeMap<u64, bool>,
-    /// Sessions whose open failed (a typed outcome too).
-    open_failed: BTreeSet<u64>,
+struct Session {
+    /// Sends the transport accepted.
+    accepted: u64,
+    /// Next expected sequence number at the receiver.
+    next_seq: u64,
+    /// Deliveries observed at the receiver.
+    delivered: u64,
+    /// The session surfaced a typed failure: a failed end, exhausted
+    /// retries or a failed open.
+    typed_failure: bool,
 }
 
 #[derive(Debug)]
 struct OracleState {
     cfg: OracleConfig,
-    sessions: Sessions,
+    /// One record per session id.
+    sessions: BTreeMap<u64, Session>,
     /// Set once any fault fires; suspends `det-delay` (see module docs).
     fault_seen: bool,
     /// Set once a packet or message was dropped (queue overflow, wire
@@ -193,10 +194,13 @@ impl OracleState {
                 );
             }
             ObsEvent::TransportSend { session, .. } => {
-                *self.sessions.accepted.entry(*session).or_default() += 1;
+                self.sessions.entry(*session).or_default().accepted += 1;
             }
             ObsEvent::StreamDeliver { session, seq, .. } => {
-                let expected = *self.sessions.next_seq.get(session).unwrap_or(&0);
+                let s = self.sessions.entry(*session).or_default();
+                let expected = s.next_seq;
+                s.next_seq = (*seq + 1).max(expected);
+                s.delivered += 1;
                 if *seq < expected {
                     self.violate(
                         "fifo",
@@ -214,10 +218,6 @@ impl OracleState {
                         format!("session {session}: gap — delivered #{seq}, expected #{expected}"),
                     );
                 }
-                self.sessions
-                    .next_seq
-                    .insert(*session, (*seq + 1).max(expected));
-                *self.sessions.delivered.entry(*session).or_default() += 1;
             }
             ObsEvent::StDeliver {
                 st_rms,
@@ -238,14 +238,11 @@ impl OracleState {
             ObsEvent::StreamEnd {
                 session, failed, ..
             } => {
-                let e = self.sessions.ended.entry(*session).or_default();
-                *e = *e || *failed;
+                self.sessions.entry(*session).or_default().typed_failure |= *failed;
             }
-            ObsEvent::StreamRetriesExhausted { session, .. } => {
-                self.sessions.ended.insert(*session, true);
-            }
-            ObsEvent::StreamOpenFailed { session, .. } => {
-                self.sessions.open_failed.insert(*session);
+            ObsEvent::StreamRetriesExhausted { session, .. }
+            | ObsEvent::StreamOpenFailed { session, .. } => {
+                self.sessions.entry(*session).or_default().typed_failure = true;
             }
             ObsEvent::RoutingPathPinned { host, hops } => {
                 let mut seen = BTreeSet::new();
@@ -265,28 +262,19 @@ impl OracleState {
         if !self.cfg.check_completion {
             return;
         }
-        let shortfalls: Vec<(u64, u64, u64)> = self
-            .sessions
-            .accepted
-            .iter()
-            .filter_map(|(&session, &sent)| {
-                let got = self.sessions.delivered.get(&session).copied().unwrap_or(0);
-                (got < sent).then_some((session, sent, got))
-            })
+        let shortfalls: Vec<(u64, u64, u64)> = (self.sessions.iter())
+            .filter(|(_, s)| s.delivered < s.accepted && !s.typed_failure)
+            .map(|(&session, s)| (session, s.accepted, s.delivered))
             .collect();
         for (session, sent, got) in shortfalls {
-            let typed = self.sessions.ended.get(&session).copied().unwrap_or(false)
-                || self.sessions.open_failed.contains(&session);
-            if !typed {
-                self.violate(
-                    "completion",
-                    at,
-                    format!(
-                        "session {session}: {got} of {sent} accepted sends delivered \
-                         at quiescence, yet no typed failure was surfaced"
-                    ),
-                );
-            }
+            self.violate(
+                "completion",
+                at,
+                format!(
+                    "session {session}: {got} of {sent} accepted sends delivered \
+                     at quiescence, yet no typed failure was surfaced"
+                ),
+            );
         }
     }
 }
@@ -333,10 +321,8 @@ impl OracleHandle {
     /// that traffic flowed and the faults had teeth.
     pub fn session_totals(&self) -> (u64, u64) {
         let st = self.state.borrow();
-        let s = &st.sessions;
-        let delivered = s.delivered.values().sum();
-        let failed = s.ended.iter().filter(|&(_, &f)| f).map(|(id, _)| id);
-        let typed = failed.chain(&s.open_failed).collect::<BTreeSet<_>>().len() as u64;
+        let delivered = st.sessions.values().map(|s| s.delivered).sum();
+        let typed = st.sessions.values().filter(|s| s.typed_failure).count() as u64;
         (delivered, typed)
     }
 }
@@ -345,7 +331,7 @@ impl OracleHandle {
 pub fn oracle(cfg: OracleConfig) -> (OracleSink, OracleHandle) {
     let state = Rc::new(RefCell::new(OracleState {
         cfg,
-        sessions: Sessions::default(),
+        sessions: BTreeMap::new(),
         fault_seen: false,
         drop_seen: false,
         ring: VecDeque::with_capacity(TRACE_WINDOW),

@@ -29,8 +29,8 @@ use crate::packet::{DataPacket, NakReason, Packet, PacketKind, SourceRoute};
 use crate::rms::{NetRms, RmsRole, REORDER_FAIL_THRESHOLD};
 use crate::routing::{self, CandidatePath};
 use crate::state::{
-    emit, NetRmsEvent, NetState, NetWorld, PendingCreate, PendingInvite, Route, CREATE_RETRIES,
-    CREATE_TIMEOUT, TTL,
+    emit, Hold, NetRmsEvent, NetState, NetWorld, PendingCreate, PendingInvite, Route,
+    CREATE_RETRIES, CREATE_TIMEOUT, TTL,
 };
 
 // ---------------------------------------------------------------------------
@@ -435,11 +435,8 @@ fn reserve_leg(
         Some((network, Route { iface, next_hop }))
     });
     let verdict = match route {
-        Some((network, route)) => admit_hop(net, now, host, route.iface, rms, params)
-            .map(|()| {
-                net.host_mut(host).rms_next.insert(rms, route);
-                network
-            })
+        Some((network, route)) => admit_hop(net, now, host, route, rms, params)
+            .map(|()| network)
             .map_err(Some),
         None => Err(None),
     };
@@ -449,33 +446,36 @@ fn reserve_leg(
     verdict
 }
 
-/// Release `host`'s reservation for `rms`, if it holds one, and drop its
-/// `rms_next` forwarding pin, which is returned (teardown follows it).
+/// Release `host`'s hold on `rms`, if it has one: its reservation goes
+/// back to the ledger and its forwarding pin is returned (teardown
+/// follows it).
 fn release_hop(net: &mut NetState, host: HostId, rms: NetRmsId) -> Option<Route> {
     let h = net.host_mut(host);
-    if let Some((iface, params)) = h.reservations.remove(&rms) {
-        h.ifaces[iface].ledger.release(&params);
-    }
-    h.rms_next.remove(&rms)
+    let hold = h.holds.remove(&rms)?;
+    h.ifaces[hold.iface].ledger.release(&hold.params);
+    Some(hold.route)
 }
 
 /// One hop's admission (§2.3): reserve `params` for `rms` on `host`'s
-/// outbound interface `iface`, idempotently — a retry that finds the
-/// reservation in place passes without asking the ledger again. A fresh
-/// decision is announced; a refusal returns the ledger's explanation.
+/// outbound interface `route.iface` and pin `rms` to `route`,
+/// idempotently — a retry that finds the hold in place moves only the pin,
+/// without asking the ledger again. A fresh decision is announced; a
+/// refusal returns the ledger's explanation.
 fn admit_hop(
     net: &mut NetState,
     now: SimTime,
     host: HostId,
-    iface: usize,
+    route: Route,
     rms: NetRmsId,
     params: &SharedParams,
 ) -> Result<(), String> {
     let force = net.config.debug_force_admission;
     let h = net.host_mut(host);
-    if h.reservations.contains_key(&rms) {
+    if let Some(hold) = h.holds.get_mut(&rms) {
+        hold.route = route;
         return Ok(());
     }
+    let iface = route.iface;
     let ledger = &mut h.ifaces[iface].ledger;
     let admitted = if force {
         ledger.force_admit(params)
@@ -485,7 +485,15 @@ fn admit_hop(
     let (reserved_bps, budget_bps) = (ledger.reserved_bps(), ledger.deterministic_budget_bps());
     let verdict = match admitted {
         Admission::Admitted => {
-            h.reservations.insert(rms, (iface, params.clone()));
+            let params = params.clone();
+            h.holds.insert(
+                rms,
+                Hold {
+                    iface,
+                    params,
+                    route,
+                },
+            );
             Ok(())
         }
         Admission::Denied { detail } => Err(detail),
@@ -770,13 +778,13 @@ pub fn route_and_enqueue<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet
             Some(Route { iface, next_hop })
         })
     } else {
-        let pinned = match &packet.kind {
-            PacketKind::Data(d) => sim.state.net_ref().host(host).rms_next.get(&d.rms).copied(),
-            PacketKind::Release { rms } => {
-                sim.state.net_ref().host(host).rms_next.get(rms).copied()
-            }
+        let rms = match &packet.kind {
+            PacketKind::Data(d) => Some(&d.rms),
+            PacketKind::Release { rms } => Some(rms),
             _ => None,
         };
+        let holds = &sim.state.net_ref().host(host).holds;
+        let pinned = rms.and_then(|rms| holds.get(rms)).map(|hold| hold.route);
         pinned.or_else(|| {
             let net = sim.state.net();
             routing::ensure_host_routes(net, now, host);

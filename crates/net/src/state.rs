@@ -163,6 +163,20 @@ pub struct PendingInvite {
     pub attempts: u32,
 }
 
+/// One hop's share of an RMS established through its host (§2.3).
+#[derive(Debug, Clone)]
+pub struct Hold {
+    /// The interface whose ledger holds the reservation.
+    pub iface: usize,
+    /// The reserved parameters.
+    pub params: SharedParams,
+    /// The pinned next hop: data and teardown follow the path admission
+    /// reserved, not whatever the current table says. A create retried
+    /// along another leg moves the pin and leaves the reservation where it
+    /// was made, so `route.iface` may differ from `iface`.
+    pub route: Route,
+}
+
 /// Per-host network-layer state.
 #[derive(Debug)]
 pub struct NetHost {
@@ -184,15 +198,11 @@ pub struct NetHost {
     /// trigger time, from which [`crate::routing::ensure_host_routes`]
     /// measures the reconvergence latency it records.
     pub routes_dirty_since: Option<SimTime>,
-    /// Pinned next hops for RMSs established through this host: data and
-    /// teardown follow the path admission actually reserved, not whatever
-    /// the current table says.
-    pub rms_next: DetHashMap<NetRmsId, Route>,
+    /// What this host holds for each RMS established through it: the
+    /// reservation admission made and the pinned next hop.
+    pub holds: DetHashMap<NetRmsId, Hold>,
     /// Live RMS endpoints (both roles).
     pub rms: DetHashMap<NetRmsId, NetRms>,
-    /// Reservations held at this host for streams passing through it:
-    /// RMS → (outbound interface index, reserved parameters).
-    pub reservations: DetHashMap<NetRmsId, (usize, SharedParams)>,
     /// Creation attempts initiated here.
     pub pending: DetHashMap<NetRmsId, PendingCreate>,
     /// Invites initiated here (receiver-side creates).

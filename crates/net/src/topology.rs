@@ -102,6 +102,8 @@ impl TopologyBuilder {
     /// ledgers and seed every link-state database.
     pub fn build(self) -> NetState {
         let mut state = NetState::new(self.config.clone(), self.seed);
+        // One allocation: the host count is known up front.
+        state.hosts.reserve_exact(self.attachments.len());
         for (i, spec) in self.specs.iter().enumerate() {
             state
                 .networks
@@ -128,9 +130,8 @@ impl TopologyBuilder {
                 lsdb: Default::default(),
                 lsa_seq: 0,
                 routes_dirty_since: None,
-                rms_next: Default::default(),
+                holds: Default::default(),
                 rms: Default::default(),
-                reservations: Default::default(),
                 pending: Default::default(),
                 invites: Default::default(),
                 cpu_free_at: dash_sim::time::SimTime::ZERO,

@@ -523,14 +523,14 @@ fn create_interns_one_params_allocation_along_the_whole_path() {
         &sim.state.net.host(b).rms[&rms].params
     ));
     for hop in [a, g1, g2] {
-        let (_, reserved) = &sim.state.net.host(hop).reservations[&rms];
+        let reserved = &sim.state.net.host(hop).holds[&rms].params;
         assert!(
             std::sync::Arc::ptr_eq(reserved, &sender_params),
             "hop {hop:?} holds a separate params copy"
         );
     }
     // The receiver endpoint has no outbound reservation of its own.
-    assert!(!sim.state.net.host(b).reservations.contains_key(&rms));
+    assert!(!sim.state.net.host(b).holds.contains_key(&rms));
     // Hop-by-hop forwarding still records the full three-network path and
     // the ack echoes it back to the sender unchanged.
     let sender_path = &sim.state.net.host(a).rms[&rms].path;

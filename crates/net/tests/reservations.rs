@@ -180,19 +180,22 @@ fn check_bookkeeping(net: &NetState, ops: &[(Op, u64)]) {
         .copied()
         .collect();
     for h in &net.hosts {
-        for rms in h.reservations.keys().chain(h.rms_next.keys()) {
+        for rms in h.holds.keys() {
             prop_assert!(
                 owners.contains(rms),
-                "host {:?} holds a reservation or pin for {:?}, which has no endpoint \
+                "host {:?} holds a reservation and pin for {:?}, which has no endpoint \
                  and no pending create; ops: {ops:?}",
                 h.id,
                 rms
             );
         }
         for (i, iface) in h.ifaces.iter().enumerate() {
-            let held = (h.reservations.values()).filter(|(at, _)| *at == i);
-            let (bps, buffer) = held.fold((0.0, 0), |(bps, buffer), (_, p)| {
-                (bps + implied_bandwidth(p), buffer + p.capacity)
+            let held = (h.holds.values()).filter(|hold| hold.iface == i);
+            let (bps, buffer) = held.fold((0.0, 0), |(bps, buffer), hold| {
+                (
+                    bps + implied_bandwidth(&hold.params),
+                    buffer + hold.params.capacity,
+                )
             });
             let ledger = &iface.ledger;
             prop_assert!(

@@ -39,18 +39,6 @@ use crate::wire::{decode_into, encode, ControlMsg, DataFrame, Frame, MAX_OPENING
 // Negotiation
 // ---------------------------------------------------------------------------
 
-/// Total delay the ST stage adds on top of the network stage: piggyback
-/// queueing slack plus send+receive ST processing (§4.1: the upper-level
-/// delay is divided among the stages).
-fn stage_slack<W: StWorld>(state: &W) -> (SimDuration, SimDuration) {
-    let cfg = &state.st_ref().config;
-    let fixed = cfg
-        .piggyback_slack
-        .saturating_add(cfg.st_cpu.fixed.saturating_mul(2));
-    let per_byte = cfg.st_cpu.per_byte.saturating_mul(2);
-    (fixed, per_byte)
-}
-
 /// Negotiate ST-level parameters for a stream from `host` to `peer`: the
 /// network path's combined service table, shifted by the ST stage's own
 /// delay contribution, with the maximum message size raised to the ST's
@@ -72,7 +60,7 @@ pub fn st_negotiate<W: StWorld>(
         .path(host, peer)
         .ok_or(RmsError::CreationRejected(RejectReason::NoRoute))?;
     let mut table = net::combined_service_table(&sim.state, &path);
-    let (slack_fixed, slack_per_byte) = stage_slack(&sim.state);
+    let (slack_fixed, slack_per_byte) = sim.state.st_ref().config.stage_slack();
     table.retain_mut(|_, _, l| {
         l.min_fixed_delay = l.min_fixed_delay.saturating_add(slack_fixed);
         l.min_per_byte_delay = l.min_per_byte_delay.saturating_add(slack_per_byte);
@@ -872,7 +860,7 @@ fn assign_carrier<W: StWorld>(sim: &mut Sim<W>, host: HostId, st_rms: StRmsId) -
     // Create a new network RMS (§4.2: "it is slow and costly to create
     // network RMS's" — this is the miss path).
     emit(sim, ObsEvent::CacheMiss { host: host.0 });
-    let (slack_fixed, slack_per_byte) = stage_slack(&sim.state);
+    let (slack_fixed, slack_per_byte) = sim.state.st_ref().config.stage_slack();
     let mut net_desired = (*st_params).clone();
     // Capacity headroom invites future multiplexing (§4.2) — but for
     // deterministic streams headroom is a real bandwidth reservation, so

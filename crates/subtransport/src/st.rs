@@ -84,6 +84,17 @@ impl Default for StConfig {
     }
 }
 
+impl StConfig {
+    /// Total delay the ST stage adds on top of the network stage, as
+    /// `(fixed, per byte)`: piggyback queueing slack plus send+receive ST
+    /// processing (§4.1: the upper-level delay is divided among the
+    /// stages). A network RMS is asked for the ST bound less this.
+    pub fn stage_slack(&self) -> (SimDuration, SimDuration) {
+        let fixed = (self.piggyback_slack).saturating_add(self.st_cpu.fixed.saturating_mul(2));
+        (fixed, self.st_cpu.per_byte.saturating_mul(2))
+    }
+}
+
 /// An outbound network RMS this host created toward a peer: its half of
 /// the peer's control channel, or a data carrier onto which ST RMSs are
 /// multiplexed (§4.2). Recorded in [`StHost::carriers`] under the id

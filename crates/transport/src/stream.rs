@@ -969,18 +969,13 @@ fn on_rto(sim: &mut Sim<Stack>, (host, session): Args) {
         if s.failed || s.unacked.is_empty() {
             return;
         }
-        if s.rto_backoff >= MAX_RETRIES {
-            // Bounded retry: the peer (or the path) is gone — surface a
-            // typed outcome instead of backing off forever.
-            s.failed = true;
-            if let Some(t) = s.ack_timer.take() {
-                t.cancel();
-            }
-            true
-        } else {
+        // Bounded retry: past it the peer (or the path) is gone — surface
+        // a typed outcome instead of backing off forever.
+        let give_up = s.rto_backoff >= MAX_RETRIES;
+        if !give_up {
             s.rto_backoff += 1;
-            false
         }
+        give_up
     };
     if !give_up {
         retransmit_head(sim, host, session, RetransmitCause::Rto);
@@ -993,22 +988,7 @@ fn on_rto(sim: &mut Sim<Stack>, (host, session): Args) {
             session,
         },
     );
-    emit(
-        sim,
-        ObsEvent::StreamEnd {
-            host: host.0,
-            session,
-            failed: true,
-        },
-    );
-    fire(
-        sim,
-        host,
-        StreamEvent::Ended {
-            session,
-            reason: EndReason::RetriesExhausted,
-        },
-    );
+    end(sim, host, session, EndReason::RetriesExhausted);
 }
 
 /// Resend the head of the unacked queue and remember it as the hole being

@@ -64,7 +64,7 @@ fn scenario() -> Scenario {
             .map(|lan| (0..=HOSTS_PER_LAN).map(|i| first_of(lan) + i).collect())
             .collect(),
         seed: SEED,
-        record_trace: true,
+        keep_events: true,
         ..Scenario::new(build_net, Plan::from(flows), SimDuration::from_millis(400))
     }
 }
@@ -101,6 +101,6 @@ fn main() {
         "merged registries and traces byte-identical: digest {}, {} metric lines, {} trace lines",
         one.digest_hash(),
         one.registry.to_json_lines().lines().count(),
-        one.trace_dump.lines().count(),
+        one.stream.len(),
     );
 }

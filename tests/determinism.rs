@@ -20,10 +20,11 @@ use dash::apps::scenario::{run, Backend, Outcome, Scenario};
 use dash_bench::e_routing::RoutingParams;
 use dash_bench::mix::MixParams;
 
-/// The plan with the byte-comparable observability trace switched on.
+/// The plan with its events kept, so the digest renders the
+/// byte-comparable trace.
 fn traced(scenario: Scenario) -> Scenario {
     Scenario {
-        record_trace: true,
+        keep_events: true,
         ..scenario
     }
 }
@@ -114,7 +115,7 @@ fn e10_ci_replay_is_byte_identical() {
     assert!(first.events > 10_000, "only {} events", first.events);
     assert_eq!(first.faults_injected, 4);
     assert!(
-        !first.trace_dump.is_empty(),
+        !first.stream.is_empty(),
         "CI size must record the network trace"
     );
 }
@@ -203,10 +204,7 @@ fn e11_routing_churn_replay_is_byte_identical() {
         "no subtransport failovers"
     );
     assert_eq!(first.faults_injected, 2, "the drill must actually run");
-    assert!(
-        !first.trace_dump.is_empty(),
-        "CI size must record the trace"
-    );
+    assert!(!first.stream.is_empty(), "CI size must record the trace");
 }
 
 /// Same replay guarantee on the 3×3 mesh: reconvergence around the mesh
@@ -244,10 +242,7 @@ fn e11_mesh_replay_is_byte_identical() {
         "no subtransport failovers"
     );
     assert_eq!(first.faults_injected, 2, "the drill must actually run");
-    assert!(
-        !first.trace_dump.is_empty(),
-        "CI size must record the trace"
-    );
+    assert!(!first.stream.is_empty(), "CI size must record the trace");
 }
 
 /// The semantic oracle holds at zero violations on both e11 topologies,
@@ -305,7 +300,7 @@ fn e12_scale_workload_identical_at_1_2_4_shards() {
         first.acct.rpcs.values().map(|t| t.received).sum::<u64>()
     );
     assert!(
-        !first.trace_dump.is_empty(),
+        !first.stream.is_empty(),
         "CI size must record the network trace"
     );
 }

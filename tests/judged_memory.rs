@@ -1,8 +1,8 @@
 //! A judged run keeps no event stream. On `Serial` (and `Rt`) the oracle
-//! is a sink in the world, so a run without `keep_events` or
-//! `record_trace` captures nothing: its live-heap high-water mark
-//! (`dash_sim::alloc::Counts::peak`) is below the same run's with its
-//! events kept by at least the kept stream's own bytes.
+//! is a sink in the world, so a run without `keep_events` captures
+//! nothing: its live-heap high-water mark (`dash_sim::alloc::Counts::peak`)
+//! is below the same run's with its events kept by at least the kept
+//! stream's own bytes.
 
 use std::mem::size_of;
 
