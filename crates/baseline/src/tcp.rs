@@ -31,17 +31,18 @@ use rms_core::wire::{self, WireMsg};
 /// The datagram protocol number used by this TCP-like transport.
 pub const TCP_PROTO: u16 = 6;
 
-/// Configuration.
+/// Maximum segment payload, bytes.
+pub const MSS: u64 = 1024;
+/// Receiver window every connection advertises, bytes.
+pub const RECV_WINDOW: u64 = 64 * 1024;
+/// Slow-start threshold a connection starts with, bytes.
+pub const INITIAL_SSTHRESH: u64 = 32 * 1024;
+
+/// Configuration: what the experiments vary.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Maximum segment payload, bytes.
-    pub mss: u64,
-    /// Receiver window advertised, bytes.
-    pub recv_window: u64,
     /// Initial retransmission timeout.
     pub rto: SimDuration,
-    /// Slow-start threshold, bytes.
-    pub initial_ssthresh: u64,
     /// React to source quench by collapsing the congestion window
     /// (RFC 896 behaviour). Off = ignore quenches entirely.
     pub quench_reacts: bool,
@@ -50,10 +51,7 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1024,
-            recv_window: 64 * 1024,
             rto: SimDuration::from_millis(300),
-            initial_ssthresh: 32 * 1024,
             quench_reacts: true,
         }
     }
@@ -310,7 +308,6 @@ fn new_conn(
     local_port: u16,
     remote_port: u16,
     state: TcpStateKind,
-    config: &TcpConfig,
 ) -> TcpConn {
     TcpConn {
         id,
@@ -322,9 +319,9 @@ fn new_conn(
         send_buf: BytesMut::new(),
         snd_una: 0,
         snd_nxt: 0,
-        cwnd: config.mss,
-        ssthresh: config.initial_ssthresh,
-        peer_window: config.recv_window,
+        cwnd: MSS,
+        ssthresh: INITIAL_SSTHRESH,
+        peer_window: RECV_WINDOW,
         rto_timer: None,
         rto_backoff: 0,
         retx_copy: Vec::new(),
@@ -348,8 +345,7 @@ pub fn connect<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, port: 
         let h = st.host_mut(host);
         h.next_port += 1;
         let local_port = 40_000 + h.next_port;
-        let config = st.config.clone();
-        let conn = new_conn(id, peer, local_port, port, TcpStateKind::SynSent, &config);
+        let conn = new_conn(id, peer, local_port, port, TcpStateKind::SynSent);
         st.host_mut(host).conns.insert(id, conn);
         st.host_mut(host)
             .by_tuple
@@ -366,7 +362,7 @@ pub fn connect<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, port: 
             seq: 0,
             ack: 0,
             flags: FLAG_SYN,
-            window: sim.state.tcp_ref().config.recv_window,
+            window: RECV_WINDOW,
             payload: Bytes::new(),
         },
     );
@@ -420,7 +416,6 @@ fn send_segment<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, seg: 
 
 fn pump<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
     while let Some((peer, seg)) = {
-        let config_mss = sim.state.tcp_ref().config.mss;
         let st = sim.state.tcp();
         let Some(c) = st.conn_mut(host, conn) else {
             return;
@@ -433,7 +428,7 @@ fn pump<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
             if in_flight >= window {
                 None
             } else {
-                let budget = (window - in_flight).min(config_mss) as usize;
+                let budget = (window - in_flight).min(MSS) as usize;
                 let take = budget.min(c.send_buf.len());
                 let payload = c.send_buf.split_to(take).freeze();
                 let seq = c.snd_nxt;
@@ -490,7 +485,6 @@ fn arm_rto<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64) {
 
 fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, (host, conn): Args) {
     let host = HostId(host);
-    let mss = sim.state.tcp_ref().config.mss;
     let action = {
         let Some(c) = sim.state.tcp().conn_mut(host, conn) else {
             return;
@@ -520,8 +514,8 @@ fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, (host, conn): Args) {
                     // Timeout: multiplicative decrease + slow start
                     // restart (RFC 793-era behaviour with congestion
                     // response).
-                    c.ssthresh = (c.cwnd / 2).max(mss);
-                    c.cwnd = mss;
+                    c.ssthresh = (c.cwnd / 2).max(MSS);
+                    c.cwnd = MSS;
                     c.rto_backoff += 1;
                     // Go-back-N: rewind to the oldest unacknowledged
                     // byte, prepending the in-flight bytes back onto the
@@ -534,7 +528,6 @@ fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, (host, conn): Args) {
     };
     match action {
         Some(RtoAction::Resyn { peer, src, dst }) => {
-            let window = sim.state.tcp_ref().config.recv_window;
             send_segment(
                 sim,
                 host,
@@ -545,7 +538,7 @@ fn on_rto<W: TcpWorld>(sim: &mut Sim<W>, (host, conn): Args) {
                     seq: 0,
                     ack: 0,
                     flags: FLAG_SYN,
-                    window,
+                    window: RECV_WINDOW,
                     payload: Bytes::new(),
                 },
             );
@@ -644,14 +637,12 @@ pub fn on_datagram<W: TcpWorld>(
                     let st = sim.state.tcp();
                     let id = st.next_conn;
                     st.next_conn += 1;
-                    let config = st.config.clone();
                     let mut c = new_conn(
                         id,
                         src,
                         seg.dst_port,
                         seg.src_port,
                         TcpStateKind::Established,
-                        &config,
                     );
                     c.peer_window = seg.window;
                     st.host_mut(host).conns.insert(id, c);
@@ -659,7 +650,6 @@ pub fn on_datagram<W: TcpWorld>(
                     id
                 };
                 // SYN|ACK.
-                let window = sim.state.tcp_ref().config.recv_window;
                 send_segment(
                     sim,
                     host,
@@ -670,7 +660,7 @@ pub fn on_datagram<W: TcpWorld>(
                         seq: 0,
                         ack: 0,
                         flags: FLAG_SYN | FLAG_ACK,
-                        window,
+                        window: RECV_WINDOW,
                         payload: Bytes::new(),
                     },
                 );
@@ -688,7 +678,6 @@ pub fn on_datagram<W: TcpWorld>(
 }
 
 fn on_segment<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64, seg: Segment) {
-    let mss = sim.state.tcp_ref().config.mss;
     let mut connected = false;
     let mut data_bytes = 0u64;
     let mut closed = false;
@@ -734,9 +723,9 @@ fn on_segment<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, conn: u64, seg: Segme
             }
             // Congestion control: slow start then AIMD.
             if c.cwnd < c.ssthresh {
-                c.cwnd += acked.min(mss);
+                c.cwnd += acked.min(MSS);
             } else {
-                c.cwnd += (mss * mss / c.cwnd).max(1);
+                c.cwnd += (MSS * MSS / c.cwnd).max(1);
             }
         }
         if seg.window > 0 {
@@ -793,13 +782,12 @@ fn sim_window(c: &TcpConn) -> u64 {
     // Advertised window: receive buffer minus undelivered backlog (the
     // application reads promptly in our workloads).
     let pending = c.delivered.len() as u64;
-    (64 * 1024u64).saturating_sub(pending).max(1024)
+    RECV_WINDOW.saturating_sub(pending).max(MSS)
 }
 
 /// Routing hook: the world's `deliver_quench` forwards here (§4.4: the
 /// RFC 896 reaction).
 pub fn on_quench<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, dropped_dst: HostId) {
-    let mss = sim.state.tcp_ref().config.mss;
     if !sim.state.tcp_ref().config.quench_reacts {
         return;
     }
@@ -815,8 +803,8 @@ pub fn on_quench<W: TcpWorld>(sim: &mut Sim<W>, host: HostId, dropped_dst: HostI
     for conn in conns {
         if let Some(c) = sim.state.tcp().conn_mut(host, conn) {
             c.stats.quenches.incr();
-            c.ssthresh = (c.cwnd / 2).max(mss);
-            c.cwnd = mss;
+            c.ssthresh = (c.cwnd / 2).max(MSS);
+            c.cwnd = MSS;
         }
     }
 }

@@ -177,7 +177,6 @@ pub fn e8_scenarios() -> Vec<Scenario> {
             tcp: TcpConfig {
                 quench_reacts,
                 rto: SimDuration::from_millis(500),
-                ..TcpConfig::default()
             },
             // e8_table counts the gateway's drop events.
             keep_events: true,

@@ -4,8 +4,8 @@
 //! knows *how* each fault lands on the network state: dead networks fail
 //! RMSs and reroute (§2 property 3), partitions filter the wire, burst
 //! models replace i.i.d. loss, stalls freeze transmitters, a host crash
-//! empties the host's transmit queues, fails its endpoints and answers the
-//! creates and invites it drops (its endpoints, reservations and pins stay
+//! empties the host's transmit queues, fails and removes its endpoints and
+//! answers the creates and invites it drops (its reservations and pins stay
 //! behind), and timer jitter perturbs the engine's schedule. Every
 //! application is announced as an [`ObsEvent::FaultInjected`] so chaos
 //! harnesses can account for injected faults in the metric registry.
@@ -95,15 +95,15 @@ pub fn stall_iface<W: NetWorld>(
 }
 
 /// Crash `host`: its transmit queues are discarded, every local RMS
-/// endpoint fails with [`FailReason::ResourcesRevoked`], and routing tables
-/// are marked dirty so the crashed host is no longer used as transit (its
-/// up neighbours re-flood to spread the word). Its creation attempts and
-/// invites are abandoned and answered after the endpoint failures, in
-/// ascending id order: a create with
+/// endpoint is removed and fails with [`FailReason::ResourcesRevoked`], and
+/// routing tables are marked dirty so the crashed host is no longer used as
+/// transit (its up neighbours re-flood to spread the word). Its creation
+/// attempts and invites are abandoned and answered after the endpoint
+/// failures, in ascending id order: a create with
 /// [`crate::state::NetRmsEvent::CreateFailed`], an invite with
 /// [`crate::state::NetRmsEvent::InviteFailed`], both `NoRoute`, since a
-/// crashed host routes nothing. Endpoints, reservations and forwarding
-/// pins stay behind (see DESIGN.md, "Fault model"). Idempotent.
+/// crashed host routes nothing. Reservations and forwarding pins stay
+/// behind (see DESIGN.md, "Fault model"). Idempotent.
 pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
     let net = sim.state.net();
     let h = net.host_mut(host);
@@ -116,13 +116,7 @@ pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
         // treat the packet as lost, and release the transmitter.
         iface.clear();
     }
-    let mut failed = Vec::new();
-    for (id, st) in h.rms.iter_mut() {
-        if !st.failed {
-            st.failed = true;
-            failed.push((host, *id));
-        }
-    }
+    let mut failed: Vec<_> = h.rms.keys().map(|id| (host, *id)).collect();
     let mut dropped: Vec<NetRmsId> = h.pending.keys().chain(h.invites.keys()).copied().collect();
     dropped.sort_unstable();
     // The witnesses are the crashed host's up neighbours, each once, in
@@ -143,9 +137,9 @@ pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
 }
 
 /// Bring a crashed host back. [`crash_host`] answered its creation
-/// attempts and invites but kept every endpoint (marked failed, and failed
-/// they stay), reservation and forwarding pin, and nothing releases them
-/// yet (see DESIGN.md, "Fault model"), so the host does not start empty.
+/// attempts and invites and removed its endpoints, but kept every
+/// reservation and forwarding pin, and nothing releases them yet (see
+/// DESIGN.md, "Fault model"), so the host does not start empty.
 /// Routing may use the host as transit again once it re-announces itself
 /// by flooding fresh link state. Idempotent.
 pub fn restart_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {

@@ -574,8 +574,9 @@ pub fn close_rms<W: NetWorld>(
 ///
 /// # Errors
 ///
-/// [`RmsError`] if the stream is unknown, failed, not a sender endpoint, or
-/// the message exceeds the maximum message size.
+/// [`RmsError`] if the stream is unknown (a failed or closed stream is
+/// gone), not a sender endpoint, or the message exceeds the maximum
+/// message size.
 pub fn send_on_rms<W: NetWorld>(
     sim: &mut Sim<W>,
     host: HostId,
@@ -594,9 +595,6 @@ pub fn send_on_rms<W: NetWorld>(
             .ok_or(RmsError::UnknownStream)?;
         if state.role != RmsRole::Sender {
             return Err(RmsError::WrongDirection);
-        }
-        if state.failed {
-            return Err(RmsError::Failed(FailReason::NetworkDown));
         }
         if msg.len() as u64 > state.params.max_message_size {
             return Err(RmsError::MessageTooLarge {
@@ -710,8 +708,8 @@ fn transmit_parked<W: NetWorld>(sim: &mut Sim<W>, (host, slot): Args) {
         unreachable!("only data packets wait for a send job")
     };
     let (plan, key) = match sim.state.net_ref().host(host).rms.get(&d.rms) {
-        Some(s) if !s.failed => (s.plan, s.key),
-        _ => return drop_packet(sim, host, DropCause::NoRms),
+        Some(s) => (s.plan, s.key),
+        None => return drop_packet(sim, host, DropCause::NoRms),
     };
     // Encryption flattens the body once, since it writes a new buffer
     // anyway; the MAC and the checksum read the segments in place.
@@ -1195,7 +1193,9 @@ fn answer_creator<W: NetWorld>(
 }
 
 /// A request reached its receiver: open the receiving endpoint, once (a
-/// retry of an accepted request is just re-acked), and confirm.
+/// retry of a request whose endpoint is live is just re-acked; one whose
+/// endpoint failed meanwhile finds it gone and opens a fresh one), and
+/// confirm.
 fn accept_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
     let src = packet.src;
     let PacketKind::CreateReq {
@@ -1397,7 +1397,7 @@ fn handle_data<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
     let (plan, params) = {
         let net = sim.state.net();
         match net.host(host).rms.get(&rms) {
-            Some(s) if s.role == RmsRole::Receiver && !s.failed => (s.plan, s.params.clone()),
+            Some(s) if s.role == RmsRole::Receiver => (s.plan, s.params.clone()),
             _ => return drop_packet(sim, host, DropCause::NoRms),
         }
     };
@@ -1481,7 +1481,7 @@ fn deliver_data<W: NetWorld>(
     let mut dropped = None;
     'verify: {
         let net = sim.state.net();
-        let Some(state) = (net.host_mut(host).rms.get_mut(&rms_id)).filter(|s| !s.failed) else {
+        let Some(state) = net.host_mut(host).rms.get_mut(&rms_id) else {
             // The stream failed or closed while the receive job waited.
             dropped = Some(DropCause::NoRms);
             break 'verify;
@@ -1559,10 +1559,7 @@ fn deliver_data<W: NetWorld>(
                 }
             } else {
                 state.reorder.insert(seq, (mk_msg(payload), sent_at));
-                if state.reorder.len() > REORDER_FAIL_THRESHOLD {
-                    state.failed = true;
-                    failed_stream = true;
-                }
+                failed_stream = state.reorder.len() > REORDER_FAIL_THRESHOLD;
             }
         } else {
             // Unreliable: deliver newest-in-order; count the gap as loss.
@@ -1634,10 +1631,9 @@ pub fn fail_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
     }
     net.network_mut(network).down = true;
     let mut failed = Vec::new();
-    for host in &mut net.hosts {
-        for (id, state) in host.rms.iter_mut() {
-            if !state.failed && state.path.contains(&network) {
-                state.failed = true;
+    for host in &net.hosts {
+        for (id, state) in &host.rms {
+            if state.path.contains(&network) {
                 failed.push((host.id, *id));
             }
         }
@@ -1649,9 +1645,9 @@ pub fn fail_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
     W::network_event(sim, network, false);
 }
 
-/// Restore a failed network. Existing RMSs stay failed (clients must create
-/// new ones, §4.4); new creations will succeed again. Upper layers hear
-/// about the recovery through [`NetWorld::network_event`]. Like
+/// Restore a failed network. The RMSs it failed are gone (clients must
+/// create new ones, §4.4); new creations will succeed again. Upper layers
+/// hear about the recovery through [`NetWorld::network_event`]. Like
 /// [`fail_network`], reconvergence is scoped: dirty tables plus a re-flood
 /// from the restored network's attached hosts.
 pub fn restore_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
@@ -1688,16 +1684,21 @@ pub(crate) fn reconverge<W: NetWorld>(sim: &mut Sim<W>, event: ObsEvent, witness
     }
 }
 
-/// Tell the owner of each endpoint in `failed` that it failed for
-/// `reason` (§2 property 3), in ascending `(host, rms)` order: endpoints
-/// are collected from hash maps, and replay must not depend on their
-/// iteration order.
+/// Remove each endpoint in `failed`, then tell its owner that it failed
+/// for `reason` (§2 property 3), in ascending `(host, rms)` order:
+/// endpoints are collected from hash maps, and replay must not depend on
+/// their iteration order. A failed endpoint keeps no record, so nothing
+/// is sent or delivered on it afterwards.
 pub(crate) fn report_failed<W: NetWorld>(
     sim: &mut Sim<W>,
     failed: &mut [(HostId, NetRmsId)],
     reason: FailReason,
 ) {
     failed.sort_unstable();
+    let net = sim.state.net();
+    for &(host, rms) in &*failed {
+        net.host_mut(host).rms.remove(&rms);
+    }
     for &(host, rms) in &*failed {
         W::rms_event(sim, host, NetRmsEvent::Failed { rms, reason });
     }

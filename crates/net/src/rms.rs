@@ -35,8 +35,8 @@ pub struct RmsStats {
 }
 
 /// When a reliable stream's reorder buffer exceeds this many messages the
-/// RMS is declared failed (a persistent gap means a message was lost despite
-/// ARQ — reliability can no longer be honoured, §2: failure is notified).
+/// RMS fails (a persistent gap means a message was lost despite ARQ —
+/// reliability can no longer be honoured, §2: failure is notified).
 pub const REORDER_FAIL_THRESHOLD: usize = 64;
 
 /// State of one network RMS endpoint.
@@ -57,8 +57,6 @@ pub struct NetRms {
     pub key: Key,
     /// Networks the stream's path traverses (for failure notification).
     pub path: Vec<NetworkId>,
-    /// Set when the stream has failed; sends are refused afterwards.
-    pub failed: bool,
     /// Sender side: next sequence number.
     pub next_seq: u64,
     /// Sender side: minimum transmission deadline for the next packet
@@ -97,7 +95,6 @@ impl NetRms {
             plan,
             key,
             path,
-            failed: false,
             next_seq: 0,
             last_tx_deadline: SimTime::ZERO,
             last_send_job_deadline: SimTime::ZERO,

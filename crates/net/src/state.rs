@@ -519,7 +519,8 @@ pub enum NetRmsEvent {
         /// Why.
         reason: RejectReason,
     },
-    /// An RMS endpoint at this host failed (§2 property 3).
+    /// An RMS endpoint at this host failed (§2 property 3); it is gone
+    /// from the host's table by the time its owner hears.
     Failed {
         /// The stream.
         rms: NetRmsId,

@@ -12,7 +12,7 @@ use dash_net::pipeline::{
     create_rms, create_rms_as_receiver, fail_network, send_datagram, send_on_rms,
 };
 use dash_net::state::{NetRmsEvent, NetState};
-use dash_net::topology::{two_hosts_ethernet, TopologyBuilder};
+use dash_net::topology::{dual_homed, two_hosts_ethernet, TopologyBuilder};
 use dash_net::NetworkId;
 use dash_sim::fault::{FaultKind, FaultPlan, GilbertElliott};
 use dash_sim::time::{SimDuration, SimTime};
@@ -405,4 +405,38 @@ fn scheduled_flap_plan_leaves_network_up_and_counts_faults() {
     assert_eq!(reg.counter_value("fault.network_up"), downs);
     // The network works again after the plan.
     let _ = establish(&mut sim, a, b);
+}
+
+/// A create whose network fails while its `CreateAck` is in flight is
+/// retried over the other network. The receiver's endpoint failed with the
+/// first network and is gone, so the retry opens a fresh one there instead
+/// of being re-acked onto the dead one, and the stream carries data.
+#[test]
+fn a_retry_reaching_a_failed_receiver_opens_a_fresh_endpoint() {
+    let (net, a, b) = dual_homed(1);
+    let mut sim = Sim::new(World::new(net));
+    let rms = create_rms(&mut sim, a, b, &RmsRequest::exact(basic_params())).unwrap();
+    // The receiver accepts the request and puts its ack on the wire.
+    while !sim.state.net.host(b).rms.contains_key(&rms) {
+        assert!(sim.step(), "the request reaches the receiver");
+    }
+    let first = sim.state.net.host(b).rms[&rms].path[0];
+    fail_network(&mut sim, first);
+    sim.run();
+    assert!(
+        sim.state.created().contains(&(a, rms)),
+        "the retry completed"
+    );
+    for i in 0..3 {
+        send_on_rms(&mut sim, a, rms, Message::new(vec![i; 64]), None, None).unwrap();
+    }
+    sim.run();
+    let reg = &sim.state.net.obs.registry;
+    assert_eq!(reg.counter_value("net.drop.no_rms"), 0);
+    assert_eq!(sim.state.deliveries.len(), 3, "every frame is delivered");
+    let path = &sim.state.net.host(b).rms[&rms].path;
+    assert!(
+        !path.contains(&first),
+        "the receiver holds the retry's path"
+    );
 }

@@ -174,9 +174,10 @@ fn network_failure_notifies_clients() {
     assert!(failed
         .iter()
         .all(|(_, r, reason)| *r == rms && *reason == FailReason::NetworkDown));
-    // Sends now fail.
+    // Both endpoints are gone, so sends now fail.
+    assert!(!sim.state.net.host(b).rms.contains_key(&rms));
     let err = send_on_rms(&mut sim, a, rms, Message::zeroes(10), None, None).unwrap_err();
-    assert!(matches!(err, rms_core::RmsError::Failed(_)));
+    assert_eq!(err, rms_core::RmsError::UnknownStream);
 }
 
 #[test]

@@ -288,11 +288,10 @@ fn fail_creates<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId, reason
     }
 }
 
-/// `host`'s stream `st_rms` will get no carrier: a create still waiting
-/// for its outcome is forgotten and fails with `reason`; an established
-/// stream (failing over) stays behind, detached and marked failed, so
-/// later sends return a typed [`RmsError::Failed`], and fails with
-/// [`FailReason::NetworkDown`]. Either way its client hears it once.
+/// `host`'s stream `st_rms` will get no carrier: it is removed, and its
+/// client hears once — a create still waiting for its outcome fails with
+/// `reason`, an established stream (failing over) with
+/// [`FailReason::NetworkDown`]. Later sends on it find no stream.
 fn give_up_stream<W: StWorld>(
     sim: &mut Sim<W>,
     host: HostId,
@@ -300,23 +299,18 @@ fn give_up_stream<W: StWorld>(
     reason: RejectReason,
 ) {
     let streams = &mut sim.state.st().host_mut(host).streams;
-    let Some(s) = streams.get_mut(&st_rms) else {
+    let Some(s) = streams.remove(&st_rms) else {
         return;
     };
-    let client = s.client;
     let event = if s.creating {
-        streams.remove(&st_rms);
         StEvent::CreateFailed { reason }
     } else {
-        s.failed = true;
-        s.failover_since = None;
-        s.carrier = None;
         StEvent::Failed {
             st_rms,
             reason: FailReason::NetworkDown,
         }
     };
-    W::st_event(sim, host, client, event);
+    W::st_event(sim, host, s.client, event);
 }
 
 /// A frame sent before authentication: the answer to the peer's Hello.
@@ -384,8 +378,8 @@ fn send_hello<W: StWorld>(sim: &mut Sim<W>, host: HostId, peer: HostId) {
 ///
 /// # Errors
 ///
-/// [`RmsError`] if the stream is unknown, not ready, failed, not a sender
-/// endpoint, or the message is too large.
+/// [`RmsError`] if the stream is unknown (a failed or closed stream is
+/// gone), not ready, not a sender endpoint, or the message is too large.
 pub fn send<W: StWorld>(
     sim: &mut Sim<W>,
     host: HostId,
@@ -401,9 +395,6 @@ pub fn send<W: StWorld>(
             .ok_or(RmsError::UnknownStream)?;
         if stream.role != StRole::Sender {
             return Err(RmsError::WrongDirection);
-        }
-        if stream.failed {
-            return Err(RmsError::Failed(FailReason::NetworkDown));
         }
         let carrier = stream.carrier.ok_or(RmsError::UnknownStream)?;
         if msg.len() as u64 > stream.params.max_message_size {
@@ -1126,7 +1117,6 @@ fn new_stream(
         last_send_job_deadline: SimTime::ZERO,
         last_recv_job_deadline: SimTime::ZERO,
         reassembly: Reassembly::new(),
-        failed: false,
         failover_since: None,
     }
 }
@@ -1137,7 +1127,7 @@ fn handle_data<W: StWorld>(sim: &mut Sim<W>, host: HostId, net_rms: NetRmsId, d:
     };
     let st_rms = d.st_rms;
     let exists = (sim.state.st_ref().host(host).streams.get(&st_rms))
-        .is_some_and(|s| s.role == StRole::Receiver && !s.failed);
+        .is_some_and(|s| s.role == StRole::Receiver);
     if !exists {
         drop_frame(sim, host, DropCause::NoStream);
         return;

@@ -28,17 +28,11 @@
 //! before the queue's minimum cannot join (no single deadline would serve
 //! both); the queue is flushed first.
 
-use bytes::BufMut;
 use dash_sim::time::SimTime;
 use rms_core::wire::{self, WireMsg};
 
 use crate::ids::StRmsId;
-
-/// Overhead bytes of a bundle wrapper (tag + count). Pinned against the
-/// encoder by `bundle_overhead_matches_encoder` in `wire`'s tests.
-pub const BUNDLE_OVERHEAD: u64 = 3;
-
-const TAG_BUNDLE: u8 = 2;
+use crate::wire::{put_bundle_header, BUNDLE_OVERHEAD};
 
 /// One message waiting in a piggybacking queue, already encoded.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,20 +176,20 @@ impl FlushedBundle<'_> {
     }
 
     /// Assemble the single network payload: the lone entry's frame as-is,
-    /// or a 3-byte bundle header followed by every entry's segments, in one
-    /// segment list sized for all of them up front (and recycled once the
-    /// bundle drops). No frame is re-encoded and no payload byte is copied.
+    /// or the bundle header `wire` writes followed by every entry's
+    /// segments, in one segment list sized for all of them up front (and
+    /// recycled once the bundle drops). No frame is re-encoded and no
+    /// payload byte is copied.
     pub fn encode(mut self) -> WireMsg {
         if self.entries.len() == 1 {
             return self.entries.next().expect("one entry").wire;
         }
-        let count = self.entries.len() as u16;
+        let count = self.entries.len();
         let entries = self.entries.as_slice();
         let mut out =
             WireMsg::with_capacity(1 + entries.iter().map(|e| e.wire.seg_count()).sum::<usize>());
         out.push(wire::header(BUNDLE_OVERHEAD as usize, |hdr| {
-            hdr.put_u8(TAG_BUNDLE);
-            hdr.put_u16(count);
+            put_bundle_header(hdr, count)
         }));
         for e in self.entries {
             out.append(&e.wire);

@@ -180,8 +180,6 @@ pub struct StStream {
     pub last_recv_job_deadline: SimTime,
     /// Receiver: reassembly state (§4.3).
     pub reassembly: Reassembly,
-    /// Set when the stream failed.
-    pub failed: bool,
     /// Sender: instant the stream lost its carrier to a network failure and
     /// began failing over; cleared (with a recovery-latency observation)
     /// when a replacement carrier is ready.
@@ -353,7 +351,8 @@ pub enum StEvent {
         /// Why.
         reason: RejectReason,
     },
-    /// A stream failed.
+    /// A stream failed; it is gone from the host's table by the time its
+    /// client hears.
     Failed {
         /// The stream.
         st_rms: StRmsId,

@@ -181,6 +181,16 @@ const FLAG_SOURCE: u8 = 4;
 const FLAG_TARGET: u8 = 8;
 const FLAG_SPAN: u8 = 16;
 
+/// Bytes of a bundle's header: its tag and its frame count.
+pub const BUNDLE_OVERHEAD: u64 = 3;
+
+/// Write the header of a bundle of `count` frames ([`BUNDLE_OVERHEAD`]
+/// bytes); the frames follow it back to back.
+pub(crate) fn put_bundle_header(buf: &mut BytesMut, count: usize) {
+    buf.put_u8(TAG_BUNDLE);
+    buf.put_u16(count as u16);
+}
+
 /// Write `d`'s header fields — everything up to and including the payload
 /// length prefix, but not the payload itself — into `buf`.
 fn put_data_header(buf: &mut BytesMut, d: &DataFrame) {
@@ -330,9 +340,9 @@ pub fn encode(frame: &Frame) -> WireMsg {
             // All headers go into one arena; the frame payloads are
             // interleaved between zero-copy slices of it.
             let mut cuts = Vec::with_capacity(frames.len());
-            let arena = wire::header(3 + MAX_DATA_HEADER * frames.len(), |buf| {
-                buf.put_u8(TAG_BUNDLE);
-                buf.put_u16(frames.len() as u16);
+            let room = BUNDLE_OVERHEAD as usize + MAX_DATA_HEADER * frames.len();
+            let arena = wire::header(room, |buf| {
+                put_bundle_header(buf, frames.len());
                 for d in frames {
                     put_data_header(buf, d);
                     cuts.push(buf.len());
@@ -850,6 +860,7 @@ mod tests {
         let d = sample_data(0, 10);
         let single = encode(&Frame::Data(d.clone())).len();
         let bundle = encode(&Frame::Bundle(vec![d.clone(), d])).len();
-        assert_eq!(bundle, 3 + 2 * single);
+        assert_eq!(BUNDLE_OVERHEAD, 3);
+        assert_eq!(bundle, BUNDLE_OVERHEAD as usize + 2 * single);
     }
 }

@@ -459,8 +459,10 @@ fn network_failure_fails_st_streams() {
         "sender stream should fail: {:?}",
         sim.state.st_events
     );
+    // The failed stream is gone, so sends now fail.
+    assert!(!sim.state.st.host(a).streams.contains_key(&st_rms));
     let err = engine::send(&mut sim, a, st_rms, Message::new(vec![0u8; 8])).unwrap_err();
-    assert!(matches!(err, RmsError::Failed(_)));
+    assert_eq!(err, RmsError::UnknownStream);
 }
 
 #[test]

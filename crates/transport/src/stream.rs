@@ -482,8 +482,6 @@ pub struct Session {
     pub role: StreamRole,
     /// Statistics.
     pub stats: SessionStats,
-    /// Set once the session failed/ended.
-    pub failed: bool,
     /// The mechanisms in force: the sender's from its profile, the
     /// receiver's from the Hello.
     mech: Mechanisms,
@@ -779,11 +777,8 @@ pub fn send(
 ) -> Result<(), WouldBlock> {
     let blocked = {
         let Some(s) = sim.state.stream.session_mut(host, session) else {
-            return Ok(()); // unknown/closed session: drop silently
+            return Ok(()); // unknown or ended session: drop silently
         };
-        if s.failed {
-            return Ok(());
-        }
         match s.port.offer(msg) {
             Ok(()) => None,
             Err(e) => {
@@ -826,9 +821,6 @@ fn pump(sim: &mut Sim<Stack>, host: HostId, session: u64) {
             let Some(s) = sim.state.stream.session_mut(host, session) else {
                 return;
             };
-            if s.failed {
-                return;
-            }
             let Some(st_rms) = s.data_out else { return };
             let Some(next) = s.port.peek() else {
                 // Port drained: wake a blocked sender.
@@ -966,7 +958,7 @@ fn on_rto(sim: &mut Sim<Stack>, (host, session): Args) {
             return;
         };
         s.rto_timer = None;
-        if s.failed || s.unacked.is_empty() {
+        if s.unacked.is_empty() {
             return;
         }
         // Bounded retry: past it the peer (or the path) is gone — surface
@@ -998,9 +990,6 @@ fn retransmit_head(sim: &mut Sim<Stack>, host: HostId, session: u64, cause: Retr
         let Some(s) = sim.state.stream.session_mut(host, session) else {
             return;
         };
-        if s.failed {
-            return;
-        }
         match (s.data_out, s.unacked.front().cloned()) {
             (Some(st_rms), Some(head)) => {
                 s.stats.retransmitted.incr();
@@ -1109,8 +1098,17 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, client: Client, event: St
         (StEvent::Failed { reason, .. }, _) => {
             end(sim, host, session, EndReason::ChannelFailed(reason));
         }
-        (StEvent::Closed { .. }, _) => {
-            end(sim, host, session, EndReason::Closed);
+        // A sender closed with sends still unacknowledged has not
+        // delivered them: that end is a typed failure, not a close.
+        (StEvent::Closed { .. }, role) => {
+            let outstanding = role == StreamRole::Tx
+                && (sim.state.stream.session(host, session)).is_some_and(|s| !s.unacked.is_empty());
+            let reason = if outstanding {
+                EndReason::ChannelFailed(FailReason::ClosedByPeer)
+            } else {
+                EndReason::Closed
+            };
+            end(sim, host, session, reason);
         }
         (StEvent::FastAck { seq, .. }, _) => {
             if let Some(s) = sim.state.stream.session_mut(host, session) {
@@ -1126,36 +1124,25 @@ pub fn on_st_event(sim: &mut Sim<Stack>, host: HostId, client: Client, event: St
     }
 }
 
-/// Tear down `session` once — a session already ended ignores the events
-/// of its other lanes — and surface a typed [`StreamEvent::Ended`] to the
-/// application.
+/// Tear down `session` once: cancel its timers, remove it — the events of
+/// its other lanes and every later send, ack or delivery find no session —
+/// and surface a typed [`StreamEvent::Ended`] to the application.
 fn end(sim: &mut Sim<Stack>, host: HostId, session: u64, reason: EndReason) {
-    let existed = {
-        match sim.state.stream.session_mut(host, session) {
-            Some(s) if !s.failed => {
-                s.failed = true;
-                if let Some(t) = s.rto_timer.take() {
-                    t.cancel();
-                }
-                if let Some(t) = s.ack_timer.take() {
-                    t.cancel();
-                }
-                true
-            }
-            _ => false,
-        }
+    let Some(s) = sim.state.stream.host_mut(host).sessions.remove(&session) else {
+        return;
     };
-    if existed {
-        emit(
-            sim,
-            ObsEvent::StreamEnd {
-                host: host.0,
-                session,
-                failed: !matches!(reason, EndReason::Closed),
-            },
-        );
-        fire(sim, host, StreamEvent::Ended { session, reason });
+    for timer in [s.rto_timer, s.ack_timer].into_iter().flatten() {
+        timer.cancel();
     }
+    emit(
+        sim,
+        ObsEvent::StreamEnd {
+            host: host.0,
+            session,
+            failed: !matches!(reason, EndReason::Closed),
+        },
+    );
+    fire(sim, host, StreamEvent::Ended { session, reason });
 }
 
 /// A stream lane appeared at `host`, opened by `peer` with `header`: build
@@ -1286,9 +1273,6 @@ fn handle_data(
             );
             return;
         };
-        if s.failed {
-            return;
-        }
         let len = payload.len() as u64;
         if s.mech.reliable {
             if seq > s.frontier {

@@ -418,6 +418,30 @@ fn a_dead_path_backs_off_and_exhausts_the_retry_budget() {
     assert_eq!(times, want, "backoff");
 }
 
+/// An ended sender is gone. With every data packet after the first lost,
+/// the sender exhausts its retries while the receiving application still
+/// holds the one message that got through; when it consumes it, the
+/// window update reaches a sender that has ended, and schedules nothing.
+#[test]
+fn a_late_ack_for_an_ended_sender_schedules_nothing() {
+    let mut rig = Rig::wan(StreamProfile {
+        receiver_fc: true,
+        ..reliable()
+    });
+    rig.consume_at_delivery.set(false);
+    rig.lose(|p| matches!(p, Pkt::Data { seq, .. } if seq >= 2));
+    rig.send(3, 200);
+    rig.run();
+    assert_eq!(rig.seqs(), [0, 1]);
+    assert_eq!(*rig.ended.borrow(), [EndReason::RetriesExhausted]);
+    assert_eq!(rig.sim.events_pending(), 0);
+    stream::consume(&mut rig.sim, rig.b, rig.session, 200);
+    let acked = rig.one_way.saturating_mul(4);
+    rig.run_for(acked);
+    assert_eq!(rig.sim.events_pending(), 0, "the late ack armed a timer");
+    assert!(rig.sim.state.stream.session(rig.a, rig.session).is_none());
+}
+
 /// (iv) Losing acks is not losing data. A later cumulative ack covers a
 /// lost one; with every ack lost the only retransmission is the timeout's,
 /// and the re-ack its duplicate draws (same `cum_seq`, no gap) asks for

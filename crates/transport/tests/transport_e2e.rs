@@ -639,6 +639,44 @@ fn stream_failure_surfaces_ended_event() {
     );
 }
 
+/// An RMS that ends leaves its table. The only network of a two-host LAN
+/// goes down for good in the middle of a voice flow: the sending session
+/// ends with a typed failure, and at quiescence the sender holds no
+/// network endpoint, no ST stream and no session.
+#[test]
+fn a_dead_network_leaves_the_senders_tables_empty() {
+    let (mut sim, a, b) = stack2();
+    let ended = Rc::new(RefCell::new(Vec::new()));
+    let e2 = Rc::clone(&ended);
+    sim.state.on_stream(a, move |_s, ev| {
+        if let StreamEvent::Ended { session, reason } = ev {
+            e2.borrow_mut().push((session, reason));
+        }
+    });
+    let session = stream::open(&mut sim, a, b, StreamProfile::voice()).unwrap();
+    sim.run();
+    for i in 0..20u8 {
+        if i == 10 {
+            apply_fault(&mut sim, &FaultKind::NetworkDown { network: 0 });
+        }
+        let _ = stream::send(&mut sim, a, session, Message::new(vec![i; 160]));
+        let next = sim.now() + SimDuration::from_millis(20);
+        sim.run_until(next);
+    }
+    sim.run();
+    let down = rms_core::error::FailReason::NetworkDown;
+    let reason = stream::EndReason::ChannelFailed(down);
+    assert_eq!(*ended.borrow(), vec![(session, reason)]);
+    let endpoints = sim.state.net.host(a).rms.len();
+    assert_eq!(endpoints, 0, "network endpoints left at the sender");
+    let streams = sim.state.st.host(a).streams.len();
+    assert_eq!(streams, 0, "ST streams left at the sender");
+    assert!(
+        sim.state.stream.session(a, session).is_none(),
+        "session left"
+    );
+}
+
 #[test]
 fn timestamps_monotone_on_delivery() {
     let (mut sim, a, b) = stack2();

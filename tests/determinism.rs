@@ -68,9 +68,18 @@ fn mix_counts(o: &Outcome) -> [u64; 4] {
 /// crashed host at once, instead of dropping every retry as `host_down`
 /// until a timeout, took 13095 → 12987 events here and 13274 → 13226
 /// under e12; messages, opens and refusals did not move.
-const E10_CI: [u64; 4] = [12987, 1071, 29, 4];
+///
+/// Re-pinned once when a failed network endpoint began to be removed
+/// instead of marked: the drill fails a churn create's receiving endpoint
+/// while its ack is in flight, and the creator's retry used to be re-acked
+/// onto the dead endpoint, which dropped all four of the session's
+/// messages as `net.drop.no_rms`. The retry now opens a fresh endpoint and
+/// the four are delivered: messages 1071 → 1075 (1072 → 1076 under e12),
+/// events 12987 → 12995 (13226 → 13234). `routing_ci` and the `E11_*` rows
+/// did not move.
+const E10_CI: [u64; 4] = [12995, 1075, 29, 4];
 /// The parallel executor (e12) at `ci` and `routing_ci`, any shard count.
-const E12_CI: [u64; 4] = [13226, 1072, 29, 4];
+const E12_CI: [u64; 4] = [13234, 1076, 29, 4];
 const E12_ROUTING_CI: [u64; 4] = [12605, 1099, 27, 6];
 
 /// `[events, floods, recomputes, alternate_wins, recoveries,

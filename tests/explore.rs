@@ -18,7 +18,7 @@ use std::path::Path;
 use common::{assert_replays, report_key};
 use dash::apps::scenario::{run, Backend, Scenario, Verdict};
 use dash::apps::traffic::{Flow, Probe, RpcFlow, TcpFlow, TcpWork, WindowFlow};
-use dash::prelude::SimDuration;
+use dash::prelude::{ObsEvent, SimDuration};
 use dash_bench::explore::{explore, run_scenario, ExploreConfig, Genome, A, B};
 use dash_bench::{replay, shrink};
 
@@ -264,4 +264,58 @@ fn stored_repro_has_one_verdict_on_every_backend() {
     for (b, v) in backends.iter().zip(verdicts(&disarmed)) {
         assert!(v.is_clean(), "{b:?}: {v}");
     }
+}
+
+/// The explorer's find of a reliable sender closed with sends outstanding
+/// (seed 1: one deterministic 64 KiB bulk flow a → b, an RPC pair and a
+/// 64 B TCP transfer b → a, 1 ms jitter and 14 faults around two crashes of
+/// b). After b's restart, b's ST closes the session's ack lane while three
+/// accepted sends are unacknowledged.
+const CLOSED_UNACKED: &str = "\
+dash replay v3
+seed 1
+force_admission false
+flow bulk 0 1 5000000 3 80000000 - 256 65536 1024 100000000 2000 det none true false 65536 500000000
+rpc 1 0 7 3 40000000 10000000 64 256
+tcp 1 0 bulk 64
+fault 0 timer_jitter 14559172787057043537 1000000
+fault 30847000 host_crash 1
+fault 111350000 network_down 0
+fault 140718000 partition 0 1
+fault 169796000 heal_partition 0 1
+fault 171765000 partition 0 1
+fault 212561000 network_up 0
+fault 276630000 heal_partition 0 1
+fault 289449000 host_restart 1
+fault 460910000 partition 0 1
+fault 488654000 heal_partition 0 1
+fault 935863000 burst_loss_start 0 0.20369185627369218 0.23970016160179977 0.004498977033908884 0.5577965222264754
+fault 956207000 host_crash 1
+fault 1023467000 host_restart 1
+fault 1098929000 burst_loss_end 0
+";
+
+/// A sender whose lane is closed under it with sends unacknowledged has
+/// not delivered them: it ends as a typed failure (`StreamEnd { failed:
+/// true }`), not as a close, so the run is clean.
+#[test]
+fn a_sender_closed_with_sends_outstanding_ends_failed() {
+    let genome = replay::parse(CLOSED_UNACKED).expect("the find parses");
+    assert_eq!(replay::to_text(&genome), CLOSED_UNACKED);
+    let report = run_scenario(&genome);
+    assert!(report.verdict.is_clean(), "{}", report.verdict);
+    let totals = (report.verdict.delivered, report.verdict.typed_failures);
+    assert_eq!(totals, (0, 1), "delivered, typed failures");
+    let out = run(&genome.scenario(), Backend::Serial);
+    let failed_end = (out.stream.iter()).any(|(_, e)| {
+        matches!(
+            e,
+            ObsEvent::StreamEnd {
+                host: 0,
+                session: 1,
+                failed: true
+            }
+        )
+    });
+    assert!(failed_end, "the sender's session ends failed");
 }
