@@ -11,30 +11,59 @@ use rms_core::wire::WireMsg;
 
 use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::routing::lsdb::LinkStateAd;
+use crate::routing::{Leg, Path};
 
-/// An explicit hop-by-hop route pinned into a packet by the creator (or by
-/// a replying hop, for the reverse direction). RMS establishment uses this
-/// to steer `CreateReq`/`CreateAck`/`CreateNak` along a *chosen* alternate
-/// path rather than whatever each hop's table happens to say, so admission
-/// walks exactly the path the route computation admitted.
+/// A route computation's [`Path`] pinned into an establishment packet: a
+/// `CreateReq` walks it forward from the creator, and its `CreateAck` or
+/// `CreateNak` walks it back, so admission, its answer and its undoing
+/// cross exactly the legs route computation chose, whatever each hop's
+/// table says meanwhile. Every copy shares the one path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceRoute {
-    /// Remaining-and-past hops, ending with the final destination. The
-    /// originating host is *not* listed. `hops[i]` is reached by crossing
-    /// `networks[i]`.
-    pub hops: Vec<HostId>,
-    /// `networks[i]` connects `hops[i-1]` (or the originator, for `i == 0`)
-    /// to `hops[i]`. Same length as `hops`.
-    pub networks: Vec<NetworkId>,
-    /// Index of the hop the packet is currently traveling toward.
+    /// The path, creator to peer.
+    pub path: Path,
+    /// Legs walked so far: the packet is crossing, or about to cross, the
+    /// leg after them.
     pub next: usize,
+    /// Which way the packet walks the path.
+    pub direction: Direction,
+}
+
+/// The way a [`SourceRoute`] walks its path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// From the creator toward the peer: a `CreateReq`.
+    Forward,
+    /// Back toward the creator: an answer from the host `path[from].to`.
+    Back {
+        /// The index of the answering host's leg.
+        from: usize,
+    },
 }
 
 impl SourceRoute {
-    /// Leg `i`: the network to cross and the host it reaches, if the route
-    /// has that many legs. The packet's next leg is `leg(self.next)`.
-    pub fn leg(&self, i: usize) -> Option<(NetworkId, HostId)> {
-        Some((*self.networks.get(i)?, *self.hops.get(i)?))
+    /// The leg crossed after `walked` legs, if the route has one. Walking
+    /// back, the path's first leg leads to `creator`, which the path does
+    /// not list.
+    pub fn leg(&self, walked: usize, creator: HostId) -> Option<Leg> {
+        match self.direction {
+            Direction::Forward => self.path.get(walked).copied(),
+            Direction::Back { from } => {
+                let i = from.checked_sub(walked)?;
+                let network = self.path.get(i)?.network;
+                let to = i.checked_sub(1).map_or(creator, |j| self.path[j].to);
+                Some(Leg { network, to })
+            }
+        }
+    }
+
+    /// The hosts the route names on the wire: the whole path forward, the
+    /// ones back to the creator (the creator included) from an answer.
+    fn hosts_named(&self) -> u64 {
+        match self.direction {
+            Direction::Forward => self.path.len() as u64,
+            Direction::Back { from } => from as u64 + 1,
+        }
     }
 }
 
@@ -90,8 +119,6 @@ pub enum PacketKind {
         rms: NetRmsId,
         /// The negotiated parameters being reserved.
         params: SharedParams,
-        /// Networks traversed so far (for failure notification).
-        path: Vec<crate::ids::NetworkId>,
         /// Set when this request answers a receiver-side create (invite).
         invite: bool,
     },
@@ -99,8 +126,6 @@ pub enum PacketKind {
     CreateAck {
         /// The created RMS.
         rms: NetRmsId,
-        /// Networks on the forward path (receiver echoes them back).
-        path: Vec<crate::ids::NetworkId>,
     },
     /// Negative reply; hops that reserved for `rms` release on sight.
     CreateNak {
@@ -215,10 +240,7 @@ impl Packet {
 
     /// Total bytes this packet occupies on the wire.
     pub fn wire_bytes(&self) -> u64 {
-        let route = self
-            .source_route
-            .as_ref()
-            .map_or(0, |sr| 4 * sr.hops.len() as u64);
+        let route = (self.source_route.as_ref()).map_or(0, |sr| 4 * sr.hosts_named());
         BASE_HEADER_BYTES + route + self.kind_bytes()
     }
 
@@ -240,9 +262,16 @@ impl Packet {
                 }
                 n
             }
-            // Control packets: fixed small encodings.
-            PacketKind::CreateReq { path, .. } => 64 + 4 * path.len() as u64,
-            PacketKind::CreateAck { path, .. } => 24 + 4 * path.len() as u64,
+            // Control packets: fixed small encodings. A request lists the
+            // networks it has crossed, the one it is crossing included, and
+            // an ack every network of the path: 4 bytes each, read off the
+            // source route they walk.
+            PacketKind::CreateReq { .. } => {
+                64 + (self.source_route.as_ref()).map_or(0, |sr| 4 * (sr.next as u64 + 1))
+            }
+            PacketKind::CreateAck { .. } => {
+                24 + (self.source_route.as_ref()).map_or(0, |sr| 4 * sr.path.len() as u64)
+            }
             PacketKind::CreateNak { .. } => 24,
             PacketKind::Invite { .. } => 64,
             PacketKind::Release { .. } => 8,

@@ -25,9 +25,9 @@ use rms_core::wire::WireMsg;
 
 use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::network::WireOutcome;
-use crate::packet::{DataPacket, NakReason, Packet, PacketKind, SourceRoute};
+use crate::packet::{DataPacket, Direction, NakReason, Packet, PacketKind, SourceRoute};
 use crate::rms::{NetRms, RmsRole, REORDER_FAIL_THRESHOLD};
-use crate::routing::{self, CandidatePath};
+use crate::routing::{self, CandidatePath, Leg};
 use crate::state::{
     emit, Hold, NetRmsEvent, NetState, NetWorld, PendingCreate, PendingInvite, Route,
     CREATE_RETRIES, CREATE_TIMEOUT, TTL,
@@ -40,28 +40,14 @@ use crate::state::{
 /// Combine the service tables of every network along `path` (store-and-
 /// forward: fixed and per-byte delays add, capacities take the minimum,
 /// error rates accumulate, the weakest kind wins). Only combinations
-/// supported by *every* hop survive.
-pub fn combined_service_table<W: NetWorld>(
-    state: &W,
-    path: &[(HostId, usize, NetworkId, HostId)],
-) -> ServiceTable {
-    combined_service_table_on(state.net_ref(), path.iter().map(|&(_, _, n, _)| n))
-}
-
-/// [`combined_service_table`] over the networks a path crosses, in hop
-/// order, against a bare [`NetState`] (used by the routing subsystem,
-/// which negotiates per candidate path). Folds hop by hop into one table.
-pub fn combined_service_table_on(
-    net: &NetState,
-    networks: impl IntoIterator<Item = NetworkId>,
-) -> ServiceTable {
-    let mut networks = networks.into_iter();
-    let Some(first) = networks.next() else {
+/// supported by *every* hop survive. Folds hop by hop into one table.
+pub fn combined_service_table(net: &NetState, path: &[Leg]) -> ServiceTable {
+    let Some((first, rest)) = path.split_first() else {
         return ServiceTable::new();
     };
-    let mut out = net.network(first).service_table().clone();
-    for n in networks {
-        let hop = net.network(n).service_table();
+    let mut out = net.network(first.network).service_table().clone();
+    for leg in rest {
+        let hop = net.network(leg.network).service_table();
         out.retain_mut(|rel, sec, acc| {
             let Some(l) = hop.limits(rel, sec) else {
                 return false;
@@ -80,13 +66,10 @@ pub fn combined_service_table_on(
     out
 }
 
-/// Combine the security capabilities of the networks a path crosses: the
+/// Combine the security capabilities of the networks `path` crosses: the
 /// conservative intersection (everything must be trusted for the path to
 /// be trusted; the raw error rates accumulate).
-pub fn combined_capabilities_on(
-    net: &NetState,
-    networks: impl IntoIterator<Item = NetworkId>,
-) -> NetworkCapabilities {
+pub fn combined_capabilities(net: &NetState, path: &[Leg]) -> NetworkCapabilities {
     let mut caps = NetworkCapabilities {
         trusted: true,
         link_encryption: true,
@@ -94,8 +77,8 @@ pub fn combined_capabilities_on(
         physical_broadcast: true,
         raw_ber: 0.0,
     };
-    for n in networks {
-        let c = net.network(n).spec.caps;
+    for leg in path {
+        let c = net.network(leg.network).spec.caps;
         caps.trusted &= c.trusted;
         caps.link_encryption &= c.link_encryption;
         caps.hardware_checksum &= c.hardware_checksum;
@@ -208,7 +191,7 @@ pub fn create_rms_as_receiver<W: NetWorld>(
         .net_ref()
         .path(peer, creator)
         .ok_or(RmsError::CreationRejected(RejectReason::NoRoute))?;
-    let table = combined_service_table(&sim.state, &path);
+    let table = combined_service_table(sim.state.net_ref(), &path);
     let params = negotiate(&table, request)?.shared();
 
     let rms = sim.state.net().alloc_rms_id();
@@ -318,8 +301,8 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
             give_up_create(sim, creator, rms, reason);
             return;
         };
-        let (leg, params) = ((c.networks[0], c.hops[0]), c.params.clone());
-        match reserve_leg(net, now, creator, rms, Some(leg), &params) {
+        let (leg, params) = (c.path.first().copied(), c.params.clone());
+        match reserve_leg(net, now, creator, rms, leg, &params) {
             Ok(_) => break,
             Err(detail) => {
                 admission_detail = detail.or(admission_detail);
@@ -340,19 +323,18 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
     // emit: the hop list costs an allocation per creation.
     let pinned: Option<Vec<u32>> = (net.obs.is_active()).then(|| {
         std::iter::once(creator.0)
-            .chain(c.hops.iter().map(|h| h.0))
+            .chain(c.path.iter().map(|l| l.to.0))
             .collect()
     });
     let kind = PacketKind::CreateReq {
         rms,
         params: c.params.clone(),
-        path: vec![c.networks[0]],
         invite: p.invite,
     };
     let source_route = SourceRoute {
-        hops: c.hops.clone(),
-        networks: c.networks.clone(),
+        path: c.path.clone(),
         next: 0,
+        direction: Direction::Forward,
     };
     let packet = Packet {
         next_plan: Some((c.plan, p.key)),
@@ -411,33 +393,30 @@ pub(crate) fn give_up_invite<W: NetWorld>(
 }
 
 /// One hop's step of establishment, the same at the creator's first hop
-/// and at every transit hop: `leg`, the network to cross and the host it
-/// reaches, must be up and leave from one of `host`'s interfaces;
+/// and at every transit hop: `leg` must cross an up network from one of
+/// `host`'s interfaces;
 /// admission (§2.3, [`admit_hop`]) then reserves `params` there, and `rms`
 /// is pinned to the leg so data and teardown follow the reservation even
-/// after reconvergence moves the table. Returns the leg's network. A
-/// refused leg leaves nothing held here and says why: `None` when there is
+/// after reconvergence moves the table. A refused leg leaves nothing held here and says why: `None` when there is
 /// no usable leg, the ledger's explanation when admission refused.
 fn reserve_leg(
     net: &mut NetState,
     now: SimTime,
     host: HostId,
     rms: NetRmsId,
-    leg: Option<(NetworkId, HostId)>,
+    leg: Option<Leg>,
     params: &SharedParams,
-) -> Result<NetworkId, Option<String>> {
-    let route = leg.and_then(|(network, next_hop)| {
-        let up = net
-            .networks
-            .get(network.0 as usize)
-            .is_some_and(|n| !n.down);
-        let iface = net.host(host).iface_on(network).filter(|_| up)?;
-        Some((network, Route { iface, next_hop }))
+) -> Result<(), Option<String>> {
+    let route = leg.and_then(|leg| {
+        let up = (net.networks.get(leg.network.0 as usize)).is_some_and(|n| !n.down);
+        let iface = net.host(host).iface_on(leg.network).filter(|_| up)?;
+        Some(Route {
+            iface,
+            next_hop: leg.to,
+        })
     });
     let verdict = match route {
-        Some((network, route)) => admit_hop(net, now, host, route, rms, params)
-            .map(|()| network)
-            .map_err(Some),
+        Some(route) => admit_hop(net, now, host, route, rms, params).map_err(Some),
         None => Err(None),
     };
     if verdict.is_err() {
@@ -770,10 +749,12 @@ pub fn route_and_enqueue<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet
         return true;
     }
     let route = if let Some(sr) = packet.source_route.as_ref() {
-        let net = sim.state.net_ref();
-        sr.leg(sr.next).and_then(|(network, next_hop)| {
-            let iface = net.host(host).iface_on(network)?;
-            Some(Route { iface, next_hop })
+        sr.leg(sr.next, packet.dst).and_then(|leg| {
+            let iface = sim.state.net_ref().host(host).iface_on(leg.network)?;
+            Some(Route {
+                iface,
+                next_hop: leg.to,
+            })
         })
     } else {
         let rms = match &packet.kind {
@@ -1116,32 +1097,7 @@ fn forward<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packet) {
     route_and_enqueue(sim, host, packet);
 }
 
-/// Build the reverse of `sr` as seen from the host at `sr.hops[at_index]`
-/// (or, for the receiver endpoint, the final hop): the path back to
-/// `creator` over exactly the networks the request traveled, so ACKs and
-/// NAKs retrace the reservations they confirm or undo. A route too short
-/// for `at_index` (forged, or truncated) has no reverse: the reply then
-/// goes by table.
-fn reverse_route(sr: &SourceRoute, at_index: usize, creator: HostId) -> Option<SourceRoute> {
-    if at_index >= sr.networks.len() || at_index > sr.hops.len() {
-        return None;
-    }
-    let mut hops = Vec::with_capacity(at_index + 1);
-    let mut networks = Vec::with_capacity(at_index + 1);
-    for j in (0..at_index).rev() {
-        hops.push(sr.hops[j]);
-        networks.push(sr.networks[j + 1]);
-    }
-    hops.push(creator);
-    networks.push(sr.networks[0]);
-    Some(SourceRoute {
-        hops,
-        networks,
-        next: 0,
-    })
-}
-
-fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packet) {
+fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
     if packet.dst == host {
         return accept_create_req(sim, host, packet);
     }
@@ -1149,34 +1105,29 @@ fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Pa
     // creator's source route and forward the request in place, or refuse.
     let now = sim.now();
     let PacketKind::CreateReq {
-        rms,
-        ref params,
-        ref mut path,
-        ..
+        rms, ref params, ..
     } = packet.kind
     else {
         unreachable!()
     };
-    let leg = (packet.source_route.as_ref()).and_then(|sr| sr.leg(sr.next + 1));
+    let sr = packet.source_route.as_ref();
+    let leg = sr.and_then(|sr| sr.leg(sr.next + 1, packet.dst));
     match reserve_leg(sim.state.net(), now, host, rms, leg, params) {
-        Ok(network) => {
-            path.push(network);
-            forward(sim, host, packet);
-        }
+        Ok(()) => forward(sim, host, packet),
         Err(detail) => {
             let reason = match detail {
                 Some(_) => NakReason::Admission,
                 None => NakReason::NoRoute,
             };
             let nak = PacketKind::CreateNak { rms, reason };
-            answer_creator(sim, host, packet.src, packet.source_route.as_ref(), nak);
+            answer_creator(sim, host, packet.src, sr, nak);
         }
     }
 }
 
-/// Answer a `CreateReq` from `host` to its creator `src`, retracing the
-/// request's source route `sr` so the answer cannot be detoured by a
-/// concurrent route change.
+/// Answer a `CreateReq` from `host` to its creator `src`, walking the
+/// request's source route `sr` back from here so the answer cannot be
+/// detoured by a concurrent route change.
 fn answer_creator<W: NetWorld>(
     sim: &mut Sim<W>,
     host: HostId,
@@ -1186,7 +1137,11 @@ fn answer_creator<W: NetWorld>(
 ) {
     let now = sim.now();
     let packet = Packet {
-        source_route: sr.and_then(|sr| reverse_route(sr, sr.next, src)),
+        source_route: sr.map(|sr| SourceRoute {
+            path: sr.path.clone(),
+            next: 0,
+            direction: Direction::Back { from: sr.next },
+        }),
         ..Packet::control(host, src, kind, now)
     };
     route_and_enqueue(sim, host, packet);
@@ -1201,12 +1156,12 @@ fn accept_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
     let PacketKind::CreateReq {
         rms,
         params,
-        path,
         invite,
     } = packet.kind
     else {
         unreachable!()
     };
+    let sr = packet.source_route.as_ref();
     let is_new = !sim.state.net_ref().host(host).rms.contains_key(&rms);
     if is_new {
         let (plan, key) = packet.next_plan.unwrap_or((MechanismPlan::NONE, Key(0)));
@@ -1217,12 +1172,11 @@ fn accept_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
             params.clone(),
             plan,
             key,
-            path.clone(),
+            sr.map(|sr| sr.path.clone()).unwrap_or_default(),
         );
         sim.state.net().host_mut(host).rms.insert(rms, endpoint);
     }
-    let ack = PacketKind::CreateAck { rms, path };
-    answer_creator(sim, host, src, packet.source_route.as_ref(), ack);
+    answer_creator(sim, host, src, sr, PacketKind::CreateAck { rms });
     if !is_new {
         return;
     }
@@ -1309,8 +1263,7 @@ fn handle_release<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packe
 }
 
 fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
-    // The ack is consumed here; move the path out instead of cloning it.
-    let PacketKind::CreateAck { rms, path } = packet.kind else {
+    let PacketKind::CreateAck { rms } = packet.kind else {
         unreachable!()
     };
     // Only the stream's peer answers its request; anything else is a
@@ -1319,13 +1272,13 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
     if pending.get(&rms).is_none_or(|p| p.peer != packet.src) {
         return;
     }
-    let pending = pending.remove(&rms).expect("checked above");
+    let mut pending = pending.remove(&rms).expect("checked above");
     if let Some(t) = pending.timer {
         t.cancel();
     }
     // Record when a fallback path (not the shortest candidate) carried the
     // establishment to completion.
-    let c = &pending.alternates[pending.alt_idx];
+    let c = pending.alternates.swap_remove(pending.alt_idx);
     if !c.is_primary {
         emit(
             sim,
@@ -1335,9 +1288,9 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
             },
         );
     }
-    // The chosen alternate's plan and the key were carried to the
+    // The chosen alternate's path, plan and the key were carried to the
     // receiver at request time; adopt the same ones here.
-    let (peer, params) = (pending.peer, c.params.clone());
+    let (peer, params) = (pending.peer, c.params);
     let endpoint = NetRms::new(
         rms,
         RmsRole::Sender,
@@ -1345,7 +1298,7 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         params.clone(),
         c.plan,
         pending.key,
-        path,
+        c.path,
     );
     sim.state.net().host_mut(host).rms.insert(rms, endpoint);
     let event = if pending.invite {
@@ -1633,7 +1586,7 @@ pub fn fail_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
     let mut failed = Vec::new();
     for host in &net.hosts {
         for (id, state) in &host.rms {
-            if state.path.contains(&network) {
+            if state.path.iter().any(|leg| leg.network == network) {
                 failed.push((host.id, *id));
             }
         }

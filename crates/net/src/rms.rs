@@ -9,7 +9,8 @@ use dash_sim::time::SimTime;
 use rms_core::message::Message;
 use rms_core::params::SharedParams;
 
-use crate::ids::{HostId, NetRmsId, NetworkId};
+use crate::ids::{HostId, NetRmsId};
+use crate::routing::Path;
 
 /// Which end of the simplex stream this host holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +56,10 @@ pub struct NetRms {
     /// Stream key for encryption/MAC (distributed during creation; a real
     /// system would run a key exchange here).
     pub key: Key,
-    /// Networks the stream's path traverses (for failure notification).
-    pub path: Vec<NetworkId>,
+    /// The path the stream was established on, creator to peer: the
+    /// creator's chosen candidate, shared by both endpoints (failure
+    /// notification reads it).
+    pub path: Path,
     /// Sender side: next sequence number.
     pub next_seq: u64,
     /// Sender side: minimum transmission deadline for the next packet
@@ -85,7 +88,7 @@ impl NetRms {
         params: SharedParams,
         plan: MechanismPlan,
         key: Key,
-        path: Vec<NetworkId>,
+        path: Path,
     ) -> Self {
         NetRms {
             id,
@@ -134,7 +137,7 @@ mod tests {
                 .shared(),
             MechanismPlan::NONE,
             Key(1),
-            vec![NetworkId(0)],
+            Path::default(),
         )
     }
 

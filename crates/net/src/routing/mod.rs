@@ -54,17 +54,32 @@ use dash_security::suite::{select_mechanisms, MechanismPlan};
 
 use crate::ids::{HostId, NetworkId};
 use crate::packet::{Packet, PacketKind};
-use crate::pipeline::{combined_capabilities_on, combined_service_table_on, enqueue_on};
+use crate::pipeline::{combined_capabilities, combined_service_table, enqueue_on};
 use crate::state::{NetState, NetWorld, TTL};
+
+/// One leg of a [`Path`]: the network crossed and the host it reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leg {
+    /// The network crossed.
+    pub network: NetworkId,
+    /// The host reached.
+    pub to: HostId,
+}
+
+/// A path from a network RMS's creator (its data sender) to its peer: the
+/// legs in order, the creator not listed. Route computation builds each
+/// path once, in one allocation ([`k_paths`], [`NetState::path`]); the
+/// create attempt, the request and answers that walk it
+/// ([`crate::packet::SourceRoute`]) and both endpoints of the RMS it
+/// carries share that one value.
+pub type Path = Arc<[Leg]>;
 
 /// One viable alternate for an RMS creation: the path, the parameters and
 /// security plan negotiated against *that* path, and its ranking inputs.
 #[derive(Debug, Clone)]
 pub struct CandidatePath {
-    /// Hops after the creator, ending with the peer.
-    pub hops: Vec<HostId>,
-    /// `networks[i]` carries the packet to `hops[i]`.
-    pub networks: Vec<NetworkId>,
+    /// The path, creator to peer.
+    pub path: Path,
     /// Parameters negotiated against this path's combined service table.
     pub params: rms_core::params::SharedParams,
     /// Security mechanisms selected for this path's combined capabilities.
@@ -295,19 +310,17 @@ pub fn candidate_paths(
     let mut viable: Vec<CandidatePath> = Vec::with_capacity(paths.len());
     for (i, p) in paths.into_iter().enumerate() {
         // Every hop must hold the interface the path assumes.
-        let senders = std::iter::once(creator).chain(p.hops.iter().copied());
-        if !(senders.zip(&p.networks)).all(|(h, &n)| state.host(h).iface_on(n).is_some()) {
+        let senders = std::iter::once(creator).chain(p.path.iter().map(|l| l.to));
+        if !(senders.zip(&*p.path)).all(|(h, l)| state.host(h).iface_on(l.network).is_some()) {
             continue;
         }
-        let networks = p.networks.iter().copied();
-        match negotiate(&combined_service_table_on(state, networks.clone()), request) {
+        match negotiate(&combined_service_table(state, &p.path), request) {
             Ok(negotiated) => {
                 let params = negotiated.shared();
-                let caps = combined_capabilities_on(state, networks);
+                let caps = combined_capabilities(state, &p.path);
                 let (plan, _) = select_mechanisms(&params, &caps);
                 viable.push(CandidatePath {
-                    hops: p.hops,
-                    networks: p.networks,
+                    path: p.path,
                     params,
                     plan,
                     min_headroom_bps: p.min_headroom_bps,

@@ -26,8 +26,10 @@
 //! last flood that reached the computing host.
 
 use std::mem::replace;
+use std::sync::Arc;
 
 use super::lsdb::{LinkInfo, Lsdb};
+use super::{Leg, Path};
 use crate::ids::{HostId, NetworkId};
 use crate::state::{NetState, Route, RouteTable, TTL};
 
@@ -37,10 +39,8 @@ pub const K_ALTERNATES: usize = 3;
 /// A loop-free candidate path produced by [`k_paths`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AltPath {
-    /// Hops after the source, ending with the destination.
-    pub hops: Vec<HostId>,
-    /// `networks[i]` carries the packet to `hops[i]`; same length as `hops`.
-    pub networks: Vec<NetworkId>,
+    /// The path, source to destination.
+    pub path: Path,
     /// The smallest advertised deterministic admission headroom along the
     /// path, bytes per second (stale by up to one flood interval).
     pub min_headroom_bps: f64,
@@ -325,22 +325,29 @@ impl NetGraph {
     }
 
     /// The `len`-hop path ending at node `at`, with its advertised headroom.
+    /// Collected tail first into its one allocation, then turned around.
     fn alt_path(&self, arena: &[Node], at: usize, len: usize) -> AltPath {
-        let (mut hops, mut networks) = (Vec::with_capacity(len), Vec::with_capacity(len));
         let mut min_headroom_bps = f64::INFINITY;
-        for node in path(arena, at).take(len) {
-            let from = arena[node.parent as usize].host;
-            if let Some(link) = (self.links(from).iter()).find(|l| l.network == node.network) {
-                min_headroom_bps = min_headroom_bps.min(link.headroom_bps);
-            }
-            hops.push(node.host);
-            networks.push(node.network);
-        }
-        hops.reverse();
-        networks.reverse();
+        let mut node = arena[at];
+        let mut path: Path = (0..len)
+            .map(|_| {
+                let from = arena[node.parent as usize];
+                if let Some(link) =
+                    (self.links(from.host).iter()).find(|l| l.network == node.network)
+                {
+                    min_headroom_bps = min_headroom_bps.min(link.headroom_bps);
+                }
+                let leg = Leg {
+                    network: node.network,
+                    to: node.host,
+                };
+                node = from;
+                leg
+            })
+            .collect();
+        Arc::get_mut(&mut path).expect("just built").reverse();
         AltPath {
-            hops,
-            networks,
+            path,
             min_headroom_bps,
         }
     }

@@ -34,7 +34,7 @@ use crate::network::Network;
 use crate::packet::Packet;
 use crate::rms::NetRms;
 use crate::routing::spf::{HostRoutes, Scratch};
-use crate::routing::{CandidatePath, Lsdb};
+use crate::routing::{CandidatePath, Leg, Lsdb, Path};
 
 /// Creation handshake retry timeout.
 pub const CREATE_TIMEOUT: SimDuration = SimDuration::from_millis(250);
@@ -443,30 +443,36 @@ impl NetState {
         (self.host(host).routes).get_or_init(|| HostRoutes::build(self, host))
     }
 
-    /// The hop-by-hop path from `src` to `dst` as `(hop host, iface index,
-    /// network, next hop)` tuples, or `None` if unroutable. Each hop reads
-    /// its on-demand table ([`NetState::routes`]), so callers holding only
-    /// shared access (e.g. ST negotiation) see reconverged routes, and a
-    /// walk over built tables allocates only its answer.
-    pub fn path(
-        &self,
-        src: HostId,
-        dst: HostId,
-    ) -> Option<Vec<(HostId, usize, NetworkId, HostId)>> {
-        let mut here = src;
-        let mut out = Vec::new();
-        let mut hops = 0;
-        while here != dst {
+    /// The path from `src` to `dst` that the first-hop tables give, or
+    /// `None` if unroutable. Each hop reads its on-demand table
+    /// ([`NetState::routes`]), so callers holding only shared access (e.g.
+    /// ST negotiation) see reconverged routes. The walk runs twice, counting
+    /// the legs and then collecting them, so the path is its one
+    /// allocation.
+    pub fn path(&self, src: HostId, dst: HostId) -> Option<Path> {
+        let leg = |here: HostId| {
             let route = self.routes(here).get(dst)?;
             let network = self.host(here).ifaces[route.iface].network;
-            out.push((here, route.iface, network, route.next_hop));
-            here = route.next_hop;
-            hops += 1;
-            if hops > TTL {
+            Some(Leg {
+                network,
+                to: route.next_hop,
+            })
+        };
+        let (mut here, mut len) = (src, 0);
+        while here != dst {
+            here = leg(here)?.to;
+            len += 1;
+            if len > usize::from(TTL) {
                 return None;
             }
         }
-        Some(out)
+        here = src;
+        let walk = (0..len).map(|_| {
+            let next = leg(here).expect("walked above");
+            here = next.to;
+            next
+        });
+        Some(walk.collect())
     }
 }
 

@@ -12,7 +12,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use dash_net::ids::{HostId, NetworkId};
-use dash_net::routing::{AltPath, Lsdb};
+use dash_net::routing::{AltPath, Leg, Lsdb};
 use dash_net::state::{NetState, Route, TTL};
 use dash_net::topology::{self, TopologyBuilder};
 use rms_core::hash::DetHashMap;
@@ -281,9 +281,9 @@ fn make_alt(lsdb: &Lsdb, src: HostId, hops: Vec<HostId>, networks: Vec<NetworkId
         }
         from = hops[i];
     }
+    let legs = networks.into_iter().zip(hops);
     AltPath {
-        hops,
-        networks,
+        path: legs.map(|(network, to)| Leg { network, to }).collect(),
         min_headroom_bps: if min_headroom.is_finite() {
             min_headroom
         } else {

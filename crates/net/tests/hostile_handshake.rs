@@ -14,8 +14,9 @@ mod world;
 
 use dash_net::ids::{HostId, NetRmsId, NetworkId};
 use dash_net::network::NetworkSpec;
-use dash_net::packet::{NakReason, Packet, PacketKind, SourceRoute};
+use dash_net::packet::{Direction, NakReason, Packet, PacketKind, SourceRoute};
 use dash_net::pipeline::{create_rms, inject_arrival};
+use dash_net::routing::Leg;
 use dash_net::state::NetRmsEvent;
 use dash_net::topology::TopologyBuilder;
 use dash_sim::engine::arrival_key;
@@ -89,8 +90,12 @@ struct Forged {
     dst: u32,
     at_host: u32,
     at_us: u64,
-    route: Option<(Vec<u32>, Vec<u32>, usize)>,
+    route: Option<ForgedRoute>,
 }
+
+/// A source route's legs as `(network, host)`, the legs walked, and the
+/// index of the answering host's leg when it walks back.
+type ForgedRoute = (Vec<(u32, u32)>, usize, Option<usize>);
 
 fn host() -> impl Strategy<Value = u32> {
     0..HOSTS
@@ -122,16 +127,16 @@ fn forged() -> impl Strategy<Value = Forged> {
         Just(Id::Next),
         (0u64..8).prop_map(Id::Other),
     ];
-    // Mostly table-routed; sometimes a source route that may not even be
-    // well formed.
+    // Mostly table-routed; sometimes a source route whose legs need not
+    // join up, walked either way from any cursor.
     let route = prop_oneof![
         Just(None),
         Just(None),
         Just(None),
         (
-            collection::vec(host(), 0..4),
-            collection::vec(0u32..3, 0..4),
-            0usize..4
+            collection::vec((0u32..3, host()), 0..4),
+            0usize..4,
+            prop_oneof![Just(None), (0usize..4).prop_map(Some)]
         )
             .prop_map(Some),
     ];
@@ -168,13 +173,9 @@ fn packet(f: &Forged, live: NetRmsId, in_flight: NetRmsId) -> Packet {
         } => PacketKind::CreateReq {
             rms,
             params: params(deterministic),
-            path: Vec::new(),
             invite,
         },
-        Kind::Ack => PacketKind::CreateAck {
-            rms,
-            path: vec![NetworkId(0)],
-        },
+        Kind::Ack => PacketKind::CreateAck { rms },
         Kind::Nak(reason) => PacketKind::CreateNak { rms, reason },
         Kind::Invite { deterministic } => PacketKind::Invite {
             rms,
@@ -182,10 +183,15 @@ fn packet(f: &Forged, live: NetRmsId, in_flight: NetRmsId) -> Packet {
         },
         Kind::Release => PacketKind::Release { rms },
     };
-    let source_route = f.route.as_ref().map(|(hops, networks, next)| SourceRoute {
-        hops: hops.iter().map(|h| HostId(*h)).collect(),
-        networks: networks.iter().map(|n| NetworkId(*n)).collect(),
+    let source_route = f.route.as_ref().map(|(legs, next, back)| SourceRoute {
+        path: (legs.iter())
+            .map(|&(network, to)| Leg {
+                network: NetworkId(network),
+                to: HostId(to),
+            })
+            .collect(),
         next: *next,
+        direction: back.map_or(Direction::Forward, |from| Direction::Back { from }),
     });
     Packet {
         src: HostId(f.src),

@@ -3,11 +3,15 @@
 
 mod world;
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use dash_net::ids::HostId;
 use dash_net::network::NetworkSpec;
+use dash_net::packet::PacketKind;
 use dash_net::pipeline::{
-    close_rms, create_rms, create_rms_as_receiver, fail_network, send_datagram, send_on_rms,
+    close_rms, create_rms, create_rms_as_receiver, fail_network, inject_arrival, send_datagram,
+    send_on_rms,
 };
 use dash_net::state::NetRmsEvent;
 use dash_net::topology::{dumbbell, two_hosts_ethernet, TopologyBuilder};
@@ -532,10 +536,42 @@ fn create_interns_one_params_allocation_along_the_whole_path() {
     }
     // The receiver endpoint has no outbound reservation of its own.
     assert!(!sim.state.net.host(b).holds.contains_key(&rms));
-    // Hop-by-hop forwarding still records the full three-network path and
-    // the ack echoes it back to the sender unchanged.
-    let sender_path = &sim.state.net.host(a).rms[&rms].path;
-    let receiver_path = &sim.state.net.host(b).rms[&rms].path;
-    assert_eq!(sender_path, receiver_path);
-    assert_eq!(sender_path.len(), 3);
+}
+
+/// One path per RMS: the creator's chosen candidate, the `CreateReq` on
+/// every wire hop and both endpoints hold the same `Path` allocation. The
+/// world diverts its wire hops so the test sees each packet in flight, and
+/// carries each to its arrival unchanged.
+#[test]
+fn the_candidate_the_request_and_both_endpoints_share_one_path() {
+    let (net, a, b, _g1, _g2) = dumbbell();
+    let mut sim = Sim::new(World::new(net));
+    sim.state.net.enable_wire_divert();
+    let rms = create_rms(&mut sim, a, b, &RmsRequest::exact(basic_params())).unwrap();
+    let (mut out, mut requests) = (Vec::new(), 0);
+    let mut candidate = None;
+    while sim.step() {
+        sim.state.net.drain_outbox_into(&mut out);
+        for env in out.drain(..) {
+            let route = env.packet.source_route.as_ref();
+            if let (PacketKind::CreateReq { .. }, Some(route)) = (&env.packet.kind, route) {
+                let pending = &sim.state.net.host(a).pending[&rms];
+                let chosen = &pending.alternates[pending.alt_idx].path;
+                assert!(
+                    Arc::ptr_eq(&route.path, chosen),
+                    "the request copied the path"
+                );
+                candidate = Some(Arc::clone(chosen));
+                requests += 1;
+            }
+            let key = env.arrival_key();
+            inject_arrival(&mut sim, env.deliver_at, key, env.dst, env.packet);
+        }
+    }
+    assert_eq!(requests, 3, "one request per leg of the dumbbell");
+    let candidate = candidate.expect("a request was sent");
+    for end in [a, b] {
+        let path = &sim.state.net.host(end).rms[&rms].path;
+        assert!(Arc::ptr_eq(path, &candidate), "{end:?} holds a copy");
+    }
 }

@@ -7,14 +7,19 @@
 //! `dash_sim::alloc::Counting` counts per thread (the test harness runs
 //! tests on threads of their own), reallocations included.
 
+mod world;
+
 use dash_net::ids::HostId;
+use dash_net::pipeline::create_rms;
 use dash_net::routing::{candidate_paths, mark_routes_dirty};
 use dash_net::state::NetState;
 use dash_net::topology::{mesh3x3, TopologyBuilder};
 use dash_sim::alloc::{counted, Counting};
 use dash_sim::time::SimTime;
+use dash_sim::Sim;
 use rms_core::params::RmsParams;
 use rms_core::RmsRequest;
+use world::{establish, World};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -26,9 +31,9 @@ fn mesh(hosts_per_lan: usize) -> (NetState, Vec<Vec<HostId>>) {
 }
 
 /// After a warm-up call per pair, one `candidate_paths` call allocates its
-/// three alternates' hop and network lists, their negotiated parameters,
-/// the two lists holding them, and nothing else: no graph, no search
-/// buffers, no per-hop service tables.
+/// three alternates' paths and negotiated parameters, the two lists holding
+/// them, and nothing else: no graph, no search buffers, no per-hop service
+/// tables.
 #[test]
 fn candidate_paths_allocates_only_its_answer() {
     let (net, lans) = mesh(30);
@@ -45,36 +50,54 @@ fn candidate_paths_allocates_only_its_answer() {
         println!("candidate_paths, {pair}: {allocs} allocations per call");
         assert_eq!(again.len(), 3, "{pair}");
         assert_eq!(again.len(), warm.len(), "{pair}");
-        assert!(allocs <= 12, "{pair}: {allocs} allocations per call");
+        assert!(allocs <= 8, "{pair}: {allocs} allocations per call");
     }
 }
 
 /// Once a walk has built the tables of the hops it crosses, walking the
-/// same hops again allocates exactly what its result `Vec` needs, even
-/// though every host was marked dirty before the first walk.
+/// same hops again allocates only its path, in one allocation, even though
+/// every host was marked dirty before the first walk.
 #[test]
-fn a_second_path_walk_allocates_only_its_result() {
+fn a_second_path_walk_allocates_only_its_path() {
     let (mut net, lans) = mesh(30);
     mark_routes_dirty(&mut net, SimTime::ZERO);
     let (src, dst) = (lans[0][0], lans[8][0]);
     let first = net.path(src, dst).unwrap();
     let (again, spent) = counted(|| net.path(src, dst).unwrap());
     let allocs = spent.allocs;
+    println!("second path walk: {allocs} allocations");
     assert_eq!(again, first);
-    // The same result pushed hop by hop, as the walk builds it.
-    let (_, result) = counted(|| {
-        let mut out = Vec::new();
-        for &hop in &first {
-            out.push(std::hint::black_box(hop));
-        }
-        out
-    });
-    println!(
-        "second path walk: {allocs} allocations, its result alone {}",
-        result.allocs
-    );
     assert_eq!(first.len(), 5, "corner to corner crosses four gateways");
-    assert_eq!(allocs, result.allocs, "a {}-hop walk", first.len());
+    assert_eq!(allocs, 1, "a {}-leg walk", first.len());
+}
+
+/// A warm create → ack cycle, corner to corner with obs on: once a first
+/// create has built the tables and warmed the world's tables and buffers,
+/// a second allocates what `candidate_paths` allocates plus the
+/// `RoutingPathPinned` hop list, and nothing else. The request and its
+/// answer walk the chosen candidate's path, and both endpoints keep it.
+#[test]
+fn a_warm_create_allocates_only_its_candidates_and_pinned_hops() {
+    let (net, lans) = mesh(30);
+    let mut sim = Sim::new(World::new(net));
+    let params = RmsParams::builder(64 * 1024, 1024).build().unwrap();
+    let request = RmsRequest::exact(params.clone());
+    let (src, dst) = (lans[0][0], lans[8][0]);
+    establish(&mut sim, src, dst, params);
+    let (_, candidates) = counted(|| candidate_paths(&sim.state.net, src, dst, &request).unwrap());
+    sim.state.events.reserve(16);
+    let (rms, spent) = counted(|| {
+        let rms = create_rms(&mut sim, src, dst, &request).unwrap();
+        sim.run();
+        rms
+    });
+    assert!(sim.state.created().contains(&(src, rms)));
+    let (allocs, bound) = (spent.allocs, candidates.allocs + 1);
+    println!(
+        "warm create -> ack: {allocs} allocations, candidate_paths {}",
+        candidates.allocs
+    );
+    assert!(allocs <= bound, "{allocs} allocations, bound {bound}");
 }
 
 /// Building computes no routes, so its bytes are linear in the hosts:

@@ -11,7 +11,7 @@ use dash_net::fault::{crash_host, restart_host};
 use dash_net::ids::HostId;
 use dash_net::network::NetworkSpec;
 use dash_net::pipeline::{create_rms, fail_network, restore_network, send_on_rms};
-use dash_net::routing::{self, candidate_paths, flood_from, k_paths};
+use dash_net::routing::{self, candidate_paths, flood_from, k_paths, Leg, Path};
 use dash_net::state::{NetState, Route, TTL};
 use dash_net::topology::{dumbbell, TopologyBuilder};
 use dash_net::NetworkId;
@@ -62,24 +62,25 @@ fn k_paths_orders_by_length_then_hop_sequence() {
     assert_eq!(paths.len(), 3, "three loop-free alternates exist");
     // The two disjoint three-hop paths come first (lower gateway pair
     // breaking the tie), then a longer gateway-chaining detour.
-    assert_eq!(paths[0].hops.len(), 3);
-    assert_eq!(paths[1].hops.len(), 3);
-    assert!(paths[0].hops < paths[1].hops, "fixed (length, hops) order");
-    assert!(paths[2].hops.len() > 3, "longer alternates sort last");
-    assert_eq!(paths[0].networks[1], mid_p);
-    assert_eq!(paths[1].networks[1], mid_b);
+    let hops = |i: usize| -> Vec<HostId> { paths[i].path.iter().map(|l| l.to).collect() };
+    assert_eq!(hops(0).len(), 3);
+    assert_eq!(hops(1).len(), 3);
+    assert!(hops(0) < hops(1), "fixed (length, hops) order");
+    assert!(hops(2).len() > 3, "longer alternates sort last");
+    assert_eq!(paths[0].path[1].network, mid_p);
+    assert_eq!(paths[1].path[1].network, mid_b);
 }
 
 /// Loop-free, ending at `dst`, never back through `src`.
 fn assert_simple(paths: &[routing::AltPath], src: HostId, dst: HostId) {
     for p in paths {
-        assert_eq!(p.hops.last(), Some(&dst));
-        assert_eq!(p.hops.len(), p.networks.len());
-        let mut seen = p.hops.clone();
+        let hops: Vec<HostId> = p.path.iter().map(|l| l.to).collect();
+        assert_eq!(hops.last(), Some(&dst));
+        let mut seen = hops.clone();
         seen.sort_unstable();
         seen.dedup();
-        assert_eq!(seen.len(), p.hops.len(), "loop in {:?}", p.hops);
-        assert!(!p.hops.contains(&src));
+        assert_eq!(seen.len(), hops.len(), "loop in {hops:?}");
+        assert!(!hops.contains(&src));
     }
 }
 
@@ -95,7 +96,7 @@ fn corner_to_corner_alternates_do_not_depend_on_lan_size() {
     assert_eq!(paths.len(), 3);
     assert_simple(&paths, src, dst);
     assert_eq!(paths[0], capped[0], "the old single answer is still first");
-    assert!(paths.iter().all(|p| p.hops.len() == 5), "6 lattice routes");
+    assert!(paths.iter().all(|p| p.path.len() == 5), "6 lattice routes");
     // An unreachable peer is an empty answer, not a search of the mesh.
     net.network_mut(NetworkId(8)).down = true;
     assert!(k_paths(&net, src, dst, 3).is_empty());
@@ -163,7 +164,8 @@ fn saturated_primary_establishes_on_alternate() {
     // It won on the backup path: the alternate-win counter fired and the
     // stream's recorded path crosses the backup middle.
     let path = sim.state.net.host(a).rms.get(&rms2).unwrap().path.clone();
-    assert!(path.contains(&mid_b), "path {path:?} must use the backup");
+    let uses = |network| path.iter().any(|leg| leg.network == network);
+    assert!(uses(mid_b), "path {path:?} must use the backup");
     let reg = &sim.state.net.obs.registry;
     assert_eq!(reg.counter_value("routing.alternate_wins"), 1);
 
@@ -197,11 +199,11 @@ fn refreshed_headroom_reorders_candidates() {
     let request = RmsRequest::exact(det_params(16 * 1024));
     let candidates = candidate_paths(&sim.state.net, a, peer, &request).unwrap();
     assert!(
-        candidates[0].networks.contains(&mid_b),
+        candidates[0].path.iter().any(|l| l.network == mid_b),
         "headroom-sufficient backup ranks first: {:?}",
         candidates
             .iter()
-            .map(|c| (&c.networks, c.min_headroom_bps, c.is_primary))
+            .map(|c| (&c.path, c.min_headroom_bps, c.is_primary))
             .collect::<Vec<_>>()
     );
     assert!(!candidates[0].is_primary);
@@ -212,8 +214,8 @@ fn refreshed_headroom_reorders_candidates() {
         sim.state.created().contains(&(a, rms2)),
         "establishes first try on the backup"
     );
-    let path = sim.state.net.host(a).rms.get(&rms2).unwrap().path.clone();
-    assert!(path.contains(&mid_b));
+    let path = &sim.state.net.host(a).rms[&rms2].path;
+    assert!(path.iter().any(|leg| leg.network == mid_b));
 }
 
 #[test]
@@ -301,22 +303,19 @@ fn build_mesh(n_nets: usize, attachments: &[Vec<bool>]) -> NetState {
 }
 
 /// `NetState::path` as a walk over tables computed fresh at every hop.
-fn fresh_path(
-    net: &NetState,
-    src: HostId,
-    dst: HostId,
-) -> Option<Vec<(HostId, usize, NetworkId, HostId)>> {
+fn fresh_path(net: &NetState, src: HostId, dst: HostId) -> Option<Path> {
     let (mut here, mut out) = (src, Vec::new());
     while here != dst {
         let route = routing::primary_routes(net, here).get(dst)?;
         let network = net.host(here).ifaces[route.iface].network;
-        out.push((here, route.iface, network, route.next_hop));
+        let to = route.next_hop;
+        out.push(Leg { network, to });
         here = route.next_hop;
         if out.len() > TTL as usize {
             return None;
         }
     }
-    Some(out)
+    Some(out.into())
 }
 
 /// A first-hop table in destination order, so the dense table and the
@@ -446,7 +445,7 @@ proptest! {
                 match table.get(dst) {
                     Some(route) => {
                         prop_assert!(!paths.is_empty(), "table has a route, k_paths none");
-                        prop_assert_eq!(paths[0].hops[0], route.next_hop);
+                        prop_assert_eq!(paths[0].path[0].to, route.next_hop);
                     }
                     None => prop_assert!(paths.is_empty(), "k_paths found {:?} with no table route", paths),
                 }

@@ -59,7 +59,7 @@ pub fn st_negotiate<W: StWorld>(
         .net_ref()
         .path(host, peer)
         .ok_or(RmsError::CreationRejected(RejectReason::NoRoute))?;
-    let mut table = net::combined_service_table(&sim.state, &path);
+    let mut table = net::combined_service_table(sim.state.net_ref(), &path);
     let (slack_fixed, slack_per_byte) = sim.state.st_ref().config.stage_slack();
     table.retain_mut(|_, _, l| {
         l.min_fixed_delay = l.min_fixed_delay.saturating_add(slack_fixed);

@@ -71,7 +71,8 @@ fn stream_fails_over_to_alternate_network_mid_transfer() {
         .values()
         .next()
         .expect("rms up")
-        .path[0];
+        .path[0]
+        .network;
 
     let n = 30u64;
     let base = sim.now();
@@ -148,7 +149,8 @@ fn failover_loses_no_message_without_a_trace() {
         .values()
         .next()
         .expect("rms up")
-        .path[0];
+        .path[0]
+        .network;
     // A message every 100 µs for 20 ms; the carrier dies at 3.3 ms with
     // its wire idle and messages in its piggyback queue, and the fresh
     // create on the backup takes a few send intervals.
