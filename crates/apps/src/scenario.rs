@@ -55,9 +55,12 @@ pub struct Scenario {
     /// The topology program: every call builds an identical [`NetState`]
     /// (each replica world of a `Par` run calls it once).
     pub topo: Box<dyn Fn() -> NetState + Send + Sync>,
-    /// Shard groups for [`Backend::Par`]'s aligned placement: hosts that
-    /// should share a shard (a site, with the gateways riding along).
-    /// Hosts in no group are hash-placed.
+    /// Shard groups for [`Backend::Par`]'s placement: hosts that should
+    /// share a shard (a site, with the gateways riding along). Hosts in no
+    /// group are hash-placed. Keeping each LAN whole leaves only the WAN
+    /// spanning shards, so the epoch is the WAN propagation delay; with no
+    /// groups the epoch shrinks to the LAN wire delay — correct, but
+    /// orders of magnitude more barriers. Placement never changes a digest.
     pub groups: Vec<Vec<u32>>,
     /// The traffic: stream flows, RKOM pairs, datagram probes.
     pub plan: Plan,
@@ -112,15 +115,10 @@ pub enum Backend {
     /// One world, the serial discrete-event engine (e10).
     Serial,
     /// One logical process per host on the conservative parallel
-    /// executor (e12).
+    /// executor (e12), placed by the scenario's `groups`.
     Par {
         /// Worker threads.
         shards: u32,
-        /// Keep each LAN (hosts + gateway) on one shard, so only the WAN
-        /// spans shards and the epoch is the WAN propagation delay. With
-        /// `false` hosts are hash-placed and the epoch shrinks to the LAN
-        /// wire delay — correct, but orders of magnitude more barriers.
-        lan_aligned: bool,
     },
     /// The serial world paced 1:1 against the wall clock, wire hops
     /// carried by the threaded in-memory datagram substrate (e13). Counts
@@ -484,16 +482,9 @@ pub fn run(scn: &Scenario, backend: Backend) -> Outcome {
                 Some(report),
             )
         }
-        Backend::Par {
-            shards,
-            lan_aligned,
-        } => {
+        Backend::Par { shards } => {
             assert!(shards > 0, "a parallel run needs at least one shard");
-            let plan = if lan_aligned {
-                ShardPlan::grouped(hosts as u32, shards, &scn.groups)
-            } else {
-                ShardPlan::hashed(hosts as u32, shards)
-            };
+            let plan = ShardPlan::grouped(hosts as u32, shards, &scn.groups);
             let cfg = ParConfig {
                 horizon: scn.horizon,
                 cross_lookahead: cross_shard_lookahead(&net, &plan),

@@ -56,7 +56,7 @@ fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
     // No trace and no kept events: the trace only feeds the digest, and
     // the printed hash covers the registry and every scalar, which is
     // what a CLI run compares; the verdict is taken online.
-    let scenario = match size {
+    let mut scenario = match size {
         "ci" => MixParams::ci().scenario(),
         "routing-ci" => MixParams::routing_ci().scenario(),
         "micro" => MixParams::micro().scenario(),
@@ -78,16 +78,16 @@ fn parse(args: &[String]) -> Result<(String, Scenario, Vec<Backend>), String> {
         "par" => shards
             .map_or(vec![1, 2, 4], |s| vec![s])
             .into_iter()
-            .map(|shards| Backend::Par {
-                shards,
-                lan_aligned: !hashed,
-            })
+            .map(|shards| Backend::Par { shards })
             .collect(),
         "rt" => vec![Backend::Rt {
             loss_per_mille: loss.unwrap_or(0),
         }],
         other => return Err(format!("unknown backend: {other}")),
     };
+    if hashed {
+        scenario.groups.clear();
+    }
     Ok((format!("{backend} {size}"), scenario, backends))
 }
 

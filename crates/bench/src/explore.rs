@@ -440,15 +440,7 @@ mod tests {
     #[test]
     fn jittered_scenario_is_shard_count_invariant_under_par() {
         let scn = jittered(Genome::baseline(5), 9, 200).scenario();
-        let par = |shards| {
-            scenario::run(
-                &scn,
-                Backend::Par {
-                    shards,
-                    lan_aligned: false,
-                },
-            )
-        };
+        let par = |shards| scenario::run(&scn, Backend::Par { shards });
         let (one, two) = (par(1), par(2));
         assert_eq!(one.determinism_digest(), two.determinism_digest());
         assert!(one.acct.flows.values().any(|t| t.received > 0));

@@ -10,24 +10,22 @@ use dash_sim::time::SimDuration;
 use dash_sim::Sim;
 use dash_transport::stack::StackBuilder;
 
-fn par(shards: u32, lan_aligned: bool) -> Backend {
-    Backend::Par {
-        shards,
-        lan_aligned,
-    }
+fn par(shards: u32) -> Backend {
+    Backend::Par { shards }
 }
 
 #[test]
 fn hashed_placement_matches_aligned() {
-    // Hashed placement splits LANs across shards, shrinking epochs
-    // to the LAN wire delay — tiny workload, same digest.
-    let p = MixParams::micro().scenario();
-    let a = run(&p, par(1, false));
+    // Hashed placement (no groups) splits LANs across shards, shrinking
+    // epochs to the LAN wire delay — tiny workload, same digest.
+    let mut hashed = MixParams::micro().scenario();
+    hashed.groups.clear();
+    let a = run(&hashed, par(1));
     let received: u64 = a.acct.flows.values().map(|t| t.received).sum();
     assert!(received > 10, "received {received}");
-    let b = run(&p, par(3, false));
+    let b = run(&hashed, par(3));
     assert_eq!(a.determinism_digest(), b.determinism_digest());
-    let c = run(&p, par(3, true));
+    let c = run(&MixParams::micro().scenario(), par(3));
     assert_eq!(a.determinism_digest(), c.determinism_digest());
 }
 
@@ -54,7 +52,7 @@ fn bulk_larger_than_the_receive_buffer_delivers_every_chunk() {
         .map(|f| f.count)
         .sum();
     assert_eq!(planned, 6 * 256);
-    for backend in [Backend::Serial, par(2, true)] {
+    for backend in [Backend::Serial, par(2)] {
         let o = run(&scenario, backend);
         let bulk = o.acct.class(Class::Bulk);
         assert_eq!(bulk.sent, planned, "{backend:?}");

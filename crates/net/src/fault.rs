@@ -4,9 +4,10 @@
 //! knows *how* each fault lands on the network state: dead networks fail
 //! RMSs and reroute (§2 property 3), partitions filter the wire, burst
 //! models replace i.i.d. loss, stalls freeze transmitters, a host crash
-//! empties the host's transmit queues, fails and removes its endpoints and
-//! answers the creates and invites it drops (its reservations and pins stay
-//! behind), and timer jitter perturbs the engine's schedule. Every
+//! empties the host's transmit queues, fails and removes both ends of every
+//! RMS whose path touches it and answers the creates and invites it drops
+//! (its reservations and pins stay behind), and timer jitter perturbs the
+//! engine's schedule. Every
 //! application is announced as an [`ObsEvent::FaultInjected`] so chaos
 //! harnesses can account for injected faults in the metric registry.
 
@@ -94,8 +95,10 @@ pub fn stall_iface<W: NetWorld>(
     sim.call_at(until, kick_tx::<W>, (host.0, idx as u64));
 }
 
-/// Crash `host`: its transmit queues are discarded, every local RMS
-/// endpoint is removed and fails with [`FailReason::ResourcesRevoked`], and
+/// Crash `host`: its transmit queues are discarded, every RMS endpoint
+/// whose path touches the host — its own, its peers' ends toward it, and
+/// both ends of every RMS routed through it — is removed and fails with
+/// [`FailReason::ResourcesRevoked`], and
 /// routing tables are marked dirty so the crashed host is no longer used as
 /// transit (its up neighbours re-flood to spread the word). Its creation
 /// attempts and invites are abandoned and answered after the endpoint
@@ -116,9 +119,16 @@ pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
         // treat the packet as lost, and release the transmitter.
         iface.clear();
     }
-    let mut failed: Vec<_> = h.rms.keys().map(|id| (host, *id)).collect();
     let mut dropped: Vec<NetRmsId> = h.pending.keys().chain(h.invites.keys()).copied().collect();
     dropped.sort_unstable();
+    let mut failed = Vec::new();
+    for h in &net.hosts {
+        for (id, rms) in &h.rms {
+            if h.id == host || rms.peer == host || rms.path.iter().any(|leg| leg.to == host) {
+                failed.push((h.id, *id));
+            }
+        }
+    }
     // The witnesses are the crashed host's up neighbours, each once, in
     // ascending order.
     let ifaces = &net.host(host).ifaces;

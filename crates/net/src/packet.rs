@@ -245,6 +245,7 @@ impl Packet {
     }
 
     fn kind_bytes(&self) -> u64 {
+        let sr = self.source_route.as_ref();
         match &self.kind {
             PacketKind::Data(d) => {
                 let mut n = d.payload.len() as u64;
@@ -266,12 +267,8 @@ impl Packet {
             // networks it has crossed, the one it is crossing included, and
             // an ack every network of the path: 4 bytes each, read off the
             // source route they walk.
-            PacketKind::CreateReq { .. } => {
-                64 + (self.source_route.as_ref()).map_or(0, |sr| 4 * (sr.next as u64 + 1))
-            }
-            PacketKind::CreateAck { .. } => {
-                24 + (self.source_route.as_ref()).map_or(0, |sr| 4 * sr.path.len() as u64)
-            }
+            PacketKind::CreateReq { .. } => 64 + sr.map_or(0, |sr| 4 * (sr.next as u64 + 1)),
+            PacketKind::CreateAck { .. } => 24 + sr.map_or(0, |sr| 4 * sr.path.len() as u64),
             PacketKind::CreateNak { .. } => 24,
             PacketKind::Invite { .. } => 64,
             PacketKind::Release { .. } => 8,

@@ -394,10 +394,10 @@ pub(crate) fn give_up_invite<W: NetWorld>(
 
 /// One hop's step of establishment, the same at the creator's first hop
 /// and at every transit hop: `leg` must cross an up network from one of
-/// `host`'s interfaces;
-/// admission (§2.3, [`admit_hop`]) then reserves `params` there, and `rms`
-/// is pinned to the leg so data and teardown follow the reservation even
-/// after reconvergence moves the table. A refused leg leaves nothing held here and says why: `None` when there is
+/// `host`'s interfaces; admission (§2.3, [`admit_hop`]) then reserves
+/// `params` there, and `rms` is pinned to the leg so data and teardown
+/// follow the reservation even after reconvergence moves the table. A
+/// refused leg leaves nothing held here and says why: `None` when there is
 /// no usable leg, the ledger's explanation when admission refused.
 fn reserve_leg(
     net: &mut NetState,
@@ -431,15 +431,17 @@ fn reserve_leg(
 fn release_hop(net: &mut NetState, host: HostId, rms: NetRmsId) -> Option<Route> {
     let h = net.host_mut(host);
     let hold = h.holds.remove(&rms)?;
-    h.ifaces[hold.iface].ledger.release(&hold.params);
+    h.ifaces[hold.route.iface].ledger.release(&hold.params);
     Some(hold.route)
 }
 
 /// One hop's admission (§2.3): reserve `params` for `rms` on `host`'s
 /// outbound interface `route.iface` and pin `rms` to `route`,
-/// idempotently — a retry that finds the hold in place moves only the pin,
-/// without asking the ledger again. A fresh decision is announced; a
-/// refusal returns the ledger's explanation.
+/// idempotently — a retry that finds the hold on the same interface moves
+/// only the pin, without asking the ledger again. A retry along another
+/// leg gives the old reservation back first: the reservation moves with
+/// the pin, and the new leg's ledger decides. A fresh decision is
+/// announced; a refusal returns the ledger's explanation.
 fn admit_hop(
     net: &mut NetState,
     now: SimTime,
@@ -448,14 +450,16 @@ fn admit_hop(
     rms: NetRmsId,
     params: &SharedParams,
 ) -> Result<(), String> {
+    if let Some(hold) = net.host_mut(host).holds.get_mut(&rms) {
+        if hold.route.iface == route.iface {
+            hold.route = route;
+            return Ok(());
+        }
+        release_hop(net, host, rms);
+    }
     let force = net.config.debug_force_admission;
     let h = net.host_mut(host);
-    if let Some(hold) = h.holds.get_mut(&rms) {
-        hold.route = route;
-        return Ok(());
-    }
-    let iface = route.iface;
-    let ledger = &mut h.ifaces[iface].ledger;
+    let ledger = &mut h.ifaces[route.iface].ledger;
     let admitted = if force {
         ledger.force_admit(params)
     } else {
@@ -465,14 +469,7 @@ fn admit_hop(
     let verdict = match admitted {
         Admission::Admitted => {
             let params = params.clone();
-            h.holds.insert(
-                rms,
-                Hold {
-                    iface,
-                    params,
-                    route,
-                },
-            );
+            h.holds.insert(rms, Hold { params, route });
             Ok(())
         }
         Admission::Denied { detail } => Err(detail),

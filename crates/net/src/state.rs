@@ -166,14 +166,11 @@ pub struct PendingInvite {
 /// One hop's share of an RMS established through its host (§2.3).
 #[derive(Debug, Clone)]
 pub struct Hold {
-    /// The interface whose ledger holds the reservation.
-    pub iface: usize,
-    /// The reserved parameters.
+    /// The reserved parameters, held on `route.iface`'s ledger.
     pub params: SharedParams,
     /// The pinned next hop: data and teardown follow the path admission
     /// reserved, not whatever the current table says. A create retried
-    /// along another leg moves the pin and leaves the reservation where it
-    /// was made, so `route.iface` may differ from `iface`.
+    /// along another leg moves the pin and the reservation with it.
     pub route: Route,
 }
 

@@ -17,6 +17,8 @@ use dash_net::NetworkId;
 use dash_sim::fault::{FaultKind, FaultPlan, GilbertElliott};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_sim::Sim;
+use rms_core::bandwidth::implied_bandwidth;
+use rms_core::delay::DelayBound;
 use rms_core::error::{FailReason, RejectReason, RmsError};
 use rms_core::message::Message;
 use rms_core::params::RmsParams;
@@ -189,24 +191,19 @@ fn iface_stall_delays_but_does_not_drop() {
     );
 }
 
+/// A crash fails both ends of the RMS to the crashed host, so the sender
+/// cannot send into it; after the restart a fresh RMS works.
 #[test]
-fn host_crash_fails_local_rms_and_restart_allows_new() {
+fn host_crash_fails_both_ends_and_restart_allows_new() {
     let (net, a, b) = two_hosts_ethernet();
     let mut sim = Sim::new(World::new(net));
     let rms = establish(&mut sim, a, b);
 
     crash_host(&mut sim, b);
-    assert!(sim
-        .state
-        .failed()
-        .iter()
-        .any(|(h, r, reason)| *h == b && *r == rms && *reason == FailReason::ResourcesRevoked));
-
-    // Traffic toward the crashed host dies on arrival.
-    let n = sim.state.deliveries.len();
-    send_on_rms(&mut sim, a, rms, Message::new(vec![1u8; 64]), None, None).unwrap();
-    sim.run();
-    assert_eq!(sim.state.deliveries.len(), n);
+    let revoked = FailReason::ResourcesRevoked;
+    assert_eq!(sim.state.failed(), [(a, rms, revoked), (b, rms, revoked)]);
+    let sent = send_on_rms(&mut sim, a, rms, Message::new(vec![1u8; 64]), None, None);
+    assert_eq!(sent, Err(RmsError::UnknownStream));
 
     // After restart, a fresh RMS works end to end.
     restart_host(&mut sim, b);
@@ -297,6 +294,7 @@ fn a_crashed_host_refuses_creates_and_invites_at_once() {
     assert_eq!(host_down(&sim), drops, "an attempt left the crashed host");
 }
 
+/// A crashed gateway carries no route and no RMS.
 #[test]
 fn crashed_host_is_not_used_as_transit() {
     // a - lan1 - g - lan2 - b: killing the gateway strands the edge hosts.
@@ -307,12 +305,15 @@ fn crashed_host_is_not_used_as_transit() {
     let g = builder.gateway(lan1, lan2);
     let b = builder.host_on(lan2);
     let mut sim = Sim::new(World::new(builder.build()));
-    assert!(sim.state.net.path(a, b).is_some());
+    let rms = establish(&mut sim, a, b);
     crash_host(&mut sim, g);
     assert!(
         sim.state.net.path(a, b).is_none(),
         "routes must not traverse a crashed gateway"
     );
+    // Both ends of the RMS routed through the gateway fail with it.
+    let revoked = FailReason::ResourcesRevoked;
+    assert_eq!(sim.state.failed(), [(a, rms, revoked), (b, rms, revoked)]);
     restart_host(&mut sim, g);
     assert!(sim.state.net.path(a, b).is_some());
 }
@@ -439,4 +440,45 @@ fn a_retry_reaching_a_failed_receiver_opens_a_fresh_endpoint() {
         path.iter().all(|leg| leg.network != first),
         "the receiver holds the retry's path"
     );
+}
+
+/// A create retried along another leg moves its transit reservation with
+/// its pin. C–T on network 0, T–D on networks 1 and 2: the first request
+/// reserves at T on network 1, network 1 fails while the request is on it,
+/// and the creator's retry crosses network 2. T's reservation ends on
+/// network 2's ledger, where the RMS's data leaves, not on the dead one's.
+#[test]
+fn a_retry_along_another_leg_moves_the_transit_reservation() {
+    let mut tb = TopologyBuilder::new();
+    let [n0, n1, n2] = ["n0", "n1", "n2"].map(|name| tb.network(NetworkSpec::ethernet(name)));
+    let c = tb.host_on(n0);
+    let t = tb.gateway(n0, n1);
+    tb.attach(t, n2);
+    let d = tb.host_on(n1);
+    tb.attach(d, n2);
+    let mut sim = Sim::new(World::new(tb.build()));
+    let params = RmsParams::builder(64 * 1024, 1024)
+        .delay(DelayBound::deterministic(
+            SimDuration::from_millis(100),
+            SimDuration::from_micros(2),
+        ))
+        .build()
+        .unwrap();
+    let rms = create_rms(&mut sim, c, d, &RmsRequest::exact(params.clone())).unwrap();
+    while !sim.state.net.host(t).holds.contains_key(&rms) {
+        assert!(sim.step(), "the request reaches T");
+    }
+    fail_network(&mut sim, n1);
+    sim.run();
+    assert!(
+        sim.state.created().contains(&(c, rms)),
+        "the retry completed"
+    );
+    let reserved = |network| {
+        let h = sim.state.net.host(t);
+        h.ifaces[h.iface_on(network).unwrap()].ledger.reserved_bps()
+    };
+    let bps = implied_bandwidth(&params);
+    println!("T reserves {bps:.0} B/s");
+    assert_eq!((reserved(n1), reserved(n2)), (0.0, bps));
 }

@@ -190,7 +190,7 @@ fn check_bookkeeping(net: &NetState, ops: &[(Op, u64)]) {
             );
         }
         for (i, iface) in h.ifaces.iter().enumerate() {
-            let held = (h.holds.values()).filter(|hold| hold.iface == i);
+            let held = (h.holds.values()).filter(|hold| hold.route.iface == i);
             let (bps, buffer) = held.fold((0.0, 0), |(bps, buffer), hold| {
                 (
                     bps + implied_bandwidth(&hold.params),

@@ -655,3 +655,23 @@ fn a_create_whose_carrier_is_pending_when_its_host_crashes_is_answered() {
     assert!(sim.state.st.host(a).streams.is_empty());
     assert!((sim.state.st.host(a).carriers.values()).all(|c| c.data.is_none()));
 }
+
+/// A host that crashed and restarted can open ST streams to its old peer
+/// again: the crash failed the peer's ends of every network RMS between
+/// them, control channel halves included, so the peer answers the fresh
+/// control channel instead of keeping its authenticated half of the dead
+/// one (which dropped the fresh Hello's answer and failed the create with
+/// `AuthenticationFailed`).
+#[test]
+fn a_restarted_host_opens_streams_to_its_old_peer() {
+    let (net, a, b) = two_hosts_ethernet();
+    let mut sim = Sim::new(World::new(net, StConfig::default()));
+    establish(&mut sim, a, b, &basic_request(), false);
+    dash_net::fault::crash_host(&mut sim, a);
+    sim.run();
+    assert!(sim.state.net.host(b).rms.is_empty(), "b kept an end to a");
+    dash_net::fault::restart_host(&mut sim, a);
+    sim.run();
+    establish(&mut sim, a, b, &basic_request(), false);
+    assert_eq!(count(&sim, "net.drop.no_rms"), 0);
+}

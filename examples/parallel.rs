@@ -71,10 +71,7 @@ fn scenario() -> Scenario {
 
 fn main() {
     let scenario = scenario();
-    let par = |shards| Backend::Par {
-        shards,
-        lan_aligned: true,
-    };
+    let par = |shards| Backend::Par { shards };
 
     println!("serial reference (1 shard):");
     let mut one = run(&scenario, par(1));

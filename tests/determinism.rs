@@ -77,9 +77,19 @@ fn mix_counts(o: &Outcome) -> [u64; 4] {
 /// the four are delivered: messages 1071 → 1075 (1072 → 1076 under e12),
 /// events 12987 → 12995 (13226 → 13234). `routing_ci` and the `E11_*` rows
 /// did not move.
-const E10_CI: [u64; 4] = [12995, 1075, 29, 4];
+///
+/// Re-pinned once when a host crash began to fail every network RMS whose
+/// path touches the host, at both ends, instead of the crashed host's own
+/// endpoints alone: the drill's crashed host held ST control channels and
+/// carriers whose other ends used to keep sending into it and were never
+/// told. Now those ends fail, two ST streams fail over (0 → 2 completed),
+/// four control channels are re-created on restart, and `net.drop.no_rms`
+/// falls 42 → 8: messages 1075 → 1099 (1076 → 1099 under e12), events
+/// 12995 → 13101 (13234 → 13279). Opens and refusals, `routing_ci` and the
+/// `E11_*` rows did not move.
+const E10_CI: [u64; 4] = [13101, 1099, 29, 4];
 /// The parallel executor (e12) at `ci` and `routing_ci`, any shard count.
-const E12_CI: [u64; 4] = [13234, 1076, 29, 4];
+const E12_CI: [u64; 4] = [13279, 1099, 29, 4];
 const E12_ROUTING_CI: [u64; 4] = [12605, 1099, 27, 6];
 
 /// `[events, floods, recomputes, alternate_wins, recoveries,
@@ -269,10 +279,7 @@ fn e11_ci_is_oracle_clean() {
 /// 2 and 4 shards is the parallel executor's core contract.
 fn pscale_digests(params: MixParams) -> Outcome {
     let params = traced(params.scenario());
-    let par = |shards| Backend::Par {
-        shards,
-        lan_aligned: true,
-    };
+    let par = |shards| Backend::Par { shards };
     let serial = run(&params, par(1));
     let reference = serial.determinism_digest();
     for shards in [2, 4] {

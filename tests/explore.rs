@@ -237,10 +237,7 @@ fn stored_repro_replays_byte_identically() {
 #[test]
 fn stored_repro_has_one_verdict_on_every_backend() {
     let armed = admission_repro();
-    let par = |shards| Backend::Par {
-        shards,
-        lan_aligned: false,
-    };
+    let par = |shards| Backend::Par { shards };
     let backends = [
         Backend::Serial,
         par(1),
@@ -318,4 +315,45 @@ fn a_sender_closed_with_sends_outstanding_ends_failed() {
         )
     });
     assert!(failed_end, "the sender's session ends failed");
+}
+
+/// The RKOM probe that a crash of either end used to strand: one `RpcFlow`
+/// a → b on `dual_homed(1)`, 300 calls of 64 B each way, one every 20 ms
+/// from t = 0, with `host` crashed at 100 ms and restarted at 300 ms.
+fn crash_probe(host: u32) -> String {
+    format!(
+        "\
+dash replay v3
+seed 1
+force_admission false
+rpc 0 1 1 300 20000000 0 64 64
+fault 100000000 host_crash {host}
+fault 300000000 host_restart {host}
+"
+    )
+}
+
+/// A crash fails every network RMS whose path touches the crashed host, at
+/// both ends, so the survivor's ST drops its stale control half and its
+/// carriers and RKOM reopens its channels once the host is back: with b
+/// crashed, only the calls b could not answer fail; with a crashed, only
+/// the calls a issued while it was down.
+#[test]
+fn rkom_recovers_after_either_end_crashes_and_restarts() {
+    for (host, answered) in [(1, 295), (0, 285)] {
+        let genome = replay::parse(&crash_probe(host)).expect("the probe parses");
+        let out = run(&genome.scenario(), Backend::Serial);
+        assert!(out.verdict.is_clean(), "{}", out.verdict);
+        let calls = &out.acct.rpcs[&0];
+        let drops = out.registry.counter_value("net.drop.no_rms");
+        println!(
+            "crash {host}: {} of {} calls answered, {drops} net.drop.no_rms",
+            calls.received, calls.sent
+        );
+        assert!(
+            calls.received >= answered,
+            "crash {host}: {} of 300 answered",
+            calls.received
+        );
+    }
 }

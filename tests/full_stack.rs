@@ -69,10 +69,7 @@ fn a_window_plan_is_oracle_clean_on_serial_and_par() {
         ..Plan::default()
     };
     let scn = Scenario::new(|| two_hosts_ethernet().0, plan, SimDuration::from_secs(3));
-    let par = |shards| Backend::Par {
-        shards,
-        lan_aligned: false,
-    };
+    let par = |shards| Backend::Par { shards };
     let mut par_digest = None;
     for backend in [Backend::Serial, par(1), par(2), par(4)] {
         let o = run(&scn, backend);

@@ -38,10 +38,7 @@ fn trimmed_ci() -> MixParams {
 /// invariance.
 /// Returns the serial and the rt outcome for scenario-specific checks.
 fn conform(scn: &Scenario) -> (Outcome, Outcome) {
-    let par = |shards| Backend::Par {
-        shards,
-        lan_aligned: true,
-    };
+    let par = |shards| Backend::Par { shards };
     let planned = |o: &Outcome| {
         (
             o.acct.streams().opened + o.acct.streams().failed,

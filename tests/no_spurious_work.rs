@@ -148,10 +148,7 @@ fn loss_free_mix_does_no_repair_work_on_serial_and_par() {
     let scn = loss_free_ci();
     assert_no_spurious_work("serial", &run(&scn, Backend::Serial));
     for shards in [1, 2] {
-        let par = Backend::Par {
-            shards,
-            lan_aligned: true,
-        };
+        let par = Backend::Par { shards };
         assert_no_spurious_work(&format!("par({shards})"), &run(&scn, par));
     }
 }
