@@ -75,7 +75,10 @@ pub struct Scenario {
     /// The TCP-like baseline's configuration on every host.
     pub tcp: TcpConfig,
     /// Per-host protocol CPUs: their scheduling policy and context-switch
-    /// cost. `None` models protocol processing as free.
+    /// cost. `None` keeps the stack's default model, one FIFO
+    /// run-to-completion CPU per host (`net::state::fifo_charge_cpu`),
+    /// which still charges `NetConfig::per_packet_cpu`, the security
+    /// mechanisms' costs and `StConfig::st_cpu`.
     pub cpus: Option<(SchedPolicy, SimDuration)>,
     /// Hand the merged event stream back in [`Outcome::stream`], for a
     /// caller that reads events (the explorer, a table counting drops, a
@@ -87,8 +90,8 @@ pub struct Scenario {
 impl Scenario {
     /// `plan` on the network `topo` builds, cut after `length`: no
     /// faults, no shard groups, seed 0, the default subtransport and TCP
-    /// baseline, free protocol processing, nothing recorded. Struct update
-    /// syntax sets the rest.
+    /// baseline, FIFO run-to-completion protocol CPUs (`cpus: None`),
+    /// nothing recorded. Struct update syntax sets the rest.
     pub fn new(
         topo: impl Fn() -> NetState + Send + Sync + 'static,
         plan: Plan,

@@ -4,12 +4,14 @@
 //! knows *how* each fault lands on the network state: dead networks fail
 //! RMSs and reroute (§2 property 3), partitions filter the wire, burst
 //! models replace i.i.d. loss, stalls freeze transmitters, a host crash
-//! empties the host's transmit queues, fails and removes both ends of every
-//! RMS whose path touches it and answers the creates and invites it drops
-//! (its reservations and pins stay behind), and timer jitter perturbs the
-//! engine's schedule. Every
-//! application is announced as an [`ObsEvent::FaultInjected`] so chaos
-//! harnesses can account for injected faults in the metric registry.
+//! empties the host's transmit queues, ends every RMS whose path touches
+//! it and answers the creates and invites it drops, and timer jitter
+//! perturbs the engine's schedule. An RMS a fault ends leaves no record
+//! anywhere: every hop gives back its reservation and pin, and both ends
+//! are removed and fail ([`crate::pipeline::fail_network`]'s walk, which
+//! both faults share). Every application is announced as an
+//! [`ObsEvent::FaultInjected`] so chaos harnesses can account for
+//! injected faults in the metric registry.
 
 use dash_sim::engine::Sim;
 use dash_sim::fault::{FaultKind, FaultPlan};
@@ -19,10 +21,10 @@ use rms_core::error::{FailReason, RejectReason};
 
 use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::pipeline::{
-    fail_network, give_up_create, give_up_invite, kick_tx, reconverge, report_failed,
-    restore_network, witnesses_on,
+    fail_cut, fail_network, give_up_create, give_up_invite, kick_tx, reconverge, restore_network,
+    witnesses_on,
 };
-use crate::routing;
+use crate::routing::{self, Leg};
 use crate::state::{emit, NetWorld};
 
 /// Schedule every event of `plan` against the simulation. Events fire at
@@ -95,18 +97,19 @@ pub fn stall_iface<W: NetWorld>(
     sim.call_at(until, kick_tx::<W>, (host.0, idx as u64));
 }
 
-/// Crash `host`: its transmit queues are discarded, every RMS endpoint
-/// whose path touches the host — its own, its peers' ends toward it, and
-/// both ends of every RMS routed through it — is removed and fails with
-/// [`FailReason::ResourcesRevoked`], and
-/// routing tables are marked dirty so the crashed host is no longer used as
-/// transit (its up neighbours re-flood to spread the word). Its creation
-/// attempts and invites are abandoned and answered after the endpoint
-/// failures, in ascending id order: a create with
-/// [`crate::state::NetRmsEvent::CreateFailed`], an invite with
-/// [`crate::state::NetRmsEvent::InviteFailed`], both `NoRoute`, since a
-/// crashed host routes nothing. Reservations and forwarding pins stay
-/// behind (see DESIGN.md, "Fault model"). Idempotent.
+/// Crash `host`: its transmit queues are discarded, every RMS whose path
+/// touches the host — its own, its peers' toward it, and every RMS routed
+/// through it — ends: every hop gives back its reservation and pin, and
+/// both ends are removed and fail with [`FailReason::ResourcesRevoked`].
+/// Routing tables are marked dirty so the crashed host is no longer used
+/// as transit (its up neighbours re-flood to spread the word), and a hop
+/// refuses a request whose path enters it, so one still on its way is
+/// NAKed back hop by hop. Its creation attempts and invites are abandoned
+/// and answered after the endpoint failures, in ascending id order: a
+/// create with [`crate::state::NetRmsEvent::CreateFailed`], an invite
+/// with [`crate::state::NetRmsEvent::InviteFailed`], both `NoRoute`,
+/// since a crashed host routes nothing, and the host keeps no record of
+/// any RMS. Idempotent.
 pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
     let net = sim.state.net();
     let h = net.host_mut(host);
@@ -121,14 +124,6 @@ pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
     }
     let mut dropped: Vec<NetRmsId> = h.pending.keys().chain(h.invites.keys()).copied().collect();
     dropped.sort_unstable();
-    let mut failed = Vec::new();
-    for h in &net.hosts {
-        for (id, rms) in &h.rms {
-            if h.id == host || rms.peer == host || rms.path.iter().any(|leg| leg.to == host) {
-                failed.push((h.id, *id));
-            }
-        }
-    }
     // The witnesses are the crashed host's up neighbours, each once, in
     // ascending order.
     let ifaces = &net.host(host).ifaces;
@@ -137,8 +132,10 @@ pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
         .collect();
     witnesses.sort_unstable();
     witnesses.dedup();
-    reconverge(sim, ObsEvent::HostCrashed { host: host.0 }, &witnesses);
-    report_failed(sim, &mut failed, FailReason::ResourcesRevoked);
+    let event = ObsEvent::HostCrashed { host: host.0 };
+    let touches = |creator, path: &[Leg]| creator == host || path.iter().any(|leg| leg.to == host);
+    let reason = FailReason::ResourcesRevoked;
+    fail_cut(sim, event, &witnesses, reason, touches);
     // Each routine passes over an id that names none of its records.
     for rms in dropped {
         give_up_create(sim, host, rms, RejectReason::NoRoute);
@@ -146,12 +143,11 @@ pub fn crash_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
     }
 }
 
-/// Bring a crashed host back. [`crash_host`] answered its creation
-/// attempts and invites and removed its endpoints, but kept every
-/// reservation and forwarding pin, and nothing releases them yet (see
-/// DESIGN.md, "Fault model"), so the host does not start empty.
-/// Routing may use the host as transit again once it re-announces itself
-/// by flooding fresh link state. Idempotent.
+/// Bring a crashed host back. It starts empty: [`crash_host`] ended every
+/// RMS it had a part in and answered its creation attempts and invites,
+/// so it holds no endpoint, reservation, pin, create or invite. Routing
+/// may use the host as transit again once it re-announces itself by
+/// flooding fresh link state. Idempotent.
 pub fn restart_host<W: NetWorld>(sim: &mut Sim<W>, host: HostId) {
     let h = sim.state.net().host_mut(host);
     if h.up {

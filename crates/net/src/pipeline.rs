@@ -27,7 +27,7 @@ use crate::ids::{HostId, NetRmsId, NetworkId};
 use crate::network::WireOutcome;
 use crate::packet::{DataPacket, Direction, NakReason, Packet, PacketKind, SourceRoute};
 use crate::rms::{NetRms, RmsRole, REORDER_FAIL_THRESHOLD};
-use crate::routing::{self, CandidatePath, Leg};
+use crate::routing::{self, CandidatePath, Leg, Path};
 use crate::state::{
     emit, Hold, NetRmsEvent, NetState, NetWorld, PendingCreate, PendingInvite, Route,
     CREATE_RETRIES, CREATE_TIMEOUT, TTL,
@@ -288,11 +288,10 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
 
     // Walk the alternates from the current cursor, taking our own first
     // leg's reservation step like every hop does, and advance past
-    // candidates whose first leg is down or refuses admission.
+    // candidates a fault has cut or whose first leg refuses admission.
     let mut admission_detail = None;
     loop {
-        let net = sim.state.net();
-        let p = &net.host(creator).pending[&rms];
+        let p = &sim.state.net_ref().host(creator).pending[&rms];
         let Some(c) = p.alternates.get(p.alt_idx) else {
             let reason = match admission_detail {
                 Some(detail) => RejectReason::AdmissionDenied { detail },
@@ -301,16 +300,13 @@ fn start_create_attempt<W: NetWorld>(sim: &mut Sim<W>, creator: HostId, rms: Net
             give_up_create(sim, creator, rms, reason);
             return;
         };
-        let (leg, params) = (c.path.first().copied(), c.params.clone());
-        match reserve_leg(net, now, creator, rms, leg, &params) {
+        let (path, params) = (c.path.clone(), c.params.clone());
+        match reserve_leg(sim, creator, rms, creator, &path, 0, &params) {
             Ok(_) => break,
             Err(detail) => {
                 admission_detail = detail.or(admission_detail);
-                net.host_mut(creator)
-                    .pending
-                    .get_mut(&rms)
-                    .expect("filed")
-                    .alt_idx += 1;
+                let p = sim.state.net().host_mut(creator).pending.get_mut(&rms);
+                p.expect("filed").alt_idx += 1;
             }
         }
     }
@@ -393,36 +389,63 @@ pub(crate) fn give_up_invite<W: NetWorld>(
 }
 
 /// One hop's step of establishment, the same at the creator's first hop
-/// and at every transit hop: `leg` must cross an up network from one of
-/// `host`'s interfaces; admission (§2.3, [`admit_hop`]) then reserves
-/// `params` there, and `rms` is pinned to the leg so data and teardown
-/// follow the reservation even after reconvergence moves the table. A
-/// refused leg leaves nothing held here and says why: `None` when there is
-/// no usable leg, the ledger's explanation when admission refused.
-fn reserve_leg(
-    net: &mut NetState,
-    now: SimTime,
+/// and at every transit hop: `host` takes leg `at` of the `path` that
+/// `creator` chose for `rms`, which must leave from one of `host`'s
+/// interfaces on a path no fault has cut ([`is_whole`]); admission (§2.3,
+/// [`admit_hop`]) then reserves `params` there, and `rms` is pinned to the
+/// leg so data and teardown follow the reservation even after
+/// reconvergence moves the table. A refused leg leaves nothing held here
+/// and says why: `None` when there is no usable leg, the ledger's
+/// explanation when admission refused.
+fn reserve_leg<W: NetWorld>(
+    sim: &mut Sim<W>,
     host: HostId,
     rms: NetRmsId,
-    leg: Option<Leg>,
+    creator: HostId,
+    path: &Path,
+    at: usize,
     params: &SharedParams,
 ) -> Result<(), Option<String>> {
-    let route = leg.and_then(|leg| {
-        let up = (net.networks.get(leg.network.0 as usize)).is_some_and(|n| !n.down);
-        let iface = net.host(host).iface_on(leg.network).filter(|_| up)?;
-        Some(Route {
-            iface,
-            next_hop: leg.to,
-        })
-    });
+    let now = sim.now();
+    let net = sim.state.net();
+    let route = path
+        .get(at)
+        .filter(|_| is_whole(net, path))
+        .and_then(|leg| {
+            let iface = net.host(host).iface_on(leg.network)?;
+            Some(Route {
+                iface,
+                next_hop: leg.to,
+            })
+        });
     let verdict = match route {
-        Some(route) => admit_hop(net, now, host, route, rms, params).map_err(Some),
+        Some(route) => {
+            let hold = Hold {
+                params: params.clone(),
+                route,
+                creator,
+                path: path.clone(),
+            };
+            admit_hop(net, now, host, rms, hold).map_err(Some)
+        }
         None => Err(None),
     };
     if verdict.is_err() {
         release_hop(net, host, rms);
     }
     verdict
+}
+
+/// Whether no fault has cut `path`: each leg crosses an up network into an
+/// up host. Its last host, the peer, may be down, since a crashed host
+/// forwards nothing but a create's retries may outlast its peer's
+/// restart. Every world applies every fault, so any host can tell.
+fn is_whole(net: &NetState, path: &[Leg]) -> bool {
+    let last = path.len().saturating_sub(1);
+    path.iter().enumerate().all(|(i, leg)| {
+        (net.networks.get(leg.network.0 as usize)).is_some_and(|n| !n.down)
+            && (i == last || net.hosts.get(leg.to.0 as usize).is_some_and(|h| h.up))
+    })
 }
 
 /// Release `host`'s hold on `rms`, if it has one: its reservation goes
@@ -435,41 +458,41 @@ fn release_hop(net: &mut NetState, host: HostId, rms: NetRmsId) -> Option<Route>
     Some(hold.route)
 }
 
-/// One hop's admission (§2.3): reserve `params` for `rms` on `host`'s
-/// outbound interface `route.iface` and pin `rms` to `route`,
+/// One hop's admission (§2.3): reserve `hold.params` for `rms` on
+/// `host`'s outbound interface `hold.route.iface` and file `hold`,
 /// idempotently — a retry that finds the hold on the same interface moves
-/// only the pin, without asking the ledger again. A retry along another
-/// leg gives the old reservation back first: the reservation moves with
-/// the pin, and the new leg's ledger decides. A fresh decision is
-/// announced; a refusal returns the ledger's explanation.
+/// only the pin and the path, without asking the ledger again. A retry
+/// along another leg gives the old reservation back first: the
+/// reservation moves with the pin, and the new leg's ledger decides. A
+/// fresh decision is announced; a refusal returns the ledger's
+/// explanation.
 fn admit_hop(
     net: &mut NetState,
     now: SimTime,
     host: HostId,
-    route: Route,
     rms: NetRmsId,
-    params: &SharedParams,
+    hold: Hold,
 ) -> Result<(), String> {
-    if let Some(hold) = net.host_mut(host).holds.get_mut(&rms) {
-        if hold.route.iface == route.iface {
-            hold.route = route;
+    if let Some(held) = net.host_mut(host).holds.get_mut(&rms) {
+        if held.route.iface == hold.route.iface {
+            held.route = hold.route;
+            held.path = hold.path;
             return Ok(());
         }
         release_hop(net, host, rms);
     }
     let force = net.config.debug_force_admission;
     let h = net.host_mut(host);
-    let ledger = &mut h.ifaces[route.iface].ledger;
+    let ledger = &mut h.ifaces[hold.route.iface].ledger;
     let admitted = if force {
-        ledger.force_admit(params)
+        ledger.force_admit(&hold.params)
     } else {
-        ledger.admit(params)
+        ledger.admit(&hold.params)
     };
     let (reserved_bps, budget_bps) = (ledger.reserved_bps(), ledger.deterministic_budget_bps());
     let verdict = match admitted {
         Admission::Admitted => {
-            let params = params.clone();
-            h.holds.insert(rms, Hold { params, route });
+            h.holds.insert(rms, hold);
             Ok(())
         }
         Admission::Denied { detail } => Err(detail),
@@ -1095,21 +1118,27 @@ fn forward<W: NetWorld>(sim: &mut Sim<W>, host: HostId, mut packet: Packet) {
 }
 
 fn handle_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet) {
-    if packet.dst == host {
-        return accept_create_req(sim, host, packet);
-    }
-    // Transit hop: take the reservation step on the next leg of the
-    // creator's source route and forward the request in place, or refuse.
-    let now = sim.now();
     let PacketKind::CreateReq {
         rms, ref params, ..
     } = packet.kind
     else {
         unreachable!()
     };
-    let sr = packet.source_route.as_ref();
-    let leg = sr.and_then(|sr| sr.leg(sr.next + 1, packet.dst));
-    match reserve_leg(sim.state.net(), now, host, rms, leg, params) {
+    // Only a forged request lacks the route.
+    let Some(sr) = packet.source_route.as_ref() else {
+        return drop_packet(sim, host, DropCause::NoRoute);
+    };
+    // The peer opens its end on a path no fault has cut; a transit hop
+    // takes the reservation step on the next leg of the creator's source
+    // route and forwards the request in place. Either may refuse.
+    let verdict = if packet.dst != host {
+        reserve_leg(sim, host, rms, packet.src, &sr.path, sr.next + 1, params)
+    } else if is_whole(sim.state.net_ref(), &sr.path) {
+        return accept_create_req(sim, host, packet);
+    } else {
+        Err(None)
+    };
+    match verdict {
         Ok(()) => forward(sim, host, packet),
         Err(detail) => {
             let reason = match detail {
@@ -1129,16 +1158,17 @@ fn answer_creator<W: NetWorld>(
     sim: &mut Sim<W>,
     host: HostId,
     src: HostId,
-    sr: Option<&SourceRoute>,
+    sr: &SourceRoute,
     kind: PacketKind,
 ) {
     let now = sim.now();
+    let source_route = SourceRoute {
+        path: sr.path.clone(),
+        next: 0,
+        direction: Direction::Back { from: sr.next },
+    };
     let packet = Packet {
-        source_route: sr.map(|sr| SourceRoute {
-            path: sr.path.clone(),
-            next: 0,
-            direction: Direction::Back { from: sr.next },
-        }),
+        source_route: Some(source_route),
         ..Packet::control(host, src, kind, now)
     };
     route_and_enqueue(sim, host, packet);
@@ -1158,19 +1188,12 @@ fn accept_create_req<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
     else {
         unreachable!()
     };
-    let sr = packet.source_route.as_ref();
+    let sr = packet.source_route.as_ref().expect("checked on arrival");
     let is_new = !sim.state.net_ref().host(host).rms.contains_key(&rms);
     if is_new {
         let (plan, key) = packet.next_plan.unwrap_or((MechanismPlan::NONE, Key(0)));
-        let endpoint = NetRms::new(
-            rms,
-            RmsRole::Receiver,
-            src,
-            params.clone(),
-            plan,
-            key,
-            sr.map(|sr| sr.path.clone()).unwrap_or_default(),
-        );
+        let path = sr.path.clone();
+        let endpoint = NetRms::new(rms, RmsRole::Receiver, src, params.clone(), plan, key, path);
         sim.state.net().host_mut(host).rms.insert(rms, endpoint);
     }
     answer_creator(sim, host, src, sr, PacketKind::CreateAck { rms });
@@ -1264,12 +1287,14 @@ fn handle_create_ack<W: NetWorld>(sim: &mut Sim<W>, host: HostId, packet: Packet
         unreachable!()
     };
     // Only the stream's peer answers its request; anything else is a
-    // duplicate (the create already finished) or not ours to accept.
-    let pending = &mut sim.state.net().host_mut(host).pending;
-    if pending.get(&rms).is_none_or(|p| p.peer != packet.src) {
+    // duplicate (the create already finished) or not ours to accept. An
+    // answer that was past the break when a fault cut its path finds the
+    // creator's hold given back, and the create's retry re-resolves.
+    let h = sim.state.net().host_mut(host);
+    if !h.holds.contains_key(&rms) || h.pending.get(&rms).is_none_or(|p| p.peer != packet.src) {
         return;
     }
-    let mut pending = pending.remove(&rms).expect("checked above");
+    let mut pending = h.pending.remove(&rms).expect("checked above");
     if let Some(t) = pending.timer {
         t.cancel();
     }
@@ -1566,7 +1591,8 @@ fn deliver_data<W: NetWorld>(
 // ---------------------------------------------------------------------------
 
 /// Bring a network down: in-flight and future packets on it are lost, and
-/// every RMS whose path traverses it fails with
+/// every RMS whose path traverses it ends: every hop gives back what it
+/// held for it, and both ends fail with
 /// [`FailReason::NetworkDown`] (§2 property 3: "clients are notified of an
 /// RMS failure").
 ///
@@ -1580,18 +1606,10 @@ pub fn fail_network<W: NetWorld>(sim: &mut Sim<W>, network: NetworkId) {
         return;
     }
     net.network_mut(network).down = true;
-    let mut failed = Vec::new();
-    for host in &net.hosts {
-        for (id, state) in &host.rms {
-            if state.path.iter().any(|leg| leg.network == network) {
-                failed.push((host.id, *id));
-            }
-        }
-    }
     let witnesses = witnesses_on(net, network);
     let event = ObsEvent::NetworkFailed { network: network.0 };
-    reconverge(sim, event, &witnesses);
-    report_failed(sim, &mut failed, FailReason::NetworkDown);
+    let crosses = |_, path: &[Leg]| path.iter().any(|leg| leg.network == network);
+    fail_cut(sim, event, &witnesses, FailReason::NetworkDown, crosses);
     W::network_event(sim, network, false);
 }
 
@@ -1632,6 +1650,39 @@ pub(crate) fn reconverge<W: NetWorld>(sim: &mut Sim<W>, event: ObsEvent, witness
     for &host in witnesses {
         routing::flood_from(sim, host);
     }
+}
+
+/// End every RMS record the fault `event` cuts: `cuts(creator, path)`
+/// says whether it cuts an RMS `creator` established along `path`. Each
+/// host is judged by its own records alone, since a `dash-par` replica
+/// has the holds of a transit host but not the endpoints. First every
+/// hold the cut covers is given back ([`release_hop`]: reservation and
+/// pin), so the witnesses' floods and every upcall see the freed
+/// headroom; then the routes reconverge ([`reconverge`] with `event` and
+/// `witnesses`), and every endpoint the cut covers is removed and its
+/// owner told that it failed for `reason` ([`report_failed`]).
+pub(crate) fn fail_cut<W: NetWorld>(
+    sim: &mut Sim<W>,
+    event: ObsEvent,
+    witnesses: &[HostId],
+    reason: FailReason,
+    cuts: impl Fn(HostId, &[Leg]) -> bool,
+) {
+    let net = sim.state.net();
+    let (mut holds, mut failed) = (Vec::new(), Vec::new());
+    for h in &net.hosts {
+        let held = (h.holds.iter()).filter(|(_, hold)| cuts(hold.creator, &hold.path));
+        holds.extend(held.map(|(rms, _)| (h.id, *rms)));
+        let ends = (h.rms.iter()).filter(|(_, end)| cuts(end.creator(h.id), &end.path));
+        failed.extend(ends.map(|(rms, _)| (h.id, *rms)));
+    }
+    // Ascending, so a ledger's sum does not depend on hash-map order.
+    holds.sort_unstable();
+    for (host, rms) in holds {
+        release_hop(net, host, rms);
+    }
+    reconverge(sim, event, witnesses);
+    report_failed(sim, &mut failed, reason);
 }
 
 /// Remove each endpoint in `failed`, then tell its owner that it failed

@@ -108,6 +108,15 @@ impl NetRms {
         }
     }
 
+    /// The host that created the stream and chose its path, this endpoint
+    /// being at `here`: the sending end (an invited sender creates too).
+    pub fn creator(&self, here: HostId) -> HostId {
+        match self.role {
+            RmsRole::Sender => here,
+            RmsRole::Receiver => self.peer,
+        }
+    }
+
     /// Allocate the next send sequence number.
     pub fn alloc_seq(&mut self) -> u64 {
         let s = self.next_seq;

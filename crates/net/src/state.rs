@@ -172,6 +172,12 @@ pub struct Hold {
     /// reserved, not whatever the current table says. A create retried
     /// along another leg moves the pin and the reservation with it.
     pub route: Route,
+    /// The RMS's creator. A fault ends the hold when it cuts the creator
+    /// or `path` ([`crate::pipeline::fail_network`],
+    /// [`crate::fault::crash_host`]), judged from this host's own state.
+    pub creator: HostId,
+    /// The path the RMS's request walks, creator to peer, shared with it.
+    pub path: Path,
 }
 
 /// Per-host network-layer state.

@@ -482,3 +482,120 @@ fn a_retry_along_another_leg_moves_the_transit_reservation() {
     println!("T reserves {bps:.0} B/s");
     assert_eq!((reserved(n1), reserved(n2)), (0.0, bps));
 }
+
+/// Deterministic parameters of which four fit one Ethernet interface
+/// (29 % of its reservable bandwidth and 64 KiB of buffer each).
+fn reserved_params() -> RmsParams {
+    RmsParams::builder(64 * 1024, 1024)
+        .delay(DelayBound::deterministic(
+            SimDuration::from_millis(192),
+            SimDuration::from_micros(10),
+        ))
+        .build()
+        .unwrap()
+}
+
+/// Whether `host` keeps no record of any RMS and its ledgers read zero.
+fn assert_empty(sim: &Sim<World>, host: HostId) {
+    let h = sim.state.net.host(host);
+    assert!(h.holds.is_empty(), "holds {:?}", h.holds.keys());
+    assert!(h.rms.is_empty(), "endpoints {:?}", h.rms.keys());
+    assert!(h.pending.is_empty(), "creates {:?}", h.pending.keys());
+    assert!(h.invites.is_empty(), "invites {:?}", h.invites.keys());
+    for iface in &h.ifaces {
+        let ledger = &iface.ledger;
+        assert_eq!(ledger.reserved_bps(), 0.0, "{:?}", iface.network);
+        assert_eq!(ledger.reserved_buffer(), 0, "{:?}", iface.network);
+        assert_eq!(ledger.statistical_load_bps(), 0.0, "{:?}", iface.network);
+    }
+}
+
+/// A crash gives back everything the crashed host had a part in, so it
+/// restarts empty. a, c — lan1 — g — lan2 — b: a → b and b → a are
+/// routed through g, g → b starts there, a → c does not touch it, and a
+/// create and an invite of g's are still pending. Right after the crash
+/// g holds no reservation, pin, endpoint, create or invite and its
+/// ledgers read zero, while a's ledger counts only a → c and b's nothing.
+/// After the restart a fresh RMS through g is its only reservation.
+#[test]
+fn a_crashed_host_restarts_empty() {
+    let mut tb = TopologyBuilder::new();
+    let lan1 = tb.network(NetworkSpec::ethernet("lan1"));
+    let lan2 = tb.network(NetworkSpec::ethernet("lan2"));
+    let a = tb.host_on(lan1);
+    let c = tb.host_on(lan1);
+    let g = tb.gateway(lan1, lan2);
+    let b = tb.host_on(lan2);
+    let mut sim = Sim::new(World::new(tb.build()));
+    let params = reserved_params();
+    let cut = [(a, b), (b, a), (g, b)].map(|(from, to)| {
+        let rms = world::establish(&mut sim, from, to, params.clone());
+        assert!(
+            sim.state.net.host(g).holds.contains_key(&rms),
+            "{rms:?} is held at g"
+        );
+        rms
+    });
+    let kept = world::establish(&mut sim, a, c, params.clone());
+    let request = RmsRequest::exact(params.clone());
+    create_rms(&mut sim, g, a, &request).unwrap();
+    create_rms_as_receiver(&mut sim, g, c, &request).unwrap();
+
+    crash_host(&mut sim, g);
+    assert_empty(&sim, g);
+    let bps = implied_bandwidth(&params);
+    let ledger = |sim: &Sim<World>, host| {
+        let iface = &sim.state.net.host(host).ifaces[0];
+        (iface.ledger.reserved_bps(), iface.ledger.reserved_buffer())
+    };
+    assert_eq!(
+        ledger(&sim, a),
+        (bps, params.capacity),
+        "a counts a → c alone"
+    );
+    assert_eq!(ledger(&sim, b), (0.0, 0), "b counts nothing");
+    for h in &sim.state.net.hosts {
+        let held: Vec<_> = h.holds.keys().copied().collect();
+        assert!(held.iter().all(|rms| *rms == kept), "{:?}: {held:?}", h.id);
+        assert!(cut.iter().all(|rms| !h.rms.contains_key(rms)), "{:?}", h.id);
+    }
+
+    restart_host(&mut sim, g);
+    assert_empty(&sim, g);
+    let fresh = world::establish(&mut sim, a, b, params.clone());
+    let h = sim.state.net.host(g);
+    assert_eq!(h.holds.keys().collect::<Vec<_>>(), [&fresh]);
+    let out = h.holds[&fresh].route.iface;
+    assert_eq!(h.ifaces[out].ledger.reserved_bps(), bps);
+}
+
+/// A create whose request is on its way toward a host that crashes holds
+/// nothing once its refusal drains. a — lan1 — g1 — lan2 — g2 — lan3 —
+/// b: g2 crashes while a's request is on lan1. The crash gives back a's
+/// first hop, and g1 refuses the leg into the crashed g2, so its NAK walks
+/// back and the create fails with `NoRoute` instead of leaving a
+/// reservation and pin at g1.
+#[test]
+fn a_create_in_flight_toward_a_crashed_host_holds_nothing() {
+    let mut tb = TopologyBuilder::new();
+    let [lan1, lan2, lan3] = ["lan1", "lan2", "lan3"].map(|n| tb.network(NetworkSpec::ethernet(n)));
+    let a = tb.host_on(lan1);
+    let g1 = tb.gateway(lan1, lan2);
+    let g2 = tb.gateway(lan2, lan3);
+    let b = tb.host_on(lan3);
+    let mut sim = Sim::new(World::new(tb.build()));
+    let rms = create_rms(&mut sim, a, b, &RmsRequest::exact(reserved_params())).unwrap();
+    while !sim.state.net.host(a).holds.contains_key(&rms) {
+        assert!(sim.step(), "the request leaves a");
+    }
+    crash_host(&mut sim, g2);
+    sim.run();
+    for h in &sim.state.net.hosts {
+        assert!(!h.holds.contains_key(&rms), "{:?} holds {rms:?}", h.id);
+        for iface in &h.ifaces {
+            assert_eq!(iface.ledger.reserved_bps(), 0.0, "{:?}", h.id);
+        }
+    }
+    assert_eq!(sim.state.create_failed(), [(a, rms, RejectReason::NoRoute)]);
+    assert!(events_at(&sim, g1).is_empty() && events_at(&sim, b).is_empty());
+}

@@ -1,13 +1,15 @@
-//! Reservation bookkeeping under admission pressure: on a 3×3 mesh of
-//! Ethernets, random mixes of sender-side creates, receiver-side creates
-//! (invites) and closes, with deterministic demands large enough that
+//! Reservation bookkeeping under admission pressure and faults: on a 3×3
+//! mesh of Ethernets, random mixes of sender-side creates, receiver-side
+//! creates (invites), closes, networks going down and up and gateways
+//! crashing and restarting, with deterministic demands large enough that
 //! gateways refuse (the creator walks its alternates after the NAK) and a
-//! creator's own first hop refuses. No fault plan. Once the run drains,
-//! every reservation and forwarding pin any host holds belongs to a live
-//! endpoint or a pending create, and every interface ledger's reserved
-//! bandwidth and buffer are exactly the sums over the reservations it
-//! holds. Across the cases at least one NAK walk and one first-hop refusal
-//! happen, so the invariant is checked where establishment backs out.
+//! creator's own first hop refuses. Once the run drains, every reservation
+//! and forwarding pin any host holds belongs to a live endpoint or a
+//! pending create, and every interface ledger's reserved bandwidth and
+//! buffer are exactly the sums over the reservations it holds. Across the
+//! cases at least one NAK walk and one first-hop refusal happen, and a
+//! fault ends an RMS that held a transit reservation, so the invariant is
+//! checked where establishment backs out and where a fault cuts.
 //!
 //! Run wider with `PROPTEST_CASES=2000 cargo test --release -p dash-net
 //! --test reservations`.
@@ -18,10 +20,12 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+use dash_net::fault::apply_fault;
 use dash_net::ids::{HostId, NetRmsId};
 use dash_net::pipeline::{close_rms, create_rms, create_rms_as_receiver};
 use dash_net::state::{NetRmsEvent, NetState};
 use dash_net::topology::{mesh3x3, TopologyBuilder};
+use dash_sim::fault::FaultKind;
 use dash_sim::obs::{ObsEvent, ObsSink};
 use dash_sim::time::{SimDuration, SimTime};
 use dash_sim::Sim;
@@ -42,6 +46,10 @@ enum Op {
     Invite { from: usize, to: usize, demand: u8 },
     /// `close_rms` at the sender of the `n`-th live RMS (modulo their number).
     Close(usize),
+    /// Take network `n` down, or bring it back up.
+    Network { n: usize, up: bool },
+    /// Crash gateway `g` (of the twelve), or restart it.
+    Gateway { g: usize, up: bool },
 }
 
 /// Deterministic parameters over 64 KiB of buffer, with a per-byte bound
@@ -69,6 +77,8 @@ fn op() -> impl Strategy<Value = Op> {
             .prop_map(|(from, to, demand)| Op::Create { from, to, demand }),
         ends.prop_map(|(from, to, demand)| Op::Invite { from, to, demand }),
         (0usize..16).prop_map(Op::Close),
+        (0usize..9, any::<bool>()).prop_map(|(n, up)| Op::Network { n, up }),
+        (0usize..12, any::<bool>()).prop_map(|(g, up)| Op::Gateway { g, up }),
     ]
 }
 
@@ -102,22 +112,28 @@ struct Coverage {
     /// Streams established, and closed again before the run drained.
     established: usize,
     closed: usize,
+    /// RMSs a fault ended that held a reservation at a gateway just before.
+    transit_cut: usize,
 }
 
 /// Run `ops` on a fresh `mesh3x3` with one plain host per LAN, drain it,
 /// check the bookkeeping invariant and report what was exercised.
 fn run_case(ops: &[(Op, u64)]) -> Coverage {
     let mut tb = TopologyBuilder::new();
-    let (_, lans) = mesh3x3(&mut tb, 1);
+    let (nets, lans) = mesh3x3(&mut tb, 1);
     let plain: Vec<HostId> = lans.iter().map(|lan| lan[0]).collect();
     let mut world = World::new(tb.build());
     let refusals = Refusals::default();
     world.net.obs.add_boxed_sink(Box::new(refusals.clone()));
+    let gateways: Vec<HostId> = (world.net.hosts.iter())
+        .map(|h| h.id)
+        .filter(|h| !plain.contains(h))
+        .collect();
     let mut sim = Sim::new(world);
 
     // Sender ends of established streams, in establishment order.
     let mut live: Vec<(HostId, NetRmsId)> = Vec::new();
-    let (mut seen_events, mut closed) = (0, 0);
+    let (mut seen_events, mut closed, mut transit_cut) = (0, 0, 0);
     for (op, gap_us) in ops {
         match *op {
             Op::Create { from, to, demand } => {
@@ -134,6 +150,24 @@ fn run_case(ops: &[(Op, u64)]) -> Coverage {
                 closed += 1;
             }
             Op::Close(_) => {}
+            Op::Network { n, up } => {
+                let network = nets[n].0;
+                let fault = if up {
+                    FaultKind::NetworkUp { network }
+                } else {
+                    FaultKind::NetworkDown { network }
+                };
+                transit_cut += inject(&mut sim, &gateways, &fault);
+            }
+            Op::Gateway { g, up } => {
+                let host = gateways[g].0;
+                let fault = if up {
+                    FaultKind::HostRestart { host }
+                } else {
+                    FaultKind::HostCrash { host }
+                };
+                transit_cut += inject(&mut sim, &gateways, &fault);
+            }
         }
         let until = sim.now().saturating_add(SimDuration::from_micros(*gap_us));
         sim.run_until(until);
@@ -141,7 +175,6 @@ fn run_case(ops: &[(Op, u64)]) -> Coverage {
         seen_events = sim.state.events.len();
     }
     sim.run();
-    collect_senders(&sim.state.events[seen_events..], &mut live);
 
     let net = &sim.state.net;
     check_bookkeeping(net, ops);
@@ -154,18 +187,47 @@ fn run_case(ops: &[(Op, u64)]) -> Coverage {
         first_hop_refusals,
         transit_refusals: refused.len() - first_hop_refusals,
         alternate_wins: net.obs.registry.counter_value("routing.alternate_wins"),
-        established: closed + live.len(),
+        established: (sim.state.events.iter())
+            .filter(|(_, event)| {
+                matches!(
+                    event,
+                    NetRmsEvent::Created { .. } | NetRmsEvent::SenderCreatedByInvite { .. }
+                )
+            })
+            .count(),
         closed,
+        transit_cut,
     }
 }
 
-/// Add the sender end of every stream `events` report established.
+/// Apply `fault` and count the RMSs it ended that held a reservation at
+/// one of `gateways` just before.
+fn inject(sim: &mut Sim<World>, gateways: &[HostId], fault: &FaultKind) -> usize {
+    let net = &sim.state.net;
+    let transit: BTreeSet<NetRmsId> = (gateways.iter())
+        .flat_map(|g| net.host(*g).holds.keys())
+        .copied()
+        .collect();
+    let before = sim.state.events.len();
+    apply_fault(sim, fault);
+    let ended: BTreeSet<NetRmsId> = (sim.state.events[before..].iter())
+        .filter_map(|(_, event)| match event {
+            NetRmsEvent::Failed { rms, .. } => Some(*rms),
+            _ => None,
+        })
+        .collect();
+    ended.intersection(&transit).count()
+}
+
+/// Add the sender end of every stream `events` report established, and
+/// drop the ones they report failed.
 fn collect_senders(events: &[(HostId, NetRmsEvent)], live: &mut Vec<(HostId, NetRmsId)>) {
     for (host, event) in events {
         match event {
             NetRmsEvent::Created { rms, .. } | NetRmsEvent::SenderCreatedByInvite { rms, .. } => {
                 live.push((*host, *rms))
             }
+            NetRmsEvent::Failed { rms, .. } => live.retain(|end| *end != (*host, *rms)),
             _ => {}
         }
     }
@@ -224,6 +286,7 @@ fn reservations_belong_to_live_streams_and_ledgers_match() {
         total.alternate_wins += cov.alternate_wins;
         total.established += cov.established;
         total.closed += cov.closed;
+        total.transit_cut += cov.transit_cut;
     }
     eprintln!("reservations: {total:?}");
     // The invariant must have been checked where establishment backs out.
@@ -236,4 +299,8 @@ fn reservations_belong_to_live_streams_and_ledgers_match() {
         "no NAK from a gateway: {total:?}"
     );
     assert!(total.alternate_wins > 0, "no NAK walk completed: {total:?}");
+    assert!(
+        total.transit_cut > 0,
+        "no fault ended an RMS holding a transit reservation: {total:?}"
+    );
 }

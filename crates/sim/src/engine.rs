@@ -363,7 +363,7 @@ impl<S> Sim<S> {
     }
 
     /// Drop the actions of every timer cancelled since the last drain.
-    /// Their heap entries stay behind but are invalidated by the slot's
+    /// Their heap entries remain but are invalidated by the slot's
     /// generation bump; compaction sweeps them out when they pile up.
     fn reap_cancelled(&mut self) {
         loop {

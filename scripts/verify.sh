@@ -69,6 +69,19 @@ if ! cargo test -q --test explore rkom_recovers_after_either_end_crashes_and_res
     exit 1
 fi
 
+# A crash gives back everything the crashed host had a part in (well under
+# a second): right after it, the host holds no reservation, pin, endpoint,
+# create or invite and its ledgers read zero, and the survivors' ledgers no
+# longer count the RMSs it ended. A hold left behind is capacity that
+# admission never gets back.
+if ! cargo test -q -p dash-net --test faults a_crashed_host_restarts_empty; then
+    echo "verify: a crashed host kept a reservation, pin or record (test above): the"   >&2
+    echo "verify: fault walk (net::pipeline::fail_cut) must give back every hold and"   >&2
+    echo "verify: end every endpoint the crash cuts — reproduce with"                   >&2
+    echo "verify:   cargo test -p dash-net --test faults a_crashed_host_restarts_empty -- --nocapture" >&2
+    exit 1
+fi
+
 # The data path's steady state: on a running stream (voice, tagged and
 # bundled voice, reliable, and fragmenting reliable), 2 000 more ticks
 # must cost a fixed number of allocations per message and leave the live
@@ -145,10 +158,12 @@ fi
 # rt_conformance and rkom_cold_start are held back because they carry a
 # failure hint, a time box or a release build below; no_spurious_work,
 # hot_path_allocs and flat_memory already ran above, and so did the two
-# ended-RMS tests the member suites skip and explore's crash-restart test.
+# ended-RMS tests and the crashed-host test the member suites skip, and
+# explore's crash-restart test.
 cargo test --workspace --exclude dash -q -- --skip propagates_instead_of_wedging \
     --skip a_dead_network_leaves_the_senders_tables_empty \
-    --skip a_late_ack_for_an_ended_sender_schedules_nothing
+    --skip a_late_ack_for_an_ended_sender_schedules_nothing \
+    --skip a_crashed_host_restarts_empty
 cargo test -q --lib --examples
 cargo test -q --doc
 
@@ -200,16 +215,17 @@ PROPTEST_CASES=64 cargo test --release -q --test rkom_cold_start
 # one outcome, and only its peer's ack can create it.
 PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test hostile_handshake
 
-# Reservation bookkeeping: random creates, invites and closes on a 3x3
-# mesh with demands that make gateways NAK (the creator walks its
-# alternates) and creators refuse their own first hop; once each run
-# drains, every reservation and forwarding pin belongs to a live endpoint
-# or a pending create, and every interface ledger equals the sum of the
-# reservations it holds. Optimised, about a second.
+# Reservation bookkeeping: random creates, invites, closes, networks
+# going down and up and gateways crashing and restarting on a 3x3 mesh,
+# with demands that make gateways NAK (the creator walks its alternates)
+# and creators refuse their own first hop; once each run drains, every
+# reservation and forwarding pin belongs to a live endpoint or a pending
+# create, and every interface ledger equals the sum of the reservations it
+# holds. Optimised, about a second.
 if ! PROPTEST_CASES=2000 cargo test --release -q -p dash-net --test reservations; then
     echo "verify: a reservation or pin outlived its stream, or a ledger drifted from"   >&2
-    echo "verify: its reservations (case and ops above): a refusal, NAK, release or"   >&2
-    echo "verify: close leaves state behind — reproduce with"                           >&2
+    echo "verify: its reservations (case and ops above): a fault, refusal, NAK,"        >&2
+    echo "verify: release or close leaves state behind — reproduce with"                >&2
     echo "verify:   PROPTEST_CASES=2000 cargo test --release -p dash-net --test reservations" >&2
     exit 1
 fi

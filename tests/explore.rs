@@ -111,9 +111,8 @@ fn exploration_smoke_passes_clean_on_healthy_stack() {
 /// the CI budget the explorer finds the seeded admission bug on at least
 /// 18, the shrinker reduces every find to the one oversubscribing flow —
 /// with no fault and no jitter on at least 18 — and the replay file
-/// reproduces each violation deterministically. (A find that keeps its
-/// faults is a second bug under the bypass; `admission_failover_leak.repro`
-/// stores one.)
+/// reproduces each violation deterministically. (A find that needs its
+/// faults would be a second bug under the bypass.)
 #[test]
 fn explorer_finds_seeded_admission_bug_and_shrinks_it() {
     let (mut found, mut bare) = (0, 0);
